@@ -8,7 +8,7 @@
 #   ./ci.sh --profile-smoke   # only the deep-observability smoke (below)
 #   ./ci.sh --telemetry-smoke # only the training-telemetry smoke (below)
 #   ./ci.sh --serve-smoke     # only the rhsd-serve end-to-end smoke (below)
-#   ./ci.sh --simd-matrix     # only the ISA/precision matrix (below)
+#   ./ci.sh --simd-matrix     # only the ISA matrix (below)
 #
 # CI mode: when `CI=1` (or `CI=true`, as GitHub Actions sets) the script
 # disables colour, prints one machine-readable summary line per step
@@ -155,17 +155,6 @@ bench_gate() {
     run_step "bench gate: inject 20% runtime regression" bench_inject_regression
     run_step "bench gate: differ self-check (injected regression fails)" \
         bench_selfcheck_fails
-
-    # Quantised scan gate: the same quick repro at --precision int8 must
-    # stay within half an accuracy point and half a false alarm of the
-    # f32 run (runtime skipped: bench-diff refuses cross-precision
-    # runtime comparisons by design, and CI machines vary anyway).
-    run_step "bench gate: quick repro_table1 (--precision int8)" \
-        cargo run --release -p rhsd-bench --bin repro_table1 -- --quick \
-        --precision int8 --bench-out "$tmp/int8.json"
-    run_step "bench gate: int8 accuracy delta vs f32 (0.5pt / 0.5 FA)" \
-        cargo xtask bench-diff "$tmp/current.json" "$tmp/int8.json" \
-        --skip-runtime --max-accuracy-delta 0.5
 
     if [[ "${BENCH_BASELINE_REFRESH:-0}" == "1" || ! -f BENCH_baseline_quick.json ]]; then
         step "bench gate: refreshing committed baseline"
@@ -383,9 +372,6 @@ if not rec["bit_identity_checked"]:
     fail("bit-identity was not checked")
 if rec["bit_identity_mismatches"] != 0:
     fail(f"{rec['bit_identity_mismatches']} bit-identity mismatches")
-want = os.environ.get("SERVE_PRECISION", "f32")
-if rec.get("precision", "f32") != want:
-    fail(f"expected precision {want}, got {rec.get('precision')}")
 if not rec.get("isa"):
     fail("record carries no detected-ISA field")
 EOF
@@ -417,10 +403,6 @@ serve_diff_selfcheck() {
 }
 
 serve_smoke() {
-    # SERVE_PRECISION picks the scan precision for the whole smoke (the
-    # --simd-matrix leg reruns it at int8); loadgen's byte-compare then
-    # proves served replies match the *same-precision* offline scan.
-    export SERVE_PRECISION="${SERVE_PRECISION:-f32}"
     tmp=$(mktemp -d)
     serve_pid=""
     trap '[[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
@@ -435,14 +417,12 @@ serve_smoke() {
         --bench-out SERVE_SMOKE/BENCH_train.json
     run_step "serve smoke: saved model noted in train ledger" \
         serve_check_artifact_event
-    run_step "serve smoke: offline reference scan ($SERVE_PRECISION)" \
+    run_step "serve smoke: offline reference scan" \
         target/release/rhsd-serve --model SERVE_SMOKE/model.json \
-        --precision "$SERVE_PRECISION" \
         --offline-scan Case2 --half test --out SERVE_SMOKE/ref_case2.json
 
-    step "serve smoke: start rhsd-serve on loopback ($SERVE_PRECISION)"
+    step "serve smoke: start rhsd-serve on loopback"
     target/release/rhsd-serve --model SERVE_SMOKE/model.json \
-        --precision "$SERVE_PRECISION" \
         --port "$serve_port" --ledger SERVE_SMOKE/serve.jsonl \
         >SERVE_SMOKE/server.log 2>&1 &
     serve_pid=$!
@@ -467,25 +447,19 @@ if [[ $serve_smoke_only -eq 1 ]]; then
     exit 0
 fi
 
-# ISA/precision matrix: the SIMD kernels must stay bit-identical to the
-# scalar reference (RHSD_FORCE_SCALAR=1 reruns the kernel, determinism
-# and precision suites through the scalar dispatch), the opt-in
-# fast-math FMA tile must hold its epsilon contract, and the whole serve
-# smoke must pass end-to-end at --precision int8 (served int8 replies
-# byte-identical to the int8 offline reference).
+# ISA matrix: the SIMD kernels must stay bit-identical to the scalar
+# reference (RHSD_FORCE_SCALAR=1 reruns the kernel and determinism
+# suites through the scalar dispatch).
 simd_matrix() {
     run_step "simd matrix: forced-scalar crate tests" \
         env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core
-    run_step "simd matrix: forced-scalar precision + determinism suites" \
-        env RHSD_FORCE_SCALAR=1 cargo test -q --test precision --test determinism
-    run_step "simd matrix: fast-math feature tests" \
-        cargo test -q -p rhsd-tensor --features fast-math
-    SERVE_PRECISION=int8 serve_smoke
+    run_step "simd matrix: forced-scalar determinism suite" \
+        env RHSD_FORCE_SCALAR=1 cargo test -q --test determinism
 }
 
 if [[ $simd_matrix_only -eq 1 ]]; then
     simd_matrix
-    printf '\nSIMD/precision matrix passed.\n'
+    printf '\nSIMD matrix passed.\n'
     exit 0
 fi
 

@@ -19,10 +19,6 @@
 //!   (default: the `RHSD_THREADS` environment variable, else the
 //!   machine's available parallelism; results are bit-identical at any
 //!   value);
-//! - `--precision <p>` — inference precision for the scan/evaluation
-//!   stage: `f32` (default, bit-identical reference), `bf16`
-//!   (bf16-rounded weights) or `int8` (quantised stem). Training always
-//!   runs in f32; see [`rhsd_core::Precision`];
 //! - `--profile[=<hz>]` — run the in-process sampling profiler for the
 //!   whole run (default 97 Hz) and write `PROFILE_<name>.collapsed`
 //!   (Brendan-Gregg collapsed stacks) plus `PROFILE_<name>.html` (a
@@ -65,9 +61,6 @@ pub struct BenchArgs {
     /// Worker-thread count override (`--threads <n>`); `None` keeps the
     /// pool default (`RHSD_THREADS` or available parallelism).
     pub threads: Option<usize>,
-    /// Inference precision for the scan stage (`--precision <p>`);
-    /// `None` keeps the f32 default. See [`BenchArgs::precision`].
-    pub precision: Option<rhsd_core::Precision>,
     /// Sampling-profiler rate in Hz (`--profile[=<hz>]`); `None` means
     /// no profiling.
     pub profile: Option<u32>,
@@ -119,9 +112,6 @@ pub fn usage(bin: &str) -> String {
          --threads <n>      rhsd-par worker threads (default: RHSD_THREADS or\n\
          \x20                  available parallelism; output is bit-identical\n\
          \x20                  at any value)\n\
-         --precision <p>    scan/evaluation precision: f32 (default, exact),\n\
-         \x20                  bf16 (rounded weights) or int8 (quantised stem);\n\
-         \x20                  training always runs in f32\n\
          --profile[=<hz>]   sample all live span stacks (default 97 Hz) and\n\
          \x20                  write PROFILE_{name}.collapsed / .html\n\
          --span-tree        print span-tree attribution (incl/excl time) on exit\n\
@@ -216,18 +206,6 @@ impl BenchArgs {
                         }
                     }
                 }
-                "--precision" => {
-                    if out.precision.is_some() {
-                        return Err("--precision given more than once".into());
-                    }
-                    let value = it
-                        .next()
-                        .ok_or("--precision requires a value (f32, bf16 or int8)")?;
-                    match value.parse::<rhsd_core::Precision>() {
-                        Ok(p) => out.precision = Some(p),
-                        Err(e) => return Err(format!("--precision: {e}")),
-                    }
-                }
                 "--no-ledger" => out.no_ledger = true,
                 "--span-tree" => out.span_tree = true,
                 "--profile" => {
@@ -256,12 +234,6 @@ impl BenchArgs {
             return Err("--ledger and --no-ledger are mutually exclusive".into());
         }
         Ok(Some(out))
-    }
-
-    /// The inference precision the flags select (f32 unless
-    /// `--precision` was given).
-    pub fn precision(&self) -> rhsd_core::Precision {
-        self.precision.unwrap_or_default()
     }
 
     /// The effort level the flags select.
@@ -305,7 +277,6 @@ impl BenchArgs {
             host: rhsd_obs::ledger::host_string(),
             version: env!("CARGO_PKG_VERSION").to_owned(),
             threads: rhsd_par::threads() as u64,
-            precision: self.precision().name().to_owned(),
             isa: rhsd_tensor::ops::kernels::isa_name().to_owned(),
         };
         if let Err(e) = rhsd_obs::ledger::open(&path, manifest) {
@@ -523,34 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_flag_parses_and_rejects_bad_values() {
-        use rhsd_core::Precision;
-        let args = BenchArgs::parse_from(Vec::<String>::new())
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.precision, None);
-        assert_eq!(args.precision(), Precision::F32);
-        for (value, want) in [
-            ("f32", Precision::F32),
-            ("bf16", Precision::Bf16),
-            ("int8", Precision::Int8),
-        ] {
-            let args = BenchArgs::parse_from(["--precision", value])
-                .unwrap()
-                .unwrap();
-            assert_eq!(args.precision, Some(want));
-            assert_eq!(args.precision(), want);
-        }
-        for bad in ["fp16", "F32", ""] {
-            let err = BenchArgs::parse_from(["--precision", bad]).unwrap_err();
-            assert!(err.contains("--precision"), "{err}");
-        }
-        assert!(BenchArgs::parse_from(["--precision"]).is_err());
-        let err = BenchArgs::parse_from(["--precision", "f32", "--precision", "int8"]).unwrap_err();
-        assert!(err.contains("more than once"), "{err}");
-    }
-
-    #[test]
     fn span_tree_flag_parses() {
         let args = BenchArgs::parse_from(["--span-tree"]).unwrap().unwrap();
         assert!(args.span_tree);
@@ -597,7 +540,6 @@ mod tests {
             "--bench-out",
             "--save-model",
             "--threads",
-            "--precision",
             "--profile",
             "--span-tree",
             "--help",

@@ -4,7 +4,7 @@
 //! "w/o. ED", "w/o. L2", "w/o. Refine" and "Full".
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_fig10 --
-//! [--quick] [--trace <path>] [--metrics <path>] [--precision f32|bf16|int8]`
+//! [--quick] [--trace <path>] [--metrics <path>]`
 
 use rhsd_bench::args::BenchArgs;
 use rhsd_bench::pipeline::{run_fig10, OURS_SEED};
@@ -21,7 +21,7 @@ fn main() {
     eprintln!("repro_fig10: effort = {effort:?} (pass --quick for a fast run)");
     eprintln!("training 4 ablation variants…");
     let timer = rhsd_obs::Stopwatch::start();
-    let (reports, mut full) = run_fig10(effort, args.precision());
+    let (reports, mut full) = run_fig10(effort);
     eprintln!("total wall clock: {:.1}s", timer.secs());
     args.save_model_if_requested(&mut full);
 

@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_table1 --
 //! [--quick] [--trace <path>] [--metrics <path>] [--ledger <path>]
-//! [--bench-out <path>] [--precision f32|bf16|int8]`
+//! [--bench-out <path>]`
 //!
 //! The run is deterministic (all seeds fixed). Results are printed to
 //! stdout; the machine-readable benchmark record lands in
@@ -29,7 +29,7 @@ fn main() {
     eprintln!("repro_table1: effort = {effort:?} (pass --quick for a fast run)");
     eprintln!("building benchmarks, training 4 detectors, scanning test halves…");
     let timer = rhsd_obs::Stopwatch::start();
-    let (reports, mut ours) = run_table1(effort, args.precision());
+    let (reports, mut ours) = run_table1(effort);
     eprintln!("total wall clock: {:.1}s", timer.secs());
     args.save_model_if_requested(&mut ours);
 
@@ -65,15 +65,8 @@ fn main() {
         .bench_out
         .clone()
         .unwrap_or_else(|| PathBuf::from("BENCH_table1.json"));
-    write_bench_json(
-        &bench_out,
-        "repro_table1",
-        args.quick,
-        OURS_SEED,
-        args.precision(),
-        &reports,
-    )
-    .unwrap_or_else(|e| rhsd_bench::fail("write bench record", e));
+    write_bench_json(&bench_out, "repro_table1", args.quick, OURS_SEED, &reports)
+        .unwrap_or_else(|e| rhsd_bench::fail("write bench record", e));
     args.note_artifact(bench_out);
 
     args.finish_run("ok");

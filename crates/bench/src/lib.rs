@@ -4,8 +4,7 @@
 //! trains and times every detector of Table 1, [`table`] renders the
 //! report, and [`viz`] draws Figure-9-style SVG comparisons. The
 //! `repro_table1`, `repro_fig9` and `repro_fig10` binaries regenerate the
-//! corresponding table/figures; the criterion benches under `benches/`
-//! measure the micro-level runtime claims.
+//! corresponding table/figures.
 //!
 //! All binaries share the [`args`] flag parser: `--quick` for reduced
 //! effort, `--trace <path>` / `--metrics <path>` to capture an

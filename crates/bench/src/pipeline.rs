@@ -11,8 +11,7 @@ use rhsd_baselines::{
     Tcad18Detector,
 };
 use rhsd_core::{
-    Precision, RegionDetector, RhsdConfig, RhsdNetwork, StemFeatureCache, TrainConfig,
-    DEFAULT_STEM_CACHE_CAP,
+    RegionDetector, RhsdConfig, RhsdNetwork, StemFeatureCache, TrainConfig, DEFAULT_STEM_CACHE_CAP,
 };
 use rhsd_data::augment::{flip_region, Flip};
 use rhsd_data::{
@@ -322,21 +321,14 @@ fn stage_secs() -> std::collections::BTreeMap<String, f64> {
 /// accuracy / false-alarm / runtime rows plus the average, and — new in
 /// `/6` — an optional per-detector `training` block (final-epoch
 /// loss/gradient/entropy stats plus sentinel-trip tags) summarising the
-/// training dynamics behind the rows. New in `/7`: the top-level
-/// `precision` (inference precision of the scan stage: `f32`, `bf16` or
-/// `int8`) and `isa` (the SIMD instruction set the kernel dispatcher
-/// selected, e.g. `avx2` — hardware-dependent like `threads`) string
-/// fields, so `bench-diff` can refuse apples-to-oranges runtime
-/// comparisons. Readers treat the newer blocks as optional so
-/// `/2`–`/6` records still parse.
+/// training dynamics behind the rows. New in `/7`: the top-level `isa`
+/// string (the SIMD instruction set the kernel dispatcher selected,
+/// e.g. `avx2` — hardware-dependent like `threads`). Older `/7` records
+/// also carry a `precision` string, which `bench-diff` accepts only as
+/// `"f32"`. Readers treat the newer blocks as optional so `/2`–`/6`
+/// records still parse.
 /// This is the record `cargo xtask bench-diff` compares across commits.
-pub fn bench_json(
-    source: &str,
-    quick: bool,
-    seed: u64,
-    precision: Precision,
-    reports: &[DetectorReport],
-) -> String {
+pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorReport]) -> String {
     use rhsd_obs::json::{escape, number};
     // `escape` yields string *contents*; `quoted` adds the delimiters.
     fn quoted(s: &str) -> String {
@@ -373,9 +365,8 @@ pub fn bench_json(
     o.push_str(&format!("  \"quick\": {quick},\n"));
     o.push_str(&format!("  \"seed\": {seed},\n"));
     o.push_str(&format!("  \"threads\": {},\n", rhsd_par::threads()));
-    // Precision is part of the result contract; the ISA tag is, like the
-    // thread count, a property of the machine the record was made on.
-    o.push_str(&format!("  \"precision\": {},\n", quoted(precision.name())));
+    // The ISA tag is, like the thread count, a property of the machine
+    // the record was made on.
     o.push_str(&format!(
         "  \"isa\": {},\n",
         quoted(rhsd_tensor::ops::kernels::isa_name())
@@ -474,20 +465,15 @@ pub fn write_bench_json(
     source: &str,
     quick: bool,
     seed: u64,
-    precision: Precision,
     reports: &[DetectorReport],
 ) -> std::io::Result<()> {
-    std::fs::write(path, bench_json(source, quick, seed, precision, reports))
+    std::fs::write(path, bench_json(source, quick, seed, reports))
 }
 
 /// Runs the full Table 1 comparison: TCAD'18, Faster R-CNN, SSD, Ours.
 /// Also returns the trained "Ours" detector so callers can persist it
 /// (`--save-model`) for the serving flow.
-///
-/// Training always runs in f32; `precision` lowers each trained
-/// region-network detector before its evaluation rows are timed (the
-/// clip-based TCAD'18 baseline has no network to lower and stays f32).
-pub fn run_table1(effort: Effort, precision: Precision) -> (Vec<DetectorReport>, RegionDetector) {
+pub fn run_table1(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
     let benches = build_benchmarks();
     let region = RegionConfig::demo();
     let augment = effort == Effort::Full;
@@ -516,7 +502,6 @@ pub fn run_table1(effort: Effort, precision: Precision) -> (Vec<DetectorReport>,
     // Faster R-CNN-style.
     let (mut frcnn, training) =
         train_region_network(faster_rcnn_config(&region), &samples, effort, 101);
-    frcnn.set_precision(precision);
     let rows = benches
         .iter()
         .zip(&tile_caches)
@@ -526,7 +511,6 @@ pub fn run_table1(effort: Effort, precision: Precision) -> (Vec<DetectorReport>,
 
     // SSD-style.
     let (mut ssd, training) = train_region_network(ssd_config(&region), &samples, effort, 102);
-    ssd.set_precision(precision);
     let rows = benches
         .iter()
         .zip(&tile_caches)
@@ -536,7 +520,6 @@ pub fn run_table1(effort: Effort, precision: Precision) -> (Vec<DetectorReport>,
 
     // Ours.
     let (mut ours, training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
-    ours.set_precision(precision);
     let rows = benches
         .iter()
         .zip(&tile_caches)
@@ -552,9 +535,7 @@ type ConfigTweak = fn(&mut RhsdConfig);
 
 /// Runs the Figure 10 ablation: w/o ED, w/o L2, w/o Refine, Full.
 /// Also returns the trained "Full" detector for `--save-model`.
-/// As in [`run_table1`], `precision` lowers each trained variant before
-/// evaluation; training itself always runs in f32.
-pub fn run_fig10(effort: Effort, precision: Precision) -> (Vec<DetectorReport>, RegionDetector) {
+pub fn run_fig10(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
     let benches = build_benchmarks();
     let region = RegionConfig::demo();
     let augment = effort == Effort::Full;
@@ -581,7 +562,6 @@ pub fn run_fig10(effort: Effort, precision: Precision) -> (Vec<DetectorReport>, 
         let mut cfg = ours_config();
         tweak(&mut cfg);
         let (mut det, training) = train_region_network(cfg, &samples, effort, OURS_SEED);
-        det.set_precision(precision);
         let rows = benches
             .iter()
             .zip(&tile_caches)
@@ -626,7 +606,6 @@ mod tests {
             "unit",
             true,
             103,
-            Precision::Int8,
             &[report("Ours", 0.5, 90.0).with_training(Some(summary))],
         );
         let v = json::parse(&doc).expect("bench record parses");
@@ -634,7 +613,6 @@ mod tests {
             v.get("schema").and_then(|s| s.as_str()),
             Some("rhsd-bench-table/7")
         );
-        assert_eq!(v.get("precision").and_then(|p| p.as_str()), Some("int8"));
         assert_eq!(
             v.get("isa").and_then(|i| i.as_str()),
             Some(rhsd_tensor::ops::kernels::isa_name())
@@ -694,13 +672,7 @@ mod tests {
 
     #[test]
     fn bench_json_omits_training_block_when_absent() {
-        let doc = bench_json(
-            "unit",
-            true,
-            103,
-            Precision::F32,
-            &[report("Ours", 0.5, 90.0)],
-        );
+        let doc = bench_json("unit", true, 103, &[report("Ours", 0.5, 90.0)]);
         let v = json::parse(&doc).expect("bench record parses");
         let dets = v
             .get("detectors")
@@ -711,7 +683,7 @@ mod tests {
 
     #[test]
     fn bench_json_handles_empty_reports() {
-        let doc = bench_json("unit", false, 0, Precision::F32, &[]);
+        let doc = bench_json("unit", false, 0, &[]);
         let v = json::parse(&doc).expect("empty record parses");
         assert_eq!(
             v.get("detectors").and_then(|d| d.as_arr()).map(<[_]>::len),

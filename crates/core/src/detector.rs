@@ -12,7 +12,6 @@ use rhsd_layout::Rect;
 use crate::feature_cache::StemFeatureCache;
 use crate::metrics::{evaluate_region, Evaluation};
 use crate::model::{Detection, RhsdNetwork};
-use crate::precision::Precision;
 
 /// A detection mapped back to layout coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +39,6 @@ pub struct ScanResult {
 pub struct RegionDetector {
     network: RhsdNetwork,
     region_config: RegionConfig,
-    precision: Precision,
 }
 
 impl RegionDetector {
@@ -61,50 +59,12 @@ impl RegionDetector {
         RegionDetector {
             network,
             region_config,
-            precision: Precision::F32,
         }
     }
 
     /// The wrapped network.
     pub fn network_mut(&mut self) -> &mut RhsdNetwork {
         &mut self.network
-    }
-
-    /// The active inference precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Lowers the detector to a reduced inference precision (see
-    /// [`Precision`]). The lowering is one-way per detector: bf16
-    /// rounds the stored weights in place and int8 snapshots the stem
-    /// weights, so re-raising (or crossing between reduced modes) would
-    /// silently compute on already-coarsened weights. Selecting
-    /// [`Precision::F32`] on an f32 detector, or re-selecting the
-    /// current mode, is a no-op. Either lowering bumps the network
-    /// weights version, so stem feature caches invalidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when asked to change an already-lowered detector to a
-    /// different precision — reload the f32 model instead.
-    pub fn set_precision(&mut self, precision: Precision) {
-        if precision == self.precision {
-            return;
-        }
-        assert_eq!(
-            self.precision,
-            Precision::F32,
-            "cannot change precision {} -> {}: lowering is one-way, reload the f32 model",
-            self.precision,
-            precision
-        );
-        match precision {
-            Precision::F32 => {}
-            Precision::Bf16 => self.network.apply_bf16_weights(),
-            Precision::Int8 => self.network.set_stem_int8(true),
-        }
-        self.precision = precision;
     }
 
     /// The region geometry.

@@ -116,20 +116,6 @@ impl FeatureExtractor {
     pub fn forward_rest(&mut self, stem_out: &Tensor) -> Tensor {
         forward_all(&mut self.layers[self.stem_len..], stem_out)
     }
-
-    /// Switches the stem convolutions into (or out of) int8
-    /// inference-only mode; the inception trunk stays f32.
-    ///
-    /// Only the plain stem `Conv2d` layers quantise — the optional
-    /// encoder–decoder front end keeps its default f32 path (its
-    /// transposed convolutions have no int8 kernel, and its output
-    /// feeds the quantised convolutions anyway). Callers must bump the
-    /// network weights version so stem feature caches invalidate.
-    pub fn set_stem_int8(&mut self, enable: bool) {
-        for layer in &mut self.layers[..self.stem_len] {
-            layer.set_int8_inference(enable);
-        }
-    }
 }
 
 impl Layer for FeatureExtractor {

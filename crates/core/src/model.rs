@@ -25,20 +25,6 @@ use crate::refine::{roi_from_bbox, RefinementHead};
 /// real score threshold).
 const STAGE1_KEEP_CUT: f32 = 0.05;
 
-/// Screened-int8 quiet watermark: a region whose highest int8-stem
-/// anchor probability is below this is declared empty without f32
-/// re-verification. Sits a 0.01 margin under [`STAGE1_KEEP_CUT`], ~5×
-/// the largest stem-quantisation score shift observed on trained
-/// models, so the f32 path would have dropped every anchor of such a
-/// region too.
-const INT8_SCREEN_WATERMARK: f32 = 0.04;
-
-/// Salt applied to the weights version when caching f32 re-verification
-/// stems during a screened int8 scan, so they can never collide with
-/// int8 stem entries (ordinary versions grow by small increments from
-/// zero; the top bit stays clear in any realistic run).
-const F32_VERIFY_SALT: u64 = 1 << 63;
-
 /// A final detection: a clip marked as hotspot with its confidence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
@@ -106,10 +92,6 @@ pub struct RhsdNetwork {
     /// Bumped whenever mutable access to the parameters is handed out;
     /// cached stem activations from older versions stop matching.
     weights_version: u64,
-    /// Whether the extractor stem currently runs int8 inference — when
-    /// set, detection takes the screened two-pass path (int8 screen,
-    /// exact f32 re-verification of active regions).
-    stem_int8: bool,
 }
 
 impl RhsdNetwork {
@@ -134,7 +116,6 @@ impl RhsdNetwork {
             anchors,
             identity: NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             weights_version: 0,
-            stem_int8: false,
         }
     }
 
@@ -184,33 +165,6 @@ impl RhsdNetwork {
             p.extend(r.params_mut());
         }
         p
-    }
-
-    /// Rounds every network weight to the nearest bf16-representable
-    /// value (round-to-nearest-even), in place — the
-    /// [`Precision::Bf16`](crate::Precision) lowering. The kernels keep
-    /// computing in f32, so scans stay deterministic; going through
-    /// [`RhsdNetwork::params_mut`] bumps the weights version, which
-    /// invalidates any stem feature cache entries.
-    pub fn apply_bf16_weights(&mut self) {
-        for p in self.params_mut() {
-            rhsd_tensor::ops::quant::round_bf16_slice(p.value.as_mut_slice());
-        }
-    }
-
-    /// Switches the extractor stem into (or out of) int8 inference-only
-    /// mode — the [`Precision::Int8`](crate::Precision) lowering. Bumps
-    /// the weights version via [`RhsdNetwork::extractor_mut`] so stem
-    /// feature caches invalidate.
-    ///
-    /// Detection then runs the *screened* two-pass scan: the int8 stem
-    /// is a cheap screening pass, and any region whose screen is not
-    /// confidently quiet is re-verified with the exact f32 stem (see
-    /// [`RhsdNetwork::detect`]). Quiet regions — the vast majority of a
-    /// real layout — keep the int8 fast path.
-    pub fn set_stem_int8(&mut self, enable: bool) {
-        self.extractor_mut().set_stem_int8(enable);
-        self.stem_int8 = enable;
     }
 
     /// Clears all gradients.
@@ -466,20 +420,10 @@ impl RhsdNetwork {
     /// Detects hotspots in a `[1, region_px, region_px]` raster — the
     /// one-step feed-forward region detection of the paper.
     ///
-    /// Under [`RhsdNetwork::set_stem_int8`] this is the *screened*
-    /// two-pass scan: the int8 stem feeds a first-stage screen, and a
-    /// region is declared empty only when its highest anchor
-    /// probability sits below [`INT8_SCREEN_WATERMARK`] — a full
-    /// safety margin under the [`STAGE1_KEEP_CUT`] the f32 path applies
-    /// (the margin is ~5× the largest stem-quantisation score shift
-    /// observed on trained models, and the `tests/precision.rs`
-    /// envelope guards it end-to-end). Any region that is not
-    /// confidently quiet is recomputed with the exact f32 stem, so its
-    /// detections are bit-identical to the f32 scan.
-    ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
     pub fn detect(&mut self, image: &Tensor) -> Vec<Detection> {
-        self.detect_impl(image, None)
+        let feats = self.stem_feats(image, None);
+        self.detect_from_feats(&feats)
     }
 
     /// [`RhsdNetwork::detect`] through a [`StemFeatureCache`]: replays
@@ -491,65 +435,26 @@ impl RhsdNetwork {
     ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
     pub fn detect_cached(&mut self, image: &Tensor, cache: &StemFeatureCache) -> Vec<Detection> {
-        self.detect_impl(image, Some(cache))
-    }
-
-    /// Shared body of [`RhsdNetwork::detect`]/[`RhsdNetwork::detect_cached`],
-    /// including the screened int8 scan.
-    fn detect_impl(&mut self, image: &Tensor, cache: Option<&StemFeatureCache>) -> Vec<Detection> {
-        if self.stem_int8 {
-            let feats = self.stem_feats(image, cache, self.weights_version);
-            if self.max_anchor_prob(&feats) < INT8_SCREEN_WATERMARK {
-                return Vec::new();
-            }
-            // Active region: re-verify with the exact f32 stem. The
-            // toggle goes through the extractor directly — bumping the
-            // weights version here would invalidate the shared caches
-            // on every verification. Verified stems are cached under a
-            // salted version so they never mix with int8 stems.
-            self.extractor.set_stem_int8(false);
-            let feats = self.stem_feats(image, cache, self.weights_version ^ F32_VERIFY_SALT);
-            self.extractor.set_stem_int8(true);
-            return self.detect_from_feats(&feats);
-        }
-        let feats = self.stem_feats(image, cache, self.weights_version);
+        let feats = self.stem_feats(image, Some(cache));
         self.detect_from_feats(&feats)
     }
 
     /// Extracted features for one raster, optionally through a stem
-    /// cache keyed at `version`.
-    fn stem_feats(
-        &mut self,
-        image: &Tensor,
-        cache: Option<&StemFeatureCache>,
-        version: u64,
-    ) -> Tensor {
+    /// cache keyed at the current weights version.
+    fn stem_feats(&mut self, image: &Tensor, cache: Option<&StemFeatureCache>) -> Tensor {
         let _sp = rhsd_obs::span("backbone");
         let Some(cache) = cache else {
             return self.extractor.forward(image);
         };
-        match cache.get(self.identity, version, image) {
+        match cache.get(self.identity, self.weights_version, image) {
             Some(stem) => self.extractor.forward_rest(&stem),
             None => {
                 let stem = self.extractor.forward_stem(image);
                 let feats = self.extractor.forward_rest(&stem);
-                cache.put(self.identity, version, image, stem);
+                cache.put(self.identity, self.weights_version, image, stem);
                 feats
             }
         }
-    }
-
-    /// Highest first-stage hotspot probability over all anchors — the
-    /// int8 screening statistic.
-    fn max_anchor_prob(&mut self, feats: &Tensor) -> f32 {
-        let _sp = rhsd_obs::span("int8-screen");
-        let out = self.cpn.forward(feats);
-        let probs = softmax_rows(&out.cls_logits);
-        let mut maxp = 0.0f32;
-        for ai in 0..self.anchors.len() {
-            maxp = maxp.max(probs.get(&[ai, CLASS_HOTSPOT]));
-        }
-        maxp
     }
 
     /// Shared tail of [`RhsdNetwork::detect`]/[`RhsdNetwork::detect_cached`]:

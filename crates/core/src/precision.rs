@@ -1,90 +1,12 @@
-//! The inference-precision knob for the scan path.
-//!
-//! Training always runs in f32; [`Precision`] selects how a *trained*
-//! detector computes during scanning:
-//!
-//! * [`Precision::F32`] — the default, bit-identical reference path.
-//! * [`Precision::Bf16`] — every network weight is rounded to the
-//!   nearest bfloat16-representable value (round-to-nearest-even) once
-//!   at selection time; all kernels still run in f32, so the scan stays
-//!   deterministic at any thread count and on any ISA.
-//! * [`Precision::Int8`] — the *screened* scan: the stem convolutions
-//!   run the symmetric int8 path (per-output×input-channel weight
-//!   scales, per-input-channel activation scales, exact i32
-//!   accumulation) as a screening pass, and any region that is not
-//!   confidently quiet is re-verified with the exact f32 stem (see
-//!   [`RhsdNetwork::detect`](crate::RhsdNetwork::detect)), so active
-//!   regions produce f32-bit-identical detections. Deterministic
-//!   everywhere — integer arithmetic is exact and the screen is a
-//!   fixed threshold.
-//!
-//! Reduced precision is *inference-only* and one-way per detector
-//! instance: a detector is trained/loaded in f32 and then lowered.
+//! The numeric path of a trained detector's scan: one exact f32 path,
+//! bit-identical at any thread count and on any ISA.
 
-use std::fmt;
-use std::str::FromStr;
-
-/// Inference precision for [`RegionDetector`](crate::RegionDetector)
-/// scans. See the module docs for what each mode changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The scan's numeric path; f32 is the only one. The type and the
+/// `precision` parameter of `rhsd_serve::offline_scan` exist only
+/// because the repository benchmark passes `Precision::F32`; a later
+/// benchmark change can drop both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Full f32 — the bit-identical reference path.
-    #[default]
     F32,
-    /// bf16-rounded weights on the f32 kernel stack.
-    Bf16,
-    /// Int8 stem activations/weights, f32 everywhere else.
-    Int8,
-}
-
-impl Precision {
-    /// Stable lowercase tag used by `--precision` flags, bench records
-    /// and ledger manifests.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Bf16 => "bf16",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-impl fmt::Display for Precision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f32" => Ok(Precision::F32),
-            "bf16" => Ok(Precision::Bf16),
-            "int8" => Ok(Precision::Int8),
-            other => Err(format!(
-                "unknown precision '{other}' (expected f32, bf16 or int8)"
-            )),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_roundtrip_through_fromstr() {
-        for p in [Precision::F32, Precision::Bf16, Precision::Int8] {
-            assert_eq!(p.name().parse::<Precision>().unwrap(), p);
-            assert_eq!(format!("{p}"), p.name());
-        }
-        assert!("fp16".parse::<Precision>().is_err());
-    }
-
-    #[test]
-    fn default_is_f32() {
-        assert_eq!(Precision::default(), Precision::F32);
-    }
 }

@@ -75,16 +75,6 @@ pub trait Layer: Send + Sync {
     fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
         None
     }
-
-    /// Switches the layer into (or out of) int8 *inference-only* mode.
-    ///
-    /// Layers with a quantised forward path (currently [`Conv2d`]
-    /// (crate::layers::Conv2d)) snapshot their weights into symmetric
-    /// int8 on enable and run the quantised kernel until disabled;
-    /// `backward` is unsupported while enabled. The default is a no-op —
-    /// layers without a quantised path simply keep computing in f32,
-    /// which keeps mixed stacks valid.
-    fn set_int8_inference(&mut self, _enable: bool) {}
 }
 
 /// Clones a boxed layer via [`Layer::clone_boxed`].

@@ -2,23 +2,11 @@
 
 use rand::Rng;
 use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
-use rhsd_tensor::ops::quant::{conv2d_i8, quantize_row_groups_symmetric};
 use rhsd_tensor::Tensor;
 
 use crate::init::{conv_fans, he_normal};
 use crate::layer::{take_cache, Layer};
 use crate::param::Param;
-
-/// Pre-quantised int8 weights for the inference-only forward path:
-/// the `[C_out, C_in·K²]` weight matrix with one symmetric scale per
-/// (output channel, input channel) filter — `[C_out, C_in]` row-major.
-/// Runtime-only — never serialised; rebuilt from the f32 weights
-/// whenever int8 inference is (re-)enabled.
-#[derive(Debug, Clone)]
-struct QuantWeights {
-    wq: Vec<i8>,
-    scales: Vec<f32>,
-}
 
 /// A convolution layer `[C_in,H,W] → [C_out,H',W']` with bias.
 ///
@@ -31,8 +19,6 @@ pub struct Conv2d {
     spec: ConvSpec,
     #[serde(skip)]
     cached_input: Option<Tensor>,
-    #[serde(skip)]
-    quant: Option<QuantWeights>,
 }
 
 impl Conv2d {
@@ -48,7 +34,6 @@ impl Conv2d {
             bias: Param::new(Tensor::zeros([c_out])),
             spec,
             cached_input: None,
-            quant: None,
         }
     }
 
@@ -84,12 +69,6 @@ impl Layer for Conv2d {
             input.rank() == 3 && input.dim(0) == self.c_in(),
             input.shape(),
         );
-        if let Some(q) = &self.quant {
-            // Inference-only: no input cache, so a stray backward hits
-            // the take_cache contract panic instead of silently mixing
-            // quantised forwards with f32 gradients.
-            return conv2d_i8(input, &q.wq, &q.scales, Some(&self.bias.value), self.spec);
-        }
         self.cached_input = Some(input.clone());
         conv2d(input, &self.weight.value, Some(&self.bias.value), self.spec)
     }
@@ -104,15 +83,6 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn set_int8_inference(&mut self, enable: bool) {
-        self.quant = enable.then(|| {
-            let (c_out, c_in) = (self.weight.value.dim(0), self.weight.value.dim(1));
-            let (wq, scales) =
-                quantize_row_groups_symmetric(self.weight.value.as_slice(), c_out, c_in);
-            QuantWeights { wq, scales }
-        });
     }
 }
 
@@ -165,26 +135,6 @@ mod tests {
                 "w[{probe}]"
             );
         }
-    }
-
-    #[test]
-    fn int8_inference_tracks_f32_and_toggles_back_exactly() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut layer = Conv2d::new(2, 3, ConvSpec::same(3), &mut rng);
-        let x = Tensor::rand_normal([2, 7, 7], 0.0, 1.0, &mut rng);
-        let exact = layer.forward(&x);
-        layer.set_int8_inference(true);
-        let quantised = layer.forward(&x);
-        assert_eq!(quantised.dims(), exact.dims());
-        let scale = exact.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (q, e) in quantised.as_slice().iter().zip(exact.as_slice()) {
-            assert!((q - e).abs() < 0.05 * scale.max(1.0), "int8 {q} vs f32 {e}");
-        }
-        // Disabling restores the exact f32 path bit-for-bit.
-        layer.set_int8_inference(false);
-        let back = layer.forward(&x);
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&exact));
     }
 
     #[test]

@@ -49,10 +49,6 @@ pub struct Manifest {
     /// like-for-like; set by the bench caller, since this crate does not
     /// depend on `rhsd-par`.
     pub threads: u64,
-    /// Inference precision of the run (`"f32"` / `"bf16"` / `"int8"`);
-    /// empty for runs that predate the field (readers treat that as
-    /// f32). Set by the caller, like [`Manifest::threads`].
-    pub precision: String,
     /// Detected SIMD instruction set the kernels dispatched to
     /// (`"scalar"` / `"sse2"` / `"avx2"`); empty for older runs. Purely
     /// informational — default-dispatch results are bit-identical
@@ -239,7 +235,6 @@ impl Event {
                 fld_str(&mut o, "host", &m.host);
                 fld_str(&mut o, "version", &m.version);
                 fld_raw(&mut o, "threads", &m.threads.to_string());
-                fld_str(&mut o, "precision", &m.precision);
                 fld_str(&mut o, "isa", &m.isa);
             }
             Event::Epoch {
@@ -539,7 +534,6 @@ mod tests {
             host: host_string(),
             version: "0.1.0".into(),
             threads: 4,
-            precision: "f32".into(),
             isa: "avx2".into(),
         }
     }
@@ -715,7 +709,6 @@ mod tests {
         assert_eq!(m.get("effort").and_then(Value::as_str), Some("Quick"));
         assert_eq!(m.get("version").and_then(Value::as_str), Some("0.1.0"));
         assert_eq!(m.get("threads").and_then(Value::as_u64), Some(4));
-        assert_eq!(m.get("precision").and_then(Value::as_str), Some("f32"));
         assert_eq!(m.get("isa").and_then(Value::as_str), Some("avx2"));
         std::fs::remove_file(&path).ok();
     }

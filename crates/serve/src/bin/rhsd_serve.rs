@@ -3,8 +3,7 @@
 //! Serve mode (long-lived):
 //!
 //! ```text
-//! rhsd-serve --model model.json [--port 7878] [--threads N] [--precision f32|bf16|int8]
-//!            [--ledger serve.jsonl]
+//! rhsd-serve --model model.json [--port 7878] [--threads N] [--ledger serve.jsonl]
 //! ```
 //!
 //! Prints `rhsd-serve listening on <addr>` once ready (scripts parse
@@ -14,7 +13,7 @@
 //! Offline mode (for bit-identity checks):
 //!
 //! ```text
-//! rhsd-serve --model model.json --offline-scan Case2 [--half test] [--precision int8] --out ref.json
+//! rhsd-serve --model model.json --offline-scan Case2 [--half test] --out ref.json
 //! ```
 //!
 //! Writes the offline scan result through the same canonical serialiser
@@ -34,7 +33,6 @@ struct Args {
     model: PathBuf,
     port: u16,
     threads: Option<usize>,
-    precision: Precision,
     ledger: Option<PathBuf>,
     offline: Option<CaseId>,
     half: Half,
@@ -42,16 +40,13 @@ struct Args {
 }
 
 const USAGE: &str =
-    "usage: rhsd-serve --model <model.json> [--port N] [--threads N] [--precision f32|bf16|int8]
-                  [--ledger <path>]
-       rhsd-serve --model <model.json> --offline-scan <Case> [--half train|test]
-                  [--precision f32|bf16|int8] --out <path>";
+    "usage: rhsd-serve --model <model.json> [--port N] [--threads N] [--ledger <path>]
+       rhsd-serve --model <model.json> --offline-scan <Case> [--half train|test] --out <path>";
 
 fn parse_args() -> Result<Args, String> {
     let mut model = None;
     let mut port = 7878u16;
     let mut threads = None;
-    let mut precision = Precision::F32;
     let mut ledger = None;
     let mut offline = None;
     let mut half = Half::Test;
@@ -73,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "--threads needs a number".to_owned())?,
                 );
             }
-            "--precision" => precision = value("--precision")?.parse()?,
             "--ledger" => ledger = Some(PathBuf::from(value("--ledger")?)),
             "--offline-scan" => offline = Some(case_from_name(&value("--offline-scan")?)?),
             "--half" => {
@@ -93,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
         model,
         port,
         threads,
-        precision,
         ledger,
         offline,
         half,
@@ -127,7 +120,7 @@ fn run_offline(args: &Args, case: CaseId) -> ExitCode {
         eprintln!("rhsd-serve: --offline-scan needs --out <path>");
         return ExitCode::from(2);
     };
-    let result = match offline_scan(&args.model, case, args.half, args.precision) {
+    let result = match offline_scan(&args.model, case, args.half, Precision::F32) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rhsd-serve: {e}");
@@ -156,7 +149,6 @@ fn run_serve(args: &Args) -> ExitCode {
             bin: "rhsd-serve".into(),
             seed: 0,
             config: format!("model {}", args.model.display()),
-            precision: args.precision.name().to_owned(),
             isa: rhsd_tensor::ops::kernels::isa_name().to_owned(),
             effort: "Serve".into(),
             host: host_string(),
@@ -172,7 +164,6 @@ fn run_serve(args: &Args) -> ExitCode {
     let server = match Server::start(&ServeConfig {
         model: args.model.clone(),
         port: args.port,
-        precision: args.precision,
     }) {
         Ok(s) => s,
         Err(e) => {

@@ -45,10 +45,6 @@ pub struct ServeConfig {
     /// TCP port on loopback; 0 binds an ephemeral port (the bound
     /// address is reported by [`Server::addr`]).
     pub port: u16,
-    /// Inference precision the loaded detector is lowered to before
-    /// serving ([`Precision::F32`] = no lowering). Lowering happens once
-    /// at startup; every scan the server answers uses this precision.
-    pub precision: Precision,
 }
 
 /// Errors from starting a server or running an offline reference scan.
@@ -170,7 +166,7 @@ impl Shared {
     fn stats_json(&self) -> String {
         let (tile_hits, tile_misses) = self.tile_totals();
         format!(
-            "{{\"op\":\"stats\",\"requests\":{},\"scan_requests\":{},\"batches\":{},\"batched_regions\":{},\"batched_requests\":{},\"max_batch_requests\":{},\"tile_hits\":{tile_hits},\"tile_misses\":{tile_misses},\"stem_hits\":{},\"stem_misses\":{},\"threads\":{},\"precision\":\"{}\",\"isa\":\"{}\"}}",
+            "{{\"op\":\"stats\",\"requests\":{},\"scan_requests\":{},\"batches\":{},\"batched_regions\":{},\"batched_requests\":{},\"max_batch_requests\":{},\"tile_hits\":{tile_hits},\"tile_misses\":{tile_misses},\"stem_hits\":{},\"stem_misses\":{},\"threads\":{},\"isa\":\"{}\"}}",
             self.requests.load(Ordering::Relaxed),
             self.scan_requests.load(Ordering::Relaxed),
             self.queue.batches(),
@@ -180,17 +176,15 @@ impl Shared {
             self.stems.hits(),
             self.stems.misses(),
             rhsd_par::threads(),
-            self.detector.precision().name(),
             rhsd_tensor::ops::kernels::isa_name(),
         )
     }
 
     fn info_json(&self) -> String {
         format!(
-            "{{\"op\":\"info\",\"proto\":\"{PROTO_VERSION}\",\"model_format\":\"{MODEL_FORMAT}\",\"region_px\":{},\"threads\":{},\"precision\":\"{}\",\"isa\":\"{}\"}}",
+            "{{\"op\":\"info\",\"proto\":\"{PROTO_VERSION}\",\"model_format\":\"{MODEL_FORMAT}\",\"region_px\":{},\"threads\":{},\"isa\":\"{}\"}}",
             self.detector.region_config().region_px,
             rhsd_par::threads(),
-            self.detector.precision().name(),
             rhsd_tensor::ops::kernels::isa_name(),
         )
     }
@@ -239,8 +233,7 @@ impl Server {
     pub fn start(config: &ServeConfig) -> Result<Server, ServeError> {
         let network = persist::load_from_path(&config.model).map_err(ServeError::Persist)?;
         let scale = Scale::for_region_px(network.config().region_px)?;
-        let mut detector = RegionDetector::new(network, scale.region_config());
-        detector.set_precision(config.precision);
+        let detector = RegionDetector::new(network, scale.region_config());
 
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
@@ -418,9 +411,9 @@ fn initiate_shutdown(shared: &Shared) {
 }
 
 /// Runs the offline reference scan for bit-identity checks: loads the
-/// model exactly as the server does, lowers it to `precision`, scans
-/// `case`/`half` through the plain (uncached, unbatched) pipeline, and
-/// returns the result.
+/// model exactly as the server does, scans `case`/`half` through the
+/// plain (uncached, unbatched) pipeline, and returns the result. The
+/// only `precision` is [`Precision::F32`].
 ///
 /// # Errors
 ///
@@ -429,12 +422,11 @@ pub fn offline_scan(
     model: &std::path::Path,
     case: CaseId,
     half: Half,
-    precision: Precision,
+    _precision: Precision,
 ) -> Result<ScanResult, ServeError> {
     let network = persist::load_from_path(model).map_err(ServeError::Persist)?;
     let scale = Scale::for_region_px(network.config().region_px)?;
     let mut detector = RegionDetector::new(network, scale.region_config());
-    detector.set_precision(precision);
     let bench = scale.benchmark(case);
     let extent = match half {
         Half::Train => bench.train_extent,

@@ -3,10 +3,9 @@
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
 //! packed-GEMM register tile, the f32 copy used by the packing and
-//! im2col fast paths, the separable-convolution interior kernel, and
-//! the int8 GEMM row kernel of the quantised scan path. The lint rule
-//! L13 enforces that `core::arch` intrinsics and `#[target_feature]`
-//! appear nowhere else.
+//! im2col fast paths, and the separable-convolution interior kernel.
+//! The lint rule L13 enforces that `core::arch` intrinsics and
+//! `#[target_feature]` appear nowhere else.
 //!
 //! # Dispatch
 //!
@@ -14,22 +13,19 @@
 //! `RHSD_FORCE_SCALAR=1` environment variable) and caches it; all
 //! kernels dispatch through that single selector. The scalar kernels in
 //! [`scalar`] are the reference implementations — they are the exact
-//! loops the pre-SIMD code ran, and every SIMD variant selected by
-//! default is **bit-identical** to them:
+//! loops the pre-SIMD code ran, and every SIMD variant is
+//! **bit-identical** to them:
 //!
 //! - the f32 GEMM tile issues one `mul` and one `add` per lane per `k`
 //!   step (no FMA contraction), matching the scalar `a += v · b` chain
 //!   rounding-for-rounding;
 //! - the interior convolution kernel vectorises across output pixels
 //!   while each lane keeps the serial ascending-tap order;
-//! - copies and integer arithmetic are exact by nature.
+//! - copies are exact by nature.
 //!
-//! Anything that *would* reorder or contract a float reduction (the FMA
-//! tile) is compiled only under the `fast-math` cargo feature and also
-//! requires the explicit [`set_fast_math`] runtime opt-in; it is never
-//! part of the determinism-pinned default path.
+//! The ISA therefore changes speed, never results.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -81,7 +77,6 @@ pub fn select_isa(force_scalar: bool, has_sse2: bool, has_avx2: bool) -> Isa {
 const ISA_UNSET: u8 = u8::MAX;
 
 static ACTIVE_ISA: AtomicU8 = AtomicU8::new(ISA_UNSET);
-static FAST_MATH: AtomicBool = AtomicBool::new(false);
 
 fn encode(isa: Isa) -> u8 {
     match isa {
@@ -150,27 +145,6 @@ pub fn isa_name() -> &'static str {
     isa().name()
 }
 
-/// Whether the FMA (reduced-rounding) GEMM tile is active. Always
-/// `false` without the `fast-math` cargo feature.
-pub fn fast_math() -> bool {
-    FAST_MATH.load(Ordering::Relaxed)
-}
-
-/// Opts into the FMA GEMM tile: a fused multiply-add rounds once where
-/// the reference rounds twice, so results are *not* bit-identical to
-/// the scalar path (they are covered by epsilon-compare tests instead).
-/// Requires AVX2+FMA hardware; returns whether the opt-in took effect.
-#[cfg(feature = "fast-math")]
-pub fn set_fast_math(on: bool) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    let supported = isa() == Isa::Avx2 && std::arch::is_x86_feature_detected!("fma");
-    #[cfg(not(target_arch = "x86_64"))]
-    let supported = false;
-    let active = on && supported;
-    FAST_MATH.store(active, Ordering::Relaxed);
-    active
-}
-
 /// GEMM row-tile height for the active ISA: the AVX2 tile keeps eight
 /// accumulator rows in ymm registers (enough independent add chains to
 /// saturate the FP ports); the scalar/SSE2 reference keeps the
@@ -191,8 +165,7 @@ pub fn gemm_mr() -> usize {
 ///
 /// Every dispatch target performs, per lane, exactly
 /// `acc += a · b` with separate mul and add roundings — bit-identical
-/// to [`scalar::gemm_micro`] — except the `fast-math` FMA tile (see
-/// [`set_fast_math`]).
+/// to [`scalar::gemm_micro`].
 #[inline]
 pub fn gemm_micro<const MRR: usize>(
     acc: &mut [[f32; NR]; MRR],
@@ -203,13 +176,6 @@ pub fn gemm_micro<const MRR: usize>(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        #[cfg(feature = "fast-math")]
-        if fast_math() {
-            // SAFETY: set_fast_math only latches when AVX2+FMA are
-            // supported by the running CPU.
-            unsafe { x86::gemm_micro_fma(acc, av, aidx, acs, panel) };
-            return;
-        }
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
             Isa::Avx2 => unsafe { x86::gemm_micro_avx2(acc, av, aidx, acs, panel) },
@@ -276,44 +242,6 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
     }
     #[cfg(not(target_arch = "x86_64"))]
     scalar::conv_taps(dst, src, stride, taps, norm);
-}
-
-/// Int8 GEMM with i32 accumulation:
-/// `out[co · n + x] = Σ_p w[co · k + p] · cols[p · n + x]` — the
-/// quantised-stem convolution core. Integer arithmetic is exact, so
-/// every dispatch target returns identical results by construction
-/// (products are ≤ 127², and `k` is far below the 2³¹ / 127² overflow
-/// bound for every network in this workspace).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with `(c_out, k, n)`.
-pub fn gemm_i8(out: &mut [i32], w: &[i8], c_out: usize, k: usize, n: usize, cols: &[i8]) {
-    assert_eq!(out.len(), c_out * n, "gemm_i8 output length");
-    assert_eq!(w.len(), c_out * k, "gemm_i8 weight length");
-    assert_eq!(cols.len(), k * n, "gemm_i8 column length");
-    if n == 0 || c_out == 0 {
-        return;
-    }
-    // Rows are independent and exact; split them over the pool with the
-    // shape-only schedule used everywhere else.
-    let rows_per_task = rhsd_par::chunk_units(c_out, 2 * k.max(1) * n);
-    rhsd_par::for_each_mut(out, rows_per_task * n, |ci, rows| {
-        for (dr, row) in rows.chunks_mut(n).enumerate() {
-            let co = ci * rows_per_task + dr;
-            let wrow = &w[co * k..(co + 1) * k];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if isa() == Isa::Avx2 {
-                    // SAFETY: Isa::Avx2 is only selected when AVX2 is
-                    // detected; row/cols bounds are checked above.
-                    unsafe { x86::gemm_i8_row_avx2(row, wrow, cols, n) };
-                    continue;
-                }
-            }
-            scalar::gemm_i8_row(row, wrow, cols, n);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -386,39 +314,6 @@ mod tests {
         }
     }
 
-    /// The FMA tile is *not* bit-identical (fused rounding) but must
-    /// stay within a tight relative epsilon of the scalar reference —
-    /// the contract `fast-math` buyers sign up for.
-    #[cfg(all(target_arch = "x86_64", feature = "fast-math"))]
-    #[test]
-    fn gemm_micro_fma_matches_scalar_within_epsilon() {
-        if !(std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma"))
-        {
-            return; // nothing to exercise on this host
-        }
-        for (kc, acs, seed) in [(7usize, 1usize, 5u64), (64, 3, 7), (256, 1, 11)] {
-            const MRR: usize = 8;
-            let av = fill(seed, MRR * 4 + kc * acs + 8);
-            let panel = fill(seed ^ 99, kc * NR);
-            let start: [usize; MRR] = std::array::from_fn(|r| r);
-            let mut acc_ref = [[0.5f32; NR]; MRR];
-            let mut idx = start;
-            scalar::gemm_micro(&mut acc_ref, &av, &mut idx, acs, &panel);
-            let mut acc = [[0.5f32; NR]; MRR];
-            let mut idx = start;
-            // SAFETY: guarded by the avx2+fma feature checks above.
-            unsafe { x86::gemm_micro_fma(&mut acc, &av, &mut idx, acs, &panel) };
-            for (got, want) in acc.iter().flatten().zip(acc_ref.iter().flatten()) {
-                let tol = 1e-4 * want.abs().max(1.0);
-                assert!(
-                    (got - want).abs() <= tol,
-                    "fma kc={kc}: {got} vs scalar {want}"
-                );
-            }
-        }
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn conv_taps_variants_match_scalar_bitwise() {
@@ -464,33 +359,6 @@ mod tests {
             // SAFETY: guarded by the avx2 feature check above.
             unsafe { x86::copy_f32_avx2(&mut dst, &src) };
             assert_eq!(dst, src, "len={len}");
-        }
-    }
-
-    #[test]
-    fn gemm_i8_matches_plain_integer_loops() {
-        let (c_out, k, n) = (3usize, 11usize, 29usize);
-        let w: Vec<i8> = (0..c_out * k).map(|i| ((i * 37) % 255) as i8).collect();
-        let cols: Vec<i8> = (0..k * n).map(|i| ((i * 91 + 13) % 255) as i8).collect();
-        let mut want = vec![0i32; c_out * n];
-        for co in 0..c_out {
-            for p in 0..k {
-                for x in 0..n {
-                    want[co * n + x] += w[co * k + p] as i32 * cols[p * n + x] as i32;
-                }
-            }
-        }
-        let mut got = vec![0i32; c_out * n];
-        gemm_i8(&mut got, &w, c_out, k, n, &cols);
-        assert_eq!(got, want);
-
-        // The row kernels agree with each other (exact arithmetic).
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut row = vec![0i32; n];
-            // SAFETY: guarded by the avx2 feature check above.
-            unsafe { x86::gemm_i8_row_avx2(&mut row, &w[..k], &cols, n) };
-            assert_eq!(&row, &want[..n]);
         }
     }
 

@@ -2,9 +2,8 @@
 //!
 //! These are the exact inner loops the pre-SIMD code ran (extracted
 //! verbatim from `ops::matmul` and `rhsd-litho`'s aerial pass); every
-//! SIMD variant selected by the default dispatcher must match them
-//! bit-for-bit, and the microbench harness times them as the
-//! scalar-vs-SIMD baseline.
+//! SIMD variant must match them bit-for-bit, and the microbench harness
+//! times them as the scalar-vs-SIMD baseline.
 
 use super::NR;
 
@@ -47,20 +46,5 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
             acc += tw * src[t * stride + i];
         }
         *o = acc / norm;
-    }
-}
-
-/// One output row of the int8 GEMM:
-/// `row[x] += Σ_p w[p] · cols[p · n + x]` with i32 accumulation.
-pub fn gemm_i8_row(row: &mut [i32], w: &[i8], cols: &[i8], n: usize) {
-    for (p, &wp) in w.iter().enumerate() {
-        if wp == 0 {
-            continue;
-        }
-        let wp = wp as i32;
-        let crow = &cols[p * n..p * n + n];
-        for (o, &c) in row.iter_mut().zip(crow) {
-            *o += wp * c as i32;
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! x86-64 SIMD kernels (SSE2 / AVX2, plus the feature-gated FMA tile).
+//! x86-64 SIMD kernels (SSE2 / AVX2).
 //!
 //! Every function here is `unsafe` only because of its
 //! `#[target_feature]` requirement; slice accesses are bounds-checked
@@ -6,10 +6,7 @@
 //! asserts. Per-lane float arithmetic mirrors the scalar reference
 //! exactly — one mul rounding and one add rounding per accumulation
 //! step, and a single IEEE division where the reference divides — so
-//! the default-dispatch kernels are bit-identical to
-//! [`super::scalar`]. The one exception, [`gemm_micro_fma`], contracts
-//! mul+add into one rounding and only exists behind the `fast-math`
-//! feature.
+//! every kernel is bit-identical to [`super::scalar`].
 
 use core::arch::x86_64::*;
 
@@ -118,43 +115,6 @@ pub unsafe fn gemm_micro_sse2<const MRR: usize>(
     }
 }
 
-/// FMA GEMM register tile: fuses each mul+add into a single rounding,
-/// so results differ from the scalar reference by bounded rounding
-/// error (covered by epsilon-compare tests, never by determinism
-/// pins). Compiled only under the `fast-math` feature and reached only
-/// through the explicit [`super::set_fast_math`] opt-in.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// FMA. Bounds as for [`gemm_micro_avx2`].
-#[cfg(feature = "fast-math")]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemm_micro_fma<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &mut [usize; MRR],
-    acs: usize,
-    panel: &[f32],
-) {
-    let steps = bound_a_reads::<MRR>(av, aidx, acs, panel);
-    let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
-    let mut off = 0usize;
-    for bp in panel.chunks_exact(NR) {
-        let b = _mm256_loadu_ps(bp.as_ptr());
-        for r in 0..MRR {
-            // SAFETY: bound_a_reads proved every aidx[r] + off in range.
-            let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + off));
-            accv[r] = _mm256_fmadd_ps(a, b, accv[r]);
-        }
-        off += acs;
-    }
-    for r in 0..MRR {
-        aidx[r] += steps * acs;
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), accv[r]);
-    }
-}
-
 /// AVX2 slice copy: eight lanes at a time plus a scalar tail. Exact.
 ///
 /// # Safety
@@ -225,42 +185,4 @@ pub unsafe fn conv_taps_sse2(dst: &mut [f32], src: &[f32], stride: usize, taps: 
         i += 4;
     }
     scalar::conv_taps(&mut dst[i..], &src[i..], stride, taps, norm);
-}
-
-/// AVX2 int8 GEMM row kernel: eight i32 accumulator lanes held in a
-/// register across the whole `k` loop, widening each group of eight i8
-/// columns with `cvtepi8_epi32`. Integer arithmetic — exact.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2,
-/// `row.len() == n`, and `cols.len() >= w.len() * n` (the dispatcher
-/// asserts both); the 8-byte column loads at `p * n + x` with
-/// `x + 8 <= n` are then in range.
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_i8_row_avx2(row: &mut [i32], w: &[i8], cols: &[i8], n: usize) {
-    let mut x = 0usize;
-    while x + 8 <= n {
-        let mut acc = _mm256_loadu_si256(row.as_ptr().add(x) as *const __m256i);
-        for (p, &wp) in w.iter().enumerate() {
-            if wp == 0 {
-                continue;
-            }
-            let wv = _mm256_set1_epi32(wp as i32);
-            let c8 = _mm_loadl_epi64(cols.as_ptr().add(p * n + x) as *const __m128i);
-            let cv = _mm256_cvtepi8_epi32(c8);
-            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(wv, cv));
-        }
-        _mm256_storeu_si256(row.as_mut_ptr().add(x) as *mut __m256i, acc);
-        x += 8;
-    }
-    for (p, &wp) in w.iter().enumerate() {
-        if wp == 0 {
-            continue;
-        }
-        let wp = wp as i32;
-        for xi in x..n {
-            row[xi] += wp * cols[p * n + xi] as i32;
-        }
-    }
 }

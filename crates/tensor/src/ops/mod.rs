@@ -10,6 +10,5 @@ pub mod elementwise;
 pub mod kernels;
 pub mod matmul;
 pub mod pool;
-pub mod quant;
 pub mod reduce;
 pub mod softmax;

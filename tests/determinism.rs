@@ -125,13 +125,7 @@ fn scan_and_bench_accuracy_rows_bit_identical() {
         let result = det.scan_test_half(&bench);
         let row = rhsd::baselines::CaseResult::new(bench.id.name(), &result.evaluation, 0.0);
         let report = DetectorReport::new("Ours", vec![row]);
-        let record = bench_json(
-            "determinism-test",
-            true,
-            7,
-            rhsd::core::Precision::F32,
-            &[report],
-        );
+        let record = bench_json("determinism-test", true, 7, &[report]);
         (result, record)
     };
     let ((r1, j1), (r4, j4)) = at_threads(1, 4, run);

@@ -31,7 +31,6 @@ fn demo_run_leaves_a_valid_ordered_ledger() {
         host: obs::ledger::host_string(),
         version: env!("CARGO_PKG_VERSION").to_owned(),
         threads: rhsd::par::threads() as u64,
-        precision: "f32".to_owned(),
         isa: rhsd::tensor::ops::kernels::isa_name().to_owned(),
     };
     obs::ledger::open(&path, manifest).expect("open global ledger");
@@ -102,7 +101,6 @@ fn demo_run_leaves_a_valid_ordered_ledger() {
     assert_eq!(field(first, "bin"), "ledger_integration");
     assert!(!field(first, "host").is_empty());
     assert!(!field(first, "version").is_empty());
-    assert_eq!(field(first, "precision"), "f32");
     assert!(!field(first, "isa").is_empty());
 
     // --- Last line: run_end with "ok" status.

@@ -47,16 +47,7 @@ fn tiny_run() -> (String, Vec<u32>) {
         .collect();
     let row = rhsd::baselines::CaseResult::new(bench.id.name(), &result.evaluation, 0.0);
     let report = DetectorReport::new("Ours", vec![row]);
-    (
-        bench_json(
-            "profile-test",
-            true,
-            7,
-            rhsd::core::Precision::F32,
-            &[report],
-        ),
-        score_bits,
-    )
+    (bench_json("profile-test", true, 7, &[report]), score_bits)
 }
 
 /// Strips the lines of a bench record that are timing- or
@@ -162,7 +153,6 @@ fn second_cached_scan_populates_caches_block() {
         "cache-telemetry-test",
         true,
         7,
-        rhsd::core::Precision::F32,
         &[DetectorReport::new("Ours", vec![row])],
     );
     rhsd::obs::set_enabled(false);

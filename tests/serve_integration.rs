@@ -26,14 +26,9 @@ fn saved_model(tag: &str) -> PathBuf {
 }
 
 fn start(model: &Path) -> Server {
-    start_at(model, Precision::F32)
-}
-
-fn start_at(model: &Path, precision: Precision) -> Server {
     Server::start(&ServeConfig {
         model: model.to_path_buf(),
         port: 0,
-        precision,
     })
     .expect("server must start on an ephemeral port")
 }
@@ -114,44 +109,17 @@ fn concurrent_clients_all_get_exact_results() {
     assert_eq!(field("scan_requests"), 4);
     assert!(field("batches") >= 1);
     assert!(field("batched_regions") > 0);
+    // Stats and info both report the kernel ISA the server dispatches to.
+    let info = control.request(&Request::Info).unwrap();
+    for reply in [&stats, &info] {
+        let v = rhsd::obs::json::parse(reply).unwrap();
+        let isa = v.get("isa").and_then(rhsd::obs::json::Value::as_str);
+        assert!(isa.is_some_and(|s| !s.is_empty()), "{reply}");
+    }
     control.shutdown().unwrap();
     drop(control);
     let summary = server.wait();
-    assert_eq!(summary.requests, 6); // 4 scans + stats + shutdown
-    std::fs::remove_file(&model).ok();
-}
-
-#[test]
-fn int8_served_scan_matches_int8_offline_scan_and_reports_precision() {
-    let model = saved_model("int8");
-    let expected = {
-        let result = offline_scan(&model, CaseId::Case2, Half::Test, Precision::Int8).unwrap();
-        scan_response_json(CaseId::Case2, Half::Test, &result)
-    };
-
-    let server = start_at(&model, Precision::Int8);
-    let mut client = Client::connect(server.addr()).unwrap();
-    let served = client.scan(CaseId::Case2, Half::Test).unwrap();
-    assert_eq!(
-        served, expected,
-        "int8 is integer-exact, so serving must still be bit-identical to offline"
-    );
-
-    // Stats and info report the active precision and a nonempty ISA tag.
-    let stats = client.stats().unwrap();
-    let v = rhsd::obs::json::parse(&stats).unwrap();
-    let sfield = |k: &str| {
-        v.get(k)
-            .and_then(rhsd::obs::json::Value::as_str)
-            .unwrap_or_default()
-            .to_owned()
-    };
-    assert_eq!(sfield("precision"), "int8");
-    assert!(!sfield("isa").is_empty(), "{stats}");
-
-    client.shutdown().unwrap();
-    drop(client);
-    server.wait();
+    assert_eq!(summary.requests, 7); // 4 scans + stats + info + shutdown
     std::fs::remove_file(&model).ok();
 }
 
@@ -199,7 +167,6 @@ fn wrong_model_geometry_is_a_typed_startup_error() {
     let err = match Server::start(&ServeConfig {
         model: path.clone(),
         port: 0,
-        precision: Precision::F32,
     }) {
         Err(e) => e,
         Ok(_) => unreachable!("64-px model must not serve"),

@@ -28,13 +28,6 @@
 //!   enforceable check: a silently collapsed model (the PR-6 failure
 //!   mode) cannot pass CI even when the baseline collapsed too.
 //!
-//! - **accuracy delta** (opt-in): `--max-accuracy-delta <pt>` fails when
-//!   any detector's average accuracy moved by more than `<pt>` points in
-//!   *either* direction, or its false-alarm count moved by more than
-//!   `<pt>`. This is the reduced-precision gate: an int8 run diffed
-//!   against an f32 baseline must track it within the bound — a drop is
-//!   a quality loss and an unexplained gain is a quantisation artefact.
-//!
 //! A baseline detector row with 0% accuracy triggers a loud warning:
 //! the accuracy gate cannot see regressions against a floor of zero, so
 //! such baselines should be refreshed with a longer training schedule.
@@ -44,11 +37,10 @@
 //! runtime improvement or regression. Pass `--skip-runtime` to compare
 //! the deterministic accuracy/FA columns across thread counts — those are
 //! bit-identical at any thread count by design. Records predating the
-//! `threads` field compare as before. Records produced at different
-//! `--precision` settings (schema v7; missing field reads as `f32`) are
-//! refused for runtime comparison the same way: quantised kernels have a
-//! different cost profile, so pass `--skip-runtime` (usually with
-//! `--max-accuracy-delta`) to compare quality columns only.
+//! `threads` field compare as before. A table or serve record whose
+//! `precision` field is present and not `f32` came from a since-removed
+//! reduced-precision scan mode and is refused (exit 2); records without
+//! the field parse as before.
 //!
 //! **Serve records**: when both inputs carry the `rhsd-serve-bench/1`
 //! schema (written by `cargo xtask loadgen`), the gate compares serving
@@ -85,9 +77,6 @@ pub struct Tolerance {
     /// Absolute accuracy floor (percent) every detector in the current
     /// record must clear; `None` disables the gate.
     pub min_accuracy_pct: Option<f64>,
-    /// Symmetric bound on |Δaccuracy| (points) and |ΔFA| per detector;
-    /// `None` disables the gate. The reduced-precision tracking gate.
-    pub max_accuracy_delta_pt: Option<f64>,
 }
 
 impl Default for Tolerance {
@@ -98,7 +87,6 @@ impl Default for Tolerance {
             skip_runtime: false,
             min_cache_hit_rate_pct: None,
             min_accuracy_pct: None,
-            max_accuracy_delta_pt: None,
         }
     }
 }
@@ -128,10 +116,6 @@ struct BenchRecord {
     /// `(family, hits, misses)` from the `caches` block (empty on
     /// records predating schema v5).
     caches: Vec<(String, u64, u64)>,
-    /// Scan-stage inference precision (schema v7; records predating the
-    /// field read as `f32` — they were produced before reduced precision
-    /// existed).
-    precision: String,
     /// SIMD ISA the kernel dispatcher selected (schema v7; empty on
     /// older records).
     isa: String,
@@ -152,10 +136,24 @@ fn row_from(name: &str, v: &Value) -> Result<DetectorRow, String> {
     })
 }
 
+/// Refuses a record made by a since-removed reduced-precision scan
+/// mode: its `precision` field, when present, must read `f32`.
+fn require_f32(v: &Value, label: &str) -> Result<(), String> {
+    match v.get("precision").map(Value::as_str) {
+        None | Some(Some("f32")) => Ok(()),
+        Some(p) => Err(format!(
+            "{label}: record was produced at precision `{}`; that scan mode \
+             was removed and only f32 records can be compared",
+            p.unwrap_or("?")
+        )),
+    }
+}
+
 /// Parses a bench record, checking the schema tag and extracting each
 /// detector's average row.
 fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
     let v = parse(text).map_err(|pos| format!("{label}: invalid JSON at byte {pos}"))?;
+    require_f32(&v, label)?;
     let schema = v
         .get("schema")
         .and_then(Value::as_str)
@@ -197,11 +195,6 @@ fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
         quick: v.get("quick").and_then(Value::as_bool).unwrap_or(false),
         threads: v.get("threads").and_then(Value::as_u64),
         caches,
-        precision: v
-            .get("precision")
-            .and_then(Value::as_str)
-            .unwrap_or("f32")
-            .to_owned(),
         isa: v
             .get("isa")
             .and_then(Value::as_str)
@@ -251,18 +244,6 @@ fn diff(
                 regressions.push(format!(
                     "runtime grew {:.1}% (tolerance {:.1}%)",
                     rt, tol.max_runtime_regress_pct
-                ));
-            }
-        }
-        if let Some(bound) = tol.max_accuracy_delta_pt {
-            if accuracy_delta_pt.abs() > bound {
-                regressions.push(format!(
-                    "accuracy moved {accuracy_delta_pt:+.2}pt (|delta| bound {bound:.2}pt)"
-                ));
-            }
-            if (fa_delta.abs() as f64) > bound {
-                regressions.push(format!(
-                    "false alarms moved {fa_delta:+} (|delta| bound {bound:.2})"
                 ));
             }
         }
@@ -340,13 +321,8 @@ fn render(
     let mut o = String::new();
     let _ = writeln!(
         o,
-        "bench-diff: {} (quick={}, precision={}) vs {} (quick={}, precision={})",
-        baseline.source,
-        baseline.quick,
-        baseline.precision,
-        current.source,
-        current.quick,
-        current.precision
+        "bench-diff: {} (quick={}) vs {} (quick={})",
+        baseline.source, baseline.quick, current.source, current.quick
     );
     if !baseline.isa.is_empty() || !current.isa.is_empty() {
         let tag = |s: &str| {
@@ -435,15 +411,13 @@ struct ServeRecord {
     tile_hit_rate_pct: f64,
     stem_hit_rate_pct: f64,
     bit_identity_mismatches: u64,
-    /// Server-reported scan precision (missing on records predating the
-    /// field: reads as `f32`).
-    precision: String,
 }
 
 /// Parses a serve-throughput record, requiring the latency/throughput
 /// columns the gate compares on.
 fn parse_serve_record(text: &str, label: &str) -> Result<ServeRecord, String> {
     let v = parse(text).map_err(|pos| format!("{label}: invalid JSON at byte {pos}"))?;
+    require_f32(&v, label)?;
     let num = |key: &str| {
         v.get(key)
             .and_then(Value::as_f64)
@@ -469,11 +443,6 @@ fn parse_serve_record(text: &str, label: &str) -> Result<ServeRecord, String> {
         tile_hit_rate_pct: opt("tile_hit_rate"),
         stem_hit_rate_pct: opt("stem_hit_rate"),
         bit_identity_mismatches: opt("bit_identity_mismatches") as u64,
-        precision: v
-            .get("precision")
-            .and_then(Value::as_str)
-            .unwrap_or("f32")
-            .to_owned(),
     })
 }
 
@@ -509,15 +478,6 @@ fn compare_serve(
                  are not comparable — pass --skip-runtime for an informational \
                  report only",
                 b.mode, c.mode
-            ));
-        }
-        if b.precision != c.precision {
-            return Err(format!(
-                "serve records were produced at different precisions \
-                 (baseline `{}`, current `{}`); throughput and latency are \
-                 not comparable across quantisation — pass --skip-runtime \
-                 for an informational report only",
-                b.precision, c.precision
             ));
         }
         if b.rps <= 0.0 || b.p99_ms <= 0.0 {
@@ -667,15 +627,6 @@ pub fn compare(
             ));
         }
     }
-    if baseline.precision != current.precision && !tol.skip_runtime {
-        return Err(format!(
-            "records were produced at different precisions (baseline \
-             `{}`, current `{}`); quantised kernels have a different cost \
-             profile, so runtimes are not comparable — pass --skip-runtime \
-             (with --max-accuracy-delta to bound the quality drift)",
-            baseline.precision, current.precision
-        ));
-    }
     let (rows, notes) = diff(&baseline, &current, tol);
     let mut regressed = rows.iter().any(|r| !r.regressions.is_empty());
     let mut report = render(&baseline, &current, &rows, &notes);
@@ -712,8 +663,7 @@ fn read(path: &Path) -> Result<String, String> {
 
 /// CLI entry point: `cargo xtask bench-diff <baseline.json> <current.json>
 /// [--max-runtime-regress <pct>] [--max-accuracy-drop <pt>]
-/// [--skip-runtime] [--min-cache-hit-rate <pct>] [--min-accuracy <pct>]
-/// [--max-accuracy-delta <pt>]`.
+/// [--skip-runtime] [--min-cache-hit-rate <pct>] [--min-accuracy <pct>]`.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut tol = Tolerance::default();
@@ -732,9 +682,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             "--min-accuracy" => {
                 tol.min_accuracy_pct = Some(num_arg(it.next(), "--min-accuracy")?);
-            }
-            "--max-accuracy-delta" => {
-                tol.max_accuracy_delta_pt = Some(num_arg(it.next(), "--max-accuracy-delta")?);
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown bench-diff option `{other}`"));
@@ -1010,74 +957,37 @@ mod tests {
         assert!(!regressed, "floor gate must be opt-in");
     }
 
-    /// A v7 record carrying `precision` and `isa` fields.
-    fn record_v7(secs: f64, acc: f64, fa: u64, precision: &str) -> String {
-        record(secs, acc)
-            .replace("rhsd-bench-table/2", "rhsd-bench-table/7")
-            .replace("\"false_alarms\": 4", &format!("\"false_alarms\": {fa}"))
-            .replace(
-                "\"seed\": 103,",
-                &format!("\"seed\": 103,\n  \"precision\": \"{precision}\",\n  \"isa\": \"avx2\","),
-            )
-    }
-
     #[test]
-    fn accuracy_delta_gate_is_symmetric_and_covers_false_alarms() {
-        let tol = Tolerance {
-            skip_runtime: true,
-            max_accuracy_delta_pt: Some(0.5),
-            ..Tolerance::default()
-        };
-        let base = record_v7(1.0, 90.0, 4, "f32");
-        // Within the bound in both directions: passes.
-        for cur in [
-            record_v7(1.0, 90.4, 4, "int8"),
-            record_v7(1.0, 89.6, 4, "int8"),
-        ] {
-            let (report, regressed) = compare(&base, &cur, &tol).expect("valid");
-            assert!(!regressed, "0.4pt drift clears a 0.5pt bound:\n{report}");
-        }
-        // An accuracy *gain* past the bound fails too (quantisation
-        // artefact, not an improvement).
-        let gain = record_v7(1.0, 91.0, 4, "int8");
-        let (report, regressed) = compare(&base, &gain, &tol).expect("valid");
-        assert!(regressed, "+1pt must fail a 0.5pt |delta| bound:\n{report}");
-        assert!(report.contains("accuracy moved +1.00pt"), "{report}");
-        // A false-alarm move past the bound fails independently.
-        let fa = record_v7(1.0, 90.0, 6, "int8");
-        let (report, regressed) = compare(&base, &fa, &tol).expect("valid");
-        assert!(regressed, "+2 FA must fail a 0.5 |delta| bound:\n{report}");
-        assert!(report.contains("false alarms moved +2"), "{report}");
-        // The gate is opt-in.
-        let no_gate = Tolerance {
-            skip_runtime: true,
-            ..Tolerance::default()
-        };
-        let (_, regressed) = compare(&base, &gain, &no_gate).expect("valid");
-        assert!(!regressed, "delta gate must be opt-in");
-    }
-
-    #[test]
-    fn cross_precision_runtime_comparison_is_refused() {
-        let base = record_v7(1.0, 90.0, 4, "f32");
-        let cur = record_v7(0.5, 90.0, 4, "int8");
-        let err = compare(&base, &cur, &Tolerance::default()).unwrap_err();
-        assert!(err.contains("different precisions"), "{err}");
-        assert!(err.contains("--skip-runtime"), "{err}");
-        // --skip-runtime compares the quality columns.
-        let tol = Tolerance {
-            skip_runtime: true,
-            max_accuracy_delta_pt: Some(0.5),
-            ..Tolerance::default()
-        };
-        let (report, regressed) = compare(&base, &cur, &tol).expect("valid");
-        assert!(!regressed, "{report}");
-        assert!(report.contains("precision=f32"), "{report}");
-        assert!(report.contains("precision=int8"), "{report}");
-        // A pre-v7 record reads as f32: same-precision, no refusal.
+    fn records_from_removed_precision_modes_are_refused() {
+        // A table record with an explicit f32 tag, or none, parses.
         let legacy = record(1.0, 90.0);
-        let f32_cur = record_v7(1.0, 90.0, 4, "f32");
-        assert!(compare(&legacy, &f32_cur, &Tolerance::default()).is_ok());
+        let f32_tagged = legacy.replace(
+            "\"seed\": 103,",
+            "\"seed\": 103,\n  \"precision\": \"f32\",",
+        );
+        assert!(compare(&legacy, &f32_tagged, &Tolerance::default()).is_ok());
+        // Any other tag is refused, whichever side it is on and even
+        // under --skip-runtime.
+        let int8 = f32_tagged.replace("\"f32\"", "\"int8\"");
+        let tol = Tolerance {
+            skip_runtime: true,
+            ..Tolerance::default()
+        };
+        let err = compare(&legacy, &int8, &tol).unwrap_err();
+        assert!(
+            err.contains("current: record was produced at precision `int8`"),
+            "{err}"
+        );
+        let err = compare(&int8, &legacy, &tol).unwrap_err();
+        assert!(err.starts_with("baseline:"), "{err}");
+        // The same holds for serve records.
+        let serve = serve_record(120.0, 12.0, 4);
+        let bf16 = serve.replace(
+            "\"mode\": \"closed\",",
+            "\"mode\": \"closed\",\n  \"precision\": \"bf16\",",
+        );
+        let err = compare(&serve, &bf16, &tol).unwrap_err();
+        assert!(err.contains("precision `bf16`"), "{err}");
     }
 
     #[test]
@@ -1198,25 +1108,6 @@ mod tests {
         let cur = base.replace("\"mode\": \"closed\"", "\"mode\": \"open\"");
         let err = compare(&base, &cur, &Tolerance::default()).unwrap_err();
         assert!(err.contains("load-generator modes"), "{err}");
-    }
-
-    #[test]
-    fn serve_cross_precision_comparison_is_refused() {
-        let base = serve_record(120.0, 12.0, 4);
-        // A record predating the field reads as f32 against an explicit int8.
-        let cur = base.replace(
-            "\"mode\": \"closed\",",
-            "\"mode\": \"closed\",\n  \"precision\": \"int8\",",
-        );
-        let err = compare(&base, &cur, &Tolerance::default()).unwrap_err();
-        assert!(err.contains("different precisions"), "{err}");
-        // --skip-runtime downgrades to an informational report.
-        let tol = Tolerance {
-            skip_runtime: true,
-            ..Tolerance::default()
-        };
-        let (report, regressed) = compare(&base, &cur, &tol).expect("valid");
-        assert!(!regressed, "{report}");
     }
 
     #[test]

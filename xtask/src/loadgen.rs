@@ -298,25 +298,13 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let stats = json::parse(&stats_body)
         .map_err(|at| format!("stats reply is not JSON (at byte {at}): {stats_body}"))?;
     let stat = |k: &str| stats.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-    // Strings the server reports about itself: scan precision and the
-    // SIMD ISA its kernel dispatcher selected. Ride along in the record
-    // so bench-diff can refuse apples-to-oranges runtime comparisons.
-    let stat_str = |k: &str| {
-        stats
-            .get(k)
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_owned()
-    };
-    let precision = {
-        let p = stat_str("precision");
-        if p.is_empty() {
-            "f32".to_owned()
-        } else {
-            p
-        }
-    };
-    let isa = stat_str("isa");
+    // The SIMD ISA the server's kernel dispatcher selected rides along
+    // in the record, like the thread count.
+    let isa = stats
+        .get("isa")
+        .and_then(Value::as_str)
+        .unwrap_or("")
+        .to_owned();
     if opts.shutdown {
         control
             .shutdown()
@@ -337,11 +325,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         0.0
     };
     let record = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"source\": \"loadgen\",\n  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"precision\": \"{precision}\",\n  \"isa\": \"{isa}\",\n  \"connections\": {connections},\n  \"requests_per_connection\": {rpc},\n  \"requests\": {total},\n  \"wall_secs\": {wall},\n  \"rps\": {rps},\n  \"p50_ms\": {p50},\n  \"p95_ms\": {p95},\n  \"p99_ms\": {p99},\n  \"batches\": {batches},\n  \"batched_requests\": {breq},\n  \"batched_regions\": {breg},\n  \"max_batch_requests\": {bmax},\n  \"mean_batch_requests\": {bmean},\n  \"tile_hit_rate\": {tile},\n  \"stem_hit_rate\": {stem},\n  \"bit_identity_checked\": {checked},\n  \"bit_identity_mismatches\": {mismatches}\n}}\n",
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"source\": \"loadgen\",\n  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"isa\": \"{isa}\",\n  \"connections\": {connections},\n  \"requests_per_connection\": {rpc},\n  \"requests\": {total},\n  \"wall_secs\": {wall},\n  \"rps\": {rps},\n  \"p50_ms\": {p50},\n  \"p95_ms\": {p95},\n  \"p99_ms\": {p99},\n  \"batches\": {batches},\n  \"batched_requests\": {breq},\n  \"batched_regions\": {breg},\n  \"max_batch_requests\": {bmax},\n  \"mean_batch_requests\": {bmean},\n  \"tile_hit_rate\": {tile},\n  \"stem_hit_rate\": {stem},\n  \"bit_identity_checked\": {checked},\n  \"bit_identity_mismatches\": {mismatches}\n}}\n",
         mode = opts.mode.name(),
         seed = opts.seed,
         threads = stat("threads"),
-        precision = precision,
         isa = isa,
         connections = opts.connections,
         rpc = opts.requests,

@@ -73,11 +73,6 @@ tasks:
                                    in the current record averages below
                                    <pct> percent accuracy (catches
                                    silently collapsed models)
-      --max-accuracy-delta <pt>    opt-in symmetric gate: fail when any
-                                   detector's accuracy moves more than
-                                   <pt> points or its false-alarm count
-                                   moves more than <pt> in either
-                                   direction (quantised-vs-f32 checks)
 
   report [<ledger.jsonl>] [--profile <collapsed>] [--top <n>]
          [--html <out.html>]

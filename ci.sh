@@ -448,13 +448,15 @@ if [[ $serve_smoke_only -eq 1 ]]; then
 fi
 
 # ISA matrix: the SIMD kernels must stay bit-identical to the scalar
-# reference (RHSD_FORCE_SCALAR=1 reruns the kernel and determinism
-# suites through the scalar dispatch).
+# reference (RHSD_FORCE_SCALAR=1 reruns the kernel, determinism and
+# conv-lowering suites through the scalar dispatch).
 simd_matrix() {
     run_step "simd matrix: forced-scalar crate tests" \
         env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core
     run_step "simd matrix: forced-scalar determinism suite" \
         env RHSD_FORCE_SCALAR=1 cargo test -q --test determinism
+    run_step "simd matrix: forced-scalar conv lowering" \
+        env RHSD_FORCE_SCALAR=1 cargo test -q --test conv_lowering
 }
 
 if [[ $simd_matrix_only -eq 1 ]]; then

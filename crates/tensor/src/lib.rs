@@ -8,7 +8,7 @@
 //!
 //! - [`Tensor`]: an owned, row-major, N-dimensional `f32` array.
 //! - [`Shape`]: dimension bookkeeping and index arithmetic.
-//! - [`ops`]: convolution (im2col), transposed convolution, max/RoI
+//! - [`ops`]: convolution lowered to GEMM, transposed convolution, max/RoI
 //!   pooling, matmul, softmax/cross-entropy, reductions and elementwise
 //!   math — each differentiable op paired with its analytic backward pass.
 //!

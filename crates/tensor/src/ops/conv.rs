@@ -1,10 +1,16 @@
-//! 2-D convolution via im2col, with analytic backward passes.
+//! 2-D convolution lowered to GEMM, with analytic backward passes.
 //!
 //! Implements the convolution of Eq. (1) of the paper. Tensors are
 //! `[C, H, W]` feature maps; weights are `[C_out, C_in, K, K]`. Batching is
 //! handled one sample at a time by the layer framework above this crate.
+//!
+//! The forward pass and the weight gradient multiply by the im2col
+//! matrix of a map without building it: `Im2col` is a view the GEMM's
+//! packing pass reads each `KC × NC` block from. [`im2col`] builds the
+//! full matrix only as a public reference.
 
-use crate::ops::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into};
+use crate::ops::kernels::NR;
+use crate::ops::matmul::{gemm_into, gemm_tn_into, BSource};
 use crate::{workspace, Tensor};
 
 /// Geometry of a convolution: kernel size, stride and zero padding.
@@ -72,76 +78,173 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
     let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let k = spec.kernel;
-    let mut out = vec![0.0f32; c * k * k * oh * ow];
-    im2col_into(&mut out, input.as_slice(), c, h, w, spec);
-    Tensor::from_parts([c * k * k, oh * ow], out)
-}
-
-/// Slice-level [`im2col`] writing into a pre-zeroed buffer of length
-/// `c·k²·oh·ow` — the workspace-backed path used by [`conv2d`] /
-/// [`conv2d_backward`] so column matrices are scratch, not fresh heap.
-pub(crate) fn im2col_into(
-    out: &mut [f32],
-    iv: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: ConvSpec,
-) {
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let k = spec.kernel;
-    let ncols = oh * ow;
-    // Channel `ci` exclusively owns the contiguous output rows
-    // `ci·K·K .. (ci+1)·K·K`, so channels unfold in parallel with the
-    // serial tap order preserved inside each plane (pure copies —
-    // bit-identical at any thread count).
-    let plane = k * k * ncols;
-    if plane > 0 {
-        let ch_per_task = rhsd_par::chunk_units(c, plane);
-        rhsd_par::for_each_mut(out, ch_per_task * plane, |ti, piece| {
-            let c0 = ti * ch_per_task;
-            for (dc, chan) in piece.chunks_mut(plane).enumerate() {
-                let ci = c0 + dc;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let base = (ky * k + kx) * ncols;
-                        for oy in 0..oh {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let irow = (ci * h + iy as usize) * w;
-                            if spec.stride == 1 {
-                                // Stride 1: the in-bounds `ox` range maps
-                                // to one contiguous input run — a single
-                                // vector copy replaces the per-pixel
-                                // bounds branch (pure copies, so still
-                                // bit-identical; out-of-range taps keep
-                                // the pre-zeroed padding value).
-                                let ox0 = spec.padding.saturating_sub(kx);
-                                let ox1 = ow.min((w + spec.padding).saturating_sub(kx));
-                                if ox0 < ox1 {
-                                    let ix0 = ox0 + kx - spec.padding;
-                                    let d0 = base + oy * ow + ox0;
-                                    crate::ops::kernels::copy_f32(
-                                        &mut chan[d0..d0 + (ox1 - ox0)],
-                                        &iv[irow + ix0..irow + ix0 + (ox1 - ox0)],
-                                    );
-                                }
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                chan[base + oy * ow + ox] = iv[irow + ix as usize];
-                            }
-                        }
+    let iv = input.as_slice();
+    // The plain per-element definition: a reference for the fused
+    // packing of `Im2col`, which the conv ops use instead.
+    let mut out = Vec::with_capacity(c * k * k * oh * ow);
+    for ci in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
+                        out.push(if inside {
+                            iv[(ci * h + iy as usize) * w + ix as usize]
+                        } else {
+                            0.0
+                        });
                     }
                 }
             }
-        });
+        }
+    }
+    Tensor::from_parts([c * k * k, oh * ow], out)
+}
+
+/// The im2col matrix of a `[C, H, W]` map as a view: the GEMM packing
+/// pass reads blocks of it straight from the map, so conv lowerings never
+/// build the `[C·K², H'·W']` matrix. Rows are taps `(c, ky, kx)`,
+/// columns output pixels `(oy, ox)`, both row-major; out-of-bounds taps
+/// read as zero. Every packed value is a copy, so packing from the view
+/// equals packing from [`im2col`] bit for bit.
+#[derive(Clone, Copy)]
+pub(crate) struct Im2col<'a> {
+    map: &'a [f32],
+    h: usize,
+    w: usize,
+    spec: ConvSpec,
+    ow: usize,
+}
+
+/// One tap `(c, ky, kx)` of an [`Im2col`] row, walked in row order.
+#[derive(Clone, Copy)]
+struct Tap {
+    c: usize,
+    ky: usize,
+    kx: usize,
+}
+
+impl Tap {
+    fn of(p: usize, k: usize) -> Tap {
+        Tap {
+            c: p / (k * k),
+            ky: p / k % k,
+            kx: p % k,
+        }
+    }
+
+    fn advance(&mut self, k: usize) {
+        self.kx += 1;
+        if self.kx == k {
+            self.kx = 0;
+            self.ky += 1;
+            if self.ky == k {
+                self.ky = 0;
+                self.c += 1;
+            }
+        }
+    }
+}
+
+impl<'a> Im2col<'a> {
+    /// Views `map` (`[c, h, w]` row-major) under `spec`.
+    pub(crate) fn new(map: &'a [f32], c: usize, h: usize, w: usize, spec: ConvSpec) -> Self {
+        debug_assert_eq!(map.len(), c * h * w, "im2col view: map length");
+        Im2col {
+            map,
+            h,
+            w,
+            spec,
+            ow: spec.out_size(w),
+        }
+    }
+
+    /// The map value of channel `c` at padded coordinates `(y, x)`
+    /// (`oy·stride + ky`, `ox·stride + kx`); zero in the padding.
+    #[inline(always)]
+    fn at(&self, c: usize, y: usize, x: usize) -> f32 {
+        // Coordinates above the padding wrap to huge values, which the
+        // bounds test then rejects.
+        let (iy, ix) = (
+            y.wrapping_sub(self.spec.padding),
+            x.wrapping_sub(self.spec.padding),
+        );
+        if iy < self.h && ix < self.w {
+            self.map[(c * self.h + iy) * self.w + ix]
+        } else {
+            0.0
+        }
+    }
+
+    /// Packs taps `p0..p1` × pixels `j0..j1` (the normal orientation:
+    /// B rows are taps) into `NR`-pixel strips of `(p1 − p0) · NR`.
+    pub(crate) fn pack_taps(&self, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
+        let (k, kc, stride) = (self.spec.kernel, p1 - p0, self.spec.stride);
+        for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
+            let j = j0 + s * NR;
+            let lanes = NR.min(j1 - j);
+            // Padded coordinates of the strip's pixels at tap (0, 0).
+            let mut ys = [0usize; NR];
+            let mut xs = [0usize; NR];
+            for l in 0..lanes {
+                ys[l] = (j + l) / self.ow * stride;
+                xs[l] = (j + l) % self.ow * stride;
+            }
+            // A full strip inside one output row reads, per tap, NR
+            // consecutive inputs at stride 1: one copy unless it touches
+            // the padding.
+            let run = lanes == NR && ys[0] == ys[NR - 1] && stride == 1;
+            let mut tap = Tap::of(p0, k);
+            for dstp in strip.chunks_exact_mut(NR) {
+                let iy = (ys[0] + tap.ky).wrapping_sub(self.spec.padding);
+                let ix = (xs[0] + tap.kx).wrapping_sub(self.spec.padding);
+                if run && iy < self.h && ix < self.w && ix + NR <= self.w {
+                    let i = (tap.c * self.h + iy) * self.w + ix;
+                    dstp.copy_from_slice(&self.map[i..i + NR]);
+                } else {
+                    for (l, d) in dstp.iter_mut().enumerate() {
+                        *d = if l < lanes {
+                            self.at(tap.c, ys[l] + tap.ky, xs[l] + tap.kx)
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+                tap.advance(k);
+            }
+        }
+    }
+
+    /// Packs pixels `p0..p1` × taps `j0..j1` (the transposed
+    /// orientation: B rows are pixels) into `NR`-tap strips.
+    pub(crate) fn pack_pixels(&self, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
+        let (k, kc, stride) = (self.spec.kernel, p1 - p0, self.spec.stride);
+        for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
+            let j = j0 + s * NR;
+            let mut tap = Tap::of(j, k);
+            for l in 0..NR {
+                // Lane `l` of every packed row: one tap over the pixels.
+                let mut lane = strip[l..].iter_mut().step_by(NR);
+                if j + l >= j1 {
+                    lane.for_each(|d| *d = 0.0);
+                    continue;
+                }
+                // Walk the pixels one output-row segment at a time.
+                let mut p = p0;
+                while p < p1 {
+                    let (oy, ox0) = (p / self.ow, p % self.ow);
+                    let seg = (self.ow - ox0).min(p1 - p);
+                    let y = oy * stride + tap.ky;
+                    for (ox, d) in (ox0..ox0 + seg).zip(lane.by_ref()) {
+                        *d = self.at(tap.c, y, ox * stride + tap.kx);
+                    }
+                    p += seg;
+                }
+                tap.advance(k);
+            }
+        }
     }
 }
 
@@ -247,14 +350,19 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
     let ncols = oh * ow;
     let ckk = c_in * k * k;
 
-    // The column matrix is scratch: built in a workspace buffer, reused
-    // across every conv on this thread. The weight matrix view needs no
-    // reshape copy — `[C_out, C_in, K, K]` is already `[C_out, C_in·K²]`
-    // row-major.
-    let mut cols = workspace::take(ckk * ncols);
-    im2col_into(&mut cols, input.as_slice(), c_in, h, w, spec);
+    // out = W · im2col(x): the weight needs no reshape copy —
+    // `[C_out, C_in, K, K]` is already `[C_out, C_in·K²]` row-major — and
+    // the GEMM packs the im2col matrix straight from the input map.
+    let cols = Im2col::new(input.as_slice(), c_in, h, w, spec);
     let mut out = vec![0.0f32; c_out * ncols];
-    gemm_nn_into(&mut out, weight.as_slice(), c_out, ckk, ncols, &cols);
+    gemm_into(
+        &mut out,
+        weight.as_slice(),
+        c_out,
+        ckk,
+        ncols,
+        BSource::Im2col(cols),
+    );
     if let Some(b) = bias {
         assert_eq!(
             b.dims(),
@@ -307,14 +415,12 @@ pub fn conv2d_backward(
         .collect();
     let d_bias = Tensor::from_parts([c_out], dbias);
 
-    // d_weight = grad · colsᵀ — the transpose is folded into the NT
-    // GEMM's packing pass, and the column matrix is workspace scratch.
-    let mut cols = workspace::take(ckk * ncols);
-    im2col_into(&mut cols, input.as_slice(), c_in, h, w, spec);
+    // d_weight = grad · im2col(x)ᵀ — the packing pass gathers the
+    // transposed im2col matrix straight from the input map.
+    let cols = Im2col::new(input.as_slice(), c_in, h, w, spec);
     let mut dw = vec![0.0f32; c_out * ckk];
-    gemm_nt_into(&mut dw, gv, c_out, ncols, ckk, &cols);
+    gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
     let d_weight = Tensor::from_parts([c_out, c_in, k, k], dw);
-    drop(cols);
 
     // d_input = col2im(Wᵀ · grad) — the TN GEMM reads W columns in
     // place, and the intermediate column gradient is scratch too.

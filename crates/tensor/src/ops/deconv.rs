@@ -5,8 +5,8 @@
 //! with the same [`ConvSpec`]. Weights follow the `[C_in, C_out, K, K]`
 //! convention so that a deconv layer can mirror a conv layer symmetrically.
 
-use crate::ops::conv::{col2im_from, im2col_into, ConvSpec};
-use crate::ops::matmul::{gemm_nn_into, gemm_nt_into, gemm_tn_into};
+use crate::ops::conv::{col2im_from, ConvSpec, Im2col};
+use crate::ops::matmul::{gemm_into, gemm_tn_into, BSource};
 use crate::{workspace, Tensor};
 
 /// Forward transposed convolution:
@@ -109,17 +109,19 @@ pub fn conv_transpose2d_backward(
     let d_bias = Tensor::from_parts([c_out], dbias);
 
     // Deconv forward is col2im ∘ (Wᵀ ·); its adjoint is (W ·) ∘ im2col.
+    // Both products pack im2col(grad) ([c_out·K·K, H·W]) straight from
+    // the gradient map.
     let ckk = c_out * k * k;
-    let mut gcols = workspace::take(ckk * h * w); // [c_out·K·K, H·W]
-    im2col_into(&mut gcols, gv, c_out, oh, ow, spec);
+    let gcols = Im2col::new(gv, c_out, oh, ow, spec);
     let mut di = vec![0.0f32; c_in * h * w];
-    gemm_nn_into(&mut di, weight.as_slice(), c_in, ckk, h * w, &gcols);
+    let weight = weight.as_slice();
+    gemm_into(&mut di, weight, c_in, ckk, h * w, BSource::Im2col(gcols));
     let d_input = Tensor::from_parts([c_in, h, w], di);
 
-    // d_weight = x · im2col(grad)ᵀ, folded back to [C_in, C_out, K, K] —
-    // the transpose happens inside the NT GEMM's packing pass.
+    // d_weight = x · im2col(grad)ᵀ, folded back to [C_in, C_out, K, K].
     let mut dw = vec![0.0f32; c_in * ckk];
-    gemm_nt_into(&mut dw, input.as_slice(), c_in, h * w, ckk, &gcols);
+    let input = input.as_slice();
+    gemm_into(&mut dw, input, c_in, h * w, ckk, BSource::Im2colT(gcols));
     let d_weight = Tensor::from_parts([c_in, c_out, k, k], dw);
 
     crate::invariants::check_finite("conv_transpose2d_backward", &d_input);

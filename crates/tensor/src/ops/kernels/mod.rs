@@ -2,8 +2,8 @@
 //!
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
-//! packed-GEMM register tile, the f32 copy used by the packing and
-//! im2col fast paths, and the separable-convolution interior kernel.
+//! packed-GEMM register tile, the f32 copy used by the GEMM packing
+//! pass, and the separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
 //!
@@ -189,7 +189,7 @@ pub fn gemm_micro<const MRR: usize>(
 }
 
 /// Copies `src` into `dst` (equal lengths) through the widest available
-/// lanes — the packing / im2col row-segment move. Copies are exact on
+/// lanes — the GEMM packing row-segment move. Copies are exact on
 /// any path.
 ///
 /// # Panics

@@ -3,113 +3,124 @@
 //! # Kernel architecture
 //!
 //! All rank-2 products ([`matmul`], the transpose-fused [`matmul_tn`] /
-//! [`matmul_nt`]) run through one blocked driver:
+//! [`matmul_nt`]) and the convolution lowerings run through one blocked
+//! driver:
 //!
-//! * **Packing** — the right operand is repacked once per call into
-//!   column strips of width `NR = 8`: strip `s` stores, for ascending
-//!   `p`, the eight values `B[p][8s..8s+8]` contiguously (zero-padded at
-//!   the right edge). The packed panel lives in a [`crate::workspace`]
-//!   buffer, so steady-state calls allocate nothing. For the `NT`
-//!   variant the packing step *is* the transpose — `Bᵀ` strips are
-//!   gathered straight from `B`'s rows, which is how the old
-//!   `matmul(a, &transpose(b))` call sites fold their transpose into
-//!   the GEMM.
-//! * **Blocking** — each parallel task walks `NC`-wide column blocks and
-//!   `KC`-deep k blocks over `MR × NR` register tiles (`MC` rows per
-//!   task, set by the `rhsd-par` chunk schedule). The micro-kernel keeps
-//!   an `MR × 8` accumulator array in registers; its inner loop is the
+//! * **Tasks** — a product is cut into parallel tasks by a shape-only
+//!   rule that never goes below one register tile. A short-wide product
+//!   (more than `NC` columns, as every full-resolution convolution is)
+//!   splits over whole `NC`-wide column blocks, each task covering every
+//!   row. A narrow product (at most `NC` columns) splits over bands of
+//!   at least `MC` rows, whole tiles each; most narrow products are a
+//!   single task.
+//! * **Packing** — each task packs only the part of the right operand it
+//!   consumes, one `KC × NC` block at a time, into `NR = 8`-wide column
+//!   strips: strip `s` stores, for ascending `p`, the eight values
+//!   `B[p][8s..8s+8]` contiguously (zero-padded at the right edge). The
+//!   block buffer is [`crate::workspace`] scratch on the task's thread.
+//!   The packing pass reads `B` through a `BSource`: a row-major
+//!   matrix, a transposed one (the packing step *is* the transpose), or
+//!   the im2col matrix of a `[C, H, W]` map read in place, so no column
+//!   matrix is ever built.
+//! * **Register tiles** — each `MR`-row tile of the task walks the
+//!   packed block strip by strip, streaming its output rows in order
+//!   while the block stays L2-resident. The micro-kernel keeps an
+//!   `MR × 8` accumulator array in registers; its inner loop is the
 //!   ISA-dispatched [`super::kernels::gemm_micro`] (scalar reference,
 //!   SSE2, or AVX2 — all bit-identical), and the tile height comes from
-//!   [`super::kernels::gemm_mr`] (4 on the scalar/SSE2 paths exactly as
-//!   before, 8 on AVX2 where sixteen ymm registers fit the taller tile —
-//!   a pure scheduling choice that never touches any element's
-//!   accumulation order).
-//! * **Sparse rows** — the old per-element `aval == 0.0` branch is gone
-//!   from the dense micro-kernel; instead each `MR`-row block is scanned
-//!   once, and blocks that are ≥ 75 % zeros take a separate
-//!   skipping-row path (the im2col-shaped inputs that motivated the
-//!   original branch).
+//!   [`super::kernels::gemm_mr`] (4 on the scalar/SSE2 paths, 8 on AVX2
+//!   where sixteen ymm registers fit the taller tile).
 //!
 //! # Determinism
 //!
 //! Every output element accumulates its `k` products in ascending-`p`
-//! order, exactly as the previous naive kernel did: `KC` blocks load the
-//! partial sum back from `C` and continue the same chain (an `f32`
-//! store/load round-trip is exact), the packed layout changes only
-//! *where* operands live, and skipping a `0.0 · b` term equals adding
-//! it (the sum of this chain is never `-0.0`, and `±0.0` addends leave
-//! finite partials bit-unchanged). Parallelism splits output rows with
-//! the shape-only `rhsd_par::chunk_units` schedule and rows never share
-//! output elements — so results are bit-identical at any thread count
-//! *and* to the pre-blocking kernel.
+//! order, one chain per element: `KC` blocks load the partial sum back
+//! from `C` and continue the same chain (an `f32` store/load round-trip
+//! is exact), and packing changes only *where* operands live. Tasks own
+//! disjoint output rectangles and the split depends only on the shape,
+//! so results are bit-identical at any thread count, any ISA, and to
+//! a naive i-k-j loop, even one that skips `a = 0.0` terms: adding a
+//! `±0.0` term leaves a finite partial sum bit-unchanged (a chain that
+//! starts at `+0.0` never reaches `-0.0`).
 
+use super::conv::Im2col;
 use super::kernels;
 use super::kernels::NR;
 use crate::{workspace, Tensor};
 
-/// k-block depth: one `KC × NR` packed sub-panel stays L1-resident.
+/// k-block depth: a packed strip holds at most `KC × NR` values.
 const KC: usize = 256;
-/// Column-block width walked per k block (multiple of `NR`).
+/// Column-block width: one `KC × NC` packed block stays L2-resident, and
+/// products wider than this split over such blocks.
 const NC: usize = 2048;
+/// Row-task granule: the tallest register tile ([`kernels::gemm_mr`]
+/// is 4 or 8), so no split ever cuts a tile on any ISA.
+const MR_MAX: usize = 8;
+/// Minimum rows of a row-split task: each such task packs the whole
+/// right operand, which this many rows amortise.
+const MC: usize = 64;
 
-/// Zero fraction (×4) above which a row block takes the skipping-row
-/// path: ≥ 3/4 zeros.
-const SPARSE_NUM: usize = 3;
-const SPARSE_DEN: usize = 4;
-
-/// Packed panel length for a `k × n` right operand.
-fn packed_len(k: usize, n: usize) -> usize {
-    n.div_ceil(NR) * k * NR
+/// Where the packing pass reads the right operand `B` (`[k, n]`) from.
+#[derive(Clone, Copy)]
+pub(crate) enum BSource<'a> {
+    /// `B` stored `[k, n]` row-major.
+    Rows(&'a [f32]),
+    /// `B` stored `[n, k]` row-major; packing gathers `Bᵀ`.
+    Transposed(&'a [f32]),
+    /// `B` is the im2col matrix `[C·K², H'·W']` of a map, read in place.
+    Im2col(Im2col<'a>),
+    /// `B` is the transposed im2col matrix `[H'·W', C·K²]`.
+    Im2colT(Im2col<'a>),
 }
 
-/// Packs row-major `b` (`[k, n]`) into `NR`-wide column strips.
-fn pack_b_nn(bv: &[f32], k: usize, n: usize, bp: &mut [f32]) {
-    let n_strips = n.div_ceil(NR);
-    let strips_per_task = rhsd_par::chunk_units(n_strips, 2 * k.max(1) * NR);
-    rhsd_par::for_each_mut(bp, strips_per_task * k * NR, |ci, chunk| {
-        let s0 = ci * strips_per_task;
-        for (ds, strip) in chunk.chunks_mut(k * NR).enumerate() {
-            let j0 = (s0 + ds) * NR;
-            let w = NR.min(n - j0);
-            for p in 0..k {
-                let dst = &mut strip[p * NR..p * NR + NR];
-                kernels::copy_f32(&mut dst[..w], &bv[p * n + j0..p * n + j0 + w]);
-                dst[w..].fill(0.0);
-            }
-        }
-    });
-}
-
-/// Packs `bᵀ` strips straight from row-major `b` (`[n, kp]`) — the
-/// transpose is folded into the packing pass. This stays on scalar
-/// element moves: the strided gather is memory-bound and has no
-/// contiguous runs for a vector copy to exploit.
-fn pack_b_nt(bv: &[f32], kp: usize, n: usize, bp: &mut [f32]) {
-    let n_strips = n.div_ceil(NR);
-    let strips_per_task = rhsd_par::chunk_units(n_strips, 2 * kp.max(1) * NR);
-    rhsd_par::for_each_mut(bp, strips_per_task * kp * NR, |ci, chunk| {
-        let s0 = ci * strips_per_task;
-        for (ds, strip) in chunk.chunks_mut(kp * NR).enumerate() {
-            let j0 = (s0 + ds) * NR;
-            let w = NR.min(n - j0);
-            for l in 0..w {
-                let row = &bv[(j0 + l) * kp..(j0 + l + 1) * kp];
-                for (p, &v) in row.iter().enumerate() {
-                    strip[p * NR + l] = v;
+impl BSource<'_> {
+    /// Packs rows `p0..p1` × columns `j0..j1` of the `[k, n]` operand
+    /// into `dst` as `NR`-wide strips of `(p1 − p0) · NR` values each,
+    /// zero-padding lanes past `j1`. `j1` is `n` or a multiple of `NR`
+    /// past `j0`.
+    #[allow(clippy::too_many_arguments)]
+    fn pack(self, k: usize, n: usize, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
+        let kc = p1 - p0;
+        match self {
+            BSource::Rows(bv) => {
+                for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
+                    let j = j0 + s * NR;
+                    let w = NR.min(j1 - j);
+                    for (p, dstp) in (p0..p1).zip(strip.chunks_exact_mut(NR)) {
+                        kernels::copy_f32(&mut dstp[..w], &bv[p * n + j..p * n + j + w]);
+                        dstp[w..].fill(0.0);
+                    }
                 }
             }
-            if w < NR {
-                for p in 0..kp {
-                    strip[p * NR + w..p * NR + NR].fill(0.0);
+            BSource::Transposed(bv) => {
+                // A strided gather with no contiguous runs to vectorise.
+                for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
+                    let j = j0 + s * NR;
+                    let w = NR.min(j1 - j);
+                    for l in 0..NR {
+                        if l < w {
+                            let row = &bv[(j + l) * k + p0..(j + l) * k + p1];
+                            for (dstp, &v) in strip.chunks_exact_mut(NR).zip(row) {
+                                dstp[l] = v;
+                            }
+                        } else {
+                            for dstp in strip.chunks_exact_mut(NR) {
+                                dstp[l] = 0.0;
+                            }
+                        }
+                    }
                 }
             }
+            BSource::Im2col(g) => g.pack_taps(p0, p1, j0, j1, dst),
+            BSource::Im2colT(g) => g.pack_pixels(p0, p1, j0, j1, dst),
         }
-    });
+    }
 }
 
-/// The `MRR × NR` register micro-kernel over one packed k sub-panel.
+/// The `MRR × NR` register micro-kernel over one packed strip.
 ///
-/// Loads the current partial sums from `C`, accumulates `panel.len()/NR`
+/// Loads the current partial sums of output rows `il..il+MRR`, columns
+/// `jl..jl+w` of the task's row segments, accumulates `panel.len()/NR`
 /// ascending-`p` terms, and stores back — continuing each element's
 /// single accumulation chain exactly (f32 round-trips are lossless).
 /// `A` elements are addressed as `av[row · ars + p · acs]`, which serves
@@ -118,14 +129,13 @@ fn pack_b_nt(bv: &[f32], kp: usize, n: usize, bp: &mut [f32]) {
 /// accumulation loop itself is [`kernels::gemm_micro`], dispatched once
 /// per process to the widest bit-identical ISA variant.
 #[inline(always)]
-// `r` indexes two parallel register arrays plus the output row
-// arithmetic; the explicit range keeps the unroll obvious.
+// `r` indexes two parallel register arrays plus the output rows; the
+// explicit range keeps the unroll obvious.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 fn micro<const MRR: usize>(
-    c: &mut [f32],
-    n: usize,
+    rows: &mut [&mut [f32]],
     il: usize,
-    jj: usize,
+    jl: usize,
     w: usize,
     av: &[f32],
     i_abs: usize,
@@ -136,8 +146,7 @@ fn micro<const MRR: usize>(
 ) {
     let mut acc = [[0.0f32; NR]; MRR];
     for r in 0..MRR {
-        let start = (il + r) * n + jj;
-        acc[r][..w].copy_from_slice(&c[start..start + w]);
+        acc[r][..w].copy_from_slice(&rows[il + r][jl..jl + w]);
     }
     let mut aidx = [0usize; MRR];
     for r in 0..MRR {
@@ -145,108 +154,74 @@ fn micro<const MRR: usize>(
     }
     kernels::gemm_micro(&mut acc, av, &mut aidx, acs, panel);
     for r in 0..MRR {
-        let start = (il + r) * n + jj;
-        c[start..start + w].copy_from_slice(&acc[r][..w]);
+        rows[il + r][jl..jl + w].copy_from_slice(&acc[r][..w]);
     }
 }
 
-/// One parallel task: all blocked updates for a contiguous row chunk.
+/// One parallel task: every blocked update of the output rectangle whose
+/// rows are `rows` (output rows `i0..`, columns `j0..j0 + width`).
 #[allow(clippy::too_many_arguments)]
 fn gemm_task(
-    rows: &mut [f32],
+    rows: &mut [&mut [f32]],
     i0: usize,
+    j0: usize,
     k: usize,
     n: usize,
     av: &[f32],
     ars: usize,
     acs: usize,
-    bpack: &[f32],
-    bv_sparse: Option<&[f32]>,
+    b: BSource,
 ) {
-    let m_t = rows.len() / n;
+    let m_t = rows.len();
+    let width = rows[0].len();
     // Row-tile height for the active ISA (4 scalar/SSE2, 8 AVX2): pure
     // scheduling — per-element accumulation chains are identical at any
     // tiling, so this never affects results.
     let mr_tile = kernels::gemm_mr();
-    let nblocks = m_t.div_ceil(mr_tile);
-    // Per-task block map, sized by this task's row count — set up once
-    // before the blocked loops (not per-iteration scratch).
-    let mut dense = vec![true; nblocks];
-    if let Some(bv) = bv_sparse {
-        for (blk, dflag) in dense.iter_mut().enumerate() {
-            let il = blk * mr_tile;
-            let mr = mr_tile.min(m_t - il);
-            let mut zeros = 0usize;
-            for r in 0..mr {
-                let arow = &av[(i0 + il + r) * k..(i0 + il + r + 1) * k];
-                zeros += arow.iter().filter(|&&v| v == 0.0).count();
-            }
-            if zeros * SPARSE_DEN >= mr * k * SPARSE_NUM {
-                *dflag = false;
-                // Skipping-row path: the original i-k-j kernel. Skipped
-                // `0.0 · b` terms equal added ones bit-for-bit, so this
-                // path and the dense tile path agree exactly.
-                for r in 0..mr {
-                    let arow = &av[(i0 + il + r) * k..(i0 + il + r + 1) * k];
-                    let orow = &mut rows[(il + r) * n..(il + r + 1) * n];
-                    for (p, &aval) in arow.iter().enumerate() {
-                        if aval == 0.0 {
-                            continue;
-                        }
-                        let brow = &bv[p * n..(p + 1) * n];
-                        for (o, &bval) in orow.iter_mut().zip(brow) {
-                            *o += aval * bval;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for j0 in (0..n).step_by(NC) {
-        let jend = n.min(j0 + NC);
+    let mut block = workspace::take(k.min(KC) * width.min(NC).next_multiple_of(NR));
+    for jb in (0..width).step_by(NC) {
+        let nb = NC.min(width - jb);
         for p0 in (0..k).step_by(KC) {
-            let pend = k.min(p0 + KC);
-            for (blk, &dflag) in dense.iter().enumerate() {
-                if !dflag {
-                    continue;
-                }
-                let il = blk * mr_tile;
-                let mr = mr_tile.min(m_t - il);
+            let kc = KC.min(k - p0);
+            let packed = &mut block[..kc * nb.next_multiple_of(NR)];
+            b.pack(k, n, p0, p0 + kc, j0 + jb, j0 + jb + nb, packed);
+            for il in (0..m_t).step_by(mr_tile) {
                 let i_abs = i0 + il;
-                let mut jj = j0;
-                let mut s = j0 / NR;
-                while jj < jend {
-                    let w = NR.min(n - jj);
-                    let base = s * k * NR;
-                    let panel = &bpack[base + p0 * NR..base + pend * NR];
-                    match mr {
-                        8 => micro::<8>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        7 => micro::<7>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        6 => micro::<6>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        5 => micro::<5>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        4 => micro::<4>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        3 => micro::<3>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        2 => micro::<2>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
-                        1 => micro::<1>(rows, n, il, jj, w, av, i_abs, ars, acs, p0, panel),
+                for (s, strip) in packed.chunks_exact(kc * NR).enumerate() {
+                    let jl = jb + s * NR;
+                    let w = NR.min(width - jl);
+                    match mr_tile.min(m_t - il) {
+                        8 => micro::<8>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        7 => micro::<7>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        6 => micro::<6>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        5 => micro::<5>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        4 => micro::<4>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        3 => micro::<3>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        2 => micro::<2>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
+                        1 => micro::<1>(rows, il, jl, w, av, i_abs, ars, acs, p0, strip),
                         _ => {}
                     }
-                    jj += NR;
-                    s += 1;
                 }
             }
         }
     }
 }
 
-/// Which packing pass the right operand needs.
-enum BLayout {
-    /// `b` is `[k, n]` row-major.
-    Normal,
-    /// `b` is `[n, k]` row-major; packing gathers `bᵀ`.
-    Transposed,
+/// The shape-only task split: `(rows, columns)` of every task's output
+/// rectangle. At least one of the two is the full extent.
+fn task_shape(m: usize, k: usize, n: usize) -> (usize, usize) {
+    if n > NC {
+        // Short-wide: whole NC column blocks, each task over every row.
+        let blocks = rhsd_par::chunk_units(n.div_ceil(NC), 2 * m * k * NC);
+        (m, (blocks * NC).min(n))
+    } else {
+        // Narrow: bands of whole tiles, at least MC rows each.
+        let rows = rhsd_par::chunk_units(m, 2 * k * n).next_multiple_of(MR_MAX);
+        (rows.max(MC).min(m), n)
+    }
 }
 
-/// The blocked GEMM driver over raw slices: `out += op(A) · op(B)` with
+/// The blocked GEMM driver over raw slices: `out += op(A) · B` with
 /// `out` pre-zeroed (or holding partial sums to continue).
 #[allow(clippy::too_many_arguments)]
 fn gemm(
@@ -257,49 +232,45 @@ fn gemm(
     av: &[f32],
     ars: usize,
     acs: usize,
-    bv: &[f32],
-    b_layout: BLayout,
+    b: BSource,
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let mut bp = workspace::take(packed_len(k, n));
-    let sparse_bv = match b_layout {
-        BLayout::Normal => {
-            pack_b_nn(bv, k, n, &mut bp);
-            // The skipping-row path streams unpacked B rows, which only
-            // exist contiguously in the normal layout with a row-major A.
-            (ars == k && acs == 1).then_some(bv)
+    let (task_rows, task_cols) = task_shape(m, k, n);
+    // Each task's output row segments, contiguous per task: a row split
+    // hands out whole rows, a column split cuts every row into blocks.
+    let mut segs: Vec<&mut [f32]> = Vec::with_capacity(m * n.div_ceil(task_cols));
+    let mut rest: Vec<&mut [f32]> = out.chunks_mut(n).collect();
+    for j0 in (0..n).step_by(task_cols) {
+        for row in rest.iter_mut() {
+            let (seg, tail) = std::mem::take(row).split_at_mut(task_cols.min(n - j0));
+            *row = tail;
+            segs.push(seg);
         }
-        BLayout::Transposed => {
-            pack_b_nt(bv, k, n, &mut bp);
-            None
-        }
-    };
-    // Fixed chunk schedule: rows per task depend only on the shape
-    // (~2·k·n flops per row), never on the thread count.
-    let rows_per_task = rhsd_par::chunk_units(m, 2 * k.max(1) * n);
-    let bp = bp.as_slice();
-    rhsd_par::for_each_mut(out, rows_per_task * n, |ci, rows| {
-        gemm_task(rows, ci * rows_per_task, k, n, av, ars, acs, bp, sparse_bv);
+    }
+    rhsd_par::for_each_mut(&mut segs, task_rows, |ti, rows| {
+        // Row split: tasks are bands of `task_rows`; column split: every
+        // task has all `m` rows and the `ti`-th column block.
+        let (i0, j0) = if task_cols == n {
+            (ti * task_rows, 0)
+        } else {
+            (0, ti * task_cols)
+        };
+        gemm_task(rows, i0, j0, k, n, av, ars, acs, b);
     });
 }
 
-/// `out = a · b` over raw slices; `out` must be zeroed, length `m · n`.
-pub(crate) fn gemm_nn_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, bv: &[f32]) {
-    gemm(out, m, k, n, av, k, 1, bv, BLayout::Normal);
+/// `out = a · B` over raw slices with `a` stored `[m, k]` row-major and
+/// `B` read through `b`; `out` must be zeroed, length `m · n`.
+pub(crate) fn gemm_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, b: BSource) {
+    gemm(out, m, k, n, av, k, 1, b);
 }
 
 /// `out = aᵀ · b` over raw slices with `a` stored `[k, m]` row-major;
 /// `out` must be zeroed, length `m · n`.
 pub(crate) fn gemm_tn_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, bv: &[f32]) {
-    gemm(out, m, k, n, av, 1, m, bv, BLayout::Normal);
-}
-
-/// `out = a · bᵀ` over raw slices with `b` stored `[n, k]` row-major;
-/// `out` must be zeroed, length `m · n`.
-pub(crate) fn gemm_nt_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, bv: &[f32]) {
-    gemm(out, m, k, n, av, k, 1, bv, BLayout::Transposed);
+    gemm(out, m, k, n, av, 1, m, BSource::Rows(bv));
 }
 
 /// Multiplies two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
@@ -323,7 +294,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let mut out = vec![0.0f32; m * n];
-    gemm_nn_into(&mut out, a.as_slice(), m, k, n, b.as_slice());
+    gemm_into(&mut out, a.as_slice(), m, k, n, BSource::Rows(b.as_slice()));
     let out = Tensor::from_parts([m, n], out);
     crate::invariants::check_finite("matmul", &out);
     out
@@ -399,7 +370,14 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let mut out = vec![0.0f32; m * n];
-    gemm_nt_into(&mut out, a.as_slice(), m, k, n, b.as_slice());
+    gemm_into(
+        &mut out,
+        a.as_slice(),
+        m,
+        k,
+        n,
+        BSource::Transposed(b.as_slice()),
+    );
     let out = Tensor::from_parts([m, n], out);
     crate::invariants::check_finite("matmul_nt", &out);
     out
@@ -579,7 +557,7 @@ mod tests {
 
     #[test]
     fn matmul_skips_zero_rows_correctly() {
-        // the sparse-row path must not change results
+        // zero rows contribute nothing
         let a = Tensor::from_vec([2, 3], vec![0., 0., 0., 1., 0., 2.]).unwrap();
         let b = Tensor::from_vec([3, 1], vec![5., 7., 11.]).unwrap();
         let c = matmul(&a, &b);
@@ -589,17 +567,19 @@ mod tests {
     #[test]
     fn matmul_matches_naive_reference_bitwise() {
         // Edge-heavy shapes: odd strips (n % 8), odd row blocks
-        // (m % 4), k crossing the KC=256 boundary, and sparse inputs
-        // that trip the skipping-row path.
+        // (m % 4), k crossing the KC=256 boundary, both task splits,
+        // and zero-heavy inputs the reference skips through.
         for (m, k, n, zero_every) in [
             (1usize, 1usize, 1usize, 0usize),
             (5, 7, 9, 0),
             (12, 72, 64, 0),  // the TCAD'18 conv1 GEMM shape
             (20, 108, 16, 0), // the TCAD'18 conv2 GEMM shape
             (4, 300, 17, 0),  // crosses the KC block boundary
-            (9, 33, 40, 2),   // ~50% zeros: dense path with zeros
-            (8, 40, 24, 1),   // all zeros: sparse path
+            (9, 33, 40, 2),   // ~50% zeros
+            (8, 40, 24, 1),   // all zeros
             (13, 21, 8, 3),
+            (3, 20, 2100, 0), // column split, ragged last block
+            (130, 10, 40, 0), // row split into MC-row bands
         ] {
             let a = noisy([m, k], 11 + m as u64, zero_every);
             let b = noisy([k, n], 23 + n as u64, 0);

@@ -1,6 +1,6 @@
 //! Per-thread scratch-buffer pool — the `Workspace` API.
 //!
-//! Every dense op in this stack needs short-lived `f32` scratch: im2col
+//! Every dense op in this stack needs short-lived `f32` scratch: column
 //! matrices, packed GEMM panels, DCT block buffers, the litho aerial
 //! intermediate. Allocating those fresh on every call dominates small-op
 //! runtime and fragments the heap, so this module keeps a **per-thread,
@@ -9,8 +9,16 @@
 //! * [`take`] hands out a zero-filled buffer of the requested length,
 //!   reusing the smallest retained buffer whose capacity suffices
 //!   (best fit) and allocating only on a miss;
+//! * on a miss, the largest retained buffer (too small, or it would
+//!   have been a hit) is retired before the new one is allocated, so a
+//!   growing request replaces its predecessor instead of joining it;
 //! * dropping the returned [`WsGuard`] gives the buffer back to the
 //!   thread's pool, capacity intact, ready for the next op.
+//!
+//! A thread therefore retains at most as many buffers as it ever held
+//! at once, and a repeated sequence of requests stops allocating after
+//! a few repetitions: every miss grows the retained capacities, which
+//! the largest requests bound.
 //!
 //! The pool is a `thread_local`, which is exactly the right granularity
 //! for `rhsd-par`: each worker thread of the pool warms its own arena
@@ -42,9 +50,6 @@
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Retained buffers per thread; beyond this the smallest is dropped.
-const MAX_POOLED: usize = 64;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES_REUSED: AtomicU64 = AtomicU64::new(0);
@@ -141,19 +146,7 @@ impl Drop for WsGuard {
         if buf.capacity() == 0 {
             return;
         }
-        POOL.with(|p| {
-            let pool = &mut p.borrow_mut().bufs;
-            pool.push(buf);
-            if pool.len() > MAX_POOLED {
-                // Drop the smallest buffer: large panels are the
-                // expensive ones to re-create.
-                if let Some((idx, _)) = pool.iter().enumerate().min_by_key(|(_, b)| b.capacity()) {
-                    let victim = pool.swap_remove(idx);
-                    CURRENT_BYTES.fetch_sub(victim.capacity() as u64 * 4, Ordering::Relaxed);
-                    rhsd_obs::counter("cache.workspace.evictions", 1);
-                }
-            }
-        });
+        POOL.with(|p| p.borrow_mut().bufs.push(buf));
     }
 }
 
@@ -173,7 +166,20 @@ pub fn take(len: usize) -> WsGuard {
             .filter(|(_, b)| b.capacity() >= len)
             .min_by_key(|(_, b)| b.capacity())
             .map(|(i, _)| i);
-        best.map(|i| pool.swap_remove(i))
+        match best {
+            Some(i) => Some(pool.swap_remove(i)),
+            None => {
+                // Miss: retire the largest retained buffer, which the new
+                // allocation supersedes.
+                let largest = pool.iter().enumerate().max_by_key(|(_, b)| b.capacity());
+                if let Some((i, _)) = largest {
+                    let retired = pool.swap_remove(i);
+                    CURRENT_BYTES.fetch_sub(retired.capacity() as u64 * 4, Ordering::Relaxed);
+                    rhsd_obs::counter("cache.workspace.evictions", 1);
+                }
+                None
+            }
+        }
     });
     let mut buf = match reused {
         Some(b) => {
@@ -246,9 +252,10 @@ mod tests {
     #[test]
     fn reuse_across_nested_pool_sections() {
         // An op that takes a buffer, then runs a "nested" op that takes
-        // its own scratch while the outer guard is live — the shape of a
-        // conv2d (im2col buffer) calling the packed GEMM (panel buffer)
-        // whose parallel section executes inline inside a pool worker.
+        // its own scratch while the outer guard is live — the shape of
+        // conv2d_backward's column-gradient buffer staying live across
+        // the packed GEMM's block take, whose parallel section executes
+        // inline inside a pool worker.
         let nested_op = || {
             let outer = take(2053);
             let inner = take(977);
@@ -289,6 +296,41 @@ mod tests {
             out
         };
         assert_eq!(run(), run());
+    }
+
+    /// Capacities retained by this thread's pool, ascending.
+    fn retained() -> Vec<usize> {
+        let mut caps: Vec<usize> =
+            POOL.with(|p| p.borrow().bufs.iter().map(|b| b.capacity()).collect());
+        caps.sort_unstable();
+        caps
+    }
+
+    #[test]
+    fn miss_retires_the_largest_retained_buffer() {
+        // A growing request replaces its predecessor…
+        for len in [100, 200, 300] {
+            drop(take(len));
+        }
+        assert_eq!(retained(), vec![300]);
+        // …while buffers held at the same time are all kept.
+        let outer = take(300);
+        let inner = take(50);
+        drop(inner);
+        drop(outer);
+        assert_eq!(retained(), vec![50, 300]);
+        // A request above both retires only the larger.
+        drop(take(400));
+        assert_eq!(retained(), vec![50, 400]);
+        let before = thread_stats();
+        for len in [50, 300, 400, 10] {
+            drop(take(len));
+        }
+        assert_eq!(
+            thread_stats().allocs,
+            before.allocs,
+            "warm requests allocate"
+        );
     }
 
     #[test]

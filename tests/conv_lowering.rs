@@ -1,0 +1,203 @@
+//! The convolution lowerings pack the im2col matrix straight from the
+//! feature map and split their GEMMs into whole register tiles. Neither
+//! may move a bit: every output must equal the plain lowering — the
+//! public `im2col` matrix fed to `matmul` / `matmul_tn` / `matmul_nt`,
+//! with `col2im` folding where the op needs it — compared with
+//! `to_bits`, at one pool thread and at four.
+//!
+//! The pool's thread count is process-global, so every test serialises
+//! on one mutex and restores the default.
+
+use std::sync::{Mutex, MutexGuard};
+
+use proptest::prelude::*;
+use rhsd::tensor::ops::conv::{col2im, conv2d, conv2d_backward, im2col, ConvSpec};
+use rhsd::tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
+use rhsd::tensor::ops::matmul::{matmul, matmul_nt, matmul_tn};
+use rhsd::tensor::Tensor;
+
+static POOL: Mutex<()> = Mutex::new(());
+
+fn pool_lock() -> MutexGuard<'static, ()> {
+    POOL.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Deterministic pseudo-random fill; every 5th value is exactly zero so
+/// the zero padding and zero operands both appear.
+fn noise(seed: u64, coords: &[usize]) -> f32 {
+    let mut h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    for &c in coords {
+        h = (h ^ c as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= h >> 31;
+    }
+    if h.is_multiple_of(5) {
+        0.0
+    } else {
+        (h % 2000) as f32 / 1000.0 - 1.0
+    }
+}
+
+/// Views a tensor as a rank-2 `[rows, len / rows]` matrix.
+fn mat(t: &Tensor, rows: usize) -> Tensor {
+    let cols = t.len() / rows;
+    t.clone().with_shape([rows, cols])
+}
+
+/// Adds `bias[c]` to every element of channel `c`, as the ops do.
+fn add_bias(t: Tensor, bias: &Tensor) -> Tensor {
+    let plane = t.len() / bias.len();
+    let dims = t.dims().to_vec();
+    let mut v = t.as_slice().to_vec();
+    for (c, &b) in bias.as_slice().iter().enumerate() {
+        for o in &mut v[c * plane..(c + 1) * plane] {
+            *o += b;
+        }
+    }
+    Tensor::from_vec(dims, v).expect("same length")
+}
+
+/// Per-channel sums in ascending order, as the ops' bias gradients.
+fn channel_sums(t: &Tensor) -> Vec<f32> {
+    let c = t.dim(0);
+    let plane = t.len() / c;
+    (0..c)
+        .map(|ci| {
+            let mut acc = 0.0f32;
+            for &v in &t.as_slice()[ci * plane..(ci + 1) * plane] {
+                acc += v;
+            }
+            acc
+        })
+        .collect()
+}
+
+/// The four conv outputs of one shape: forward, then the three gradients.
+type ConvOut = (Tensor, Tensor, Tensor, Tensor);
+
+/// conv2d and its backward through the materialised im2col matrix.
+fn conv_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
+    let (c_in, h, wd) = (x.dim(0), x.dim(1), x.dim(2));
+    let c_out = w.dim(0);
+    let cols = im2col(x, spec);
+    let out = matmul(&mat(w, c_out), &cols).with_shape(g.dims().to_vec());
+    let out = add_bias(out, b);
+    let g2 = mat(g, c_out);
+    let dw = matmul_nt(&g2, &cols).with_shape(w.dims().to_vec());
+    let dcols = matmul_tn(&mat(w, c_out), &g2);
+    let dx = col2im(&dcols, c_in, h, wd, spec);
+    let db = Tensor::from_vec([c_out], channel_sums(g)).expect("one per channel");
+    (out, dx, dw, db)
+}
+
+/// conv_transpose2d and its backward through the materialised matrices.
+fn deconv_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
+    let (c_in, h, wd) = (x.dim(0), x.dim(1), x.dim(2));
+    let c_out = w.dim(1);
+    let cols = matmul_tn(&mat(w, c_in), &mat(x, c_in));
+    let out = col2im(&cols, c_out, g.dim(1), g.dim(2), spec);
+    let out = add_bias(out, b);
+    let gcols = im2col(g, spec);
+    let dx = matmul(&mat(w, c_in), &gcols).with_shape([c_in, h, wd]);
+    let dw = matmul_nt(&mat(x, c_in), &gcols).with_shape(w.dims().to_vec());
+    let db = Tensor::from_vec([c_out], channel_sums(g)).expect("one per channel");
+    (out, dx, dw, db)
+}
+
+fn conv_fused(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
+    let out = conv2d(x, w, Some(b), spec);
+    let (dx, dw, db) = conv2d_backward(x, w, g, spec);
+    (out, dx, dw, db)
+}
+
+fn deconv_fused(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
+    let out = conv_transpose2d(x, w, Some(b), spec);
+    let (dx, dw, db) = conv_transpose2d_backward(x, w, g, spec);
+    (out, dx, dw, db)
+}
+
+/// Asserts the lowered op equals its reference bit for bit at one and
+/// at four pool threads.
+fn assert_lowering(what: &str, reference: &ConvOut, run: impl Fn() -> ConvOut) {
+    for threads in [1, 4] {
+        rhsd::par::set_threads(threads);
+        let got = run();
+        rhsd::par::set_threads(rhsd::par::default_threads());
+        for (name, r, g) in [
+            ("output", &reference.0, &got.0),
+            ("d_input", &reference.1, &got.1),
+            ("d_weight", &reference.2, &got.2),
+            ("d_bias", &reference.3, &got.3),
+        ] {
+            assert_eq!(r.dims(), g.dims(), "{what} {name} shape");
+            assert!(
+                bits(r) == bits(g),
+                "{what} {name} differs at {threads} threads"
+            );
+        }
+    }
+}
+
+/// Checks conv and deconv on one geometry: `c_a` channels on the
+/// convolution's input side, `c_b` on its output side, an `h × w` map.
+fn check_shape(seed: u64, c_a: usize, c_b: usize, (h, w): (usize, usize), spec: ConvSpec) {
+    let _guard = pool_lock();
+    let k = spec.kernel;
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+
+    let x = Tensor::from_fn([c_a, h, w], |c| noise(seed, c));
+    let wt = Tensor::from_fn([c_b, c_a, k, k], |c| noise(seed ^ 1, c));
+    let b = Tensor::from_fn([c_b], |c| noise(seed ^ 2, c));
+    let g = Tensor::from_fn([c_b, oh, ow], |c| noise(seed ^ 3, c));
+    let reference = conv_reference(&x, &wt, &b, &g, spec);
+    assert_lowering("conv2d", &reference, || conv_fused(&x, &wt, &b, &g, spec));
+
+    // The transposed convolution maps the conv's output geometry back.
+    let dx = Tensor::from_fn([c_b, oh, ow], |c| noise(seed ^ 4, c));
+    let dwt = Tensor::from_fn([c_b, c_a, k, k], |c| noise(seed ^ 5, c));
+    let db = Tensor::from_fn([c_a], |c| noise(seed ^ 6, c));
+    let (th, tw) = (spec.transpose_out_size(oh), spec.transpose_out_size(ow));
+    let dg = Tensor::from_fn([c_a, th, tw], |c| noise(seed ^ 7, c));
+    let reference = deconv_reference(&dx, &dwt, &db, &dg, spec);
+    assert_lowering("conv_transpose2d", &reference, || {
+        deconv_fused(&dx, &dwt, &db, &dg, spec)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn conv_lowering_is_bit_identical_to_im2col_gemm(
+        seed in 0u64..1_000_000,
+        c_in in 1usize..5,
+        c_out in 1usize..17,
+        h in 5usize..23,
+        w in 5usize..37,
+        kernel_idx in 0usize..3,
+        stride in 1usize..3,
+        pad_frac in 0usize..2,
+    ) {
+        let kernel = [1usize, 3, 5][kernel_idx];
+        let spec = ConvSpec::new(kernel, stride, pad_frac * (kernel / 2));
+        check_shape(seed, c_in, c_out, (h, w), spec);
+    }
+}
+
+/// Shapes the small properties cannot reach: more output pixels than one
+/// `NC = 2048` column block (the column split), more taps than one
+/// `KC = 256` k block, and an odd width so strips straddle rows.
+#[test]
+fn wide_and_deep_lowerings_are_bit_identical() {
+    for (c_a, c_b, hw, spec) in [
+        (2, 12, (48, 45), ConvSpec::same(3)),
+        (12, 5, (20, 51), ConvSpec::same(5)),
+        (3, 17, (70, 66), ConvSpec::new(3, 2, 1)),
+        (1, 8, (64, 41), ConvSpec::new(1, 1, 0)),
+    ] {
+        check_shape(7, c_a, c_b, hw, spec);
+    }
+}

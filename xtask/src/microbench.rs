@@ -1,9 +1,11 @@
 //! `cargo xtask microbench` — a zero-dependency kernel timing harness.
 //!
 //! Times the three kernel families the end-to-end repro spends its cycles
-//! in — the packed GEMM (`rhsd_tensor::ops::matmul`), the im2col
-//! convolution (`rhsd_tensor::ops::conv`), and the separable litho aerial
-//! convolution (`rhsd_litho::aerial`) — over a fixed shape table, and
+//! in — the packed GEMM (`rhsd_tensor::ops::matmul`), the GEMM-lowered
+//! convolutions forward and backward (`rhsd_tensor::ops::conv` and
+//! `::deconv`, on the demo network's front-end shapes), and the separable
+//! litho aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
+//! table, and
 //! writes a JSON record next to the `BENCH_*.json` bench records. The
 //! harness exists to localise regressions: when `bench-diff` flags an
 //! end-to-end runtime change, the per-kernel rows here say which layer
@@ -30,7 +32,8 @@ use std::time::Instant;
 
 use rhsd_litho::aerial::aerial_image;
 use rhsd_litho::GaussianKernel;
-use rhsd_tensor::ops::conv::{conv2d, ConvSpec};
+use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
+use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
 use rhsd_tensor::ops::matmul::matmul;
 use rhsd_tensor::Tensor;
@@ -169,24 +172,51 @@ fn run_cases(quick: bool) -> Vec<Case> {
         },
     ));
 
-    // Conv shapes mirroring the extractor stem (3x3, stride 1, pad 1).
-    let conv_shapes: &[(usize, usize, usize, usize)] = if quick {
-        &[(8, 16, 32, 8)]
+    // The demo network's full-resolution front end (3x3, stride 1,
+    // pad 1): the stem's first two convolutions at 128², its third at
+    // 64², and the encoder-decoder's first transposed convolution at
+    // 128². Each shape is timed forward and backward.
+    let conv_shapes: &[(bool, usize, usize, usize, usize)] = if quick {
+        &[(false, 8, 12, 128, 3)]
     } else {
-        &[(8, 16, 32, 20), (16, 32, 32, 12), (32, 64, 16, 12)]
+        &[
+            (false, 1, 8, 128, 12),
+            (false, 8, 12, 128, 8),
+            (false, 12, 16, 64, 12),
+            (true, 8, 4, 128, 8),
+        ]
     };
-    for &(c_in, c_out, hw, reps) in conv_shapes {
+    for &(transposed, c_in, c_out, hw, reps) in conv_shapes {
         let spec = ConvSpec::new(3, 1, 1);
         let input = filled(&[c_in, hw, hw], 3);
-        let weight = filled(&[c_out, c_in, 3, 3], 4);
         let bias = filled(&[c_out], 5);
-        cases.push(timed(
-            active,
-            "conv2d",
-            format!("{c_in}x{hw}x{hw}->{c_out} k3s1p1"),
-            reps,
-            || conv2d(&input, &weight, Some(&bias), spec),
-        ));
+        let grad = filled(&[c_out, hw, hw], 6);
+        let shape = format!("{c_in}x{hw}x{hw}->{c_out} k3s1p1");
+        if transposed {
+            let weight = filled(&[c_in, c_out, 3, 3], 4);
+            cases.push(timed(
+                active,
+                "conv_transpose2d",
+                shape.clone(),
+                reps,
+                || conv_transpose2d(&input, &weight, Some(&bias), spec),
+            ));
+            cases.push(timed(
+                active,
+                "conv_transpose2d_backward",
+                shape,
+                reps,
+                || conv_transpose2d_backward(&input, &weight, &grad, spec).0,
+            ));
+        } else {
+            let weight = filled(&[c_out, c_in, 3, 3], 4);
+            cases.push(timed(active, "conv2d", shape.clone(), reps, || {
+                conv2d(&input, &weight, Some(&bias), spec)
+            }));
+            cases.push(timed(active, "conv2d_backward", shape, reps, || {
+                conv2d_backward(&input, &weight, &grad, spec).0
+            }));
+        }
     }
 
     // Aerial shapes at the EUV nominal sigma (region-raster scale).
@@ -268,7 +298,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     println!("dispatched isa: {}", kernels::isa_name());
     for c in &cases {
         println!(
-            "{:<8} {:<24} reps {:>3}  best {:>10.3} ms  mean {:>10.3} ms  scalar {:>10.3} ms  speedup {:>5.2}x",
+            "{:<25} {:<24} reps {:>3}  best {:>10.3} ms  mean {:>10.3} ms  scalar {:>10.3} ms  speedup {:>5.2}x",
             c.kernel,
             c.shape,
             c.reps,
@@ -294,6 +324,7 @@ mod tests {
         assert!(kernels.contains(&"matmul"));
         assert!(kernels.contains(&"gemm_micro"));
         assert!(kernels.contains(&"conv2d"));
+        assert!(kernels.contains(&"conv2d_backward"));
         assert!(kernels.contains(&"aerial"));
         for c in &cases {
             assert!(c.best_secs.is_finite() && c.best_secs >= 0.0);

@@ -1,17 +1,22 @@
-//! 2-D convolution lowered to GEMM, with analytic backward passes.
+//! 2-D convolution with analytic backward passes.
 //!
 //! Implements the convolution of Eq. (1) of the paper. Tensors are
 //! `[C, H, W]` feature maps; weights are `[C_out, C_in, K, K]`. Batching is
 //! handled one sample at a time by the layer framework above this crate.
 //!
-//! The forward pass and the weight gradient multiply by the im2col
-//! matrix of a map without building it: `Im2col` is a view the GEMM's
-//! packing pass reads each `KC × NC` block from. [`im2col`] builds the
-//! full matrix only as a public reference.
+//! The forward pass and the input gradient read their maps in place
+//! (`ops::direct`): the forward pass runs one ascending-tap chain per
+//! output element, and the input gradient folds the output gradient
+//! straight into the map, rounding as `col2im(Wᵀ · grad)` does. The
+//! weight gradient is a GEMM whose packing pass reads the transposed
+//! im2col matrix from the input map (`Im2col`). [`im2col`] and
+//! [`col2im`] build and fold the full column matrix only as public
+//! references.
 
+use crate::ops::direct::{self, Map};
 use crate::ops::kernels::NR;
-use crate::ops::matmul::{gemm_into, gemm_tn_into, BSource};
-use crate::{workspace, Tensor};
+use crate::ops::matmul::{gemm_into, BSource};
+use crate::Tensor;
 
 /// Geometry of a convolution: kernel size, stride and zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -79,8 +84,8 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let k = spec.kernel;
     let iv = input.as_slice();
-    // The plain per-element definition: a reference for the fused
-    // packing of `Im2col`, which the conv ops use instead.
+    // The plain per-element definition: a reference for the in-place
+    // kernels and the fused packing of `Im2col`.
     let mut out = Vec::with_capacity(c * k * k * oh * ow);
     for ci in 0..c {
         for ky in 0..k {
@@ -104,11 +109,11 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
 }
 
 /// The im2col matrix of a `[C, H, W]` map as a view: the GEMM packing
-/// pass reads blocks of it straight from the map, so conv lowerings never
-/// build the `[C·K², H'·W']` matrix. Rows are taps `(c, ky, kx)`,
-/// columns output pixels `(oy, ox)`, both row-major; out-of-bounds taps
-/// read as zero. Every packed value is a copy, so packing from the view
-/// equals packing from [`im2col`] bit for bit.
+/// pass reads blocks of its transpose straight from the map, so the
+/// weight gradients never build the `[H'·W', C·K²]` matrix. Rows are
+/// taps `(c, ky, kx)`, columns output pixels `(oy, ox)`, both row-major;
+/// out-of-bounds taps read as zero. Every packed value is a copy, so
+/// packing from the view equals packing from [`im2col`] bit for bit.
 #[derive(Clone, Copy)]
 pub(crate) struct Im2col<'a> {
     map: &'a [f32],
@@ -178,45 +183,6 @@ impl<'a> Im2col<'a> {
         }
     }
 
-    /// Packs taps `p0..p1` × pixels `j0..j1` (the normal orientation:
-    /// B rows are taps) into `NR`-pixel strips of `(p1 − p0) · NR`.
-    pub(crate) fn pack_taps(&self, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
-        let (k, kc, stride) = (self.spec.kernel, p1 - p0, self.spec.stride);
-        for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
-            let j = j0 + s * NR;
-            let lanes = NR.min(j1 - j);
-            // Padded coordinates of the strip's pixels at tap (0, 0).
-            let mut ys = [0usize; NR];
-            let mut xs = [0usize; NR];
-            for l in 0..lanes {
-                ys[l] = (j + l) / self.ow * stride;
-                xs[l] = (j + l) % self.ow * stride;
-            }
-            // A full strip inside one output row reads, per tap, NR
-            // consecutive inputs at stride 1: one copy unless it touches
-            // the padding.
-            let run = lanes == NR && ys[0] == ys[NR - 1] && stride == 1;
-            let mut tap = Tap::of(p0, k);
-            for dstp in strip.chunks_exact_mut(NR) {
-                let iy = (ys[0] + tap.ky).wrapping_sub(self.spec.padding);
-                let ix = (xs[0] + tap.kx).wrapping_sub(self.spec.padding);
-                if run && iy < self.h && ix < self.w && ix + NR <= self.w {
-                    let i = (tap.c * self.h + iy) * self.w + ix;
-                    dstp.copy_from_slice(&self.map[i..i + NR]);
-                } else {
-                    for (l, d) in dstp.iter_mut().enumerate() {
-                        *d = if l < lanes {
-                            self.at(tap.c, ys[l] + tap.ky, xs[l] + tap.kx)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                tap.advance(k);
-            }
-        }
-    }
-
     /// Packs pixels `p0..p1` × taps `j0..j1` (the transposed
     /// orientation: B rows are pixels) into `NR`-tap strips.
     pub(crate) fn pack_pixels(&self, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
@@ -249,7 +215,8 @@ impl<'a> Im2col<'a> {
 }
 
 /// Adjoint of [`im2col`]: folds a `[C·K·K, H_out·W_out]` column matrix back
-/// into a `[C, H, W]` map, *summing* overlapping contributions.
+/// into a `[C, H, W]` map, *summing* overlapping contributions in
+/// ascending tap order per output pixel.
 ///
 /// # Panics
 ///
@@ -263,50 +230,78 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: ConvSpec) -> Te
         "col2im input shape {} inconsistent with geometry",
         cols.shape()
     );
-    col2im_from(cols.as_slice(), c, h, w, spec)
-}
-
-/// Slice-level [`col2im`]: folds a column buffer (already shape-checked
-/// by the caller) into a fresh `[C, H, W]` tensor.
-pub(crate) fn col2im_from(cv: &[f32], c: usize, h: usize, w: usize, spec: ConvSpec) -> Tensor {
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let k = spec.kernel;
+    // The plain serial definition: a reference for the in-place fold.
+    let cv = cols.as_slice();
     let mut out = vec![0.0f32; c * h * w];
-    let ncols = oh * ow;
-    // Channel `ci` exclusively owns the output plane `ci·H·W ..`; the
-    // overlapping-tap accumulation order within each plane is exactly
-    // the serial ky→kx→oy→ox order, so sums are bit-identical at any
-    // thread count.
-    let plane = h * w;
-    if plane > 0 {
-        let ch_per_task = rhsd_par::chunk_units(c, k * k * ncols);
-        rhsd_par::for_each_mut(&mut out, ch_per_task * plane, |ti, piece| {
-            let c0 = ti * ch_per_task;
-            for (dc, chan) in piece.chunks_mut(plane).enumerate() {
-                let ci = c0 + dc;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let row = (ci * k + ky) * k + kx;
-                        let base = row * ncols;
-                        for oy in 0..oh {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                chan[iy as usize * w + ix as usize] += cv[base + oy * ow + ox];
-                            }
+    for ci in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let base = ((ci * k + ky) * k + kx) * oh * ow;
+                for oy in 0..oh {
+                    let iy = (oy * spec.stride + ky).wrapping_sub(spec.padding);
+                    for ox in 0..ow {
+                        let ix = (ox * spec.stride + kx).wrapping_sub(spec.padding);
+                        if iy < h && ix < w {
+                            out[(ci * h + iy) * w + ix] += cv[base + oy * ow + ox];
                         }
                     }
                 }
             }
-        });
+        }
     }
     Tensor::from_parts([c, h, w], out)
+}
+
+/// Checks an op's `[C, H, W]` input against its `[_, _, K, K]` weight:
+/// ranks, a square kernel equal to `spec.kernel`, and the input's
+/// channel count on weight axis `c_axis` (1 for a convolution's
+/// `[C_out, C_in, K, K]`, 0 for a transposed one's `[C_in, C_out, K, K]`).
+/// Returns the weight's other channel count.
+pub(crate) fn check_weight(
+    op: &str,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: ConvSpec,
+    c_axis: usize,
+) -> usize {
+    assert_eq!(
+        input.rank(),
+        3,
+        "{op} input must be [C,H,W], got {}",
+        input.shape()
+    );
+    assert_eq!(
+        weight.rank(),
+        4,
+        "{op} weight must be rank 4, got {}",
+        weight.shape()
+    );
+    let (k, k2) = (weight.dim(2), weight.dim(3));
+    assert_eq!(k, k2, "{op} kernel must be square, got {}", weight.shape());
+    assert_eq!(
+        k, spec.kernel,
+        "{op} weight kernel {k} != spec kernel {}",
+        spec.kernel
+    );
+    let (c_in, wc_in) = (input.dim(0), weight.dim(c_axis));
+    assert_eq!(
+        c_in, wc_in,
+        "{op} channel mismatch: input {c_in} vs weight {wc_in}"
+    );
+    weight.dim(1 - c_axis)
+}
+
+/// Checks that `bias` is `[c_out]` and returns its values.
+pub(crate) fn check_bias(bias: Option<&Tensor>, c_out: usize) -> Option<&[f32]> {
+    bias.map(|b| {
+        assert_eq!(
+            b.dims(),
+            &[c_out],
+            "bias must be [C_out], got {}",
+            b.shape()
+        );
+        b.as_slice()
+    })
 }
 
 /// Forward 2-D convolution: `[C_in,H,W] ⊛ [C_out,C_in,K,K] (+bias) → [C_out,H',W']`.
@@ -315,67 +310,20 @@ pub(crate) fn col2im_from(cv: &[f32], c: usize, h: usize, w: usize, spec: ConvSp
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches.
+/// Panics on rank, kernel or channel mismatches.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: ConvSpec) -> Tensor {
-    assert_eq!(
-        input.rank(),
-        3,
-        "conv2d input must be [C,H,W], got {}",
-        input.shape()
-    );
-    assert_eq!(
-        weight.rank(),
-        4,
-        "conv2d weight must be [C_out,C_in,K,K], got {}",
-        weight.shape()
-    );
-    let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let (c_out, wc_in, k, k2) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    assert_eq!(
-        k,
-        k2,
-        "conv2d kernel must be square, got {}",
-        weight.shape()
-    );
-    assert_eq!(
-        k, spec.kernel,
-        "weight kernel {k} != spec kernel {}",
-        spec.kernel
-    );
-    assert_eq!(
-        c_in, wc_in,
-        "conv2d channel mismatch: input {c_in} vs weight {wc_in}"
-    );
+    let c_out = check_weight("conv2d", input, weight, spec, 1);
+    let bias = check_bias(bias, c_out);
+    let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let ncols = oh * ow;
-    let ckk = c_in * k * k;
-
-    // out = W · im2col(x): the weight needs no reshape copy —
-    // `[C_out, C_in, K, K]` is already `[C_out, C_in·K²]` row-major — and
-    // the GEMM packs the im2col matrix straight from the input map.
-    let cols = Im2col::new(input.as_slice(), c_in, h, w, spec);
-    let mut out = vec![0.0f32; c_out * ncols];
-    gemm_into(
-        &mut out,
-        weight.as_slice(),
-        c_out,
-        ckk,
-        ncols,
-        BSource::Im2col(cols),
-    );
-    if let Some(b) = bias {
-        assert_eq!(
-            b.dims(),
-            &[c_out],
-            "bias must be [C_out], got {}",
-            b.shape()
-        );
-        for (co, &bval) in b.as_slice().iter().enumerate() {
-            for o in &mut out[co * ncols..(co + 1) * ncols] {
-                *o += bval;
-            }
-        }
-    }
+    let map = Map {
+        v: input.as_slice(),
+        c,
+        h,
+        w,
+    };
+    let mut out = vec![0.0f32; c_out * oh * ow];
+    direct::conv_into(&mut out, map, weight.as_slice(), c_out, spec, bias);
     let out = Tensor::from_parts([c_out, oh, ow], out);
     crate::invariants::check_finite("conv2d", &out);
     out
@@ -387,16 +335,17 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches between the stored forward geometry and
-/// `grad_out`.
+/// Panics on the forward pass's rank, kernel or channel mismatches, and
+/// if `grad_out` disagrees with the forward geometry.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor, Tensor) {
+    let c_out = check_weight("conv2d_backward", input, weight, spec, 1);
     let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let (c_out, _, k, _) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
+    let k = spec.kernel;
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     assert_eq!(
         grad_out.dims(),
@@ -422,11 +371,17 @@ pub fn conv2d_backward(
     gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
     let d_weight = Tensor::from_parts([c_out, c_in, k, k], dw);
 
-    // d_input = col2im(Wᵀ · grad) — the TN GEMM reads W columns in
-    // place, and the intermediate column gradient is scratch too.
-    let mut dcols = workspace::take(ckk * ncols);
-    gemm_tn_into(&mut dcols, weight.as_slice(), ckk, c_out, ncols, gv);
-    let d_input = col2im_from(&dcols, c_in, h, w, spec);
+    // d_input = col2im(Wᵀ · grad), folded in place: `[C_out, C_in, K, K]`
+    // is the fold's `[source, output]` weight layout as it stands.
+    let grad = Map {
+        v: gv,
+        c: c_out,
+        h: oh,
+        w: ow,
+    };
+    let mut dx = vec![0.0f32; c_in * h * w];
+    direct::fold_into(&mut dx, (c_in, h, w), grad, weight.as_slice(), spec, None);
+    let d_input = Tensor::from_parts([c_in, h, w], dx);
 
     crate::invariants::check_finite("conv2d_backward", &d_input);
     (d_input, d_weight, d_bias)
@@ -560,6 +515,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward channel mismatch")]
+    fn conv2d_backward_rejects_weight_channel_mismatch() {
+        // The weight's C_in (3) disagrees with the input's 2 channels.
+        conv2d_backward(
+            &Tensor::zeros([2, 4, 4]),
+            &Tensor::zeros([1, 3, 3, 3]),
+            &Tensor::zeros([1, 4, 4]),
+            ConvSpec::same(3),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward weight kernel 3 != spec kernel 1")]
+    fn conv2d_backward_rejects_kernel_mismatch() {
+        conv2d_backward(
+            &Tensor::zeros([2, 4, 4]),
+            &Tensor::zeros([1, 2, 3, 3]),
+            &Tensor::zeros([1, 4, 4]),
+            ConvSpec::same(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward weight must be rank 4")]
+    fn conv2d_backward_rejects_weight_rank() {
+        conv2d_backward(
+            &Tensor::zeros([2, 4, 4]),
+            &Tensor::zeros([1, 2, 9]),
+            &Tensor::zeros([1, 4, 4]),
+            ConvSpec::same(3),
+        );
     }
 
     #[test]

@@ -4,78 +4,46 @@
 //! outputs; it is the exact adjoint of [`conv2d`](crate::ops::conv::conv2d)
 //! with the same [`ConvSpec`]. Weights follow the `[C_in, C_out, K, K]`
 //! convention so that a deconv layer can mirror a conv layer symmetrically.
+//!
+//! Both passes read their maps in place (`ops::direct`). The forward
+//! pass folds `Wᵀ · x` straight into the output map, rounding exactly as
+//! `col2im(Wᵀ · x)` does. The input gradient is a forward convolution of
+//! the gradient map. The weight gradient is a GEMM whose packing pass
+//! reads the transposed im2col matrix of the gradient map.
 
-use crate::ops::conv::{col2im_from, ConvSpec, Im2col};
-use crate::ops::matmul::{gemm_into, gemm_tn_into, BSource};
-use crate::{workspace, Tensor};
+use crate::ops::conv::{check_bias, check_weight, ConvSpec, Im2col};
+use crate::ops::direct::{self, Map};
+use crate::ops::matmul::{gemm_into, BSource};
+use crate::Tensor;
 
 /// Forward transposed convolution:
 /// `[C_in,H,W] → [C_out, (H−1)·s − 2p + K, (W−1)·s − 2p + K]`.
 ///
 /// # Panics
 ///
-/// Panics on rank or channel mismatches.
+/// Panics on rank, kernel or channel mismatches.
 pub fn conv_transpose2d(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: ConvSpec,
 ) -> Tensor {
-    assert_eq!(
-        input.rank(),
-        3,
-        "conv_transpose2d input must be [C,H,W], got {}",
-        input.shape()
-    );
-    assert_eq!(
-        weight.rank(),
-        4,
-        "conv_transpose2d weight must be [C_in,C_out,K,K], got {}",
-        weight.shape()
-    );
+    let c_out = check_weight("conv_transpose2d", input, weight, spec, 0);
+    let bias = check_bias(bias, c_out);
     let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let (wc_in, c_out, k, k2) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
-    assert_eq!(k, k2, "kernel must be square, got {}", weight.shape());
-    assert_eq!(
-        k, spec.kernel,
-        "weight kernel {k} != spec kernel {}",
-        spec.kernel
-    );
-    assert_eq!(
-        c_in, wc_in,
-        "conv_transpose2d channel mismatch: input {c_in} vs weight {wc_in}"
-    );
     let (oh, ow) = (spec.transpose_out_size(h), spec.transpose_out_size(w));
 
-    // cols[(c_out·K·K), H·W] = Wᵀ · x, then fold into the output map.
-    // The TN GEMM reads W columns in place (no transpose tensor) and
-    // the column matrix is workspace scratch.
-    let ckk = c_out * k * k;
-    let mut cols = workspace::take(ckk * h * w);
-    gemm_tn_into(
-        &mut cols,
-        weight.as_slice(),
-        ckk,
-        c_in,
-        h * w,
-        input.as_slice(),
-    );
-    let mut out = col2im_from(&cols, c_out, oh, ow, spec);
-    drop(cols);
-    if let Some(b) = bias {
-        assert_eq!(
-            b.dims(),
-            &[c_out],
-            "bias must be [C_out], got {}",
-            b.shape()
-        );
-        let ov = out.as_mut_slice();
-        for (co, &bval) in b.as_slice().iter().enumerate() {
-            for o in &mut ov[co * oh * ow..(co + 1) * oh * ow] {
-                *o += bval;
-            }
-        }
-    }
+    // out = col2im(Wᵀ · x), folded in place: `[C_in, C_out, K, K]` is
+    // the fold's `[source, output]` weight layout as it stands.
+    let x = Map {
+        v: input.as_slice(),
+        c: c_in,
+        h,
+        w,
+    };
+    let mut out = vec![0.0f32; c_out * oh * ow];
+    direct::fold_into(&mut out, (c_out, oh, ow), x, weight.as_slice(), spec, bias);
+    let out = Tensor::from_parts([c_out, oh, ow], out);
     crate::invariants::check_finite("conv_transpose2d", &out);
     out
 }
@@ -84,15 +52,17 @@ pub fn conv_transpose2d(
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` disagrees with the forward geometry.
+/// Panics on the forward pass's rank, kernel or channel mismatches, and
+/// if `grad_out` disagrees with the forward geometry.
 pub fn conv_transpose2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor, Tensor) {
+    let c_out = check_weight("conv_transpose2d_backward", input, weight, spec, 0);
     let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let (_, c_out, k, _) = (weight.dim(0), weight.dim(1), weight.dim(2), weight.dim(3));
+    let k = spec.kernel;
     let (oh, ow) = (spec.transpose_out_size(h), spec.transpose_out_size(w));
     assert_eq!(
         grad_out.dims(),
@@ -108,17 +78,23 @@ pub fn conv_transpose2d_backward(
         .collect();
     let d_bias = Tensor::from_parts([c_out], dbias);
 
-    // Deconv forward is col2im ∘ (Wᵀ ·); its adjoint is (W ·) ∘ im2col.
-    // Both products pack im2col(grad) ([c_out·K·K, H·W]) straight from
-    // the gradient map.
-    let ckk = c_out * k * k;
-    let gcols = Im2col::new(gv, c_out, oh, ow, spec);
+    // Deconv forward is col2im ∘ (Wᵀ ·); its adjoint is (W ·) ∘ im2col,
+    // a forward convolution of the gradient map whose weight
+    // `[C_in, C_out, K, K]` is a conv weight as it stands.
+    let grad = Map {
+        v: gv,
+        c: c_out,
+        h: oh,
+        w: ow,
+    };
     let mut di = vec![0.0f32; c_in * h * w];
-    let weight = weight.as_slice();
-    gemm_into(&mut di, weight, c_in, ckk, h * w, BSource::Im2col(gcols));
+    direct::conv_into(&mut di, grad, weight.as_slice(), c_in, spec, None);
     let d_input = Tensor::from_parts([c_in, h, w], di);
 
-    // d_weight = x · im2col(grad)ᵀ, folded back to [C_in, C_out, K, K].
+    // d_weight = x · im2col(grad)ᵀ, folded back to [C_in, C_out, K, K];
+    // the packing pass reads im2col(grad)ᵀ from the gradient map.
+    let ckk = c_out * k * k;
+    let gcols = Im2col::new(gv, c_out, oh, ow, spec);
     let mut dw = vec![0.0f32; c_in * ckk];
     let input = input.as_slice();
     gemm_into(&mut dw, input, c_in, h * w, ckk, BSource::Im2colT(gcols));
@@ -219,6 +195,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_transpose2d_backward channel mismatch")]
+    fn deconv_backward_rejects_weight_channel_mismatch() {
+        // The weight's C_in (3) disagrees with the input's 2 channels.
+        conv_transpose2d_backward(
+            &Tensor::zeros([2, 4, 4]),
+            &Tensor::zeros([3, 1, 3, 3]),
+            &Tensor::zeros([1, 4, 4]),
+            ConvSpec::same(3),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_transpose2d_backward kernel must be square")]
+    fn deconv_backward_rejects_non_square_kernel() {
+        conv_transpose2d_backward(
+            &Tensor::zeros([2, 4, 4]),
+            &Tensor::zeros([2, 1, 3, 1]),
+            &Tensor::zeros([1, 4, 4]),
+            ConvSpec::same(3),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_transpose2d_backward input must be [C,H,W]")]
+    fn deconv_backward_rejects_input_rank() {
+        conv_transpose2d_backward(
+            &Tensor::zeros([16]),
+            &Tensor::zeros([2, 1, 3, 3]),
+            &Tensor::zeros([1, 4, 4]),
+            ConvSpec::same(3),
+        );
     }
 
     #[test]

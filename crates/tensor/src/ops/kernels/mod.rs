@@ -2,8 +2,9 @@
 //!
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
-//! packed-GEMM register tile, the f32 copy used by the GEMM packing
-//! pass, and the separable-convolution interior kernel.
+//! packed-GEMM register tile, the in-place convolution tile and its
+//! masked tile add, the f32 copy used by the GEMM packing pass, and the
+//! separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
 //!
@@ -16,9 +17,11 @@
 //! loops the pre-SIMD code ran, and every SIMD variant is
 //! **bit-identical** to them:
 //!
-//! - the f32 GEMM tile issues one `mul` and one `add` per lane per `k`
-//!   step (no FMA contraction), matching the scalar `a += v · b` chain
-//!   rounding-for-rounding;
+//! - the f32 GEMM and convolution tiles issue one `mul` and one `add`
+//!   per lane per step (no FMA contraction), matching the scalar
+//!   `a += v · b` chain rounding-for-rounding;
+//! - the masked tile add adds exactly the selected lanes and leaves the
+//!   others' bits untouched;
 //! - the interior convolution kernel vectorises across output pixels
 //!   while each lane keeps the serial ascending-tap order;
 //! - copies are exact by nature.
@@ -188,6 +191,70 @@ pub fn gemm_micro<const MRR: usize>(
     scalar::gemm_micro(acc, av, aidx, acs, panel);
 }
 
+/// The register-tile inner loop of the in-place convolutions
+/// (`ops::direct`): [`gemm_micro`] with each `B` row read straight from
+/// a map. Accumulates `offs.len()` ascending steps into `acc`; step `t`
+/// of row `r` multiplies `A` at `aidx[r] + t · acs` by the `NR` values
+/// at `src[bidx[r] + offs[t]..]`. A tile of output channels shares one
+/// `B` base; a tile of strips along one map row shares its `A` index.
+///
+/// Every dispatch target performs, per lane, exactly `acc += a · b`
+/// with separate mul and add roundings — bit-identical to
+/// [`scalar::conv_micro`].
+///
+/// # Panics
+///
+/// Panics if an `A` index or a `B` row falls outside its slice.
+#[inline]
+pub fn conv_micro<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    src: &[f32],
+    bidx: &[usize; MRR],
+    offs: &[usize],
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
+            Isa::Avx2 => unsafe { x86::conv_micro_avx2(acc, av, aidx, acs, src, bidx, offs) },
+            // SAFETY: Isa::Sse2 is only selected when SSE2 is detected.
+            Isa::Sse2 => unsafe { x86::conv_micro_sse2(acc, av, aidx, acs, src, bidx, offs) },
+            Isa::Scalar => scalar::conv_micro(acc, av, aidx, acs, src, bidx, offs),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::conv_micro(acc, av, aidx, acs, src, bidx, offs);
+}
+
+/// Adds the tile `part` into `acc` in the lanes whose bit is set in
+/// `mask` (bit `l` is lane `l`); the other lanes keep their bits
+/// exactly. The in-place fold's second-level add: masked lanes are
+/// taps that fall outside the map, which the `col2im` it replaces never
+/// adds.
+///
+/// # Panics
+///
+/// Panics if `acc` and `part` have different row counts.
+#[inline]
+pub fn add_lanes(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
+    assert_eq!(acc.len(), part.len(), "add_lanes row count mismatch");
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
+            Isa::Avx2 => unsafe { x86::add_lanes_avx2(acc, part, mask) },
+            // SAFETY: Isa::Sse2 is only selected when SSE2 is detected.
+            Isa::Sse2 => unsafe { x86::add_lanes_sse2(acc, part, mask) },
+            Isa::Scalar => scalar::add_lanes(acc, part, mask),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::add_lanes(acc, part, mask);
+}
+
 /// Copies `src` into `dst` (equal lengths) through the widest available
 /// lanes — the GEMM packing row-segment move. Copies are exact on
 /// any path.
@@ -257,6 +324,11 @@ mod tests {
             .collect()
     }
 
+    #[cfg(target_arch = "x86_64")]
+    fn bits2<const MRR: usize>(acc: &[[f32; NR]; MRR]) -> Vec<u32> {
+        acc.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn select_isa_prefers_widest_and_honours_force_scalar() {
         assert_eq!(select_isa(false, true, true), Isa::Avx2);
@@ -302,15 +374,111 @@ mod tests {
                 assert_eq!(bits2(&acc), bits2(&acc_ref), "sse2 MRR={MRR} kc={kc}");
             }
         }
-        fn bits2<const MRR: usize>(acc: &[[f32; NR]; MRR]) -> Vec<u32> {
-            acc.iter().flatten().map(|v| v.to_bits()).collect()
-        }
         for (kc, acs, seed) in [(1, 1, 3), (7, 1, 5), (64, 3, 7), (256, 1, 11), (33, 2, 13)] {
             run::<1>(kc, acs, seed);
             run::<2>(kc, acs, seed);
             run::<4>(kc, acs, seed);
             run::<5>(kc, acs, seed);
             run::<8>(kc, acs, seed);
+        }
+    }
+
+    /// Every SIMD in-place convolution tile must equal the scalar
+    /// reference bit-for-bit: tiles sharing one `B` base, tiles with a
+    /// base per row, `B` rows at overlapping one-element shifts (a
+    /// fold's taps along one map row), and zero-padded border lanes of
+    /// either sign, as a gathered panel holds them.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn conv_micro_variants_match_scalar_bitwise() {
+        fn run<const MRR: usize>(steps: usize, acs: usize, shared: bool, seed: u64) {
+            let w = 13;
+            let mut src = fill(seed, MRR * NR + steps * w + 3 * NR);
+            // Zero-padded border lanes, as a gathered panel holds them.
+            for (i, v) in src.iter_mut().enumerate() {
+                if i % 11 < 2 {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let av = fill(seed ^ 5, MRR * 9 + steps * acs + 1);
+            // Steps walk the map row by row with one-element shifts, so
+            // consecutive `B` rows overlap.
+            let offs: Vec<usize> = (0..steps).map(|t| t / 3 * w + t % 3).collect();
+            let aidx: [usize; MRR] = std::array::from_fn(|r| r * 9);
+            // Per-row bases that overlap and repeat (first equals last
+            // at odd heights), so only an all-equal test may share a row.
+            let bidx: [usize; MRR] =
+                std::array::from_fn(|r| if shared { 2 } else { 1 + r % 2 * 3 });
+            let start: [[f32; NR]; MRR] = std::array::from_fn(|r| {
+                std::array::from_fn(|l| if (r + l) % 3 == 0 { 0.0 } else { 0.25 })
+            });
+            let mut want = start;
+            scalar::conv_micro(&mut want, &av, &aidx, acs, &src, &bidx, &offs);
+            let want = bits2(&want);
+
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut acc = start;
+                // SAFETY: guarded by the avx2 feature check above.
+                unsafe { x86::conv_micro_avx2(&mut acc, &av, &aidx, acs, &src, &bidx, &offs) };
+                assert_eq!(
+                    bits2(&acc),
+                    want,
+                    "avx2 MRR={MRR} steps={steps} shared={shared}"
+                );
+            }
+            if std::arch::is_x86_feature_detected!("sse2") {
+                let mut acc = start;
+                // SAFETY: guarded by the sse2 feature check above.
+                unsafe { x86::conv_micro_sse2(&mut acc, &av, &aidx, acs, &src, &bidx, &offs) };
+                assert_eq!(
+                    bits2(&acc),
+                    want,
+                    "sse2 MRR={MRR} steps={steps} shared={shared}"
+                );
+            }
+        }
+        for (steps, acs, seed) in [(1, 1, 3), (9, 1, 5), (36, 4, 7), (100, 9, 11)] {
+            for shared in [true, false] {
+                run::<1>(steps, acs, shared, seed);
+                run::<3>(steps, acs, shared, seed);
+                run::<4>(steps, acs, shared, seed);
+                run::<8>(steps, acs, shared, seed);
+            }
+        }
+    }
+
+    /// The masked tile add keeps masked lanes' bits (a `-0.0` or a NaN
+    /// partial included) and adds the rest, on every ISA.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn add_lanes_variants_match_scalar_bitwise() {
+        let acc: [[f32; NR]; 3] =
+            std::array::from_fn(|r| std::array::from_fn(|l| [0.0, 1.5, -2.25, 3.0][(r + l) % 4]));
+        let part: [[f32; NR]; 3] = std::array::from_fn(|r| {
+            std::array::from_fn(|l| [-0.0, f32::NAN, 0.5, -1.0, 1e-30][(r * 3 + l) % 5])
+        });
+        for mask in [0u8, 1, 0x80, 0x5a, 0x7f, u8::MAX] {
+            let mut want = acc;
+            scalar::add_lanes(&mut want, &part, mask);
+            for (r, row) in want.iter().enumerate() {
+                for (l, v) in row.iter().enumerate() {
+                    if mask >> l & 1 == 0 {
+                        assert_eq!(v.to_bits(), acc[r][l].to_bits(), "masked lane moved");
+                    }
+                }
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut got = acc;
+                // SAFETY: guarded by the avx2 feature check above.
+                unsafe { x86::add_lanes_avx2(&mut got, &part, mask) };
+                assert_eq!(bits2(&got), bits2(&want), "avx2 mask={mask:#x}");
+            }
+            if std::arch::is_x86_feature_detected!("sse2") {
+                let mut got = acc;
+                // SAFETY: guarded by the sse2 feature check above.
+                unsafe { x86::add_lanes_sse2(&mut got, &part, mask) };
+                assert_eq!(bits2(&got), bits2(&want), "sse2 mask={mask:#x}");
+            }
         }
     }
 

@@ -48,3 +48,40 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
         *o = acc / norm;
     }
 }
+
+/// The register tile of the in-place convolutions: `offs.len()`
+/// ascending steps of `acc[r][j] += a_r · b_r[j]`, where step `t` of row
+/// `r` reads `A` at `aidx[r] + t · acs` and its `B` row at
+/// `src[bidx[r] + offs[t]..][..NR]`. One mul and one add per lane per
+/// step, like [`gemm_micro`].
+pub fn conv_micro<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    src: &[f32],
+    bidx: &[usize; MRR],
+    offs: &[usize],
+) {
+    for (t, &o) in offs.iter().enumerate() {
+        for r in 0..MRR {
+            let aval = av[aidx[r] + t * acs];
+            let b = &src[bidx[r] + o..bidx[r] + o + NR];
+            for (a, &bv) in acc[r].iter_mut().zip(b) {
+                *a += aval * bv;
+            }
+        }
+    }
+}
+
+/// `acc[r][l] += part[r][l]` for the lanes `l` whose bit is set in
+/// `mask`; the other lanes keep their accumulator bits.
+pub fn add_lanes(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
+    for (arow, prow) in acc.iter_mut().zip(part) {
+        for (l, (a, &p)) in arow.iter_mut().zip(prow).enumerate() {
+            if mask >> l & 1 == 1 {
+                *a += p;
+            }
+        }
+    }
+}

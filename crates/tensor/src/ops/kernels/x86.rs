@@ -186,3 +186,158 @@ pub unsafe fn conv_taps_sse2(dst: &mut [f32], src: &[f32], stride: usize, taps: 
     }
     scalar::conv_taps(&mut dst[i..], &src[i..], stride, taps, norm);
 }
+
+/// Proves every `A` and `B` read of a [`conv_micro_avx2`] /
+/// [`conv_micro_sse2`] pass is in bounds, so the loops can use
+/// unchecked loads.
+///
+/// # Panics
+///
+/// Panics if a row's last `A` index or the end of one of its `B` rows
+/// would fall outside `av` / `src` — where the scalar reference's safe
+/// indexing panics too.
+#[inline]
+fn bound_conv_reads<const MRR: usize>(
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    src: &[f32],
+    bidx: &[usize; MRR],
+    offs: &[usize],
+) {
+    let Some(&omax) = offs.iter().max() else {
+        return;
+    };
+    let last = (offs.len() - 1) * acs;
+    for r in 0..MRR {
+        assert!(
+            aidx[r] + last < av.len(),
+            "conv_micro: A index out of range"
+        );
+        assert!(
+            bidx[r] + omax + NR <= src.len(),
+            "conv_micro: B row out of range"
+        );
+    }
+}
+
+/// AVX2 in-place convolution tile: the [`gemm_micro_avx2`] step with
+/// each `B` row loaded from `src` at its own offset. When every row
+/// shares one `B` base (a tile of output channels) the row is loaded
+/// once per step; otherwise (a tile of strips) once per row.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2.
+/// `bound_conv_reads` proves every unchecked load in range.
+#[target_feature(enable = "avx2")]
+pub unsafe fn conv_micro_avx2<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    src: &[f32],
+    bidx: &[usize; MRR],
+    offs: &[usize],
+) {
+    bound_conv_reads(av, aidx, acs, src, bidx, offs);
+    let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
+    if bidx.iter().all(|&b| b == bidx[0]) {
+        let bp = src.as_ptr().add(bidx[0]);
+        for (t, &o) in offs.iter().enumerate() {
+            let b = _mm256_loadu_ps(bp.add(o));
+            for r in 0..MRR {
+                let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + t * acs));
+                accv[r] = _mm256_add_ps(accv[r], _mm256_mul_ps(a, b));
+            }
+        }
+    } else {
+        for (t, &o) in offs.iter().enumerate() {
+            for r in 0..MRR {
+                let b = _mm256_loadu_ps(src.as_ptr().add(bidx[r] + o));
+                let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + t * acs));
+                accv[r] = _mm256_add_ps(accv[r], _mm256_mul_ps(a, b));
+            }
+        }
+    }
+    for r in 0..MRR {
+        _mm256_storeu_ps(acc[r].as_mut_ptr(), accv[r]);
+    }
+}
+
+/// SSE2 in-place convolution tile: [`conv_micro_avx2`] in two
+/// four-lane halves.
+///
+/// # Safety
+///
+/// SAFETY: as for [`conv_micro_avx2`], with SSE2 as the required
+/// feature.
+#[target_feature(enable = "sse2")]
+pub unsafe fn conv_micro_sse2<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    src: &[f32],
+    bidx: &[usize; MRR],
+    offs: &[usize],
+) {
+    bound_conv_reads(av, aidx, acs, src, bidx, offs);
+    let mut lo: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr()));
+    let mut hi: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr().add(4)));
+    for (t, &o) in offs.iter().enumerate() {
+        for r in 0..MRR {
+            let bp = src.as_ptr().add(bidx[r] + o);
+            let a = _mm_set1_ps(*av.get_unchecked(aidx[r] + t * acs));
+            lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(a, _mm_loadu_ps(bp)));
+            hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(a, _mm_loadu_ps(bp.add(4))));
+        }
+    }
+    for r in 0..MRR {
+        _mm_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
+        _mm_storeu_ps(acc[r].as_mut_ptr().add(4), hi[r]);
+    }
+}
+
+/// AVX2 masked tile add: one add per lane, then a blend that keeps the
+/// accumulator in lanes whose `mask` bit is clear.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2; all
+/// loads and stores target whole `[f32; NR]` rows.
+#[target_feature(enable = "avx2")]
+pub unsafe fn add_lanes_avx2(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
+    let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    let set = _mm256_and_si256(_mm256_set1_epi32(i32::from(mask)), bits);
+    let keep = _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits));
+    for (arow, prow) in acc.iter_mut().zip(part) {
+        let a = _mm256_loadu_ps(arow.as_ptr());
+        let sum = _mm256_add_ps(a, _mm256_loadu_ps(prow.as_ptr()));
+        _mm256_storeu_ps(arow.as_mut_ptr(), _mm256_blendv_ps(a, sum, keep));
+    }
+}
+
+/// SSE2 masked tile add: [`add_lanes_avx2`] in two four-lane halves,
+/// selecting with and/andnot/or (SSE2 has no blend).
+///
+/// # Safety
+///
+/// SAFETY: as for [`add_lanes_avx2`], with SSE2 as the required feature.
+#[target_feature(enable = "sse2")]
+pub unsafe fn add_lanes_sse2(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
+    let m = _mm_set1_epi32(i32::from(mask));
+    let keep = |bits: __m128i| _mm_castsi128_ps(_mm_cmpeq_epi32(_mm_and_si128(m, bits), bits));
+    let halves = [
+        keep(_mm_setr_epi32(1, 2, 4, 8)),
+        keep(_mm_setr_epi32(16, 32, 64, 128)),
+    ];
+    for (arow, prow) in acc.iter_mut().zip(part) {
+        for (h, &k) in halves.iter().enumerate() {
+            let a = _mm_loadu_ps(arow.as_ptr().add(4 * h));
+            let sum = _mm_add_ps(a, _mm_loadu_ps(prow.as_ptr().add(4 * h)));
+            let out = _mm_or_ps(_mm_and_ps(k, sum), _mm_andnot_ps(k, a));
+            _mm_storeu_ps(arow.as_mut_ptr().add(4 * h), out);
+        }
+    }
+}

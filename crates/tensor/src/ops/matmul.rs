@@ -3,14 +3,15 @@
 //! # Kernel architecture
 //!
 //! All rank-2 products ([`matmul`], the transpose-fused [`matmul_tn`] /
-//! [`matmul_nt`]) and the convolution lowerings run through one blocked
-//! driver:
+//! [`matmul_nt`]) and the convolution weight gradients run through one
+//! blocked driver. (The convolutions themselves and their input
+//! gradients read their maps in place with their own tiles, in
+//! `ops::direct`, sharing this module's micro-kernel design.)
 //!
 //! * **Tasks** — a product is cut into parallel tasks by a shape-only
 //!   rule that never goes below one register tile. A short-wide product
-//!   (more than `NC` columns, as every full-resolution convolution is)
-//!   splits over whole `NC`-wide column blocks, each task covering every
-//!   row. A narrow product (at most `NC` columns) splits over bands of
+//!   (more than `NC` columns) splits over whole `NC`-wide column
+//!   blocks, each task covering every row. A narrow product (at most `NC` columns) splits over bands of
 //!   at least `MC` rows, whole tiles each; most narrow products are a
 //!   single task.
 //! * **Packing** — each task packs only the part of the right operand it
@@ -20,8 +21,8 @@
 //!   block buffer is [`crate::workspace`] scratch on the task's thread.
 //!   The packing pass reads `B` through a `BSource`: a row-major
 //!   matrix, a transposed one (the packing step *is* the transpose), or
-//!   the im2col matrix of a `[C, H, W]` map read in place, so no column
-//!   matrix is ever built.
+//!   the transposed im2col matrix of a `[C, H, W]` map read in place,
+//!   so a weight gradient never builds a column matrix.
 //! * **Register tiles** — each `MR`-row tile of the task walks the
 //!   packed block strip by strip, streaming its output rows in order
 //!   while the block stays L2-resident. The micro-kernel keeps an
@@ -67,8 +68,6 @@ pub(crate) enum BSource<'a> {
     Rows(&'a [f32]),
     /// `B` stored `[n, k]` row-major; packing gathers `Bᵀ`.
     Transposed(&'a [f32]),
-    /// `B` is the im2col matrix `[C·K², H'·W']` of a map, read in place.
-    Im2col(Im2col<'a>),
     /// `B` is the transposed im2col matrix `[H'·W', C·K²]`.
     Im2colT(Im2col<'a>),
 }
@@ -111,7 +110,6 @@ impl BSource<'_> {
                     }
                 }
             }
-            BSource::Im2col(g) => g.pack_taps(p0, p1, j0, j1, dst),
             BSource::Im2colT(g) => g.pack_pixels(p0, p1, j0, j1, dst),
         }
     }
@@ -267,12 +265,6 @@ pub(crate) fn gemm_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usiz
     gemm(out, m, k, n, av, k, 1, b);
 }
 
-/// `out = aᵀ · b` over raw slices with `a` stored `[k, m]` row-major;
-/// `out` must be zeroed, length `m · n`.
-pub(crate) fn gemm_tn_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, bv: &[f32]) {
-    gemm(out, m, k, n, av, 1, m, BSource::Rows(bv));
-}
-
 /// Multiplies two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
 ///
 /// Runs the packed cache-blocked GEMM kernel (see the module docs);
@@ -332,7 +324,16 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let mut out = vec![0.0f32; m * n];
-    gemm_tn_into(&mut out, a.as_slice(), m, k, n, b.as_slice());
+    gemm(
+        &mut out,
+        m,
+        k,
+        n,
+        a.as_slice(),
+        1,
+        m,
+        BSource::Rows(b.as_slice()),
+    );
     let out = Tensor::from_parts([m, n], out);
     crate::invariants::check_finite("matmul_tn", &out);
     out

@@ -6,6 +6,7 @@
 
 pub mod conv;
 pub mod deconv;
+mod direct;
 pub mod elementwise;
 pub mod kernels;
 pub mod matmul;

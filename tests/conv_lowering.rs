@@ -1,5 +1,7 @@
-//! The convolution lowerings pack the im2col matrix straight from the
-//! feature map and split their GEMMs into whole register tiles. Neither
+//! The convolution ops read their maps in place: the forward pass runs
+//! one ascending-tap chain per output element, the input gradient and
+//! the transposed convolution fold straight into the map, and the
+//! weight gradients pack the im2col matrix from the map. None of this
 //! may move a bit: every output must equal the plain lowering — the
 //! public `im2col` matrix fed to `matmul` / `matmul_tn` / `matmul_nt`,
 //! with `col2im` folding where the op needs it — compared with
@@ -13,6 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 use rhsd::tensor::ops::conv::{col2im, conv2d, conv2d_backward, im2col, ConvSpec};
 use rhsd::tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
+use rhsd::tensor::ops::kernels::NR;
 use rhsd::tensor::ops::matmul::{matmul, matmul_nt, matmul_tn};
 use rhsd::tensor::Tensor;
 
@@ -26,8 +29,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Deterministic pseudo-random fill; every 5th value is exactly zero so
-/// the zero padding and zero operands both appear.
+/// Deterministic pseudo-random fill; every 5th value is a zero of
+/// either sign, so zero operands, `-0.0` products and the fold's masked
+/// lanes all meet signed zeros.
 fn noise(seed: u64, coords: &[usize]) -> f32 {
     let mut h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for &c in coords {
@@ -35,7 +39,11 @@ fn noise(seed: u64, coords: &[usize]) -> f32 {
         h ^= h >> 31;
     }
     if h.is_multiple_of(5) {
-        0.0
+        if h >> 40 & 1 == 1 {
+            -0.0
+        } else {
+            0.0
+        }
     } else {
         (h % 2000) as f32 / 1000.0 - 1.0
     }
@@ -167,29 +175,62 @@ fn check_shape(seed: u64, c_a: usize, c_b: usize, (h, w): (usize, usize), spec: 
     })
 }
 
+/// Kernel, stride and padding of every geometry the properties draw:
+/// odd kernels with and without "same" padding, the `ConvSpec::new(2,
+/// 2, 0)` encoder–decoder pair, other even kernels, strides 2 and 3.
+const SPECS: [(usize, usize, usize); 10] = [
+    (1, 1, 0),
+    (3, 1, 1),
+    (3, 1, 0),
+    (5, 1, 2),
+    (5, 1, 0),
+    (3, 2, 1),
+    (2, 2, 0),
+    (4, 2, 1),
+    (3, 3, 1),
+    (2, 3, 0),
+];
+
+/// Grows an extent to the smallest one the kernel fits.
+fn fit(n: usize, spec: ConvSpec) -> usize {
+    n.max(spec.kernel.saturating_sub(2 * spec.padding)).max(1)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn conv_lowering_is_bit_identical_to_im2col_gemm(
         seed in 0u64..1_000_000,
-        c_in in 1usize..5,
-        c_out in 1usize..17,
-        h in 5usize..23,
-        w in 5usize..37,
-        kernel_idx in 0usize..3,
-        stride in 1usize..3,
-        pad_frac in 0usize..2,
+        c_in in 1usize..20,
+        c_out in 1usize..20,
+        h in 1usize..23,
+        w in 1usize..37,
+        spec_idx in 0usize..10,
     ) {
-        let kernel = [1usize, 3, 5][kernel_idx];
-        let spec = ConvSpec::new(kernel, stride, pad_frac * (kernel / 2));
-        check_shape(seed, c_in, c_out, (h, w), spec);
+        let (kernel, stride, padding) = SPECS[spec_idx];
+        let spec = ConvSpec::new(kernel, stride, padding);
+        check_shape(seed, c_in, c_out, (fit(h, spec), fit(w, spec)), spec);
     }
 }
 
-/// Shapes the small properties cannot reach: more output pixels than one
-/// `NC = 2048` column block (the column split), more taps than one
-/// `KC = 256` k block, and an odd width so strips straddle rows.
+/// Every map narrower than two strips — a strip can be narrower than
+/// one register — under each stride, with channel counts that leave a
+/// one-channel tile block on either side.
+#[test]
+fn narrow_maps_are_bit_identical() {
+    for w in 1..=NR + 1 {
+        for (kernel, stride, padding) in [(3, 1, 1), (1, 1, 0), (2, 2, 0), (3, 3, 1)] {
+            let spec = ConvSpec::new(kernel, stride, padding);
+            check_shape(w as u64, 9, 17, (fit(5, spec), fit(w, spec)), spec);
+        }
+    }
+}
+
+/// Shapes the small properties cannot reach: more output pixels than
+/// one `NC = 2048` task band or GEMM column block, more taps than one
+/// `KC = 256` chain or k block, odd widths, and runs of whole strips
+/// tiled by a one-channel block on either side.
 #[test]
 fn wide_and_deep_lowerings_are_bit_identical() {
     for (c_a, c_b, hw, spec) in [
@@ -197,6 +238,9 @@ fn wide_and_deep_lowerings_are_bit_identical() {
         (12, 5, (20, 51), ConvSpec::same(5)),
         (3, 17, (70, 66), ConvSpec::new(3, 2, 1)),
         (1, 8, (64, 41), ConvSpec::new(1, 1, 0)),
+        (17, 9, (40, 64), ConvSpec::same(3)),
+        (19, 1, (33, 70), ConvSpec::new(2, 2, 0)),
+        (33, 4, (12, 29), ConvSpec::same(3)),
     ] {
         check_shape(7, c_a, c_b, hw, spec);
     }

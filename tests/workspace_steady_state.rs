@@ -1,12 +1,15 @@
 //! The steady-state allocation guarantee: once the per-thread scratch
-//! pools are warm, repeated inference *and* training draw every tensor
-//! scratch buffer (packed GEMM blocks, column-gradient matrices, pooling
-//! buffers) from the `rhsd_tensor::workspace` pool and perform **zero**
+//! pools are warm, repeated inference *and* training perform **zero**
 //! workspace allocations. This is the contract the `workspace` block in
 //! the bench record (schema `rhsd-bench-table/6`; mirrored by the
 //! `cache.workspace.*` obs gauges) makes observable; this test pins it
 //! end to end through a real network's forward and backward passes,
 //! which also pins that the pool's retire-on-miss policy converges.
+//!
+//! The convolutions and transposed convolutions read their maps in
+//! place, so their forward passes — and with them all of inference —
+//! take no scratch at all: no column matrix, no packed panel. Training
+//! still draws the weight-gradient GEMM's packed blocks from the pool.
 //!
 //! One test per binary: the workspace counters are process-global, and a
 //! lone test keeps them quiescent while we read them.
@@ -15,11 +18,22 @@ use rand::SeedableRng;
 use rhsd::core::{RhsdConfig, RhsdNetwork};
 use rhsd::data::{BBox, RegionSample};
 use rhsd::layout::{RasterSpec, Rect};
+use rhsd::tensor::ops::conv::{conv2d, ConvSpec};
+use rhsd::tensor::ops::deconv::conv_transpose2d;
 use rhsd::tensor::{workspace, Tensor};
 
+/// What a warm run may do with the workspace pool.
+#[derive(Clone, Copy, PartialEq)]
+enum Pool {
+    /// Take no scratch at all: every counter stays put.
+    Untouched,
+    /// Serve its scratch from retained buffers, allocating none.
+    Reused,
+}
+
 /// Asserts that `run`, once warmed by three calls, makes five more with
-/// zero workspace allocations while still drawing on the pool.
-fn assert_steady(what: &str, mut run: impl FnMut()) {
+/// zero workspace allocations, using the pool as `pool` says.
+fn assert_steady(what: &str, pool: Pool, mut run: impl FnMut()) {
     for _ in 0..3 {
         run();
     }
@@ -36,10 +50,16 @@ fn assert_steady(what: &str, mut run: impl FnMut()) {
          (allocs grew by {})",
         after.allocs - before.allocs
     );
-    assert!(
-        after.bytes_reused > before.bytes_reused,
-        "warm {what} must serve its scratch from the pool"
-    );
+    match pool {
+        Pool::Untouched => assert_eq!(
+            after.bytes_reused, before.bytes_reused,
+            "warm {what} must take no workspace scratch"
+        ),
+        Pool::Reused => assert!(
+            after.bytes_reused > before.bytes_reused,
+            "warm {what} must serve its scratch from the pool"
+        ),
+    }
     assert_eq!(after.high_water, before.high_water, "no new retention");
 }
 
@@ -55,7 +75,24 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
     let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
     let image = Tensor::from_fn([1, px, px], |c| ((c[1] * 31 + c[2] * 7) % 13) as f32 / 13.0);
 
-    assert_steady("inference", || {
+    // The full-resolution front end's shapes, bias included.
+    let spec = ConvSpec::same(3);
+    let x = Tensor::from_fn([8, px, px], |c| ((c[0] + c[1] * 3 + c[2]) % 7) as f32 - 3.0);
+    let w = Tensor::from_fn([12, 8, 3, 3], |c| {
+        ((c[0] * 5 + c[1] + c[3]) % 5) as f32 - 2.0
+    });
+    let b = Tensor::from_fn([12], |c| c[0] as f32);
+    assert_steady("conv2d", Pool::Untouched, || {
+        conv2d(&x, &w, Some(&b), spec);
+    });
+    let wt = Tensor::from_fn([8, 12, 3, 3], |c| {
+        ((c[0] + c[1] * 5 + c[2]) % 5) as f32 - 2.0
+    });
+    assert_steady("conv_transpose2d", Pool::Untouched, || {
+        conv_transpose2d(&x, &wt, Some(&b), spec);
+    });
+
+    assert_steady("inference", Pool::Untouched, || {
         net.detect(&image);
     });
 
@@ -76,7 +113,7 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
         )],
         gt_centers: vec![(centre, centre)],
     };
-    assert_steady("training", || {
+    assert_steady("training", Pool::Reused, || {
         let mut step_rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
         net.zero_grad();
         let stats = net.train_step(&sample, &mut step_rng);

@@ -175,7 +175,9 @@ fn run_cases(quick: bool) -> Vec<Case> {
     // The demo network's full-resolution front end (3x3, stride 1,
     // pad 1): the stem's first two convolutions at 128², its third at
     // 64², and the encoder-decoder's first transposed convolution at
-    // 128². Each shape is timed forward and backward.
+    // 128², plus the single-channel ends of the encoder-decoder (its
+    // first convolution and last transposed convolution). Each shape is
+    // timed forward and backward.
     let conv_shapes: &[(bool, usize, usize, usize, usize)] = if quick {
         &[(false, 8, 12, 128, 3)]
     } else {
@@ -183,7 +185,9 @@ fn run_cases(quick: bool) -> Vec<Case> {
             (false, 1, 8, 128, 12),
             (false, 8, 12, 128, 8),
             (false, 12, 16, 64, 12),
+            (false, 1, 4, 128, 12),
             (true, 8, 4, 128, 8),
+            (true, 4, 1, 128, 12),
         ]
     };
     for &(transposed, c_in, c_out, hw, reps) in conv_shapes {

@@ -99,7 +99,7 @@ mod tests {
     fn generic_detectors_build_and_run() {
         let region = RegionConfig::demo();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut net = RhsdNetwork::new(ssd_config(&region), &mut rng);
+        let net = RhsdNetwork::new(ssd_config(&region), &mut rng);
         let image = rhsd_tensor::Tensor::zeros([1, region.region_px, region.region_px]);
         let _ = net.detect(&image);
     }

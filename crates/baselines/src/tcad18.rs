@@ -20,7 +20,7 @@ use rhsd_data::Benchmark;
 use rhsd_layout::Rect;
 use rhsd_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Sequential};
 use rhsd_nn::optim::{Sgd, StepDecay};
-use rhsd_nn::Layer;
+use rhsd_nn::{Grads, Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::ops::softmax::{cross_entropy_rows, softmax_rows};
 use rhsd_tensor::Tensor;
@@ -140,8 +140,10 @@ impl Tcad18Detector {
     }
 
     /// Hotspot probability of one clip raster.
-    pub fn classify(&mut self, image: &Tensor) -> f32 {
-        let logits = self.net.forward(&self.features(image));
+    pub fn classify(&self, image: &Tensor) -> f32 {
+        let logits = self
+            .net
+            .forward(&self.features(image), &mut Tape::inference());
         let rows = logits.with_shape([1, 2]);
         softmax_rows(&rows).get(&[0, 0])
     }
@@ -153,6 +155,7 @@ impl Tcad18Detector {
     pub fn train(&mut self, clips: &[(Tensor, bool)]) -> Vec<f32> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut opt = Sgd::new(StepDecay::constant(self.config.lr), 0.9);
+        let mut grads = Grads::zeros_like(self.net.params());
         let mut losses = Vec::new();
         let total = self.config.epochs + self.config.biased_epochs;
         let mut order: Vec<usize> = (0..clips.len()).collect();
@@ -171,14 +174,15 @@ impl Tcad18Detector {
                 } else {
                     1.0
                 };
-                let logits = self.net.forward(&self.features(image));
+                let mut tape = Tape::recording();
+                let logits = self.net.forward(&self.features(image), &mut tape);
                 let rows = logits.with_shape([1, 2]);
                 let (loss, grad) = cross_entropy_rows(&rows, &[target], &[weight]);
                 sum += loss;
-                self.net.zero_grad();
-                self.net.backward(&grad.with_shape([2]));
-                let mut params = self.net.params_mut();
-                opt.step(&mut params);
+                // `Sgd::step` leaves `grads` zeroed for the next clip.
+                self.net
+                    .backward(&mut tape, &grad.with_shape([2]), &mut grads);
+                opt.step(&mut self.net.params_mut(), &mut grads);
             }
             losses.push(sum / clips.len() as f32);
         }
@@ -206,29 +210,28 @@ impl Tcad18Detector {
 
     /// Scans an extent with the conventional overlapping-clip flow (Fig. 1),
     /// classifying every window. Returns the marked clips and metrics.
-    pub fn scan(&mut self, bench: &Benchmark, extent: &Rect) -> (Vec<LayoutClip>, Evaluation) {
+    ///
+    /// Each window is rasterised and classified inside one `rhsd-par`
+    /// task on the shared, read-only classifier; scores come back in
+    /// window order, so marks are identical at any thread count.
+    pub fn scan(&self, bench: &Benchmark, extent: &Rect) -> (Vec<LayoutClip>, Evaluation) {
         let mut sp = rhsd_obs::span("tcad18-scan");
         let windows = scan_windows(extent, self.config.clip_px);
         sp.add("windows", windows.len() as f64);
-        let mut marked = Vec::new();
         let px = self.config.raster_px();
-        // Rasterisation is read-only and dominates per-window cost, so it
-        // runs on the `rhsd-par` pool in bounded blocks; classification
-        // stays sequential (the net is `&mut self`) and consumes the
-        // rasters in window order, so marks are identical at any thread
-        // count.
-        const BLOCK: usize = 32;
-        for block in windows.chunks(BLOCK) {
-            let images = rhsd_par::map(block.len(), 4, |i| rasterize_window(bench, &block[i], px));
-            for (w, image) in block.iter().zip(images.iter()) {
-                let clip_timer = rhsd_obs::Stopwatch::start();
-                let score = self.classify(image);
-                rhsd_obs::record_secs("tcad18.clip", clip_timer.secs());
-                if score >= self.config.threshold {
-                    marked.push(LayoutClip { clip: *w, score });
-                }
-            }
-        }
+        let scores = rhsd_par::map(windows.len(), 4, |i| {
+            let image = rasterize_window(bench, &windows[i], px);
+            let clip_timer = rhsd_obs::Stopwatch::start();
+            let score = self.classify(&image);
+            rhsd_obs::record_secs("tcad18.clip", clip_timer.secs());
+            score
+        });
+        let marked: Vec<LayoutClip> = windows
+            .iter()
+            .zip(scores)
+            .filter(|&(_, score)| score >= self.config.threshold)
+            .map(|(w, score)| LayoutClip { clip: *w, score })
+            .collect();
         sp.add("marked", marked.len() as f64);
         let eval = evaluate_layout(&marked, &bench.hotspots_in(extent));
         (marked, eval)
@@ -308,7 +311,7 @@ mod tests {
         let mut biased = Tcad18Detector::new(biased_cfg, &mut rng);
         biased.train(&clips);
 
-        let mean = |d: &mut Tcad18Detector| -> f32 {
+        let mean = |d: &Tcad18Detector| -> f32 {
             clips
                 .iter()
                 .filter(|(_, hot)| *hot)
@@ -317,7 +320,7 @@ mod tests {
                 / 4.0
         };
         assert!(
-            mean(&mut biased) >= mean(&mut plain) - 1e-3,
+            mean(&biased) >= mean(&plain) - 1e-3,
             "biased learning should not lower hotspot scores"
         );
     }

@@ -39,7 +39,7 @@ fn main() {
     // Scaling networks are untrained by design; the saved model is still
     // loadable and scannable (useful for protocol-level smoke tests).
     args.save_model_if_requested(&mut ours);
-    let mut tcad = Tcad18Detector::new(Tcad18Config::demo(), &mut rng);
+    let tcad = Tcad18Detector::new(Tcad18Config::demo(), &mut rng);
 
     let sides: &[i64] = if effort == Effort::Quick {
         &[1280, 2560]

@@ -8,7 +8,7 @@
 
 use rand::Rng;
 use rhsd_nn::layers::{Conv2d, LeakyRelu};
-use rhsd_nn::{Layer, Param};
+use rhsd_nn::{Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::ops::elementwise::add;
 use rhsd_tensor::Tensor;
@@ -25,7 +25,6 @@ pub struct CpnOutput {
 }
 
 /// The clip proposal network.
-#[derive(Clone)]
 pub struct ClipProposalNetwork {
     trunk: Conv2d,
     trunk_relu: LeakyRelu,
@@ -55,7 +54,8 @@ impl ClipProposalNetwork {
         self.k
     }
 
-    /// Runs the proposal heads over a `[C, f, f]` feature map.
+    /// Runs the proposal heads over a `[C, f, f]` feature map, recording
+    /// on `tape` what [`ClipProposalNetwork::backward`] needs.
     ///
     /// Shapes: `features` is `[C, f, f]` with `f` the configured grid;
     /// outputs are `[f·f·k, 2]` logits and `[f·f·k, 4]` codes.
@@ -63,7 +63,7 @@ impl ClipProposalNetwork {
     /// # Panics
     ///
     /// Panics if the spatial size differs from the configured grid.
-    pub fn forward(&mut self, features: &Tensor) -> CpnOutput {
+    pub fn forward(&self, features: &Tensor, tape: &mut Tape) -> CpnOutput {
         let f = self.feature_px;
         assert_eq!(
             (features.dim(1), features.dim(2)),
@@ -71,9 +71,10 @@ impl ClipProposalNetwork {
             "feature map {} does not match configured grid {f}×{f}",
             features.shape()
         );
-        let t = self.trunk_relu.forward(&self.trunk.forward(features));
-        let cls_map = self.cls_head.forward(&t);
-        let reg_map = self.reg_head.forward(&t);
+        let t = self.trunk.forward(features, tape);
+        let t = self.trunk_relu.forward(&t, tape);
+        let cls_map = self.cls_head.forward(&t, tape);
+        let reg_map = self.reg_head.forward(&t, tape);
         let n = f * f * self.k;
         let (k, fpx) = (self.k, f);
         let cls = Tensor::from_fn([n, 2], |c| {
@@ -96,7 +97,9 @@ impl ClipProposalNetwork {
         }
     }
 
-    /// Back-propagates row-space gradients and returns the feature-map
+    /// Back-propagates row-space gradients through the forward last
+    /// recorded on `tape`, adds the parameter gradients into `grads` (in
+    /// [`ClipProposalNetwork::params`] order) and returns the feature-map
     /// gradient.
     ///
     /// Shapes: `cls_grad` is `[f·f·k, 2]`, `reg_grad` is `[f·f·k, 4]`;
@@ -104,9 +107,15 @@ impl ClipProposalNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`ClipProposalNetwork::forward`] or with
-    /// wrong-shaped gradients.
-    pub fn backward(&mut self, cls_grad: &Tensor, reg_grad: &Tensor) -> Tensor {
+    /// Panics if called without a recorded
+    /// [`ClipProposalNetwork::forward`] or with wrong-shaped gradients.
+    pub fn backward(
+        &self,
+        tape: &mut Tape,
+        cls_grad: &Tensor,
+        reg_grad: &Tensor,
+        grads: &mut [Tensor],
+    ) -> Tensor {
         let f = self.feature_px;
         let n = f * f * self.k;
         assert_eq!(cls_grad.dims(), &[n, 2], "cls grad shape");
@@ -124,52 +133,41 @@ impl ClipProposalNetwork {
             let ai = (i * fpx + j) * k + kk;
             reg_grad.get(&[ai, comp])
         });
-        let g_cls = self.cls_head.backward(&cls_map_grad);
-        let g_reg = self.reg_head.backward(&reg_map_grad);
-        let g_trunk = self.trunk_relu.backward(&add(&g_cls, &g_reg));
-        self.trunk.backward(&g_trunk)
-    }
-}
-
-impl Layer for ClipProposalNetwork {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn name(&self) -> &'static str {
-        "ClipProposalNetwork"
+        // Slots in params order: trunk, cls head, reg head (two each).
+        let (g_trunk_slots, rest) = grads.split_at_mut(2);
+        let (g_cls_slots, g_reg_slots) = rest.split_at_mut(2);
+        // The reg head recorded last, so it pops first.
+        let g_reg = self.reg_head.backward(tape, &reg_map_grad, g_reg_slots);
+        let g_cls = self.cls_head.backward(tape, &cls_map_grad, g_cls_slots);
+        let g_trunk = self
+            .trunk_relu
+            .backward(tape, &add(&g_cls, &g_reg), &mut []);
+        self.trunk.backward(tape, &g_trunk, g_trunk_slots)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        // Layer-trait adapter: returns classification logits only. The
-        // typed API (`ClipProposalNetwork::forward`) is the primary one.
-        self.forward(input).cls_logits
+    /// Every trainable parameter: trunk, classification head, regression
+    /// head.
+    pub fn params(&self) -> Vec<&Tensor> {
+        let mut p = self.trunk.params();
+        p.extend(self.cls_head.params());
+        p.extend(self.reg_head.params());
+        p
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = self.feature_px * self.feature_px * self.k;
-        let zero_reg = Tensor::zeros([n, 4]);
-        ClipProposalNetwork::backward(self, grad_out, &zero_reg)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// Mutable access to [`ClipProposalNetwork::params`], same order.
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         let mut p = self.trunk.params_mut();
         p.extend(self.cls_head.params_mut());
         p.extend(self.reg_head.params_mut());
         p
     }
 
-    fn param_names(&mut self) -> Vec<String> {
-        let mut names = vec!["trunk".to_owned(); self.trunk.params_mut().len()];
-        names.extend(vec![
-            "cls_head".to_owned();
-            self.cls_head.params_mut().len()
-        ]);
-        names.extend(vec![
-            "reg_head".to_owned();
-            self.reg_head.params_mut().len()
-        ]);
-        names
+    /// Display names for [`ClipProposalNetwork::params`], index-aligned.
+    pub fn param_names(&self) -> Vec<String> {
+        ["trunk", "cls_head", "reg_head"]
+            .iter()
+            .flat_map(|name| [name.to_string(), name.to_string()])
+            .collect()
     }
 }
 
@@ -178,6 +176,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use rhsd_nn::Grads;
 
     fn setup() -> (RhsdConfig, ClipProposalNetwork, Tensor) {
         let cfg = RhsdConfig::tiny();
@@ -190,8 +189,8 @@ mod tests {
 
     #[test]
     fn output_shapes_match_anchor_count() {
-        let (cfg, mut cpn, feats) = setup();
-        let out = cpn.forward(&feats);
+        let (cfg, cpn, feats) = setup();
+        let out = cpn.forward(&feats, &mut Tape::inference());
         assert_eq!(out.cls_logits.dims(), &[cfg.total_anchors(), 2]);
         assert_eq!(out.reg_codes.dims(), &[cfg.total_anchors(), 4]);
     }
@@ -200,8 +199,8 @@ mod tests {
     fn row_layout_is_position_major() {
         // Two forward passes with a spatially-localised feature bump must
         // change only the rows of that feature position.
-        let (cfg, mut cpn, feats) = setup();
-        let base = cpn.forward(&feats);
+        let (cfg, cpn, feats) = setup();
+        let base = cpn.forward(&feats, &mut Tape::inference());
         let f = cfg.feature_px();
         let mut bumped = feats.clone();
         // bump all channels at position (1, 2)
@@ -209,7 +208,7 @@ mod tests {
             let v = bumped.get(&[ch, 1, 2]);
             bumped.set(&[ch, 1, 2], v + 10.0);
         }
-        let out = cpn.forward(&bumped);
+        let out = cpn.forward(&bumped, &mut Tape::inference());
         let k = cfg.anchors_per_position();
         // rows of distant position (3, 0) unchanged beyond trunk's 3×3 reach
         let far = (3 * f) * k;
@@ -241,23 +240,29 @@ mod tests {
 
     #[test]
     fn backward_returns_feature_grad_and_accumulates() {
-        let (cfg, mut cpn, feats) = setup();
-        let out = cpn.forward(&feats);
+        let (_, cpn, feats) = setup();
+        let mut tape = Tape::recording();
+        let out = cpn.forward(&feats, &mut tape);
         let gc = Tensor::ones(out.cls_logits.dims());
         let gr = Tensor::ones(out.reg_codes.dims());
-        let gf = cpn.backward(&gc, &gr);
+        let mut grads = Grads::zeros_like(cpn.params());
+        let gf = cpn.backward(&mut tape, &gc, &gr, &mut grads);
         assert_eq!(gf.dims(), feats.dims());
-        let gn: f32 = cpn.params_mut().iter().map(|p| p.grad.sq_norm()).sum();
-        assert!(gn > 0.0);
-        let _ = cfg;
+        assert!(tape.is_empty());
+        assert!(
+            grads.iter().all(|g| g.sq_norm() > 0.0),
+            "every slot got signal"
+        );
+        assert_eq!(cpn.param_names().len(), grads.len());
     }
 
     #[test]
     fn gradcheck_through_row_mapping() {
         // Check d(sum of selected logits)/d(feature) against finite
         // differences — validates the map/row scatter correspondence.
-        let (_, mut cpn, feats) = setup();
-        let out = cpn.forward(&feats);
+        let (_, cpn, feats) = setup();
+        let mut tape = Tape::recording();
+        let out = cpn.forward(&feats, &mut tape);
         let mut gc = Tensor::zeros(out.cls_logits.dims());
         // pick a handful of rows
         for ai in [0usize, 5, 17, 40] {
@@ -265,11 +270,11 @@ mod tests {
             gc.set(&[ai, 1], 1.0);
         }
         let gr = Tensor::zeros(out.reg_codes.dims());
-        cpn.zero_grad();
-        let gf = cpn.backward(&gc, &gr);
+        let mut grads = Grads::zeros_like(cpn.params());
+        let gf = cpn.backward(&mut tape, &gc, &gr, &mut grads);
 
-        let loss = |cpn: &mut ClipProposalNetwork, x: &Tensor| {
-            let o = cpn.forward(x);
+        let loss = |x: &Tensor| {
+            let o = cpn.forward(x, &mut Tape::inference());
             let mut s = 0.0;
             for ai in [0usize, 5, 17, 40] {
                 s += o.cls_logits.get(&[ai, 0]) + o.cls_logits.get(&[ai, 1]);
@@ -282,7 +287,7 @@ mod tests {
             plus.as_mut_slice()[probe] += eps;
             let mut minus = feats.clone();
             minus.as_mut_slice()[probe] -= eps;
-            let numeric = (loss(&mut cpn, &plus) - loss(&mut cpn, &minus)) / (2.0 * eps);
+            let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
             let analytic = gf.as_slice()[probe];
             assert!(
                 (numeric - analytic).abs() < 2e-2,

@@ -1,5 +1,12 @@
 //! Full-layout detection: scanning a benchmark's extent region by region
 //! and aggregating detections and metrics — the deployment flow of Fig. 2.
+//!
+//! A scan is many independent inferences on one set of trained weights:
+//! every region is one `rhsd-par` task running
+//! [`RhsdNetwork::detect`] on the shared `&RhsdNetwork`. Inference
+//! records nothing and mutates nothing, so no task copies the network,
+//! and the per-region results merge in region order — identical at any
+//! thread count.
 
 use std::sync::Arc;
 
@@ -36,6 +43,9 @@ pub struct ScanResult {
 }
 
 /// A trained network bound to its region geometry, able to scan layouts.
+///
+/// Every scan takes `&self`, so one detector (e.g. behind an `Arc`) can
+/// serve concurrent scans from several threads.
 pub struct RegionDetector {
     network: RhsdNetwork,
     region_config: RegionConfig,
@@ -74,7 +84,7 @@ impl RegionDetector {
 
     /// Detects hotspots in one prepared region sample and scores them
     /// against its ground truth.
-    pub fn detect_region(&mut self, sample: &RegionSample) -> (Vec<Detection>, Evaluation) {
+    pub fn detect_region(&self, sample: &RegionSample) -> (Vec<Detection>, Evaluation) {
         let dets = self.network.detect(&sample.image);
         let eval = evaluate_region(&dets, &sample.gt_centers);
         (dets, eval)
@@ -82,14 +92,13 @@ impl RegionDetector {
 
     /// Scans an extent of a benchmark, e.g. its test half.
     ///
-    /// Regions are processed in parallel *stripes* over the `rhsd-par`
-    /// pool: every worker detects on its own deep copy of the trained
-    /// network, and per-region results are merged strictly in region
-    /// order afterwards, so the scan output (detections, evaluation
-    /// counters) is identical at any thread count. The h-NMS inside
-    /// each region's `detect` stays sequential — suppression order is
-    /// part of its semantics.
-    pub fn scan(&mut self, bench: &Benchmark, extent: &Rect) -> ScanResult {
+    /// Regions run as parallel tasks over the `rhsd-par` pool, all on the
+    /// one shared network, and per-region results are merged strictly in
+    /// region order afterwards, so the scan output (detections,
+    /// evaluation counters) is identical at any thread count. The h-NMS
+    /// inside each region's `detect` stays sequential — suppression
+    /// order is part of its semantics.
+    pub fn scan(&self, bench: &Benchmark, extent: &Rect) -> ScanResult {
         let samples: Vec<Arc<RegionSample>> = tile_regions(bench, extent, &self.region_config)
             .into_iter()
             .map(Arc::new)
@@ -103,7 +112,7 @@ impl RegionDetector {
     /// through `stems` when the same raster recurs under unchanged
     /// weights. Output is bit-identical to the uncached scan.
     pub fn scan_cached(
-        &mut self,
+        &self,
         bench: &Benchmark,
         extent: &Rect,
         tiles: &RegionTileCache,
@@ -114,9 +123,9 @@ impl RegionDetector {
     }
 
     /// Shared scan core over prepared samples (see [`RegionDetector::scan`]
-    /// for the parallel-stripe determinism argument).
+    /// for the determinism argument).
     fn scan_samples(
-        &mut self,
+        &self,
         regions: &[Arc<RegionSample>],
         stems: Option<&StemFeatureCache>,
     ) -> ScanResult {
@@ -131,51 +140,39 @@ impl RegionDetector {
     /// Detects on every prepared sample, returning per-region results in
     /// sample order — the batched forward pass behind every scan.
     ///
-    /// Each region is detected independently (the trained network is
-    /// cloned per stripe, never mutated), so a batch that concatenates
-    /// the regions of several logically separate scans produces exactly
-    /// the per-region results of running those scans alone. This is the
-    /// property the `rhsd-serve` request coalescer relies on: served,
-    /// batched scans stay bit-identical to offline scans.
+    /// Each region is one pool task on the shared, read-only network, so
+    /// a batch that concatenates the regions of several logically
+    /// separate scans produces exactly the per-region results of running
+    /// those scans alone. This is the property the `rhsd-serve` request
+    /// coalescer relies on: served, batched scans stay bit-identical to
+    /// offline scans.
     pub fn scan_batch(
         &self,
         regions: &[Arc<RegionSample>],
         stems: Option<&StemFeatureCache>,
     ) -> Vec<(Vec<Detection>, Evaluation)> {
-        let n = regions.len();
-        // Fixed stripe width: one network clone amortises over STRIPE
-        // regions; independent of the thread count by design.
-        const STRIPE: usize = 2;
-        let network = &self.network;
-        let striped: Vec<Vec<(Vec<Detection>, Evaluation)>> =
-            rhsd_par::map(n.div_ceil(STRIPE), 1, |si| {
-                let mut net = network.clone();
-                regions[si * STRIPE..((si + 1) * STRIPE).min(n)]
-                    .iter()
-                    .map(|sample| {
-                        let mut rsp = rhsd_obs::span("scan-region");
-                        let dets = match stems {
-                            Some(cache) => net.detect_cached(&sample.image, cache),
-                            None => net.detect(&sample.image),
-                        };
-                        let eval = evaluate_region(&dets, &sample.gt_centers);
-                        rsp.add("detections", dets.len() as f64);
-                        (dets, eval)
-                    })
-                    .collect()
-            });
-        striped.into_iter().flatten().collect()
+        rhsd_par::map(regions.len(), 1, |i| {
+            let sample = &regions[i];
+            let mut rsp = rhsd_obs::span("scan-region");
+            let dets = match stems {
+                Some(cache) => self.network.detect_cached(&sample.image, cache),
+                None => self.network.detect(&sample.image),
+            };
+            let eval = evaluate_region(&dets, &sample.gt_centers);
+            rsp.add("detections", dets.len() as f64);
+            (dets, eval)
+        })
     }
 
     /// Scans the test half of a benchmark (the paper's evaluation split).
-    pub fn scan_test_half(&mut self, bench: &Benchmark) -> ScanResult {
+    pub fn scan_test_half(&self, bench: &Benchmark) -> ScanResult {
         self.scan(bench, &bench.test_extent.clone())
     }
 
     /// [`RegionDetector::scan_test_half`] through the incremental-scan
     /// caches (see [`RegionDetector::scan_cached`]).
     pub fn scan_test_half_cached(
-        &mut self,
+        &self,
         bench: &Benchmark,
         tiles: &RegionTileCache,
         stems: Option<&StemFeatureCache>,
@@ -243,7 +240,7 @@ mod tests {
     #[test]
     fn scan_covers_all_test_regions() {
         let bench = Benchmark::demo(CaseId::Case2);
-        let mut det = tiny_detector();
+        let det = tiny_detector();
         let result = det.scan_test_half(&bench);
         assert_eq!(result.regions, 18); // 3×6 demo tiling of the half
         assert_eq!(
@@ -264,7 +261,7 @@ mod tests {
     #[test]
     fn detections_are_inside_their_regions() {
         let bench = Benchmark::demo(CaseId::Case3);
-        let mut det = tiny_detector();
+        let det = tiny_detector();
         let result = det.scan_test_half(&bench);
         // detections may overhang the region border (clips are not
         // clamped — clamping would shift cores off border hotspots), but
@@ -281,7 +278,7 @@ mod tests {
     #[test]
     fn cached_scan_is_bit_identical_to_plain_scan() {
         let bench = Benchmark::demo(CaseId::Case2);
-        let mut det = tiny_detector();
+        let det = tiny_detector();
         let plain = det.scan_test_half(&bench);
 
         let tiles = RegionTileCache::new(rhsd_data::DEFAULT_TILE_CACHE_CAP);
@@ -330,13 +327,31 @@ mod tests {
         assert_eq!(&batched[..s2.len()], &alone2[..]);
         assert_eq!(&batched[s2.len()..], &alone3[..]);
 
-        // ... and the merged ScanResult equals the mutable scan path.
+        // ... and the merged ScanResult equals the full scan path.
         let merged = merge_scan(&s2, alone2);
-        let mut det_mut = tiny_detector();
-        let plain = det_mut.scan_test_half(&b2);
+        let plain = det.scan_test_half(&b2);
         assert_eq!(merged.detections, plain.detections);
         assert_eq!(merged.evaluation, plain.evaluation);
         assert_eq!(merged.regions, plain.regions);
+    }
+
+    #[test]
+    fn concurrent_scans_through_one_shared_detector_match_a_serial_scan() {
+        let bench = Benchmark::demo(CaseId::Case2);
+        let det = Arc::new(tiny_detector());
+        let serial = det.scan_test_half(&bench);
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let (det, bench) = (Arc::clone(&det), bench.clone());
+                std::thread::spawn(move || det.scan_test_half(&bench))
+            })
+            .collect();
+        for handle in threads {
+            let result = handle.join().unwrap();
+            assert_eq!(result.detections, serial.detections);
+            assert_eq!(result.evaluation, serial.evaluation);
+            assert_eq!(result.regions, serial.regions);
+        }
     }
 
     #[test]

@@ -7,14 +7,13 @@ use rand::Rng;
 use rhsd_nn::encdec::EncoderDecoder;
 use rhsd_nn::inception::{InceptionA, InceptionB};
 use rhsd_nn::layers::{Conv2d, LeakyRelu, MaxPool2d};
-use rhsd_nn::{backward_all, forward_all, Layer, Param};
+use rhsd_nn::{backward_all, forward_all, Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::Tensor;
 
 use crate::config::RhsdConfig;
 
 /// The R-HSD backbone network.
-#[derive(Clone)]
 pub struct FeatureExtractor {
     layers: Vec<Box<dyn Layer>>,
     /// Number of leading layers forming the *stem* (encoder–decoder and
@@ -97,24 +96,30 @@ impl FeatureExtractor {
         self.out_channels
     }
 
-    /// Runs only the stem (encoder–decoder + compressing convolutions).
+    /// Runs only the stem (encoder–decoder + compressing convolutions)
+    /// for inference, recording nothing.
     /// `forward_rest(&forward_stem(x))` is the exact layer sequence of
     /// `forward(x)` — splitting at a layer boundary changes nothing about
     /// the arithmetic, so the composition is bit-identical.
     ///
     /// Shapes: `input` is `[1, region_px, region_px]`; returns the stem
     /// activation map `[c, region_px / 4, region_px / 4]`.
-    pub fn forward_stem(&mut self, input: &Tensor) -> Tensor {
-        forward_all(&mut self.layers[..self.stem_len], input)
+    pub fn forward_stem(&self, input: &Tensor) -> Tensor {
+        forward_all(&self.layers[..self.stem_len], input, &mut Tape::inference())
     }
 
     /// Runs the inception stack and final pooling on a stem activation
-    /// map (the counterpart of [`FeatureExtractor::forward_stem`]).
+    /// map for inference (the counterpart of
+    /// [`FeatureExtractor::forward_stem`]).
     ///
     /// Shapes: `stem_out` is the `[c, h, w]` map `forward_stem` returns;
     /// the result matches [`FeatureExtractor::forward`].
-    pub fn forward_rest(&mut self, stem_out: &Tensor) -> Tensor {
-        forward_all(&mut self.layers[self.stem_len..], stem_out)
+    pub fn forward_rest(&self, stem_out: &Tensor) -> Tensor {
+        forward_all(
+            &self.layers[self.stem_len..],
+            stem_out,
+            &mut Tape::inference(),
+        )
     }
 }
 
@@ -123,34 +128,34 @@ impl Layer for FeatureExtractor {
         "FeatureExtractor"
     }
 
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        forward_all(&self.layers, input, tape)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        forward_all(&mut self.layers, input)
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        backward_all(&self.layers, tape, grad_out, grads)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        backward_all(&mut self.layers, grad_out)
+    fn params(&self) -> Vec<&Tensor> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.layers
             .iter_mut()
             .flat_map(|l| l.params_mut())
             .collect()
     }
 
-    fn param_names(&mut self) -> Vec<String> {
+    fn param_names(&self) -> Vec<String> {
         // Positional `{Name}#{i}` tags match the activation keys that
         // training-dynamics telemetry records from `forward_all`.
         self.layers
-            .iter_mut()
+            .iter()
             .enumerate()
             .flat_map(|(i, l)| {
                 let name = l.name();
-                (0..l.params_mut().len()).map(move |_| format!("{name}#{i}"))
+                (0..l.params().len()).map(move |_| format!("{name}#{i}"))
             })
             .collect()
     }
@@ -161,13 +166,17 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use rhsd_nn::Grads;
 
     #[test]
     fn output_has_stride_16() {
         let cfg = RhsdConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(40);
-        let mut fx = FeatureExtractor::new(&cfg, &mut rng);
-        let y = fx.forward(&Tensor::zeros([1, cfg.region_px, cfg.region_px]));
+        let fx = FeatureExtractor::new(&cfg, &mut rng);
+        let y = fx.forward(
+            &Tensor::zeros([1, cfg.region_px, cfg.region_px]),
+            &mut Tape::inference(),
+        );
         assert_eq!(
             y.dims(),
             &[fx.out_channels(), cfg.feature_px(), cfg.feature_px()]
@@ -178,13 +187,16 @@ mod tests {
     fn ablated_extractor_has_fewer_params() {
         let mut cfg = RhsdConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let mut full = FeatureExtractor::new(&cfg, &mut rng);
+        let full = FeatureExtractor::new(&cfg, &mut rng);
         cfg.use_encoder_decoder = false;
         let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let mut ablated = FeatureExtractor::new(&cfg, &mut rng);
+        let ablated = FeatureExtractor::new(&cfg, &mut rng);
         assert!(full.param_count() > ablated.param_count());
         // shapes identical either way
-        let y = ablated.forward(&Tensor::zeros([1, cfg.region_px, cfg.region_px]));
+        let y = ablated.forward(
+            &Tensor::zeros([1, cfg.region_px, cfg.region_px]),
+            &mut Tape::inference(),
+        );
         assert_eq!(y.dim(1), cfg.feature_px());
     }
 
@@ -192,12 +204,15 @@ mod tests {
     fn backward_produces_input_gradient() {
         let cfg = RhsdConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let mut fx = FeatureExtractor::new(&cfg, &mut rng);
+        let fx = FeatureExtractor::new(&cfg, &mut rng);
         let x = Tensor::rand_uniform([1, cfg.region_px, cfg.region_px], 0.0, 1.0, &mut rng);
-        let y = fx.forward(&x);
-        let gx = fx.backward(&Tensor::ones(y.dims()));
+        let mut tape = Tape::recording();
+        let y = fx.forward(&x, &mut tape);
+        let mut grads = Grads::zeros_like(fx.params());
+        let gx = fx.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
-        let gn: f32 = fx.params_mut().iter().map(|p| p.grad.sq_norm()).sum();
+        assert!(tape.is_empty(), "backward consumes the whole tape");
+        let gn: f32 = grads.iter().map(|g| g.sq_norm()).sum();
         assert!(gn > 0.0);
     }
 
@@ -205,9 +220,9 @@ mod tests {
     fn stem_split_composes_to_full_forward_bitwise() {
         let cfg = RhsdConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(44);
-        let mut fx = FeatureExtractor::new(&cfg, &mut rng);
+        let fx = FeatureExtractor::new(&cfg, &mut rng);
         let x = Tensor::rand_uniform([1, cfg.region_px, cfg.region_px], 0.0, 1.0, &mut rng);
-        let full = fx.forward(&x);
+        let full = fx.forward(&x, &mut Tape::recording());
         let stem = fx.forward_stem(&x);
         let split = fx.forward_rest(&stem);
         assert_eq!(full.dims(), split.dims());

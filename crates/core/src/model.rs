@@ -2,9 +2,10 @@
 //! proposal network → h-NMS → refinement, trainable end-to-end with the
 //! multi-task C&R loss.
 
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use rhsd_data::{BBox, RegionSample};
-use rhsd_nn::{Layer, Param};
+use rhsd_nn::{Grads, Layer, Tape};
 use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::softmax::softmax_rows;
 use rhsd_tensor::Tensor;
@@ -74,17 +75,22 @@ static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 
 /// The region-based hotspot detection network.
 ///
-/// `Clone` deep-copies every parameter and cache, letting the parallel
-/// region scan give each `rhsd-par` worker its own network. Clones keep
-/// the original's identity and weights version: they hold the same
-/// weights, so they may share [`StemFeatureCache`] entries.
-#[derive(Clone)]
+/// The layers are read-only at inference: every inference entry point
+/// takes `&self`, so one network serves any number of threads at once.
+/// Training accumulates into the network's own [`Grads`], which mirror
+/// [`RhsdNetwork::params`] slot for slot.
+///
+/// `Clone` copies the weights and gradients. Clones keep the original's
+/// identity and weights version: they hold the same weights, so they may
+/// share [`StemFeatureCache`] entries.
 pub struct RhsdNetwork {
     config: RhsdConfig,
     extractor: FeatureExtractor,
     cpn: ClipProposalNetwork,
     refinement: Option<RefinementHead>,
     anchors: Vec<BBox>,
+    /// Gradient accumulators of a training step, in `params` order.
+    grads: Grads,
     /// Process-unique id distinguishing this network (and its clones)
     /// from every other network, so cached activations never cross
     /// between independently-trained weights.
@@ -108,15 +114,18 @@ impl RhsdNetwork {
             .use_refinement
             .then(|| RefinementHead::new(&config, extractor.out_channels(), rng));
         let anchors = generate_anchors(&config);
-        RhsdNetwork {
+        let mut net = RhsdNetwork {
             config,
             extractor,
             cpn,
             refinement,
             anchors,
+            grads: Grads::zeros_like([]),
             identity: NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             weights_version: 0,
-        }
+        };
+        net.grads = Grads::zeros_like(net.params());
+        net
     }
 
     /// The network's configuration.
@@ -152,38 +161,60 @@ impl RhsdNetwork {
         self.weights_version
     }
 
-    /// All trainable parameters.
+    /// All trainable parameters: extractor, CPN, then refinement head.
+    pub fn params(&self) -> Vec<&Tensor> {
+        let mut p = self.extractor.params();
+        p.extend(self.cpn.params());
+        if let Some(r) = &self.refinement {
+            p.extend(r.params());
+        }
+        p
+    }
+
+    /// Mutable access to [`RhsdNetwork::params`], same order.
     ///
     /// Handing out mutable parameter access conservatively bumps the
-    /// weights version — the optimiser steps through this method, and a
-    /// spurious bump only costs a cache miss, never correctness.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// weights version — a spurious bump only costs a cache miss, never
+    /// correctness.
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.params_and_grads_mut().0
+    }
+
+    /// The gradients accumulated by [`RhsdNetwork::train_step`] since the
+    /// last [`RhsdNetwork::zero_grad`], index-aligned with
+    /// [`RhsdNetwork::params`].
+    pub fn grads(&self) -> &Grads {
+        &self.grads
+    }
+
+    /// The parameters and their gradients at once — what an optimiser
+    /// step needs. Bumps the weights version like
+    /// [`RhsdNetwork::params_mut`].
+    pub fn params_and_grads_mut(&mut self) -> (Vec<&mut Tensor>, &mut Grads) {
         self.weights_version = self.weights_version.wrapping_add(1);
         let mut p = self.extractor.params_mut();
         p.extend(self.cpn.params_mut());
         if let Some(r) = self.refinement.as_mut() {
             p.extend(r.params_mut());
         }
-        p
+        (p, &mut self.grads)
     }
 
     /// Clears all gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.grads.zero();
     }
 
     /// Total trainable scalar count.
-    pub fn param_count(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+    pub fn param_count(&self) -> usize {
+        self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Display names for [`RhsdNetwork::params_mut`], index-aligned with
-    /// it, qualified by component (`backbone/`, `cpn/`, `refine/`) —
+    /// Display names for [`RhsdNetwork::params`], index-aligned with it,
+    /// qualified by component (`backbone/`, `cpn/`, `refine/`) —
     /// training-dynamics telemetry joins these with per-slot optimiser
-    /// statistics. Does not bump the weights version (names only).
-    pub fn param_names(&mut self) -> Vec<String> {
+    /// statistics.
+    pub fn param_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .extractor
             .param_names()
@@ -196,38 +227,42 @@ impl RhsdNetwork {
                 .into_iter()
                 .map(|n| format!("cpn/{n}")),
         );
-        if let Some(r) = self.refinement.as_mut() {
+        if let Some(r) = &self.refinement {
             names.extend(r.param_names().into_iter().map(|n| format!("refine/{n}")));
         }
         names
     }
 
     /// One training forward/backward pass on a region sample. Gradients
-    /// accumulate into the parameters; the caller steps the optimiser.
+    /// accumulate into the network's [`Grads`]; the caller steps the
+    /// optimiser.
     pub fn train_step(&mut self, sample: &RegionSample, rng: &mut impl Rng) -> TrainStats {
+        let mut tape = Tape::recording();
         let feats = {
             let _scope = rhsd_nn::dynamics::scope("backbone");
-            self.extractor.forward(&sample.image)
+            self.extractor.forward(&sample.image, &mut tape)
         };
 
         // --- Stage 1: clip proposal network.
-        let out = self.cpn.forward(&feats);
+        let out = self.cpn.forward(&feats, &mut tape);
         let assignment = assign_anchors(&self.anchors, &sample.gt_clips, &self.config);
         let weights = sample_minibatch(&assignment, &self.config, rng);
         let (cpn_cr, cls_grad, reg_grad) = cpn_loss(&out, &assignment, &weights, &self.config);
-        let mut feat_grad = self.cpn.backward(&cls_grad, &reg_grad);
-
-        // --- Stage 2: refinement on sampled RoIs.
-        let mut refine_cr = CrLoss::default();
-        let mut pred_counts = [0usize; 2];
-        let mut pred_entropy_sum = 0.0f32;
         let rois = if self.refinement.is_some() {
             self.sample_training_rois(sample, &out, rng)
         } else {
             Vec::new()
         };
+        let (g_ext, rest) = self.grads.split_at_mut(self.extractor.params().len());
+        let (g_cpn, g_ref) = rest.split_at_mut(self.cpn.params().len());
+        let mut feat_grad = self.cpn.backward(&mut tape, &cls_grad, &reg_grad, g_cpn);
+
+        // --- Stage 2: refinement on sampled RoIs.
+        let mut refine_cr = CrLoss::default();
+        let mut pred_counts = [0usize; 2];
+        let mut pred_entropy_sum = 0.0f32;
         let n_rois = rois.len();
-        if let Some(head) = self.refinement.as_mut() {
+        if let Some(head) = &self.refinement {
             // Per-RoI sub-passes would record ambiguous per-branch keys;
             // the refinement head is covered by its optimiser-slot stats
             // and the logit entropy below instead.
@@ -238,7 +273,7 @@ impl RhsdNetwork {
             // the refinement head's learning signal by the batch size).
             for (roi_box, target_class, reg_target) in rois {
                 let roi = roi_from_bbox(&roi_box, self.config.stride, f);
-                let out = head.forward(&feats, roi);
+                let out = head.forward(&feats, roi, &mut tape);
                 let (argmax, entropy) = logit_pair_stats(&out.cls_logits);
                 pred_counts[argmax] += 1;
                 pred_entropy_sum += entropy;
@@ -251,7 +286,7 @@ impl RhsdNetwork {
                 );
                 refine_cr.cls += cr.cls;
                 refine_cr.reg += cr.reg;
-                let g = head.backward(&gc, &gr);
+                let g = head.backward(&mut tape, &gc, &gr, g_ref);
                 axpy(&mut feat_grad, 1.0 / n_rois.max(1) as f32, &g);
             }
             if n_rois > 0 {
@@ -263,8 +298,9 @@ impl RhsdNetwork {
 
         {
             let _scope = rhsd_nn::dynamics::scope("backbone");
-            self.extractor.backward(&feat_grad);
+            self.extractor.backward(&mut tape, &feat_grad, g_ext);
         }
+        debug_assert!(tape.is_empty(), "every recorded forward was consumed");
 
         TrainStats {
             cpn: cpn_cr,
@@ -369,9 +405,9 @@ impl RhsdNetwork {
     /// suppressed; the top-scoring survivors are kept (no hard threshold —
     /// the refinement stage applies the final score cut, the standard
     /// region-proposal practice).
-    fn propose(&mut self, feats: &Tensor) -> Vec<Scored> {
+    fn propose(&self, feats: &Tensor) -> Vec<Scored> {
         let mut sp = rhsd_obs::span("cpn");
-        let out = self.cpn.forward(feats);
+        let out = self.cpn.forward(feats, &mut Tape::inference());
         let probs = softmax_rows(&out.cls_logits);
         let mut candidates = Vec::new();
         for (ai, anchor) in self.anchors.iter().enumerate() {
@@ -409,10 +445,10 @@ impl RhsdNetwork {
     /// for diagnostics and for single-stage operation.
     ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
-    pub fn proposals(&mut self, image: &Tensor) -> Vec<Scored> {
+    pub fn proposals(&self, image: &Tensor) -> Vec<Scored> {
         let feats = {
             let _sp = rhsd_obs::span("backbone");
-            self.extractor.forward(image)
+            self.extractor.forward(image, &mut Tape::inference())
         };
         self.propose(&feats)
     }
@@ -421,7 +457,7 @@ impl RhsdNetwork {
     /// one-step feed-forward region detection of the paper.
     ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
-    pub fn detect(&mut self, image: &Tensor) -> Vec<Detection> {
+    pub fn detect(&self, image: &Tensor) -> Vec<Detection> {
         let feats = self.stem_feats(image, None);
         self.detect_from_feats(&feats)
     }
@@ -434,17 +470,17 @@ impl RhsdNetwork {
     /// `forward_rest ∘ forward_stem` is the exact `forward` sequence).
     ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
-    pub fn detect_cached(&mut self, image: &Tensor, cache: &StemFeatureCache) -> Vec<Detection> {
+    pub fn detect_cached(&self, image: &Tensor, cache: &StemFeatureCache) -> Vec<Detection> {
         let feats = self.stem_feats(image, Some(cache));
         self.detect_from_feats(&feats)
     }
 
     /// Extracted features for one raster, optionally through a stem
     /// cache keyed at the current weights version.
-    fn stem_feats(&mut self, image: &Tensor, cache: Option<&StemFeatureCache>) -> Tensor {
+    fn stem_feats(&self, image: &Tensor, cache: Option<&StemFeatureCache>) -> Tensor {
         let _sp = rhsd_obs::span("backbone");
         let Some(cache) = cache else {
-            return self.extractor.forward(image);
+            return self.extractor.forward(image, &mut Tape::inference());
         };
         match cache.get(self.identity, self.weights_version, image) {
             Some(stem) => self.extractor.forward_rest(&stem),
@@ -459,17 +495,17 @@ impl RhsdNetwork {
 
     /// Shared tail of [`RhsdNetwork::detect`]/[`RhsdNetwork::detect_cached`]:
     /// proposal, refinement, and NMS on an extracted feature map.
-    fn detect_from_feats(&mut self, feats: &Tensor) -> Vec<Detection> {
+    fn detect_from_feats(&self, feats: &Tensor) -> Vec<Detection> {
         let proposals = self.propose(feats);
 
-        let finals: Vec<Scored> = if let Some(head) = self.refinement.as_mut() {
+        let finals: Vec<Scored> = if let Some(head) = &self.refinement {
             let mut sp = rhsd_obs::span("refine");
             sp.add("proposals", proposals.len() as f64);
             let f = self.config.feature_px();
             let mut refined = Vec::new();
             for p in &proposals {
                 let roi = roi_from_bbox(&p.bbox, self.config.stride, f);
-                let out = head.forward(feats, roi);
+                let out = head.forward(feats, roi, &mut Tape::inference());
                 let logits = out.cls_logits.clone().with_shape([1, 2]);
                 let probs = softmax_rows(&logits);
                 let score = probs.get(&[0, CLASS_HOTSPOT]);
@@ -510,11 +546,32 @@ impl RhsdNetwork {
             .collect()
     }
 
-    /// Accesses the extractor (for feature-level benchmarks). Bumps the
-    /// weights version: the caller may mutate stem weights.
+    /// The feature extractor (for feature-level benchmarks and
+    /// diagnostics).
+    pub fn extractor(&self) -> &FeatureExtractor {
+        &self.extractor
+    }
+
+    /// Mutable access to the extractor. Bumps the weights version: the
+    /// caller may mutate stem weights.
     pub fn extractor_mut(&mut self) -> &mut FeatureExtractor {
         self.weights_version = self.weights_version.wrapping_add(1);
         &mut self.extractor
+    }
+}
+
+impl Clone for RhsdNetwork {
+    /// Rebuilds the architecture from the configuration, then copies the
+    /// weights and gradients; identity and weights version carry over.
+    fn clone(&self) -> Self {
+        let mut twin = RhsdNetwork::new(self.config.clone(), &mut ChaCha8Rng::seed_from_u64(0));
+        for (dst, src) in twin.params_mut().into_iter().zip(self.params()) {
+            dst.clone_from(src);
+        }
+        twin.grads.clone_from(&self.grads);
+        twin.identity = self.identity;
+        twin.weights_version = self.weights_version;
+        twin
     }
 }
 
@@ -581,7 +638,7 @@ mod tests {
     #[test]
     fn network_builds_and_counts_params() {
         let mut rng = ChaCha8Rng::seed_from_u64(70);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
         assert!(net.param_count() > 1000);
         assert_eq!(net.anchors().len(), net.config().total_anchors());
     }
@@ -597,7 +654,7 @@ mod tests {
         assert!(stats.total().is_finite(), "{stats:?}");
         assert!(stats.cpn.cls > 0.0);
         assert!(stats.rois > 0, "refinement RoIs sampled");
-        let gn: f32 = net.params_mut().iter().map(|p| p.grad.sq_norm()).sum();
+        let gn: f32 = net.grads().iter().map(|g| g.sq_norm()).sum();
         assert!(gn > 0.0 && gn.is_finite());
     }
 
@@ -616,7 +673,7 @@ mod tests {
     fn detect_returns_in_bounds_boxes() {
         let cfg = RhsdConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(73);
-        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+        let net = RhsdNetwork::new(cfg.clone(), &mut rng);
         let sample = tiny_sample(&cfg, true);
         let dets = net.detect(&sample.image);
         let r = cfg.region_px as f32;
@@ -650,7 +707,7 @@ mod tests {
         assert_eq!(cache.misses(), 2, "bumped version cannot replay");
 
         // a clone shares identity/version and therefore the cache entry
-        let mut twin = net.clone();
+        let twin = net.clone();
         let twin_dets = twin.detect_cached(&sample.image, &cache);
         assert_eq!(plain, twin_dets);
         assert_eq!(cache.hits(), 2, "clone replays the shared stem");
@@ -682,9 +739,9 @@ mod tests {
         for _ in 0..12 {
             net.zero_grad();
             let stats = net.train_step(&sample, &mut rng);
-            for p in net.params_mut() {
-                let g = p.grad.clone();
-                axpy(&mut p.value, -0.01, &g);
+            let (params, grads) = net.params_and_grads_mut();
+            for (p, g) in params.into_iter().zip(grads.iter()) {
+                axpy(p, -0.01, g);
             }
             first.get_or_insert(stats.total());
             last = stats.total();
@@ -694,6 +751,42 @@ mod tests {
             last < 0.8 * first,
             "loss should drop ≥20%: {first} → {last}"
         );
+    }
+
+    #[test]
+    fn clone_copies_weights_and_grads_bit_for_bit() {
+        let cfg = RhsdConfig::tiny();
+        let mut rng = ChaCha8Rng::seed_from_u64(79);
+        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+        let sample = tiny_sample(&cfg, true);
+        net.train_step(&sample, &mut rng);
+        let twin = net.clone();
+        assert_eq!(twin.params(), net.params());
+        assert_eq!(twin.grads(), net.grads());
+        assert_eq!(twin.identity(), net.identity());
+        assert_eq!(twin.detect(&sample.image), net.detect(&sample.image));
+    }
+
+    #[test]
+    fn inference_is_shared_and_training_tape_drains() {
+        // Inference takes `&self`, so two threads can detect through one
+        // network at once and see exactly the serial result.
+        let cfg = RhsdConfig::tiny();
+        let mut rng = ChaCha8Rng::seed_from_u64(80);
+        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+        let sample = tiny_sample(&cfg, true);
+        let serial = net.detect(&sample.image);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| net.detect(&sample.image));
+            let b = s.spawn(|| net.detect(&sample.image));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, serial);
+        assert_eq!(b, serial);
+        // A training step leaves inference unchanged until the weights
+        // move: it records on its own tape, not in the layers.
+        net.train_step(&sample, &mut rng);
+        assert_eq!(net.detect(&sample.image), serial);
     }
 
     #[test]
@@ -731,9 +824,10 @@ mod tests {
     #[test]
     fn param_names_align_with_params() {
         let mut rng = ChaCha8Rng::seed_from_u64(78);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
         let names = net.param_names();
-        assert_eq!(names.len(), net.params_mut().len());
+        assert_eq!(names.len(), net.params().len());
+        assert_eq!(names.len(), net.grads().len());
         assert!(names.iter().any(|n| n.starts_with("backbone/")));
         assert!(names.iter().any(|n| n.starts_with("cpn/")));
         assert!(names.iter().any(|n| n.starts_with("refine/")));

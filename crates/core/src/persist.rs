@@ -85,14 +85,8 @@ pub struct SavedModel {
 }
 
 /// Extracts a serialisable snapshot from a network.
-pub fn save_model(network: &mut RhsdNetwork) -> SavedModel {
-    // Wrap the parameter list in a throwaway adapter so the nn-crate
-    // checkpoint helpers can be reused verbatim.
-    let tensors = network
-        .params_mut()
-        .iter()
-        .map(|p| p.value.clone())
-        .collect();
+pub fn save_model(network: &RhsdNetwork) -> SavedModel {
+    let tensors = network.params().into_iter().cloned().collect();
     SavedModel {
         format: MODEL_FORMAT.to_owned(),
         config: network.config().clone(),
@@ -111,10 +105,7 @@ pub fn load_model(saved: &SavedModel) -> Result<RhsdNetwork, CheckpointError> {
     // fixed seed then overwrite every parameter.
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = RhsdNetwork::new(saved.config.clone(), &mut rng);
-    {
-        let mut adapter = ParamsAdapter(&mut net);
-        restore(&mut adapter, &saved.checkpoint)?;
-    }
+    restore(net.params_mut(), &saved.checkpoint)?;
     Ok(net)
 }
 
@@ -123,7 +114,7 @@ pub fn load_model(saved: &SavedModel) -> Result<RhsdNetwork, CheckpointError> {
 /// # Errors
 ///
 /// Returns [`PersistError::Write`] on serialisation or I/O failures.
-pub fn save_to_writer(network: &mut RhsdNetwork, writer: impl Write) -> Result<(), PersistError> {
+pub fn save_to_writer(network: &RhsdNetwork, writer: impl Write) -> Result<(), PersistError> {
     serde_json::to_writer(writer, &save_model(network)).map_err(|e| PersistError::Write(e.into()))
 }
 
@@ -152,7 +143,7 @@ pub fn load_from_reader(reader: impl Read) -> Result<RhsdNetwork, PersistError> 
 ///
 /// Returns [`PersistError::File`] (naming `path`) when the file cannot be
 /// created, [`PersistError::Write`] on serialisation failures.
-pub fn save_to_path(network: &mut RhsdNetwork, path: impl AsRef<Path>) -> Result<(), PersistError> {
+pub fn save_to_path(network: &RhsdNetwork, path: impl AsRef<Path>) -> Result<(), PersistError> {
     let path = path.as_ref();
     let file = std::fs::File::create(path).map_err(|source| PersistError::File {
         path: path.to_path_buf(),
@@ -176,24 +167,6 @@ pub fn load_from_path(path: impl AsRef<Path>) -> Result<RhsdNetwork, PersistErro
     load_from_reader(std::io::BufReader::new(file))
 }
 
-/// Adapter exposing a network's parameters through the nn `Layer` trait so
-/// checkpoint helpers apply.
-struct ParamsAdapter<'a>(&'a mut RhsdNetwork);
-
-impl rhsd_nn::Layer for ParamsAdapter<'_> {
-    fn forward(&mut self, input: &rhsd_tensor::Tensor) -> rhsd_tensor::Tensor {
-        input.clone()
-    }
-
-    fn backward(&mut self, grad_out: &rhsd_tensor::Tensor) -> rhsd_tensor::Tensor {
-        grad_out.clone()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut rhsd_nn::Param> {
-        self.0.params_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,13 +176,13 @@ mod tests {
     fn save_load_roundtrip_reproduces_detections() {
         let cfg = RhsdConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(100);
-        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+        let net = RhsdNetwork::new(cfg.clone(), &mut rng);
         let image = Tensor::rand_uniform([1, cfg.region_px, cfg.region_px], 0.0, 1.0, &mut rng);
         let before = net.detect(&image);
 
         let mut buf = Vec::new();
-        save_to_writer(&mut net, &mut buf).unwrap();
-        let mut restored = load_from_reader(buf.as_slice()).unwrap();
+        save_to_writer(&net, &mut buf).unwrap();
+        let restored = load_from_reader(buf.as_slice()).unwrap();
         let after = restored.detect(&image);
         assert_eq!(before.len(), after.len());
         for (a, b) in before.iter().zip(after.iter()) {
@@ -221,8 +194,8 @@ mod tests {
     #[test]
     fn load_rejects_mismatched_architecture() {
         let mut rng = ChaCha8Rng::seed_from_u64(101);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
-        let mut saved = save_model(&mut net);
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        let mut saved = save_model(&net);
         saved.checkpoint.tensors.pop();
         assert!(load_model(&saved).is_err());
     }
@@ -241,8 +214,8 @@ mod tests {
     #[test]
     fn mismatched_architecture_is_a_restore_error() {
         let mut rng = ChaCha8Rng::seed_from_u64(103);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
-        let mut saved = save_model(&mut net);
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        let mut saved = save_model(&net);
         saved.checkpoint.tensors.pop();
         let err = match load_model(&saved) {
             Err(e) => e,
@@ -254,9 +227,9 @@ mod tests {
     #[test]
     fn truncated_document_is_a_typed_read_error() {
         let mut rng = ChaCha8Rng::seed_from_u64(104);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
         let mut buf = Vec::new();
-        save_to_writer(&mut net, &mut buf).unwrap();
+        save_to_writer(&net, &mut buf).unwrap();
         // Cut the document mid-stream: a crashed save must fail loudly
         // but typed — never panic, never restore a half-model.
         for keep in [0, 1, buf.len() / 2, buf.len() - 1] {
@@ -282,9 +255,9 @@ mod tests {
     #[test]
     fn wrong_format_tag_is_a_typed_format_error() {
         let mut rng = ChaCha8Rng::seed_from_u64(105);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
         let mut buf = Vec::new();
-        save_to_writer(&mut net, &mut buf).unwrap();
+        save_to_writer(&net, &mut buf).unwrap();
         let doc = String::from_utf8(buf).unwrap();
         let forged = doc.replace(MODEL_FORMAT, "rhsd-model/999");
         assert_ne!(doc, forged, "format tag must appear in the document");
@@ -302,8 +275,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
         let mut rng = ChaCha8Rng::seed_from_u64(102);
-        let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
-        save_to_path(&mut net, &path).unwrap();
+        let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+        save_to_path(&net, &path).unwrap();
         let restored = load_from_path(&path).unwrap();
         assert_eq!(restored.config(), net.config());
         std::fs::remove_file(&path).ok();

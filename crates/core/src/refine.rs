@@ -9,7 +9,7 @@ use rand::Rng;
 use rhsd_data::BBox;
 use rhsd_nn::inception::{InceptionA, InceptionB};
 use rhsd_nn::layers::{Flatten, LeakyRelu, Linear};
-use rhsd_nn::{Layer, Param};
+use rhsd_nn::{Layer, Tape};
 use rhsd_tensor::ops::elementwise::add;
 use rhsd_tensor::ops::pool::{roi_pool, roi_pool_backward, FeatureRoi};
 use rhsd_tensor::Tensor;
@@ -37,7 +37,6 @@ pub fn roi_from_bbox(bbox: &BBox, stride: usize, feature_px: usize) -> FeatureRo
 }
 
 /// The refinement head: RoI pooling → inception B, A → FC → 2nd C&R.
-#[derive(Clone)]
 pub struct RefinementHead {
     incep_b: InceptionB,
     incep_a: InceptionA,
@@ -47,7 +46,6 @@ pub struct RefinementHead {
     cls: Linear,
     reg: Linear,
     roi_size: usize,
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (feature dims, roi argmax)
 }
 
 impl RefinementHead {
@@ -68,29 +66,45 @@ impl RefinementHead {
             cls: Linear::new(config.fc_width, 2, rng),
             reg: Linear::new(config.fc_width, 4, rng),
             roi_size: config.roi_size,
-            cache: None,
         }
+    }
+
+    /// The parameterised sub-layers in [`RefinementHead::params`] order,
+    /// with their telemetry names.
+    fn parts(&self) -> [(&'static str, &dyn Layer); 5] {
+        [
+            ("InceptionB", &self.incep_b),
+            ("InceptionA", &self.incep_a),
+            ("fc", &self.fc),
+            ("cls_head", &self.cls),
+            ("reg_head", &self.reg),
+        ]
     }
 
     /// Refines one proposal: pools `roi` from `features` and runs the 2nd
-    /// classification and regression.
+    /// classification and regression, recording on `tape` what
+    /// [`RefinementHead::backward`] needs.
     ///
     /// Shapes: `features` is the backbone map `[C, f, f]`; outputs are
     /// `[2]` logits and a `[4]` regression code.
-    pub fn forward(&mut self, features: &Tensor, roi: FeatureRoi) -> RefineOutput {
+    pub fn forward(&self, features: &Tensor, roi: FeatureRoi, tape: &mut Tape) -> RefineOutput {
         let pooled = roi_pool(features, roi, self.roi_size, self.roi_size);
-        self.cache = Some((features.dims().to_vec(), pooled.argmax));
-        let x = self.incep_b.forward(&pooled.output);
-        let x = self.incep_a.forward(&x);
-        let x = self.flatten.forward(&x);
-        let h = self.relu.forward(&self.fc.forward(&x));
+        let argmax = pooled.argmax;
+        tape.save(|| (features.dims().to_vec(), argmax));
+        let x = self.incep_b.forward(&pooled.output, tape);
+        let x = self.incep_a.forward(&x, tape);
+        let x = self.flatten.forward(&x, tape);
+        let h = self.fc.forward(&x, tape);
+        let h = self.relu.forward(&h, tape);
         RefineOutput {
-            cls_logits: self.cls.forward(&h),
-            reg_code: self.reg.forward(&h),
+            cls_logits: self.cls.forward(&h, tape),
+            reg_code: self.reg.forward(&h, tape),
         }
     }
 
-    /// Back-propagates one proposal's gradients; returns the gradient with
+    /// Back-propagates one proposal's gradients through the forward last
+    /// recorded on `tape`, adds the parameter gradients into `grads` (in
+    /// [`RefinementHead::params`] order) and returns the gradient with
     /// respect to the backbone feature map (zeros outside the RoI).
     ///
     /// Shapes: `cls_grad` is `[2]`, `reg_grad` is `[4]`; the returned
@@ -98,40 +112,42 @@ impl RefinementHead {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`RefinementHead::forward`].
-    pub fn backward(&mut self, cls_grad: &Tensor, reg_grad: &Tensor) -> Tensor {
-        let (feat_dims, argmax) = rhsd_nn::take_cache(&mut self.cache, "RefinementHead");
-        let gh = add(&self.cls.backward(cls_grad), &self.reg.backward(reg_grad));
-        let gx = self.fc.backward(&self.relu.backward(&gh));
-        let gx = self.flatten.backward(&gx);
-        let gx = self.incep_a.backward(&gx);
-        let g_pooled = self.incep_b.backward(&gx);
+    /// Panics if called without a recorded [`RefinementHead::forward`].
+    pub fn backward(
+        &self,
+        tape: &mut Tape,
+        cls_grad: &Tensor,
+        reg_grad: &Tensor,
+        grads: &mut [Tensor],
+    ) -> Tensor {
+        // Slots in params order; the three linear layers hold two each.
+        let (g_b, rest) = grads.split_at_mut(self.incep_b.params().len());
+        let (g_a, rest) = rest.split_at_mut(self.incep_a.params().len());
+        let (g_fc, rest) = rest.split_at_mut(2);
+        let (g_cls, g_reg) = rest.split_at_mut(2);
+        // Pops run in reverse forward order: reg, cls, relu, fc, …
+        let g_reg_in = self.reg.backward(tape, reg_grad, g_reg);
+        let gh = add(&self.cls.backward(tape, cls_grad, g_cls), &g_reg_in);
+        let gh = self.relu.backward(tape, &gh, &mut []);
+        let gx = self.fc.backward(tape, &gh, g_fc);
+        let gx = self.flatten.backward(tape, &gx, &mut []);
+        let gx = self.incep_a.backward(tape, &gx, g_a);
+        let g_pooled = self.incep_b.backward(tape, &gx, g_b);
+        let (feat_dims, argmax): (Vec<usize>, Vec<usize>) = tape.pop("RefinementHead");
         roi_pool_backward(&feat_dims, &argmax, &g_pooled)
     }
-}
 
-impl Layer for RefinementHead {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
+    /// Every trainable parameter: inception B, inception A, the FC layer,
+    /// the classification head, the regression head.
+    pub fn params(&self) -> Vec<&Tensor> {
+        self.parts()
+            .into_iter()
+            .flat_map(|(_, l)| l.params())
+            .collect()
     }
 
-    fn name(&self) -> &'static str {
-        "RefinementHead"
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        // Layer-trait adapter refining the full-map RoI; the typed API is
-        // primary.
-        let f = input.dim(1);
-        let out = self.forward(input, FeatureRoi::new(0, 0, f, f));
-        out.cls_logits
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        RefinementHead::backward(self, grad_out, &Tensor::zeros([4]))
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// Mutable access to [`RefinementHead::params`], same order.
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         let mut p = self.incep_b.params_mut();
         p.extend(self.incep_a.params_mut());
         p.extend(self.fc.params_mut());
@@ -140,16 +156,12 @@ impl Layer for RefinementHead {
         p
     }
 
-    fn param_names(&mut self) -> Vec<String> {
-        let mut names = vec!["InceptionB".to_owned(); self.incep_b.params_mut().len()];
-        names.extend(vec![
-            "InceptionA".to_owned();
-            self.incep_a.params_mut().len()
-        ]);
-        names.extend(vec!["fc".to_owned(); self.fc.params_mut().len()]);
-        names.extend(vec!["cls_head".to_owned(); self.cls.params_mut().len()]);
-        names.extend(vec!["reg_head".to_owned(); self.reg.params_mut().len()]);
-        names
+    /// Display names for [`RefinementHead::params`], index-aligned.
+    pub fn param_names(&self) -> Vec<String> {
+        self.parts()
+            .into_iter()
+            .flat_map(|(name, l)| vec![name.to_owned(); l.params().len()])
+            .collect()
     }
 }
 
@@ -158,6 +170,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use rhsd_nn::Grads;
 
     fn setup() -> (RhsdConfig, RefinementHead, Tensor) {
         let cfg = RhsdConfig::tiny();
@@ -170,18 +183,22 @@ mod tests {
 
     #[test]
     fn forward_output_shapes() {
-        let (_, mut head, feats) = setup();
-        let out = head.forward(&feats, FeatureRoi::new(0, 0, 3, 3));
+        let (_, head, feats) = setup();
+        let out = head.forward(&feats, FeatureRoi::new(0, 0, 3, 3), &mut Tape::inference());
         assert_eq!(out.cls_logits.dims(), &[2]);
         assert_eq!(out.reg_code.dims(), &[4]);
     }
 
     #[test]
     fn different_rois_give_different_outputs() {
-        let (cfg, mut head, feats) = setup();
+        let (cfg, head, feats) = setup();
         let f = cfg.feature_px();
-        let a = head.forward(&feats, FeatureRoi::new(0, 0, 2, 2));
-        let b = head.forward(&feats, FeatureRoi::new(f - 2, f - 2, f, f));
+        let a = head.forward(&feats, FeatureRoi::new(0, 0, 2, 2), &mut Tape::inference());
+        let b = head.forward(
+            &feats,
+            FeatureRoi::new(f - 2, f - 2, f, f),
+            &mut Tape::inference(),
+        );
         assert!(
             !a.cls_logits.approx_eq(&b.cls_logits, 1e-6),
             "distinct RoIs must not produce identical logits"
@@ -190,11 +207,23 @@ mod tests {
 
     #[test]
     fn backward_gradient_confined_to_roi() {
-        let (_, mut head, feats) = setup();
+        let (_, head, feats) = setup();
         let roi = FeatureRoi::new(1, 1, 3, 3);
-        let _ = head.forward(&feats, roi);
-        let g = head.backward(&Tensor::ones([2]), &Tensor::ones([4]));
+        let mut tape = Tape::recording();
+        let _ = head.forward(&feats, roi, &mut tape);
+        let mut grads = Grads::zeros_like(head.params());
+        let g = head.backward(
+            &mut tape,
+            &Tensor::ones([2]),
+            &Tensor::ones([4]),
+            &mut grads,
+        );
         assert_eq!(g.dims(), feats.dims());
+        assert!(tape.is_empty(), "backward consumes the whole tape");
+        assert!(
+            grads.iter().all(|g| g.sq_norm() > 0.0),
+            "every slot got signal"
+        );
         // gradient zero outside the RoI columns/rows
         for c in 0..feats.dim(0) {
             for y in 0..feats.dim(1) {
@@ -229,6 +258,8 @@ mod tests {
         let (_, mut head, _) = setup();
         // inception B (3 branches: 2+3+1 convs → 12 params) + inception A
         // (4 branches: 1+2+3+1 convs → 14) + fc + cls + reg (2 each)
+        assert_eq!(head.params().len(), 12 + 14 + 6);
         assert_eq!(head.params_mut().len(), 12 + 14 + 6);
+        assert_eq!(head.param_names().len(), 12 + 14 + 6);
     }
 }

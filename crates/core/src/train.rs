@@ -497,14 +497,14 @@ fn aggregate_layers(
 
 /// One optimiser step; returns the pre-clip global gradient norm.
 fn step(network: &mut RhsdNetwork, opt: &mut Sgd, use_l2: bool, beta: f32, clip: f32) -> f32 {
-    let mut params = network.params_mut();
-    let grad_norm = clip_grad_norm(&mut params, clip);
+    let (mut params, grads) = network.params_and_grads_mut();
+    let grad_norm = clip_grad_norm(grads, clip);
     if use_l2 {
         // Eq. (4): β/2 · ‖T‖² — adds β·W to each gradient (after clipping,
         // so regularisation strength is independent of gradient scale).
-        let _ = l2_penalty(&mut params, beta);
+        let _ = l2_penalty(&params, grads, beta);
     }
-    opt.step(&mut params);
+    opt.step(&mut params, grads);
     grad_norm
 }
 
@@ -598,18 +598,14 @@ mod tests {
         let cfg = RhsdConfig::tiny();
         let samples = synthetic_samples(&cfg, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(83);
-        let (mut net_l2, _) = train_new(cfg.clone(), &samples, &TrainConfig::tiny(), &mut rng);
+        let (net_l2, _) = train_new(cfg.clone(), &samples, &TrainConfig::tiny(), &mut rng);
         let mut cfg2 = cfg.clone();
         cfg2.use_l2 = false;
         let mut rng = ChaCha8Rng::seed_from_u64(83);
-        let (mut net_free, _) = train_new(cfg2, &samples, &TrainConfig::tiny(), &mut rng);
+        let (net_free, _) = train_new(cfg2, &samples, &TrainConfig::tiny(), &mut rng);
         // L2-regularised weights should have smaller norm
-        let n_l2: f32 = net_l2.params_mut().iter().map(|p| p.value.sq_norm()).sum();
-        let n_free: f32 = net_free
-            .params_mut()
-            .iter()
-            .map(|p| p.value.sq_norm())
-            .sum();
+        let n_l2: f32 = net_l2.params().iter().map(|p| p.sq_norm()).sum();
+        let n_free: f32 = net_free.params().iter().map(|p| p.sq_norm()).sum();
         assert!(
             n_l2 < n_free,
             "L2 should shrink weights: {n_l2} vs {n_free}"

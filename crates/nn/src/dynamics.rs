@@ -106,7 +106,7 @@ impl ActStat {
 pub struct ParamUpdate {
     /// L2 norm of the accumulated gradient consumed by the step.
     pub grad_norm: f32,
-    /// L2 norm of the applied weight delta (SGD velocity / Adam step).
+    /// L2 norm of the applied weight delta (the SGD velocity).
     pub update_norm: f32,
     /// L2 norm of the weights *after* the update.
     pub weight_norm: f32,
@@ -138,7 +138,7 @@ pub struct StepDynamics {
     /// (w.r.t. its input), in backward call order.
     pub flow_grads: Vec<(String, f32)>,
     /// Optimiser per-slot updates, index-aligned with the parameter
-    /// list passed to `Sgd::step` / `Adam::step`.
+    /// list passed to `Sgd::step`.
     pub param_updates: Vec<ParamUpdate>,
 }
 

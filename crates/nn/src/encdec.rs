@@ -11,12 +11,10 @@ use rand::Rng;
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::Tensor;
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Tape};
 use crate::layers::{Conv2d, Deconv2d, LeakyRelu, Sequential};
-use crate::param::Param;
 
 /// Encoder–decoder feature transformer.
-#[derive(Clone)]
 pub struct EncoderDecoder {
     chain: Sequential,
     c_in: usize,
@@ -70,19 +68,19 @@ impl Layer for EncoderDecoder {
         "EncoderDecoder"
     }
 
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        self.chain.forward(input, tape)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.chain.forward(input)
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        self.chain.backward(tape, grad_out, grads)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.chain.backward(grad_out)
+    fn params(&self) -> Vec<&Tensor> {
+        self.chain.params()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.chain.params_mut()
     }
 }
@@ -90,37 +88,40 @@ impl Layer for EncoderDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn output_matches_input_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(30);
-        let mut ed = EncoderDecoder::three_layer(1, 4, &mut rng);
-        let y = ed.forward(&Tensor::zeros([1, 12, 12]));
+        let ed = EncoderDecoder::three_layer(1, 4, &mut rng);
+        let y = ed.forward(&Tensor::zeros([1, 12, 12]), &mut Tape::inference());
         assert_eq!(y.dims(), &[1, 12, 12]);
     }
 
     #[test]
     fn single_hidden_layer_works() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let mut ed = EncoderDecoder::new(2, &[3], &mut rng);
-        let y = ed.forward(&Tensor::zeros([2, 6, 6]));
+        let ed = EncoderDecoder::new(2, &[3], &mut rng);
+        let y = ed.forward(&Tensor::zeros([2, 6, 6]), &mut Tape::inference());
         assert_eq!(y.dims(), &[2, 6, 6]);
     }
 
     #[test]
     fn gradient_flows_to_all_layers() {
         let mut rng = ChaCha8Rng::seed_from_u64(32);
-        let mut ed = EncoderDecoder::new(1, &[2, 3], &mut rng);
+        let ed = EncoderDecoder::new(1, &[2, 3], &mut rng);
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
-        let y = ed.forward(&x);
-        let gx = ed.backward(&Tensor::ones(y.dims()));
+        let mut tape = Tape::recording();
+        let y = ed.forward(&x, &mut tape);
+        let mut grads = Grads::zeros_like(ed.params());
+        let gx = ed.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
-        for (i, p) in ed.params_mut().iter().enumerate() {
+        for (i, g) in grads.iter().enumerate() {
             // bias of last layer may be tiny but weights should get signal
-            if p.value.rank() == 4 {
-                assert!(p.grad.sq_norm() > 0.0, "param {i} got no gradient");
+            if g.rank() == 4 {
+                assert!(g.sq_norm() > 0.0, "param {i} got no gradient");
             }
         }
     }
@@ -132,17 +133,18 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let mut ed = EncoderDecoder::new(1, &[2], &mut rng);
         let x = Tensor::rand_uniform([1, 5, 5], 0.0, 1.0, &mut rng);
+        let mut grads = Grads::zeros_like(ed.params());
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..80 {
-            let y = ed.forward(&x);
+            let mut tape = Tape::recording();
+            let y = ed.forward(&x, &mut tape);
             let diff = rhsd_tensor::ops::elementwise::sub(&y, &x);
             let loss = diff.sq_norm();
-            ed.zero_grad();
-            ed.backward(&diff.map(|d| 2.0 * d));
-            for p in ed.params_mut() {
-                let g = p.grad.clone();
-                rhsd_tensor::ops::elementwise::axpy(&mut p.value, -0.02, &g);
+            grads.zero();
+            ed.backward(&mut tape, &diff.map(|d| 2.0 * d), &mut grads);
+            for (p, g) in ed.params_mut().into_iter().zip(grads.iter()) {
+                rhsd_tensor::ops::elementwise::axpy(p, -0.02, g);
             }
             first.get_or_insert(loss);
             last = loss;

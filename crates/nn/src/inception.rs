@@ -16,39 +16,51 @@ use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::ops::reduce::{concat_channels, split_channels};
 use rhsd_tensor::Tensor;
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Tape};
 use crate::layers::{Conv2d, LeakyRelu, Sequential};
-use crate::param::Param;
 
 /// Shared machinery: parallel branches concatenated along channels.
-#[derive(Clone)]
 struct BranchConcat {
     branches: Vec<Sequential>,
     branch_channels: Vec<usize>,
 }
 
 impl BranchConcat {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let outs: Vec<Tensor> = self.branches.iter_mut().map(|b| b.forward(input)).collect();
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        let outs: Vec<Tensor> = self
+            .branches
+            .iter()
+            .map(|b| b.forward(input, tape))
+            .collect();
         let refs: Vec<&Tensor> = outs.iter().collect();
         concat_channels(&refs)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         let parts = split_channels(grad_out, &self.branch_channels);
-        let mut grad_in: Option<Tensor> = None;
-        for (branch, part) in self.branches.iter_mut().zip(parts.iter()) {
-            let g = branch.backward(part);
-            grad_in = Some(match grad_in {
-                None => g,
-                Some(acc) => rhsd_tensor::ops::elementwise::add(&acc, &g),
-            });
+        // The tape is a stack, so the branches pop in reverse; their
+        // input gradients are still summed left to right.
+        let mut branch_grads = Vec::with_capacity(self.branches.len());
+        let mut rest = grads;
+        for (branch, part) in self.branches.iter().zip(parts.iter()).rev() {
+            let split = rest.len() - branch.params().len();
+            let (head, own) = std::mem::take(&mut rest).split_at_mut(split);
+            branch_grads.push(branch.backward(tape, part, own));
+            rest = head;
         }
+        let mut in_order = branch_grads.into_iter().rev();
         // A branchless module is an identity map; its gradient passes through.
-        grad_in.unwrap_or_else(|| grad_out.clone())
+        let Some(first) = in_order.next() else {
+            return grad_out.clone();
+        };
+        in_order.fold(first, |acc, g| rhsd_tensor::ops::elementwise::add(&acc, &g))
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        self.branches.iter().flat_map(|b| b.params()).collect()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.branches
             .iter_mut()
             .flat_map(|b| b.params_mut())
@@ -63,7 +75,6 @@ fn conv_relu(c_in: usize, c_out: usize, spec: ConvSpec, rng: &mut impl Rng) -> S
 }
 
 /// Inception module A: stride 1, four branches, output `4·width` channels.
-#[derive(Clone)]
 pub struct InceptionA {
     inner: BranchConcat,
     width: usize,
@@ -100,30 +111,29 @@ impl InceptionA {
 }
 
 impl Layer for InceptionA {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "InceptionA"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.inner.forward(input)
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        self.inner.forward(input, tape)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.inner.backward(grad_out)
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        self.inner.backward(tape, grad_out, grads)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        self.inner.params()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.inner.params_mut()
     }
 }
 
 /// Inception module B: stride 2, three branches, output `3·width` channels,
 /// spatial size halved.
-#[derive(Clone)]
 pub struct InceptionB {
     inner: BranchConcat,
     width: usize,
@@ -160,23 +170,23 @@ impl InceptionB {
 }
 
 impl Layer for InceptionB {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "InceptionB"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.inner.forward(input)
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        self.inner.forward(input, tape)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.inner.backward(grad_out)
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        self.inner.backward(tape, grad_out, grads)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        self.inner.params()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.inner.params_mut()
     }
 }
@@ -184,14 +194,26 @@ impl Layer for InceptionB {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// One recorded forward and backward of `layer` under an all-ones
+    /// output gradient; returns the input gradient and the grads.
+    fn ones_backward(layer: &dyn Layer, x: &Tensor) -> (Tensor, Grads) {
+        let mut tape = Tape::recording();
+        let y = layer.forward(x, &mut tape);
+        let mut grads = Grads::zeros_like(layer.params());
+        let gx = layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        assert!(tape.is_empty());
+        (gx, grads)
+    }
 
     #[test]
     fn module_a_preserves_spatial_and_widens_channels() {
         let mut rng = ChaCha8Rng::seed_from_u64(20);
-        let mut a = InceptionA::new(6, 4, &mut rng);
-        let y = a.forward(&Tensor::zeros([6, 10, 10]));
+        let a = InceptionA::new(6, 4, &mut rng);
+        let y = a.forward(&Tensor::zeros([6, 10, 10]), &mut Tape::inference());
         assert_eq!(y.dims(), &[16, 10, 10]);
         assert_eq!(a.c_out(), 16);
     }
@@ -199,8 +221,8 @@ mod tests {
     #[test]
     fn module_b_halves_spatial() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let mut b = InceptionB::new(8, 4, &mut rng);
-        let y = b.forward(&Tensor::zeros([8, 14, 14]));
+        let b = InceptionB::new(8, 4, &mut rng);
+        let y = b.forward(&Tensor::zeros([8, 14, 14]), &mut Tape::inference());
         assert_eq!(y.dims(), &[12, 7, 7]);
         assert_eq!(b.c_out(), 12);
     }
@@ -208,23 +230,22 @@ mod tests {
     #[test]
     fn backward_shapes_and_nonzero_grads() {
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let mut a = InceptionA::new(3, 2, &mut rng);
+        let a = InceptionA::new(3, 2, &mut rng);
         let x = Tensor::rand_normal([3, 6, 6], 0.0, 1.0, &mut rng);
-        let y = a.forward(&x);
-        let gx = a.backward(&Tensor::ones(y.dims()));
+        let (gx, grads) = ones_backward(&a, &x);
         assert_eq!(gx.dims(), x.dims());
-        let total: f32 = a.params_mut().iter().map(|p| p.grad.sq_norm()).sum();
+        let total: f32 = grads.iter().map(|g| g.sq_norm()).sum();
         assert!(total > 0.0, "all-branch gradients should flow");
     }
 
     #[test]
     fn module_b_backward_matches_input_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let mut b = InceptionB::new(4, 2, &mut rng);
+        let b = InceptionB::new(4, 2, &mut rng);
         let x = Tensor::rand_normal([4, 8, 8], 0.0, 1.0, &mut rng);
-        let y = b.forward(&x);
+        let y = b.forward(&x, &mut Tape::inference());
         assert_eq!(y.dims(), &[6, 4, 4]);
-        let gx = b.backward(&Tensor::ones(y.dims()));
+        let (gx, _) = ones_backward(&b, &x);
         assert_eq!(gx.dims(), x.dims());
     }
 
@@ -233,10 +254,9 @@ mod tests {
         // With all-positive input, every ReLU passes gradient, so the input
         // grad must differ from any single branch's contribution.
         let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let mut a = InceptionA::new(2, 1, &mut rng);
+        let a = InceptionA::new(2, 1, &mut rng);
         let x = Tensor::full([2, 4, 4], 1.0);
-        let y = a.forward(&x);
-        let gx = a.backward(&Tensor::ones(y.dims()));
+        let (gx, _) = ones_backward(&a, &x);
         assert!(gx.sq_norm() > 0.0);
     }
 }

@@ -1,47 +1,55 @@
-//! The [`Layer`] trait — the composition unit of the CNN framework.
+//! The [`Layer`] trait — the composition unit of the CNN framework — and
+//! the caller-owned [`Tape`] its training passes record onto.
+
+use std::any::Any;
 
 use rhsd_tensor::Tensor;
 
-use crate::param::Param;
-
 /// A differentiable network module operating on one sample at a time.
 ///
-/// Layers are *stateful*: [`Layer::forward`] caches whatever its backward
-/// pass needs (inputs, argmax indices, …), and [`Layer::backward`] consumes
-/// that cache, accumulates parameter gradients, and returns the gradient
-/// with respect to the layer input. Mini-batches are realised by invoking
-/// forward/backward per sample and stepping the optimiser once — gradients
-/// accumulate in the [`Param`]s.
+/// Layers are *stateless*: they own only their weights, and every pass
+/// takes `&self`, so one set of weights can serve any number of threads
+/// at once. What a backward pass needs (inputs, argmax indices, …) goes
+/// on a caller-owned [`Tape`]: [`Layer::forward`] records it when the
+/// tape is recording, and [`Layer::backward`] pops it again, adds the
+/// parameter gradients into the caller's [`crate::Grads`] slots and
+/// returns the gradient with respect to the layer input. Mini-batches
+/// run forward/backward per sample into one `Grads` and step the
+/// optimiser once.
 ///
 /// # Panics
 ///
-/// Implementations panic when `backward` is called without a preceding
-/// `forward` (a programming error), and on shape mismatches.
-///
-/// Layers are `Send + Sync` (they are plain parameter + cache data) so
-/// the parallel region scan can hand each `rhsd-par` worker its own
-/// deep copy of a network via [`Layer::clone_boxed`].
+/// Implementations panic when `backward` is called without a matching
+/// recorded `forward` on the same tape (a programming error), and on
+/// shape mismatches.
 pub trait Layer: Send + Sync {
     /// Short layer name used in invariant-violation and contract messages.
     fn name(&self) -> &'static str {
         "Layer"
     }
 
-    /// Runs the layer on `input`, caching state for the backward pass.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    /// Runs the layer on `input`, recording on `tape` whatever the
+    /// backward pass needs (nothing when the tape does not record).
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor;
 
-    /// Propagates `grad_out` back through the most recent [`Layer::forward`],
-    /// accumulating parameter gradients and returning the input gradient.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Propagates `grad_out` back through the forward most recently
+    /// recorded on `tape`, adding parameter gradients into `grads` (this
+    /// layer's slots, in [`Layer::params`] order) and returning the input
+    /// gradient.
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor;
 
-    /// Mutable access to every trainable parameter, in a stable order.
-    ///
-    /// The default is an empty list (parameter-free layers).
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// Every trainable parameter, in a stable order. The default is an
+    /// empty list (parameter-free layers).
+    fn params(&self) -> Vec<&Tensor> {
         Vec::new()
     }
 
-    /// Display names for [`Layer::params_mut`], index-aligned with it.
+    /// Mutable access to [`Layer::params`], in the same order.
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        Vec::new()
+    }
+
+    /// Display names for [`Layer::params`], index-aligned with it.
     ///
     /// Training-dynamics telemetry joins these with per-slot optimiser
     /// statistics. Composite layers override this to qualify children
@@ -49,71 +57,76 @@ pub trait Layer: Send + Sync {
     /// emitted by [`forward_all`]; the default repeats [`Layer::name`]
     /// once per parameter, which groups a composite's parameters under
     /// its own name.
-    fn param_names(&mut self) -> Vec<String> {
-        let n = self.params_mut().len();
-        vec![self.name().to_owned(); n]
-    }
-
-    /// Clears all accumulated gradients.
-    fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+    fn param_names(&self) -> Vec<String> {
+        vec![self.name().to_owned(); self.params().len()]
     }
 
     /// Total number of trainable scalars.
-    fn param_count(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+    fn param_count(&self) -> usize {
+        self.params().iter().map(|p| p.len()).sum()
+    }
+}
+
+/// The activations a training pass keeps for its backward pass, owned by
+/// the caller rather than by the layers.
+///
+/// A stack: each layer's forward pushes what its backward reads, and
+/// backward pops in reverse, so a composite's children pop in reverse
+/// forward order. An [`Tape::inference`] tape records nothing, which is
+/// what lets an inference forward hold no activations beyond the live
+/// ones and lets threads share one set of weights.
+pub struct Tape {
+    recording: bool,
+    saved: Vec<Box<dyn Any + Send>>,
+}
+
+impl Tape {
+    /// A tape that records every forward for a later backward.
+    pub fn recording() -> Self {
+        Tape {
+            recording: true,
+            saved: Vec::new(),
+        }
     }
 
-    /// A deep copy of this layer as a boxed trait object — how the
-    /// parallel region scan gives every worker its own network.
+    /// A tape that records nothing: the inference forward.
+    pub fn inference() -> Self {
+        Tape {
+            recording: false,
+            saved: Vec::new(),
+        }
+    }
+
+    /// Returns `true` if every saved entry was consumed (always, for an
+    /// inference tape).
+    pub fn is_empty(&self) -> bool {
+        self.saved.is_empty()
+    }
+
+    /// Saves what `value` builds, only when the tape records — so an
+    /// inference forward never pays for the copy.
+    pub fn save<T: Any + Send>(&mut self, value: impl FnOnce() -> T) {
+        if self.recording {
+            self.saved.push(Box::new(value()));
+        }
+    }
+
+    /// Takes the entry the matching forward of `layer` saved last.
     ///
-    /// The default is `None`, for internal adapter layers that borrow
-    /// external state and therefore cannot be duplicated; every real
-    /// network layer overrides this with `Some(Box::new(self.clone()))`.
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        None
-    }
-}
-
-/// Clones a boxed layer via [`Layer::clone_boxed`].
-///
-/// # Panics
-///
-/// Panics if the layer does not support cloning. Only non-network
-/// adapter layers (e.g. the persistence visitor) lack support, and they
-/// are never part of a cloned network — a programming error, not a
-/// recoverable condition.
-pub fn clone_layer(layer: &dyn Layer) -> Box<dyn Layer> {
-    match layer.clone_boxed() {
-        Some(l) => l,
-        // lint:allow(L1) — audited contract-violation panic, mirrors take_cache
-        None => panic!("{}: clone_boxed not supported", layer.name()),
-    }
-}
-
-impl Clone for Box<dyn Layer> {
-    fn clone(&self) -> Self {
-        clone_layer(&**self)
-    }
-}
-
-/// Takes a layer's cached forward state for its backward pass.
-///
-/// Every stateful layer funnels its backward-before-forward contract
-/// through this single audited site, keeping the message format uniform.
-///
-/// # Panics
-///
-/// Panics when `cache` is `None`, i.e. `backward` ran without a
-/// preceding `forward` — a programming error, not a recoverable
-/// condition.
-pub fn take_cache<T>(cache: &mut Option<T>, layer: &str) -> T {
-    match cache.take() {
-        Some(v) => v,
-        // lint:allow(L1) — the one audited contract-violation panic site
-        None => panic!("{layer}::backward called before forward"),
+    /// Every layer funnels its backward-after-forward contract through
+    /// this single audited site, keeping the message format uniform.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tape holds no entry of type `T` on top, i.e.
+    /// `backward` ran without a matching recorded `forward` — a
+    /// programming error, not a recoverable condition.
+    pub fn pop<T: Any>(&mut self, layer: &str) -> T {
+        match self.saved.pop().map(|entry| entry.downcast::<T>()) {
+            Some(Ok(value)) => *value,
+            // lint:allow(L1) — the one audited contract-violation panic site
+            _ => panic!("{layer}::backward called before forward"),
+        }
     }
 }
 
@@ -128,11 +141,11 @@ pub fn take_cache<T>(cache: &mut Option<T>, layer: &str) -> T {
 ///
 /// Shapes: `input` is whatever the first layer accepts (each layer
 /// documents its own contract); the result is the last layer's output.
-pub fn forward_all(layers: &mut [Box<dyn Layer>], input: &Tensor) -> Tensor {
+pub fn forward_all(layers: &[Box<dyn Layer>], input: &Tensor, tape: &mut Tape) -> Tensor {
     let record = crate::dynamics::enter_chain();
     let mut x = input.clone();
-    for (i, layer) in layers.iter_mut().enumerate() {
-        x = layer.forward(&x);
+    for (i, layer) in layers.iter().enumerate() {
+        x = layer.forward(&x, tape);
         rhsd_tensor::invariants::check_finite(layer.name(), &x);
         if record {
             crate::dynamics::record_activation(layer.name(), i, &x);
@@ -142,7 +155,9 @@ pub fn forward_all(layers: &mut [Box<dyn Layer>], input: &Tensor) -> Tensor {
     x
 }
 
-/// Runs `backward` through a slice of boxed layers in reverse order.
+/// Runs `backward` through a slice of boxed layers in reverse order,
+/// handing each layer its own slots of `grads` (the layers' parameter
+/// lists concatenated in order).
 ///
 /// With the `debug_invariants` feature, every intermediate gradient is
 /// checked for NaN/Inf, attributed to the producing layer.
@@ -152,12 +167,22 @@ pub fn forward_all(layers: &mut [Box<dyn Layer>], input: &Tensor) -> Tensor {
 /// layer is recorded (read-only — gradients are bit-identical either way).
 ///
 /// Shapes: `grad_out` matches the last layer's output; the result
-/// matches the first layer's input.
-pub fn backward_all(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Tensor {
+/// matches the first layer's input; `grads` mirrors the layers'
+/// concatenated parameter lists.
+pub fn backward_all(
+    layers: &[Box<dyn Layer>],
+    tape: &mut Tape,
+    grad_out: &Tensor,
+    grads: &mut [Tensor],
+) -> Tensor {
     let record = crate::dynamics::enter_chain();
     let mut g = grad_out.clone();
-    for (i, layer) in layers.iter_mut().enumerate().rev() {
-        g = layer.backward(&g);
+    let mut rest = grads;
+    for (i, layer) in layers.iter().enumerate().rev() {
+        let split = rest.len() - layer.params().len();
+        let (head, own) = std::mem::take(&mut rest).split_at_mut(split);
+        g = layer.backward(tape, &g, own);
+        rest = head;
         rhsd_tensor::invariants::check_finite(layer.name(), &g);
         if record {
             crate::dynamics::record_flow_grad(layer.name(), i, &g);
@@ -170,65 +195,94 @@ pub fn backward_all(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Tensor 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
 
     /// A layer multiplying by a learnable scalar — minimal trait exercise.
     struct Gain {
-        k: Param,
-        cached: Option<Tensor>,
+        k: Tensor,
     }
 
     impl Gain {
         fn new(k: f32) -> Self {
             Gain {
-                k: Param::new(Tensor::from_vec([1], vec![k]).unwrap()),
-                cached: None,
+                k: Tensor::from_vec([1], vec![k]).unwrap(),
             }
         }
     }
 
     impl Layer for Gain {
-        fn forward(&mut self, input: &Tensor) -> Tensor {
-            self.cached = Some(input.clone());
-            input.map(|x| x * self.k.value.as_slice()[0])
+        fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+            tape.save(|| input.clone());
+            input.map(|x| x * self.k.as_slice()[0])
         }
 
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            let input = self.cached.take().expect("backward before forward");
+        fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+            let input: Tensor = tape.pop("Gain");
             let dk: f32 = input
                 .as_slice()
                 .iter()
                 .zip(grad_out.as_slice())
                 .map(|(&x, &g)| x * g)
                 .sum();
-            self.k.accumulate(&Tensor::from_vec([1], vec![dk]).unwrap());
-            grad_out.map(|g| g * self.k.value.as_slice()[0])
+            grads[0].as_mut_slice()[0] += dk;
+            grad_out.map(|g| g * self.k.as_slice()[0])
         }
 
-        fn params_mut(&mut self) -> Vec<&mut Param> {
-            vec![&mut self.k]
+        fn params(&self) -> Vec<&Tensor> {
+            vec![&self.k]
         }
     }
 
     #[test]
     fn forward_backward_all_chain() {
-        let mut layers: Vec<Box<dyn Layer>> =
-            vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
+        let layers: Vec<Box<dyn Layer>> = vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
         let x = Tensor::from_vec([2], vec![1.0, -1.0]).unwrap();
-        let y = forward_all(&mut layers, &x);
+        let mut tape = Tape::recording();
+        let y = forward_all(&layers, &x, &mut tape);
         assert_eq!(y.as_slice(), &[6.0, -6.0]);
-        let gx = backward_all(&mut layers, &Tensor::ones([2]));
+        assert!(!tape.is_empty(), "a training forward records");
+        let mut grads = Grads::zeros_like(layers.iter().flat_map(|l| l.params()));
+        let gx = backward_all(&layers, &mut tape, &Tensor::ones([2]), &mut grads);
         assert_eq!(gx.as_slice(), &[6.0, 6.0]);
+        assert!(tape.is_empty(), "backward consumes what forward saved");
+        // d/dk1 = Σ x·(k2·1) = 3·(1 − 1) = 0; d/dk2 = Σ (k1·x)·1 = 0
+        assert_eq!(grads[0].as_slice(), &[0.0]);
+        assert_eq!(grads[1].as_slice(), &[0.0]);
     }
 
     #[test]
-    fn param_count_and_zero_grad() {
-        let mut g = Gain::new(1.0);
-        assert_eq!(g.param_count(), 1);
+    fn grads_land_in_each_layers_own_slot() {
+        let layers: Vec<Box<dyn Layer>> = vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
         let x = Tensor::ones([3]);
-        let y = g.forward(&x);
-        g.backward(&y);
-        assert_ne!(g.params_mut()[0].grad.as_slice()[0], 0.0);
-        g.zero_grad();
-        assert_eq!(g.params_mut()[0].grad.as_slice()[0], 0.0);
+        let mut tape = Tape::recording();
+        forward_all(&layers, &x, &mut tape);
+        let mut grads = Grads::zeros_like(layers.iter().flat_map(|l| l.params()));
+        backward_all(&layers, &mut tape, &Tensor::ones([3]), &mut grads);
+        assert_eq!(grads[0].as_slice(), &[9.0], "k1: Σ x·k2");
+        assert_eq!(grads[1].as_slice(), &[6.0], "k2: Σ k1·x");
+    }
+
+    #[test]
+    fn inference_tape_records_nothing() {
+        let layers: Vec<Box<dyn Layer>> = vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
+        let mut tape = Tape::inference();
+        let y = forward_all(&layers, &Tensor::ones([2]), &mut tape);
+        assert_eq!(y.as_slice(), &[6.0, 6.0]);
+        assert!(tape.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "Gain::backward called before forward")]
+    fn backward_after_inference_forward_panics() {
+        let layer = Gain::new(2.0);
+        let mut tape = Tape::inference();
+        let y = layer.forward(&Tensor::ones([2]), &mut tape);
+        let mut grads = Grads::zeros_like(layer.params());
+        layer.backward(&mut tape, &y, &mut grads);
+    }
+
+    #[test]
+    fn param_count_sums_scalars() {
+        assert_eq!(Gain::new(1.0).param_count(), 1);
     }
 }

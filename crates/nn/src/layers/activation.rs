@@ -3,38 +3,31 @@
 use rhsd_tensor::ops::elementwise::{relu, relu_backward};
 use rhsd_tensor::Tensor;
 
-use crate::layer::{take_cache, Layer};
+use crate::layer::{Layer, Tape};
 
 /// Rectified linear unit layer.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct Relu {
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Relu::default()
+        Relu
     }
 }
 
 impl Layer for Relu {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "Relu"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        tape.save(|| input.clone());
         relu(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = take_cache(&mut self.cached_input, "Relu");
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+        let input: Tensor = tape.pop("Relu");
         relu_backward(&input, grad_out)
     }
 }
@@ -45,16 +38,26 @@ mod tests {
 
     #[test]
     fn forward_clips_negatives() {
-        let mut l = Relu::new();
-        let y = l.forward(&Tensor::from_vec([3], vec![-1., 0., 2.]).unwrap());
+        let y = Relu::new().forward(
+            &Tensor::from_vec([3], vec![-1., 0., 2.]).unwrap(),
+            &mut Tape::inference(),
+        );
         assert_eq!(y.as_slice(), &[0., 0., 2.]);
     }
 
     #[test]
     fn backward_masks_gradient() {
-        let mut l = Relu::new();
-        l.forward(&Tensor::from_vec([3], vec![-1., 0.5, 2.]).unwrap());
-        let g = l.backward(&Tensor::from_vec([3], vec![1., 1., 1.]).unwrap());
+        let l = Relu::new();
+        let mut tape = Tape::recording();
+        l.forward(
+            &Tensor::from_vec([3], vec![-1., 0.5, 2.]).unwrap(),
+            &mut tape,
+        );
+        let g = l.backward(
+            &mut tape,
+            &Tensor::from_vec([3], vec![1., 1., 1.]).unwrap(),
+            &mut [],
+        );
         assert_eq!(g.as_slice(), &[0., 1., 1.]);
     }
 

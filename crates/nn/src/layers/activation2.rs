@@ -4,14 +4,12 @@
 
 use rhsd_tensor::Tensor;
 
-use crate::layer::{take_cache, Layer};
+use crate::layer::{Layer, Tape};
 
 /// Leaky ReLU: `x` for `x > 0`, `alpha·x` otherwise.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LeakyRelu {
     alpha: f32,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl LeakyRelu {
@@ -22,10 +20,7 @@ impl LeakyRelu {
     /// Panics if `alpha` is not finite or `alpha >= 1.0`.
     pub fn new(alpha: f32) -> Self {
         assert!(alpha.is_finite() && alpha < 1.0, "invalid slope {alpha}");
-        LeakyRelu {
-            alpha,
-            cached_input: None,
-        }
+        LeakyRelu { alpha }
     }
 
     /// The conventional default slope of 0.01.
@@ -40,22 +35,18 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "LeakyRelu"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        tape.save(|| input.clone());
         let a = self.alpha;
         input.map(|x| if x > 0.0 { x } else { a * x })
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = take_cache(&mut self.cached_input, "LeakyRelu");
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+        let input: Tensor = tape.pop("LeakyRelu");
         let a = self.alpha;
         input.zip_with(grad_out, |x, g| if x > 0.0 { g } else { a * g })
     }
@@ -67,25 +58,36 @@ mod tests {
 
     #[test]
     fn forward_scales_negatives() {
-        let mut l = LeakyRelu::new(0.1);
-        let y = l.forward(&Tensor::from_vec([3], vec![-2.0, 0.0, 3.0]).unwrap());
+        let l = LeakyRelu::new(0.1);
+        let y = l.forward(
+            &Tensor::from_vec([3], vec![-2.0, 0.0, 3.0]).unwrap(),
+            &mut Tape::inference(),
+        );
         assert_eq!(y.as_slice(), &[-0.2, 0.0, 3.0]);
     }
 
     #[test]
     fn backward_keeps_negative_slope_gradient() {
-        let mut l = LeakyRelu::new(0.1);
-        l.forward(&Tensor::from_vec([2], vec![-1.0, 1.0]).unwrap());
-        let g = l.backward(&Tensor::from_vec([2], vec![5.0, 5.0]).unwrap());
+        let l = LeakyRelu::new(0.1);
+        let mut tape = Tape::recording();
+        l.forward(&Tensor::from_vec([2], vec![-1.0, 1.0]).unwrap(), &mut tape);
+        let g = l.backward(
+            &mut tape,
+            &Tensor::from_vec([2], vec![5.0, 5.0]).unwrap(),
+            &mut [],
+        );
         assert_eq!(g.as_slice(), &[0.5, 5.0]);
     }
 
     #[test]
     fn zero_slope_equals_relu() {
-        let mut leaky = LeakyRelu::new(0.0);
-        let mut relu = crate::layers::Relu::new();
+        let leaky = LeakyRelu::new(0.0);
+        let relu = crate::layers::Relu::new();
         let x = Tensor::from_vec([4], vec![-3.0, -0.1, 0.2, 7.0]).unwrap();
-        assert_eq!(leaky.forward(&x), relu.forward(&x));
+        assert_eq!(
+            leaky.forward(&x, &mut Tape::inference()),
+            relu.forward(&x, &mut Tape::inference())
+        );
     }
 
     #[test]

@@ -2,23 +2,21 @@
 
 use rand::Rng;
 use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
 use crate::init::{conv_fans, he_normal};
-use crate::layer::{take_cache, Layer};
-use crate::param::Param;
+use crate::layer::{Layer, Tape};
 
 /// A convolution layer `[C_in,H,W] → [C_out,H',W']` with bias.
 ///
 /// This is the encoder-side building block of the paper's feature
 /// extractor (§3.1.1) and of every inception branch.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
-    weight: Param,
-    bias: Param,
+    weight: Tensor,
+    bias: Tensor,
     spec: ConvSpec,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -26,14 +24,9 @@ impl Conv2d {
     pub fn new(c_in: usize, c_out: usize, spec: ConvSpec, rng: &mut impl Rng) -> Self {
         let (fan_in, _) = conv_fans(c_out, c_in, spec.kernel);
         Conv2d {
-            weight: Param::new(he_normal(
-                [c_out, c_in, spec.kernel, spec.kernel],
-                fan_in,
-                rng,
-            )),
-            bias: Param::new(Tensor::zeros([c_out])),
+            weight: he_normal([c_out, c_in, spec.kernel, spec.kernel], fan_in, rng),
+            bias: Tensor::zeros([c_out]),
             spec,
-            cached_input: None,
         }
     }
 
@@ -44,44 +37,44 @@ impl Conv2d {
 
     /// Input channel count.
     pub fn c_in(&self) -> usize {
-        self.weight.value.dim(1)
+        self.weight.dim(1)
     }
 
     /// Output channel count.
     pub fn c_out(&self) -> usize {
-        self.weight.value.dim(0)
+        self.weight.dim(0)
     }
 }
 
 impl Layer for Conv2d {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "Conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "Conv2d",
             &format!("[C_in={}, H, W]", self.c_in()),
             input.rank() == 3 && input.dim(0) == self.c_in(),
             input.shape(),
         );
-        self.cached_input = Some(input.clone());
-        conv2d(input, &self.weight.value, Some(&self.bias.value), self.spec)
+        tape.save(|| input.clone());
+        conv2d(input, &self.weight, Some(&self.bias), self.spec)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = take_cache(&mut self.cached_input, "Conv2d");
-        let (dx, dw, db) = conv2d_backward(&input, &self.weight.value, grad_out, self.spec);
-        self.weight.accumulate(&dw);
-        self.bias.accumulate(&db);
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        let input: Tensor = tape.pop("Conv2d");
+        let (dx, dw, db) = conv2d_backward(&input, &self.weight, grad_out, self.spec);
+        axpy(&mut grads[0], 1.0, &dw);
+        axpy(&mut grads[1], 1.0, &db);
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.weight, &mut self.bias]
     }
 }
@@ -89,14 +82,15 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn forward_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut layer = Conv2d::new(2, 4, ConvSpec::same(3), &mut rng);
-        let y = layer.forward(&Tensor::zeros([2, 8, 8]));
+        let layer = Conv2d::new(2, 4, ConvSpec::same(3), &mut rng);
+        let y = layer.forward(&Tensor::zeros([2, 8, 8]), &mut Tape::inference());
         assert_eq!(y.dims(), &[4, 8, 8]);
         assert_eq!(layer.c_in(), 2);
         assert_eq!(layer.c_out(), 4);
@@ -105,31 +99,36 @@ mod tests {
     #[test]
     fn backward_accumulates_param_grads() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut layer = Conv2d::new(1, 2, ConvSpec::same(3), &mut rng);
+        let layer = Conv2d::new(1, 2, ConvSpec::same(3), &mut rng);
         let x = Tensor::rand_normal([1, 5, 5], 0.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        let gx = layer.backward(&Tensor::ones(y.dims()));
+        let mut tape = Tape::recording();
+        let y = layer.forward(&x, &mut tape);
+        let mut grads = Grads::zeros_like(layer.params());
+        let gx = layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
-        let gnorm: f32 = layer.params_mut().iter().map(|p| p.grad.sq_norm()).sum();
+        let gnorm: f32 = grads.iter().map(|g| g.sq_norm()).sum();
         assert!(gnorm > 0.0);
     }
 
     #[test]
     fn layer_gradcheck_against_finite_difference() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut layer = Conv2d::new(1, 1, ConvSpec::new(3, 2, 1), &mut rng);
+        let layer = Conv2d::new(1, 1, ConvSpec::new(3, 2, 1), &mut rng);
         let x = Tensor::rand_normal([1, 5, 5], 0.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        layer.backward(&Tensor::ones(y.dims()));
-        let analytic = layer.params_mut()[0].grad.clone();
+        let mut tape = Tape::recording();
+        let y = layer.forward(&x, &mut tape);
+        let mut grads = Grads::zeros_like(layer.params());
+        layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let analytic = grads[0].clone();
 
         let eps = 1e-2;
+        let sum = |l: &Conv2d| l.forward(&x, &mut Tape::inference()).sum();
         for probe in 0..4 {
             let mut lp = layer.clone();
-            lp.params_mut()[0].value.as_mut_slice()[probe] += eps;
+            lp.params_mut()[0].as_mut_slice()[probe] += eps;
             let mut lm = layer.clone();
-            lm.params_mut()[0].value.as_mut_slice()[probe] -= eps;
-            let numeric = (lp.forward(&x).sum() - lm.forward(&x).sum()) / (2.0 * eps);
+            lm.params_mut()[0].as_mut_slice()[probe] -= eps;
+            let numeric = (sum(&lp) - sum(&lm)) / (2.0 * eps);
             assert!(
                 (numeric - analytic.as_slice()[probe]).abs() < 1e-2,
                 "w[{probe}]"
@@ -141,7 +140,12 @@ mod tests {
     #[should_panic(expected = "backward called before forward")]
     fn backward_without_forward_panics() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut layer = Conv2d::new(1, 1, ConvSpec::same(1), &mut rng);
-        layer.backward(&Tensor::zeros([1, 1, 1]));
+        let layer = Conv2d::new(1, 1, ConvSpec::same(1), &mut rng);
+        let mut grads = Grads::zeros_like(layer.params());
+        layer.backward(
+            &mut Tape::recording(),
+            &Tensor::zeros([1, 1, 1]),
+            &mut grads,
+        );
     }
 }

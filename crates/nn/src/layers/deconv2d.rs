@@ -4,20 +4,18 @@
 use rand::Rng;
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
 use crate::init::he_normal;
-use crate::layer::{take_cache, Layer};
-use crate::param::Param;
+use crate::layer::{Layer, Tape};
 
 /// A transposed-convolution layer `[C_in,H,W] → [C_out,(H−1)s−2p+K,…]`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Deconv2d {
-    weight: Param,
-    bias: Param,
+    weight: Tensor,
+    bias: Tensor,
     spec: ConvSpec,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl Deconv2d {
@@ -25,14 +23,9 @@ impl Deconv2d {
     pub fn new(c_in: usize, c_out: usize, spec: ConvSpec, rng: &mut impl Rng) -> Self {
         let fan_in = c_in * spec.kernel * spec.kernel;
         Deconv2d {
-            weight: Param::new(he_normal(
-                [c_in, c_out, spec.kernel, spec.kernel],
-                fan_in,
-                rng,
-            )),
-            bias: Param::new(Tensor::zeros([c_out])),
+            weight: he_normal([c_in, c_out, spec.kernel, spec.kernel], fan_in, rng),
+            bias: Tensor::zeros([c_out]),
             spec,
-            cached_input: None,
         }
     }
 
@@ -43,35 +36,34 @@ impl Deconv2d {
 }
 
 impl Layer for Deconv2d {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "Deconv2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "Deconv2d",
-            &format!("[C_in={}, H, W]", self.weight.value.dim(0)),
-            input.rank() == 3 && input.dim(0) == self.weight.value.dim(0),
+            &format!("[C_in={}, H, W]", self.weight.dim(0)),
+            input.rank() == 3 && input.dim(0) == self.weight.dim(0),
             input.shape(),
         );
-        self.cached_input = Some(input.clone());
-        conv_transpose2d(input, &self.weight.value, Some(&self.bias.value), self.spec)
+        tape.save(|| input.clone());
+        conv_transpose2d(input, &self.weight, Some(&self.bias), self.spec)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = take_cache(&mut self.cached_input, "Deconv2d");
-        let (dx, dw, db) =
-            conv_transpose2d_backward(&input, &self.weight.value, grad_out, self.spec);
-        self.weight.accumulate(&dw);
-        self.bias.accumulate(&db);
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        let input: Tensor = tape.pop("Deconv2d");
+        let (dx, dw, db) = conv_transpose2d_backward(&input, &self.weight, grad_out, self.spec);
+        axpy(&mut grads[0], 1.0, &dw);
+        axpy(&mut grads[1], 1.0, &db);
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.weight, &mut self.bias]
     }
 }
@@ -79,32 +71,35 @@ impl Layer for Deconv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn stride1_same_preserves_spatial_size() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut layer = Deconv2d::new(4, 2, ConvSpec::same(3), &mut rng);
-        let y = layer.forward(&Tensor::zeros([4, 14, 14]));
+        let layer = Deconv2d::new(4, 2, ConvSpec::same(3), &mut rng);
+        let y = layer.forward(&Tensor::zeros([4, 14, 14]), &mut Tape::inference());
         assert_eq!(y.dims(), &[2, 14, 14]);
     }
 
     #[test]
     fn stride2_doubles_spatial_size() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut layer = Deconv2d::new(1, 1, ConvSpec::new(2, 2, 0), &mut rng);
-        let y = layer.forward(&Tensor::zeros([1, 7, 7]));
+        let layer = Deconv2d::new(1, 1, ConvSpec::new(2, 2, 0), &mut rng);
+        let y = layer.forward(&Tensor::zeros([1, 7, 7]), &mut Tape::inference());
         assert_eq!(y.dims(), &[1, 14, 14]);
     }
 
     #[test]
     fn backward_returns_input_shaped_grad() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut layer = Deconv2d::new(2, 3, ConvSpec::same(3), &mut rng);
+        let layer = Deconv2d::new(2, 3, ConvSpec::same(3), &mut rng);
         let x = Tensor::rand_normal([2, 6, 6], 0.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        let gx = layer.backward(&Tensor::ones(y.dims()));
+        let mut tape = Tape::recording();
+        let y = layer.forward(&x, &mut tape);
+        let mut grads = Grads::zeros_like(layer.params());
+        let gx = layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
     }
 }

@@ -1,54 +1,47 @@
 //! Fully-connected layer and flattening adapter.
 
 use rand::Rng;
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::matmul::{matvec, matvec_t};
 use rhsd_tensor::Tensor;
 
 use crate::init::xavier_uniform;
-use crate::layer::{take_cache, Layer};
-use crate::param::Param;
+use crate::layer::{Layer, Tape};
 
 /// A fully-connected layer `[n_in] → [n_out]` (used by the refinement
 /// stage's 2nd classification-and-regression heads, §3.4).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
-    weight: Param, // [n_out, n_in]
-    bias: Param,   // [n_out]
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
+    weight: Tensor, // [n_out, n_in]
+    bias: Tensor,   // [n_out]
 }
 
 impl Linear {
     /// Creates a Xavier-initialised fully-connected layer.
     pub fn new(n_in: usize, n_out: usize, rng: &mut impl Rng) -> Self {
         Linear {
-            weight: Param::new(xavier_uniform([n_out, n_in], n_in, n_out, rng)),
-            bias: Param::new(Tensor::zeros([n_out])),
-            cached_input: None,
+            weight: xavier_uniform([n_out, n_in], n_in, n_out, rng),
+            bias: Tensor::zeros([n_out]),
         }
     }
 
     /// Input width.
     pub fn n_in(&self) -> usize {
-        self.weight.value.dim(1)
+        self.weight.dim(1)
     }
 
     /// Output width.
     pub fn n_out(&self) -> usize {
-        self.weight.value.dim(0)
+        self.weight.dim(0)
     }
 }
 
 impl Layer for Linear {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "Linear"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "Linear",
             &format!("[n_in={}]", self.n_in()),
@@ -61,14 +54,14 @@ impl Layer for Linear {
             "Linear expects a rank-1 input, got {}",
             input.shape()
         );
-        self.cached_input = Some(input.clone());
-        let mut y = matvec(&self.weight.value, input);
-        rhsd_tensor::ops::elementwise::axpy(&mut y, 1.0, &self.bias.value);
+        tape.save(|| input.clone());
+        let mut y = matvec(&self.weight, input);
+        axpy(&mut y, 1.0, &self.bias);
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = take_cache(&mut self.cached_input, "Linear");
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        let input: Tensor = tape.pop("Linear");
         // dW = g ⊗ x, parallel over output rows (disjoint; pure
         // products, so bit-identical at any thread count).
         let (n_out, n_in) = (self.n_out(), self.n_in());
@@ -87,51 +80,47 @@ impl Layer for Linear {
                 }
             });
         }
-        self.weight
-            .accumulate(&Tensor::from_parts([n_out, n_in], dw));
-        self.bias.accumulate(grad_out);
+        axpy(&mut grads[0], 1.0, &Tensor::from_parts([n_out, n_in], dw));
+        axpy(&mut grads[1], 1.0, grad_out);
         // Wᵀ·g without materialising the transpose: the fused kernel
         // streams W's rows in place (bit-identical to the old path).
-        matvec_t(&self.weight.value, grad_out)
+        matvec_t(&self.weight, grad_out)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.weight, &mut self.bias]
     }
 }
 
 /// Flattens `[C, H, W]` feature maps to rank-1 vectors (and restores the
 /// shape on the way back).
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct Flatten {
-    #[serde(skip)]
-    cached_dims: Option<Vec<usize>>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flattening adapter.
     pub fn new() -> Self {
-        Flatten::default()
+        Flatten
     }
 }
 
 impl Layer for Flatten {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "Flatten"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_dims = Some(input.dims().to_vec());
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        tape.save(|| input.dims().to_vec());
         let n = input.len();
         input.clone().with_shape([n])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dims = take_cache(&mut self.cached_dims, "Flatten");
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+        let dims: Vec<usize> = tape.pop("Flatten");
         grad_out.clone().with_shape(dims)
     }
 }
@@ -139,6 +128,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -146,19 +136,25 @@ mod tests {
     fn linear_forward_matches_manual() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let mut l = Linear::new(2, 2, &mut rng);
-        l.params_mut()[0].value = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
-        l.params_mut()[1].value = Tensor::from_vec([2], vec![0.5, -0.5]).unwrap();
-        let y = l.forward(&Tensor::from_vec([2], vec![1., 1.]).unwrap());
+        *l.params_mut()[0] = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
+        *l.params_mut()[1] = Tensor::from_vec([2], vec![0.5, -0.5]).unwrap();
+        let y = l.forward(
+            &Tensor::from_vec([2], vec![1., 1.]).unwrap(),
+            &mut Tape::inference(),
+        );
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
     }
 
     #[test]
     fn linear_gradcheck() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut l = Linear::new(3, 2, &mut rng);
+        let l = Linear::new(3, 2, &mut rng);
         let x = Tensor::rand_normal([3], 0.0, 1.0, &mut rng);
-        let y = l.forward(&x);
-        let gx = l.backward(&Tensor::ones(y.dims()));
+        let mut tape = Tape::recording();
+        let y = l.forward(&x, &mut tape);
+        let mut grads = Grads::zeros_like(l.params());
+        let gx = l.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let sum = |x: &Tensor| l.forward(x, &mut Tape::inference()).sum();
 
         let eps = 1e-2;
         // input gradient
@@ -167,18 +163,19 @@ mod tests {
             xp.as_mut_slice()[probe] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[probe] -= eps;
-            let numeric = (l.forward(&xp).sum() - l.forward(&xm).sum()) / (2.0 * eps);
+            let numeric = (sum(&xp) - sum(&xm)) / (2.0 * eps);
             assert!((numeric - gx.as_slice()[probe]).abs() < 1e-2);
         }
     }
 
     #[test]
     fn flatten_roundtrip() {
-        let mut f = Flatten::new();
+        let f = Flatten::new();
         let x = Tensor::from_fn([2, 3, 4], |c| c[2] as f32);
-        let y = f.forward(&x);
+        let mut tape = Tape::recording();
+        let y = f.forward(&x, &mut tape);
         assert_eq!(y.dims(), &[24]);
-        let g = f.backward(&y);
+        let g = f.backward(&mut tape, &y, &mut []);
         assert_eq!(g, x);
     }
 
@@ -188,6 +185,6 @@ mod tests {
     #[should_panic(expected = "got [1, 2, 2]")]
     fn linear_rejects_rank3_input() {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        Linear::new(4, 2, &mut rng).forward(&Tensor::zeros([1, 2, 2]));
+        Linear::new(4, 2, &mut rng).forward(&Tensor::zeros([1, 2, 2]), &mut Tape::inference());
     }
 }

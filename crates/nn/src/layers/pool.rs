@@ -3,38 +3,28 @@
 use rhsd_tensor::ops::pool::{max_pool2d, max_pool2d_backward};
 use rhsd_tensor::Tensor;
 
-use crate::layer::{take_cache, Layer};
+use crate::layer::{Layer, Tape};
 
 /// A 2-D max-pooling layer with square window.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
-    #[serde(skip)]
-    cache: Option<(Vec<usize>, Vec<usize>)>, // (input dims, argmax)
 }
 
 impl MaxPool2d {
     /// Creates a pooling layer with the given window and stride.
     pub fn new(kernel: usize, stride: usize) -> Self {
-        MaxPool2d {
-            kernel,
-            stride,
-            cache: None,
-        }
+        MaxPool2d { kernel, stride }
     }
 }
 
 impl Layer for MaxPool2d {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "MaxPool2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "MaxPool2d",
             "[C, H, W]",
@@ -42,12 +32,13 @@ impl Layer for MaxPool2d {
             input.shape(),
         );
         let out = max_pool2d(input, self.kernel, self.stride);
-        self.cache = Some((input.dims().to_vec(), out.argmax));
+        let argmax = out.argmax;
+        tape.save(|| (input.dims().to_vec(), argmax));
         out.output
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (dims, argmax) = take_cache(&mut self.cache, "MaxPool2d");
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+        let (dims, argmax): (Vec<usize>, Vec<usize>) = tape.pop("MaxPool2d");
         max_pool2d_backward(&dims, &argmax, grad_out)
     }
 }
@@ -58,17 +49,18 @@ mod tests {
 
     #[test]
     fn halves_spatial_size() {
-        let mut l = MaxPool2d::new(2, 2);
-        let y = l.forward(&Tensor::zeros([3, 8, 8]));
+        let l = MaxPool2d::new(2, 2);
+        let y = l.forward(&Tensor::zeros([3, 8, 8]), &mut Tape::inference());
         assert_eq!(y.dims(), &[3, 4, 4]);
     }
 
     #[test]
     fn backward_shape_matches_input() {
-        let mut l = MaxPool2d::new(2, 2);
+        let l = MaxPool2d::new(2, 2);
         let x = Tensor::from_fn([1, 4, 4], |c| (c[1] + c[2]) as f32);
-        let y = l.forward(&x);
-        let g = l.backward(&Tensor::ones(y.dims()));
+        let mut tape = Tape::recording();
+        let y = l.forward(&x, &mut tape);
+        let g = l.backward(&mut tape, &Tensor::ones(y.dims()), &mut []);
         assert_eq!(g.dims(), x.dims());
         assert_eq!(g.sum(), 4.0); // one winner per window
     }

@@ -2,8 +2,7 @@
 
 use rhsd_tensor::Tensor;
 
-use crate::layer::{backward_all, forward_all, Layer};
-use crate::param::Param;
+use crate::layer::{backward_all, forward_all, Layer, Tape};
 
 /// A chain of layers applied in order.
 ///
@@ -13,18 +12,18 @@ use crate::param::Param;
 /// use rhsd_nn::layers::{Conv2d, MaxPool2d, Relu, Sequential};
 /// use rhsd_tensor::ops::conv::ConvSpec;
 /// use rhsd_tensor::Tensor;
-/// use rhsd_nn::Layer;
+/// use rhsd_nn::{Layer, Tape};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let mut stem = Sequential::new()
+/// let stem = Sequential::new()
 ///     .push(Conv2d::new(1, 8, ConvSpec::same(3), &mut rng))
 ///     .push(Relu::new())
 ///     .push(MaxPool2d::new(2, 2));
-/// let y = stem.forward(&Tensor::zeros([1, 16, 16]));
+/// let y = stem.forward(&Tensor::zeros([1, 16, 16]), &mut Tape::inference());
 /// assert_eq!(y.dims(), &[8, 8, 8]);
 /// ```
-#[derive(Default, Clone)]
+#[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -59,32 +58,32 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn clone_boxed(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "Sequential"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        forward_all(&mut self.layers, input)
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        forward_all(&self.layers, input, tape)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        backward_all(&mut self.layers, grad_out)
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        backward_all(&self.layers, tape, grad_out, grads)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Tensor> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.layers
             .iter_mut()
             .flat_map(|l| l.params_mut())
             .collect()
     }
 
-    fn param_names(&mut self) -> Vec<String> {
+    fn param_names(&self) -> Vec<String> {
         self.layers
-            .iter_mut()
+            .iter()
             .enumerate()
             .flat_map(|(i, l)| l.param_names().into_iter().map(move |n| format!("{n}#{i}")))
             .collect()
@@ -95,33 +94,41 @@ impl Layer for Sequential {
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Relu};
+    use crate::Grads;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_tensor::ops::conv::ConvSpec;
 
     #[test]
     fn empty_sequential_is_identity() {
-        let mut s = Sequential::new();
+        let s = Sequential::new();
         assert!(s.is_empty());
         let x = Tensor::from_vec([2], vec![3., 4.]).unwrap();
-        assert_eq!(s.forward(&x), x);
-        assert_eq!(s.backward(&x), x);
+        let mut tape = Tape::recording();
+        assert_eq!(s.forward(&x, &mut tape), x);
+        assert_eq!(s.backward(&mut tape, &x, &mut []), x);
     }
 
     #[test]
     fn chains_layers_and_collects_params() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut s = Sequential::new()
+        let s = Sequential::new()
             .push(Conv2d::new(1, 2, ConvSpec::same(3), &mut rng))
             .push(Relu::new())
             .push(Conv2d::new(2, 1, ConvSpec::same(3), &mut rng));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.params_mut().len(), 4); // 2 weights + 2 biases
+        assert_eq!(s.params().len(), 4); // 2 weights + 2 biases
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
-        let y = s.forward(&x);
+        let mut tape = Tape::recording();
+        let y = s.forward(&x, &mut tape);
         assert_eq!(y.dims(), &[1, 6, 6]);
-        let gx = s.backward(&Tensor::ones(y.dims()));
+        let mut grads = Grads::zeros_like(s.params());
+        let gx = s.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
+        assert!(
+            grads.iter().all(|g| g.sq_norm() > 0.0),
+            "every slot got signal"
+        );
     }
 
     #[test]
@@ -131,17 +138,18 @@ mod tests {
         let mut s = Sequential::new().push(Conv2d::new(1, 1, ConvSpec::same(1), &mut rng));
         let x = Tensor::rand_normal([1, 4, 4], 0.0, 1.0, &mut rng);
         let target = x.map(|v| 3.0 * v);
+        let mut grads = Grads::zeros_like(s.params());
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
-            let y = s.forward(&x);
+            let mut tape = Tape::recording();
+            let y = s.forward(&x, &mut tape);
             let diff = rhsd_tensor::ops::elementwise::sub(&y, &target);
             let loss = diff.sq_norm();
-            s.zero_grad();
-            s.backward(&diff.map(|d| 2.0 * d));
-            for p in s.params_mut() {
-                let g = p.grad.clone();
-                rhsd_tensor::ops::elementwise::axpy(&mut p.value, -0.01, &g);
+            grads.zero();
+            s.backward(&mut tape, &diff.map(|d| 2.0 * d), &mut grads);
+            for (p, g) in s.params_mut().into_iter().zip(grads.iter()) {
+                rhsd_tensor::ops::elementwise::axpy(p, -0.01, g);
             }
             first_loss.get_or_insert(loss);
             last_loss = loss;

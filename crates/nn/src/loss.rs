@@ -4,10 +4,9 @@
 //! cross-entropy hotspot loss of Eq. (6) and the L2 weight-regularisation
 //! term of Eq. (4).
 
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::softmax::cross_entropy_rows;
 use rhsd_tensor::Tensor;
-
-use crate::param::Param;
 
 /// Smooth-L1 (Huber) value for one scalar difference — Eq. (5).
 ///
@@ -96,30 +95,35 @@ pub fn hotspot_cross_entropy(logits: &Tensor, targets: &[usize], weights: &[f32]
 /// constants without improving generalisation).
 ///
 /// Returns the penalty value.
-pub fn l2_penalty(params: &mut [&mut Param], beta: f32) -> f32 {
+///
+/// Shapes: `grads` mirrors `params` slot for slot.
+pub fn l2_penalty(params: &[&mut Tensor], grads: &mut [Tensor], beta: f32) -> f32 {
     let mut total = 0.0f32;
-    for p in params.iter_mut() {
-        if p.value.rank() < 2 {
+    for (w, g) in params.iter().zip(grads.iter_mut()) {
+        if w.rank() < 2 {
             continue;
         }
-        total += p.value.sq_norm();
-        let scaled = p.value.map(|w| beta * w);
-        p.accumulate(&scaled);
+        total += w.sq_norm();
+        let scaled = w.map(|v| beta * v);
+        axpy(g, 1.0, &scaled);
     }
     0.5 * beta * total
 }
 
-/// Clips the *global* gradient norm of a parameter set to `max_norm`,
+/// Clips the *global* norm of a set of gradients to `max_norm`,
 /// returning the pre-clip norm. Standard stabiliser against the exploding
 /// gradients the robust-L1 loss (Eq. 5) cannot fully prevent early in
 /// training.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total: f32 = params.iter().map(|p| p.grad.sq_norm()).sum();
+///
+/// Shapes: `grads` may hold any shapes; the norm runs over every
+/// scalar of every gradient.
+pub fn clip_grad_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
+    let total: f32 = grads.iter().map(|g| g.sq_norm()).sum();
     let norm = total.sqrt();
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            p.grad.map_inplace(|g| g * scale);
+        for g in grads.iter_mut() {
+            g.map_inplace(|v| v * scale);
         }
     }
     norm
@@ -188,35 +192,30 @@ mod tests {
 
     #[test]
     fn l2_penalty_value_and_gradient() {
-        let mut p = Param::new(Tensor::from_vec([2, 1], vec![3.0, 4.0]).unwrap());
-        let mut params = [&mut p];
-        let val = l2_penalty(&mut params, 0.2);
+        let mut w = Tensor::from_vec([2, 1], vec![3.0, 4.0]).unwrap();
+        let mut g = [Tensor::zeros([2, 1])];
+        let val = l2_penalty(&[&mut w], &mut g, 0.2);
         assert!((val - 0.5 * 0.2 * 25.0).abs() < 1e-6);
-        assert!((p.grad.as_slice()[0] - 0.6).abs() < 1e-6);
-        assert!((p.grad.as_slice()[1] - 0.8).abs() < 1e-6);
+        assert!((g[0].as_slice()[0] - 0.6).abs() < 1e-6);
+        assert!((g[0].as_slice()[1] - 0.8).abs() < 1e-6);
     }
 
     #[test]
     fn l2_penalty_exempts_biases() {
-        let mut bias = Param::new(Tensor::from_vec([3], vec![1.0, 2.0, 3.0]).unwrap());
-        let mut params = [&mut bias];
-        let val = l2_penalty(&mut params, 0.2);
+        let mut bias = Tensor::from_vec([3], vec![1.0, 2.0, 3.0]).unwrap();
+        let mut g = [Tensor::zeros([3])];
+        let val = l2_penalty(&[&mut bias], &mut g, 0.2);
         assert_eq!(val, 0.0);
-        assert_eq!(bias.grad.sq_norm(), 0.0);
+        assert_eq!(g[0].sq_norm(), 0.0);
     }
 
     #[test]
     fn clip_grad_norm_rescales_only_above_threshold() {
-        let mut p = Param::new(Tensor::zeros([2, 1]));
-        p.grad = Tensor::from_vec([2, 1], vec![3.0, 4.0]).unwrap();
-        let mut params = [&mut p];
-        let norm = clip_grad_norm(&mut params, 10.0);
+        let mut g = [Tensor::from_vec([2, 1], vec![3.0, 4.0]).unwrap()];
+        let norm = clip_grad_norm(&mut g, 10.0);
         assert!((norm - 5.0).abs() < 1e-6);
-        let _ = clip_grad_norm(&mut params, 1.0);
-        assert!(
-            (p.grad.sq_norm().sqrt() - 1.0).abs() < 1e-5,
-            "clipped to max"
-        );
-        assert!((p.grad.as_slice()[0] - 0.6).abs() < 1e-5, "direction kept");
+        let _ = clip_grad_norm(&mut g, 1.0);
+        assert!((g[0].sq_norm().sqrt() - 1.0).abs() < 1e-5, "clipped to max");
+        assert!((g[0].as_slice()[0] - 0.6).abs() < 1e-5, "direction kept");
     }
 }

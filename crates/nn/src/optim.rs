@@ -6,8 +6,6 @@
 use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
-use crate::param::Param;
-
 /// Step learning-rate schedule: `lr = initial · factor^(step / every)`.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StepDecay {
@@ -79,43 +77,48 @@ impl Sgd {
         self.schedule.lr_at(self.step)
     }
 
-    /// Applies one update: `v ← µ·v − lr·g`, `w ← w + v`, then clears grads.
+    /// Applies one update: `v ← µ·v − lr·g`, `w ← w + v`, then clears
+    /// the gradients.
+    ///
+    /// Shapes: `grads` mirrors `params` slot for slot.
     ///
     /// # Panics
     ///
-    /// Panics if the parameter list shrinks or reorders between calls in a
-    /// way that changes tensor shapes.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
+    /// Panics if `grads` does not mirror `params`, or if the parameter
+    /// list shrinks or reorders between calls in a way that changes
+    /// tensor shapes.
+    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &mut [Tensor]) {
+        assert_eq!(params.len(), grads.len(), "grads must mirror params");
         let lr = self.lr();
         let telemetry = crate::dynamics::active();
         if self.velocities.len() < params.len() {
             for p in params[self.velocities.len()..].iter() {
-                self.velocities.push(Tensor::zeros(p.value.shape().clone()));
+                self.velocities.push(Tensor::zeros(p.shape().clone()));
             }
         }
-        for (p, v) in params.iter_mut().zip(self.velocities.iter_mut()) {
+        for ((w, g), v) in params
+            .iter_mut()
+            .zip(grads.iter_mut())
+            .zip(&mut self.velocities)
+        {
             assert_eq!(
-                p.value.shape(),
+                w.shape(),
                 v.shape(),
                 "parameter shape changed between optimiser steps"
             );
-            let grad_norm = if telemetry {
-                p.grad.sq_norm().sqrt()
-            } else {
-                0.0
-            };
+            let grad_norm = if telemetry { g.sq_norm().sqrt() } else { 0.0 };
             // v ← µ·v − lr·g
             v.map_inplace(|x| x * self.momentum);
-            axpy(v, -lr, &p.grad);
+            axpy(v, -lr, g);
             // w ← w + v
-            axpy(&mut p.value, 1.0, v);
-            p.zero_grad();
+            axpy(w, 1.0, v);
+            g.map_inplace(|_| 0.0);
             if telemetry {
                 // The velocity *is* the applied weight delta.
                 crate::dynamics::record_param_update(crate::dynamics::ParamUpdate {
                     grad_norm,
                     update_norm: v.sq_norm().sqrt(),
-                    weight_norm: p.value.sq_norm().sqrt(),
+                    weight_norm: w.sq_norm().sqrt(),
                 });
             }
         }
@@ -142,40 +145,41 @@ mod tests {
         assert_eq!(s.lr_at(0), s.lr_at(1_000_000));
     }
 
+    fn scalar(v: f32) -> Tensor {
+        Tensor::from_vec([1], vec![v]).unwrap()
+    }
+
     #[test]
     fn sgd_without_momentum_is_plain_descent() {
-        let mut p = Param::new(Tensor::from_vec([1], vec![1.0]).unwrap());
-        p.grad = Tensor::from_vec([1], vec![2.0]).unwrap();
+        let mut w = scalar(1.0);
+        let mut g = [scalar(2.0)];
         let mut opt = Sgd::new(StepDecay::constant(0.5), 0.0);
-        opt.step(&mut [&mut p]);
-        assert_eq!(p.value.as_slice(), &[0.0]);
-        assert_eq!(p.grad.as_slice(), &[0.0], "grads cleared after step");
+        opt.step(&mut [&mut w], &mut g);
+        assert_eq!(w.as_slice(), &[0.0]);
+        assert_eq!(g[0].as_slice(), &[0.0], "grads cleared after step");
         assert_eq!(opt.step_count(), 1);
     }
 
     #[test]
     fn momentum_accumulates_velocity() {
-        let mut p = Param::new(Tensor::from_vec([1], vec![0.0]).unwrap());
+        let mut w = scalar(0.0);
         let mut opt = Sgd::new(StepDecay::constant(1.0), 0.5);
         // constant gradient of 1: updates are -1, -1.5, -1.75, …
-        p.grad = Tensor::from_vec([1], vec![1.0]).unwrap();
-        opt.step(&mut [&mut p]);
-        assert_eq!(p.value.as_slice(), &[-1.0]);
-        p.grad = Tensor::from_vec([1], vec![1.0]).unwrap();
-        opt.step(&mut [&mut p]);
-        assert_eq!(p.value.as_slice(), &[-2.5]);
+        opt.step(&mut [&mut w], &mut [scalar(1.0)]);
+        assert_eq!(w.as_slice(), &[-1.0]);
+        opt.step(&mut [&mut w], &mut [scalar(1.0)]);
+        assert_eq!(w.as_slice(), &[-2.5]);
     }
 
     #[test]
     fn sgd_minimises_quadratic() {
         // f(w) = (w − 3)², gradient 2(w − 3)
-        let mut p = Param::new(Tensor::from_vec([1], vec![0.0]).unwrap());
+        let mut w = scalar(0.0);
         let mut opt = Sgd::new(StepDecay::constant(0.1), 0.9);
         for _ in 0..100 {
-            let w = p.value.as_slice()[0];
-            p.grad = Tensor::from_vec([1], vec![2.0 * (w - 3.0)]).unwrap();
-            opt.step(&mut [&mut p]);
+            let g = scalar(2.0 * (w.as_slice()[0] - 3.0));
+            opt.step(&mut [&mut w], &mut [g]);
         }
-        assert!((p.value.as_slice()[0] - 3.0).abs() < 0.05);
+        assert!((w.as_slice()[0] - 3.0).abs() < 0.05);
     }
 }

@@ -1,7 +1,7 @@
 //! Checkpointing: saving and restoring the parameters of any [`Layer`].
 //!
 //! Parameters are serialised in the stable order produced by
-//! [`Layer::params_mut`], so a checkpoint can be restored into a freshly
+//! [`Layer::params`], so a checkpoint can be restored into a freshly
 //! constructed network of identical architecture.
 
 use std::io::{Read, Write};
@@ -13,7 +13,7 @@ use crate::layer::Layer;
 /// A serialisable snapshot of a network's parameter values.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Checkpoint {
-    /// Parameter tensors in [`Layer::params_mut`] order.
+    /// Parameter tensors in [`Layer::params`] order.
     pub tensors: Vec<Tensor>,
 }
 
@@ -69,20 +69,23 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// Extracts a checkpoint from a network.
-pub fn snapshot(layer: &mut dyn Layer) -> Checkpoint {
+pub fn snapshot(layer: &dyn Layer) -> Checkpoint {
     Checkpoint {
-        tensors: layer.params_mut().iter().map(|p| p.value.clone()).collect(),
+        tensors: layer.params().into_iter().cloned().collect(),
     }
 }
 
-/// Restores a checkpoint into a network of identical architecture.
+/// Restores a checkpoint into the parameter list of a network of
+/// identical architecture (e.g. [`Layer::params_mut`]).
+///
+/// Shapes: `params` must mirror the checkpoint's tensors slot for slot.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::CountMismatch`] or
-/// [`CheckpointError::ShapeMismatch`] when the architectures differ.
-pub fn restore(layer: &mut dyn Layer, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-    let mut params = layer.params_mut();
+/// [`CheckpointError::ShapeMismatch`] when the architectures differ;
+/// nothing is written then.
+pub fn restore(mut params: Vec<&mut Tensor>, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
     if params.len() != ckpt.tensors.len() {
         return Err(CheckpointError::CountMismatch {
             expected: ckpt.tensors.len(),
@@ -90,12 +93,12 @@ pub fn restore(layer: &mut dyn Layer, ckpt: &Checkpoint) -> Result<(), Checkpoin
         });
     }
     for (i, (p, t)) in params.iter_mut().zip(ckpt.tensors.iter()).enumerate() {
-        if p.value.shape() != t.shape() {
+        if p.shape() != t.shape() {
             return Err(CheckpointError::ShapeMismatch { index: i });
         }
     }
     for (p, t) in params.iter_mut().zip(ckpt.tensors.iter()) {
-        p.value = t.clone();
+        **p = t.clone();
     }
     Ok(())
 }
@@ -105,7 +108,7 @@ pub fn restore(layer: &mut dyn Layer, ckpt: &Checkpoint) -> Result<(), Checkpoin
 /// # Errors
 ///
 /// Returns any serialisation or I/O failure.
-pub fn save(layer: &mut dyn Layer, writer: impl Write) -> Result<(), CheckpointError> {
+pub fn save(layer: &dyn Layer, writer: impl Write) -> Result<(), CheckpointError> {
     serde_json::to_writer(writer, &snapshot(layer))?;
     Ok(())
 }
@@ -117,13 +120,14 @@ pub fn save(layer: &mut dyn Layer, writer: impl Write) -> Result<(), CheckpointE
 /// Returns deserialisation, I/O, or architecture-mismatch failures.
 pub fn load(layer: &mut dyn Layer, reader: impl Read) -> Result<(), CheckpointError> {
     let ckpt: Checkpoint = serde_json::from_reader(reader)?;
-    restore(layer, &ckpt)
+    restore(layer.params_mut(), &ckpt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Relu, Sequential};
+    use crate::Tape;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_tensor::ops::conv::ConvSpec;
@@ -138,34 +142,35 @@ mod tests {
 
     #[test]
     fn snapshot_restore_roundtrip_reproduces_outputs() {
-        let mut a = make_net(1);
+        let a = make_net(1);
         let mut b = make_net(2);
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut ChaCha8Rng::seed_from_u64(3));
-        assert!(!a.forward(&x).approx_eq(&b.forward(&x), 1e-6));
+        let run = |net: &Sequential| net.forward(&x, &mut Tape::inference());
+        assert!(!run(&a).approx_eq(&run(&b), 1e-6));
 
-        let ckpt = snapshot(&mut a);
-        restore(&mut b, &ckpt).unwrap();
-        assert!(a.forward(&x).approx_eq(&b.forward(&x), 1e-6));
+        let ckpt = snapshot(&a);
+        restore(b.params_mut(), &ckpt).unwrap();
+        assert!(run(&a).approx_eq(&run(&b), 1e-6));
     }
 
     #[test]
     fn save_load_json_roundtrip() {
-        let mut a = make_net(4);
+        let a = make_net(4);
         let mut buf = Vec::new();
-        save(&mut a, &mut buf).unwrap();
+        save(&a, &mut buf).unwrap();
         let mut b = make_net(5);
         load(&mut b, buf.as_slice()).unwrap();
         let x = Tensor::rand_normal([1, 5, 5], 0.0, 1.0, &mut ChaCha8Rng::seed_from_u64(6));
-        assert!(a.forward(&x).approx_eq(&b.forward(&x), 1e-6));
+        let run = |net: &Sequential| net.forward(&x, &mut Tape::inference());
+        assert!(run(&a).approx_eq(&run(&b), 1e-6));
     }
 
     #[test]
     fn restore_rejects_wrong_architecture() {
-        let mut a = make_net(7);
-        let ckpt = snapshot(&mut a);
+        let ckpt = snapshot(&make_net(7));
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let mut tiny = Sequential::new().push(Conv2d::new(1, 1, ConvSpec::same(1), &mut rng));
-        match restore(&mut tiny, &ckpt) {
+        match restore(tiny.params_mut(), &ckpt) {
             Err(CheckpointError::CountMismatch { .. }) => {}
             other => panic!("expected CountMismatch, got {other:?}"),
         }
@@ -174,10 +179,10 @@ mod tests {
     #[test]
     fn restore_rejects_wrong_shapes() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut a = Sequential::new().push(Conv2d::new(1, 2, ConvSpec::same(3), &mut rng));
+        let a = Sequential::new().push(Conv2d::new(1, 2, ConvSpec::same(3), &mut rng));
         let mut b = Sequential::new().push(Conv2d::new(1, 2, ConvSpec::same(1), &mut rng));
-        let ckpt = snapshot(&mut a);
-        match restore(&mut b, &ckpt) {
+        let ckpt = snapshot(&a);
+        match restore(b.params_mut(), &ckpt) {
             Err(CheckpointError::ShapeMismatch { index: 0 }) => {}
             other => panic!("expected ShapeMismatch, got {other:?}"),
         }

@@ -7,9 +7,23 @@ use rand_chacha::ChaCha8Rng;
 use rhsd_nn::layers::{Conv2d, Linear, MaxPool2d, Relu, Sequential};
 use rhsd_nn::loss::{smooth_l1_grad_scalar, smooth_l1_scalar};
 use rhsd_nn::optim::{Sgd, StepDecay};
-use rhsd_nn::{Layer, Param};
+use rhsd_nn::{Grads, Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::Tensor;
+
+/// One recorded forward and an all-ones backward; returns the input
+/// gradient.
+fn ones_input_grad(layer: &dyn Layer, x: &Tensor) -> Tensor {
+    let mut tape = Tape::recording();
+    let y = layer.forward(x, &mut tape);
+    let mut grads = Grads::zeros_like(layer.params());
+    layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads)
+}
+
+/// Sum of an inference forward's outputs.
+fn out_sum(layer: &dyn Layer, x: &Tensor) -> f32 {
+    layer.forward(x, &mut Tape::inference()).sum()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -17,17 +31,16 @@ proptest! {
     #[test]
     fn conv_layer_input_gradcheck(seed in 0u64..500, c_in in 1usize..3, c_out in 1usize..3) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut layer = Conv2d::new(c_in, c_out, ConvSpec::same(3), &mut rng);
+        let layer = Conv2d::new(c_in, c_out, ConvSpec::same(3), &mut rng);
         let x = Tensor::rand_normal([c_in, 5, 5], 0.0, 1.0, &mut rng);
-        let y = layer.forward(&x);
-        let gx = layer.backward(&Tensor::ones(y.dims()));
+        let gx = ones_input_grad(&layer, &x);
         let eps = 1e-2;
         for probe in [0usize, x.len() / 2, x.len() - 1] {
             let mut p = x.clone();
             p.as_mut_slice()[probe] += eps;
             let mut m = x.clone();
             m.as_mut_slice()[probe] -= eps;
-            let numeric = (layer.forward(&p).sum() - layer.forward(&m).sum()) / (2.0 * eps);
+            let numeric = (out_sum(&layer, &p) - out_sum(&layer, &m)) / (2.0 * eps);
             prop_assert!((numeric - gx.as_slice()[probe]).abs() < 3e-2,
                 "probe {probe}: {numeric} vs {}", gx.as_slice()[probe]);
         }
@@ -36,21 +49,20 @@ proptest! {
     #[test]
     fn sequential_chain_gradcheck(seed in 0u64..500) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut net = Sequential::new()
+        let net = Sequential::new()
             .push(Conv2d::new(1, 2, ConvSpec::same(3), &mut rng))
             .push(Relu::new())
             .push(MaxPool2d::new(2, 2))
             .push(Conv2d::new(2, 1, ConvSpec::same(1), &mut rng));
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
-        let y = net.forward(&x);
-        let gx = net.backward(&Tensor::ones(y.dims()));
+        let gx = ones_input_grad(&net, &x);
         let eps = 1e-2;
         for probe in [0usize, 17, 35] {
             let mut p = x.clone();
             p.as_mut_slice()[probe] += eps;
             let mut m = x.clone();
             m.as_mut_slice()[probe] -= eps;
-            let numeric = (net.forward(&p).sum() - net.forward(&m).sum()) / (2.0 * eps);
+            let numeric = (out_sum(&net, &p) - out_sum(&net, &m)) / (2.0 * eps);
             // max-pool kinks make FD noisy near ties; loose tolerance
             prop_assert!((numeric - gx.as_slice()[probe]).abs() < 0.1,
                 "probe {probe}: {numeric} vs {}", gx.as_slice()[probe]);
@@ -60,11 +72,11 @@ proptest! {
     #[test]
     fn linear_layer_is_affine(seed in 0u64..500, k in -3.0f32..3.0) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut l = Linear::new(4, 3, &mut rng);
+        let l = Linear::new(4, 3, &mut rng);
         let x = Tensor::rand_normal([4], 0.0, 1.0, &mut rng);
-        let y1 = l.forward(&x);
-        let y0 = l.forward(&Tensor::zeros([4]));
-        let yk = l.forward(&x.map(|v| k * v));
+        let y1 = l.forward(&x, &mut Tape::inference());
+        let y0 = l.forward(&Tensor::zeros([4]), &mut Tape::inference());
+        let yk = l.forward(&x.map(|v| k * v), &mut Tape::inference());
         // affine: f(kx) - f(0) == k (f(x) - f(0))
         for i in 0..3 {
             let lhs = yk.as_slice()[i] - y0.as_slice()[i];
@@ -88,13 +100,14 @@ proptest! {
 
     #[test]
     fn sgd_zero_gradient_is_fixed_point_without_momentum(w0 in -5.0f32..5.0) {
-        let mut p = Param::new(Tensor::from_vec([1], vec![w0]).unwrap());
+        let mut w = Tensor::from_vec([1], vec![w0]).unwrap();
+        let mut grads = [Tensor::zeros([1])];
         let mut opt = Sgd::new(StepDecay::constant(0.1), 0.0);
         for _ in 0..5 {
             // grad stays zero
-            opt.step(&mut [&mut p]);
+            opt.step(&mut [&mut w], &mut grads);
         }
-        prop_assert_eq!(p.value.as_slice()[0], w0);
+        prop_assert_eq!(w.as_slice()[0], w0);
     }
 
     #[test]
@@ -121,9 +134,11 @@ proptest! {
 fn nan_weight_trips_invariant_checker() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let mut layer = Conv2d::new(1, 2, ConvSpec::same(3), &mut rng);
-    layer.params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
+    layer.params_mut()[0].as_mut_slice()[0] = f32::NAN;
     let x = Tensor::ones([1, 6, 6]);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| layer.forward(&x)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        layer.forward(&x, &mut Tape::inference())
+    }));
     let err = result.expect_err("NaN weight must be detected");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
@@ -144,15 +159,14 @@ fn clean_epochs_do_not_trip_invariants() {
         .push(rhsd_nn::layers::Flatten::new())
         .push(Linear::new(2 * 3 * 3, 2, &mut rng));
     let mut opt = Sgd::new(StepDecay::constant(0.01), 0.9);
+    let mut grads = Grads::zeros_like(net.params());
     let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
     for _ in 0..3 {
-        let y = net.forward(&x);
+        let mut tape = Tape::recording();
+        let y = net.forward(&x, &mut tape);
         let grad = y.map(|v| v - 0.5);
-        net.backward(&grad);
-        opt.step(&mut net.params_mut());
-        for p in net.params_mut() {
-            p.zero_grad();
-        }
+        net.backward(&mut tape, &grad, &mut grads);
+        opt.step(&mut net.params_mut(), &mut grads);
     }
 }
 
@@ -162,9 +176,11 @@ fn clean_epochs_do_not_trip_invariants() {
 #[test]
 fn mis_shaped_input_names_layer_and_shapes() {
     let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let mut layer = Linear::new(8, 2, &mut rng);
+    let layer = Linear::new(8, 2, &mut rng);
     let bad = Tensor::ones([5]); // layer expects [8]
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| layer.forward(&bad)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        layer.forward(&bad, &mut Tape::inference())
+    }));
     let err = result.expect_err("shape mismatch must be detected");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("Linear"), "layer name missing: {msg}");

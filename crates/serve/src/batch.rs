@@ -4,14 +4,16 @@
 //! their prepared region samples to a shared [`BatchQueue`] and block on
 //! a reply channel; a single batcher thread drains *every* queued job at
 //! once, concatenates the samples into one slice, and runs a single
-//! [`RegionDetector::scan_batch`] pass over the `rhsd-par` pool. Under
-//! concurrent load the pool therefore sees large batches (good
-//! stripe/thread occupancy) instead of many small competing scans.
+//! [`RegionDetector::scan_batch`] pass over the `rhsd-par` pool: one
+//! task per region, all on the one shared network. Under concurrent
+//! load the pool therefore sees large batches (good thread occupancy)
+//! instead of many small competing scans.
 //!
 //! Correctness rests on the batch-decomposition property documented on
-//! [`RegionDetector::scan_batch`]: per-region detection is independent,
-//! so each job gets back exactly the per-region results it would get
-//! from a solo scan — coalescing changes throughput, never output.
+//! [`RegionDetector::scan_batch`]: per-region detection is independent
+//! and reads the network without mutating it, so each job gets back
+//! exactly the per-region results it would get from a solo scan —
+//! coalescing changes throughput, never output.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

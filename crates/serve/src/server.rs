@@ -426,7 +426,7 @@ pub fn offline_scan(
 ) -> Result<ScanResult, ServeError> {
     let network = persist::load_from_path(model).map_err(ServeError::Persist)?;
     let scale = Scale::for_region_px(network.config().region_px)?;
-    let mut detector = RegionDetector::new(network, scale.region_config());
+    let detector = RegionDetector::new(network, scale.region_config());
     let bench = scale.benchmark(case);
     let extent = match half {
         Half::Train => bench.train_extent,

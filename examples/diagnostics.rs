@@ -12,7 +12,7 @@
 use rand::SeedableRng;
 use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
 use rhsd::data::{test_regions, RegionConfig, RegionSample};
-use rhsd::nn::Layer;
+use rhsd::nn::{Layer, Tape};
 use rhsd_bench::pipeline::{build_benchmarks, merged_train_regions};
 
 /// Mean absolute difference of backbone feature maps across regions.
@@ -20,11 +20,11 @@ use rhsd_bench::pipeline::{build_benchmarks, merged_train_regions};
 /// Healthy networks keep this well above zero; a value near zero means
 /// the features have collapsed to an input-independent constant (the
 /// pathology leaky ReLUs guard against — DESIGN.md §1.1).
-fn feature_spread(net: &mut RhsdNetwork, regions: &[RegionSample]) -> f32 {
+fn feature_spread(net: &RhsdNetwork, regions: &[RegionSample]) -> f32 {
     let feats: Vec<_> = regions
         .iter()
         .take(4)
-        .map(|r| net.extractor_mut().forward(&r.image))
+        .map(|r| net.extractor().forward(&r.image, &mut Tape::inference()))
         .collect();
     let mut d = 0.0f32;
     let mut n = 0;
@@ -47,7 +47,7 @@ fn main() {
     let mut net = RhsdNetwork::new(RhsdConfig::demo(), &mut rng);
     println!(
         "feature spread at init: {:.4} (must stay well above 0 through training)",
-        feature_spread(&mut net, &tests)
+        feature_spread(&net, &tests)
     );
 
     let mut tc = TrainConfig::demo();
@@ -61,7 +61,7 @@ fn main() {
     }
     println!(
         "feature spread after training: {:.4}",
-        feature_spread(&mut net, &tests)
+        feature_spread(&net, &tests)
     );
 
     // Score separation: the max stage-1 proposal score should be clearly
@@ -87,7 +87,7 @@ fn main() {
         avg(&clean)
     );
 
-    let mut det = RegionDetector::new(net, region);
+    let det = RegionDetector::new(net, region);
     for b in &benches {
         let r = det.scan_test_half(b);
         println!("{}: {}", b.id.name(), r.evaluation);

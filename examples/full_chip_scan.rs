@@ -21,7 +21,7 @@ fn main() {
     // *scan machinery*; see `quickstart` for a trained evaluation).
     let region_cfg = RegionConfig::demo();
     let net = RhsdNetwork::new(RhsdConfig::demo(), &mut rng);
-    let mut ours = RegionDetector::new(net, region_cfg);
+    let ours = RegionDetector::new(net, region_cfg);
     let t0 = std::time::Instant::now();
     let result = ours.scan(&bench, &extent);
     let t_region = t0.elapsed().as_secs_f64();
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // Conventional clip scan over the same area.
-    let mut tcad = Tcad18Detector::new(Tcad18Config::demo(), &mut rng);
+    let tcad = Tcad18Detector::new(Tcad18Config::demo(), &mut rng);
     let n_windows = scan_windows(&extent, tcad.config().clip_px).len();
     let t0 = std::time::Instant::now();
     let _ = tcad.scan(&bench, &extent);

@@ -37,7 +37,7 @@ fn main() {
 
     // 3. Scan the test half — one feed-forward pass per region, multiple
     //    hotspots per pass (the paper's headline capability).
-    let mut detector = RegionDetector::new(net, region_cfg);
+    let detector = RegionDetector::new(net, region_cfg);
     let t0 = std::time::Instant::now();
     let result = detector.scan_test_half(&bench);
     println!(

@@ -70,12 +70,12 @@ fn main() {
 
     // Checkpoint to disk and restore — what a production flow would ship.
     let path = std::env::temp_dir().join("rhsd_model.json");
-    save_to_path(&mut net, &path).expect("save checkpoint");
+    save_to_path(&net, &path).expect("save checkpoint");
     println!("checkpoint written to {}", path.display());
     let restored = load_from_path(&path).expect("load checkpoint");
 
     // Evaluate the restored model on every case's unseen half.
-    let mut detector = RegionDetector::new(restored, region_cfg);
+    let detector = RegionDetector::new(restored, region_cfg);
     for b in &benches {
         let r = detector.scan_test_half(b);
         println!("{}: {}", b.id.name(), r.evaluation);

@@ -22,7 +22,7 @@ fn main() {
     let mut tc = TrainConfig::demo();
     tc.epochs = 6;
     rhsd::core::train(&mut net, &samples, &tc);
-    let mut detector = RegionDetector::new(net, region_cfg);
+    let detector = RegionDetector::new(net, region_cfg);
 
     // Pick the densest test region.
     let regions = test_regions(&bench, &region_cfg);

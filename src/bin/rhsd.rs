@@ -181,7 +181,7 @@ fn cmd_train(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     for h in rhsd::core::train(&mut net, &samples, &tc) {
         println!("  epoch {:>2}: mean loss {:.4}", h.epoch, h.mean_loss);
     }
-    save_to_path(&mut net, out).map_err(|e| e.to_string())?;
+    save_to_path(&net, out).map_err(|e| e.to_string())?;
     println!("wrote {out}");
     Ok(())
 }
@@ -200,7 +200,7 @@ fn cmd_detect(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
         train_extent: Rect::new(extent.x0, extent.y0, extent.x0, extent.y1),
         test_extent: extent,
     };
-    let mut det = RegionDetector::new(net, RegionConfig::demo());
+    let det = RegionDetector::new(net, RegionConfig::demo());
     let result = det.scan(&bench, &extent);
     #[derive(serde::Serialize)]
     struct Out {
@@ -252,7 +252,7 @@ fn cmd_drc(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
 fn cmd_eval(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     let net = load_from_path(one(opts, "model")?).map_err(|e| e.to_string())?;
     let cases = cases_or_default(opts)?;
-    let mut det = RegionDetector::new(net, RegionConfig::demo());
+    let det = RegionDetector::new(net, RegionConfig::demo());
     for &c in &cases {
         let bench = Benchmark::demo(c);
         let timer = rhsd::obs::Stopwatch::start();

@@ -33,7 +33,7 @@
 //! let mut net = RhsdNetwork::new(RhsdConfig::demo(), &mut rng);
 //! rhsd::core::train(&mut net, &regions, &TrainConfig::demo());
 //! // 3. scan the unseen test half
-//! let mut detector = RegionDetector::new(net, RegionConfig::demo());
+//! let detector = RegionDetector::new(net, RegionConfig::demo());
 //! let result = detector.scan_test_half(&bench);
 //! println!("{}", result.evaluation);
 //! ```

@@ -49,7 +49,7 @@ fn generic_detectors_share_the_region_harness() {
     for cfg in [faster_rcnn_config(&region), ssd_config(&region)] {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let net = RhsdNetwork::new(cfg, &mut rng);
-        let mut det = RegionDetector::new(net, region);
+        let det = RegionDetector::new(net, region);
         let result = det.scan_test_half(b);
         assert_eq!(result.regions, 18);
         assert_eq!(

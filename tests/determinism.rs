@@ -12,11 +12,13 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use rhsd::core::{train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
-use rhsd::data::{train_regions, Benchmark, RegionConfig};
+use rhsd::core::{persist, train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
+use rhsd::data::{train_regions, BBox, Benchmark, RegionConfig, RegionSample};
 use rhsd::layout::synth::CaseId;
+use rhsd::layout::{RasterSpec, Rect};
 use rhsd::litho::aerial::aerial_image;
 use rhsd::litho::GaussianKernel;
+use rhsd::nn::optim::{Sgd, StepDecay};
 use rhsd::tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
 use rhsd::tensor::Tensor;
 use rhsd_bench::pipeline::{bench_json, DetectorReport};
@@ -121,7 +123,7 @@ fn scan_and_bench_accuracy_rows_bit_identical() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let mut net = RhsdNetwork::new(cfg, &mut rng);
         train(&mut net, &samples, &TrainConfig::tiny());
-        let mut det = RegionDetector::new(net, region);
+        let det = RegionDetector::new(net, region);
         let result = det.scan_test_half(&bench);
         let row = rhsd::baselines::CaseResult::new(bench.id.name(), &result.evaluation, 0.0);
         let report = DetectorReport::new("Ours", vec![row]);
@@ -207,4 +209,136 @@ fn span_tree_shape_identical_across_thread_counts() {
         t4.shape(),
         "span-tree shape (paths + call counts) must be pool-size invariant"
     );
+}
+
+/// FNV-1a hash of every parameter's bits and every step's loss bits
+/// after [`training_numerics_are_pinned`]'s three rounds. A change to it
+/// is a change to training arithmetic: it must be re-pinned on purpose
+/// and named in CHANGES.md, never silently.
+const TRAINING_PIN: u64 = 0x51a9_7fae_0135_1067;
+
+fn fnv1a(h: &mut u64, word: u32) {
+    for b in word.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// A tiny-config region with one hotspot whose position moves per round.
+fn pin_sample(cfg: &RhsdConfig, round: usize) -> RegionSample {
+    let px = cfg.region_px;
+    let c = (px / 3 + 7 * round) as f32;
+    let image = Tensor::from_fn([1, px, px], |i| {
+        let (dx, dy) = (i[2] as f32 - c, i[1] as f32 - c);
+        if dx * dx + dy * dy < 30.0 || (i[2] / 4 + round).is_multiple_of(3) {
+            1.0
+        } else {
+            0.0
+        }
+    });
+    let window = Rect::new(0, 0, (px * 10) as i64, (px * 10) as i64);
+    RegionSample {
+        image,
+        window,
+        spec: RasterSpec::new(window, px, px),
+        gt_clips: vec![BBox::new(c, c, cfg.clip_px as f32, cfg.clip_px as f32)],
+        gt_centers: vec![(c, c)],
+    }
+}
+
+/// Training numerics pinned across commits: three `train_step` +
+/// `Sgd::step` rounds of `RhsdConfig::tiny()` must reproduce the
+/// recorded bits of every loss and every parameter. The kernels are
+/// bit-identical across ISAs, so this holds under `RHSD_FORCE_SCALAR=1`
+/// too.
+#[test]
+fn training_numerics_are_pinned() {
+    let _guard = pool_lock();
+    let cfg = RhsdConfig::tiny();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2019);
+    let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+    let mut opt = Sgd::new(StepDecay::constant(0.01), 0.9);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for round in 0..3 {
+        net.zero_grad();
+        let stats = net.train_step(&pin_sample(&cfg, round), &mut rng);
+        fnv1a(&mut h, stats.total().to_bits());
+        fnv1a(&mut h, stats.rois as u32);
+        let (mut params, grads) = net.params_and_grads_mut();
+        opt.step(&mut params, grads);
+    }
+    for t in persist::save_model(&net).checkpoint.tensors {
+        for v in t.as_slice() {
+            fnv1a(&mut h, v.to_bits());
+        }
+    }
+    assert_eq!(h, TRAINING_PIN, "training bits moved: hash {h:#018x}");
+}
+
+/// FNV-1a hash of the TCAD'18 baseline's per-epoch training losses and
+/// its clip scores after [`tcad18_training_numerics_are_pinned`].
+const TCAD18_TRAINING_PIN: u64 = 0x7911_43ea_6eaf_4fe0;
+
+/// The clip-based baseline's training numerics (a `Sequential` of conv,
+/// pooling, flatten and linear layers) pinned the same way.
+#[test]
+fn tcad18_training_numerics_are_pinned() {
+    use rhsd::baselines::{Tcad18Config, Tcad18Detector};
+    let _guard = pool_lock();
+    let mut cfg = Tcad18Config::demo();
+    cfg.epochs = 2;
+    cfg.biased_epochs = 1;
+    let px = cfg.raster_px();
+    let clips: Vec<(Tensor, bool)> = (0..4)
+        .map(|i| {
+            let image = Tensor::from_fn([1, px, px], |c| noise(40 + i as u64, c).abs());
+            (image, i % 2 == 0)
+        })
+        .collect();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+    let mut det = Tcad18Detector::new(cfg, &mut rng);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for loss in det.train(&clips) {
+        fnv1a(&mut h, loss.to_bits());
+    }
+    for (image, _) in &clips {
+        fnv1a(&mut h, det.classify(image).to_bits());
+    }
+    assert_eq!(
+        h, TCAD18_TRAINING_PIN,
+        "training bits moved: hash {h:#018x}"
+    );
+}
+
+/// TCAD'18 rasterises and classifies its clip windows on the pool, all
+/// on one shared classifier: every window's score (threshold 0, so every
+/// window is marked) and the evaluation must be bit-identical at
+/// `--threads 1` and `2`.
+#[test]
+fn tcad18_scan_bit_identical_across_thread_counts() {
+    use rhsd::baselines::{Tcad18Config, Tcad18Detector};
+    let _guard = pool_lock();
+    let bench = Benchmark::demo(CaseId::Case2);
+    let mut cfg = Tcad18Config::demo();
+    cfg.epochs = 1;
+    cfg.biased_epochs = 0;
+    cfg.threshold = 0.0;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
+    let mut det = Tcad18Detector::new(cfg, &mut rng);
+    det.train_on_benchmark(&bench, &bench.train_extent.clone(), 1);
+    let t = bench.test_extent;
+    let sub = Rect::new(t.x0, t.y0, t.x0 + 1920, t.y0 + 1920);
+
+    let ((m1, e1), (m2, e2)) = at_threads(1, 2, || det.scan(&bench, &sub));
+    assert_eq!(
+        m1.len(),
+        det.scan_cost(&sub),
+        "threshold 0 marks every window"
+    );
+    assert_eq!(m1.len(), m2.len());
+    for (a, b) in m1.iter().zip(&m2) {
+        assert_eq!(a.clip, b.clip);
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+    }
+    assert_eq!(format!("{e1:?}"), format!("{e2:?}"));
 }

@@ -56,7 +56,7 @@ fn training_step_and_detection_run_through_all_crates() {
     assert_eq!(history.len(), 1);
     assert!(history[0].mean_loss.is_finite());
 
-    let mut det = RegionDetector::new(net, cfg);
+    let det = RegionDetector::new(net, cfg);
     let (dets, eval) = det.detect_region(&with_hotspots[0]);
     assert_eq!(eval.ground_truth, with_hotspots[0].gt_clips.len());
     for d in &dets {
@@ -69,7 +69,7 @@ fn scan_metrics_aggregate_over_regions() {
     let b = bench();
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let net = RhsdNetwork::new(tiny_net_config(), &mut rng);
-    let mut det = RegionDetector::new(net, RegionConfig::demo());
+    let det = RegionDetector::new(net, RegionConfig::demo());
     let result = det.scan_test_half(b);
     // ground truth equals the sum over tiled regions
     let expected: usize = test_regions(b, &RegionConfig::demo())

@@ -13,9 +13,9 @@ use rhsd::tensor::Tensor;
 #[test]
 fn truncated_checkpoint_is_rejected() {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+    let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
     let mut buf = Vec::new();
-    save_to_writer(&mut net, &mut buf).unwrap();
+    save_to_writer(&net, &mut buf).unwrap();
     // chop the document in half
     buf.truncate(buf.len() / 2);
     assert!(load_from_reader(buf.as_slice()).is_err());
@@ -24,9 +24,9 @@ fn truncated_checkpoint_is_rejected() {
 #[test]
 fn corrupted_checkpoint_json_is_rejected() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let mut net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
+    let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
     let mut buf = Vec::new();
-    save_to_writer(&mut net, &mut buf).unwrap();
+    save_to_writer(&net, &mut buf).unwrap();
     // flip bytes in the middle (a stubbed serializer may emit nothing;
     // an empty stream must still be rejected)
     let mid = buf.len() / 2;
@@ -41,7 +41,7 @@ fn corrupted_checkpoint_json_is_rejected() {
 fn detect_on_pathological_inputs_stays_finite() {
     let cfg = RhsdConfig::tiny();
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+    let net = RhsdNetwork::new(cfg.clone(), &mut rng);
     let n = cfg.region_px;
     for image in [
         Tensor::zeros([1, n, n]),

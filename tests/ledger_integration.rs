@@ -50,7 +50,7 @@ fn demo_run_leaves_a_valid_ordered_ledger() {
     let history = train(&mut net, &samples, &TrainConfig::tiny());
     assert_eq!(history.len(), 2);
 
-    let mut detector = RegionDetector::new(net, region);
+    let detector = RegionDetector::new(net, region);
     let result = detector.scan_test_half(&bench);
     let row = CaseResult::new(bench.id.name(), &result.evaluation, 0.25);
     row.emit_ledger("Ours");

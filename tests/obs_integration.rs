@@ -46,7 +46,7 @@ fn demo_scan_emits_stage_spans_and_valid_exports() {
     let history = train(&mut net, &samples, &TrainConfig::tiny());
     assert_eq!(history.len(), 2);
 
-    let mut detector = RegionDetector::new(net, region);
+    let detector = RegionDetector::new(net, region);
     let result = detector.scan_test_half(&bench);
     assert!(result.regions > 0);
 

@@ -15,7 +15,7 @@ use rhsd::tensor::Tensor;
 fn paper_scale_network_builds_and_detects() {
     let cfg = RhsdConfig::paper();
     let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+    let net = RhsdNetwork::new(cfg.clone(), &mut rng);
     assert!(
         net.param_count() > 1_000_000,
         "paper scale is million-param class"

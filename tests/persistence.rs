@@ -28,11 +28,11 @@ fn trained_model_roundtrips_through_json() {
     rhsd::core::train(&mut net, &regions, &tc);
 
     let mut buf = Vec::new();
-    save_to_writer(&mut net, &mut buf).expect("save");
+    save_to_writer(&net, &mut buf).expect("save");
     let restored = load_from_reader(buf.as_slice()).expect("load");
 
-    let mut a = RegionDetector::new(net, region_cfg);
-    let mut b = RegionDetector::new(restored, region_cfg);
+    let a = RegionDetector::new(net, region_cfg);
+    let b = RegionDetector::new(restored, region_cfg);
     for r in &regions {
         let (da, ea) = a.detect_region(r);
         let (db, eb) = b.detect_region(r);

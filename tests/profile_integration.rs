@@ -38,7 +38,7 @@ fn tiny_run() -> (String, Vec<u32>) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let mut net = RhsdNetwork::new(cfg, &mut rng);
     train(&mut net, &samples, &TrainConfig::tiny());
-    let mut det = RegionDetector::new(net, region);
+    let det = RegionDetector::new(net, region);
     let result = det.scan_test_half(&bench);
     let score_bits = result
         .detections
@@ -137,7 +137,7 @@ fn second_cached_scan_populates_caches_block() {
     cfg.clip_px = region.clip_px;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let net = RhsdNetwork::new(cfg, &mut rng);
-    let mut det = RegionDetector::new(net, region);
+    let det = RegionDetector::new(net, region);
 
     // First scan fills both caches (misses); the second replays them
     // (hits) — tile fingerprints repeat and the network weights are

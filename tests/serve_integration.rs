@@ -18,10 +18,10 @@ fn saved_model(tag: &str) -> PathBuf {
     let mut cfg = RhsdConfig::tiny();
     cfg.region_px = 128;
     let mut rng = ChaCha8Rng::seed_from_u64(90);
-    let mut net = RhsdNetwork::new(cfg, &mut rng);
+    let net = RhsdNetwork::new(cfg, &mut rng);
     let path =
         std::env::temp_dir().join(format!("rhsd_serve_it_{tag}_{}.json", std::process::id()));
-    persist::save_to_path(&mut net, &path).expect("save model");
+    persist::save_to_path(&net, &path).expect("save model");
     path
 }
 
@@ -161,9 +161,9 @@ fn wrong_model_geometry_is_a_typed_startup_error() {
     let mut cfg = RhsdConfig::tiny(); // 64-px input: matches no scale
     cfg.region_px = 64;
     let mut rng = ChaCha8Rng::seed_from_u64(91);
-    let mut net = RhsdNetwork::new(cfg, &mut rng);
+    let net = RhsdNetwork::new(cfg, &mut rng);
     let path = std::env::temp_dir().join(format!("rhsd_serve_it_geom_{}.json", std::process::id()));
-    persist::save_to_path(&mut net, &path).expect("save model");
+    persist::save_to_path(&net, &path).expect("save model");
     let err = match Server::start(&ServeConfig {
         model: path.clone(),
         port: 0,

@@ -126,11 +126,7 @@ fn telemetry_is_bit_identity_preserving() {
         tc.epochs = 3;
         tc.telemetry = TelemetryConfig { sample_every };
         let report = train_checked(&mut net, &samples, &tc).expect("train");
-        let weights: Vec<Vec<f32>> = net
-            .params_mut()
-            .iter()
-            .map(|p| p.value.as_slice().to_vec())
-            .collect();
+        let weights: Vec<Vec<f32>> = net.params().iter().map(|p| p.as_slice().to_vec()).collect();
         (report, weights)
     };
     let (with_tel, w_on) = run(4);
@@ -164,7 +160,7 @@ fn nan_loss_aborts_and_leaves_a_ledger_trail() {
     let mut net = RhsdNetwork::new(cfg, &mut rng);
     // Poison one weight: the forward pass goes NaN, so the epoch loss
     // does too.
-    net.params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
+    net.params_mut()[0].as_mut_slice()[0] = f32::NAN;
     let mut tc = TrainConfig::tiny();
     tc.sentinel = SentinelConfig::aborting();
     let abort = train_checked(&mut net, &samples, &tc).expect_err("NaN loss must abort");

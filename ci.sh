@@ -303,7 +303,8 @@ if [[ $telemetry_smoke_only -eq 1 ]]; then
 fi
 
 # Serving smoke: quick-train a model (exercising --save-model + its
-# artifact ledger event), write the offline reference scan through the
+# artifact ledger event), check that a copy with one byte flipped fails
+# to load with a typed error, write the offline reference scan through the
 # canonical serialiser, start rhsd-serve on loopback, drive it with
 # `cargo xtask loadgen --quick` — which byte-compares every served Case2
 # reply against the offline reference and requests a graceful shutdown —
@@ -317,6 +318,31 @@ serve_check_artifact_event() {
     grep -q '"event":"artifact"' SERVE_SMOKE/train.jsonl &&
         grep -q 'model.json' SERVE_SMOKE/train.jsonl || {
         echo "train ledger has no artifact event for the saved model" >&2
+        return 1
+    }
+}
+
+# A model with one byte flipped must fail to load with the typed error
+# (exit 1, naming the checksum), never a panic (exit 101).
+serve_corrupt_model_fails_typed() {
+    echo "saved model: $(wc -c <SERVE_SMOKE/model.json) bytes"
+    python3 - SERVE_SMOKE/model.json "$tmp/corrupt_model.json" <<'EOF'
+import sys
+data = bytearray(open(sys.argv[1], "rb").read())
+data[len(data) // 2] ^= 0xFF
+open(sys.argv[2], "wb").write(data)
+EOF
+    local rc=0
+    target/release/rhsd-serve --model "$tmp/corrupt_model.json" \
+        --offline-scan Case2 --out "$tmp/corrupt_scan.json" \
+        2>"$tmp/corrupt_model.err" || rc=$?
+    cat "$tmp/corrupt_model.err"
+    if [[ $rc -ne 1 ]]; then
+        echo "rhsd-serve on a corrupt model exited $rc, expected 1" >&2
+        return 1
+    fi
+    grep -q checksum "$tmp/corrupt_model.err" || {
+        echo "the load error does not name the checksum" >&2
         return 1
     }
 }
@@ -417,6 +443,8 @@ serve_smoke() {
         --bench-out SERVE_SMOKE/BENCH_train.json
     run_step "serve smoke: saved model noted in train ledger" \
         serve_check_artifact_event
+    run_step "serve smoke: corrupt model is a typed load error" \
+        serve_corrupt_model_fails_typed
     run_step "serve smoke: offline reference scan" \
         target/release/rhsd-serve --model SERVE_SMOKE/model.json \
         --offline-scan Case2 --half test --out SERVE_SMOKE/ref_case2.json

@@ -49,7 +49,7 @@ pub fn evaluate_layout(detections: &[LayoutClip], hotspots: &[Point]) -> Evaluat
 }
 
 /// One row of a Table-1-style report.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseResult {
     /// Case name ("Case2", …).
     pub case: String,

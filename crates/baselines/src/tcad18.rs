@@ -29,7 +29,7 @@ use crate::dct::feature_tensor;
 use crate::eval::{evaluate_layout, LayoutClip};
 
 /// Hyper-parameters of the clip-based detector.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tcad18Config {
     /// Clip window side in ground-truth pixels (window = `clip_px` ×
     /// 10 nm).

@@ -14,7 +14,7 @@
 //! - `--bench-out <path>` — where to write the machine-readable benchmark
 //!   record (used by `repro_table1`; default `BENCH_table1.json`);
 //! - `--save-model <path>` — save the run's trained model as a loadable
-//!   `rhsd-model/1` document (what `rhsd-serve --model` consumes);
+//!   `rhsd-model/2` file (what `rhsd-serve --model` consumes);
 //! - `--threads <n>` — worker-thread count for the `rhsd-par` pool
 //!   (default: the `RHSD_THREADS` environment variable, else the
 //!   machine's available parallelism; results are bit-identical at any
@@ -108,7 +108,7 @@ pub fn usage(bin: &str) -> String {
          --bench-out <path> machine-readable benchmark record (repro_table1;\n\
          \x20                  default: BENCH_table1.json)\n\
          --save-model <path> save the run's trained model as a loadable\n\
-         \x20                  rhsd-model/1 document (for `rhsd-serve --model`)\n\
+         \x20                  rhsd-model/2 file (for `rhsd-serve --model`)\n\
          --threads <n>      rhsd-par worker threads (default: RHSD_THREADS or\n\
          \x20                  available parallelism; output is bit-identical\n\
          \x20                  at any value)\n\

@@ -18,6 +18,7 @@ use rhsd_core::roc::{
 };
 use rhsd_core::Evaluation;
 use rhsd_data::{test_regions, RegionConfig};
+use rhsd_obs::json::number;
 
 fn main() {
     let mut args = BenchArgs::parse("repro_ablations");
@@ -83,8 +84,18 @@ fn main() {
         );
     }
 
-    let json = serde_json::to_string_pretty(&points)
-        .unwrap_or_else(|e| rhsd_bench::fail("serialise sweep", e));
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"threshold\": {}, \"accuracy\": {}, \"false_alarms\": {}}}",
+                number(f64::from(p.threshold)),
+                number(p.accuracy),
+                p.false_alarms
+            )
+        })
+        .collect();
+    let json = format!("[\n  {}\n]\n", rows.join(",\n  "));
     std::fs::write("ablation_roc.json", json)
         .unwrap_or_else(|e| rhsd_bench::fail("write ablation_roc.json", e));
     args.note_artifact("ablation_roc.json");

@@ -7,7 +7,7 @@
 //! [--quick] [--trace <path>] [--metrics <path>]`
 
 use rhsd_bench::args::BenchArgs;
-use rhsd_bench::pipeline::{run_fig10, OURS_SEED};
+use rhsd_bench::pipeline::{row_json, run_fig10, OURS_SEED};
 use rhsd_bench::table::render_fig10;
 
 fn main() {
@@ -59,12 +59,19 @@ fn main() {
         );
     }
 
-    let json = serde_json::json!(reports
+    // One `[name, rows]` pair per variant.
+    let variants: Vec<String> = reports
         .iter()
-        .map(|r| (r.name.clone(), r.rows.clone()))
-        .collect::<Vec<_>>());
-    let pretty = serde_json::to_string_pretty(&json)
-        .unwrap_or_else(|e| rhsd_bench::fail("serialise fig10 results", e));
+        .map(|r| {
+            let rows: Vec<String> = r.rows.iter().map(row_json).collect();
+            format!(
+                "[\"{}\", [\n    {}\n  ]]",
+                rhsd_obs::json::escape(&r.name),
+                rows.join(",\n    ")
+            )
+        })
+        .collect();
+    let pretty = format!("[\n  {}\n]\n", variants.join(",\n  "));
     std::fs::write("fig10_results.json", pretty)
         .unwrap_or_else(|e| rhsd_bench::fail("write fig10_results.json", e));
     args.note_artifact("fig10_results.json");

@@ -308,6 +308,19 @@ fn stage_secs() -> std::collections::BTreeMap<String, f64> {
     stages
 }
 
+/// One result row as a JSON object: `case`, `accuracy_pct`,
+/// `false_alarms` and `seconds`.
+pub fn row_json(r: &CaseResult) -> String {
+    use rhsd_obs::json::{escape, number};
+    format!(
+        "{{\"case\": \"{}\", \"accuracy_pct\": {}, \"false_alarms\": {}, \"seconds\": {}}}",
+        escape(&r.case),
+        number(r.accuracy_pct),
+        r.false_alarms,
+        number(r.seconds),
+    )
+}
+
 /// Serialises detector reports as the machine-readable benchmark record
 /// tracked across revisions (`BENCH_table1.json`, schema
 /// `rhsd-bench-table/7`): the run's primary seed, the worker-thread count
@@ -348,15 +361,6 @@ pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorRepor
             g("misses"),
             g("evictions"),
             g("bytes"),
-        )
-    }
-    fn row_json(r: &CaseResult) -> String {
-        format!(
-            "{{\"case\": {}, \"accuracy_pct\": {}, \"false_alarms\": {}, \"seconds\": {}}}",
-            quoted(&r.case),
-            number(r.accuracy_pct),
-            r.false_alarms,
-            number(r.seconds),
         )
     }
     let mut o = String::with_capacity(2048);

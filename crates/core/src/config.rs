@@ -1,7 +1,5 @@
 //! Configuration of the R-HSD network and training procedure.
 
-use serde::{Deserialize, Serialize};
-
 /// Full configuration of the region-based hotspot detector.
 ///
 /// [`RhsdConfig::paper`] reproduces the parameter settings of §4 of the
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// spatial sizes and channel widths so the full train/eval pipeline runs
 /// on a single CPU core in minutes; every structural element (encoder–
 /// decoder, inception stack, two-stage C&R, h-NMS) is preserved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RhsdConfig {
     /// Region raster side in pixels (must be divisible by `stride`).
     pub region_px: usize,
@@ -232,13 +230,5 @@ mod tests {
         let mut c = RhsdConfig::demo();
         c.iou_neg = 0.9;
         assert!(!c.is_valid());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = RhsdConfig::paper();
-        let s = serde_json::to_string(&c).unwrap();
-        let back: RhsdConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -170,18 +170,21 @@ fn lock(m: &Mutex<StemCacheInner>) -> std::sync::MutexGuard<'_, StemCacheInner> 
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
+/// FNV-1a-64 offset basis: the hash of no input.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a-64 step: folds `word` into the running hash `h`. A step is
+/// a bijection on `h` for a fixed `word` and on `word` for a fixed `h`,
+/// so changing any one input word always changes the final hash.
+pub(crate) fn fnv1a(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// FNV-1a over the raster's shape and element bits.
 fn fingerprint(image: &Tensor) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &d in image.dims() {
-        h = (h ^ d as u64).wrapping_mul(PRIME);
-    }
-    for v in image.as_slice() {
-        h = (h ^ u64::from(v.to_bits())).wrapping_mul(PRIME);
-    }
-    h
+    let dims = image.dims().iter().map(|&d| d as u64);
+    let bits = image.as_slice().iter().map(|v| u64::from(v.to_bits()));
+    dims.chain(bits).fold(FNV_OFFSET, fnv1a)
 }
 
 /// Bit-exact tensor equality (shape and element bits).

@@ -11,7 +11,7 @@ use rhsd_data::BBox;
 use crate::model::Detection;
 
 /// Match outcome of one region (or an aggregate of many).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Evaluation {
     /// Ground-truth hotspots seen.
     pub ground_truth: usize,

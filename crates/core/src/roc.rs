@@ -12,7 +12,7 @@ use crate::model::Detection;
 use rhsd_tensor::ops::reduce;
 
 /// One operating point of a detector.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Score threshold producing this point.
     pub threshold: f32,

@@ -42,12 +42,7 @@ impl TelemetryConfig {
 }
 
 /// Hyper-parameters of a training run.
-///
-/// The `telemetry` and `sentinel` fields are runtime knobs, not part of
-/// the persisted model recipe: they are skipped by serialisation and
-/// deserialise to their defaults, so configs saved before they existed
-/// still parse.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Passes over the training regions.
     pub epochs: usize,
@@ -62,10 +57,8 @@ pub struct TrainConfig {
     /// RNG seed for shuffling/sampling.
     pub seed: u64,
     /// Per-layer training-dynamics telemetry.
-    #[serde(skip)]
     pub telemetry: TelemetryConfig,
     /// Divergence sentinel thresholds and policy.
-    #[serde(skip)]
     pub sentinel: SentinelConfig,
 }
 

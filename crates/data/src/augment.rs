@@ -10,7 +10,7 @@ use crate::bbox::BBox;
 use crate::region::RegionSample;
 
 /// An axis flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flip {
     /// Mirror left–right.
     Horizontal,

@@ -7,7 +7,7 @@
 use rhsd_layout::{RasterSpec, Rect};
 
 /// A box in pixel coordinates: centre `(cx, cy)` and full size `(w, h)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     /// Centre x in pixels.
     pub cx: f32,

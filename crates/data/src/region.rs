@@ -24,7 +24,7 @@ pub struct RegionSample {
 }
 
 /// Geometry of region sampling.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionConfig {
     /// Region raster side, in pixels.
     pub region_px: usize,

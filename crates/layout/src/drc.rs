@@ -14,7 +14,7 @@ use crate::geom::Rect;
 use crate::layout::{LayerId, Layout};
 
 /// A design-rule violation.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A rectangle narrower than the minimum width.
     Width {

@@ -3,9 +3,7 @@
 use std::fmt;
 
 /// A point in layout space, in nanometres.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Point {
     /// Horizontal coordinate in nm.
     pub x: i64,
@@ -31,9 +29,7 @@ impl fmt::Display for Point {
 /// Construction normalises corner order, so `x0 <= x1` and `y0 <= y1`
 /// always hold. Degenerate (zero-area) rectangles are permitted; they
 /// intersect nothing.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     /// Left edge (inclusive).
     pub x0: i64,

@@ -3,9 +3,7 @@
 use crate::geom::Rect;
 
 /// Identifier of a mask layer (e.g. metal-1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LayerId(pub u16);
 
 /// The metal layer used throughout the RHSD benchmarks.
@@ -24,14 +22,14 @@ pub const METAL1: LayerId = LayerId(1);
 /// let hits = layout.query(METAL1, &Rect::new(0, 0, 500, 500));
 /// assert_eq!(hits.len(), 1);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Layout {
     extent: Rect,
     layers: Vec<(LayerId, LayerData)>,
     grid_cell: i64,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct LayerData {
     shapes: Vec<Rect>,
     /// bins[by * nx + bx] → indices into `shapes`

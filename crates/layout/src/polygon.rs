@@ -10,7 +10,7 @@ use crate::geom::{Point, Rect};
 /// A simple (non-self-intersecting) rectilinear polygon given by its
 /// vertices in order (either orientation). Consecutive vertices must
 /// alternate horizontal/vertical edges.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RectilinearPolygon {
     vertices: Vec<Point>,
 }

@@ -11,7 +11,7 @@ use crate::geom::Rect;
 use crate::layout::{LayerId, Layout};
 
 /// Maps between layout nanometres and raster pixels for a given window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RasterSpec {
     /// The layout window being imaged.
     pub window: Rect,

@@ -11,9 +11,7 @@ use crate::synth::generator::{generate, PatternProfile, StressReport};
 use crate::synth::rules::DesignRules;
 
 /// Identifier of a benchmark case.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CaseId {
     /// Analogue of ICCAD-2016 Case 1 — clean design, no hotspots (excluded
     /// from the paper's evaluation, kept here for completeness).
@@ -48,7 +46,7 @@ impl std::fmt::Display for CaseId {
 }
 
 /// Full specification of one synthetic benchmark case.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
     /// Which case this models.
     pub id: CaseId,

@@ -15,7 +15,7 @@ use crate::layout::{Layout, METAL1};
 use crate::synth::rules::DesignRules;
 
 /// Statistical profile of a generated pattern.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternProfile {
     /// Probability that a track position starts a wire segment (controls
     /// overall metal density).
@@ -42,7 +42,7 @@ impl PatternProfile {
 
 /// Summary of the stress sites a generator injected (for diagnostics; the
 /// authoritative hotspot labels come from lithography simulation).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StressReport {
     /// Centres of tight tip-to-tip gaps.
     pub tight_gaps: Vec<Rect>,

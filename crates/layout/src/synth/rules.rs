@@ -4,7 +4,7 @@
 ///
 /// The defaults model the shrunk EUV metal layer of the ICCAD-2016
 /// benchmarks at a 10 nm/pixel raster: 40 nm wires on a 120 nm pitch.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignRules {
     /// Routing track pitch.
     pub pitch: i64,

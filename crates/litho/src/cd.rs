@@ -11,7 +11,7 @@ use crate::hotspot::simulate_print;
 use crate::window::{ProcessCorner, ProcessWindow};
 
 /// Direction of a cutline through the image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cut {
     /// Horizontal cutline (measures a vertical feature's width in x).
     Horizontal {
@@ -77,7 +77,7 @@ pub fn measure_cd(printed: &Tensor, cut: Cut, probe: usize) -> Option<usize> {
 }
 
 /// One row of a Bossung-style process-window table.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CdMeasurement {
     /// Corner name.
     pub corner: String,

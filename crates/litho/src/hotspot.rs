@@ -18,7 +18,7 @@ use crate::resist::{binarize, connected_components, print_resist};
 use crate::window::{ProcessCorner, ProcessWindow};
 
 /// The failure mode of a defect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefectKind {
     /// Two design-disjoint nets print connected.
     Bridge,
@@ -36,7 +36,7 @@ impl std::fmt::Display for DefectKind {
 }
 
 /// A lithography defect in layout coordinates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Defect {
     /// Failure mode.
     pub kind: DefectKind,

@@ -5,7 +5,7 @@
 //! surrogate when a full Hopkins/SOCS simulation is unavailable.
 
 /// A 1-D Gaussian filter used separably in x and y.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianKernel {
     sigma_px: f64,
     weights: Vec<f32>,

@@ -3,7 +3,7 @@
 
 /// One lithographic process corner: an effective resist threshold (dose)
 /// and an optical blur (defocus) in nanometres.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessCorner {
     /// Corner name for reports.
     pub name: String,
@@ -14,7 +14,7 @@ pub struct ProcessCorner {
 }
 
 /// A process window: the set of corners a pattern is verified against.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessWindow {
     /// The nominal printing condition.
     pub nominal: ProcessCorner,

@@ -16,7 +16,6 @@
 //! - [`loss`]: smooth-L1 (Eq. 5), cross-entropy (Eq. 6) and the L2
 //!   regulariser of the C&R objective (Eq. 4).
 //! - [`optim`]: SGD with momentum and the paper's step-decay LR schedule.
-//! - [`serialize`]: architecture-checked parameter checkpoints.
 //!
 //! # Examples
 //!
@@ -54,7 +53,6 @@ mod layer;
 pub mod layers;
 pub mod loss;
 pub mod optim;
-pub mod serialize;
 
 pub use grads::Grads;
 pub use layer::{backward_all, forward_all, Layer, Tape};

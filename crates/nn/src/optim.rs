@@ -7,7 +7,7 @@ use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
 /// Step learning-rate schedule: `lr = initial · factor^(step / every)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepDecay {
     /// Learning rate at step 0.
     pub initial: f32,

@@ -40,7 +40,7 @@ use crate::proto::{
 /// How the server starts: which model, which port.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Path to a saved model (`rhsd-model/1` document).
+    /// Path to a saved model (an `rhsd-model/2` file).
     pub model: PathBuf,
     /// TCP port on loopback; 0 binds an ephemeral port (the bound
     /// address is reported by [`Server::addr`]).

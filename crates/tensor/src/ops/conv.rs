@@ -19,7 +19,7 @@ use crate::ops::matmul::{gemm_into, BSource};
 use crate::Tensor;
 
 /// Geometry of a convolution: kernel size, stride and zero padding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvSpec {
     /// Square kernel side length.
     pub kernel: usize,

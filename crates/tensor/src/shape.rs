@@ -20,7 +20,7 @@ use crate::error::{Result, TensorError};
 /// assert_eq!(s.len(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

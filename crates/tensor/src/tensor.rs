@@ -23,7 +23,7 @@ use crate::shape::Shape;
 /// assert_eq!(t.sum(), 10.0);
 /// # Ok::<(), rhsd_tensor::TensorError>(())
 /// ```
-#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -442,13 +442,5 @@ mod tests {
         let t = Tensor::zeros([100]);
         let s = format!("{t:?}");
         assert!(s.contains("100 elems"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

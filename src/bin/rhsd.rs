@@ -22,6 +22,7 @@ use rhsd::layout::io::{read_rlf, write_rlf};
 use rhsd::layout::synth::{CaseId, CaseSpec};
 use rhsd::layout::{Layout, Rect, METAL1};
 use rhsd::litho::{label_layout, ProcessWindow};
+use rhsd::obs::json::{escape, number};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -146,8 +147,20 @@ fn cmd_label(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     let out = one(opts, "out")?;
     let pw = ProcessWindow::euv_default();
     let defects = label_layout(&layout, METAL1, &pw, 2560, NM_PER_PX);
-    let json = serde_json::to_string_pretty(&defects).map_err(|e| e.to_string())?;
-    std::fs::write(out, json).map_err(|e| e.to_string())?;
+    // `DefectKind`'s variant names (`Bridge`, `Pinch`) are the wire tags.
+    let rows: Vec<String> = defects
+        .iter()
+        .map(|d| {
+            format!(
+                "{{\"kind\": \"{:?}\", \"location\": {{\"x\": {}, \"y\": {}}}, \"corner\": \"{}\"}}",
+                d.kind,
+                d.location.x,
+                d.location.y,
+                escape(&d.corner)
+            )
+        })
+        .collect();
+    std::fs::write(out, json_array(&rows)).map_err(|e| e.to_string())?;
     println!("wrote {out}: {} defects", defects.len());
     Ok(())
 }
@@ -202,30 +215,35 @@ fn cmd_detect(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     };
     let det = RegionDetector::new(net, RegionConfig::demo());
     let result = det.scan(&bench, &extent);
-    #[derive(serde::Serialize)]
-    struct Out {
-        clip: [i64; 4],
-        score: f32,
-    }
-    let rows: Vec<Out> = result
+    let rows: Vec<String> = result
         .detections
         .iter()
-        .map(|d| Out {
-            clip: [d.clip.x0, d.clip.y0, d.clip.x1, d.clip.y1],
-            score: d.score,
+        .map(|d| {
+            format!(
+                "{{\"clip\": [{}, {}, {}, {}], \"score\": {}}}",
+                d.clip.x0,
+                d.clip.y0,
+                d.clip.x1,
+                d.clip.y1,
+                number(f64::from(d.score))
+            )
         })
         .collect();
-    std::fs::write(
-        out,
-        serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
+    std::fs::write(out, json_array(&rows)).map_err(|e| e.to_string())?;
     println!(
         "wrote {out}: {} detections over {} regions",
         rows.len(),
         result.regions
     );
     Ok(())
+}
+
+/// A JSON array of already-rendered values, one per line.
+fn json_array(items: &[String]) -> String {
+    if items.is_empty() {
+        return "[]\n".to_owned();
+    }
+    format!("[\n  {}\n]\n", items.join(",\n  "))
 }
 
 fn cmd_drc(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {

@@ -12,7 +12,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use rhsd::core::{persist, train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
+use rhsd::core::{train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
 use rhsd::data::{train_regions, BBox, Benchmark, RegionConfig, RegionSample};
 use rhsd::layout::synth::CaseId;
 use rhsd::layout::{RasterSpec, Rect};
@@ -267,7 +267,7 @@ fn training_numerics_are_pinned() {
         let (mut params, grads) = net.params_and_grads_mut();
         opt.step(&mut params, grads);
     }
-    for t in persist::save_model(&net).checkpoint.tensors {
+    for t in net.params() {
         for v in t.as_slice() {
             fnv1a(&mut h, v.to_bits());
         }

@@ -1,9 +1,10 @@
 //! Failure-injection tests: the stack must degrade loudly (typed errors)
 //! or gracefully (empty results) — never silently corrupt output.
 
+use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rhsd::core::persist::{load_from_reader, save_to_writer};
+use rhsd::core::persist::{load_from_reader, save_to_writer, PersistError};
 use rhsd::core::{RhsdConfig, RhsdNetwork};
 use rhsd::layout::io::{read_rlf, RlfError};
 use rhsd::layout::{Layout, Rect, METAL1};
@@ -27,14 +28,59 @@ fn corrupted_checkpoint_json_is_rejected() {
     let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut rng);
     let mut buf = Vec::new();
     save_to_writer(&net, &mut buf).unwrap();
-    // flip bytes in the middle (a stubbed serializer may emit nothing;
-    // an empty stream must still be rejected)
+    // flip every bit of two bytes in the middle of the weights
     let mid = buf.len() / 2;
-    if buf.len() >= 2 {
-        buf[mid] = b'!';
-        buf[mid + 1] = b'!';
-    }
+    buf[mid] ^= 0xff;
+    buf[mid + 1] ^= 0xff;
     assert!(load_from_reader(buf.as_slice()).is_err());
+}
+
+/// A saved tiny model and the length of its header line (newline
+/// included).
+fn saved_tiny_model() -> (Vec<u8>, usize) {
+    let net = RhsdNetwork::new(RhsdConfig::tiny(), &mut ChaCha8Rng::seed_from_u64(6));
+    let mut buf = Vec::new();
+    save_to_writer(&net, &mut buf).expect("save to memory");
+    let header = buf.iter().position(|&b| b == b'\n').expect("a header line") + 1;
+    (buf, header)
+}
+
+/// Loads `bytes`, which must fail with a typed read or format error.
+fn rejects(bytes: &[u8]) -> Result<(), String> {
+    match load_from_reader(bytes) {
+        Err(PersistError::Read(_) | PersistError::Format { .. }) => Ok(()),
+        Err(e) => Err(format!("unexpected error kind: {e}")),
+        Ok(_) => Err("a damaged model loaded".to_owned()),
+    }
+}
+
+proptest! {
+    /// Model-loader fuzz: truncation at any length, any one byte changed
+    /// in the header, the weights or the checksum, and any appended bytes
+    /// are each a typed error — never a panic, never a loaded model. The
+    /// FNV-1a checksum changes on every single-byte edit, so this is a
+    /// property, not a probability.
+    #[test]
+    fn damaged_model_files_are_typed_errors(
+        cut in 0.0f64..1.0,
+        part in 0usize..3,
+        at in 0.0f64..1.0,
+        mask in 1u8..=255,
+        extra in proptest::collection::vec(0u8..=255, 1..16),
+    ) {
+        let (buf, header) = saved_tiny_model();
+        let n = buf.len();
+        rejects(&buf[..(cut * n as f64) as usize])?;
+
+        let (lo, hi) = [(0, header), (header, n - 8), (n - 8, n)][part];
+        let mut flipped = buf.clone();
+        flipped[lo + (at * (hi - lo) as f64) as usize] ^= mask;
+        rejects(&flipped)?;
+
+        let mut longer = buf;
+        longer.extend(extra);
+        rejects(&longer)?;
+    }
 }
 
 #[test]

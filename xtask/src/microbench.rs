@@ -245,7 +245,7 @@ fn run_cases(quick: bool) -> Vec<Case> {
 }
 
 /// Renders the record. Hand-written JSON in the style of
-/// `rhsd_bench::pipeline::bench_json` — no serde in the xtask.
+/// `rhsd_bench::pipeline::bench_json`.
 fn render(quick: bool, threads: usize, cases: &[Case]) -> String {
     let ws = rhsd_tensor::workspace::stats();
     let mut out = String::new();

@@ -174,10 +174,9 @@ if [[ $bench_gate_only -eq 1 ]]; then
 fi
 
 # Deep-observability smoke: a profiled quick repro must emit well-formed
-# collapsed-stacks + flame-chart artifacts and a bench record whose
-# caches block shows real traffic, and `cargo xtask report` must render
-# the ledger + profile. Artifacts land in PROFILE_SMOKE/ so Actions can
-# upload them.
+# collapsed-stacks + flame-chart artifacts, and `cargo xtask report` must
+# render the ledger + profile. Artifacts land in PROFILE_SMOKE/ so Actions
+# can upload them.
 profile_check_artifacts() {
     [[ -s PROFILE_SMOKE/PROFILE_table1.collapsed ]] || {
         echo "PROFILE_table1.collapsed is missing or empty" >&2
@@ -193,17 +192,6 @@ profile_check_artifacts() {
         echo "PROFILE_table1.html is not a self-contained page" >&2
         return 1
     }
-    # The sampler must not blind the caches block: both scan caches saw
-    # real traffic during the profiled run.
-    python3 - <<'EOF'
-import json, sys
-rec = json.load(open("PROFILE_SMOKE/BENCH_profiled.json"))
-caches = rec["caches"]
-for family in ("region_tile", "stem_feature"):
-    g = caches[family]
-    if g["hits"] + g["misses"] == 0:
-        sys.exit(f"caches.{family} recorded no traffic")
-EOF
 }
 
 profile_report_renders() {
@@ -400,6 +388,11 @@ if rec["bit_identity_mismatches"] != 0:
     fail(f"{rec['bit_identity_mismatches']} bit-identity mismatches")
 if not rec.get("isa"):
     fail("record carries no detected-ISA field")
+# The quick loadgen repeats the Case2 test scan, so the server's scan
+# cache must serve both tiles and stems from memory.
+for key in ("tile_hit_rate", "stem_hit_rate"):
+    if rec[key] <= 0:
+        fail(f"{key} must be positive, got {rec[key]}")
 EOF
 }
 

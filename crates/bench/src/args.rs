@@ -301,11 +301,11 @@ impl BenchArgs {
     /// otherwise), noting the artifact. A model that cannot be written
     /// fails the run via [`fail`] — a silently missing model would break
     /// the serve flow the flag exists for.
-    pub fn save_model_if_requested(&mut self, detector: &mut rhsd_core::RegionDetector) {
+    pub fn save_model_if_requested(&mut self, detector: &rhsd_core::RegionDetector) {
         let Some(path) = self.save_model.clone() else {
             return;
         };
-        match rhsd_core::persist::save_to_path(detector.network_mut(), &path) {
+        match rhsd_core::persist::save_to_path(detector.network(), &path) {
             Ok(()) => {
                 eprintln!("saved trained model: {}", path.display());
                 self.note_artifact(path);

@@ -34,7 +34,7 @@ fn main() {
     let samples = merged_train_regions(&benches, &region, effort == Effort::Full);
     eprintln!("training one full model…");
     let (mut det, _training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
-    args.save_model_if_requested(&mut det);
+    args.save_model_if_requested(&det);
 
     // --- 1. h-NMS vs conventional NMS at evaluation time.
     println!("\n== h-NMS (Algorithm 1) vs conventional NMS, same weights ==");

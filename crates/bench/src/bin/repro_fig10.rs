@@ -21,9 +21,9 @@ fn main() {
     eprintln!("repro_fig10: effort = {effort:?} (pass --quick for a fast run)");
     eprintln!("training 4 ablation variants…");
     let timer = rhsd_obs::Stopwatch::start();
-    let (reports, mut full) = run_fig10(effort);
+    let (reports, full) = run_fig10(effort);
     eprintln!("total wall clock: {:.1}s", timer.secs());
-    args.save_model_if_requested(&mut full);
+    args.save_model_if_requested(&full);
 
     println!("\nFigure 10: ablation of ED / L2 / Refinement (synthetic reproduction)\n");
     println!("{}", render_fig10(&reports));

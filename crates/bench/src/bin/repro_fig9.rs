@@ -31,9 +31,9 @@ fn main() {
     let samples = merged_train_regions(&benches, &region, effort == Effort::Full);
 
     eprintln!("training ours + TCAD'18…");
-    let (mut ours, _training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
-    args.save_model_if_requested(&mut ours);
-    let mut tcad = train_tcad18(&benches, effort);
+    let (ours, _training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
+    args.save_model_if_requested(&ours);
+    let tcad = train_tcad18(&benches, effort);
 
     for bench in &benches {
         // pick the test region with the most ground-truth hotspots
@@ -64,7 +64,7 @@ fn main() {
             .collect();
 
         // TCAD'18: scan restricted to this window
-        let (_, all_marked) = evaluate_tcad18(&mut tcad, bench);
+        let (_, all_marked) = evaluate_tcad18(&tcad, bench);
         let tcad_clips: Vec<LayoutClip> = all_marked
             .iter()
             .filter(|c| window.intersects(&c.clip))

@@ -35,10 +35,10 @@ fn main() {
     let region_cfg = RegionConfig::demo();
     let mut rng = ChaCha8Rng::seed_from_u64(SCALING_SEED);
     let net = RhsdNetwork::new(RhsdConfig::demo(), &mut rng);
-    let mut ours = RegionDetector::new(net, region_cfg);
+    let ours = RegionDetector::new(net, region_cfg);
     // Scaling networks are untrained by design; the saved model is still
     // loadable and scannable (useful for protocol-level smoke tests).
-    args.save_model_if_requested(&mut ours);
+    args.save_model_if_requested(&ours);
     let tcad = Tcad18Detector::new(Tcad18Config::demo(), &mut rng);
 
     let sides: &[i64] = if effort == Effort::Quick {

@@ -29,9 +29,9 @@ fn main() {
     eprintln!("repro_table1: effort = {effort:?} (pass --quick for a fast run)");
     eprintln!("building benchmarks, training 4 detectors, scanning test halves…");
     let timer = rhsd_obs::Stopwatch::start();
-    let (reports, mut ours) = run_table1(effort);
+    let (reports, ours) = run_table1(effort);
     eprintln!("total wall clock: {:.1}s", timer.secs());
-    args.save_model_if_requested(&mut ours);
+    args.save_model_if_requested(&ours);
 
     println!("\nTable 1: Comparison with State-of-the-art (synthetic reproduction)\n");
     println!("{}", render_table1(&reports));

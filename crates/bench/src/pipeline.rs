@@ -10,14 +10,9 @@ use rhsd_baselines::{
     average_row, faster_rcnn_config, ssd_config, CaseResult, LayoutClip, Tcad18Config,
     Tcad18Detector,
 };
-use rhsd_core::{
-    RegionDetector, RhsdConfig, RhsdNetwork, StemFeatureCache, TrainConfig, DEFAULT_STEM_CACHE_CAP,
-};
+use rhsd_core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
 use rhsd_data::augment::{flip_region, Flip};
-use rhsd_data::{
-    sample_regions, train_regions, Benchmark, RegionConfig, RegionSample, RegionTileCache,
-    DEFAULT_TILE_CACHE_CAP,
-};
+use rhsd_data::{sample_regions, train_regions, Benchmark, RegionConfig, RegionSample};
 use rhsd_layout::synth::CaseId;
 
 /// Primary RNG seed of the "Ours" detector — also the seed recorded in
@@ -170,26 +165,9 @@ pub fn ours_config() -> RhsdConfig {
 }
 
 /// Evaluates a region detector on a case's test half, timing the scan.
-pub fn evaluate_region_detector(det: &mut RegionDetector, bench: &Benchmark) -> CaseResult {
+pub fn evaluate_region_detector(det: &RegionDetector, bench: &Benchmark) -> CaseResult {
     let timer = rhsd_obs::Stopwatch::start();
     let result = det.scan_test_half(bench);
-    let secs = timer.stop_into("eval.region_scan");
-    CaseResult::new(bench.id.name(), &result.evaluation, secs)
-}
-
-/// [`evaluate_region_detector`] through the incremental-scan caches:
-/// every detector evaluated on the same case shares `tiles` (the test
-/// half is rasterised once per case instead of once per detector), and
-/// repeated rasters replay their stem activations from `stems`. The
-/// reported rows are bit-identical to the uncached evaluation.
-pub fn evaluate_region_detector_cached(
-    det: &mut RegionDetector,
-    bench: &Benchmark,
-    tiles: &RegionTileCache,
-    stems: &StemFeatureCache,
-) -> CaseResult {
-    let timer = rhsd_obs::Stopwatch::start();
-    let result = det.scan_test_half_cached(bench, tiles, Some(stems));
     let secs = timer.stop_into("eval.region_scan");
     CaseResult::new(bench.id.name(), &result.evaluation, secs)
 }
@@ -229,10 +207,7 @@ pub fn train_tcad18(benches: &[Benchmark], effort: Effort) -> Tcad18Detector {
 }
 
 /// Evaluates the clip detector on a case's test half, timing the scan.
-pub fn evaluate_tcad18(
-    det: &mut Tcad18Detector,
-    bench: &Benchmark,
-) -> (CaseResult, Vec<LayoutClip>) {
+pub fn evaluate_tcad18(det: &Tcad18Detector, bench: &Benchmark) -> (CaseResult, Vec<LayoutClip>) {
     let timer = rhsd_obs::Stopwatch::start();
     let (marked, eval) = det.scan(bench, &bench.test_extent.clone());
     let secs = timer.stop_into("eval.tcad18_scan");
@@ -483,51 +458,38 @@ pub fn run_table1(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
     let augment = effort == Effort::Full;
     let samples = merged_train_regions(&benches, &region, augment);
 
-    // Incremental-scan caches: one tile cache per case (shared by every
-    // region detector, so each test half is rasterised once for the whole
-    // table) and one stem cache (identity-guarded, so detectors can share
-    // it without ever replaying each other's activations).
-    let tile_caches: Vec<RegionTileCache> = benches
-        .iter()
-        .map(|_| RegionTileCache::new(DEFAULT_TILE_CACHE_CAP))
-        .collect();
-    let stems = StemFeatureCache::new(DEFAULT_STEM_CACHE_CAP);
-
     let mut reports = Vec::new();
 
     // TCAD'18 clip-based baseline.
-    let mut tcad = train_tcad18(&benches, effort);
+    let tcad = train_tcad18(&benches, effort);
     let rows = benches
         .iter()
-        .map(|b| evaluate_tcad18(&mut tcad, b).0)
+        .map(|b| evaluate_tcad18(&tcad, b).0)
         .collect();
     reports.push(DetectorReport::new("TCAD'18", rows));
 
     // Faster R-CNN-style.
-    let (mut frcnn, training) =
+    let (frcnn, training) =
         train_region_network(faster_rcnn_config(&region), &samples, effort, 101);
     let rows = benches
         .iter()
-        .zip(&tile_caches)
-        .map(|(b, t)| evaluate_region_detector_cached(&mut frcnn, b, t, &stems))
+        .map(|b| evaluate_region_detector(&frcnn, b))
         .collect();
     reports.push(DetectorReport::new("Faster R-CNN", rows).with_training(training));
 
     // SSD-style.
-    let (mut ssd, training) = train_region_network(ssd_config(&region), &samples, effort, 102);
+    let (ssd, training) = train_region_network(ssd_config(&region), &samples, effort, 102);
     let rows = benches
         .iter()
-        .zip(&tile_caches)
-        .map(|(b, t)| evaluate_region_detector_cached(&mut ssd, b, t, &stems))
+        .map(|b| evaluate_region_detector(&ssd, b))
         .collect();
     reports.push(DetectorReport::new("SSD", rows).with_training(training));
 
     // Ours.
-    let (mut ours, training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
+    let (ours, training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
     let rows = benches
         .iter()
-        .zip(&tile_caches)
-        .map(|(b, t)| evaluate_region_detector_cached(&mut ours, b, t, &stems))
+        .map(|b| evaluate_region_detector(&ours, b))
         .collect();
     reports.push(DetectorReport::new("Ours", rows).with_training(training));
 
@@ -545,14 +507,6 @@ pub fn run_fig10(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
     let augment = effort == Effort::Full;
     let samples = merged_train_regions(&benches, &region, augment);
 
-    // All four ablation variants share each case's tile cache: the test
-    // halves are rasterised once for the whole figure.
-    let tile_caches: Vec<RegionTileCache> = benches
-        .iter()
-        .map(|_| RegionTileCache::new(DEFAULT_TILE_CACHE_CAP))
-        .collect();
-    let stems = StemFeatureCache::new(DEFAULT_STEM_CACHE_CAP);
-
     let variants: [(&str, ConfigTweak); 4] = [
         ("w/o. ED", |c| c.use_encoder_decoder = false),
         ("w/o. L2", |c| c.use_l2 = false),
@@ -565,11 +519,10 @@ pub fn run_fig10(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
     for (name, tweak) in &variants {
         let mut cfg = ours_config();
         tweak(&mut cfg);
-        let (mut det, training) = train_region_network(cfg, &samples, effort, OURS_SEED);
+        let (det, training) = train_region_network(cfg, &samples, effort, OURS_SEED);
         let rows = benches
             .iter()
-            .zip(&tile_caches)
-            .map(|(b, t)| evaluate_region_detector_cached(&mut det, b, t, &stems))
+            .map(|b| evaluate_region_detector(&det, b))
             .collect();
         reports.push(DetectorReport::new(*name, rows).with_training(training));
         if *name == "Full" {

@@ -8,15 +8,9 @@
 //! and the per-region results merge in region order — identical at any
 //! thread count.
 
-use std::sync::Arc;
-
-use rhsd_data::{
-    tile_regions, tile_regions_cached, Benchmark, RegionConfig, RegionSample, RegionTileCache,
-    NM_PER_PX,
-};
+use rhsd_data::{tile_regions, Benchmark, RegionConfig, RegionSample};
 use rhsd_layout::Rect;
 
-use crate::feature_cache::StemFeatureCache;
 use crate::metrics::{evaluate_region, Evaluation};
 use crate::model::{Detection, RhsdNetwork};
 
@@ -73,6 +67,11 @@ impl RegionDetector {
     }
 
     /// The wrapped network.
+    pub fn network(&self) -> &RhsdNetwork {
+        &self.network
+    }
+
+    /// Mutable access to the wrapped network.
     pub fn network_mut(&mut self) -> &mut RhsdNetwork {
         &mut self.network
     }
@@ -99,103 +98,41 @@ impl RegionDetector {
     /// inside each region's `detect` stays sequential — suppression
     /// order is part of its semantics.
     pub fn scan(&self, bench: &Benchmark, extent: &Rect) -> ScanResult {
-        let samples: Vec<Arc<RegionSample>> = tile_regions(bench, extent, &self.region_config)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        self.scan_samples(&samples, None)
-    }
-
-    /// [`RegionDetector::scan`] through the incremental-scan caches:
-    /// tiles come from (and populate) `tiles`, so repeated scans of one
-    /// benchmark rasterise each window once, and stem activations replay
-    /// through `stems` when the same raster recurs under unchanged
-    /// weights. Output is bit-identical to the uncached scan.
-    pub fn scan_cached(
-        &self,
-        bench: &Benchmark,
-        extent: &Rect,
-        tiles: &RegionTileCache,
-        stems: Option<&StemFeatureCache>,
-    ) -> ScanResult {
-        let samples = tile_regions_cached(bench, extent, &self.region_config, tiles);
-        self.scan_samples(&samples, stems)
-    }
-
-    /// Shared scan core over prepared samples (see [`RegionDetector::scan`]
-    /// for the determinism argument).
-    fn scan_samples(
-        &self,
-        regions: &[Arc<RegionSample>],
-        stems: Option<&StemFeatureCache>,
-    ) -> ScanResult {
+        let samples = tile_regions(bench, extent, &self.region_config);
         let mut sp = rhsd_obs::span("scan");
-        let per_region = self.scan_batch(regions, stems);
-        let result = merge_scan(regions, per_region);
+        let per_region = rhsd_par::map(samples.len(), 1, |i| {
+            let mut rsp = rhsd_obs::span("scan-region");
+            let (dets, eval) = self.detect_region(&samples[i]);
+            rsp.add("detections", dets.len() as f64);
+            (dets, eval)
+        });
+        let result = merge_scan(&samples, per_region);
         sp.add("regions", result.regions as f64);
         sp.add("detections", result.detections.len() as f64);
         result
-    }
-
-    /// Detects on every prepared sample, returning per-region results in
-    /// sample order — the batched forward pass behind every scan.
-    ///
-    /// Each region is one pool task on the shared, read-only network, so
-    /// a batch that concatenates the regions of several logically
-    /// separate scans produces exactly the per-region results of running
-    /// those scans alone. This is the property the `rhsd-serve` request
-    /// coalescer relies on: served, batched scans stay bit-identical to
-    /// offline scans.
-    pub fn scan_batch(
-        &self,
-        regions: &[Arc<RegionSample>],
-        stems: Option<&StemFeatureCache>,
-    ) -> Vec<(Vec<Detection>, Evaluation)> {
-        rhsd_par::map(regions.len(), 1, |i| {
-            let sample = &regions[i];
-            let mut rsp = rhsd_obs::span("scan-region");
-            let dets = match stems {
-                Some(cache) => self.network.detect_cached(&sample.image, cache),
-                None => self.network.detect(&sample.image),
-            };
-            let eval = evaluate_region(&dets, &sample.gt_centers);
-            rsp.add("detections", dets.len() as f64);
-            (dets, eval)
-        })
     }
 
     /// Scans the test half of a benchmark (the paper's evaluation split).
     pub fn scan_test_half(&self, bench: &Benchmark) -> ScanResult {
         self.scan(bench, &bench.test_extent.clone())
     }
-
-    /// [`RegionDetector::scan_test_half`] through the incremental-scan
-    /// caches (see [`RegionDetector::scan_cached`]).
-    pub fn scan_test_half_cached(
-        &self,
-        bench: &Benchmark,
-        tiles: &RegionTileCache,
-        stems: Option<&StemFeatureCache>,
-    ) -> ScanResult {
-        self.scan_cached(bench, &bench.test_extent.clone(), tiles, stems)
-    }
 }
 
-/// Folds the per-region results of [`RegionDetector::scan_batch`] back
-/// into one [`ScanResult`]: evaluations merge in region order, detections
-/// map to layout coordinates through their sample's raster spec.
+/// Folds per-region results back into one [`ScanResult`]: evaluations
+/// merge in region order, detections map to layout coordinates through
+/// their sample's raster spec.
 ///
-/// `per_region` must be index-aligned with `regions` (a slice of the
-/// batch results covering exactly these samples).
-pub fn merge_scan(
-    regions: &[Arc<RegionSample>],
+/// `per_region` must be index-aligned with `regions`.
+pub fn merge_scan<'a>(
+    regions: impl IntoIterator<Item = &'a RegionSample>,
     per_region: Vec<(Vec<Detection>, Evaluation)>,
 ) -> ScanResult {
-    debug_assert_eq!(regions.len(), per_region.len());
+    let count = per_region.len();
     let mut detections = Vec::new();
     let mut evaluation = Evaluation::default();
-    for (idx, (dets, eval)) in per_region.into_iter().enumerate() {
-        let sample = &regions[idx];
+    let mut merged = 0;
+    for (sample, (dets, eval)) in regions.into_iter().zip(per_region) {
+        merged += 1;
         evaluation.merge(&eval);
         for d in dets {
             detections.push(LayoutDetection {
@@ -205,21 +142,13 @@ pub fn merge_scan(
             });
         }
     }
+    debug_assert_eq!(merged, count, "one result per region");
     ScanResult {
         detections,
         evaluation,
-        regions: regions.len(),
+        regions: count,
     }
 }
-
-/// Converts a pixel-space detection in `sample` to layout nm (helper for
-/// callers working with raw [`RhsdNetwork::detect`] output).
-pub fn detection_to_nm(det: &Detection, sample: &RegionSample) -> Rect {
-    det.bbox.to_rect(&sample.spec)
-}
-
-/// Rough nm-per-px sanity constant re-exported for callers.
-pub const DETECTOR_NM_PER_PX: f64 = NM_PER_PX;
 
 #[cfg(test)]
 mod tests {
@@ -228,6 +157,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_layout::synth::CaseId;
+    use std::sync::Arc;
 
     fn tiny_detector() -> RegionDetector {
         let mut cfg = RhsdConfig::tiny();
@@ -273,66 +203,6 @@ mod tests {
                 "detection {d:?} escapes its region"
             );
         }
-    }
-
-    #[test]
-    fn cached_scan_is_bit_identical_to_plain_scan() {
-        let bench = Benchmark::demo(CaseId::Case2);
-        let det = tiny_detector();
-        let plain = det.scan_test_half(&bench);
-
-        let tiles = RegionTileCache::new(rhsd_data::DEFAULT_TILE_CACHE_CAP);
-        let stems = StemFeatureCache::new(crate::DEFAULT_STEM_CACHE_CAP);
-        let first = det.scan_test_half_cached(&bench, &tiles, Some(&stems));
-        assert_eq!(plain.detections, first.detections);
-        assert_eq!(plain.evaluation, first.evaluation);
-        assert_eq!(tiles.misses(), plain.regions as u64);
-
-        // a rescan reuses every tile and every stem activation, and the
-        // result is still bit-identical
-        let second = det.scan_test_half_cached(&bench, &tiles, Some(&stems));
-        assert_eq!(plain.detections, second.detections);
-        assert_eq!(tiles.hits(), plain.regions as u64);
-        assert!(
-            stems.hits() >= plain.regions as u64,
-            "rescan must replay cached stem activations (hits {})",
-            stems.hits()
-        );
-    }
-
-    #[test]
-    fn coalesced_batch_reproduces_individual_scans() {
-        // Concatenating two scans' samples into one batched pass (the
-        // rhsd-serve coalescer) must give each scan exactly the results
-        // it gets when scanned alone.
-        let b2 = Benchmark::demo(CaseId::Case2);
-        let b3 = Benchmark::demo(CaseId::Case3);
-        let det = tiny_detector();
-        let cfg = RegionConfig::demo();
-        let s2: Vec<Arc<RegionSample>> = tile_regions(&b2, &b2.test_extent.clone(), &cfg)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let s3: Vec<Arc<RegionSample>> = tile_regions(&b3, &b3.test_extent.clone(), &cfg)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-
-        let alone2 = det.scan_batch(&s2, None);
-        let alone3 = det.scan_batch(&s3, None);
-
-        let mut combined: Vec<Arc<RegionSample>> = s2.clone();
-        combined.extend(s3.iter().cloned());
-        let batched = det.scan_batch(&combined, None);
-        assert_eq!(&batched[..s2.len()], &alone2[..]);
-        assert_eq!(&batched[s2.len()..], &alone3[..]);
-
-        // ... and the merged ScanResult equals the full scan path.
-        let merged = merge_scan(&s2, alone2);
-        let plain = det.scan_test_half(&b2);
-        assert_eq!(merged.detections, plain.detections);
-        assert_eq!(merged.evaluation, plain.evaluation);
-        assert_eq!(merged.regions, plain.regions);
     }
 
     #[test]

@@ -18,9 +18,10 @@ pub struct FeatureExtractor {
     layers: Vec<Box<dyn Layer>>,
     /// Number of leading layers forming the *stem* (encoder–decoder and
     /// the compressing convolutions through the second max-pool). The
-    /// stem depends only on the input raster and the weights, so its
-    /// activations can be cached and replayed into the inception stack
-    /// (see [`crate::StemFeatureCache`]).
+    /// stem depends only on the input raster and the weights, so a
+    /// process that keeps one network can store a raster's stem
+    /// activations and replay them into the inception stack (the
+    /// `rhsd-serve` scan cache does).
     stem_len: usize,
     out_channels: usize,
 }

@@ -40,7 +40,6 @@ pub mod config;
 pub mod cpn;
 pub mod detector;
 pub mod extractor;
-pub mod feature_cache;
 pub mod hnms;
 pub mod loss;
 pub mod metrics;
@@ -56,7 +55,6 @@ pub mod train;
 pub use config::RhsdConfig;
 pub use detector::{merge_scan, RegionDetector, ScanResult};
 pub use extractor::FeatureExtractor;
-pub use feature_cache::{StemFeatureCache, DEFAULT_STEM_CACHE_CAP};
 pub use hnms::{conventional_nms, hotspot_nms, Scored};
 pub use metrics::{evaluate_region, Evaluation};
 pub use model::{Detection, RhsdNetwork, TrainStats};

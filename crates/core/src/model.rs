@@ -15,7 +15,6 @@ use crate::boxcode::{decode, encode};
 use crate::config::RhsdConfig;
 use crate::cpn::ClipProposalNetwork;
 use crate::extractor::FeatureExtractor;
-use crate::feature_cache::StemFeatureCache;
 use crate::hnms::{conventional_nms, hotspot_nms, Scored};
 use crate::loss::{cpn_loss, refine_loss, CrLoss, CLASS_HOTSPOT, CLASS_NON_HOTSPOT};
 use crate::pruning::{assign_anchors, sample_minibatch};
@@ -70,9 +69,6 @@ impl TrainStats {
     }
 }
 
-/// Source of unique network identities (see [`RhsdNetwork::identity`]).
-static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// The region-based hotspot detection network.
 ///
 /// The layers are read-only at inference: every inference entry point
@@ -80,9 +76,7 @@ static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// Training accumulates into the network's own [`Grads`], which mirror
 /// [`RhsdNetwork::params`] slot for slot.
 ///
-/// `Clone` copies the weights and gradients. Clones keep the original's
-/// identity and weights version: they hold the same weights, so they may
-/// share [`StemFeatureCache`] entries.
+/// `Clone` copies the weights and gradients.
 pub struct RhsdNetwork {
     config: RhsdConfig,
     extractor: FeatureExtractor,
@@ -91,13 +85,6 @@ pub struct RhsdNetwork {
     anchors: Vec<BBox>,
     /// Gradient accumulators of a training step, in `params` order.
     grads: Grads,
-    /// Process-unique id distinguishing this network (and its clones)
-    /// from every other network, so cached activations never cross
-    /// between independently-trained weights.
-    identity: u64,
-    /// Bumped whenever mutable access to the parameters is handed out;
-    /// cached stem activations from older versions stop matching.
-    weights_version: u64,
 }
 
 impl RhsdNetwork {
@@ -121,8 +108,6 @@ impl RhsdNetwork {
             refinement,
             anchors,
             grads: Grads::zeros_like([]),
-            identity: NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            weights_version: 0,
         };
         net.grads = Grads::zeros_like(net.params());
         net
@@ -149,18 +134,6 @@ impl RhsdNetwork {
         &self.anchors
     }
 
-    /// Process-unique identity of this network's weights lineage (shared
-    /// by clones, distinct across independently-created networks).
-    pub fn identity(&self) -> u64 {
-        self.identity
-    }
-
-    /// Monotonic counter of potential weight mutations; part of every
-    /// [`StemFeatureCache`] key, so stale activations can never replay.
-    pub fn weights_version(&self) -> u64 {
-        self.weights_version
-    }
-
     /// All trainable parameters: extractor, CPN, then refinement head.
     pub fn params(&self) -> Vec<&Tensor> {
         let mut p = self.extractor.params();
@@ -172,10 +145,6 @@ impl RhsdNetwork {
     }
 
     /// Mutable access to [`RhsdNetwork::params`], same order.
-    ///
-    /// Handing out mutable parameter access conservatively bumps the
-    /// weights version — a spurious bump only costs a cache miss, never
-    /// correctness.
     pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.params_and_grads_mut().0
     }
@@ -188,10 +157,8 @@ impl RhsdNetwork {
     }
 
     /// The parameters and their gradients at once — what an optimiser
-    /// step needs. Bumps the weights version like
-    /// [`RhsdNetwork::params_mut`].
+    /// step needs.
     pub fn params_and_grads_mut(&mut self) -> (Vec<&mut Tensor>, &mut Grads) {
-        self.weights_version = self.weights_version.wrapping_add(1);
         let mut p = self.extractor.params_mut();
         p.extend(self.cpn.params_mut());
         if let Some(r) = self.refinement.as_mut() {
@@ -446,11 +413,7 @@ impl RhsdNetwork {
     ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
     pub fn proposals(&self, image: &Tensor) -> Vec<Scored> {
-        let feats = {
-            let _sp = rhsd_obs::span("backbone");
-            self.extractor.forward(image, &mut Tape::inference())
-        };
-        self.propose(&feats)
+        self.propose(&self.features(image))
     }
 
     /// Detects hotspots in a `[1, region_px, region_px]` raster — the
@@ -458,44 +421,24 @@ impl RhsdNetwork {
     ///
     /// Shapes: `image` is `[1, region_px, region_px]`.
     pub fn detect(&self, image: &Tensor) -> Vec<Detection> {
-        let feats = self.stem_feats(image, None);
-        self.detect_from_feats(&feats)
+        self.detect_features(&self.features(image))
     }
 
-    /// [`RhsdNetwork::detect`] through a [`StemFeatureCache`]: replays
-    /// the stem activations when this exact raster was already scanned
-    /// under the current weights, and populates the cache otherwise.
-    /// Bit-identical to `detect` in either case (the cache stores the
-    /// bits a fresh stem forward would produce, and
-    /// `forward_rest ∘ forward_stem` is the exact `forward` sequence).
-    ///
-    /// Shapes: `image` is `[1, region_px, region_px]`.
-    pub fn detect_cached(&self, image: &Tensor, cache: &StemFeatureCache) -> Vec<Detection> {
-        let feats = self.stem_feats(image, Some(cache));
-        self.detect_from_feats(&feats)
-    }
-
-    /// Extracted features for one raster, optionally through a stem
-    /// cache keyed at the current weights version.
-    fn stem_feats(&self, image: &Tensor, cache: Option<&StemFeatureCache>) -> Tensor {
+    /// The extractor's feature map for one raster, under a `backbone`
+    /// span.
+    fn features(&self, image: &Tensor) -> Tensor {
         let _sp = rhsd_obs::span("backbone");
-        let Some(cache) = cache else {
-            return self.extractor.forward(image, &mut Tape::inference());
-        };
-        match cache.get(self.identity, self.weights_version, image) {
-            Some(stem) => self.extractor.forward_rest(&stem),
-            None => {
-                let stem = self.extractor.forward_stem(image);
-                let feats = self.extractor.forward_rest(&stem);
-                cache.put(self.identity, self.weights_version, image, stem);
-                feats
-            }
-        }
+        self.extractor.forward(image, &mut Tape::inference())
     }
 
-    /// Shared tail of [`RhsdNetwork::detect`]/[`RhsdNetwork::detect_cached`]:
-    /// proposal, refinement, and NMS on an extracted feature map.
-    fn detect_from_feats(&self, feats: &Tensor) -> Vec<Detection> {
+    /// Everything [`RhsdNetwork::detect`] runs after the extractor:
+    /// proposal, refinement and NMS. A caller that replays stored stem
+    /// activations through [`FeatureExtractor::forward_rest`] gets
+    /// exactly `detect`'s output, because
+    /// `forward_rest ∘ forward_stem` is the exact `forward` sequence.
+    ///
+    /// Shapes: `feats` is the extractor's `[c, f, f]` feature map.
+    pub fn detect_features(&self, feats: &Tensor) -> Vec<Detection> {
         let proposals = self.propose(feats);
 
         let finals: Vec<Scored> = if let Some(head) = &self.refinement {
@@ -552,25 +495,21 @@ impl RhsdNetwork {
         &self.extractor
     }
 
-    /// Mutable access to the extractor. Bumps the weights version: the
-    /// caller may mutate stem weights.
+    /// Mutable access to the extractor.
     pub fn extractor_mut(&mut self) -> &mut FeatureExtractor {
-        self.weights_version = self.weights_version.wrapping_add(1);
         &mut self.extractor
     }
 }
 
 impl Clone for RhsdNetwork {
     /// Rebuilds the architecture from the configuration, then copies the
-    /// weights and gradients; identity and weights version carry over.
+    /// weights and gradients.
     fn clone(&self) -> Self {
         let mut twin = RhsdNetwork::new(self.config.clone(), &mut ChaCha8Rng::seed_from_u64(0));
         for (dst, src) in twin.params_mut().into_iter().zip(self.params()) {
             dst.clone_from(src);
         }
         twin.grads.clone_from(&self.grads);
-        twin.identity = self.identity;
-        twin.weights_version = self.weights_version;
         twin
     }
 }
@@ -684,36 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn detect_cached_matches_detect_and_reuses_the_stem() {
-        let cfg = RhsdConfig::tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(76);
-        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
-        let sample = tiny_sample(&cfg, true);
-        let cache = crate::StemFeatureCache::new(8);
-
-        let plain = net.detect(&sample.image);
-        let cold = net.detect_cached(&sample.image, &cache);
-        assert_eq!(plain, cold, "cold cached detect must match detect");
-        assert_eq!(cache.misses(), 1);
-
-        let warm = net.detect_cached(&sample.image, &cache);
-        assert_eq!(plain, warm, "warm cached detect must be bit-identical");
-        assert_eq!(cache.hits(), 1, "second scan replays the stem");
-
-        // a weight update (any mutable param access) invalidates entries
-        let _ = net.params_mut();
-        let after = net.detect_cached(&sample.image, &cache);
-        assert_eq!(plain, after, "weights unchanged ⇒ same detections");
-        assert_eq!(cache.misses(), 2, "bumped version cannot replay");
-
-        // a clone shares identity/version and therefore the cache entry
-        let twin = net.clone();
-        let twin_dets = twin.detect_cached(&sample.image, &cache);
-        assert_eq!(plain, twin_dets);
-        assert_eq!(cache.hits(), 2, "clone replays the shared stem");
-    }
-
-    #[test]
     fn ablated_network_skips_refinement() {
         let mut cfg = RhsdConfig::tiny();
         cfg.use_refinement = false;
@@ -763,7 +672,6 @@ mod tests {
         let twin = net.clone();
         assert_eq!(twin.params(), net.params());
         assert_eq!(twin.grads(), net.grads());
-        assert_eq!(twin.identity(), net.identity());
         assert_eq!(twin.detect(&sample.image), net.detect(&sample.image));
     }
 

@@ -24,7 +24,6 @@ use rhsd_obs::json::{self, number, Value};
 use rhsd_tensor::Tensor;
 
 use crate::config::RhsdConfig;
-use crate::feature_cache::{fnv1a, FNV_OFFSET};
 use crate::model::RhsdNetwork;
 
 /// Format tag written into every saved model's header. Loading checks it
@@ -134,7 +133,11 @@ fn read_error(why: impl Into<String>) -> PersistError {
 
 /// FNV-1a-64 over `bytes`.
 fn checksum(bytes: &[u8]) -> u64 {
-    bytes.iter().map(|&b| u64::from(b)).fold(FNV_OFFSET, fnv1a)
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes
+        .iter()
+        .fold(OFFSET_BASIS, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 /// `items`, each rendered by `render`, as a compact JSON array.

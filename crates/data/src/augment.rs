@@ -76,7 +76,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn double_flip_is_identity() {
+    fn double_flip_restores_the_image() {
         let img = Tensor::from_fn([1, 4, 6], |c| (c[1] * 6 + c[2]) as f32);
         for f in [Flip::Horizontal, Flip::Vertical] {
             assert_eq!(flip_image(&flip_image(&img, f), f), img);

@@ -22,7 +22,6 @@ mod bbox;
 mod benchmark;
 pub mod clips;
 mod region;
-mod region_cache;
 
 pub use bbox::BBox;
 pub use benchmark::{Benchmark, NM_PER_PX};
@@ -30,4 +29,3 @@ pub use region::{
     extract_region, sample_regions, test_regions, tile_origins, tile_regions, train_regions,
     RegionConfig, RegionSample,
 };
-pub use region_cache::{tile_regions_cached, RegionTileCache, DEFAULT_TILE_CACHE_CAP};

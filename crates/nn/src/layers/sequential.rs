@@ -100,7 +100,7 @@ mod tests {
     use rhsd_tensor::ops::conv::ConvSpec;
 
     #[test]
-    fn empty_sequential_is_identity() {
+    fn empty_sequential_passes_input_through() {
         let s = Sequential::new();
         assert!(s.is_empty());
         let x = Tensor::from_vec([2], vec![3., 4.]).unwrap();

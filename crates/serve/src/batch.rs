@@ -1,32 +1,35 @@
 //! Cross-request batch coalescing.
 //!
 //! Connection handlers never run the network themselves. They submit
-//! their prepared region samples to a shared [`BatchQueue`] and block on
-//! a reply channel; a single batcher thread drains *every* queued job at
-//! once, concatenates the samples into one slice, and runs a single
-//! [`RegionDetector::scan_batch`] pass over the `rhsd-par` pool: one
-//! task per region, all on the one shared network. Under concurrent
-//! load the pool therefore sees large batches (good thread occupancy)
-//! instead of many small competing scans.
+//! their cached region tiles ([`Tile`]) to a shared [`BatchQueue`] and
+//! block on a reply channel; a single batcher thread drains *every*
+//! queued job at once, concatenates the tiles into one slice, and runs
+//! one pass over the `rhsd-par` pool: one task per region, all on the
+//! one shared network. Under concurrent load the pool therefore sees
+//! large batches (good thread occupancy) instead of many small competing
+//! scans.
 //!
-//! Correctness rests on the batch-decomposition property documented on
-//! [`RegionDetector::scan_batch`]: per-region detection is independent
-//! and reads the network without mutating it, so each job gets back
-//! exactly the per-region results it would get from a solo scan —
-//! coalescing changes throughput, never output.
+//! Each region task runs `stem → forward_rest → detect_features →
+//! evaluate_region`, taking the stem from the tile's slot in the
+//! [`ScanCache`] or computing and storing it. Per-region detection is
+//! independent and reads the network without mutating it, so each job
+//! gets back exactly the per-region results of an offline
+//! [`RegionDetector::scan`] — coalescing and caching change throughput,
+//! never output.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
-use rhsd_core::{Detection, Evaluation, RegionDetector, StemFeatureCache};
-use rhsd_data::RegionSample;
+use rhsd_core::{evaluate_region, Detection, Evaluation, RegionDetector};
+
+use crate::cache::{ScanCache, Tile};
 
 /// Per-region results for one submitted job, in sample order.
 pub type JobResult = Vec<(Vec<Detection>, Evaluation)>;
 
 struct Job {
-    samples: Vec<Arc<RegionSample>>,
+    tiles: Vec<Arc<Tile>>,
     reply: mpsc::Sender<JobResult>,
 }
 
@@ -62,15 +65,15 @@ impl BatchQueue {
         })
     }
 
-    /// Submits one scan's samples; the returned receiver yields the
+    /// Submits one scan's tiles; the returned receiver yields the
     /// per-region results once a batch containing this job completes.
     /// After [`BatchQueue::shutdown`] the job is dropped and the
     /// receiver disconnects.
-    pub fn submit(&self, samples: Vec<Arc<RegionSample>>) -> mpsc::Receiver<JobResult> {
+    pub fn submit(&self, tiles: Vec<Arc<Tile>>) -> mpsc::Receiver<JobResult> {
         let (tx, rx) = mpsc::channel();
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if !state.shutdown {
-            state.jobs.push_back(Job { samples, reply: tx });
+            state.jobs.push_back(Job { tiles, reply: tx });
             self.ready.notify_one();
         }
         rx
@@ -105,7 +108,7 @@ impl BatchQueue {
 
     /// Runs the batcher loop until [`BatchQueue::shutdown`] and the queue
     /// drains. Intended to own a dedicated thread.
-    pub fn run(&self, detector: &RegionDetector, stems: &StemFeatureCache) {
+    pub fn run(&self, detector: &RegionDetector, cache: &ScanCache) {
         loop {
             let jobs: Vec<Job> = {
                 let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -118,12 +121,9 @@ impl BatchQueue {
                 state.jobs.drain(..).collect()
             };
 
-            let mut all: Vec<Arc<RegionSample>> = Vec::new();
-            for job in &jobs {
-                all.extend(job.samples.iter().cloned());
-            }
+            let all: Vec<&Tile> = jobs.iter().flat_map(|j| &j.tiles).map(|t| &**t).collect();
             let sw = rhsd_obs::Stopwatch::start();
-            let mut results = detector.scan_batch(&all, Some(stems));
+            let mut results = rhsd_par::map(all.len(), 1, |i| scan_region(detector, cache, all[i]));
             sw.stop_into("serve.batch_secs");
 
             self.batches.fetch_add(1, Ordering::Relaxed);
@@ -140,7 +140,7 @@ impl BatchQueue {
             // Split the concatenated results back out in job order; a
             // receiver that hung up just drops its slice.
             for job in jobs {
-                let rest = results.split_off(job.samples.len());
+                let rest = results.split_off(job.tiles.len());
                 let own = std::mem::replace(&mut results, rest);
                 let _ = job.reply.send(own);
             }
@@ -148,13 +148,32 @@ impl BatchQueue {
     }
 }
 
+/// Detects on one cached tile and scores it against its ground truth.
+fn scan_region(
+    detector: &RegionDetector,
+    cache: &ScanCache,
+    tile: &Tile,
+) -> (Vec<Detection>, Evaluation) {
+    let mut sp = rhsd_obs::span("scan-region");
+    let net = detector.network();
+    let feats = {
+        let _sp = rhsd_obs::span("backbone");
+        let stem = cache.stem(tile, |image| net.extractor().forward_stem(image));
+        net.extractor().forward_rest(stem)
+    };
+    let dets = net.detect_features(&feats);
+    let eval = evaluate_region(&dets, &tile.sample().gt_centers);
+    sp.add("detections", dets.len() as f64);
+    (dets, eval)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rhsd_core::{RhsdConfig, RhsdNetwork, DEFAULT_STEM_CACHE_CAP};
-    use rhsd_data::{tile_regions, Benchmark, RegionConfig};
+    use rhsd_core::{merge_scan, RhsdConfig, RhsdNetwork};
+    use rhsd_data::{Benchmark, RegionConfig};
     use rhsd_layout::synth::CaseId;
 
     fn tiny_detector() -> RegionDetector {
@@ -164,62 +183,78 @@ mod tests {
         RegionDetector::new(RhsdNetwork::new(cfg, &mut rng), RegionConfig::demo())
     }
 
-    fn samples(case: CaseId) -> Vec<Arc<RegionSample>> {
-        let bench = Benchmark::demo(case);
-        tile_regions(&bench, &bench.test_extent.clone(), &RegionConfig::demo())
-            .into_iter()
-            .map(Arc::new)
+    fn test_half(cache: &ScanCache, bench: &Benchmark) -> Vec<Arc<Tile>> {
+        cache.tiles(bench, &bench.test_extent, &RegionConfig::demo())
+    }
+
+    /// The offline per-region results: plain `detect` on each raster.
+    fn solo(detector: &RegionDetector, tiles: &[Arc<Tile>]) -> JobResult {
+        tiles
+            .iter()
+            .map(|t| detector.detect_region(t.sample()))
             .collect()
     }
 
     #[test]
     fn coalesced_jobs_get_their_solo_scan_results() {
         let detector = Arc::new(tiny_detector());
-        let stems = StemFeatureCache::new(DEFAULT_STEM_CACHE_CAP);
+        let cache = ScanCache::new();
         let queue = BatchQueue::new();
-        let s2 = samples(CaseId::Case2);
-        let s3 = samples(CaseId::Case3);
-        let expect2 = detector.scan_batch(&s2, None);
-        let expect3 = detector.scan_batch(&s3, None);
+        let b2 = Benchmark::demo(CaseId::Case2);
+        let t2 = test_half(&cache, &b2);
+        let t3 = test_half(&cache, &Benchmark::demo(CaseId::Case3));
+        let expect2 = solo(&detector, &t2);
+        let expect3 = solo(&detector, &t3);
 
         // Enqueue both jobs *before* the batcher starts so they are
-        // provably coalesced into a single pass.
-        let rx2 = queue.submit(s2);
-        let rx3 = queue.submit(s3);
+        // provably coalesced into a single pass; the second Case2 job
+        // replays the stems the first one stores.
+        let rx2 = queue.submit(t2.clone());
+        let rx3 = queue.submit(t3.clone());
+        let rx2_again = queue.submit(t2.clone());
         queue.shutdown();
-        queue.run(&detector, &stems);
+        queue.run(&detector, &cache);
 
-        assert_eq!(rx2.recv().unwrap(), expect2);
+        let got2 = rx2.recv().unwrap();
+        assert_eq!(got2, expect2);
         assert_eq!(rx3.recv().unwrap(), expect3);
-        assert_eq!(queue.batches(), 1, "both jobs must share one pass");
-        assert_eq!(queue.batched_requests(), 2);
-        assert_eq!(queue.max_batch_requests(), 2);
-        assert_eq!(
-            queue.batched_regions(),
-            (expect2.len() + expect3.len()) as u64
-        );
+        assert_eq!(rx2_again.recv().unwrap(), expect2);
+        assert_eq!(queue.batches(), 1, "all jobs must share one pass");
+        assert_eq!(queue.batched_requests(), 3);
+        assert_eq!(queue.max_batch_requests(), 3);
+        let regions = (2 * t2.len() + t3.len()) as u64;
+        assert_eq!(queue.batched_regions(), regions);
+        assert_eq!(cache.stem_hits() + cache.stem_misses(), regions);
+
+        // ... and the merged result equals the offline scan.
+        let merged = merge_scan(t2.iter().map(|t| t.sample()), got2);
+        let offline = detector.scan_test_half(&b2);
+        assert_eq!(merged.detections, offline.detections);
+        assert_eq!(merged.evaluation, offline.evaluation);
+        assert_eq!(merged.regions, offline.regions);
     }
 
     #[test]
     fn concurrent_submitters_are_served() {
         let detector = Arc::new(tiny_detector());
+        let cache = Arc::new(ScanCache::new());
         let queue = BatchQueue::new();
-        let s2 = samples(CaseId::Case2);
-        let expect = detector.scan_batch(&s2, None);
+        let t2 = test_half(&cache, &Benchmark::demo(CaseId::Case2));
+        let expect = solo(&detector, &t2);
 
         let batcher = {
-            let queue = Arc::clone(&queue);
-            let detector = Arc::clone(&detector);
-            std::thread::spawn(move || {
-                let stems = StemFeatureCache::new(DEFAULT_STEM_CACHE_CAP);
-                queue.run(&detector, &stems);
-            })
+            let (queue, detector, cache) = (
+                Arc::clone(&queue),
+                Arc::clone(&detector),
+                Arc::clone(&cache),
+            );
+            std::thread::spawn(move || queue.run(&detector, &cache))
         };
         let clients: Vec<_> = (0..3)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let s = s2.clone();
-                std::thread::spawn(move || queue.submit(s).recv().unwrap())
+                let t = t2.clone();
+                std::thread::spawn(move || queue.submit(t).recv().unwrap())
             })
             .collect();
         for c in clients {
@@ -229,6 +264,38 @@ mod tests {
         batcher.join().unwrap();
         assert_eq!(queue.batched_requests(), 3);
         assert!(queue.batches() >= 1 && queue.batches() <= 3);
+        // Copies of one tile coalesced into a pass may both compute its
+        // stem, so only the totals are scheduling-independent.
+        let lookups = cache.stem_hits() + cache.stem_misses();
+        assert_eq!(lookups, queue.batched_regions());
+        assert!(cache.stem_misses() >= t2.len() as u64);
+    }
+
+    #[test]
+    fn sequential_rescans_compute_each_stem_once() {
+        let detector = Arc::new(tiny_detector());
+        let cache = Arc::new(ScanCache::new());
+        let queue = BatchQueue::new();
+        let t2 = test_half(&cache, &Benchmark::demo(CaseId::Case2));
+        let expect = solo(&detector, &t2);
+
+        let batcher = {
+            let (queue, detector, cache) = (
+                Arc::clone(&queue),
+                Arc::clone(&detector),
+                Arc::clone(&cache),
+            );
+            std::thread::spawn(move || queue.run(&detector, &cache))
+        };
+        for _ in 0..3 {
+            assert_eq!(queue.submit(t2.clone()).recv().unwrap(), expect);
+        }
+        queue.shutdown();
+        batcher.join().unwrap();
+        let n = t2.len() as u64;
+        assert_eq!(queue.batches(), 3);
+        assert_eq!(cache.stem_misses(), n, "one stem per tile");
+        assert_eq!(cache.stem_hits(), 2 * n);
     }
 
     #[test]

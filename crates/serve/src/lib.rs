@@ -6,14 +6,16 @@
 //! on loopback TCP, and serves layout-scan requests framed as
 //! length-prefixed JSON ([`proto`]). Scans from concurrent connections
 //! are coalesced into shared batched forward passes over the
-//! `rhsd-par` pool ([`batch`]), and the raster-tile and stem-feature
-//! caches persist across requests ([`server`]).
+//! `rhsd-par` pool ([`batch`]). Its [`cache`] keeps each region's
+//! raster and stem activations across requests; it is the only scan
+//! cache in the workspace, because a server is the only process whose
+//! traffic repeats and whose network never changes.
 //!
 //! The load-bearing invariant: a served scan is **bit-identical** to
-//! the offline scan of the same case. Batching is output-invariant
-//! (per-region detection is independent — see
-//! [`rhsd_core::RegionDetector::scan_batch`]), the caches are
-//! bit-identity-preserving, and both the server and the offline
+//! the offline scan of the same case ([`offline_scan`]). Batching is
+//! output-invariant (per-region detection is independent and reads the
+//! network without mutating it), a replayed stem holds exactly the bits
+//! a fresh stem pass computes, and both the server and the offline
 //! reference writer serialise results through the same
 //! [`proto::scan_response_json`], so CI checks the whole claim with a
 //! byte comparison of two files.
@@ -22,6 +24,7 @@
 //! from `std::net`, parallelism from `rhsd-par`.
 
 pub mod batch;
+pub mod cache;
 pub mod client;
 pub mod proto;
 pub mod server;

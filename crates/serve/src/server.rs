@@ -3,10 +3,10 @@
 //!
 //! One process loads the trained model once, then serves any number of
 //! scan requests. Scans from concurrent connections meet in the shared
-//! [`BatchQueue`] and run as coalesced forward passes; the raster-tile
-//! cache (per case) and the stem-feature cache (global) persist across
-//! requests, so repeated traffic over the same layouts is served mostly
-//! from cache. Replies are bit-identical to offline scans by
+//! [`BatchQueue`] and run as coalesced forward passes; the
+//! [`ScanCache`] of region rasters and their stem activations persists
+//! across requests, so repeated traffic over the same layouts is served
+//! mostly from cache. Replies are bit-identical to offline scans by
 //! construction — see [`crate::proto::scan_response_json`].
 //!
 //! Shutdown protocol: a `shutdown` request is acknowledged, the listener
@@ -24,14 +24,13 @@ use std::thread::JoinHandle;
 
 use rhsd_core::detector::ScanResult;
 use rhsd_core::persist::{self, PersistError, MODEL_FORMAT};
-use rhsd_core::{merge_scan, Precision, RegionDetector, StemFeatureCache, DEFAULT_STEM_CACHE_CAP};
-use rhsd_data::{
-    tile_regions_cached, Benchmark, RegionConfig, RegionTileCache, DEFAULT_TILE_CACHE_CAP,
-};
+use rhsd_core::{merge_scan, Precision, RegionDetector};
+use rhsd_data::{Benchmark, RegionConfig};
 use rhsd_layout::synth::CaseId;
 use rhsd_obs::ledger::Event;
 
 use crate::batch::BatchQueue;
+use crate::cache::ScanCache;
 use crate::proto::{
     error_json, read_frame, scan_response_json, write_frame, Half, ProtoError, Request,
     PROTO_VERSION,
@@ -125,56 +124,43 @@ impl Scale {
     }
 }
 
-/// One lazily-built case: the labelled benchmark plus its raster-tile
-/// cache, shared by every request that scans this case.
-struct CaseEntry {
-    bench: Benchmark,
-    tiles: RegionTileCache,
-}
-
 /// State shared between the acceptor, connection handlers and batcher.
 struct Shared {
     addr: SocketAddr,
     detector: RegionDetector,
     scale: Scale,
     queue: Arc<BatchQueue>,
-    stems: StemFeatureCache,
-    cases: Mutex<BTreeMap<CaseId, Arc<CaseEntry>>>,
+    cache: ScanCache,
+    /// The labelled benchmarks, built on first request.
+    cases: Mutex<BTreeMap<CaseId, Arc<Benchmark>>>,
     requests: AtomicU64,
     scan_requests: AtomicU64,
     shutting_down: AtomicBool,
 }
 
 impl Shared {
-    fn case(&self, case: CaseId) -> Arc<CaseEntry> {
+    fn case(&self, case: CaseId) -> Arc<Benchmark> {
         let mut cases = self.cases.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(cases.entry(case).or_insert_with(|| {
-            Arc::new(CaseEntry {
-                bench: self.scale.benchmark(case),
-                tiles: RegionTileCache::new(DEFAULT_TILE_CACHE_CAP),
-            })
-        }))
-    }
-
-    fn tile_totals(&self) -> (u64, u64) {
-        let cases = self.cases.lock().unwrap_or_else(|e| e.into_inner());
-        cases.values().fold((0, 0), |(h, m), e| {
-            (h + e.tiles.hits(), m + e.tiles.misses())
-        })
+        Arc::clone(
+            cases
+                .entry(case)
+                .or_insert_with(|| Arc::new(self.scale.benchmark(case))),
+        )
     }
 
     fn stats_json(&self) -> String {
-        let (tile_hits, tile_misses) = self.tile_totals();
         format!(
-            "{{\"op\":\"stats\",\"requests\":{},\"scan_requests\":{},\"batches\":{},\"batched_regions\":{},\"batched_requests\":{},\"max_batch_requests\":{},\"tile_hits\":{tile_hits},\"tile_misses\":{tile_misses},\"stem_hits\":{},\"stem_misses\":{},\"threads\":{},\"isa\":\"{}\"}}",
+            "{{\"op\":\"stats\",\"requests\":{},\"scan_requests\":{},\"batches\":{},\"batched_regions\":{},\"batched_requests\":{},\"max_batch_requests\":{},\"tile_hits\":{},\"tile_misses\":{},\"stem_hits\":{},\"stem_misses\":{},\"threads\":{},\"isa\":\"{}\"}}",
             self.requests.load(Ordering::Relaxed),
             self.scan_requests.load(Ordering::Relaxed),
             self.queue.batches(),
             self.queue.batched_regions(),
             self.queue.batched_requests(),
             self.queue.max_batch_requests(),
-            self.stems.hits(),
-            self.stems.misses(),
+            self.cache.tile_hits(),
+            self.cache.tile_misses(),
+            self.cache.stem_hits(),
+            self.cache.stem_misses(),
             rhsd_par::threads(),
             rhsd_tensor::ops::kernels::isa_name(),
         )
@@ -203,13 +189,13 @@ pub struct ServeSummary {
     pub batched_regions: u64,
     /// Largest number of requests coalesced into one pass.
     pub max_batch_requests: u64,
-    /// Raster-tile cache hits / misses, summed over cases.
+    /// Tile lookups served from the scan cache.
     pub tile_hits: u64,
-    /// Raster-tile cache misses.
+    /// Tile lookups that extracted the tile.
     pub tile_misses: u64,
-    /// Stem-feature cache hits.
+    /// Stem lookups served from the scan cache.
     pub stem_hits: u64,
-    /// Stem-feature cache misses.
+    /// Stem lookups that computed the stem.
     pub stem_misses: u64,
 }
 
@@ -243,7 +229,7 @@ impl Server {
             detector,
             scale,
             queue: BatchQueue::new(),
-            stems: StemFeatureCache::new(DEFAULT_STEM_CACHE_CAP),
+            cache: ScanCache::new(),
             cases: Mutex::new(BTreeMap::new()),
             requests: AtomicU64::new(0),
             scan_requests: AtomicU64::new(0),
@@ -254,7 +240,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let queue = Arc::clone(&shared.queue);
-                queue.run(&shared.detector, &shared.stems);
+                queue.run(&shared.detector, &shared.cache);
             })
         };
 
@@ -304,17 +290,17 @@ impl Server {
         self.shared.queue.shutdown();
         let _ = self.batcher.join();
 
-        let (tile_hits, tile_misses) = self.shared.tile_totals();
+        let cache = &self.shared.cache;
         let summary = ServeSummary {
             requests: self.shared.requests.load(Ordering::Relaxed),
             scan_requests: self.shared.scan_requests.load(Ordering::Relaxed),
             batches: self.shared.queue.batches(),
             batched_regions: self.shared.queue.batched_regions(),
             max_batch_requests: self.shared.queue.max_batch_requests(),
-            tile_hits,
-            tile_misses,
-            stem_hits: self.shared.stems.hits(),
-            stem_misses: self.shared.stems.misses(),
+            tile_hits: cache.tile_hits(),
+            tile_misses: cache.tile_misses(),
+            stem_hits: cache.stem_hits(),
+            stem_misses: cache.stem_misses(),
         };
         rhsd_obs::ledger::emit(&Event::ServeStats {
             requests: summary.requests,
@@ -379,22 +365,19 @@ fn handle_request(req: &Request, shared: &Shared) -> Reply {
             shared.scan_requests.fetch_add(1, Ordering::Relaxed);
             rhsd_obs::counter("serve.scan_requests", 1);
             let sw = rhsd_obs::Stopwatch::start();
-            let entry = shared.case(*case);
+            let bench = shared.case(*case);
             let extent = match half {
-                Half::Train => entry.bench.train_extent,
-                Half::Test => entry.bench.test_extent,
+                Half::Train => bench.train_extent,
+                Half::Test => bench.test_extent,
             };
-            let samples = tile_regions_cached(
-                &entry.bench,
-                &extent,
-                shared.detector.region_config(),
-                &entry.tiles,
-            );
-            let rx = shared.queue.submit(samples.clone());
+            let tiles = shared
+                .cache
+                .tiles(&bench, &extent, shared.detector.region_config());
+            let rx = shared.queue.submit(tiles.clone());
             let Ok(per_region) = rx.recv() else {
                 return Reply::Body(error_json("server is shutting down"));
             };
-            let result = merge_scan(&samples, per_region);
+            let result = merge_scan(tiles.iter().map(|t| t.sample()), per_region);
             sw.stop_into("serve.scan_secs");
             Reply::Body(scan_response_json(*case, *half, &result))
         }
@@ -411,8 +394,8 @@ fn initiate_shutdown(shared: &Shared) {
 }
 
 /// Runs the offline reference scan for bit-identity checks: loads the
-/// model exactly as the server does, scans `case`/`half` through the
-/// plain (uncached, unbatched) pipeline, and returns the result. The
+/// model exactly as the server does, scans `case`/`half` through
+/// [`RegionDetector::scan`] (no cache, no batching), and returns the result. The
 /// only `precision` is [`Precision::F32`].
 ///
 /// # Errors

@@ -8,13 +8,11 @@
 use std::sync::{Mutex, MutexGuard};
 
 use rand::SeedableRng;
-use rhsd::core::{
-    train, RegionDetector, RhsdConfig, RhsdNetwork, StemFeatureCache, TrainConfig,
-    DEFAULT_STEM_CACHE_CAP,
-};
-use rhsd::data::{train_regions, Benchmark, RegionConfig, RegionTileCache, DEFAULT_TILE_CACHE_CAP};
+use rhsd::core::{persist, train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
+use rhsd::data::{train_regions, Benchmark, RegionConfig};
 use rhsd::layout::synth::CaseId;
 use rhsd::obs::profile::Profiler;
+use rhsd::serve::{Client, Half, ServeConfig, Server};
 use rhsd_bench::pipeline::{bench_json, DetectorReport};
 
 /// Serialises tests that touch the process-global observability switch
@@ -130,31 +128,33 @@ fn second_cached_scan_populates_caches_block() {
     rhsd::obs::reset();
     rhsd::obs::set_enabled(true);
 
-    let bench = Benchmark::demo(CaseId::Case2);
     let region = RegionConfig::demo();
     let mut cfg = RhsdConfig::tiny();
     cfg.region_px = region.region_px;
     cfg.clip_px = region.clip_px;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let net = RhsdNetwork::new(cfg, &mut rng);
-    let det = RegionDetector::new(net, region);
+    let model = std::env::temp_dir().join(format!("rhsd_profile_it_{}.model", std::process::id()));
+    persist::save_to_path(&net, &model).expect("save model");
 
-    // First scan fills both caches (misses); the second replays them
-    // (hits) — tile fingerprints repeat and the network weights are
-    // untouched between scans, so every stem activation is reusable.
-    let tiles = RegionTileCache::new(DEFAULT_TILE_CACHE_CAP);
-    let stems = StemFeatureCache::new(DEFAULT_STEM_CACHE_CAP);
-    let first = det.scan_test_half_cached(&bench, &tiles, Some(&stems));
-    let second = det.scan_test_half_cached(&bench, &tiles, Some(&stems));
-    assert_eq!(first.detections, second.detections);
+    // The first scan fills the server's scan cache (misses); the second
+    // replays every tile and stem (hits).
+    let server = Server::start(&ServeConfig {
+        model: model.clone(),
+        port: 0,
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let first = client.scan(CaseId::Case2, Half::Test).expect("first scan");
+    let second = client.scan(CaseId::Case2, Half::Test).expect("second scan");
+    assert_eq!(first, second);
+    client.shutdown().expect("shutdown");
+    drop(client);
+    let summary = server.wait();
+    std::fs::remove_file(&model).ok();
+    assert!(summary.tile_hits > 0 && summary.stem_hits > 0);
 
-    let row = rhsd::baselines::CaseResult::new(bench.id.name(), &second.evaluation, 0.0);
-    let record = bench_json(
-        "cache-telemetry-test",
-        true,
-        7,
-        &[DetectorReport::new("Ours", vec![row])],
-    );
+    let record = bench_json("cache-telemetry-test", true, 7, &[]);
     rhsd::obs::set_enabled(false);
     rhsd::obs::reset();
 

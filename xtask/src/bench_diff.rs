@@ -15,13 +15,6 @@
 //! - **false alarms**: informational — printed in the table but never
 //!   fails the gate on its own (FA changes surface as accuracy changes
 //!   in this pipeline).
-//! - **cache efficiency** (opt-in): `--min-cache-hit-rate <pct>` gates
-//!   the current record's `caches` block (schema v5): the
-//!   thread-count-invariant `region_tile` and `stem_feature` families
-//!   must each show a hit rate of at least `<pct>` percent. A record
-//!   whose gauges are all zero (produced without observability) is
-//!   refused — opting into the gate without data is a misconfiguration.
-//!
 //! - **accuracy floor** (opt-in): `--min-accuracy <pct>` fails the gate
 //!   when any detector in the *current* record averages below `<pct>`
 //!   percent accuracy. This turns the 0%-accuracy loud warning into an
@@ -48,7 +41,10 @@
 //! dropped, or p99 latency grew, by more than `--max-runtime-regress`
 //! percent. Both columns are machine- and load-dependent, so
 //! `--skip-runtime` turns the comparison into an informational report
-//! (batch occupancy and cache hit rates are always printed). Serve
+//! (batch occupancy and cache hit rates are always printed). The opt-in
+//! `--min-cache-hit-rate <pct>` fails the gate when the current record's
+//! tile or stem hit rate is below `<pct>` percent; the scan cache lives
+//! in the server, so the flag applies to serve records only. Serve
 //! records from different thread counts or load-generator modes
 //! (closed vs open loop) are refused for throughput comparison, exactly
 //! like cross-thread table records. A current record reporting
@@ -71,8 +67,8 @@ pub struct Tolerance {
     pub max_accuracy_drop_pt: f64,
     /// Ignore the runtime column entirely (cross-machine CI gates).
     pub skip_runtime: bool,
-    /// Minimum hit rate (percent) required of the current record's
-    /// deterministic cache families; `None` disables the gate.
+    /// Minimum tile and stem hit rate (percent) required of the current
+    /// serve record; `None` disables the gate.
     pub min_cache_hit_rate_pct: Option<f64>,
     /// Absolute accuracy floor (percent) every detector in the current
     /// record must clear; `None` disables the gate.
@@ -91,11 +87,6 @@ impl Default for Tolerance {
     }
 }
 
-/// The cache families gated by `--min-cache-hit-rate`: their hit/miss
-/// counts are thread-count invariant (unlike `workspace`, whose pools
-/// warm per worker, or `aerial_dedup`, which is labelling-phase only).
-const GATED_CACHES: [&str; 2] = ["region_tile", "stem_feature"];
-
 /// One detector row extracted from a bench record.
 #[derive(Debug, Clone, PartialEq)]
 struct DetectorRow {
@@ -113,9 +104,6 @@ struct BenchRecord {
     /// `rhsd-par` worker-thread count of the run (`None` on records
     /// predating schema v3).
     threads: Option<u64>,
-    /// `(family, hits, misses)` from the `caches` block (empty on
-    /// records predating schema v5).
-    caches: Vec<(String, u64, u64)>,
     /// SIMD ISA the kernel dispatcher selected (schema v7; empty on
     /// older records).
     isa: String,
@@ -179,13 +167,6 @@ fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
     if rows.is_empty() {
         return Err(format!("{label}: no detectors in record"));
     }
-    let mut caches = Vec::new();
-    if let Some(Value::Obj(families)) = v.get("caches") {
-        for (family, gauges) in families {
-            let g = |key: &str| gauges.get(key).and_then(Value::as_u64).unwrap_or(0);
-            caches.push((family.clone(), g("hits"), g("misses")));
-        }
-    }
     Ok(BenchRecord {
         source: v
             .get("source")
@@ -194,7 +175,6 @@ fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
             .to_owned(),
         quick: v.get("quick").and_then(Value::as_bool).unwrap_or(false),
         threads: v.get("threads").and_then(Value::as_u64),
-        caches,
         isa: v
             .get("isa")
             .and_then(Value::as_str)
@@ -271,44 +251,6 @@ fn diff(
         }
     }
     (rows, notes)
-}
-
-/// Applies the opt-in `--min-cache-hit-rate` gate to the current
-/// record's deterministic cache families. Returns the per-family report
-/// lines and any failures; `Err` when the gate was requested but the
-/// record carries no usable gauges.
-fn check_cache_hit_rates(
-    current: &BenchRecord,
-    min_pct: f64,
-) -> Result<(Vec<String>, Vec<String>), String> {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for family in GATED_CACHES {
-        let Some((_, hits, misses)) = current.caches.iter().find(|(f, _, _)| f == family) else {
-            return Err(format!(
-                "--min-cache-hit-rate: current record has no `caches.{family}` \
-                 gauges (schema v5 record required)"
-            ));
-        };
-        let total = hits + misses;
-        if total == 0 {
-            return Err(format!(
-                "--min-cache-hit-rate: `caches.{family}` gauges are all zero — \
-                 the record was produced without observability enabled \
-                 (rerun with a ledger/trace/profile export active)"
-            ));
-        }
-        let rate = 100.0 * *hits as f64 / total as f64;
-        lines.push(format!(
-            "cache {family:<13} {hits:>8} hits {misses:>8} misses  {rate:6.1}% hit rate"
-        ));
-        if rate < min_pct {
-            failures.push(format!(
-                "cache `{family}` hit rate {rate:.1}% below the {min_pct:.1}% floor"
-            ));
-        }
-    }
-    Ok((lines, failures))
 }
 
 /// Renders the human-readable comparison table.
@@ -615,6 +557,9 @@ pub fn compare(
             ))
         }
     }
+    if tol.min_cache_hit_rate_pct.is_some() {
+        return Err("--min-cache-hit-rate applies to serve records only".into());
+    }
     let baseline = parse_record(baseline_text, "baseline")?;
     let current = parse_record(current_text, "current")?;
     if let (Some(b), Some(c)) = (baseline.threads, current.threads) {
@@ -641,17 +586,6 @@ pub fn compare(
                 ));
                 regressed = true;
             }
-        }
-    }
-    if let Some(min_pct) = tol.min_cache_hit_rate_pct {
-        let (lines, failures) = check_cache_hit_rates(&current, min_pct)?;
-        for line in lines {
-            report.push_str(&line);
-            report.push('\n');
-        }
-        for f in failures {
-            report.push_str(&format!("REGRESSION: {f}\n"));
-            regressed = true;
         }
     }
     Ok((report, regressed))
@@ -861,60 +795,6 @@ mod tests {
         let legacy = record(1.0, 90.0);
         let cur = record_v3(1.0, 90.0, 4);
         assert!(compare(&legacy, &cur, &Tolerance::default()).is_ok());
-    }
-
-    /// A v5 record with a `caches` block at the given hit/miss counts
-    /// (both gated families share them).
-    fn record_v5(acc: f64, hits: u64, misses: u64) -> String {
-        record(1.0, acc)
-            .replace("rhsd-bench-table/2", "rhsd-bench-table/5")
-            .replace(
-                "\"seed\": 103,",
-                &format!(
-                    "\"seed\": 103,\n  \"caches\": {{\
-                     \"region_tile\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": 0, \"bytes\": 64}},\
-                     \"stem_feature\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": 0, \"bytes\": 64}},\
-                     \"aerial_dedup\": {{\"hits\": 0, \"misses\": 0, \"evictions\": 0, \"bytes\": 0}},\
-                     \"workspace\": {{\"hits\": 9, \"misses\": 1, \"evictions\": 0, \"bytes\": 640}}}},"
-                ),
-            )
-    }
-
-    #[test]
-    fn cache_hit_rate_gate_passes_and_fails() {
-        let tol = Tolerance {
-            min_cache_hit_rate_pct: Some(50.0),
-            ..Tolerance::default()
-        };
-        // 3 hits / 1 miss = 75% ≥ 50% — passes.
-        let good = record_v5(90.0, 3, 1);
-        let (report, regressed) = compare(&good, &good, &tol).expect("valid");
-        assert!(!regressed, "75% hit rate must pass a 50% floor:\n{report}");
-        assert!(report.contains("hit rate"), "{report}");
-        // 1 hit / 3 misses = 25% < 50% — fails.
-        let bad = record_v5(90.0, 1, 3);
-        let (report, regressed) = compare(&good, &bad, &tol).expect("valid");
-        assert!(regressed, "25% hit rate must fail a 50% floor:\n{report}");
-        assert!(report.contains("below the 50.0% floor"), "{report}");
-        // The gate is opt-in: without the flag the same records pass.
-        let (_, regressed) = compare(&good, &bad, &Tolerance::default()).expect("valid");
-        assert!(!regressed, "cache gate must be opt-in");
-    }
-
-    #[test]
-    fn cache_gate_refuses_records_without_gauges() {
-        let tol = Tolerance {
-            min_cache_hit_rate_pct: Some(50.0),
-            ..Tolerance::default()
-        };
-        // Pre-v5 record: no caches block at all.
-        let legacy = record(1.0, 90.0);
-        let err = compare(&legacy, &legacy, &tol).unwrap_err();
-        assert!(err.contains("no `caches.region_tile`"), "{err}");
-        // v5 record with all-zero gauges (observability was off).
-        let zeros = record_v5(90.0, 0, 0);
-        let err = compare(&zeros, &zeros, &tol).unwrap_err();
-        assert!(err.contains("all zero"), "{err}");
     }
 
     #[test]
@@ -1161,6 +1041,14 @@ mod tests {
         };
         let err = compare(&serve, &serve, &tol).unwrap_err();
         assert!(err.contains("table records only"), "{err}");
+        // ... nor --min-cache-hit-rate for table records: repro scans
+        // run no cache.
+        let tol = Tolerance {
+            min_cache_hit_rate_pct: Some(50.0),
+            ..Tolerance::default()
+        };
+        let err = compare(&table, &table, &tol).unwrap_err();
+        assert!(err.contains("serve records only"), "{err}");
     }
 
     #[test]

@@ -291,13 +291,15 @@ fn l5_no_raw_threads(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Vio
 }
 
 /// Files subject to the L12 extension of the no-loop-alloc rule: the
-/// litho aerial/window simulation and the rhsd-core region-scan path.
+/// litho aerial/window simulation and the region-scan paths of
+/// rhsd-core and rhsd-serve.
 const L12_FILES: &[&str] = &[
     "crates/litho/src/aerial.rs",
     "crates/litho/src/window.rs",
     "crates/core/src/extractor.rs",
     "crates/core/src/detector.rs",
-    "crates/core/src/feature_cache.rs",
+    "crates/serve/src/batch.rs",
+    "crates/serve/src/cache.rs",
 ];
 
 /// L6 + L12: no buffer allocation (`vec![..]` / `Vec::with_capacity`)

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rhsd_data::{BBox, RegionSample};
 use rhsd_nn::{Grads, Layer, Tape};
-use rhsd_tensor::ops::elementwise::axpy;
+use rhsd_tensor::ops::pool::FeatureRoi;
 use rhsd_tensor::ops::softmax::softmax_rows;
 use rhsd_tensor::Tensor;
 
@@ -224,38 +224,46 @@ impl RhsdNetwork {
         let (g_cpn, g_ref) = rest.split_at_mut(self.cpn.params().len());
         let mut feat_grad = self.cpn.backward(&mut tape, &cls_grad, &reg_grad, g_cpn);
 
-        // --- Stage 2: refinement on sampled RoIs.
+        // --- Stage 2: refinement on sampled RoIs, as one batch.
         let mut refine_cr = CrLoss::default();
         let mut pred_counts = [0usize; 2];
         let mut pred_entropy_sum = 0.0f32;
         let n_rois = rois.len();
         if let Some(head) = &self.refinement {
-            // Per-RoI sub-passes would record ambiguous per-branch keys;
-            // the refinement head is covered by its optimiser-slot stats
-            // and the logit entropy below instead.
+            // The batched head pass would record activation keys that
+            // mix every RoI; the refinement head is covered by its
+            // optimiser-slot stats and the logit entropy below instead.
             let _pause = rhsd_nn::dynamics::pause();
             let f = self.config.feature_px();
+            let boxes: Vec<FeatureRoi> = rois
+                .iter()
+                .map(|(roi_box, _, _)| roi_from_bbox(roi_box, self.config.stride, f))
+                .collect();
+            let out = head.forward(&feats, &boxes, &mut tape);
+            let (mut cls_grad, mut reg_grad) = (Vec::new(), Vec::new());
+            for (i, &(_, target_class, reg_target)) in rois.iter().enumerate() {
+                let (logits, code) = (row(&out.cls_logits, i), row(&out.reg_code, i));
+                let (argmax, entropy) = logit_pair_stats(&logits);
+                pred_counts[argmax] += 1;
+                pred_entropy_sum += entropy;
+                let (cr, gc, gr) =
+                    refine_loss(&logits, &code, target_class, reg_target, &self.config);
+                refine_cr.cls += cr.cls;
+                refine_cr.reg += cr.reg;
+                cls_grad.extend_from_slice(gc.as_slice());
+                reg_grad.extend_from_slice(gr.as_slice());
+            }
             // Eq. (4) sums the C&R terms over clips, so each RoI's
             // gradient contributes at full weight (a mean would shrink
             // the refinement head's learning signal by the batch size).
-            for (roi_box, target_class, reg_target) in rois {
-                let roi = roi_from_bbox(&roi_box, self.config.stride, f);
-                let out = head.forward(&feats, roi, &mut tape);
-                let (argmax, entropy) = logit_pair_stats(&out.cls_logits);
-                pred_counts[argmax] += 1;
-                pred_entropy_sum += entropy;
-                let (cr, gc, gr) = refine_loss(
-                    &out.cls_logits,
-                    &out.reg_code,
-                    target_class,
-                    reg_target,
-                    &self.config,
-                );
-                refine_cr.cls += cr.cls;
-                refine_cr.reg += cr.reg;
-                let g = head.backward(&mut tape, &gc, &gr, g_ref);
-                axpy(&mut feat_grad, 1.0 / n_rois.max(1) as f32, &g);
-            }
+            head.backward(
+                &mut tape,
+                &Tensor::from_parts([n_rois, 2], cls_grad),
+                &Tensor::from_parts([n_rois, 4], reg_grad),
+                g_ref,
+                &mut feat_grad,
+                1.0 / n_rois.max(1) as f32,
+            );
             if n_rois > 0 {
                 // report per-RoI means for readable diagnostics
                 refine_cr.cls /= n_rois as f32;
@@ -400,12 +408,13 @@ impl RhsdNetwork {
         sp.add("candidates", candidates.len() as f64);
         drop(sp);
         let _sp = rhsd_obs::span("hnms");
-        let kept = if self.config.use_hnms {
-            hotspot_nms(&candidates, self.config.hnms_threshold)
+        // Suppression stops once the proposal budget is filled.
+        let top_n = self.config.pre_nms_top_n;
+        if self.config.use_hnms {
+            hotspot_nms(&candidates, self.config.hnms_threshold, top_n)
         } else {
-            conventional_nms(&candidates, self.config.hnms_threshold)
-        };
-        kept.into_iter().take(self.config.pre_nms_top_n).collect()
+            conventional_nms(&candidates, self.config.hnms_threshold, top_n)
+        }
     }
 
     /// First-stage proposals (post h-NMS) for a region raster — exposed
@@ -445,21 +454,24 @@ impl RhsdNetwork {
             let mut sp = rhsd_obs::span("refine");
             sp.add("proposals", proposals.len() as f64);
             let f = self.config.feature_px();
+            let rois: Vec<FeatureRoi> = proposals
+                .iter()
+                .map(|p| roi_from_bbox(&p.bbox, self.config.stride, f))
+                .collect();
+            sp.add("rois", rois.len() as f64);
+            let out = head.forward(feats, &rois, &mut Tape::inference());
+            let probs = softmax_rows(&out.cls_logits);
             let mut refined = Vec::new();
-            for p in &proposals {
-                let roi = roi_from_bbox(&p.bbox, self.config.stride, f);
-                let out = head.forward(feats, roi, &mut Tape::inference());
-                let logits = out.cls_logits.clone().with_shape([1, 2]);
-                let probs = softmax_rows(&logits);
-                let score = probs.get(&[0, CLASS_HOTSPOT]);
+            for (i, p) in proposals.iter().enumerate() {
+                let score = probs.get(&[i, CLASS_HOTSPOT]);
                 if score < self.config.score_threshold {
                     continue;
                 }
                 let code = [
-                    out.reg_code.get(&[0]),
-                    out.reg_code.get(&[1]),
-                    out.reg_code.get(&[2]),
-                    out.reg_code.get(&[3]),
+                    out.reg_code.get(&[i, 0]),
+                    out.reg_code.get(&[i, 1]),
+                    out.reg_code.get(&[i, 2]),
+                    out.reg_code.get(&[i, 3]),
                 ];
                 let bbox = decode(&code, &p.bbox);
                 refined.push(Scored { bbox, score });
@@ -468,9 +480,9 @@ impl RhsdNetwork {
             drop(sp);
             let _sp = rhsd_obs::span("hnms");
             if self.config.use_hnms {
-                hotspot_nms(&refined, self.config.hnms_threshold)
+                hotspot_nms(&refined, self.config.hnms_threshold, usize::MAX)
             } else {
-                conventional_nms(&refined, self.config.hnms_threshold)
+                conventional_nms(&refined, self.config.hnms_threshold, usize::MAX)
             }
         } else {
             // single-stage (w/o refinement): the stage-1 score is final
@@ -514,6 +526,12 @@ impl Clone for RhsdNetwork {
     }
 }
 
+/// Row `i` of a `[n, k]` tensor as a `[k]` tensor.
+fn row(t: &Tensor, i: usize) -> Tensor {
+    let k = t.dim(1);
+    Tensor::from_parts([k], t.as_slice()[i * k..][..k].to_vec())
+}
+
 /// Argmax index and softmax entropy (nats) of a `[2]` logit pair —
 /// numerically stable, pure read of the logits.
 ///
@@ -543,6 +561,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_layout::{RasterSpec, Rect};
+    use rhsd_tensor::ops::elementwise::axpy;
 
     fn tiny_sample(cfg: &RhsdConfig, with_hotspot: bool) -> RegionSample {
         let px = cfg.region_px;

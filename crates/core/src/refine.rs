@@ -4,25 +4,31 @@
 //! passed through inception modules and a fully-connected layer, and
 //! re-classified / re-regressed (the 2nd C&R). This second stage is what
 //! drives down false alarms (Fig. 8 / Fig. 10).
+//!
+//! A region's RoIs run as one `[n, C, 7, 7]` batch: every layer takes
+//! the batch at once, and each RoI's logits and codes are bit for bit
+//! those of the RoI alone. The backward pass adds each RoI's parameter
+//! and feature-map gradients one RoI at a time, in RoI order — the add
+//! order of separate per-RoI passes.
 
 use rand::Rng;
 use rhsd_data::BBox;
 use rhsd_nn::inception::{InceptionA, InceptionB};
 use rhsd_nn::layers::{Flatten, LeakyRelu, Linear};
 use rhsd_nn::{Layer, Tape};
-use rhsd_tensor::ops::elementwise::add;
-use rhsd_tensor::ops::pool::{roi_pool, roi_pool_backward, FeatureRoi};
+use rhsd_tensor::ops::elementwise::{add, axpy};
+use rhsd_tensor::ops::pool::{roi_pool, roi_pool_backward, roi_pool_values, FeatureRoi};
 use rhsd_tensor::Tensor;
 
 use crate::config::RhsdConfig;
 
-/// Second-stage outputs for one proposal.
+/// Second-stage outputs for a batch of proposals, one row each.
 #[derive(Debug, Clone)]
 pub struct RefineOutput {
-    /// `[2]` classification logits (hotspot, non-hotspot).
+    /// `[n, 2]` classification logits (hotspot, non-hotspot).
     pub cls_logits: Tensor,
-    /// `[4]` regression code refining the proposal (Eq. 3, relative to the
-    /// proposal box).
+    /// `[n, 4]` regression codes refining the proposals (Eq. 3, relative
+    /// to each proposal box).
     pub reg_code: Tensor,
 }
 
@@ -81,17 +87,25 @@ impl RefinementHead {
         ]
     }
 
-    /// Refines one proposal: pools `roi` from `features` and runs the 2nd
-    /// classification and regression, recording on `tape` what
+    /// Refines a batch of proposals: pools each of `rois` from
+    /// `features` and runs the 2nd classification and regression on all
+    /// of them at once, recording on `tape` what
     /// [`RefinementHead::backward`] needs.
     ///
     /// Shapes: `features` is the backbone map `[C, f, f]`; outputs are
-    /// `[2]` logits and a `[4]` regression code.
-    pub fn forward(&self, features: &Tensor, roi: FeatureRoi, tape: &mut Tape) -> RefineOutput {
-        let pooled = roi_pool(features, roi, self.roi_size, self.roi_size);
-        let argmax = pooled.argmax;
-        tape.save(|| (features.dims().to_vec(), argmax));
-        let x = self.incep_b.forward(&pooled.output, tape);
+    /// `[n, 2]` logits and `[n, 4]` regression codes for `n` RoIs.
+    pub fn forward(&self, features: &Tensor, rois: &[FeatureRoi], tape: &mut Tape) -> RefineOutput {
+        let size = self.roi_size;
+        let pooled = if tape.is_recording() {
+            let pooled = roi_pool(features, rois, size, size);
+            let argmax = pooled.argmax;
+            tape.save(|| (features.dims().to_vec(), argmax));
+            pooled.output
+        } else {
+            // No backward will route through the winners.
+            roi_pool_values(features, rois, size, size)
+        };
+        let x = self.incep_b.forward(&pooled, tape);
         let x = self.incep_a.forward(&x, tape);
         let x = self.flatten.forward(&x, tape);
         let h = self.fc.forward(&x, tape);
@@ -102,13 +116,15 @@ impl RefinementHead {
         }
     }
 
-    /// Back-propagates one proposal's gradients through the forward last
+    /// Back-propagates the batch's gradients through the forward last
     /// recorded on `tape`, adds the parameter gradients into `grads` (in
-    /// [`RefinementHead::params`] order) and returns the gradient with
-    /// respect to the backbone feature map (zeros outside the RoI).
+    /// [`RefinementHead::params`] order) and adds `feat_scale` times each
+    /// RoI's backbone-map gradient (zero outside the RoI) into
+    /// `feat_grad`. Every slot takes its RoIs' contributions one RoI at a
+    /// time, in RoI order.
     ///
-    /// Shapes: `cls_grad` is `[2]`, `reg_grad` is `[4]`; the returned
-    /// gradient matches the forward feature map `[C, f, f]`.
+    /// Shapes: `cls_grad` is `[n, 2]`, `reg_grad` is `[n, 4]`;
+    /// `feat_grad` matches the forward feature map `[C, f, f]`.
     ///
     /// # Panics
     ///
@@ -119,7 +135,9 @@ impl RefinementHead {
         cls_grad: &Tensor,
         reg_grad: &Tensor,
         grads: &mut [Tensor],
-    ) -> Tensor {
+        feat_grad: &mut Tensor,
+        feat_scale: f32,
+    ) {
         // Slots in params order; the three linear layers hold two each.
         let (g_b, rest) = grads.split_at_mut(self.incep_b.params().len());
         let (g_a, rest) = rest.split_at_mut(self.incep_a.params().len());
@@ -134,7 +152,13 @@ impl RefinementHead {
         let gx = self.incep_a.backward(tape, &gx, g_a);
         let g_pooled = self.incep_b.backward(tape, &gx, g_b);
         let (feat_dims, argmax): (Vec<usize>, Vec<usize>) = tape.pop("RefinementHead");
-        roi_pool_backward(&feat_dims, &argmax, &g_pooled)
+        let per_roi = g_pooled.dims()[1..].iter().product::<usize>().max(1);
+        for (a, g) in argmax
+            .chunks_exact(per_roi)
+            .zip(g_pooled.as_slice().chunks_exact(per_roi))
+        {
+            axpy(feat_grad, feat_scale, &roi_pool_backward(&feat_dims, a, g));
+        }
     }
 
     /// Every trainable parameter: inception B, inception A, the FC layer,
@@ -168,7 +192,7 @@ impl RefinementHead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use rhsd_nn::Grads;
 
@@ -181,26 +205,129 @@ mod tests {
         (cfg, head, feats)
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Row `i` of a `[n, k]` tensor as a one-row `[1, k]` batch.
+    fn one_row(t: &Tensor, i: usize) -> Tensor {
+        let k = t.dim(1);
+        Tensor::from_vec([1, k], t.as_slice()[i * k..][..k].to_vec()).unwrap()
+    }
+
+    /// The demo head (7×7 RoIs, a 320→48 FC) on a random `[20, 8, 8]`
+    /// map, and 40 RoIs: the whole map, 1×1 RoIs, RoIs clamped at the
+    /// border or lying wholly outside it, and random windows.
+    fn demo_setup() -> (RefinementHead, Tensor, Vec<FeatureRoi>) {
+        let cfg = RhsdConfig::demo();
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        let head = RefinementHead::new(&cfg, 20, &mut rng);
+        let f = cfg.feature_px();
+        let feats = Tensor::rand_normal([20, f, f], 0.0, 1.0, &mut rng);
+        let mut rois = vec![
+            FeatureRoi::new(0, 0, f, f),
+            FeatureRoi::new(0, 0, 1, 1),
+            FeatureRoi::new(f - 1, f - 1, f, f),
+            FeatureRoi::new(3, 5, 4, 6),
+            FeatureRoi::new(f - 2, 1, f + 6, 3),
+            FeatureRoi::new(f + 3, f + 3, f + 9, f + 9),
+            FeatureRoi::new(2, f - 1, 5, 4 * f),
+        ];
+        while rois.len() < 40 {
+            let (x0, y0) = (rng.gen_range(0..f), rng.gen_range(0..f));
+            let (w, h) = (rng.gen_range(1..=f), rng.gen_range(1..=f));
+            rois.push(FeatureRoi::new(x0, y0, x0 + w, y0 + h));
+        }
+        (head, feats, rois)
+    }
+
     #[test]
     fn forward_output_shapes() {
         let (_, head, feats) = setup();
-        let out = head.forward(&feats, FeatureRoi::new(0, 0, 3, 3), &mut Tape::inference());
-        assert_eq!(out.cls_logits.dims(), &[2]);
-        assert_eq!(out.reg_code.dims(), &[4]);
+        let rois = [FeatureRoi::new(0, 0, 3, 3), FeatureRoi::new(1, 2, 4, 4)];
+        let out = head.forward(&feats, &rois, &mut Tape::inference());
+        assert_eq!(out.cls_logits.dims(), &[2, 2]);
+        assert_eq!(out.reg_code.dims(), &[2, 4]);
+    }
+
+    #[test]
+    fn batched_forward_equals_one_roi_batches_bit_for_bit() {
+        let (head, feats, rois) = demo_setup();
+        for n in [0, 1, 40] {
+            let out = head.forward(&feats, &rois[..n], &mut Tape::inference());
+            assert_eq!(out.cls_logits.dims(), &[n, 2]);
+            assert_eq!(out.reg_code.dims(), &[n, 4]);
+            for i in 0..n {
+                let one = head.forward(&feats, &rois[i..=i], &mut Tape::inference());
+                let what = format!("RoI {i} of {n} ({:?})", rois[i]);
+                assert_eq!(
+                    bits(&one_row(&out.cls_logits, i)),
+                    bits(&one.cls_logits),
+                    "{what}"
+                );
+                assert_eq!(
+                    bits(&one_row(&out.reg_code, i)),
+                    bits(&one.reg_code),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_backward_equals_the_per_roi_fold_bit_for_bit() {
+        let (head, feats, rois) = demo_setup();
+        let rois = &rois[..12];
+        let n = rois.len();
+        let mut rng = ChaCha8Rng::seed_from_u64(62);
+        let gc = Tensor::rand_normal([n, 2], 0.0, 1.0, &mut rng);
+        let gr = Tensor::rand_normal([n, 4], 0.0, 1.0, &mut rng);
+        // Accumulators already holding a step's worth of gradient, so
+        // the add order shows in the bits.
+        let mut grads = Grads::zeros_like(head.params());
+        for g in grads.iter_mut() {
+            *g = Tensor::rand_normal(g.dims(), 0.0, 1.0, &mut rng);
+        }
+        let feat_grad = Tensor::rand_normal(feats.dims(), 0.0, 1.0, &mut rng);
+        let scale = 1.0 / 3.0;
+
+        let (mut batch_grads, mut batch_feat) = (grads.clone(), feat_grad.clone());
+        let mut tape = Tape::recording();
+        head.forward(&feats, rois, &mut tape);
+        head.backward(
+            &mut tape,
+            &gc,
+            &gr,
+            &mut batch_grads,
+            &mut batch_feat,
+            scale,
+        );
+        assert!(tape.is_empty(), "backward consumes the whole tape");
+
+        let (mut fold_grads, mut fold_feat) = (grads, feat_grad);
+        for i in 0..n {
+            let mut tape = Tape::recording();
+            head.forward(&feats, &rois[i..=i], &mut tape);
+            let (gc, gr) = (one_row(&gc, i), one_row(&gr, i));
+            head.backward(&mut tape, &gc, &gr, &mut fold_grads, &mut fold_feat, scale);
+        }
+        assert_eq!(bits(&batch_feat), bits(&fold_feat), "feature gradient");
+        for (slot, (b, f)) in batch_grads.iter().zip(fold_grads.iter()).enumerate() {
+            assert_eq!(bits(b), bits(f), "grads slot {slot}");
+        }
     }
 
     #[test]
     fn different_rois_give_different_outputs() {
         let (cfg, head, feats) = setup();
         let f = cfg.feature_px();
-        let a = head.forward(&feats, FeatureRoi::new(0, 0, 2, 2), &mut Tape::inference());
-        let b = head.forward(
-            &feats,
+        let rois = [
+            FeatureRoi::new(0, 0, 2, 2),
             FeatureRoi::new(f - 2, f - 2, f, f),
-            &mut Tape::inference(),
-        );
+        ];
+        let out = head.forward(&feats, &rois, &mut Tape::inference());
         assert!(
-            !a.cls_logits.approx_eq(&b.cls_logits, 1e-6),
+            !one_row(&out.cls_logits, 0).approx_eq(&one_row(&out.cls_logits, 1), 1e-6),
             "distinct RoIs must not produce identical logits"
         );
     }
@@ -210,15 +337,17 @@ mod tests {
         let (_, head, feats) = setup();
         let roi = FeatureRoi::new(1, 1, 3, 3);
         let mut tape = Tape::recording();
-        let _ = head.forward(&feats, roi, &mut tape);
+        let _ = head.forward(&feats, &[roi], &mut tape);
         let mut grads = Grads::zeros_like(head.params());
-        let g = head.backward(
+        let mut g = Tensor::zeros(feats.dims());
+        head.backward(
             &mut tape,
-            &Tensor::ones([2]),
-            &Tensor::ones([4]),
+            &Tensor::ones([1, 2]),
+            &Tensor::ones([1, 4]),
             &mut grads,
+            &mut g,
+            1.0,
         );
-        assert_eq!(g.dims(), feats.dims());
         assert!(tape.is_empty(), "backward consumes the whole tape");
         assert!(
             grads.iter().all(|g| g.sq_norm() > 0.0),

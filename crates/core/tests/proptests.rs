@@ -50,7 +50,7 @@ proptest! {
         cands in proptest::collection::vec(scored_strategy(), 0..40),
         threshold in 0.1f32..0.9,
     ) {
-        let kept = hotspot_nms(&cands, threshold);
+        let kept = hotspot_nms(&cands, threshold, usize::MAX);
         prop_assert!(kept.len() <= cands.len());
         for k in &kept {
             prop_assert!(cands.iter().any(|c| c.bbox == k.bbox && c.score == k.score));
@@ -69,13 +69,28 @@ proptest! {
         cands in proptest::collection::vec(scored_strategy(), 1..40),
         threshold in 0.1f32..0.9,
     ) {
-        let kept = conventional_nms(&cands, threshold);
+        let kept = conventional_nms(&cands, threshold, usize::MAX);
         let best = cands
             .iter()
             .map(|c| c.score)
             .fold(f32::NEG_INFINITY, f32::max);
         prop_assert!(!kept.is_empty());
         prop_assert!((kept[0].score - best).abs() < 1e-6);
+    }
+
+    #[test]
+    fn capped_nms_is_a_prefix_of_the_uncapped_output(
+        cands in proptest::collection::vec(scored_strategy(), 0..40),
+        threshold in 0.1f32..0.9,
+    ) {
+        let all_h = hotspot_nms(&cands, threshold, usize::MAX);
+        let all_c = conventional_nms(&cands, threshold, usize::MAX);
+        for limit in 0..=cands.len() + 1 {
+            let h = hotspot_nms(&cands, threshold, limit);
+            prop_assert_eq!(&h[..], &all_h[..limit.min(all_h.len())]);
+            let c = conventional_nms(&cands, threshold, limit);
+            prop_assert_eq!(&c[..], &all_c[..limit.min(all_c.len())]);
+        }
     }
 
     #[test]

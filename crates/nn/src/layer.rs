@@ -5,7 +5,11 @@ use std::any::Any;
 
 use rhsd_tensor::Tensor;
 
-/// A differentiable network module operating on one sample at a time.
+/// A differentiable network module. Layers take one sample; the
+/// refinement head's layers (convolution, pooling, activations, channel
+/// concat, flatten and fully-connected) also take a batch with a
+/// leading `N` axis, each sample's outputs bit for bit those of the
+/// sample alone.
 ///
 /// Layers are *stateless*: they own only their weights, and every pass
 /// takes `&self`, so one set of weights can serve any number of threads
@@ -13,9 +17,11 @@ use rhsd_tensor::Tensor;
 /// on a caller-owned [`Tape`]: [`Layer::forward`] records it when the
 /// tape is recording, and [`Layer::backward`] pops it again, adds the
 /// parameter gradients into the caller's [`crate::Grads`] slots and
-/// returns the gradient with respect to the layer input. Mini-batches
-/// run forward/backward per sample into one `Grads` and step the
-/// optimiser once.
+/// returns the gradient with respect to the layer input. A batched
+/// backward adds each sample's parameter gradients into `Grads` one
+/// sample at a time, in batch order — the add order of per-sample
+/// passes. Mini-batches of regions run forward/backward per region into
+/// one `Grads` and step the optimiser once.
 ///
 /// # Panics
 ///
@@ -95,6 +101,13 @@ impl Tape {
             recording: false,
             saved: Vec::new(),
         }
+    }
+
+    /// Returns `true` if forwards record for a backward pass — a layer
+    /// may skip work only a backward pass would read (a pooling argmax)
+    /// when it does not.
+    pub fn is_recording(&self) -> bool {
+        self.recording
     }
 
     /// Returns `true` if every saved entry was consumed (always, for an

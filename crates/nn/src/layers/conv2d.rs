@@ -1,14 +1,15 @@
 //! Learnable 2-D convolution layer.
 
 use rand::Rng;
-use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
+use rhsd_tensor::ops::conv::{conv2d, conv2d_backward_batch, ConvSpec};
 use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
 use crate::init::{conv_fans, he_normal};
 use crate::layer::{Layer, Tape};
 
-/// A convolution layer `[C_in,H,W] → [C_out,H',W']` with bias.
+/// A convolution layer `[C_in,H,W] → [C_out,H',W']` with bias, or map
+/// by map over a batch `[N,C_in,H,W] → [N,C_out,H',W']`.
 ///
 /// This is the encoder-side building block of the paper's feature
 /// extractor (§3.1.1) and of every inception branch.
@@ -52,10 +53,11 @@ impl Layer for Conv2d {
     }
 
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        let rank = input.rank();
         rhsd_tensor::invariants::check_layer_input(
             "Conv2d",
-            &format!("[C_in={}, H, W]", self.c_in()),
-            input.rank() == 3 && input.dim(0) == self.c_in(),
+            format_args!("[C_in={}, H, W] or [N, C_in={0}, H, W]", self.c_in()),
+            (rank == 3 || rank == 4) && input.dim(rank - 3) == self.c_in(),
             input.shape(),
         );
         tape.save(|| input.clone());
@@ -64,9 +66,11 @@ impl Layer for Conv2d {
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Conv2d");
-        let (dx, dw, db) = conv2d_backward(&input, &self.weight, grad_out, self.spec);
-        axpy(&mut grads[0], 1.0, &dw);
-        axpy(&mut grads[1], 1.0, &db);
+        let (dx, per_map) = conv2d_backward_batch(&input, &self.weight, grad_out, self.spec);
+        for (dw, db) in per_map {
+            axpy(&mut grads[0], 1.0, &dw);
+            axpy(&mut grads[1], 1.0, &db);
+        }
         dx
     }
 

@@ -43,7 +43,7 @@ impl Layer for Deconv2d {
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "Deconv2d",
-            &format!("[C_in={}, H, W]", self.weight.dim(0)),
+            format_args!("[C_in={}, H, W]", self.weight.dim(0)),
             input.rank() == 3 && input.dim(0) == self.weight.dim(0),
             input.shape(),
         );

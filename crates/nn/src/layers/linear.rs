@@ -1,15 +1,15 @@
 //! Fully-connected layer and flattening adapter.
 
 use rand::Rng;
-use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::matmul::{matvec, matvec_t};
 use rhsd_tensor::Tensor;
 
 use crate::init::xavier_uniform;
 use crate::layer::{Layer, Tape};
 
-/// A fully-connected layer `[n_in] → [n_out]` (used by the refinement
-/// stage's 2nd classification-and-regression heads, §3.4).
+/// A fully-connected layer `[n_in] → [n_out]`, or row by row over a
+/// batch `[N, n_in] → [N, n_out]` (used by the refinement stage's 2nd
+/// classification-and-regression heads, §3.4).
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Tensor, // [n_out, n_in]
@@ -42,48 +42,47 @@ impl Layer for Linear {
     }
 
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        let rank = input.rank();
         rhsd_tensor::invariants::check_layer_input(
             "Linear",
-            &format!("[n_in={}]", self.n_in()),
-            input.rank() == 1 && input.dim(0) == self.n_in(),
+            format_args!("[n_in={}] or [N, n_in={0}]", self.n_in()),
+            (rank == 1 || rank == 2) && input.dim(rank - 1) == self.n_in(),
             input.shape(),
-        );
-        assert_eq!(
-            input.rank(),
-            1,
-            "Linear expects a rank-1 input, got {}",
-            input.shape()
         );
         tape.save(|| input.clone());
         let mut y = matvec(&self.weight, input);
-        axpy(&mut y, 1.0, &self.bias);
+        let bias = self.bias.as_slice();
+        for row in y.as_mut_slice().chunks_exact_mut(bias.len().max(1)) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o += b;
+            }
+        }
         y
     }
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Linear");
-        // dW = g ⊗ x, parallel over output rows (disjoint; pure
-        // products, so bit-identical at any thread count).
         let (n_out, n_in) = (self.n_out(), self.n_in());
-        let mut dw = vec![0.0f32; n_out * n_in];
-        let gv = grad_out.as_slice();
-        let xv = input.as_slice();
-        if n_in > 0 {
-            let rows_per_task = rhsd_par::chunk_units(n_out, n_in);
-            rhsd_par::for_each_mut(&mut dw, rows_per_task * n_in, |ci, rows| {
-                let i0 = ci * rows_per_task;
-                for (di, row) in rows.chunks_mut(n_in).enumerate() {
-                    let g = gv[i0 + di];
-                    for (o, &x) in row.iter_mut().zip(xv.iter()) {
-                        *o = g * x;
-                    }
+        // Each row adds its dW = g ⊗ x (pure products) and db = g, in
+        // row order.
+        let width = n_in.max(1);
+        for (gv, xv) in grad_out
+            .as_slice()
+            .chunks_exact(n_out.max(1))
+            .zip(input.as_slice().chunks_exact(width))
+        {
+            let dw = grads[0].as_mut_slice().chunks_exact_mut(width);
+            for (row, &g) in dw.zip(gv) {
+                for (d, &x) in row.iter_mut().zip(xv) {
+                    *d += g * x;
                 }
-            });
+            }
+            for (d, &g) in grads[1].as_mut_slice().iter_mut().zip(gv) {
+                *d += g;
+            }
         }
-        axpy(&mut grads[0], 1.0, &Tensor::from_parts([n_out, n_in], dw));
-        axpy(&mut grads[1], 1.0, grad_out);
-        // Wᵀ·g without materialising the transpose: the fused kernel
-        // streams W's rows in place (bit-identical to the old path).
+        // Wᵀ·g for every row at once, without materialising the
+        // transpose.
         matvec_t(&self.weight, grad_out)
     }
 
@@ -96,8 +95,9 @@ impl Layer for Linear {
     }
 }
 
-/// Flattens `[C, H, W]` feature maps to rank-1 vectors (and restores the
-/// shape on the way back).
+/// Flattens `[C, H, W]` feature maps to rank-1 vectors, or a batch
+/// `[N, C, H, W]` to one row per map (and restores the shape on the way
+/// back).
 #[derive(Debug, Clone, Default)]
 pub struct Flatten;
 
@@ -115,8 +115,14 @@ impl Layer for Flatten {
 
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         tape.save(|| input.dims().to_vec());
-        let n = input.len();
-        input.clone().with_shape([n])
+        if input.rank() == 4 {
+            let n = input.dim(0);
+            let row = input.dims()[1..].iter().product::<usize>();
+            input.clone().with_shape([n, row])
+        } else {
+            let n = input.len();
+            input.clone().with_shape([n])
+        }
     }
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
@@ -180,7 +186,7 @@ mod tests {
     }
 
     // with `debug_invariants` the shape contract fires first, without it
-    // the rank assert does — both name the offending shape
+    // `matvec`'s rank assert does — both name the offending shape
     #[test]
     #[should_panic(expected = "got [1, 2, 2]")]
     fn linear_rejects_rank3_input() {

@@ -1,11 +1,12 @@
 //! Max-pooling layer.
 
-use rhsd_tensor::ops::pool::{max_pool2d, max_pool2d_backward};
+use rhsd_tensor::ops::pool::{max_pool2d, max_pool2d_backward, max_pool2d_values};
 use rhsd_tensor::Tensor;
 
 use crate::layer::{Layer, Tape};
 
-/// A 2-D max-pooling layer with square window.
+/// A 2-D max-pooling layer with square window, over `[C, H, W]` or a
+/// batch `[N, C, H, W]`.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     kernel: usize,
@@ -27,10 +28,14 @@ impl Layer for MaxPool2d {
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "MaxPool2d",
-            "[C, H, W]",
-            input.rank() == 3,
+            format_args!("[C, H, W] or [N, C, H, W]"),
+            input.rank() == 3 || input.rank() == 4,
             input.shape(),
         );
+        if !tape.is_recording() {
+            // No backward will route through the winners.
+            return max_pool2d_values(input, self.kernel, self.stride);
+        }
         let out = max_pool2d(input, self.kernel, self.stride);
         let argmax = out.argmax;
         tape.save(|| (input.dims().to_vec(), argmax));

@@ -143,7 +143,10 @@ fn run_offline(args: &Args, case: CaseId) -> ExitCode {
 }
 
 fn run_serve(args: &Args) -> ExitCode {
-    rhsd_obs::set_enabled(true);
+    // The ledger is the server's only telemetry reader. Without one, an
+    // enabled registry would just keep every span event and latency
+    // sample in memory, growing with each request served.
+    rhsd_obs::set_enabled(args.ledger.is_some());
     if let Some(path) = &args.ledger {
         let manifest = Manifest {
             bin: "rhsd-serve".into(),

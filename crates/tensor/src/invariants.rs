@@ -20,6 +20,8 @@
 //! exists to surface it at the first poisoned op instead of three layers
 //! downstream.
 
+use std::fmt;
+
 #[cfg(feature = "debug_invariants")]
 use crate::Shape;
 use crate::Tensor;
@@ -53,10 +55,12 @@ pub fn check_finite(_op: &str, _t: &Tensor) {}
 
 /// Panics unless `ok`, reporting a layer input shape-contract violation
 /// that names the layer, the expected shape and the actual shape.
+/// `expected` is formatted only when the contract is violated, so a
+/// satisfied check builds no string.
 ///
 /// No-op unless the `debug_invariants` feature is enabled.
 #[cfg(feature = "debug_invariants")]
-pub fn check_layer_input(layer: &str, expected: &str, ok: bool, actual: &Shape) {
+pub fn check_layer_input(layer: &str, expected: fmt::Arguments<'_>, ok: bool, actual: &Shape) {
     if !ok {
         rhsd_obs::counter("invariants.shape_contract", 1);
         // lint:allow(L1) — aborting on contract violations is this feature's purpose
@@ -71,7 +75,13 @@ pub fn check_layer_input(layer: &str, expected: &str, ok: bool, actual: &Shape) 
 /// No-op unless the `debug_invariants` feature is enabled.
 #[cfg(not(feature = "debug_invariants"))]
 #[inline(always)]
-pub fn check_layer_input(_layer: &str, _expected: &str, _ok: bool, _actual: &crate::Shape) {}
+pub fn check_layer_input(
+    _layer: &str,
+    _expected: fmt::Arguments<'_>,
+    _ok: bool,
+    _actual: &crate::Shape,
+) {
+}
 
 #[cfg(all(test, feature = "debug_invariants"))]
 mod tests {
@@ -94,11 +104,11 @@ mod tests {
     #[should_panic(expected = "shape contract violated in layer `Linear`")]
     fn shape_contract_names_layer_and_shapes() {
         let actual = Shape::from([3, 4]);
-        check_layer_input("Linear", "[n_in=8]", false, &actual);
+        check_layer_input("Linear", format_args!("[n_in={}]", 8), false, &actual);
     }
 
     #[test]
     fn satisfied_contract_is_silent() {
-        check_layer_input("Linear", "[n_in=8]", true, &Shape::from([8]));
+        check_layer_input("Linear", format_args!("[n_in=8]"), true, &Shape::from([8]));
     }
 }

@@ -1,8 +1,9 @@
 //! 2-D convolution with analytic backward passes.
 //!
 //! Implements the convolution of Eq. (1) of the paper. Tensors are
-//! `[C, H, W]` feature maps; weights are `[C_out, C_in, K, K]`. Batching is
-//! handled one sample at a time by the layer framework above this crate.
+//! `[C, H, W]` feature maps, or `[N, C, H, W]` batches of them (the
+//! refinement head's RoIs); weights are `[C_out, C_in, K, K]`. A batched
+//! output element is bit for bit what the map alone would give.
 //!
 //! The forward pass and the input gradient read their maps in place
 //! (`ops::direct`): the forward pass runs one ascending-tap chain per
@@ -252,24 +253,53 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: ConvSpec) -> Te
     Tensor::from_parts([c, h, w], out)
 }
 
-/// Checks an op's `[C, H, W]` input against its `[_, _, K, K]` weight:
-/// ranks, a square kernel equal to `spec.kernel`, and the input's
-/// channel count on weight axis `c_axis` (1 for a convolution's
+/// Views an op's input as a [`Map`] batch: one `[C, H, W]` map, or —
+/// when the op takes batches — an `[N, C, H, W]` batch of them.
+pub(crate) fn map_of<'a>(op: &str, input: &'a Tensor, batched: bool) -> Map<'a> {
+    let rank = input.rank();
+    assert!(
+        rank == 3 || (batched && rank == 4),
+        "{op} input must be {}, got {}",
+        if batched {
+            "[C,H,W] or [N,C,H,W]"
+        } else {
+            "[C,H,W]"
+        },
+        input.shape()
+    );
+    let d = &input.dims()[rank - 3..];
+    let n = if rank == 4 { input.dim(0) } else { 1 };
+    Map {
+        v: input.as_slice(),
+        n,
+        c: d[0],
+        h: d[1],
+        w: d[2],
+    }
+}
+
+/// The shape of an op's output with `chw` per map: rank 3 for a single
+/// map, `[N, ..]` for a batch.
+fn batch_shape(input: &Tensor, n: usize, chw: [usize; 3]) -> Vec<usize> {
+    if input.rank() == 4 {
+        vec![n, chw[0], chw[1], chw[2]]
+    } else {
+        chw.to_vec()
+    }
+}
+
+/// Checks an op's `[_, _, K, K]` weight against its input's `c_in`
+/// channels: rank, a square kernel equal to `spec.kernel`, and `c_in`
+/// on weight axis `c_axis` (1 for a convolution's
 /// `[C_out, C_in, K, K]`, 0 for a transposed one's `[C_in, C_out, K, K]`).
 /// Returns the weight's other channel count.
 pub(crate) fn check_weight(
     op: &str,
-    input: &Tensor,
+    c_in: usize,
     weight: &Tensor,
     spec: ConvSpec,
     c_axis: usize,
 ) -> usize {
-    assert_eq!(
-        input.rank(),
-        3,
-        "{op} input must be [C,H,W], got {}",
-        input.shape()
-    );
     assert_eq!(
         weight.rank(),
         4,
@@ -283,7 +313,7 @@ pub(crate) fn check_weight(
         "{op} weight kernel {k} != spec kernel {}",
         spec.kernel
     );
-    let (c_in, wc_in) = (input.dim(0), weight.dim(c_axis));
+    let wc_in = weight.dim(c_axis);
     assert_eq!(
         c_in, wc_in,
         "{op} channel mismatch: input {c_in} vs weight {wc_in}"
@@ -304,7 +334,8 @@ pub(crate) fn check_bias(bias: Option<&Tensor>, c_out: usize) -> Option<&[f32]> 
     })
 }
 
-/// Forward 2-D convolution: `[C_in,H,W] ⊛ [C_out,C_in,K,K] (+bias) → [C_out,H',W']`.
+/// Forward 2-D convolution: `[C_in,H,W] ⊛ [C_out,C_in,K,K] (+bias) → [C_out,H',W']`,
+/// or map by map over a batch: `[N,C_in,H,W] → [N,C_out,H',W']`.
 ///
 /// `bias` may be `None` for bias-free layers.
 ///
@@ -312,19 +343,13 @@ pub(crate) fn check_bias(bias: Option<&Tensor>, c_out: usize) -> Option<&[f32]> 
 ///
 /// Panics on rank, kernel or channel mismatches.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: ConvSpec) -> Tensor {
-    let c_out = check_weight("conv2d", input, weight, spec, 1);
+    let x = map_of("conv2d", input, true);
+    let c_out = check_weight("conv2d", x.c, weight, spec, 1);
     let bias = check_bias(bias, c_out);
-    let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let map = Map {
-        v: input.as_slice(),
-        c,
-        h,
-        w,
-    };
-    let mut out = vec![0.0f32; c_out * oh * ow];
-    direct::conv_into(&mut out, map, weight.as_slice(), c_out, spec, bias);
-    let out = Tensor::from_parts([c_out, oh, ow], out);
+    let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
+    let mut out = vec![0.0f32; x.n * c_out * oh * ow];
+    direct::conv_into(&mut out, x, weight.as_slice(), c_out, spec, bias);
+    let out = Tensor::from_parts(batch_shape(input, x.n, [c_out, oh, ow]), out);
     crate::invariants::check_finite("conv2d", &out);
     out
 }
@@ -335,56 +360,90 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
 ///
 /// # Panics
 ///
-/// Panics on the forward pass's rank, kernel or channel mismatches, and
-/// if `grad_out` disagrees with the forward geometry.
+/// Panics on the forward pass's rank, kernel or channel mismatches
+/// (`input` must be one `[C, H, W]` map), and if `grad_out` disagrees
+/// with the forward geometry.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor, Tensor) {
-    let c_out = check_weight("conv2d_backward", input, weight, spec, 1);
-    let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
+    map_of("conv2d_backward", input, false);
+    let (d_input, mut params) = conv2d_backward_batch(input, weight, grad_out, spec);
+    let (d_weight, d_bias) = params.remove(0);
+    (d_input, d_weight, d_bias)
+}
+
+/// Gradients of [`conv2d`] over a map or a batch: the input gradient,
+/// shaped like `input` and folded for the whole batch at once, and each
+/// map's own `(d_weight, d_bias)` in batch order — so a caller adding
+/// them into its accumulators one by one keeps the per-map add order.
+///
+/// `grad_out` must be shaped like the forward output.
+///
+/// # Panics
+///
+/// Panics on the forward pass's rank, kernel or channel mismatches, and
+/// if `grad_out` disagrees with the forward geometry.
+pub fn conv2d_backward_batch(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: ConvSpec,
+) -> (Tensor, Vec<(Tensor, Tensor)>) {
+    let x = map_of("conv2d_backward", input, true);
+    let c_out = check_weight("conv2d_backward", x.c, weight, spec, 1);
+    let (c_in, h, w) = (x.c, x.h, x.w);
     let k = spec.kernel;
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     assert_eq!(
         grad_out.dims(),
-        &[c_out, oh, ow],
+        &batch_shape(input, x.n, [c_out, oh, ow])[..],
         "grad_out shape {} inconsistent with conv geometry",
         grad_out.shape()
     );
 
     let ncols = oh * ow;
     let ckk = c_in * k * k;
-    let gv = grad_out.as_slice(); // [c_out, oh·ow] row-major as-is
-
-    // d_bias: sum over spatial positions.
-    let dbias: Vec<f32> = (0..c_out)
-        .map(|co| gv[co * ncols..(co + 1) * ncols].iter().sum())
-        .collect();
-    let d_bias = Tensor::from_parts([c_out], dbias);
-
-    // d_weight = grad · im2col(x)ᵀ — the packing pass gathers the
-    // transposed im2col matrix straight from the input map.
-    let cols = Im2col::new(input.as_slice(), c_in, h, w, spec);
-    let mut dw = vec![0.0f32; c_out * ckk];
-    gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
-    let d_weight = Tensor::from_parts([c_out, c_in, k, k], dw);
+    // [n, c_out, oh·ow] row-major as-is
+    let gv = grad_out.as_slice();
+    let params =
+        x.v.chunks_exact((c_in * h * w).max(1))
+            .zip(gv.chunks_exact((c_out * ncols).max(1)))
+            .take(x.n)
+            .map(|(xv, gv)| {
+                // d_bias: sum over spatial positions.
+                let dbias: Vec<f32> = (0..c_out)
+                    .map(|co| gv[co * ncols..(co + 1) * ncols].iter().sum())
+                    .collect();
+                // d_weight = grad · im2col(x)ᵀ — the packing pass gathers the
+                // transposed im2col matrix straight from the input map.
+                let cols = Im2col::new(xv, c_in, h, w, spec);
+                let mut dw = vec![0.0f32; c_out * ckk];
+                gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
+                (
+                    Tensor::from_parts([c_out, c_in, k, k], dw),
+                    Tensor::from_parts([c_out], dbias),
+                )
+            })
+            .collect();
 
     // d_input = col2im(Wᵀ · grad), folded in place: `[C_out, C_in, K, K]`
     // is the fold's `[source, output]` weight layout as it stands.
     let grad = Map {
         v: gv,
+        n: x.n,
         c: c_out,
         h: oh,
         w: ow,
     };
-    let mut dx = vec![0.0f32; c_in * h * w];
+    let mut dx = vec![0.0f32; x.n * c_in * h * w];
     direct::fold_into(&mut dx, (c_in, h, w), grad, weight.as_slice(), spec, None);
-    let d_input = Tensor::from_parts([c_in, h, w], dx);
+    let d_input = Tensor::from_parts(input.dims(), dx);
 
     crate::invariants::check_finite("conv2d_backward", &d_input);
-    (d_input, d_weight, d_bias)
+    (d_input, params)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! the gradient map. The weight gradient is a GEMM whose packing pass
 //! reads the transposed im2col matrix of the gradient map.
 
-use crate::ops::conv::{check_bias, check_weight, ConvSpec, Im2col};
+use crate::ops::conv::{check_bias, check_weight, map_of, ConvSpec, Im2col};
 use crate::ops::direct::{self, Map};
 use crate::ops::matmul::{gemm_into, BSource};
 use crate::Tensor;
@@ -28,19 +28,14 @@ pub fn conv_transpose2d(
     bias: Option<&Tensor>,
     spec: ConvSpec,
 ) -> Tensor {
-    let c_out = check_weight("conv_transpose2d", input, weight, spec, 0);
+    let x = map_of("conv_transpose2d", input, false);
+    let c_out = check_weight("conv_transpose2d", x.c, weight, spec, 0);
     let bias = check_bias(bias, c_out);
-    let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
+    let (h, w) = (x.h, x.w);
     let (oh, ow) = (spec.transpose_out_size(h), spec.transpose_out_size(w));
 
     // out = col2im(Wᵀ · x), folded in place: `[C_in, C_out, K, K]` is
     // the fold's `[source, output]` weight layout as it stands.
-    let x = Map {
-        v: input.as_slice(),
-        c: c_in,
-        h,
-        w,
-    };
     let mut out = vec![0.0f32; c_out * oh * ow];
     direct::fold_into(&mut out, (c_out, oh, ow), x, weight.as_slice(), spec, bias);
     let out = Tensor::from_parts([c_out, oh, ow], out);
@@ -60,8 +55,9 @@ pub fn conv_transpose2d_backward(
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor, Tensor) {
-    let c_out = check_weight("conv_transpose2d_backward", input, weight, spec, 0);
-    let (c_in, h, w) = (input.dim(0), input.dim(1), input.dim(2));
+    let x = map_of("conv_transpose2d_backward", input, false);
+    let c_out = check_weight("conv_transpose2d_backward", x.c, weight, spec, 0);
+    let (c_in, h, w) = (x.c, x.h, x.w);
     let k = spec.kernel;
     let (oh, ow) = (spec.transpose_out_size(h), spec.transpose_out_size(w));
     assert_eq!(
@@ -83,6 +79,7 @@ pub fn conv_transpose2d_backward(
     // `[C_in, C_out, K, K]` is a conv weight as it stands.
     let grad = Map {
         v: gv,
+        n: 1,
         c: c_out,
         h: oh,
         w: ow,

@@ -25,11 +25,13 @@
 //!   These are `col2im`'s two levels of rounding in its order:
 //!   ascending taps per output pixel, each tap one `Wᵀ · g` element.
 //!
-//! Tasks own whole bands of output rows, at least `NC` pixels each,
-//! across every channel; the split depends only on the shape. Every
-//! element's arithmetic is fixed by the above, so results are
-//! bit-identical at any thread count and ISA. No workspace scratch is
-//! taken.
+//! Both take a batch of `n` maps and run it map by map. Tasks own whole
+//! bands of output rows, at least `NC` pixels each, across every
+//! channel; maps smaller than `NC` pixels (the refinement head's RoI
+//! maps) go whole, as many to a task as make `NC` pixels. The split
+//! depends only on the shape. Every element's arithmetic is fixed by
+//! the above, so results are bit-identical at any thread count, ISA and
+//! batch size. No workspace scratch is taken.
 
 use std::ops::Range;
 
@@ -43,13 +45,26 @@ const NC: usize = 2048;
 /// Every lane of a tile row.
 const ALL_LANES: u8 = u8::MAX;
 
-/// A `[c, h, w]` row-major map.
+/// A batch of `n` row-major `[c, h, w]` maps, stored `[n, c, h, w]`.
 #[derive(Clone, Copy)]
 pub(crate) struct Map<'a> {
     pub(crate) v: &'a [f32],
+    pub(crate) n: usize,
     pub(crate) c: usize,
     pub(crate) h: usize,
     pub(crate) w: usize,
+}
+
+impl<'a> Map<'a> {
+    /// Map `i` of the batch, as a batch of one.
+    fn image(self, i: usize) -> Map<'a> {
+        let len = self.c * self.h * self.w;
+        Map {
+            v: &self.v[i * len..][..len],
+            n: 1,
+            ..self
+        }
+    }
 }
 
 /// Dispatches a tile method on its runtime row count.
@@ -99,6 +114,42 @@ fn for_each_band(
     rhsd_par::for_each_mut(&mut segs, c, |ti, planes| {
         let y0 = ti * task_rows;
         f(y0, (y0 + task_rows).min(oh), planes);
+    });
+}
+
+/// Runs `f(i, y0, y1, planes)` over the batch `out` (`[n, c, oh, ow]`),
+/// where `planes[ch]` is rows `y0..y1` of channel `ch` of map `i`. A
+/// map of at least `NC` pixels is split into bands by
+/// [`for_each_band`]; smaller maps go whole, as many to a task as make
+/// `NC` pixels.
+fn for_each_map_band(
+    out: &mut [f32],
+    (n, c, oh, ow): (usize, usize, usize, usize),
+    work_per_px: usize,
+    f: impl Fn(usize, usize, usize, &mut [&mut [f32]]) + Sync,
+) {
+    let plane = oh * ow;
+    if out.is_empty() {
+        return;
+    }
+    if plane >= NC {
+        for (i, map) in out.chunks_mut(c * plane).enumerate() {
+            for_each_band(map, c, oh, ow, work_per_px, |y0, y1, planes| {
+                f(i, y0, y1, planes)
+            });
+        }
+        return;
+    }
+    let group = NC.div_ceil(plane).min(n);
+    let groups = rhsd_par::chunk_units(n.div_ceil(group), work_per_px * plane * group);
+    let maps = (groups * group).min(n);
+    rhsd_par::for_each_mut(out, maps * c * plane, |ti, task| {
+        let mut planes = Vec::with_capacity(c);
+        for (i, map) in task.chunks_mut(c * plane).enumerate() {
+            planes.clear();
+            planes.extend(map.chunks_mut(plane));
+            f(ti * maps + i, 0, oh, &mut planes);
+        }
     });
 }
 
@@ -176,9 +227,9 @@ struct Forward<'a> {
     ckk: usize,
     /// Map offset of tap `(ci, ky, kx)` from the tap `(0, 0, 0)` of a
     /// pixel, in step order.
-    offs: Vec<usize>,
+    offs: &'a [usize],
     /// Offsets of the rows of a gathered panel.
-    seq: Vec<usize>,
+    seq: &'a [usize],
     bias: Option<&'a [f32]>,
 }
 
@@ -234,7 +285,7 @@ impl Forward<'_> {
             stride: s,
             padding: p,
         } = self.spec;
-        let Map { v, c, h, w } = self.x;
+        let Map { v, c, h, w, .. } = self.x;
         for ci in 0..c {
             for ky in 0..k {
                 // Coordinates in the padding wrap to huge values, which
@@ -281,8 +332,8 @@ impl Forward<'_> {
     }
 }
 
-/// Forward convolution into `out` (`[c_out, H', W']`, every element
-/// overwritten): `out = wt ⊛ x (+ bias)` with `wt` as
+/// Forward convolution into `out` (`[x.n, c_out, H', W']`, every
+/// element overwritten): `out = wt ⊛ x (+ bias)` per map, with `wt` as
 /// `[c_out, x.c, K, K]`.
 pub(crate) fn conv_into(
     out: &mut [f32],
@@ -295,22 +346,29 @@ pub(crate) fn conv_into(
     let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
     let k = spec.kernel;
     let ckk = x.c * k * k;
-    debug_assert_eq!(out.len(), c_out * oh * ow, "conv output length");
+    debug_assert_eq!(out.len(), x.n * c_out * oh * ow, "conv output length");
     debug_assert_eq!(wt.len(), c_out * ckk, "conv weight length");
+    let offs: Vec<usize> = (0..ckk)
+        .map(|t| (t / (k * k) * x.h + t / k % k) * x.w + t % k)
+        .collect();
+    let seq: Vec<usize> = (0..ckk).map(|t| t * NR).collect();
     let op = Forward {
         x,
         wt,
         spec,
         ow,
         ckk,
-        offs: (0..ckk)
-            .map(|t| (t / (k * k) * x.h + t / k % k) * x.w + t % k)
-            .collect(),
-        seq: (0..ckk).map(|t| t * NR).collect(),
+        offs: &offs,
+        seq: &seq,
         bias,
     };
     let mr = kernels::gemm_mr();
-    for_each_band(out, c_out, oh, ow, 2 * ckk * c_out, |y0, y1, planes| {
+    let work = 2 * ckk * c_out;
+    for_each_map_band(out, (x.n, c_out, oh, ow), work, |i, y0, y1, planes| {
+        let op = Forward {
+            x: x.image(i),
+            ..op
+        };
         let mut panel = vec![0.0f32; ckk * NR];
         for oy in y0..y1 {
             let row = (oy - y0) * ow;
@@ -320,16 +378,16 @@ pub(crate) fn conv_into(
                 // One gather serves every channel block of the strip.
                 let b = match op.direct(oy, x0, lanes) {
                     Some(base) => Rows {
-                        src: x.v,
+                        src: op.x.v,
                         base,
-                        offs: &op.offs,
+                        offs: op.offs,
                     },
                     None => {
                         op.gather(oy, x0, &mut panel);
                         Rows {
                             src: &panel,
                             base: 0,
-                            offs: &op.seq,
+                            offs: op.seq,
                         }
                     }
                 };
@@ -349,9 +407,9 @@ pub(crate) fn conv_into(
                     "grouped strips read in place"
                 );
                 let b = Rows {
-                    src: x.v,
+                    src: op.x.v,
                     base: op.base(oy, x0),
-                    offs: &op.offs,
+                    offs: op.offs,
                 };
                 tile!(n, op.tile(planes, row, c_out - 1, x0, true, b));
             }
@@ -368,9 +426,9 @@ struct Fold<'a> {
     spec: ConvSpec,
     ow: usize,
     /// Map offset of source channel `c` from channel 0.
-    offs: Vec<usize>,
+    offs: &'a [usize],
     /// Offsets of the rows of a gathered panel.
-    seq: Vec<usize>,
+    seq: &'a [usize],
     bias: Option<&'a [f32]>,
 }
 
@@ -492,7 +550,7 @@ impl Fold<'_> {
                         let b = Rows {
                             src: self.g.v,
                             base,
-                            offs: &self.offs,
+                            offs: self.offs,
                         };
                         (b, mask)
                     }
@@ -504,7 +562,7 @@ impl Fold<'_> {
                         let b = Rows {
                             src: panel,
                             base: 0,
-                            offs: &self.seq,
+                            offs: self.seq,
                         };
                         (b, mask)
                     }
@@ -543,7 +601,7 @@ impl Fold<'_> {
                 let b = Rows {
                     src: self.g.v,
                     base: gy * self.g.w + x0 + self.spec.padding - kx,
-                    offs: &self.offs,
+                    offs: self.offs,
                 };
                 self.tap::<MRR>(&mut acc, c, true, ky * k + kx, b, ALL_LANES);
             }
@@ -559,11 +617,12 @@ impl Fold<'_> {
     }
 }
 
-/// Fold into `out` (`[c_out, oh, ow]`, every element overwritten):
-/// `out = col2im(wtᵀ · g) (+ bias)` with `wt` as `[g.c, c_out, K, K]`
-/// and `g` the `[g.c, spec.out_size(oh), spec.out_size(ow)]` map. This
-/// is `conv2d`'s input gradient (`g` the output gradient) and
-/// `conv_transpose2d`'s forward pass (`g` its input).
+/// Fold into `out` (`[g.n, c_out, oh, ow]`, every element
+/// overwritten): `out = col2im(wtᵀ · g) (+ bias)` per map, with `wt` as
+/// `[g.c, c_out, K, K]` and `g` the `[g.n, g.c, spec.out_size(oh),
+/// spec.out_size(ow)]` batch. This is `conv2d`'s input gradient (`g`
+/// the output gradient) and `conv_transpose2d`'s forward pass (`g` its
+/// input).
 pub(crate) fn fold_into(
     out: &mut [f32],
     (c_out, oh, ow): (usize, usize, usize),
@@ -573,57 +632,57 @@ pub(crate) fn fold_into(
     bias: Option<&[f32]>,
 ) {
     let k = spec.kernel;
-    debug_assert_eq!(out.len(), c_out * oh * ow, "fold output length");
+    debug_assert_eq!(out.len(), g.n * c_out * oh * ow, "fold output length");
     debug_assert_eq!(
         (g.h, g.w),
         (spec.out_size(oh), spec.out_size(ow)),
         "fold source geometry"
     );
     debug_assert_eq!(wt.len(), g.c * c_out * k * k, "fold weight length");
+    let offs: Vec<usize> = (0..g.c).map(|c| c * g.h * g.w).collect();
+    let seq: Vec<usize> = (0..g.c).map(|c| c * NR).collect();
     let op = Fold {
         g,
         wt,
         c_out,
         spec,
         ow,
-        offs: (0..g.c).map(|c| c * g.h * g.w).collect(),
-        seq: (0..g.c).map(|c| c * NR).collect(),
+        offs: &offs,
+        seq: &seq,
         bias,
     };
     let mr = kernels::gemm_mr();
     let group = single_channel_group(c_out, mr, op.group());
-    for_each_band(
-        out,
-        c_out,
-        oh,
-        ow,
-        2 * g.c * k * k * c_out,
-        |y0, y1, planes| {
-            let mut panel = vec![0.0f32; g.c * NR];
-            let mut acc = vec![[0.0f32; NR]; c_out];
-            for y in y0..y1 {
-                let row = (y - y0) * ow;
-                for x0 in (0..ow).step_by(NR) {
-                    // A grouped strip leaves its single last channel to the
-                    // strip tiles below.
-                    let c = if group.contains(&x0) {
-                        c_out - 1
-                    } else {
-                        c_out
-                    };
-                    if c == 0 {
-                        continue;
-                    }
-                    op.strip(y, x0, mr, &mut acc[..c], &mut panel);
-                    for (o, a) in acc[..c].iter().enumerate() {
-                        store(planes, row, ([o], [x0]), std::array::from_ref(a), ow, bias);
-                    }
+    let work = 2 * g.c * k * k * c_out;
+    for_each_map_band(out, (g.n, c_out, oh, ow), work, |i, y0, y1, planes| {
+        let op = Fold {
+            g: g.image(i),
+            ..op
+        };
+        let mut panel = vec![0.0f32; g.c * NR];
+        let mut acc = vec![[0.0f32; NR]; c_out];
+        for y in y0..y1 {
+            let row = (y - y0) * ow;
+            for x0 in (0..ow).step_by(NR) {
+                // A grouped strip leaves its single last channel to the
+                // strip tiles below.
+                let c = if group.contains(&x0) {
+                    c_out - 1
+                } else {
+                    c_out
+                };
+                if c == 0 {
+                    continue;
                 }
-                for x0 in group.clone().step_by(mr * NR) {
-                    let n = ((group.end - x0) / NR).min(mr);
-                    tile!(n, op.strips(planes, row, y, c_out - 1, x0));
+                op.strip(y, x0, mr, &mut acc[..c], &mut panel);
+                for (o, a) in acc[..c].iter().enumerate() {
+                    store(planes, row, ([o], [x0]), std::array::from_ref(a), ow, bias);
                 }
             }
-        },
-    );
+            for x0 in group.clone().step_by(mr * NR) {
+                let n = ((group.end - x0) / NR).min(mr);
+                tile!(n, op.strips(planes, row, y, c_out - 1, x0));
+            }
+        }
+    });
 }

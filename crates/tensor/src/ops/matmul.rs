@@ -412,90 +412,134 @@ pub fn transpose(a: &Tensor) -> Tensor {
     Tensor::from_parts([n, m], out)
 }
 
-/// Matrix–vector product: `[m, k] × [k] → [m]`.
-///
-/// # Panics
-///
-/// Panics if `a` is not rank 2, `x` not rank 1, or dimensions disagree.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2, "matvec lhs must be rank 2, got {}", a.shape());
-    assert_eq!(x.rank(), 1, "matvec rhs must be rank 1, got {}", x.shape());
-    let (m, k) = (a.dim(0), a.dim(1));
+/// Checks a matrix–vector operand: `x` is one vector `[k]` or a batch
+/// of row vectors `[n, k]` with `k == a_cols`. Returns `n`.
+fn vectors(op: &str, a: &Tensor, x: &Tensor, a_cols: usize) -> usize {
+    assert_eq!(a.rank(), 2, "{op} lhs must be rank 2, got {}", a.shape());
+    assert!(
+        x.rank() == 1 || x.rank() == 2,
+        "{op} rhs must be [k] or [n, k], got {}",
+        x.shape()
+    );
+    let (n, k) = match x.rank() {
+        1 => (1, x.dim(0)),
+        _ => (x.dim(0), x.dim(1)),
+    };
     assert_eq!(
         k,
-        x.dim(0),
-        "matvec dimension mismatch: {} vs {}",
+        a_cols,
+        "{op} dimension mismatch: {} vs {}",
         a.shape(),
         x.shape()
     );
-    let av = a.as_slice();
-    let xv = x.as_slice();
-    let mut out = vec![0.0f32; m];
-    // Parallel over output elements; each keeps the serial dot-product
-    // order, so results match the single-threaded path bit-for-bit.
-    let rows_per_task = rhsd_par::chunk_units(m, 2 * k.max(1));
-    rhsd_par::for_each_mut(&mut out, rows_per_task, |ci, piece| {
-        for (j, o) in piece.iter_mut().enumerate() {
-            let i = ci * rows_per_task + j;
-            *o = av[i * k..(i + 1) * k]
-                .iter()
-                .zip(xv.iter())
-                .map(|(&p, &q)| p * q)
-                .sum();
-        }
-    });
-    Tensor::from_parts([m], out)
+    n
 }
 
-/// Transpose-fused matrix–vector product `aᵀ · x`: `[k, m]ᵀ × [k] → [m]`.
+/// The output shape for `n` vectors of `m` values: `[m]` for a single
+/// rank-1 input, `[n, m]` for a batch.
+fn vector_shape(x: &Tensor, n: usize, m: usize) -> Vec<usize> {
+    if x.rank() == 1 {
+        vec![m]
+    } else {
+        vec![n, m]
+    }
+}
+
+/// Matrix–vector product: `[m, k] × [k] → [m]`, or for a batch of row
+/// vectors `[n, k]`, each row's product: `→ [n, m]`.
 ///
-/// Bit-identical to `matvec(&transpose(a), x)` without materialising
-/// the transpose: each output element accumulates its `k` terms in
-/// ascending order while the kernel streams `a`'s rows contiguously.
+/// Each output element is one ascending chain over `k` that starts at
+/// `-0.0` — the fold `Iterator::sum` runs over the products — so a
+/// batched row is bit for bit the product of that row alone. The
+/// register tiles run `a · xᵀ`: the lanes of a tile hold `NR` different
+/// vectors of the batch, which share every broadcast value of `a`. The
+/// vectors are transposed into a plain buffer; no workspace scratch is
+/// taken, so inference stays off the pool.
 ///
 /// # Panics
 ///
-/// Panics if `a` is not rank 2, `x` not rank 1, or `a.dim(0)` differs
-/// from `x`'s length.
-pub fn matvec_t(a: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(
-        a.rank(),
-        2,
-        "matvec_t lhs must be rank 2, got {}",
-        a.shape()
-    );
-    assert_eq!(
-        x.rank(),
-        1,
-        "matvec_t rhs must be rank 1, got {}",
-        x.shape()
-    );
-    let (k, m) = (a.dim(0), a.dim(1));
-    assert_eq!(
-        k,
-        x.dim(0),
-        "matvec_t dimension mismatch: {} vs {}",
-        a.shape(),
-        x.shape()
-    );
-    let av = a.as_slice();
-    let xv = x.as_slice();
-    let mut out = vec![0.0f32; m];
-    if m > 0 {
-        // Parallel over disjoint output column ranges; each element's
-        // chain runs i = 0..k ascending, matching the transpose path.
-        let cols_per_task = rhsd_par::chunk_units(m, 2 * k.max(1));
-        rhsd_par::for_each_mut(&mut out, cols_per_task, |ci, piece| {
-            let j0 = ci * cols_per_task;
-            for (i, &xi) in xv.iter().enumerate() {
-                let arow = &av[i * m + j0..i * m + j0 + piece.len()];
-                for (o, &aval) in piece.iter_mut().zip(arow) {
-                    *o += xi * aval;
+/// Panics if `a` is not rank 2, `x` not rank 1 or 2, or dimensions
+/// disagree.
+pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
+    let (m, k) = (a.dim(0), a.dim(1));
+    let n = vectors("matvec", a, x, k);
+    let mut out = vec![0.0f32; n * m];
+    if m > 0 && n > 0 {
+        // `xᵀ` padded to whole strips: row `p` holds element `p` of
+        // every vector.
+        let np = n.next_multiple_of(NR);
+        let mut xt = vec![0.0f32; k * np];
+        for (r, xr) in x.as_slice().chunks_exact(k.max(1)).enumerate() {
+            for (p, &v) in xr.iter().enumerate() {
+                xt[p * np + r] = v;
+            }
+        }
+        let offs: Vec<usize> = (0..k).map(|p| p * np).collect();
+        let av = a.as_slice();
+        let mr = kernels::gemm_mr();
+        let strips = rhsd_par::chunk_units(np / NR, 2 * k * m * NR);
+        rhsd_par::for_each_mut(&mut out, strips * NR * m, |ti, out| {
+            for r0 in (0..out.len() / m).step_by(NR) {
+                let lanes = NR.min(out.len() / m - r0);
+                let strip = (ti * strips * NR + r0, lanes);
+                for o0 in (0..m).step_by(mr) {
+                    let tile = (o0, &mut out[r0 * m..]);
+                    match mr.min(m - o0) {
+                        8 => matvec_tile::<8>(tile, av, (m, k), strip, &xt, &offs),
+                        7 => matvec_tile::<7>(tile, av, (m, k), strip, &xt, &offs),
+                        6 => matvec_tile::<6>(tile, av, (m, k), strip, &xt, &offs),
+                        5 => matvec_tile::<5>(tile, av, (m, k), strip, &xt, &offs),
+                        4 => matvec_tile::<4>(tile, av, (m, k), strip, &xt, &offs),
+                        3 => matvec_tile::<3>(tile, av, (m, k), strip, &xt, &offs),
+                        2 => matvec_tile::<2>(tile, av, (m, k), strip, &xt, &offs),
+                        _ => matvec_tile::<1>(tile, av, (m, k), strip, &xt, &offs),
+                    }
                 }
             }
         });
     }
-    Tensor::from_parts([m], out)
+    Tensor::from_parts(vector_shape(x, n, m), out)
+}
+
+/// One [`matvec`] register tile: outputs `o0..o0 + MRR` of the `lanes`
+/// vectors from `r0`, each lane's chain from `-0.0` over `xt`'s rows,
+/// stored into `out` (rows of `m` from vector `r0`).
+fn matvec_tile<const MRR: usize>(
+    (o0, out): (usize, &mut [f32]),
+    av: &[f32],
+    (m, k): (usize, usize),
+    (r0, lanes): (usize, usize),
+    xt: &[f32],
+    offs: &[usize],
+) {
+    let mut acc = [[-0.0f32; NR]; MRR];
+    let aidx: [usize; MRR] = std::array::from_fn(|r| (o0 + r) * k);
+    kernels::conv_micro(&mut acc, av, &aidx, 1, xt, &[r0; MRR], offs);
+    for (r, a) in acc.iter().enumerate() {
+        for (l, &v) in a[..lanes].iter().enumerate() {
+            out[l * m + o0 + r] = v;
+        }
+    }
+}
+
+/// Transpose-fused matrix–vector product `aᵀ · x`: `[k, m]ᵀ × [k] → [m]`,
+/// or for a batch of row vectors `[n, k]`, each row's product:
+/// `→ [n, m]`.
+///
+/// Bit-identical to `matvec(&transpose(a), x)` without materialising
+/// the transpose, up to the sign of an all-zero chain: each output
+/// element accumulates its `k` terms in ascending order from `+0.0`.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank 2, `x` not rank 1 or 2, or `a.dim(0)`
+/// differs from the vectors' length.
+pub fn matvec_t(a: &Tensor, x: &Tensor) -> Tensor {
+    let (k, m) = (a.dim(0), a.dim(1));
+    let n = vectors("matvec_t", a, x, k);
+    let mut out = vec![0.0f32; n * m];
+    gemm_into(&mut out, x.as_slice(), n, k, m, BSource::Rows(a.as_slice()));
+    Tensor::from_parts(vector_shape(x, n, m), out)
 }
 
 #[cfg(test)]
@@ -624,6 +668,69 @@ mod tests {
             let fused = matvec_t(&a, &x);
             let explicit = matvec(&transpose(&a), &x);
             assert_eq!(bits(&fused), bits(&explicit), "matvec_t {k}x{m}");
+        }
+    }
+
+    #[test]
+    fn matvec_rows_are_plain_dot_products_bit_for_bit() {
+        // The reference is the per-output `Iterator::sum` dot product;
+        // `k` crosses the KC block and one row is all zeros, so its
+        // chains of `-0.0` products keep their sign.
+        for (m, k, n) in [
+            (48usize, 320usize, 40usize),
+            (2, 48, 1),
+            (5, 7, 9),
+            (9, 300, 3),
+        ] {
+            let a = noisy([m, k], 29, 0);
+            let mut x = noisy([n, k], 31, 4);
+            x.as_mut_slice()[..k].fill(0.0);
+            let a_neg = a.map(|v| -v.abs());
+            for a in [&a, &a_neg] {
+                let batch = matvec(a, &x);
+                assert_eq!(batch.dims(), &[n, m]);
+                for r in 0..n {
+                    let row = Tensor::from_vec([k], x.as_slice()[r * k..][..k].to_vec()).unwrap();
+                    let plain: Vec<u32> = (0..m)
+                        .map(|o| {
+                            let dot: f32 = a.as_slice()[o * k..][..k]
+                                .iter()
+                                .zip(row.as_slice())
+                                .map(|(&p, &q)| p * q)
+                                .sum();
+                            dot.to_bits()
+                        })
+                        .collect();
+                    assert_eq!(bits(&matvec(a, &row)), plain, "matvec {m}x{k} row {r}");
+                    assert_eq!(
+                        &bits(&batch)[r * m..][..m],
+                        &plain[..],
+                        "batched matvec {m}x{k}x{n} row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_matvec_t_rows_equal_single_rows() {
+        for (k, m, n) in [(48usize, 320usize, 40usize), (4, 2, 3), (300, 17, 2)] {
+            let a = noisy([k, m], 37, 0);
+            let x = noisy([n, k], 41, 3);
+            let batch = matvec_t(&a, &x);
+            assert_eq!(batch.dims(), &[n, m]);
+            for r in 0..n {
+                let row = Tensor::from_vec([k], x.as_slice()[r * k..][..k].to_vec()).unwrap();
+                let mut plain = vec![0.0f32; m];
+                for (i, &xi) in row.as_slice().iter().enumerate() {
+                    for (o, &av) in plain.iter_mut().zip(&a.as_slice()[i * m..][..m]) {
+                        *o += xi * av;
+                    }
+                }
+                let plain: Vec<u32> = plain.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits(&matvec_t(&a, &row)), plain, "matvec_t {k}x{m} row {r}");
+                assert_eq!(&bits(&batch)[r * m..][..m], &plain[..], "batched row {r}");
+            }
         }
     }
 

@@ -11,46 +11,56 @@ use crate::Tensor;
 /// offset of each selected maximum (needed for the backward pass).
 #[derive(Debug, Clone)]
 pub struct PoolOutput {
-    /// Pooled feature map `[C, H', W']`.
+    /// Pooled feature map `[C, H', W']` (or `[N, C, H', W']`).
     pub output: Tensor,
     /// For every output element, the flat offset into the input that won.
     pub argmax: Vec<usize>,
 }
 
-/// 2-D max pooling over `[C, H, W]` with a square window and stride.
-///
-/// Windows are anchored at multiples of `stride`; partial windows at the
-/// right/bottom border are pooled over their valid extent.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 3 or `kernel`/`stride` is zero.
-pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> PoolOutput {
-    assert_eq!(
-        input.rank(),
-        3,
-        "max_pool2d expects [C,H,W], got {}",
+/// The pooled extent of `n` under a square window and stride; a map
+/// smaller than the window pools once over its valid extent.
+fn pooled_size(n: usize, kernel: usize, stride: usize) -> usize {
+    if n >= kernel {
+        (n - kernel) / stride + 1
+    } else {
+        1
+    }
+}
+
+/// Max-pools `input` (`[C, H, W]` or `[N, C, H, W]`), filling
+/// `argmax` (when given) with each output element's winning input
+/// offset. The first maximum of a window wins (strict `>`), so a window
+/// of NaNs yields `-inf` and equal signed zeros keep the first one's
+/// sign.
+fn pool_with(
+    input: &Tensor,
+    kernel: usize,
+    stride: usize,
+    mut argmax: Option<&mut Vec<usize>>,
+) -> Tensor {
+    let rank = input.rank();
+    assert!(
+        rank == 3 || rank == 4,
+        "max_pool2d expects [C,H,W] or [N,C,H,W], got {}",
         input.shape()
     );
     assert!(
         kernel > 0 && stride > 0,
         "kernel and stride must be positive"
     );
-    let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let oh = if h >= kernel {
-        (h - kernel) / stride + 1
-    } else {
-        1
-    };
-    let ow = if w >= kernel {
-        (w - kernel) / stride + 1
-    } else {
-        1
-    };
+    let (h, w) = (input.dim(rank - 2), input.dim(rank - 1));
+    // Every image's channels are one run of planes.
+    let planes: usize = input.dims()[..rank - 2].iter().product();
+    let (oh, ow) = (
+        pooled_size(h, kernel, stride),
+        pooled_size(w, kernel, stride),
+    );
     let iv = input.as_slice();
-    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-    let mut argmax = vec![0usize; c * oh * ow];
-    for ci in 0..c {
+    let mut out = vec![f32::NEG_INFINITY; planes * oh * ow];
+    if let Some(a) = argmax.as_deref_mut() {
+        a.resize(out.len(), 0);
+    }
+    for ci in 0..planes {
         for oy in 0..oh {
             for ox in 0..ow {
                 let y0 = oy * stride;
@@ -68,14 +78,41 @@ pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> PoolOutput {
                 }
                 let oo = (ci * oh + oy) * ow + ox;
                 out[oo] = best;
-                argmax[oo] = best_off;
+                if let Some(a) = argmax.as_deref_mut() {
+                    a[oo] = best_off;
+                }
             }
         }
     }
-    PoolOutput {
-        output: Tensor::from_parts([c, oh, ow], out),
-        argmax,
-    }
+    let mut dims = input.dims().to_vec();
+    dims[rank - 2] = oh;
+    dims[rank - 1] = ow;
+    Tensor::from_parts(dims, out)
+}
+
+/// 2-D max pooling over `[C, H, W]` (or a batch `[N, C, H, W]`) with a
+/// square window and stride.
+///
+/// Windows are anchored at multiples of `stride`; partial windows at the
+/// right/bottom border are pooled over their valid extent.
+///
+/// # Panics
+///
+/// Panics if `input` is not rank 3 or 4, or `kernel`/`stride` is zero.
+pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> PoolOutput {
+    let mut argmax = Vec::new();
+    let output = pool_with(input, kernel, stride, Some(&mut argmax));
+    PoolOutput { output, argmax }
+}
+
+/// [`max_pool2d`]'s pooled map alone, for passes that never go back
+/// through the pool: bit-identical values, no argmax.
+///
+/// # Panics
+///
+/// Panics if `input` is not rank 3 or 4, or `kernel`/`stride` is zero.
+pub fn max_pool2d_values(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
+    pool_with(input, kernel, stride, None)
 }
 
 /// Backward pass of [`max_pool2d`]: routes each output gradient to the
@@ -85,6 +122,12 @@ pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> PoolOutput {
 ///
 /// Panics if `grad_out` length differs from `argmax` length.
 pub fn max_pool2d_backward(input_shape: &[usize], argmax: &[usize], grad_out: &Tensor) -> Tensor {
+    route_to_argmax(input_shape, argmax, grad_out.as_slice())
+}
+
+/// Adds each gradient to the input offset that won its window, in
+/// output order.
+fn route_to_argmax(input_shape: &[usize], argmax: &[usize], grad_out: &[f32]) -> Tensor {
     assert_eq!(
         grad_out.len(),
         argmax.len(),
@@ -93,9 +136,8 @@ pub fn max_pool2d_backward(input_shape: &[usize], argmax: &[usize], grad_out: &T
         argmax.len()
     );
     let mut grad_in = Tensor::zeros(input_shape);
-    let gv = grad_out.as_slice();
     let gi = grad_in.as_mut_slice();
-    for (g, &off) in gv.iter().zip(argmax.iter()) {
+    for (g, &off) in grad_out.iter().zip(argmax) {
         gi[off] += *g;
     }
     grad_in
@@ -140,7 +182,10 @@ impl FeatureRoi {
     }
 }
 
-/// RoI max pooling: pools the window `roi` of `[C, H, W]` into `[C, out_h, out_w]`.
+/// RoI max pooling of a batch of regions: pools the window of each of
+/// `rois` from the `[C, H, W]` map into one `[C, out_h, out_w]` image of
+/// the `[N, C, out_h, out_w]` output, in RoI order; `argmax` holds
+/// offsets into the map.
 ///
 /// Each output cell `(i, j)` pools the sub-window
 /// `[⌊i·h/out_h⌋, ⌈(i+1)·h/out_h⌉) × [⌊j·w/out_w⌋, ⌈(j+1)·w/out_w⌉)` of the
@@ -149,7 +194,30 @@ impl FeatureRoi {
 /// # Panics
 ///
 /// Panics if `input` is not rank 3 or `out_h`/`out_w` is zero.
-pub fn roi_pool(input: &Tensor, roi: FeatureRoi, out_h: usize, out_w: usize) -> PoolOutput {
+pub fn roi_pool(input: &Tensor, rois: &[FeatureRoi], out_h: usize, out_w: usize) -> PoolOutput {
+    let mut argmax = Vec::with_capacity(rois.len() * input.dim(0) * out_h * out_w);
+    let output = roi_pool_with(input, rois, (out_h, out_w), |off| argmax.push(off));
+    PoolOutput { output, argmax }
+}
+
+/// [`roi_pool`]'s pooled batch alone, for passes that never go back
+/// through the pool: bit-identical values, no argmax.
+///
+/// # Panics
+///
+/// Panics if `input` is not rank 3 or `out_h`/`out_w` is zero.
+pub fn roi_pool_values(input: &Tensor, rois: &[FeatureRoi], out_h: usize, out_w: usize) -> Tensor {
+    roi_pool_with(input, rois, (out_h, out_w), |_| {})
+}
+
+/// RoI-pools `rois` from `input`, calling `winner(input offset)` for
+/// every output element in order.
+fn roi_pool_with(
+    input: &Tensor,
+    rois: &[FeatureRoi],
+    (out_h, out_w): (usize, usize),
+    mut winner: impl FnMut(usize),
+) -> Tensor {
     assert_eq!(
         input.rank(),
         3,
@@ -158,47 +226,51 @@ pub fn roi_pool(input: &Tensor, roi: FeatureRoi, out_h: usize, out_w: usize) -> 
     );
     assert!(out_h > 0 && out_w > 0, "output size must be positive");
     let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let roi = roi.clamped(h, w);
-    let rh = roi.y1 - roi.y0;
-    let rw = roi.x1 - roi.x0;
     let iv = input.as_slice();
-    let mut out = vec![0.0f32; c * out_h * out_w];
-    let mut argmax = vec![0usize; c * out_h * out_w];
-    for ci in 0..c {
-        for i in 0..out_h {
-            let y_lo = roi.y0 + i * rh / out_h;
-            let y_hi = roi.y0 + ((i + 1) * rh).div_ceil(out_h);
-            let y_hi = y_hi.max(y_lo + 1).min(roi.y1.max(y_lo + 1));
-            for j in 0..out_w {
-                let x_lo = roi.x0 + j * rw / out_w;
-                let x_hi = roi.x0 + ((j + 1) * rw).div_ceil(out_w);
-                let x_hi = x_hi.max(x_lo + 1).min(roi.x1.max(x_lo + 1));
-                let mut best = f32::NEG_INFINITY;
-                let mut best_off = (ci * h + y_lo) * w + x_lo;
-                for y in y_lo..y_hi {
-                    for x in x_lo..x_hi {
-                        let off = (ci * h + y) * w + x;
-                        if iv[off] > best {
-                            best = iv[off];
-                            best_off = off;
+    let mut out = Vec::with_capacity(rois.len() * c * out_h * out_w);
+    for roi in rois {
+        let roi = roi.clamped(h, w);
+        let rh = roi.y1 - roi.y0;
+        let rw = roi.x1 - roi.x0;
+        for ci in 0..c {
+            for i in 0..out_h {
+                let y_lo = roi.y0 + i * rh / out_h;
+                let y_hi = roi.y0 + ((i + 1) * rh).div_ceil(out_h);
+                let y_hi = y_hi.max(y_lo + 1).min(roi.y1.max(y_lo + 1));
+                for j in 0..out_w {
+                    let x_lo = roi.x0 + j * rw / out_w;
+                    let x_hi = roi.x0 + ((j + 1) * rw).div_ceil(out_w);
+                    let x_hi = x_hi.max(x_lo + 1).min(roi.x1.max(x_lo + 1));
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_off = (ci * h + y_lo) * w + x_lo;
+                    for y in y_lo..y_hi {
+                        for x in x_lo..x_hi {
+                            let off = (ci * h + y) * w + x;
+                            if iv[off] > best {
+                                best = iv[off];
+                                best_off = off;
+                            }
                         }
                     }
+                    out.push(best);
+                    winner(best_off);
                 }
-                let oo = (ci * out_h + i) * out_w + j;
-                out[oo] = best;
-                argmax[oo] = best_off;
             }
         }
     }
-    PoolOutput {
-        output: Tensor::from_parts([c, out_h, out_w], out),
-        argmax,
-    }
+    Tensor::from_parts([rois.len(), c, out_h, out_w], out)
 }
 
-/// Backward pass of [`roi_pool`]; identical gradient routing to max-pool.
-pub fn roi_pool_backward(input_shape: &[usize], argmax: &[usize], grad_out: &Tensor) -> Tensor {
-    max_pool2d_backward(input_shape, argmax, grad_out)
+/// Backward pass of [`roi_pool`] for one RoI: routes `grad_out` (that
+/// RoI's `[C, out_h, out_w]` gradient) to the map offsets in `argmax`
+/// (the same RoI's slice of [`PoolOutput::argmax`]), summing in output
+/// order, and returns the `input_shape` map gradient.
+///
+/// # Panics
+///
+/// Panics if `grad_out` length differs from `argmax` length.
+pub fn roi_pool_backward(input_shape: &[usize], argmax: &[usize], grad_out: &[f32]) -> Tensor {
+    route_to_argmax(input_shape, argmax, grad_out)
 }
 
 #[cfg(test)]
@@ -261,10 +333,83 @@ mod tests {
         }
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn values_only_pool_matches_the_argmax_pool_bit_for_bit() {
+        // NaNs never win (strict `>`), an all-NaN window pools to -inf,
+        // and equal signed zeros keep the first one's sign.
+        let mut x = Tensor::from_fn([2, 2, 5, 5], |c| {
+            ((c[0] * 7 + c[1] * 3 + c[2] * 5 + c[3]) % 9) as f32 - 4.0
+        });
+        for (i, v) in [f32::NAN, -0.0, 0.0, f32::NAN, f32::NAN, f32::NAN]
+            .into_iter()
+            .enumerate()
+        {
+            x.as_mut_slice()[i] = v;
+        }
+        x.as_mut_slice()[10] = -0.0;
+        x.as_mut_slice()[11] = 0.0;
+        let full = max_pool2d(&x, 2, 2);
+        let values = max_pool2d_values(&x, 2, 2);
+        assert_eq!(values.dims(), &[2, 2, 2, 2]);
+        assert_eq!(bits(&values), bits(&full.output));
+        assert_eq!(full.argmax.len(), values.len());
+    }
+
+    #[test]
+    fn batched_pool_equals_per_image_pools() {
+        let x = Tensor::from_fn([3, 2, 4, 4], |c| {
+            ((c[0] * 11 + c[1] * 5 + c[2] * 3 + c[3]) % 7) as f32
+        });
+        let batch = max_pool2d(&x, 2, 2);
+        let plane = 2 * 4 * 4;
+        for i in 0..3 {
+            let img = Tensor::from_vec([2, 4, 4], x.as_slice()[i * plane..][..plane].to_vec())
+                .expect("one image");
+            let one = max_pool2d(&img, 2, 2);
+            let out = one.output.len();
+            assert_eq!(
+                &batch.output.as_slice()[i * out..][..out],
+                one.output.as_slice()
+            );
+            let shifted: Vec<usize> = one.argmax.iter().map(|a| a + i * plane).collect();
+            assert_eq!(&batch.argmax[i * out..][..out], &shifted[..]);
+        }
+    }
+
+    #[test]
+    fn roi_batch_stacks_single_roi_pools() {
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let x = Tensor::rand_normal([3, 9, 9], 0.0, 1.0, &mut rng);
+        let rois = [
+            FeatureRoi::new(0, 0, 9, 9),
+            FeatureRoi::new(8, 8, 9, 9),
+            FeatureRoi::new(2, 3, 40, 5),
+        ];
+        let batch = roi_pool(&x, &rois, 7, 7);
+        assert_eq!(batch.output.dims(), &[3, 3, 7, 7]);
+        let per = 3 * 7 * 7;
+        for (i, roi) in rois.iter().enumerate() {
+            let one = roi_pool(&x, std::slice::from_ref(roi), 7, 7);
+            assert_eq!(
+                &batch.output.as_slice()[i * per..][..per],
+                one.output.as_slice()
+            );
+            assert_eq!(&batch.argmax[i * per..][..per], &one.argmax[..]);
+        }
+        let values = roi_pool_values(&x, &rois, 7, 7);
+        assert_eq!(values, batch.output);
+        let empty = roi_pool(&x, &[], 7, 7);
+        assert_eq!(empty.output.dims(), &[0, 3, 7, 7]);
+    }
+
     #[test]
     fn roi_pool_identity_when_roi_matches_output() {
         let x = Tensor::from_fn([1, 7, 7], |c| (c[1] * 7 + c[2]) as f32);
-        let p = roi_pool(&x, FeatureRoi::new(0, 0, 7, 7), 7, 7);
+        let p = roi_pool(&x, &[FeatureRoi::new(0, 0, 7, 7)], 7, 7);
         assert_eq!(p.output.as_slice(), x.as_slice());
     }
 
@@ -272,8 +417,8 @@ mod tests {
     fn roi_pool_downsamples_window() {
         let x = Tensor::from_fn([1, 8, 8], |c| (c[1] * 8 + c[2]) as f32);
         // RoI covering the bottom-right 4×4, pooled to 2×2
-        let p = roi_pool(&x, FeatureRoi::new(4, 4, 8, 8), 2, 2);
-        assert_eq!(p.output.dims(), &[1, 2, 2]);
+        let p = roi_pool(&x, &[FeatureRoi::new(4, 4, 8, 8)], 2, 2);
+        assert_eq!(p.output.dims(), &[1, 1, 2, 2]);
         // max of each 2×2 cell of the window
         assert_eq!(p.output.as_slice(), &[45., 47., 61., 63.]);
     }
@@ -283,7 +428,7 @@ mod tests {
         // 1×1 RoI expanded to 7×7: every cell sees the single pixel.
         let mut x = Tensor::zeros([1, 5, 5]);
         x.set(&[0, 2, 3], 9.0);
-        let p = roi_pool(&x, FeatureRoi::new(3, 2, 4, 3), 7, 7);
+        let p = roi_pool(&x, &[FeatureRoi::new(3, 2, 4, 3)], 7, 7);
         assert_eq!(p.output.as_slice(), &[9.0; 49]);
     }
 
@@ -295,7 +440,7 @@ mod tests {
         for _ in 0..20 {
             let x = Tensor::rand_normal([1, 9, 9], 0.0, 1.0, &mut rng);
             let roi = FeatureRoi::new(1, 2, 8, 9);
-            let p = roi_pool(&x, roi, 3, 3);
+            let p = roi_pool(&x, &[roi], 3, 3);
             let mut roi_max = f32::NEG_INFINITY;
             for y in roi.y0..roi.y1 {
                 for xx in roi.x0..roi.x1 {
@@ -309,7 +454,7 @@ mod tests {
     #[test]
     fn roi_pool_clamps_out_of_bounds() {
         let x = Tensor::ones([1, 4, 4]);
-        let p = roi_pool(&x, FeatureRoi::new(3, 3, 99, 99), 2, 2);
+        let p = roi_pool(&x, &[FeatureRoi::new(3, 3, 99, 99)], 2, 2);
         assert_eq!(p.output.as_slice(), &[1.0; 4]);
     }
 
@@ -318,16 +463,16 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(29);
         let x = Tensor::rand_normal([2, 6, 6], 0.0, 1.0, &mut rng);
         let roi = FeatureRoi::new(1, 1, 5, 6);
-        let p = roi_pool(&x, roi, 3, 3);
-        let dx = roi_pool_backward(x.dims(), &p.argmax, &Tensor::ones(p.output.dims()));
+        let p = roi_pool(&x, &[roi], 3, 3);
+        let dx = roi_pool_backward(x.dims(), &p.argmax, &vec![1.0; p.argmax.len()]);
         let eps = 1e-3;
         for probe in 0..x.len() {
             let mut plus = x.clone();
             plus.as_mut_slice()[probe] += eps;
             let mut minus = x.clone();
             minus.as_mut_slice()[probe] -= eps;
-            let numeric = (roi_pool(&plus, roi, 3, 3).output.sum()
-                - roi_pool(&minus, roi, 3, 3).output.sum())
+            let numeric = (roi_pool(&plus, &[roi], 3, 3).output.sum()
+                - roi_pool(&minus, &[roi], 3, 3).output.sum())
                 / (2.0 * eps);
             assert!((numeric - dx.as_slice()[probe]).abs() < 1e-2, "x[{probe}]");
         }

@@ -45,40 +45,51 @@ pub fn mean_axis(t: &Tensor, axis: usize) -> Tensor {
     sum_axis(t, axis).map(|x| x / n as f32)
 }
 
-/// Concatenates `[C_i, H, W]` feature maps along the channel axis — the
-/// feature-fusion step of the inception modules (Fig. 3).
+/// Concatenates `[C_i, H, W]` feature maps (or `[N, C_i, H, W]`
+/// batches) along the channel axis — the feature-fusion step of the
+/// inception modules (Fig. 3). A batch concatenates image by image.
 ///
 /// # Panics
 ///
-/// Panics if `parts` is empty, any part is not rank 3, or spatial sizes
-/// disagree.
+/// Panics if `parts` is empty, any part is not rank 3 or 4, or the
+/// parts disagree on rank, batch or spatial size.
 pub fn concat_channels(parts: &[&Tensor]) -> Tensor {
     assert!(
         !parts.is_empty(),
         "concat_channels needs at least one input"
     );
-    let (h, w) = (parts[0].dim(1), parts[0].dim(2));
+    let rank = parts[0].rank();
+    assert!(
+        rank == 3 || rank == 4,
+        "concat_channels expects [C,H,W] or [N,C,H,W], got {}",
+        parts[0].shape()
+    );
+    // Everything but the channel axis must agree.
+    let mut dims = parts[0].dims().to_vec();
+    let axis = rank - 3;
     let mut total_c = 0;
     for p in parts {
+        let mut other = p.dims().to_vec();
+        other[axis] = dims[axis];
         assert_eq!(
-            p.rank(),
-            3,
-            "concat_channels expects [C,H,W], got {}",
-            p.shape()
+            other,
+            dims,
+            "spatial mismatch: {} vs {}",
+            p.shape(),
+            parts[0].shape()
         );
-        assert_eq!(
-            (p.dim(1), p.dim(2)),
-            (h, w),
-            "spatial mismatch: {} vs [{h}, {w}]",
-            p.shape()
-        );
-        total_c += p.dim(0);
+        total_c += p.dim(axis);
     }
-    let mut data = Vec::with_capacity(total_c * h * w);
-    for p in parts {
-        data.extend_from_slice(p.as_slice());
+    dims[axis] = total_c;
+    let images: usize = dims[..axis].iter().product();
+    let mut data = Vec::with_capacity(dims.iter().product());
+    for i in 0..images {
+        for p in parts {
+            let len = p.len() / images;
+            data.extend_from_slice(&p.as_slice()[i * len..][..len]);
+        }
     }
-    Tensor::from_parts([total_c, h, w], data)
+    Tensor::from_parts(dims, data)
 }
 
 // --- Pinned-order scalar reductions -------------------------------------
@@ -124,26 +135,36 @@ pub fn max_f64<I: IntoIterator<Item = f64>>(seed: f64, xs: I) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the channel counts do not sum to `grad.dim(0)`.
+/// Panics if `grad` is not rank 3 or 4, or the channel counts do not sum
+/// to its channel count.
 pub fn split_channels(grad: &Tensor, channels: &[usize]) -> Vec<Tensor> {
-    assert_eq!(
-        grad.rank(),
-        3,
-        "split_channels expects [C,H,W], got {}",
+    let rank = grad.rank();
+    assert!(
+        rank == 3 || rank == 4,
+        "split_channels expects [C,H,W] or [N,C,H,W], got {}",
         grad.shape()
     );
-    let (c, h, w) = (grad.dim(0), grad.dim(1), grad.dim(2));
+    let axis = rank - 3;
+    let c = grad.dim(axis);
     let total: usize = channels.iter().sum();
     assert_eq!(total, c, "channel counts sum to {total}, tensor has {c}");
+    let images: usize = grad.dims()[..axis].iter().product();
+    let plane = grad.dim(rank - 2) * grad.dim(rank - 1);
     let gv = grad.as_slice();
-    let mut out = Vec::with_capacity(channels.len());
     let mut start = 0;
-    for &ci in channels {
-        let slice = gv[start * h * w..(start + ci) * h * w].to_vec();
-        out.push(Tensor::from_parts([ci, h, w], slice));
-        start += ci;
-    }
-    out
+    channels
+        .iter()
+        .map(|&ci| {
+            let mut data = Vec::with_capacity(images * ci * plane);
+            for i in 0..images {
+                data.extend_from_slice(&gv[(i * c + start) * plane..][..ci * plane]);
+            }
+            start += ci;
+            let mut dims = grad.dims().to_vec();
+            dims[axis] = ci;
+            Tensor::from_parts(dims, data)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -178,6 +199,29 @@ mod tests {
         let cat = concat_channels(&[&a, &b]);
         assert_eq!(cat.dims(), &[5, 2, 2]);
         let parts = split_channels(&cat, &[2, 3]);
+        assert_eq!(parts[0], a);
+        assert_eq!(parts[1], b);
+    }
+
+    #[test]
+    fn batched_concat_and_split_work_image_by_image() {
+        let a = Tensor::from_fn([3, 2, 2, 2], |c| (c[0] * 100 + c[1] * 10 + c[3]) as f32);
+        let b = Tensor::from_fn([3, 1, 2, 2], |c| -((c[0] * 100 + c[2]) as f32));
+        let cat = concat_channels(&[&a, &b]);
+        assert_eq!(cat.dims(), &[3, 3, 2, 2]);
+        for i in 0..3 {
+            let one = |t: &Tensor| {
+                let len = t.len() / 3;
+                Tensor::from_vec(
+                    t.dims()[1..].to_vec(),
+                    t.as_slice()[i * len..][..len].to_vec(),
+                )
+                .unwrap()
+            };
+            let single = concat_channels(&[&one(&a), &one(&b)]);
+            assert_eq!(&cat.as_slice()[i * 12..][..12], single.as_slice());
+        }
+        let parts = split_channels(&cat, &[2, 1]);
         assert_eq!(parts[0], a);
         assert_eq!(parts[1], b);
     }

@@ -93,7 +93,7 @@ proptest! {
     #[test]
     fn roi_pool_output_values_come_from_roi(x in tensor_strategy(vec![1, 8, 8])) {
         let roi = FeatureRoi::new(2, 1, 7, 6);
-        let p = roi_pool(&x, roi, 3, 3);
+        let p = roi_pool(&x, &[roi], 3, 3);
         for v in p.output.as_slice() {
             let mut found = false;
             for yy in roi.y0..roi.y1 {

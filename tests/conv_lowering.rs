@@ -13,7 +13,9 @@
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use rhsd::tensor::ops::conv::{col2im, conv2d, conv2d_backward, im2col, ConvSpec};
+use rhsd::tensor::ops::conv::{
+    col2im, conv2d, conv2d_backward, conv2d_backward_batch, im2col, ConvSpec,
+};
 use rhsd::tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd::tensor::ops::kernels::NR;
 use rhsd::tensor::ops::matmul::{matmul, matmul_nt, matmul_tn};
@@ -243,5 +245,66 @@ fn wide_and_deep_lowerings_are_bit_identical() {
         (33, 4, (12, 29), ConvSpec::same(3)),
     ] {
         check_shape(7, c_a, c_b, hw, spec);
+    }
+}
+
+/// Image `i` of a `[N, ..]` batch as a tensor of its own.
+fn image(t: &Tensor, i: usize) -> Tensor {
+    let len = t.len() / t.dim(0);
+    Tensor::from_vec(
+        t.dims()[1..].to_vec(),
+        t.as_slice()[i * len..][..len].to_vec(),
+    )
+    .expect("one image")
+}
+
+/// A batch of maps runs as one call, small maps several to a task: the
+/// forward output, the input gradient and every map's weight and bias
+/// gradients must equal the map's own call bit for bit — small maps
+/// (the refinement head's 7×7 RoIs at strides 1 and 2, its 4×4 maps, a
+/// 1×1 map, a batch split over several tasks) and maps of at least one
+/// task each, at one and four threads.
+#[test]
+fn batched_conv_equals_per_image_calls() {
+    let _guard = pool_lock();
+    for (n, c_in, c_out, (h, w), spec) in [
+        (40, 20, 5, (7, 7), ConvSpec::same(3)),
+        (40, 20, 5, (7, 7), ConvSpec::same(1)),
+        (100, 5, 5, (7, 7), ConvSpec::same(3)), // several tasks of whole maps
+        (40, 5, 5, (7, 7), ConvSpec::new(3, 2, 1)),
+        (40, 15, 5, (4, 4), ConvSpec::same(1)),
+        (9, 5, 5, (4, 4), ConvSpec::same(3)),
+        (3, 2, 9, (1, 1), ConvSpec::same(3)),
+        (5, 3, 17, (5, 6), ConvSpec::new(2, 2, 0)),
+        (2, 3, 4, (9, 11), ConvSpec::same(3)),
+        (2, 3, 4, (48, 48), ConvSpec::same(3)), // banded map by map
+        (0, 3, 4, (7, 7), ConvSpec::same(3)),
+    ] {
+        let k = spec.kernel;
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let seed = (n * 100 + h) as u64;
+        let x = Tensor::from_fn([n, c_in, h, w], |c| noise(seed, c));
+        let wt = Tensor::from_fn([c_out, c_in, k, k], |c| noise(seed ^ 1, c));
+        let b = Tensor::from_fn([c_out], |c| noise(seed ^ 2, c));
+        let g = Tensor::from_fn([n, c_out, oh, ow], |c| noise(seed ^ 3, c));
+        for threads in [1, 4] {
+            rhsd::par::set_threads(threads);
+            let out = conv2d(&x, &wt, Some(&b), spec);
+            let (dx, params) = conv2d_backward_batch(&x, &wt, &g, spec);
+            assert_eq!(out.dims(), &[n, c_out, oh, ow]);
+            assert_eq!(dx.dims(), x.dims());
+            assert_eq!(params.len(), n);
+            for (i, (dw, db)) in params.iter().enumerate() {
+                let what = format!("image {i} of {n}, {h}x{w} {spec:?}, {threads} threads");
+                let (xi, gi) = (image(&x, i), image(&g, i));
+                let one = conv2d(&xi, &wt, Some(&b), spec);
+                let (dxi, dwi, dbi) = conv2d_backward(&xi, &wt, &gi, spec);
+                assert!(bits(&image(&out, i)) == bits(&one), "output: {what}");
+                assert!(bits(&image(&dx, i)) == bits(&dxi), "d_input: {what}");
+                assert!(bits(dw) == bits(&dwi), "d_weight: {what}");
+                assert!(bits(db) == bits(&dbi), "d_bias: {what}");
+            }
+        }
+        rhsd::par::set_threads(rhsd::par::default_threads());
     }
 }

@@ -7,9 +7,12 @@
 //! which also pins that the pool's retire-on-miss policy converges.
 //!
 //! The convolutions and transposed convolutions read their maps in
-//! place, so their forward passes — and with them all of inference —
-//! take no scratch at all: no column matrix, no packed panel. Training
-//! still draws the weight-gradient GEMM's packed blocks from the pool.
+//! place, and the fully-connected forward transposes its batch into a
+//! plain buffer, so their forward passes — and with them all of
+//! inference, the batched refinement head included — take no scratch at
+//! all: no column matrix, no packed panel. Training still draws the
+//! GEMM's packed blocks (weight gradients, the FC input gradient) from
+//! the pool.
 //!
 //! One test per binary: the workspace counters are process-global, and a
 //! lone test keeps them quiescent while we read them.
@@ -20,6 +23,7 @@ use rhsd::data::{BBox, RegionSample};
 use rhsd::layout::{RasterSpec, Rect};
 use rhsd::tensor::ops::conv::{conv2d, ConvSpec};
 use rhsd::tensor::ops::deconv::conv_transpose2d;
+use rhsd::tensor::ops::matmul::matvec;
 use rhsd::tensor::{workspace, Tensor};
 
 /// What a warm run may do with the workspace pool.
@@ -92,12 +96,25 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
         conv_transpose2d(&x, &wt, Some(&b), spec);
     });
 
+    // The refinement head's batched shapes: a region's 40 RoIs of 7×7
+    // maps through a 3×3 convolution, and its 320→48 FC over 40 rows.
+    let rois = Tensor::from_fn([40, 20, 7, 7], |c| ((c[0] + c[1] * 3 + c[3]) % 5) as f32);
+    let w_roi = Tensor::from_fn([5, 20, 3, 3], |c| ((c[0] + c[2]) % 3) as f32 - 1.0);
+    assert_steady("batched conv2d", Pool::Untouched, || {
+        conv2d(&rois, &w_roi, None, spec);
+    });
+    let fc = Tensor::from_fn([48, 320], |c| ((c[0] * 7 + c[1]) % 9) as f32 - 4.0);
+    let rows = Tensor::from_fn([40, 320], |c| ((c[0] + c[1]) % 4) as f32);
+    assert_steady("batched FC", Pool::Untouched, || {
+        matvec(&fc, &rows);
+    });
+
     assert_steady("inference", Pool::Untouched, || {
         net.detect(&image);
     });
 
     // A training step on a region with one hotspot: the extractor and
-    // CPN backward passes plus the per-RoI refinement loop. Reseeding
+    // CPN backward passes plus the batched refinement head. Reseeding
     // keeps every step's RoI sample, and so its buffer sizes, the same.
     let centre = px as f32 / 2.0;
     let window = Rect::new(0, 0, (px * 10) as i64, (px * 10) as i64);
@@ -117,7 +134,7 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
         let mut step_rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
         net.zero_grad();
         let stats = net.train_step(&sample, &mut step_rng);
-        assert!(stats.rois > 0, "the step must run the refinement loop");
+        assert!(stats.rois > 0, "the step must run the refinement head");
     });
 
     rhsd::par::set_threads(rhsd::par::default_threads());

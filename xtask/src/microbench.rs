@@ -1,10 +1,12 @@
 //! `cargo xtask microbench` — a zero-dependency kernel timing harness.
 //!
-//! Times the three kernel families the end-to-end repro spends its cycles
-//! in — the packed GEMM (`rhsd_tensor::ops::matmul`), the GEMM-lowered
+//! Times the kernel families the end-to-end repro spends its cycles
+//! in — the packed GEMM (`rhsd_tensor::ops::matmul`), the in-place
 //! convolutions forward and backward (`rhsd_tensor::ops::conv` and
-//! `::deconv`, on the demo network's front-end shapes), and the separable
-//! litho aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
+//! `::deconv`, on the demo network's front-end shapes), the refinement
+//! head's batched RoI convolutions and FC (`roi_conv2d`, `roi_fc`, each
+//! beside the same RoIs run one per call), and the separable litho
+//! aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
 //! table, and
 //! writes a JSON record next to the `BENCH_*.json` bench records. The
 //! harness exists to localise regressions: when `bench-diff` flags an
@@ -35,7 +37,7 @@ use rhsd_litho::GaussianKernel;
 use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
-use rhsd_tensor::ops::matmul::matmul;
+use rhsd_tensor::ops::matmul::{matmul, matvec};
 use rhsd_tensor::Tensor;
 
 /// One timed kernel invocation set.
@@ -223,6 +225,64 @@ fn run_cases(quick: bool) -> Vec<Case> {
         }
     }
 
+    // The refinement head's shapes: one region's 40 RoIs of 7×7 maps
+    // through its 3×3 convolution (branch width 5) and its 1×1
+    // convolution of the 20 backbone channels, and its 320→48 FC over
+    // 40 rows. Each batched row has beside it the same 40 RoIs run one
+    // RoI per call.
+    let rois = 40;
+    let roi_reps = if quick { 4 } else { 20 };
+    for (c_in, k) in [(5, 3), (20, 1)] {
+        let spec = ConvSpec::same(k);
+        let batch = filled(&[rois, c_in, 7, 7], 9);
+        let singles: Vec<Tensor> = (0..rois)
+            .map(|i| filled(&[c_in, 7, 7], 9 + i as u64))
+            .collect();
+        let weight = filled(&[5, c_in, k, k], 10);
+        let bias = filled(&[5], 11);
+        let shape = |n: &str| format!("{n} {c_in}x7x7->5 k{k}s1p{}", k / 2);
+        cases.push(timed(
+            active,
+            "roi_conv2d",
+            shape("40 RoIs"),
+            roi_reps,
+            || conv2d(&batch, &weight, Some(&bias), spec),
+        ));
+        cases.push(timed(
+            active,
+            "roi_conv2d",
+            shape("40x1 RoI"),
+            roi_reps,
+            || {
+                let outs: Vec<Tensor> = singles
+                    .iter()
+                    .map(|x| conv2d(x, &weight, Some(&bias), spec))
+                    .collect();
+                outs.into_iter().next().expect("forty RoIs")
+            },
+        ));
+    }
+    let fc = filled(&[48, 320], 12);
+    let rows = filled(&[rois, 320], 13);
+    let singles: Vec<Tensor> = (0..rois).map(|i| filled(&[320], 13 + i as u64)).collect();
+    cases.push(timed(
+        active,
+        "roi_fc",
+        "40 RoIs 320->48".into(),
+        roi_reps,
+        || matvec(&fc, &rows),
+    ));
+    cases.push(timed(
+        active,
+        "roi_fc",
+        "40x1 RoI 320->48".into(),
+        roi_reps,
+        || {
+            let outs: Vec<Tensor> = singles.iter().map(|x| matvec(&fc, x)).collect();
+            outs.into_iter().next().expect("forty RoIs")
+        },
+    ));
+
     // Aerial shapes at the EUV nominal sigma (region-raster scale).
     let aerial_shapes: &[(usize, usize)] = if quick {
         &[(128, 8)]
@@ -330,6 +390,17 @@ mod tests {
         assert!(kernels.contains(&"conv2d"));
         assert!(kernels.contains(&"conv2d_backward"));
         assert!(kernels.contains(&"aerial"));
+        for family in ["roi_conv2d", "roi_fc"] {
+            let shapes: Vec<&str> = cases
+                .iter()
+                .filter(|c| c.kernel == family)
+                .map(|c| c.shape.as_str())
+                .collect();
+            // Every batched row has its one-RoI-per-call row beside it.
+            let batched = shapes.iter().filter(|s| s.starts_with("40 RoIs")).count();
+            let single = shapes.iter().filter(|s| s.starts_with("40x1 RoI")).count();
+            assert!(batched > 0 && batched == single, "{family}: {shapes:?}");
+        }
         for c in &cases {
             assert!(c.best_secs.is_finite() && c.best_secs >= 0.0);
             assert!(c.mean_secs >= c.best_secs);

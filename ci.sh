@@ -17,7 +17,8 @@
 # fails fast with its own exit code — a failed step is recorded before
 # the script aborts and can never be masked by a later step.
 #
-# The bench gate runs a quick deterministic repro_table1, self-checks the
+# The bench gate runs a quick deterministic repro_table1 at --threads 2
+# (so training always takes its data-parallel path), self-checks the
 # differ (identical records pass, an injected 20% runtime regression
 # fails), then diffs the run against the committed
 # BENCH_baseline_quick.json with --skip-runtime (accuracy and false
@@ -146,8 +147,8 @@ bench_gate() {
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
 
-    run_step "bench gate: quick repro_table1" \
-        cargo run --release -p rhsd-bench --bin repro_table1 -- --quick \
+    run_step "bench gate: quick repro_table1 (2 threads)" \
+        cargo run --release -p rhsd-bench --bin repro_table1 -- --quick --threads 2 \
         --bench-out "$tmp/current.json" --ledger "$tmp/run.jsonl"
     run_step "bench gate: ledger sanity" bench_ledger_sanity
     run_step "bench gate: differ self-check (identical records pass)" \
@@ -226,8 +227,11 @@ fi
 # on by default, policy Warn) must land per-layer dynamics in the ledger's
 # epoch events, `cargo xtask report` must auto-discover that ledger (no
 # path argument) and render the training-dynamics table, and `--html`
-# must produce a self-contained learning-dynamics dashboard. Artifacts
-# land in TELEMETRY_SMOKE/ so Actions can upload the dashboard.
+# must produce a self-contained learning-dynamics dashboard. The run is
+# at --threads 1, so with the bench gate's --threads 2 both training
+# paths (serial and data-parallel) must reproduce the committed
+# baseline's accuracy and false alarms exactly. Artifacts land in
+# TELEMETRY_SMOKE/ so Actions can upload the dashboard.
 telemetry_check_ledger() {
     grep -q '"event":"epoch"' TELEMETRY_SMOKE/LEDGER_table1.jsonl || {
         echo "ledger has no epoch events" >&2
@@ -241,6 +245,27 @@ telemetry_check_ledger() {
         echo "epoch events carry no label-entropy telemetry" >&2
         return 1
     }
+}
+
+# bench-diff reports false alarms without gating on them, so every
+# detector row's accuracy and false alarms are also compared exactly.
+telemetry_matches_baseline() {
+    cargo xtask bench-diff BENCH_baseline_quick.json \
+        TELEMETRY_SMOKE/BENCH_telemetry.json --skip-runtime --max-accuracy-drop 0 &&
+        python3 - BENCH_baseline_quick.json TELEMETRY_SMOKE/BENCH_telemetry.json <<'EOF'
+import json, sys
+def rows(path):
+    out = {}
+    for d in json.load(open(path))["detectors"]:
+        for r in d["cases"] + [d["average"]]:
+            out[(d["name"], r["case"])] = (r["accuracy_pct"], r["false_alarms"])
+    return out
+base, cur = rows(sys.argv[1]), rows(sys.argv[2])
+bad = [(k, base[k], cur.get(k)) for k in base if cur.get(k) != base[k]]
+for k, b, c in bad:
+    print(f"{k}: baseline {b}, 1-thread run {c}", file=sys.stderr)
+sys.exit(1 if bad or not base else 0)
+EOF
 }
 
 # No ledger path on purpose: this exercises the newest-LEDGER_*.jsonl
@@ -273,9 +298,11 @@ telemetry_smoke() {
     rm -rf TELEMETRY_SMOKE
     mkdir -p TELEMETRY_SMOKE
 
-    run_step "telemetry smoke: quick repro_table1 (sentinel on)" \
+    run_step "telemetry smoke: quick repro_table1 (sentinel on, 1 thread)" \
         env -C TELEMETRY_SMOKE cargo run --release -p rhsd-bench --bin repro_table1 -- \
-        --quick --bench-out BENCH_telemetry.json
+        --quick --threads 1 --bench-out BENCH_telemetry.json
+    run_step "telemetry smoke: accuracy and false alarms match the baseline" \
+        telemetry_matches_baseline
     run_step "telemetry smoke: epoch events carry layer dynamics" \
         telemetry_check_ledger
     run_step "telemetry smoke: report auto-discovers ledger and renders" \

@@ -153,6 +153,7 @@ impl Tcad18Detector {
     ///
     /// Each raster must be `[1, raster_px, raster_px]`.
     pub fn train(&mut self, clips: &[(Tensor, bool)]) -> Vec<f32> {
+        let _sp = rhsd_obs::span("tcad18-train");
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut opt = Sgd::new(StepDecay::constant(self.config.lr), 0.9);
         let mut grads = Grads::zeros_like(self.net.params());

@@ -5,7 +5,9 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rhsd_data::{BBox, RegionSample};
+use rhsd_nn::dynamics::{self, StepDynamics};
 use rhsd_nn::{Grads, Layer, Tape};
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::pool::FeatureRoi;
 use rhsd_tensor::ops::softmax::softmax_rows;
 use rhsd_tensor::Tensor;
@@ -13,7 +15,7 @@ use rhsd_tensor::Tensor;
 use crate::anchor::{generate_anchors, inside_region};
 use crate::boxcode::{decode, encode};
 use crate::config::RhsdConfig;
-use crate::cpn::ClipProposalNetwork;
+use crate::cpn::{ClipProposalNetwork, CpnOutput};
 use crate::extractor::FeatureExtractor;
 use crate::hnms::{conventional_nms, hotspot_nms, Scored};
 use crate::loss::{cpn_loss, refine_loss, CrLoss, CLASS_HOTSPOT, CLASS_NON_HOTSPOT};
@@ -85,6 +87,25 @@ pub struct RhsdNetwork {
     anchors: Vec<BBox>,
     /// Gradient accumulators of a training step, in `params` order.
     grads: Grads,
+    /// One scratch set of extractor gradients per region of the largest
+    /// batch so far: [`RhsdNetwork::train_batch`] runs each region's
+    /// extractor backward into its own, then sums them into `grads` in
+    /// batch order.
+    ext_scratch: Vec<Grads>,
+}
+
+/// One region's share of a training batch, carried from the forward
+/// phase through the heads to the extractor backward.
+struct RegionPass {
+    /// The region's activations, held until its extractor backward.
+    tape: Tape,
+    /// The extractor's feature map.
+    feats: Tensor,
+    /// The CPN's raw outputs.
+    out: CpnOutput,
+    /// The region's telemetry records, in the order a lone pass makes
+    /// them.
+    dynamics: StepDynamics,
 }
 
 impl RhsdNetwork {
@@ -108,6 +129,7 @@ impl RhsdNetwork {
             refinement,
             anchors,
             grads: Grads::zeros_like([]),
+            ext_scratch: Vec::new(),
         };
         net.grads = Grads::zeros_like(net.params());
         net
@@ -200,29 +222,134 @@ impl RhsdNetwork {
         names
     }
 
-    /// One training forward/backward pass on a region sample. Gradients
+    /// One training forward/backward pass on a region sample: the
+    /// one-region case of [`RhsdNetwork::train_batch`]. Gradients
     /// accumulate into the network's [`Grads`]; the caller steps the
     /// optimiser.
     pub fn train_step(&mut self, sample: &RegionSample, rng: &mut impl Rng) -> TrainStats {
-        let mut tape = Tape::recording();
-        let feats = {
-            let _scope = rhsd_nn::dynamics::scope("backbone");
-            self.extractor.forward(&sample.image, &mut tape)
+        self.train_batch(&[sample], rng)[0]
+    }
+
+    /// Training forward/backward passes over the regions of one optimiser
+    /// batch, returning each region's statistics in batch order.
+    /// Gradients accumulate into the network's [`Grads`]; the caller
+    /// steps the optimiser.
+    ///
+    /// The regions run on the `rhsd-par` pool, one region per task, in
+    /// four phases:
+    ///
+    /// 1. `train-forward` (parallel): extractor and CPN forward, each
+    ///    region on its own [`Tape`];
+    /// 2. `train-heads` (serial, batch order): the RNG-drawing anchor and
+    ///    RoI sampling, the CPN loss and backward, and the refinement
+    ///    head forward and backward, adding into the CPN and head slots;
+    /// 3. `train-backward` (parallel): each region's extractor backward
+    ///    into its own zeroed scratch gradients,
+    /// 4. then (serial) each region's scratch is added into the
+    ///    extractor slots, in batch order.
+    ///
+    /// Every extractor layer adds its gradient into its slots exactly
+    /// once per region, so step 4's one `+ 1.0·x` per region, onto a
+    /// scratch that held `+0 + x = x`, is the same add as the
+    /// region-by-region pass: the result is bit-identical at any pool
+    /// size, and to calling `train_step` once per region. The RNG is
+    /// drawn in the same order, and telemetry records each region's
+    /// layer statistics in the same order.
+    pub fn train_batch(&mut self, batch: &[&RegionSample], rng: &mut impl Rng) -> Vec<TrainStats> {
+        let fork = dynamics::fork();
+
+        let mut passes: Vec<RegionPass> = {
+            let _sp = rhsd_obs::span("train-forward");
+            let (extractor, cpn) = (&self.extractor, &self.cpn);
+            rhsd_par::map(batch.len(), 1, |i| {
+                let ((tape, feats, out), dynamics) = fork.record(|| {
+                    let mut tape = Tape::recording();
+                    let feats = {
+                        let _scope = dynamics::scope("backbone");
+                        extractor.forward(&batch[i].image, &mut tape)
+                    };
+                    let out = cpn.forward(&feats, &mut tape);
+                    (tape, feats, out)
+                });
+                RegionPass {
+                    tape,
+                    feats,
+                    out,
+                    dynamics,
+                }
+            })
         };
 
-        // --- Stage 1: clip proposal network.
-        let out = self.cpn.forward(&feats, &mut tape);
+        let mut stats = Vec::with_capacity(batch.len());
+        let mut feat_grads = Vec::with_capacity(batch.len());
+        {
+            let _sp = rhsd_obs::span("train-heads");
+            rhsd_par::inline(|| {
+                for (sample, pass) in batch.iter().zip(&mut passes) {
+                    let ((feat_grad, s), heads) = fork.record(|| self.heads(sample, pass, rng));
+                    pass.dynamics.absorb(heads);
+                    feat_grads.push(feat_grad);
+                    stats.push(s);
+                }
+            });
+        }
+
+        {
+            let _sp = rhsd_obs::span("train-backward");
+            let n_ext = self.extractor.params().len();
+            let extractor = &self.extractor;
+            if self.ext_scratch.len() < batch.len() {
+                self.ext_scratch
+                    .resize_with(batch.len(), || Grads::zeros_like(extractor.params()));
+            }
+            let mut jobs: Vec<_> = passes
+                .iter_mut()
+                .zip(&feat_grads)
+                .zip(&mut self.ext_scratch)
+                .collect();
+            rhsd_par::for_each_mut(&mut jobs, 1, |_, job| {
+                for ((pass, feat_grad), scratch) in job.iter_mut() {
+                    scratch.zero();
+                    let ((), backward) = fork.record(|| {
+                        let _scope = dynamics::scope("backbone");
+                        extractor.backward(&mut pass.tape, feat_grad, scratch);
+                    });
+                    debug_assert!(pass.tape.is_empty(), "every recorded forward was consumed");
+                    pass.dynamics.absorb(backward);
+                }
+            });
+            for (pass, scratch) in passes.into_iter().zip(&self.ext_scratch) {
+                for (g, s) in self.grads[..n_ext].iter_mut().zip(scratch.iter()) {
+                    axpy(g, 1.0, s);
+                }
+                dynamics::absorb(pass.dynamics);
+            }
+        }
+        stats
+    }
+
+    /// Phase 2 of [`RhsdNetwork::train_batch`] for one region: samples
+    /// its anchors and RoIs, runs the CPN loss and backward and the
+    /// refinement head forward and backward, and returns the gradient
+    /// with respect to the region's feature map.
+    fn heads(
+        &mut self,
+        sample: &RegionSample,
+        pass: &mut RegionPass,
+        rng: &mut impl Rng,
+    ) -> (Tensor, TrainStats) {
+        let (tape, feats, out) = (&mut pass.tape, &pass.feats, &pass.out);
         let assignment = assign_anchors(&self.anchors, &sample.gt_clips, &self.config);
         let weights = sample_minibatch(&assignment, &self.config, rng);
-        let (cpn_cr, cls_grad, reg_grad) = cpn_loss(&out, &assignment, &weights, &self.config);
+        let (cpn_cr, cls_grad, reg_grad) = cpn_loss(out, &assignment, &weights, &self.config);
         let rois = if self.refinement.is_some() {
-            self.sample_training_rois(sample, &out, rng)
+            self.sample_training_rois(sample, out, rng)
         } else {
             Vec::new()
         };
-        let (g_ext, rest) = self.grads.split_at_mut(self.extractor.params().len());
-        let (g_cpn, g_ref) = rest.split_at_mut(self.cpn.params().len());
-        let mut feat_grad = self.cpn.backward(&mut tape, &cls_grad, &reg_grad, g_cpn);
+        let n_ext = self.extractor.params().len();
+        let (g_cpn, g_ref) = self.grads[n_ext..].split_at_mut(self.cpn.params().len());
+        let mut feat_grad = self.cpn.backward(tape, &cls_grad, &reg_grad, g_cpn);
 
         // --- Stage 2: refinement on sampled RoIs, as one batch.
         let mut refine_cr = CrLoss::default();
@@ -233,13 +360,13 @@ impl RhsdNetwork {
             // The batched head pass would record activation keys that
             // mix every RoI; the refinement head is covered by its
             // optimiser-slot stats and the logit entropy below instead.
-            let _pause = rhsd_nn::dynamics::pause();
+            let _pause = dynamics::pause();
             let f = self.config.feature_px();
             let boxes: Vec<FeatureRoi> = rois
                 .iter()
                 .map(|(roi_box, _, _)| roi_from_bbox(roi_box, self.config.stride, f))
                 .collect();
-            let out = head.forward(&feats, &boxes, &mut tape);
+            let out = head.forward(feats, &boxes, tape);
             let (mut cls_grad, mut reg_grad) = (Vec::new(), Vec::new());
             for (i, &(_, target_class, reg_target)) in rois.iter().enumerate() {
                 let (logits, code) = (row(&out.cls_logits, i), row(&out.reg_code, i));
@@ -257,7 +384,7 @@ impl RhsdNetwork {
             // gradient contributes at full weight (a mean would shrink
             // the refinement head's learning signal by the batch size).
             head.backward(
-                &mut tape,
+                tape,
                 &Tensor::from_parts([n_rois, 2], cls_grad),
                 &Tensor::from_parts([n_rois, 4], reg_grad),
                 g_ref,
@@ -271,19 +398,14 @@ impl RhsdNetwork {
             }
         }
 
-        {
-            let _scope = rhsd_nn::dynamics::scope("backbone");
-            self.extractor.backward(&mut tape, &feat_grad, g_ext);
-        }
-        debug_assert!(tape.is_empty(), "every recorded forward was consumed");
-
-        TrainStats {
+        let stats = TrainStats {
             cpn: cpn_cr,
             refine: refine_cr,
             rois: n_rois,
             pred_counts,
             pred_entropy_sum,
-        }
+        };
+        (feat_grad, stats)
     }
 
     /// Samples refinement training RoIs, balanced to `config.roi_batch`:
@@ -297,7 +419,7 @@ impl RhsdNetwork {
     fn sample_training_rois(
         &self,
         sample: &RegionSample,
-        out: &crate::cpn::CpnOutput,
+        out: &CpnOutput,
         rng: &mut impl Rng,
     ) -> Vec<(BBox, usize, Option<[f32; 4]>)> {
         let mut rois = Vec::new();
@@ -561,7 +683,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_layout::{RasterSpec, Rect};
-    use rhsd_tensor::ops::elementwise::axpy;
 
     fn tiny_sample(cfg: &RhsdConfig, with_hotspot: bool) -> RegionSample {
         let px = cfg.region_px;

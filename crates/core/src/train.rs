@@ -15,7 +15,7 @@ use rhsd_nn::loss::{clip_grad_norm, l2_penalty};
 use rhsd_nn::optim::{Sgd, StepDecay};
 
 use crate::loss::{CLASS_HOTSPOT, CLASS_NON_HOTSPOT};
-use crate::model::{RhsdNetwork, TrainStats};
+use crate::model::RhsdNetwork;
 use crate::sentinel::{Sentinel, SentinelConfig, SentinelPolicy, TrainAbort, TripReason};
 
 /// Training-dynamics telemetry controls.
@@ -266,43 +266,28 @@ pub fn train_checked(
         let mut grad_norm_sum = 0.0f32;
         let mut steps = 0usize;
         let mut seen = 0usize;
-        let mut in_batch = 0usize;
         let mut pred_hotspot = 0u64;
         let mut pred_non_hotspot = 0u64;
         let mut pred_entropy_sum = 0.0f32;
         let mut epoch_dyn = StepDynamics::default();
         let mut sampled_steps = 0u32;
-        let mut armed = false;
         network.zero_grad();
-        for &ri in &order {
-            if in_batch == 0 && sample_every > 0 && steps.is_multiple_of(sample_every) {
+        for chunk in order.chunks(config.batch_size.max(1)) {
+            let armed = sample_every > 0 && steps.is_multiple_of(sample_every);
+            if armed {
                 rhsd_nn::dynamics::begin_step();
-                armed = true;
             }
-            let stats: TrainStats = network.train_step(&regions[ri], &mut rng);
-            loss_sum += stats.total();
-            cls_sum += stats.cpn.cls;
-            reg_sum += stats.cpn.reg;
-            refine_cls_sum += stats.refine.cls;
-            pred_hotspot += stats.pred_counts[CLASS_HOTSPOT] as u64;
-            pred_non_hotspot += stats.pred_counts[CLASS_NON_HOTSPOT] as u64;
-            pred_entropy_sum += stats.pred_entropy_sum;
-            seen += 1;
-            in_batch += 1;
-            if in_batch >= config.batch_size {
-                grad_norm_sum += step(network, &mut opt, use_l2, beta, config.clip_norm);
-                steps += 1;
-                in_batch = 0;
-                if armed {
-                    if let Some(d) = rhsd_nn::dynamics::end_step() {
-                        epoch_dyn.absorb(d);
-                        sampled_steps += 1;
-                    }
-                    armed = false;
-                }
+            let batch: Vec<&RegionSample> = chunk.iter().map(|&ri| &regions[ri]).collect();
+            for stats in network.train_batch(&batch, &mut rng) {
+                loss_sum += stats.total();
+                cls_sum += stats.cpn.cls;
+                reg_sum += stats.cpn.reg;
+                refine_cls_sum += stats.refine.cls;
+                pred_hotspot += stats.pred_counts[CLASS_HOTSPOT] as u64;
+                pred_non_hotspot += stats.pred_counts[CLASS_NON_HOTSPOT] as u64;
+                pred_entropy_sum += stats.pred_entropy_sum;
             }
-        }
-        if in_batch > 0 {
+            seen += batch.len();
             grad_norm_sum += step(network, &mut opt, use_l2, beta, config.clip_norm);
             steps += 1;
             if armed {
@@ -490,6 +475,7 @@ fn aggregate_layers(
 
 /// One optimiser step; returns the pre-clip global gradient norm.
 fn step(network: &mut RhsdNetwork, opt: &mut Sgd, use_l2: bool, beta: f32, clip: f32) -> f32 {
+    let _sp = rhsd_obs::span("train-step");
     let (mut params, grads) = network.params_and_grads_mut();
     let grad_norm = clip_grad_norm(grads, clip);
     if use_l2 {

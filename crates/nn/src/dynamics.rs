@@ -218,6 +218,76 @@ pub fn active() -> bool {
     COLLECTOR.with(|c| c.borrow().is_some())
 }
 
+/// The calling thread's collector settings, to record a piece of work
+/// on any thread with them (see [`Fork::record`]). A disarmed fork
+/// records nothing.
+#[derive(Debug, Clone)]
+pub struct Fork {
+    /// `None` when the collector was disarmed at [`fork`].
+    armed: Option<(u32, Vec<&'static str>)>,
+}
+
+/// Captures the calling thread's collector settings (armed or not, the
+/// reentrancy depth and the scope labels) for [`Fork::record`].
+pub fn fork() -> Fork {
+    let armed = COLLECTOR.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map(|col| (col.depth, col.scopes.clone()))
+    });
+    Fork { armed }
+}
+
+impl Fork {
+    /// Runs `f` on the current thread with a fresh collector armed like
+    /// the forking thread's, and returns what it recorded (nothing when
+    /// the fork is disarmed). The thread's own collector is set aside
+    /// for the call and restored after, so a pool worker can record one
+    /// task's share of a step, and the forking thread one region's,
+    /// for the caller to [`absorb`] in a fixed order.
+    pub fn record<R>(&self, f: impl FnOnce() -> R) -> (R, StepDynamics) {
+        let Some((depth, scopes)) = &self.armed else {
+            return (f(), StepDynamics::default());
+        };
+        let saved = COLLECTOR.with(|c| {
+            c.borrow_mut().replace(Collector {
+                depth: *depth,
+                scopes: scopes.clone(),
+                step: StepDynamics::default(),
+            })
+        });
+        let _restore = Restore(saved);
+        let out = f();
+        let step = COLLECTOR.with(|c| {
+            c.borrow_mut()
+                .as_mut()
+                .map(|col| std::mem::take(&mut col.step))
+        });
+        (out, step.unwrap_or_default())
+    }
+}
+
+/// Puts a set-aside collector back on drop, also when the recorded
+/// work panics.
+struct Restore(Option<Collector>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let saved = self.0.take();
+        COLLECTOR.with(|c| *c.borrow_mut() = saved);
+    }
+}
+
+/// Appends `step`'s records to the calling thread's collector. No-op
+/// when disarmed.
+pub fn absorb(step: StepDynamics) {
+    COLLECTOR.with(|c| {
+        if let Some(col) = c.borrow_mut().as_mut() {
+            col.step.absorb(step);
+        }
+    });
+}
+
 /// Pushes a scope label (e.g. `"backbone"`) prefixed onto every key
 /// recorded while the returned guard lives. No-op when disarmed.
 pub fn scope(label: &'static str) -> ScopeGuard {
@@ -392,6 +462,48 @@ mod tests {
         assert_eq!(step.activations.len(), 1);
         assert_eq!(step.activations[0].0, "backbone/Conv2d#1");
         assert_eq!(step.flow_grads, vec![("Conv2d#1".to_owned(), 5.0)]);
+    }
+
+    #[test]
+    fn fork_records_apart_and_absorb_appends() {
+        let (v, d) = fork().record(|| 7);
+        assert_eq!((v, d), (7, StepDynamics::default()), "a disarmed fork");
+
+        begin_step();
+        let f = {
+            let _g = scope("backbone");
+            fork()
+        };
+        // A pool worker's share carries the forking thread's scopes.
+        let remote = std::thread::scope(|s| {
+            s.spawn(|| {
+                f.record(|| {
+                    assert!(enter_chain());
+                    record_activation("Conv2d", 0, &Tensor::ones([2]));
+                    exit_chain();
+                })
+                .1
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(remote.activations[0].0, "backbone/Conv2d#0");
+        // On the forking thread the armed collector is set aside, then
+        // restored with nothing of the share in it.
+        let ((), local) = f.record(|| {
+            enter_chain();
+            record_flow_grad("Relu", 1, &Tensor::from_vec([2], vec![3.0, 4.0]).unwrap());
+            exit_chain();
+        });
+        assert_eq!(local.flow_grads, vec![("backbone/Relu#1".to_owned(), 5.0)]);
+        assert!(active());
+        absorb(remote);
+        absorb(local);
+        let step = end_step().unwrap();
+        assert_eq!(step.activations.len(), 1);
+        assert_eq!(step.flow_grads.len(), 1);
+        absorb(StepDynamics::default());
+        assert!(!active(), "absorb never arms the collector");
     }
 
     #[test]

@@ -20,8 +20,10 @@ use rhsd_tensor::Tensor;
 /// returns the gradient with respect to the layer input. A batched
 /// backward adds each sample's parameter gradients into `Grads` one
 /// sample at a time, in batch order — the add order of per-sample
-/// passes. Mini-batches of regions run forward/backward per region into
-/// one `Grads` and step the optimiser once.
+/// passes. A mini-batch of regions can run each region's passes on its
+/// own thread, into its own `Grads`, and sum those in region order
+/// before one optimiser step; for layers that add into a slot once per
+/// region, that is the add order of a region-by-region pass.
 ///
 /// # Panics
 ///

@@ -40,15 +40,48 @@ impl Layer for LeakyRelu {
     }
 
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
-        tape.save(|| input.clone());
+        // The backward reads only which inputs were positive: one bit
+        // each, a 32nd of the input, is what a training pass keeps.
+        tape.save(|| PositiveMask::of(input));
         let a = self.alpha;
         input.map(|x| if x > 0.0 { x } else { a * x })
     }
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
-        let input: Tensor = tape.pop("LeakyRelu");
+        let mask: PositiveMask = tape.pop("LeakyRelu");
+        assert_eq!(mask.len, grad_out.len(), "LeakyRelu gradient shape");
         let a = self.alpha;
-        input.zip_with(grad_out, |x, g| if x > 0.0 { g } else { a * g })
+        let mut data = Vec::with_capacity(grad_out.len());
+        for (gs, &word) in grad_out.as_slice().chunks(64).zip(&mask.bits) {
+            data.extend(
+                gs.iter()
+                    .enumerate()
+                    .map(|(j, &g)| if word >> j & 1 == 1 { g } else { a * g }),
+            );
+        }
+        Tensor::from_parts(grad_out.shape().clone(), data)
+    }
+}
+
+/// The `x > 0` bit of every scalar of a tensor, in storage order.
+struct PositiveMask {
+    bits: Vec<u64>,
+    len: usize,
+}
+
+impl PositiveMask {
+    fn of(t: &Tensor) -> Self {
+        let bits = t
+            .as_slice()
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (j, &x)| w | (u64::from(x > 0.0) << j))
+            })
+            .collect();
+        PositiveMask { bits, len: t.len() }
     }
 }
 
@@ -77,6 +110,23 @@ mod tests {
             &mut [],
         );
         assert_eq!(g.as_slice(), &[0.5, 5.0]);
+    }
+
+    #[test]
+    fn backward_masks_every_lane_of_a_long_map() {
+        // 150 scalars span three mask words; zero and NaN take the slope.
+        let l = LeakyRelu::new(0.25);
+        let x = Tensor::from_fn([150], |c| match c[0] % 5 {
+            0 => 0.0,
+            1 => f32::NAN,
+            2 => -1.0,
+            _ => 1.0,
+        });
+        let mut tape = Tape::recording();
+        l.forward(&x, &mut tape);
+        let g = l.backward(&mut tape, &Tensor::ones([150]), &mut []);
+        let want = x.map(|v| if v > 0.0 { 1.0 } else { 0.25 });
+        assert_eq!(g, want);
     }
 
     #[test]

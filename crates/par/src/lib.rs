@@ -17,7 +17,8 @@
 //!    channel per parallel section.
 //! 3. **No nested deadlocks.** Workers mark themselves with a
 //!    thread-local flag; a parallel section entered *from a worker*
-//!    (e.g. a conv inside a parallel region scan) runs inline serially.
+//!    (e.g. a conv inside a parallel region scan), or inside [`inline`],
+//!    runs inline serially.
 //!
 //! The pool size comes from, in order: an explicit [`set_threads`] call
 //! (the `--threads` CLI flag), the `RHSD_THREADS` environment variable,
@@ -72,6 +73,22 @@ thread_local! {
 /// sections entered from a worker run inline to avoid self-deadlock.
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
+}
+
+/// Runs `f` on the calling thread with every parallel section it enters
+/// run inline, as if the thread were a pool worker. A serial phase
+/// between two parallel ones (training's per-region heads) then pays no
+/// fork-join for sections too small to win from one.
+pub fn inline<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the thread's worker flag, also when `f` panics.
+    struct Reset(bool);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _reset = Reset(IN_WORKER.with(|w| w.replace(true)));
+    f()
 }
 
 /// Locks a mutex, recovering the guard if a previous holder panicked
@@ -470,6 +487,21 @@ mod tests {
         });
         let expect: Vec<usize> = (0..8).map(|i| 4 * i * 10 + 6).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn inline_runs_sections_on_the_caller_and_restores_the_flag() {
+        let pool = Pool::new(4);
+        let caller = thread::current().id();
+        let out = inline(|| {
+            assert!(in_worker());
+            pool.map(8, 1, |i| {
+                assert_eq!(thread::current().id(), caller);
+                i * 2
+            })
+        });
+        assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(!in_worker(), "the caller's flag is restored");
     }
 
     #[test]

@@ -187,30 +187,83 @@ impl<'a> Im2col<'a> {
     /// Packs pixels `p0..p1` × taps `j0..j1` (the transposed
     /// orientation: B rows are pixels) into `NR`-tap strips.
     pub(crate) fn pack_pixels(&self, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
-        let (k, kc, stride) = (self.spec.kernel, p1 - p0, self.spec.stride);
+        let (k, kc) = (self.spec.kernel, p1 - p0);
         for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
             let j = j0 + s * NR;
+            let mut taps = [Tap { c: 0, ky: 0, kx: 0 }; NR];
+            let lanes = NR.min(j1 - j);
             let mut tap = Tap::of(j, k);
-            for l in 0..NR {
-                // Lane `l` of every packed row: one tap over the pixels.
-                let mut lane = strip[l..].iter_mut().step_by(NR);
-                if j + l >= j1 {
-                    lane.for_each(|d| *d = 0.0);
-                    continue;
-                }
-                // Walk the pixels one output-row segment at a time.
-                let mut p = p0;
-                while p < p1 {
-                    let (oy, ox0) = (p / self.ow, p % self.ow);
-                    let seg = (self.ow - ox0).min(p1 - p);
-                    let y = oy * stride + tap.ky;
-                    for (ox, d) in (ox0..ox0 + seg).zip(lane.by_ref()) {
-                        *d = self.at(tap.c, y, ox * stride + tap.kx);
-                    }
-                    p += seg;
-                }
+            for t in &mut taps[..lanes] {
+                *t = tap;
                 tap.advance(k);
             }
+            // Walk the pixels one output-row segment at a time.
+            let mut p = p0;
+            while p < p1 {
+                let (oy, ox0) = (p / self.ow, p % self.ow);
+                let seg = (self.ow - ox0).min(p1 - p);
+                let rows = &mut strip[(p - p0) * NR..][..seg * NR];
+                self.pack_segment(&taps[..lanes], oy, ox0, rows);
+                p += seg;
+            }
+        }
+    }
+
+    /// Packs output pixels `(oy, ox0..)` of one output row, `NR` taps
+    /// per pixel, lanes past `taps` zero. At stride 1, runs of `NR`
+    /// pixels whose taps all read inside the map copy `NR` input values
+    /// per tap and transpose them through a register-sized block.
+    fn pack_segment(&self, taps: &[Tap], oy: usize, ox0: usize, rows: &mut [f32]) {
+        let (stride, pad, w) = (self.spec.stride, self.spec.padding, self.w);
+        let n = rows.len() / NR;
+        // Pixels `fast_lo..fast_hi` (relative) go through the block path.
+        let (mut fast_lo, mut fast_hi) = (n, n);
+        let mut src: [Option<(&[f32], usize)>; NR] = [None; NR];
+        if stride == 1 {
+            let kx_max = taps.iter().map(|t| t.kx).max().unwrap_or(0);
+            let kx_min = taps.iter().map(|t| t.kx).min().unwrap_or(0);
+            // First pixel whose leftmost tap is inside, first whose
+            // rightmost is not.
+            let lo = pad.saturating_sub(kx_min).max(ox0) - ox0;
+            let hi = (w + pad).saturating_sub(kx_max).saturating_sub(ox0).min(n);
+            if lo + NR <= hi {
+                fast_lo = lo;
+                fast_hi = lo + (hi - lo) / NR * NR;
+            }
+            for (s, t) in src.iter_mut().zip(taps) {
+                let iy = (oy + t.ky).wrapping_sub(pad);
+                if iy < self.h {
+                    *s = Some((&self.map[(t.c * self.h + iy) * w..][..w], t.kx));
+                }
+            }
+        }
+        let generic = |out: &mut [f32], ox: usize| {
+            for (l, d) in out.iter_mut().enumerate() {
+                *d = taps.get(l).map_or(0.0, |t| {
+                    self.at(t.c, oy * stride + t.ky, ox * stride + t.kx)
+                });
+            }
+        };
+        let (head, rest) = rows.split_at_mut(fast_lo * NR);
+        for (i, out) in head.chunks_exact_mut(NR).enumerate() {
+            generic(out, ox0 + i);
+        }
+        let (mid, tail) = rest.split_at_mut((fast_hi - fast_lo) * NR);
+        // Lanes that read the padding rows, or no tap, stay zero.
+        let mut block = [[0.0f32; NR]; NR];
+        for (g, group) in mid.chunks_exact_mut(NR * NR).enumerate() {
+            let ox = ox0 + fast_lo + g * NR;
+            for (b, s) in block.iter_mut().zip(&src) {
+                if let Some((row, kx)) = s {
+                    b.copy_from_slice(&row[ox + kx - pad..][..NR]);
+                }
+            }
+            for (t, out) in group.chunks_exact_mut(NR).enumerate() {
+                out.copy_from_slice(&std::array::from_fn::<f32, NR, _>(|l| block[l][t]));
+            }
+        }
+        for (i, out) in tail.chunks_exact_mut(NR).enumerate() {
+            generic(out, ox0 + fast_hi + i);
         }
     }
 }
@@ -489,6 +542,54 @@ mod tests {
         assert_eq!(cols.dims(), &[9, 4]);
         assert_eq!(cols.get(&[0, 0]), 0.0); // ky=0,kx=0 at output (0,0) → (-1,-1)
         assert_eq!(cols.get(&[4, 0]), 1.0); // centre tap
+    }
+
+    #[test]
+    fn pixel_packing_copies_the_im2col_matrix() {
+        // Every packed value is the im2col entry it stands for, zero
+        // padding lanes included, for pixel ranges that start and end
+        // mid-row and tap ranges with a ragged last strip; rows of 20
+        // or more pixels also take the stride-1 block path.
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for (c, h, w, spec) in [
+            (2, 5, 7, ConvSpec::same(3)),
+            (2, 4, 40, ConvSpec::same(3)),
+            (3, 3, 29, ConvSpec::new(5, 1, 2)),
+            (2, 2, 20, ConvSpec::new(1, 1, 0)),
+            (1, 3, 26, ConvSpec::new(3, 1, 0)),
+            (1, 6, 9, ConvSpec::new(3, 2, 1)),
+            (3, 7, 5, ConvSpec::new(5, 1, 2)),
+            (2, 4, 11, ConvSpec::new(2, 3, 2)),
+            (1, 3, 3, ConvSpec::new(1, 1, 0)),
+        ] {
+            let x = Tensor::rand_normal([c, h, w], 0.0, 1.0, &mut rng);
+            let cols = im2col(&x, spec);
+            let (taps, pixels) = (cols.dim(0), cols.dim(1));
+            let view = Im2col::new(x.as_slice(), c, h, w, spec);
+            for (p0, p1, j0, j1) in [
+                (0, pixels, 0, taps),
+                (1, pixels - 1, 1, taps),
+                (pixels / 2, pixels, 0, taps.min(3)),
+            ] {
+                let strips = (j1 - j0).div_ceil(NR);
+                let mut got = vec![f32::NAN; strips * (p1 - p0) * NR];
+                view.pack_pixels(p0, p1, j0, j1, &mut got);
+                for (s, strip) in got.chunks_exact(NR * (p1 - p0)).enumerate() {
+                    for (i, row) in strip.chunks_exact(NR).enumerate() {
+                        for (l, &v) in row.iter().enumerate() {
+                            let j = j0 + s * NR + l;
+                            let want = if j < j1 { cols.get(&[j, p0 + i]) } else { 0.0 };
+                            assert_eq!(
+                                v.to_bits(),
+                                want.to_bits(),
+                                "{spec:?} tap {j} pixel {}",
+                                p0 + i
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

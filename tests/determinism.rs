@@ -12,7 +12,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use rhsd::core::{train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
+use rhsd::core::{
+    train, train_checked, RegionDetector, RhsdConfig, RhsdNetwork, TelemetryConfig, TrainConfig,
+};
 use rhsd::data::{train_regions, BBox, Benchmark, RegionConfig, RegionSample};
 use rhsd::layout::synth::CaseId;
 use rhsd::layout::{RasterSpec, Rect};
@@ -196,6 +198,14 @@ fn span_tree_shape_identical_across_thread_counts() {
             };
             drop(bench);
         }
+        {
+            let cfg = RhsdConfig::tiny();
+            let regions: Vec<RegionSample> = (0..3).map(|i| pin_sample(&cfg, i)).collect();
+            let mut net = RhsdNetwork::new(cfg, &mut rand_chacha::ChaCha8Rng::seed_from_u64(9));
+            let mut tc = TrainConfig::tiny();
+            tc.epochs = 1;
+            train(&mut net, &regions, &tc);
+        }
         let tree = rhsd::obs::SpanTree::from_events(&rhsd::obs::span_events());
         rhsd::obs::set_enabled(false);
         rhsd::obs::reset();
@@ -211,6 +221,47 @@ fn span_tree_shape_identical_across_thread_counts() {
     );
 }
 
+/// Data-parallel training opens few pool sections: each optimiser step
+/// runs its regions' forward passes as one section and their extractor
+/// backward passes as another, and every convolution inside a region's
+/// task runs inline. (Region by region, a traced perfbench `train` epoch
+/// opened 810 sections over 54 regions.)
+#[test]
+fn minibatch_training_opens_few_pool_sections() {
+    let _guard = pool_lock();
+    let bench = Benchmark::demo(CaseId::Case2);
+    let region = RegionConfig::demo();
+    let mut samples = train_regions(&bench, &region);
+    samples.truncate(4);
+    let mut cfg = RhsdConfig::demo();
+    cfg.region_px = region.region_px;
+    cfg.clip_px = region.clip_px;
+    let mut tc = TrainConfig::demo();
+    tc.epochs = 1;
+    tc.batch_size = 2;
+    let mut net = RhsdNetwork::new(cfg, &mut rand_chacha::ChaCha8Rng::seed_from_u64(8));
+
+    rhsd::par::set_threads(2);
+    rhsd::obs::reset();
+    rhsd::obs::set_enabled(true);
+    train(&mut net, &samples, &tc);
+    let counters = rhsd::obs::snapshot().counters;
+    rhsd::obs::set_enabled(false);
+    rhsd::obs::reset();
+    rhsd::par::set_threads(rhsd::par::default_threads());
+
+    let steps = samples.len().div_ceil(tc.batch_size) as u64;
+    let sections = counters.get("par.sections").copied().unwrap_or(0);
+    assert!(
+        sections >= steps,
+        "each step runs its regions on the pool: {sections} sections"
+    );
+    assert!(
+        sections <= 4 * steps,
+        "{sections} pool sections over {steps} optimiser steps"
+    );
+}
+
 /// FNV-1a hash of every parameter's bits and every step's loss bits
 /// after [`training_numerics_are_pinned`]'s three rounds. A change to it
 /// is a change to training arithmetic: it must be re-pinned on purpose
@@ -218,7 +269,11 @@ fn span_tree_shape_identical_across_thread_counts() {
 const TRAINING_PIN: u64 = 0x51a9_7fae_0135_1067;
 
 fn fnv1a(h: &mut u64, word: u32) {
-    for b in word.to_le_bytes() {
+    fnv1a_bytes(h, &word.to_le_bytes());
+}
+
+fn fnv1a_bytes(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
         *h ^= u64::from(b);
         *h = h.wrapping_mul(0x0100_0000_01b3);
     }
@@ -341,4 +396,78 @@ fn tcad18_scan_bit_identical_across_thread_counts() {
         assert_eq!(a.score.to_bits(), b.score.to_bits());
     }
     assert_eq!(format!("{e1:?}"), format!("{e2:?}"));
+}
+
+/// FNV-1a hash of every parameter bit and every `EpochStats` field after
+/// [`minibatch_training_is_pinned_at_any_thread_count`]'s run. Recorded
+/// from serial region-by-region training; the data-parallel minibatch
+/// must reproduce it at every pool size.
+const MINIBATCH_TRAINING_PIN: u64 = 0xadc1_ef3b_f619_d57b;
+
+/// Mini-batch training is bit-identical at any pool size: `train_checked`
+/// over 7 regions in batches of 3 (so the last batch has one region), two
+/// epochs, with per-layer telemetry on every step, hashes every final
+/// parameter and every epoch statistic, per-layer rows included, to the
+/// same value at 1, 2 and 4 threads.
+#[test]
+fn minibatch_training_is_pinned_at_any_thread_count() {
+    let _guard = pool_lock();
+    let cfg = RhsdConfig::tiny();
+    let regions: Vec<RegionSample> = (0..7).map(|i| pin_sample(&cfg, i % 5)).collect();
+    let mut tc = TrainConfig::tiny();
+    tc.batch_size = 3;
+    tc.telemetry = TelemetryConfig { sample_every: 1 };
+    let run = |threads: usize| -> u64 {
+        rhsd::par::set_threads(threads);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2020);
+        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+        let report = train_checked(&mut net, &regions, &tc).expect("warn policy never aborts");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in net.params() {
+            for v in t.as_slice() {
+                fnv1a(&mut h, v.to_bits());
+            }
+        }
+        assert_eq!(report.history.len(), 2);
+        for e in &report.history {
+            assert!(!e.layers.is_empty(), "telemetry sampled every step");
+            fnv1a_bytes(&mut h, &(e.epoch as u64).to_le_bytes());
+            for v in [
+                e.mean_loss,
+                e.mean_cpn_cls,
+                e.mean_cpn_reg,
+                e.mean_refine_cls,
+                e.mean_grad_norm,
+                e.lr,
+                e.pred_entropy,
+            ] {
+                fnv1a(&mut h, v.to_bits());
+            }
+            fnv1a_bytes(&mut h, &e.pred_hotspot.to_le_bytes());
+            fnv1a_bytes(&mut h, &e.pred_non_hotspot.to_le_bytes());
+            for l in &e.layers {
+                fnv1a_bytes(&mut h, l.key.as_bytes());
+                for v in [
+                    l.act_mean_abs,
+                    l.dead_frac,
+                    l.saturated_frac,
+                    l.flow_grad_norm,
+                    l.grad_norm,
+                    l.update_ratio,
+                    l.weight_norm,
+                ] {
+                    fnv1a(&mut h, v.to_bits());
+                }
+            }
+        }
+        h
+    };
+    let hashes: Vec<u64> = [1, 2, 4].into_iter().map(run).collect();
+    rhsd::par::set_threads(rhsd::par::default_threads());
+    for (threads, h) in [1, 2, 4].into_iter().zip(&hashes) {
+        assert_eq!(
+            *h, MINIBATCH_TRAINING_PIN,
+            "training bits moved at {threads} threads: hash {h:#018x}"
+        );
+    }
 }

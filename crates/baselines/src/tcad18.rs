@@ -182,7 +182,7 @@ impl Tcad18Detector {
                 sum += loss;
                 // `Sgd::step` leaves `grads` zeroed for the next clip.
                 self.net
-                    .backward(&mut tape, &grad.with_shape([2]), &mut grads);
+                    .backward_params(&mut tape, &grad.with_shape([2]), &mut grads);
                 opt.step(&mut self.net.params_mut(), &mut grads);
             }
             losses.push(sum / clips.len() as f32);

@@ -7,7 +7,7 @@ use rand::Rng;
 use rhsd_nn::encdec::EncoderDecoder;
 use rhsd_nn::inception::{InceptionA, InceptionB};
 use rhsd_nn::layers::{Conv2d, LeakyRelu, MaxPool2d};
-use rhsd_nn::{backward_all, forward_all, Layer, Tape};
+use rhsd_nn::{backward_all, backward_params_all, forward_all, Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::Tensor;
 
@@ -135,6 +135,10 @@ impl Layer for FeatureExtractor {
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         backward_all(&self.layers, tape, grad_out, grads)
+    }
+
+    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+        backward_params_all(&self.layers, tape, grad_out, grads);
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -312,7 +312,8 @@ impl RhsdNetwork {
                     scratch.zero();
                     let ((), backward) = fork.record(|| {
                         let _scope = dynamics::scope("backbone");
-                        extractor.backward(&mut pass.tape, feat_grad, scratch);
+                        // Nothing reads the raster's gradient.
+                        extractor.backward_params(&mut pass.tape, feat_grad, scratch);
                     });
                     debug_assert!(pass.tape.is_empty(), "every recorded forward was consumed");
                     pass.dynamics.absorb(backward);

@@ -76,6 +76,10 @@ impl Layer for EncoderDecoder {
         self.chain.backward(tape, grad_out, grads)
     }
 
+    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+        self.chain.backward_params(tape, grad_out, grads);
+    }
+
     fn params(&self) -> Vec<&Tensor> {
         self.chain.params()
     }

@@ -46,6 +46,15 @@ pub trait Layer: Send + Sync {
     /// gradient.
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that never reads the input
+    /// gradient, as when the input is data (a network's raster): adds
+    /// the same parameter gradients into `grads`, bit for bit, and skips
+    /// what only the input gradient needs. The default runs `backward`
+    /// and drops the input gradient.
+    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+        self.backward(tape, grad_out, grads);
+    }
+
     /// Every trainable parameter, in a stable order. The default is an
     /// empty list (parameter-free layers).
     fn params(&self) -> Vec<&Tensor> {
@@ -190,25 +199,64 @@ pub fn backward_all(
     grad_out: &Tensor,
     grads: &mut [Tensor],
 ) -> Tensor {
-    let record = crate::dynamics::enter_chain();
     let mut g = grad_out.clone();
+    backward_chain(layers, tape, &mut g, grads, true);
+    g
+}
+
+/// [`backward_all`] for a caller that never reads the input gradient:
+/// the first layer runs [`Layer::backward_params`]. Every parameter
+/// gradient is bit for bit the same.
+///
+/// When the thread's [`crate::dynamics`] collector records this chain,
+/// the first layer's input gradient is computed all the same: its norm
+/// is the chain's last flowing-gradient record.
+///
+/// Shapes: `grad_out` matches the last layer's output; `grads` mirrors
+/// the layers' concatenated parameter lists.
+pub fn backward_params_all(
+    layers: &[Box<dyn Layer>],
+    tape: &mut Tape,
+    grad_out: &Tensor,
+    grads: &mut [Tensor],
+) {
+    backward_chain(layers, tape, &mut grad_out.clone(), grads, false);
+}
+
+/// Runs `backward` through `layers` in reverse, `g` the gradient flowing
+/// in. On return `g` is the input gradient, unless `input_grad` is false
+/// and nothing records it: then the first layer runs
+/// [`Layer::backward_params`] and `g` is left as its output gradient.
+fn backward_chain(
+    layers: &[Box<dyn Layer>],
+    tape: &mut Tape,
+    g: &mut Tensor,
+    grads: &mut [Tensor],
+    input_grad: bool,
+) {
+    let record = crate::dynamics::enter_chain();
     let mut rest = grads;
     for (i, layer) in layers.iter().enumerate().rev() {
         let split = rest.len() - layer.params().len();
         let (head, own) = std::mem::take(&mut rest).split_at_mut(split);
-        g = layer.backward(tape, &g, own);
         rest = head;
-        rhsd_tensor::invariants::check_finite(layer.name(), &g);
+        if i == 0 && !input_grad && !record {
+            layer.backward_params(tape, g, own);
+            break;
+        }
+        *g = layer.backward(tape, g, own);
+        rhsd_tensor::invariants::check_finite(layer.name(), g);
         if record {
-            crate::dynamics::record_flow_grad(layer.name(), i, &g);
+            crate::dynamics::record_flow_grad(layer.name(), i, g);
         }
     }
     crate::dynamics::exit_chain();
-    g
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
     use super::*;
     use crate::Grads;
 
@@ -294,6 +342,81 @@ mod tests {
         let y = layer.forward(&Tensor::ones([2]), &mut tape);
         let mut grads = Grads::zeros_like(layer.params());
         layer.backward(&mut tape, &y, &mut grads);
+    }
+
+    /// A [`Gain`] that counts which backward ran: `[backward,
+    /// backward_params]`.
+    struct Probe {
+        gain: Gain,
+        runs: std::sync::Arc<[AtomicUsize; 2]>,
+    }
+
+    impl Layer for Probe {
+        fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+            self.gain.forward(input, tape)
+        }
+
+        fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+            self.runs[0].fetch_add(1, Relaxed);
+            self.gain.backward(tape, grad_out, grads)
+        }
+
+        fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+            self.runs[1].fetch_add(1, Relaxed);
+            self.gain.backward(tape, grad_out, grads);
+        }
+
+        fn params(&self) -> Vec<&Tensor> {
+            self.gain.params()
+        }
+    }
+
+    /// A params-only chain backward adds the same parameter gradients
+    /// and runs `backward_params` on the first layer only — unless the
+    /// dynamics collector records the chain, which reads the first
+    /// layer's input gradient.
+    #[test]
+    fn params_only_backward_skips_the_first_input_gradient() {
+        let runs: [std::sync::Arc<[AtomicUsize; 2]>; 2] = Default::default();
+        let layers: Vec<Box<dyn Layer>> = [2.0, 3.0]
+            .into_iter()
+            .zip(&runs)
+            .map(|(k, r)| {
+                Box::new(Probe {
+                    gain: Gain::new(k),
+                    runs: r.clone(),
+                }) as Box<dyn Layer>
+            })
+            .collect();
+        let x = Tensor::from_vec([2], vec![1.0, -2.0]).unwrap();
+        let run = |params_only: bool| {
+            let mut tape = Tape::recording();
+            forward_all(&layers, &x, &mut tape);
+            let mut grads = Grads::zeros_like(layers.iter().flat_map(|l| l.params()));
+            if params_only {
+                backward_params_all(&layers, &mut tape, &Tensor::ones([2]), &mut grads);
+            } else {
+                backward_all(&layers, &mut tape, &Tensor::ones([2]), &mut grads);
+            }
+            assert!(tape.is_empty());
+            grads
+        };
+        let counts = || {
+            runs.each_ref()
+                .map(|r| [r[0].load(Relaxed), r[1].load(Relaxed)])
+        };
+        let full = run(false);
+        assert_eq!(counts(), [[1, 0], [1, 0]]);
+        let params = run(true);
+        assert_eq!(counts(), [[1, 1], [2, 0]], "only the first layer skips");
+        for (a, b) in full.iter().zip(params.iter()) {
+            assert_eq!(a.as_slice(), b.as_slice(), "parameter gradients moved");
+        }
+        crate::dynamics::begin_step();
+        run(true);
+        let step = crate::dynamics::end_step().unwrap();
+        assert_eq!(counts(), [[2, 1], [3, 0]], "a recorded chain runs backward");
+        assert_eq!(step.flow_grads.len(), 2, "{:?}", step.flow_grads);
     }
 
     #[test]

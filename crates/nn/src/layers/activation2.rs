@@ -2,6 +2,7 @@
 //! units cannot die irrecoverably (important for small CPU-scale networks
 //! trained with plain SGD).
 
+use rhsd_tensor::ops::kernels;
 use rhsd_tensor::Tensor;
 
 use crate::layer::{Layer, Tape};
@@ -40,49 +41,36 @@ impl Layer for LeakyRelu {
     }
 
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        let a = self.alpha;
+        if !tape.is_recording() {
+            return input.map(|x| if x > 0.0 { x } else { a * x });
+        }
         // The backward reads only which inputs were positive: one bit
         // each, a 32nd of the input, is what a training pass keeps.
-        tape.save(|| PositiveMask::of(input));
-        let a = self.alpha;
-        input.map(|x| if x > 0.0 { x } else { a * x })
+        let mut out = vec![0.0f32; input.len()];
+        let mut bits = vec![0u64; input.len().div_ceil(64)];
+        kernels::leaky_relu_pack(&mut out, input.as_slice(), a, &mut bits);
+        tape.save(|| PositiveMask {
+            bits,
+            len: input.len(),
+        });
+        Tensor::from_parts(input.shape().clone(), out)
     }
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
         let mask: PositiveMask = tape.pop("LeakyRelu");
         assert_eq!(mask.len, grad_out.len(), "LeakyRelu gradient shape");
-        let a = self.alpha;
-        let mut data = Vec::with_capacity(grad_out.len());
-        for (gs, &word) in grad_out.as_slice().chunks(64).zip(&mask.bits) {
-            data.extend(
-                gs.iter()
-                    .enumerate()
-                    .map(|(j, &g)| if word >> j & 1 == 1 { g } else { a * g }),
-            );
-        }
+        let mut data = vec![0.0f32; grad_out.len()];
+        kernels::leaky_relu_unpack(&mut data, grad_out.as_slice(), self.alpha, &mask.bits);
         Tensor::from_parts(grad_out.shape().clone(), data)
     }
 }
 
-/// The `x > 0` bit of every scalar of a tensor, in storage order.
+/// The `x > 0` bit of every scalar of a tensor, in storage order, as
+/// [`kernels::leaky_relu_pack`] packs it.
 struct PositiveMask {
     bits: Vec<u64>,
     len: usize,
-}
-
-impl PositiveMask {
-    fn of(t: &Tensor) -> Self {
-        let bits = t
-            .as_slice()
-            .chunks(64)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |w, (j, &x)| w | (u64::from(x > 0.0) << j))
-            })
-            .collect();
-        PositiveMask { bits, len: t.len() }
-    }
 }
 
 #[cfg(test)]

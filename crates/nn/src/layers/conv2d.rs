@@ -1,7 +1,7 @@
 //! Learnable 2-D convolution layer.
 
 use rand::Rng;
-use rhsd_tensor::ops::conv::{conv2d, conv2d_backward_batch, ConvSpec};
+use rhsd_tensor::ops::conv::{conv2d, conv2d_backward_batch, conv2d_weight_grads, ConvSpec};
 use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
@@ -67,11 +67,14 @@ impl Layer for Conv2d {
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Conv2d");
         let (dx, per_map) = conv2d_backward_batch(&input, &self.weight, grad_out, self.spec);
-        for (dw, db) in per_map {
-            axpy(&mut grads[0], 1.0, &dw);
-            axpy(&mut grads[1], 1.0, &db);
-        }
+        add_map_grads(grads, per_map);
         dx
+    }
+
+    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+        let input: Tensor = tape.pop("Conv2d");
+        let per_map = conv2d_weight_grads(&input, &self.weight, grad_out, self.spec);
+        add_map_grads(grads, per_map);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -80,6 +83,15 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.weight, &mut self.bias]
+    }
+}
+
+/// Adds each map's `(d_weight, d_bias)` into the weight and bias slots,
+/// in batch order.
+fn add_map_grads(grads: &mut [Tensor], per_map: Vec<(Tensor, Tensor)>) {
+    for (dw, db) in per_map {
+        axpy(&mut grads[0], 1.0, &dw);
+        axpy(&mut grads[1], 1.0, &db);
     }
 }
 

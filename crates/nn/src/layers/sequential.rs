@@ -2,7 +2,7 @@
 
 use rhsd_tensor::Tensor;
 
-use crate::layer::{backward_all, forward_all, Layer, Tape};
+use crate::layer::{backward_all, backward_params_all, forward_all, Layer, Tape};
 
 /// A chain of layers applied in order.
 ///
@@ -68,6 +68,10 @@ impl Layer for Sequential {
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         backward_all(&self.layers, tape, grad_out, grads)
+    }
+
+    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+        backward_params_all(&self.layers, tape, grad_out, grads);
     }
 
     fn params(&self) -> Vec<&Tensor> {

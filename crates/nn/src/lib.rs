@@ -55,4 +55,4 @@ pub mod loss;
 pub mod optim;
 
 pub use grads::Grads;
-pub use layer::{backward_all, forward_all, Layer, Tape};
+pub use layer::{backward_all, backward_params_all, forward_all, Layer, Tape};

@@ -445,58 +445,97 @@ pub fn conv2d_backward_batch(
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Vec<(Tensor, Tensor)>) {
+    let (x, c_out) = check_backward(input, weight, grad_out, spec);
+    let params = weight_grads(x, grad_out.as_slice(), c_out, spec);
+
+    // d_input = col2im(Wᵀ · grad), folded in place: `[C_out, C_in, K, K]`
+    // is the fold's `[source, output]` weight layout as it stands.
+    let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
+    let grad = Map {
+        v: grad_out.as_slice(),
+        n: x.n,
+        c: c_out,
+        h: oh,
+        w: ow,
+    };
+    let mut dx = vec![0.0f32; x.v.len()];
+    direct::fold_into(
+        &mut dx,
+        (x.c, x.h, x.w),
+        grad,
+        weight.as_slice(),
+        spec,
+        None,
+    );
+    let d_input = Tensor::from_parts(input.dims(), dx);
+
+    crate::invariants::check_finite("conv2d_backward", &d_input);
+    (d_input, params)
+}
+
+/// The parameter gradients of [`conv2d_backward_batch`] alone, bit for
+/// bit: each map's `(d_weight, d_bias)` in batch order, with no input
+/// gradient — for an input nothing differentiates, such as a raster.
+///
+/// # Panics
+///
+/// As [`conv2d_backward_batch`].
+pub fn conv2d_weight_grads(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: ConvSpec,
+) -> Vec<(Tensor, Tensor)> {
+    let (x, c_out) = check_backward(input, weight, grad_out, spec);
+    weight_grads(x, grad_out.as_slice(), c_out, spec)
+}
+
+/// Checks a [`conv2d`] backward's operands; returns the input batch and
+/// the output channel count.
+fn check_backward<'a>(
+    input: &'a Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: ConvSpec,
+) -> (Map<'a>, usize) {
     let x = map_of("conv2d_backward", input, true);
     let c_out = check_weight("conv2d_backward", x.c, weight, spec, 1);
-    let (c_in, h, w) = (x.c, x.h, x.w);
-    let k = spec.kernel;
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
     assert_eq!(
         grad_out.dims(),
         &batch_shape(input, x.n, [c_out, oh, ow])[..],
         "grad_out shape {} inconsistent with conv geometry",
         grad_out.shape()
     );
+    (x, c_out)
+}
 
-    let ncols = oh * ow;
+/// Each map's `(d_weight, d_bias)` from the batch `x` and its output
+/// gradient `gv` (`[n, c_out, oh, ow]`).
+fn weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor, Tensor)> {
+    let (c_in, h, w) = (x.c, x.h, x.w);
+    let k = spec.kernel;
+    let ncols = spec.out_size(h) * spec.out_size(w);
     let ckk = c_in * k * k;
-    // [n, c_out, oh·ow] row-major as-is
-    let gv = grad_out.as_slice();
-    let params =
-        x.v.chunks_exact((c_in * h * w).max(1))
-            .zip(gv.chunks_exact((c_out * ncols).max(1)))
-            .take(x.n)
-            .map(|(xv, gv)| {
-                // d_bias: sum over spatial positions.
-                let dbias: Vec<f32> = (0..c_out)
-                    .map(|co| gv[co * ncols..(co + 1) * ncols].iter().sum())
-                    .collect();
-                // d_weight = grad · im2col(x)ᵀ — the packing pass gathers the
-                // transposed im2col matrix straight from the input map.
-                let cols = Im2col::new(xv, c_in, h, w, spec);
-                let mut dw = vec![0.0f32; c_out * ckk];
-                gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
-                (
-                    Tensor::from_parts([c_out, c_in, k, k], dw),
-                    Tensor::from_parts([c_out], dbias),
-                )
-            })
-            .collect();
-
-    // d_input = col2im(Wᵀ · grad), folded in place: `[C_out, C_in, K, K]`
-    // is the fold's `[source, output]` weight layout as it stands.
-    let grad = Map {
-        v: gv,
-        n: x.n,
-        c: c_out,
-        h: oh,
-        w: ow,
-    };
-    let mut dx = vec![0.0f32; x.n * c_in * h * w];
-    direct::fold_into(&mut dx, (c_in, h, w), grad, weight.as_slice(), spec, None);
-    let d_input = Tensor::from_parts(input.dims(), dx);
-
-    crate::invariants::check_finite("conv2d_backward", &d_input);
-    (d_input, params)
+    x.v.chunks_exact((c_in * h * w).max(1))
+        .zip(gv.chunks_exact((c_out * ncols).max(1)))
+        .take(x.n)
+        .map(|(xv, gv)| {
+            // d_bias: sum over spatial positions.
+            let dbias: Vec<f32> = (0..c_out)
+                .map(|co| gv[co * ncols..(co + 1) * ncols].iter().sum())
+                .collect();
+            // d_weight = grad · im2col(x)ᵀ — the packing pass gathers the
+            // transposed im2col matrix straight from the input map.
+            let cols = Im2col::new(xv, c_in, h, w, spec);
+            let mut dw = vec![0.0f32; c_out * ckk];
+            gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
+            (
+                Tensor::from_parts([c_out, c_in, k, k], dw),
+                Tensor::from_parts([c_out], dbias),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -674,6 +713,23 @@ mod tests {
                     "{name}[{probe}]: numeric {numeric} vs analytic {analytic}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn weight_grads_alone_match_the_full_backward() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let spec = ConvSpec::same(3);
+        let x = Tensor::rand_normal([2, 3, 9, 11], 0.0, 1.0, &mut rng);
+        let w = Tensor::rand_normal([4, 3, 3, 3], 0.0, 0.5, &mut rng);
+        let g = Tensor::rand_normal([2, 4, 9, 11], 0.0, 1.0, &mut rng);
+        let (_, full) = conv2d_backward_batch(&x, &w, &g, spec);
+        let alone = conv2d_weight_grads(&x, &w, &g, spec);
+        assert_eq!(full.len(), 2);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((dw, db), (aw, ab)) in full.iter().zip(&alone) {
+            assert_eq!(bits(dw), bits(aw));
+            assert_eq!(bits(db), bits(ab));
         }
     }
 

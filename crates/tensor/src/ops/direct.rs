@@ -2,28 +2,31 @@
 //! of a transposed convolution, both reading `[C, H, W]` maps where
 //! they lie, with no column matrix.
 //!
-//! Both run register tiles of [`kernels::conv_micro`] over `NR`-pixel
-//! strips of an output row: `MRR` output channels × one strip, or —
-//! when the last channel block is a single channel — that channel × up
-//! to `MRR` adjacent strips. Each tile row reads its `B` rows straight
-//! from the map at per-step offsets. A strip whose taps leave the map,
-//! or any strip at stride > 1, gathers its `B` rows lane by lane into a
-//! small per-task panel instead, once for all its channel blocks.
+//! Both run register tiles over `NR`-pixel strips of an output row:
+//! `MRR` output channels × one strip, or — when the last channel block
+//! is a single channel — that channel × up to `MRR` adjacent strips.
+//! Each tile row reads its `B` rows straight from the map at per-step
+//! offsets. A tap that leaves the map, or any tap at stride > 1,
+//! gathers its `B` rows lane by lane into a small per-task panel
+//! instead, once for all the strip's channel blocks.
 //!
-//! * **Forward** ([`conv_into`]): one chain per output element over
-//!   the taps `(ci, ky, kx)` in ascending order, starting at `+0.0`.
-//!   Gathered padding lanes hold a literal `0.0` that is multiplied and
-//!   added like any other term. This is exactly the chain of
-//!   `W · im2col(x)` through the GEMM, element by element.
-//! * **Fold** ([`fold_into`]): the adjoint, `col2im(Wᵀ · g)`. For each
-//!   tap `(ky, kx)` in ascending order the tile runs a fresh `+0.0`
-//!   chain over the source channels — one element of the column matrix
-//!   `Wᵀ · g` — then adds that partial to its accumulator with
-//!   [`kernels::add_lanes`]. Lanes whose tap falls outside the source
-//!   map are masked, so they keep their accumulator bits, just as
-//!   `col2im` never adds them; a masked lane may have read anything.
-//!   These are `col2im`'s two levels of rounding in its order:
-//!   ascending taps per output pixel, each tap one `Wᵀ · g` element.
+//! * **Forward** ([`conv_into`], [`kernels::conv_micro`] tiles): one
+//!   chain per output element over the taps `(ci, ky, kx)` in ascending
+//!   order, starting at `+0.0`. Gathered padding lanes hold a literal
+//!   `0.0` that is multiplied and added like any other term. This is
+//!   exactly the chain of `W · im2col(x)` through the GEMM, element by
+//!   element.
+//! * **Fold** ([`fold_into`], [`kernels::fold_micro`] tiles): the
+//!   adjoint, `col2im(Wᵀ · g)`. A strip first lists its taps `(ky, kx)`
+//!   in ascending order, each read in place or gathered, with the lane
+//!   mask of the pixels whose source lies inside the map. Each tile
+//!   then keeps its accumulators in registers across the whole list:
+//!   per tap a fresh `+0.0` chain over the source channels — one
+//!   element of the column matrix `Wᵀ · g` — added in the tap's lanes.
+//!   Masked lanes keep their accumulator bits, just as `col2im` never
+//!   adds them; a masked lane may have read anything. These are
+//!   `col2im`'s two levels of rounding in its order: ascending taps per
+//!   output pixel, each tap one `Wᵀ · g` element.
 //!
 //! Both take a batch of `n` maps and run it map by map. Tasks own whole
 //! bands of output rows, at least `NC` pixels each, across every
@@ -36,7 +39,7 @@
 use std::ops::Range;
 
 use super::conv::ConvSpec;
-use super::kernels::{self, NR};
+use super::kernels::{self, FoldSrc, FoldTap, NR};
 
 /// Minimum output pixels per parallel task: the GEMM's column-block
 /// width, so a task is never smaller than the GEMM's.
@@ -427,10 +430,15 @@ struct Fold<'a> {
     ow: usize,
     /// Map offset of source channel `c` from channel 0.
     offs: &'a [usize],
-    /// Offsets of the rows of a gathered panel.
+    /// Offsets of the rows of a gathered tap in the panel.
     seq: &'a [usize],
     bias: Option<&'a [f32]>,
 }
+
+/// The [`FoldSrc`] index of taps read in place from the source map.
+const MAP: usize = 0;
+/// The [`FoldSrc`] index of taps gathered into the panel.
+const PANEL: usize = 1;
 
 impl Fold<'_> {
     /// The source index `(v + p − kv) / s` that output coordinate `v`
@@ -502,118 +510,68 @@ impl Fold<'_> {
             .fold(0, |m, (l, _)| m | 1 << l)
     }
 
-    /// Adds one tap's partial to the accumulators `acc` of channels
-    /// `c0..c0 + MRR` (tile rows of one strip, or of `MRR` strips of
-    /// channel `c0`): a fresh chain over the source channels from `b`,
-    /// added in the lanes of `mask`.
-    fn tap<const MRR: usize>(
-        &self,
-        acc: &mut [[f32; NR]],
-        c0: usize,
-        strips: bool,
-        tap: usize,
-        b: Rows,
-        mask: u8,
-    ) {
-        let (ch, xs) = tile_rows::<MRR>(c0, 0, strips);
-        let kk = self.spec.kernel * self.spec.kernel;
-        // Weight `(c, o, ky, kx)` sits at `c · acs + o · k² + tap`.
-        let aidx = ch.map(|o| o * kk + tap);
-        let bidx = xs.map(|x| b.base + x);
-        let mut part = [[0.0f32; NR]; MRR];
-        kernels::conv_micro(
-            &mut part,
-            self.wt,
-            &aidx,
-            self.c_out * kk,
-            b.src,
-            &bidx,
-            b.offs,
-        );
-        kernels::add_lanes(acc, &part, mask);
-    }
-
-    /// The tiles of one strip of output row `y`: the channels of `acc`
-    /// (one accumulator each, from channel 0) in blocks of `mr`.
-    fn strip(&self, y: usize, x0: usize, mr: usize, acc: &mut [[f32; NR]], panel: &mut [f32]) {
-        let (k, c) = (self.spec.kernel, acc.len());
+    /// The taps of the strip at `x0` of output row `y`, in ascending
+    /// `(ky, kx)` order, into `taps`: read in place where
+    /// [`Fold::direct`] holds, else gathered into the tap's slot of
+    /// `panel`. Taps outside the source map add to no lane and are left
+    /// out.
+    fn strip_taps(&self, y: usize, x0: usize, panel: &mut [f32], taps: &mut Vec<FoldTap>) {
+        let k = self.spec.kernel;
         let lanes = NR.min(self.ow - x0);
-        acc.fill([0.0; NR]);
+        let slot = self.g.c * NR;
+        taps.clear();
         for ky in 0..k {
             let Some(gy) = self.src(y, ky, self.g.h) else {
                 continue;
             };
             for kx in 0..k {
-                // One gather serves every channel block of the strip.
-                let (b, mask) = match self.direct(gy, x0, kx, NR) {
-                    Some((base, mask)) => {
-                        let b = Rows {
-                            src: self.g.v,
-                            base,
-                            offs: self.offs,
-                        };
-                        (b, mask)
-                    }
+                let a = ky * k + kx;
+                let tap = match self.direct(gy, x0, kx, NR) {
+                    Some((base, mask)) => FoldTap {
+                        a,
+                        src: MAP,
+                        base,
+                        mask,
+                    },
                     None => {
-                        let mask = self.gather(gy, x0, kx, lanes, panel);
+                        let base = a * slot;
+                        let mask = self.gather(gy, x0, kx, lanes, &mut panel[base..][..slot]);
                         if mask == 0 {
                             continue;
                         }
-                        let b = Rows {
-                            src: panel,
-                            base: 0,
-                            offs: self.seq,
-                        };
-                        (b, mask)
+                        FoldTap {
+                            a,
+                            src: PANEL,
+                            base,
+                            mask,
+                        }
                     }
                 };
-                for c0 in (0..c).step_by(mr) {
-                    let rows = mr.min(c - c0);
-                    let acc = &mut acc[c0..c0 + rows];
-                    tile!(rows, self.tap(acc, c0, false, ky * k + kx, b, mask));
-                }
+                taps.push(tap);
             }
         }
     }
 
-    /// One tile of channel `c` over `MRR` grouped strips from `x0` of
-    /// output row `y`, every tap read in place.
-    fn strips<const MRR: usize>(
+    /// One register tile of output row `row` (an offset into the band):
+    /// `MRR` channels from `c0` on the strip at `x0`, or (`strips`)
+    /// channel `c0` on `MRR` strips from `x0`, over every tap of `taps`.
+    fn tile<const MRR: usize>(
         &self,
         planes: &mut [&mut [f32]],
         row: usize,
-        y: usize,
-        c: usize,
+        c0: usize,
         x0: usize,
+        strips: bool,
+        (srcs, taps): (&[FoldSrc], &[FoldTap]),
     ) {
-        let k = self.spec.kernel;
+        let (ch, xs) = tile_rows::<MRR>(c0, x0, strips);
+        let kk = self.spec.kernel * self.spec.kernel;
+        // Weight `(c, o, ky, kx)` sits at `c · acs + o · k² + tap`.
+        let aidx = ch.map(|o| o * kk);
+        let bidx = xs.map(|x| x - x0);
         let mut acc = [[0.0f32; NR]; MRR];
-        for ky in 0..k {
-            let Some(gy) = self.src(y, ky, self.g.h) else {
-                continue;
-            };
-            for kx in 0..k {
-                debug_assert_eq!(
-                    self.direct(gy, x0, kx, MRR * NR).map(|(_, mask)| mask),
-                    Some(ALL_LANES),
-                    "grouped strips read in place"
-                );
-                let b = Rows {
-                    src: self.g.v,
-                    base: gy * self.g.w + x0 + self.spec.padding - kx,
-                    offs: self.offs,
-                };
-                self.tap::<MRR>(&mut acc, c, true, ky * k + kx, b, ALL_LANES);
-            }
-        }
-        store(
-            planes,
-            row,
-            tile_rows::<MRR>(c, x0, true),
-            &acc,
-            self.ow,
-            self.bias,
-        );
+        kernels::fold_micro(&mut acc, self.wt, &aidx, self.c_out * kk, srcs, &bidx, taps);
+        store(planes, row, (ch, xs), &acc, self.ow, self.bias);
     }
 }
 
@@ -659,8 +617,10 @@ pub(crate) fn fold_into(
             g: g.image(i),
             ..op
         };
-        let mut panel = vec![0.0f32; g.c * NR];
-        let mut acc = vec![[0.0f32; NR]; c_out];
+        // Every tap of a strip may be gathered: one panel slot per tap.
+        let mut panel = vec![0.0f32; k * k * g.c * NR];
+        let mut taps = Vec::with_capacity(k * k);
+        let map = FoldSrc::new(op.g.v, op.offs);
         for y in y0..y1 {
             let row = (y - y0) * ow;
             for x0 in (0..ow).step_by(NR) {
@@ -674,14 +634,26 @@ pub(crate) fn fold_into(
                 if c == 0 {
                     continue;
                 }
-                op.strip(y, x0, mr, &mut acc[..c], &mut panel);
-                for (o, a) in acc[..c].iter().enumerate() {
-                    store(planes, row, ([o], [x0]), std::array::from_ref(a), ow, bias);
+                op.strip_taps(y, x0, &mut panel, &mut taps);
+                let srcs = [map, FoldSrc::new(&panel, op.seq)];
+                for c0 in (0..c).step_by(mr) {
+                    let rows = mr.min(c - c0);
+                    tile!(rows, op.tile(planes, row, c0, x0, false, (&srcs, &taps)));
                 }
             }
             for x0 in group.clone().step_by(mr * NR) {
                 let n = ((group.end - x0) / NR).min(mr);
-                tile!(n, op.strips(planes, row, y, c_out - 1, x0));
+                // Every tap of a grouped strip reads in place, in all
+                // lanes of all `n` strips.
+                op.strip_taps(y, x0, &mut panel, &mut taps);
+                debug_assert!(
+                    taps.iter().all(|t| t.src == MAP && t.mask == ALL_LANES),
+                    "grouped strips read in place"
+                );
+                tile!(
+                    n,
+                    op.tile(planes, row, c_out - 1, x0, true, (&[map], &taps))
+                );
             }
         }
     });

@@ -2,9 +2,10 @@
 //!
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
-//! packed-GEMM register tile, the in-place convolution tile and its
-//! masked tile add, the f32 copy used by the GEMM packing pass, and the
-//! separable-convolution interior kernel.
+//! packed-GEMM register tile, the in-place convolution tile, the fold
+//! tile, the training `LeakyRelu` mask pack and unpack, the f32 copy
+//! used by the GEMM packing pass, and the separable-convolution
+//! interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
 //!
@@ -20,8 +21,12 @@
 //! - the f32 GEMM and convolution tiles issue one `mul` and one `add`
 //!   per lane per step (no FMA contraction), matching the scalar
 //!   `a += v · b` chain rounding-for-rounding;
-//! - the masked tile add adds exactly the selected lanes and leaves the
-//!   others' bits untouched;
+//! - the fold tile runs each tap's chain the same way from `+0.0`, then
+//!   adds it in exactly the selected lanes and leaves the others' bits
+//!   untouched;
+//! - the `LeakyRelu` kernels select `x` or one `alpha · x` rounding per
+//!   lane, by the same ordered `> 0` test (false for NaN) the scalar
+//!   code runs;
 //! - the interior convolution kernel vectorises across output pixels
 //!   while each lane keeps the serial ascending-tap order;
 //! - copies are exact by nature.
@@ -229,30 +234,142 @@ pub fn conv_micro<const MRR: usize>(
     scalar::conv_micro(acc, av, aidx, acs, src, bidx, offs);
 }
 
-/// Adds the tile `part` into `acc` in the lanes whose bit is set in
-/// `mask` (bit `l` is lane `l`); the other lanes keep their bits
-/// exactly. The in-place fold's second-level add: masked lanes are
-/// taps that fall outside the map, which the `col2im` it replaces never
-/// adds.
+/// A source of fold `B` rows: source channel `s` of a tap at `base`
+/// reads `v[base + offs[s]..][..NR]` (plus the tile row's offset).
+#[derive(Clone, Copy)]
+pub struct FoldSrc<'a> {
+    v: &'a [f32],
+    offs: &'a [usize],
+    /// One past the furthest value a `B` row at `base` 0 reads.
+    span: usize,
+}
+
+impl<'a> FoldSrc<'a> {
+    /// Source channel rows at `offs` in `v`.
+    pub fn new(v: &'a [f32], offs: &'a [usize]) -> Self {
+        let span = offs.iter().max().map_or(0, |&o| o + NR);
+        FoldSrc { v, offs, span }
+    }
+}
+
+/// One tap of a [`fold_micro`] tile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FoldTap {
+    /// Offset of the tap's weights from each tile row's `A` index.
+    pub a: usize,
+    /// Index of the tap's [`FoldSrc`].
+    pub src: usize,
+    /// Where the tap's `B` rows start in its source.
+    pub base: usize,
+    /// The lanes the tap adds to (bit `l` is lane `l`).
+    pub mask: u8,
+}
+
+/// The register tile of the in-place fold (`ops::direct`): for each tap
+/// in order, row `r` runs a fresh `+0.0` chain over the tap's source
+/// channels — step `s` multiplies `A` at `aidx[r] + tap.a + s · acs` by
+/// the `NR` values at `v[tap.base + bidx[r] + offs[s]..]` of the tap's
+/// source — and adds that partial into `acc[r]` in the lanes of the
+/// tap's mask. Lanes outside the mask keep their accumulator bits
+/// exactly; they may have read anything. A tile of output channels
+/// shares one `B` base; a tile of strips along one map row shares its
+/// `A` index.
+///
+/// Every dispatch target performs, per lane, exactly the chain
+/// `part += a · b` with separate mul and add roundings, then one add
+/// `acc + part` — bit-identical to [`scalar::fold_micro`].
 ///
 /// # Panics
 ///
-/// Panics if `acc` and `part` have different row counts.
+/// Panics if a tap names no source, or an `A` index or a `B` row falls
+/// outside its slice.
 #[inline]
-pub fn add_lanes(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
-    assert_eq!(acc.len(), part.len(), "add_lanes row count mismatch");
+pub fn fold_micro<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    srcs: &[FoldSrc],
+    bidx: &[usize; MRR],
+    taps: &[FoldTap],
+) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::add_lanes_avx2(acc, part, mask) },
+            Isa::Avx2 => unsafe { x86::fold_micro_avx2(acc, av, aidx, acs, srcs, bidx, taps) },
             // SAFETY: Isa::Sse2 is only selected when SSE2 is detected.
-            Isa::Sse2 => unsafe { x86::add_lanes_sse2(acc, part, mask) },
-            Isa::Scalar => scalar::add_lanes(acc, part, mask),
+            Isa::Sse2 => unsafe { x86::fold_micro_sse2(acc, av, aidx, acs, srcs, bidx, taps) },
+            Isa::Scalar => scalar::fold_micro(acc, av, aidx, acs, srcs, bidx, taps),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::add_lanes(acc, part, mask);
+    scalar::fold_micro(acc, av, aidx, acs, srcs, bidx, taps);
+}
+
+/// Checks the slice lengths of a `LeakyRelu` mask kernel.
+fn check_leaky_lengths(dst: usize, src: usize, words: usize) {
+    assert_eq!(dst, src, "leaky_relu kernel length mismatch");
+    assert_eq!(
+        words,
+        src.div_ceil(64),
+        "leaky_relu kernel needs one mask word per 64 values"
+    );
+}
+
+/// The training `LeakyRelu` forward: `dst[i] = src[i]` where
+/// `src[i] > 0`, else `alpha · src[i]`, and bit `i % 64` of
+/// `bits[i / 64]` set exactly where `src[i] > 0` (a NaN compares false).
+/// Every mask word is overwritten. Bit-identical to
+/// [`scalar::leaky_relu_pack`] on every ISA: the output is `x` or one
+/// `alpha · x` rounding.
+///
+/// # Panics
+///
+/// Panics unless `dst` and `src` have one length and `bits` one word
+/// per 64 values.
+#[inline]
+pub fn leaky_relu_pack(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
+    check_leaky_lengths(dst.len(), src.len(), bits.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
+            // the lengths were checked above.
+            Isa::Avx2 => unsafe { x86::leaky_relu_pack_avx2(dst, src, alpha, bits) },
+            // SAFETY: as above for SSE2.
+            Isa::Sse2 => unsafe { x86::leaky_relu_pack_sse2(dst, src, alpha, bits) },
+            Isa::Scalar => scalar::leaky_relu_pack(dst, src, alpha, bits),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::leaky_relu_pack(dst, src, alpha, bits);
+}
+
+/// The `LeakyRelu` backward through a [`leaky_relu_pack`] mask:
+/// `dst[i] = grad[i]` where bit `i` is set, else `alpha · grad[i]`.
+/// Bit-identical to [`scalar::leaky_relu_unpack`] on every ISA.
+///
+/// # Panics
+///
+/// Panics unless `dst` and `grad` have one length and `bits` one word
+/// per 64 values.
+#[inline]
+pub fn leaky_relu_unpack(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
+    check_leaky_lengths(dst.len(), grad.len(), bits.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
+            // the lengths were checked above.
+            Isa::Avx2 => unsafe { x86::leaky_relu_unpack_avx2(dst, grad, alpha, bits) },
+            // SAFETY: as above for SSE2.
+            Isa::Sse2 => unsafe { x86::leaky_relu_unpack_sse2(dst, grad, alpha, bits) },
+            Isa::Scalar => scalar::leaky_relu_unpack(dst, grad, alpha, bits),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::leaky_relu_unpack(dst, grad, alpha, bits);
 }
 
 /// Copies `src` into `dst` (equal lengths) through the widest available
@@ -447,37 +564,178 @@ mod tests {
         }
     }
 
-    /// The masked tile add keeps masked lanes' bits (a `-0.0` or a NaN
-    /// partial included) and adds the rest, on every ISA.
+    /// Every SIMD fold tile must equal the scalar reference bit-for-bit:
+    /// channel tiles (one shared `B` base) and strip tiles (a base per
+    /// row), taps read in place and from a gathered panel, partial lane
+    /// masks (a right border), skipped border taps (absent from the
+    /// list), an all-masked tap, and sources holding `±0.0` and NaN in
+    /// lanes both inside and outside the masks.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn add_lanes_variants_match_scalar_bitwise() {
-        let acc: [[f32; NR]; 3] =
-            std::array::from_fn(|r| std::array::from_fn(|l| [0.0, 1.5, -2.25, 3.0][(r + l) % 4]));
-        let part: [[f32; NR]; 3] = std::array::from_fn(|r| {
-            std::array::from_fn(|l| [-0.0, f32::NAN, 0.5, -1.0, 1e-30][(r * 3 + l) % 5])
-        });
-        for mask in [0u8, 1, 0x80, 0x5a, 0x7f, u8::MAX] {
-            let mut want = acc;
-            scalar::add_lanes(&mut want, &part, mask);
-            for (r, row) in want.iter().enumerate() {
-                for (l, v) in row.iter().enumerate() {
-                    if mask >> l & 1 == 0 {
-                        assert_eq!(v.to_bits(), acc[r][l].to_bits(), "masked lane moved");
+    fn fold_micro_variants_match_scalar_bitwise() {
+        fn run<const MRR: usize>(c_src: usize, strips: bool, seed: u64) {
+            let (kk, c_out) = (9, MRR.max(3));
+            let plane = 3 * 40;
+            let mut map = fill(seed, c_src * plane + 64);
+            let mut panel = fill(seed ^ 3, kk * c_src * NR);
+            for v in [&mut map, &mut panel] {
+                for (i, x) in v.iter_mut().enumerate() {
+                    match i % 13 {
+                        0 => *x = 0.0,
+                        1 => *x = -0.0,
+                        2 if i % 3 == 0 => *x = f32::NAN,
+                        _ => {}
                     }
                 }
             }
+            let map_offs: Vec<usize> = (0..c_src).map(|c| c * plane).collect();
+            let seq: Vec<usize> = (0..c_src).map(|c| c * NR).collect();
+            let srcs = [FoldSrc::new(&map, &map_offs), FoldSrc::new(&panel, &seq)];
+            let av = fill(seed ^ 5, c_src * c_out * kk);
+            // Taps 0 and 3 are skipped, as border taps outside the map
+            // are; tap 7 is fully masked.
+            let taps: Vec<FoldTap> = [1usize, 2, 4, 5, 6, 7, 8]
+                .iter()
+                .map(|&t| {
+                    let gathered = t % 3 == 2;
+                    FoldTap {
+                        a: t,
+                        src: usize::from(gathered),
+                        base: if gathered { t * c_src * NR } else { 40 + t },
+                        mask: match t {
+                            2 => 0b0111_1110,
+                            5 => 0x0f,
+                            7 => 0,
+                            _ => u8::MAX,
+                        },
+                    }
+                })
+                .collect();
+            let taps: Vec<FoldTap> = if strips {
+                // Strip tiles read the map only.
+                taps.into_iter()
+                    .map(|t| FoldTap {
+                        src: 0,
+                        base: 40 + t.a,
+                        ..t
+                    })
+                    .collect()
+            } else {
+                taps
+            };
+            let (aidx, bidx): ([usize; MRR], [usize; MRR]) = if strips {
+                ([2 * kk; MRR], std::array::from_fn(|r| r * NR))
+            } else {
+                (std::array::from_fn(|r| r * kk), [0; MRR])
+            };
+            let acs = c_out * kk;
+            let start: [[f32; NR]; MRR] = std::array::from_fn(|r| {
+                std::array::from_fn(|l| [0.0, -0.0, 0.5, f32::NAN][(r + l) % 4])
+            });
+            let mut want = start;
+            scalar::fold_micro(&mut want, &av, &aidx, acs, &srcs, &bidx, &taps);
+            // A fully masked tap leaves every lane's bits alone.
+            let mut alone = start;
+            scalar::fold_micro(&mut alone, &av, &aidx, acs, &srcs, &bidx, &taps[5..6]);
+            assert_eq!(bits2(&alone), bits2(&start), "masked tap moved a lane");
+            let want = bits2(&want);
+
             if std::arch::is_x86_feature_detected!("avx2") {
-                let mut got = acc;
+                let mut acc = start;
                 // SAFETY: guarded by the avx2 feature check above.
-                unsafe { x86::add_lanes_avx2(&mut got, &part, mask) };
-                assert_eq!(bits2(&got), bits2(&want), "avx2 mask={mask:#x}");
+                unsafe { x86::fold_micro_avx2(&mut acc, &av, &aidx, acs, &srcs, &bidx, &taps) };
+                assert_eq!(
+                    bits2(&acc),
+                    want,
+                    "avx2 MRR={MRR} c={c_src} strips={strips}"
+                );
             }
             if std::arch::is_x86_feature_detected!("sse2") {
-                let mut got = acc;
+                let mut acc = start;
                 // SAFETY: guarded by the sse2 feature check above.
-                unsafe { x86::add_lanes_sse2(&mut got, &part, mask) };
-                assert_eq!(bits2(&got), bits2(&want), "sse2 mask={mask:#x}");
+                unsafe { x86::fold_micro_sse2(&mut acc, &av, &aidx, acs, &srcs, &bidx, &taps) };
+                assert_eq!(
+                    bits2(&acc),
+                    want,
+                    "sse2 MRR={MRR} c={c_src} strips={strips}"
+                );
+            }
+        }
+        for (c_src, seed) in [(1, 3), (4, 5), (12, 7), (24, 11)] {
+            for strips in [false, true] {
+                run::<1>(c_src, strips, seed);
+                run::<3>(c_src, strips, seed);
+                run::<4>(c_src, strips, seed);
+                run::<8>(c_src, strips, seed);
+            }
+        }
+    }
+
+    /// The `LeakyRelu` mask kernels equal the scalar reference bit for
+    /// bit — outputs and mask words — at lengths around one 64-value
+    /// word, with NaN, `±0.0`, subnormal and infinite values.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn leaky_relu_variants_match_scalar_bitwise() {
+        type Pack = unsafe fn(&mut [f32], &[f32], f32, &mut [u64]);
+        type Unpack = unsafe fn(&mut [f32], &[f32], f32, &[u64]);
+        let mut variants: Vec<(&str, Pack, Unpack)> = Vec::new();
+        if std::arch::is_x86_feature_detected!("avx2") {
+            variants.push((
+                "avx2",
+                x86::leaky_relu_pack_avx2,
+                x86::leaky_relu_unpack_avx2,
+            ));
+        }
+        if std::arch::is_x86_feature_detected!("sse2") {
+            variants.push((
+                "sse2",
+                x86::leaky_relu_pack_sse2,
+                x86::leaky_relu_unpack_sse2,
+            ));
+        }
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for len in [1usize, 7, 63, 64, 65, 200] {
+            let mut x = fill(len as u64, len);
+            let g = fill(len as u64 ^ 9, len);
+            for (i, v) in x.iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = specials[i / 3 % specials.len()];
+                }
+            }
+            let words = len.div_ceil(64);
+            let alpha = 0.01;
+            let mut want_y = vec![0.0f32; len];
+            let mut want_bits = vec![u64::MAX; words];
+            scalar::leaky_relu_pack(&mut want_y, &x, alpha, &mut want_bits);
+            for (i, &v) in x.iter().enumerate() {
+                assert_eq!(want_bits[i / 64] >> (i % 64) & 1 == 1, v > 0.0, "bit {i}");
+            }
+            let mut want_g = vec![0.0f32; len];
+            scalar::leaky_relu_unpack(&mut want_g, &g, alpha, &want_bits);
+            let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+            for (name, pack, unpack) in &variants {
+                let mut y = vec![0.0f32; len];
+                let mut mask = vec![u64::MAX; words];
+                // SAFETY: each variant's feature was detected above; the
+                // lengths match the dispatcher's contract.
+                unsafe { pack(&mut y, &x, alpha, &mut mask) };
+                assert_eq!(bits(&y), bits(&want_y), "{name} pack len={len}");
+                assert_eq!(mask, want_bits, "{name} mask len={len}");
+                let mut dg = vec![0.0f32; len];
+                // SAFETY: as above.
+                unsafe { unpack(&mut dg, &g, alpha, &mask) };
+                assert_eq!(bits(&dg), bits(&want_g), "{name} unpack len={len}");
             }
         }
     }

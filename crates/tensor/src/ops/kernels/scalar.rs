@@ -5,7 +5,7 @@
 //! SIMD variant must match them bit-for-bit, and the microbench harness
 //! times them as the scalar-vs-SIMD baseline.
 
-use super::NR;
+use super::{FoldSrc, FoldTap, NR};
 
 /// The `MRR × NR` GEMM register tile: `kc` ascending-`p` steps of
 /// `acc[r][j] += a_r · b[j]`, each step one mul and one add per lane.
@@ -74,14 +74,62 @@ pub fn conv_micro<const MRR: usize>(
     }
 }
 
-/// `acc[r][l] += part[r][l]` for the lanes `l` whose bit is set in
-/// `mask`; the other lanes keep their accumulator bits.
-pub fn add_lanes(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
-    for (arow, prow) in acc.iter_mut().zip(part) {
-        for (l, (a, &p)) in arow.iter_mut().zip(prow).enumerate() {
-            if mask >> l & 1 == 1 {
-                *a += p;
+/// The fold tile: for each tap in order, row `r` runs a fresh `+0.0`
+/// chain of `part[j] += a · b[j]` over the tap's source channels, where
+/// source channel `s` reads `A` at `aidx[r] + tap.a + s · acs` and its
+/// `B` row at `src.v[tap.base + bidx[r] + src.offs[s]..][..NR]` of the
+/// tap's source, then adds `part` into `acc[r]` in the lanes of the
+/// tap's mask. The other lanes keep their accumulator bits.
+pub fn fold_micro<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    srcs: &[FoldSrc],
+    bidx: &[usize; MRR],
+    taps: &[FoldTap],
+) {
+    for tap in taps {
+        let src = &srcs[tap.src];
+        for r in 0..MRR {
+            let mut part = [0.0f32; NR];
+            for (s, &o) in src.offs.iter().enumerate() {
+                let aval = av[aidx[r] + tap.a + s * acs];
+                let b = &src.v[tap.base + bidx[r] + o..][..NR];
+                for (p, &bv) in part.iter_mut().zip(b) {
+                    *p += aval * bv;
+                }
             }
+            for (l, (a, p)) in acc[r].iter_mut().zip(part).enumerate() {
+                if tap.mask >> l & 1 == 1 {
+                    *a += p;
+                }
+            }
+        }
+    }
+}
+
+/// The training `LeakyRelu` forward: `dst[i] = src[i]` where
+/// `src[i] > 0`, else `alpha · src[i]`; bit `i % 64` of `bits[i / 64]`
+/// is set where `src[i] > 0` (never for a NaN). Every word is
+/// overwritten.
+pub fn leaky_relu_pack(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
+    for ((d, s), word) in dst.chunks_mut(64).zip(src.chunks(64)).zip(bits) {
+        *word = 0;
+        for (j, (d, &x)) in d.iter_mut().zip(s).enumerate() {
+            let pos = x > 0.0;
+            *d = if pos { x } else { alpha * x };
+            *word |= u64::from(pos) << j;
+        }
+    }
+}
+
+/// The `LeakyRelu` backward through a [`leaky_relu_pack`] mask:
+/// `dst[i] = grad[i]` where bit `i` is set, else `alpha · grad[i]`.
+pub fn leaky_relu_unpack(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
+    for ((d, g), &word) in dst.chunks_mut(64).zip(grad.chunks(64)).zip(bits) {
+        for (j, (d, &g)) in d.iter_mut().zip(g).enumerate() {
+            *d = if word >> j & 1 == 1 { g } else { alpha * g };
         }
     }
 }

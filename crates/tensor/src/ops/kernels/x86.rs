@@ -10,7 +10,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{scalar, NR};
+use super::{scalar, FoldSrc, FoldTap, NR};
 
 /// AVX2 GEMM register tile: `MRR` rows of eight accumulator lanes, one
 /// broadcast-mul-add per row per `k` step (two roundings per lane,
@@ -299,45 +299,296 @@ pub unsafe fn conv_micro_sse2<const MRR: usize>(
     }
 }
 
-/// AVX2 masked tile add: one add per lane, then a blend that keeps the
-/// accumulator in lanes whose `mask` bit is clear.
+/// The AVX2 lanes whose bit is set in `mask` (bit `l` is lane `l`), as
+/// an all-ones lane select.
 ///
 /// # Safety
 ///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2; all
-/// loads and stores target whole `[f32; NR]` rows.
+/// SAFETY: the caller must guarantee the running CPU supports AVX2; no
+/// memory is touched.
+#[inline]
 #[target_feature(enable = "avx2")]
-pub unsafe fn add_lanes_avx2(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
+unsafe fn lanes_avx2(mask: u8) -> __m256 {
     let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     let set = _mm256_and_si256(_mm256_set1_epi32(i32::from(mask)), bits);
-    let keep = _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits));
-    for (arow, prow) in acc.iter_mut().zip(part) {
-        let a = _mm256_loadu_ps(arow.as_ptr());
-        let sum = _mm256_add_ps(a, _mm256_loadu_ps(prow.as_ptr()));
-        _mm256_storeu_ps(arow.as_mut_ptr(), _mm256_blendv_ps(a, sum, keep));
+    _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits))
+}
+
+/// The SSE2 lanes of `mask` as two four-lane selects (lanes 0–3, 4–7).
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports SSE2; no
+/// memory is touched.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn lanes_sse2(mask: u8) -> [__m128; 2] {
+    let m = _mm_set1_epi32(i32::from(mask));
+    let sel = |bits: __m128i| _mm_castsi128_ps(_mm_cmpeq_epi32(_mm_and_si128(m, bits), bits));
+    [
+        sel(_mm_setr_epi32(1, 2, 4, 8)),
+        sel(_mm_setr_epi32(16, 32, 64, 128)),
+    ]
+}
+
+/// `keep ? a : b` lane by lane on SSE2, which has no blend.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports SSE2; no
+/// memory is touched.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn select_sse2(keep: __m128, a: __m128, b: __m128) -> __m128 {
+    _mm_or_ps(_mm_and_ps(keep, a), _mm_andnot_ps(keep, b))
+}
+
+/// Proves every `A` and `B` read of a [`fold_micro_avx2`] /
+/// [`fold_micro_sse2`] pass is in bounds, so the loops can use
+/// unchecked loads.
+///
+/// # Panics
+///
+/// Panics if a tap names no source, or a row's last `A` index or the
+/// end of one of its `B` rows would fall outside `av` / the tap's
+/// source — where the scalar reference's safe indexing panics too.
+#[inline]
+fn bound_fold_reads<const MRR: usize>(
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    srcs: &[FoldSrc],
+    bidx: &[usize; MRR],
+    taps: &[FoldTap],
+) {
+    let amax = aidx.iter().max().copied().unwrap_or(0);
+    let bmax = bidx.iter().max().copied().unwrap_or(0);
+    for tap in taps {
+        let src = &srcs[tap.src];
+        let Some(steps) = src.offs.len().checked_sub(1) else {
+            continue;
+        };
+        assert!(
+            amax + tap.a + steps * acs < av.len(),
+            "fold_micro: A index out of range"
+        );
+        assert!(
+            tap.base + bmax + src.span <= src.v.len(),
+            "fold_micro: B row out of range"
+        );
     }
 }
 
-/// SSE2 masked tile add: [`add_lanes_avx2`] in two four-lane halves,
-/// selecting with and/andnot/or (SSE2 has no blend).
+/// AVX2 fold tile: the accumulator rows stay in registers across every
+/// tap; each tap's partial is a fresh [`conv_micro_avx2`] chain, added
+/// with one add and a blend that keeps the accumulator in lanes whose
+/// mask bit is clear.
 ///
 /// # Safety
 ///
-/// SAFETY: as for [`add_lanes_avx2`], with SSE2 as the required feature.
-#[target_feature(enable = "sse2")]
-pub unsafe fn add_lanes_sse2(acc: &mut [[f32; NR]], part: &[[f32; NR]], mask: u8) {
-    let m = _mm_set1_epi32(i32::from(mask));
-    let keep = |bits: __m128i| _mm_castsi128_ps(_mm_cmpeq_epi32(_mm_and_si128(m, bits), bits));
-    let halves = [
-        keep(_mm_setr_epi32(1, 2, 4, 8)),
-        keep(_mm_setr_epi32(16, 32, 64, 128)),
-    ];
-    for (arow, prow) in acc.iter_mut().zip(part) {
-        for (h, &k) in halves.iter().enumerate() {
-            let a = _mm_loadu_ps(arow.as_ptr().add(4 * h));
-            let sum = _mm_add_ps(a, _mm_loadu_ps(prow.as_ptr().add(4 * h)));
-            let out = _mm_or_ps(_mm_and_ps(k, sum), _mm_andnot_ps(k, a));
-            _mm_storeu_ps(arow.as_mut_ptr().add(4 * h), out);
+/// SAFETY: the caller must guarantee the running CPU supports AVX2.
+/// `bound_fold_reads` proves every unchecked load in range.
+#[target_feature(enable = "avx2")]
+pub unsafe fn fold_micro_avx2<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    srcs: &[FoldSrc],
+    bidx: &[usize; MRR],
+    taps: &[FoldTap],
+) {
+    bound_fold_reads(av, aidx, acs, srcs, bidx, taps);
+    let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
+    let shared = bidx.iter().all(|&b| b == bidx[0]);
+    for tap in taps {
+        let src = srcs.get_unchecked(tap.src);
+        let ap = av.as_ptr().add(tap.a);
+        let mut part = [_mm256_setzero_ps(); MRR];
+        if shared {
+            let bp = src.v.as_ptr().add(tap.base + bidx[0]);
+            for (s, &o) in src.offs.iter().enumerate() {
+                let b = _mm256_loadu_ps(bp.add(o));
+                for r in 0..MRR {
+                    let a = _mm256_set1_ps(*ap.add(aidx[r] + s * acs));
+                    part[r] = _mm256_add_ps(part[r], _mm256_mul_ps(a, b));
+                }
+            }
+        } else {
+            let bp = src.v.as_ptr().add(tap.base);
+            for (s, &o) in src.offs.iter().enumerate() {
+                for r in 0..MRR {
+                    let b = _mm256_loadu_ps(bp.add(bidx[r] + o));
+                    let a = _mm256_set1_ps(*ap.add(aidx[r] + s * acs));
+                    part[r] = _mm256_add_ps(part[r], _mm256_mul_ps(a, b));
+                }
+            }
+        }
+        let keep = lanes_avx2(tap.mask);
+        for r in 0..MRR {
+            let sum = _mm256_add_ps(accv[r], part[r]);
+            accv[r] = _mm256_blendv_ps(accv[r], sum, keep);
         }
     }
+    for r in 0..MRR {
+        _mm256_storeu_ps(acc[r].as_mut_ptr(), accv[r]);
+    }
+}
+
+/// SSE2 fold tile: [`fold_micro_avx2`] in two four-lane halves,
+/// selecting with and/andnot/or.
+///
+/// # Safety
+///
+/// SAFETY: as for [`fold_micro_avx2`], with SSE2 as the required
+/// feature.
+#[target_feature(enable = "sse2")]
+pub unsafe fn fold_micro_sse2<const MRR: usize>(
+    acc: &mut [[f32; NR]; MRR],
+    av: &[f32],
+    aidx: &[usize; MRR],
+    acs: usize,
+    srcs: &[FoldSrc],
+    bidx: &[usize; MRR],
+    taps: &[FoldTap],
+) {
+    bound_fold_reads(av, aidx, acs, srcs, bidx, taps);
+    let mut lo: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr()));
+    let mut hi: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr().add(4)));
+    for tap in taps {
+        let src = srcs.get_unchecked(tap.src);
+        let ap = av.as_ptr().add(tap.a);
+        let bp = src.v.as_ptr().add(tap.base);
+        let mut plo = [_mm_setzero_ps(); MRR];
+        let mut phi = [_mm_setzero_ps(); MRR];
+        for (s, &o) in src.offs.iter().enumerate() {
+            for r in 0..MRR {
+                let b = bp.add(bidx[r] + o);
+                let a = _mm_set1_ps(*ap.add(aidx[r] + s * acs));
+                plo[r] = _mm_add_ps(plo[r], _mm_mul_ps(a, _mm_loadu_ps(b)));
+                phi[r] = _mm_add_ps(phi[r], _mm_mul_ps(a, _mm_loadu_ps(b.add(4))));
+            }
+        }
+        let [klo, khi] = lanes_sse2(tap.mask);
+        for r in 0..MRR {
+            lo[r] = select_sse2(klo, _mm_add_ps(lo[r], plo[r]), lo[r]);
+            hi[r] = select_sse2(khi, _mm_add_ps(hi[r], phi[r]), hi[r]);
+        }
+    }
+    for r in 0..MRR {
+        _mm_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
+        _mm_storeu_ps(acc[r].as_mut_ptr().add(4), hi[r]);
+    }
+}
+
+/// AVX2 [`scalar::leaky_relu_pack`]: eight lanes at a time, an ordered
+/// `> 0` compare (false for NaN), a blend of `x` and `alpha · x`, and the
+/// compare's sign bits moved into the mask word. The last partial word
+/// runs the scalar reference.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// that `dst.len() == src.len()` and `bits.len() == src.len().div_ceil(64)`
+/// (the dispatcher asserts both); the vector loop covers whole words
+/// only.
+#[target_feature(enable = "avx2")]
+pub unsafe fn leaky_relu_pack_avx2(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
+    let a = _mm256_set1_ps(alpha);
+    let zero = _mm256_setzero_ps();
+    let words = src.len() / 64;
+    for (w, word) in bits[..words].iter_mut().enumerate() {
+        let mut m = 0u64;
+        for g in 0..8 {
+            let i = w * 64 + g * 8;
+            let x = _mm256_loadu_ps(src.as_ptr().add(i));
+            let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(x, zero);
+            let y = _mm256_blendv_ps(_mm256_mul_ps(a, x), x, pos);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), y);
+            m |= (_mm256_movemask_ps(pos) as u64) << (g * 8);
+        }
+        *word = m;
+    }
+    let i = words * 64;
+    scalar::leaky_relu_pack(&mut dst[i..], &src[i..], alpha, &mut bits[words..]);
+}
+
+/// SSE2 [`leaky_relu_pack_avx2`]: four lanes at a time, selecting with
+/// and/andnot/or.
+///
+/// # Safety
+///
+/// SAFETY: as for [`leaky_relu_pack_avx2`], with SSE2 as the required
+/// feature.
+#[target_feature(enable = "sse2")]
+pub unsafe fn leaky_relu_pack_sse2(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
+    let a = _mm_set1_ps(alpha);
+    let zero = _mm_setzero_ps();
+    let words = src.len() / 64;
+    for (w, word) in bits[..words].iter_mut().enumerate() {
+        let mut m = 0u64;
+        for g in 0..16 {
+            let i = w * 64 + g * 4;
+            let x = _mm_loadu_ps(src.as_ptr().add(i));
+            let pos = _mm_cmpgt_ps(x, zero);
+            let y = select_sse2(pos, x, _mm_mul_ps(a, x));
+            _mm_storeu_ps(dst.as_mut_ptr().add(i), y);
+            m |= (_mm_movemask_ps(pos) as u64) << (g * 4);
+        }
+        *word = m;
+    }
+    let i = words * 64;
+    scalar::leaky_relu_pack(&mut dst[i..], &src[i..], alpha, &mut bits[words..]);
+}
+
+/// AVX2 [`scalar::leaky_relu_unpack`]: each mask byte widened to an
+/// eight-lane select, then a blend of `g` and `alpha · g`. The last
+/// partial word runs the scalar reference.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// that `dst.len() == grad.len()` and `bits.len() == grad.len().div_ceil(64)`
+/// (the dispatcher asserts both); the vector loop covers whole words
+/// only.
+#[target_feature(enable = "avx2")]
+pub unsafe fn leaky_relu_unpack_avx2(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
+    let a = _mm256_set1_ps(alpha);
+    let words = grad.len() / 64;
+    for (w, &word) in bits[..words].iter().enumerate() {
+        for g in 0..8 {
+            let i = w * 64 + g * 8;
+            let x = _mm256_loadu_ps(grad.as_ptr().add(i));
+            let keep = lanes_avx2((word >> (g * 8)) as u8);
+            let y = _mm256_blendv_ps(_mm256_mul_ps(a, x), x, keep);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), y);
+        }
+    }
+    let i = words * 64;
+    scalar::leaky_relu_unpack(&mut dst[i..], &grad[i..], alpha, &bits[words..]);
+}
+
+/// SSE2 [`leaky_relu_unpack_avx2`]: four lanes at a time.
+///
+/// # Safety
+///
+/// SAFETY: as for [`leaky_relu_unpack_avx2`], with SSE2 as the required
+/// feature.
+#[target_feature(enable = "sse2")]
+pub unsafe fn leaky_relu_unpack_sse2(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
+    let a = _mm_set1_ps(alpha);
+    let words = grad.len() / 64;
+    for (w, &word) in bits[..words].iter().enumerate() {
+        for g in 0..8 {
+            let i = w * 64 + g * 8;
+            let [klo, khi] = lanes_sse2((word >> (g * 8)) as u8);
+            for (h, keep) in [(0, klo), (4, khi)] {
+                let x = _mm_loadu_ps(grad.as_ptr().add(i + h));
+                let y = select_sse2(keep, x, _mm_mul_ps(a, x));
+                _mm_storeu_ps(dst.as_mut_ptr().add(i + h), y);
+            }
+        }
+    }
+    let i = words * 64;
+    scalar::leaky_relu_unpack(&mut dst[i..], &grad[i..], alpha, &bits[words..]);
 }

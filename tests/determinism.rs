@@ -330,6 +330,37 @@ fn training_numerics_are_pinned() {
     assert_eq!(h, TRAINING_PIN, "training bits moved: hash {h:#018x}");
 }
 
+/// FNV-1a hash of [`demo_training_batch_is_pinned`]'s statistics and
+/// gradients.
+const DEMO_TRAINING_PIN: u64 = 0xe6d8_8ebc_90c6_9d5a;
+
+/// Training numerics at the demo geometry: one `train_batch` of
+/// `RhsdConfig::demo()` over two regions. The tiny network's channel
+/// tiles have at most four rows and its activation maps are narrow; the
+/// demo network's 8-row fold tiles, single-channel fold strips and
+/// 128-px activation maps run here. Hashes each region's loss and RoI
+/// count and every gradient bit.
+#[test]
+fn demo_training_batch_is_pinned() {
+    let _guard = pool_lock();
+    let cfg = RhsdConfig::demo();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2021);
+    let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
+    let samples = [pin_sample(&cfg, 0), pin_sample(&cfg, 1)];
+    let batch: Vec<&RegionSample> = samples.iter().collect();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for stats in net.train_batch(&batch, &mut rng) {
+        fnv1a(&mut h, stats.total().to_bits());
+        fnv1a(&mut h, stats.rois as u32);
+    }
+    for g in net.grads().iter() {
+        for v in g.as_slice() {
+            fnv1a(&mut h, v.to_bits());
+        }
+    }
+    assert_eq!(h, DEMO_TRAINING_PIN, "training bits moved: hash {h:#018x}");
+}
+
 /// FNV-1a hash of the TCAD'18 baseline's per-epoch training losses and
 /// its clip scores after [`tcad18_training_numerics_are_pinned`].
 const TCAD18_TRAINING_PIN: u64 = 0x7911_43ea_6eaf_4fe0;

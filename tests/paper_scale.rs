@@ -1,9 +1,11 @@
-//! Paper-scale smoke tests (expensive: run with `cargo test -- --ignored`).
+//! Paper-scale smoke tests.
 //!
 //! These verify the `RhsdConfig::paper()` architecture — 256-px regions,
 //! the Fig. 3/4 channel widths (576-channel inception-B output, 512-wide
 //! CPN trunk, 24/48-deep heads) — actually builds and runs a forward
-//! pass, even though demo-scale is used for routine CI.
+//! pass, even though demo-scale is used for routine CI. The forward pass
+//! runs the encoder–decoder's folds at the paper's 256-px geometry and
+//! takes a few seconds.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -11,7 +13,6 @@ use rhsd::core::{RhsdConfig, RhsdNetwork};
 use rhsd::tensor::Tensor;
 
 #[test]
-#[ignore = "paper-scale forward pass takes minutes on one CPU core"]
 fn paper_scale_network_builds_and_detects() {
     let cfg = RhsdConfig::paper();
     let mut rng = ChaCha8Rng::seed_from_u64(42);

@@ -5,7 +5,8 @@
 //! convolutions forward and backward (`rhsd_tensor::ops::conv` and
 //! `::deconv`, on the demo network's front-end shapes), the refinement
 //! head's batched RoI convolutions and FC (`roi_conv2d`, `roi_fc`, each
-//! beside the same RoIs run one per call), and the separable litho
+//! beside the same RoIs run one per call), the fold alone (`fold`), the
+//! training `LeakyRelu` forward and backward, and the separable litho
 //! aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
 //! table, and
 //! writes a JSON record next to the `BENCH_*.json` bench records. The
@@ -34,6 +35,8 @@ use std::time::Instant;
 
 use rhsd_litho::aerial::aerial_image;
 use rhsd_litho::GaussianKernel;
+use rhsd_nn::layers::LeakyRelu;
+use rhsd_nn::{Layer, Tape};
 use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
@@ -188,6 +191,8 @@ fn run_cases(quick: bool) -> Vec<Case> {
             (false, 8, 12, 128, 8),
             (false, 12, 16, 64, 12),
             (false, 1, 4, 128, 12),
+            (false, 4, 8, 128, 12),
+            (false, 24, 24, 16, 40),
             (true, 8, 4, 128, 8),
             (true, 4, 1, 128, 12),
         ]
@@ -223,6 +228,70 @@ fn run_cases(quick: bool) -> Vec<Case> {
                 conv2d_backward(&input, &weight, &grad, spec).0
             }));
         }
+    }
+
+    // The fold alone (`conv2d`'s input gradient and `conv_transpose2d`'s
+    // forward pass), which `conv2d_backward` mixes with the weight GEMM:
+    // a `src`-channel map folded onto `dst` channels is the input
+    // gradient of a `dst → src` convolution, whose forward row above
+    // does the same multiply-adds. Timed as a bias-free transposed
+    // convolution, which is the fold and nothing else.
+    let fold_shapes: &[(usize, usize, usize, usize)] = if quick {
+        &[(8, 4, 128, 3), (8, 1, 128, 3)]
+    } else {
+        &[
+            (8, 4, 128, 12),
+            (12, 8, 128, 8),
+            (4, 1, 128, 12),
+            (8, 1, 128, 12),
+            (24, 24, 16, 40),
+        ]
+    };
+    for &(src, dst, hw, reps) in fold_shapes {
+        let spec = ConvSpec::new(3, 1, 1);
+        let grad = filled(&[src, hw, hw], 6);
+        let weight = filled(&[src, dst, 3, 3], 4);
+        cases.push(timed(
+            active,
+            "fold",
+            format!("{src}x{hw}x{hw}->{dst} k3s1p1"),
+            reps,
+            || conv_transpose2d(&grad, &weight, None, spec),
+        ));
+    }
+
+    // `LeakyRelu` on a recording tape: the forward map with its
+    // one-bit-per-element mask, and the backward through that mask. Each
+    // backward call pops a mask recorded before the timer starts.
+    let relu_shapes: &[(usize, usize, usize)] = if quick {
+        &[(8, 128, 4)]
+    } else {
+        &[(8, 128, 20), (20, 32, 40)]
+    };
+    let relu = LeakyRelu::default_slope();
+    for &(c, hw, reps) in relu_shapes {
+        let x = filled(&[c, hw, hw], 14);
+        let g = filled(&[c, hw, hw], 15);
+        let shape = format!("{c}x{hw}x{hw}");
+        cases.push(timed(
+            active,
+            "leaky_relu_forward",
+            shape.clone(),
+            reps,
+            || relu.forward(&x, &mut Tape::recording()),
+        ));
+        // One tape per call: two passes of a warm-up and `reps` calls.
+        let mut tapes: Vec<Tape> = (0..2 * (reps + 1))
+            .map(|_| {
+                let mut tape = Tape::recording();
+                relu.forward(&x, &mut tape);
+                tape
+            })
+            .collect();
+        cases.push(timed(active, "leaky_relu_backward", shape, reps, || {
+            let mut tape = tapes.pop().expect("a recorded tape per call");
+            relu.backward(&mut tape, &g, &mut [])
+        }));
     }
 
     // The refinement head's shapes: one region's 40 RoIs of 7×7 maps
@@ -389,6 +458,21 @@ mod tests {
         assert!(kernels.contains(&"gemm_micro"));
         assert!(kernels.contains(&"conv2d"));
         assert!(kernels.contains(&"conv2d_backward"));
+        for family in ["fold", "leaky_relu_forward", "leaky_relu_backward"] {
+            assert!(kernels.contains(&family), "{family}");
+        }
+        // The fold rows cover both tile shapes: channel tiles and the
+        // single-channel strip tiles.
+        let folds: Vec<&str> = cases
+            .iter()
+            .filter(|c| c.kernel == "fold")
+            .map(|c| c.shape.as_str())
+            .collect();
+        assert!(folds.iter().any(|s| s.ends_with("->1 k3s1p1")), "{folds:?}");
+        assert!(
+            folds.iter().any(|s| !s.ends_with("->1 k3s1p1")),
+            "{folds:?}"
+        );
         assert!(kernels.contains(&"aerial"));
         for family in ["roi_conv2d", "roi_fc"] {
             let shapes: Vec<&str> = cases

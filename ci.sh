@@ -176,7 +176,8 @@ fi
 
 # Deep-observability smoke: a profiled quick repro must emit well-formed
 # collapsed-stacks + flame-chart artifacts, and `cargo xtask report` must
-# render the ledger + profile. Artifacts land in PROFILE_SMOKE/ so Actions
+# render the ledger + profile and write the ledger's Chrome trace as valid
+# JSON. Artifacts land in PROFILE_SMOKE/ so Actions
 # can upload them.
 profile_check_artifacts() {
     [[ -s PROFILE_SMOKE/PROFILE_table1.collapsed ]] || {
@@ -197,10 +198,13 @@ profile_check_artifacts() {
 
 profile_report_renders() {
     cargo xtask report PROFILE_SMOKE/run.jsonl \
-        --profile PROFILE_SMOKE/PROFILE_table1.collapsed | tee "$tmp/report.txt"
+        --profile PROFILE_SMOKE/PROFILE_table1.collapsed \
+        --trace PROFILE_SMOKE/trace.json | tee "$tmp/report.txt"
     grep -q 'run report' "$tmp/report.txt" &&
+        grep -q 'span tree' "$tmp/report.txt" &&
         grep -q 'cache efficiency' "$tmp/report.txt" &&
-        grep -q 'sampling profile' "$tmp/report.txt"
+        grep -q 'sampling profile' "$tmp/report.txt" &&
+        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' PROFILE_SMOKE/trace.json
 }
 
 profile_smoke() {
@@ -211,7 +215,7 @@ profile_smoke() {
 
     run_step "profile smoke: profiled quick repro_table1" \
         env -C PROFILE_SMOKE cargo run --release -p rhsd-bench --bin repro_table1 -- \
-        --quick --profile=97 --span-tree \
+        --quick --profile=97 \
         --bench-out BENCH_profiled.json --ledger run.jsonl
     run_step "profile smoke: artifacts well-formed" profile_check_artifacts
     run_step "profile smoke: xtask report renders" profile_report_renders

@@ -224,7 +224,7 @@ impl Tcad18Detector {
             let image = rasterize_window(bench, &windows[i], px);
             let clip_timer = rhsd_obs::Stopwatch::start();
             let score = self.classify(&image);
-            rhsd_obs::record_secs("tcad18.clip", clip_timer.secs());
+            rhsd_obs::record("tcad18.clip", clip_timer.secs());
             score
         });
         let marked: Vec<LayoutClip> = windows

@@ -3,8 +3,6 @@
 //! Every reproduction binary accepts the same flags:
 //!
 //! - `--quick` — reduced effort (fewer epochs, fewer cases/sizes);
-//! - `--trace <path>` — enable observability and write a Chrome
-//!   trace-event file (open in Perfetto or `chrome://tracing`);
 //! - `--metrics <path>` — enable observability and write a metrics
 //!   snapshot (counters + histogram summaries with p50/p95/p99);
 //! - `--ledger <path>` — write the JSONL run ledger there instead of the
@@ -24,15 +22,16 @@
 //!   (Brendan-Gregg collapsed stacks) plus `PROFILE_<name>.html` (a
 //!   self-contained flame chart). Sampling only reads span stacks, so
 //!   the run's results are bit-identical to an unprofiled run;
-//! - `--span-tree` — print the hierarchical span-tree attribution
-//!   (inclusive/exclusive time per stack path) on exit;
 //! - `--help` — print usage.
+//!
+//! The span tree and the Chrome trace of a run are rendered from its
+//! ledger: `cargo xtask report <ledger> [--trace <out.json>]`.
 //!
 //! Unknown flags are rejected with a usage message instead of being
 //! silently ignored.
 //!
 //! On exit every binary prints the paths of all artifacts it wrote
-//! (bench record, figures, trace, metrics, ledger) via
+//! (bench record, figures, metrics, ledger) via
 //! [`BenchArgs::finish_run`], so CI logs show where outputs went.
 //!
 //! Exit codes: `0` on success (and `--help`), `1` on a runtime failure
@@ -47,8 +46,6 @@ use crate::pipeline::Effort;
 pub struct BenchArgs {
     /// Run at reduced effort (`--quick`).
     pub quick: bool,
-    /// Chrome trace-event output path (`--trace <path>`).
-    pub trace: Option<PathBuf>,
     /// Metrics snapshot output path (`--metrics <path>`).
     pub metrics: Option<PathBuf>,
     /// Run-ledger output path (`--ledger <path>`, or the per-binary
@@ -67,8 +64,6 @@ pub struct BenchArgs {
     /// Save the run's trained model there (`--save-model <path>`), so
     /// `rhsd-serve` and users get weights without patching code.
     pub save_model: Option<PathBuf>,
-    /// Print the span-tree attribution on exit (`--span-tree`).
-    pub span_tree: bool,
     /// Binary name captured by [`BenchArgs::parse`] (names the profile
     /// artifacts); empty when built via [`BenchArgs::parse_from`].
     bin: String,
@@ -96,12 +91,11 @@ pub fn default_ledger_path(bin: &str) -> PathBuf {
 /// Usage text for a binary named `bin`.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--quick] [--trace <path>] [--metrics <path>]\n\
+        "usage: {bin} [--quick] [--metrics <path>]\n\
          \x20           [--ledger <path>] [--no-ledger] [--bench-out <path>]\n\
          \x20           [--threads <n>]\n\
          \n\
          --quick            reduced-effort run (seconds instead of minutes)\n\
-         --trace <path>     write a Chrome trace-event JSON (Perfetto-viewable)\n\
          --metrics <path>   write a metrics snapshot JSON (p50/p95/p99 per stage)\n\
          --ledger <path>    write the JSONL run ledger there (default: {ledger})\n\
          --no-ledger        disable the run ledger\n\
@@ -114,8 +108,9 @@ pub fn usage(bin: &str) -> String {
          \x20                  at any value)\n\
          --profile[=<hz>]   sample all live span stacks (default 97 Hz) and\n\
          \x20                  write PROFILE_{name}.collapsed / .html\n\
-         --span-tree        print span-tree attribution (incl/excl time) on exit\n\
-         --help             show this message",
+         --help             show this message\n\
+         \n\
+         span tree and Chrome trace: cargo xtask report <ledger> [--trace <out.json>]",
         ledger = default_ledger_path(bin).display(),
         name = profile_stem(bin),
     )
@@ -187,7 +182,6 @@ impl BenchArgs {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => out.quick = true,
-                "--trace" => path_flag(&mut out.trace, "--trace", it.next())?,
                 "--metrics" => path_flag(&mut out.metrics, "--metrics", it.next())?,
                 "--ledger" => path_flag(&mut out.ledger, "--ledger", it.next())?,
                 "--bench-out" => path_flag(&mut out.bench_out, "--bench-out", it.next())?,
@@ -207,7 +201,6 @@ impl BenchArgs {
                     }
                 }
                 "--no-ledger" => out.no_ledger = true,
-                "--span-tree" => out.span_tree = true,
                 "--profile" => {
                     if out.profile.is_some() {
                         return Err("--profile given more than once".into());
@@ -245,15 +238,10 @@ impl BenchArgs {
         }
     }
 
-    /// Turns observability on when any export (trace, metrics, run
-    /// ledger, profiler or span tree) is active.
+    /// Turns observability on when any export (metrics, run ledger or
+    /// profiler) is active.
     pub fn init_obs(&self) {
-        if self.trace.is_some()
-            || self.metrics.is_some()
-            || self.ledger.is_some()
-            || self.profile.is_some()
-            || self.span_tree
-        {
+        if self.metrics.is_some() || self.ledger.is_some() || self.profile.is_some() {
             rhsd_obs::set_enabled(true);
         }
     }
@@ -315,10 +303,10 @@ impl BenchArgs {
     }
 
     /// Finishes the run: stops the sampling profiler and writes its
-    /// collapsed-stacks / flame-chart artifacts, prints the span tree
-    /// when requested, writes the trace/metrics exports, closes the run
-    /// ledger with `status` (emitting its `run_end` line), and prints
-    /// the path of every artifact the run wrote.
+    /// collapsed-stacks / flame-chart artifacts, writes the metrics
+    /// export, closes the run ledger with `status` (emitting its
+    /// `run_end` line), and prints the path of every artifact the run
+    /// wrote.
     pub fn finish_run(&mut self, status: &str) {
         if self.profile.is_some() {
             if let Some(profile) = rhsd_obs::profile::stop_global() {
@@ -334,16 +322,6 @@ impl BenchArgs {
                     Ok(()) => self.artifacts.push(html),
                     Err(e) => eprintln!("failed to write {}: {e}", html.display()),
                 }
-            }
-        }
-        if self.span_tree {
-            let tree = rhsd_obs::SpanTree::from_events(&rhsd_obs::span_events());
-            eprint!("{}", tree.render());
-        }
-        if let Some(path) = &self.trace {
-            match rhsd_obs::write_chrome_trace(path) {
-                Ok(()) => self.artifacts.push(path.clone()),
-                Err(e) => eprintln!("failed to write trace {}: {e}", path.display()),
             }
         }
         if let Some(path) = &self.metrics {
@@ -372,8 +350,6 @@ mod tests {
     fn parses_all_flags() {
         let args = BenchArgs::parse_from([
             "--quick",
-            "--trace",
-            "t.json",
             "--metrics",
             "m.json",
             "--ledger",
@@ -386,7 +362,6 @@ mod tests {
         .unwrap()
         .unwrap();
         assert!(args.quick);
-        assert_eq!(args.trace.as_deref(), Some(std::path::Path::new("t.json")));
         assert_eq!(
             args.metrics.as_deref(),
             Some(std::path::Path::new("m.json"))
@@ -423,7 +398,6 @@ mod tests {
 
     #[test]
     fn missing_path_is_rejected() {
-        assert!(BenchArgs::parse_from(["--trace"]).is_err());
         assert!(BenchArgs::parse_from(["--metrics"]).is_err());
         assert!(BenchArgs::parse_from(["--ledger"]).is_err());
         assert!(BenchArgs::parse_from(["--bench-out"]).is_err());
@@ -432,13 +406,7 @@ mod tests {
 
     #[test]
     fn duplicate_path_flags_are_rejected() {
-        for flag in [
-            "--trace",
-            "--metrics",
-            "--ledger",
-            "--bench-out",
-            "--save-model",
-        ] {
+        for flag in ["--metrics", "--ledger", "--bench-out", "--save-model"] {
             let err = BenchArgs::parse_from([flag, "a", flag, "b"]).unwrap_err();
             assert!(err.contains(flag), "{err}");
         }
@@ -494,13 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_flag_parses() {
-        let args = BenchArgs::parse_from(["--span-tree"]).unwrap().unwrap();
-        assert!(args.span_tree);
-        let args = BenchArgs::parse_from(Vec::<String>::new())
-            .unwrap()
-            .unwrap();
-        assert!(!args.span_tree);
+    fn trace_and_span_tree_flags_are_unknown() {
+        // Both are rendered from the ledger by `xtask report` instead.
+        for flag in ["--trace", "--span-tree"] {
+            let err = BenchArgs::parse_from([flag, "t.json"]).unwrap_err();
+            assert!(err.contains(&format!("unknown argument `{flag}`")), "{err}");
+        }
     }
 
     #[test]
@@ -533,7 +500,6 @@ mod tests {
         let u = usage("repro_table1");
         for flag in [
             "--quick",
-            "--trace",
             "--metrics",
             "--ledger",
             "--no-ledger",
@@ -541,7 +507,6 @@ mod tests {
             "--save-model",
             "--threads",
             "--profile",
-            "--span-tree",
             "--help",
         ] {
             assert!(u.contains(flag), "usage missing {flag}");

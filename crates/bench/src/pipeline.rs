@@ -266,13 +266,20 @@ impl DetectorReport {
     }
 }
 
-/// Per-stage wall-clock totals for the bench record: span durations
-/// summed by name, plus the `eval.*` / `scaling.*` stopwatch series from
-/// the metrics registry. Empty when observability was disabled.
+/// Per-stage wall-clock totals for the bench record: the span tree's
+/// inclusive seconds summed by span name, plus the `eval.*` /
+/// `scaling.*` stopwatch series from the metrics registry. Empty when
+/// observability was disabled.
 fn stage_secs() -> std::collections::BTreeMap<String, f64> {
     let mut stages = std::collections::BTreeMap::new();
-    for e in rhsd_obs::span_events() {
-        *stages.entry(e.name.to_string()).or_insert(0.0) += e.dur_secs;
+    for (path, node) in rhsd_obs::span_tree().nodes() {
+        let name = path
+            .rsplit(rhsd_obs::span::PATH_SEP)
+            .next()
+            .unwrap_or_default();
+        if node.count > 0 {
+            *stages.entry(name.to_owned()).or_insert(0.0) += node.incl_secs;
+        }
     }
     let snap = rhsd_obs::snapshot();
     for (name, h) in &snap.histograms {

@@ -1,5 +1,6 @@
-//! Minimal hand-rolled JSON support: string escaping, number formatting,
-//! a strict syntax validator and a small tree parser — kept
+//! Minimal hand-rolled JSON support: string escaping, number and object
+//! formatting, and a small strict tree parser (validation is a parse
+//! that drops the tree) — kept
 //! dependency-free on purpose (this crate must cost nothing when unused
 //! and pull nothing in). The parser backs the ledger round-trip tests
 //! and the `cargo xtask bench-diff` regression gate.
@@ -37,37 +38,25 @@ pub fn number(v: f64) -> String {
     }
 }
 
+/// A JSON object of `(key, rendered value)` fields, in order; keys are
+/// escaped, values are written as given.
+pub fn object_of<K: AsRef<str>>(fields: impl IntoIterator<Item = (K, String)>) -> String {
+    let fields: Vec<String> = fields
+        .into_iter()
+        .map(|(k, v)| format!("\"{}\":{v}", escape(k.as_ref())))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
 /// Validates that `s` is one well-formed JSON value (strict recursive
 /// descent; no extensions). Returns the byte offset of the first error.
 pub fn validate(s: &str) -> Result<(), usize> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos == b.len() {
-        Ok(())
-    } else {
-        Err(pos)
-    }
+    parse(s).map(|_| ())
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), usize> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => num(b, pos),
-        _ => Err(*pos),
     }
 }
 
@@ -77,57 +66,6 @@ fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), usize> {
         Ok(())
     } else {
         Err(*pos)
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), usize> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(*pos);
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(*pos),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), usize> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(*pos),
-        }
     }
 }
 
@@ -241,8 +179,8 @@ impl Value {
     }
 }
 
-/// Parses `s` as one well-formed JSON value (same strict grammar as
-/// [`validate`]). Returns the byte offset of the first error.
+/// Parses `s` as one well-formed JSON value (strict recursive descent;
+/// no extensions). Returns the byte offset of the first error.
 pub fn parse(s: &str) -> Result<Value, usize> {
     let b = s.as_bytes();
     let mut pos = 0usize;

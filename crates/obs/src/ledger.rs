@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::json::{escape, number};
+use crate::json::{escape, number, object_of, parse, Value};
 
 /// The `run_start` manifest identifying a run — always the first ledger
 /// line, so even a crashed run records what it was.
@@ -86,18 +86,16 @@ pub struct LayerDyn {
 
 impl LayerDyn {
     fn to_json(&self) -> String {
-        let mut o = String::with_capacity(96);
-        o.push('{');
-        fld_str(&mut o, "key", &self.key);
-        fld_raw(&mut o, "act_mean_abs", &number(self.act_mean_abs));
-        fld_raw(&mut o, "dead_frac", &number(self.dead_frac));
-        fld_raw(&mut o, "saturated_frac", &number(self.saturated_frac));
-        fld_raw(&mut o, "flow_grad_norm", &number(self.flow_grad_norm));
-        fld_raw(&mut o, "grad_norm", &number(self.grad_norm));
-        fld_raw(&mut o, "update_ratio", &number(self.update_ratio));
-        fld_raw(&mut o, "weight_norm", &number(self.weight_norm));
-        o.push('}');
-        o
+        object_of([
+            ("key", format!("\"{}\"", escape(&self.key))),
+            ("act_mean_abs", number(self.act_mean_abs)),
+            ("dead_frac", number(self.dead_frac)),
+            ("saturated_frac", number(self.saturated_frac)),
+            ("flow_grad_norm", number(self.flow_grad_norm)),
+            ("grad_norm", number(self.grad_norm)),
+            ("update_ratio", number(self.update_ratio)),
+            ("weight_norm", number(self.weight_norm)),
+        ])
     }
 }
 
@@ -157,17 +155,24 @@ pub enum Event {
         /// Wall-clock detection time in seconds.
         seconds: f64,
     },
-    /// A span closed (mirrors the trace stream at stage granularity).
+    /// A span closed; the line's `t` is its end time.
     SpanClose {
         /// Span (stage) name.
         name: String,
         /// Full `;`-separated stack path at open time, including the
-        /// span itself (empty when unknown — pre-`path` ledgers).
+        /// span itself (empty when unknown — pre-`path` ledgers). Worker
+        /// threads inherit the submitting thread's path as a prefix, so
+        /// the path is identical at any `rhsd-par` thread count.
         path: String,
         /// Duration in seconds.
         dur_secs: f64,
         /// Nesting depth at open time (0 = root).
         depth: u32,
+        /// Logical thread id of the closing thread.
+        tid: u64,
+        /// Per-span counters ([`crate::SpanGuard::add`]); written only
+        /// when there are any.
+        args: Vec<(String, f64)>,
     },
     /// An artifact the run wrote (bench record, saved model, figure…),
     /// recorded in-stream so a crashed run's partial ledger still names
@@ -260,15 +265,8 @@ impl Event {
                 fld_raw(&mut o, "samples", &samples.to_string());
                 fld_raw(&mut o, "pred_entropy", &number(*pred_entropy));
                 fld_raw(&mut o, "label_entropy", &number(*label_entropy));
-                let mut arr = String::from("[");
-                for (i, l) in layers.iter().enumerate() {
-                    if i > 0 {
-                        arr.push(',');
-                    }
-                    arr.push_str(&l.to_json());
-                }
-                arr.push(']');
-                fld_raw(&mut o, "layers", &arr);
+                let layers: Vec<String> = layers.iter().map(LayerDyn::to_json).collect();
+                fld_raw(&mut o, "layers", &format!("[{}]", layers.join(",")));
             }
             Event::Sentinel {
                 epoch,
@@ -299,11 +297,18 @@ impl Event {
                 path,
                 dur_secs,
                 depth,
+                tid,
+                args,
             } => {
                 fld_str(&mut o, "name", name);
                 fld_str(&mut o, "path", path);
                 fld_raw(&mut o, "dur_secs", &number(*dur_secs));
                 fld_raw(&mut o, "depth", &depth.to_string());
+                fld_raw(&mut o, "tid", &tid.to_string());
+                if !args.is_empty() {
+                    let args = args.iter().map(|(k, v)| (k, number(*v)));
+                    fld_raw(&mut o, "args", &object_of(args));
+                }
             }
             Event::Artifact { path } => {
                 fld_str(&mut o, "path", path);
@@ -333,24 +338,10 @@ impl Event {
             } => {
                 fld_str(&mut o, "status", status);
                 fld_raw(&mut o, "wall_secs", &number(*wall_secs));
-                let mut c = String::from("{");
-                for (i, (k, v)) in counters.iter().enumerate() {
-                    if i > 0 {
-                        c.push(',');
-                    }
-                    c.push_str(&format!("\"{}\":{}", escape(k), v));
-                }
-                c.push('}');
-                fld_raw(&mut o, "counters", &c);
-                let mut p = String::from("{");
-                for (i, (k, v)) in peaks.iter().enumerate() {
-                    if i > 0 {
-                        p.push(',');
-                    }
-                    p.push_str(&format!("\"{}\":{}", escape(k), number(*v)));
-                }
-                p.push('}');
-                fld_raw(&mut o, "peaks", &p);
+                let counters = counters.iter().map(|(k, v)| (k, v.to_string()));
+                fld_raw(&mut o, "counters", &object_of(counters));
+                let peaks = peaks.iter().map(|(k, v)| (k, number(*v)));
+                fld_raw(&mut o, "peaks", &object_of(peaks));
             }
         }
         o.push('}');
@@ -475,18 +466,40 @@ pub fn emit(event: &Event) {
     }
 }
 
-/// Forwards a closed span into the global ledger (called by the span
-/// guard on drop; no-op while no ledger is open).
-pub(crate) fn on_span_close(event: &crate::span::SpanEvent) {
-    if !active() {
-        return;
+/// Renders a ledger's `span_close` lines in the Chrome trace-event
+/// format (open in Perfetto or `chrome://tracing`): one `"ph":"X"`
+/// (complete) event per span, starting at the line's `t` minus its
+/// `dur_secs`, in microseconds since the ledger opened. Other and
+/// unparseable lines are skipped.
+pub fn chrome_trace_json(ledger_text: &str) -> String {
+    let mut out = String::from(
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+         {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+         \"args\":{\"name\":\"rhsd\"}}",
+    );
+    for line in ledger_text.lines() {
+        let Ok(v) = parse(line) else { continue };
+        if v.get("event").and_then(Value::as_str) != Some("span_close") {
+            continue;
+        }
+        let num = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+        let (end, dur) = (num("t"), num("dur_secs"));
+        let args = v.get("args").and_then(Value::entries).unwrap_or_default();
+        let args = args
+            .iter()
+            .map(|(k, c)| (k.as_str(), number(c.as_f64().unwrap_or(0.0))));
+        let args = object_of(std::iter::once(("depth", number(num("depth")))).chain(args));
+        out.push_str(&format!(
+            ",{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\
+             \"dur\":{},\"pid\":1,\"tid\":{},\"args\":{args}}}",
+            escape(v.get("name").and_then(Value::as_str).unwrap_or("?")),
+            number(((end - dur) * 1e6).max(0.0)),
+            number(dur * 1e6),
+            number(num("tid")),
+        ));
     }
-    emit(&Event::SpanClose {
-        name: event.name.to_string(),
-        path: event.path.clone(),
-        dur_secs: event.dur_secs,
-        depth: event.depth,
-    });
+    out.push_str("]}");
+    out
 }
 
 /// Writes the `run_end` line — `status` plus peak metrics from the
@@ -582,6 +595,8 @@ mod tests {
                 path: "train;train-epoch".into(),
                 dur_secs: 0.125,
                 depth: 0,
+                tid: 3,
+                args: vec![("rois".into(), 40.0)],
             },
             Event::RunEnd {
                 status: "ok".into(),
@@ -724,6 +739,8 @@ mod tests {
                 path: "raster".into(),
                 dur_secs: 0.01,
                 depth: 0,
+                tid: 1,
+                args: Vec::new(),
             })
             .unwrap();
             // dropped without a run_end — simulating a crash
@@ -736,5 +753,35 @@ mod tests {
         }
         assert!(lines[0].contains("run_start"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chrome_trace_is_valid_json_with_events() {
+        let close = |name: &str, t: f64, dur_secs: f64, tid: u64, args| {
+            Event::SpanClose {
+                name: name.into(),
+                path: name.into(),
+                dur_secs,
+                depth: 0,
+                tid,
+                args,
+            }
+            .to_json(0, t)
+        };
+        let ledger = [
+            Event::RunStart(manifest()).to_json(0, 0.0),
+            close("stage \"x\"\n", 1.5, 0.5, 2, vec![("n".into(), 2.5)]),
+            close("raster", 2.0, 0.25, 1, Vec::new()),
+            "{\"trunc".to_owned(),
+        ]
+        .join("\n");
+        let trace = chrome_trace_json(&ledger);
+        validate(&trace).unwrap_or_else(|at| panic!("invalid trace at {at}: {trace}"));
+        // one complete event per span, starting at `t - dur_secs`
+        assert_eq!(trace.matches(r#""ph":"X""#).count(), 2, "{trace}");
+        let stage = r#""name":"stage \"x\"\n","cat":"span","ph":"X","ts":1000000,"dur":500000,"pid":1,"tid":2,"args":{"depth":0,"n":2.5}"#;
+        assert!(trace.contains(stage), "{trace}");
+        assert!(trace.contains(r#""ts":1750000,"dur":250000"#), "{trace}");
+        assert!(validate(&chrome_trace_json("")).is_ok());
     }
 }

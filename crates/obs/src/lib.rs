@@ -3,20 +3,21 @@
 //! Zero-dependency observability substrate for the RHSD pipeline:
 //!
 //! - **hierarchical span timers** ([`span`]) — RAII guards, nestable,
-//!   thread-safe, with per-span counters attached as trace args;
+//!   thread-safe, with per-span counters written as ledger args;
 //! - a **metrics registry** ([`metrics`]) of named counters and latency
-//!   histograms with p50/p95/p99 summaries;
-//! - **exporters** ([`export`]) — Chrome trace-event JSON (open in
-//!   Perfetto or `chrome://tracing`) and a `metrics.json` snapshot;
+//!   histograms with p50/p95/p99 summaries, exported as a `metrics.json`
+//!   snapshot;
 //! - a **global no-op mode**: instrumentation is disabled by default and
 //!   costs a single relaxed atomic load per call site until
 //!   [`set_enabled`]`(true)` is called;
 //! - a **run ledger** ([`ledger`]) — an append-only JSONL event stream
 //!   (run manifest, per-epoch telemetry, evaluation rows, span closures,
-//!   final status) flushed line-by-line so crashed runs stay readable;
+//!   final status) flushed line-by-line so crashed runs stay readable,
+//!   and rendered as a Chrome trace ([`ledger::chrome_trace_json`]);
 //! - **span-tree attribution** ([`spantree`]) — closed spans aggregated
-//!   by their full stack path into a hierarchy with inclusive/exclusive
-//!   time, call counts and a per-thread breakdown;
+//!   at close by their full stack path, read as a hierarchy with
+//!   inclusive/exclusive time, call counts and a per-thread breakdown
+//!   ([`span_tree`]);
 //! - an **in-process sampling profiler** ([`profile`]) — a background
 //!   thread snapshotting every thread's live span stack, exporting
 //!   collapsed-stacks text and a self-contained HTML flame chart.
@@ -32,15 +33,14 @@
 //!     // … work …
 //! } // guards drop: durations land in the registry
 //! rhsd_obs::counter("regions", 1);
-//! let trace = rhsd_obs::chrome_trace_json();
-//! assert!(trace.contains("scan-region"));
+//! let tree = rhsd_obs::span_tree();
+//! assert_eq!(tree.roots["scan-region"].children["cpn"].count, 1);
 //! let metrics = rhsd_obs::metrics_json();
 //! assert!(metrics.contains("p95"));
 //! # rhsd_obs::reset();
 //! # rhsd_obs::set_enabled(false);
 //! ```
 
-pub mod export;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
@@ -54,7 +54,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 pub use metrics::{HistogramSummary, MetricsSnapshot};
-pub use span::{base_stack, current_stack, span, BaseStackGuard, SpanEvent, SpanGuard};
+pub use span::{base_stack, current_stack, span, BaseStackGuard, SpanGuard};
 pub use spantree::SpanTree;
 
 /// Global switch; all instrumentation is a no-op while this is `false`.
@@ -69,12 +69,6 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-wide time origin all span timestamps are relative to.
-pub(crate) fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
 }
 
 pub(crate) fn registry() -> MutexGuard<'static, metrics::Registry> {
@@ -104,35 +98,20 @@ pub fn record(name: &str, value: f64) {
     registry().record(name, value);
 }
 
-/// Records a latency sample in seconds — an alias of [`record`] kept for
-/// call-site clarity.
-pub fn record_secs(name: &str, secs: f64) {
-    record(name, secs);
-}
-
 /// A snapshot of every counter and histogram summary.
 pub fn snapshot() -> MetricsSnapshot {
     registry().snapshot()
 }
 
-/// Completed span events recorded so far (cloned; diagnostics and tests).
-pub fn span_events() -> Vec<SpanEvent> {
-    registry().events.clone()
-}
-
-/// Serialises the recorded spans as Chrome trace-event JSON.
-pub fn chrome_trace_json() -> String {
-    export::chrome_trace_json(&registry())
+/// The span tree of every span closed so far: calls, inclusive and
+/// exclusive seconds, and seconds per thread, per stack path.
+pub fn span_tree() -> SpanTree {
+    SpanTree::from_totals(&registry().spans)
 }
 
 /// Serialises the metrics registry as a JSON snapshot.
 pub fn metrics_json() -> String {
-    export::metrics_json(&registry().snapshot())
-}
-
-/// Writes the Chrome trace to `path` (viewable in Perfetto).
-pub fn write_chrome_trace(path: impl AsRef<Path>) -> std::io::Result<()> {
-    std::fs::write(path, chrome_trace_json())
+    metrics::metrics_json(&registry().snapshot())
 }
 
 /// Writes the metrics snapshot to `path`.
@@ -173,7 +152,7 @@ impl Stopwatch {
     /// enabled) and returns it in seconds.
     pub fn stop_into(self, name: &str) -> f64 {
         let secs = self.secs();
-        record_secs(name, secs);
+        record(name, secs);
         secs
     }
 }

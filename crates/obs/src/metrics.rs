@@ -1,16 +1,14 @@
-//! Named counters and latency histograms with percentile summaries.
+//! Named counters and latency histograms with percentile summaries,
+//! closed-span totals per stack path, and the `metrics.json` snapshot.
 
 use std::collections::BTreeMap;
 
-use crate::span::SpanEvent;
+use crate::json::{number, object_of};
+use crate::spantree::SpanNode;
 
 /// Samples stored per histogram before new values stop being retained
 /// for percentile estimation (count/sum/min/max/last stay exact).
 pub const MAX_SAMPLES: usize = 1 << 16;
-
-/// Completed span events stored before further events are dropped (the
-/// drop count is reported in the metrics snapshot).
-pub const MAX_EVENTS: usize = 1 << 18;
 
 /// A latency/value histogram: exact count, sum, min, max and last, with
 /// percentiles computed over up to [`MAX_SAMPLES`] retained samples.
@@ -50,18 +48,19 @@ impl Histogram {
     /// The `q`-quantile (`0 < q <= 1`) by the nearest-rank rule over the
     /// retained samples; `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(sorted[rank - 1])
+        nearest_rank(&self.sorted(), q)
     }
 
-    /// Summarises the histogram.
+    fn sorted(&self) -> Vec<f64> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted
+    }
+
+    /// Summarises the histogram (one sort for all three quantiles).
     pub fn summary(&self) -> HistogramSummary {
+        let sorted = self.sorted();
+        let q = |q| nearest_rank(&sorted, q).unwrap_or(0.0);
         HistogramSummary {
             count: self.count,
             sum: self.sum,
@@ -73,11 +72,18 @@ impl Histogram {
                 0.0
             },
             last: self.last,
-            p50: self.quantile(0.50).unwrap_or(0.0),
-            p95: self.quantile(0.95).unwrap_or(0.0),
-            p99: self.quantile(0.99).unwrap_or(0.0),
+            p50: q(0.50),
+            p95: q(0.95),
+            p99: q(0.99),
         }
     }
+}
+
+/// The `q`-quantile of ascending `sorted` by the nearest-rank rule.
+fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
+    let n = sorted.len();
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+    sorted.get(rank - 1).copied()
 }
 
 /// Scalar summary of one histogram.
@@ -110,37 +116,40 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Span events dropped after the event-buffer cap was reached.
-    pub dropped_events: u64,
 }
 
 /// The global mutable store behind the crate's free functions.
 #[derive(Debug, Default)]
 pub struct Registry {
-    pub(crate) events: Vec<SpanEvent>,
     pub(crate) counters: BTreeMap<String, u64>,
     pub(crate) histograms: BTreeMap<String, Histogram>,
-    pub(crate) dropped_events: u64,
+    /// Closed-span totals by full `;`-joined path (flat nodes, no
+    /// children). Span names are static, so this grows with the number
+    /// of distinct paths only.
+    pub(crate) spans: BTreeMap<String, SpanNode>,
+}
+
+/// Applies `f` to `map[key]`, inserting a default first; allocates only
+/// when `key` is new.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
 }
 
 impl Registry {
     pub(crate) fn add_counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        update(&mut self.counters, name, |c| *c += delta);
     }
 
     pub(crate) fn record(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(value);
+        update(&mut self.histograms, name, |h| h.record(value));
     }
 
-    pub(crate) fn push_event(&mut self, event: SpanEvent) {
-        if self.events.len() < MAX_EVENTS {
-            self.events.push(event);
-        } else {
-            self.dropped_events += 1;
-        }
+    /// Adds one span of `secs` closed on thread `tid` to its path's totals.
+    pub(crate) fn close_span(&mut self, path: &str, tid: u64, secs: f64) {
+        update(&mut self.spans, path, |node| node.add(secs, tid));
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
@@ -151,21 +160,42 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
-            dropped_events: self.dropped_events,
         }
     }
 
     pub(crate) fn clear(&mut self) {
-        self.events.clear();
         self.counters.clear();
         self.histograms.clear();
-        self.dropped_events = 0;
+        self.spans.clear();
     }
+}
+
+/// Renders a metrics snapshot as JSON: counters and histogram summaries
+/// (count/sum/min/max/mean/last/p50/p95/p99).
+pub(crate) fn metrics_json(snap: &MetricsSnapshot) -> String {
+    let counters = object_of(snap.counters.iter().map(|(k, v)| (k, v.to_string())));
+    let histograms = object_of(snap.histograms.iter().map(|(k, s)| {
+        let fields = [
+            ("count", s.count.to_string()),
+            ("sum", number(s.sum)),
+            ("min", number(s.min)),
+            ("max", number(s.max)),
+            ("mean", number(s.mean)),
+            ("last", number(s.last)),
+            ("p50", number(s.p50)),
+            ("p95", number(s.p95)),
+            ("p99", number(s.p99)),
+        ];
+        (k, object_of(fields))
+    }));
+    object_of([("counters", counters), ("histograms", histograms)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::validate;
+    use crate::span::tests::global_lock;
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
@@ -200,6 +230,7 @@ mod tests {
         assert_eq!(h.quantile(0.99), Some(99.0));
         assert_eq!(h.quantile(1.0), Some(100.0));
         let s = h.summary();
+        assert_eq!((s.p50, s.p95, s.p99), (50.0, 95.0, 99.0));
         assert_eq!(s.count, 100);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
@@ -254,5 +285,30 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.counters["a"], 5);
         assert_eq!(s.counters["b"], 1);
+    }
+
+    #[test]
+    fn metrics_json_is_valid_and_complete() {
+        let _g = global_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        crate::counter("scanned", 7);
+        for v in [1.0, 2.0, 3.0] {
+            crate::record("lat", v);
+        }
+        let json = crate::metrics_json();
+        crate::set_enabled(false);
+        validate(&json).unwrap_or_else(|at| panic!("invalid metrics at {at}: {json}"));
+        assert!(json.contains("\"scanned\":7"));
+        assert!(json.contains("\"p95\":3"));
+    }
+
+    #[test]
+    fn empty_registry_exports_validate() {
+        let _g = global_lock();
+        crate::set_enabled(false);
+        crate::reset();
+        assert!(validate(&crate::metrics_json()).is_ok());
+        assert!(crate::span_tree().is_empty());
     }
 }

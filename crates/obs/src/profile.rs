@@ -210,8 +210,9 @@ impl FlameNode {
     }
 }
 
-/// Deterministic frame-name hue (FNV-1a over the name).
-fn color_hue(name: &str) -> u32 {
+/// Deterministic frame-name hue (FNV-1a over the name), so a name keeps
+/// its colour across charts.
+pub fn color_hue(name: &str) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= u64::from(b);
@@ -220,7 +221,8 @@ fn color_hue(name: &str) -> u32 {
     (h % 360) as u32
 }
 
-fn html_escape(s: &str) -> String {
+/// Escapes `s` for HTML text and attribute values.
+pub fn html_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,14 +1,15 @@
-//! RAII span timers: nestable, thread-safe, exported as Chrome
-//! trace-event "complete" events.
+//! RAII span timers: nestable and thread-safe. A closing span adds its
+//! duration to the registry's totals for its stack path and streams one
+//! `span_close` line to the run ledger, when one is open.
 //!
 //! Every thread additionally maintains a **live span stack** — the names
 //! of its currently-open spans, rooted at an optional *base stack*
 //! installed by `rhsd-par` when a task is handed to a worker. The stack
 //! serves two consumers:
 //!
-//! - each closing span records its full path (`outer;inner;leaf`), which
-//!   [`crate::spantree`] aggregates into a hierarchical attribution tree
-//!   that is identical at any worker-thread count;
+//! - each closing span records its full path (`outer;inner;leaf`), whose
+//!   per-path totals [`crate::span_tree`] renders as a hierarchical
+//!   attribution tree that is identical at any worker-thread count;
 //! - the sampling profiler ([`crate::profile`]) snapshots every thread's
 //!   live stack through a shared registry without stopping the world.
 
@@ -17,36 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use crate::{enabled, epoch, registry};
+use crate::ledger::Event;
+use crate::{enabled, registry};
 
 /// Separator between frames in a span path (Brendan-Gregg collapsed
 /// stack convention). Span names must not contain it.
 pub const PATH_SEP: char = ';';
-
-/// One completed span, ready for trace export.
-#[derive(Debug, Clone)]
-pub struct SpanEvent {
-    /// Span (stage) name.
-    pub name: Cow<'static, str>,
-    /// Full open-stack path at open time, `;`-separated, including the
-    /// span itself (`scan;scan-region;cpn`). Worker threads inherit the
-    /// submitting thread's path as a prefix, so the path is identical at
-    /// any `rhsd-par` thread count.
-    pub path: String,
-    /// Start time in microseconds since the process epoch.
-    pub ts_us: u64,
-    /// Duration in microseconds.
-    pub dur_us: u64,
-    /// Duration in seconds (full precision; µs rounds sub-µs spans to 0).
-    pub dur_secs: f64,
-    /// Logical thread id (dense, assigned in thread-creation order).
-    pub tid: u64,
-    /// Nesting depth at open time (0 = root), counting inherited base
-    /// frames on worker threads.
-    pub depth: u32,
-    /// Per-span counters attached via [`SpanGuard::add`].
-    pub args: Vec<(String, f64)>,
-}
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -163,14 +140,11 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
         }
         (l.tid, path, depth)
     });
-    let start = Instant::now();
-    let ts_us = start.duration_since(epoch()).as_micros() as u64;
     SpanGuard {
         inner: Some(SpanInner {
             name,
             path,
-            start,
-            ts_us,
+            start: Instant::now(),
             tid,
             depth,
             args: Vec::new(),
@@ -182,7 +156,6 @@ struct SpanInner {
     name: Cow<'static, str>,
     path: String,
     start: Instant,
-    ts_us: u64,
     tid: u64,
     depth: u32,
     args: Vec<(String, f64)>,
@@ -194,8 +167,8 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Attaches a per-span counter, exported as a trace-event arg
-    /// (no-op while disabled).
+    /// Attaches a per-span counter, written as an arg of the span's
+    /// ledger line (no-op while disabled).
     pub fn add(&mut self, key: &str, value: f64) {
         if let Some(inner) = self.inner.as_mut() {
             match inner.args.iter_mut().find(|(k, _)| k == key) {
@@ -218,27 +191,25 @@ impl Drop for SpanGuard {
         let Some(inner) = self.inner.take() else {
             return;
         };
-        let elapsed = inner.start.elapsed();
+        let dur_secs = inner.start.elapsed().as_secs_f64();
         with_live(|l| {
             lock_frames(l).pop();
         });
-        let event = SpanEvent {
-            name: inner.name,
-            path: inner.path,
-            ts_us: inner.ts_us,
-            dur_us: elapsed.as_micros() as u64,
-            dur_secs: elapsed.as_secs_f64(),
-            tid: inner.tid,
-            depth: inner.depth,
-            args: inner.args,
-        };
-        // Mirror the closure into the run ledger (no-op unless one is
-        // open) before taking the registry lock — the two locks never
-        // nest.
-        crate::ledger::on_span_close(&event);
+        // Stream the closure to the run ledger (when one is open) before
+        // taking the registry lock — the two locks never nest.
+        if crate::ledger::active() {
+            crate::ledger::emit(&Event::SpanClose {
+                name: inner.name.to_string(),
+                path: inner.path.clone(),
+                dur_secs,
+                depth: inner.depth,
+                tid: inner.tid,
+                args: inner.args,
+            });
+        }
         let mut reg = registry();
-        reg.record(&event.name, event.dur_secs);
-        reg.push_event(event);
+        reg.record(&inner.name, dur_secs);
+        reg.close_span(&inner.path, inner.tid, dur_secs);
     }
 }
 
@@ -266,7 +237,7 @@ pub(crate) mod tests {
         crate::counter("off-counter", 1);
         crate::record("off-hist", 1.0);
         let snap = crate::snapshot();
-        assert!(crate::span_events().is_empty());
+        assert!(crate::span_tree().is_empty());
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
         assert!(current_stack().is_empty());
@@ -286,24 +257,23 @@ pub(crate) mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        let events = crate::span_events();
+        let tree = crate::span_tree();
         crate::set_enabled(false);
-        assert_eq!(events.len(), 2);
-        // inner drops first, so it is recorded first
-        let inner = &events[0];
-        let outer = &events[1];
-        assert_eq!(inner.name, "inner");
-        assert_eq!(outer.name, "outer");
-        assert_eq!(outer.depth, 0);
-        assert_eq!(inner.depth, 1);
-        assert_eq!(outer.path, "outer");
-        assert_eq!(inner.path, "outer;inner");
-        assert_eq!(inner.tid, outer.tid);
-        // time containment: outer starts first, ends last
-        assert!(outer.ts_us <= inner.ts_us);
-        assert!(outer.ts_us + outer.dur_us >= inner.ts_us + inner.dur_us);
-        assert!(outer.dur_secs >= inner.dur_secs);
-        assert!(inner.dur_secs > 0.0);
+        assert_eq!(
+            tree.shape(),
+            vec![("outer".to_owned(), 1), ("outer;inner".to_owned(), 1)]
+        );
+        let outer = &tree.roots["outer"];
+        let inner = &outer.children["inner"];
+        // both ran on this thread
+        assert_eq!(outer.by_thread.len(), 1);
+        assert_eq!(
+            inner.by_thread.keys().collect::<Vec<_>>(),
+            outer.by_thread.keys().collect::<Vec<_>>()
+        );
+        // time containment: the outer span covers the inner one
+        assert!(outer.incl_secs >= inner.incl_secs);
+        assert!(inner.incl_secs > 0.0);
         assert!(current_stack().is_empty(), "stack unwinds with the guards");
     }
 
@@ -312,6 +282,9 @@ pub(crate) mod tests {
         let _g = global_lock();
         crate::set_enabled(true);
         crate::reset();
+        let path =
+            std::env::temp_dir().join(format!("rhsd_span_args_{}.jsonl", std::process::id()));
+        crate::ledger::open(&path, crate::ledger::Manifest::default()).unwrap();
         for _ in 0..3 {
             let mut s = span("stage");
             s.add("items", 2.0);
@@ -319,11 +292,35 @@ pub(crate) mod tests {
         }
         let snap = crate::snapshot();
         crate::set_enabled(false);
+        crate::ledger::close("ok");
         let h = &snap.histograms["stage"];
         assert_eq!(h.count, 3);
         assert!(h.p50 >= 0.0 && h.p95 >= h.p50);
-        let events = crate::span_events();
-        assert_eq!(events[0].args, vec![("items".to_owned(), 3.0)]);
+        let ledger = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        // repeated adds to one key accumulate into one ledger arg
+        let args = ledger.matches("\"args\":{\"items\":3}").count();
+        assert_eq!(args, 3, "{ledger}");
+    }
+
+    #[test]
+    fn span_totals_stay_exact_past_any_close_count() {
+        let _g = global_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        // More closes than the 2^18 an in-memory event buffer once kept.
+        const CLOSES: u64 = 300_000;
+        for _ in 0..CLOSES {
+            let _s = span("bounded");
+        }
+        let tree = crate::span_tree();
+        let hist = crate::snapshot().histograms["bounded"];
+        crate::set_enabled(false);
+        crate::reset();
+        assert_eq!(tree.shape(), vec![("bounded".to_owned(), CLOSES)]);
+        assert_eq!(hist.count, CLOSES);
+        // the histogram sums the same durations in the same order
+        assert_eq!(tree.roots["bounded"].incl_secs, hist.sum);
     }
 
     #[test]
@@ -341,12 +338,10 @@ pub(crate) mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let events = crate::span_events();
+        let tree = crate::span_tree();
         crate::set_enabled(false);
-        assert_eq!(events.len(), 2);
-        assert_ne!(events[0].tid, events[1].tid);
-        assert_eq!(events[0].depth, 0);
-        assert_eq!(events[1].depth, 0);
+        assert_eq!(tree.shape(), vec![("worker".to_owned(), 2)]);
+        assert_eq!(tree.roots["worker"].by_thread.len(), 2);
     }
 
     #[test]
@@ -362,11 +357,16 @@ pub(crate) mod tests {
             assert_eq!(current_stack(), vec!["scan", "scan-region", "cpn"]);
         }
         assert!(current_stack().is_empty());
-        let events = crate::span_events();
+        let tree = crate::span_tree();
         crate::set_enabled(false);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].path, "scan;scan-region;cpn");
-        assert_eq!(events[0].depth, 2);
+        assert_eq!(
+            tree.shape(),
+            vec![
+                ("scan".to_owned(), 0),
+                ("scan;scan-region".to_owned(), 0),
+                ("scan;scan-region;cpn".to_owned(), 1),
+            ]
+        );
     }
 
     #[test]

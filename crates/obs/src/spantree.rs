@@ -1,7 +1,8 @@
-//! Hierarchical span attribution: aggregates closed spans (or ledger
-//! `span_close` lines) by their full stack path into a tree with
-//! inclusive/exclusive wall-clock time, call counts, and a per-thread
-//! breakdown.
+//! Hierarchical span attribution: closed spans aggregated by their full
+//! stack path into a tree with inclusive/exclusive wall-clock time,
+//! call counts, and a per-thread breakdown. [`crate::span_tree`] builds
+//! it from the registry's per-path totals; [`SpanTree::from_paths`]
+//! from ledger `span_close` lines.
 //!
 //! *Inclusive* time is the summed duration of every span closing at a
 //! node's path. *Exclusive* time subtracts the inclusive time of the
@@ -14,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::span::{SpanEvent, PATH_SEP};
+use crate::span::PATH_SEP;
 
 /// One node of the aggregated span tree.
 #[derive(Debug, Clone, Default)]
@@ -32,6 +33,18 @@ pub struct SpanNode {
     pub children: BTreeMap<String, SpanNode>,
 }
 
+impl SpanNode {
+    /// Counts one span of `secs` closed on thread `tid` (0 = unknown,
+    /// left out of the per-thread breakdown).
+    pub(crate) fn add(&mut self, secs: f64, tid: u64) {
+        self.count += 1;
+        self.incl_secs += secs;
+        if tid != 0 {
+            *self.by_thread.entry(tid).or_insert(0.0) += secs;
+        }
+    }
+}
+
 /// The aggregated span tree of a run.
 #[derive(Debug, Clone, Default)]
 pub struct SpanTree {
@@ -40,43 +53,50 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Builds the tree from completed span events (see
-    /// [`crate::span_events`]). Events with an empty path are skipped.
-    pub fn from_events(events: &[SpanEvent]) -> Self {
-        Self::from_paths(events.iter().map(|e| (e.path.as_str(), e.dur_secs, e.tid)))
-    }
-
     /// Builds the tree from `(path, dur_secs, tid)` triples — the shape
     /// ledger `span_close` lines decode to. A `tid` of 0 means unknown
     /// (the per-thread breakdown is skipped for that sample).
     pub fn from_paths<'a>(paths: impl IntoIterator<Item = (&'a str, f64, u64)>) -> Self {
         let mut tree = SpanTree::default();
         for (path, dur, tid) in paths {
-            tree.insert(path, dur, tid);
+            if let Some(node) = tree.node_mut(path) {
+                node.add(dur, tid);
+            }
         }
         tree.finish();
         tree
     }
 
-    fn insert(&mut self, path: &str, dur_secs: f64, tid: u64) {
+    /// Builds the tree from per-path totals: childless nodes keyed by
+    /// their full path.
+    pub(crate) fn from_totals(totals: &BTreeMap<String, SpanNode>) -> Self {
+        let mut tree = SpanTree::default();
+        for (path, total) in totals {
+            if let Some(node) = tree.node_mut(path) {
+                node.count += total.count;
+                node.incl_secs += total.incl_secs;
+                node.by_thread.extend(&total.by_thread);
+            }
+        }
+        tree.finish();
+        tree
+    }
+
+    /// The node at `path`, created along with any missing ancestor;
+    /// `None` for an empty path.
+    fn node_mut(&mut self, path: &str) -> Option<&mut SpanNode> {
         if path.is_empty() {
-            return;
+            return None;
         }
         let mut frames = path.split(PATH_SEP);
-        let Some(first) = frames.next() else {
-            return;
-        };
-        let mut node = self.roots.entry(first.to_owned()).or_default();
+        let mut node = self.roots.entry(frames.next()?.to_owned()).or_default();
         for frame in frames {
             node = node.children.entry(frame.to_owned()).or_default();
         }
-        node.count += 1;
-        node.incl_secs += dur_secs;
-        if tid != 0 {
-            *node.by_thread.entry(tid).or_insert(0.0) += dur_secs;
-        }
+        Some(node)
     }
 
+    /// Fills in every node's exclusive time.
     fn finish(&mut self) {
         fn fixup(node: &mut SpanNode) {
             let mut child_incl = 0.0;
@@ -91,6 +111,22 @@ impl SpanTree {
         }
     }
 
+    /// Every node with its full `;`-joined path, in pre-order with
+    /// children sorted by name.
+    pub fn nodes(&self) -> Vec<(String, &SpanNode)> {
+        fn walk<'a>(path: String, node: &'a SpanNode, out: &mut Vec<(String, &'a SpanNode)>) {
+            out.push((path.clone(), node));
+            for (name, child) in &node.children {
+                walk(format!("{path}{PATH_SEP}{name}"), child, out);
+            }
+        }
+        let mut out = Vec::new();
+        for (name, node) in &self.roots {
+            walk(name.clone(), node, &mut out);
+        }
+        out
+    }
+
     /// Total inclusive seconds across the root spans.
     pub fn total_secs(&self) -> f64 {
         self.roots.values().map(|n| n.incl_secs).sum()
@@ -101,46 +137,25 @@ impl SpanTree {
         self.roots.is_empty()
     }
 
-    /// Deterministic `(path, count)` pairs for every node, sorted by
-    /// path — the thread-count-invariant *shape* of the tree (durations
-    /// and thread ids excluded), pinned by the determinism tests.
+    /// Deterministic `(path, count)` pairs for every node, in
+    /// [`SpanTree::nodes`] order — the thread-count-invariant *shape* of
+    /// the tree (durations and thread ids excluded), pinned by the
+    /// determinism tests.
     pub fn shape(&self) -> Vec<(String, u64)> {
-        fn walk(prefix: &str, name: &str, node: &SpanNode, out: &mut Vec<(String, u64)>) {
-            let path = if prefix.is_empty() {
-                name.to_owned()
-            } else {
-                format!("{prefix}{PATH_SEP}{name}")
-            };
-            out.push((path.clone(), node.count));
-            for (cname, child) in &node.children {
-                walk(&path, cname, child, out);
-            }
-        }
-        let mut out = Vec::new();
-        for (name, node) in &self.roots {
-            walk("", name, node, &mut out);
-        }
-        out
+        self.nodes()
+            .into_iter()
+            .map(|(path, node)| (path, node.count))
+            .collect()
     }
 
     /// The `n` nodes with the largest exclusive time, as
     /// `(path, excl_secs, count)`, descending.
     pub fn top_exclusive(&self, n: usize) -> Vec<(String, f64, u64)> {
-        let mut all: Vec<(String, f64, u64)> = Vec::new();
-        fn walk(prefix: &str, name: &str, node: &SpanNode, out: &mut Vec<(String, f64, u64)>) {
-            let path = if prefix.is_empty() {
-                name.to_owned()
-            } else {
-                format!("{prefix}{PATH_SEP}{name}")
-            };
-            out.push((path.clone(), node.excl_secs, node.count));
-            for (cname, child) in &node.children {
-                walk(&path, cname, child, out);
-            }
-        }
-        for (name, node) in &self.roots {
-            walk("", name, node, &mut all);
-        }
+        let mut all: Vec<(String, f64, u64)> = self
+            .nodes()
+            .into_iter()
+            .map(|(path, node)| (path, node.excl_secs, node.count))
+            .collect();
         all.sort_by(|a, b| b.1.total_cmp(&a.1));
         all.truncate(n);
         all

@@ -192,7 +192,7 @@ impl Pool {
             let tx = tx.clone();
             let queued = rhsd_obs::Stopwatch::start();
             let wrapper: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                rhsd_obs::record_secs("par.queue_wait", queued.secs());
+                rhsd_obs::record("par.queue_wait", queued.secs());
                 let result = catch_unwind(AssertUnwindSafe(job));
                 // The receiver outlives the barrier below; a send
                 // failure would mean the caller vanished, which the

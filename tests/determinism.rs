@@ -206,7 +206,7 @@ fn span_tree_shape_identical_across_thread_counts() {
             tc.epochs = 1;
             train(&mut net, &regions, &tc);
         }
-        let tree = rhsd::obs::SpanTree::from_events(&rhsd::obs::span_events());
+        let tree = rhsd::obs::span_tree();
         rhsd::obs::set_enabled(false);
         rhsd::obs::reset();
         tree

@@ -1,7 +1,8 @@
 //! End-to-end observability test: a demo-scale build → train → scan run
-//! with instrumentation enabled must emit every pipeline stage span with
-//! a nonzero duration, a valid Chrome trace and a metrics snapshot with
-//! per-stage latency summaries.
+//! with instrumentation enabled must put every pipeline stage in the span
+//! tree with a nonzero duration, leave a ledger whose Chrome trace is
+//! valid JSON, and fill a metrics snapshot with per-stage latency
+//! summaries.
 //!
 //! Kept as a single `#[test]` in its own binary: the obs registry is
 //! process-global, so this test must not share a process with other
@@ -29,6 +30,9 @@ const STAGES: &[&str] = &[
 fn demo_scan_emits_stage_spans_and_valid_exports() {
     obs::reset();
     obs::set_enabled(true);
+    let ledger_path =
+        std::env::temp_dir().join(format!("rhsd_obs_it_{}.jsonl", std::process::id()));
+    obs::ledger::open(&ledger_path, obs::ledger::Manifest::default()).expect("open ledger");
 
     // Build (rasterisation + litho labelling happen inside), train two
     // epochs on a handful of regions, then scan the unseen test half.
@@ -51,38 +55,45 @@ fn demo_scan_emits_stage_spans_and_valid_exports() {
     assert!(result.regions > 0);
 
     obs::set_enabled(false);
+    obs::ledger::close("ok");
 
-    // --- Every stage span is present with a nonzero duration.
-    let events = obs::span_events();
+    // --- Every stage is in the span tree with a nonzero duration.
+    let tree = obs::span_tree();
+    let nodes = tree.nodes();
+    let leaf = |path: &str| path.rsplit(';').next().unwrap_or_default().to_owned();
     for stage in STAGES {
-        let spans: Vec<_> = events.iter().filter(|e| e.name == *stage).collect();
+        let spans: Vec<_> = nodes
+            .iter()
+            .filter(|(path, node)| node.count > 0 && leaf(path) == *stage)
+            .collect();
         assert!(!spans.is_empty(), "missing stage span {stage:?}");
         assert!(
-            spans.iter().any(|e| e.dur_secs > 0.0),
+            spans.iter().any(|(_, node)| node.incl_secs > 0.0),
             "stage {stage:?} has only zero-duration spans"
         );
     }
 
-    // Span nesting: scan-region spans contain cpn spans one level deeper.
-    let outer = events
-        .iter()
-        .find(|e| e.name == "scan-region")
-        .expect("scan-region span");
-    let inner = events
-        .iter()
-        .find(|e| e.name == "cpn" && e.ts_us >= outer.ts_us)
-        .expect("cpn span during the scan");
+    // Span nesting: cpn spans close below a scan-region span.
     assert!(
-        inner.depth > outer.depth,
-        "cpn should nest under scan-region"
+        nodes.iter().any(|(path, node)| {
+            node.count > 0 && leaf(path) == "cpn" && path.split(';').any(|f| f == "scan-region")
+        }),
+        "cpn should nest under scan-region:\n{}",
+        tree.render()
     );
 
-    // --- The Chrome trace is valid JSON and names every stage.
-    let trace = obs::chrome_trace_json();
+    // --- The Chrome trace rendered from the ledger is valid JSON and
+    // names every stage.
+    let ledger = std::fs::read_to_string(&ledger_path).expect("read ledger");
+    std::fs::remove_file(&ledger_path).ok();
+    let trace = obs::ledger::chrome_trace_json(&ledger);
     obs::json::validate(&trace).expect("trace is valid JSON");
     assert!(trace.contains("traceEvents"));
     for stage in STAGES {
-        assert!(trace.contains(stage), "trace missing {stage:?}");
+        assert!(
+            trace.contains(&format!("\"name\":\"{stage}\"")),
+            "trace missing {stage:?}"
+        );
     }
 
     // --- The metrics snapshot summarises each stage's latencies.

@@ -493,10 +493,8 @@ const LOCK_CLASSES: &[LockClass] = &[
         entries: &[
             ("counter", false),
             ("record", false),
-            ("record_secs", false),
             ("snapshot", false),
-            ("span_events", false),
-            ("chrome_trace_json", false),
+            ("span_tree", false),
             ("metrics_json", false),
             ("stop_into", true),
         ],
@@ -505,7 +503,7 @@ const LOCK_CLASSES: &[LockClass] = &[
         name: "ledger",
         crates: &["obs"],
         acquirers: &["global"],
-        entries: &[("emit", false), ("on_span_close", true), ("close", false)],
+        entries: &[("emit", false), ("close", false)],
     },
     LockClass {
         name: "profiler",

@@ -75,7 +75,7 @@ tasks:
                                    silently collapsed models)
 
   report [<ledger.jsonl>] [--profile <collapsed>] [--top <n>]
-         [--html <out.html>]
+         [--html <out.html>] [--trace <out.json>]
       Render a JSONL run ledger as a run report: manifest, span tree
       with inclusive/exclusive time, cache hit rates, training dynamics
       (per-epoch trajectory, per-layer stats, sentinel trips), and the
@@ -87,6 +87,8 @@ tasks:
       --html     also write a self-contained HTML learning-dynamics
                  dashboard (loss/lr/grad-norm/entropy curves, per-layer
                  tables; no scripts or external assets)
+      --trace    also write the ledger's spans as a Chrome trace-event
+                 JSON (open in Perfetto or chrome://tracing)
 
 exit codes: 0 clean, 1 violations/regression found, 2 usage error or
 malformed input";

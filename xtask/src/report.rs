@@ -6,7 +6,8 @@
 //!
 //! - the `run_start` manifest (binary, seed, effort, threads, host);
 //! - the span tree aggregated from `span_close` lines — hierarchical
-//!   inclusive/exclusive wall-clock attribution per stack path;
+//!   inclusive/exclusive wall-clock attribution per stack path, with the
+//!   threads that ran each node;
 //! - the top exclusive-time span paths (where the run actually spent
 //!   its time);
 //! - cache-efficiency gauges from the `run_end` counters: hit/miss/
@@ -18,7 +19,9 @@
 //! - with `--profile <file>`, the heaviest sampled stacks from a
 //!   collapsed-stacks file written by `--profile`;
 //! - with `--html <out>`, a self-contained zero-dependency HTML
-//!   learning-dynamics dashboard (inline SVG charts, no scripts).
+//!   learning-dynamics dashboard (inline SVG charts, no scripts);
+//! - with `--trace <out>`, the run's spans as a Chrome trace-event JSON
+//!   (open in Perfetto or `chrome://tracing`).
 //!
 //! Invoked without a ledger path, it auto-discovers the newest
 //! `LEDGER_*.jsonl` in the working directory (and refuses, listing the
@@ -34,6 +37,7 @@ use std::process::ExitCode;
 use std::time::SystemTime;
 
 use rhsd_obs::json::{parse, Value};
+use rhsd_obs::profile::{color_hue, html_escape};
 use rhsd_obs::SpanTree;
 
 /// One per-layer dynamics row from an `epoch` event's `layers` array.
@@ -69,7 +73,8 @@ type SentinelRow = (u64, String, String, String);
 #[derive(Debug, Default)]
 struct LedgerRun {
     manifest: Vec<(String, String)>,
-    spans: Vec<(String, f64)>,
+    /// `(path, dur_secs, tid)` per `span_close` line; tid 0 = unknown.
+    spans: Vec<(String, f64, u64)>,
     epochs: Vec<EpochRow>,
     sentinels: Vec<SentinelRow>,
     evals: Vec<(String, String, f64, u64, f64)>,
@@ -116,8 +121,9 @@ fn parse_ledger(text: &str) -> LedgerRun {
                     path
                 };
                 let dur = v.get("dur_secs").and_then(Value::as_f64).unwrap_or(0.0);
+                let tid = v.get("tid").and_then(Value::as_u64).unwrap_or(0);
                 if !path.is_empty() {
-                    run.spans.push((path.to_owned(), dur));
+                    run.spans.push((path.to_owned(), dur, tid));
                 }
             }
             Some("epoch") => {
@@ -362,7 +368,7 @@ pub fn render(ledger_text: &str, profile_text: Option<&str>, top: usize) -> Stri
         let _ = writeln!(o, "  ({} unparseable line(s) skipped)", run.bad_lines);
     }
 
-    let tree = SpanTree::from_paths(run.spans.iter().map(|(p, d)| (p.as_str(), *d, 0u64)));
+    let tree = SpanTree::from_paths(run.spans.iter().map(|(p, d, t)| (p.as_str(), *d, *t)));
     let _ = writeln!(o);
     o.push_str(&tree.render());
     if !tree.is_empty() {
@@ -412,31 +418,6 @@ const MAX_LAYER_CURVES: usize = 12;
 
 /// One named series of `(x, y)` points for an SVG chart.
 type Series = (String, Vec<(f64, f64)>);
-
-fn html_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Deterministic series hue (FNV-1a over the name) — same idiom as the
-/// flame chart so layer colours are stable across reports.
-fn color_hue(name: &str) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % 360) as u32
-}
 
 /// Renders one inline SVG line chart (multi-series, linear axes, min/max
 /// labels, no scripts). Non-finite points are dropped; an all-empty
@@ -779,11 +760,13 @@ fn discover_ledger(dir: &Path) -> Result<PathBuf, String> {
 }
 
 /// CLI entry point: `cargo xtask report [<ledger.jsonl>]
-/// [--profile <collapsed>] [--top <n>] [--html <out.html>]`.
+/// [--profile <collapsed>] [--top <n>] [--html <out.html>]
+/// [--trace <out.json>]`.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut ledger: Option<PathBuf> = None;
     let mut profile: Option<PathBuf> = None;
     let mut html_out: Option<PathBuf> = None;
+    let mut trace_out: Option<PathBuf> = None;
     let mut top = 8usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -795,6 +778,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             "--html" => {
                 let v = it.next().ok_or("--html needs an output path")?;
                 html_out = Some(PathBuf::from(v));
+            }
+            "--trace" => {
+                let v = it.next().ok_or("--trace needs an output path")?;
+                trace_out = Some(PathBuf::from(v));
             }
             "--top" => {
                 let v = it.next().ok_or("--top needs a count")?;
@@ -831,6 +818,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         std::fs::write(&out, html).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
         eprintln!("report: wrote {}", out.display());
     }
+    if let Some(out) = trace_out {
+        let trace = rhsd_obs::ledger::chrome_trace_json(&ledger_text);
+        std::fs::write(&out, trace).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+        eprintln!("report: wrote {}", out.display());
+    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -850,8 +842,8 @@ mod tests {
             // new-style epoch event with entropies and per-layer rows
             r#"{"event":"epoch","seq":2,"t":0.9,"epoch":1,"mean_loss":0.6,"mean_cpn_cls":0.2,"mean_cpn_reg":0.15,"mean_refine_cls":0.25,"grad_norm":1.5,"lr":0.009,"samples":8,"pred_entropy":0.62,"label_entropy":0.97,"layers":[{"key":"backbone/Conv2d#1","act_mean_abs":0.25,"dead_frac":0.125,"saturated_frac":0.0,"flow_grad_norm":1.2,"grad_norm":0.8,"update_ratio":0.004,"weight_norm":3.5},{"key":"refine/Linear#30","act_mean_abs":1.5,"dead_frac":0.0,"saturated_frac":0.03,"flow_grad_norm":0.4,"grad_norm":0.2,"update_ratio":0.001,"weight_norm":2.0}]}"#,
             r#"{"event":"sentinel","seq":3,"t":0.95,"epoch":1,"reason":"loss_spike","detail":"loss 9.0 is 4.0x the window median 0.7","action":"warn"}"#,
-            r#"{"event":"span_close","seq":4,"t":1.0,"name":"raster","path":"scan;raster","dur_secs":0.25,"depth":1}"#,
-            r#"{"event":"span_close","seq":5,"t":1.5,"name":"scan","path":"scan","dur_secs":1.0,"depth":0}"#,
+            r#"{"event":"span_close","seq":4,"t":1.0,"name":"raster","path":"scan;raster","dur_secs":0.25,"depth":1,"tid":2}"#,
+            r#"{"event":"span_close","seq":5,"t":1.5,"name":"scan","path":"scan","dur_secs":1.0,"depth":0,"tid":1}"#,
             r#"{"event":"eval","seq":6,"t":2.0,"detector":"Ours","case":"Case2","accuracy_pct":87.5,"false_alarms":9,"seconds":1.25}"#,
             r#"{"event":"run_end","seq":7,"t":2.5,"status":"ok","wall_secs":2.5,"counters":{"cache.region_tile.hits":18,"cache.region_tile.misses":18,"cache.stem_feature.hits":3,"cache.stem_feature.misses":9,"cache.stem_feature.bytes":4096},"peaks":{}}"#,
         ]
@@ -1026,5 +1018,41 @@ mod tests {
             r#"{"event":"span_close","seq":0,"t":1.0,"name":"raster","dur_secs":0.25,"depth":1}"#;
         let out = render(text, None, 8);
         assert!(out.contains("raster"), "{out}");
+    }
+
+    #[test]
+    fn span_tree_counts_threads_from_tids() {
+        let text = [
+            r#"{"event":"span_close","seq":0,"t":1.0,"name":"cpn","path":"cpn","dur_secs":0.5,"depth":0,"tid":1}"#,
+            r#"{"event":"span_close","seq":1,"t":1.0,"name":"cpn","path":"cpn","dur_secs":0.5,"depth":0,"tid":2}"#,
+        ]
+        .join("\n");
+        let out = render(&text, None, 8);
+        assert!(out.contains("2 call(s)"), "{out}");
+        assert!(out.contains("2 thread(s)"), "{out}");
+    }
+
+    #[test]
+    fn trace_option_writes_the_ledger_spans_as_a_chrome_trace() {
+        let dir = std::env::temp_dir().join(format!("rhsd_report_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let ledger = dir.join("LEDGER_run.jsonl");
+        let out = dir.join("trace.json");
+        std::fs::write(&ledger, sample_ledger()).expect("write");
+        let args = [
+            ledger.display().to_string(),
+            "--trace".into(),
+            out.display().to_string(),
+        ];
+        assert_eq!(run(&args), Ok(ExitCode::SUCCESS));
+        let trace = std::fs::read_to_string(&out).expect("trace written");
+        std::fs::remove_dir_all(&dir).ok();
+        rhsd_obs::json::validate(&trace).unwrap_or_else(|at| panic!("invalid at {at}: {trace}"));
+        assert!(trace.contains("\"name\":\"raster\""), "{trace}");
+        assert!(trace.contains("\"name\":\"scan\""), "{trace}");
+        assert!(
+            run(&["--trace".to_owned()]).is_err(),
+            "--trace needs a path"
+        );
     }
 }

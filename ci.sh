@@ -5,7 +5,6 @@
 #   ./ci.sh --fast            # skip the release build (debug test run only)
 #   ./ci.sh --lint-only       # only the workspace linter (cargo xtask lint)
 #   ./ci.sh --bench-gate      # only the benchmark regression gate (below)
-#   ./ci.sh --profile-smoke   # only the deep-observability smoke (below)
 #   ./ci.sh --telemetry-smoke # only the training-telemetry smoke (below)
 #   ./ci.sh --serve-smoke     # only the rhsd-serve end-to-end smoke (below)
 #   ./ci.sh --simd-matrix     # only the ISA matrix (below)
@@ -24,8 +23,12 @@
 # BENCH_baseline_quick.json with --skip-runtime (accuracy and false
 # alarms are seeded and deterministic — and thread-count invariant; see
 # DESIGN.md §Parallel execution — while wall-clock is not portable across
-# machines). The baseline is tied to the locked dependency set — after a
-# legitimate accuracy change, refresh it with:
+# machines). Last, `cargo xtask report` must render the run's ledger
+# (span tree and cache gauges), write its Chrome trace as valid JSON and
+# its HTML page with the span-tree icicle. The ledger and the report
+# artifacts land in BENCH_GATE/ so Actions can upload them. The baseline
+# is tied to the locked dependency set — after a legitimate accuracy
+# change, refresh it with:
 #
 #   BENCH_BASELINE_REFRESH=1 ./ci.sh --bench-gate
 set -euo pipefail
@@ -70,7 +73,6 @@ run_step() {
 fast=0
 lint_only=0
 bench_gate_only=0
-profile_smoke_only=0
 telemetry_smoke_only=0
 serve_smoke_only=0
 simd_matrix_only=0
@@ -78,7 +80,6 @@ case "${1:-}" in
 --fast) fast=1 ;;
 --lint-only) lint_only=1 ;;
 --bench-gate) bench_gate_only=1 ;;
---profile-smoke) profile_smoke_only=1 ;;
 --telemetry-smoke) telemetry_smoke_only=1 ;;
 --serve-smoke) serve_smoke_only=1 ;;
 --simd-matrix) simd_matrix_only=1 ;;
@@ -100,11 +101,11 @@ if [[ $lint_only -eq 1 ]]; then
 fi
 
 bench_ledger_sanity() {
-    head -n 1 "$tmp/run.jsonl" | grep -q '"event":"run_start"' || {
+    head -n 1 BENCH_GATE/run.jsonl | grep -q '"event":"run_start"' || {
         echo "ledger does not start with run_start" >&2
         return 1
     }
-    tail -n 1 "$tmp/run.jsonl" | grep -q '"event":"run_end"' || {
+    tail -n 1 BENCH_GATE/run.jsonl | grep -q '"event":"run_end"' || {
         echo "ledger does not end with run_end" >&2
         return 1
     }
@@ -143,13 +144,35 @@ bench_diff_baseline() {
     }
 }
 
+bench_report_renders() {
+    cargo xtask report BENCH_GATE/run.jsonl --html BENCH_GATE/report.html \
+        --trace BENCH_GATE/trace.json | tee BENCH_GATE/report.txt
+    grep -q 'run report' BENCH_GATE/report.txt &&
+        grep -q 'span tree' BENCH_GATE/report.txt &&
+        grep -q 'cache efficiency' BENCH_GATE/report.txt &&
+        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' BENCH_GATE/trace.json
+}
+
+bench_report_html() {
+    head -c 15 BENCH_GATE/report.html | grep -q '<!DOCTYPE html>' || {
+        echo "report.html is not a self-contained page" >&2
+        return 1
+    }
+    grep -q 'class="icicle"' BENCH_GATE/report.html || {
+        echo "report.html has no span-tree icicle" >&2
+        return 1
+    }
+}
+
 bench_gate() {
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
+    rm -rf BENCH_GATE
+    mkdir -p BENCH_GATE
 
     run_step "bench gate: quick repro_table1 (2 threads)" \
         cargo run --release -p rhsd-bench --bin repro_table1 -- --quick --threads 2 \
-        --bench-out "$tmp/current.json" --ledger "$tmp/run.jsonl"
+        --bench-out "$tmp/current.json" --ledger BENCH_GATE/run.jsonl
     run_step "bench gate: ledger sanity" bench_ledger_sanity
     run_step "bench gate: differ self-check (identical records pass)" \
         cargo xtask bench-diff "$tmp/current.json" "$tmp/current.json"
@@ -166,64 +189,14 @@ bench_gate() {
         run_step "bench gate: diff against committed baseline (runtime skipped)" \
             bench_diff_baseline
     fi
+    run_step "bench gate: xtask report renders the ledger and its trace" \
+        bench_report_renders
+    run_step "bench gate: report page carries the span-tree icicle" bench_report_html
 }
 
 if [[ $bench_gate_only -eq 1 ]]; then
     bench_gate
     printf '\nBench gate passed.\n'
-    exit 0
-fi
-
-# Deep-observability smoke: a profiled quick repro must emit well-formed
-# collapsed-stacks + flame-chart artifacts, and `cargo xtask report` must
-# render the ledger + profile and write the ledger's Chrome trace as valid
-# JSON. Artifacts land in PROFILE_SMOKE/ so Actions
-# can upload them.
-profile_check_artifacts() {
-    [[ -s PROFILE_SMOKE/PROFILE_table1.collapsed ]] || {
-        echo "PROFILE_table1.collapsed is missing or empty" >&2
-        return 1
-    }
-    # Every collapsed line is `path count`.
-    awk 'NF < 2 || $NF !~ /^[0-9]+$/ { bad = 1 } END { exit bad }' \
-        PROFILE_SMOKE/PROFILE_table1.collapsed || {
-        echo "malformed collapsed-stacks line(s)" >&2
-        return 1
-    }
-    head -c 15 PROFILE_SMOKE/PROFILE_table1.html | grep -q '<!DOCTYPE html>' || {
-        echo "PROFILE_table1.html is not a self-contained page" >&2
-        return 1
-    }
-}
-
-profile_report_renders() {
-    cargo xtask report PROFILE_SMOKE/run.jsonl \
-        --profile PROFILE_SMOKE/PROFILE_table1.collapsed \
-        --trace PROFILE_SMOKE/trace.json | tee "$tmp/report.txt"
-    grep -q 'run report' "$tmp/report.txt" &&
-        grep -q 'span tree' "$tmp/report.txt" &&
-        grep -q 'cache efficiency' "$tmp/report.txt" &&
-        grep -q 'sampling profile' "$tmp/report.txt" &&
-        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' PROFILE_SMOKE/trace.json
-}
-
-profile_smoke() {
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT
-    rm -rf PROFILE_SMOKE
-    mkdir -p PROFILE_SMOKE
-
-    run_step "profile smoke: profiled quick repro_table1" \
-        env -C PROFILE_SMOKE cargo run --release -p rhsd-bench --bin repro_table1 -- \
-        --quick --profile=97 \
-        --bench-out BENCH_profiled.json --ledger run.jsonl
-    run_step "profile smoke: artifacts well-formed" profile_check_artifacts
-    run_step "profile smoke: xtask report renders" profile_report_renders
-}
-
-if [[ $profile_smoke_only -eq 1 ]]; then
-    profile_smoke
-    printf '\nProfile smoke passed.\n'
     exit 0
 fi
 

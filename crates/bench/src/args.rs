@@ -17,15 +17,11 @@
 //!   (default: the `RHSD_THREADS` environment variable, else the
 //!   machine's available parallelism; results are bit-identical at any
 //!   value);
-//! - `--profile[=<hz>]` — run the in-process sampling profiler for the
-//!   whole run (default 97 Hz) and write `PROFILE_<name>.collapsed`
-//!   (Brendan-Gregg collapsed stacks) plus `PROFILE_<name>.html` (a
-//!   self-contained flame chart). Sampling only reads span stacks, so
-//!   the run's results are bit-identical to an unprofiled run;
 //! - `--help` — print usage.
 //!
-//! The span tree and the Chrome trace of a run are rendered from its
-//! ledger: `cargo xtask report <ledger> [--trace <out.json>]`.
+//! The span tree, its icicle chart and the Chrome trace of a run are
+//! rendered from its ledger: `cargo xtask report <ledger> [--html
+//! <out.html>] [--trace <out.json>]`.
 //!
 //! Unknown flags are rejected with a usage message instead of being
 //! silently ignored.
@@ -58,15 +54,9 @@ pub struct BenchArgs {
     /// Worker-thread count override (`--threads <n>`); `None` keeps the
     /// pool default (`RHSD_THREADS` or available parallelism).
     pub threads: Option<usize>,
-    /// Sampling-profiler rate in Hz (`--profile[=<hz>]`); `None` means
-    /// no profiling.
-    pub profile: Option<u32>,
     /// Save the run's trained model there (`--save-model <path>`), so
     /// `rhsd-serve` and users get weights without patching code.
     pub save_model: Option<PathBuf>,
-    /// Binary name captured by [`BenchArgs::parse`] (names the profile
-    /// artifacts); empty when built via [`BenchArgs::parse_from`].
-    bin: String,
     /// Artifact paths written so far (printed by [`BenchArgs::finish_run`]).
     artifacts: Vec<PathBuf>,
 }
@@ -106,25 +96,12 @@ pub fn usage(bin: &str) -> String {
          --threads <n>      rhsd-par worker threads (default: RHSD_THREADS or\n\
          \x20                  available parallelism; output is bit-identical\n\
          \x20                  at any value)\n\
-         --profile[=<hz>]   sample all live span stacks (default 97 Hz) and\n\
-         \x20                  write PROFILE_{name}.collapsed / .html\n\
          --help             show this message\n\
          \n\
-         span tree and Chrome trace: cargo xtask report <ledger> [--trace <out.json>]",
+         span tree, icicle and Chrome trace:\n\
+         \x20 cargo xtask report <ledger> [--html <out.html>] [--trace <out.json>]",
         ledger = default_ledger_path(bin).display(),
-        name = profile_stem(bin),
     )
-}
-
-/// The artifact stem for a binary named `bin`
-/// (`repro_table1` → `table1`, used as `PROFILE_table1.collapsed`).
-fn profile_stem(bin: &str) -> &str {
-    let stem = bin.strip_prefix("repro_").unwrap_or(bin);
-    if stem.is_empty() {
-        "run"
-    } else {
-        stem
-    }
 }
 
 impl BenchArgs {
@@ -134,7 +111,6 @@ impl BenchArgs {
     pub fn parse(bin: &str) -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(Some(mut args)) => {
-                args.bin = bin.to_owned();
                 if args.ledger.is_none() && !args.no_ledger {
                     args.ledger = Some(default_ledger_path(bin));
                 }
@@ -142,9 +118,6 @@ impl BenchArgs {
                     rhsd_par::set_threads(n);
                 }
                 args.init_obs();
-                if let Some(hz) = args.profile {
-                    rhsd_obs::profile::start_global(hz);
-                }
                 args
             }
             Ok(None) => {
@@ -201,26 +174,8 @@ impl BenchArgs {
                     }
                 }
                 "--no-ledger" => out.no_ledger = true,
-                "--profile" => {
-                    if out.profile.is_some() {
-                        return Err("--profile given more than once".into());
-                    }
-                    out.profile = Some(rhsd_obs::profile::DEFAULT_HZ);
-                }
                 "--help" | "-h" => return Ok(None),
-                other => {
-                    if let Some(hz) = other.strip_prefix("--profile=") {
-                        if out.profile.is_some() {
-                            return Err("--profile given more than once".into());
-                        }
-                        match rhsd_obs::profile::parse_rate(hz) {
-                            Ok(n) => out.profile = Some(n),
-                            Err(e) => return Err(format!("--profile: {e}")),
-                        }
-                        continue;
-                    }
-                    return Err(format!("unknown argument `{other}`"));
-                }
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
         if out.no_ledger && out.ledger.is_some() {
@@ -238,10 +193,10 @@ impl BenchArgs {
         }
     }
 
-    /// Turns observability on when any export (metrics, run ledger or
-    /// profiler) is active.
+    /// Turns observability on when any export (metrics or run ledger)
+    /// is active.
     pub fn init_obs(&self) {
-        if self.metrics.is_some() || self.ledger.is_some() || self.profile.is_some() {
+        if self.metrics.is_some() || self.ledger.is_some() {
             rhsd_obs::set_enabled(true);
         }
     }
@@ -302,28 +257,10 @@ impl BenchArgs {
         }
     }
 
-    /// Finishes the run: stops the sampling profiler and writes its
-    /// collapsed-stacks / flame-chart artifacts, writes the metrics
-    /// export, closes the run ledger with `status` (emitting its
+    /// Finishes the run: writes the metrics export, closes the run ledger with `status` (emitting its
     /// `run_end` line), and prints the path of every artifact the run
     /// wrote.
     pub fn finish_run(&mut self, status: &str) {
-        if self.profile.is_some() {
-            if let Some(profile) = rhsd_obs::profile::stop_global() {
-                let stem = profile_stem(&self.bin).to_owned();
-                let collapsed = PathBuf::from(format!("PROFILE_{stem}.collapsed"));
-                match std::fs::write(&collapsed, profile.collapsed()) {
-                    Ok(()) => self.artifacts.push(collapsed),
-                    Err(e) => eprintln!("failed to write {}: {e}", collapsed.display()),
-                }
-                let html = PathBuf::from(format!("PROFILE_{stem}.html"));
-                let title = format!("{stem} — {} Hz sampling profile", profile.hz);
-                match std::fs::write(&html, profile.flame_html(&title)) {
-                    Ok(()) => self.artifacts.push(html),
-                    Err(e) => eprintln!("failed to write {}: {e}", html.display()),
-                }
-            }
-        }
         if let Some(path) = &self.metrics {
             match rhsd_obs::write_metrics(path) {
                 Ok(()) => self.artifacts.push(path.clone()),
@@ -439,42 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn profile_flag_parses_default_and_explicit_rates() {
-        let args = BenchArgs::parse_from(["--profile"]).unwrap().unwrap();
-        assert_eq!(args.profile, Some(rhsd_obs::profile::DEFAULT_HZ));
-        let args = BenchArgs::parse_from(["--profile=250"]).unwrap().unwrap();
-        assert_eq!(args.profile, Some(250));
-        let args = BenchArgs::parse_from(Vec::<String>::new())
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.profile, None);
-        for bad in [
-            "--profile=0",
-            "--profile=-5",
-            "--profile=fast",
-            "--profile=",
-        ] {
-            let err = BenchArgs::parse_from([bad]).unwrap_err();
-            assert!(err.contains("--profile"), "{err}");
-        }
-        let err = BenchArgs::parse_from(["--profile", "--profile=97"]).unwrap_err();
-        assert!(err.contains("more than once"), "{err}");
-    }
-
-    #[test]
-    fn trace_and_span_tree_flags_are_unknown() {
-        // Both are rendered from the ledger by `xtask report` instead.
-        for flag in ["--trace", "--span-tree"] {
+    fn trace_span_tree_and_profile_flags_are_unknown() {
+        // All are rendered from the ledger by `xtask report` instead.
+        for flag in ["--trace", "--span-tree", "--profile", "--profile=97"] {
             let err = BenchArgs::parse_from([flag, "t.json"]).unwrap_err();
             assert!(err.contains(&format!("unknown argument `{flag}`")), "{err}");
         }
-    }
-
-    #[test]
-    fn profile_stem_names_artifacts() {
-        assert_eq!(profile_stem("repro_table1"), "table1");
-        assert_eq!(profile_stem("other_bin"), "other_bin");
-        assert_eq!(profile_stem(""), "run");
     }
 
     #[test]
@@ -506,12 +413,10 @@ mod tests {
             "--bench-out",
             "--save-model",
             "--threads",
-            "--profile",
             "--help",
         ] {
             assert!(u.contains(flag), "usage missing {flag}");
         }
         assert!(u.contains("LEDGER_table1.jsonl"), "{u}");
-        assert!(u.contains("PROFILE_table1"), "{u}");
     }
 }

@@ -37,16 +37,6 @@ impl RasterSpec {
         }
     }
 
-    /// Nanometres per pixel horizontally.
-    pub fn nm_per_px_x(&self) -> f64 {
-        self.window.width() as f64 / self.width as f64
-    }
-
-    /// Nanometres per pixel vertically.
-    pub fn nm_per_px_y(&self) -> f64 {
-        self.window.height() as f64 / self.height as f64
-    }
-
     /// Converts a layout rectangle to (fractional) pixel coordinates
     /// `(x0, y0, x1, y1)` in this raster. Row 0 is the window's *bottom*
     /// (y0) edge, so layout and image coordinates share orientation.

@@ -1,11 +1,10 @@
 //! Loss functions of the Classification-and-Regression (C&R) objective.
 //!
-//! Implements the robust (smooth) L1 localisation loss of Eq. (5), the
-//! cross-entropy hotspot loss of Eq. (6) and the L2 weight-regularisation
-//! term of Eq. (4).
+//! Implements the robust (smooth) L1 localisation loss of Eq. (5) and the
+//! L2 weight-regularisation term of Eq. (4). The cross-entropy hotspot
+//! loss of Eq. (6) is `rhsd_tensor::ops::softmax::cross_entropy_rows`.
 
 use rhsd_tensor::ops::elementwise::axpy;
-use rhsd_tensor::ops::softmax::cross_entropy_rows;
 use rhsd_tensor::Tensor;
 
 /// Smooth-L1 (Huber) value for one scalar difference — Eq. (5).
@@ -76,15 +75,6 @@ pub fn smooth_l1_loss(pred: &Tensor, target: &Tensor, weights: &[f32]) -> (f32, 
         }
     }
     (loss / norm, Tensor::from_parts([n, k], grad))
-}
-
-/// Classification loss under the paper's naming — the L_hotspot term,
-/// i.e. the cross-entropy of Eq. (6) over (hotspot, non-hotspot) logits.
-///
-/// Shapes: `logits` is `[n, 2]`; `targets` and `weights` have `n`
-/// entries. See [`cross_entropy_rows`] for the contract.
-pub fn hotspot_cross_entropy(logits: &Tensor, targets: &[usize], weights: &[f32]) -> (f32, Tensor) {
-    cross_entropy_rows(logits, targets, weights)
 }
 
 /// L2 regularisation term `β/2 · Σ‖W‖²` over a parameter set, accumulating

@@ -17,10 +17,7 @@
 //! - **span-tree attribution** ([`spantree`]) — closed spans aggregated
 //!   at close by their full stack path, read as a hierarchy with
 //!   inclusive/exclusive time, call counts and a per-thread breakdown
-//!   ([`span_tree`]);
-//! - an **in-process sampling profiler** ([`profile`]) — a background
-//!   thread snapshotting every thread's live span stack, exporting
-//!   collapsed-stacks text and a self-contained HTML flame chart.
+//!   ([`span_tree`]).
 //!
 //! # Example
 //!
@@ -44,7 +41,6 @@
 pub mod json;
 pub mod ledger;
 pub mod metrics;
-pub mod profile;
 pub mod span;
 pub mod spantree;
 

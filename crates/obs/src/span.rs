@@ -2,20 +2,17 @@
 //! duration to the registry's totals for its stack path and streams one
 //! `span_close` line to the run ledger, when one is open.
 //!
-//! Every thread additionally maintains a **live span stack** — the names
-//! of its currently-open spans, rooted at an optional *base stack*
-//! installed by `rhsd-par` when a task is handed to a worker. The stack
-//! serves two consumers:
-//!
-//! - each closing span records its full path (`outer;inner;leaf`), whose
-//!   per-path totals [`crate::span_tree`] renders as a hierarchical
-//!   attribution tree that is identical at any worker-thread count;
-//! - the sampling profiler ([`crate::profile`]) snapshots every thread's
-//!   live stack through a shared registry without stopping the world.
+//! Every thread keeps a **live span stack** — the names of its
+//! currently-open spans, rooted at an optional *base stack* installed by
+//! `rhsd-par` when a task is handed to a worker. Each closing span
+//! records its full path (`outer;inner;leaf`), whose per-path totals
+//! [`crate::span_tree`] renders as a hierarchical attribution tree that
+//! is identical at any worker-thread count. Only the owning thread reads
+//! its stack, so it is a plain thread-local with no lock.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 use crate::ledger::Event;
@@ -27,60 +24,34 @@ pub const PATH_SEP: char = ';';
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-/// A thread's live span stack, shared with the sampling profiler.
-pub(crate) struct LiveStack {
-    pub(crate) tid: u64,
-    /// Open frames, base (inherited) frames first.
-    frames: Mutex<Vec<String>>,
-}
-
-fn stack_registry() -> &'static Mutex<Vec<Weak<LiveStack>>> {
-    static STACKS: OnceLock<Mutex<Vec<Weak<LiveStack>>>> = OnceLock::new();
-    STACKS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 thread_local! {
-    static LIVE: Arc<LiveStack> = {
-        let stack = Arc::new(LiveStack {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            frames: Mutex::new(Vec::new()),
-        });
-        let mut reg = stack_registry()
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        reg.retain(|w| w.strong_count() > 0);
-        reg.push(Arc::downgrade(&stack));
-        stack
-    };
+    /// This thread's logical id in span totals and ledger lines.
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// Open frames, base (inherited) frames first.
+    static FRAMES: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
-fn with_live<R>(f: impl FnOnce(&LiveStack) -> R) -> R {
-    LIVE.with(|l| f(l))
-}
-
-fn lock_frames(stack: &LiveStack) -> std::sync::MutexGuard<'_, Vec<String>> {
-    stack.frames.lock().unwrap_or_else(|p| p.into_inner())
+fn with_frames<R>(f: impl FnOnce(&mut Vec<String>) -> R) -> R {
+    FRAMES.with(|frames| f(&mut frames.borrow_mut()))
 }
 
 /// Snapshot of the current thread's live span stack (base frames first).
 /// Used by `rhsd-par` to propagate the submitting thread's stack onto
 /// workers; empty while no spans are open.
 pub fn current_stack() -> Vec<String> {
-    with_live(|l| lock_frames(l).clone())
+    with_frames(|frames| frames.clone())
 }
 
 /// Installs `frames` as the current thread's base span stack for the
 /// guard's lifetime. Spans opened while the guard is alive nest under
-/// the base frames in both span paths and profiler samples — this is how
-/// `rhsd-par` workers attribute task time to the submitting thread's
-/// open spans. No-op for an empty `frames`.
+/// the base frames in their span paths — this is how `rhsd-par` workers
+/// attribute task time to the submitting thread's open spans. No-op for
+/// an empty `frames`.
 pub fn base_stack(frames: &[String]) -> BaseStackGuard {
     if frames.is_empty() {
         return BaseStackGuard { pushed: 0 };
     }
-    with_live(|l| {
-        lock_frames(l).extend(frames.iter().cloned());
-    });
+    with_frames(|live| live.extend(frames.iter().cloned()));
     BaseStackGuard {
         pushed: frames.len(),
     }
@@ -96,24 +67,11 @@ impl Drop for BaseStackGuard {
         if self.pushed == 0 {
             return;
         }
-        with_live(|l| {
-            let mut frames = lock_frames(l);
+        with_frames(|frames| {
             let keep = frames.len().saturating_sub(self.pushed);
             frames.truncate(keep);
         });
     }
-}
-
-/// Snapshots every registered thread's live stack: `(tid, frames)` per
-/// thread, including threads with an empty stack (the profiler counts
-/// those as idle samples). Dead threads are pruned.
-pub(crate) fn sample_stacks() -> Vec<(u64, Vec<String>)> {
-    let mut reg = stack_registry().lock().unwrap_or_else(|p| p.into_inner());
-    reg.retain(|w| w.strong_count() > 0);
-    reg.iter()
-        .filter_map(Weak::upgrade)
-        .map(|s| (s.tid, lock_frames(&s).clone()))
-        .collect()
 }
 
 /// Opens a span; the returned guard records the span on drop.
@@ -127,8 +85,7 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
         return SpanGuard { inner: None };
     }
     let name = name.into();
-    let (tid, path, depth) = with_live(|l| {
-        let mut frames = lock_frames(l);
+    let (path, depth) = with_frames(|frames| {
         let depth = frames.len() as u32;
         frames.push(name.to_string());
         let mut path = String::with_capacity(frames.iter().map(|f| f.len() + 1).sum());
@@ -138,8 +95,9 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
             }
             path.push_str(f);
         }
-        (l.tid, path, depth)
+        (path, depth)
     });
+    let tid = TID.with(|tid| *tid);
     SpanGuard {
         inner: Some(SpanInner {
             name,
@@ -192,9 +150,7 @@ impl Drop for SpanGuard {
             return;
         };
         let dur_secs = inner.start.elapsed().as_secs_f64();
-        with_live(|l| {
-            lock_frames(l).pop();
-        });
+        with_frames(|frames| frames.pop());
         // Stream the closure to the run ledger (when one is open) before
         // taking the registry lock — the two locks never nest.
         if crate::ledger::active() {
@@ -378,25 +334,5 @@ pub(crate) mod tests {
             assert_eq!(current_stack(), before);
         }
         assert_eq!(current_stack(), before);
-    }
-
-    #[test]
-    fn sample_stacks_sees_live_frames() {
-        let _g = global_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        let _outer = span("sampled-outer");
-        let _inner = span("sampled-inner");
-        let my_tid = with_live(|l| l.tid);
-        let stacks = sample_stacks();
-        let mine = stacks
-            .iter()
-            .find(|(tid, _)| *tid == my_tid)
-            .expect("own thread registered");
-        assert_eq!(mine.1, vec!["sampled-outer", "sampled-inner"]);
-        drop(_inner);
-        drop(_outer);
-        crate::set_enabled(false);
-        crate::reset();
     }
 }

@@ -4,13 +4,23 @@
 //! offline scan written through the same canonical serialiser.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rhsd::core::{persist, Precision, RhsdConfig, RhsdNetwork};
+use rhsd::data::RegionConfig;
 use rhsd::layout::synth::CaseId;
 use rhsd::serve::proto::{scan_response_json, Half};
 use rhsd::serve::{offline_scan, Client, Request, ServeConfig, Server};
+use rhsd_bench::pipeline::bench_json;
+
+/// Serialises tests that touch the process-global observability switch.
+static OBS: Mutex<()> = Mutex::new(());
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS.lock().unwrap_or_else(|poison| poison.into_inner())
+}
 
 /// Saves a demo-geometry model (tiny channels, 128-px input) to a temp
 /// file; serving does not require a *trained* model, only a loadable one.
@@ -174,4 +184,51 @@ fn wrong_model_geometry_is_a_typed_startup_error() {
     let msg = err.to_string();
     assert!(msg.contains("64-px"), "{msg}");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn second_cached_scan_populates_caches_block() {
+    let _guard = obs_lock();
+    rhsd::obs::reset();
+    rhsd::obs::set_enabled(true);
+
+    let region = RegionConfig::demo();
+    let mut cfg = RhsdConfig::tiny();
+    cfg.region_px = region.region_px;
+    cfg.clip_px = region.clip_px;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+    let net = RhsdNetwork::new(cfg, &mut rng);
+    let model = std::env::temp_dir().join(format!("rhsd_profile_it_{}.model", std::process::id()));
+    persist::save_to_path(&net, &model).expect("save model");
+
+    // The first scan fills the server's scan cache (misses); the second
+    // replays every tile and stem (hits).
+    let server = Server::start(&ServeConfig {
+        model: model.clone(),
+        port: 0,
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let first = client.scan(CaseId::Case2, Half::Test).expect("first scan");
+    let second = client.scan(CaseId::Case2, Half::Test).expect("second scan");
+    assert_eq!(first, second);
+    client.shutdown().expect("shutdown");
+    drop(client);
+    let summary = server.wait();
+    std::fs::remove_file(&model).ok();
+    assert!(summary.tile_hits > 0 && summary.stem_hits > 0);
+
+    let record = bench_json("cache-telemetry-test", true, 7, &[]);
+    rhsd::obs::set_enabled(false);
+    rhsd::obs::reset();
+
+    let v = rhsd::obs::json::parse(&record).expect("bench record parses");
+    let caches = v.get("caches").expect("caches block present");
+    for family in ["region_tile", "stem_feature"] {
+        let c = caches.get(family).expect("cache family present");
+        for gauge in ["hits", "misses"] {
+            let n = c.get(gauge).and_then(|g| g.as_u64()).expect("gauge");
+            assert!(n > 0, "caches.{family}.{gauge} must be non-zero, got {n}");
+        }
+    }
 }

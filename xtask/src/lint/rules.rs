@@ -506,18 +506,6 @@ const LOCK_CLASSES: &[LockClass] = &[
         entries: &[("emit", false), ("close", false)],
     },
     LockClass {
-        name: "profiler",
-        crates: &["obs"],
-        acquirers: &["global_slot"],
-        entries: &[("start_global", false), ("stop_global", false)],
-    },
-    LockClass {
-        name: "stacks",
-        crates: &["obs"],
-        acquirers: &["stack_registry"],
-        entries: &[("sample_stacks", false)],
-    },
-    LockClass {
         name: "pool",
         crates: &["par"],
         acquirers: &["lock"],
@@ -527,9 +515,8 @@ const LOCK_CLASSES: &[LockClass] = &[
 
 /// L9: lock discipline across the global locks in `rhsd-obs`/`rhsd-par`.
 ///
-/// The observability layer has five process-global locks (metrics
-/// registry, ledger sink, profiler slot, span-stack registry, pool
-/// queue). They are safe only because no function holds one while
+/// The observability layer has three process-global locks (metrics
+/// registry, ledger sink, pool queue). They are safe only because no function holds one while
 /// taking another — PR 3 recorded that as a comment; this rule checks
 /// it. Per function, a lexical call-edge approximation: after a call
 /// that *acquires* class A's guard, any later call in the same body

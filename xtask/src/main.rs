@@ -5,9 +5,8 @@
 //! benchmark regression gate over `BENCH_*.json` records;
 //! `microbench`, the per-kernel timing harness that localises runtime
 //! regressions to a kernel family; and `report`, which renders a run
-//! ledger (plus an optional collapsed-stacks profile) as a readable run
-//! report. All are kept dependency-free beyond the workspace's own
-//! crates so they build instantly and work offline.
+//! ledger as a readable run report. All are kept dependency-free beyond
+//! the workspace's own crates so they build instantly and work offline.
 
 mod bench_diff;
 mod lint;
@@ -74,19 +73,18 @@ tasks:
                                    <pct> percent accuracy (catches
                                    silently collapsed models)
 
-  report [<ledger.jsonl>] [--profile <collapsed>] [--top <n>]
-         [--html <out.html>] [--trace <out.json>]
+  report [<ledger.jsonl>] [--top <n>] [--html <out.html>]
+         [--trace <out.json>]
       Render a JSONL run ledger as a run report: manifest, span tree
       with inclusive/exclusive time, cache hit rates, training dynamics
       (per-epoch trajectory, per-layer stats, sentinel trips), and the
       eval table. Without a path, uses the newest LEDGER_*.jsonl in the
       working directory (errors listing candidates when ambiguous).
-      --profile  also summarise a collapsed-stacks file written by
-                 a repro binary's --profile flag
-      --top      rows in the top-exclusive/top-stacks lists (default 8)
-      --html     also write a self-contained HTML learning-dynamics
-                 dashboard (loss/lr/grad-norm/entropy curves, per-layer
-                 tables; no scripts or external assets)
+      --top      rows in the top-exclusive list (default 8)
+      --html     also write a self-contained HTML page: an icicle chart
+                 of the span tree (width = inclusive seconds) and the
+                 learning-dynamics dashboard (loss/lr/grad-norm/entropy
+                 curves, per-layer tables; no scripts or external assets)
       --trace    also write the ledger's spans as a Chrome trace-event
                  JSON (open in Perfetto or chrome://tracing)
 

@@ -1,5 +1,5 @@
-//! `cargo xtask report`: renders a run ledger (and optionally a
-//! sampling profile) as a human-readable run report.
+//! `cargo xtask report`: renders a run ledger as a human-readable run
+//! report.
 //!
 //! Reads the JSONL ledger a repro binary writes (`LEDGER_*.jsonl`),
 //! reconstructs the run from its typed events, and prints:
@@ -16,9 +16,8 @@
 //!   entropy trajectory, the per-layer dynamics table from the last
 //!   sampled epoch, and any divergence-sentinel trips;
 //! - the evaluation table (per detector and case);
-//! - with `--profile <file>`, the heaviest sampled stacks from a
-//!   collapsed-stacks file written by `--profile`;
-//! - with `--html <out>`, a self-contained zero-dependency HTML
+//! - with `--html <out>`, a self-contained zero-dependency HTML page: an
+//!   icicle chart of the span tree (width = inclusive seconds) and the
 //!   learning-dynamics dashboard (inline SVG charts, no scripts);
 //! - with `--trace <out>`, the run's spans as a Chrome trace-event JSON
 //!   (open in Perfetto or `chrome://tracing`).
@@ -31,13 +30,15 @@
 //! everything up to the crash — that is the point of a flushed JSONL
 //! stream.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::SystemTime;
 
 use rhsd_obs::json::{parse, Value};
-use rhsd_obs::profile::{color_hue, html_escape};
+use rhsd_obs::span::PATH_SEP;
+use rhsd_obs::spantree::SpanNode;
 use rhsd_obs::SpanTree;
 
 /// One per-layer dynamics row from an `epoch` event's `layers` array.
@@ -85,6 +86,12 @@ struct LedgerRun {
     bad_lines: usize,
 }
 
+impl LedgerRun {
+    fn span_tree(&self) -> SpanTree {
+        SpanTree::from_paths(self.spans.iter().map(|(p, d, t)| (p.as_str(), *d, *t)))
+    }
+}
+
 fn parse_ledger(text: &str) -> LedgerRun {
     let mut run = LedgerRun::default();
     for line in text.lines() {
@@ -103,10 +110,9 @@ fn parse_ledger(text: &str) -> LedgerRun {
                     if let Some(val) = v.get(key) {
                         let rendered = match val {
                             Value::Str(s) => s.clone(),
-                            other => format!("{other:?}")
-                                .trim_start_matches("Num(")
-                                .trim_end_matches(')')
-                                .to_owned(),
+                            // f64's Display drops a zero fraction: `103`.
+                            Value::Num(n) => n.to_string(),
+                            other => format!("{other:?}"),
                         };
                         run.manifest.push((key.to_owned(), rendered));
                     }
@@ -325,27 +331,8 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Parses a collapsed-stacks file into `(path, samples)` pairs sorted by
-/// sample count descending. Malformed lines are skipped.
-fn parse_collapsed(text: &str) -> Vec<(String, u64)> {
-    let mut stacks: Vec<(String, u64)> = text
-        .lines()
-        .filter_map(|line| {
-            let (path, count) = line.rsplit_once(' ')?;
-            let count: u64 = count.parse().ok()?;
-            if path.is_empty() {
-                return None;
-            }
-            Some((path.to_owned(), count))
-        })
-        .collect();
-    stacks.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    stacks
-}
-
-/// Pure core: renders the full report from the ledger text and an
-/// optional collapsed-stacks profile text.
-pub fn render(ledger_text: &str, profile_text: Option<&str>, top: usize) -> String {
+/// Pure core: renders the full report from the ledger text.
+pub fn render(ledger_text: &str, top: usize) -> String {
     let run = parse_ledger(ledger_text);
     let mut o = String::new();
 
@@ -368,7 +355,7 @@ pub fn render(ledger_text: &str, profile_text: Option<&str>, top: usize) -> Stri
         let _ = writeln!(o, "  ({} unparseable line(s) skipped)", run.bad_lines);
     }
 
-    let tree = SpanTree::from_paths(run.spans.iter().map(|(p, d, t)| (p.as_str(), *d, *t)));
+    let tree = run.span_tree();
     let _ = writeln!(o);
     o.push_str(&tree.render());
     if !tree.is_empty() {
@@ -392,25 +379,110 @@ pub fn render(ledger_text: &str, profile_text: Option<&str>, top: usize) -> Stri
             let _ = writeln!(o, "  {det:<14} {case:<10} {acc:>8.2}% {fa:>6} {secs:>10.3}",);
         }
     }
-
-    if let Some(text) = profile_text {
-        let stacks = parse_collapsed(text);
-        let total: u64 = stacks.iter().map(|(_, c)| c).sum();
-        let _ = writeln!(o, "\nsampling profile ({total} busy samples):");
-        if stacks.is_empty() {
-            let _ = writeln!(o, "  (no stacks in the collapsed file)");
-        }
-        for (path, count) in stacks.iter().take(top) {
-            let pct = 100.0 * *count as f64 / total.max(1) as f64;
-            let _ = writeln!(o, "  {count:>7} ({pct:5.1}%)  {path}");
-        }
-    }
     o
 }
 
 // ---------------------------------------------------------------------
-// HTML learning-dynamics dashboard
+// HTML page: span-tree icicle and learning-dynamics dashboard
 // ---------------------------------------------------------------------
+
+/// Deterministic frame-name hue (FNV-1a over the name), so a name keeps
+/// its colour across charts.
+fn color_hue(name: &str) -> u32 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % 360) as u32
+}
+
+/// Escapes `s` for HTML text and attribute values.
+fn html_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// Height of one icicle row in pixels.
+const ICICLE_ROW_PX: usize = 18;
+
+/// Renders the span tree as an icicle chart: one absolutely positioned
+/// box per node, depth growing downward, width proportional to the
+/// node's inclusive seconds. Children that ran concurrently on workers
+/// can out-sum their parent; such a row is scaled to fit under it, and
+/// every box's hover title gives the exact seconds.
+fn icicle_html(tree: &SpanTree) -> String {
+    /// Writes one box per node of `children`, laid side by side from
+    /// `left` over a `width`% row that stands for `denom` seconds.
+    fn emit(
+        out: &mut String,
+        path: &str,
+        children: &BTreeMap<String, SpanNode>,
+        left: f64,
+        width: f64,
+        denom: f64,
+        depth: usize,
+    ) {
+        let mut cursor = left;
+        for (name, node) in children {
+            let w = if denom > 0.0 {
+                width * node.incl_secs / denom
+            } else {
+                0.0
+            };
+            let full = if path.is_empty() {
+                name.clone()
+            } else {
+                format!("{path};{name}")
+            };
+            let _ = writeln!(
+                out,
+                "<div class=\"f\" style=\"left:{cursor:.4}%;top:{}px;width:{w:.4}%;\
+                 background:hsl({},70%,78%)\" title=\"{} — {:.3}s incl, {:.3}s excl, \
+                 {} call(s)\">{}</div>",
+                depth * ICICLE_ROW_PX,
+                color_hue(name),
+                html_escape(&full),
+                node.incl_secs,
+                node.excl_secs,
+                node.count,
+                html_escape(name),
+            );
+            let below: f64 = node.children.values().map(|c| c.incl_secs).sum();
+            let denom = node.incl_secs.max(below);
+            emit(out, &full, &node.children, cursor, w, denom, depth + 1);
+            cursor += w;
+        }
+    }
+    let mut out = String::from("<h2>span tree — width is inclusive seconds</h2>\n");
+    if tree.is_empty() {
+        out.push_str("<p class=\"meta\">(no span_close lines in this ledger)</p>\n");
+        return out;
+    }
+    let rows = tree
+        .nodes()
+        .iter()
+        .map(|(path, _)| path.split(PATH_SEP).count())
+        .max()
+        .unwrap_or(0);
+    let _ = writeln!(
+        out,
+        "<div class=\"icicle\" style=\"height:{}px\">",
+        rows * ICICLE_ROW_PX
+    );
+    emit(&mut out, "", &tree.roots, 0.0, 100.0, tree.total_secs(), 0);
+    out.push_str("</div>\n");
+    out
+}
 
 /// Maximum per-layer curves in one chart; beyond that the layers with
 /// the largest final gradient norm win and the cut is announced.
@@ -568,8 +640,9 @@ fn layer_series(run: &LedgerRun, field: fn(&LayerRow) -> f64) -> (Vec<Series>, u
     (series, total)
 }
 
-/// Pure core of `--html`: the self-contained learning-dynamics
-/// dashboard (inline CSS + SVG, no scripts, no external assets).
+/// Pure core of `--html`: the self-contained run page — the span-tree
+/// icicle and the learning-dynamics dashboard (inline CSS + SVG, no
+/// scripts, no external assets).
 pub fn render_html(ledger_text: &str, title: &str) -> String {
     let run = parse_ledger(ledger_text);
     let mut html = String::with_capacity(16 * 1024);
@@ -592,6 +665,10 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
          th,td{border:1px solid #ddd;padding:2px 8px;text-align:right}\n\
          th:first-child,td:first-child{text-align:left}\n\
          .trip{color:#a00;font-weight:600}\n\
+         .icicle{position:relative;border:1px solid #ccc;overflow:hidden}\n\
+         .f{position:absolute;height:18px;box-sizing:border-box;border:1px solid #fff;\
+         overflow:hidden;white-space:nowrap;text-overflow:ellipsis;font-size:11px;\
+         padding:1px 3px;color:#402}\n\
          </style>\n</head>\n<body>\n",
     );
     html.push_str(&format!("<h1>{}</h1>\n", html_escape(title)));
@@ -608,6 +685,7 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
         "<p class=\"meta\">{} &middot; {status}</p>\n",
         meta.join(" &middot; ")
     ));
+    html.push_str(&icicle_html(&run.span_tree()));
 
     if !run.sentinels.is_empty() {
         html.push_str("<p class=\"trip\">sentinel trips:</p>\n<ul>\n");
@@ -759,22 +837,16 @@ fn discover_ledger(dir: &Path) -> Result<PathBuf, String> {
     pick_newest(candidates).map(|name| dir.join(name))
 }
 
-/// CLI entry point: `cargo xtask report [<ledger.jsonl>]
-/// [--profile <collapsed>] [--top <n>] [--html <out.html>]
-/// [--trace <out.json>]`.
+/// CLI entry point: `cargo xtask report [<ledger.jsonl>] [--top <n>]
+/// [--html <out.html>] [--trace <out.json>]`.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut ledger: Option<PathBuf> = None;
-    let mut profile: Option<PathBuf> = None;
     let mut html_out: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut top = 8usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--profile" => {
-                let v = it.next().ok_or("--profile needs a file path")?;
-                profile = Some(PathBuf::from(v));
-            }
             "--html" => {
                 let v = it.next().ok_or("--html needs an output path")?;
                 html_out = Some(PathBuf::from(v));
@@ -807,13 +879,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         }
     };
     let ledger_text = read(&ledger)?;
-    let profile_text = match &profile {
-        Some(p) => Some(read(p)?),
-        None => None,
-    };
-    print!("{}", render(&ledger_text, profile_text.as_deref(), top));
+    print!("{}", render(&ledger_text, top));
     if let Some(out) = html_out {
-        let title = format!("learning dynamics — {}", ledger.display());
+        let title = format!("run report — {}", ledger.display());
         let html = render_html(&ledger_text, &title);
         std::fs::write(&out, html).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
         eprintln!("report: wrote {}", out.display());
@@ -836,7 +904,7 @@ mod tests {
 
     fn sample_ledger() -> String {
         [
-            r#"{"event":"run_start","seq":0,"t":0,"bin":"repro_quick","seed":103,"config":"demo","effort":"Quick","host":"linux/x86_64","version":"0.1.0","threads":4}"#,
+            r#"{"event":"run_start","seq":0,"t":0,"bin":"repro_quick","seed":103,"config":"demo","effort":"Quick","host":"linux/x86_64","version":"0.1.0","threads":2}"#,
             // old-style epoch event (pre-/8 ledger): no entropies, no layers
             r#"{"event":"epoch","seq":1,"t":0.5,"epoch":0,"mean_loss":0.8,"mean_cpn_cls":0.3,"mean_cpn_reg":0.2,"mean_refine_cls":0.3,"grad_norm":2.0,"lr":0.01,"samples":8}"#,
             // new-style epoch event with entropies and per-layer rows
@@ -852,8 +920,11 @@ mod tests {
 
     #[test]
     fn report_renders_manifest_tree_caches_and_evals() {
-        let out = render(&sample_ledger(), None, 8);
+        let out = render(&sample_ledger(), 8);
         assert!(out.contains("repro_quick"), "{out}");
+        // integral manifest numbers print as integers, not `103.0`
+        assert!(out.contains("seed      103\n"), "{out}");
+        assert!(out.contains("threads   2\n"), "{out}");
         assert!(out.contains("status    ok after 2.50s"), "{out}");
         // span tree with both nodes and exclusive attribution
         assert!(out.contains("scan"), "{out}");
@@ -874,7 +945,7 @@ mod tests {
     fn crashed_ledger_reports_prefix_without_run_end() {
         let full = sample_ledger();
         let crashed: String = full.lines().take(5).collect::<Vec<_>>().join("\n");
-        let out = render(&crashed, None, 8);
+        let out = render(&crashed, 8);
         assert!(out.contains("crashed or still running"), "{out}");
         assert!(out.contains("scan"), "spans before the crash render");
         assert!(
@@ -884,26 +955,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_section_ranks_collapsed_stacks() {
-        let collapsed = "scan;cpn 30\nscan;raster 10\ntrain 60\n";
-        let out = render(&sample_ledger(), Some(collapsed), 2);
-        assert!(out.contains("sampling profile (100 busy samples)"), "{out}");
-        assert!(out.contains("60 ( 60.0%)  train"), "{out}");
-        assert!(out.contains("30 ( 30.0%)  scan;cpn"), "{out}");
-        // --top 2 cuts the third stack
-        assert!(!out.contains("scan;raster 10"), "{out}");
-    }
-
-    #[test]
     fn malformed_lines_are_counted_not_fatal() {
         let text = format!("{}\nnot json at all\n{{\"trunc", sample_ledger());
-        let out = render(&text, None, 8);
+        let out = render(&text, 8);
         assert!(out.contains("2 unparseable line(s) skipped"), "{out}");
     }
 
     #[test]
     fn training_dynamics_section_renders_epochs_layers_and_trips() {
-        let out = render(&sample_ledger(), None, 8);
+        let out = render(&sample_ledger(), 8);
         assert!(out.contains("training dynamics (2 epoch(s)):"), "{out}");
         // pre-/8 epoch renders with em-dash entropies, new one with values
         assert!(out.contains("0.620"), "pred entropy column:\n{out}");
@@ -929,7 +989,7 @@ mod tests {
             .filter(|l| !l.contains("\"epoch\"") && !l.contains("\"sentinel\""))
             .collect::<Vec<_>>()
             .join("\n");
-        let out = render(&lines, None, 8);
+        let out = render(&lines, 8);
         assert!(!out.contains("training dynamics"), "{out}");
         assert!(!out.contains("sentinel trips"), "{out}");
     }
@@ -957,6 +1017,43 @@ mod tests {
         assert!(html.contains("<polyline"), "curves are SVG polylines");
         assert!(html.contains("backbone/Conv2d#1"), "layer table present");
         assert!(html.contains("loss_spike"), "sentinel trip surfaced");
+        // the span-tree icicle: `scan` (1.0 s) spans the full width and
+        // its child `raster` (0.25 s) a quarter of it, one row down
+        assert!(
+            html.contains("class=\"icicle\" style=\"height:36px\""),
+            "{html}"
+        );
+        assert!(
+            html.contains("left:0.0000%;top:0px;width:100.0000%"),
+            "{html}"
+        );
+        assert!(
+            html.contains("left:0.0000%;top:18px;width:25.0000%"),
+            "{html}"
+        );
+        assert!(html.contains("title=\"scan;raster — 0.250s incl"), "{html}");
+    }
+
+    #[test]
+    fn icicle_scales_concurrent_children_to_fit_their_parent() {
+        // Two workers' `cpn` (1.5 s each) under a 2 s `scan`: the row
+        // under `scan` sums to 3 s and is scaled to the parent's width.
+        let text = [
+            r#"{"event":"span_close","seq":0,"t":1.0,"name":"cpn","path":"scan;cpn","dur_secs":1.5,"depth":1,"tid":2}"#,
+            r#"{"event":"span_close","seq":1,"t":1.0,"name":"rpn","path":"scan;rpn","dur_secs":1.5,"depth":1,"tid":3}"#,
+            r#"{"event":"span_close","seq":2,"t":2.0,"name":"scan","path":"scan","dur_secs":2.0,"depth":0,"tid":1}"#,
+        ]
+        .join("\n");
+        let html = icicle_html(&parse_ledger(&text).span_tree());
+        assert!(
+            html.contains("left:0.0000%;top:18px;width:50.0000%"),
+            "{html}"
+        );
+        assert!(
+            html.contains("left:50.0000%;top:18px;width:50.0000%"),
+            "{html}"
+        );
+        assert!(icicle_html(&SpanTree::default()).contains("no span_close lines"));
     }
 
     #[test]
@@ -1016,7 +1113,7 @@ mod tests {
     fn pre_path_ledgers_fall_back_to_span_names() {
         let text =
             r#"{"event":"span_close","seq":0,"t":1.0,"name":"raster","dur_secs":0.25,"depth":1}"#;
-        let out = render(text, None, 8);
+        let out = render(text, 8);
         assert!(out.contains("raster"), "{out}");
     }
 
@@ -1027,7 +1124,7 @@ mod tests {
             r#"{"event":"span_close","seq":1,"t":1.0,"name":"cpn","path":"cpn","dur_secs":0.5,"depth":0,"tid":2}"#,
         ]
         .join("\n");
-        let out = render(&text, None, 8);
+        let out = render(&text, 8);
         assert!(out.contains("2 call(s)"), "{out}");
         assert!(out.contains("2 thread(s)"), "{out}");
     }

@@ -23,10 +23,11 @@
 # BENCH_baseline_quick.json with --skip-runtime (accuracy and false
 # alarms are seeded and deterministic — and thread-count invariant; see
 # DESIGN.md §Parallel execution — while wall-clock is not portable across
-# machines). Last, `cargo xtask report` must render the run's ledger
-# (span tree and cache gauges), write its Chrome trace as valid JSON and
-# its HTML page with the span-tree icicle. The ledger and the report
-# artifacts land in BENCH_GATE/ so Actions can upload them. The baseline
+# machines). Last, the run's ledger must hold no per-span line and end
+# with a `run_end` that carries the span tree, and `cargo xtask report`
+# must render it (span tree and cache gauges) and write its HTML page
+# with the span-tree icicle. The ledger and the report artifacts land in
+# BENCH_GATE/ so Actions can upload them. The baseline
 # is tied to the locked dependency set — after a legitimate accuracy
 # change, refresh it with:
 #
@@ -145,12 +146,19 @@ bench_diff_baseline() {
 }
 
 bench_report_renders() {
-    cargo xtask report BENCH_GATE/run.jsonl --html BENCH_GATE/report.html \
-        --trace BENCH_GATE/trace.json | tee BENCH_GATE/report.txt
+    if grep -q '"event":"span_close"' BENCH_GATE/run.jsonl; then
+        echo "ledger streams per-span span_close lines" >&2
+        return 1
+    fi
+    tail -n 1 BENCH_GATE/run.jsonl | grep -q '"spans":{"' || {
+        echo "ledger's run_end carries no span tree" >&2
+        return 1
+    }
+    cargo xtask report BENCH_GATE/run.jsonl --html BENCH_GATE/report.html |
+        tee BENCH_GATE/report.txt
     grep -q 'run report' BENCH_GATE/report.txt &&
-        grep -q 'span tree' BENCH_GATE/report.txt &&
-        grep -q 'cache efficiency' BENCH_GATE/report.txt &&
-        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' BENCH_GATE/trace.json
+        grep -q 'span tree (' BENCH_GATE/report.txt &&
+        grep -q 'cache efficiency' BENCH_GATE/report.txt
 }
 
 bench_report_html() {
@@ -189,7 +197,7 @@ bench_gate() {
         run_step "bench gate: diff against committed baseline (runtime skipped)" \
             bench_diff_baseline
     fi
-    run_step "bench gate: xtask report renders the ledger and its trace" \
+    run_step "bench gate: run_end carries the span tree; xtask report renders it" \
         bench_report_renders
     run_step "bench gate: report page carries the span-tree icicle" bench_report_html
 }

@@ -216,9 +216,8 @@ impl Tcad18Detector {
     /// task on the shared, read-only classifier; scores come back in
     /// window order, so marks are identical at any thread count.
     pub fn scan(&self, bench: &Benchmark, extent: &Rect) -> (Vec<LayoutClip>, Evaluation) {
-        let mut sp = rhsd_obs::span("tcad18-scan");
+        let _sp = rhsd_obs::span("tcad18-scan");
         let windows = scan_windows(extent, self.config.clip_px);
-        sp.add("windows", windows.len() as f64);
         let px = self.config.raster_px();
         let scores = rhsd_par::map(windows.len(), 4, |i| {
             let image = rasterize_window(bench, &windows[i], px);
@@ -233,7 +232,6 @@ impl Tcad18Detector {
             .filter(|&(_, score)| score >= self.config.threshold)
             .map(|(w, score)| LayoutClip { clip: *w, score })
             .collect();
-        sp.add("marked", marked.len() as f64);
         let eval = evaluate_layout(&marked, &bench.hotspots_in(extent));
         (marked, eval)
     }

@@ -19,9 +19,9 @@
 //!   value);
 //! - `--help` — print usage.
 //!
-//! The span tree, its icicle chart and the Chrome trace of a run are
-//! rendered from its ledger: `cargo xtask report <ledger> [--html
-//! <out.html>] [--trace <out.json>]`.
+//! The span tree of a run and its icicle chart are rendered from the
+//! ledger's `run_end` line: `cargo xtask report <ledger> [--html
+//! <out.html>]`.
 //!
 //! Unknown flags are rejected with a usage message instead of being
 //! silently ignored.
@@ -86,7 +86,7 @@ pub fn usage(bin: &str) -> String {
          \x20           [--threads <n>]\n\
          \n\
          --quick            reduced-effort run (seconds instead of minutes)\n\
-         --metrics <path>   write a metrics snapshot JSON (p50/p95/p99 per stage)\n\
+         --metrics <path>   write a metrics snapshot JSON (counters, p50/p95/p99)\n\
          --ledger <path>    write the JSONL run ledger there (default: {ledger})\n\
          --no-ledger        disable the run ledger\n\
          --bench-out <path> machine-readable benchmark record (repro_table1;\n\
@@ -98,8 +98,8 @@ pub fn usage(bin: &str) -> String {
          \x20                  at any value)\n\
          --help             show this message\n\
          \n\
-         span tree, icicle and Chrome trace:\n\
-         \x20 cargo xtask report <ledger> [--html <out.html>] [--trace <out.json>]",
+         span tree and icicle page:\n\
+         \x20 cargo xtask report <ledger> [--html <out.html>]",
         ledger = default_ledger_path(bin).display(),
     )
 }

@@ -3,8 +3,8 @@
 //! evaluated benchmark cases, plus Average and Ratio rows.
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_table1 --
-//! [--quick] [--trace <path>] [--metrics <path>] [--ledger <path>]
-//! [--bench-out <path>]`
+//! [--quick] [--metrics <path>] [--ledger <path>] [--threads <n>]
+//! [--bench-out <path>] [--save-model <path>]`
 //!
 //! The run is deterministic (all seeds fixed). Results are printed to
 //! stdout; the machine-readable benchmark record lands in

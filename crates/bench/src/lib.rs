@@ -7,8 +7,9 @@
 //! corresponding table/figures.
 //!
 //! All binaries share the [`args`] flag parser: `--quick` for reduced
-//! effort, `--trace <path>` / `--metrics <path>` to capture an
-//! observability trace of the run (see `rhsd-obs`).
+//! effort, `--ledger <path>` for the run ledger (on by default) and
+//! `--metrics <path>` for a metrics snapshot (see `rhsd-obs`); `cargo
+//! xtask report` renders a ledger's span tree.
 
 pub mod args;
 pub mod pipeline;

@@ -168,8 +168,7 @@ pub fn ours_config() -> RhsdConfig {
 pub fn evaluate_region_detector(det: &RegionDetector, bench: &Benchmark) -> CaseResult {
     let timer = rhsd_obs::Stopwatch::start();
     let result = det.scan_test_half(bench);
-    let secs = timer.stop_into("eval.region_scan");
-    CaseResult::new(bench.id.name(), &result.evaluation, secs)
+    CaseResult::new(bench.id.name(), &result.evaluation, timer.secs())
 }
 
 /// Trains the TCAD'18-style clip detector on the merged training halves.
@@ -210,7 +209,7 @@ pub fn train_tcad18(benches: &[Benchmark], effort: Effort) -> Tcad18Detector {
 pub fn evaluate_tcad18(det: &Tcad18Detector, bench: &Benchmark) -> (CaseResult, Vec<LayoutClip>) {
     let timer = rhsd_obs::Stopwatch::start();
     let (marked, eval) = det.scan(bench, &bench.test_extent.clone());
-    let secs = timer.stop_into("eval.tcad18_scan");
+    let secs = timer.secs();
     (CaseResult::new(bench.id.name(), &eval, secs), marked)
 }
 
@@ -267,27 +266,15 @@ impl DetectorReport {
 }
 
 /// Per-stage wall-clock totals for the bench record: the span tree's
-/// inclusive seconds summed by span name, plus the `eval.*` /
-/// `scaling.*` stopwatch series from the metrics registry. Empty when
-/// observability was disabled.
-fn stage_secs() -> std::collections::BTreeMap<String, f64> {
-    let mut stages = std::collections::BTreeMap::new();
-    for (path, node) in rhsd_obs::span_tree().nodes() {
-        let name = path
-            .rsplit(rhsd_obs::span::PATH_SEP)
-            .next()
-            .unwrap_or_default();
-        if node.count > 0 {
-            *stages.entry(name.to_owned()).or_insert(0.0) += node.incl_secs;
-        }
-    }
-    let snap = rhsd_obs::snapshot();
-    for (name, h) in &snap.histograms {
-        if name.starts_with("eval.") || name.starts_with("scaling.") {
-            stages.insert(name.clone(), h.sum);
-        }
-    }
-    stages
+/// inclusive seconds by full stack path, for every path a span closed
+/// at. Empty when observability was disabled.
+fn stage_secs() -> Vec<(String, f64)> {
+    rhsd_obs::span_tree()
+        .nodes()
+        .into_iter()
+        .filter(|(_, node)| node.count > 0)
+        .map(|(path, node)| (path, node.incl_secs))
+        .collect()
 }
 
 /// One result row as a JSON object: `case`, `accuracy_pct`,
@@ -305,23 +292,27 @@ pub fn row_json(r: &CaseResult) -> String {
 
 /// Serialises detector reports as the machine-readable benchmark record
 /// tracked across revisions (`BENCH_table1.json`, schema
-/// `rhsd-bench-table/7`): the run's primary seed, the worker-thread count
+/// `rhsd-bench-table/8`): the run's primary seed, the worker-thread count
 /// of the `rhsd-par` pool (runtimes are only comparable like-for-like;
-/// accuracy rows are thread-count invariant), per-stage wall-clock totals
-/// from the observability snapshot, the tensor-workspace counters
-/// (allocations, reused bytes, high-water residency — new in `/4`), a
-/// `caches` block of hit/miss/eviction/byte gauges for the four
-/// first-class caches (`cache.*` counter families — new in `/5`; zero
-/// when observability was disabled), per detector the per-case
-/// accuracy / false-alarm / runtime rows plus the average, and — new in
-/// `/6` — an optional per-detector `training` block (final-epoch
-/// loss/gradient/entropy stats plus sentinel-trip tags) summarising the
-/// training dynamics behind the rows. New in `/7`: the top-level `isa`
-/// string (the SIMD instruction set the kernel dispatcher selected,
-/// e.g. `avx2` — hardware-dependent like `threads`). Older `/7` records
-/// also carry a `precision` string, which `bench-diff` accepts only as
-/// `"f32"`. Readers treat the newer blocks as optional so `/2`–`/6`
-/// records still parse.
+/// accuracy rows are thread-count invariant), the tensor-workspace
+/// counters (allocations, reused bytes, high-water residency — new in
+/// `/4`), a `caches` block of hit/miss/eviction/byte gauges for the
+/// offline run's caches (`cache.*` counter families — new in `/5`; zero
+/// when observability was disabled), `stage_secs`, per detector the
+/// per-case accuracy / false-alarm / runtime rows plus the average, and
+/// — new in `/6` — an optional per-detector `training` block
+/// (final-epoch loss/gradient/entropy stats plus sentinel-trip tags)
+/// summarising the training dynamics behind the rows. New in `/7`: the
+/// top-level `isa` string (the SIMD instruction set the kernel
+/// dispatcher selected, e.g. `avx2` — hardware-dependent like
+/// `threads`). Older `/7` records also carry a `precision` string, which
+/// `bench-diff` accepts only as `"f32"`. New in `/8`: `stage_secs` is
+/// keyed by full span path (`tcad18-scan;raster`), each value the path's
+/// inclusive seconds from the span tree — before, it summed spans by
+/// their last name and mixed in the `eval.*`/`scaling.*` stopwatch
+/// series — and `caches` drops `region_tile` and `stem_feature`, which
+/// only `rhsd-serve` fills. Readers treat the newer blocks as optional
+/// so `/2`–`/7` records still parse.
 /// This is the record `cargo xtask bench-diff` compares across commits.
 pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorReport]) -> String {
     use rhsd_obs::json::{escape, number};
@@ -346,7 +337,7 @@ pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorRepor
         )
     }
     let mut o = String::with_capacity(2048);
-    o.push_str("{\n  \"schema\": \"rhsd-bench-table/7\",\n");
+    o.push_str("{\n  \"schema\": \"rhsd-bench-table/8\",\n");
     o.push_str(&format!("  \"source\": {},\n", quoted(source)));
     o.push_str(&format!("  \"quick\": {quick},\n"));
     o.push_str(&format!("  \"seed\": {seed},\n"));
@@ -370,14 +361,6 @@ pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorRepor
     // harness strips that line exactly as it strips "threads".
     let snap = rhsd_obs::snapshot();
     o.push_str("  \"caches\": {\n");
-    o.push_str(&format!(
-        "    \"region_tile\": {},\n",
-        cache_json(&snap, "region_tile")
-    ));
-    o.push_str(&format!(
-        "    \"stem_feature\": {},\n",
-        cache_json(&snap, "stem_feature")
-    ));
     o.push_str(&format!(
         "    \"aerial_dedup\": {},\n",
         cache_json(&snap, "aerial_dedup")
@@ -575,7 +558,7 @@ mod tests {
         let v = json::parse(&doc).expect("bench record parses");
         assert_eq!(
             v.get("schema").and_then(|s| s.as_str()),
-            Some("rhsd-bench-table/7")
+            Some("rhsd-bench-table/8")
         );
         assert_eq!(
             v.get("isa").and_then(|i| i.as_str()),
@@ -589,7 +572,7 @@ mod tests {
             .and_then(|a| a.as_u64())
             .is_some());
         let caches = v.get("caches").expect("caches block present");
-        for family in ["region_tile", "stem_feature", "aerial_dedup", "workspace"] {
+        for family in ["aerial_dedup", "workspace"] {
             let c = caches.get(family).expect("cache family present");
             for gauge in ["hits", "misses", "evictions", "bytes"] {
                 assert!(
@@ -598,6 +581,9 @@ mod tests {
                 );
             }
         }
+        // Only rhsd-serve fills these; the offline record leaves them out.
+        assert!(caches.get("region_tile").is_none());
+        assert!(caches.get("stem_feature").is_none());
         assert_eq!(v.get("seed").and_then(|s| s.as_u64()), Some(103));
         assert_eq!(v.get("quick").and_then(|q| q.as_bool()), Some(true));
         assert_eq!(

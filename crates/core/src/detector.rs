@@ -99,17 +99,12 @@ impl RegionDetector {
     /// order is part of its semantics.
     pub fn scan(&self, bench: &Benchmark, extent: &Rect) -> ScanResult {
         let samples = tile_regions(bench, extent, &self.region_config);
-        let mut sp = rhsd_obs::span("scan");
+        let _sp = rhsd_obs::span("scan");
         let per_region = rhsd_par::map(samples.len(), 1, |i| {
-            let mut rsp = rhsd_obs::span("scan-region");
-            let (dets, eval) = self.detect_region(&samples[i]);
-            rsp.add("detections", dets.len() as f64);
-            (dets, eval)
+            let _rsp = rhsd_obs::span("scan-region");
+            self.detect_region(&samples[i])
         });
-        let result = merge_scan(&samples, per_region);
-        sp.add("regions", result.regions as f64);
-        sp.add("detections", result.detections.len() as f64);
-        result
+        merge_scan(&samples, per_region)
     }
 
     /// Scans the test half of a benchmark (the paper's evaluation split).

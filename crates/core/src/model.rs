@@ -504,7 +504,7 @@ impl RhsdNetwork {
     /// the refinement stage applies the final score cut, the standard
     /// region-proposal practice).
     fn propose(&self, feats: &Tensor) -> Vec<Scored> {
-        let mut sp = rhsd_obs::span("cpn");
+        let sp = rhsd_obs::span("cpn");
         let out = self.cpn.forward(feats, &mut Tape::inference());
         let probs = softmax_rows(&out.cls_logits);
         let mut candidates = Vec::new();
@@ -528,7 +528,6 @@ impl RhsdNetwork {
             }
             candidates.push(Scored { bbox, score });
         }
-        sp.add("candidates", candidates.len() as f64);
         drop(sp);
         let _sp = rhsd_obs::span("hnms");
         // Suppression stops once the proposal budget is filled.
@@ -574,14 +573,12 @@ impl RhsdNetwork {
         let proposals = self.propose(feats);
 
         let finals: Vec<Scored> = if let Some(head) = &self.refinement {
-            let mut sp = rhsd_obs::span("refine");
-            sp.add("proposals", proposals.len() as f64);
+            let sp = rhsd_obs::span("refine");
             let f = self.config.feature_px();
             let rois: Vec<FeatureRoi> = proposals
                 .iter()
                 .map(|p| roi_from_bbox(&p.bbox, self.config.stride, f))
                 .collect();
-            sp.add("rois", rois.len() as f64);
             let out = head.forward(feats, &rois, &mut Tape::inference());
             let probs = softmax_rows(&out.cls_logits);
             let mut refined = Vec::new();
@@ -599,7 +596,6 @@ impl RhsdNetwork {
                 let bbox = decode(&code, &p.bbox);
                 refined.push(Scored { bbox, score });
             }
-            sp.add("kept", refined.len() as f64);
             drop(sp);
             let _sp = rhsd_obs::span("hnms");
             if self.config.use_hnms {

@@ -256,8 +256,7 @@ pub fn train_checked(
         if regions.is_empty() {
             break;
         }
-        let mut sp = rhsd_obs::span("train-epoch");
-        sp.add("epoch", epoch as f64);
+        let sp = rhsd_obs::span("train-epoch");
         order.shuffle(&mut rng);
         let mut loss_sum = 0.0f32;
         let mut cls_sum = 0.0f32;
@@ -356,7 +355,6 @@ pub fn train_checked(
                 rhsd_obs::record("train.samples_per_sec", seen as f64 / secs);
             }
         }
-        sp.add("samples", seen as f64);
         let trip = sentinel.observe(&stats);
         history.push(stats);
         if let Some(reason) = trip {

@@ -69,12 +69,10 @@ impl RasterSpec {
 /// Pixel values are the fraction of the pixel covered by shapes, clamped
 /// to `[0, 1]` (overlapping shapes saturate rather than add).
 pub fn rasterize(layout: &Layout, layer: LayerId, spec: &RasterSpec) -> Tensor {
-    let mut sp = rhsd_obs::span("raster");
-    sp.add("px", (spec.width * spec.height) as f64);
+    let _sp = rhsd_obs::span("raster");
     let mut img = Tensor::zeros([1, spec.height, spec.width]);
     let data = img.as_mut_slice();
     for shape in layout.query(layer, &spec.window) {
-        sp.add("shapes", 1.0);
         let clipped = match shape.intersection(&spec.window) {
             Some(c) => c,
             None => continue,

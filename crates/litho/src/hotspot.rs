@@ -58,8 +58,7 @@ struct DefectPx {
 ///
 /// `nm_per_px` converts the corner's physical blur into pixels.
 pub fn simulate_print(design_raster: &Tensor, corner: &ProcessCorner, nm_per_px: f64) -> Tensor {
-    let mut sp = rhsd_obs::span("litho");
-    sp.add("px", design_raster.len() as f64);
+    let _sp = rhsd_obs::span("litho");
     let kernel = GaussianKernel::new(corner.sigma_nm / nm_per_px);
     let aerial = aerial_image(design_raster, &kernel);
     print_resist(&aerial, corner.threshold)
@@ -284,8 +283,7 @@ pub fn label_region(
     let mut defects: Vec<Defect> = Vec::new();
     for corner in pw.all_corners() {
         let printed = {
-            let mut sp = rhsd_obs::span("litho");
-            sp.add("px", raster.len() as f64);
+            let _sp = rhsd_obs::span("litho");
             let sigma_bits = corner.sigma_nm.to_bits();
             let idx = match aerials.iter().position(|(s, _)| *s == sigma_bits) {
                 Some(i) => {

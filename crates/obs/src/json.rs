@@ -26,13 +26,14 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Formats an `f64` as a JSON number (`null` for non-finite values,
-/// which JSON cannot represent).
+/// which JSON cannot represent). The form is the shortest decimal that
+/// parses back to the same `f64`, so a finite value survives a write and
+/// a [`parse`] bit for bit.
 pub fn number(v: f64) -> String {
     if v.is_finite() {
-        let s = format!("{v}");
         // `{}` prints integral floats without a decimal point, which is
         // still a valid JSON number, so no fixup is needed.
-        s
+        format!("{v}")
     } else {
         "null".to_owned()
     }

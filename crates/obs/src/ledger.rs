@@ -1,9 +1,11 @@
 //! Append-only JSONL **run ledger**: a typed event stream that captures a
 //! whole run — the `run_start` manifest (seed, config, effort, host,
-//! version), per-epoch training telemetry, per-case evaluation rows,
-//! closed spans and a final `run_end` status line — one JSON object per
-//! line, flushed after every event so a crashed run still leaves a
-//! readable prefix.
+//! version), per-epoch training telemetry, per-case evaluation rows and
+//! a final `run_end` line with the status, counters and the span tree's
+//! per-path totals — one JSON object per line, flushed after every event
+//! so a crashed run still leaves a readable prefix. Spans are not
+//! streamed: however many close, a ledger grows only with epochs, eval
+//! rows and artifacts.
 //!
 //! Two layers:
 //!
@@ -26,7 +28,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::json::{escape, number, object_of, parse, Value};
+use crate::json::{escape, number, object_of, Value};
+use crate::spantree::{SpanNode, SpanTree};
 
 /// The `run_start` manifest identifying a run — always the first ledger
 /// line, so even a crashed run records what it was.
@@ -155,25 +158,6 @@ pub enum Event {
         /// Wall-clock detection time in seconds.
         seconds: f64,
     },
-    /// A span closed; the line's `t` is its end time.
-    SpanClose {
-        /// Span (stage) name.
-        name: String,
-        /// Full `;`-separated stack path at open time, including the
-        /// span itself (empty when unknown — pre-`path` ledgers). Worker
-        /// threads inherit the submitting thread's path as a prefix, so
-        /// the path is identical at any `rhsd-par` thread count.
-        path: String,
-        /// Duration in seconds.
-        dur_secs: f64,
-        /// Nesting depth at open time (0 = root).
-        depth: u32,
-        /// Logical thread id of the closing thread.
-        tid: u64,
-        /// Per-span counters ([`crate::SpanGuard::add`]); written only
-        /// when there are any.
-        args: Vec<(String, f64)>,
-    },
     /// An artifact the run wrote (bench record, saved model, figure…),
     /// recorded in-stream so a crashed run's partial ledger still names
     /// everything produced before the crash.
@@ -196,7 +180,8 @@ pub enum Event {
         /// Most scan requests ever coalesced into one batch.
         max_batch_requests: u64,
     },
-    /// Final line: exit status plus peak metrics from the registry.
+    /// Final line: exit status, peak metrics and span totals from the
+    /// registry.
     RunEnd {
         /// Exit status (`"ok"` or `"error"`).
         status: String,
@@ -206,6 +191,11 @@ pub enum Event {
         counters: Vec<(String, u64)>,
         /// Per-histogram peak (max) values at run end, by name.
         peaks: Vec<(String, f64)>,
+        /// The span tree, written as the totals of every path a span
+        /// closed at — calls, inclusive seconds and seconds per logical
+        /// thread id: `{"<path>":{"calls":n,"secs":s,"tid_secs":{"<tid>":s}}}`.
+        /// [`run_end_spans`] reads it back.
+        spans: SpanTree,
     },
 }
 
@@ -217,7 +207,6 @@ impl Event {
             Event::Epoch { .. } => "epoch",
             Event::Sentinel { .. } => "sentinel",
             Event::Eval { .. } => "eval",
-            Event::SpanClose { .. } => "span_close",
             Event::Artifact { .. } => "artifact",
             Event::ServeStats { .. } => "serve_stats",
             Event::RunEnd { .. } => "run_end",
@@ -292,24 +281,6 @@ impl Event {
                 fld_raw(&mut o, "false_alarms", &false_alarms.to_string());
                 fld_raw(&mut o, "seconds", &number(*seconds));
             }
-            Event::SpanClose {
-                name,
-                path,
-                dur_secs,
-                depth,
-                tid,
-                args,
-            } => {
-                fld_str(&mut o, "name", name);
-                fld_str(&mut o, "path", path);
-                fld_raw(&mut o, "dur_secs", &number(*dur_secs));
-                fld_raw(&mut o, "depth", &depth.to_string());
-                fld_raw(&mut o, "tid", &tid.to_string());
-                if !args.is_empty() {
-                    let args = args.iter().map(|(k, v)| (k, number(*v)));
-                    fld_raw(&mut o, "args", &object_of(args));
-                }
-            }
             Event::Artifact { path } => {
                 fld_str(&mut o, "path", path);
             }
@@ -335,6 +306,7 @@ impl Event {
                 wall_secs,
                 counters,
                 peaks,
+                spans,
             } => {
                 fld_str(&mut o, "status", status);
                 fld_raw(&mut o, "wall_secs", &number(*wall_secs));
@@ -342,6 +314,18 @@ impl Event {
                 fld_raw(&mut o, "counters", &object_of(counters));
                 let peaks = peaks.iter().map(|(k, v)| (k, number(*v)));
                 fld_raw(&mut o, "peaks", &object_of(peaks));
+                let closed = spans.nodes().into_iter().filter(|(_, node)| node.count > 0);
+                let spans = closed.map(|(path, node)| {
+                    let tids = node.by_thread.iter();
+                    let tid_secs = object_of(tids.map(|(t, s)| (t.to_string(), number(*s))));
+                    let fields = [
+                        ("calls", node.count.to_string()),
+                        ("secs", number(node.incl_secs)),
+                        ("tid_secs", tid_secs),
+                    ];
+                    (path, object_of(fields))
+                });
+                fld_raw(&mut o, "spans", &object_of(spans));
             }
         }
         o.push('}');
@@ -466,51 +450,15 @@ pub fn emit(event: &Event) {
     }
 }
 
-/// Renders a ledger's `span_close` lines in the Chrome trace-event
-/// format (open in Perfetto or `chrome://tracing`): one `"ph":"X"`
-/// (complete) event per span, starting at the line's `t` minus its
-/// `dur_secs`, in microseconds since the ledger opened. Other and
-/// unparseable lines are skipped.
-pub fn chrome_trace_json(ledger_text: &str) -> String {
-    let mut out = String::from(
-        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
-         {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"rhsd\"}}",
-    );
-    for line in ledger_text.lines() {
-        let Ok(v) = parse(line) else { continue };
-        if v.get("event").and_then(Value::as_str) != Some("span_close") {
-            continue;
-        }
-        let num = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        let (end, dur) = (num("t"), num("dur_secs"));
-        let args = v.get("args").and_then(Value::entries).unwrap_or_default();
-        let args = args
-            .iter()
-            .map(|(k, c)| (k.as_str(), number(c.as_f64().unwrap_or(0.0))));
-        let args = object_of(std::iter::once(("depth", number(num("depth")))).chain(args));
-        out.push_str(&format!(
-            ",{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\
-             \"dur\":{},\"pid\":1,\"tid\":{},\"args\":{args}}}",
-            escape(v.get("name").and_then(Value::as_str).unwrap_or("?")),
-            number(((end - dur) * 1e6).max(0.0)),
-            number(dur * 1e6),
-            number(num("tid")),
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Writes the `run_end` line — `status` plus peak metrics from the
-/// current registry snapshot — then closes the global ledger, returning
-/// its path. `None` when no ledger was open.
+/// Writes the `run_end` line — `status`, peak metrics and the span
+/// totals from the current registry — then closes the global ledger,
+/// returning its path. `None` when no ledger was open.
 pub fn close(status: &str) -> Option<PathBuf> {
     if !active() {
         return None;
     }
-    // Snapshot first: the registry and ledger locks are never nested.
-    let snap = crate::snapshot();
+    // Read the registry first: its lock and the ledger's never nest.
+    let (snap, spans) = (crate::snapshot(), crate::span_tree());
     let mut guard = global();
     let mut led = guard.take()?;
     ACTIVE.store(false, Ordering::Relaxed);
@@ -524,9 +472,33 @@ pub fn close(status: &str) -> Option<PathBuf> {
             .iter()
             .map(|(k, s)| (k.clone(), s.max))
             .collect(),
+        spans,
     };
     let _ = led.emit(&event);
     Some(led.path().to_path_buf())
+}
+
+/// Rebuilds the span tree from a parsed `run_end` line's `spans` object
+/// (see [`Event::RunEnd`]); empty when the line has none. Numbers are
+/// written in their shortest round-trip form, so the totals come back
+/// bit for bit.
+pub fn run_end_spans(run_end: &Value) -> SpanTree {
+    let spans = run_end.get("spans").and_then(Value::entries);
+    let totals = spans.unwrap_or_default().iter().map(|(path, v)| {
+        let tid_secs = v.get("tid_secs").and_then(Value::entries);
+        let node = SpanNode {
+            count: v.get("calls").and_then(Value::as_u64).unwrap_or(0),
+            incl_secs: v.get("secs").and_then(Value::as_f64).unwrap_or(0.0),
+            by_thread: tid_secs
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|(tid, s)| Some((tid.parse().ok()?, s.as_f64()?)))
+                .collect(),
+            ..SpanNode::default()
+        };
+        (path.clone(), node)
+    });
+    SpanTree::from_totals(&totals.collect())
 }
 
 #[cfg(test)]
@@ -590,19 +562,12 @@ mod tests {
                 false_alarms: 9,
                 seconds: 1.25,
             },
-            Event::SpanClose {
-                name: "train-epoch".into(),
-                path: "train;train-epoch".into(),
-                dur_secs: 0.125,
-                depth: 0,
-                tid: 3,
-                args: vec![("rois".into(), 40.0)],
-            },
             Event::RunEnd {
                 status: "ok".into(),
                 wall_secs: 2.5,
                 counters: vec![("train.samples".into(), 8)],
                 peaks: vec![("train.loss".into(), 1.5)],
+                spans: tree(vec![("train;train-epoch", span_total(2, &[(3, 0.125)]))]),
             },
             Event::Artifact {
                 path: "out/model.json".into(),
@@ -683,6 +648,7 @@ mod tests {
                 wall_secs: 1.0,
                 counters: vec![],
                 peaks: vec![],
+                spans: SpanTree::default(),
             })
             .unwrap();
             assert_eq!(led.len(), 6);
@@ -734,13 +700,8 @@ mod tests {
         {
             let mut led = Ledger::create(&path).unwrap();
             led.emit(&Event::RunStart(manifest())).unwrap();
-            led.emit(&Event::SpanClose {
-                name: "raster".into(),
-                path: "raster".into(),
-                dur_secs: 0.01,
-                depth: 0,
-                tid: 1,
-                args: Vec::new(),
+            led.emit(&Event::Artifact {
+                path: "out/model.json".into(),
             })
             .unwrap();
             // dropped without a run_end — simulating a crash
@@ -755,33 +716,67 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The tree of the given per-path totals.
+    fn tree(totals: Vec<(&str, SpanNode)>) -> SpanTree {
+        let totals = totals.into_iter().map(|(p, n)| (p.to_owned(), n));
+        SpanTree::from_totals(&totals.collect())
+    }
+
+    /// A per-path total of `calls` spans with the given per-thread
+    /// seconds.
+    fn span_total(calls: u64, tid_secs: &[(u64, f64)]) -> SpanNode {
+        SpanNode {
+            count: calls,
+            incl_secs: tid_secs.iter().map(|(_, s)| s).sum(),
+            by_thread: tid_secs.iter().copied().collect(),
+            ..SpanNode::default()
+        }
+    }
+
     #[test]
-    fn chrome_trace_is_valid_json_with_events() {
-        let close = |name: &str, t: f64, dur_secs: f64, tid: u64, args| {
-            Event::SpanClose {
-                name: name.into(),
-                path: name.into(),
-                dur_secs,
-                depth: 0,
-                tid,
-                args,
-            }
-            .to_json(0, t)
-        };
-        let ledger = [
-            Event::RunStart(manifest()).to_json(0, 0.0),
-            close("stage \"x\"\n", 1.5, 0.5, 2, vec![("n".into(), 2.5)]),
-            close("raster", 2.0, 0.25, 1, Vec::new()),
-            "{\"trunc".to_owned(),
-        ]
-        .join("\n");
-        let trace = chrome_trace_json(&ledger);
-        validate(&trace).unwrap_or_else(|at| panic!("invalid trace at {at}: {trace}"));
-        // one complete event per span, starting at `t - dur_secs`
-        assert_eq!(trace.matches(r#""ph":"X""#).count(), 2, "{trace}");
-        let stage = r#""name":"stage \"x\"\n","cat":"span","ph":"X","ts":1000000,"dur":500000,"pid":1,"tid":2,"args":{"depth":0,"n":2.5}"#;
-        assert!(trace.contains(stage), "{trace}");
-        assert!(trace.contains(r#""ts":1750000,"dur":250000"#), "{trace}");
-        assert!(validate(&chrome_trace_json("")).is_ok());
+    fn run_end_spans_round_trip_bit_for_bit() {
+        // Sums that no short decimal represents exactly.
+        let spans = tree(vec![
+            ("scan", span_total(1, &[(1, 0.1 + 0.2)])),
+            (
+                "scan;cpn \"x\"",
+                span_total(3, &[(2, 1.0 / 3.0), (3, 2.5e-7)]),
+            ),
+            ("train", span_total(7, &[(1, 123_456.789_012_345)])),
+        ]);
+        let line = Event::RunEnd {
+            status: "ok".into(),
+            wall_secs: 1.0,
+            counters: vec![],
+            peaks: vec![],
+            spans: spans.clone(),
+        }
+        .to_json(0, 0.0);
+        let back = run_end_spans(&parse(&line).unwrap());
+        assert_eq!(back.nodes().len(), 3, "{line}");
+        // `f64` equality is bitwise here: none of the values is NaN or -0.
+        assert_eq!(back, spans, "{line}");
+        assert!(run_end_spans(&parse("{}").unwrap()).is_empty());
+    }
+
+    #[test]
+    fn closed_spans_add_no_ledger_lines() {
+        let _g = crate::span::tests::global_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        let path = temp_path("bounded");
+        open(&path, manifest()).unwrap();
+        for _ in 0..10_000 {
+            let _s = crate::span("stage");
+        }
+        close("ok");
+        crate::set_enabled(false);
+        crate::reset();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "run_start and run_end only");
+        let stage = run_end_spans(&parse(lines[1]).unwrap());
+        assert_eq!(stage.shape(), vec![("stage".to_owned(), 10_000)]);
     }
 }

@@ -3,7 +3,8 @@
 //! Zero-dependency observability substrate for the RHSD pipeline:
 //!
 //! - **hierarchical span timers** ([`span`]) — RAII guards, nestable,
-//!   thread-safe, with per-span counters written as ledger args;
+//!   thread-safe; a closing span adds to its stack path's totals and
+//!   nothing else;
 //! - a **metrics registry** ([`metrics`]) of named counters and latency
 //!   histograms with p50/p95/p99 summaries, exported as a `metrics.json`
 //!   snapshot;
@@ -11,9 +12,9 @@
 //!   costs a single relaxed atomic load per call site until
 //!   [`set_enabled`]`(true)` is called;
 //! - a **run ledger** ([`ledger`]) — an append-only JSONL event stream
-//!   (run manifest, per-epoch telemetry, evaluation rows, span closures,
-//!   final status) flushed line-by-line so crashed runs stay readable,
-//!   and rendered as a Chrome trace ([`ledger::chrome_trace_json`]);
+//!   (run manifest, per-epoch telemetry, evaluation rows, and a final
+//!   `run_end` line with the status, counters and span totals) flushed
+//!   line-by-line so crashed runs stay readable;
 //! - **span-tree attribution** ([`spantree`]) — closed spans aggregated
 //!   at close by their full stack path, read as a hierarchy with
 //!   inclusive/exclusive time, call counts and a per-thread breakdown
@@ -24,12 +25,12 @@
 //! ```
 //! rhsd_obs::set_enabled(true);
 //! {
-//!     let mut outer = rhsd_obs::span("scan-region");
-//!     outer.add("detections", 3.0);
+//!     let _outer = rhsd_obs::span("scan-region");
 //!     let _inner = rhsd_obs::span("cpn");
 //!     // … work …
-//! } // guards drop: durations land in the registry
+//! } // guards drop: durations land in the span totals
 //! rhsd_obs::counter("regions", 1);
+//! rhsd_obs::record("train.loss", 0.5);
 //! let tree = rhsd_obs::span_tree();
 //! assert_eq!(tree.roots["scan-region"].children["cpn"].count, 1);
 //! let metrics = rhsd_obs::metrics_json();
@@ -84,9 +85,6 @@ pub fn counter(name: &str, delta: u64) {
 }
 
 /// Records a value into the named histogram (no-op while disabled).
-///
-/// Span durations land in histograms keyed by the span name (in seconds);
-/// use distinct names for unitless series (losses, norms, rates).
 pub fn record(name: &str, value: f64) {
     if !enabled() {
         return;

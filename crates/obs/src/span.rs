@@ -1,6 +1,7 @@
 //! RAII span timers: nestable and thread-safe. A closing span adds its
-//! duration to the registry's totals for its stack path and streams one
-//! `span_close` line to the run ledger, when one is open.
+//! duration to the registry's totals for its stack path — the one record
+//! of it, which [`crate::span_tree`] reads and the run ledger's `run_end`
+//! line carries.
 //!
 //! Every thread keeps a **live span stack** — the names of its
 //! currently-open spans, rooted at an optional *base stack* installed by
@@ -15,7 +16,6 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::ledger::Event;
 use crate::{enabled, registry};
 
 /// Separator between frames in a span path (Brendan-Gregg collapsed
@@ -84,10 +84,8 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
     if !enabled() {
         return SpanGuard { inner: None };
     }
-    let name = name.into();
-    let (path, depth) = with_frames(|frames| {
-        let depth = frames.len() as u32;
-        frames.push(name.to_string());
+    let path = with_frames(|frames| {
+        frames.push(name.into().into_owned());
         let mut path = String::with_capacity(frames.iter().map(|f| f.len() + 1).sum());
         for (i, f) in frames.iter().enumerate() {
             if i > 0 {
@@ -95,28 +93,22 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
             }
             path.push_str(f);
         }
-        (path, depth)
+        path
     });
     let tid = TID.with(|tid| *tid);
     SpanGuard {
         inner: Some(SpanInner {
-            name,
             path,
             start: Instant::now(),
             tid,
-            depth,
-            args: Vec::new(),
         }),
     }
 }
 
 struct SpanInner {
-    name: Cow<'static, str>,
     path: String,
     start: Instant,
     tid: u64,
-    depth: u32,
-    args: Vec<(String, f64)>,
 }
 
 /// RAII guard of an open span (see [`span`]).
@@ -125,17 +117,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Attaches a per-span counter, written as an arg of the span's
-    /// ledger line (no-op while disabled).
-    pub fn add(&mut self, key: &str, value: f64) {
-        if let Some(inner) = self.inner.as_mut() {
-            match inner.args.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v += value,
-                None => inner.args.push((key.to_owned(), value)),
-            }
-        }
-    }
-
     /// Seconds elapsed since the span opened (0.0 while disabled).
     pub fn elapsed_secs(&self) -> f64 {
         self.inner
@@ -151,21 +132,7 @@ impl Drop for SpanGuard {
         };
         let dur_secs = inner.start.elapsed().as_secs_f64();
         with_frames(|frames| frames.pop());
-        // Stream the closure to the run ledger (when one is open) before
-        // taking the registry lock — the two locks never nest.
-        if crate::ledger::active() {
-            crate::ledger::emit(&Event::SpanClose {
-                name: inner.name.to_string(),
-                path: inner.path.clone(),
-                dur_secs,
-                depth: inner.depth,
-                tid: inner.tid,
-                args: inner.args,
-            });
-        }
-        let mut reg = registry();
-        reg.record(&inner.name, dur_secs);
-        reg.close_span(&inner.path, inner.tid, dur_secs);
+        registry().close_span(&inner.path, inner.tid, dur_secs);
     }
 }
 
@@ -186,8 +153,7 @@ pub(crate) mod tests {
         crate::set_enabled(false);
         crate::reset();
         {
-            let mut s = span("off");
-            s.add("k", 1.0);
+            let s = span("off");
             assert_eq!(s.elapsed_secs(), 0.0);
         }
         crate::counter("off-counter", 1);
@@ -234,32 +200,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn span_durations_feed_histograms() {
-        let _g = global_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        let path =
-            std::env::temp_dir().join(format!("rhsd_span_args_{}.jsonl", std::process::id()));
-        crate::ledger::open(&path, crate::ledger::Manifest::default()).unwrap();
-        for _ in 0..3 {
-            let mut s = span("stage");
-            s.add("items", 2.0);
-            s.add("items", 1.0);
-        }
-        let snap = crate::snapshot();
-        crate::set_enabled(false);
-        crate::ledger::close("ok");
-        let h = &snap.histograms["stage"];
-        assert_eq!(h.count, 3);
-        assert!(h.p50 >= 0.0 && h.p95 >= h.p50);
-        let ledger = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        // repeated adds to one key accumulate into one ledger arg
-        let args = ledger.matches("\"args\":{\"items\":3}").count();
-        assert_eq!(args, 3, "{ledger}");
-    }
-
-    #[test]
     fn span_totals_stay_exact_past_any_close_count() {
         let _g = global_lock();
         crate::set_enabled(true);
@@ -270,13 +210,13 @@ pub(crate) mod tests {
             let _s = span("bounded");
         }
         let tree = crate::span_tree();
-        let hist = crate::snapshot().histograms["bounded"];
         crate::set_enabled(false);
         crate::reset();
         assert_eq!(tree.shape(), vec![("bounded".to_owned(), CLOSES)]);
-        assert_eq!(hist.count, CLOSES);
-        // the histogram sums the same durations in the same order
-        assert_eq!(tree.roots["bounded"].incl_secs, hist.sum);
+        let bounded = &tree.roots["bounded"];
+        assert!(bounded.incl_secs > 0.0);
+        assert_eq!(bounded.by_thread.len(), 1);
+        assert_eq!(bounded.by_thread.values().sum::<f64>(), bounded.incl_secs);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Hierarchical span attribution: closed spans aggregated by their full
 //! stack path into a tree with inclusive/exclusive wall-clock time,
 //! call counts, and a per-thread breakdown. [`crate::span_tree`] builds
-//! it from the registry's per-path totals; [`SpanTree::from_paths`]
-//! from ledger `span_close` lines.
+//! it from the registry's per-path totals, and
+//! [`crate::ledger::run_end_spans`] from the same totals as a ledger's
+//! `run_end` line carries them.
 //!
 //! *Inclusive* time is the summed duration of every span closing at a
 //! node's path. *Exclusive* time subtracts the inclusive time of the
@@ -18,7 +19,7 @@ use std::collections::BTreeMap;
 use crate::span::PATH_SEP;
 
 /// One node of the aggregated span tree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanNode {
     /// Number of spans that closed at exactly this path.
     pub count: u64,
@@ -34,39 +35,22 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    /// Counts one span of `secs` closed on thread `tid` (0 = unknown,
-    /// left out of the per-thread breakdown).
+    /// Counts one span of `secs` closed on thread `tid`.
     pub(crate) fn add(&mut self, secs: f64, tid: u64) {
         self.count += 1;
         self.incl_secs += secs;
-        if tid != 0 {
-            *self.by_thread.entry(tid).or_insert(0.0) += secs;
-        }
+        *self.by_thread.entry(tid).or_insert(0.0) += secs;
     }
 }
 
 /// The aggregated span tree of a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanTree {
     /// Root nodes by span name.
     pub roots: BTreeMap<String, SpanNode>,
 }
 
 impl SpanTree {
-    /// Builds the tree from `(path, dur_secs, tid)` triples — the shape
-    /// ledger `span_close` lines decode to. A `tid` of 0 means unknown
-    /// (the per-thread breakdown is skipped for that sample).
-    pub fn from_paths<'a>(paths: impl IntoIterator<Item = (&'a str, f64, u64)>) -> Self {
-        let mut tree = SpanTree::default();
-        for (path, dur, tid) in paths {
-            if let Some(node) = tree.node_mut(path) {
-                node.add(dur, tid);
-            }
-        }
-        tree.finish();
-        tree
-    }
-
     /// Builds the tree from per-path totals: childless nodes keyed by
     /// their full path.
     pub(crate) fn from_totals(totals: &BTreeMap<String, SpanNode>) -> Self {
@@ -209,8 +193,18 @@ fn fmt_secs(s: f64) -> String {
 mod tests {
     use super::*;
 
+    /// Builds the tree from `(path, dur_secs, tid)` closes, the way the
+    /// registry totals them.
+    fn from_closes<'a>(closes: impl IntoIterator<Item = (&'a str, f64, u64)>) -> SpanTree {
+        let mut totals = BTreeMap::<String, SpanNode>::new();
+        for (path, secs, tid) in closes {
+            totals.entry(path.to_owned()).or_default().add(secs, tid);
+        }
+        SpanTree::from_totals(&totals)
+    }
+
     fn sample_tree() -> SpanTree {
-        SpanTree::from_paths([
+        from_closes([
             ("scan", 10.0, 1),
             ("scan;raster", 2.0, 1),
             ("scan;cpn", 3.0, 2),
@@ -240,14 +234,14 @@ mod tests {
     #[test]
     fn exclusive_time_clamps_when_children_outsum_parent() {
         // Concurrent children on workers: 3s + 3s under a 4s parent.
-        let tree = SpanTree::from_paths([("p", 4.0, 1), ("p;a", 3.0, 2), ("p;b", 3.0, 3)]);
+        let tree = from_closes([("p", 4.0, 1), ("p;a", 3.0, 2), ("p;b", 3.0, 3)]);
         assert_eq!(tree.roots["p"].excl_secs, 0.0);
     }
 
     #[test]
     fn shape_is_deterministic_and_duration_free() {
         let a = sample_tree().shape();
-        let b = SpanTree::from_paths([
+        let b = from_closes([
             // Same structure, different durations/threads/order.
             ("train", 1.0, 9),
             ("scan;cpn;hnms", 9.0, 8),
@@ -297,7 +291,7 @@ mod tests {
     fn paths_with_missing_parents_still_build() {
         // A parent span can still be open (never closed) when the tree is
         // built: the intermediate node exists with zero count.
-        let tree = SpanTree::from_paths([("a;b;c", 1.0, 1)]);
+        let tree = from_closes([("a;b;c", 1.0, 1)]);
         let a = &tree.roots["a"];
         assert_eq!(a.count, 0);
         assert_eq!(a.incl_secs, 0.0);

@@ -29,8 +29,8 @@
 //! the `par.queue_wait` histogram and idle workers in
 //! `par.worker_parks` (all through `rhsd-obs`, so they cost one atomic
 //! load when observability is off). Per-stage speedup is derived by
-//! comparing `stage_secs` between ledger runs whose manifests record
-//! different `threads` values.
+//! comparing the span trees of two ledgers (their `run_end` lines) whose
+//! manifests record different `threads` values.
 //!
 //! # Safety argument (scoped jobs on `'static` workers)
 //!

@@ -154,7 +154,7 @@ fn scan_region(
     cache: &ScanCache,
     tile: &Tile,
 ) -> (Vec<Detection>, Evaluation) {
-    let mut sp = rhsd_obs::span("scan-region");
+    let _rsp = rhsd_obs::span("scan-region");
     let net = detector.network();
     let feats = {
         let _sp = rhsd_obs::span("backbone");
@@ -163,7 +163,6 @@ fn scan_region(
     };
     let dets = net.detect_features(&feats);
     let eval = evaluate_region(&dets, &tile.sample().gt_centers);
-    sp.add("detections", dets.len() as f64);
     (dets, eval)
 }
 

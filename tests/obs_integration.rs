@@ -1,8 +1,9 @@
 //! End-to-end observability test: a demo-scale build → train → scan run
 //! with instrumentation enabled must put every pipeline stage in the span
-//! tree with a nonzero duration, leave a ledger whose Chrome trace is
-//! valid JSON, and fill a metrics snapshot with per-stage latency
-//! summaries.
+//! tree with a nonzero duration, leave a ledger whose `run_end` line
+//! carries that tree bit for bit (and no per-span line), key the bench
+//! record's `stage_secs` by the same paths, and fill a metrics snapshot
+//! with the training diagnostics.
 //!
 //! Kept as a single `#[test]` in its own binary: the obs registry is
 //! process-global, so this test must not share a process with other
@@ -13,6 +14,7 @@ use rhsd::core::{train, RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
 use rhsd::data::{train_regions, Benchmark, RegionConfig};
 use rhsd::layout::synth::CaseId;
 use rhsd::obs;
+use rhsd::obs::json::Value;
 
 /// Stage spans the instrumented pipeline must emit (ISSUE acceptance
 /// set; `backbone` and `scan` ride along as extras).
@@ -82,30 +84,66 @@ fn demo_scan_emits_stage_spans_and_valid_exports() {
         tree.render()
     );
 
-    // --- The Chrome trace rendered from the ledger is valid JSON and
-    // names every stage.
+    // --- The ledger holds no per-span line: its `run_end` carries the
+    // tree, which parses back equal to the registry's for every path.
     let ledger = std::fs::read_to_string(&ledger_path).expect("read ledger");
     std::fs::remove_file(&ledger_path).ok();
-    let trace = obs::ledger::chrome_trace_json(&ledger);
-    obs::json::validate(&trace).expect("trace is valid JSON");
-    assert!(trace.contains("traceEvents"));
+    let lines: Vec<Value> = ledger
+        .lines()
+        .map(|l| obs::json::parse(l).expect("ledger line parses"))
+        .collect();
+    let events: Vec<&str> = lines
+        .iter()
+        .filter_map(|v| v.get("event").and_then(Value::as_str))
+        .collect();
+    let epochs = vec!["epoch"; history.len()];
+    assert_eq!(events, [&["run_start"][..], &epochs, &["run_end"]].concat());
+    let logged = obs::ledger::run_end_spans(lines.last().expect("run_end"));
+    let logged_nodes = logged.nodes();
+    assert_eq!(logged_nodes.len(), nodes.len(), "{}", logged.render());
+    for ((path, node), (want_path, want)) in logged_nodes.iter().zip(&nodes) {
+        assert_eq!(path, want_path);
+        assert_eq!(node.count, want.count, "{path}");
+        assert_eq!(node.incl_secs.to_bits(), want.incl_secs.to_bits(), "{path}");
+        let bits = |n: &obs::spantree::SpanNode| -> Vec<(u64, u64)> {
+            n.by_thread.iter().map(|(t, s)| (*t, s.to_bits())).collect()
+        };
+        assert_eq!(bits(node), bits(want), "{path}");
+    }
     for stage in STAGES {
         assert!(
-            trace.contains(&format!("\"name\":\"{stage}\"")),
-            "trace missing {stage:?}"
+            logged_nodes
+                .iter()
+                .any(|(path, node)| node.count > 0 && leaf(path) == *stage),
+            "run_end spans miss {stage:?}"
         );
     }
 
-    // --- The metrics snapshot summarises each stage's latencies.
+    // --- The bench record's stage_secs are the tree's closed paths.
+    let record = rhsd_bench::pipeline::bench_json("obs-it", true, 5, &[]);
+    let record = obs::json::parse(&record).expect("bench record parses");
+    let stage_secs = record
+        .get("stage_secs")
+        .and_then(Value::entries)
+        .expect("stage_secs object");
+    let closed: Vec<(String, f64)> = nodes
+        .iter()
+        .filter(|(_, node)| node.count > 0)
+        .map(|(path, node)| (path.clone(), node.incl_secs))
+        .collect();
+    let recorded: Vec<(String, f64)> = stage_secs
+        .iter()
+        .map(|(path, secs)| (path.clone(), secs.as_f64().expect("seconds")))
+        .collect();
+    assert_eq!(recorded, closed);
+
+    // --- Spans feed no histogram; training diagnostics do.
     let snapshot = obs::snapshot();
     for stage in STAGES {
-        let h = snapshot
-            .histograms
-            .get(*stage)
-            .unwrap_or_else(|| panic!("no latency histogram for {stage:?}"));
-        assert!(h.count > 0);
-        assert!(h.p50 <= h.p95, "{stage}: p50 {} > p95 {}", h.p50, h.p95);
-        assert!(h.max > 0.0);
+        assert!(
+            !snapshot.histograms.contains_key(*stage),
+            "span {stage:?} recorded a histogram"
+        );
     }
     // Training diagnostics flowed into the registry.
     assert!(snapshot.histograms.contains_key("train.loss"));

@@ -200,6 +200,8 @@ fn second_cached_scan_populates_caches_block() {
     let net = RhsdNetwork::new(cfg, &mut rng);
     let model = std::env::temp_dir().join(format!("rhsd_profile_it_{}.model", std::process::id()));
     persist::save_to_path(&net, &model).expect("save model");
+    let ledger = model.with_extension("jsonl");
+    rhsd::obs::ledger::open(&ledger, Default::default()).expect("open ledger");
 
     // The first scan fills the server's scan cache (misses); the second
     // replays every tile and stem (hits).
@@ -218,17 +220,29 @@ fn second_cached_scan_populates_caches_block() {
     std::fs::remove_file(&model).ok();
     assert!(summary.tile_hits > 0 && summary.stem_hits > 0);
 
+    rhsd::obs::ledger::close("ok");
     let record = bench_json("cache-telemetry-test", true, 7, &[]);
     rhsd::obs::set_enabled(false);
     rhsd::obs::reset();
 
-    let v = rhsd::obs::json::parse(&record).expect("bench record parses");
-    let caches = v.get("caches").expect("caches block present");
+    // The server's cache families reach the `run_end` counters, which
+    // `xtask report` renders as its cache-efficiency block.
+    let text = std::fs::read_to_string(&ledger).expect("read ledger");
+    std::fs::remove_file(&ledger).ok();
+    let run_end = text.lines().last().expect("run_end line");
+    let run_end = rhsd::obs::json::parse(run_end).expect("run_end parses");
+    let counters = run_end.get("counters").expect("run_end counters");
     for family in ["region_tile", "stem_feature"] {
-        let c = caches.get(family).expect("cache family present");
         for gauge in ["hits", "misses"] {
-            let n = c.get(gauge).and_then(|g| g.as_u64()).expect("gauge");
-            assert!(n > 0, "caches.{family}.{gauge} must be non-zero, got {n}");
+            let key = format!("cache.{family}.{gauge}");
+            let n = counters.get(&key).and_then(|g| g.as_u64()).expect("gauge");
+            assert!(n > 0, "{key} must be non-zero, got {n}");
         }
     }
+    // The offline bench record (schema /8) leaves these families out:
+    // offline scans cache nothing.
+    let v = rhsd::obs::json::parse(&record).expect("bench record parses");
+    let caches = v.get("caches").expect("caches block present");
+    assert!(caches.get("region_tile").is_none());
+    assert!(caches.get("stem_feature").is_none());
 }

@@ -2,8 +2,9 @@
 //!
 //! Compares two machine-readable benchmark records (the
 //! `BENCH_table1.json` files written by `repro_table1 --bench-out`,
-//! schema `rhsd-bench-table/3` — older schemas without `seed` /
-//! `stage_secs` / `threads` are accepted too) and fails when the current
+//! schema `rhsd-bench-table/8` — older schemas back to `/2` are accepted
+//! too; the gate reads only the detector rows, `threads`, `isa` and
+//! `precision`) and fails when the current
 //! run regresses past the tolerances:
 //!
 //! - **runtime**: any detector's average scan time grew by more than
@@ -795,6 +796,24 @@ mod tests {
         let legacy = record(1.0, 90.0);
         let cur = record_v3(1.0, 90.0, 4);
         assert!(compare(&legacy, &cur, &Tolerance::default()).is_ok());
+    }
+
+    #[test]
+    fn path_keyed_v8_records_compare_against_older_schemas() {
+        // /8 keys `stage_secs` by span path and drops the offline
+        // scan-cache families; neither is read by the gate.
+        let v8 = record_v3(1.0, 90.0, 2)
+            .replace("rhsd-bench-table/3", "rhsd-bench-table/8")
+            .replace(
+                "{\"eval.region_scan\": 1}",
+                "{\"scan\": 0.5, \"scan;scan-region\": 0.75}",
+            );
+        assert!(v8.contains("\"scan;scan-region\": 0.75"), "{v8}");
+        let v7 = record_v3(1.0, 90.0, 2).replace("rhsd-bench-table/3", "rhsd-bench-table/7");
+        for base in [record(1.0, 90.0), v7] {
+            let (report, regressed) = compare(&base, &v8, &Tolerance::default()).expect("valid");
+            assert!(!regressed, "{report}");
+        }
     }
 
     #[test]

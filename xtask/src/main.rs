@@ -74,19 +74,17 @@ tasks:
                                    silently collapsed models)
 
   report [<ledger.jsonl>] [--top <n>] [--html <out.html>]
-         [--trace <out.json>]
       Render a JSONL run ledger as a run report: manifest, span tree
-      with inclusive/exclusive time, cache hit rates, training dynamics
-      (per-epoch trajectory, per-layer stats, sentinel trips), and the
-      eval table. Without a path, uses the newest LEDGER_*.jsonl in the
-      working directory (errors listing candidates when ambiguous).
+      (from the run_end line) with inclusive/exclusive time, cache hit
+      rates, training dynamics (per-epoch trajectory, per-layer stats,
+      sentinel trips), and the eval table. Without a path, uses the
+      newest LEDGER_*.jsonl in the working directory (errors listing
+      candidates when ambiguous).
       --top      rows in the top-exclusive list (default 8)
       --html     also write a self-contained HTML page: an icicle chart
                  of the span tree (width = inclusive seconds) and the
                  learning-dynamics dashboard (loss/lr/grad-norm/entropy
                  curves, per-layer tables; no scripts or external assets)
-      --trace    also write the ledger's spans as a Chrome trace-event
-                 JSON (open in Perfetto or chrome://tracing)
 
 exit codes: 0 clean, 1 violations/regression found, 2 usage error or
 malformed input";

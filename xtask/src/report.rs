@@ -5,9 +5,9 @@
 //! reconstructs the run from its typed events, and prints:
 //!
 //! - the `run_start` manifest (binary, seed, effort, threads, host);
-//! - the span tree aggregated from `span_close` lines — hierarchical
-//!   inclusive/exclusive wall-clock attribution per stack path, with the
-//!   threads that ran each node;
+//! - the span tree from the `run_end` line's per-path totals —
+//!   hierarchical inclusive/exclusive wall-clock attribution per stack
+//!   path, with the threads that ran each node;
 //! - the top exclusive-time span paths (where the run actually spent
 //!   its time);
 //! - cache-efficiency gauges from the `run_end` counters: hit/miss/
@@ -18,9 +18,7 @@
 //! - the evaluation table (per detector and case);
 //! - with `--html <out>`, a self-contained zero-dependency HTML page: an
 //!   icicle chart of the span tree (width = inclusive seconds) and the
-//!   learning-dynamics dashboard (inline SVG charts, no scripts);
-//! - with `--trace <out>`, the run's spans as a Chrome trace-event JSON
-//!   (open in Perfetto or `chrome://tracing`).
+//!   learning-dynamics dashboard (inline SVG charts, no scripts).
 //!
 //! Invoked without a ledger path, it auto-discovers the newest
 //! `LEDGER_*.jsonl` in the working directory (and refuses, listing the
@@ -28,7 +26,8 @@
 //!
 //! A ledger without a `run_end` line (crashed run) still reports
 //! everything up to the crash — that is the point of a flushed JSONL
-//! stream.
+//! stream — but has no span tree: the span totals are written once, at
+//! `run_end`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -37,6 +36,7 @@ use std::process::ExitCode;
 use std::time::SystemTime;
 
 use rhsd_obs::json::{parse, Value};
+use rhsd_obs::ledger::run_end_spans;
 use rhsd_obs::span::PATH_SEP;
 use rhsd_obs::spantree::SpanNode;
 use rhsd_obs::SpanTree;
@@ -74,8 +74,8 @@ type SentinelRow = (u64, String, String, String);
 #[derive(Debug, Default)]
 struct LedgerRun {
     manifest: Vec<(String, String)>,
-    /// `(path, dur_secs, tid)` per `span_close` line; tid 0 = unknown.
-    spans: Vec<(String, f64, u64)>,
+    /// The span tree from `run_end`; empty without one.
+    spans: SpanTree,
     epochs: Vec<EpochRow>,
     sentinels: Vec<SentinelRow>,
     evals: Vec<(String, String, f64, u64, f64)>,
@@ -84,12 +84,6 @@ struct LedgerRun {
     counters: Vec<(String, u64)>,
     /// Lines that failed to parse (truncated tail of a crashed run).
     bad_lines: usize,
-}
-
-impl LedgerRun {
-    fn span_tree(&self) -> SpanTree {
-        SpanTree::from_paths(self.spans.iter().map(|(p, d, t)| (p.as_str(), *d, *t)))
-    }
 }
 
 fn parse_ledger(text: &str) -> LedgerRun {
@@ -116,20 +110,6 @@ fn parse_ledger(text: &str) -> LedgerRun {
                         };
                         run.manifest.push((key.to_owned(), rendered));
                     }
-                }
-            }
-            Some("span_close") => {
-                let path = v.get("path").and_then(Value::as_str).unwrap_or("");
-                // pre-`path` ledgers: fall back to the flat span name
-                let path = if path.is_empty() {
-                    v.get("name").and_then(Value::as_str).unwrap_or("")
-                } else {
-                    path
-                };
-                let dur = v.get("dur_secs").and_then(Value::as_f64).unwrap_or(0.0);
-                let tid = v.get("tid").and_then(Value::as_u64).unwrap_or(0);
-                if !path.is_empty() {
-                    run.spans.push((path.to_owned(), dur, tid));
                 }
             }
             Some("epoch") => {
@@ -199,6 +179,7 @@ fn parse_ledger(text: &str) -> LedgerRun {
                         }
                     }
                 }
+                run.spans = run_end_spans(&v);
             }
             _ => {}
         }
@@ -355,12 +336,11 @@ pub fn render(ledger_text: &str, top: usize) -> String {
         let _ = writeln!(o, "  ({} unparseable line(s) skipped)", run.bad_lines);
     }
 
-    let tree = run.span_tree();
     let _ = writeln!(o);
-    o.push_str(&tree.render());
-    if !tree.is_empty() {
+    o.push_str(&run.spans.render());
+    if !run.spans.is_empty() {
         let _ = writeln!(o, "\ntop exclusive time:");
-        for (path, secs, count) in tree.top_exclusive(top) {
+        for (path, secs, count) in run.spans.top_exclusive(top) {
             let _ = writeln!(o, "  {:>9.3}s  {count:>7} call(s)  {path}", secs);
         }
     }
@@ -465,7 +445,7 @@ fn icicle_html(tree: &SpanTree) -> String {
     }
     let mut out = String::from("<h2>span tree — width is inclusive seconds</h2>\n");
     if tree.is_empty() {
-        out.push_str("<p class=\"meta\">(no span_close lines in this ledger)</p>\n");
+        out.push_str("<p class=\"meta\">(no span totals in this ledger)</p>\n");
         return out;
     }
     let rows = tree
@@ -685,7 +665,7 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
         "<p class=\"meta\">{} &middot; {status}</p>\n",
         meta.join(" &middot; ")
     ));
-    html.push_str(&icicle_html(&run.span_tree()));
+    html.push_str(&icicle_html(&run.spans));
 
     if !run.sentinels.is_empty() {
         html.push_str("<p class=\"trip\">sentinel trips:</p>\n<ul>\n");
@@ -838,11 +818,10 @@ fn discover_ledger(dir: &Path) -> Result<PathBuf, String> {
 }
 
 /// CLI entry point: `cargo xtask report [<ledger.jsonl>] [--top <n>]
-/// [--html <out.html>] [--trace <out.json>]`.
+/// [--html <out.html>]`.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut ledger: Option<PathBuf> = None;
     let mut html_out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
     let mut top = 8usize;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -850,10 +829,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             "--html" => {
                 let v = it.next().ok_or("--html needs an output path")?;
                 html_out = Some(PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs an output path")?;
-                trace_out = Some(PathBuf::from(v));
             }
             "--top" => {
                 let v = it.next().ok_or("--top needs a count")?;
@@ -886,11 +861,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         std::fs::write(&out, html).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
         eprintln!("report: wrote {}", out.display());
     }
-    if let Some(out) = trace_out {
-        let trace = rhsd_obs::ledger::chrome_trace_json(&ledger_text);
-        std::fs::write(&out, trace).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        eprintln!("report: wrote {}", out.display());
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -910,10 +880,8 @@ mod tests {
             // new-style epoch event with entropies and per-layer rows
             r#"{"event":"epoch","seq":2,"t":0.9,"epoch":1,"mean_loss":0.6,"mean_cpn_cls":0.2,"mean_cpn_reg":0.15,"mean_refine_cls":0.25,"grad_norm":1.5,"lr":0.009,"samples":8,"pred_entropy":0.62,"label_entropy":0.97,"layers":[{"key":"backbone/Conv2d#1","act_mean_abs":0.25,"dead_frac":0.125,"saturated_frac":0.0,"flow_grad_norm":1.2,"grad_norm":0.8,"update_ratio":0.004,"weight_norm":3.5},{"key":"refine/Linear#30","act_mean_abs":1.5,"dead_frac":0.0,"saturated_frac":0.03,"flow_grad_norm":0.4,"grad_norm":0.2,"update_ratio":0.001,"weight_norm":2.0}]}"#,
             r#"{"event":"sentinel","seq":3,"t":0.95,"epoch":1,"reason":"loss_spike","detail":"loss 9.0 is 4.0x the window median 0.7","action":"warn"}"#,
-            r#"{"event":"span_close","seq":4,"t":1.0,"name":"raster","path":"scan;raster","dur_secs":0.25,"depth":1,"tid":2}"#,
-            r#"{"event":"span_close","seq":5,"t":1.5,"name":"scan","path":"scan","dur_secs":1.0,"depth":0,"tid":1}"#,
-            r#"{"event":"eval","seq":6,"t":2.0,"detector":"Ours","case":"Case2","accuracy_pct":87.5,"false_alarms":9,"seconds":1.25}"#,
-            r#"{"event":"run_end","seq":7,"t":2.5,"status":"ok","wall_secs":2.5,"counters":{"cache.region_tile.hits":18,"cache.region_tile.misses":18,"cache.stem_feature.hits":3,"cache.stem_feature.misses":9,"cache.stem_feature.bytes":4096},"peaks":{}}"#,
+            r#"{"event":"eval","seq":4,"t":2.0,"detector":"Ours","case":"Case2","accuracy_pct":87.5,"false_alarms":9,"seconds":1.25}"#,
+            r#"{"event":"run_end","seq":5,"t":2.5,"status":"ok","wall_secs":2.5,"counters":{"cache.region_tile.hits":18,"cache.region_tile.misses":18,"cache.stem_feature.hits":3,"cache.stem_feature.misses":9,"cache.stem_feature.bytes":4096},"peaks":{},"spans":{"scan":{"calls":1,"secs":1,"tid_secs":{"1":1}},"scan;raster":{"calls":1,"secs":0.25,"tid_secs":{"2":0.25}}}}"#,
         ]
         .join("\n")
     }
@@ -947,7 +915,11 @@ mod tests {
         let crashed: String = full.lines().take(5).collect::<Vec<_>>().join("\n");
         let out = render(&crashed, 8);
         assert!(out.contains("crashed or still running"), "{out}");
-        assert!(out.contains("scan"), "spans before the crash render");
+        assert!(out.contains("87.50%"), "evals before the crash render");
+        assert!(
+            out.contains("span tree: (no spans recorded)"),
+            "span totals are written only at run_end:\n{out}"
+        );
         assert!(
             out.contains("no cache.* counters"),
             "no run_end → no counters:\n{out}"
@@ -1038,13 +1010,8 @@ mod tests {
     fn icicle_scales_concurrent_children_to_fit_their_parent() {
         // Two workers' `cpn` (1.5 s each) under a 2 s `scan`: the row
         // under `scan` sums to 3 s and is scaled to the parent's width.
-        let text = [
-            r#"{"event":"span_close","seq":0,"t":1.0,"name":"cpn","path":"scan;cpn","dur_secs":1.5,"depth":1,"tid":2}"#,
-            r#"{"event":"span_close","seq":1,"t":1.0,"name":"rpn","path":"scan;rpn","dur_secs":1.5,"depth":1,"tid":3}"#,
-            r#"{"event":"span_close","seq":2,"t":2.0,"name":"scan","path":"scan","dur_secs":2.0,"depth":0,"tid":1}"#,
-        ]
-        .join("\n");
-        let html = icicle_html(&parse_ledger(&text).span_tree());
+        let text = r#"{"event":"run_end","spans":{"scan":{"calls":1,"secs":2,"tid_secs":{"1":2}},"scan;cpn":{"calls":1,"secs":1.5,"tid_secs":{"2":1.5}},"scan;rpn":{"calls":1,"secs":1.5,"tid_secs":{"3":1.5}}}}"#;
+        let html = icicle_html(&parse_ledger(text).spans);
         assert!(
             html.contains("left:0.0000%;top:18px;width:50.0000%"),
             "{html}"
@@ -1053,7 +1020,7 @@ mod tests {
             html.contains("left:50.0000%;top:18px;width:50.0000%"),
             "{html}"
         );
-        assert!(icicle_html(&SpanTree::default()).contains("no span_close lines"));
+        assert!(icicle_html(&SpanTree::default()).contains("no span totals"));
     }
 
     #[test]
@@ -1110,46 +1077,16 @@ mod tests {
     }
 
     #[test]
-    fn pre_path_ledgers_fall_back_to_span_names() {
-        let text =
-            r#"{"event":"span_close","seq":0,"t":1.0,"name":"raster","dur_secs":0.25,"depth":1}"#;
-        let out = render(text, 8);
-        assert!(out.contains("raster"), "{out}");
-    }
-
-    #[test]
     fn span_tree_counts_threads_from_tids() {
-        let text = [
-            r#"{"event":"span_close","seq":0,"t":1.0,"name":"cpn","path":"cpn","dur_secs":0.5,"depth":0,"tid":1}"#,
-            r#"{"event":"span_close","seq":1,"t":1.0,"name":"cpn","path":"cpn","dur_secs":0.5,"depth":0,"tid":2}"#,
-        ]
-        .join("\n");
-        let out = render(&text, 8);
+        let text = r#"{"event":"run_end","spans":{"cpn":{"calls":2,"secs":1,"tid_secs":{"1":0.5,"2":0.5}}}}"#;
+        let out = render(text, 8);
         assert!(out.contains("2 call(s)"), "{out}");
         assert!(out.contains("2 thread(s)"), "{out}");
     }
 
     #[test]
-    fn trace_option_writes_the_ledger_spans_as_a_chrome_trace() {
-        let dir = std::env::temp_dir().join(format!("rhsd_report_trace_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let ledger = dir.join("LEDGER_run.jsonl");
-        let out = dir.join("trace.json");
-        std::fs::write(&ledger, sample_ledger()).expect("write");
-        let args = [
-            ledger.display().to_string(),
-            "--trace".into(),
-            out.display().to_string(),
-        ];
-        assert_eq!(run(&args), Ok(ExitCode::SUCCESS));
-        let trace = std::fs::read_to_string(&out).expect("trace written");
-        std::fs::remove_dir_all(&dir).ok();
-        rhsd_obs::json::validate(&trace).unwrap_or_else(|at| panic!("invalid at {at}: {trace}"));
-        assert!(trace.contains("\"name\":\"raster\""), "{trace}");
-        assert!(trace.contains("\"name\":\"scan\""), "{trace}");
-        assert!(
-            run(&["--trace".to_owned()]).is_err(),
-            "--trace needs a path"
-        );
+    fn trace_is_an_unknown_option() {
+        let err = run(&["--trace".to_owned(), "trace.json".to_owned()]).unwrap_err();
+        assert!(err.contains("unknown report option `--trace`"), "{err}");
     }
 }

@@ -480,12 +480,14 @@ if [[ $serve_smoke_only -eq 1 ]]; then
     exit 0
 fi
 
-# ISA matrix: the SIMD kernels must stay bit-identical to the scalar
-# reference (RHSD_FORCE_SCALAR=1 reruns the kernel, determinism and
-# conv-lowering suites through the scalar dispatch).
+# ISA matrix: the AVX2 kernels must stay bit-identical to the scalar
+# reference (RHSD_FORCE_SCALAR=1 reruns the kernel, litho aerial,
+# determinism and conv-lowering suites through the scalar dispatch;
+# rhsd-litho's split-interior test is the one bit-identity check of
+# conv_taps outside the tensor crate).
 simd_matrix() {
     run_step "simd matrix: forced-scalar crate tests" \
-        env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core
+        env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core -p rhsd-litho
     run_step "simd matrix: forced-scalar determinism suite" \
         env RHSD_FORCE_SCALAR=1 cargo test -q --test determinism
     run_step "simd matrix: forced-scalar conv lowering" \

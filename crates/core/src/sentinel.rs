@@ -52,8 +52,6 @@ impl SentinelPolicy {
 /// `tests/training_dynamics.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SentinelConfig {
-    /// Whether the sentinel runs at all.
-    pub enabled: bool,
     /// Trip response.
     pub policy: SentinelPolicy,
     /// Loss-spike factor over the windowed median of recent epoch
@@ -82,7 +80,6 @@ pub struct SentinelConfig {
 impl Default for SentinelConfig {
     fn default() -> Self {
         SentinelConfig {
-            enabled: true,
             policy: SentinelPolicy::Warn,
             spike_factor: 4.0,
             spike_window: 5,
@@ -99,14 +96,6 @@ impl SentinelConfig {
     pub fn aborting() -> Self {
         SentinelConfig {
             policy: SentinelPolicy::Abort,
-            ..SentinelConfig::default()
-        }
-    }
-
-    /// A disabled sentinel.
-    pub fn disabled() -> Self {
-        SentinelConfig {
-            enabled: false,
             ..SentinelConfig::default()
         }
     }
@@ -273,9 +262,6 @@ impl Sentinel {
     /// Observes one epoch; returns the trip if any check fired. Checks
     /// run in severity order and at most one trips per epoch.
     pub fn observe(&mut self, stats: &EpochStats) -> Option<TripReason> {
-        if !self.config.enabled {
-            return None;
-        }
         let trip = self.check(stats);
         self.advance(stats);
         if let Some(t) = &trip {
@@ -462,13 +448,6 @@ mod tests {
         for e in 0..6 {
             assert!(s.observe(&stats(e, 1.0, 1.0, 0, 0)).is_none());
         }
-    }
-
-    #[test]
-    fn disabled_sentinel_never_trips() {
-        let mut s = Sentinel::new(SentinelConfig::disabled());
-        assert!(s.observe(&stats(0, f32::NAN, 0.0, 10, 0)).is_none());
-        assert!(s.trips().is_empty());
     }
 
     #[test]

@@ -34,13 +34,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-impl TelemetryConfig {
-    /// Telemetry switched off (no per-layer collection).
-    pub fn disabled() -> Self {
-        TelemetryConfig { sample_every: 0 }
-    }
-}
-
 /// Hyper-parameters of a training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {

@@ -139,7 +139,11 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
                 if nums.len() != 4 {
                     return Err(bad(line_no, "EXTENT needs 4 coordinates"));
                 }
-                layout = Some(Layout::new(Rect::new(nums[0], nums[1], nums[2], nums[3])));
+                let extent = Rect::new(nums[0], nums[1], nums[2], nums[3]);
+                if extent.is_degenerate() {
+                    return Err(bad(line_no, "EXTENT must have area"));
+                }
+                layout = Some(Layout::new(extent));
             }
             "LAYER" => {
                 if nums.len() != 1 || nums[0] < 0 || nums[0] > u16::MAX as i64 {
@@ -263,6 +267,19 @@ mod tests {
             read_rlf("RLF 1\nLAYER 1\nRECT 0 0 1 1\n".as_bytes()),
             Err(RlfError::MissingExtent)
         ));
+    }
+
+    #[test]
+    fn zero_area_extent_rejected_at_parse() {
+        for doc in ["RLF 1\nEXTENT 0 0 0 100\n", "RLF 1\nEXTENT 0 5 100 5\n"] {
+            assert!(
+                matches!(
+                    read_rlf(doc.as_bytes()),
+                    Err(RlfError::BadRecord { line: 2, .. })
+                ),
+                "{doc:?}"
+            );
+        }
     }
 
     #[test]

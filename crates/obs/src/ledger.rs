@@ -53,7 +53,7 @@ pub struct Manifest {
     /// depend on `rhsd-par`.
     pub threads: u64,
     /// Detected SIMD instruction set the kernels dispatched to
-    /// (`"scalar"` / `"sse2"` / `"avx2"`); empty for older runs. Purely
+    /// (`"scalar"` / `"avx2"`); empty for older runs. Purely
     /// informational — default-dispatch results are bit-identical
     /// across ISAs.
     pub isa: String,

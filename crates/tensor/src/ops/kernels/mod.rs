@@ -3,9 +3,8 @@
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
 //! packed-GEMM register tile, the in-place convolution tile, the fold
-//! tile, the training `LeakyRelu` mask pack and unpack, the f32 copy
-//! used by the GEMM packing pass, and the separable-convolution
-//! interior kernel.
+//! tile, the training `LeakyRelu` mask pack and unpack, and the
+//! separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
 //!
@@ -13,10 +12,11 @@
 //!
 //! [`isa`] detects the instruction set once (honouring the
 //! `RHSD_FORCE_SCALAR=1` environment variable) and caches it; all
-//! kernels dispatch through that single selector. The scalar kernels in
-//! [`scalar`] are the reference implementations — they are the exact
-//! loops the pre-SIMD code ran, and every SIMD variant is
-//! **bit-identical** to them:
+//! kernels dispatch through that single selector. There are two tiers:
+//! AVX2 where the CPU has it, and the scalar kernels in [`scalar`]
+//! everywhere else. The scalar kernels are the reference
+//! implementations — they are the exact loops the pre-SIMD code ran, and
+//! every AVX2 kernel is **bit-identical** to them:
 //!
 //! - the f32 GEMM and convolution tiles issue one `mul` and one `add`
 //!   per lane per step (no FMA contraction), matching the scalar
@@ -28,10 +28,10 @@
 //!   lane, by the same ordered `> 0` test (false for NaN) the scalar
 //!   code runs;
 //! - the interior convolution kernel vectorises across output pixels
-//!   while each lane keeps the serial ascending-tap order;
-//! - copies are exact by nature.
+//!   while each lane keeps the serial ascending-tap order.
 //!
-//! The ISA therefore changes speed, never results.
+//! The ISA therefore changes speed, never results: an x86-64 CPU without
+//! AVX2 runs the scalar reference, slower and to the same bits.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -48,8 +48,6 @@ pub const NR: usize = 8;
 pub enum Isa {
     /// The reference scalar kernels (any architecture).
     Scalar,
-    /// 128-bit SSE2 lanes (x86-64 baseline).
-    Sse2,
     /// 256-bit AVX2 lanes.
     Avx2,
 }
@@ -59,7 +57,6 @@ impl Isa {
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
         }
     }
@@ -67,15 +64,11 @@ impl Isa {
 
 /// Pure selection logic, split out so tests can exercise every branch
 /// without touching the process-global state: `force_scalar` is the
-/// `RHSD_FORCE_SCALAR=1` override, the flags are the detected CPU
-/// features.
-pub fn select_isa(force_scalar: bool, has_sse2: bool, has_avx2: bool) -> Isa {
-    if force_scalar {
-        Isa::Scalar
-    } else if has_avx2 {
+/// `RHSD_FORCE_SCALAR=1` override, `has_avx2` the detected CPU
+/// feature.
+pub fn select_isa(force_scalar: bool, has_avx2: bool) -> Isa {
+    if has_avx2 && !force_scalar {
         Isa::Avx2
-    } else if has_sse2 {
-        Isa::Sse2
     } else {
         Isa::Scalar
     }
@@ -89,15 +82,13 @@ static ACTIVE_ISA: AtomicU8 = AtomicU8::new(ISA_UNSET);
 fn encode(isa: Isa) -> u8 {
     match isa {
         Isa::Scalar => 0,
-        Isa::Sse2 => 1,
-        Isa::Avx2 => 2,
+        Isa::Avx2 => 1,
     }
 }
 
 fn decode(v: u8) -> Isa {
     match v {
-        1 => Isa::Sse2,
-        2 => Isa::Avx2,
+        1 => Isa::Avx2,
         _ => Isa::Scalar,
     }
 }
@@ -106,15 +97,11 @@ fn detect() -> Isa {
     let force_scalar = std::env::var_os("RHSD_FORCE_SCALAR").is_some_and(|v| v == "1");
     #[cfg(target_arch = "x86_64")]
     {
-        select_isa(
-            force_scalar,
-            std::arch::is_x86_feature_detected!("sse2"),
-            std::arch::is_x86_feature_detected!("avx2"),
-        )
+        select_isa(force_scalar, std::arch::is_x86_feature_detected!("avx2"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        select_isa(force_scalar, false, false)
+        select_isa(force_scalar, false)
     }
 }
 
@@ -134,15 +121,12 @@ pub fn isa() -> Isa {
 ///
 /// Intended for the microbench harness (scalar-vs-SIMD timing) and for
 /// dispatch tests; production code never calls this — it relies on
-/// [`isa`]'s one-time detection. Requesting a level the CPU lacks falls
-/// back to the best supported one.
+/// [`isa`]'s one-time detection. Requesting AVX2 on a CPU without it
+/// grants the scalar reference.
 pub fn set_isa(requested: Isa) -> Isa {
-    let detected = detect();
-    let granted = match (requested, detected) {
-        (Isa::Scalar, _) => Isa::Scalar,
-        (Isa::Sse2, Isa::Scalar) => Isa::Scalar,
-        (Isa::Sse2, _) => Isa::Sse2,
-        (Isa::Avx2, got) => got,
+    let granted = match requested {
+        Isa::Scalar => Isa::Scalar,
+        Isa::Avx2 => detect(),
     };
     ACTIVE_ISA.store(encode(granted), Ordering::Relaxed);
     granted
@@ -155,14 +139,14 @@ pub fn isa_name() -> &'static str {
 
 /// GEMM row-tile height for the active ISA: the AVX2 tile keeps eight
 /// accumulator rows in ymm registers (enough independent add chains to
-/// saturate the FP ports); the scalar/SSE2 reference keeps the
-/// committed MR = 4. The tile height never affects results — each
+/// saturate the FP ports); the scalar reference keeps the committed
+/// MR = 4. The tile height never affects results — each
 /// output element's ascending-`p` accumulation chain is the same at any
 /// tiling — so this is a pure scheduling choice.
 pub fn gemm_mr() -> usize {
     match isa() {
         Isa::Avx2 => 8,
-        _ => 4,
+        Isa::Scalar => 4,
     }
 }
 
@@ -187,8 +171,6 @@ pub fn gemm_micro<const MRR: usize>(
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
             Isa::Avx2 => unsafe { x86::gemm_micro_avx2(acc, av, aidx, acs, panel) },
-            // SAFETY: Isa::Sse2 is only selected when SSE2 is detected.
-            Isa::Sse2 => unsafe { x86::gemm_micro_sse2(acc, av, aidx, acs, panel) },
             Isa::Scalar => scalar::gemm_micro(acc, av, aidx, acs, panel),
         }
     }
@@ -225,8 +207,6 @@ pub fn conv_micro<const MRR: usize>(
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
             Isa::Avx2 => unsafe { x86::conv_micro_avx2(acc, av, aidx, acs, src, bidx, offs) },
-            // SAFETY: Isa::Sse2 is only selected when SSE2 is detected.
-            Isa::Sse2 => unsafe { x86::conv_micro_sse2(acc, av, aidx, acs, src, bidx, offs) },
             Isa::Scalar => scalar::conv_micro(acc, av, aidx, acs, src, bidx, offs),
         }
     }
@@ -298,8 +278,6 @@ pub fn fold_micro<const MRR: usize>(
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
             Isa::Avx2 => unsafe { x86::fold_micro_avx2(acc, av, aidx, acs, srcs, bidx, taps) },
-            // SAFETY: Isa::Sse2 is only selected when SSE2 is detected.
-            Isa::Sse2 => unsafe { x86::fold_micro_sse2(acc, av, aidx, acs, srcs, bidx, taps) },
             Isa::Scalar => scalar::fold_micro(acc, av, aidx, acs, srcs, bidx, taps),
         }
     }
@@ -337,8 +315,6 @@ pub fn leaky_relu_pack(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
             // the lengths were checked above.
             Isa::Avx2 => unsafe { x86::leaky_relu_pack_avx2(dst, src, alpha, bits) },
-            // SAFETY: as above for SSE2.
-            Isa::Sse2 => unsafe { x86::leaky_relu_pack_sse2(dst, src, alpha, bits) },
             Isa::Scalar => scalar::leaky_relu_pack(dst, src, alpha, bits),
         }
     }
@@ -363,8 +339,6 @@ pub fn leaky_relu_unpack(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
             // the lengths were checked above.
             Isa::Avx2 => unsafe { x86::leaky_relu_unpack_avx2(dst, grad, alpha, bits) },
-            // SAFETY: as above for SSE2.
-            Isa::Sse2 => unsafe { x86::leaky_relu_unpack_sse2(dst, grad, alpha, bits) },
             Isa::Scalar => scalar::leaky_relu_unpack(dst, grad, alpha, bits),
         }
     }
@@ -372,31 +346,10 @@ pub fn leaky_relu_unpack(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]
     scalar::leaky_relu_unpack(dst, grad, alpha, bits);
 }
 
-/// Copies `src` into `dst` (equal lengths) through the widest available
-/// lanes — the GEMM packing row-segment move. Copies are exact on
-/// any path.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn copy_f32(dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "copy_f32 length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if isa() == Isa::Avx2 {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            unsafe { x86::copy_f32_avx2(dst, src) };
-            return;
-        }
-    }
-    scalar::copy_f32(dst, src);
-}
-
 /// Interior kernel of a separable convolution:
 /// `dst[i] = (Σ_t taps[t] · src[t · stride + i]) / norm`, taps in
 /// ascending order — exactly the per-pixel chain the scalar border path
-/// runs when every tap is in bounds. SIMD targets vectorise across `i`
+/// runs when every tap is in bounds. The AVX2 kernel vectorises across `i`
 /// (independent output pixels); each lane keeps the serial tap order
 /// and the final single division, so the interior is bit-identical to
 /// the scalar reference at every pixel.
@@ -419,8 +372,6 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
             // the bound above guarantees every lane's loads are in range.
             Isa::Avx2 => unsafe { x86::conv_taps_avx2(dst, src, stride, taps, norm) },
-            // SAFETY: as above for SSE2.
-            Isa::Sse2 => unsafe { x86::conv_taps_sse2(dst, src, stride, taps, norm) },
             Isa::Scalar => scalar::conv_taps(dst, src, stride, taps, norm),
         }
     }
@@ -448,23 +399,21 @@ mod tests {
 
     #[test]
     fn select_isa_prefers_widest_and_honours_force_scalar() {
-        assert_eq!(select_isa(false, true, true), Isa::Avx2);
-        assert_eq!(select_isa(false, true, false), Isa::Sse2);
-        assert_eq!(select_isa(false, false, false), Isa::Scalar);
-        assert_eq!(select_isa(true, true, true), Isa::Scalar);
-        assert_eq!(select_isa(true, false, true), Isa::Scalar);
+        assert_eq!(select_isa(false, true), Isa::Avx2);
+        assert_eq!(select_isa(false, false), Isa::Scalar);
+        assert_eq!(select_isa(true, true), Isa::Scalar);
+        assert_eq!(select_isa(true, false), Isa::Scalar);
     }
 
     #[test]
     fn isa_names_are_stable() {
         assert_eq!(Isa::Scalar.name(), "scalar");
-        assert_eq!(Isa::Sse2.name(), "sse2");
         assert_eq!(Isa::Avx2.name(), "avx2");
     }
 
-    /// Every SIMD gemm tile the dispatcher can pick must equal the
-    /// scalar reference bit-for-bit. Variants are called directly (not
-    /// via the global selector) so parallel tests never race on it.
+    /// The AVX2 gemm tile must equal the scalar reference bit-for-bit.
+    /// Kernels are called directly (not via the global selector) so
+    /// parallel tests never race on it.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn gemm_micro_variants_match_scalar_bitwise() {
@@ -483,13 +432,6 @@ mod tests {
                 unsafe { x86::gemm_micro_avx2(&mut acc, &av, &mut idx, acs, &panel) };
                 assert_eq!(bits2(&acc), bits2(&acc_ref), "avx2 MRR={MRR} kc={kc}");
             }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                let mut acc = [[0.5f32; NR]; MRR];
-                let mut idx = start;
-                // SAFETY: guarded by the sse2 feature check above.
-                unsafe { x86::gemm_micro_sse2(&mut acc, &av, &mut idx, acs, &panel) };
-                assert_eq!(bits2(&acc), bits2(&acc_ref), "sse2 MRR={MRR} kc={kc}");
-            }
         }
         for (kc, acs, seed) in [(1, 1, 3), (7, 1, 5), (64, 3, 7), (256, 1, 11), (33, 2, 13)] {
             run::<1>(kc, acs, seed);
@@ -500,7 +442,7 @@ mod tests {
         }
     }
 
-    /// Every SIMD in-place convolution tile must equal the scalar
+    /// The AVX2 in-place convolution tile must equal the scalar
     /// reference bit-for-bit: tiles sharing one `B` base, tiles with a
     /// base per row, `B` rows at overlapping one-element shifts (a
     /// fold's taps along one map row), and zero-padded border lanes of
@@ -543,16 +485,6 @@ mod tests {
                     "avx2 MRR={MRR} steps={steps} shared={shared}"
                 );
             }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                let mut acc = start;
-                // SAFETY: guarded by the sse2 feature check above.
-                unsafe { x86::conv_micro_sse2(&mut acc, &av, &aidx, acs, &src, &bidx, &offs) };
-                assert_eq!(
-                    bits2(&acc),
-                    want,
-                    "sse2 MRR={MRR} steps={steps} shared={shared}"
-                );
-            }
         }
         for (steps, acs, seed) in [(1, 1, 3), (9, 1, 5), (36, 4, 7), (100, 9, 11)] {
             for shared in [true, false] {
@@ -564,7 +496,7 @@ mod tests {
         }
     }
 
-    /// Every SIMD fold tile must equal the scalar reference bit-for-bit:
+    /// The AVX2 fold tile must equal the scalar reference bit-for-bit:
     /// channel tiles (one shared `B` base) and strip tiles (a base per
     /// row), taps read in place and from a gathered panel, partial lane
     /// masks (a right border), skipped border taps (absent from the
@@ -650,16 +582,6 @@ mod tests {
                     "avx2 MRR={MRR} c={c_src} strips={strips}"
                 );
             }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                let mut acc = start;
-                // SAFETY: guarded by the sse2 feature check above.
-                unsafe { x86::fold_micro_sse2(&mut acc, &av, &aidx, acs, &srcs, &bidx, &taps) };
-                assert_eq!(
-                    bits2(&acc),
-                    want,
-                    "sse2 MRR={MRR} c={c_src} strips={strips}"
-                );
-            }
         }
         for (c_src, seed) in [(1, 3), (4, 5), (12, 7), (24, 11)] {
             for strips in [false, true] {
@@ -677,23 +599,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn leaky_relu_variants_match_scalar_bitwise() {
-        type Pack = unsafe fn(&mut [f32], &[f32], f32, &mut [u64]);
-        type Unpack = unsafe fn(&mut [f32], &[f32], f32, &[u64]);
-        let mut variants: Vec<(&str, Pack, Unpack)> = Vec::new();
-        if std::arch::is_x86_feature_detected!("avx2") {
-            variants.push((
-                "avx2",
-                x86::leaky_relu_pack_avx2,
-                x86::leaky_relu_unpack_avx2,
-            ));
-        }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            variants.push((
-                "sse2",
-                x86::leaky_relu_pack_sse2,
-                x86::leaky_relu_unpack_sse2,
-            ));
-        }
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
         let specials = [
             f32::NAN,
             -f32::NAN,
@@ -724,18 +630,18 @@ mod tests {
             let mut want_g = vec![0.0f32; len];
             scalar::leaky_relu_unpack(&mut want_g, &g, alpha, &want_bits);
             let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-            for (name, pack, unpack) in &variants {
+            if avx2 {
                 let mut y = vec![0.0f32; len];
                 let mut mask = vec![u64::MAX; words];
-                // SAFETY: each variant's feature was detected above; the
-                // lengths match the dispatcher's contract.
-                unsafe { pack(&mut y, &x, alpha, &mut mask) };
-                assert_eq!(bits(&y), bits(&want_y), "{name} pack len={len}");
-                assert_eq!(mask, want_bits, "{name} mask len={len}");
+                // SAFETY: AVX2 was detected above; the lengths match the
+                // dispatcher's contract.
+                unsafe { x86::leaky_relu_pack_avx2(&mut y, &x, alpha, &mut mask) };
+                assert_eq!(bits(&y), bits(&want_y), "avx2 pack len={len}");
+                assert_eq!(mask, want_bits, "avx2 mask len={len}");
                 let mut dg = vec![0.0f32; len];
                 // SAFETY: as above.
-                unsafe { unpack(&mut dg, &g, alpha, &mask) };
-                assert_eq!(bits(&dg), bits(&want_g), "{name} unpack len={len}");
+                unsafe { x86::leaky_relu_unpack_avx2(&mut dg, &g, alpha, &mask) };
+                assert_eq!(bits(&dg), bits(&want_g), "avx2 unpack len={len}");
             }
         }
     }
@@ -763,28 +669,6 @@ mod tests {
                 let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "avx2 len={len} stride={stride} taps={ntaps}");
             }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                let mut got = vec![0.0f32; len];
-                // SAFETY: guarded by the sse2 feature check above.
-                unsafe { x86::conv_taps_sse2(&mut got, &src, stride, &taps, norm) };
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "sse2 len={len} stride={stride} taps={ntaps}");
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn copy_f32_avx2_copies_exactly() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for len in [0usize, 1, 7, 8, 9, 31, 64] {
-            let src = fill(len as u64, len);
-            let mut dst = vec![0.0f32; len];
-            // SAFETY: guarded by the avx2 feature check above.
-            unsafe { x86::copy_f32_avx2(&mut dst, &src) };
-            assert_eq!(dst, src, "len={len}");
         }
     }
 

@@ -31,11 +31,6 @@ pub fn gemm_micro<const MRR: usize>(
     }
 }
 
-/// Plain slice copy (the packing-loop reference).
-pub fn copy_f32(dst: &mut [f32], src: &[f32]) {
-    dst.copy_from_slice(src);
-}
-
 /// Separable-convolution interior: per output pixel, the serial
 /// ascending-tap accumulation and one final division — the same chain
 /// the bounds-checked border path runs when every tap lands in bounds.

@@ -1,4 +1,4 @@
-//! x86-64 SIMD kernels (SSE2 / AVX2).
+//! x86-64 AVX2 kernels.
 //!
 //! Every function here is `unsafe` only because of its
 //! `#[target_feature]` requirement; slice accesses are bounds-checked
@@ -75,67 +75,6 @@ fn bound_a_reads<const MRR: usize>(
     steps
 }
 
-/// SSE2 GEMM register tile: the AVX2 tile split into two four-lane
-/// halves; per lane the arithmetic is unchanged.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports SSE2
-/// (always true on x86-64, kept explicit for the dispatch contract).
-/// Bounds as for [`gemm_micro_avx2`].
-#[target_feature(enable = "sse2")]
-pub unsafe fn gemm_micro_sse2<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &mut [usize; MRR],
-    acs: usize,
-    panel: &[f32],
-) {
-    let steps = bound_a_reads::<MRR>(av, aidx, acs, panel);
-    let mut lo: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr()));
-    let mut hi: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr().add(4)));
-    let mut off = 0usize;
-    for bp in panel.chunks_exact(NR) {
-        let blo = _mm_loadu_ps(bp.as_ptr());
-        let bhi = _mm_loadu_ps(bp.as_ptr().add(4));
-        for r in 0..MRR {
-            // SAFETY: bound_a_reads proved every aidx[r] + off in range.
-            let a = _mm_set1_ps(*av.get_unchecked(aidx[r] + off));
-            lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(a, blo));
-            hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(a, bhi));
-        }
-        off += acs;
-    }
-    for ai in aidx.iter_mut() {
-        *ai += steps * acs;
-    }
-    for r in 0..MRR {
-        _mm_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm_storeu_ps(acc[r].as_mut_ptr().add(4), hi[r]);
-    }
-}
-
-/// AVX2 slice copy: eight lanes at a time plus a scalar tail. Exact.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// that `dst.len() == src.len()` (the dispatcher asserts it); the
-/// vector loop stays within that shared length.
-#[target_feature(enable = "avx2")]
-pub unsafe fn copy_f32_avx2(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        _mm256_storeu_ps(
-            dst.as_mut_ptr().add(i),
-            _mm256_loadu_ps(src.as_ptr().add(i)),
-        );
-        i += 8;
-    }
-    dst[i..].copy_from_slice(&src[i..]);
-}
-
 /// AVX2 separable-convolution interior: eight output pixels per
 /// iteration; each lane runs the serial ascending-tap mul-add chain and
 /// one final division — bit-identical to the scalar reference.
@@ -163,33 +102,8 @@ pub unsafe fn conv_taps_avx2(dst: &mut [f32], src: &[f32], stride: usize, taps: 
     scalar::conv_taps(&mut dst[i..], &src[i..], stride, taps, norm);
 }
 
-/// SSE2 separable-convolution interior: four lanes per iteration,
-/// otherwise identical to [`conv_taps_avx2`].
-///
-/// # Safety
-///
-/// SAFETY: as for [`conv_taps_avx2`], with SSE2 as the required
-/// feature and four-lane loads.
-#[target_feature(enable = "sse2")]
-pub unsafe fn conv_taps_sse2(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm: f32) {
-    let normv = _mm_set1_ps(norm);
-    let n = dst.len();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let mut acc = _mm_setzero_ps();
-        for (t, &tw) in taps.iter().enumerate() {
-            let s = _mm_loadu_ps(src.as_ptr().add(t * stride + i));
-            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(tw), s));
-        }
-        _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_div_ps(acc, normv));
-        i += 4;
-    }
-    scalar::conv_taps(&mut dst[i..], &src[i..], stride, taps, norm);
-}
-
-/// Proves every `A` and `B` read of a [`conv_micro_avx2`] /
-/// [`conv_micro_sse2`] pass is in bounds, so the loops can use
-/// unchecked loads.
+/// Proves every `A` and `B` read of a [`conv_micro_avx2`] pass is in
+/// bounds, so the loops can use unchecked loads.
 ///
 /// # Panics
 ///
@@ -265,40 +179,6 @@ pub unsafe fn conv_micro_avx2<const MRR: usize>(
     }
 }
 
-/// SSE2 in-place convolution tile: [`conv_micro_avx2`] in two
-/// four-lane halves.
-///
-/// # Safety
-///
-/// SAFETY: as for [`conv_micro_avx2`], with SSE2 as the required
-/// feature.
-#[target_feature(enable = "sse2")]
-pub unsafe fn conv_micro_sse2<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: &[f32],
-    bidx: &[usize; MRR],
-    offs: &[usize],
-) {
-    bound_conv_reads(av, aidx, acs, src, bidx, offs);
-    let mut lo: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr()));
-    let mut hi: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr().add(4)));
-    for (t, &o) in offs.iter().enumerate() {
-        for r in 0..MRR {
-            let bp = src.as_ptr().add(bidx[r] + o);
-            let a = _mm_set1_ps(*av.get_unchecked(aidx[r] + t * acs));
-            lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(a, _mm_loadu_ps(bp)));
-            hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(a, _mm_loadu_ps(bp.add(4))));
-        }
-    }
-    for r in 0..MRR {
-        _mm_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm_storeu_ps(acc[r].as_mut_ptr().add(4), hi[r]);
-    }
-}
-
 /// The AVX2 lanes whose bit is set in `mask` (bit `l` is lane `l`), as
 /// an all-ones lane select.
 ///
@@ -314,38 +194,8 @@ unsafe fn lanes_avx2(mask: u8) -> __m256 {
     _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits))
 }
 
-/// The SSE2 lanes of `mask` as two four-lane selects (lanes 0–3, 4–7).
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports SSE2; no
-/// memory is touched.
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn lanes_sse2(mask: u8) -> [__m128; 2] {
-    let m = _mm_set1_epi32(i32::from(mask));
-    let sel = |bits: __m128i| _mm_castsi128_ps(_mm_cmpeq_epi32(_mm_and_si128(m, bits), bits));
-    [
-        sel(_mm_setr_epi32(1, 2, 4, 8)),
-        sel(_mm_setr_epi32(16, 32, 64, 128)),
-    ]
-}
-
-/// `keep ? a : b` lane by lane on SSE2, which has no blend.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports SSE2; no
-/// memory is touched.
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn select_sse2(keep: __m128, a: __m128, b: __m128) -> __m128 {
-    _mm_or_ps(_mm_and_ps(keep, a), _mm_andnot_ps(keep, b))
-}
-
-/// Proves every `A` and `B` read of a [`fold_micro_avx2`] /
-/// [`fold_micro_sse2`] pass is in bounds, so the loops can use
-/// unchecked loads.
+/// Proves every `A` and `B` read of a [`fold_micro_avx2`] pass is in
+/// bounds, so the loops can use unchecked loads.
 ///
 /// # Panics
 ///
@@ -435,52 +285,6 @@ pub unsafe fn fold_micro_avx2<const MRR: usize>(
     }
 }
 
-/// SSE2 fold tile: [`fold_micro_avx2`] in two four-lane halves,
-/// selecting with and/andnot/or.
-///
-/// # Safety
-///
-/// SAFETY: as for [`fold_micro_avx2`], with SSE2 as the required
-/// feature.
-#[target_feature(enable = "sse2")]
-pub unsafe fn fold_micro_sse2<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    srcs: &[FoldSrc],
-    bidx: &[usize; MRR],
-    taps: &[FoldTap],
-) {
-    bound_fold_reads(av, aidx, acs, srcs, bidx, taps);
-    let mut lo: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr()));
-    let mut hi: [__m128; MRR] = core::array::from_fn(|r| _mm_loadu_ps(acc[r].as_ptr().add(4)));
-    for tap in taps {
-        let src = srcs.get_unchecked(tap.src);
-        let ap = av.as_ptr().add(tap.a);
-        let bp = src.v.as_ptr().add(tap.base);
-        let mut plo = [_mm_setzero_ps(); MRR];
-        let mut phi = [_mm_setzero_ps(); MRR];
-        for (s, &o) in src.offs.iter().enumerate() {
-            for r in 0..MRR {
-                let b = bp.add(bidx[r] + o);
-                let a = _mm_set1_ps(*ap.add(aidx[r] + s * acs));
-                plo[r] = _mm_add_ps(plo[r], _mm_mul_ps(a, _mm_loadu_ps(b)));
-                phi[r] = _mm_add_ps(phi[r], _mm_mul_ps(a, _mm_loadu_ps(b.add(4))));
-            }
-        }
-        let [klo, khi] = lanes_sse2(tap.mask);
-        for r in 0..MRR {
-            lo[r] = select_sse2(klo, _mm_add_ps(lo[r], plo[r]), lo[r]);
-            hi[r] = select_sse2(khi, _mm_add_ps(hi[r], phi[r]), hi[r]);
-        }
-    }
-    for r in 0..MRR {
-        _mm_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-        _mm_storeu_ps(acc[r].as_mut_ptr().add(4), hi[r]);
-    }
-}
-
 /// AVX2 [`scalar::leaky_relu_pack`]: eight lanes at a time, an ordered
 /// `> 0` compare (false for NaN), a blend of `x` and `alpha · x`, and the
 /// compare's sign bits moved into the mask word. The last partial word
@@ -513,34 +317,6 @@ pub unsafe fn leaky_relu_pack_avx2(dst: &mut [f32], src: &[f32], alpha: f32, bit
     scalar::leaky_relu_pack(&mut dst[i..], &src[i..], alpha, &mut bits[words..]);
 }
 
-/// SSE2 [`leaky_relu_pack_avx2`]: four lanes at a time, selecting with
-/// and/andnot/or.
-///
-/// # Safety
-///
-/// SAFETY: as for [`leaky_relu_pack_avx2`], with SSE2 as the required
-/// feature.
-#[target_feature(enable = "sse2")]
-pub unsafe fn leaky_relu_pack_sse2(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
-    let a = _mm_set1_ps(alpha);
-    let zero = _mm_setzero_ps();
-    let words = src.len() / 64;
-    for (w, word) in bits[..words].iter_mut().enumerate() {
-        let mut m = 0u64;
-        for g in 0..16 {
-            let i = w * 64 + g * 4;
-            let x = _mm_loadu_ps(src.as_ptr().add(i));
-            let pos = _mm_cmpgt_ps(x, zero);
-            let y = select_sse2(pos, x, _mm_mul_ps(a, x));
-            _mm_storeu_ps(dst.as_mut_ptr().add(i), y);
-            m |= (_mm_movemask_ps(pos) as u64) << (g * 4);
-        }
-        *word = m;
-    }
-    let i = words * 64;
-    scalar::leaky_relu_pack(&mut dst[i..], &src[i..], alpha, &mut bits[words..]);
-}
-
 /// AVX2 [`scalar::leaky_relu_unpack`]: each mask byte widened to an
 /// eight-lane select, then a blend of `g` and `alpha · g`. The last
 /// partial word runs the scalar reference.
@@ -562,31 +338,6 @@ pub unsafe fn leaky_relu_unpack_avx2(dst: &mut [f32], grad: &[f32], alpha: f32, 
             let keep = lanes_avx2((word >> (g * 8)) as u8);
             let y = _mm256_blendv_ps(_mm256_mul_ps(a, x), x, keep);
             _mm256_storeu_ps(dst.as_mut_ptr().add(i), y);
-        }
-    }
-    let i = words * 64;
-    scalar::leaky_relu_unpack(&mut dst[i..], &grad[i..], alpha, &bits[words..]);
-}
-
-/// SSE2 [`leaky_relu_unpack_avx2`]: four lanes at a time.
-///
-/// # Safety
-///
-/// SAFETY: as for [`leaky_relu_unpack_avx2`], with SSE2 as the required
-/// feature.
-#[target_feature(enable = "sse2")]
-pub unsafe fn leaky_relu_unpack_sse2(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
-    let a = _mm_set1_ps(alpha);
-    let words = grad.len() / 64;
-    for (w, &word) in bits[..words].iter().enumerate() {
-        for g in 0..8 {
-            let i = w * 64 + g * 8;
-            let [klo, khi] = lanes_sse2((word >> (g * 8)) as u8);
-            for (h, keep) in [(0, klo), (4, khi)] {
-                let x = _mm_loadu_ps(grad.as_ptr().add(i + h));
-                let y = select_sse2(keep, x, _mm_mul_ps(a, x));
-                _mm_storeu_ps(dst.as_mut_ptr().add(i + h), y);
-            }
         }
     }
     let i = words * 64;

@@ -27,10 +27,10 @@
 //!   packed block strip by strip, streaming its output rows in order
 //!   while the block stays L2-resident. The micro-kernel keeps an
 //!   `MR × 8` accumulator array in registers; its inner loop is the
-//!   ISA-dispatched [`super::kernels::gemm_micro`] (scalar reference,
-//!   SSE2, or AVX2 — all bit-identical), and the tile height comes from
-//!   [`super::kernels::gemm_mr`] (4 on the scalar/SSE2 paths, 8 on AVX2
-//!   where sixteen ymm registers fit the taller tile).
+//!   ISA-dispatched [`super::kernels::gemm_micro`] (scalar reference or
+//!   AVX2 — bit-identical), and the tile height comes from
+//!   [`super::kernels::gemm_mr`] (4 on the scalar path, 8 on AVX2 where
+//!   sixteen ymm registers fit the taller tile).
 //!
 //! # Determinism
 //!
@@ -86,7 +86,7 @@ impl BSource<'_> {
                     let j = j0 + s * NR;
                     let w = NR.min(j1 - j);
                     for (p, dstp) in (p0..p1).zip(strip.chunks_exact_mut(NR)) {
-                        kernels::copy_f32(&mut dstp[..w], &bv[p * n + j..p * n + j + w]);
+                        dstp[..w].copy_from_slice(&bv[p * n + j..p * n + j + w]);
                         dstp[w..].fill(0.0);
                     }
                 }
@@ -172,7 +172,7 @@ fn gemm_task(
 ) {
     let m_t = rows.len();
     let width = rows[0].len();
-    // Row-tile height for the active ISA (4 scalar/SSE2, 8 AVX2): pure
+    // Row-tile height for the active ISA (4 scalar, 8 AVX2): pure
     // scheduling — per-element accumulation chains are identical at any
     // tiling, so this never affects results.
     let mr_tile = kernels::gemm_mr();

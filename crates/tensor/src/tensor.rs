@@ -168,11 +168,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads one element.
     ///
     /// # Panics

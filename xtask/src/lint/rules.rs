@@ -255,17 +255,16 @@ fn l4_shapes_doc(file: &SourceFile, scope: &FileScope) -> Vec<Violation> {
 }
 
 /// L5: no raw thread creation (`thread::spawn` / `thread::Builder`)
-/// outside `rhsd-par`, `rhsd-obs` and `rhsd-serve`.
+/// outside `rhsd-par` and `rhsd-serve`.
 ///
 /// All pipeline parallelism goes through the `rhsd-par` pool: its fixed
 /// chunk schedule and in-order reduction are what keep results
 /// bit-identical at any thread count, and its counters feed the
-/// observability layer. Ad-hoc threads bypass both. (`rhsd-obs` owns one
-/// audited background writer thread; `rhsd-serve` owns the acceptor,
-/// per-connection and batcher threads — compute inside them still runs
-/// on the rhsd-par pool.)
+/// observability layer. Ad-hoc threads bypass both. (`rhsd-serve` owns
+/// the acceptor, per-connection and batcher threads — compute inside
+/// them still runs on the rhsd-par pool.)
 fn l5_no_raw_threads(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Violation> {
-    if matches!(scope.crate_name.as_str(), "par" | "obs" | "serve") {
+    if matches!(scope.crate_name.as_str(), "par" | "serve") {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -700,11 +699,9 @@ fn l11_shape_cross_check(file: &SourceFile, scope: &FileScope) -> Vec<Violation>
     out
 }
 
-/// Paths allowed to contain ISA-specific code: the runtime-dispatched
-/// SIMD micro-kernels and the litho aerial kernel file (whitelisted for
-/// a future fused taps path).
+/// The one tree allowed to contain ISA-specific code: the
+/// runtime-dispatched SIMD micro-kernels.
 const L13_ISA_PREFIX: &str = "crates/tensor/src/ops/kernels/";
-const L13_ISA_FILES: &[&str] = &["crates/litho/src/kernel.rs"];
 
 /// The one file allowed to probe CPU features: the `Isa` selector.
 const L13_DETECT_FILE: &str = "crates/tensor/src/ops/kernels/mod.rs";
@@ -713,16 +710,14 @@ const L13_DETECT_FILE: &str = "crates/tensor/src/ops/kernels/mod.rs";
 ///
 /// `core::arch`/`std::arch` paths, `_mm*` intrinsics and
 /// `#[target_feature]` may appear only under
-/// `crates/tensor/src/ops/kernels/` (plus the whitelisted litho kernel
-/// file), and `is_x86_feature_detected!` only in the selector
-/// (`kernels/mod.rs`): every other dispatch site must go through the
-/// single `rhsd_tensor::ops::kernels::Isa` selector so forced-scalar
-/// mode (`RHSD_FORCE_SCALAR=1`) and the bitwise scalar/SIMD equivalence
-/// tests cover *all* vector code. `unsafe` inside the kernels still
+/// `crates/tensor/src/ops/kernels/`, and `is_x86_feature_detected!`
+/// only in the selector (`kernels/mod.rs`): every other dispatch site
+/// must go through the single `rhsd_tensor::ops::kernels::Isa` selector
+/// so forced-scalar mode (`RHSD_FORCE_SCALAR=1`) and the bitwise
+/// scalar/SIMD equivalence tests cover *all* vector code. `unsafe` inside the kernels still
 /// needs its `// SAFETY:` comment — that is L10's department.
 fn l13_isa_containment(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
-    let allowed = file.rel_path.starts_with(L13_ISA_PREFIX)
-        || L13_ISA_FILES.contains(&file.rel_path.as_str());
+    let allowed = file.rel_path.starts_with(L13_ISA_PREFIX);
     let may_detect = file.rel_path == L13_DETECT_FILE;
     if allowed && may_detect {
         return Vec::new();
@@ -764,7 +759,7 @@ fn l13_isa_containment(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
                 sig.span(i),
                 format!(
                     "intrinsic `{name}` outside `{L13_ISA_PREFIX}`; call the dispatched \
-                     kernels (`gemm_micro`, `copy_f32`, `conv_taps`, …) instead"
+                     kernels (`gemm_micro`, `conv_taps`, …) instead"
                 ),
             ));
         } else if name == "target_feature" {
@@ -993,17 +988,20 @@ mod tests {
     }
 
     #[test]
-    fn l5_flags_raw_threads_outside_par_and_obs() {
+    fn l5_flags_raw_threads_outside_par_and_serve() {
         let bad = "fn f() { std::thread::spawn(|| {}); }\n\
                    fn g() { let b = std::thread::Builder::new(); }";
         let v = lint("crates/core/src/a.rs", bad);
         assert_eq!(rules(&v), vec!["L5", "L5"]);
         assert!(v[0].message.contains("rhsd_par"));
-        // the pool crate, the obs writer thread and the serve crate's
-        // acceptor/connection/batcher threads are exempt
+        // the pool crate and the serve crate's acceptor/connection/
+        // batcher threads are exempt; the obs crate is not
         assert!(lint("crates/par/src/lib.rs", bad).is_empty());
-        assert!(lint("crates/obs/src/span.rs", bad).is_empty());
         assert!(lint("crates/serve/src/server.rs", bad).is_empty());
+        assert_eq!(
+            rules(&lint("crates/obs/src/span.rs", bad)),
+            vec!["L5", "L5"]
+        );
     }
 
     #[test]
@@ -1240,12 +1238,16 @@ mod tests {
     }
 
     #[test]
-    fn l13_allows_the_kernels_module_and_litho_kernel() {
+    fn l13_allows_only_the_kernels_module() {
         let simd = "// SAFETY: test fixture.\n\
              #[target_feature(enable = \"avx2\")]\n\
              unsafe fn f() { use core::arch::x86_64::*; let _ = _mm256_setzero_ps(); }\n";
         assert!(lint("crates/tensor/src/ops/kernels/x86.rs", simd).is_empty());
-        assert!(lint("crates/litho/src/kernel.rs", simd).is_empty());
+        // Anywhere else target_feature, core::arch and _mm256… all fire.
+        assert_eq!(
+            rules(&lint("crates/litho/src/kernel.rs", simd)),
+            vec!["L13"; 3]
+        );
         // Feature probing is narrower still: selector file only.
         let probe = "fn s() -> bool { std::arch::is_x86_feature_detected!(\"avx2\") }\n";
         assert!(lint("crates/tensor/src/ops/kernels/mod.rs", probe).is_empty());

@@ -3,8 +3,6 @@
 //! Every reproduction binary accepts the same flags:
 //!
 //! - `--quick` — reduced effort (fewer epochs, fewer cases/sizes);
-//! - `--metrics <path>` — enable observability and write a metrics
-//!   snapshot (counters + histogram summaries with p50/p95/p99);
 //! - `--ledger <path>` — write the JSONL run ledger there instead of the
 //!   default `LEDGER_<name>.jsonl` (the ledger is **on by default** for
 //!   every repro run; see `rhsd_obs::ledger`);
@@ -27,7 +25,7 @@
 //! silently ignored.
 //!
 //! On exit every binary prints the paths of all artifacts it wrote
-//! (bench record, figures, metrics, ledger) via
+//! (bench record, figures, saved model, ledger) via
 //! [`BenchArgs::finish_run`], so CI logs show where outputs went.
 //!
 //! Exit codes: `0` on success (and `--help`), `1` on a runtime failure
@@ -42,8 +40,6 @@ use crate::pipeline::Effort;
 pub struct BenchArgs {
     /// Run at reduced effort (`--quick`).
     pub quick: bool,
-    /// Metrics snapshot output path (`--metrics <path>`).
-    pub metrics: Option<PathBuf>,
     /// Run-ledger output path (`--ledger <path>`, or the per-binary
     /// default unless `--no-ledger` was given).
     pub ledger: Option<PathBuf>,
@@ -81,12 +77,11 @@ pub fn default_ledger_path(bin: &str) -> PathBuf {
 /// Usage text for a binary named `bin`.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--quick] [--metrics <path>]\n\
-         \x20           [--ledger <path>] [--no-ledger] [--bench-out <path>]\n\
+        "usage: {bin} [--quick] [--ledger <path>] [--no-ledger]\n\
+         \x20           [--bench-out <path>] [--save-model <path>]\n\
          \x20           [--threads <n>]\n\
          \n\
          --quick            reduced-effort run (seconds instead of minutes)\n\
-         --metrics <path>   write a metrics snapshot JSON (counters, p50/p95/p99)\n\
          --ledger <path>    write the JSONL run ledger there (default: {ledger})\n\
          --no-ledger        disable the run ledger\n\
          --bench-out <path> machine-readable benchmark record (repro_table1;\n\
@@ -107,7 +102,7 @@ pub fn usage(bin: &str) -> String {
 impl BenchArgs {
     /// Parses the process arguments; prints usage and exits on `--help`
     /// or on an invalid flag. Applies the per-binary default ledger path
-    /// and enables observability when any export is active.
+    /// and enables observability when the run ledger is active.
     pub fn parse(bin: &str) -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(Some(mut args)) => {
@@ -155,7 +150,6 @@ impl BenchArgs {
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => out.quick = true,
-                "--metrics" => path_flag(&mut out.metrics, "--metrics", it.next())?,
                 "--ledger" => path_flag(&mut out.ledger, "--ledger", it.next())?,
                 "--bench-out" => path_flag(&mut out.bench_out, "--bench-out", it.next())?,
                 "--save-model" => path_flag(&mut out.save_model, "--save-model", it.next())?,
@@ -193,10 +187,9 @@ impl BenchArgs {
         }
     }
 
-    /// Turns observability on when any export (metrics or run ledger)
-    /// is active.
+    /// Turns observability on when the run ledger is active.
     pub fn init_obs(&self) {
-        if self.metrics.is_some() || self.ledger.is_some() {
+        if self.ledger.is_some() {
             rhsd_obs::set_enabled(true);
         }
     }
@@ -257,16 +250,10 @@ impl BenchArgs {
         }
     }
 
-    /// Finishes the run: writes the metrics export, closes the run ledger with `status` (emitting its
-    /// `run_end` line), and prints the path of every artifact the run
+    /// Finishes the run: closes the run ledger with `status` (emitting
+    /// its `run_end` line) and prints the path of every artifact the run
     /// wrote.
     pub fn finish_run(&mut self, status: &str) {
-        if let Some(path) = &self.metrics {
-            match rhsd_obs::write_metrics(path) {
-                Ok(()) => self.artifacts.push(path.clone()),
-                Err(e) => eprintln!("failed to write metrics {}: {e}", path.display()),
-            }
-        }
         if let Some(path) = rhsd_obs::ledger::close(status) {
             self.artifacts.push(path);
         }
@@ -287,8 +274,6 @@ mod tests {
     fn parses_all_flags() {
         let args = BenchArgs::parse_from([
             "--quick",
-            "--metrics",
-            "m.json",
             "--ledger",
             "run.jsonl",
             "--bench-out",
@@ -299,10 +284,6 @@ mod tests {
         .unwrap()
         .unwrap();
         assert!(args.quick);
-        assert_eq!(
-            args.metrics.as_deref(),
-            Some(std::path::Path::new("m.json"))
-        );
         assert_eq!(
             args.ledger.as_deref(),
             Some(std::path::Path::new("run.jsonl"))
@@ -335,7 +316,6 @@ mod tests {
 
     #[test]
     fn missing_path_is_rejected() {
-        assert!(BenchArgs::parse_from(["--metrics"]).is_err());
         assert!(BenchArgs::parse_from(["--ledger"]).is_err());
         assert!(BenchArgs::parse_from(["--bench-out"]).is_err());
         assert!(BenchArgs::parse_from(["--save-model"]).is_err());
@@ -343,7 +323,7 @@ mod tests {
 
     #[test]
     fn duplicate_path_flags_are_rejected() {
-        for flag in ["--metrics", "--ledger", "--bench-out", "--save-model"] {
+        for flag in ["--ledger", "--bench-out", "--save-model"] {
             let err = BenchArgs::parse_from([flag, "a", flag, "b"]).unwrap_err();
             assert!(err.contains(flag), "{err}");
         }
@@ -376,9 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_span_tree_and_profile_flags_are_unknown() {
-        // All are rendered from the ledger by `xtask report` instead.
-        for flag in ["--trace", "--span-tree", "--profile", "--profile=97"] {
+    fn removed_export_flags_are_unknown() {
+        // The ledger's `run_end` carries the counters, peaks and span
+        // tree; `xtask report` renders them.
+        for flag in [
+            "--metrics",
+            "--trace",
+            "--span-tree",
+            "--profile",
+            "--profile=97",
+        ] {
             let err = BenchArgs::parse_from([flag, "t.json"]).unwrap_err();
             assert!(err.contains(&format!("unknown argument `{flag}`")), "{err}");
         }
@@ -407,7 +394,6 @@ mod tests {
         let u = usage("repro_table1");
         for flag in [
             "--quick",
-            "--metrics",
             "--ledger",
             "--no-ledger",
             "--bench-out",

@@ -7,7 +7,7 @@
 //!    alarms across score thresholds, with the best operating point.
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_ablations --
-//! [--quick] [--metrics <path>] [--ledger <path>] [--threads <n>]`
+//! [--quick] [--ledger <path>] [--threads <n>]`
 
 use rhsd_bench::args::BenchArgs;
 use rhsd_bench::pipeline::{

@@ -4,7 +4,7 @@
 //! "w/o. ED", "w/o. L2", "w/o. Refine" and "Full".
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_fig10 --
-//! [--quick] [--metrics <path>] [--ledger <path>] [--threads <n>]`
+//! [--quick] [--ledger <path>] [--threads <n>]`
 
 use rhsd_bench::args::BenchArgs;
 use rhsd_bench::pipeline::{row_json, run_fig10, OURS_SEED};

@@ -3,7 +3,7 @@
 //! (c) our region-based detector's output on one test region per case.
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_fig9 --
-//! [--quick] [--metrics <path>] [--ledger <path>] [--threads <n>]`
+//! [--quick] [--ledger <path>] [--threads <n>]`
 //!
 //! Writes `fig9_<case>_{truth,tcad18,ours}.svg` files into the working
 //! directory.

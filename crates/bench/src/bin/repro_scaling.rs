@@ -5,7 +5,7 @@
 //! per-clip feature-extraction overhead on top).
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_scaling --
-//! [--quick] [--metrics <path>] [--ledger <path>] [--threads <n>]`
+//! [--quick] [--ledger <path>] [--threads <n>]`
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

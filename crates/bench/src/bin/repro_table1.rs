@@ -3,7 +3,7 @@
 //! evaluated benchmark cases, plus Average and Ratio rows.
 //!
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_table1 --
-//! [--quick] [--metrics <path>] [--ledger <path>] [--threads <n>]
+//! [--quick] [--ledger <path>] [--threads <n>]
 //! [--bench-out <path>] [--save-model <path>]`
 //!
 //! The run is deterministic (all seeds fixed). Results are printed to

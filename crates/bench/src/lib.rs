@@ -7,9 +7,8 @@
 //! corresponding table/figures.
 //!
 //! All binaries share the [`args`] flag parser: `--quick` for reduced
-//! effort, `--ledger <path>` for the run ledger (on by default) and
-//! `--metrics <path>` for a metrics snapshot (see `rhsd-obs`); `cargo
-//! xtask report` renders a ledger's span tree.
+//! effort and `--ledger <path>` for the run ledger (on by default; see
+//! `rhsd-obs`); `cargo xtask report` renders a ledger's span tree.
 
 pub mod args;
 pub mod pipeline;

@@ -180,13 +180,19 @@ impl Value {
     }
 }
 
+/// Deepest container nesting [`parse`] accepts. Every document this
+/// workspace writes nests a few levels; the bound keeps a hostile input
+/// (a serve frame, a model header) from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses `s` as one well-formed JSON value (strict recursive descent;
-/// no extensions). Returns the byte offset of the first error.
+/// no extensions; at most [`MAX_DEPTH`] nested containers). Returns the
+/// byte offset of the first error.
 pub fn parse(s: &str) -> Result<Value, usize> {
     let b = s.as_bytes();
     let mut pos = 0usize;
     skip_ws(b, &mut pos);
-    let v = pvalue(b, &mut pos)?;
+    let v = pvalue(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos == b.len() {
         Ok(v)
@@ -195,10 +201,12 @@ pub fn parse(s: &str) -> Result<Value, usize> {
     }
 }
 
-fn pvalue(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
+/// Parses one value; `depth` counts the containers it sits in.
+fn pvalue(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, usize> {
     match b.get(*pos) {
-        Some(b'{') => pobject(b, pos),
-        Some(b'[') => parray(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(*pos),
+        Some(b'{') => pobject(b, pos, depth + 1),
+        Some(b'[') => parray(b, pos, depth + 1),
         Some(b'"') => pstring(b, pos).map(Value::Str),
         Some(b't') => literal(b, pos, b"true").map(|()| Value::Bool(true)),
         Some(b'f') => literal(b, pos, b"false").map(|()| Value::Bool(false)),
@@ -208,7 +216,7 @@ fn pvalue(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
     }
 }
 
-fn pobject(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
+fn pobject(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, usize> {
     let mut fields = Vec::new();
     *pos += 1; // '{'
     skip_ws(b, pos);
@@ -225,7 +233,7 @@ fn pobject(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
         }
         *pos += 1;
         skip_ws(b, pos);
-        let val = pvalue(b, pos)?;
+        let val = pvalue(b, pos, depth)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -239,7 +247,7 @@ fn pobject(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
     }
 }
 
-fn parray(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
+fn parray(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, usize> {
     let mut items = Vec::new();
     *pos += 1; // '['
     skip_ws(b, pos);
@@ -249,7 +257,7 @@ fn parray(b: &[u8], pos: &mut usize) -> Result<Value, usize> {
     }
     loop {
         skip_ws(b, pos);
-        items.push(pvalue(b, pos)?);
+        items.push(pvalue(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -468,6 +476,23 @@ mod tests {
         // A truncated \u escape is a hard error, not a replacement.
         assert!(parse("\"\\ud83\"").is_err());
         assert!(parse("\"\\u00\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(r#"{"a":"#, "}", MAX_DEPTH)).is_ok());
+        // One level past the bound fails at the opening bracket that
+        // crosses it; 200,000 levels fail the same way instead of
+        // overflowing the stack.
+        assert_eq!(parse(&nest("[", "]", MAX_DEPTH + 1)), Err(MAX_DEPTH));
+        assert_eq!(
+            parse(&nest(r#"{"a":"#, "}", MAX_DEPTH + 1)),
+            Err(5 * MAX_DEPTH)
+        );
+        assert_eq!(parse(&"[".repeat(200_000)), Err(MAX_DEPTH));
+        assert_eq!(validate(&"{\"a\":".repeat(200_000)), Err(5 * MAX_DEPTH));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! - **hierarchical span timers** ([`span`]) — RAII guards, nestable,
 //!   thread-safe; a closing span adds to its stack path's totals and
 //!   nothing else;
-//! - a **metrics registry** ([`metrics`]) of named counters and latency
-//!   histograms with p50/p95/p99 summaries, exported as a `metrics.json`
-//!   snapshot;
+//! - a **metrics registry** ([`metrics`]) of named counters and value
+//!   histograms (count, sum, min, max, mean, last), read through
+//!   [`snapshot`] and written as the ledger's `run_end` counters and peaks;
 //! - a **global no-op mode**: instrumentation is disabled by default and
 //!   costs a single relaxed atomic load per call site until
 //!   [`set_enabled`]`(true)` is called;
@@ -33,8 +33,7 @@
 //! rhsd_obs::record("train.loss", 0.5);
 //! let tree = rhsd_obs::span_tree();
 //! assert_eq!(tree.roots["scan-region"].children["cpn"].count, 1);
-//! let metrics = rhsd_obs::metrics_json();
-//! assert!(metrics.contains("p95"));
+//! assert_eq!(rhsd_obs::snapshot().histograms["train.loss"].max, 0.5);
 //! # rhsd_obs::reset();
 //! # rhsd_obs::set_enabled(false);
 //! ```
@@ -45,7 +44,6 @@ pub mod metrics;
 pub mod span;
 pub mod spantree;
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -101,16 +99,6 @@ pub fn snapshot() -> MetricsSnapshot {
 /// exclusive seconds, and seconds per thread, per stack path.
 pub fn span_tree() -> SpanTree {
     SpanTree::from_totals(&registry().spans)
-}
-
-/// Serialises the metrics registry as a JSON snapshot.
-pub fn metrics_json() -> String {
-    metrics::metrics_json(&registry().snapshot())
-}
-
-/// Writes the metrics snapshot to `path`.
-pub fn write_metrics(path: impl AsRef<Path>) -> std::io::Result<()> {
-    std::fs::write(path, metrics_json())
 }
 
 /// Clears all recorded spans, counters and histograms (the enabled flag

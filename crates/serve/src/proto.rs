@@ -8,7 +8,7 @@
 //! pulls in nothing new.
 //!
 //! Responses are serialised by hand with a fixed key order. That is a
-//! load-bearing property, not a style choice: the CI serve-smoke leg
+//! load-bearing property, not a style choice: the CI bench gate
 //! byte-compares a served scan against an offline scan written through
 //! the same [`scan_response_json`] serialiser, which turns "the server
 //! is bit-identical to the offline pipeline" into a `cmp` of two files.
@@ -362,6 +362,15 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn deeply_nested_body_is_bad_json_not_a_stack_overflow() {
+        let body = "[".repeat(200_000);
+        assert!(matches!(
+            parse_request(&body),
+            Err(ProtoError::BadJson(at)) if at == json::MAX_DEPTH
+        ));
     }
 
     #[test]

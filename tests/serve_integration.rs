@@ -1,6 +1,6 @@
 //! End-to-end serving tests: a real `Server` on an ephemeral loopback
-//! port, real TCP clients, and the bit-identity pin the CI serve-smoke
-//! leg relies on — a served scan's reply must equal, byte for byte, the
+//! port, real TCP clients, and the bit-identity pin the CI bench gate
+//! relies on — a served scan's reply must equal, byte for byte, the
 //! offline scan written through the same canonical serialiser.
 
 use std::path::{Path, PathBuf};

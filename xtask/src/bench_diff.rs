@@ -2,10 +2,9 @@
 //!
 //! Compares two machine-readable benchmark records (the
 //! `BENCH_table1.json` files written by `repro_table1 --bench-out`,
-//! schema `rhsd-bench-table/8` — older schemas back to `/2` are accepted
-//! too; the gate reads only the detector rows, `threads`, `isa` and
-//! `precision`) and fails when the current
-//! run regresses past the tolerances:
+//! schema `rhsd-bench-table/8`; any other table schema is refused, exit
+//! 2; the gate reads only the detector rows, `threads` and `isa`) and
+//! fails when the current run regresses past the tolerances:
 //!
 //! - **runtime**: any detector's average scan time grew by more than
 //!   `--max-runtime-regress` percent (default 10). Runtime is
@@ -30,11 +29,7 @@
 //! runtime comparison (exit 2): parallel speedup would masquerade as a
 //! runtime improvement or regression. Pass `--skip-runtime` to compare
 //! the deterministic accuracy/FA columns across thread counts — those are
-//! bit-identical at any thread count by design. Records predating the
-//! `threads` field compare as before. A table or serve record whose
-//! `precision` field is present and not `f32` came from a since-removed
-//! reduced-precision scan mode and is refused (exit 2); records without
-//! the field parse as before.
+//! bit-identical at any thread count by design.
 //!
 //! **Serve records**: when both inputs carry the `rhsd-serve-bench/1`
 //! schema (written by `cargo xtask loadgen`), the gate compares serving
@@ -59,6 +54,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rhsd_obs::json::{parse, Value};
+
+/// The one table-record schema the gate reads (what `repro_table1
+/// --bench-out` writes).
+const TABLE_SCHEMA: &str = "rhsd-bench-table/8";
 
 /// Comparison tolerances (percentages / accuracy points).
 pub struct Tolerance {
@@ -102,11 +101,9 @@ struct DetectorRow {
 struct BenchRecord {
     source: String,
     quick: bool,
-    /// `rhsd-par` worker-thread count of the run (`None` on records
-    /// predating schema v3).
-    threads: Option<u64>,
-    /// SIMD ISA the kernel dispatcher selected (schema v7; empty on
-    /// older records).
+    /// `rhsd-par` worker-thread count of the run.
+    threads: u64,
+    /// SIMD ISA the kernel dispatcher selected.
     isa: String,
     detectors: Vec<DetectorRow>,
 }
@@ -125,31 +122,10 @@ fn row_from(name: &str, v: &Value) -> Result<DetectorRow, String> {
     })
 }
 
-/// Refuses a record made by a since-removed reduced-precision scan
-/// mode: its `precision` field, when present, must read `f32`.
-fn require_f32(v: &Value, label: &str) -> Result<(), String> {
-    match v.get("precision").map(Value::as_str) {
-        None | Some(Some("f32")) => Ok(()),
-        Some(p) => Err(format!(
-            "{label}: record was produced at precision `{}`; that scan mode \
-             was removed and only f32 records can be compared",
-            p.unwrap_or("?")
-        )),
-    }
-}
-
-/// Parses a bench record, checking the schema tag and extracting each
-/// detector's average row.
+/// Parses a table record (its schema already checked by
+/// [`schema_kind`]), extracting each detector's average row.
 fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
     let v = parse(text).map_err(|pos| format!("{label}: invalid JSON at byte {pos}"))?;
-    require_f32(&v, label)?;
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{label}: missing `schema` field"))?;
-    if !schema.starts_with("rhsd-bench-table/") {
-        return Err(format!("{label}: unsupported schema `{schema}`"));
-    }
     let detectors = v
         .get("detectors")
         .and_then(Value::as_arr)
@@ -175,11 +151,14 @@ fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
             .unwrap_or("?")
             .to_owned(),
         quick: v.get("quick").and_then(Value::as_bool).unwrap_or(false),
-        threads: v.get("threads").and_then(Value::as_u64),
+        threads: v
+            .get("threads")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("{label}: missing integer `threads` field"))?,
         isa: v
             .get("isa")
             .and_then(Value::as_str)
-            .unwrap_or("")
+            .ok_or_else(|| format!("{label}: missing `isa` field"))?
             .to_owned(),
         detectors: rows,
     })
@@ -267,21 +246,11 @@ fn render(
         "bench-diff: {} (quick={}) vs {} (quick={})",
         baseline.source, baseline.quick, current.source, current.quick
     );
-    if !baseline.isa.is_empty() || !current.isa.is_empty() {
-        let tag = |s: &str| {
-            if s.is_empty() {
-                "?".to_owned()
-            } else {
-                s.to_owned()
-            }
-        };
-        let _ = writeln!(
-            o,
-            "isa: baseline {} / current {}",
-            tag(&baseline.isa),
-            tag(&current.isa)
-        );
-    }
+    let _ = writeln!(
+        o,
+        "isa: baseline {} / current {}",
+        baseline.isa, current.isa
+    );
     let _ = writeln!(
         o,
         "{:<14} {:>12} {:>8} {:>12}  status",
@@ -316,7 +285,7 @@ fn render(
 /// The two record families the gate understands.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SchemaKind {
-    /// `rhsd-bench-table/*` — detector accuracy/FA/runtime rows.
+    /// [`TABLE_SCHEMA`] — detector accuracy/FA/runtime rows.
     Table,
     /// `rhsd-serve-bench/*` — serve throughput/latency records.
     Serve,
@@ -329,8 +298,13 @@ fn schema_kind(text: &str, label: &str) -> Result<SchemaKind, String> {
         .get("schema")
         .and_then(Value::as_str)
         .ok_or_else(|| format!("{label}: missing `schema` field"))?;
-    if schema.starts_with("rhsd-bench-table/") {
+    if schema == TABLE_SCHEMA {
         Ok(SchemaKind::Table)
+    } else if schema.starts_with("rhsd-bench-table/") {
+        Err(format!(
+            "{label}: table schema `{schema}` is not read; rerun \
+             `repro_table1 --bench-out` for a `{TABLE_SCHEMA}` record"
+        ))
     } else if schema.starts_with("rhsd-serve-bench/") {
         Ok(SchemaKind::Serve)
     } else {
@@ -360,7 +334,6 @@ struct ServeRecord {
 /// columns the gate compares on.
 fn parse_serve_record(text: &str, label: &str) -> Result<ServeRecord, String> {
     let v = parse(text).map_err(|pos| format!("{label}: invalid JSON at byte {pos}"))?;
-    require_f32(&v, label)?;
     let num = |key: &str| {
         v.get(key)
             .and_then(Value::as_f64)
@@ -563,15 +536,14 @@ pub fn compare(
     }
     let baseline = parse_record(baseline_text, "baseline")?;
     let current = parse_record(current_text, "current")?;
-    if let (Some(b), Some(c)) = (baseline.threads, current.threads) {
-        if b != c && !tol.skip_runtime {
-            return Err(format!(
-                "records were produced at different thread counts \
-                 (baseline {b}, current {c}); runtimes are not comparable — \
-                 pass --skip-runtime to gate on the thread-count-invariant \
-                 accuracy columns only"
-            ));
-        }
+    let (b, c) = (baseline.threads, current.threads);
+    if b != c && !tol.skip_runtime {
+        return Err(format!(
+            "records were produced at different thread counts \
+             (baseline {b}, current {c}); runtimes are not comparable — \
+             pass --skip-runtime to gate on the thread-count-invariant \
+             accuracy columns only"
+        ));
     }
     let (rows, notes) = diff(&baseline, &current, tol);
     let mut regressed = rows.iter().any(|r| !r.regressions.is_empty());
@@ -659,16 +631,23 @@ fn num_arg(v: Option<&String>, flag: &str) -> Result<f64, String> {
 mod tests {
     use super::*;
 
-    /// A minimal valid v2 record (no `threads` field) with one detector
-    /// whose average row has the given runtime and accuracy.
+    /// A minimal table record at 2 threads with one detector whose
+    /// average row has the given runtime and accuracy.
     fn record(secs: f64, acc: f64) -> String {
+        record_at(secs, acc, 2)
+    }
+
+    /// [`record`] produced at `threads` worker threads.
+    fn record_at(secs: f64, acc: f64, threads: u64) -> String {
         format!(
             r#"{{
-  "schema": "rhsd-bench-table/2",
+  "schema": "rhsd-bench-table/8",
   "source": "repro_table1",
   "quick": true,
   "seed": 103,
-  "stage_secs": {{"eval.region_scan": {secs}}},
+  "threads": {threads},
+  "isa": "avx2",
+  "stage_secs": {{"scan": {secs}, "scan;scan-region": {secs}}},
   "detectors": [
     {{
       "name": "Ours",
@@ -680,16 +659,6 @@ mod tests {
   ]
 }}"#
         )
-    }
-
-    /// A v3 record carrying a `threads` field.
-    fn record_v3(secs: f64, acc: f64, threads: u64) -> String {
-        record(secs, acc)
-            .replace("rhsd-bench-table/2", "rhsd-bench-table/3")
-            .replace(
-                "\"seed\": 103,",
-                &format!("\"seed\": 103,\n  \"threads\": {threads},"),
-            )
     }
 
     #[test]
@@ -751,20 +720,27 @@ mod tests {
         assert!(compare("not json", &good, &Tolerance::default()).is_err());
         assert!(compare(
             &good,
-            "{\"schema\": \"rhsd-bench-table/2\"}",
+            "{\"schema\": \"rhsd-bench-table/8\"}",
             &Tolerance::default()
         )
         .is_err());
-        let wrong_schema = good.replace("rhsd-bench-table/2", "other/1");
+        let wrong_schema = good.replace("rhsd-bench-table/8", "other/1");
         assert!(compare(&wrong_schema, &good, &Tolerance::default()).is_err());
         let no_avg = good.replace("\"average\"", "\"avg\"");
         assert!(compare(&good, &no_avg, &Tolerance::default()).is_err());
+        // `threads` and `isa` are required.
+        let no_threads = good.replace("\"threads\": 2,", "");
+        let err = compare(&good, &no_threads, &Tolerance::default()).unwrap_err();
+        assert!(err.contains("`threads`"), "{err}");
+        let no_isa = good.replace("\"isa\": \"avx2\",", "");
+        let err = compare(&no_isa, &good, &Tolerance::default()).unwrap_err();
+        assert!(err.contains("`isa`"), "{err}");
     }
 
     #[test]
     fn cross_thread_count_runtime_comparison_is_refused() {
-        let base = record_v3(1.0, 90.0, 1);
-        let cur = record_v3(0.3, 90.0, 4);
+        let base = record_at(1.0, 90.0, 1);
+        let cur = record_at(0.3, 90.0, 4);
         let err = compare(&base, &cur, &Tolerance::default()).unwrap_err();
         assert!(err.contains("thread counts"), "{err}");
         assert!(err.contains("--skip-runtime"), "{err}");
@@ -772,8 +748,8 @@ mod tests {
 
     #[test]
     fn cross_thread_count_accuracy_comparison_works_with_skip_runtime() {
-        let base = record_v3(1.0, 90.0, 1);
-        let cur = record_v3(0.3, 90.0, 4);
+        let base = record_at(1.0, 90.0, 1);
+        let cur = record_at(0.3, 90.0, 4);
         let tol = Tolerance {
             skip_runtime: true,
             ..Tolerance::default()
@@ -781,38 +757,34 @@ mod tests {
         let (report, regressed) = compare(&base, &cur, &tol).expect("valid");
         assert!(!regressed, "accuracy is identical:\n{report}");
         // ... and a real accuracy drop still fails across thread counts
-        let bad = record_v3(0.3, 80.0, 4);
+        let bad = record_at(0.3, 80.0, 4);
         let (_, regressed) = compare(&base, &bad, &tol).expect("valid");
         assert!(regressed, "accuracy drop must still gate");
     }
 
     #[test]
-    fn same_thread_count_and_legacy_records_compare_runtimes() {
-        let base = record_v3(1.0, 90.0, 4);
-        let cur = record_v3(1.2, 90.0, 4);
+    fn same_thread_count_records_compare_runtimes() {
+        let base = record_at(1.0, 90.0, 4);
+        let cur = record_at(1.2, 90.0, 4);
         let (_, regressed) = compare(&base, &cur, &Tolerance::default()).expect("valid");
         assert!(regressed, "same-thread runtime regression still gates");
-        // a v2 baseline without `threads` never triggers the refusal
-        let legacy = record(1.0, 90.0);
-        let cur = record_v3(1.0, 90.0, 4);
-        assert!(compare(&legacy, &cur, &Tolerance::default()).is_ok());
     }
 
     #[test]
-    fn path_keyed_v8_records_compare_against_older_schemas() {
-        // /8 keys `stage_secs` by span path and drops the offline
-        // scan-cache families; neither is read by the gate.
-        let v8 = record_v3(1.0, 90.0, 2)
-            .replace("rhsd-bench-table/3", "rhsd-bench-table/8")
-            .replace(
-                "{\"eval.region_scan\": 1}",
-                "{\"scan\": 0.5, \"scan;scan-region\": 0.75}",
-            );
-        assert!(v8.contains("\"scan;scan-region\": 0.75"), "{v8}");
-        let v7 = record_v3(1.0, 90.0, 2).replace("rhsd-bench-table/3", "rhsd-bench-table/7");
-        for base in [record(1.0, 90.0), v7] {
-            let (report, regressed) = compare(&base, &v8, &Tolerance::default()).expect("valid");
-            assert!(!regressed, "{report}");
+    fn other_table_schemas_are_refused() {
+        let v8 = record(1.0, 90.0);
+        let tol = Tolerance {
+            skip_runtime: true,
+            ..Tolerance::default()
+        };
+        // On either side, and even under --skip-runtime.
+        for old in ["rhsd-bench-table/7", "rhsd-bench-table/2"] {
+            let stale = v8.replace("rhsd-bench-table/8", old);
+            let err = compare(&v8, &stale, &tol).unwrap_err();
+            assert!(err.starts_with("current: table schema"), "{err}");
+            assert!(err.contains(old), "{err}");
+            let err = compare(&stale, &v8, &tol).unwrap_err();
+            assert!(err.starts_with("baseline:"), "{err}");
         }
     }
 
@@ -854,39 +826,6 @@ mod tests {
         // ... and it is opt-in.
         let (_, regressed) = compare(&collapsed, &collapsed, &Tolerance::default()).expect("valid");
         assert!(!regressed, "floor gate must be opt-in");
-    }
-
-    #[test]
-    fn records_from_removed_precision_modes_are_refused() {
-        // A table record with an explicit f32 tag, or none, parses.
-        let legacy = record(1.0, 90.0);
-        let f32_tagged = legacy.replace(
-            "\"seed\": 103,",
-            "\"seed\": 103,\n  \"precision\": \"f32\",",
-        );
-        assert!(compare(&legacy, &f32_tagged, &Tolerance::default()).is_ok());
-        // Any other tag is refused, whichever side it is on and even
-        // under --skip-runtime.
-        let int8 = f32_tagged.replace("\"f32\"", "\"int8\"");
-        let tol = Tolerance {
-            skip_runtime: true,
-            ..Tolerance::default()
-        };
-        let err = compare(&legacy, &int8, &tol).unwrap_err();
-        assert!(
-            err.contains("current: record was produced at precision `int8`"),
-            "{err}"
-        );
-        let err = compare(&int8, &legacy, &tol).unwrap_err();
-        assert!(err.starts_with("baseline:"), "{err}");
-        // The same holds for serve records.
-        let serve = serve_record(120.0, 12.0, 4);
-        let bf16 = serve.replace(
-            "\"mode\": \"closed\",",
-            "\"mode\": \"closed\",\n  \"precision\": \"bf16\",",
-        );
-        let err = compare(&serve, &bf16, &tol).unwrap_err();
-        assert!(err.contains("precision `bf16`"), "{err}");
     }
 
     #[test]

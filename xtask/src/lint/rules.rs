@@ -494,7 +494,6 @@ const LOCK_CLASSES: &[LockClass] = &[
             ("record", false),
             ("snapshot", false),
             ("span_tree", false),
-            ("metrics_json", false),
             ("stop_into", true),
         ],
     },

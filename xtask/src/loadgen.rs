@@ -18,7 +18,8 @@
 //! With `--expect <Case>=<file>` every reply for that case is compared
 //! byte-for-byte against the reference file (written by
 //! `rhsd-serve --offline-scan`), turning the load test into the
-//! bit-identity check the CI serve-smoke leg relies on.
+//! bit-identity check the CI bench gate (`./ci.sh --bench-gate`)
+//! relies on.
 
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;

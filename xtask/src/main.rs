@@ -73,13 +73,11 @@ tasks:
                                    <pct> percent accuracy (catches
                                    silently collapsed models)
 
-  report [<ledger.jsonl>] [--top <n>] [--html <out.html>]
+  report <ledger.jsonl> [--top <n>] [--html <out.html>]
       Render a JSONL run ledger as a run report: manifest, span tree
       (from the run_end line) with inclusive/exclusive time, cache hit
       rates, training dynamics (per-epoch trajectory, per-layer stats,
-      sentinel trips), and the eval table. Without a path, uses the
-      newest LEDGER_*.jsonl in the working directory (errors listing
-      candidates when ambiguous).
+      sentinel trips), and the eval table.
       --top      rows in the top-exclusive list (default 8)
       --html     also write a self-contained HTML page: an icicle chart
                  of the span tree (width = inclusive seconds) and the

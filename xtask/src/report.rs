@@ -20,10 +20,6 @@
 //!   icicle chart of the span tree (width = inclusive seconds) and the
 //!   learning-dynamics dashboard (inline SVG charts, no scripts).
 //!
-//! Invoked without a ledger path, it auto-discovers the newest
-//! `LEDGER_*.jsonl` in the working directory (and refuses, listing the
-//! candidates, when several share the newest timestamp).
-//!
 //! A ledger without a `run_end` line (crashed run) still reports
 //! everything up to the crash — that is the point of a flushed JSONL
 //! stream — but has no span tree: the span totals are written once, at
@@ -33,7 +29,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::SystemTime;
 
 use rhsd_obs::json::{parse, Value};
 use rhsd_obs::ledger::run_end_spans;
@@ -769,55 +764,7 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
 // CLI
 // ---------------------------------------------------------------------
 
-/// Picks the unique newest candidate by mtime. Pure so the ambiguity
-/// rules are unit-testable without touching the filesystem clock.
-fn pick_newest(mut candidates: Vec<(String, SystemTime)>) -> Result<String, String> {
-    candidates.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    match candidates.as_slice() {
-        [] => Err("no LEDGER_*.jsonl found in the working directory — \
-                   pass a ledger path"
-            .to_owned()),
-        [(only, _)] => Ok(only.clone()),
-        [(first, t0), (_, t1), ..] if t0 != t1 => Ok(first.clone()),
-        _ => {
-            let newest = candidates[0].1;
-            let tied: Vec<&str> = candidates
-                .iter()
-                .filter(|(_, t)| *t == newest)
-                .map(|(n, _)| n.as_str())
-                .collect();
-            Err(format!(
-                "ambiguous: {} ledgers share the newest timestamp ({}) — \
-                 pass one explicitly",
-                tied.len(),
-                tied.join(", ")
-            ))
-        }
-    }
-}
-
-/// Scans `dir` for `LEDGER_*.jsonl` files and returns the newest.
-fn discover_ledger(dir: &Path) -> Result<PathBuf, String> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot scan {} for ledgers: {e}", dir.display()))?;
-    let mut candidates = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if !(name.starts_with("LEDGER_") && name.ends_with(".jsonl")) {
-            continue;
-        }
-        let Ok(meta) = entry.metadata() else { continue };
-        if !meta.is_file() {
-            continue;
-        }
-        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-        candidates.push((name.to_owned(), mtime));
-    }
-    pick_newest(candidates).map(|name| dir.join(name))
-}
-
-/// CLI entry point: `cargo xtask report [<ledger.jsonl>] [--top <n>]
+/// CLI entry point: `cargo xtask report <ledger.jsonl> [--top <n>]
 /// [--html <out.html>]`.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut ledger: Option<PathBuf> = None;
@@ -845,14 +792,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             extra => return Err(format!("unexpected extra argument `{extra}`")),
         }
     }
-    let ledger = match ledger {
-        Some(path) => path,
-        None => {
-            let found = discover_ledger(Path::new("."))?;
-            eprintln!("report: using {}", found.display());
-            found
-        }
-    };
+    let ledger = ledger.ok_or("report needs a ledger path: <ledger.jsonl>")?;
     let ledger_text = read(&ledger)?;
     print!("{}", render(&ledger_text, top));
     if let Some(out) = html_out {
@@ -1034,54 +974,17 @@ mod tests {
     }
 
     #[test]
-    fn newest_ledger_wins_and_ties_are_ambiguous() {
-        use std::time::{Duration, UNIX_EPOCH};
-        let t = |secs: u64| UNIX_EPOCH + Duration::from_secs(secs);
-        assert!(pick_newest(vec![]).is_err());
-        assert_eq!(
-            pick_newest(vec![("LEDGER_a.jsonl".into(), t(10))]).as_deref(),
-            Ok("LEDGER_a.jsonl")
-        );
-        assert_eq!(
-            pick_newest(vec![
-                ("LEDGER_old.jsonl".into(), t(10)),
-                ("LEDGER_new.jsonl".into(), t(20)),
-            ])
-            .as_deref(),
-            Ok("LEDGER_new.jsonl")
-        );
-        let err = pick_newest(vec![
-            ("LEDGER_b.jsonl".into(), t(30)),
-            ("LEDGER_a.jsonl".into(), t(30)),
-            ("LEDGER_c.jsonl".into(), t(10)),
-        ])
-        .expect_err("tied mtimes are ambiguous");
-        assert!(err.contains("ambiguous"), "{err}");
-        assert!(err.contains("LEDGER_a.jsonl"), "{err}");
-        assert!(err.contains("LEDGER_b.jsonl"), "{err}");
-        assert!(
-            !err.contains("LEDGER_c.jsonl"),
-            "older files not listed: {err}"
-        );
-    }
-
-    #[test]
-    fn discovery_scans_a_directory_for_ledgers() {
-        let dir = std::env::temp_dir().join(format!("rhsd_report_disc_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(dir.join("LEDGER_run.jsonl"), "{}").expect("write");
-        std::fs::write(dir.join("not_a_ledger.txt"), "x").expect("write");
-        let found = discover_ledger(&dir).expect("one candidate");
-        assert!(found.ends_with("LEDGER_run.jsonl"), "{found:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn span_tree_counts_threads_from_tids() {
         let text = r#"{"event":"run_end","spans":{"cpn":{"calls":2,"secs":1,"tid_secs":{"1":0.5,"2":0.5}}}}"#;
         let out = render(text, 8);
         assert!(out.contains("2 call(s)"), "{out}");
         assert!(out.contains("2 thread(s)"), "{out}");
+    }
+
+    #[test]
+    fn ledger_path_is_required() {
+        let err = run(&["--top".to_owned(), "3".to_owned()]).unwrap_err();
+        assert!(err.contains("needs a ledger path"), "{err}");
     }
 
     #[test]

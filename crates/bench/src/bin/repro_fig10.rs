@@ -18,7 +18,7 @@ fn main() {
         OURS_SEED,
         "demo-scale Figure 10 ablations: w/o ED, w/o L2, w/o Refine, Full",
     );
-    eprintln!("repro_fig10: effort = {effort:?} (pass --quick for a fast run)");
+    eprintln!("repro_fig10: effort = {effort:?}{}", effort.hint());
     eprintln!("training 4 ablation variants…");
     let timer = rhsd_obs::Stopwatch::start();
     let (reports, full) = run_fig10(effort);

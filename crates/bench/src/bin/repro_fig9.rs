@@ -25,7 +25,7 @@ fn main() {
         OURS_SEED,
         "demo-scale Figure 9 visualisations: truth vs TCAD'18 vs Ours",
     );
-    eprintln!("repro_fig9: effort = {effort:?} (pass --quick for a fast run)");
+    eprintln!("repro_fig9: effort = {effort:?}{}", effort.hint());
     let benches = build_benchmarks();
     let region = RegionConfig::demo();
     let samples = merged_train_regions(&benches, &region, effort == Effort::Full);

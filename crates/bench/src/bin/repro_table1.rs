@@ -26,7 +26,7 @@ fn main() {
         OURS_SEED,
         "demo-scale Table 1: TCAD'18, Faster R-CNN, SSD, Ours on Case2/3/4",
     );
-    eprintln!("repro_table1: effort = {effort:?} (pass --quick for a fast run)");
+    eprintln!("repro_table1: effort = {effort:?}{}", effort.hint());
     eprintln!("building benchmarks, training 4 detectors, scanning test halves…");
     let timer = rhsd_obs::Stopwatch::start();
     let (reports, ours) = run_table1(effort);

@@ -28,6 +28,17 @@ pub enum Effort {
     Quick,
 }
 
+impl Effort {
+    /// The start line's note on how to get a fast run, empty when this
+    /// is one.
+    pub fn hint(self) -> &'static str {
+        match self {
+            Effort::Full => " (pass --quick for a fast run)",
+            Effort::Quick => "",
+        }
+    }
+}
+
 /// Builds the three evaluated benchmark cases (demo scale).
 pub fn build_benchmarks() -> Vec<Benchmark> {
     CaseId::EVALUATED
@@ -528,6 +539,12 @@ mod tests {
     use super::*;
     use rhsd_baselines::CaseResult;
     use rhsd_obs::json;
+
+    #[test]
+    fn only_a_full_run_hints_at_quick() {
+        assert_eq!(Effort::Full.hint(), " (pass --quick for a fast run)");
+        assert_eq!(Effort::Quick.hint(), "");
+    }
 
     fn report(name: &str, secs: f64, acc: f64) -> DetectorReport {
         let row = |case: &str| CaseResult {

@@ -8,16 +8,21 @@
 //! The forward pass and the input gradient read their maps in place
 //! (`ops::direct`): the forward pass runs one ascending-tap chain per
 //! output element, and the input gradient folds the output gradient
-//! straight into the map, rounding as `col2im(Wᵀ · grad)` does. The
-//! weight gradient is a GEMM whose packing pass reads the transposed
-//! im2col matrix from the input map (`Im2col`). [`im2col`] and
-//! [`col2im`] build and fold the full column matrix only as public
-//! references.
+//! straight into the map, rounding as `col2im(Wᵀ · grad)` does (a 1×1
+//! kernel's as the forward convolution it equals). The weight gradient
+//! runs on the GEMM register tile with the taps as rows, read from the
+//! input map in place, and the output channels as lanes
+//! (`weight_product`). [`im2col`] and [`col2im`] build and fold the full
+//! column matrix only as public references.
 
-use crate::ops::direct::{self, Map};
-use crate::ops::kernels::NR;
-use crate::ops::matmul::{gemm_into, BSource};
-use crate::Tensor;
+use std::ops::Range;
+
+use crate::ops::direct::{self, tile, Map};
+use crate::ops::kernels::{self, NR};
+use crate::{workspace, Tensor};
+
+/// Minimum output pixels per band of a [`weight_product`].
+const BAND: usize = 512;
 
 /// Geometry of a convolution: kernel size, stride and zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +91,7 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
     let k = spec.kernel;
     let iv = input.as_slice();
     // The plain per-element definition: a reference for the in-place
-    // kernels and the fused packing of `Im2col`.
+    // kernels.
     let mut out = Vec::with_capacity(c * k * k * oh * ow);
     for ci in 0..c {
         for ky in 0..k {
@@ -109,162 +114,149 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
     Tensor::from_parts([c * k * k, oh * ow], out)
 }
 
-/// The im2col matrix of a `[C, H, W]` map as a view: the GEMM packing
-/// pass reads blocks of its transpose straight from the map, so the
-/// weight gradients never build the `[H'·W', C·K²]` matrix. Rows are
-/// taps `(c, ky, kx)`, columns output pixels `(oy, ox)`, both row-major;
-/// out-of-bounds taps read as zero. Every packed value is a copy, so
-/// packing from the view equals packing from [`im2col`] bit for bit.
-#[derive(Clone, Copy)]
-pub(crate) struct Im2col<'a> {
-    map: &'a [f32],
-    h: usize,
-    w: usize,
+/// The weight-gradient product `out = lanes · im2col(m)ᵀ`
+/// (`[n_lanes, c·K²]`) for one `[c, h, w]` map `m` under `spec`, with
+/// `lanes` as `[n_lanes, H'·W']` — `conv2d`'s `grad · im2col(x)ᵀ` and
+/// `conv_transpose2d`'s `x · im2col(grad)ᵀ`, written over `out`.
+///
+/// It runs as its transpose `im2col(m) · lanesᵀ` on the GEMM register
+/// tile ([`kernels::gemm_micro`]), so no im2col matrix is packed. Each
+/// tile row is one tap `(c, ky, kx)`, whose `A` values the tile reads
+/// in place, one output row at a time (`acs` = stride). The `NR` lanes
+/// are `NR` rows of `lanes`, packed as `lanesᵀ` strips. Each element is
+/// one chain over ascending pixels from `+0.0`, one mul and one add per
+/// step, with padding a literal `0.0` term: the chain of
+/// `matmul_nt(lanes, im2col(m))` with each product's operands swapped,
+/// which IEEE multiplication rounds to the same bits.
+pub(crate) fn weight_product(
+    out: &mut [f32],
+    m: &[f32],
+    (c, h, w): (usize, usize, usize),
     spec: ConvSpec,
+    lanes: &[f32],
+    n_lanes: usize,
+) {
+    let ConvSpec {
+        kernel: k,
+        stride,
+        padding: p,
+    } = spec;
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let (pixels, taps) = (oh * ow, c * k * k);
+    debug_assert_eq!(m.len(), c * h * w, "weight product: map length");
+    debug_assert_eq!(lanes.len(), n_lanes * pixels, "weight product: lanes");
+    debug_assert_eq!(out.len(), n_lanes * taps, "weight product: output");
+    if pixels == 0 || taps == 0 || n_lanes == 0 {
+        return;
+    }
+    // Bands of whole output rows, at least `BAND` pixels each. A padded
+    // map's band rows are copied with the padding written out as zeros,
+    // so every tap reads inside the copy; an unpadded map is read where
+    // it lies. One lane strip's band of `lanesᵀ` stays in L1 while every
+    // tap tile runs over it. Each strip's accumulators (`[taps, NR]`)
+    // carry the chains from band to band.
+    let band = BAND.div_ceil(ow).min(oh);
+    let (hp, wp) = match p {
+        0 => (h, w),
+        _ => ((band - 1) * stride + k, w + 2 * p),
+    };
+    let copy_len = if p == 0 { 0 } else { c * hp * wp };
+    let acc_len = n_lanes.div_ceil(NR) * taps * NR;
+    let mut scratch = workspace::take(copy_len + acc_len + band * ow * NR);
+    let (copy, rest) = scratch.split_at_mut(copy_len);
+    let (acc, panel) = rest.split_at_mut(acc_len);
+    let op = TapRows {
+        offs: &(0..taps)
+            .map(|t| (t / (k * k) * hp + t / k % k) * wp + t % k)
+            .collect::<Vec<_>>(),
+        row_step: stride * wp,
+        stride,
+        ow,
+    };
+    // Tiles of at most `mr` taps, as even as the count allows.
+    let tiles = taps.div_ceil(kernels::gemm_mr());
+    for y0 in (0..oh).step_by(band) {
+        let px = y0 * ow..(y0 + band).min(oh) * ow;
+        for (ci, dst) in copy.chunks_exact_mut(hp * wp).enumerate() {
+            for (y, row) in (y0 * stride..).zip(dst.chunks_exact_mut(wp)) {
+                // Rows in the padding wrap to huge values.
+                let dst = &mut row[p..p + w];
+                match y.wrapping_sub(p) {
+                    iy if iy < h => dst.copy_from_slice(&m[(ci * h + iy) * w..][..w]),
+                    _ => dst.fill(0.0),
+                }
+            }
+        }
+        let (a, base) = match p {
+            0 => (m, y0 * op.row_step),
+            _ => (&*copy, 0),
+        };
+        let panel = &mut panel[..px.len() * NR];
+        for (acc, strip) in acc
+            .chunks_exact_mut(taps * NR)
+            .zip(lanes.chunks(NR * pixels))
+        {
+            pack_lanes(panel, strip, pixels, px.clone());
+            for i in 0..tiles {
+                let (t0, t1) = (i * taps / tiles, (i + 1) * taps / tiles);
+                tile!(t1 - t0, op.tile((a, base), acc, t0, panel));
+            }
+        }
+    }
+    for (s, acc) in acc.chunks_exact(taps * NR).enumerate() {
+        let dst = &mut out[s * NR * taps..][..NR.min(n_lanes - s * NR) * taps];
+        for (l, row) in dst.chunks_exact_mut(taps).enumerate() {
+            for (d, a) in row.iter_mut().zip(acc.chunks_exact(NR)) {
+                *d = a[l];
+            }
+        }
+    }
+}
+
+/// Packs pixels `px` of the `rows` (`[lanes ≤ NR, pixels]`) as
+/// `lanesᵀ`: `NR` values per pixel, lanes past the rows left as they
+/// are.
+fn pack_lanes(panel: &mut [f32], rows: &[f32], pixels: usize, px: Range<usize>) {
+    for (p, d) in px.zip(panel.chunks_exact_mut(NR)) {
+        for (d, row) in d.iter_mut().zip(rows.chunks_exact(pixels)) {
+            *d = row[p];
+        }
+    }
+}
+
+/// The taps of a [`weight_product`], read in place from the map or a
+/// band's padded copy.
+struct TapRows<'a> {
+    /// Offset of tap `(c, ky, kx)` from output pixel `(0, 0)` of the map
+    /// or the copy.
+    offs: &'a [usize],
+    /// Distance between two output rows in the map or the copy.
+    row_step: usize,
+    stride: usize,
     ow: usize,
 }
 
-/// One tap `(c, ky, kx)` of an [`Im2col`] row, walked in row order.
-#[derive(Clone, Copy)]
-struct Tap {
-    c: usize,
-    ky: usize,
-    kx: usize,
-}
-
-impl Tap {
-    fn of(p: usize, k: usize) -> Tap {
-        Tap {
-            c: p / (k * k),
-            ky: p / k % k,
-            kx: p % k,
+impl TapRows<'_> {
+    /// One register tile: taps `t0..t0 + MRR` of one lane strip, whose
+    /// accumulators `acc` (`[taps, NR]`) continue over the band's output
+    /// rows in `panel`, in order, reading the taps from `a` with the
+    /// band's first output row at `base`.
+    fn tile<const MRR: usize>(
+        &self,
+        (a, base): (&[f32], usize),
+        acc: &mut [f32],
+        t0: usize,
+        panel: &[f32],
+    ) {
+        let acc = &mut acc[t0 * NR..][..MRR * NR];
+        let mut regs: [[f32; NR]; MRR] =
+            std::array::from_fn(|r| std::array::from_fn(|l| acc[r * NR + l]));
+        for (i, row) in panel.chunks_exact(self.ow * NR).enumerate() {
+            let mut aidx: [usize; MRR] =
+                std::array::from_fn(|r| base + self.offs[t0 + r] + i * self.row_step);
+            kernels::gemm_micro(&mut regs, a, &mut aidx, self.stride, row);
         }
-    }
-
-    fn advance(&mut self, k: usize) {
-        self.kx += 1;
-        if self.kx == k {
-            self.kx = 0;
-            self.ky += 1;
-            if self.ky == k {
-                self.ky = 0;
-                self.c += 1;
-            }
-        }
-    }
-}
-
-impl<'a> Im2col<'a> {
-    /// Views `map` (`[c, h, w]` row-major) under `spec`.
-    pub(crate) fn new(map: &'a [f32], c: usize, h: usize, w: usize, spec: ConvSpec) -> Self {
-        debug_assert_eq!(map.len(), c * h * w, "im2col view: map length");
-        Im2col {
-            map,
-            h,
-            w,
-            spec,
-            ow: spec.out_size(w),
-        }
-    }
-
-    /// The map value of channel `c` at padded coordinates `(y, x)`
-    /// (`oy·stride + ky`, `ox·stride + kx`); zero in the padding.
-    #[inline(always)]
-    fn at(&self, c: usize, y: usize, x: usize) -> f32 {
-        // Coordinates above the padding wrap to huge values, which the
-        // bounds test then rejects.
-        let (iy, ix) = (
-            y.wrapping_sub(self.spec.padding),
-            x.wrapping_sub(self.spec.padding),
-        );
-        if iy < self.h && ix < self.w {
-            self.map[(c * self.h + iy) * self.w + ix]
-        } else {
-            0.0
-        }
-    }
-
-    /// Packs pixels `p0..p1` × taps `j0..j1` (the transposed
-    /// orientation: B rows are pixels) into `NR`-tap strips.
-    pub(crate) fn pack_pixels(&self, p0: usize, p1: usize, j0: usize, j1: usize, dst: &mut [f32]) {
-        let (k, kc) = (self.spec.kernel, p1 - p0);
-        for (s, strip) in dst.chunks_exact_mut(kc * NR).enumerate() {
-            let j = j0 + s * NR;
-            let mut taps = [Tap { c: 0, ky: 0, kx: 0 }; NR];
-            let lanes = NR.min(j1 - j);
-            let mut tap = Tap::of(j, k);
-            for t in &mut taps[..lanes] {
-                *t = tap;
-                tap.advance(k);
-            }
-            // Walk the pixels one output-row segment at a time.
-            let mut p = p0;
-            while p < p1 {
-                let (oy, ox0) = (p / self.ow, p % self.ow);
-                let seg = (self.ow - ox0).min(p1 - p);
-                let rows = &mut strip[(p - p0) * NR..][..seg * NR];
-                self.pack_segment(&taps[..lanes], oy, ox0, rows);
-                p += seg;
-            }
-        }
-    }
-
-    /// Packs output pixels `(oy, ox0..)` of one output row, `NR` taps
-    /// per pixel, lanes past `taps` zero. At stride 1, runs of `NR`
-    /// pixels whose taps all read inside the map copy `NR` input values
-    /// per tap and transpose them through a register-sized block.
-    fn pack_segment(&self, taps: &[Tap], oy: usize, ox0: usize, rows: &mut [f32]) {
-        let (stride, pad, w) = (self.spec.stride, self.spec.padding, self.w);
-        let n = rows.len() / NR;
-        // Pixels `fast_lo..fast_hi` (relative) go through the block path.
-        let (mut fast_lo, mut fast_hi) = (n, n);
-        let mut src: [Option<(&[f32], usize)>; NR] = [None; NR];
-        if stride == 1 {
-            let kx_max = taps.iter().map(|t| t.kx).max().unwrap_or(0);
-            let kx_min = taps.iter().map(|t| t.kx).min().unwrap_or(0);
-            // First pixel whose leftmost tap is inside, first whose
-            // rightmost is not.
-            let lo = pad.saturating_sub(kx_min).max(ox0) - ox0;
-            let hi = (w + pad).saturating_sub(kx_max).saturating_sub(ox0).min(n);
-            if lo + NR <= hi {
-                fast_lo = lo;
-                fast_hi = lo + (hi - lo) / NR * NR;
-            }
-            for (s, t) in src.iter_mut().zip(taps) {
-                let iy = (oy + t.ky).wrapping_sub(pad);
-                if iy < self.h {
-                    *s = Some((&self.map[(t.c * self.h + iy) * w..][..w], t.kx));
-                }
-            }
-        }
-        let generic = |out: &mut [f32], ox: usize| {
-            for (l, d) in out.iter_mut().enumerate() {
-                *d = taps.get(l).map_or(0.0, |t| {
-                    self.at(t.c, oy * stride + t.ky, ox * stride + t.kx)
-                });
-            }
-        };
-        let (head, rest) = rows.split_at_mut(fast_lo * NR);
-        for (i, out) in head.chunks_exact_mut(NR).enumerate() {
-            generic(out, ox0 + i);
-        }
-        let (mid, tail) = rest.split_at_mut((fast_hi - fast_lo) * NR);
-        // Lanes that read the padding rows, or no tap, stay zero.
-        let mut block = [[0.0f32; NR]; NR];
-        for (g, group) in mid.chunks_exact_mut(NR * NR).enumerate() {
-            let ox = ox0 + fast_lo + g * NR;
-            for (b, s) in block.iter_mut().zip(&src) {
-                if let Some((row, kx)) = s {
-                    b.copy_from_slice(&row[ox + kx - pad..][..NR]);
-                }
-            }
-            for (t, out) in group.chunks_exact_mut(NR).enumerate() {
-                out.copy_from_slice(&std::array::from_fn::<f32, NR, _>(|l| block[l][t]));
-            }
-        }
-        for (i, out) in tail.chunks_exact_mut(NR).enumerate() {
-            generic(out, ox0 + fast_hi + i);
-        }
+        acc.copy_from_slice(regs.as_flattened());
     }
 }
 
@@ -459,14 +451,26 @@ pub fn conv2d_backward_batch(
         w: ow,
     };
     let mut dx = vec![0.0f32; x.v.len()];
-    direct::fold_into(
-        &mut dx,
-        (x.c, x.h, x.w),
-        grad,
-        weight.as_slice(),
-        spec,
-        None,
-    );
+    if spec == ConvSpec::new(1, 1, 0) {
+        // A 1×1 fold adds its single tap's chain `part` to `+0.0`, which
+        // gives `part` (a chain from `+0.0` never ends at `-0.0`): the
+        // forward convolution of `grad` with the weight's `[C_in, C_out]`
+        // transpose, bit for bit, in the forward's faster tiles.
+        let wt = weight.as_slice();
+        let wt_t: Vec<f32> = (0..x.c)
+            .flat_map(|ci| (0..c_out).map(move |co| wt[co * x.c + ci]))
+            .collect();
+        direct::conv_into(&mut dx, grad, &wt_t, x.c, spec, None);
+    } else {
+        direct::fold_into(
+            &mut dx,
+            (x.c, x.h, x.w),
+            grad,
+            weight.as_slice(),
+            spec,
+            None,
+        );
+    }
     let d_input = Tensor::from_parts(input.dims(), dx);
 
     crate::invariants::check_finite("conv2d_backward", &d_input);
@@ -525,11 +529,9 @@ fn weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor
             let dbias: Vec<f32> = (0..c_out)
                 .map(|co| gv[co * ncols..(co + 1) * ncols].iter().sum())
                 .collect();
-            // d_weight = grad · im2col(x)ᵀ — the packing pass gathers the
-            // transposed im2col matrix straight from the input map.
-            let cols = Im2col::new(xv, c_in, h, w, spec);
+            // d_weight = grad · im2col(x)ᵀ, the taps read from the map.
             let mut dw = vec![0.0f32; c_out * ckk];
-            gemm_into(&mut dw, gv, c_out, ncols, ckk, BSource::Im2colT(cols));
+            weight_product(&mut dw, xv, (c_in, h, w), spec, gv, c_out);
             (
                 Tensor::from_parts([c_out, c_in, k, k], dw),
                 Tensor::from_parts([c_out], dbias),
@@ -584,50 +586,50 @@ mod tests {
     }
 
     #[test]
-    fn pixel_packing_copies_the_im2col_matrix() {
-        // Every packed value is the im2col entry it stands for, zero
-        // padding lanes included, for pixel ranges that start and end
-        // mid-row and tap ranges with a ragged last strip; rows of 20
-        // or more pixels also take the stride-1 block path.
+    fn weight_product_matches_the_im2col_gemm() {
+        // Every weight is its `matmul_nt(g, im2col(x))` element bit for
+        // bit, with signed zeros in both operands: padding, strides,
+        // partly filled lane strips, tap tiles of every height, a
+        // 1-pixel map and maps of several bands, padded or not.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for (c, h, w, spec) in [
-            (2, 5, 7, ConvSpec::same(3)),
-            (2, 4, 40, ConvSpec::same(3)),
-            (3, 3, 29, ConvSpec::new(5, 1, 2)),
-            (2, 2, 20, ConvSpec::new(1, 1, 0)),
-            (1, 3, 26, ConvSpec::new(3, 1, 0)),
-            (1, 6, 9, ConvSpec::new(3, 2, 1)),
-            (3, 7, 5, ConvSpec::new(5, 1, 2)),
-            (2, 4, 11, ConvSpec::new(2, 3, 2)),
-            (1, 3, 3, ConvSpec::new(1, 1, 0)),
-        ] {
-            let x = Tensor::rand_normal([c, h, w], 0.0, 1.0, &mut rng);
-            let cols = im2col(&x, spec);
-            let (taps, pixels) = (cols.dim(0), cols.dim(1));
-            let view = Im2col::new(x.as_slice(), c, h, w, spec);
-            for (p0, p1, j0, j1) in [
-                (0, pixels, 0, taps),
-                (1, pixels - 1, 1, taps),
-                (pixels / 2, pixels, 0, taps.min(3)),
-            ] {
-                let strips = (j1 - j0).div_ceil(NR);
-                let mut got = vec![f32::NAN; strips * (p1 - p0) * NR];
-                view.pack_pixels(p0, p1, j0, j1, &mut got);
-                for (s, strip) in got.chunks_exact(NR * (p1 - p0)).enumerate() {
-                    for (i, row) in strip.chunks_exact(NR).enumerate() {
-                        for (l, &v) in row.iter().enumerate() {
-                            let j = j0 + s * NR + l;
-                            let want = if j < j1 { cols.get(&[j, p0 + i]) } else { 0.0 };
-                            assert_eq!(
-                                v.to_bits(),
-                                want.to_bits(),
-                                "{spec:?} tap {j} pixel {}",
-                                p0 + i
-                            );
-                        }
-                    }
+        let mut signed_zeros = |dims: [usize; 3]| {
+            let mut t = Tensor::rand_normal(dims, 0.0, 1.0, &mut rng);
+            for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+                match i % 7 {
+                    0 => *v = 0.0,
+                    3 => *v = -0.0,
+                    _ => {}
                 }
             }
+            t
+        };
+        for (c, lanes, h, w, spec) in [
+            (2, 5, 7, 7, ConvSpec::same(3)),
+            (3, 12, 9, 11, ConvSpec::same(3)),
+            (1, 8, 20, 20, ConvSpec::same(3)),
+            (5, 20, 6, 6, ConvSpec::same(1)),
+            (3, 4, 9, 9, ConvSpec::new(3, 2, 1)),
+            (2, 3, 11, 10, ConvSpec::new(2, 3, 2)),
+            (4, 17, 23, 19, ConvSpec::new(5, 1, 2)),
+            (2, 9, 1, 1, ConvSpec::same(3)),
+            (2, 9, 19, 17, ConvSpec::new(3, 1, 0)),
+            (2, 9, 40, 30, ConvSpec::same(3)),
+            (3, 5, 70, 66, ConvSpec::new(3, 2, 1)),
+            (2, 3, 60, 50, ConvSpec::new(1, 1, 0)),
+        ] {
+            let x = signed_zeros([c, h, w]);
+            let pixels = spec.out_size(h) * spec.out_size(w);
+            let g = signed_zeros([lanes, pixels, 1]).with_shape([lanes, pixels]);
+            let want = crate::ops::matmul::matmul_nt(&g, &im2col(&x, spec));
+            let k = spec.kernel;
+            let mut got = vec![0.0f32; lanes * c * k * k];
+            weight_product(&mut got, x.as_slice(), (c, h, w), spec, g.as_slice(), lanes);
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(want.as_slice()),
+                "{c}x{h}x{w} -> {lanes} {spec:?}"
+            );
         }
     }
 

@@ -8,12 +8,12 @@
 //! Both passes read their maps in place (`ops::direct`). The forward
 //! pass folds `Wᵀ · x` straight into the output map, rounding exactly as
 //! `col2im(Wᵀ · x)` does. The input gradient is a forward convolution of
-//! the gradient map. The weight gradient is a GEMM whose packing pass
-//! reads the transposed im2col matrix of the gradient map.
+//! the gradient map. The weight gradient runs on the GEMM tile with the
+//! gradient map's taps as rows, read in place, and the input's channels
+//! as lanes (`conv::weight_product`).
 
-use crate::ops::conv::{check_bias, check_weight, map_of, ConvSpec, Im2col};
+use crate::ops::conv::{check_bias, check_weight, map_of, weight_product, ConvSpec};
 use crate::ops::direct::{self, Map};
-use crate::ops::matmul::{gemm_into, BSource};
 use crate::Tensor;
 
 /// Forward transposed convolution:
@@ -88,13 +88,10 @@ pub fn conv_transpose2d_backward(
     direct::conv_into(&mut di, grad, weight.as_slice(), c_in, spec, None);
     let d_input = Tensor::from_parts([c_in, h, w], di);
 
-    // d_weight = x · im2col(grad)ᵀ, folded back to [C_in, C_out, K, K];
-    // the packing pass reads im2col(grad)ᵀ from the gradient map.
-    let ckk = c_out * k * k;
-    let gcols = Im2col::new(gv, c_out, oh, ow, spec);
-    let mut dw = vec![0.0f32; c_in * ckk];
-    let input = input.as_slice();
-    gemm_into(&mut dw, input, c_in, h * w, ckk, BSource::Im2colT(gcols));
+    // d_weight = x · im2col(grad)ᵀ, already [C_in, C_out, K, K]; the
+    // taps are read from the gradient map.
+    let mut dw = vec![0.0f32; c_in * c_out * k * k];
+    weight_product(&mut dw, gv, (c_out, oh, ow), spec, x.v, c_in);
     let d_weight = Tensor::from_parts([c_in, c_out, k, k], dw);
 
     crate::invariants::check_finite("conv_transpose2d_backward", &d_input);

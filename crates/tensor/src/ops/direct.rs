@@ -86,6 +86,7 @@ macro_rules! tile {
         }
     };
 }
+pub(crate) use tile;
 
 /// Splits `out` (`[c, oh, ow]`) into tasks of whole output-row bands of
 /// at least `NC` pixels and runs `f(y0, y1, planes)` on each, where

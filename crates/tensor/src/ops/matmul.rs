@@ -3,26 +3,24 @@
 //! # Kernel architecture
 //!
 //! All rank-2 products ([`matmul`], the transpose-fused [`matmul_tn`] /
-//! [`matmul_nt`]) and the convolution weight gradients run through one
-//! blocked driver. (The convolutions themselves and their input
-//! gradients read their maps in place with their own tiles, in
-//! `ops::direct`, sharing this module's micro-kernel design.)
+//! [`matmul_nt`]) run through one blocked driver. (The convolutions and
+//! their gradients read their maps in place with their own tiles, in
+//! `ops::direct`, and the weight gradients drive this module's
+//! register tile directly, from `ops::conv`.)
 //!
 //! * **Tasks** — a product is cut into parallel tasks by a shape-only
 //!   rule that never goes below one register tile. A short-wide product
 //!   (more than `NC` columns) splits over whole `NC`-wide column
-//!   blocks, each task covering every row. A narrow product (at most `NC` columns) splits over bands of
-//!   at least `MC` rows, whole tiles each; most narrow products are a
-//!   single task.
+//!   blocks, each task covering every row. A narrow product (at most
+//!   `NC` columns) splits over bands of at least `MC` rows, whole tiles
+//!   each; most narrow products are a single task.
 //! * **Packing** — each task packs only the part of the right operand it
 //!   consumes, one `KC × NC` block at a time, into `NR = 8`-wide column
 //!   strips: strip `s` stores, for ascending `p`, the eight values
 //!   `B[p][8s..8s+8]` contiguously (zero-padded at the right edge). The
 //!   block buffer is [`crate::workspace`] scratch on the task's thread.
 //!   The packing pass reads `B` through a `BSource`: a row-major
-//!   matrix, a transposed one (the packing step *is* the transpose), or
-//!   the transposed im2col matrix of a `[C, H, W]` map read in place,
-//!   so a weight gradient never builds a column matrix.
+//!   matrix or a transposed one (the packing step *is* the transpose).
 //! * **Register tiles** — each `MR`-row tile of the task walks the
 //!   packed block strip by strip, streaming its output rows in order
 //!   while the block stays L2-resident. The micro-kernel keeps an
@@ -44,7 +42,6 @@
 //! `±0.0` term leaves a finite partial sum bit-unchanged (a chain that
 //! starts at `+0.0` never reaches `-0.0`).
 
-use super::conv::Im2col;
 use super::kernels;
 use super::kernels::NR;
 use crate::{workspace, Tensor};
@@ -63,13 +60,11 @@ const MC: usize = 64;
 
 /// Where the packing pass reads the right operand `B` (`[k, n]`) from.
 #[derive(Clone, Copy)]
-pub(crate) enum BSource<'a> {
+enum BSource<'a> {
     /// `B` stored `[k, n]` row-major.
     Rows(&'a [f32]),
     /// `B` stored `[n, k]` row-major; packing gathers `Bᵀ`.
     Transposed(&'a [f32]),
-    /// `B` is the transposed im2col matrix `[H'·W', C·K²]`.
-    Im2colT(Im2col<'a>),
 }
 
 impl BSource<'_> {
@@ -110,7 +105,6 @@ impl BSource<'_> {
                     }
                 }
             }
-            BSource::Im2colT(g) => g.pack_pixels(p0, p1, j0, j1, dst),
         }
     }
 }
@@ -261,7 +255,7 @@ fn gemm(
 
 /// `out = a · B` over raw slices with `a` stored `[m, k]` row-major and
 /// `B` read through `b`; `out` must be zeroed, length `m · n`.
-pub(crate) fn gemm_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, b: BSource) {
+fn gemm_into(out: &mut [f32], av: &[f32], m: usize, k: usize, n: usize, b: BSource) {
     gemm(out, m, k, n, av, k, 1, b);
 }
 

@@ -1,7 +1,8 @@
 //! The convolution ops read their maps in place: the forward pass runs
 //! one ascending-tap chain per output element, the input gradient and
-//! the transposed convolution fold straight into the map, and the
-//! weight gradients pack the im2col matrix from the map. None of this
+//! the transposed convolution fold straight into the map (a 1×1 input
+//! gradient as a forward convolution), and the weight gradients read
+//! their taps from the map on the GEMM tile. None of this
 //! may move a bit: every output must equal the plain lowering — the
 //! public `im2col` matrix fed to `matmul` / `matmul_tn` / `matmul_nt`,
 //! with `col2im` folding where the op needs it — compared with
@@ -232,7 +233,10 @@ fn narrow_maps_are_bit_identical() {
 /// Shapes the small properties cannot reach: more output pixels than
 /// one `NC = 2048` task band or GEMM column block, more taps than one
 /// `KC = 256` chain or k block, odd widths, and runs of whole strips
-/// tiled by a one-channel block on either side.
+/// tiled by a one-channel block on either side. Then the demo network's
+/// weight-gradient geometries: lane strips partly filled by 4, 5 and 12
+/// output channels, 128-wide maps, an inception B stride-2 3×3 and
+/// inception 1×1s at 32².
 #[test]
 fn wide_and_deep_lowerings_are_bit_identical() {
     for (c_a, c_b, hw, spec) in [
@@ -243,6 +247,13 @@ fn wide_and_deep_lowerings_are_bit_identical() {
         (17, 9, (40, 64), ConvSpec::same(3)),
         (19, 1, (33, 70), ConvSpec::new(2, 2, 0)),
         (33, 4, (12, 29), ConvSpec::same(3)),
+        (1, 4, (10, 128), ConvSpec::same(3)),
+        (4, 8, (9, 128), ConvSpec::same(3)),
+        (8, 12, (6, 128), ConvSpec::same(3)),
+        (5, 5, (32, 32), ConvSpec::same(3)),
+        (20, 8, (32, 32), ConvSpec::new(3, 2, 1)),
+        (16, 5, (32, 32), ConvSpec::same(1)),
+        (20, 5, (32, 32), ConvSpec::same(1)),
     ] {
         check_shape(7, c_a, c_b, hw, spec);
     }

@@ -5,7 +5,8 @@
 //! convolutions forward and backward (`rhsd_tensor::ops::conv` and
 //! `::deconv`, on the demo network's front-end shapes), the refinement
 //! head's batched RoI convolutions and FC (`roi_conv2d`, `roi_fc`, each
-//! beside the same RoIs run one per call), the fold alone (`fold`), the
+//! beside the same RoIs run one per call), the weight gradients alone
+//! (`conv2d_weight_grads`), the fold alone (`fold`), the
 //! training `LeakyRelu` forward and backward, and the separable litho
 //! aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
 //! table, and
@@ -37,7 +38,7 @@ use rhsd_litho::aerial::aerial_image;
 use rhsd_litho::GaussianKernel;
 use rhsd_nn::layers::LeakyRelu;
 use rhsd_nn::{Layer, Tape};
-use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, ConvSpec};
+use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, conv2d_weight_grads, ConvSpec};
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
 use rhsd_tensor::ops::matmul::{matmul, matvec};
@@ -181,30 +182,35 @@ fn run_cases(quick: bool) -> Vec<Case> {
     // pad 1): the stem's first two convolutions at 128², its third at
     // 64², and the encoder-decoder's first transposed convolution at
     // 128², plus the single-channel ends of the encoder-decoder (its
-    // first convolution and last transposed convolution). Each shape is
-    // timed forward and backward.
-    let conv_shapes: &[(bool, usize, usize, usize, usize)] = if quick {
-        &[(false, 8, 12, 128, 3)]
+    // first convolution and last transposed convolution), an inception
+    // 3×3 at 32² and an inception 1×1 (`k` 1). Each shape is timed
+    // forward and backward; a convolution also times its weight
+    // gradients alone (`conv2d_weight_grads`), the training-only half
+    // of its backward that no forward row shares.
+    let conv_shapes: &[(bool, usize, usize, usize, usize, usize)] = if quick {
+        &[(false, 8, 12, 128, 3, 3), (false, 20, 5, 32, 1, 8)]
     } else {
         &[
-            (false, 1, 8, 128, 12),
-            (false, 8, 12, 128, 8),
-            (false, 12, 16, 64, 12),
-            (false, 1, 4, 128, 12),
-            (false, 4, 8, 128, 12),
-            (false, 24, 24, 16, 40),
-            (true, 8, 4, 128, 8),
-            (true, 4, 1, 128, 12),
+            (false, 1, 8, 128, 3, 12),
+            (false, 8, 12, 128, 3, 8),
+            (false, 12, 16, 64, 3, 12),
+            (false, 1, 4, 128, 3, 12),
+            (false, 4, 8, 128, 3, 12),
+            (false, 24, 24, 16, 3, 40),
+            (false, 5, 5, 32, 3, 40),
+            (false, 20, 5, 32, 1, 40),
+            (true, 8, 4, 128, 3, 8),
+            (true, 4, 1, 128, 3, 12),
         ]
     };
-    for &(transposed, c_in, c_out, hw, reps) in conv_shapes {
-        let spec = ConvSpec::new(3, 1, 1);
+    for &(transposed, c_in, c_out, hw, k, reps) in conv_shapes {
+        let spec = ConvSpec::same(k);
         let input = filled(&[c_in, hw, hw], 3);
         let bias = filled(&[c_out], 5);
         let grad = filled(&[c_out, hw, hw], 6);
-        let shape = format!("{c_in}x{hw}x{hw}->{c_out} k3s1p1");
+        let shape = format!("{c_in}x{hw}x{hw}->{c_out} k{k}s1p{}", k / 2);
         if transposed {
-            let weight = filled(&[c_in, c_out, 3, 3], 4);
+            let weight = filled(&[c_in, c_out, k, k], 4);
             cases.push(timed(
                 active,
                 "conv_transpose2d",
@@ -220,41 +226,50 @@ fn run_cases(quick: bool) -> Vec<Case> {
                 || conv_transpose2d_backward(&input, &weight, &grad, spec).0,
             ));
         } else {
-            let weight = filled(&[c_out, c_in, 3, 3], 4);
+            let weight = filled(&[c_out, c_in, k, k], 4);
             cases.push(timed(active, "conv2d", shape.clone(), reps, || {
                 conv2d(&input, &weight, Some(&bias), spec)
             }));
-            cases.push(timed(active, "conv2d_backward", shape, reps, || {
-                conv2d_backward(&input, &weight, &grad, spec).0
+            cases.push(timed(
+                active,
+                "conv2d_backward",
+                shape.clone(),
+                reps,
+                || conv2d_backward(&input, &weight, &grad, spec).0,
+            ));
+            cases.push(timed(active, "conv2d_weight_grads", shape, reps, || {
+                let mut grads = conv2d_weight_grads(&input, &weight, &grad, spec);
+                grads.swap_remove(0).0
             }));
         }
     }
 
     // The fold alone (`conv2d`'s input gradient and `conv_transpose2d`'s
-    // forward pass), which `conv2d_backward` mixes with the weight GEMM:
-    // a `src`-channel map folded onto `dst` channels is the input
-    // gradient of a `dst → src` convolution, whose forward row above
-    // does the same multiply-adds. Timed as a bias-free transposed
+    // forward pass), which `conv2d_backward` mixes with the weight
+    // gradients: a `src`-channel map folded onto `dst` channels is the
+    // input gradient of a `dst → src` convolution, whose forward row
+    // above does the same multiply-adds. Timed as a bias-free transposed
     // convolution, which is the fold and nothing else.
-    let fold_shapes: &[(usize, usize, usize, usize)] = if quick {
-        &[(8, 4, 128, 3), (8, 1, 128, 3)]
+    let fold_shapes: &[(usize, usize, usize, usize, usize)] = if quick {
+        &[(8, 4, 128, 3, 3), (8, 1, 128, 3, 3), (5, 20, 32, 1, 8)]
     } else {
         &[
-            (8, 4, 128, 12),
-            (12, 8, 128, 8),
-            (4, 1, 128, 12),
-            (8, 1, 128, 12),
-            (24, 24, 16, 40),
+            (8, 4, 128, 3, 12),
+            (12, 8, 128, 3, 8),
+            (4, 1, 128, 3, 12),
+            (8, 1, 128, 3, 12),
+            (24, 24, 16, 3, 40),
+            (5, 20, 32, 1, 40),
         ]
     };
-    for &(src, dst, hw, reps) in fold_shapes {
-        let spec = ConvSpec::new(3, 1, 1);
+    for &(src, dst, hw, k, reps) in fold_shapes {
+        let spec = ConvSpec::same(k);
         let grad = filled(&[src, hw, hw], 6);
-        let weight = filled(&[src, dst, 3, 3], 4);
+        let weight = filled(&[src, dst, k, k], 4);
         cases.push(timed(
             active,
             "fold",
-            format!("{src}x{hw}x{hw}->{dst} k3s1p1"),
+            format!("{src}x{hw}x{hw}->{dst} k{k}s1p{}", k / 2),
             reps,
             || conv_transpose2d(&grad, &weight, None, spec),
         ));
@@ -458,21 +473,33 @@ mod tests {
         assert!(kernels.contains(&"gemm_micro"));
         assert!(kernels.contains(&"conv2d"));
         assert!(kernels.contains(&"conv2d_backward"));
+        // Every weight-gradient row has its forward mirror.
+        let shapes = |family: &str| -> Vec<&str> {
+            cases
+                .iter()
+                .filter(|c| c.kernel == family)
+                .map(|c| c.shape.as_str())
+                .collect()
+        };
+        let weight_grads = shapes("conv2d_weight_grads");
+        assert!(!weight_grads.is_empty());
+        for s in &weight_grads {
+            assert!(shapes("conv2d").contains(s), "{s}");
+        }
         for family in ["fold", "leaky_relu_forward", "leaky_relu_backward"] {
             assert!(kernels.contains(&family), "{family}");
         }
         // The fold rows cover both tile shapes: channel tiles and the
         // single-channel strip tiles.
-        let folds: Vec<&str> = cases
-            .iter()
-            .filter(|c| c.kernel == "fold")
-            .map(|c| c.shape.as_str())
-            .collect();
+        let folds = shapes("fold");
         assert!(folds.iter().any(|s| s.ends_with("->1 k3s1p1")), "{folds:?}");
         assert!(
             folds.iter().any(|s| !s.ends_with("->1 k3s1p1")),
             "{folds:?}"
         );
+        // A 1×1 fold row, beside the forward convolution that mirrors it.
+        assert!(folds.contains(&"5x32x32->20 k1s1p0"), "{folds:?}");
+        assert!(shapes("conv2d").contains(&"20x32x32->5 k1s1p0"));
         assert!(kernels.contains(&"aerial"));
         for family in ["roi_conv2d", "roi_fc"] {
             let shapes: Vec<&str> = cases

@@ -119,10 +119,10 @@ impl Tcad18Detector {
         let net = Sequential::new()
             .push(Conv2d::new(config.dct_coeffs, c1, ConvSpec::same(3), rng))
             .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
+            .push(MaxPool2d)
             .push(Conv2d::new(c1, c2, ConvSpec::same(3), rng))
             .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
+            .push(MaxPool2d)
             .push(Flatten::new())
             .push(Linear::new(c2 * g_after * g_after, config.fc_width, rng))
             .push(Relu::new())

@@ -53,10 +53,10 @@ impl FeatureExtractor {
         layers.push(Box::new(LeakyRelu::default_slope()));
         layers.push(Box::new(Conv2d::new(s0, s1, ConvSpec::same(3), rng)));
         layers.push(Box::new(LeakyRelu::default_slope()));
-        layers.push(Box::new(MaxPool2d::new(2, 2)));
+        layers.push(Box::new(MaxPool2d));
         layers.push(Box::new(Conv2d::new(s1, s2, ConvSpec::same(3), rng)));
         layers.push(Box::new(LeakyRelu::default_slope()));
-        layers.push(Box::new(MaxPool2d::new(2, 2)));
+        layers.push(Box::new(MaxPool2d));
         let stem_len = layers.len();
 
         // Inception stack A A B A A A (Fig. 3).
@@ -83,7 +83,7 @@ impl FeatureExtractor {
 
         // Final pooling to the 1/16-stride proposal grid (14×14 for the
         // paper's 224-px post-stem geometry, Fig. 4).
-        layers.push(Box::new(MaxPool2d::new(2, 2)));
+        layers.push(Box::new(MaxPool2d));
 
         FeatureExtractor {
             layers,

@@ -5,20 +5,10 @@ use rhsd_tensor::Tensor;
 
 use crate::layer::{Layer, Tape};
 
-/// A 2-D max-pooling layer with square window, over `[C, H, W]` or a
-/// batch `[N, C, H, W]`.
-#[derive(Debug, Clone)]
-pub struct MaxPool2d {
-    kernel: usize,
-    stride: usize,
-}
-
-impl MaxPool2d {
-    /// Creates a pooling layer with the given window and stride.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        MaxPool2d { kernel, stride }
-    }
-}
+/// A 2-D max-pooling layer with 2×2 windows at stride 2, over
+/// `[C, H, W]` or a batch `[N, C, H, W]`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaxPool2d;
 
 impl Layer for MaxPool2d {
     fn name(&self) -> &'static str {
@@ -34,9 +24,9 @@ impl Layer for MaxPool2d {
         );
         if !tape.is_recording() {
             // No backward will route through the winners.
-            return max_pool2d_values(input, self.kernel, self.stride);
+            return max_pool2d_values(input);
         }
-        let out = max_pool2d(input, self.kernel, self.stride);
+        let out = max_pool2d(input);
         let argmax = out.argmax;
         tape.save(|| (input.dims().to_vec(), argmax));
         out.output
@@ -54,14 +44,14 @@ mod tests {
 
     #[test]
     fn halves_spatial_size() {
-        let l = MaxPool2d::new(2, 2);
+        let l = MaxPool2d;
         let y = l.forward(&Tensor::zeros([3, 8, 8]), &mut Tape::inference());
         assert_eq!(y.dims(), &[3, 4, 4]);
     }
 
     #[test]
     fn backward_shape_matches_input() {
-        let l = MaxPool2d::new(2, 2);
+        let l = MaxPool2d;
         let x = Tensor::from_fn([1, 4, 4], |c| (c[1] + c[2]) as f32);
         let mut tape = Tape::recording();
         let y = l.forward(&x, &mut tape);

@@ -19,7 +19,7 @@ use crate::layer::{backward_all, backward_params_all, forward_all, Layer, Tape};
 /// let stem = Sequential::new()
 ///     .push(Conv2d::new(1, 8, ConvSpec::same(3), &mut rng))
 ///     .push(Relu::new())
-///     .push(MaxPool2d::new(2, 2));
+///     .push(MaxPool2d);
 /// let y = stem.forward(&Tensor::zeros([1, 16, 16]), &mut Tape::inference());
 /// assert_eq!(y.dims(), &[8, 8, 8]);
 /// ```

@@ -52,7 +52,7 @@ proptest! {
         let net = Sequential::new()
             .push(Conv2d::new(1, 2, ConvSpec::same(3), &mut rng))
             .push(Relu::new())
-            .push(MaxPool2d::new(2, 2))
+            .push(MaxPool2d)
             .push(Conv2d::new(2, 1, ConvSpec::same(1), &mut rng));
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
         let gx = ones_input_grad(&net, &x);
@@ -155,7 +155,7 @@ fn clean_epochs_do_not_trip_invariants() {
     let mut net = Sequential::new()
         .push(Conv2d::new(1, 2, ConvSpec::same(3), &mut rng))
         .push(Relu::new())
-        .push(MaxPool2d::new(2, 2))
+        .push(MaxPool2d)
         .push(rhsd_nn::layers::Flatten::new())
         .push(Linear::new(2 * 3 * 3, 2, &mut rng));
     let mut opt = Sgd::new(StepDecay::constant(0.01), 0.9);

@@ -213,6 +213,27 @@ pub(crate) fn weight_product(
     }
 }
 
+/// The bias gradient: the sum of each of the `c` channels of `plane`
+/// values in `v`, bit for bit the chain `Iterator::sum` folds
+/// (ascending, from `-0.0`). Up to `NR` channels' chains run side by
+/// side, so their adds overlap instead of waiting on one another.
+pub(crate) fn channel_sums(v: &[f32], c: usize, plane: usize) -> Vec<f32> {
+    let mut sums = Vec::with_capacity(c);
+    for c0 in (0..c).step_by(NR) {
+        let lanes = NR.min(c - c0);
+        let rows: [&[f32]; NR] =
+            std::array::from_fn(|l| &v[(c0 + l.min(lanes - 1)) * plane..][..plane]);
+        let mut acc = [-0.0f32; NR];
+        for p in 0..plane {
+            for (a, row) in acc.iter_mut().zip(rows).take(lanes) {
+                *a += row[p];
+            }
+        }
+        sums.extend_from_slice(&acc[..lanes]);
+    }
+    sums
+}
+
 /// Packs pixels `px` of the `rows` (`[lanes ≤ NR, pixels]`) as
 /// `lanesᵀ`: `NR` values per pixel, lanes past the rows left as they
 /// are.
@@ -525,10 +546,7 @@ fn weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor
         .zip(gv.chunks_exact((c_out * ncols).max(1)))
         .take(x.n)
         .map(|(xv, gv)| {
-            // d_bias: sum over spatial positions.
-            let dbias: Vec<f32> = (0..c_out)
-                .map(|co| gv[co * ncols..(co + 1) * ncols].iter().sum())
-                .collect();
+            let dbias = channel_sums(gv, c_out, ncols);
             // d_weight = grad · im2col(x)ᵀ, the taps read from the map.
             let mut dw = vec![0.0f32; c_out * ckk];
             weight_product(&mut dw, xv, (c_in, h, w), spec, gv, c_out);
@@ -630,6 +648,33 @@ mod tests {
                 bits(want.as_slice()),
                 "{c}x{h}x{w} -> {lanes} {spec:?}"
             );
+        }
+    }
+
+    #[test]
+    fn channel_sums_equal_iterator_sums() {
+        // Channel counts around one lane block, empty planes, and
+        // channels of only `-0.0` (whose sum keeps the sign only from a
+        // `-0.0` start) or holding ±inf and NaN.
+        for (c, plane) in [(1, 5), (7, 3), (8, 16), (12, 9), (17, 1), (5, 0)] {
+            let mut v: Vec<f32> = (0..c * plane)
+                .map(|i| (i * 37 % 23) as f32 / 7.0 - 1.5)
+                .collect();
+            for (i, x) in v.iter_mut().enumerate() {
+                match i / plane.max(1) % 4 {
+                    1 => *x = -0.0,
+                    2 if i % 5 == 0 => *x = [f32::INFINITY, f32::NAN][i % 2],
+                    _ => {}
+                }
+            }
+            let want: Vec<u32> = (0..c)
+                .map(|ci| v[ci * plane..][..plane].iter().sum::<f32>().to_bits())
+                .collect();
+            let got: Vec<u32> = channel_sums(&v, c, plane)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(got, want, "{c} channels of {plane}");
         }
     }
 

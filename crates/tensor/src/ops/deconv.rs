@@ -12,7 +12,7 @@
 //! gradient map's taps as rows, read in place, and the input's channels
 //! as lanes (`conv::weight_product`).
 
-use crate::ops::conv::{check_bias, check_weight, map_of, weight_product, ConvSpec};
+use crate::ops::conv::{channel_sums, check_bias, check_weight, map_of, weight_product, ConvSpec};
 use crate::ops::direct::{self, Map};
 use crate::Tensor;
 
@@ -67,12 +67,8 @@ pub fn conv_transpose2d_backward(
         grad_out.shape()
     );
 
-    // d_bias: per-output-channel spatial sum.
     let gv = grad_out.as_slice();
-    let dbias: Vec<f32> = (0..c_out)
-        .map(|co| gv[co * oh * ow..(co + 1) * oh * ow].iter().sum())
-        .collect();
-    let d_bias = Tensor::from_parts([c_out], dbias);
+    let d_bias = Tensor::from_parts([c_out], channel_sums(gv, c_out, oh * ow));
 
     // Deconv forward is col2im ∘ (Wᵀ ·); its adjoint is (W ·) ∘ im2col,
     // a forward convolution of the gradient map whose weight

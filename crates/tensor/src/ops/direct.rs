@@ -1,32 +1,42 @@
 //! In-place convolution kernels: the forward convolution and the fold
-//! of a transposed convolution, both reading `[C, H, W]` maps where
-//! they lie, with no column matrix.
+//! of a transposed convolution, both over `[C, H, W]` maps, with no
+//! column matrix.
 //!
 //! Both run register tiles over `NR`-pixel strips of an output row:
 //! `MRR` output channels × one strip, or — when the last channel block
 //! is a single channel — that channel × up to `MRR` adjacent strips.
-//! Each tile row reads its `B` rows straight from the map at per-step
-//! offsets. A tap that leaves the map, or any tap at stride > 1,
-//! gathers its `B` rows lane by lane into a small per-task panel
-//! instead, once for all the strip's channel blocks.
+//! Each tile row reads its `B` rows at constant per-step offsets from a
+//! band of the source map copied into `workspace` scratch: per task,
+//! the rows its band of output rows reads, refilled band by band, with
+//! `NR` slack values after the last row for the lanes past a row's end,
+//! which are never stored. No strip gathers its inputs lane by lane.
 //!
 //! * **Forward** ([`conv_into`], [`kernels::conv_micro`] tiles): one
 //!   chain per output element over the taps `(ci, ky, kx)` in ascending
-//!   order, starting at `+0.0`. Gathered padding lanes hold a literal
-//!   `0.0` that is multiplied and added like any other term. This is
-//!   exactly the chain of `W · im2col(x)` through the GEMM, element by
-//!   element.
+//!   order, starting at `+0.0`. The band is zero-padded: `p` zero
+//!   columns on each side of every row and zero rows above and below
+//!   the map, so padding lanes read a literal `0.0` that is multiplied
+//!   and added like any other term. This is exactly the chain of
+//!   `W · im2col(x)` through the GEMM, element by element. At stride
+//!   `s > 1` each padded row is stored as its `s` column phases, so tap
+//!   `kx` of output `x` reads phase `kx % s` at `x + kx / s`, contiguous
+//!   too. An unpadded stride-1 map is its own padded band, and is read
+//!   where it lies whenever its last strip's `B` rows end inside the
+//!   batch.
 //! * **Fold** ([`fold_into`], [`kernels::fold_micro`] tiles): the
-//!   adjoint, `col2im(Wᵀ · g)`. A strip first lists its taps `(ky, kx)`
-//!   in ascending order, each read in place or gathered, with the lane
-//!   mask of the pixels whose source lies inside the map. Each tile
-//!   then keeps its accumulators in registers across the whole list:
-//!   per tap a fresh `+0.0` chain over the source channels — one
-//!   element of the column matrix `Wᵀ · g` — added in the tap's lanes.
-//!   Masked lanes keep their accumulator bits, just as `col2im` never
-//!   adds them; a masked lane may have read anything. These are
-//!   `col2im`'s two levels of rounding in its order: ascending taps per
-//!   output pixel, each tap one `Wᵀ · g` element.
+//!   adjoint, `col2im(Wᵀ · g)`. The band stores source column `gx` at
+//!   `lead + s · gx` of its row, so at every stride each tap's lanes
+//!   are contiguous. A strip first lists its taps `(ky, kx)` in
+//!   ascending order with the lane mask of the pixels whose source lies
+//!   inside the map at a whole stride; the interior strips of a row
+//!   share one list. Each tile then keeps its accumulators in registers
+//!   across the whole list: per tap a fresh `+0.0` chain over the
+//!   source channels — one element of the column matrix `Wᵀ · g` —
+//!   added in the tap's lanes. Masked lanes keep their accumulator
+//!   bits, just as `col2im` never adds them; a masked lane may have
+//!   read anything, the band's zeros included. These are `col2im`'s two
+//!   levels of rounding in its order: ascending taps per output pixel,
+//!   each tap one `Wᵀ · g` element.
 //!
 //! Both take a batch of `n` maps and run it map by map. Tasks own whole
 //! bands of output rows, at least `NC` pixels each, across every
@@ -34,12 +44,13 @@
 //! maps) go whole, as many to a task as make `NC` pixels. The split
 //! depends only on the shape. Every element's arithmetic is fixed by
 //! the above, so results are bit-identical at any thread count, ISA and
-//! batch size. No workspace scratch is taken.
+//! batch size.
 
 use std::ops::Range;
 
 use super::conv::ConvSpec;
 use super::kernels::{self, FoldSrc, FoldTap, NR};
+use crate::workspace;
 
 /// Minimum output pixels per parallel task: the GEMM's column-block
 /// width, so a task is never smaller than the GEMM's.
@@ -88,6 +99,12 @@ macro_rules! tile {
 }
 pub(crate) use tile;
 
+/// Output rows per band of an `oh × ow` output: at least `NC` pixels,
+/// at most the whole map.
+fn band_rows(oh: usize, ow: usize) -> usize {
+    NC.div_ceil(ow.max(1)).min(oh).max(1)
+}
+
 /// Splits `out` (`[c, oh, ow]`) into tasks of whole output-row bands of
 /// at least `NC` pixels and runs `f(y0, y1, planes)` on each, where
 /// `planes[ch]` is rows `y0..y1` of channel `ch`.
@@ -103,7 +120,7 @@ fn for_each_band(
     if plane == 0 || c == 0 {
         return;
     }
-    let band = NC.div_ceil(ow).min(oh);
+    let band = band_rows(oh, ow);
     let bands = rhsd_par::chunk_units(oh.div_ceil(band), work_per_px * band * ow);
     let task_rows = (bands * band).min(oh);
     let mut segs: Vec<&mut [f32]> = Vec::with_capacity(c * oh.div_ceil(task_rows));
@@ -121,25 +138,29 @@ fn for_each_band(
     });
 }
 
-/// Runs `f(i, y0, y1, planes)` over the batch `out` (`[n, c, oh, ow]`),
-/// where `planes[ch]` is rows `y0..y1` of channel `ch` of map `i`. A
-/// map of at least `NC` pixels is split into bands by
+/// Runs `f(i, y0, y1, planes, scratch)` over the batch `out`
+/// (`[n, c, oh, ow]`), where `planes[ch]` is rows `y0..y1` of channel
+/// `ch` of map `i` and `scratch` a task's `scratch_len` workspace
+/// values. A map of at least `NC` pixels is split into bands by
 /// [`for_each_band`]; smaller maps go whole, as many to a task as make
 /// `NC` pixels.
 fn for_each_map_band(
     out: &mut [f32],
     (n, c, oh, ow): (usize, usize, usize, usize),
     work_per_px: usize,
-    f: impl Fn(usize, usize, usize, &mut [&mut [f32]]) + Sync,
+    scratch_len: usize,
+    f: impl Fn(usize, usize, usize, &mut [&mut [f32]], &mut [f32]) + Sync,
 ) {
     let plane = oh * ow;
     if out.is_empty() {
         return;
     }
+    let scratch = || (scratch_len > 0).then(|| workspace::take(scratch_len));
     if plane >= NC {
         for (i, map) in out.chunks_mut(c * plane).enumerate() {
             for_each_band(map, c, oh, ow, work_per_px, |y0, y1, planes| {
-                f(i, y0, y1, planes)
+                let mut ws = scratch();
+                f(i, y0, y1, planes, ws.as_deref_mut().unwrap_or_default())
             });
         }
         return;
@@ -148,25 +169,15 @@ fn for_each_map_band(
     let groups = rhsd_par::chunk_units(n.div_ceil(group), work_per_px * plane * group);
     let maps = (groups * group).min(n);
     rhsd_par::for_each_mut(out, maps * c * plane, |ti, task| {
+        let mut ws = scratch();
+        let ws = ws.as_deref_mut().unwrap_or_default();
         let mut planes = Vec::with_capacity(c);
         for (i, map) in task.chunks_mut(c * plane).enumerate() {
             planes.clear();
             planes.extend(map.chunks_mut(plane));
-            f(ti * maps + i, 0, oh, &mut planes);
+            f(ti * maps + i, 0, oh, &mut planes, ws);
         }
     });
-}
-
-/// The whole `NR`-pixel strips starting in `group` that a single-channel
-/// block tiles several at a time: all of them when the last channel
-/// block of `c` channels in tiles of height `mr` is one channel, else
-/// none.
-fn single_channel_group(c: usize, mr: usize, group: Range<usize>) -> Range<usize> {
-    if c % mr == 1 {
-        group
-    } else {
-        0..0
-    }
 }
 
 /// The output channel and strip start of each tile row: `MRR` channels
@@ -212,8 +223,20 @@ fn low_lanes(n: usize) -> u8 {
     }
 }
 
-/// Where a strip's `B` rows lie: step `t` of a tile row whose strip
-/// starts `dx` pixels after the first reads `src[base + dx + offs[t]..]`.
+/// Offsets of the taps `(ci, ky, kx)` of output pixel `0` of a band's
+/// first row, in step order, in a source of `c` channels of `rows`
+/// rows, each row stored as `s` column phases of `wh` values.
+fn tap_offsets(c: usize, k: usize, s: usize, rows: usize, wh: usize) -> Vec<usize> {
+    (0..c * k * k)
+        .map(|t| {
+            let (ci, ky, kx) = (t / (k * k), t / k % k, t % k);
+            ((ci * rows + ky) * s + kx % s) * wh + kx / s
+        })
+        .collect()
+}
+
+/// Where a band's `B` rows lie: step `t` of the strip at `x0` reads
+/// `src[base + x0 + offs[t]..][..NR]`.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
     src: &'a [f32],
@@ -229,87 +252,49 @@ struct Forward<'a> {
     ow: usize,
     /// `x.c · k²`: the chain length.
     ckk: usize,
-    /// Map offset of tap `(ci, ky, kx)` from the tap `(0, 0, 0)` of a
-    /// pixel, in step order.
-    offs: &'a [usize],
-    /// Offsets of the rows of a gathered panel.
-    seq: &'a [usize],
     bias: Option<&'a [f32]>,
 }
 
 impl Forward<'_> {
-    /// The map index of tap `(0, 0, 0)` of output pixel `(oy, x0)` when
-    /// the stride is 1 and every tap of the `width` pixels from `x0`
-    /// reads inside the map (and each `B` row inside the slice).
-    fn direct(&self, oy: usize, x0: usize, width: usize) -> Option<usize> {
-        let ConvSpec {
-            kernel: k,
-            stride,
-            padding: p,
-        } = self.spec;
-        let (y, x) = (oy.checked_sub(p)?, x0.checked_sub(p)?);
-        if stride != 1 || y + k > self.x.h || x + width + k - 1 > self.x.w {
-            return None;
-        }
-        let base = self.base(oy, x0);
-        let end = base + self.offs.last().copied().unwrap_or(0) + width.next_multiple_of(NR);
-        (end <= self.x.v.len()).then_some(base)
-    }
-
-    /// The map index of tap `(0, 0, 0)` of output pixel `(oy, x0)` at
-    /// stride 1, which must lie inside the map.
-    fn base(&self, oy: usize, x0: usize) -> usize {
-        let p = self.spec.padding;
-        (oy - p) * self.x.w + x0 - p
-    }
-
-    /// Start pixels of the whole strips of row `oy` that read only
-    /// inside the map: [`Forward::direct`] holds for any run of them.
-    fn group(&self, oy: usize) -> Range<usize> {
-        let ConvSpec {
-            kernel: k,
-            stride,
-            padding: p,
-        } = self.spec;
-        if stride != 1 || oy < p || oy - p + k > self.x.h {
-            return 0..0;
-        }
-        let lo = p.next_multiple_of(NR);
-        let hi = self.ow.min((self.x.w + p + 1).saturating_sub(k)) / NR * NR;
-        lo..hi.max(lo)
-    }
-
-    /// Gathers every step of the strip at `(oy, x0)` into `panel`: per
-    /// lane the im2col entry, `0.0` in the padding. Lanes past the
-    /// output row read whatever their coordinates give; they are never
-    /// stored.
-    fn gather(&self, oy: usize, x0: usize, panel: &mut [f32]) {
+    /// Copies the rows that output rows `y0..y0 + n` read into `copy`:
+    /// per channel `rows` rows of `s` phases of `wh` values, where phase
+    /// `ph` of padded row `r` holds padded columns `ph, ph + s, …` of
+    /// map row `y0 · s + r − p`. Rows in the padding are zeroed, as an
+    /// earlier band may have filled them; the padding columns are never
+    /// written and keep the workspace's zeros.
+    fn pad_band(&self, copy: &mut [f32], y0: usize, n: usize, (rows, wh): (usize, usize)) {
         let ConvSpec {
             kernel: k,
             stride: s,
             padding: p,
         } = self.spec;
         let Map { v, c, h, w, .. } = self.x;
-        for ci in 0..c {
-            for ky in 0..k {
-                // Coordinates in the padding wrap to huge values, which
-                // the bounds tests reject.
-                let iy = (oy * s + ky).wrapping_sub(p);
-                let row = (iy < h).then(|| &v[(ci * h + iy) * w..][..w]);
-                for kx in 0..k {
-                    let dst = &mut panel[((ci * k + ky) * k + kx) * NR..][..NR];
-                    let Some(row) = row else {
-                        dst.fill(0.0);
-                        continue;
-                    };
-                    let ix0 = (x0 * s + kx).wrapping_sub(p);
-                    if s == 1 && ix0 < w && ix0 + NR <= w {
-                        dst.copy_from_slice(&row[ix0..ix0 + NR]);
-                        continue;
-                    }
-                    for (l, d) in dst.iter_mut().enumerate() {
-                        let ix = ((x0 + l) * s + kx).wrapping_sub(p);
-                        *d = if ix < w { row[ix] } else { 0.0 };
+        for (ci, dst) in copy.chunks_exact_mut(rows * s * wh).take(c).enumerate() {
+            let used = (n - 1) * s + k;
+            for (r, drow) in dst.chunks_exact_mut(s * wh).take(used).enumerate() {
+                // Rows in the padding wrap to huge values.
+                let iy = (y0 * s + r).wrapping_sub(p);
+                if iy >= h {
+                    drow.fill(0.0);
+                    continue;
+                }
+                let src = &v[(ci * h + iy) * w..][..w];
+                if s == 1 {
+                    drow[p..p + w].copy_from_slice(src);
+                    continue;
+                }
+                for (ph, d) in drow.chunks_exact_mut(wh).enumerate() {
+                    // Phase value `j` holds map column `j · s + ph − p`.
+                    for (j, d) in d
+                        .iter_mut()
+                        .enumerate()
+                        .skip(p.saturating_sub(ph).div_ceil(s))
+                    {
+                        let ix = j * s + ph - p;
+                        if ix >= w {
+                            break;
+                        }
+                        *d = src[ix];
                     }
                 }
             }
@@ -330,9 +315,31 @@ impl Forward<'_> {
         let (ch, xs) = tile_rows::<MRR>(c0, x0, strips);
         let mut acc = [[0.0f32; NR]; MRR];
         let aidx = ch.map(|c| c * self.ckk);
-        let bidx = xs.map(|x| b.base + x - x0);
+        let bidx = xs.map(|x| b.base + x);
         kernels::conv_micro(&mut acc, self.wt, &aidx, 1, b.src, &bidx, b.offs);
         store(planes, row, (ch, xs), &acc, self.ow, self.bias);
+    }
+
+    /// Every tile of output row `row` (an offset into the band), its
+    /// `B` rows in `b`: channel tiles over each strip, then — when the
+    /// last channel block is a single channel — that channel in strip
+    /// tiles across the whole row.
+    fn row(&self, planes: &mut [&mut [f32]], row: usize, c_out: usize, b: Rows) {
+        let mr = kernels::gemm_mr();
+        let single = c_out % mr == 1;
+        let c = c_out - usize::from(single);
+        let ow = self.ow;
+        for x0 in (0..ow).step_by(NR) {
+            for c0 in (0..c).step_by(mr) {
+                tile!(mr.min(c - c0), self.tile(planes, row, c0, x0, false, b));
+            }
+        }
+        if single {
+            for x0 in (0..ow).step_by(mr * NR) {
+                let n = (ow - x0).div_ceil(NR).min(mr);
+                tile!(n, self.tile(planes, row, c, x0, true, b));
+            }
+        }
     }
 }
 
@@ -347,75 +354,68 @@ pub(crate) fn conv_into(
     spec: ConvSpec,
     bias: Option<&[f32]>,
 ) {
+    let ConvSpec {
+        kernel: k,
+        stride: s,
+        padding: p,
+    } = spec;
     let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
-    let k = spec.kernel;
     let ckk = x.c * k * k;
     debug_assert_eq!(out.len(), x.n * c_out * oh * ow, "conv output length");
     debug_assert_eq!(wt.len(), c_out * ckk, "conv weight length");
-    let offs: Vec<usize> = (0..ckk)
-        .map(|t| (t / (k * k) * x.h + t / k % k) * x.w + t % k)
-        .collect();
-    let seq: Vec<usize> = (0..ckk).map(|t| t * NR).collect();
+    let band = band_rows(oh, ow);
+    // A band's padded copy: per channel `rows` rows of `s` phases of
+    // `wh` values, then `NR` slack values.
+    let (rows, wh) = ((band - 1) * s + k, (x.w + 2 * p).div_ceil(s));
+    let copied = tap_offsets(x.c, k, s, rows, wh);
+    // An unpadded stride-1 map is read in place when its last strip's
+    // `B` rows, which pass its end by the last strip's unused lanes,
+    // end inside the batch: always when the rows fill whole strips.
+    let map_len = x.c * x.h * x.w;
+    let past_end = ow.next_multiple_of(NR) - ow;
+    let in_place = |i: usize| p == 0 && s == 1 && (x.n - 1 - i) * map_len >= past_end;
+    let mapped = tap_offsets(x.c, k, 1, x.h, x.w);
+    let copy_len = if x.n == 0 || in_place(x.n - 1) {
+        0
+    } else {
+        x.c * rows * s * wh + NR
+    };
     let op = Forward {
         x,
         wt,
         spec,
         ow,
         ckk,
-        offs: &offs,
-        seq: &seq,
         bias,
     };
-    let mr = kernels::gemm_mr();
     let work = 2 * ckk * c_out;
-    for_each_map_band(out, (x.n, c_out, oh, ow), work, |i, y0, y1, planes| {
+    let dims = (x.n, c_out, oh, ow);
+    for_each_map_band(out, dims, work, copy_len, |i, y0, y1, planes, copy| {
+        if in_place(i) {
+            for oy in y0..y1 {
+                let b = Rows {
+                    src: x.v,
+                    base: i * map_len + oy * x.w,
+                    offs: &mapped,
+                };
+                op.row(planes, (oy - y0) * ow, c_out, b);
+            }
+            return;
+        }
         let op = Forward {
             x: x.image(i),
             ..op
         };
-        let mut panel = vec![0.0f32; ckk * NR];
-        for oy in y0..y1 {
-            let row = (oy - y0) * ow;
-            let group = single_channel_group(c_out, mr, op.group(oy));
-            for x0 in (0..ow).step_by(NR) {
-                let lanes = NR.min(ow - x0);
-                // One gather serves every channel block of the strip.
-                let b = match op.direct(oy, x0, lanes) {
-                    Some(base) => Rows {
-                        src: op.x.v,
-                        base,
-                        offs: op.offs,
-                    },
-                    None => {
-                        op.gather(oy, x0, &mut panel);
-                        Rows {
-                            src: &panel,
-                            base: 0,
-                            offs: op.seq,
-                        }
-                    }
-                };
-                for c0 in (0..c_out).step_by(mr) {
-                    let rows = mr.min(c_out - c0);
-                    // A grouped strip leaves its single last channel to
-                    // the strip tiles below.
-                    if rows > 1 || !group.contains(&x0) {
-                        tile!(rows, op.tile(planes, row, c0, x0, false, b));
-                    }
-                }
-            }
-            for x0 in group.clone().step_by(mr * NR) {
-                let n = ((group.end - x0) / NR).min(mr);
-                debug_assert!(
-                    op.direct(oy, x0, n * NR).is_some(),
-                    "grouped strips read in place"
-                );
+        for yb in (y0..y1).step_by(band) {
+            let ye = (yb + band).min(y1);
+            op.pad_band(copy, yb, ye - yb, (rows, wh));
+            for oy in yb..ye {
                 let b = Rows {
-                    src: op.x.v,
-                    base: op.base(oy, x0),
-                    offs: op.offs,
+                    src: copy,
+                    base: (oy - yb) * s * s * wh,
+                    offs: &copied,
                 };
-                tile!(n, op.tile(planes, row, c_out - 1, x0, true, b));
+                op.row(planes, (oy - y0) * ow, c_out, b);
             }
         }
     });
@@ -429,50 +429,97 @@ struct Fold<'a> {
     c_out: usize,
     spec: ConvSpec,
     ow: usize,
-    /// Map offset of source channel `c` from channel 0.
-    offs: &'a [usize],
-    /// Offsets of the rows of a gathered tap in the panel.
-    seq: &'a [usize],
+    /// Per residue `r` below the stride, the lanes `l ≡ r (mod s)`.
+    phases: &'a [u8],
     bias: Option<&'a [f32]>,
 }
 
-/// The [`FoldSrc`] index of taps read in place from the source map.
-const MAP: usize = 0;
-/// The [`FoldSrc`] index of taps gathered into the panel.
-const PANEL: usize = 1;
+/// A fold's source band: per channel `rows` source rows from `lo`,
+/// each stored from index `lead` with source column `gx` at
+/// `lead + s · gx`, `width` values a row; every other value is `0.0`.
+#[derive(Clone, Copy)]
+struct FoldBand {
+    lo: usize,
+    rows: usize,
+    lead: usize,
+    width: usize,
+}
 
 impl Fold<'_> {
     /// The source index `(v + p − kv) / s` that output coordinate `v`
     /// reads under tap `kv`, when it is exact and below `n`.
-    fn src(&self, v: usize, kv: usize, n: usize) -> Option<usize> {
+    fn source(&self, v: usize, kv: usize, n: usize) -> Option<usize> {
         let q = (v + self.spec.padding).checked_sub(kv)?;
-        let i = match self.spec.stride {
-            1 => q,
-            s if q % s == 0 => q / s,
-            _ => return None,
-        };
-        (i < n).then_some(i)
+        let s = self.spec.stride;
+        (q % s == 0 && q / s < n).then_some(q / s)
     }
 
-    /// The map index and lane mask of tap column `kx` for the pixels
-    /// from `x0` in source row `gy`, read in place: at stride 1, when
-    /// the first pixel's source column is inside the map and each `B`
-    /// row (`span` values) ends inside the slice. Lanes whose source
-    /// column passes the row end are masked.
-    fn direct(&self, gy: usize, x0: usize, kx: usize, span: usize) -> Option<(usize, u8)> {
-        let gx = (x0 + self.spec.padding).checked_sub(kx)?;
-        if self.spec.stride != 1 || gx >= self.g.w {
-            return None;
+    /// Copies source rows `band.lo..hi` of every channel into `copy`,
+    /// as [`FoldBand`] lays them out; the values between and around
+    /// the source columns are never written, so they keep the
+    /// workspace's zeros.
+    fn pad_band(&self, copy: &mut [f32], band: FoldBand, hi: usize) {
+        let Map { v, c, h, w, .. } = self.g;
+        let s = self.spec.stride;
+        for (ci, dst) in copy
+            .chunks_exact_mut(band.rows * band.width)
+            .take(c)
+            .enumerate()
+        {
+            for (gy, drow) in (band.lo..hi).zip(dst.chunks_exact_mut(band.width)) {
+                let src = &v[(ci * h + gy) * w..][..w];
+                let cols = &mut drow[band.lead..];
+                if s == 1 {
+                    let n = w.min(cols.len());
+                    cols[..n].copy_from_slice(&src[..n]);
+                } else {
+                    for (d, &x) in cols.iter_mut().step_by(s).zip(src) {
+                        *d = x;
+                    }
+                }
+            }
         }
-        let base = gy * self.g.w + gx;
-        let end = base + self.offs.last().copied().unwrap_or(0) + span;
-        (end <= self.g.v.len()).then_some((base, low_lanes(self.g.w - gx)))
     }
 
-    /// Start pixels of the whole strips whose every tap reads inside
-    /// the source row: [`Fold::direct`] holds with every lane for any
-    /// run of them.
-    fn group(&self) -> Range<usize> {
+    /// The taps of the strip at `x0` of output row `y`, in ascending
+    /// `(ky, kx)` order, into `taps`: each reads the source `band`,
+    /// masked to the lanes whose source column lies inside the map at
+    /// a whole stride. Taps that reach no lane add to none and are left
+    /// out.
+    fn taps(&self, y: usize, x0: usize, band: FoldBand, taps: &mut Vec<FoldTap>) {
+        let ConvSpec {
+            kernel: k,
+            stride: s,
+            padding: p,
+        } = self.spec;
+        // Lane `l` of tap `kx` reads source column `(x + l − kx) / s`.
+        let x = x0 + p;
+        taps.clear();
+        for ky in 0..k {
+            let Some(gy) = self.source(y, ky, self.g.h) else {
+                continue;
+            };
+            for kx in 0..k {
+                let first = kx.saturating_sub(x);
+                let end = (s * self.g.w + kx).saturating_sub(x).min(NR);
+                let phase = self.phases[(kx % s + s - x % s) % s];
+                let mask = low_lanes(end) & !low_lanes(first) & phase;
+                if mask == 0 {
+                    continue;
+                }
+                taps.push(FoldTap {
+                    a: ky * k + kx,
+                    base: (gy - band.lo) * band.width + x + band.lead - kx,
+                    mask,
+                });
+            }
+        }
+    }
+
+    /// Start pixels of the interior strips, whose every tap reads every
+    /// lane (stride 1 only): [`Fold::taps`] gives every lane of any run
+    /// of them, and the same list for each, shifted by its start.
+    fn interior(&self) -> Range<usize> {
         let ConvSpec {
             kernel: k,
             stride,
@@ -486,76 +533,10 @@ impl Fold<'_> {
         lo..hi.max(lo)
     }
 
-    /// Gathers tap column `kx` of source row `gy` for the strip at `x0`
-    /// (`lanes` pixels) into `panel`, one row per source channel, `0.0`
-    /// in lanes the tap maps outside the source row; returns the mask
-    /// of the lanes inside.
-    fn gather(&self, gy: usize, x0: usize, kx: usize, lanes: usize, panel: &mut [f32]) -> u8 {
-        let Map { v, h, w, .. } = self.g;
-        let cols: [Option<usize>; NR] = std::array::from_fn(|l| {
-            if l < lanes {
-                self.src(x0 + l, kx, w)
-            } else {
-                None
-            }
-        });
-        for (c, dst) in panel.chunks_exact_mut(NR).enumerate() {
-            let row = &v[(c * h + gy) * w..][..w];
-            for (d, col) in dst.iter_mut().zip(cols) {
-                *d = col.map_or(0.0, |x| row[x]);
-            }
-        }
-        cols.iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_some())
-            .fold(0, |m, (l, _)| m | 1 << l)
-    }
-
-    /// The taps of the strip at `x0` of output row `y`, in ascending
-    /// `(ky, kx)` order, into `taps`: read in place where
-    /// [`Fold::direct`] holds, else gathered into the tap's slot of
-    /// `panel`. Taps outside the source map add to no lane and are left
-    /// out.
-    fn strip_taps(&self, y: usize, x0: usize, panel: &mut [f32], taps: &mut Vec<FoldTap>) {
-        let k = self.spec.kernel;
-        let lanes = NR.min(self.ow - x0);
-        let slot = self.g.c * NR;
-        taps.clear();
-        for ky in 0..k {
-            let Some(gy) = self.src(y, ky, self.g.h) else {
-                continue;
-            };
-            for kx in 0..k {
-                let a = ky * k + kx;
-                let tap = match self.direct(gy, x0, kx, NR) {
-                    Some((base, mask)) => FoldTap {
-                        a,
-                        src: MAP,
-                        base,
-                        mask,
-                    },
-                    None => {
-                        let base = a * slot;
-                        let mask = self.gather(gy, x0, kx, lanes, &mut panel[base..][..slot]);
-                        if mask == 0 {
-                            continue;
-                        }
-                        FoldTap {
-                            a,
-                            src: PANEL,
-                            base,
-                            mask,
-                        }
-                    }
-                };
-                taps.push(tap);
-            }
-        }
-    }
-
     /// One register tile of output row `row` (an offset into the band):
     /// `MRR` channels from `c0` on the strip at `x0`, or (`strips`)
-    /// channel `c0` on `MRR` strips from `x0`, over every tap of `taps`.
+    /// channel `c0` on `MRR` strips from `x0`, over every tap of `taps`,
+    /// which lists the taps of the strip at `xr`.
     fn tile<const MRR: usize>(
         &self,
         planes: &mut [&mut [f32]],
@@ -563,15 +544,15 @@ impl Fold<'_> {
         c0: usize,
         x0: usize,
         strips: bool,
-        (srcs, taps): (&[FoldSrc], &[FoldTap]),
+        (src, taps, xr): (FoldSrc, &[FoldTap], usize),
     ) {
         let (ch, xs) = tile_rows::<MRR>(c0, x0, strips);
         let kk = self.spec.kernel * self.spec.kernel;
         // Weight `(c, o, ky, kx)` sits at `c · acs + o · k² + tap`.
         let aidx = ch.map(|o| o * kk);
-        let bidx = xs.map(|x| x - x0);
+        let bidx = xs.map(|x| x - xr);
         let mut acc = [[0.0f32; NR]; MRR];
-        kernels::fold_micro(&mut acc, self.wt, &aidx, self.c_out * kk, srcs, &bidx, taps);
+        kernels::fold_micro(&mut acc, self.wt, &aidx, self.c_out * kk, src, &bidx, taps);
         store(planes, row, (ch, xs), &acc, self.ow, self.bias);
     }
 }
@@ -590,7 +571,11 @@ pub(crate) fn fold_into(
     spec: ConvSpec,
     bias: Option<&[f32]>,
 ) {
-    let k = spec.kernel;
+    let ConvSpec {
+        kernel: k,
+        stride: s,
+        padding: p,
+    } = spec;
     debug_assert_eq!(out.len(), g.n * c_out * oh * ow, "fold output length");
     debug_assert_eq!(
         (g.h, g.w),
@@ -598,63 +583,76 @@ pub(crate) fn fold_into(
         "fold source geometry"
     );
     debug_assert_eq!(wt.len(), g.c * c_out * k * k, "fold weight length");
-    let offs: Vec<usize> = (0..g.c).map(|c| c * g.h * g.w).collect();
-    let seq: Vec<usize> = (0..g.c).map(|c| c * NR).collect();
+    let band = band_rows(oh, ow);
+    // A band of output rows reads at most `band + k − 1` source rows.
+    // Lane `l` of tap `kx` of the strip at `x0` sits at
+    // `x0 + l + p + lead − kx ≥ 0` in its row; `NR` slack values follow
+    // the last row.
+    let lead = (k - 1).saturating_sub(p);
+    let (rows, width) = (band + k - 1, ow + p + lead);
+    let offs: Vec<usize> = (0..g.c).map(|c| c * rows * width).collect();
+    let phases: Vec<u8> = (0..s)
+        .map(|r| (r..NR).step_by(s).fold(0, |m, l| m | 1 << l))
+        .collect();
     let op = Fold {
         g,
         wt,
         c_out,
         spec,
         ow,
-        offs: &offs,
-        seq: &seq,
+        phases: &phases,
         bias,
     };
     let mr = kernels::gemm_mr();
-    let group = single_channel_group(c_out, mr, op.group());
+    let interior = op.interior();
+    // A single last channel block tiles the interior strips instead.
+    let single = usize::from(c_out % mr == 1);
     let work = 2 * g.c * k * k * c_out;
-    for_each_map_band(out, (g.n, c_out, oh, ow), work, |i, y0, y1, planes| {
+    let dims = (g.n, c_out, oh, ow);
+    let copy_len = g.c * rows * width + NR;
+    for_each_map_band(out, dims, work, copy_len, |i, y0, y1, planes, copy| {
         let op = Fold {
             g: g.image(i),
             ..op
         };
-        // Every tap of a strip may be gathered: one panel slot per tap.
-        let mut panel = vec![0.0f32; k * k * g.c * NR];
-        let mut taps = Vec::with_capacity(k * k);
-        let map = FoldSrc::new(op.g.v, op.offs);
-        for y in y0..y1 {
-            let row = (y - y0) * ow;
-            for x0 in (0..ow).step_by(NR) {
-                // A grouped strip leaves its single last channel to the
-                // strip tiles below.
-                let c = if group.contains(&x0) {
-                    c_out - 1
-                } else {
-                    c_out
-                };
-                if c == 0 {
-                    continue;
+        let (mut taps, mut inner) = (Vec::with_capacity(k * k), Vec::with_capacity(k * k));
+        for yb in (y0..y1).step_by(band) {
+            let ye = (yb + band).min(y1);
+            let band = FoldBand {
+                lo: (yb + p).saturating_sub(k - 1).div_ceil(s),
+                rows,
+                lead,
+                width,
+            };
+            op.pad_band(copy, band, ((ye - 1 + p) / s + 1).min(g.h));
+            let src = FoldSrc::new(copy, &offs);
+            for y in yb..ye {
+                let row = (y - y0) * ow;
+                // The interior strips share one list, based at the first.
+                let xr = interior.start;
+                if !interior.is_empty() {
+                    op.taps(y, xr, band, &mut inner);
+                    debug_assert!(
+                        inner.iter().all(|t| t.mask == ALL_LANES),
+                        "interior strips read every lane"
+                    );
                 }
-                op.strip_taps(y, x0, &mut panel, &mut taps);
-                let srcs = [map, FoldSrc::new(&panel, op.seq)];
-                for c0 in (0..c).step_by(mr) {
-                    let rows = mr.min(c - c0);
-                    tile!(rows, op.tile(planes, row, c0, x0, false, (&srcs, &taps)));
+                for x0 in (0..ow).step_by(NR) {
+                    let (c, t) = if interior.contains(&x0) {
+                        (c_out - single, (src, &inner[..], xr))
+                    } else {
+                        op.taps(y, x0, band, &mut taps);
+                        (c_out, (src, &taps[..], x0))
+                    };
+                    for c0 in (0..c).step_by(mr) {
+                        tile!(mr.min(c - c0), op.tile(planes, row, c0, x0, false, t));
+                    }
                 }
-            }
-            for x0 in group.clone().step_by(mr * NR) {
-                let n = ((group.end - x0) / NR).min(mr);
-                // Every tap of a grouped strip reads in place, in all
-                // lanes of all `n` strips.
-                op.strip_taps(y, x0, &mut panel, &mut taps);
-                debug_assert!(
-                    taps.iter().all(|t| t.src == MAP && t.mask == ALL_LANES),
-                    "grouped strips read in place"
-                );
-                tile!(
-                    n,
-                    op.tile(planes, row, c_out - 1, x0, true, (&[map], &taps))
-                );
+                for x0 in interior.clone().step_by(mr * NR).filter(|_| single == 1) {
+                    let n = ((interior.end - x0) / NR).min(mr);
+                    let t = (src, &inner[..], xr);
+                    tile!(n, op.tile(planes, row, c_out - 1, x0, true, t));
+                }
             }
         }
     });

@@ -237,23 +237,20 @@ impl<'a> FoldSrc<'a> {
 pub struct FoldTap {
     /// Offset of the tap's weights from each tile row's `A` index.
     pub a: usize,
-    /// Index of the tap's [`FoldSrc`].
-    pub src: usize,
-    /// Where the tap's `B` rows start in its source.
+    /// Where the tap's `B` rows start in the source.
     pub base: usize,
     /// The lanes the tap adds to (bit `l` is lane `l`).
     pub mask: u8,
 }
 
 /// The register tile of the in-place fold (`ops::direct`): for each tap
-/// in order, row `r` runs a fresh `+0.0` chain over the tap's source
+/// in order, row `r` runs a fresh `+0.0` chain over the source
 /// channels — step `s` multiplies `A` at `aidx[r] + tap.a + s · acs` by
-/// the `NR` values at `v[tap.base + bidx[r] + offs[s]..]` of the tap's
-/// source — and adds that partial into `acc[r]` in the lanes of the
-/// tap's mask. Lanes outside the mask keep their accumulator bits
-/// exactly; they may have read anything. A tile of output channels
-/// shares one `B` base; a tile of strips along one map row shares its
-/// `A` index.
+/// the `NR` values at `src.v[tap.base + bidx[r] + src.offs[s]..]` — and
+/// adds that partial into `acc[r]` in the lanes of the tap's mask.
+/// Lanes outside the mask keep their accumulator bits exactly; they may
+/// have read anything. A tile of output channels shares one `B` base; a
+/// tile of strips along one map row shares its `A` index.
 ///
 /// Every dispatch target performs, per lane, exactly the chain
 /// `part += a · b` with separate mul and add roundings, then one add
@@ -261,15 +258,14 @@ pub struct FoldTap {
 ///
 /// # Panics
 ///
-/// Panics if a tap names no source, or an `A` index or a `B` row falls
-/// outside its slice.
+/// Panics if an `A` index or a `B` row falls outside its slice.
 #[inline]
 pub fn fold_micro<const MRR: usize>(
     acc: &mut [[f32; NR]; MRR],
     av: &[f32],
     aidx: &[usize; MRR],
     acs: usize,
-    srcs: &[FoldSrc],
+    src: FoldSrc,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
 ) {
@@ -277,12 +273,12 @@ pub fn fold_micro<const MRR: usize>(
     {
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::fold_micro_avx2(acc, av, aidx, acs, srcs, bidx, taps) },
-            Isa::Scalar => scalar::fold_micro(acc, av, aidx, acs, srcs, bidx, taps),
+            Isa::Avx2 => unsafe { x86::fold_micro_avx2(acc, av, aidx, acs, src, bidx, taps) },
+            Isa::Scalar => scalar::fold_micro(acc, av, aidx, acs, src, bidx, taps),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::fold_micro(acc, av, aidx, acs, srcs, bidx, taps);
+    scalar::fold_micro(acc, av, aidx, acs, src, bidx, taps);
 }
 
 /// Checks the slice lengths of a `LeakyRelu` mask kernel.
@@ -446,14 +442,14 @@ mod tests {
     /// reference bit-for-bit: tiles sharing one `B` base, tiles with a
     /// base per row, `B` rows at overlapping one-element shifts (a
     /// fold's taps along one map row), and zero-padded border lanes of
-    /// either sign, as a gathered panel holds them.
+    /// either sign, as a padded band holds them.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn conv_micro_variants_match_scalar_bitwise() {
         fn run<const MRR: usize>(steps: usize, acs: usize, shared: bool, seed: u64) {
             let w = 13;
             let mut src = fill(seed, MRR * NR + steps * w + 3 * NR);
-            // Zero-padded border lanes, as a gathered panel holds them.
+            // Zero-padded border lanes, as a padded band holds them.
             for (i, v) in src.iter_mut().enumerate() {
                 if i % 11 < 2 {
                     *v = if i % 2 == 0 { 0.0 } else { -0.0 };
@@ -498,10 +494,9 @@ mod tests {
 
     /// The AVX2 fold tile must equal the scalar reference bit-for-bit:
     /// channel tiles (one shared `B` base) and strip tiles (a base per
-    /// row), taps read in place and from a gathered panel, partial lane
-    /// masks (a right border), skipped border taps (absent from the
-    /// list), an all-masked tap, and sources holding `±0.0` and NaN in
-    /// lanes both inside and outside the masks.
+    /// row), partial lane masks (a border), skipped border taps (absent
+    /// from the list), an all-masked tap, and a source holding `±0.0`
+    /// and NaN in lanes both inside and outside the masks.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn fold_micro_variants_match_scalar_bitwise() {
@@ -509,52 +504,32 @@ mod tests {
             let (kk, c_out) = (9, MRR.max(3));
             let plane = 3 * 40;
             let mut map = fill(seed, c_src * plane + 64);
-            let mut panel = fill(seed ^ 3, kk * c_src * NR);
-            for v in [&mut map, &mut panel] {
-                for (i, x) in v.iter_mut().enumerate() {
-                    match i % 13 {
-                        0 => *x = 0.0,
-                        1 => *x = -0.0,
-                        2 if i % 3 == 0 => *x = f32::NAN,
-                        _ => {}
-                    }
+            for (i, x) in map.iter_mut().enumerate() {
+                match i % 13 {
+                    0 => *x = 0.0,
+                    1 => *x = -0.0,
+                    2 if i % 3 == 0 => *x = f32::NAN,
+                    _ => {}
                 }
             }
-            let map_offs: Vec<usize> = (0..c_src).map(|c| c * plane).collect();
-            let seq: Vec<usize> = (0..c_src).map(|c| c * NR).collect();
-            let srcs = [FoldSrc::new(&map, &map_offs), FoldSrc::new(&panel, &seq)];
+            let offs: Vec<usize> = (0..c_src).map(|c| c * plane).collect();
+            let src = FoldSrc::new(&map, &offs);
             let av = fill(seed ^ 5, c_src * c_out * kk);
             // Taps 0 and 3 are skipped, as border taps outside the map
             // are; tap 7 is fully masked.
             let taps: Vec<FoldTap> = [1usize, 2, 4, 5, 6, 7, 8]
                 .iter()
-                .map(|&t| {
-                    let gathered = t % 3 == 2;
-                    FoldTap {
-                        a: t,
-                        src: usize::from(gathered),
-                        base: if gathered { t * c_src * NR } else { 40 + t },
-                        mask: match t {
-                            2 => 0b0111_1110,
-                            5 => 0x0f,
-                            7 => 0,
-                            _ => u8::MAX,
-                        },
-                    }
+                .map(|&t| FoldTap {
+                    a: t,
+                    base: 40 + t,
+                    mask: match t {
+                        2 => 0b0111_1110,
+                        5 => 0x0f,
+                        7 => 0,
+                        _ => u8::MAX,
+                    },
                 })
                 .collect();
-            let taps: Vec<FoldTap> = if strips {
-                // Strip tiles read the map only.
-                taps.into_iter()
-                    .map(|t| FoldTap {
-                        src: 0,
-                        base: 40 + t.a,
-                        ..t
-                    })
-                    .collect()
-            } else {
-                taps
-            };
             let (aidx, bidx): ([usize; MRR], [usize; MRR]) = if strips {
                 ([2 * kk; MRR], std::array::from_fn(|r| r * NR))
             } else {
@@ -565,17 +540,17 @@ mod tests {
                 std::array::from_fn(|l| [0.0, -0.0, 0.5, f32::NAN][(r + l) % 4])
             });
             let mut want = start;
-            scalar::fold_micro(&mut want, &av, &aidx, acs, &srcs, &bidx, &taps);
+            scalar::fold_micro(&mut want, &av, &aidx, acs, src, &bidx, &taps);
             // A fully masked tap leaves every lane's bits alone.
             let mut alone = start;
-            scalar::fold_micro(&mut alone, &av, &aidx, acs, &srcs, &bidx, &taps[5..6]);
+            scalar::fold_micro(&mut alone, &av, &aidx, acs, src, &bidx, &taps[5..6]);
             assert_eq!(bits2(&alone), bits2(&start), "masked tap moved a lane");
             let want = bits2(&want);
 
             if std::arch::is_x86_feature_detected!("avx2") {
                 let mut acc = start;
                 // SAFETY: guarded by the avx2 feature check above.
-                unsafe { x86::fold_micro_avx2(&mut acc, &av, &aidx, acs, &srcs, &bidx, &taps) };
+                unsafe { x86::fold_micro_avx2(&mut acc, &av, &aidx, acs, src, &bidx, &taps) };
                 assert_eq!(
                     bits2(&acc),
                     want,

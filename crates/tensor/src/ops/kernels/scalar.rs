@@ -70,22 +70,21 @@ pub fn conv_micro<const MRR: usize>(
 }
 
 /// The fold tile: for each tap in order, row `r` runs a fresh `+0.0`
-/// chain of `part[j] += a · b[j]` over the tap's source channels, where
+/// chain of `part[j] += a · b[j]` over the source channels, where
 /// source channel `s` reads `A` at `aidx[r] + tap.a + s · acs` and its
-/// `B` row at `src.v[tap.base + bidx[r] + src.offs[s]..][..NR]` of the
-/// tap's source, then adds `part` into `acc[r]` in the lanes of the
-/// tap's mask. The other lanes keep their accumulator bits.
+/// `B` row at `src.v[tap.base + bidx[r] + src.offs[s]..][..NR]`, then
+/// adds `part` into `acc[r]` in the lanes of the tap's mask. The other
+/// lanes keep their accumulator bits.
 pub fn fold_micro<const MRR: usize>(
     acc: &mut [[f32; NR]; MRR],
     av: &[f32],
     aidx: &[usize; MRR],
     acs: usize,
-    srcs: &[FoldSrc],
+    src: FoldSrc,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
 ) {
     for tap in taps {
-        let src = &srcs[tap.src];
         for r in 0..MRR {
             let mut part = [0.0f32; NR];
             for (s, &o) in src.offs.iter().enumerate() {

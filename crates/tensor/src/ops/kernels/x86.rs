@@ -199,25 +199,24 @@ unsafe fn lanes_avx2(mask: u8) -> __m256 {
 ///
 /// # Panics
 ///
-/// Panics if a tap names no source, or a row's last `A` index or the
-/// end of one of its `B` rows would fall outside `av` / the tap's
-/// source — where the scalar reference's safe indexing panics too.
+/// Panics if a row's last `A` index or the end of one of its `B` rows
+/// would fall outside `av` / the source — where the scalar reference's
+/// safe indexing panics too.
 #[inline]
 fn bound_fold_reads<const MRR: usize>(
     av: &[f32],
     aidx: &[usize; MRR],
     acs: usize,
-    srcs: &[FoldSrc],
+    src: FoldSrc,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
 ) {
     let amax = aidx.iter().max().copied().unwrap_or(0);
     let bmax = bidx.iter().max().copied().unwrap_or(0);
+    let Some(steps) = src.offs.len().checked_sub(1) else {
+        return;
+    };
     for tap in taps {
-        let src = &srcs[tap.src];
-        let Some(steps) = src.offs.len().checked_sub(1) else {
-            continue;
-        };
         assert!(
             amax + tap.a + steps * acs < av.len(),
             "fold_micro: A index out of range"
@@ -244,15 +243,14 @@ pub unsafe fn fold_micro_avx2<const MRR: usize>(
     av: &[f32],
     aidx: &[usize; MRR],
     acs: usize,
-    srcs: &[FoldSrc],
+    src: FoldSrc,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
 ) {
-    bound_fold_reads(av, aidx, acs, srcs, bidx, taps);
+    bound_fold_reads(av, aidx, acs, src, bidx, taps);
     let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
     let shared = bidx.iter().all(|&b| b == bidx[0]);
     for tap in taps {
-        let src = srcs.get_unchecked(tap.src);
         let ap = av.as_ptr().add(tap.a);
         let mut part = [_mm256_setzero_ps(); MRR];
         if shared {

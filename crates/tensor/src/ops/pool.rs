@@ -1,5 +1,9 @@
 //! Max pooling and Region-of-Interest (RoI) max pooling.
 //!
+//! Max pooling is 2×2 at stride 2 — the only pooling the networks use —
+//! and runs one output row at a time over the two input rows it reads,
+//! with a branch-free select per window on the values-only pass.
+//!
 //! RoI pooling (§3.3, Fig. 7 of the paper) transforms a variable-sized
 //! feature-map window into a fixed `H×W` grid by max-pooling each cell
 //! independently, preserving the whole feature information of a proposed
@@ -17,69 +21,70 @@ pub struct PoolOutput {
     pub argmax: Vec<usize>,
 }
 
-/// The pooled extent of `n` under a square window and stride; a map
-/// smaller than the window pools once over its valid extent.
-fn pooled_size(n: usize, kernel: usize, stride: usize) -> usize {
-    if n >= kernel {
-        (n - kernel) / stride + 1
-    } else {
-        1
-    }
+/// The pooled extent of `n`: `⌊n / 2⌋` windows, or one over the valid
+/// extent of a map smaller than the window.
+fn pooled_size(n: usize) -> usize {
+    (n / 2).max(1)
 }
 
-/// Max-pools `input` (`[C, H, W]` or `[N, C, H, W]`), filling
-/// `argmax` (when given) with each output element's winning input
-/// offset. The first maximum of a window wins (strict `>`), so a window
-/// of NaNs yields `-inf` and equal signed zeros keep the first one's
-/// sign.
-fn pool_with(
-    input: &Tensor,
-    kernel: usize,
-    stride: usize,
-    mut argmax: Option<&mut Vec<usize>>,
-) -> Tensor {
+/// Max-pools `input` (`[C, H, W]` or `[N, C, H, W]`) over 2×2 windows
+/// at stride 2, one output row at a time, filling `argmax` (when given)
+/// with each output element's winning input offset. The first maximum
+/// of a window wins (strict `>` from `-inf`), so a window of NaNs
+/// yields `-inf` (and offset 0), and equal signed zeros keep the first
+/// one's sign. A map one pixel high or wide pools its row or column
+/// twice over, which changes nothing: a repeated value never wins.
+fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
     let rank = input.rank();
     assert!(
         rank == 3 || rank == 4,
         "max_pool2d expects [C,H,W] or [N,C,H,W], got {}",
         input.shape()
     );
-    assert!(
-        kernel > 0 && stride > 0,
-        "kernel and stride must be positive"
-    );
     let (h, w) = (input.dim(rank - 2), input.dim(rank - 1));
     // Every image's channels are one run of planes.
     let planes: usize = input.dims()[..rank - 2].iter().product();
-    let (oh, ow) = (
-        pooled_size(h, kernel, stride),
-        pooled_size(w, kernel, stride),
-    );
+    let (oh, ow) = (pooled_size(h), pooled_size(w));
     let iv = input.as_slice();
     let mut out = vec![f32::NEG_INFINITY; planes * oh * ow];
     if let Some(a) = argmax.as_deref_mut() {
+        a.clear();
         a.resize(out.len(), 0);
     }
-    for ci in 0..planes {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let y0 = oy * stride;
-                let x0 = ox * stride;
-                let mut best = f32::NEG_INFINITY;
-                let mut best_off = 0usize;
-                for y in y0..(y0 + kernel).min(h) {
-                    for x in x0..(x0 + kernel).min(w) {
-                        let off = (ci * h + y) * w + x;
-                        if iv[off] > best {
-                            best = iv[off];
-                            best_off = off;
-                        }
-                    }
+    // The window's second row and column, repeated when the map has one.
+    let (dy, dx) = (if h > 1 { w } else { 0 }, usize::from(w > 1));
+    // An empty map pools to `-inf`, as does a window of NaNs.
+    let init = (f32::NEG_INFINITY, 0);
+    let rows = if h * w == 0 { 0 } else { planes * oh };
+    for (r, orow) in out.chunks_exact_mut(ow).take(rows).enumerate() {
+        let top = ((r / oh) * h + 2 * (r % oh)) * w;
+        let (t, b) = (&iv[top..][..w], &iv[top + dy..][..w]);
+        // The window's values in scan order, with their input offsets.
+        let window = |ox: usize| {
+            let x = 2 * ox;
+            [
+                (t[x], top + x),
+                (t[x + dx], top + x + dx),
+                (b[x], top + dy + x),
+                (b[x + dx], top + dy + x + dx),
+            ]
+        };
+        let first_max = |(m, at): (f32, usize), (v, off): (f32, usize)| {
+            if v > m {
+                (v, off)
+            } else {
+                (m, at)
+            }
+        };
+        match argmax.as_deref_mut() {
+            None => {
+                for (ox, o) in orow.iter_mut().enumerate() {
+                    *o = window(ox).into_iter().fold(init, first_max).0;
                 }
-                let oo = (ci * oh + oy) * ow + ox;
-                out[oo] = best;
-                if let Some(a) = argmax.as_deref_mut() {
-                    a[oo] = best_off;
+            }
+            Some(a) => {
+                for (ox, (o, a)) in orow.iter_mut().zip(&mut a[r * ow..][..ow]).enumerate() {
+                    (*o, *a) = window(ox).into_iter().fold(init, first_max);
                 }
             }
         }
@@ -90,18 +95,17 @@ fn pool_with(
     Tensor::from_parts(dims, out)
 }
 
-/// 2-D max pooling over `[C, H, W]` (or a batch `[N, C, H, W]`) with a
-/// square window and stride.
-///
-/// Windows are anchored at multiples of `stride`; partial windows at the
-/// right/bottom border are pooled over their valid extent.
+/// 2-D max pooling over `[C, H, W]` (or a batch `[N, C, H, W]`) with
+/// 2×2 windows at stride 2: `⌊H / 2⌋ × ⌊W / 2⌋` outputs, an odd last
+/// row or column left out. A map one pixel high or wide pools once
+/// over its valid extent.
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank 3 or 4, or `kernel`/`stride` is zero.
-pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> PoolOutput {
+/// Panics if `input` is not rank 3 or 4.
+pub fn max_pool2d(input: &Tensor) -> PoolOutput {
     let mut argmax = Vec::new();
-    let output = pool_with(input, kernel, stride, Some(&mut argmax));
+    let output = pool_with(input, Some(&mut argmax));
     PoolOutput { output, argmax }
 }
 
@@ -110,9 +114,9 @@ pub fn max_pool2d(input: &Tensor, kernel: usize, stride: usize) -> PoolOutput {
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank 3 or 4, or `kernel`/`stride` is zero.
-pub fn max_pool2d_values(input: &Tensor, kernel: usize, stride: usize) -> Tensor {
-    pool_with(input, kernel, stride, None)
+/// Panics if `input` is not rank 3 or 4.
+pub fn max_pool2d_values(input: &Tensor) -> Tensor {
+    pool_with(input, None)
 }
 
 /// Backward pass of [`max_pool2d`]: routes each output gradient to the
@@ -291,7 +295,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let p = max_pool2d(&x, 2, 2);
+        let p = max_pool2d(&x);
         assert_eq!(p.output.dims(), &[1, 2, 2]);
         assert_eq!(p.output.as_slice(), &[6., 8., 14., 16.]);
     }
@@ -299,7 +303,7 @@ mod tests {
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_vec([1, 2, 2], vec![1., 5., 2., 3.]).unwrap();
-        let p = max_pool2d(&x, 2, 2);
+        let p = max_pool2d(&x);
         assert_eq!(p.output.as_slice(), &[5.0]);
         let g = max_pool2d_backward(
             &[1, 2, 2],
@@ -313,7 +317,7 @@ mod tests {
     fn max_pool_gradcheck() {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let x = Tensor::rand_normal([2, 4, 4], 0.0, 1.0, &mut rng);
-        let p = max_pool2d(&x, 2, 2);
+        let p = max_pool2d(&x);
         let g_out = Tensor::ones(p.output.dims());
         let dx = max_pool2d_backward(x.dims(), &p.argmax, &g_out);
         let eps = 1e-3;
@@ -322,9 +326,8 @@ mod tests {
             plus.as_mut_slice()[probe] += eps;
             let mut minus = x.clone();
             minus.as_mut_slice()[probe] -= eps;
-            let numeric = (max_pool2d(&plus, 2, 2).output.sum()
-                - max_pool2d(&minus, 2, 2).output.sum())
-                / (2.0 * eps);
+            let numeric =
+                (max_pool2d(&plus).output.sum() - max_pool2d(&minus).output.sum()) / (2.0 * eps);
             let analytic = dx.as_slice()[probe];
             assert!(
                 (numeric - analytic).abs() < 1e-2,
@@ -352,11 +355,106 @@ mod tests {
         }
         x.as_mut_slice()[10] = -0.0;
         x.as_mut_slice()[11] = 0.0;
-        let full = max_pool2d(&x, 2, 2);
-        let values = max_pool2d_values(&x, 2, 2);
+        let full = max_pool2d(&x);
+        let values = max_pool2d_values(&x);
         assert_eq!(values.dims(), &[2, 2, 2, 2]);
         assert_eq!(bits(&values), bits(&full.output));
         assert_eq!(full.argmax.len(), values.len());
+    }
+
+    /// The 2×2 window by its definition: rows `2·oy..2·oy + 2` and
+    /// columns `2·ox..2·ox + 2` clipped to the map, scanned row by row
+    /// with strict `>` from `-inf` and offset 0.
+    fn reference_pool(x: &Tensor) -> (Vec<f32>, Vec<usize>) {
+        let rank = x.rank();
+        let (h, w) = (x.dim(rank - 2), x.dim(rank - 1));
+        let planes: usize = x.dims()[..rank - 2].iter().product();
+        let (oh, ow) = (pooled_size(h), pooled_size(w));
+        let (mut vals, mut offs) = (Vec::new(), Vec::new());
+        for ci in 0..planes {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let (mut best, mut at) = (f32::NEG_INFINITY, 0);
+                    for y in 2 * oy..(2 * oy + 2).min(h) {
+                        for xx in 2 * ox..(2 * ox + 2).min(w) {
+                            let off = (ci * h + y) * w + xx;
+                            if x.as_slice()[off] > best {
+                                (best, at) = (x.as_slice()[off], off);
+                            }
+                        }
+                    }
+                    vals.push(best);
+                    offs.push(at);
+                }
+            }
+        }
+        (vals, offs)
+    }
+
+    #[test]
+    fn pool_matches_the_window_definition() {
+        // NaN windows (all NaN, and NaN before or after a number), ±0.0
+        // ties in both orders, ±inf, odd sizes (the last row and column
+        // left out), maps smaller than the window in either axis and
+        // rank-4 batches, values and argmax alike.
+        let specials = [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY];
+        for dims in [
+            vec![1, 4, 4],
+            vec![2, 5, 7],
+            vec![3, 1, 6],
+            vec![2, 7, 1],
+            vec![1, 1, 1],
+            vec![3, 2, 3, 5],
+            vec![2, 3, 1, 9],
+            vec![4, 1, 6, 6],
+            vec![1, 12, 33, 31],
+        ] {
+            let mut x = Tensor::from_fn(dims.as_slice(), |c| {
+                let i = c.iter().fold(0, |a, &v| a * 31 + v);
+                (i * 7 % 11) as f32 - 5.0
+            });
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                match i % 9 {
+                    0..=2 if i % 4 == 0 => *v = specials[i / 4 % specials.len()],
+                    5 => *v = -*v,
+                    _ => {}
+                }
+            }
+            // A whole window of NaNs, and a window tied at ±0.0.
+            let (h, w) = (x.dim(x.rank() - 2), x.dim(x.rank() - 1));
+            if h >= 2 && w >= 4 {
+                let v = x.as_mut_slice();
+                for off in [0, 1, w, w + 1] {
+                    v[off] = f32::NAN;
+                }
+                for (off, z) in [(2, -0.0), (3, 0.0), (w + 2, 0.0), (w + 3, -0.0)] {
+                    v[off] = z;
+                }
+            }
+            let (vals, offs) = reference_pool(&x);
+            let p = max_pool2d(&x);
+            let v = max_pool2d_values(&x);
+            let want: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits(&p.output), want, "{dims:?} values");
+            assert_eq!(bits(&v), want, "{dims:?} values-only pass");
+            assert_eq!(p.argmax, offs, "{dims:?} argmax");
+            let r = x.rank();
+            assert_eq!(
+                p.output.dims()[r - 2..],
+                [pooled_size(x.dim(r - 2)), pooled_size(x.dim(r - 1))]
+            );
+        }
+        // An all-NaN window pools to -inf, routed to offset 0.
+        let x = Tensor::from_vec([1, 2, 2], vec![f32::NAN; 4]).unwrap();
+        let p = max_pool2d(&x);
+        assert_eq!(p.output.as_slice(), &[f32::NEG_INFINITY]);
+        assert_eq!(p.argmax, vec![0]);
+        // Equal signed zeros keep the first one's sign.
+        let x = Tensor::from_vec([1, 2, 2], vec![-0.0, 0.0, 0.0, 0.0]).unwrap();
+        assert_eq!(
+            max_pool2d_values(&x).as_slice()[0].to_bits(),
+            (-0.0f32).to_bits()
+        );
     }
 
     #[test]
@@ -364,12 +462,12 @@ mod tests {
         let x = Tensor::from_fn([3, 2, 4, 4], |c| {
             ((c[0] * 11 + c[1] * 5 + c[2] * 3 + c[3]) % 7) as f32
         });
-        let batch = max_pool2d(&x, 2, 2);
+        let batch = max_pool2d(&x);
         let plane = 2 * 4 * 4;
         for i in 0..3 {
             let img = Tensor::from_vec([2, 4, 4], x.as_slice()[i * plane..][..plane].to_vec())
                 .expect("one image");
-            let one = max_pool2d(&img, 2, 2);
+            let one = max_pool2d(&img);
             let out = one.output.len();
             assert_eq!(
                 &batch.output.as_slice()[i * out..][..out],

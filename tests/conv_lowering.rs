@@ -218,12 +218,19 @@ proptest! {
 }
 
 /// Every map narrower than two strips — a strip can be narrower than
-/// one register — under each stride, with channel counts that leave a
-/// one-channel tile block on either side.
+/// one register — and one of exactly two, under each stride, with
+/// channel counts that leave a one-channel tile block on either side.
 #[test]
 fn narrow_maps_are_bit_identical() {
-    for w in 1..=NR + 1 {
-        for (kernel, stride, padding) in [(3, 1, 1), (1, 1, 0), (2, 2, 0), (3, 3, 1)] {
+    for w in (1..=NR + 1).chain([2 * NR]) {
+        for (kernel, stride, padding) in [
+            (3, 1, 1),
+            (1, 1, 0),
+            (2, 2, 0),
+            (3, 3, 1),
+            (3, 2, 1),
+            (5, 1, 2),
+        ] {
             let spec = ConvSpec::new(kernel, stride, padding);
             check_shape(w as u64, 9, 17, (fit(5, spec), fit(w, spec)), spec);
         }
@@ -317,5 +324,97 @@ fn batched_conv_equals_per_image_calls() {
             }
         }
         rhsd::par::set_threads(rhsd::par::default_threads());
+    }
+}
+
+/// Batches of RoI-sized maps at widths around one strip (4, 7, 8, 9
+/// and 16 pixels) at strides 1 and 2: each map of the batched forward
+/// pass and input gradient equals the plain lowering of that map alone,
+/// bit for bit, at one and four threads.
+#[test]
+fn roi_batches_at_strip_widths_are_bit_identical() {
+    for w in [4, 7, 8, 9, 16] {
+        for spec in [ConvSpec::same(3), ConvSpec::new(3, 2, 1), ConvSpec::same(1)] {
+            let _guard = pool_lock();
+            let (n, c_in, c_out, k) = (12, 5, 5, spec.kernel);
+            let (oh, ow) = (spec.out_size(w), spec.out_size(w));
+            let seed = (w * 3 + spec.stride) as u64;
+            let x = Tensor::from_fn([n, c_in, w, w], |c| noise(seed, c));
+            let wt = Tensor::from_fn([c_out, c_in, k, k], |c| noise(seed ^ 1, c));
+            let b = Tensor::from_fn([c_out], |c| noise(seed ^ 2, c));
+            let g = Tensor::from_fn([n, c_out, oh, ow], |c| noise(seed ^ 3, c));
+            for threads in [1, 4] {
+                rhsd::par::set_threads(threads);
+                let out = conv2d(&x, &wt, Some(&b), spec);
+                let (dx, _) = conv2d_backward_batch(&x, &wt, &g, spec);
+                for i in 0..n {
+                    let (xi, gi) = (image(&x, i), image(&g, i));
+                    let (want_out, want_dx, _, _) = conv_reference(&xi, &wt, &b, &gi, spec);
+                    let what = format!("map {i} of {n}, {w}x{w} {spec:?}, {threads} threads");
+                    assert!(bits(&image(&out, i)) == bits(&want_out), "output: {what}");
+                    assert!(bits(&image(&dx, i)) == bits(&want_dx), "d_input: {what}");
+                }
+            }
+            rhsd::par::set_threads(rhsd::par::default_threads());
+        }
+    }
+}
+
+/// Equal bits, or NaN in both: NaN payloads may differ with the order
+/// of an op's operands, which the lowering does not pin.
+fn same_or_both_nan(a: &Tensor, b: &Tensor) -> bool {
+    a.dims() == b.dims()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits())
+}
+
+/// A fold adds a tap only where `col2im` does: a NaN or ±Inf weight on
+/// a border tap reaches exactly the pixels whose source lies inside the
+/// map, and every other pixel keeps its finite sum. Pinned for the
+/// convolution's input gradient and the transposed convolution's
+/// forward pass, at strides 1 and 2 and widths around one strip.
+#[test]
+fn folds_add_nan_and_inf_weights_only_where_col2im_does() {
+    let _guard = pool_lock();
+    for w in [4, 7, 9, 16] {
+        for spec in [
+            ConvSpec::same(3),
+            ConvSpec::new(3, 2, 1),
+            ConvSpec::same(5),
+            ConvSpec::new(2, 2, 0),
+        ] {
+            let (k, c_a, c_b) = (spec.kernel, 3, 4);
+            let (oh, ow) = (spec.out_size(w), spec.out_size(w));
+            let seed = (w * 5 + k) as u64;
+            let mut wt = Tensor::from_fn([c_b, c_a, k, k], |c| noise(seed, c));
+            // Corner taps of three weight planes: NaN, +Inf and -Inf.
+            for (o, i, ky, kx, v) in [
+                (0, 0, 0, 0, f32::NAN),
+                (1, 2, k - 1, k - 1, f32::INFINITY),
+                (3, 1, 0, k - 1, f32::NEG_INFINITY),
+            ] {
+                wt.set(&[o, i, ky, kx], v);
+            }
+            let x = Tensor::from_fn([c_a, w, w], |c| noise(seed ^ 1, c));
+            let g = Tensor::from_fn([c_b, oh, ow], |c| noise(seed ^ 2, c));
+            let w_mat = mat(&wt, c_b);
+            // The input gradient: col2im(Wᵀ · g).
+            let want = col2im(&matmul_tn(&w_mat, &mat(&g, c_b)), c_a, w, w, spec);
+            let (dx, _, _) = conv2d_backward(&x, &wt, &g, spec);
+            assert!(same_or_both_nan(&dx, &want), "d_input {w}x{w} {spec:?}");
+            // The transposed convolution of `g` with the same weight as
+            // `[C_in, C_out, K, K]`: the same fold, onto the transposed
+            // geometry (one pixel short of `w` where the stride does not
+            // divide it).
+            let (th, tw) = (spec.transpose_out_size(oh), spec.transpose_out_size(ow));
+            let want_up = col2im(&matmul_tn(&w_mat, &mat(&g, c_b)), c_a, th, tw, spec);
+            let up = conv_transpose2d(&g, &wt, None, spec);
+            assert!(same_or_both_nan(&up, &want_up), "deconv {w}x{w} {spec:?}");
+            // The border pixels the bad taps never reach stay finite.
+            let finite = want.as_slice().iter().filter(|v| v.is_finite()).count();
+            assert!(finite > 0 && finite < want.len(), "{w}x{w} {spec:?}");
+        }
     }
 }

@@ -6,13 +6,14 @@
 //! end to end through a real network's forward and backward passes,
 //! which also pins that the pool's retire-on-miss policy converges.
 //!
-//! The convolutions and transposed convolutions read their maps in
-//! place, and the fully-connected forward transposes its batch into a
-//! plain buffer, so their forward passes — and with them all of
-//! inference, the batched refinement head included — take no scratch at
-//! all: no column matrix, no packed panel. Training still draws the
-//! GEMM's packed blocks (weight gradients, the FC input gradient) from
-//! the pool.
+//! The convolutions and transposed convolutions read their maps through
+//! a zero-padded copy of each task's band of rows, taken from the pool,
+//! so warm inference reuses retained buffers and allocates none; an
+//! unpadded stride-1 convolution whose rows fill whole strips reads its
+//! map where it lies and takes no scratch, and the fully-connected
+//! forward transposes its batch into a plain buffer, taking none either.
+//! Training also draws the GEMM's packed blocks (weight gradients, the
+//! FC input gradient) from the pool.
 //!
 //! One test per binary: the workspace counters are process-global, and a
 //! lone test keeps them quiescent while we read them.
@@ -86,13 +87,21 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
         ((c[0] * 5 + c[1] + c[3]) % 5) as f32 - 2.0
     });
     let b = Tensor::from_fn([12], |c| c[0] as f32);
-    assert_steady("conv2d", Pool::Untouched, || {
+    assert_steady("conv2d", Pool::Reused, || {
         conv2d(&x, &w, Some(&b), spec);
+    });
+    // An inception 1×1 at 32²: rows of whole strips, read in place.
+    let x1 = Tensor::from_fn([20, 32, 32], |c| {
+        ((c[0] + c[1] * 3 + c[2]) % 7) as f32 - 3.0
+    });
+    let w1 = Tensor::from_fn([5, 20, 1, 1], |c| ((c[0] * 5 + c[1]) % 5) as f32 - 2.0);
+    assert_steady("1x1 conv2d", Pool::Untouched, || {
+        conv2d(&x1, &w1, None, ConvSpec::same(1));
     });
     let wt = Tensor::from_fn([8, 12, 3, 3], |c| {
         ((c[0] + c[1] * 5 + c[2]) % 5) as f32 - 2.0
     });
-    assert_steady("conv_transpose2d", Pool::Untouched, || {
+    assert_steady("conv_transpose2d", Pool::Reused, || {
         conv_transpose2d(&x, &wt, Some(&b), spec);
     });
 
@@ -100,7 +109,7 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
     // maps through a 3×3 convolution, and its 320→48 FC over 40 rows.
     let rois = Tensor::from_fn([40, 20, 7, 7], |c| ((c[0] + c[1] * 3 + c[3]) % 5) as f32);
     let w_roi = Tensor::from_fn([5, 20, 3, 3], |c| ((c[0] + c[2]) % 3) as f32 - 1.0);
-    assert_steady("batched conv2d", Pool::Untouched, || {
+    assert_steady("batched conv2d", Pool::Reused, || {
         conv2d(&rois, &w_roi, None, spec);
     });
     let fc = Tensor::from_fn([48, 320], |c| ((c[0] * 7 + c[1]) % 9) as f32 - 4.0);
@@ -109,7 +118,7 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
         matvec(&fc, &rows);
     });
 
-    assert_steady("inference", Pool::Untouched, || {
+    assert_steady("inference", Pool::Reused, || {
         net.detect(&image);
     });
 

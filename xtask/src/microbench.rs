@@ -6,7 +6,10 @@
 //! `::deconv`, on the demo network's front-end shapes), the refinement
 //! head's batched RoI convolutions and FC (`roi_conv2d`, `roi_fc`, each
 //! beside the same RoIs run one per call), the weight gradients alone
-//! (`conv2d_weight_grads`), the fold alone (`fold`), the
+//! (`conv2d_weight_grads`), the fold alone (`fold`), narrow-map
+//! convolutions (the CPN's 8² map, inception B's stride 2), the 2×2
+//! max-pool with and without its argmax (`max_pool2d`,
+//! `max_pool2d_values`), the
 //! training `LeakyRelu` forward and backward, and the separable litho
 //! aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
 //! table, and
@@ -42,6 +45,7 @@ use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, conv2d_weight_grads, ConvS
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
 use rhsd_tensor::ops::matmul::{matmul, matvec};
+use rhsd_tensor::ops::pool::{max_pool2d, max_pool2d_values};
 use rhsd_tensor::Tensor;
 
 /// One timed kernel invocation set.
@@ -244,6 +248,32 @@ fn run_cases(quick: bool) -> Vec<Case> {
         }
     }
 
+    // Narrow maps, whose strips nearly all touch a border: the CPN's
+    // 3×3 at 8², and inception B's stride-2 3×3 at 32² (16² out).
+    let narrow: &[(usize, usize, usize, ConvSpec, usize)] = if quick {
+        &[(20, 32, 8, ConvSpec::same(3), 8)]
+    } else {
+        &[
+            (20, 32, 8, ConvSpec::same(3), 40),
+            (20, 5, 32, ConvSpec::new(3, 2, 1), 40),
+        ]
+    };
+    for &(c_in, c_out, hw, spec, reps) in narrow {
+        let input = filled(&[c_in, hw, hw], 3);
+        let weight = filled(&[c_out, c_in, spec.kernel, spec.kernel], 4);
+        let bias = filled(&[c_out], 5);
+        cases.push(timed(
+            active,
+            "conv2d",
+            format!(
+                "{c_in}x{hw}x{hw}->{c_out} k{}s{}p{}",
+                spec.kernel, spec.stride, spec.padding
+            ),
+            reps,
+            || conv2d(&input, &weight, Some(&bias), spec),
+        ));
+    }
+
     // The fold alone (`conv2d`'s input gradient and `conv_transpose2d`'s
     // forward pass), which `conv2d_backward` mixes with the weight
     // gradients: a `src`-channel map folded onto `dst` channels is the
@@ -262,17 +292,49 @@ fn run_cases(quick: bool) -> Vec<Case> {
             (5, 20, 32, 1, 40),
         ]
     };
-    for &(src, dst, hw, k, reps) in fold_shapes {
-        let spec = ConvSpec::same(k);
+    // Then a stride-2 fold: inception B's stride-2 3×3 input gradient,
+    // 5 channels at 16² onto 20 channels (31² as a transposed
+    // convolution), whose taps gather lane by lane.
+    let fold_specs = fold_shapes
+        .iter()
+        .map(|&(src, dst, hw, k, reps)| (src, dst, hw, ConvSpec::same(k), reps))
+        .chain(if quick {
+            None
+        } else {
+            Some((5, 20, 16, ConvSpec::new(3, 2, 1), 40))
+        });
+    for (src, dst, hw, spec, reps) in fold_specs {
+        let k = spec.kernel;
         let grad = filled(&[src, hw, hw], 6);
         let weight = filled(&[src, dst, k, k], 4);
         cases.push(timed(
             active,
             "fold",
-            format!("{src}x{hw}x{hw}->{dst} k{k}s1p{}", k / 2),
+            format!(
+                "{src}x{hw}x{hw}->{dst} k{k}s{}p{}",
+                spec.stride, spec.padding
+            ),
             reps,
             || conv_transpose2d(&grad, &weight, None, spec),
         ));
+    }
+
+    // 2×2 max pooling at stride 2: the stem's 12×128² map and 16×64²,
+    // with the argmax a training pass keeps and values alone.
+    let pool_shapes: &[(usize, usize, usize)] = if quick {
+        &[(12, 128, 4)]
+    } else {
+        &[(12, 128, 20), (16, 64, 40)]
+    };
+    for &(c, hw, reps) in pool_shapes {
+        let x = filled(&[c, hw, hw], 16);
+        let shape = format!("{c}x{hw}x{hw}");
+        cases.push(timed(active, "max_pool2d", shape.clone(), reps, || {
+            max_pool2d(&x).output
+        }));
+        cases.push(timed(active, "max_pool2d_values", shape, reps, || {
+            max_pool2d_values(&x)
+        }));
     }
 
     // `LeakyRelu` on a recording tape: the forward map with its
@@ -501,6 +563,11 @@ mod tests {
         assert!(folds.contains(&"5x32x32->20 k1s1p0"), "{folds:?}");
         assert!(shapes("conv2d").contains(&"20x32x32->5 k1s1p0"));
         assert!(kernels.contains(&"aerial"));
+        // A narrow-map forward row, and both max-pool passes.
+        assert!(shapes("conv2d").contains(&"20x8x8->32 k3s1p1"));
+        for family in ["max_pool2d", "max_pool2d_values"] {
+            assert!(shapes(family).contains(&"12x128x128"), "{family}");
+        }
         for family in ["roi_conv2d", "roi_fc"] {
             let shapes: Vec<&str> = cases
                 .iter()

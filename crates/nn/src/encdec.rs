@@ -51,12 +51,6 @@ impl EncoderDecoder {
         EncoderDecoder { chain, c_in }
     }
 
-    /// The paper's three-layer configuration scaled by `base` channels:
-    /// encoder `c→base→2·base→4·base`, decoder mirrored.
-    pub fn three_layer(c_in: usize, base: usize, rng: &mut impl Rng) -> Self {
-        EncoderDecoder::new(c_in, &[base, 2 * base, 4 * base], rng)
-    }
-
     /// Input (and output) channel count.
     pub fn c_in(&self) -> usize {
         self.c_in
@@ -99,7 +93,7 @@ mod tests {
     #[test]
     fn output_matches_input_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(30);
-        let ed = EncoderDecoder::three_layer(1, 4, &mut rng);
+        let ed = EncoderDecoder::new(1, &[4, 8, 16], &mut rng);
         let y = ed.forward(&Tensor::zeros([1, 12, 12]), &mut Tape::inference());
         assert_eq!(y.dims(), &[1, 12, 12]);
     }

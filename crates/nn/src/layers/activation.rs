@@ -1,6 +1,7 @@
-//! Parameter-free activation layers.
+//! Parameter-free activation layers: the TCAD'18 baseline's ReLU, and
+//! the leaky ReLU of every R-HSD stage.
 
-use rhsd_tensor::ops::elementwise::{relu, relu_backward};
+use rhsd_tensor::ops::kernels;
 use rhsd_tensor::Tensor;
 
 use crate::layer::{Layer, Tape};
@@ -23,13 +24,81 @@ impl Layer for Relu {
 
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         tape.save(|| input.clone());
-        relu(input)
+        input.map(|x| x.max(0.0))
     }
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Relu");
-        relu_backward(&input, grad_out)
+        input.zip_with(grad_out, |x, g| if x > 0.0 { g } else { 0.0 })
     }
+}
+
+/// Leaky ReLU: `x` for `x > 0`, `alpha·x` otherwise. The small
+/// negative-slope gradient keeps units from dying irrecoverably, which
+/// matters for small CPU-scale networks trained with plain SGD.
+#[derive(Debug, Clone)]
+pub struct LeakyRelu {
+    alpha: f32,
+}
+
+impl LeakyRelu {
+    /// Creates a leaky ReLU with the given negative slope.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is not finite or `alpha >= 1.0`.
+    pub fn new(alpha: f32) -> Self {
+        assert!(alpha.is_finite() && alpha < 1.0, "invalid slope {alpha}");
+        LeakyRelu { alpha }
+    }
+
+    /// The conventional default slope of 0.01.
+    pub fn default_slope() -> Self {
+        LeakyRelu::new(0.01)
+    }
+
+    /// The negative slope.
+    pub fn alpha(&self) -> f32 {
+        self.alpha
+    }
+}
+
+impl Layer for LeakyRelu {
+    fn name(&self) -> &'static str {
+        "LeakyRelu"
+    }
+
+    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        let a = self.alpha;
+        if !tape.is_recording() {
+            return input.map(|x| if x > 0.0 { x } else { a * x });
+        }
+        // The backward reads only which inputs were positive: one bit
+        // each, a 32nd of the input, is what a training pass keeps.
+        let mut out = vec![0.0f32; input.len()];
+        let mut bits = vec![0u64; input.len().div_ceil(64)];
+        kernels::leaky_relu_pack(&mut out, input.as_slice(), a, &mut bits);
+        tape.save(|| PositiveMask {
+            bits,
+            len: input.len(),
+        });
+        Tensor::from_parts(input.shape().clone(), out)
+    }
+
+    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+        let mask: PositiveMask = tape.pop("LeakyRelu");
+        assert_eq!(mask.len, grad_out.len(), "LeakyRelu gradient shape");
+        let mut data = vec![0.0f32; grad_out.len()];
+        kernels::leaky_relu_unpack(&mut data, grad_out.as_slice(), self.alpha, &mask.bits);
+        Tensor::from_parts(grad_out.shape().clone(), data)
+    }
+}
+
+/// The `x > 0` bit of every scalar of a tensor, in storage order, as
+/// [`kernels::leaky_relu_pack`] packs it.
+struct PositiveMask {
+    bits: Vec<u64>,
+    len: usize,
 }
 
 #[cfg(test)]
@@ -50,19 +119,77 @@ mod tests {
         let l = Relu::new();
         let mut tape = Tape::recording();
         l.forward(
-            &Tensor::from_vec([3], vec![-1., 0.5, 2.]).unwrap(),
+            &Tensor::from_vec([5], vec![-1., -0., 0., 0.5, 2.]).unwrap(),
             &mut tape,
         );
         let g = l.backward(
             &mut tape,
-            &Tensor::from_vec([3], vec![1., 1., 1.]).unwrap(),
+            &Tensor::from_vec([5], vec![1., 1., 1., 1., 1.]).unwrap(),
             &mut [],
         );
-        assert_eq!(g.as_slice(), &[0., 1., 1.]);
+        // The gradient at exactly zero, of either sign, is 0.
+        assert_eq!(g.as_slice(), &[0., 0., 0., 1., 1.]);
     }
 
     #[test]
     fn has_no_params() {
         assert_eq!(Relu::new().param_count(), 0);
+    }
+
+    #[test]
+    fn forward_scales_negatives() {
+        let l = LeakyRelu::new(0.1);
+        let y = l.forward(
+            &Tensor::from_vec([3], vec![-2.0, 0.0, 3.0]).unwrap(),
+            &mut Tape::inference(),
+        );
+        assert_eq!(y.as_slice(), &[-0.2, 0.0, 3.0]);
+    }
+
+    #[test]
+    fn backward_keeps_negative_slope_gradient() {
+        let l = LeakyRelu::new(0.1);
+        let mut tape = Tape::recording();
+        l.forward(&Tensor::from_vec([2], vec![-1.0, 1.0]).unwrap(), &mut tape);
+        let g = l.backward(
+            &mut tape,
+            &Tensor::from_vec([2], vec![5.0, 5.0]).unwrap(),
+            &mut [],
+        );
+        assert_eq!(g.as_slice(), &[0.5, 5.0]);
+    }
+
+    #[test]
+    fn backward_masks_every_lane_of_a_long_map() {
+        // 150 scalars span three mask words; zero and NaN take the slope.
+        let l = LeakyRelu::new(0.25);
+        let x = Tensor::from_fn([150], |c| match c[0] % 5 {
+            0 => 0.0,
+            1 => f32::NAN,
+            2 => -1.0,
+            _ => 1.0,
+        });
+        let mut tape = Tape::recording();
+        l.forward(&x, &mut tape);
+        let g = l.backward(&mut tape, &Tensor::ones([150]), &mut []);
+        let want = x.map(|v| if v > 0.0 { 1.0 } else { 0.25 });
+        assert_eq!(g, want);
+    }
+
+    #[test]
+    fn zero_slope_equals_relu() {
+        let leaky = LeakyRelu::new(0.0);
+        let relu = Relu::new();
+        let x = Tensor::from_vec([4], vec![-3.0, -0.1, 0.2, 7.0]).unwrap();
+        assert_eq!(
+            leaky.forward(&x, &mut Tape::inference()),
+            relu.forward(&x, &mut Tape::inference())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid slope")]
+    fn rejects_bad_alpha() {
+        LeakyRelu::new(1.5);
     }
 }

@@ -1,7 +1,7 @@
 //! Fully-connected layer and flattening adapter.
 
 use rand::Rng;
-use rhsd_tensor::ops::matmul::{matvec, matvec_t};
+use rhsd_tensor::ops::matvec::{matvec, matvec_t};
 use rhsd_tensor::Tensor;
 
 use crate::init::xavier_uniform;

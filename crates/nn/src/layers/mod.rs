@@ -1,15 +1,13 @@
 //! Individual network layers.
 
 mod activation;
-mod activation2;
 mod conv2d;
 mod deconv2d;
 mod linear;
 mod pool;
 mod sequential;
 
-pub use activation::Relu;
-pub use activation2::LeakyRelu;
+pub use activation::{LeakyRelu, Relu};
 pub use conv2d::Conv2d;
 pub use deconv2d::Deconv2d;
 pub use linear::{Flatten, Linear};

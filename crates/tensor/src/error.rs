@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Errors produced by fallible [`Tensor`](crate::Tensor) operations.
 ///
-/// Hot-path arithmetic (convolution, matmul, …) panics on shape mismatch
+/// Hot-path arithmetic (convolution, pooling, …) panics on shape mismatch
 /// instead — those mismatches are programming errors, mirroring the
 /// convention of mainstream array libraries. Constructors and reshapes that
 /// depend on runtime data return `Result<_, TensorError>`.
@@ -24,15 +24,6 @@ pub enum TensorError {
         /// Element count of the requested shape.
         to: usize,
     },
-    /// An axis index was out of range for the tensor rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// Rank of the tensor.
-        rank: usize,
-    },
-    /// A shape with a zero-sized dimension was used where not permitted.
-    EmptyShape,
 }
 
 impl fmt::Display for TensorError {
@@ -46,10 +37,6 @@ impl fmt::Display for TensorError {
                 f,
                 "cannot reshape tensor with {from} elements into shape with {to} elements"
             ),
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank-{rank} tensor")
-            }
-            TensorError::EmptyShape => write!(f, "shape with zero-sized dimension not allowed"),
         }
     }
 }
@@ -74,11 +61,6 @@ mod tests {
 
         let e = TensorError::ReshapeMismatch { from: 8, to: 9 };
         assert!(e.to_string().contains("reshape"));
-
-        let e = TensorError::AxisOutOfRange { axis: 5, rank: 2 };
-        assert!(e.to_string().contains("axis 5"));
-
-        assert!(TensorError::EmptyShape.to_string().contains("zero"));
     }
 
     #[test]

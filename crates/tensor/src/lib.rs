@@ -8,9 +8,12 @@
 //!
 //! - [`Tensor`]: an owned, row-major, N-dimensional `f32` array.
 //! - [`Shape`]: dimension bookkeeping and index arithmetic.
-//! - [`ops`]: convolution lowered to GEMM, transposed convolution, max/RoI
-//!   pooling, matmul, softmax/cross-entropy, reductions and elementwise
-//!   math — each differentiable op paired with its analytic backward pass.
+//! - [`ops`]: convolution and transposed convolution read in place,
+//!   max/RoI pooling, the fully-connected matrix–vector products,
+//!   softmax/cross-entropy, reductions and elementwise math — each
+//!   differentiable op paired with its analytic backward pass.
+//! - [`reference`]: the plain serial loops (`im2col`, `col2im`,
+//!   `matmul`, `transpose`) the tests hold those ops to, bit for bit.
 //!
 //! # Examples
 //!
@@ -28,6 +31,7 @@
 mod error;
 pub mod invariants;
 pub mod ops;
+pub mod reference;
 mod shape;
 mod tensor;
 pub mod workspace;

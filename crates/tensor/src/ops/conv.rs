@@ -12,8 +12,8 @@
 //! kernel's as the forward convolution it equals). The weight gradient
 //! runs on the GEMM register tile with the taps as rows, read from the
 //! input map in place, and the output channels as lanes
-//! (`weight_product`). [`im2col`] and [`col2im`] build and fold the full
-//! column matrix only as public references.
+//! (`weight_product`). The full column matrix exists only in
+//! [`crate::reference`], as the tests' oracle.
 
 use std::ops::Range;
 
@@ -71,49 +71,6 @@ impl ConvSpec {
     }
 }
 
-/// Unfolds `[C, H, W]` into a `[C·K·K, H_out·W_out]` column matrix.
-///
-/// Column `(oy·W_out + ox)` holds the receptive field of output pixel
-/// `(oy, ox)`; out-of-bounds taps read as zero (zero padding).
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 3.
-pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
-    assert_eq!(
-        input.rank(),
-        3,
-        "im2col expects [C,H,W], got {}",
-        input.shape()
-    );
-    let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let k = spec.kernel;
-    let iv = input.as_slice();
-    // The plain per-element definition: a reference for the in-place
-    // kernels.
-    let mut out = Vec::with_capacity(c * k * k * oh * ow);
-    for ci in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        let inside = (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix);
-                        out.push(if inside {
-                            iv[(ci * h + iy as usize) * w + ix as usize]
-                        } else {
-                            0.0
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_parts([c * k * k, oh * ow], out)
-}
-
 /// The weight-gradient product `out = lanes · im2col(m)ᵀ`
 /// (`[n_lanes, c·K²]`) for one `[c, h, w]` map `m` under `spec`, with
 /// `lanes` as `[n_lanes, H'·W']` — `conv2d`'s `grad · im2col(x)ᵀ` and
@@ -125,9 +82,10 @@ pub fn im2col(input: &Tensor, spec: ConvSpec) -> Tensor {
 /// in place, one output row at a time (`acs` = stride). The `NR` lanes
 /// are `NR` rows of `lanes`, packed as `lanesᵀ` strips. Each element is
 /// one chain over ascending pixels from `+0.0`, one mul and one add per
-/// step, with padding a literal `0.0` term: the chain of
-/// `matmul_nt(lanes, im2col(m))` with each product's operands swapped,
-/// which IEEE multiplication rounds to the same bits.
+/// step, with padding a literal `0.0` term: the chain of the plain
+/// `matmul(lanes, transpose(im2col(m)))` ([`crate::reference`]) with
+/// each product's operands swapped, which IEEE multiplication rounds to
+/// the same bits.
 pub(crate) fn weight_product(
     out: &mut [f32],
     m: &[f32],
@@ -279,44 +237,6 @@ impl TapRows<'_> {
         }
         acc.copy_from_slice(regs.as_flattened());
     }
-}
-
-/// Adjoint of [`im2col`]: folds a `[C·K·K, H_out·W_out]` column matrix back
-/// into a `[C, H, W]` map, *summing* overlapping contributions in
-/// ascending tap order per output pixel.
-///
-/// # Panics
-///
-/// Panics if `cols` does not have the shape implied by `(c, h, w)` and `spec`.
-pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: ConvSpec) -> Tensor {
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let k = spec.kernel;
-    assert_eq!(
-        cols.dims(),
-        &[c * k * k, oh * ow],
-        "col2im input shape {} inconsistent with geometry",
-        cols.shape()
-    );
-    // The plain serial definition: a reference for the in-place fold.
-    let cv = cols.as_slice();
-    let mut out = vec![0.0f32; c * h * w];
-    for ci in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let base = ((ci * k + ky) * k + kx) * oh * ow;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky).wrapping_sub(spec.padding);
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx).wrapping_sub(spec.padding);
-                        if iy < h && ix < w {
-                            out[(ci * h + iy) * w + ix] += cv[base + oy * ow + ox];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_parts([c, h, w], out)
 }
 
 /// Views an op's input as a [`Map`] batch: one `[C, H, W]` map, or —
@@ -561,6 +481,7 @@ fn weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{im2col, matmul, transpose};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -585,29 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn im2col_identity_kernel() {
-        // K=1, s=1, p=0: columns are just the flattened input.
-        let x = Tensor::from_fn([2, 2, 2], |c| (c[0] * 4 + c[1] * 2 + c[2]) as f32);
-        let cols = im2col(&x, ConvSpec::new(1, 1, 0));
-        assert_eq!(cols.dims(), &[2, 4]);
-        assert_eq!(cols.as_slice(), x.as_slice());
-    }
-
-    #[test]
-    fn im2col_padding_reads_zero() {
-        let x = Tensor::ones([1, 2, 2]);
-        let cols = im2col(&x, ConvSpec::new(3, 1, 1));
-        // centre tap of corner output (0,0) is x[0,0]=1; top-left tap is padding=0
-        assert_eq!(cols.dims(), &[9, 4]);
-        assert_eq!(cols.get(&[0, 0]), 0.0); // ky=0,kx=0 at output (0,0) → (-1,-1)
-        assert_eq!(cols.get(&[4, 0]), 1.0); // centre tap
-    }
-
-    #[test]
     fn weight_product_matches_the_im2col_gemm() {
-        // Every weight is its `matmul_nt(g, im2col(x))` element bit for
-        // bit, with signed zeros in both operands: padding, strides,
-        // partly filled lane strips, tap tiles of every height, a
+        // Every weight is its `g · im2col(x)ᵀ` element bit for bit,
+        // with signed zeros in both operands: padding, strides, partly
+        // filled lane strips, tap tiles of every height, a
         // 1-pixel map and maps of several bands, padded or not.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut signed_zeros = |dims: [usize; 3]| {
@@ -638,7 +540,7 @@ mod tests {
             let x = signed_zeros([c, h, w]);
             let pixels = spec.out_size(h) * spec.out_size(w);
             let g = signed_zeros([lanes, pixels, 1]).with_shape([lanes, pixels]);
-            let want = crate::ops::matmul::matmul_nt(&g, &im2col(&x, spec));
+            let want = matmul(&g, &transpose(&im2col(&x, spec)));
             let k = spec.kernel;
             let mut got = vec![0.0f32; lanes * c * k * k];
             weight_product(&mut got, x.as_slice(), (c, h, w), spec, g.as_slice(), lanes);
@@ -703,29 +605,6 @@ mod tests {
         let w = Tensor::from_vec([1, 2, 1, 1], vec![10.0, 1.0]).unwrap();
         let y = conv2d(&x, &w, None, ConvSpec::new(1, 1, 0));
         assert_eq!(y.as_slice(), &[25.0]);
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property.
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let spec = ConvSpec::new(3, 2, 1);
-        let x = Tensor::rand_normal([2, 5, 5], 0.0, 1.0, &mut rng);
-        let cols_shape = [2 * 9, spec.out_size(5) * spec.out_size(5)];
-        let y = Tensor::rand_normal(cols_shape, 0.0, 1.0, &mut rng);
-        let lhs: f32 = im2col(&x, spec)
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum();
-        let rhs: f32 = x
-            .as_slice()
-            .iter()
-            .zip(col2im(&y, 2, 5, 5, spec).as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
     /// Finite-difference gradient check for conv2d over input, weight, bias.

@@ -17,7 +17,7 @@
 //!   columns on each side of every row and zero rows above and below
 //!   the map, so padding lanes read a literal `0.0` that is multiplied
 //!   and added like any other term. This is exactly the chain of
-//!   `W · im2col(x)` through the GEMM, element by element. At stride
+//!   the plain product `W · im2col(x)`, element by element. At stride
 //!   `s > 1` each padded row is stored as its `s` column phases, so tap
 //!   `kx` of output `x` reads phase `kx % s` at `x + kx / s`, contiguous
 //!   too. An unpadded stride-1 map is its own padded band, and is read
@@ -52,8 +52,8 @@ use super::conv::ConvSpec;
 use super::kernels::{self, FoldSrc, FoldTap, NR};
 use crate::workspace;
 
-/// Minimum output pixels per parallel task: the GEMM's column-block
-/// width, so a task is never smaller than the GEMM's.
+/// Minimum output pixels per parallel task, and per band of a task's
+/// padded copy.
 const NC: usize = 2048;
 
 /// Every lane of a tile row.

@@ -1,4 +1,4 @@
-//! Elementwise arithmetic and activation functions.
+//! Elementwise arithmetic.
 
 use crate::Tensor;
 
@@ -20,20 +20,6 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
     a.zip_with(b, |x, y| x - y)
 }
 
-/// Elementwise (Hadamard) product.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
-    a.zip_with(b, |x, y| x * y)
-}
-
-/// Multiplies every element by a scalar.
-pub fn scale(a: &Tensor, k: f32) -> Tensor {
-    a.map(|x| x * k)
-}
-
 /// In-place `a += k * b` (AXPY), the core optimiser update primitive.
 ///
 /// # Panics
@@ -52,39 +38,6 @@ pub fn axpy(a: &mut Tensor, k: f32, b: &Tensor) {
     }
 }
 
-/// Rectified linear unit: `max(x, 0)`.
-pub fn relu(a: &Tensor) -> Tensor {
-    a.map(|x| x.max(0.0))
-}
-
-/// Gradient of [`relu`]: passes `grad` where the forward input was positive.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn relu_backward(input: &Tensor, grad: &Tensor) -> Tensor {
-    input.zip_with(grad, |x, g| if x > 0.0 { g } else { 0.0 })
-}
-
-/// Logistic sigmoid `1 / (1 + e^{-x})`.
-pub fn sigmoid(a: &Tensor) -> Tensor {
-    a.map(|x| 1.0 / (1.0 + (-x).exp()))
-}
-
-/// Gradient of [`sigmoid`] given the forward *output* `y`: `g · y·(1−y)`.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn sigmoid_backward(output: &Tensor, grad: &Tensor) -> Tensor {
-    output.zip_with(grad, |y, g| g * y * (1.0 - y))
-}
-
-/// Clamps every element into `[lo, hi]`.
-pub fn clamp(a: &Tensor, lo: f32, hi: f32) -> Tensor {
-    a.map(|x| x.clamp(lo, hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,8 +52,6 @@ mod tests {
         let b = t(&[4., 5., 6.]);
         assert_eq!(add(&a, &b).as_slice(), &[5., 7., 9.]);
         assert_eq!(sub(&b, &a).as_slice(), &[3., 3., 3.]);
-        assert_eq!(mul(&a, &b).as_slice(), &[4., 10., 18.]);
-        assert_eq!(scale(&a, -2.0).as_slice(), &[-2., -4., -6.]);
     }
 
     #[test]
@@ -108,48 +59,5 @@ mod tests {
         let mut a = t(&[1., 1.]);
         axpy(&mut a, 0.5, &t(&[2., -4.]));
         assert_eq!(a.as_slice(), &[2., -1.]);
-    }
-
-    #[test]
-    fn relu_and_its_gradient() {
-        let x = t(&[-1., 0., 2.]);
-        assert_eq!(relu(&x).as_slice(), &[0., 0., 2.]);
-        let g = relu_backward(&x, &t(&[10., 10., 10.]));
-        assert_eq!(g.as_slice(), &[0., 0., 10.]);
-    }
-
-    #[test]
-    fn sigmoid_limits_and_gradient() {
-        let x = t(&[0.0, 100.0, -100.0]);
-        let y = sigmoid(&x);
-        assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
-        assert!((y.as_slice()[1] - 1.0).abs() < 1e-6);
-        assert!(y.as_slice()[2].abs() < 1e-6);
-        // d/dx sigmoid at 0 is 0.25
-        let g = sigmoid_backward(&y, &t(&[1., 1., 1.]));
-        assert!((g.as_slice()[0] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_gradient_matches_finite_difference() {
-        let eps = 1e-3;
-        for &x0 in &[-2.0f32, -0.5, 0.0, 0.7, 3.0] {
-            let f = |x: f32| 1.0 / (1.0 + (-x).exp());
-            let numeric = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);
-            let y = sigmoid(&t(&[x0]));
-            let analytic = sigmoid_backward(&y, &t(&[1.0])).as_slice()[0];
-            assert!(
-                (numeric - analytic).abs() < 1e-3,
-                "x={x0}: {numeric} vs {analytic}"
-            );
-        }
-    }
-
-    #[test]
-    fn clamp_bounds() {
-        assert_eq!(
-            clamp(&t(&[-5., 0.5, 5.]), 0.0, 1.0).as_slice(),
-            &[0., 0.5, 1.]
-        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
-//! packed-GEMM register tile, the in-place convolution tile, the fold
+//! weight gradients' GEMM register tile, the in-place convolution tile
+//! (also the fully-connected products' tile), the fold
 //! tile, the training `LeakyRelu` mask pack and unpack, and the
 //! separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
@@ -39,8 +40,8 @@ pub mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-/// GEMM micro-kernel width (output columns per register tile) — shared
-/// with the packed-panel layout in `ops::matmul`.
+/// Register-tile width: the lanes of every tile (output columns of the
+/// GEMM tile, pixels or vectors of the convolution tile).
 pub const NR: usize = 8;
 
 /// The instruction sets the dispatcher can select.
@@ -150,7 +151,8 @@ pub fn gemm_mr() -> usize {
     }
 }
 
-/// The `MRR × NR` register-tile inner loop of the packed GEMM:
+/// The `MRR × NR` register-tile inner loop of the weight gradients
+/// (`conv::weight_product`), over packed `NR`-wide strips:
 /// accumulates `panel.len() / NR` ascending-`p` terms into `acc`, one
 /// broadcast `A` value per row per step, reading
 /// `A` at `aidx[r]` and advancing each index by `acs`.

@@ -1,9 +1,9 @@
 //! Reference scalar kernels.
 //!
-//! These are the exact inner loops the pre-SIMD code ran (extracted
-//! verbatim from `ops::matmul` and `rhsd-litho`'s aerial pass); every
-//! SIMD variant must match them bit-for-bit, and the microbench harness
-//! times them as the scalar-vs-SIMD baseline.
+//! These are the exact inner loops the pre-SIMD code ran (the GEMM tile
+//! and `rhsd-litho`'s aerial pass); every SIMD variant must match them
+//! bit-for-bit, and the microbench harness times them as the
+//! scalar-vs-SIMD baseline.
 
 use super::{FoldSrc, FoldTap, NR};
 

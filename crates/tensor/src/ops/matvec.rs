@@ -1,0 +1,287 @@
+//! Matrix–vector products: the fully-connected layers' forward pass
+//! and input gradient.
+//!
+//! [`matvec`] is `Linear`'s forward pass and [`matvec_t`] its input
+//! gradient. Both run one loop on the in-place convolution's register
+//! tile ([`kernels::conv_micro`]): the vectors are transposed into a
+//! buffer with one row per `k` step, padded to whole `NR` strips, so a
+//! tile's rows are output elements and its lanes are `NR` vectors of the
+//! batch, which share every broadcast value of `A`. The two differ only
+//! in how the tile reads `A` (row-wise or column-wise) and in the value
+//! their chains start from.
+//!
+//! # Determinism
+//!
+//! Every output element is one chain over ascending `p`, one mul and one
+//! add per step, from a fixed start value. Tasks own whole strips of
+//! vectors and the split depends only on the shape, so a batched row is
+//! bit for bit the product of that row alone, at any thread count and
+//! on any ISA.
+
+use super::kernels;
+use super::kernels::NR;
+use crate::Tensor;
+
+/// Checks a matrix–vector operand: `x` is one vector `[k]` or a batch
+/// of row vectors `[n, k]` with `k == a_cols`. Returns `n`.
+fn vectors(op: &str, a: &Tensor, x: &Tensor, a_cols: usize) -> usize {
+    assert_eq!(a.rank(), 2, "{op} lhs must be rank 2, got {}", a.shape());
+    assert!(
+        x.rank() == 1 || x.rank() == 2,
+        "{op} rhs must be [k] or [n, k], got {}",
+        x.shape()
+    );
+    let (n, k) = match x.rank() {
+        1 => (1, x.dim(0)),
+        _ => (x.dim(0), x.dim(1)),
+    };
+    assert_eq!(
+        k,
+        a_cols,
+        "{op} dimension mismatch: {} vs {}",
+        a.shape(),
+        x.shape()
+    );
+    n
+}
+
+/// The output shape for `n` vectors of `m` values: `[m]` for a single
+/// rank-1 input, `[n, m]` for a batch.
+fn vector_shape(x: &Tensor, n: usize, m: usize) -> Vec<usize> {
+    if x.rank() == 1 {
+        vec![m]
+    } else {
+        vec![n, m]
+    }
+}
+
+/// Matrix–vector product: `[m, k] × [k] → [m]`, or for a batch of row
+/// vectors `[n, k]`, each row's product: `→ [n, m]`.
+///
+/// Each output element is one ascending chain over `k` that starts at
+/// `-0.0` — the fold `Iterator::sum` runs over the products. No
+/// workspace scratch is taken, so inference stays off the pool.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank 2, `x` not rank 1 or 2, or dimensions
+/// disagree.
+pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
+    let (m, k) = (a.dim(0), a.dim(1));
+    let n = vectors("matvec", a, x, k);
+    let out = products(a.as_slice(), (m, k), (k, 1), -0.0, x.as_slice(), n);
+    Tensor::from_parts(vector_shape(x, n, m), out)
+}
+
+/// Transposed matrix–vector product `aᵀ · x`: `[k, m]ᵀ × [k] → [m]`,
+/// or for a batch of row vectors `[n, k]`, each row's product:
+/// `→ [n, m]`.
+///
+/// Each output element is one ascending chain over `k` that starts at
+/// `+0.0`, so an all-zero chain is `+0.0` (where [`matvec`] of the
+/// explicit transpose gives `-0.0`). The tile reads `a` column-wise; no
+/// transpose is materialised.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank 2, `x` not rank 1 or 2, or `a.dim(0)`
+/// differs from the vectors' length.
+pub fn matvec_t(a: &Tensor, x: &Tensor) -> Tensor {
+    let (k, m) = (a.dim(0), a.dim(1));
+    let n = vectors("matvec_t", a, x, k);
+    let out = products(a.as_slice(), (m, k), (1, m), 0.0, x.as_slice(), n);
+    Tensor::from_parts(vector_shape(x, n, m), out)
+}
+
+/// The `n` products of the rows of `x` with an `m × k` matrix whose
+/// element `(o, p)` is `av[o · ars + p · acs]`, as `[n, m]` row-major:
+/// one chain per element from `init` over ascending `p`.
+fn products(
+    av: &[f32],
+    (m, k): (usize, usize),
+    (ars, acs): (usize, usize),
+    init: f32,
+    x: &[f32],
+    n: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * m];
+    if m == 0 || n == 0 {
+        return out;
+    }
+    // `xᵀ` padded to whole strips: row `p` holds element `p` of every
+    // vector.
+    let np = n.next_multiple_of(NR);
+    let mut xt = vec![0.0f32; k * np];
+    for (r, xr) in x.chunks_exact(k.max(1)).enumerate() {
+        for (p, &v) in xr.iter().enumerate() {
+            xt[p * np + r] = v;
+        }
+    }
+    let offs: Vec<usize> = (0..k).map(|p| p * np).collect();
+    let mr = kernels::gemm_mr();
+    let strips = rhsd_par::chunk_units(np / NR, 2 * k * m * NR);
+    rhsd_par::for_each_mut(&mut out, strips * NR * m, |ti, out| {
+        for r0 in (0..out.len() / m).step_by(NR) {
+            let lanes = NR.min(out.len() / m - r0);
+            let strip = (ti * strips * NR + r0, lanes);
+            let a = (av, ars, acs, init);
+            for o0 in (0..m).step_by(mr) {
+                let tile = (o0, &mut out[r0 * m..]);
+                match mr.min(m - o0) {
+                    8 => tile_into::<8>(tile, a, m, strip, &xt, &offs),
+                    7 => tile_into::<7>(tile, a, m, strip, &xt, &offs),
+                    6 => tile_into::<6>(tile, a, m, strip, &xt, &offs),
+                    5 => tile_into::<5>(tile, a, m, strip, &xt, &offs),
+                    4 => tile_into::<4>(tile, a, m, strip, &xt, &offs),
+                    3 => tile_into::<3>(tile, a, m, strip, &xt, &offs),
+                    2 => tile_into::<2>(tile, a, m, strip, &xt, &offs),
+                    _ => tile_into::<1>(tile, a, m, strip, &xt, &offs),
+                }
+            }
+        }
+    });
+    out
+}
+
+/// One register tile of [`products`]: outputs `o0..o0 + MRR` of the
+/// `lanes` vectors from `r0`, each lane's chain from `init` over `xt`'s
+/// rows, stored into `out` (rows of `m` from vector `r0`).
+fn tile_into<const MRR: usize>(
+    (o0, out): (usize, &mut [f32]),
+    (av, ars, acs, init): (&[f32], usize, usize, f32),
+    m: usize,
+    (r0, lanes): (usize, usize),
+    xt: &[f32],
+    offs: &[usize],
+) {
+    let mut acc = [[init; NR]; MRR];
+    let aidx: [usize; MRR] = std::array::from_fn(|r| (o0 + r) * ars);
+    kernels::conv_micro(&mut acc, av, &aidx, acs, xt, &[r0; MRR], offs);
+    for (r, a) in acc.iter().enumerate() {
+        for (l, &v) in a[..lanes].iter().enumerate() {
+            out[l * m + o0 + r] = v;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A pseudo-random fill; with `zero_every > 0`, about one value in
+    /// `zero_every` is a zero, of either sign.
+    fn noisy(shape: [usize; 2], seed: u64, zero_every: usize) -> Tensor {
+        Tensor::from_fn(shape, |c| {
+            let h = (seed ^ (c[0] as u64) << 32 ^ c[1] as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            if zero_every > 0 && h.is_multiple_of(zero_every as u64) {
+                if h >> 40 & 1 == 1 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else {
+                (h % 1999) as f32 / 500.0 - 2.0
+            }
+        })
+    }
+
+    #[test]
+    fn matvec_small_known_result() {
+        let a = Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
+        let x = Tensor::from_vec([3], vec![1., 0., -1.]).unwrap();
+        let y = matvec(&a, &x);
+        assert_eq!(y.as_slice(), &[-2., -2.]);
+    }
+
+    #[test]
+    fn matvec_rows_are_plain_dot_products_bit_for_bit() {
+        // The reference is the per-output `Iterator::sum` dot product;
+        // `k` runs past 256 steps and one row is all zeros, so its
+        // chains of `-0.0` products keep their sign.
+        for (m, k, n) in [
+            (48usize, 320usize, 40usize),
+            (2, 48, 1),
+            (5, 7, 9),
+            (9, 300, 3),
+        ] {
+            let a = noisy([m, k], 29, 0);
+            let mut x = noisy([n, k], 31, 4);
+            x.as_mut_slice()[..k].fill(0.0);
+            let a_neg = a.map(|v| -v.abs());
+            for a in [&a, &a_neg] {
+                let batch = matvec(a, &x);
+                assert_eq!(batch.dims(), &[n, m]);
+                for r in 0..n {
+                    let row = Tensor::from_vec([k], x.as_slice()[r * k..][..k].to_vec()).unwrap();
+                    let plain: Vec<u32> = (0..m)
+                        .map(|o| {
+                            let dot: f32 = a.as_slice()[o * k..][..k]
+                                .iter()
+                                .zip(row.as_slice())
+                                .map(|(&p, &q)| p * q)
+                                .sum();
+                            dot.to_bits()
+                        })
+                        .collect();
+                    assert_eq!(bits(&matvec(a, &row)), plain, "matvec {m}x{k} row {r}");
+                    assert_eq!(
+                        &bits(&batch)[r * m..][..m],
+                        &plain[..],
+                        "batched matvec {m}x{k}x{n} row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_t_equals_the_reference_product_bit_for_bit() {
+        // Batches around one lane strip (1, 7, 8, 9 vectors) and the
+        // head's 40 RoIs; `k = 300` runs a chain past 256 steps. About
+        // a quarter of the vector entries are zeros of either sign.
+        for (k, m) in [(48usize, 320usize), (300, 17), (3, 5), (61, 19)] {
+            let a = noisy([k, m], 37, 0);
+            for n in [1usize, 7, 8, 9, 40] {
+                let x = noisy([n, k], 41 + n as u64, 4);
+                let want = bits(&reference::matmul(&x, &a));
+                assert_eq!(
+                    bits(&matvec_t(&a, &x)),
+                    want,
+                    "matvec_t {k}x{m}, {n} vectors"
+                );
+                let row = Tensor::from_vec([k], x.as_slice()[..k].to_vec()).unwrap();
+                assert_eq!(
+                    bits(&matvec_t(&a, &row)),
+                    want[..m],
+                    "matvec_t {k}x{m} row 0"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_zero_matvec_t_chain_is_positive_zero() {
+        // Every product is `-0.0`: `matvec_t`'s chains start at `+0.0`
+        // and stay there, while `matvec` of the explicit transpose
+        // starts at `-0.0` and keeps the sign. An empty chain is `+0.0`.
+        let a = Tensor::full([300, 9], -1.5);
+        let x = Tensor::zeros([3, 300]);
+        assert!(bits(&matvec_t(&a, &x)).iter().all(|&b| b == 0));
+        let explicit = matvec(&reference::transpose(&a), &x);
+        assert!(bits(&explicit).iter().all(|&b| b == (-0.0f32).to_bits()));
+        let empty = matvec_t(&Tensor::zeros([0, 4]), &Tensor::zeros([2, 0]));
+        assert_eq!(empty.dims(), &[2, 4]);
+        assert!(bits(&empty).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "matvec_t dimension mismatch")]
+    fn matvec_t_rejects_bad_dims() {
+        matvec_t(&Tensor::zeros([2, 3]), &Tensor::zeros([4, 3]));
+    }
+}

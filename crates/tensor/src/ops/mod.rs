@@ -9,7 +9,7 @@ pub mod deconv;
 mod direct;
 pub mod elementwise;
 pub mod kernels;
-pub mod matmul;
+pub mod matvec;
 pub mod pool;
 pub mod reduce;
 pub mod softmax;

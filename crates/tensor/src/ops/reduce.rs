@@ -1,49 +1,6 @@
-//! Axis reductions and channel concatenation.
+//! Channel concatenation and the pinned-order scalar reductions.
 
 use crate::Tensor;
-
-/// Sums a tensor along one axis, removing it.
-///
-/// # Panics
-///
-/// Panics if `axis` is out of range.
-pub fn sum_axis(t: &Tensor, axis: usize) -> Tensor {
-    let rank = t.rank();
-    assert!(axis < rank, "axis {axis} out of range for rank {rank}");
-    let dims = t.dims();
-    let out_dims: Vec<usize> = dims
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != axis)
-        .map(|(_, &d)| d)
-        .collect();
-    let outer: usize = dims[..axis].iter().product();
-    let mid = dims[axis];
-    let inner: usize = dims[axis + 1..].iter().product();
-    let tv = t.as_slice();
-    let mut out = vec![0.0f32; outer * inner];
-    for o in 0..outer {
-        for m in 0..mid {
-            let base = (o * mid + m) * inner;
-            let obase = o * inner;
-            for i in 0..inner {
-                out[obase + i] += tv[base + i];
-            }
-        }
-    }
-    Tensor::from_parts(out_dims, out)
-}
-
-/// Mean along one axis, removing it.
-///
-/// # Panics
-///
-/// Panics if `axis` is out of range or the axis has zero length.
-pub fn mean_axis(t: &Tensor, axis: usize) -> Tensor {
-    let n = t.dim(axis);
-    assert!(n > 0, "cannot take mean over empty axis {axis}");
-    sum_axis(t, axis).map(|x| x / n as f32)
-}
 
 /// Concatenates `[C_i, H, W]` feature maps (or `[N, C_i, H, W]`
 /// batches) along the channel axis — the feature-fusion step of the
@@ -170,27 +127,6 @@ pub fn split_channels(grad: &Tensor, channels: &[usize]) -> Vec<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_axis_each_axis() {
-        let t = Tensor::from_fn([2, 3], |c| (c[0] * 3 + c[1]) as f32);
-        assert_eq!(sum_axis(&t, 0).as_slice(), &[3., 5., 7.]);
-        assert_eq!(sum_axis(&t, 1).as_slice(), &[3., 12.]);
-    }
-
-    #[test]
-    fn sum_axis_middle_axis() {
-        let t = Tensor::ones([2, 3, 4]);
-        let s = sum_axis(&t, 1);
-        assert_eq!(s.dims(), &[2, 4]);
-        assert_eq!(s.as_slice(), &[3.0; 8]);
-    }
-
-    #[test]
-    fn mean_axis_divides() {
-        let t = Tensor::from_vec([2, 2], vec![1., 3., 5., 7.]).unwrap();
-        assert_eq!(mean_axis(&t, 0).as_slice(), &[3., 5.]);
-    }
 
     #[test]
     fn concat_then_split_roundtrip() {

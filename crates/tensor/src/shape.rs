@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::error::{Result, TensorError};
-
 /// The shape (dimension sizes) of a [`Tensor`](crate::Tensor).
 ///
 /// Shapes are row-major: the last axis is contiguous in memory. A shape may
@@ -58,21 +56,6 @@ impl Shape {
     /// Panics if `axis >= rank`.
     pub fn dim(&self, axis: usize) -> usize {
         self.0[axis]
-    }
-
-    /// Size of one axis, checked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
-    pub fn try_dim(&self, axis: usize) -> Result<usize> {
-        self.0
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
     }
 
     /// Row-major strides, in elements.
@@ -233,16 +216,6 @@ mod tests {
     #[should_panic(expected = "rank")]
     fn offset_rejects_wrong_rank() {
         Shape::from([2, 2]).offset(&[0]);
-    }
-
-    #[test]
-    fn try_dim_checks_axis() {
-        let s = Shape::from([2, 3]);
-        assert_eq!(s.try_dim(1), Ok(3));
-        assert_eq!(
-            s.try_dim(2),
-            Err(TensorError::AxisOutOfRange { axis: 2, rank: 2 })
-        );
     }
 
     #[test]

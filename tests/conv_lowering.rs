@@ -4,9 +4,10 @@
 //! gradient as a forward convolution), and the weight gradients read
 //! their taps from the map on the GEMM tile. None of this
 //! may move a bit: every output must equal the plain lowering — the
-//! public `im2col` matrix fed to `matmul` / `matmul_tn` / `matmul_nt`,
-//! with `col2im` folding where the op needs it — compared with
-//! `to_bits`, at one pool thread and at four.
+//! `im2col` matrix fed to the serial `matmul`, an operand transposed
+//! where the product needs it, with `col2im` folding where the op needs
+//! it, all from `rhsd_tensor::reference` — compared with `to_bits`, at
+//! one pool thread and at four.
 //!
 //! The pool's thread count is process-global, so every test serialises
 //! on one mutex and restores the default.
@@ -14,12 +15,10 @@
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use rhsd::tensor::ops::conv::{
-    col2im, conv2d, conv2d_backward, conv2d_backward_batch, im2col, ConvSpec,
-};
+use rhsd::tensor::ops::conv::{conv2d, conv2d_backward, conv2d_backward_batch, ConvSpec};
 use rhsd::tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd::tensor::ops::kernels::NR;
-use rhsd::tensor::ops::matmul::{matmul, matmul_nt, matmul_tn};
+use rhsd::tensor::reference::{col2im, im2col, matmul, transpose};
 use rhsd::tensor::Tensor;
 
 static POOL: Mutex<()> = Mutex::new(());
@@ -71,13 +70,14 @@ fn add_bias(t: Tensor, bias: &Tensor) -> Tensor {
     Tensor::from_vec(dims, v).expect("same length")
 }
 
-/// Per-channel sums in ascending order, as the ops' bias gradients.
+/// Per-channel sums in ascending order from `-0.0`, as the ops' bias
+/// gradients (and `Iterator::sum`) run them.
 fn channel_sums(t: &Tensor) -> Vec<f32> {
     let c = t.dim(0);
     let plane = t.len() / c;
     (0..c)
         .map(|ci| {
-            let mut acc = 0.0f32;
+            let mut acc = -0.0f32;
             for &v in &t.as_slice()[ci * plane..(ci + 1) * plane] {
                 acc += v;
             }
@@ -97,8 +97,8 @@ fn conv_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec
     let out = matmul(&mat(w, c_out), &cols).with_shape(g.dims().to_vec());
     let out = add_bias(out, b);
     let g2 = mat(g, c_out);
-    let dw = matmul_nt(&g2, &cols).with_shape(w.dims().to_vec());
-    let dcols = matmul_tn(&mat(w, c_out), &g2);
+    let dw = matmul(&g2, &transpose(&cols)).with_shape(w.dims().to_vec());
+    let dcols = matmul(&transpose(&mat(w, c_out)), &g2);
     let dx = col2im(&dcols, c_in, h, wd, spec);
     let db = Tensor::from_vec([c_out], channel_sums(g)).expect("one per channel");
     (out, dx, dw, db)
@@ -108,12 +108,12 @@ fn conv_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec
 fn deconv_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
     let (c_in, h, wd) = (x.dim(0), x.dim(1), x.dim(2));
     let c_out = w.dim(1);
-    let cols = matmul_tn(&mat(w, c_in), &mat(x, c_in));
+    let cols = matmul(&transpose(&mat(w, c_in)), &mat(x, c_in));
     let out = col2im(&cols, c_out, g.dim(1), g.dim(2), spec);
     let out = add_bias(out, b);
     let gcols = im2col(g, spec);
     let dx = matmul(&mat(w, c_in), &gcols).with_shape([c_in, h, wd]);
-    let dw = matmul_nt(&mat(x, c_in), &gcols).with_shape(w.dims().to_vec());
+    let dw = matmul(&mat(x, c_in), &transpose(&gcols)).with_shape(w.dims().to_vec());
     let db = Tensor::from_vec([c_out], channel_sums(g)).expect("one per channel");
     (out, dx, dw, db)
 }
@@ -237,10 +237,10 @@ fn narrow_maps_are_bit_identical() {
     }
 }
 
-/// Shapes the small properties cannot reach: more output pixels than
-/// one `NC = 2048` task band or GEMM column block, more taps than one
-/// `KC = 256` chain or k block, odd widths, and runs of whole strips
-/// tiled by a one-channel block on either side. Then the demo network's
+/// Shapes the small properties cannot reach: over 2048 output pixels
+/// (several weight-gradient bands), chains of more than 256 taps, odd
+/// widths, and runs of whole strips tiled by a one-channel block on
+/// either side. Then the demo network's
 /// weight-gradient geometries: lane strips partly filled by 4, 5 and 12
 /// output channels, 128-wide maps, an inception B stride-2 3×3 and
 /// inception 1×1s at 32².
@@ -264,6 +264,39 @@ fn wide_and_deep_lowerings_are_bit_identical() {
     ] {
         check_shape(7, c_a, c_b, hw, spec);
     }
+}
+
+/// A gradient channel of only `-0.0` has the bias gradient `-0.0`: the
+/// ops' chains start there, as `Iterator::sum` does, and so do the
+/// reference's, so a change of start value on either side fails here.
+/// (The noise fill never gives a whole channel of `-0.0`.)
+#[test]
+fn negative_zero_gradient_channels_keep_their_sign() {
+    let _guard = pool_lock();
+    let spec = ConvSpec::same(3);
+    let (c_a, c_b, (h, w)) = (3, 4, (9, 11));
+    let negative_zero_channel = |t: Tensor, c: usize| {
+        let plane = t.len() / t.dim(0);
+        let mut t = t;
+        t.as_mut_slice()[c * plane..][..plane].fill(-0.0);
+        t
+    };
+    let x = Tensor::from_fn([c_a, h, w], |c| noise(21, c));
+    let wt = Tensor::from_fn([c_b, c_a, 3, 3], |c| noise(22, c));
+    let b = Tensor::from_fn([c_b], |c| noise(23, c));
+    let g = negative_zero_channel(Tensor::from_fn([c_b, h, w], |c| noise(24, c)), 1);
+    let reference = conv_reference(&x, &wt, &b, &g, spec);
+    assert_eq!(reference.3.as_slice()[1].to_bits(), (-0.0f32).to_bits());
+    assert_lowering("conv2d", &reference, || conv_fused(&x, &wt, &b, &g, spec));
+
+    let up = Tensor::from_fn([c_b, h, w], |c| noise(25, c));
+    let db = Tensor::from_fn([c_a], |c| noise(26, c));
+    let dg = negative_zero_channel(Tensor::from_fn([c_a, h, w], |c| noise(27, c)), 2);
+    let reference = deconv_reference(&up, &wt, &db, &dg, spec);
+    assert_eq!(reference.3.as_slice()[2].to_bits(), (-0.0f32).to_bits());
+    assert_lowering("conv_transpose2d", &reference, || {
+        deconv_fused(&up, &wt, &db, &dg, spec)
+    });
 }
 
 /// Image `i` of a `[N, ..]` batch as a tensor of its own.
@@ -401,7 +434,8 @@ fn folds_add_nan_and_inf_weights_only_where_col2im_does() {
             let g = Tensor::from_fn([c_b, oh, ow], |c| noise(seed ^ 2, c));
             let w_mat = mat(&wt, c_b);
             // The input gradient: col2im(Wᵀ · g).
-            let want = col2im(&matmul_tn(&w_mat, &mat(&g, c_b)), c_a, w, w, spec);
+            let dcols = matmul(&transpose(&w_mat), &mat(&g, c_b));
+            let want = col2im(&dcols, c_a, w, w, spec);
             let (dx, _, _) = conv2d_backward(&x, &wt, &g, spec);
             assert!(same_or_both_nan(&dx, &want), "d_input {w}x{w} {spec:?}");
             // The transposed convolution of `g` with the same weight as
@@ -409,7 +443,7 @@ fn folds_add_nan_and_inf_weights_only_where_col2im_does() {
             // geometry (one pixel short of `w` where the stride does not
             // divide it).
             let (th, tw) = (spec.transpose_out_size(oh), spec.transpose_out_size(ow));
-            let want_up = col2im(&matmul_tn(&w_mat, &mat(&g, c_b)), c_a, th, tw, spec);
+            let want_up = col2im(&dcols, c_a, th, tw, spec);
             let up = conv_transpose2d(&g, &wt, None, spec);
             assert!(same_or_both_nan(&up, &want_up), "deconv {w}x{w} {spec:?}");
             // The border pixels the bad taps never reach stay finite.

@@ -11,9 +11,9 @@
 //! so warm inference reuses retained buffers and allocates none; an
 //! unpadded stride-1 convolution whose rows fill whole strips reads its
 //! map where it lies and takes no scratch, and the fully-connected
-//! forward transposes its batch into a plain buffer, taking none either.
-//! Training also draws the GEMM's packed blocks (weight gradients, the
-//! FC input gradient) from the pool.
+//! forward and its input gradient transpose their batch into a plain
+//! buffer, taking none either. Training also draws the weight
+//! gradients' packed strips from the pool.
 //!
 //! One test per binary: the workspace counters are process-global, and a
 //! lone test keeps them quiescent while we read them.
@@ -24,7 +24,7 @@ use rhsd::data::{BBox, RegionSample};
 use rhsd::layout::{RasterSpec, Rect};
 use rhsd::tensor::ops::conv::{conv2d, ConvSpec};
 use rhsd::tensor::ops::deconv::conv_transpose2d;
-use rhsd::tensor::ops::matmul::matvec;
+use rhsd::tensor::ops::matvec::matvec;
 use rhsd::tensor::{workspace, Tensor};
 
 /// What a warm run may do with the workspace pool.

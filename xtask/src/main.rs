@@ -34,7 +34,7 @@ tasks:
                      `// lint:allow` marker no longer matches anything
 
   microbench [--quick] [--threads <n>] [--out <file>]
-      Time the hot kernels (packed GEMM, im2col conv, litho aerial) over
+      Time the hot kernels (in-place conv, fold, FC, litho aerial) over
       a fixed shape table — each case twice, scalar-forced then with the
       detected ISA, recording the speedup — and write a
       `rhsd-microbench/2` JSON record.

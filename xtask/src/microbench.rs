@@ -1,12 +1,14 @@
 //! `cargo xtask microbench` — a zero-dependency kernel timing harness.
 //!
 //! Times the kernel families the end-to-end repro spends its cycles
-//! in — the packed GEMM (`rhsd_tensor::ops::matmul`), the in-place
-//! convolutions forward and backward (`rhsd_tensor::ops::conv` and
-//! `::deconv`, on the demo network's front-end shapes), the refinement
-//! head's batched RoI convolutions and FC (`roi_conv2d`, `roi_fc`, each
-//! beside the same RoIs run one per call), the weight gradients alone
-//! (`conv2d_weight_grads`), the fold alone (`fold`), narrow-map
+//! in — the weight gradients' register tile (`gemm_micro`), the
+//! in-place convolutions forward and backward (`rhsd_tensor::ops::conv`
+//! and `::deconv`, on the demo network's front-end shapes), the
+//! refinement head's batched RoI convolutions and FC (`roi_conv2d`,
+//! `roi_fc`, each beside the same RoIs run one per call) and the FC's
+//! input gradient (`roi_fc_backward`, `rhsd_tensor::ops::matvec`), the
+//! weight gradients alone (`conv2d_weight_grads`), the fold alone
+//! (`fold`), narrow-map
 //! convolutions (the CPN's 8² map, inception B's stride 2), the 2×2
 //! max-pool with and without its argmax (`max_pool2d`,
 //! `max_pool2d_values`), the
@@ -44,13 +46,13 @@ use rhsd_nn::{Layer, Tape};
 use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, conv2d_weight_grads, ConvSpec};
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
-use rhsd_tensor::ops::matmul::{matmul, matvec};
+use rhsd_tensor::ops::matvec::{matvec, matvec_t};
 use rhsd_tensor::ops::pool::{max_pool2d, max_pool2d_values};
 use rhsd_tensor::Tensor;
 
 /// One timed kernel invocation set.
 struct Case {
-    /// Kernel family (`matmul` / `conv2d` / `aerial`).
+    /// Kernel family (`conv2d` / `roi_fc` / `aerial` / …).
     kernel: &'static str,
     /// Human-readable shape description.
     shape: String,
@@ -130,35 +132,11 @@ fn run_cases(quick: bool) -> Vec<Case> {
     let active = kernels::isa();
     let mut cases = Vec::new();
 
-    // GEMM shapes: a square sweep plus the tall-skinny im2col shape the
-    // conv layers actually produce (K = c_in * k * k rows, N = out pixels).
-    let gemm_shapes: &[(usize, usize, usize, usize)] = if quick {
-        &[(64, 64, 64, 8), (32, 72, 1024, 8)]
-    } else {
-        &[
-            (64, 64, 64, 40),
-            (128, 128, 128, 20),
-            (256, 256, 256, 8),
-            (32, 72, 1024, 20),
-        ]
-    };
-    for &(m, k, n, reps) in gemm_shapes {
-        let a = filled(&[m, k], 1);
-        let b = filled(&[k, n], 2);
-        cases.push(timed(
-            active,
-            "matmul",
-            format!("{m}x{k}*{k}x{n}"),
-            reps,
-            || matmul(&a, &b),
-        ));
-    }
-
-    // The register-tile micro-kernel in isolation: a fixed 8×NR tile
-    // accumulated ascending-k over one packed panel, re-run `iters`
-    // times per timed call. The full `matmul` rows above dilute the
-    // dispatch win with packing, im2col layout and the zero-skip edge
-    // paths; this row times exactly the loop the ISA selector swaps.
+    // The weight gradients' register tile in isolation: a fixed 8×NR
+    // tile accumulated ascending-k over one packed panel, re-run
+    // `iters` times per timed call. The `conv2d_weight_grads` rows
+    // below add packing and map layout; this row times exactly the loop
+    // the ISA selector swaps.
     let (kc, iters, reps) = if quick {
         (256, 400, 8)
     } else {
@@ -375,7 +353,8 @@ fn run_cases(quick: bool) -> Vec<Case> {
     // through its 3×3 convolution (branch width 5) and its 1×1
     // convolution of the 20 backbone channels, and its 320→48 FC over
     // 40 rows. Each batched row has beside it the same 40 RoIs run one
-    // RoI per call.
+    // RoI per call. Then the FC's input gradient, 48→320 over the same
+    // 40 rows (`Linear`'s backward).
     let rois = 40;
     let roi_reps = if quick { 4 } else { 20 };
     for (c_in, k) in [(5, 3), (20, 1)] {
@@ -427,6 +406,14 @@ fn run_cases(quick: bool) -> Vec<Case> {
             let outs: Vec<Tensor> = singles.iter().map(|x| matvec(&fc, x)).collect();
             outs.into_iter().next().expect("forty RoIs")
         },
+    ));
+    let fc_grads = filled(&[rois, 48], 14);
+    cases.push(timed(
+        active,
+        "roi_fc_backward",
+        "40 RoIs 48->320".into(),
+        roi_reps,
+        || matvec_t(&fc, &fc_grads),
     ));
 
     // Aerial shapes at the EUV nominal sigma (region-raster scale).
@@ -531,7 +518,6 @@ mod tests {
     fn quick_cases_cover_every_kernel_family() {
         let cases = run_cases(true);
         let kernels: Vec<&str> = cases.iter().map(|c| c.kernel).collect();
-        assert!(kernels.contains(&"matmul"));
         assert!(kernels.contains(&"gemm_micro"));
         assert!(kernels.contains(&"conv2d"));
         assert!(kernels.contains(&"conv2d_backward"));
@@ -579,6 +565,7 @@ mod tests {
             let single = shapes.iter().filter(|s| s.starts_with("40x1 RoI")).count();
             assert!(batched > 0 && batched == single, "{family}: {shapes:?}");
         }
+        assert_eq!(shapes("roi_fc_backward"), ["40 RoIs 48->320"]);
         for c in &cases {
             assert!(c.best_secs.is_finite() && c.best_secs >= 0.0);
             assert!(c.mean_secs >= c.best_secs);
@@ -590,8 +577,8 @@ mod tests {
     #[test]
     fn record_is_parseable_and_carries_the_schema() {
         let cases = vec![Case {
-            kernel: "matmul",
-            shape: "8x8*8x8".into(),
+            kernel: "conv2d",
+            shape: "8x8x8->8 k3s1p1".into(),
             reps: 3,
             best_secs: 0.001,
             mean_secs: 0.002,
@@ -609,7 +596,7 @@ mod tests {
         assert_eq!(arr.len(), 1);
         assert_eq!(
             arr[0].get("kernel").and_then(|k| k.as_str()),
-            Some("matmul")
+            Some("conv2d")
         );
         assert_eq!(arr[0].get("speedup").and_then(|s| s.as_f64()), Some(3.0));
         assert_eq!(

@@ -75,25 +75,9 @@ impl ClipProposalNetwork {
         let t = self.trunk_relu.forward(&t, tape);
         let cls_map = self.cls_head.forward(&t, tape);
         let reg_map = self.reg_head.forward(&t, tape);
-        let n = f * f * self.k;
-        let (k, fpx) = (self.k, f);
-        let cls = Tensor::from_fn([n, 2], |c| {
-            let (ai, class) = (c[0], c[1]);
-            let kk = ai % k;
-            let pos = ai / k;
-            let (i, j) = (pos / fpx, pos % fpx);
-            cls_map.get(&[2 * kk + class, i, j])
-        });
-        let reg = Tensor::from_fn([n, 4], |c| {
-            let (ai, comp) = (c[0], c[1]);
-            let kk = ai % k;
-            let pos = ai / k;
-            let (i, j) = (pos / fpx, pos % fpx);
-            reg_map.get(&[4 * kk + comp, i, j])
-        });
         CpnOutput {
-            cls_logits: cls,
-            reg_codes: reg,
+            cls_logits: map_to_rows(&cls_map, 2),
+            reg_codes: map_to_rows(&reg_map, 4),
         }
     }
 
@@ -120,19 +104,8 @@ impl ClipProposalNetwork {
         let n = f * f * self.k;
         assert_eq!(cls_grad.dims(), &[n, 2], "cls grad shape");
         assert_eq!(reg_grad.dims(), &[n, 4], "reg grad shape");
-        let (k, fpx) = (self.k, f);
-        let cls_map_grad = Tensor::from_fn([2 * k, f, f], |c| {
-            let (ch, i, j) = (c[0], c[1], c[2]);
-            let (kk, class) = (ch / 2, ch % 2);
-            let ai = (i * fpx + j) * k + kk;
-            cls_grad.get(&[ai, class])
-        });
-        let reg_map_grad = Tensor::from_fn([4 * k, f, f], |c| {
-            let (ch, i, j) = (c[0], c[1], c[2]);
-            let (kk, comp) = (ch / 4, ch % 4);
-            let ai = (i * fpx + j) * k + kk;
-            reg_grad.get(&[ai, comp])
-        });
+        let cls_map_grad = rows_to_map(cls_grad, 2 * self.k, f);
+        let reg_map_grad = rows_to_map(reg_grad, 4 * self.k, f);
         // Slots in params order: trunk, cls head, reg head (two each).
         let (g_trunk_slots, rest) = grads.split_at_mut(2);
         let (g_cls_slots, g_reg_slots) = rest.split_at_mut(2);
@@ -171,6 +144,39 @@ impl ClipProposalNetwork {
     }
 }
 
+/// The anchor rows of a `[w·k, f, f]` head map: row `pos·k + kk`,
+/// column `c` is channel `w·kk + c` at position `pos` — the `[f·f, w·k]`
+/// transpose of the map viewed as `[w·k, f·f]`, read as `[f·f·k, w]`.
+///
+/// Shapes: `map` is `[w·k, f, f]`; the result is `[f·f·k, w]`.
+fn map_to_rows(map: &Tensor, w: usize) -> Tensor {
+    let channels = map.dim(0);
+    let rows = transpose(map.as_slice(), channels, map.len() / channels);
+    Tensor::from_parts([map.len() / w, w], rows)
+}
+
+/// The inverse of [`map_to_rows`]: the `[channels, f, f]` map whose
+/// anchor rows are `rows`.
+///
+/// Shapes: `rows` is `[f·f·k, w]` with `channels = w·k`; the result is
+/// `[channels, f, f]`.
+fn rows_to_map(rows: &Tensor, channels: usize, f: usize) -> Tensor {
+    Tensor::from_parts(
+        [channels, f, f],
+        transpose(rows.as_slice(), f * f, channels),
+    )
+}
+
+/// The `[cols, rows]` transpose of a row-major `[rows, cols]` matrix.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(src.len(), rows * cols);
+    let mut out = Vec::with_capacity(src.len());
+    for j in 0..cols {
+        out.extend(src[j..].iter().step_by(cols));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +191,95 @@ mod tests {
         let f = cfg.feature_px();
         let feats = Tensor::rand_normal([6, f, f], 0.0, 1.0, &mut rng);
         (cfg, cpn, feats)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-element row read: row `ai`, column `c` is channel
+    /// `w·(ai mod k) + c` at position `ai / k`.
+    fn oracle_rows(map: &Tensor, k: usize, w: usize) -> Tensor {
+        let f = map.dim(1);
+        let n = f * f * k;
+        let mut out = Tensor::zeros([n, w]);
+        for ai in 0..n {
+            let (kk, pos) = (ai % k, ai / k);
+            for c in 0..w {
+                let v = map.get(&[w * kk + c, pos / f, pos % f]);
+                out.set(&[ai, c], v);
+            }
+        }
+        out
+    }
+
+    /// The per-element map-gradient write: channel `ch` at `(i, j)` is
+    /// row `(i·f + j)·k + ch / w`, column `ch mod w`.
+    fn oracle_map(rows: &Tensor, k: usize, w: usize, f: usize) -> Tensor {
+        let mut out = Tensor::zeros([w * k, f, f]);
+        for ch in 0..w * k {
+            for i in 0..f {
+                for j in 0..f {
+                    let ai = (i * f + j) * k + ch / w;
+                    out.set(&[ch, i, j], rows.get(&[ai, ch % w]));
+                }
+            }
+        }
+        out
+    }
+
+    /// Random values with ±0.0 and NaNs of several payloads and signs.
+    fn with_specials(dims: &[usize], rng: &mut ChaCha8Rng) -> Tensor {
+        let mut t = Tensor::rand_normal(dims, 0.0, 1.0, rng);
+        let specials = [0.0, -0.0, f32::NAN, f32::from_bits(0x7fc0_1234), -f32::NAN];
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            if i % 5 == 2 {
+                *v = specials[(i / 5) % specials.len()];
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn layout_transposes_equal_the_per_element_formula() {
+        let mut rng = ChaCha8Rng::seed_from_u64(51);
+        for (k, f) in [(1, 1), (3, 4), (12, 5), (2, 8)] {
+            for w in [2, 4] {
+                let map = with_specials(&[w * k, f, f], &mut rng);
+                let rows = map_to_rows(&map, w);
+                assert_eq!(rows.dims(), &[f * f * k, w]);
+                assert_eq!(
+                    bits(&rows),
+                    bits(&oracle_rows(&map, k, w)),
+                    "k {k} f {f} w {w}"
+                );
+                let grad = with_specials(&[f * f * k, w], &mut rng);
+                let back = rows_to_map(&grad, w * k, f);
+                assert_eq!(back.dims(), &[w * k, f, f]);
+                assert_eq!(
+                    bits(&back),
+                    bits(&oracle_map(&grad, k, w, f)),
+                    "k {k} f {f} w {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forward_rows_equal_the_per_element_read_of_the_head_maps() {
+        let (_, cpn, feats) = setup();
+        let k = cpn.anchors_per_position();
+        let tape = &mut Tape::inference();
+        let t = cpn
+            .trunk_relu
+            .forward(&cpn.trunk.forward(&feats, tape), tape);
+        let (cls_map, reg_map) = (
+            cpn.cls_head.forward(&t, tape),
+            cpn.reg_head.forward(&t, tape),
+        );
+        let out = cpn.forward(&feats, tape);
+        assert_eq!(bits(&out.cls_logits), bits(&oracle_rows(&cls_map, k, 2)));
+        assert_eq!(bits(&out.reg_codes), bits(&oracle_rows(&reg_map, k, 4)));
     }
 
     #[test]

@@ -369,9 +369,10 @@ impl RhsdNetwork {
                 .collect();
             let out = head.forward(feats, &boxes, tape);
             let (mut cls_grad, mut reg_grad) = (Vec::new(), Vec::new());
-            for (i, &(_, target_class, reg_target)) in rois.iter().enumerate() {
+            let (pairs, _) = out.cls_logits.as_slice().as_chunks::<2>();
+            for (i, (&(_, target_class, reg_target), pair)) in rois.iter().zip(pairs).enumerate() {
                 let (logits, code) = (row(&out.cls_logits, i), row(&out.reg_code, i));
-                let (argmax, entropy) = logit_pair_stats(&logits);
+                let (argmax, entropy) = logit_pair_stats(pair);
                 pred_counts[argmax] += 1;
                 pred_entropy_sum += entropy;
                 let (cr, gc, gr) =
@@ -450,22 +451,17 @@ impl RhsdNetwork {
 
         // Hard negatives: top-scoring decoded proposals with low overlap.
         let probs = softmax_rows(&out.cls_logits);
-        let mut scored: Vec<(usize, f32)> = (0..self.anchors.len())
-            .map(|ai| (ai, probs.get(&[ai, CLASS_HOTSPOT])))
-            .collect();
+        let (rows, _) = probs.as_slice().as_chunks::<2>();
+        let mut scored: Vec<(usize, f32)> =
+            rows.iter().map(|p| p[CLASS_HOTSPOT]).enumerate().collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let (codes, _) = out.reg_codes.as_slice().as_chunks::<4>();
         let mut neg = 0usize;
         for &(ai, _) in scored.iter().take(needed * 4) {
             if neg >= needed / 2 {
                 break;
             }
-            let code = [
-                out.reg_codes.get(&[ai, 0]),
-                out.reg_codes.get(&[ai, 1]),
-                out.reg_codes.get(&[ai, 2]),
-                out.reg_codes.get(&[ai, 3]),
-            ];
-            let bbox = decode(&code, &self.anchors[ai]);
+            let bbox = decode(&codes[ai], &self.anchors[ai]);
             if bbox.area() < 1.0 {
                 continue;
             }
@@ -508,21 +504,17 @@ impl RhsdNetwork {
         let out = self.cpn.forward(feats, &mut Tape::inference());
         let probs = softmax_rows(&out.cls_logits);
         let mut candidates = Vec::new();
-        for (ai, anchor) in self.anchors.iter().enumerate() {
-            let score = probs.get(&[ai, CLASS_HOTSPOT]);
+        let (rows, _) = probs.as_slice().as_chunks::<2>();
+        let (codes, _) = out.reg_codes.as_slice().as_chunks::<4>();
+        for ((anchor, p), code) in self.anchors.iter().zip(rows).zip(codes) {
+            let score = p[CLASS_HOTSPOT];
             if score < STAGE1_KEEP_CUT {
                 continue; // hopeless candidates: skip for speed only
             }
-            let code = [
-                out.reg_codes.get(&[ai, 0]),
-                out.reg_codes.get(&[ai, 1]),
-                out.reg_codes.get(&[ai, 2]),
-                out.reg_codes.get(&[ai, 3]),
-            ];
             // Not clamped: clamping would shift the clip core off the
             // hotspot for detections near the region border. RoI pooling
             // clamps separately when reading features.
-            let bbox = decode(&code, anchor);
+            let bbox = decode(code, anchor);
             if bbox.area() < 1.0 {
                 continue;
             }
@@ -582,18 +574,14 @@ impl RhsdNetwork {
             let out = head.forward(feats, &rois, &mut Tape::inference());
             let probs = softmax_rows(&out.cls_logits);
             let mut refined = Vec::new();
-            for (i, p) in proposals.iter().enumerate() {
-                let score = probs.get(&[i, CLASS_HOTSPOT]);
+            let (rows, _) = probs.as_slice().as_chunks::<2>();
+            let (codes, _) = out.reg_code.as_slice().as_chunks::<4>();
+            for ((p, prob), code) in proposals.iter().zip(rows).zip(codes) {
+                let score = prob[CLASS_HOTSPOT];
                 if score < self.config.score_threshold {
                     continue;
                 }
-                let code = [
-                    out.reg_code.get(&[i, 0]),
-                    out.reg_code.get(&[i, 1]),
-                    out.reg_code.get(&[i, 2]),
-                    out.reg_code.get(&[i, 3]),
-                ];
-                let bbox = decode(&code, &p.bbox);
+                let bbox = decode(code, &p.bbox);
                 refined.push(Scored { bbox, score });
             }
             drop(sp);
@@ -654,10 +642,9 @@ fn row(t: &Tensor, i: usize) -> Tensor {
 /// Argmax index and softmax entropy (nats) of a `[2]` logit pair —
 /// numerically stable, pure read of the logits.
 ///
-/// Shapes: `logits` is the refinement head's `[2]` classification output.
-fn logit_pair_stats(logits: &Tensor) -> (usize, f32) {
-    let l0 = logits.get(&[0]);
-    let l1 = logits.get(&[1]);
+/// Shapes: `logits` is one row of the refinement head's `[n, 2]`
+/// classification output.
+fn logit_pair_stats(&[l0, l1]: &[f32; 2]) -> (usize, f32) {
     let m = l0.max(l1);
     let e0 = (l0 - m).exp();
     let e1 = (l1 - m).exp();
@@ -837,15 +824,15 @@ mod tests {
     #[test]
     fn logit_pair_stats_argmax_and_entropy() {
         // equal logits: maximal entropy ln 2, argmax ties to class 0
-        let (a, e) = logit_pair_stats(&Tensor::from_vec([2], vec![1.0, 1.0]).unwrap());
+        let (a, e) = logit_pair_stats(&[1.0, 1.0]);
         assert_eq!(a, 0);
         assert!((e - std::f32::consts::LN_2).abs() < 1e-6);
         // one-sided logits: near-zero entropy, argmax follows the winner
-        let (a, e) = logit_pair_stats(&Tensor::from_vec([2], vec![-30.0, 30.0]).unwrap());
+        let (a, e) = logit_pair_stats(&[-30.0, 30.0]);
         assert_eq!(a, 1);
         assert!(e < 1e-6, "entropy should vanish: {e}");
         // extreme magnitudes stay finite (stable softmax)
-        let (_, e) = logit_pair_stats(&Tensor::from_vec([2], vec![1e30, -1e30]).unwrap());
+        let (_, e) = logit_pair_stats(&[1e30, -1e30]);
         assert!(e.is_finite());
     }
 

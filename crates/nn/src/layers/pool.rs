@@ -33,7 +33,7 @@ impl Layer for MaxPool2d {
     }
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
-        let (dims, argmax): (Vec<usize>, Vec<usize>) = tape.pop("MaxPool2d");
+        let (dims, argmax): (Vec<usize>, Vec<u8>) = tape.pop("MaxPool2d");
         max_pool2d_backward(&dims, &argmax, grad_out)
     }
 }

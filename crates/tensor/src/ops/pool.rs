@@ -1,8 +1,10 @@
 //! Max pooling and Region-of-Interest (RoI) max pooling.
 //!
 //! Max pooling is 2×2 at stride 2 — the only pooling the networks use —
-//! and runs one output row at a time over the two input rows it reads,
-//! with a branch-free select per window on the values-only pass.
+//! and runs one output row at a time over the two input rows it reads.
+//! Its argmax is each winner's position in its window, so the backward
+//! pass writes the input gradient window by window instead of
+//! scattering into a zeroed map.
 //!
 //! RoI pooling (§3.3, Fig. 7 of the paper) transforms a variable-sized
 //! feature-map window into a fixed `H×W` grid by max-pooling each cell
@@ -11,14 +13,16 @@
 
 use crate::Tensor;
 
-/// Result of a max-pool forward pass: the pooled map plus the flat input
-/// offset of each selected maximum (needed for the backward pass).
+/// Result of a pooling forward pass: the pooled map plus, for every
+/// output element, where its maximum came from (needed for the backward
+/// pass). [`max_pool2d`] records the winner's position in its 2×2 window
+/// (`u8`), [`roi_pool`] the winner's flat input offset (`usize`).
 #[derive(Debug, Clone)]
-pub struct PoolOutput {
+pub struct PoolOutput<A = usize> {
     /// Pooled feature map `[C, H', W']` (or `[N, C, H', W']`).
     pub output: Tensor,
-    /// For every output element, the flat offset into the input that won.
-    pub argmax: Vec<usize>,
+    /// For every output element, the input that won.
+    pub argmax: Vec<A>,
 }
 
 /// The pooled extent of `n`: `⌊n / 2⌋` windows, or one over the valid
@@ -29,12 +33,14 @@ fn pooled_size(n: usize) -> usize {
 
 /// Max-pools `input` (`[C, H, W]` or `[N, C, H, W]`) over 2×2 windows
 /// at stride 2, one output row at a time, filling `argmax` (when given)
-/// with each output element's winning input offset. The first maximum
-/// of a window wins (strict `>` from `-inf`), so a window of NaNs
-/// yields `-inf` (and offset 0), and equal signed zeros keep the first
-/// one's sign. A map one pixel high or wide pools its row or column
-/// twice over, which changes nothing: a repeated value never wins.
-fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
+/// with each output element's winning window position: 0 and 1 along
+/// the window's top row, 2 and 3 along its bottom row. The first
+/// maximum of a window wins (strict `>` from `-inf`), so a window of
+/// NaNs yields `-inf` (and position 0), and equal signed zeros keep the
+/// first one's sign. A map one pixel high or wide pools its row or
+/// column twice over, which changes nothing: a repeated value (window
+/// position 2 and 3, or 1 and 3) never wins.
+fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<u8>>) -> Tensor {
     let rank = input.rank();
     assert!(
         rank == 3 || rank == 4,
@@ -53,38 +59,24 @@ fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
     }
     // The window's second row and column, repeated when the map has one.
     let (dy, dx) = (if h > 1 { w } else { 0 }, usize::from(w > 1));
-    // An empty map pools to `-inf`, as does a window of NaNs.
-    let init = (f32::NEG_INFINITY, 0);
     let rows = if h * w == 0 { 0 } else { planes * oh };
     for (r, orow) in out.chunks_exact_mut(ow).take(rows).enumerate() {
         let top = ((r / oh) * h + 2 * (r % oh)) * w;
         let (t, b) = (&iv[top..][..w], &iv[top + dy..][..w]);
-        // The window's values in scan order, with their input offsets.
+        // The window's values in position order.
         let window = |ox: usize| {
             let x = 2 * ox;
-            [
-                (t[x], top + x),
-                (t[x + dx], top + x + dx),
-                (b[x], top + dy + x),
-                (b[x + dx], top + dy + x + dx),
-            ]
-        };
-        let first_max = |(m, at): (f32, usize), (v, off): (f32, usize)| {
-            if v > m {
-                (v, off)
-            } else {
-                (m, at)
-            }
+            [t[x], t[x + dx], b[x], b[x + dx]]
         };
         match argmax.as_deref_mut() {
             None => {
                 for (ox, o) in orow.iter_mut().enumerate() {
-                    *o = window(ox).into_iter().fold(init, first_max).0;
+                    *o = first_max(window(ox)).0;
                 }
             }
             Some(a) => {
                 for (ox, (o, a)) in orow.iter_mut().zip(&mut a[r * ow..][..ow]).enumerate() {
-                    (*o, *a) = window(ox).into_iter().fold(init, first_max);
+                    (*o, *a) = first_max(window(ox));
                 }
             }
         }
@@ -95,15 +87,29 @@ fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
     Tensor::from_parts(dims, out)
 }
 
+/// A window's first maximum (strict `>` from `-inf`) and its position;
+/// `-inf` at position 0 when no value beats `-inf` (an empty map, or a
+/// window of NaNs).
+fn first_max(window: [f32; 4]) -> (f32, u8) {
+    let (mut m, mut at) = (f32::NEG_INFINITY, 0);
+    for (p, v) in (0u8..).zip(window) {
+        if v > m {
+            (m, at) = (v, p);
+        }
+    }
+    (m, at)
+}
+
 /// 2-D max pooling over `[C, H, W]` (or a batch `[N, C, H, W]`) with
 /// 2×2 windows at stride 2: `⌊H / 2⌋ × ⌊W / 2⌋` outputs, an odd last
 /// row or column left out. A map one pixel high or wide pools once
-/// over its valid extent.
+/// over its valid extent. The argmax holds each output's winning
+/// window position (see [`max_pool2d_backward`]).
 ///
 /// # Panics
 ///
 /// Panics if `input` is not rank 3 or 4.
-pub fn max_pool2d(input: &Tensor) -> PoolOutput {
+pub fn max_pool2d(input: &Tensor) -> PoolOutput<u8> {
     let mut argmax = Vec::new();
     let output = pool_with(input, Some(&mut argmax));
     PoolOutput { output, argmax }
@@ -119,32 +125,75 @@ pub fn max_pool2d_values(input: &Tensor) -> Tensor {
     pool_with(input, None)
 }
 
-/// Backward pass of [`max_pool2d`]: routes each output gradient to the
-/// input position that produced the maximum.
+/// Backward pass of [`max_pool2d`]: each output gradient goes to the
+/// window position that won (`argmax`, 0–3 in the window's row-major
+/// order). The input gradient is written window by window, in one pass:
+/// the winner gets `0.0 + g` (so a `-0.0` gradient lands as `+0.0`,
+/// and NaNs pass through), every other input `+0.0`, including an odd
+/// last row or column that no window reads. Windows never overlap, so
+/// this equals adding each gradient onto a zero map at its winner.
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` length differs from `argmax` length.
-pub fn max_pool2d_backward(input_shape: &[usize], argmax: &[usize], grad_out: &Tensor) -> Tensor {
-    route_to_argmax(input_shape, argmax, grad_out.as_slice())
-}
-
-/// Adds each gradient to the input offset that won its window, in
-/// output order.
-fn route_to_argmax(input_shape: &[usize], argmax: &[usize], grad_out: &[f32]) -> Tensor {
-    assert_eq!(
-        grad_out.len(),
-        argmax.len(),
-        "grad_out length {} != argmax length {}",
-        grad_out.len(),
-        argmax.len()
+/// Panics if `input_shape` is not rank 3 or 4, or if `grad_out` or
+/// `argmax` does not hold one entry per pooled output.
+pub fn max_pool2d_backward(input_shape: &[usize], argmax: &[u8], grad_out: &Tensor) -> Tensor {
+    let rank = input_shape.len();
+    assert!(
+        rank == 3 || rank == 4,
+        "max_pool2d_backward expects [C,H,W] or [N,C,H,W], got {input_shape:?}"
     );
-    let mut grad_in = Tensor::zeros(input_shape);
-    let gi = grad_in.as_mut_slice();
-    for (g, &off) in grad_out.iter().zip(argmax) {
-        gi[off] += *g;
+    let (h, w) = (input_shape[rank - 2], input_shape[rank - 1]);
+    let planes: usize = input_shape[..rank - 2].iter().product();
+    let (oh, ow) = (pooled_size(h), pooled_size(w));
+    let go = grad_out.as_slice();
+    assert_eq!(
+        (go.len(), argmax.len()),
+        (planes * oh * ow, planes * oh * ow),
+        "grad_out and argmax must hold one entry per pooled output"
+    );
+    if h * w == 0 {
+        return Tensor::zeros(input_shape);
     }
-    grad_in
+    let mut gi = Vec::with_capacity(planes * h * w);
+    // One row of windows at a time, written in full into `pair` (an odd
+    // last column stays `+0.0`) and appended: its top row takes window
+    // positions 0 and 1, its bottom row 2 and 3. A one-pixel-high map
+    // appends the top row alone; on a one-pixel-wide map positions 1
+    // and 3 repeat 0 and 2 and never win.
+    let mut pair = vec![0.0f32; 2 * w];
+    let window_rows = h.min(2) * w;
+    let plane_out = oh * ow;
+    for (g, a) in go
+        .chunks_exact(plane_out)
+        .zip(argmax.chunks_exact(plane_out))
+    {
+        for (g, a) in g.chunks_exact(ow).zip(a.chunks_exact(ow)) {
+            for (first, row) in (0u8..).step_by(2).zip(pair.chunks_exact_mut(w)) {
+                // The winner's offset from the row's first position: 0
+                // or 1 if it lies in this row.
+                let pick = |a: u8, g: f32, p: u8| {
+                    if a.wrapping_sub(first) == p {
+                        0.0 + g
+                    } else {
+                        0.0
+                    }
+                };
+                if w == 1 {
+                    row[0] = pick(a[0], g[0], 0);
+                }
+                for (o, (&a, &g)) in row.as_chunks_mut::<2>().0.iter_mut().zip(a.iter().zip(g)) {
+                    *o = [pick(a, g, 0), pick(a, g, 1)];
+                }
+            }
+            gi.extend_from_slice(&pair[..window_rows]);
+        }
+        if h > 1 && h % 2 == 1 {
+            // The odd last row: no window reads it.
+            gi.extend(std::iter::repeat_n(0.0, w));
+        }
+    }
+    Tensor::from_parts(input_shape, gi)
 }
 
 /// A region of interest on a feature map, in feature-map pixel coordinates.
@@ -215,7 +264,8 @@ pub fn roi_pool_values(input: &Tensor, rois: &[FeatureRoi], out_h: usize, out_w:
 }
 
 /// RoI-pools `rois` from `input`, calling `winner(input offset)` for
-/// every output element in order.
+/// every output element in order. Each RoI's row and column bins are
+/// computed once and shared by all its channels.
 fn roi_pool_with(
     input: &Tensor,
     rois: &[FeatureRoi],
@@ -232,27 +282,24 @@ fn roi_pool_with(
     let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
     let iv = input.as_slice();
     let mut out = Vec::with_capacity(rois.len() * c * out_h * out_w);
+    let (mut row_bins, mut col_bins) = (Vec::with_capacity(out_h), Vec::with_capacity(out_w));
     for roi in rois {
         let roi = roi.clamped(h, w);
-        let rh = roi.y1 - roi.y0;
-        let rw = roi.x1 - roi.x0;
+        row_bins.clear();
+        row_bins.extend((0..out_h).map(|i| bin(roi.y0, roi.y1, i, out_h)));
+        col_bins.clear();
+        col_bins.extend((0..out_w).map(|j| bin(roi.x0, roi.x1, j, out_w)));
         for ci in 0..c {
-            for i in 0..out_h {
-                let y_lo = roi.y0 + i * rh / out_h;
-                let y_hi = roi.y0 + ((i + 1) * rh).div_ceil(out_h);
-                let y_hi = y_hi.max(y_lo + 1).min(roi.y1.max(y_lo + 1));
-                for j in 0..out_w {
-                    let x_lo = roi.x0 + j * rw / out_w;
-                    let x_hi = roi.x0 + ((j + 1) * rw).div_ceil(out_w);
-                    let x_hi = x_hi.max(x_lo + 1).min(roi.x1.max(x_lo + 1));
+            for &(y_lo, y_hi) in &row_bins {
+                for &(x_lo, x_hi) in &col_bins {
                     let mut best = f32::NEG_INFINITY;
                     let mut best_off = (ci * h + y_lo) * w + x_lo;
                     for y in y_lo..y_hi {
-                        for x in x_lo..x_hi {
-                            let off = (ci * h + y) * w + x;
-                            if iv[off] > best {
-                                best = iv[off];
-                                best_off = off;
+                        let base = (ci * h + y) * w;
+                        for (x, &v) in iv[base..][x_lo..x_hi].iter().enumerate() {
+                            if v > best {
+                                best = v;
+                                best_off = base + x_lo + x;
                             }
                         }
                     }
@@ -265,6 +312,15 @@ fn roi_pool_with(
     Tensor::from_parts([rois.len(), c, out_h, out_w], out)
 }
 
+/// Cell `i` of `n` over the clamped RoI extent `[lo, hi)`:
+/// `[lo + ⌊i·len/n⌋, lo + ⌈(i+1)·len/n⌉)` for `len = hi - lo ≥ 1`. Such
+/// a cell is never empty (`⌈x + len/n⌉ > ⌊x⌋`) and ends at `hi` at the
+/// latest (`i < n`).
+fn bin(lo: usize, hi: usize, i: usize, n: usize) -> (usize, usize) {
+    let len = hi - lo;
+    (lo + i * len / n, lo + ((i + 1) * len).div_ceil(n))
+}
+
 /// Backward pass of [`roi_pool`] for one RoI: routes `grad_out` (that
 /// RoI's `[C, out_h, out_w]` gradient) to the map offsets in `argmax`
 /// (the same RoI's slice of [`PoolOutput::argmax`]), summing in output
@@ -274,13 +330,25 @@ fn roi_pool_with(
 ///
 /// Panics if `grad_out` length differs from `argmax` length.
 pub fn roi_pool_backward(input_shape: &[usize], argmax: &[usize], grad_out: &[f32]) -> Tensor {
-    route_to_argmax(input_shape, argmax, grad_out)
+    assert_eq!(
+        grad_out.len(),
+        argmax.len(),
+        "grad_out length {} != argmax length {}",
+        grad_out.len(),
+        argmax.len()
+    );
+    let mut grad_in = Tensor::zeros(input_shape);
+    let gi = grad_in.as_mut_slice();
+    for (g, &off) in grad_out.iter().zip(argmax) {
+        gi[off] += *g;
+    }
+    grad_in
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
@@ -364,31 +432,102 @@ mod tests {
 
     /// The 2×2 window by its definition: rows `2·oy..2·oy + 2` and
     /// columns `2·ox..2·ox + 2` clipped to the map, scanned row by row
-    /// with strict `>` from `-inf` and offset 0.
-    fn reference_pool(x: &Tensor) -> (Vec<f32>, Vec<usize>) {
+    /// with strict `>` from `-inf` and position 0; the position counts
+    /// 0, 1 along the window's top row and 2, 3 along its bottom row.
+    fn reference_pool(x: &Tensor) -> (Vec<f32>, Vec<u8>) {
         let rank = x.rank();
         let (h, w) = (x.dim(rank - 2), x.dim(rank - 1));
         let planes: usize = x.dims()[..rank - 2].iter().product();
         let (oh, ow) = (pooled_size(h), pooled_size(w));
-        let (mut vals, mut offs) = (Vec::new(), Vec::new());
+        let (mut vals, mut wins) = (Vec::new(), Vec::new());
         for ci in 0..planes {
             for oy in 0..oh {
                 for ox in 0..ow {
                     let (mut best, mut at) = (f32::NEG_INFINITY, 0);
                     for y in 2 * oy..(2 * oy + 2).min(h) {
                         for xx in 2 * ox..(2 * ox + 2).min(w) {
-                            let off = (ci * h + y) * w + xx;
-                            if x.as_slice()[off] > best {
-                                (best, at) = (x.as_slice()[off], off);
+                            let v = x.as_slice()[(ci * h + y) * w + xx];
+                            if v > best {
+                                best = v;
+                                at = (2 * (y - 2 * oy) + xx - 2 * ox) as u8;
                             }
                         }
                     }
                     vals.push(best);
-                    offs.push(at);
+                    wins.push(at);
                 }
             }
         }
-        (vals, offs)
+        (vals, wins)
+    }
+
+    /// The scatter [`max_pool2d_backward`] replaced: a zero map, onto
+    /// which each gradient is added at its window's winning input, in
+    /// output order. On a one-pixel-high (or -wide) map the window's
+    /// second row (column) is its first again.
+    fn scatter_backward(dims: &[usize], argmax: &[u8], grad: &[f32]) -> Tensor {
+        let rank = dims.len();
+        let (h, w) = (dims[rank - 2], dims[rank - 1]);
+        let (oh, ow) = (pooled_size(h), pooled_size(w));
+        let (dy, dx) = (usize::from(h > 1), usize::from(w > 1));
+        let mut gi = Tensor::zeros(dims);
+        for (o, (&a, &g)) in argmax.iter().zip(grad).enumerate() {
+            let (plane, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+            let y = 2 * oy + dy * usize::from(a / 2);
+            let x = 2 * ox + dx * usize::from(a % 2);
+            gi.as_mut_slice()[(plane * h + y) * w + x] += g;
+        }
+        gi
+    }
+
+    #[test]
+    fn pool_backward_equals_the_scatter_onto_zeros() {
+        // -0.0 and NaN gradients (the winner's `0.0 + g` must read as the
+        // scatter's), odd sizes (an unread last row or column), one-pixel
+        // maps and rank-4 batches; inputs with ties and NaN windows.
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let nan_payload = f32::from_bits(0x7fc0_0abc);
+        let specials = [-0.0, 0.0, f32::NAN, -nan_payload, 1.5, -2.0];
+        for dims in [
+            vec![1, 4, 4],
+            vec![2, 5, 7],
+            vec![3, 1, 6],
+            vec![2, 7, 1],
+            vec![1, 1, 1],
+            vec![2, 1, 5],
+            vec![3, 2, 3, 5],
+            vec![2, 3, 1, 9],
+            vec![1, 12, 33, 31],
+        ] {
+            let mut x = Tensor::rand_normal(dims.as_slice(), 0.0, 1.0, &mut rng);
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                match i % 7 {
+                    0 => *v = 0.0,
+                    3 => *v = -0.0,
+                    5 if i % 3 == 0 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+            let p = max_pool2d(&x);
+            let mut g = Tensor::rand_normal(p.output.dims(), 0.0, 1.0, &mut rng);
+            for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
+                if i % 2 == 0 {
+                    *v = specials[i / 2 % specials.len()];
+                }
+            }
+            let direct = max_pool2d_backward(x.dims(), &p.argmax, &g);
+            let scatter = scatter_backward(x.dims(), &p.argmax, g.as_slice());
+            assert_eq!(direct.dims(), x.dims());
+            assert_eq!(bits(&direct), bits(&scatter), "{dims:?}");
+            // Every winner position is one the scan can pick.
+            let (_, wins) = reference_pool(&x);
+            assert_eq!(p.argmax, wins, "{dims:?}");
+        }
+        // An all -0.0 gradient lands as +0.0 on the winners too.
+        let x = Tensor::from_vec([1, 2, 3], vec![1., 5., 9., 2., 3., 9.]).unwrap();
+        let p = max_pool2d(&x);
+        let g = max_pool2d_backward(x.dims(), &p.argmax, &Tensor::full([1, 1, 1], -0.0));
+        assert!(g.as_slice().iter().all(|v| v.to_bits() == 0), "{g:?}");
     }
 
     #[test]
@@ -431,20 +570,20 @@ mod tests {
                     v[off] = z;
                 }
             }
-            let (vals, offs) = reference_pool(&x);
+            let (vals, wins) = reference_pool(&x);
             let p = max_pool2d(&x);
             let v = max_pool2d_values(&x);
             let want: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits(&p.output), want, "{dims:?} values");
             assert_eq!(bits(&v), want, "{dims:?} values-only pass");
-            assert_eq!(p.argmax, offs, "{dims:?} argmax");
+            assert_eq!(p.argmax, wins, "{dims:?} argmax");
             let r = x.rank();
             assert_eq!(
                 p.output.dims()[r - 2..],
                 [pooled_size(x.dim(r - 2)), pooled_size(x.dim(r - 1))]
             );
         }
-        // An all-NaN window pools to -inf, routed to offset 0.
+        // An all-NaN window pools to -inf, routed to its first position.
         let x = Tensor::from_vec([1, 2, 2], vec![f32::NAN; 4]).unwrap();
         let p = max_pool2d(&x);
         assert_eq!(p.output.as_slice(), &[f32::NEG_INFINITY]);
@@ -473,8 +612,7 @@ mod tests {
                 &batch.output.as_slice()[i * out..][..out],
                 one.output.as_slice()
             );
-            let shifted: Vec<usize> = one.argmax.iter().map(|a| a + i * plane).collect();
-            assert_eq!(&batch.argmax[i * out..][..out], &shifted[..]);
+            assert_eq!(&batch.argmax[i * out..][..out], &one.argmax[..]);
         }
     }
 
@@ -502,6 +640,101 @@ mod tests {
         assert_eq!(values, batch.output);
         let empty = roi_pool(&x, &[], 7, 7);
         assert_eq!(empty.output.dims(), &[0, 3, 7, 7]);
+    }
+
+    /// RoI pooling cell by cell, by the documented definition: the RoI
+    /// clamped to at least one pixel inside the map, cell `(i, j)` over
+    /// `[⌊i·h/out_h⌋, ⌈(i+1)·h/out_h⌉) × [⌊j·w/out_w⌋, ⌈(j+1)·w/out_w⌉)`
+    /// of it (at least one pixel), scanned row by row with strict `>`
+    /// from `-inf` and the cell's first pixel.
+    fn reference_roi_pool(
+        x: &Tensor,
+        rois: &[FeatureRoi],
+        out_h: usize,
+        out_w: usize,
+    ) -> (Vec<f32>, Vec<usize>) {
+        let (c, h, w) = (x.dim(0), x.dim(1), x.dim(2));
+        let (mut vals, mut offs) = (Vec::new(), Vec::new());
+        for roi in rois {
+            let x0 = roi.x0.min(w - 1);
+            let y0 = roi.y0.min(h - 1);
+            let x1 = roi.x1.max(x0 + 1).min(w);
+            let y1 = roi.y1.max(y0 + 1).min(h);
+            let (rh, rw) = (y1 - y0, x1 - x0);
+            for ci in 0..c {
+                for i in 0..out_h {
+                    for j in 0..out_w {
+                        let ya = y0 + i * rh / out_h;
+                        let yb =
+                            (y0 + ((i + 1) * rh).div_ceil(out_h)).clamp(ya + 1, y1.max(ya + 1));
+                        let xa = x0 + j * rw / out_w;
+                        let xb =
+                            (x0 + ((j + 1) * rw).div_ceil(out_w)).clamp(xa + 1, x1.max(xa + 1));
+                        let (mut best, mut at) = (f32::NEG_INFINITY, (ci * h + ya) * w + xa);
+                        for y in ya..yb {
+                            for xx in xa..xb {
+                                let off = (ci * h + y) * w + xx;
+                                if x.as_slice()[off] > best {
+                                    (best, at) = (x.as_slice()[off], off);
+                                }
+                            }
+                        }
+                        vals.push(best);
+                        offs.push(at);
+                    }
+                }
+            }
+        }
+        (vals, offs)
+    }
+
+    #[test]
+    fn roi_pool_matches_the_per_cell_definition() {
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let (c, h, w) = (4, 11, 9);
+        let mut x = Tensor::rand_normal([c, h, w], 0.0, 1.0, &mut rng);
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+            match i % 11 {
+                1 => *v = f32::NAN,
+                4 => *v = 0.0,
+                7 => *v = -0.0,
+                _ => {}
+            }
+        }
+        // An all-NaN block and an all-±0.0 block, so whole cells tie.
+        for y in 2..5 {
+            for xx in 1..4 {
+                x.set(&[1, y, xx], f32::NAN);
+                x.set(&[2, y, xx], if (y + xx) % 2 == 0 { 0.0 } else { -0.0 });
+            }
+        }
+        let mut rois = vec![
+            FeatureRoi::new(3, 0, 4, h),          // one pixel wide
+            FeatureRoi::new(0, 6, w, 7),          // one pixel high
+            FeatureRoi::new(0, 0, w, h),          // larger than 7×7
+            FeatureRoi::new(2, 3, 5, 6),          // smaller than 7×7
+            FeatureRoi::new(1, 2, 4, 5),          // the NaN / ±0.0 blocks
+            FeatureRoi::new(0, 0, 1, 1),          // top-left corner
+            FeatureRoi::new(w - 1, h - 1, w, h),  // bottom-right corner
+            FeatureRoi::new(w + 4, 2, w + 9, 6),  // clamped at the right
+            FeatureRoi::new(2, h + 2, 6, h + 30), // clamped at the bottom
+            FeatureRoi::new(0, 0, 3 * w, 3 * h),  // clamped past both
+        ];
+        while rois.len() < 40 {
+            let (x0, y0) = (rng.gen_range(0..w + 3), rng.gen_range(0..h + 3));
+            let (rw, rh) = (rng.gen_range(0..=w), rng.gen_range(0..=h));
+            rois.push(FeatureRoi::new(x0, y0, x0 + rw, y0 + rh));
+        }
+        for (out_h, out_w) in [(7, 7), (3, 5), (1, 1)] {
+            let (vals, offs) = reference_roi_pool(&x, &rois, out_h, out_w);
+            let p = roi_pool(&x, &rois, out_h, out_w);
+            let want: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(p.output.dims(), &[rois.len(), c, out_h, out_w]);
+            assert_eq!(bits(&p.output), want, "{out_h}×{out_w} values");
+            assert_eq!(p.argmax, offs, "{out_h}×{out_w} argmax");
+            let v = roi_pool_values(&x, &rois, out_h, out_w);
+            assert_eq!(bits(&v), want, "{out_h}×{out_w} values-only pass");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::fmt;
 /// let s = Shape::new(vec![2, 3, 4]);
 /// assert_eq!(s.rank(), 3);
 /// assert_eq!(s.len(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
+/// assert_eq!(s.offset(&[1, 2, 3]), 12 + 2 * 4 + 3);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
@@ -58,16 +58,9 @@ impl Shape {
         self.0[axis]
     }
 
-    /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.rank()];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
-    /// Flattens a multi-dimensional index into a linear offset.
+    /// Flattens a multi-dimensional index into a linear offset: the
+    /// row-major offset by Horner's rule, `((i₀·d₁ + i₁)·d₂ + i₂)…`,
+    /// with no allocation.
     ///
     /// # Panics
     ///
@@ -82,39 +75,14 @@ impl Shape {
             self.rank()
         );
         let mut off = 0;
-        let strides = self.strides();
-        for (axis, (&i, &s)) in index.iter().zip(strides.iter()).enumerate() {
+        for (axis, (&i, &d)) in index.iter().zip(&self.0).enumerate() {
             assert!(
-                i < self.0[axis],
-                "index {i} out of bounds for axis {axis} with size {}",
-                self.0[axis]
+                i < d,
+                "index {i} out of bounds for axis {axis} with size {d}"
             );
-            off += i * s;
+            off = off * d + i;
         }
         off
-    }
-
-    /// Inverse of [`Shape::offset`]: converts a linear offset to coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset >= self.len()`.
-    pub fn coords(&self, offset: usize) -> Vec<usize> {
-        assert!(
-            offset < self.len(),
-            "offset {offset} out of bounds for shape with {} elements",
-            self.len()
-        );
-        let mut rem = offset;
-        let strides = self.strides();
-        strides
-            .iter()
-            .map(|&s| {
-                let c = rem / s;
-                rem %= s;
-                c
-            })
-            .collect()
     }
 }
 
@@ -183,39 +151,61 @@ mod tests {
         assert!(s.is_empty());
     }
 
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::from([2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::from([5]).strides(), vec![1]);
-        assert_eq!(Shape::new(vec![]).strides(), Vec::<usize>::new());
+    /// Every index of `dims` in row-major order (the last axis fastest).
+    fn indices(dims: &[usize]) -> Vec<Vec<usize>> {
+        dims.iter().fold(vec![vec![]], |acc, &d| {
+            acc.into_iter()
+                .flat_map(|idx| {
+                    (0..d).map(move |i| {
+                        let mut next = idx.clone();
+                        next.push(i);
+                        next
+                    })
+                })
+                .collect()
+        })
     }
 
     #[test]
-    fn offset_and_coords_roundtrip() {
-        let s = Shape::from([2, 3, 4]);
-        for off in 0..s.len() {
-            let c = s.coords(off);
-            assert_eq!(s.offset(&c), off);
+    fn offset_matches_the_row_major_formula() {
+        for dims in [vec![2, 3, 4], vec![5], vec![1, 1, 7, 3], vec![]] {
+            let s = Shape::new(dims.clone());
+            let all = indices(&dims);
+            assert_eq!(all.len(), s.len(), "{dims:?}");
+            for (n, idx) in all.iter().enumerate() {
+                // Σ iₐ · Π_{b>a} d_b, spelled out.
+                let formula: usize = (0..dims.len())
+                    .map(|a| idx[a] * dims[a + 1..].iter().product::<usize>())
+                    .sum();
+                assert_eq!(s.offset(idx), formula, "{dims:?} at {idx:?}");
+                assert_eq!(formula, n, "row-major order");
+            }
         }
+        assert_eq!(Shape::from([2, 3, 4]).offset(&[1, 2, 3]), 12 + 2 * 4 + 3);
     }
 
     #[test]
-    fn offset_matches_manual_calculation() {
-        let s = Shape::from([2, 3, 4]);
-        assert_eq!(s.offset(&[1, 2, 3]), 12 + 2 * 4 + 3);
-        assert_eq!(s.offset(&[0, 0, 0]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "index 2 out of bounds for axis 0 with size 2")]
     fn offset_rejects_out_of_bounds() {
         Shape::from([2, 2]).offset(&[2, 0]);
     }
 
     #[test]
-    #[should_panic(expected = "rank")]
+    #[should_panic(expected = "index 3 out of bounds for axis 2 with size 3")]
+    fn offset_rejects_out_of_bounds_on_the_last_axis() {
+        Shape::from([1, 1, 3]).offset(&[0, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index rank 1 != shape rank 2")]
     fn offset_rejects_wrong_rank() {
         Shape::from([2, 2]).offset(&[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index rank 1 != shape rank 0")]
+    fn offset_rejects_an_index_into_a_scalar() {
+        Shape::new(vec![]).offset(&[0]);
     }
 
     #[test]

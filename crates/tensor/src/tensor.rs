@@ -96,10 +96,26 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Creates a tensor by evaluating `f` at every coordinate.
+    /// Creates a tensor by evaluating `f` at every coordinate, in
+    /// row-major order (once, at `&[]`, for a rank-0 shape; never for an
+    /// empty one).
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> f32) -> Self {
         let shape = shape.into();
-        let data = (0..shape.len()).map(|off| f(&shape.coords(off))).collect();
+        let len = shape.len();
+        let dims = shape.dims();
+        let mut data = Vec::with_capacity(len);
+        // One odometer: bump the last axis, carrying into earlier ones.
+        let mut coord = vec![0usize; dims.len()];
+        for _ in 0..len {
+            data.push(f(&coord));
+            for (c, &d) in coord.iter_mut().zip(dims).rev() {
+                *c += 1;
+                if *c < d {
+                    break;
+                }
+                *c = 0;
+            }
+        }
         Tensor { shape, data }
     }
 
@@ -360,6 +376,42 @@ mod tests {
     fn from_fn_sees_coordinates() {
         let t = Tensor::from_fn([2, 3], |c| (c[0] * 10 + c[1]) as f32);
         assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
+    }
+
+    #[test]
+    fn from_fn_visits_coordinates_in_row_major_order() {
+        for dims in [vec![2, 3, 4], vec![5], vec![1, 1, 7, 3], vec![3, 1, 2]] {
+            let shape = Shape::new(dims.clone());
+            let mut seen = Vec::new();
+            let t = Tensor::from_fn(shape.clone(), |c| {
+                seen.push(c.to_vec());
+                seen.len() as f32
+            });
+            assert_eq!(seen.len(), shape.len(), "{dims:?}");
+            for (n, c) in seen.iter().enumerate() {
+                assert_eq!(shape.offset(c), n, "{dims:?}: call {n} saw {c:?}");
+                assert_eq!(t.as_slice()[n], (n + 1) as f32);
+            }
+        }
+    }
+
+    #[test]
+    fn from_fn_calls_once_at_rank_zero_and_never_when_empty() {
+        let mut calls = Vec::new();
+        let t = Tensor::from_fn(Shape::new(vec![]), |c| {
+            calls.push(c.to_vec());
+            4.5
+        });
+        assert_eq!(calls, vec![Vec::<usize>::new()]);
+        assert_eq!(t.as_slice(), &[4.5]);
+        let mut calls = 0;
+        let t = Tensor::from_fn([2, 0, 3], |_| {
+            calls += 1;
+            1.0
+        });
+        assert_eq!(calls, 0);
+        assert!(t.is_empty());
+        assert_eq!(t.dims(), &[2, 0, 3]);
     }
 
     #[test]

@@ -290,15 +290,23 @@ fn l5_no_raw_threads(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Vio
 }
 
 /// Files subject to the L12 extension of the no-loop-alloc rule: the
-/// litho aerial/window simulation and the region-scan paths of
-/// rhsd-core and rhsd-serve.
+/// litho aerial/window simulation, the region-scan paths of rhsd-core
+/// and rhsd-serve, the detection heads (CPN, refinement, h-NMS and the
+/// network glue between them) and the tensor indexing they read
+/// through.
 const L12_FILES: &[&str] = &[
     "crates/litho/src/aerial.rs",
     "crates/litho/src/window.rs",
     "crates/core/src/extractor.rs",
     "crates/core/src/detector.rs",
+    "crates/core/src/cpn.rs",
+    "crates/core/src/model.rs",
+    "crates/core/src/refine.rs",
+    "crates/core/src/hnms.rs",
     "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
+    "crates/tensor/src/shape.rs",
+    "crates/tensor/src/tensor.rs",
 ];
 
 /// L6 + L12: no buffer allocation (`vec![..]` / `Vec::with_capacity`)
@@ -310,8 +318,9 @@ const L12_FILES: &[&str] = &[
 /// One-time allocations before the loop (and the workspace pool itself,
 /// which lives outside `ops/`) are fine. L6 covers the tensor op kernels
 /// (`crates/tensor/src/ops/`); L12 extends the same check to the litho
-/// aerial/window simulation and the core scan loops, now that loop
-/// detection is token-accurate.
+/// aerial/window simulation, the core scan loops, the detection heads
+/// and `Shape`/`Tensor` indexing, now that loop detection is
+/// token-accurate.
 fn l6_l12_no_loop_allocs(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
     let rule: &'static str = if file.rel_path.starts_with("crates/tensor/src/ops/") {
         "L6"
@@ -1216,6 +1225,20 @@ mod tests {
         assert_eq!(rules(&v), vec!["L12"]);
         let v = lint("crates/core/src/extractor.rs", bad);
         assert_eq!(rules(&v), vec!["L12"]);
+        // The detection heads and tensor indexing are on the list too.
+        for path in [
+            "crates/core/src/cpn.rs",
+            "crates/core/src/model.rs",
+            "crates/core/src/refine.rs",
+            "crates/core/src/hnms.rs",
+            "crates/tensor/src/shape.rs",
+            "crates/tensor/src/tensor.rs",
+        ] {
+            assert_eq!(rules(&lint(path, bad)), vec!["L12"], "{path}");
+        }
+        // Test code in those files is exempt.
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{bad}}}\n");
+        assert!(lint("crates/core/src/cpn.rs", &in_test).is_empty());
         // Not on the curated hot-path list → no rule.
         assert!(lint("crates/core/src/train.rs", bad).is_empty());
     }

@@ -11,7 +11,9 @@
 //! (`fold`), narrow-map
 //! convolutions (the CPN's 8² map, inception B's stride 2), the 2×2
 //! max-pool with and without its argmax (`max_pool2d`,
-//! `max_pool2d_values`), the
+//! `max_pool2d_values`) and its backward (`max_pool2d_backward`), the
+//! refinement head's RoI pooling with and without its argmax
+//! (`roi_pool`, `roi_pool_values`), the
 //! training `LeakyRelu` forward and backward, and the separable litho
 //! aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
 //! table, and
@@ -47,7 +49,9 @@ use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, conv2d_weight_grads, ConvS
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
 use rhsd_tensor::ops::matvec::{matvec, matvec_t};
-use rhsd_tensor::ops::pool::{max_pool2d, max_pool2d_values};
+use rhsd_tensor::ops::pool::{
+    max_pool2d, max_pool2d_backward, max_pool2d_values, roi_pool, roi_pool_values, FeatureRoi,
+};
 use rhsd_tensor::Tensor;
 
 /// One timed kernel invocation set.
@@ -298,7 +302,8 @@ fn run_cases(quick: bool) -> Vec<Case> {
     }
 
     // 2×2 max pooling at stride 2: the stem's 12×128² map and 16×64²,
-    // with the argmax a training pass keeps and values alone.
+    // with the argmax a training pass keeps and values alone, and the
+    // backward through that argmax.
     let pool_shapes: &[(usize, usize, usize)] = if quick {
         &[(12, 128, 4)]
     } else {
@@ -310,8 +315,17 @@ fn run_cases(quick: bool) -> Vec<Case> {
         cases.push(timed(active, "max_pool2d", shape.clone(), reps, || {
             max_pool2d(&x).output
         }));
-        cases.push(timed(active, "max_pool2d_values", shape, reps, || {
-            max_pool2d_values(&x)
+        cases.push(timed(
+            active,
+            "max_pool2d_values",
+            shape.clone(),
+            reps,
+            || max_pool2d_values(&x),
+        ));
+        let pooled = max_pool2d(&x);
+        let grad = filled(pooled.output.dims(), 17);
+        cases.push(timed(active, "max_pool2d_backward", shape, reps, || {
+            max_pool2d_backward(x.dims(), &pooled.argmax, &grad)
         }));
     }
 
@@ -414,6 +428,37 @@ fn run_cases(quick: bool) -> Vec<Case> {
         "40 RoIs 48->320".into(),
         roi_reps,
         || matvec_t(&fc, &fc_grads),
+    ));
+
+    // RoI max pooling as the demo head runs it: one region's 40 RoIs of
+    // the `[20, 8, 8]` backbone map into 7×7 cells, with the argmax a
+    // training pass keeps and values alone. The RoIs are the whole map,
+    // one pixel, one clamped at the border and pseudo-random windows.
+    let map = filled(&[20, 8, 8], 18);
+    let mut pool_rois = vec![
+        FeatureRoi::new(0, 0, 8, 8),
+        FeatureRoi::new(3, 4, 4, 5),
+        FeatureRoi::new(6, 5, 12, 9),
+    ];
+    for i in pool_rois.len()..rois {
+        // A coordinate in 0..8 from the noise in [-1, 1).
+        let at = |seed: u64| (((noise(seed, i) + 1.0) * 4.0) as usize).min(7);
+        let (x0, y0) = (at(19), at(20));
+        pool_rois.push(FeatureRoi::new(x0, y0, x0 + 1 + at(21), y0 + 1 + at(22)));
+    }
+    cases.push(timed(
+        active,
+        "roi_pool",
+        "40 RoIs 20x8x8->7x7".into(),
+        roi_reps,
+        || roi_pool(&map, &pool_rois, 7, 7).output,
+    ));
+    cases.push(timed(
+        active,
+        "roi_pool_values",
+        "40 RoIs 20x8x8->7x7".into(),
+        roi_reps,
+        || roi_pool_values(&map, &pool_rois, 7, 7),
     ));
 
     // Aerial shapes at the EUV nominal sigma (region-raster scale).
@@ -551,8 +596,12 @@ mod tests {
         assert!(kernels.contains(&"aerial"));
         // A narrow-map forward row, and both max-pool passes.
         assert!(shapes("conv2d").contains(&"20x8x8->32 k3s1p1"));
-        for family in ["max_pool2d", "max_pool2d_values"] {
+        for family in ["max_pool2d", "max_pool2d_values", "max_pool2d_backward"] {
             assert!(shapes(family).contains(&"12x128x128"), "{family}");
+        }
+        // The demo head's RoI pooling, with and without its argmax.
+        for family in ["roi_pool", "roi_pool_values"] {
+            assert_eq!(shapes(family), ["40 RoIs 20x8x8->7x7"], "{family}");
         }
         for family in ["roi_conv2d", "roi_fc"] {
             let shapes: Vec<&str> = cases

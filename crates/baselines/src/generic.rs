@@ -14,9 +14,8 @@
 //! - conventional whole-box NMS instead of core-aware h-NMS,
 //! - (SSD) single-shot: no refinement stage at all.
 
-use rand::Rng;
-use rhsd_core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
-use rhsd_data::{RegionConfig, RegionSample};
+use rhsd_core::RhsdConfig;
+use rhsd_data::RegionConfig;
 
 /// Faster R-CNN-style configuration: two-stage, 9 generic anchors,
 /// conventional NMS, no layout-specific front end.
@@ -46,37 +45,12 @@ pub fn ssd_config(region: &RegionConfig) -> RhsdConfig {
     cfg
 }
 
-/// Builds and trains a Faster R-CNN-style detector.
-pub fn train_faster_rcnn(
-    region: &RegionConfig,
-    samples: &[RegionSample],
-    tc: &TrainConfig,
-    rng: &mut impl Rng,
-) -> RegionDetector {
-    let cfg = faster_rcnn_config(region);
-    let mut net = RhsdNetwork::new(cfg, rng);
-    rhsd_core::train(&mut net, samples, tc);
-    RegionDetector::new(net, *region)
-}
-
-/// Builds and trains an SSD-style detector.
-pub fn train_ssd(
-    region: &RegionConfig,
-    samples: &[RegionSample],
-    tc: &TrainConfig,
-    rng: &mut impl Rng,
-) -> RegionDetector {
-    let cfg = ssd_config(region);
-    let mut net = RhsdNetwork::new(cfg, rng);
-    rhsd_core::train(&mut net, samples, tc);
-    RegionDetector::new(net, *region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use rhsd_core::RhsdNetwork;
 
     #[test]
     fn configs_differ_from_ours_in_the_documented_ways() {

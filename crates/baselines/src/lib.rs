@@ -17,5 +17,5 @@ pub mod generic;
 pub mod tcad18;
 
 pub use eval::{average_row, evaluate_layout, CaseResult, LayoutClip};
-pub use generic::{faster_rcnn_config, ssd_config, train_faster_rcnn, train_ssd};
+pub use generic::{faster_rcnn_config, ssd_config};
 pub use tcad18::{Tcad18Config, Tcad18Detector};

@@ -2,16 +2,19 @@
 //! of a transposed convolution, both over `[C, H, W]` maps, with no
 //! column matrix.
 //!
-//! Both run register tiles over `NR`-pixel strips of an output row:
-//! `MRR` output channels × one strip, or — when the last channel block
-//! is a single channel — that channel × up to `MRR` adjacent strips.
-//! Each tile row reads its `B` rows at constant per-step offsets from a
-//! band of the source map copied into `workspace` scratch: per task,
-//! the rows its band of output rows reads, refilled band by band, with
-//! `NR` slack values after the last row for the lanes past a row's end,
-//! which are never stored. No strip gathers its inputs lane by lane.
+//! Both run *runs*: one kernel call per output row and block of `MRR`
+//! output channels covers every `NR`-pixel strip of the row, each
+//! strip's chains in registers from start to store, the bias added in
+//! registers and the row's last partial strip stored under a lane mask.
+//! When the last channel block is a single channel, that channel runs
+//! in up to `MRR` equal segments of the row instead. Each run row reads
+//! its `B` rows at constant per-step offsets from a band of the source
+//! map copied into `workspace` scratch: per task, the rows its band of
+//! output rows reads, refilled band by band, with `NR` slack values
+//! after the last row for the lanes past a row's end, which are never
+//! stored. No strip gathers its inputs lane by lane.
 //!
-//! * **Forward** ([`conv_into`], [`kernels::conv_micro`] tiles): one
+//! * **Forward** ([`conv_into`], [`kernels::conv_micro`] runs): one
 //!   chain per output element over the taps `(ci, ky, kx)` in ascending
 //!   order, starting at `+0.0`. The band is zero-padded: `p` zero
 //!   columns on each side of every row and zero rows above and below
@@ -23,20 +26,20 @@
 //!   too. An unpadded stride-1 map is its own padded band, and is read
 //!   where it lies whenever its last strip's `B` rows end inside the
 //!   batch.
-//! * **Fold** ([`fold_into`], [`kernels::fold_micro`] tiles): the
+//! * **Fold** ([`fold_into`], [`kernels::fold_micro`] runs): the
 //!   adjoint, `col2im(Wᵀ · g)`. The band stores source column `gx` at
 //!   `lead + s · gx` of its row, so at every stride each tap's lanes
 //!   are contiguous. A strip first lists its taps `(ky, kx)` in
 //!   ascending order with the lane mask of the pixels whose source lies
 //!   inside the map at a whole stride; the interior strips of a row
-//!   share one list. Each tile then keeps its accumulators in registers
-//!   across the whole list: per tap a fresh `+0.0` chain over the
-//!   source channels — one element of the column matrix `Wᵀ · g` —
-//!   added in the tap's lanes. Masked lanes keep their accumulator
-//!   bits, just as `col2im` never adds them; a masked lane may have
-//!   read anything, the band's zeros included. These are `col2im`'s two
-//!   levels of rounding in its order: ascending taps per output pixel,
-//!   each tap one `Wᵀ · g` element.
+//!   share one list and run as one. Each strip keeps its accumulators
+//!   in registers across the whole list: per tap a fresh `+0.0` chain
+//!   over the source channels — one element of the column matrix
+//!   `Wᵀ · g` — added in the tap's lanes. Masked lanes keep their
+//!   accumulator bits, just as `col2im` never adds them; a masked lane
+//!   may have read anything, the band's zeros included. These are
+//!   `col2im`'s two levels of rounding in its order: ascending taps per
+//!   output pixel, each tap one `Wᵀ · g` element.
 //!
 //! Both take a batch of `n` maps and run it map by map. Tasks own whole
 //! bands of output rows, at least `NC` pixels each, across every
@@ -49,14 +52,14 @@
 use std::ops::Range;
 
 use super::conv::ConvSpec;
-use super::kernels::{self, FoldSrc, FoldTap, NR};
+use super::kernels::{self, FoldTap, Src, NR};
 use crate::workspace;
 
 /// Minimum output pixels per parallel task, and per band of a task's
 /// padded copy.
 const NC: usize = 2048;
 
-/// Every lane of a tile row.
+/// Every lane of a strip.
 const ALL_LANES: u8 = u8::MAX;
 
 /// A batch of `n` row-major `[c, h, w]` maps, stored `[n, c, h, w]`.
@@ -81,7 +84,8 @@ impl<'a> Map<'a> {
     }
 }
 
-/// Dispatches a tile method on its runtime row count.
+/// Dispatches a tile or run method, or function, on its runtime row
+/// count.
 macro_rules! tile {
     ($rows:expr, $op:ident . $f:ident ( $($arg:expr),* )) => {
         match $rows {
@@ -93,6 +97,19 @@ macro_rules! tile {
             6 => $op.$f::<6>($($arg),*),
             7 => $op.$f::<7>($($arg),*),
             8 => $op.$f::<8>($($arg),*),
+            _ => unreachable!("register tiles have 1..=8 rows"),
+        }
+    };
+    ($rows:expr, $f:ident ( $($arg:expr),* )) => {
+        match $rows {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
             _ => unreachable!("register tiles have 1..=8 rows"),
         }
     };
@@ -180,36 +197,80 @@ fn for_each_map_band(
     });
 }
 
-/// The output channel and strip start of each tile row: `MRR` channels
-/// on one strip, or (`strips`) one channel on `MRR` adjacent strips.
-fn tile_rows<const MRR: usize>(c0: usize, x0: usize, strips: bool) -> ([usize; MRR], [usize; MRR]) {
-    if strips {
-        ([c0; MRR], std::array::from_fn(|r| x0 + r * NR))
-    } else {
-        (std::array::from_fn(|r| c0 + r), [x0; MRR])
-    }
+/// The pixels a run covers along one output row: `len` pixels from
+/// `x0` in each of `MRR` channels from `c`, or (`seg`) in one channel
+/// `c`, cut into `MRR` segments of `seg` pixels.
+#[derive(Clone, Copy)]
+struct Pixels {
+    c: usize,
+    x0: usize,
+    len: usize,
+    seg: Option<usize>,
 }
 
-/// Writes a finished tile to output row `row` (an offset into each
-/// channel's band), adding the channel's bias.
-fn store<const MRR: usize>(
-    planes: &mut [&mut [f32]],
-    row: usize,
-    (ch, xs): ([usize; MRR], [usize; MRR]),
-    acc: &[[f32; NR]; MRR],
-    ow: usize,
-    bias: Option<&[f32]>,
-) {
-    for r in 0..MRR {
-        let lanes = NR.min(ow - xs[r]);
-        let dst = &mut planes[ch[r]][row + xs[r]..][..lanes];
-        match bias {
-            Some(b) => {
-                for (d, &a) in dst.iter_mut().zip(&acc[r]) {
-                    *d = a + b[ch[r]];
-                }
+impl Pixels {
+    /// `len` pixels from `x0` of channels `c..`.
+    fn channels(c: usize, x0: usize, len: usize) -> Self {
+        Pixels {
+            c,
+            x0,
+            len,
+            seg: None,
+        }
+    }
+
+    /// The runs over `len` pixels from `x0` of channel `c` alone, with
+    /// their row counts: at most `mr` segments of equal whole strips,
+    /// then, when the strips do not divide evenly, one strip a row for
+    /// the rest. Every row of a run has as many strips as the others;
+    /// only the last one's last strip may be partial.
+    fn segments(c: usize, x0: usize, len: usize, mr: usize) -> impl Iterator<Item = (usize, Self)> {
+        let strips = len.div_ceil(NR);
+        let rows = mr.min(strips);
+        let per = strips.checked_div(rows).unwrap_or(0);
+        let split = (rows * per * NR).min(len);
+        let first = (rows, x0, split, per * NR);
+        let rest = (strips - rows * per, x0 + split, len - split, NR);
+        [first, rest]
+            .into_iter()
+            .filter(|&(rows, ..)| rows > 0)
+            .map(move |(rows, x0, len, seg)| {
+                let px = Pixels {
+                    c,
+                    x0,
+                    len,
+                    seg: Some(seg),
+                };
+                (rows, px)
+            })
+    }
+
+    /// A run's destination rows in output row `row` (an offset into each
+    /// channel's band), with each row's output channel and first pixel.
+    fn rows<'p, const MRR: usize>(
+        self,
+        planes: &'p mut [&mut [f32]],
+        row: usize,
+    ) -> ([&'p mut [f32]; MRR], [usize; MRR], [usize; MRR]) {
+        let Pixels { c, x0, len, seg } = self;
+        let at = row + x0;
+        match seg {
+            None => {
+                let mut planes = planes[c..].iter_mut();
+                let dst = std::array::from_fn(|_| match planes.next() {
+                    Some(p) => &mut p[at..][..len],
+                    None => unreachable!("a run has a plane per row"),
+                });
+                (dst, std::array::from_fn(|r| c + r), [x0; MRR])
             }
-            None => dst.copy_from_slice(&acc[r][..lanes]),
+            Some(seg) => {
+                let mut segs = planes[c][at..][..len].chunks_mut(seg);
+                let dst = std::array::from_fn(|_| match segs.next() {
+                    Some(s) => s,
+                    None => unreachable!("a run has a segment per row"),
+                });
+                (dst, [c; MRR], std::array::from_fn(|r| x0 + r * seg))
+            }
         }
     }
 }
@@ -236,12 +297,11 @@ fn tap_offsets(c: usize, k: usize, s: usize, rows: usize, wh: usize) -> Vec<usiz
 }
 
 /// Where a band's `B` rows lie: step `t` of the strip at `x0` reads
-/// `src[base + x0 + offs[t]..][..NR]`.
+/// `src.v[base + x0 + src.offs[t]..][..NR]`.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
-    src: &'a [f32],
+    src: Src<'a>,
     base: usize,
-    offs: &'a [usize],
 }
 
 /// A forward convolution: `x` ⊛ `wt` (`[c_out, x.c, k, k]`).
@@ -301,43 +361,32 @@ impl Forward<'_> {
         }
     }
 
-    /// One register tile of output row `row` (an offset into the band):
-    /// the whole chain of every element, from `b`.
-    fn tile<const MRR: usize>(
-        &self,
-        planes: &mut [&mut [f32]],
-        row: usize,
-        c0: usize,
-        x0: usize,
-        strips: bool,
-        b: Rows,
-    ) {
-        let (ch, xs) = tile_rows::<MRR>(c0, x0, strips);
-        let mut acc = [[0.0f32; NR]; MRR];
+    /// One run of output row `row` (an offset into the band): the whole
+    /// chain of every element of `px`, from `b`.
+    fn run<const MRR: usize>(&self, planes: &mut [&mut [f32]], row: usize, px: Pixels, b: Rows) {
+        let (dst, ch, xs) = px.rows::<MRR>(planes, row);
         let aidx = ch.map(|c| c * self.ckk);
         let bidx = xs.map(|x| b.base + x);
-        kernels::conv_micro(&mut acc, self.wt, &aidx, 1, b.src, &bidx, b.offs);
-        store(planes, row, (ch, xs), &acc, self.ow, self.bias);
+        let bias = self.bias.map(|v| ch.map(|c| v[c]));
+        kernels::conv_micro(dst, (self.wt, &aidx, 1), b.src, &bidx, 0.0, bias);
     }
 
-    /// Every tile of output row `row` (an offset into the band), its
-    /// `B` rows in `b`: channel tiles over each strip, then — when the
-    /// last channel block is a single channel — that channel in strip
-    /// tiles across the whole row.
+    /// Every run of output row `row` (an offset into the band), its `B`
+    /// rows in `b`: one per channel block across the whole row, then —
+    /// when the last channel block is a single channel — that channel
+    /// in segments of the row.
     fn row(&self, planes: &mut [&mut [f32]], row: usize, c_out: usize, b: Rows) {
         let mr = kernels::gemm_mr();
         let single = c_out % mr == 1;
         let c = c_out - usize::from(single);
         let ow = self.ow;
-        for x0 in (0..ow).step_by(NR) {
-            for c0 in (0..c).step_by(mr) {
-                tile!(mr.min(c - c0), self.tile(planes, row, c0, x0, false, b));
-            }
+        for c0 in (0..c).step_by(mr) {
+            let px = Pixels::channels(c0, 0, ow);
+            tile!(mr.min(c - c0), self.run(planes, row, px, b));
         }
         if single {
-            for x0 in (0..ow).step_by(mr * NR) {
-                let n = (ow - x0).div_ceil(NR).min(mr);
-                tile!(n, self.tile(planes, row, c, x0, true, b));
+            for (rows, px) in Pixels::segments(c, 0, ow, mr) {
+                tile!(rows, self.run(planes, row, px, b));
             }
         }
     }
@@ -368,6 +417,7 @@ pub(crate) fn conv_into(
     // `wh` values, then `NR` slack values.
     let (rows, wh) = ((band - 1) * s + k, (x.w + 2 * p).div_ceil(s));
     let copied = tap_offsets(x.c, k, s, rows, wh);
+    let copied = Src::new(&[], &copied);
     // An unpadded stride-1 map is read in place when its last strip's
     // `B` rows, which pass its end by the last strip's unused lanes,
     // end inside the batch: always when the rows fill whole strips.
@@ -375,6 +425,7 @@ pub(crate) fn conv_into(
     let past_end = ow.next_multiple_of(NR) - ow;
     let in_place = |i: usize| p == 0 && s == 1 && (x.n - 1 - i) * map_len >= past_end;
     let mapped = tap_offsets(x.c, k, 1, x.h, x.w);
+    let mapped = Src::new(x.v, &mapped);
     let copy_len = if x.n == 0 || in_place(x.n - 1) {
         0
     } else {
@@ -394,9 +445,8 @@ pub(crate) fn conv_into(
         if in_place(i) {
             for oy in y0..y1 {
                 let b = Rows {
-                    src: x.v,
+                    src: mapped,
                     base: i * map_len + oy * x.w,
-                    offs: &mapped,
                 };
                 op.row(planes, (oy - y0) * ow, c_out, b);
             }
@@ -409,11 +459,11 @@ pub(crate) fn conv_into(
         for yb in (y0..y1).step_by(band) {
             let ye = (yb + band).min(y1);
             op.pad_band(copy, yb, ye - yb, (rows, wh));
+            let src = copied.on(copy);
             for oy in yb..ye {
                 let b = Rows {
-                    src: copy,
+                    src,
                     base: (oy - yb) * s * s * wh,
-                    offs: &copied,
                 };
                 op.row(planes, (oy - y0) * ow, c_out, b);
             }
@@ -533,27 +583,24 @@ impl Fold<'_> {
         lo..hi.max(lo)
     }
 
-    /// One register tile of output row `row` (an offset into the band):
-    /// `MRR` channels from `c0` on the strip at `x0`, or (`strips`)
-    /// channel `c0` on `MRR` strips from `x0`, over every tap of `taps`,
-    /// which lists the taps of the strip at `xr`.
-    fn tile<const MRR: usize>(
+    /// One run of output row `row` (an offset into the band) over
+    /// `px`, over every tap of `taps`, which lists the taps of the
+    /// strip at `xr`.
+    fn run<const MRR: usize>(
         &self,
         planes: &mut [&mut [f32]],
         row: usize,
-        c0: usize,
-        x0: usize,
-        strips: bool,
-        (src, taps, xr): (FoldSrc, &[FoldTap], usize),
+        px: Pixels,
+        (src, taps, xr): (Src, &[FoldTap], usize),
     ) {
-        let (ch, xs) = tile_rows::<MRR>(c0, x0, strips);
+        let (dst, ch, xs) = px.rows::<MRR>(planes, row);
         let kk = self.spec.kernel * self.spec.kernel;
         // Weight `(c, o, ky, kx)` sits at `c · acs + o · k² + tap`.
         let aidx = ch.map(|o| o * kk);
         let bidx = xs.map(|x| x - xr);
-        let mut acc = [[0.0f32; NR]; MRR];
-        kernels::fold_micro(&mut acc, self.wt, &aidx, self.c_out * kk, src, &bidx, taps);
-        store(planes, row, (ch, xs), &acc, self.ow, self.bias);
+        let bias = self.bias.map(|v| ch.map(|c| v[c]));
+        let a = (self.wt, &aidx, self.c_out * kk);
+        kernels::fold_micro(dst, a, src, &bidx, taps, bias);
     }
 }
 
@@ -591,6 +638,7 @@ pub(crate) fn fold_into(
     let lead = (k - 1).saturating_sub(p);
     let (rows, width) = (band + k - 1, ow + p + lead);
     let offs: Vec<usize> = (0..g.c).map(|c| c * rows * width).collect();
+    let offs = Src::new(&[], &offs);
     let phases: Vec<u8> = (0..s)
         .map(|r| (r..NR).step_by(s).fold(0, |m, l| m | 1 << l))
         .collect();
@@ -605,7 +653,7 @@ pub(crate) fn fold_into(
     };
     let mr = kernels::gemm_mr();
     let interior = op.interior();
-    // A single last channel block tiles the interior strips instead.
+    // A single last channel block runs the interior in segments instead.
     let single = usize::from(c_out % mr == 1);
     let work = 2 * g.c * k * k * c_out;
     let dims = (g.n, c_out, oh, ow);
@@ -625,33 +673,41 @@ pub(crate) fn fold_into(
                 width,
             };
             op.pad_band(copy, band, ((ye - 1 + p) / s + 1).min(g.h));
-            let src = FoldSrc::new(copy, &offs);
+            let src = offs.on(copy);
             for y in yb..ye {
                 let row = (y - y0) * ow;
-                // The interior strips share one list, based at the first.
-                let xr = interior.start;
-                if !interior.is_empty() {
-                    op.taps(y, xr, band, &mut inner);
-                    debug_assert!(
-                        inner.iter().all(|t| t.mask == ALL_LANES),
-                        "interior strips read every lane"
-                    );
-                }
-                for x0 in (0..ow).step_by(NR) {
-                    let (c, t) = if interior.contains(&x0) {
-                        (c_out - single, (src, &inner[..], xr))
-                    } else {
-                        op.taps(y, x0, band, &mut taps);
-                        (c_out, (src, &taps[..], x0))
-                    };
-                    for c0 in (0..c).step_by(mr) {
-                        tile!(mr.min(c - c0), op.tile(planes, row, c0, x0, false, t));
+                let mut x0 = 0;
+                while x0 < ow {
+                    if x0 == interior.start && !interior.is_empty() {
+                        // The interior strips share one list, based at
+                        // the first, and run as one.
+                        op.taps(y, x0, band, &mut inner);
+                        debug_assert!(
+                            inner.iter().all(|t| t.mask == ALL_LANES),
+                            "interior strips read every lane"
+                        );
+                        let t = (src, &inner[..], x0);
+                        let (c, len) = (c_out - single, interior.len());
+                        for c0 in (0..c).step_by(mr) {
+                            let px = Pixels::channels(c0, x0, len);
+                            tile!(mr.min(c - c0), op.run(planes, row, px, t));
+                        }
+                        if single == 1 {
+                            for (rows, px) in Pixels::segments(c, x0, len, mr) {
+                                tile!(rows, op.run(planes, row, px, t));
+                            }
+                        }
+                        x0 = interior.end;
+                        continue;
                     }
-                }
-                for x0 in interior.clone().step_by(mr * NR).filter(|_| single == 1) {
-                    let n = ((interior.end - x0) / NR).min(mr);
-                    let t = (src, &inner[..], xr);
-                    tile!(n, op.tile(planes, row, c_out - 1, x0, true, t));
+                    op.taps(y, x0, band, &mut taps);
+                    let t = (src, &taps[..], x0);
+                    let len = NR.min(ow - x0);
+                    for c0 in (0..c_out).step_by(mr) {
+                        let px = Pixels::channels(c0, x0, len);
+                        tile!(mr.min(c_out - c0), op.run(planes, row, px, t));
+                    }
+                    x0 += NR;
                 }
             }
         }

@@ -2,9 +2,9 @@
 //!
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
-//! weight gradients' GEMM register tile, the in-place convolution tile
-//! (also the fully-connected products' tile), the fold
-//! tile, the training `LeakyRelu` mask pack and unpack, and the
+//! weight gradients' GEMM register tile, the in-place convolution run
+//! (also the fully-connected products' run), the fold run, the
+//! training `LeakyRelu` mask pack and unpack, and the
 //! separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
@@ -19,10 +19,11 @@
 //! implementations — they are the exact loops the pre-SIMD code ran, and
 //! every AVX2 kernel is **bit-identical** to them:
 //!
-//! - the f32 GEMM and convolution tiles issue one `mul` and one `add`
-//!   per lane per step (no FMA contraction), matching the scalar
-//!   `a += v · b` chain rounding-for-rounding;
-//! - the fold tile runs each tap's chain the same way from `+0.0`, then
+//! - the f32 GEMM tile and convolution run issue one `mul` and one
+//!   `add` per lane per step (no FMA contraction), matching the scalar
+//!   `a += v · b` chain rounding-for-rounding, and add a bias with one
+//!   `add` as the scalar store does;
+//! - the fold run runs each tap's chain the same way from `+0.0`, then
 //!   adds it in exactly the selected lanes and leaves the others' bits
 //!   untouched;
 //! - the `LeakyRelu` kernels select `x` or one `alpha · x` rounding per
@@ -180,107 +181,141 @@ pub fn gemm_micro<const MRR: usize>(
     scalar::gemm_micro(acc, av, aidx, acs, panel);
 }
 
-/// The register-tile inner loop of the in-place convolutions
-/// (`ops::direct`): [`gemm_micro`] with each `B` row read straight from
-/// a map. Accumulates `offs.len()` ascending steps into `acc`; step `t`
-/// of row `r` multiplies `A` at `aidx[r] + t · acs` by the `NR` values
-/// at `src[bidx[r] + offs[t]..]`. A tile of output channels shares one
-/// `B` base; a tile of strips along one map row shares its `A` index.
-///
-/// Every dispatch target performs, per lane, exactly `acc += a · b`
-/// with separate mul and add roundings — bit-identical to
-/// [`scalar::conv_micro`].
-///
-/// # Panics
-///
-/// Panics if an `A` index or a `B` row falls outside its slice.
-#[inline]
-pub fn conv_micro<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: &[f32],
-    bidx: &[usize; MRR],
-    offs: &[usize],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match isa() {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::conv_micro_avx2(acc, av, aidx, acs, src, bidx, offs) },
-            Isa::Scalar => scalar::conv_micro(acc, av, aidx, acs, src, bidx, offs),
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    scalar::conv_micro(acc, av, aidx, acs, src, bidx, offs);
-}
-
-/// A source of fold `B` rows: source channel `s` of a tap at `base`
-/// reads `v[base + offs[s]..][..NR]` (plus the tile row's offset).
+/// Where a run's `B` rows lie: step `s` of a row based at `base` reads
+/// `v[base + offs[s]..][..NR]`. The span is computed once, when the
+/// steps are listed, so a kernel call proves its loads in bounds
+/// without scanning them.
 #[derive(Clone, Copy)]
-pub struct FoldSrc<'a> {
+pub struct Src<'a> {
     v: &'a [f32],
     offs: &'a [usize],
     /// One past the furthest value a `B` row at `base` 0 reads.
     span: usize,
 }
 
-impl<'a> FoldSrc<'a> {
-    /// Source channel rows at `offs` in `v`.
+impl<'a> Src<'a> {
+    /// The steps at `offs` in `v`.
     pub fn new(v: &'a [f32], offs: &'a [usize]) -> Self {
         let span = offs.iter().max().map_or(0, |&o| o + NR);
-        FoldSrc { v, offs, span }
+        Src { v, offs, span }
+    }
+
+    /// The same steps in `v`, their span kept.
+    pub fn on<'b>(self, v: &'b [f32]) -> Src<'b>
+    where
+        'a: 'b,
+    {
+        Src { v, ..self }
     }
 }
 
-/// One tap of a [`fold_micro`] tile.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FoldTap {
-    /// Offset of the tap's weights from each tile row's `A` index.
-    pub a: usize,
-    /// Where the tap's `B` rows start in the source.
-    pub base: usize,
-    /// The lanes the tap adds to (bit `l` is lane `l`).
-    pub mask: u8,
-}
-
-/// The register tile of the in-place fold (`ops::direct`): for each tap
-/// in order, row `r` runs a fresh `+0.0` chain over the source
-/// channels — step `s` multiplies `A` at `aidx[r] + tap.a + s · acs` by
-/// the `NR` values at `src.v[tap.base + bidx[r] + src.offs[s]..]` — and
-/// adds that partial into `acc[r]` in the lanes of the tap's mask.
-/// Lanes outside the mask keep their accumulator bits exactly; they may
-/// have read anything. A tile of output channels shares one `B` base; a
-/// tile of strips along one map row shares its `A` index.
-///
-/// Every dispatch target performs, per lane, exactly the chain
-/// `part += a · b` with separate mul and add roundings, then one add
-/// `acc + part` — bit-identical to [`scalar::fold_micro`].
+/// The strips of a run: `⌈len / NR⌉` of every output row.
 ///
 /// # Panics
 ///
-/// Panics if an `A` index or a `B` row falls outside its slice.
+/// Panics unless every row has the same number of strips.
+fn run_strips<const MRR: usize>(out: &[&mut [f32]; MRR]) -> usize {
+    let strips = out.first().map_or(0, |o| o.len().div_ceil(NR));
+    assert!(
+        out.iter().all(|o| o.len().div_ceil(NR) == strips),
+        "run rows must have one strip count"
+    );
+    strips
+}
+
+/// The run kernel of the in-place convolutions (`ops::direct`) and the
+/// matrix–vector products: every strip of `MRR` output rows in one
+/// call, with `a` the `A` operand `(av, aidx, acs)`. Strip `j` of row `r` is `out[r][j · NR..]`, its last strip
+/// the row's last `len % NR` values when they are not a whole strip.
+/// Each lane runs one chain from `init` over `src`'s steps — step `s`
+/// multiplies `A` at `aidx[r] + s · acs` by the `NR` values at
+/// `src.v[bidx[r] + j · NR + src.offs[s]..]` — then adds `bias[r]`
+/// when there is a bias, and only the lanes inside `out[r]` are
+/// stored. Lanes past a row's end read whatever lies there and are
+/// never written. A run of output channels shares one `B` base; a run
+/// of segments of one channel's row shares its `A` index.
+///
+/// Every dispatch target performs, per lane, exactly `acc += a · b`
+/// with separate mul and add roundings, then one add of the bias —
+/// bit-identical to [`scalar::conv_micro`]. Without a bias the chain is
+/// stored as it is: `x + 0.0` is not `x` when `x` is `-0.0`.
+///
+/// # Panics
+///
+/// Panics if the rows' strip counts differ, or an `A` index or a `B`
+/// row falls outside its slice.
 #[inline]
-pub fn fold_micro<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: FoldSrc,
+pub fn conv_micro<const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
     bidx: &[usize; MRR],
-    taps: &[FoldTap],
+    init: f32,
+    bias: Option<[f32; MRR]>,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::fold_micro_avx2(acc, av, aidx, acs, src, bidx, taps) },
-            Isa::Scalar => scalar::fold_micro(acc, av, aidx, acs, src, bidx, taps),
+            Isa::Avx2 => unsafe { x86::conv_micro_avx2(out, a, src, bidx, init, bias) },
+            Isa::Scalar => scalar::conv_micro(out, a, src, bidx, init, bias),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::fold_micro(acc, av, aidx, acs, src, bidx, taps);
+    scalar::conv_micro(out, a, src, bidx, init, bias);
+}
+
+/// One tap of a [`fold_micro`] run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FoldTap {
+    /// Offset of the tap's weights from each run row's `A` index.
+    pub a: usize,
+    /// Where the tap's `B` rows start in the source, for strip 0.
+    pub base: usize,
+    /// The lanes the tap adds to (bit `l` is lane `l`), in every strip.
+    pub mask: u8,
+}
+
+/// The run kernel of the in-place fold (`ops::direct`): every strip of
+/// `MRR` output rows in one call, laid out as in [`conv_micro`]. Each
+/// lane starts at `+0.0`; for each tap in order, row `r` runs a fresh
+/// `+0.0` chain over the source channels — step `s` of strip `j`
+/// multiplies `A` at `aidx[r] + tap.a + s · acs` by the `NR` values at
+/// `src.v[tap.base + bidx[r] + j · NR + src.offs[s]..]` — and adds that
+/// partial to the lane when the tap's mask holds it. Lanes outside the
+/// mask keep their bits exactly; they may have read anything. Then the
+/// bias is added, when there is one, and the lanes inside `out[r]` are
+/// stored. A run of output channels shares one `B` base; a run of
+/// segments of one channel's row shares its `A` index.
+///
+/// Every dispatch target performs, per lane, exactly the chain
+/// `part += a · b` with separate mul and add roundings, then one add
+/// `acc + part` per tap, then one add of the bias — bit-identical to
+/// [`scalar::fold_micro`].
+///
+/// # Panics
+///
+/// Panics if the rows' strip counts differ, or an `A` index or a `B`
+/// row falls outside its slice.
+#[inline]
+pub fn fold_micro<const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
+    bidx: &[usize; MRR],
+    taps: &[FoldTap],
+    bias: Option<[f32; MRR]>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
+            Isa::Avx2 => unsafe { x86::fold_micro_avx2(out, a, src, bidx, taps, bias) },
+            Isa::Scalar => scalar::fold_micro(out, a, src, bidx, taps, bias),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::fold_micro(out, a, src, bidx, taps, bias);
 }
 
 /// Checks the slice lengths of a `LeakyRelu` mask kernel.
@@ -440,132 +475,239 @@ mod tests {
         }
     }
 
-    /// The AVX2 in-place convolution tile must equal the scalar
-    /// reference bit-for-bit: tiles sharing one `B` base, tiles with a
-    /// base per row, `B` rows at overlapping one-element shifts (a
-    /// fold's taps along one map row), and zero-padded border lanes of
-    /// either sign, as a padded band holds them.
+    /// A value past a run row's end: a NaN whose payload no kernel
+    /// produces, so a store that reaches it shows.
+    #[cfg(target_arch = "x86_64")]
+    const GUARD: u32 = 0x7fc0_dead;
+
+    /// Run rows of `lens` values, each followed by `NR` guard values.
+    #[cfg(target_arch = "x86_64")]
+    fn guarded(lens: &[usize]) -> Vec<Vec<f32>> {
+        lens.iter()
+            .map(|&l| vec![f32::from_bits(GUARD); l + NR])
+            .collect()
+    }
+
+    /// The run rows of `bufs`: the first `lens[r]` values of each.
+    #[cfg(target_arch = "x86_64")]
+    fn run_rows<'b, const MRR: usize>(
+        bufs: &'b mut [Vec<f32>],
+        lens: &[usize; MRR],
+    ) -> [&'b mut [f32]; MRR] {
+        let mut rows = bufs.iter_mut().zip(lens);
+        std::array::from_fn(|_| {
+            let (b, &l) = rows.next().unwrap();
+            &mut b[..l]
+        })
+    }
+
+    /// The bits of every row of `bufs`, guards included, after
+    /// checking that no guard moved.
+    #[cfg(target_arch = "x86_64")]
+    fn run_bits(bufs: &[Vec<f32>], lens: &[usize], what: &str) -> Vec<u32> {
+        for (b, &l) in bufs.iter().zip(lens) {
+            assert!(
+                b[l..].iter().all(|v| v.to_bits() == GUARD),
+                "{what}: a store passed the row's end"
+            );
+        }
+        bufs.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    /// The lengths of a run's `MRR` rows: `strips` strips, the last one
+    /// `tail` lanes wide (`0`: whole). A run of channels has every row
+    /// end there; a run of segments has whole strips but in its last
+    /// row.
+    #[cfg(target_arch = "x86_64")]
+    fn run_lens<const MRR: usize>(strips: usize, tail: usize, channels: bool) -> [usize; MRR] {
+        let len = (strips - 1) * NR + if tail == 0 { NR } else { tail };
+        std::array::from_fn(|r| {
+            if channels || r + 1 == MRR {
+                len
+            } else {
+                strips * NR
+            }
+        })
+    }
+
+    /// Per-row biases with a `-0.0` and a NaN among them.
+    #[cfg(target_arch = "x86_64")]
+    fn run_biases<const MRR: usize>() -> [Option<[f32; MRR]>; 2] {
+        let b = std::array::from_fn(|r| [0.25, -0.0, f32::NAN, -1.5][r % 4]);
+        [None, Some(b)]
+    }
+
+    /// The AVX2 convolution run must equal the scalar reference
+    /// bit-for-bit: runs of 1, 2, 15, 16 and 17 strips, a last strip of
+    /// every width, runs of channels (one `B` base) and of segments (a
+    /// base per row), chains from `±0.0`, with and without a bias
+    /// (`-0.0` and NaN included), and zero-padded border lanes of either
+    /// sign, as a padded band holds them. The values past each row's
+    /// end come back unchanged: the last strip's store is masked.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn conv_micro_variants_match_scalar_bitwise() {
-        fn run<const MRR: usize>(steps: usize, acs: usize, shared: bool, seed: u64) {
+        fn run<const MRR: usize>(strips: usize, tail: usize, channels: bool) {
             let w = 13;
-            let mut src = fill(seed, MRR * NR + steps * w + 3 * NR);
-            // Zero-padded border lanes, as a padded band holds them.
-            for (i, v) in src.iter_mut().enumerate() {
-                if i % 11 < 2 {
-                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7)] {
+                let mut v = fill(seed, 4 + (MRR + strips) * NR + steps * w + 3 * NR);
+                // Zero-padded border lanes, as a padded band holds them.
+                for (i, x) in v.iter_mut().enumerate() {
+                    if i % 11 < 2 {
+                        *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                // Steps walk the map row by row with one-element shifts,
+                // so consecutive `B` rows overlap.
+                let offs: Vec<usize> = (0..steps).map(|t| t / 3 * w + t % 3).collect();
+                let src = Src::new(&v, &offs);
+                let av = fill(seed ^ 5, MRR * 9 + steps * acs + 1);
+                let aidx: [usize; MRR] = std::array::from_fn(|r| r * 9);
+                // Per-row bases that overlap and repeat (first equals
+                // last at odd heights), so only an all-equal test may
+                // share a row.
+                let bidx: [usize; MRR] =
+                    std::array::from_fn(|r| if channels { 2 } else { 1 + r % 2 * 3 });
+                let lens = run_lens::<MRR>(strips, tail, channels);
+                for init in [0.0, -0.0] {
+                    for bias in run_biases::<MRR>() {
+                        let what = format!(
+                            "MRR={MRR} strips={strips} tail={tail} channels={channels} \
+                             steps={steps} init={init} bias={}",
+                            bias.is_some()
+                        );
+                        let a = (&av[..], &aidx, acs);
+                        let mut want = guarded(&lens);
+                        scalar::conv_micro(run_rows(&mut want, &lens), a, src, &bidx, init, bias);
+                        let want = run_bits(&want, &lens, &what);
+                        if std::arch::is_x86_feature_detected!("avx2") {
+                            let mut got = guarded(&lens);
+                            let out = run_rows(&mut got, &lens);
+                            // SAFETY: guarded by the avx2 feature check above.
+                            unsafe { x86::conv_micro_avx2(out, a, src, &bidx, init, bias) };
+                            assert_eq!(run_bits(&got, &lens, &what), want, "avx2 {what}");
+                        }
+                    }
                 }
             }
-            let av = fill(seed ^ 5, MRR * 9 + steps * acs + 1);
-            // Steps walk the map row by row with one-element shifts, so
-            // consecutive `B` rows overlap.
-            let offs: Vec<usize> = (0..steps).map(|t| t / 3 * w + t % 3).collect();
-            let aidx: [usize; MRR] = std::array::from_fn(|r| r * 9);
-            // Per-row bases that overlap and repeat (first equals last
-            // at odd heights), so only an all-equal test may share a row.
-            let bidx: [usize; MRR] =
-                std::array::from_fn(|r| if shared { 2 } else { 1 + r % 2 * 3 });
-            let start: [[f32; NR]; MRR] = std::array::from_fn(|r| {
-                std::array::from_fn(|l| if (r + l) % 3 == 0 { 0.0 } else { 0.25 })
-            });
-            let mut want = start;
-            scalar::conv_micro(&mut want, &av, &aidx, acs, &src, &bidx, &offs);
-            let want = bits2(&want);
-
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut acc = start;
-                // SAFETY: guarded by the avx2 feature check above.
-                unsafe { x86::conv_micro_avx2(&mut acc, &av, &aidx, acs, &src, &bidx, &offs) };
-                assert_eq!(
-                    bits2(&acc),
-                    want,
-                    "avx2 MRR={MRR} steps={steps} shared={shared}"
-                );
-            }
         }
-        for (steps, acs, seed) in [(1, 1, 3), (9, 1, 5), (36, 4, 7), (100, 9, 11)] {
-            for shared in [true, false] {
-                run::<1>(steps, acs, shared, seed);
-                run::<3>(steps, acs, shared, seed);
-                run::<4>(steps, acs, shared, seed);
-                run::<8>(steps, acs, shared, seed);
+        for strips in [1, 2, 15, 16, 17] {
+            for tail in 0..NR {
+                for channels in [true, false] {
+                    run::<1>(strips, tail, channels);
+                    run::<3>(strips, tail, channels);
+                    run::<4>(strips, tail, channels);
+                    run::<8>(strips, tail, channels);
+                }
             }
         }
     }
 
-    /// The AVX2 fold tile must equal the scalar reference bit-for-bit:
-    /// channel tiles (one shared `B` base) and strip tiles (a base per
-    /// row), partial lane masks (a border), skipped border taps (absent
-    /// from the list), an all-masked tap, and a source holding `±0.0`
-    /// and NaN in lanes both inside and outside the masks.
+    /// A run's rows must have one strip count: the last strip of each
+    /// row is the same strip.
+    #[test]
+    #[should_panic(expected = "run rows must have one strip count")]
+    fn conv_micro_rejects_ragged_runs() {
+        let (mut a, mut b) = ([0.0f32; NR], [0.0f32; 2 * NR]);
+        let offs = [0usize];
+        let v = [0.0f32; 3 * NR];
+        let out = [&mut a[..], &mut b[..]];
+        conv_micro(
+            out,
+            (&[1.0; 2], &[0, 1], 1),
+            Src::new(&v, &offs),
+            &[0; 2],
+            0.0,
+            None,
+        );
+    }
+
+    /// The AVX2 fold run must equal the scalar reference bit-for-bit:
+    /// runs of channels (one shared `B` base) and of segments (a base
+    /// per row) of 1, 2, 15, 16 and 17 strips, a last strip of every
+    /// width, with and without a bias (`-0.0` and NaN included), partial
+    /// lane masks (a border), skipped border taps (absent from the
+    /// list), an all-masked tap, and a source holding `±0.0` and NaN in
+    /// lanes both inside and outside the masks. The values past each
+    /// row's end come back unchanged: the last strip's store is masked.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn fold_micro_variants_match_scalar_bitwise() {
-        fn run<const MRR: usize>(c_src: usize, strips: bool, seed: u64) {
+        fn run<const MRR: usize>(strips: usize, tail: usize, channels: bool) {
             let (kk, c_out) = (9, MRR.max(3));
-            let plane = 3 * 40;
-            let mut map = fill(seed, c_src * plane + 64);
-            for (i, x) in map.iter_mut().enumerate() {
-                match i % 13 {
-                    0 => *x = 0.0,
-                    1 => *x = -0.0,
-                    2 if i % 3 == 0 => *x = f32::NAN,
-                    _ => {}
+            let w = MRR * strips * NR + 2 * NR + 9;
+            let plane = 3 * w;
+            for (c_src, seed) in [(1, 3), (4, 5), (12, 7)] {
+                let mut map = fill(seed, c_src * plane + 64);
+                for (i, x) in map.iter_mut().enumerate() {
+                    match i % 13 {
+                        0 => *x = 0.0,
+                        1 => *x = -0.0,
+                        2 if i % 3 == 0 => *x = f32::NAN,
+                        _ => {}
+                    }
+                }
+                let offs: Vec<usize> = (0..c_src).map(|c| c * plane).collect();
+                let src = Src::new(&map, &offs);
+                let av = fill(seed ^ 5, c_src * c_out * kk);
+                // Taps 0 and 3 are skipped, as border taps outside the
+                // map are; tap 7 is fully masked.
+                let taps: Vec<FoldTap> = [1usize, 2, 4, 5, 6, 7, 8]
+                    .iter()
+                    .map(|&t| FoldTap {
+                        a: t,
+                        base: w + t,
+                        mask: match t {
+                            2 => 0b0111_1110,
+                            5 => 0x0f,
+                            7 => 0,
+                            _ => u8::MAX,
+                        },
+                    })
+                    .collect();
+                let (aidx, bidx): ([usize; MRR], [usize; MRR]) = if channels {
+                    (std::array::from_fn(|r| r * kk), [0; MRR])
+                } else {
+                    ([2 * kk; MRR], std::array::from_fn(|r| r * strips * NR))
+                };
+                let a = (&av[..], &aidx, c_out * kk);
+                let lens = run_lens::<MRR>(strips, tail, channels);
+                // A fully masked tap alone leaves the `+0.0` start.
+                let mut alone = guarded(&lens);
+                let out = run_rows(&mut alone, &lens);
+                scalar::fold_micro(out, a, src, &bidx, &taps[5..6], None);
+                let alone = run_bits(&alone, &lens, "masked tap");
+                assert!(
+                    alone.iter().all(|&b| b == 0 || b == GUARD),
+                    "masked tap moved a lane"
+                );
+                for bias in run_biases::<MRR>() {
+                    let what = format!(
+                        "MRR={MRR} strips={strips} tail={tail} channels={channels} \
+                         c={c_src} bias={}",
+                        bias.is_some()
+                    );
+                    let mut want = guarded(&lens);
+                    scalar::fold_micro(run_rows(&mut want, &lens), a, src, &bidx, &taps, bias);
+                    let want = run_bits(&want, &lens, &what);
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        let mut got = guarded(&lens);
+                        let out = run_rows(&mut got, &lens);
+                        // SAFETY: guarded by the avx2 feature check above.
+                        unsafe { x86::fold_micro_avx2(out, a, src, &bidx, &taps, bias) };
+                        assert_eq!(run_bits(&got, &lens, &what), want, "avx2 {what}");
+                    }
                 }
             }
-            let offs: Vec<usize> = (0..c_src).map(|c| c * plane).collect();
-            let src = FoldSrc::new(&map, &offs);
-            let av = fill(seed ^ 5, c_src * c_out * kk);
-            // Taps 0 and 3 are skipped, as border taps outside the map
-            // are; tap 7 is fully masked.
-            let taps: Vec<FoldTap> = [1usize, 2, 4, 5, 6, 7, 8]
-                .iter()
-                .map(|&t| FoldTap {
-                    a: t,
-                    base: 40 + t,
-                    mask: match t {
-                        2 => 0b0111_1110,
-                        5 => 0x0f,
-                        7 => 0,
-                        _ => u8::MAX,
-                    },
-                })
-                .collect();
-            let (aidx, bidx): ([usize; MRR], [usize; MRR]) = if strips {
-                ([2 * kk; MRR], std::array::from_fn(|r| r * NR))
-            } else {
-                (std::array::from_fn(|r| r * kk), [0; MRR])
-            };
-            let acs = c_out * kk;
-            let start: [[f32; NR]; MRR] = std::array::from_fn(|r| {
-                std::array::from_fn(|l| [0.0, -0.0, 0.5, f32::NAN][(r + l) % 4])
-            });
-            let mut want = start;
-            scalar::fold_micro(&mut want, &av, &aidx, acs, src, &bidx, &taps);
-            // A fully masked tap leaves every lane's bits alone.
-            let mut alone = start;
-            scalar::fold_micro(&mut alone, &av, &aidx, acs, src, &bidx, &taps[5..6]);
-            assert_eq!(bits2(&alone), bits2(&start), "masked tap moved a lane");
-            let want = bits2(&want);
-
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut acc = start;
-                // SAFETY: guarded by the avx2 feature check above.
-                unsafe { x86::fold_micro_avx2(&mut acc, &av, &aidx, acs, src, &bidx, &taps) };
-                assert_eq!(
-                    bits2(&acc),
-                    want,
-                    "avx2 MRR={MRR} c={c_src} strips={strips}"
-                );
-            }
         }
-        for (c_src, seed) in [(1, 3), (4, 5), (12, 7), (24, 11)] {
-            for strips in [false, true] {
-                run::<1>(c_src, strips, seed);
-                run::<3>(c_src, strips, seed);
-                run::<4>(c_src, strips, seed);
-                run::<8>(c_src, strips, seed);
+        for strips in [1, 2, 15, 16, 17] {
+            for tail in 0..NR {
+                for channels in [true, false] {
+                    run::<1>(strips, tail, channels);
+                    run::<3>(strips, tail, channels);
+                    run::<4>(strips, tail, channels);
+                    run::<8>(strips, tail, channels);
+                }
             }
         }
     }

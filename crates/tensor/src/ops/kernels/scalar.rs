@@ -5,7 +5,7 @@
 //! bit-for-bit, and the microbench harness times them as the
 //! scalar-vs-SIMD baseline.
 
-use super::{FoldSrc, FoldTap, NR};
+use super::{run_strips, FoldTap, Src, NR};
 
 /// The `MRR × NR` GEMM register tile: `kc` ascending-`p` steps of
 /// `acc[r][j] += a_r · b[j]`, each step one mul and one add per lane.
@@ -44,61 +44,86 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
     }
 }
 
-/// The register tile of the in-place convolutions: `offs.len()`
-/// ascending steps of `acc[r][j] += a_r · b_r[j]`, where step `t` of row
-/// `r` reads `A` at `aidx[r] + t · acs` and its `B` row at
-/// `src[bidx[r] + offs[t]..][..NR]`. One mul and one add per lane per
-/// step, like [`gemm_micro`].
-pub fn conv_micro<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: &[f32],
-    bidx: &[usize; MRR],
-    offs: &[usize],
-) {
-    for (t, &o) in offs.iter().enumerate() {
-        for r in 0..MRR {
-            let aval = av[aidx[r] + t * acs];
-            let b = &src[bidx[r] + o..bidx[r] + o + NR];
-            for (a, &bv) in acc[r].iter_mut().zip(b) {
-                *a += aval * bv;
+/// Stores a finished strip into `dst` (at most `NR` values), adding
+/// `bias` when there is one.
+fn store(dst: &mut [f32], acc: &[f32; NR], bias: Option<f32>) {
+    match bias {
+        Some(b) => {
+            for (d, &a) in dst.iter_mut().zip(acc) {
+                *d = a + b;
             }
+        }
+        None => dst.copy_from_slice(&acc[..dst.len()]),
+    }
+}
+
+/// The run kernel of the in-place convolutions: strip `j` of row `r`
+/// is `out[r][j · NR..]`, each lane one chain from `init` of
+/// `acc += a · b`, where step `s` reads `A` at `aidx[r] + s · acs` and
+/// its `B` row at `src.v[bidx[r] + j · NR + src.offs[s]..][..NR]`; then
+/// `bias[r]` is added, when there is a bias, and the lanes inside the
+/// row are stored. One mul and one add per lane per step, like
+/// [`gemm_micro`].
+pub fn conv_micro<const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    src: Src,
+    bidx: &[usize; MRR],
+    init: f32,
+    bias: Option<[f32; MRR]>,
+) {
+    run_strips(&out);
+    for (r, row) in out.into_iter().enumerate() {
+        for (j, dst) in row.chunks_mut(NR).enumerate() {
+            let mut acc = [init; NR];
+            for (s, &o) in src.offs.iter().enumerate() {
+                let aval = av[aidx[r] + s * acs];
+                let b = &src.v[bidx[r] + j * NR + o..][..NR];
+                for (a, &bv) in acc.iter_mut().zip(b) {
+                    *a += aval * bv;
+                }
+            }
+            store(dst, &acc, bias.map(|b| b[r]));
         }
     }
 }
 
-/// The fold tile: for each tap in order, row `r` runs a fresh `+0.0`
-/// chain of `part[j] += a · b[j]` over the source channels, where
-/// source channel `s` reads `A` at `aidx[r] + tap.a + s · acs` and its
-/// `B` row at `src.v[tap.base + bidx[r] + src.offs[s]..][..NR]`, then
-/// adds `part` into `acc[r]` in the lanes of the tap's mask. The other
-/// lanes keep their accumulator bits.
+/// The fold's run kernel: strip `j` of row `r` is `out[r][j · NR..]`,
+/// each lane from `+0.0`. For each tap in order, row `r` runs a fresh
+/// `+0.0` chain of `part[l] += a · b[l]` over the source channels,
+/// where source channel `s` reads `A` at `aidx[r] + tap.a + s · acs`
+/// and its `B` row at `src.v[tap.base + bidx[r] + j · NR +
+/// src.offs[s]..][..NR]`, then adds `part` to the lanes of the tap's
+/// mask; the other lanes keep their bits. Then `bias[r]` is added,
+/// when there is a bias, and the lanes inside the row are stored.
 pub fn fold_micro<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: FoldSrc,
+    out: [&mut [f32]; MRR],
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    src: Src,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
+    bias: Option<[f32; MRR]>,
 ) {
-    for tap in taps {
-        for r in 0..MRR {
-            let mut part = [0.0f32; NR];
-            for (s, &o) in src.offs.iter().enumerate() {
-                let aval = av[aidx[r] + tap.a + s * acs];
-                let b = &src.v[tap.base + bidx[r] + o..][..NR];
-                for (p, &bv) in part.iter_mut().zip(b) {
-                    *p += aval * bv;
+    run_strips(&out);
+    for (r, row) in out.into_iter().enumerate() {
+        for (j, dst) in row.chunks_mut(NR).enumerate() {
+            let mut acc = [0.0f32; NR];
+            for tap in taps {
+                let mut part = [0.0f32; NR];
+                for (s, &o) in src.offs.iter().enumerate() {
+                    let aval = av[aidx[r] + tap.a + s * acs];
+                    let b = &src.v[tap.base + bidx[r] + j * NR + o..][..NR];
+                    for (p, &bv) in part.iter_mut().zip(b) {
+                        *p += aval * bv;
+                    }
+                }
+                for (l, (a, p)) in acc.iter_mut().zip(part).enumerate() {
+                    if tap.mask >> l & 1 == 1 {
+                        *a += p;
+                    }
                 }
             }
-            for (l, (a, p)) in acc[r].iter_mut().zip(part).enumerate() {
-                if tap.mask >> l & 1 == 1 {
-                    *a += p;
-                }
-            }
+            store(dst, &acc, bias.map(|b| b[r]));
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{scalar, FoldSrc, FoldTap, NR};
+use super::{run_strips, scalar, FoldTap, Src, NR};
 
 /// AVX2 GEMM register tile: `MRR` rows of eight accumulator lanes, one
 /// broadcast-mul-add per row per `k` step (two roundings per lane,
@@ -102,80 +102,183 @@ pub unsafe fn conv_taps_avx2(dst: &mut [f32], src: &[f32], stride: usize, taps: 
     scalar::conv_taps(&mut dst[i..], &src[i..], stride, taps, norm);
 }
 
-/// Proves every `A` and `B` read of a [`conv_micro_avx2`] pass is in
-/// bounds, so the loops can use unchecked loads.
+/// Proves every `A` and `B` read of a [`conv_micro_avx2`] run in
+/// bounds, so the loops can use unchecked loads, from the span `src`
+/// carries: no step is scanned. Returns the run's strip count.
 ///
 /// # Panics
 ///
-/// Panics if a row's last `A` index or the end of one of its `B` rows
-/// would fall outside `av` / `src` — where the scalar reference's safe
-/// indexing panics too.
+/// Panics if the rows' strip counts differ, or a row's last `A` index
+/// or the end of its last strip's `B` rows would fall outside `av` /
+/// `src` — where the scalar reference panics too.
 #[inline]
 fn bound_conv_reads<const MRR: usize>(
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: &[f32],
+    out: &[&mut [f32]; MRR],
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    src: Src,
     bidx: &[usize; MRR],
-    offs: &[usize],
-) {
-    let Some(&omax) = offs.iter().max() else {
-        return;
+) -> usize {
+    let strips = run_strips(out);
+    let Some(steps) = src.offs.len().checked_sub(1) else {
+        return strips;
     };
-    let last = (offs.len() - 1) * acs;
+    if strips == 0 {
+        return 0;
+    }
+    let last = (strips - 1) * NR + src.span;
     for r in 0..MRR {
         assert!(
-            aidx[r] + last < av.len(),
+            aidx[r] + steps * acs < av.len(),
             "conv_micro: A index out of range"
         );
         assert!(
-            bidx[r] + omax + NR <= src.len(),
+            bidx[r] + last <= src.v.len(),
             "conv_micro: B row out of range"
         );
     }
+    strips
 }
 
-/// AVX2 in-place convolution tile: the [`gemm_micro_avx2`] step with
-/// each `B` row loaded from `src` at its own offset. When every row
-/// shares one `B` base (a tile of output channels) the row is loaded
-/// once per step; otherwise (a tile of strips) once per row.
+/// Lanes `0..n` as a `maskstore` select: the lanes of a run's last
+/// strip that lie inside its row.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2; no
+/// memory is touched.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn first_lanes_avx2(n: usize) -> __m256i {
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // `n < NR`, so the cast is exact.
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane)
+}
+
+/// Stores `v` at `row[x..]`, plus `bias` when there is one. A whole
+/// strip is one store; the last strip of a row that does not fill it
+/// is a masked store of its lanes inside the row, which leaves every
+/// value past the row's end untouched.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// that the strip starts inside the row (`x < row.len()`).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_strip(row: &mut [f32], x: usize, v: __m256, bias: Option<__m256>) {
+    let v = match bias {
+        Some(b) => _mm256_add_ps(v, b),
+        None => v,
+    };
+    let p = row.as_mut_ptr().add(x);
+    let inside = row.len() - x;
+    if inside >= NR {
+        _mm256_storeu_ps(p, v);
+    } else {
+        _mm256_maskstore_ps(p, first_lanes_avx2(inside), v);
+    }
+}
+
+/// Run heights up to which a shared-base run computes two adjacent
+/// strips per pass: twice the independent add chains per broadcast
+/// `A` value, which short runs (a 4-channel block's 4 chains) need to
+/// keep both FP ports busy. Each lane's chain is unchanged.
+const PAIR_ROWS: usize = 6;
+
+/// The chains of `SP` adjacent strips of every run row from `init`,
+/// where every row reads its `B` rows from `bp` (the first strip's
+/// base): step `s` of strip `q` multiplies `A` at `aidx[r] + s · acs`
+/// by the eight values at `bp + q · NR + offs[s]`.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// that every `A` index and every `B` row read is in bounds.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn shared_chains<const MRR: usize, const SP: usize>(
+    init: __m256,
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    bp: *const f32,
+    offs: &[usize],
+) -> [[__m256; MRR]; SP] {
+    let mut acc = [[init; MRR]; SP];
+    for (s, &o) in offs.iter().enumerate() {
+        let b: [__m256; SP] = core::array::from_fn(|q| _mm256_loadu_ps(bp.add(o + q * NR)));
+        for r in 0..MRR {
+            let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + s * acs));
+            for q in 0..SP {
+                acc[q][r] = _mm256_add_ps(acc[q][r], _mm256_mul_ps(a, b[q]));
+            }
+        }
+    }
+    acc
+}
+
+/// AVX2 run kernel of the in-place convolutions: per strip, the
+/// [`gemm_micro_avx2`] step with each `B` row loaded from `src` at its
+/// own offset, the chains from `init` in registers, the bias added in
+/// registers, and one store per row. When every row shares one `B`
+/// base (a run of output channels) the row is loaded once per step,
+/// and runs of up to [`PAIR_ROWS`] rows take two strips a pass;
+/// otherwise (segments of one channel's row) it is loaded once per
+/// row.
 ///
 /// # Safety
 ///
 /// SAFETY: the caller must guarantee the running CPU supports AVX2.
-/// `bound_conv_reads` proves every unchecked load in range.
+/// `bound_conv_reads` proves every unchecked load in range, and every
+/// strip starts inside its row, as `store_strip` needs.
 #[target_feature(enable = "avx2")]
 pub unsafe fn conv_micro_avx2<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: &[f32],
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
     bidx: &[usize; MRR],
-    offs: &[usize],
+    init: f32,
+    bias: Option<[f32; MRR]>,
 ) {
-    bound_conv_reads(av, aidx, acs, src, bidx, offs);
-    let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
+    let strips = bound_conv_reads(&out, a, src, bidx);
+    let (av, aidx, acs) = a;
+    let bias = bias.map(|b| b.map(|v| _mm256_set1_ps(v)));
+    let init = _mm256_set1_ps(init);
+    // Strip bases are only offset from, never read, until a step reads
+    // them; with no steps they may lie anywhere, hence `wrapping_add`.
     if bidx.iter().all(|&b| b == bidx[0]) {
-        let bp = src.as_ptr().add(bidx[0]);
-        for (t, &o) in offs.iter().enumerate() {
-            let b = _mm256_loadu_ps(bp.add(o));
-            for r in 0..MRR {
-                let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + t * acs));
-                accv[r] = _mm256_add_ps(accv[r], _mm256_mul_ps(a, b));
+        let bp = src.v.as_ptr().wrapping_add(bidx[0]);
+        let mut j = 0;
+        if MRR <= PAIR_ROWS {
+            while j + 2 <= strips {
+                let acc = shared_chains::<MRR, 2>(init, a, bp.wrapping_add(j * NR), src.offs);
+                for (q, acc) in acc.iter().enumerate() {
+                    for r in 0..MRR {
+                        store_strip(out[r], (j + q) * NR, acc[r], bias.map(|b| b[r]));
+                    }
+                }
+                j += 2;
             }
         }
-    } else {
-        for (t, &o) in offs.iter().enumerate() {
+        for j in j..strips {
+            let [acc] = shared_chains::<MRR, 1>(init, a, bp.wrapping_add(j * NR), src.offs);
             for r in 0..MRR {
-                let b = _mm256_loadu_ps(src.as_ptr().add(bidx[r] + o));
-                let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + t * acs));
-                accv[r] = _mm256_add_ps(accv[r], _mm256_mul_ps(a, b));
+                store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
             }
         }
+        return;
     }
-    for r in 0..MRR {
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), accv[r]);
+    for j in 0..strips {
+        let mut acc = [init; MRR];
+        let bp = src.v.as_ptr().wrapping_add(j * NR);
+        for (s, &o) in src.offs.iter().enumerate() {
+            for r in 0..MRR {
+                let b = _mm256_loadu_ps(bp.add(bidx[r] + o));
+                let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + s * acs));
+                acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(a, b));
+            }
+        }
+        for r in 0..MRR {
+            store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
+        }
     }
 }
 
@@ -194,76 +297,170 @@ unsafe fn lanes_avx2(mask: u8) -> __m256 {
     _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits))
 }
 
-/// Proves every `A` and `B` read of a [`fold_micro_avx2`] pass is in
-/// bounds, so the loops can use unchecked loads.
+/// Proves every `A` and `B` read of a [`fold_micro_avx2`] run in
+/// bounds, so the loops can use unchecked loads, from the span `src`
+/// carries. Returns the run's strip count.
 ///
 /// # Panics
 ///
-/// Panics if a row's last `A` index or the end of one of its `B` rows
-/// would fall outside `av` / the source — where the scalar reference's
-/// safe indexing panics too.
+/// Panics if the rows' strip counts differ, or a row's last `A` index
+/// or the end of its last strip's `B` rows would fall outside `av` /
+/// the source — where the scalar reference panics too.
 #[inline]
 fn bound_fold_reads<const MRR: usize>(
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: FoldSrc,
+    out: &[&mut [f32]; MRR],
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    src: Src,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
-) {
+) -> usize {
+    let strips = run_strips(out);
+    let Some(steps) = src.offs.len().checked_sub(1) else {
+        return strips;
+    };
+    if strips == 0 {
+        return 0;
+    }
     let amax = aidx.iter().max().copied().unwrap_or(0);
     let bmax = bidx.iter().max().copied().unwrap_or(0);
-    let Some(steps) = src.offs.len().checked_sub(1) else {
-        return;
-    };
+    let last = (strips - 1) * NR + src.span;
     for tap in taps {
         assert!(
             amax + tap.a + steps * acs < av.len(),
             "fold_micro: A index out of range"
         );
         assert!(
-            tap.base + bmax + src.span <= src.v.len(),
+            tap.base + bmax + last <= src.v.len(),
             "fold_micro: B row out of range"
         );
     }
+    strips
 }
 
-/// AVX2 fold tile: the accumulator rows stay in registers across every
-/// tap; each tap's partial is a fresh [`conv_micro_avx2`] chain, added
-/// with one add and a blend that keeps the accumulator in lanes whose
-/// mask bit is clear.
+/// Adds a tap's partials to the accumulators in the lanes of `mask`:
+/// one add, then a blend that keeps the accumulator's bits in the
+/// other lanes. A tap that reaches every lane skips the blend, which
+/// would select the sum in every lane.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2; no
+/// memory is touched.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn add_taps<const MRR: usize>(acc: &mut [__m256; MRR], part: &[__m256; MRR], mask: u8) {
+    if mask == u8::MAX {
+        for r in 0..MRR {
+            acc[r] = _mm256_add_ps(acc[r], part[r]);
+        }
+        return;
+    }
+    let keep = lanes_avx2(mask);
+    for r in 0..MRR {
+        let sum = _mm256_add_ps(acc[r], part[r]);
+        acc[r] = _mm256_blendv_ps(acc[r], sum, keep);
+    }
+}
+
+/// The fold's per-tap chains and masked adds for `SP` adjacent strips
+/// of every run row, from `+0.0`, where every row reads its `B` rows
+/// from `bp` (the first strip's base): tap `t`'s step `s` of strip `q`
+/// multiplies `A` at `aidx[r] + t.a + s · acs` by the eight values at
+/// `bp + t.base + q · NR + offs[s]`.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// that every `A` index and every `B` row read is in bounds.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn shared_taps<const MRR: usize, const SP: usize>(
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    bp: *const f32,
+    offs: &[usize],
+    taps: &[FoldTap],
+) -> [[__m256; MRR]; SP] {
+    let mut acc = [[_mm256_setzero_ps(); MRR]; SP];
+    for tap in taps {
+        let ap = av.as_ptr().wrapping_add(tap.a);
+        let bp = bp.wrapping_add(tap.base);
+        let mut part = [[_mm256_setzero_ps(); MRR]; SP];
+        for (s, &o) in offs.iter().enumerate() {
+            let b: [__m256; SP] = core::array::from_fn(|q| _mm256_loadu_ps(bp.add(o + q * NR)));
+            for r in 0..MRR {
+                let a = _mm256_set1_ps(*ap.add(aidx[r] + s * acs));
+                for q in 0..SP {
+                    part[q][r] = _mm256_add_ps(part[q][r], _mm256_mul_ps(a, b[q]));
+                }
+            }
+        }
+        for (acc, part) in acc.iter_mut().zip(&part) {
+            add_taps(acc, part, tap.mask);
+        }
+    }
+    acc
+}
+
+/// Run heights up to which a shared-base fold run computes two
+/// adjacent strips per pass, as [`PAIR_ROWS`] does for the
+/// convolution; the fold holds a partial and an accumulator per row.
+const FOLD_PAIR_ROWS: usize = 4;
+
+/// AVX2 fold run: per strip, the accumulator rows stay in registers
+/// across every tap; each tap's partial is a fresh chain as in
+/// [`conv_micro_avx2`], added with one add and a blend that keeps the
+/// accumulator in lanes whose mask bit is clear. Then the bias is added
+/// in registers and each row stored once. Runs of channels up to
+/// [`FOLD_PAIR_ROWS`] rows take two strips a pass.
 ///
 /// # Safety
 ///
 /// SAFETY: the caller must guarantee the running CPU supports AVX2.
-/// `bound_fold_reads` proves every unchecked load in range.
+/// `bound_fold_reads` proves every unchecked load in range, and every
+/// strip starts inside its row, as `store_strip` needs.
 #[target_feature(enable = "avx2")]
 pub unsafe fn fold_micro_avx2<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    src: FoldSrc,
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
     bidx: &[usize; MRR],
     taps: &[FoldTap],
+    bias: Option<[f32; MRR]>,
 ) {
-    bound_fold_reads(av, aidx, acs, src, bidx, taps);
-    let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
-    let shared = bidx.iter().all(|&b| b == bidx[0]);
-    for tap in taps {
-        let ap = av.as_ptr().add(tap.a);
-        let mut part = [_mm256_setzero_ps(); MRR];
-        if shared {
-            let bp = src.v.as_ptr().add(tap.base + bidx[0]);
-            for (s, &o) in src.offs.iter().enumerate() {
-                let b = _mm256_loadu_ps(bp.add(o));
-                for r in 0..MRR {
-                    let a = _mm256_set1_ps(*ap.add(aidx[r] + s * acs));
-                    part[r] = _mm256_add_ps(part[r], _mm256_mul_ps(a, b));
+    let strips = bound_fold_reads(&out, a, src, bidx, taps);
+    let (av, aidx, acs) = a;
+    let bias = bias.map(|b| b.map(|v| _mm256_set1_ps(v)));
+    // As in `conv_micro_avx2`, bases are offset with `wrapping_add`
+    // until a step reads them.
+    if bidx.iter().all(|&b| b == bidx[0]) {
+        let bp = src.v.as_ptr().wrapping_add(bidx[0]);
+        let mut j = 0;
+        if MRR <= FOLD_PAIR_ROWS {
+            while j + 2 <= strips {
+                let acc = shared_taps::<MRR, 2>(a, bp.wrapping_add(j * NR), src.offs, taps);
+                for (q, acc) in acc.iter().enumerate() {
+                    for r in 0..MRR {
+                        store_strip(out[r], (j + q) * NR, acc[r], bias.map(|b| b[r]));
+                    }
                 }
+                j += 2;
             }
-        } else {
-            let bp = src.v.as_ptr().add(tap.base);
+        }
+        for j in j..strips {
+            let [acc] = shared_taps::<MRR, 1>(a, bp.wrapping_add(j * NR), src.offs, taps);
+            for r in 0..MRR {
+                store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
+            }
+        }
+        return;
+    }
+    for j in 0..strips {
+        let mut acc = [_mm256_setzero_ps(); MRR];
+        let bp = src.v.as_ptr().wrapping_add(j * NR);
+        for tap in taps {
+            let ap = av.as_ptr().wrapping_add(tap.a);
+            let bp = bp.wrapping_add(tap.base);
+            let mut part = [_mm256_setzero_ps(); MRR];
             for (s, &o) in src.offs.iter().enumerate() {
                 for r in 0..MRR {
                     let b = _mm256_loadu_ps(bp.add(bidx[r] + o));
@@ -271,15 +468,11 @@ pub unsafe fn fold_micro_avx2<const MRR: usize>(
                     part[r] = _mm256_add_ps(part[r], _mm256_mul_ps(a, b));
                 }
             }
+            add_taps(&mut acc, &part, tap.mask);
         }
-        let keep = lanes_avx2(tap.mask);
         for r in 0..MRR {
-            let sum = _mm256_add_ps(accv[r], part[r]);
-            accv[r] = _mm256_blendv_ps(accv[r], sum, keep);
+            store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
         }
-    }
-    for r in 0..MRR {
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), accv[r]);
     }
 }
 

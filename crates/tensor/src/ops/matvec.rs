@@ -2,24 +2,26 @@
 //! and input gradient.
 //!
 //! [`matvec`] is `Linear`'s forward pass and [`matvec_t`] its input
-//! gradient. Both run one loop on the in-place convolution's register
-//! tile ([`kernels::conv_micro`]): the vectors are transposed into a
-//! buffer with one row per `k` step, padded to whole `NR` strips, so a
-//! tile's rows are output elements and its lanes are `NR` vectors of the
-//! batch, which share every broadcast value of `A`. The two differ only
-//! in how the tile reads `A` (row-wise or column-wise) and in the value
+//! gradient. Both run one loop on the in-place convolution's run kernel
+//! ([`kernels::conv_micro`]): the vectors are transposed into a buffer
+//! with one row per `k` step, padded to whole `NR` strips, so a run's
+//! rows are output elements and its lanes are `NR` vectors of the
+//! batch, which share every broadcast value of `A`. One call covers
+//! every vector for a block of outputs, into a transposed `[m, n]`
+//! buffer that is then transposed into place. The two differ only in
+//! how the run reads `A` (row-wise or column-wise) and in the value
 //! their chains start from.
 //!
 //! # Determinism
 //!
 //! Every output element is one chain over ascending `p`, one mul and one
-//! add per step, from a fixed start value. Tasks own whole strips of
-//! vectors and the split depends only on the shape, so a batched row is
+//! add per step, from a fixed start value. Tasks own whole blocks of
+//! outputs and the split depends only on the shape, so a batched row is
 //! bit for bit the product of that row alone, at any thread count and
 //! on any ISA.
 
-use super::kernels;
-use super::kernels::NR;
+use super::direct::tile;
+use super::kernels::{self, Src, NR};
 use crate::Tensor;
 
 /// Checks a matrix–vector operand: `x` is one vector `[k]` or a batch
@@ -79,7 +81,7 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
 ///
 /// Each output element is one ascending chain over `k` that starts at
 /// `+0.0`, so an all-zero chain is `+0.0` (where [`matvec`] of the
-/// explicit transpose gives `-0.0`). The tile reads `a` column-wise; no
+/// explicit transpose gives `-0.0`). The run reads `a` column-wise; no
 /// transpose is materialised.
 ///
 /// # Panics
@@ -118,50 +120,44 @@ fn products(
         }
     }
     let offs: Vec<usize> = (0..k).map(|p| p * np).collect();
+    let src = Src::new(&xt, &offs);
+    // The products transposed, `[m, n]`: row `o` holds output `o` of
+    // every vector, one run per block of outputs.
+    let mut outt = vec![0.0f32; m * n];
     let mr = kernels::gemm_mr();
-    let strips = rhsd_par::chunk_units(np / NR, 2 * k * m * NR);
-    rhsd_par::for_each_mut(&mut out, strips * NR * m, |ti, out| {
-        for r0 in (0..out.len() / m).step_by(NR) {
-            let lanes = NR.min(out.len() / m - r0);
-            let strip = (ti * strips * NR + r0, lanes);
+    let blocks = rhsd_par::chunk_units(m.div_ceil(mr), 2 * k * mr * n);
+    rhsd_par::for_each_mut(&mut outt, blocks * mr * n, |ti, rows| {
+        let o0 = ti * blocks * mr;
+        let mut rows = rows.chunks_mut(n);
+        let outputs = rows.len();
+        for b0 in (0..outputs).step_by(mr) {
+            let block = (o0 + b0, &mut rows);
             let a = (av, ars, acs, init);
-            for o0 in (0..m).step_by(mr) {
-                let tile = (o0, &mut out[r0 * m..]);
-                match mr.min(m - o0) {
-                    8 => tile_into::<8>(tile, a, m, strip, &xt, &offs),
-                    7 => tile_into::<7>(tile, a, m, strip, &xt, &offs),
-                    6 => tile_into::<6>(tile, a, m, strip, &xt, &offs),
-                    5 => tile_into::<5>(tile, a, m, strip, &xt, &offs),
-                    4 => tile_into::<4>(tile, a, m, strip, &xt, &offs),
-                    3 => tile_into::<3>(tile, a, m, strip, &xt, &offs),
-                    2 => tile_into::<2>(tile, a, m, strip, &xt, &offs),
-                    _ => tile_into::<1>(tile, a, m, strip, &xt, &offs),
-                }
-            }
+            tile!(mr.min(outputs - b0), run(block, a, src));
         }
     });
+    for (o, row) in outt.chunks_exact(n).enumerate() {
+        for (r, &v) in row.iter().enumerate() {
+            out[r * m + o] = v;
+        }
+    }
     out
 }
 
-/// One register tile of [`products`]: outputs `o0..o0 + MRR` of the
-/// `lanes` vectors from `r0`, each lane's chain from `init` over `xt`'s
-/// rows, stored into `out` (rows of `m` from vector `r0`).
-fn tile_into<const MRR: usize>(
-    (o0, out): (usize, &mut [f32]),
+/// One run of [`products`]: outputs `o0..o0 + MRR` of every vector,
+/// each lane's chain from `init` over `src`'s rows, into the next
+/// `MRR` rows of `rows`.
+fn run<'r, const MRR: usize>(
+    (o0, rows): (usize, &mut impl Iterator<Item = &'r mut [f32]>),
     (av, ars, acs, init): (&[f32], usize, usize, f32),
-    m: usize,
-    (r0, lanes): (usize, usize),
-    xt: &[f32],
-    offs: &[usize],
+    src: Src,
 ) {
-    let mut acc = [[init; NR]; MRR];
+    let dst = std::array::from_fn(|_| match rows.next() {
+        Some(row) => row,
+        None => unreachable!("a run has an output per row"),
+    });
     let aidx: [usize; MRR] = std::array::from_fn(|r| (o0 + r) * ars);
-    kernels::conv_micro(&mut acc, av, &aidx, acs, xt, &[r0; MRR], offs);
-    for (r, a) in acc.iter().enumerate() {
-        for (l, &v) in a[..lanes].iter().enumerate() {
-            out[l * m + o0 + r] = v;
-        }
-    }
+    kernels::conv_micro(dst, (av, &aidx, acs), src, &[0; MRR], init, None);
 }
 
 #[cfg(test)]

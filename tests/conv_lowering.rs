@@ -218,11 +218,12 @@ proptest! {
 }
 
 /// Every map narrower than two strips — a strip can be narrower than
-/// one register — and one of exactly two, under each stride, with
-/// channel counts that leave a one-channel tile block on either side.
+/// one register — one of exactly two, and runs of three and four
+/// strips whose last strip is partial, under each stride, with channel
+/// counts that leave a one-channel block on either side.
 #[test]
 fn narrow_maps_are_bit_identical() {
-    for w in (1..=NR + 1).chain([2 * NR]) {
+    for w in (1..=NR + 1).chain([2 * NR, 2 * NR + 1, 3 * NR - 1, 4 * NR - 1]) {
         for (kernel, stride, padding) in [
             (3, 1, 1),
             (1, 1, 0),

@@ -35,6 +35,12 @@
 //! measured in the same record that tracks absolute times. Under
 //! `RHSD_FORCE_SCALAR=1` both passes run the scalar path and the
 //! speedup hovers at 1.
+//!
+//! The convolution, fold and RoI convolution rows also carry `gmacs`:
+//! achieved multiply-adds per second on the dispatched ISA, in
+//! billions, counted from the row's shape — `C_out·C_in·K²·H'·W'` for a
+//! convolution, the column matrix `Wᵀ · g`'s `C_src·C_dst·K²·H·W` for a
+//! fold.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -71,6 +77,26 @@ struct Case {
     scalar_best_secs: f64,
     /// `scalar_best_secs / best_secs` — the SIMD win for this shape.
     speedup: f64,
+    /// Multiply-adds per call, from the shape (convolution, fold and
+    /// RoI convolution rows).
+    macs: Option<u64>,
+}
+
+impl Case {
+    /// The row with `macs` multiply-adds per call.
+    fn with_macs(self, macs: usize) -> Self {
+        Case {
+            macs: Some(macs as u64),
+            ..self
+        }
+    }
+
+    /// Achieved multiply-adds per second on the dispatched ISA, in
+    /// billions, for a row that counts them.
+    fn gmacs(&self) -> Option<f64> {
+        self.macs
+            .map(|m| m as f64 / self.best_secs.max(1e-12) / 1e9)
+    }
 }
 
 /// Deterministic pseudo-random fill, matching the style of the
@@ -129,6 +155,7 @@ fn timed(
         mean_secs: mean,
         scalar_best_secs: scalar_best,
         speedup: scalar_best / best.max(1e-12),
+        macs: None,
     }
 }
 
@@ -213,9 +240,13 @@ fn run_cases(quick: bool) -> Vec<Case> {
             ));
         } else {
             let weight = filled(&[c_out, c_in, k, k], 4);
-            cases.push(timed(active, "conv2d", shape.clone(), reps, || {
-                conv2d(&input, &weight, Some(&bias), spec)
-            }));
+            let macs = c_out * c_in * k * k * hw * hw;
+            cases.push(
+                timed(active, "conv2d", shape.clone(), reps, || {
+                    conv2d(&input, &weight, Some(&bias), spec)
+                })
+                .with_macs(macs),
+            );
             cases.push(timed(
                 active,
                 "conv2d_backward",
@@ -244,16 +275,20 @@ fn run_cases(quick: bool) -> Vec<Case> {
         let input = filled(&[c_in, hw, hw], 3);
         let weight = filled(&[c_out, c_in, spec.kernel, spec.kernel], 4);
         let bias = filled(&[c_out], 5);
-        cases.push(timed(
-            active,
-            "conv2d",
-            format!(
-                "{c_in}x{hw}x{hw}->{c_out} k{}s{}p{}",
-                spec.kernel, spec.stride, spec.padding
-            ),
-            reps,
-            || conv2d(&input, &weight, Some(&bias), spec),
-        ));
+        let macs = c_out * c_in * spec.kernel * spec.kernel * spec.out_size(hw).pow(2);
+        cases.push(
+            timed(
+                active,
+                "conv2d",
+                format!(
+                    "{c_in}x{hw}x{hw}->{c_out} k{}s{}p{}",
+                    spec.kernel, spec.stride, spec.padding
+                ),
+                reps,
+                || conv2d(&input, &weight, Some(&bias), spec),
+            )
+            .with_macs(macs),
+        );
     }
 
     // The fold alone (`conv2d`'s input gradient and `conv_transpose2d`'s
@@ -289,16 +324,22 @@ fn run_cases(quick: bool) -> Vec<Case> {
         let k = spec.kernel;
         let grad = filled(&[src, hw, hw], 6);
         let weight = filled(&[src, dst, k, k], 4);
-        cases.push(timed(
-            active,
-            "fold",
-            format!(
-                "{src}x{hw}x{hw}->{dst} k{k}s{}p{}",
-                spec.stride, spec.padding
-            ),
-            reps,
-            || conv_transpose2d(&grad, &weight, None, spec),
-        ));
+        // The column matrix `Wᵀ · g`: every source pixel, tap and
+        // destination channel.
+        let macs = src * dst * k * k * hw * hw;
+        cases.push(
+            timed(
+                active,
+                "fold",
+                format!(
+                    "{src}x{hw}x{hw}->{dst} k{k}s{}p{}",
+                    spec.stride, spec.padding
+                ),
+                reps,
+                || conv_transpose2d(&grad, &weight, None, spec),
+            )
+            .with_macs(macs),
+        );
     }
 
     // 2×2 max pooling at stride 2: the stem's 12×128² map and 16×64²,
@@ -364,42 +405,52 @@ fn run_cases(quick: bool) -> Vec<Case> {
     }
 
     // The refinement head's shapes: one region's 40 RoIs of 7×7 maps
-    // through its 3×3 convolution (branch width 5) and its 1×1
-    // convolution of the 20 backbone channels, and its 320→48 FC over
-    // 40 rows. Each batched row has beside it the same 40 RoIs run one
-    // RoI per call. Then the FC's input gradient, 48→320 over the same
-    // 40 rows (`Linear`'s backward).
+    // through its 3×3 convolution (branch width 5), its 1×1 convolution
+    // of the 20 backbone channels and inception B's stride-2 3×3 over
+    // 24 channels, and of the 4×4 maps after it through inception A's
+    // 1×1 over 15 channels, and its 320→48 FC over 40 rows. Each
+    // batched row has beside it the same 40 RoIs run one RoI per call.
+    // Then the FC's input gradient, 48→320 over the same 40 rows
+    // (`Linear`'s backward).
     let rois = 40;
     let roi_reps = if quick { 4 } else { 20 };
-    for (c_in, k) in [(5, 3), (20, 1)] {
-        let spec = ConvSpec::same(k);
-        let batch = filled(&[rois, c_in, 7, 7], 9);
+    let roi_shapes = [
+        (5, 7, ConvSpec::same(3)),
+        (20, 7, ConvSpec::same(1)),
+        (24, 7, ConvSpec::new(3, 2, 1)),
+        (15, 4, ConvSpec::same(1)),
+    ];
+    for (c_in, hw, spec) in roi_shapes {
+        let k = spec.kernel;
+        let batch = filled(&[rois, c_in, hw, hw], 9);
         let singles: Vec<Tensor> = (0..rois)
-            .map(|i| filled(&[c_in, 7, 7], 9 + i as u64))
+            .map(|i| filled(&[c_in, hw, hw], 9 + i as u64))
             .collect();
         let weight = filled(&[5, c_in, k, k], 10);
         let bias = filled(&[5], 11);
-        let shape = |n: &str| format!("{n} {c_in}x7x7->5 k{k}s1p{}", k / 2);
-        cases.push(timed(
-            active,
-            "roi_conv2d",
-            shape("40 RoIs"),
-            roi_reps,
-            || conv2d(&batch, &weight, Some(&bias), spec),
-        ));
-        cases.push(timed(
-            active,
-            "roi_conv2d",
-            shape("40x1 RoI"),
-            roi_reps,
-            || {
+        let shape = |n: &str| {
+            format!(
+                "{n} {c_in}x{hw}x{hw}->5 k{k}s{}p{}",
+                spec.stride, spec.padding
+            )
+        };
+        let macs = rois * 5 * c_in * k * k * spec.out_size(hw).pow(2);
+        cases.push(
+            timed(active, "roi_conv2d", shape("40 RoIs"), roi_reps, || {
+                conv2d(&batch, &weight, Some(&bias), spec)
+            })
+            .with_macs(macs),
+        );
+        cases.push(
+            timed(active, "roi_conv2d", shape("40x1 RoI"), roi_reps, || {
                 let outs: Vec<Tensor> = singles
                     .iter()
                     .map(|x| conv2d(x, &weight, Some(&bias), spec))
                     .collect();
                 outs.into_iter().next().expect("forty RoIs")
-            },
-        ));
+            })
+            .with_macs(macs),
+        );
     }
     let fc = filled(&[48, 320], 12);
     let rows = filled(&[rois, 320], 13);
@@ -500,9 +551,13 @@ fn render(quick: bool, threads: usize, cases: &[Case]) -> String {
     out.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         let comma = if i + 1 == cases.len() { "" } else { "," };
+        let gmacs = c
+            .gmacs()
+            .map(|g| format!(", \"gmacs\": {g:.3}"))
+            .unwrap_or_default();
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"reps\": {}, \"best_secs\": {:.6}, \"mean_secs\": {:.6}, \"scalar_best_secs\": {:.6}, \"speedup\": {:.3}}}{comma}",
+            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"reps\": {}, \"best_secs\": {:.6}, \"mean_secs\": {:.6}, \"scalar_best_secs\": {:.6}, \"speedup\": {:.3}{gmacs}}}{comma}",
             c.kernel, c.shape, c.reps, c.best_secs, c.mean_secs, c.scalar_best_secs, c.speedup
         );
     }
@@ -539,8 +594,12 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
 
     println!("dispatched isa: {}", kernels::isa_name());
     for c in &cases {
+        let gmacs = c
+            .gmacs()
+            .map(|g| format!("  {g:>6.2} GMAC/s"))
+            .unwrap_or_default();
         println!(
-            "{:<25} {:<24} reps {:>3}  best {:>10.3} ms  mean {:>10.3} ms  scalar {:>10.3} ms  speedup {:>5.2}x",
+            "{:<25} {:<24} reps {:>3}  best {:>10.3} ms  mean {:>10.3} ms  scalar {:>10.3} ms  speedup {:>5.2}x{gmacs}",
             c.kernel,
             c.shape,
             c.reps,
@@ -615,6 +674,21 @@ mod tests {
             assert!(batched > 0 && batched == single, "{family}: {shapes:?}");
         }
         assert_eq!(shapes("roi_fc_backward"), ["40 RoIs 48->320"]);
+        // The head's costliest convolution, inception B's stride-2 3×3,
+        // and inception A's half-filled 4-wide 1×1s.
+        let roi_convs = shapes("roi_conv2d");
+        for s in ["40 RoIs 24x7x7->5 k3s2p1", "40 RoIs 15x4x4->5 k1s1p0"] {
+            assert!(roi_convs.contains(&s), "{s}: {roi_convs:?}");
+        }
+        // Convolution, fold and RoI convolution rows count their
+        // multiply-adds; the others do not.
+        for c in &cases {
+            let counted = matches!(c.kernel, "conv2d" | "fold" | "roi_conv2d");
+            assert_eq!(c.macs.is_some(), counted, "{} {}", c.kernel, c.shape);
+            if let Some(g) = c.gmacs() {
+                assert!(g.is_finite() && g > 0.0, "{} {}", c.kernel, c.shape);
+            }
+        }
         for c in &cases {
             assert!(c.best_secs.is_finite() && c.best_secs >= 0.0);
             assert!(c.mean_secs >= c.best_secs);
@@ -633,6 +707,7 @@ mod tests {
             mean_secs: 0.002,
             scalar_best_secs: 0.003,
             speedup: 3.0,
+            macs: Some(4_000_000),
         }];
         let record = render(true, 2, &cases);
         let v = rhsd_obs::json::parse(&record).expect("valid JSON");
@@ -652,6 +727,7 @@ mod tests {
             arr[0].get("scalar_best_secs").and_then(|s| s.as_f64()),
             Some(0.003)
         );
+        assert_eq!(arr[0].get("gmacs").and_then(|g| g.as_f64()), Some(4.0));
         assert!(v.get("workspace").is_some());
     }
 }

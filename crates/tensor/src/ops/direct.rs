@@ -84,8 +84,7 @@ impl<'a> Map<'a> {
     }
 }
 
-/// Dispatches a tile or run method, or function, on its runtime row
-/// count.
+/// Dispatches a tile or run method on its runtime row count.
 macro_rules! tile {
     ($rows:expr, $op:ident . $f:ident ( $($arg:expr),* )) => {
         match $rows {
@@ -97,19 +96,6 @@ macro_rules! tile {
             6 => $op.$f::<6>($($arg),*),
             7 => $op.$f::<7>($($arg),*),
             8 => $op.$f::<8>($($arg),*),
-            _ => unreachable!("register tiles have 1..=8 rows"),
-        }
-    };
-    ($rows:expr, $f:ident ( $($arg:expr),* )) => {
-        match $rows {
-            1 => $f::<1>($($arg),*),
-            2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
-            4 => $f::<4>($($arg),*),
-            5 => $f::<5>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            7 => $f::<7>($($arg),*),
-            8 => $f::<8>($($arg),*),
             _ => unreachable!("register tiles have 1..=8 rows"),
         }
     };
@@ -417,7 +403,7 @@ pub(crate) fn conv_into(
     // `wh` values, then `NR` slack values.
     let (rows, wh) = ((band - 1) * s + k, (x.w + 2 * p).div_ceil(s));
     let copied = tap_offsets(x.c, k, s, rows, wh);
-    let copied = Src::new(&[], &copied);
+    let copied = Src::new(&copied);
     // An unpadded stride-1 map is read in place when its last strip's
     // `B` rows, which pass its end by the last strip's unused lanes,
     // end inside the batch: always when the rows fill whole strips.
@@ -425,7 +411,7 @@ pub(crate) fn conv_into(
     let past_end = ow.next_multiple_of(NR) - ow;
     let in_place = |i: usize| p == 0 && s == 1 && (x.n - 1 - i) * map_len >= past_end;
     let mapped = tap_offsets(x.c, k, 1, x.h, x.w);
-    let mapped = Src::new(x.v, &mapped);
+    let mapped = Src::new(&mapped).on(x.v);
     let copy_len = if x.n == 0 || in_place(x.n - 1) {
         0
     } else {
@@ -638,7 +624,7 @@ pub(crate) fn fold_into(
     let lead = (k - 1).saturating_sub(p);
     let (rows, width) = (band + k - 1, ow + p + lead);
     let offs: Vec<usize> = (0..g.c).map(|c| c * rows * width).collect();
-    let offs = Src::new(&[], &offs);
+    let offs = Src::new(&offs);
     let phases: Vec<u8> = (0..s)
         .map(|r| (r..NR).step_by(s).fold(0, |m, l| m | 1 << l))
         .collect();

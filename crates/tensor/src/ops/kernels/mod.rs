@@ -194,10 +194,11 @@ pub struct Src<'a> {
 }
 
 impl<'a> Src<'a> {
-    /// The steps at `offs` in `v`.
-    pub fn new(v: &'a [f32], offs: &'a [usize]) -> Self {
+    /// The steps at `offs`, bound to no values yet: [`Src::on`] binds
+    /// them.
+    pub fn new(offs: &'a [usize]) -> Self {
         let span = offs.iter().max().map_or(0, |&o| o + NR);
-        Src { v, offs, span }
+        Src { v: &[], offs, span }
     }
 
     /// The same steps in `v`, their span kept.
@@ -225,8 +226,9 @@ fn run_strips<const MRR: usize>(out: &[&mut [f32]; MRR]) -> usize {
 
 /// The run kernel of the in-place convolutions (`ops::direct`) and the
 /// matrix–vector products: every strip of `MRR` output rows in one
-/// call, with `a` the `A` operand `(av, aidx, acs)`. Strip `j` of row `r` is `out[r][j · NR..]`, its last strip
-/// the row's last `len % NR` values when they are not a whole strip.
+/// call, with `a` the `A` operand `(av, aidx, acs)`. Strip `j` of row
+/// `r` is `out[r][j · NR..]`, its last strip the row's last `len % NR`
+/// values when they are not a whole strip.
 /// Each lane runs one chain from `init` over `src`'s steps — step `s`
 /// multiplies `A` at `aidx[r] + s · acs` by the `NR` values at
 /// `src.v[bidx[r] + j · NR + src.offs[s]..]` — then adds `bias[r]`
@@ -549,7 +551,7 @@ mod tests {
     fn conv_micro_variants_match_scalar_bitwise() {
         fn run<const MRR: usize>(strips: usize, tail: usize, channels: bool) {
             let w = 13;
-            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7)] {
+            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7), (100, 9, 11)] {
                 let mut v = fill(seed, 4 + (MRR + strips) * NR + steps * w + 3 * NR);
                 // Zero-padded border lanes, as a padded band holds them.
                 for (i, x) in v.iter_mut().enumerate() {
@@ -560,7 +562,7 @@ mod tests {
                 // Steps walk the map row by row with one-element shifts,
                 // so consecutive `B` rows overlap.
                 let offs: Vec<usize> = (0..steps).map(|t| t / 3 * w + t % 3).collect();
-                let src = Src::new(&v, &offs);
+                let src = Src::new(&offs).on(&v);
                 let av = fill(seed ^ 5, MRR * 9 + steps * acs + 1);
                 let aidx: [usize; MRR] = std::array::from_fn(|r| r * 9);
                 // Per-row bases that overlap and repeat (first equals
@@ -615,7 +617,7 @@ mod tests {
         conv_micro(
             out,
             (&[1.0; 2], &[0, 1], 1),
-            Src::new(&v, &offs),
+            Src::new(&offs).on(&v),
             &[0; 2],
             0.0,
             None,
@@ -637,7 +639,7 @@ mod tests {
             let (kk, c_out) = (9, MRR.max(3));
             let w = MRR * strips * NR + 2 * NR + 9;
             let plane = 3 * w;
-            for (c_src, seed) in [(1, 3), (4, 5), (12, 7)] {
+            for (c_src, seed) in [(1, 3), (4, 5), (12, 7), (24, 11)] {
                 let mut map = fill(seed, c_src * plane + 64);
                 for (i, x) in map.iter_mut().enumerate() {
                     match i % 13 {
@@ -648,7 +650,7 @@ mod tests {
                     }
                 }
                 let offs: Vec<usize> = (0..c_src).map(|c| c * plane).collect();
-                let src = Src::new(&map, &offs);
+                let src = Src::new(&offs).on(&map);
                 let av = fill(seed ^ 5, c_src * c_out * kk);
                 // Taps 0 and 3 are skipped, as border taps outside the
                 // map are; tap 7 is fully masked.

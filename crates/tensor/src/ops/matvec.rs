@@ -120,20 +120,28 @@ fn products(
         }
     }
     let offs: Vec<usize> = (0..k).map(|p| p * np).collect();
-    let src = Src::new(&xt, &offs);
+    let op = Products {
+        av,
+        ars,
+        acs,
+        init,
+        src: Src::new(&offs).on(&xt),
+    };
     // The products transposed, `[m, n]`: row `o` holds output `o` of
-    // every vector, one run per block of outputs.
+    // every vector, one run per block of outputs. There are no more
+    // tasks than `chunk_units` makes of the vectors' strips, so a
+    // product of one strip runs inline.
     let mut outt = vec![0.0f32; m * n];
     let mr = kernels::gemm_mr();
-    let blocks = rhsd_par::chunk_units(m.div_ceil(mr), 2 * k * mr * n);
+    let strips = np / NR;
+    let tasks = strips.div_ceil(rhsd_par::chunk_units(strips, 2 * k * m * NR));
+    let blocks = m.div_ceil(mr).div_ceil(tasks);
     rhsd_par::for_each_mut(&mut outt, blocks * mr * n, |ti, rows| {
         let o0 = ti * blocks * mr;
         let mut rows = rows.chunks_mut(n);
         let outputs = rows.len();
         for b0 in (0..outputs).step_by(mr) {
-            let block = (o0 + b0, &mut rows);
-            let a = (av, ars, acs, init);
-            tile!(mr.min(outputs - b0), run(block, a, src));
+            tile!(mr.min(outputs - b0), op.run(o0 + b0, &mut rows));
         }
     });
     for (o, row) in outt.chunks_exact(n).enumerate() {
@@ -144,20 +152,30 @@ fn products(
     out
 }
 
-/// One run of [`products`]: outputs `o0..o0 + MRR` of every vector,
-/// each lane's chain from `init` over `src`'s rows, into the next
-/// `MRR` rows of `rows`.
-fn run<'r, const MRR: usize>(
-    (o0, rows): (usize, &mut impl Iterator<Item = &'r mut [f32]>),
-    (av, ars, acs, init): (&[f32], usize, usize, f32),
-    src: Src,
-) {
-    let dst = std::array::from_fn(|_| match rows.next() {
-        Some(row) => row,
-        None => unreachable!("a run has an output per row"),
-    });
-    let aidx: [usize; MRR] = std::array::from_fn(|r| (o0 + r) * ars);
-    kernels::conv_micro(dst, (av, &aidx, acs), src, &[0; MRR], init, None);
+/// The runs of [`products`]: element `(o, p)` of the matrix is
+/// `av[o · ars + p · acs]`, and every chain starts at `init` and runs
+/// over `src`'s rows.
+#[derive(Clone, Copy)]
+struct Products<'p> {
+    av: &'p [f32],
+    ars: usize,
+    acs: usize,
+    init: f32,
+    src: Src<'p>,
+}
+
+impl Products<'_> {
+    /// Outputs `o0..o0 + MRR` of every vector, into the next `MRR` rows
+    /// of `rows`.
+    fn run<'r, const MRR: usize>(self, o0: usize, rows: &mut impl Iterator<Item = &'r mut [f32]>) {
+        let dst = std::array::from_fn(|_| match rows.next() {
+            Some(row) => row,
+            None => unreachable!("a run has an output per row"),
+        });
+        let aidx: [usize; MRR] = std::array::from_fn(|r| (o0 + r) * self.ars);
+        let a = (self.av, &aidx, self.acs);
+        kernels::conv_micro(dst, a, self.src, &[0; MRR], self.init, None);
+    }
 }
 
 #[cfg(test)]

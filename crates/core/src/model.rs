@@ -236,7 +236,9 @@ impl RhsdNetwork {
     /// steps the optimiser.
     ///
     /// The regions run on the `rhsd-par` pool, one region per task, in
-    /// four phases:
+    /// four phases, region `i`'s two parallel ones on the same worker
+    /// ([`rhsd_par::pinned`]), so the tapes a worker's heap holds between
+    /// them do not depend on timing:
     ///
     /// 1. `train-forward` (parallel): extractor and CPN forward, each
     ///    region on its own [`Tape`];
@@ -261,22 +263,24 @@ impl RhsdNetwork {
         let mut passes: Vec<RegionPass> = {
             let _sp = rhsd_obs::span("train-forward");
             let (extractor, cpn) = (&self.extractor, &self.cpn);
-            rhsd_par::map(batch.len(), 1, |i| {
-                let ((tape, feats, out), dynamics) = fork.record(|| {
-                    let mut tape = Tape::recording();
-                    let feats = {
-                        let _scope = dynamics::scope("backbone");
-                        extractor.forward(&batch[i].image, &mut tape)
-                    };
-                    let out = cpn.forward(&feats, &mut tape);
-                    (tape, feats, out)
-                });
-                RegionPass {
-                    tape,
-                    feats,
-                    out,
-                    dynamics,
-                }
+            rhsd_par::pinned(|| {
+                rhsd_par::map(batch.len(), 1, |i| {
+                    let ((tape, feats, out), dynamics) = fork.record(|| {
+                        let mut tape = Tape::recording();
+                        let feats = {
+                            let _scope = dynamics::scope("backbone");
+                            extractor.forward(&batch[i].image, &mut tape)
+                        };
+                        let out = cpn.forward(&feats, &mut tape);
+                        (tape, feats, out)
+                    });
+                    RegionPass {
+                        tape,
+                        feats,
+                        out,
+                        dynamics,
+                    }
+                })
             })
         };
 
@@ -307,17 +311,19 @@ impl RhsdNetwork {
                 .zip(&feat_grads)
                 .zip(&mut self.ext_scratch)
                 .collect();
-            rhsd_par::for_each_mut(&mut jobs, 1, |_, job| {
-                for ((pass, feat_grad), scratch) in job.iter_mut() {
-                    scratch.zero();
-                    let ((), backward) = fork.record(|| {
-                        let _scope = dynamics::scope("backbone");
-                        // Nothing reads the raster's gradient.
-                        extractor.backward_params(&mut pass.tape, feat_grad, scratch);
-                    });
-                    debug_assert!(pass.tape.is_empty(), "every recorded forward was consumed");
-                    pass.dynamics.absorb(backward);
-                }
+            rhsd_par::pinned(|| {
+                rhsd_par::for_each_mut(&mut jobs, 1, |_, job| {
+                    for ((pass, feat_grad), scratch) in job.iter_mut() {
+                        scratch.zero();
+                        let ((), backward) = fork.record(|| {
+                            let _scope = dynamics::scope("backbone");
+                            // Nothing reads the raster's gradient.
+                            extractor.backward_params(&mut pass.tape, feat_grad, scratch);
+                        });
+                        debug_assert!(pass.tape.is_empty(), "every recorded forward was consumed");
+                        pass.dynamics.absorb(backward);
+                    }
+                })
             });
             for (pass, scratch) in passes.into_iter().zip(&self.ext_scratch) {
                 for (g, s) in self.grads[..n_ext].iter_mut().zip(scratch.iter()) {

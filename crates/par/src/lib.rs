@@ -20,6 +20,11 @@
 //!    (e.g. a conv inside a parallel region scan), or inside [`inline`],
 //!    runs inline serially.
 //!
+//! A chunk runs on whichever worker is free, except inside [`pinned`],
+//! where chunk `ci` runs on worker `ci mod workers`. That placement
+//! decides only which thread's heap a chunk's allocations come from,
+//! never what the chunk computes.
+//!
 //! The pool size comes from, in order: an explicit [`set_threads`] call
 //! (the `--threads` CLI flag), the `RHSD_THREADS` environment variable,
 //! and finally [`std::thread::available_parallelism`].
@@ -58,15 +63,19 @@ pub const MIN_TASK_WORK: usize = 16_384;
 /// A type-erased unit of work on the queue.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued job and the worker it is pinned to, if any.
+type Queued = (Option<usize>, Job);
+
 /// State shared between the pool handle and its workers.
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<Queued>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
 }
 
 thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    static PINNED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether the current thread is an `rhsd-par` worker. Parallel
@@ -91,6 +100,33 @@ pub fn inline<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `f` with every parallel section the calling thread enters in
+/// it placing chunk `ci` on worker `ci mod workers`, not on whichever
+/// worker is free first.
+///
+/// This is for phases whose chunks leave memory behind for a later
+/// section: training's per-region forward passes, whose tapes the
+/// per-region backward passes free. glibc gives each worker its own
+/// heap and keeps the pages it frees, so under free placement
+/// a batch whose regions all went to one worker (because the other
+/// woke late) left that worker's heap holding every tape of the batch
+/// for the rest of the process, and the peak resident memory of a run
+/// depended on how often that had happened. Pinned, a region's forward
+/// and backward run on the same worker in every run. The cost is that
+/// a worker idles while its peer still has pinned chunks, so chunks
+/// should be of like size.
+pub fn pinned<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the thread's placement flag, also when `f` panics.
+    struct Reset(bool);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            PINNED.with(|p| p.set(self.0));
+        }
+    }
+    let _reset = Reset(PINNED.with(|p| p.replace(true)));
+    f()
+}
+
 /// Locks a mutex, recovering the guard if a previous holder panicked
 /// (pool state stays consistent across job panics by construction).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -100,13 +136,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+/// The loop of worker `me`: runs the oldest queued job that is pinned
+/// to it or to no worker.
+fn worker_loop(shared: &Shared, me: usize) {
     IN_WORKER.with(|f| f.set(true));
     loop {
         let job = {
             let mut q = lock(&shared.queue);
             loop {
-                if let Some(job) = q.pop_front() {
+                let mine = q.iter().position(|(to, _)| to.is_none_or(|w| w == me));
+                if let Some((_, job)) = mine.and_then(|i| q.remove(i)) {
                     break job;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -152,15 +191,19 @@ impl Pool {
             shutdown: AtomicBool::new(false),
         });
         let n_workers = if threads > 1 { threads } else { 0 };
-        let workers: Vec<_> = (0..n_workers)
-            .filter_map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("rhsd-par-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .ok()
-            })
-            .collect();
+        // Workers are numbered by the spawns that succeeded, so a pinned
+        // job's worker `ci mod workers.len()` always exists.
+        let mut workers = Vec::with_capacity(n_workers);
+        for _ in 0..n_workers {
+            let shared = Arc::clone(&shared);
+            let me = workers.len();
+            let spawned = thread::Builder::new()
+                .name(format!("rhsd-par-{me}"))
+                .spawn(move || worker_loop(&shared, me));
+            if let Ok(handle) = spawned {
+                workers.push(handle);
+            }
+        }
         Pool {
             shared,
             workers,
@@ -174,7 +217,8 @@ impl Pool {
     }
 
     /// Runs every job to completion, blocking until all have finished.
-    /// The first job panic (in submission order of observation) is
+    /// Inside [`pinned`], job `i` runs on worker `i mod workers`. The
+    /// first job panic (in submission order of observation) is
     /// re-raised on the caller *after* the barrier, so borrows stay
     /// sound even on the unwind path.
     fn run_scoped<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
@@ -182,13 +226,14 @@ impl Pool {
         if n == 0 {
             return;
         }
+        let pin = PINNED.with(Cell::get);
         let (tx, rx) = channel::<thread::Result<()>>();
         // Build (and lifetime-erase) every wrapper *before* taking the
         // queue lock: construction touches rhsd-obs (the queue-wait
         // stopwatch), and the pool-lock critical section must stay free
         // of registry calls (lint L9's never-nest discipline).
-        let mut wrappers: Vec<Job> = Vec::with_capacity(n);
-        for job in jobs {
+        let mut wrappers: Vec<Queued> = Vec::with_capacity(n);
+        for (i, job) in jobs.into_iter().enumerate() {
             let tx = tx.clone();
             let queued = rhsd_obs::Stopwatch::start();
             let wrapper: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
@@ -199,15 +244,16 @@ impl Pool {
                 // barrier makes impossible.
                 let _ = tx.send(result);
             });
+            let to = pin.then_some(i % self.workers.len());
             // SAFETY: `wrapper` borrows data that lives for
             // `'scope`. We block on `rx` below until all `n`
             // wrappers have sent their completion result, and each
             // wrapper sends only after the borrowed job has fully
             // run (panics included, via catch_unwind). Hence every
             // erased borrow ends before this frame returns.
-            wrappers.push(unsafe {
+            wrappers.push((to, unsafe {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(wrapper)
-            });
+            }));
         }
         {
             let mut q = lock(&self.shared.queue);
@@ -502,6 +548,25 @@ mod tests {
         });
         assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
         assert!(!in_worker(), "the caller's flag is restored");
+    }
+
+    #[test]
+    fn pinned_sections_run_chunk_ci_on_worker_ci_mod_workers() {
+        let pool = Pool::new(3);
+        let worker = |_: usize| thread::current().name().map(str::to_owned);
+        for _ in 0..20 {
+            let names = pinned(|| pool.map(7, 1, worker));
+            let expect: Vec<_> = (0..7)
+                .map(|i| Some(format!("rhsd-par-{}", i % 3)))
+                .collect();
+            assert_eq!(names, expect);
+        }
+        assert!(!PINNED.with(Cell::get), "the caller's flag is restored");
+        // Outside `pinned`, any worker may take any chunk.
+        let free = pool.map(7, 1, worker);
+        assert!(free
+            .iter()
+            .all(|n| n.as_deref().is_some_and(|n| n.starts_with("rhsd-par-"))));
     }
 
     #[test]

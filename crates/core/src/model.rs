@@ -624,6 +624,12 @@ impl RhsdNetwork {
     pub fn extractor_mut(&mut self) -> &mut FeatureExtractor {
         &mut self.extractor
     }
+
+    /// The refinement head, when the network has one (for kernel
+    /// benchmarks and pinned-numerics tests).
+    pub fn refinement(&self) -> Option<&RefinementHead> {
+        self.refinement.as_ref()
+    }
 }
 
 impl Clone for RhsdNetwork {

@@ -5,8 +5,11 @@
 //! re-classified / re-regressed (the 2nd C&R). This second stage is what
 //! drives down false alarms (Fig. 8 / Fig. 10).
 //!
-//! A region's RoIs run as one `[n, C, 7, 7]` batch: every layer takes
-//! the batch at once, and each RoI's logits and codes are bit for bit
+//! A region's RoIs run as one batch in the lane layout `[C, 7, 7, n]`:
+//! every pixel holds one value per RoI, so each output row of each
+//! convolution is one contiguous run of `7·n` (or `4·n`) values, and
+//! the FC reads its `[k, n]` input in place. Every layer takes the
+//! batch at once, and each RoI's logits and codes are bit for bit
 //! those of the RoI alone. The backward pass adds each RoI's parameter
 //! and feature-map gradients one RoI at a time, in RoI order — the add
 //! order of separate per-RoI passes.
@@ -96,6 +99,7 @@ impl RefinementHead {
     /// `[n, 2]` logits and `[n, 4]` regression codes for `n` RoIs.
     pub fn forward(&self, features: &Tensor, rois: &[FeatureRoi], tape: &mut Tape) -> RefineOutput {
         let size = self.roi_size;
+        let sp = rhsd_obs::span("roi-pool");
         let pooled = if tape.is_recording() {
             let pooled = roi_pool(features, rois, size, size);
             let argmax = pooled.argmax;
@@ -105,14 +109,22 @@ impl RefinementHead {
             // No backward will route through the winners.
             roi_pool_values(features, rois, size, size)
         };
-        let x = self.incep_b.forward(&pooled, tape);
-        let x = self.incep_a.forward(&x, tape);
+        drop(sp);
+        let x = {
+            let _sp = rhsd_obs::span("inception-b");
+            self.incep_b.forward(&pooled, tape)
+        };
+        let x = {
+            let _sp = rhsd_obs::span("inception-a");
+            self.incep_a.forward(&x, tape)
+        };
+        let _sp = rhsd_obs::span("fc");
         let x = self.flatten.forward(&x, tape);
         let h = self.fc.forward(&x, tape);
         let h = self.relu.forward(&h, tape);
         RefineOutput {
-            cls_logits: self.cls.forward(&h, tape),
-            reg_code: self.reg.forward(&h, tape),
+            cls_logits: transposed(&self.cls.forward(&h, tape)),
+            reg_code: transposed(&self.reg.forward(&h, tape)),
         }
     }
 
@@ -144,20 +156,19 @@ impl RefinementHead {
         let (g_fc, rest) = rest.split_at_mut(2);
         let (g_cls, g_reg) = rest.split_at_mut(2);
         // Pops run in reverse forward order: reg, cls, relu, fc, …
-        let g_reg_in = self.reg.backward(tape, reg_grad, g_reg);
-        let gh = add(&self.cls.backward(tape, cls_grad, g_cls), &g_reg_in);
+        let g_reg_in = self.reg.backward(tape, &transposed(reg_grad), g_reg);
+        let g_cls_in = self.cls.backward(tape, &transposed(cls_grad), g_cls);
+        let gh = add(&g_cls_in, &g_reg_in);
         let gh = self.relu.backward(tape, &gh, &mut []);
         let gx = self.fc.backward(tape, &gh, g_fc);
         let gx = self.flatten.backward(tape, &gx, &mut []);
         let gx = self.incep_a.backward(tape, &gx, g_a);
         let g_pooled = self.incep_b.backward(tape, &gx, g_b);
-        let (feat_dims, argmax): (Vec<usize>, Vec<usize>) = tape.pop("RefinementHead");
-        let per_roi = g_pooled.dims()[1..].iter().product::<usize>().max(1);
-        for (a, g) in argmax
-            .chunks_exact(per_roi)
-            .zip(g_pooled.as_slice().chunks_exact(per_roi))
-        {
-            axpy(feat_grad, feat_scale, &roi_pool_backward(&feat_dims, a, g));
+        let (feat_dims, argmax): (Vec<usize>, Vec<u32>) = tape.pop("RefinementHead");
+        let n = g_pooled.dim(3);
+        for r in 0..n {
+            let g = roi_pool_backward(&feat_dims, &argmax, g_pooled.as_slice(), (r, n));
+            axpy(feat_grad, feat_scale, &g);
         }
     }
 
@@ -187,6 +198,15 @@ impl RefinementHead {
             .flat_map(|(name, l)| vec![name.to_owned(); l.params().len()])
             .collect()
     }
+}
+
+/// The transpose of a `[k, n]` matrix: the head's `[k, n]` lane-layout
+/// outputs as the `[n, k]` rows its callers read, and their gradients
+/// back.
+fn transposed(t: &Tensor) -> Tensor {
+    let (k, n) = (t.dim(0), t.dim(1));
+    let v = t.as_slice();
+    Tensor::from_parts([n, k], (0..n * k).map(|i| v[i % k * n + i / k]).collect())
 }
 
 #[cfg(test)]

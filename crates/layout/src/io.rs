@@ -11,12 +11,35 @@
 //! RECT x0 y0 x1 y1
 //! POLY x0 y0 x1 y1 …        # even count of coordinates, rectilinear ring
 //! ```
+//!
+//! The reader takes untrusted input: every malformed document is a typed
+//! [`RlfError`], never a panic. Coordinates are bounded by
+//! [`MAX_COORD`], so every width, height and area of a document's
+//! shapes fits an `i64`, and the spatial index a document asks for —
+//! its `EXTENT`'s cells on every layer that holds a shape — by
+//! [`MAX_INDEX_CELLS`], so a hostile document cannot make the reader
+//! allocate without bound; a `POLY` lists at most
+//! [`MAX_POLY_VERTICES`], so its decomposition ends in bounded time.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
 use crate::geom::{Point, Rect};
 use crate::layout::{LayerId, Layout};
 use crate::polygon::RectilinearPolygon;
+
+/// The largest coordinate magnitude an RLF document may use, in nm
+/// (2³⁰ nm, about a metre): differences of two coordinates stay below
+/// 2³¹ and products of two differences below 2⁶².
+pub const MAX_COORD: i64 = 1 << 30;
+
+/// The most spatial-index cells an RLF document may ask for, summed
+/// over the layers that hold shapes: about 24 MiB of index. The largest
+/// synthetic case (30.72 µm square) needs 3600 cells a layer.
+pub const MAX_INDEX_CELLS: i64 = 1 << 20;
+
+/// The most vertices a `POLY` record may list: its decomposition takes
+/// time quadratic in them.
+pub const MAX_POLY_VERTICES: usize = 4096;
 
 /// Errors produced while reading an RLF document.
 #[derive(Debug)]
@@ -119,6 +142,8 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
 
     let mut layout: Option<Layout> = None;
     let mut current_layer: Option<LayerId> = None;
+    // The index cells of the extent, and the layers indexed so far.
+    let (mut cells, mut indexed) = (0i64, Vec::new());
     for (idx, raw) in iter {
         let line_no = idx + 1;
         if !relevant(raw) {
@@ -134,6 +159,9 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
             line: line_no,
             reason: format!("bad number: {e}"),
         })?;
+        if tag != "LAYER" && nums.iter().any(|v| !(-MAX_COORD..=MAX_COORD).contains(v)) {
+            return Err(bad(line_no, "coordinate beyond ±2^30 nm"));
+        }
         match tag {
             "EXTENT" => {
                 if nums.len() != 4 {
@@ -143,6 +171,13 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
                 if extent.is_degenerate() {
                     return Err(bad(line_no, "EXTENT must have area"));
                 }
+                let cell = Layout::DEFAULT_GRID_CELL;
+                let side = |len: i64| (len + cell - 1) / cell;
+                cells = side(extent.width()) * side(extent.height());
+                if cells > MAX_INDEX_CELLS {
+                    return Err(bad(line_no, "EXTENT spans too many index cells"));
+                }
+                indexed.clear();
                 layout = Some(Layout::new(extent));
             }
             "LAYER" => {
@@ -157,6 +192,7 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
                 }
                 let l = layout.as_mut().ok_or(RlfError::MissingExtent)?;
                 let layer = current_layer.ok_or(RlfError::NoCurrentLayer { line: line_no })?;
+                index_layer(&mut indexed, layer, cells, line_no)?;
                 let rect = Rect::new(nums[0], nums[1], nums[2], nums[3]);
                 if rect.is_degenerate() {
                     return Err(bad(line_no, "degenerate RECT"));
@@ -167,8 +203,12 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
                 if nums.len() < 8 || nums.len() % 2 != 0 {
                     return Err(bad(line_no, "POLY needs an even count ≥ 8 of coordinates"));
                 }
+                if nums.len() > 2 * MAX_POLY_VERTICES {
+                    return Err(bad(line_no, "POLY has too many vertices"));
+                }
                 let l = layout.as_mut().ok_or(RlfError::MissingExtent)?;
                 let layer = current_layer.ok_or(RlfError::NoCurrentLayer { line: line_no })?;
+                index_layer(&mut indexed, layer, cells, line_no)?;
                 let pts: Vec<Point> = nums.chunks(2).map(|c| Point::new(c[0], c[1])).collect();
                 let poly = RectilinearPolygon::new(pts)
                     .map_err(|e| bad(line_no, &format!("invalid polygon: {e}")))?;
@@ -180,6 +220,25 @@ pub fn read_rlf(r: impl Read) -> Result<Layout, RlfError> {
         }
     }
     layout.ok_or(RlfError::MissingExtent)
+}
+
+/// Records that `layer` holds a shape, and so gets the extent's `cells`
+/// index cells, unless the document's index would pass
+/// [`MAX_INDEX_CELLS`].
+fn index_layer(
+    indexed: &mut Vec<LayerId>,
+    layer: LayerId,
+    cells: i64,
+    line: usize,
+) -> Result<(), RlfError> {
+    if indexed.contains(&layer) {
+        return Ok(());
+    }
+    if (indexed.len() as i64 + 1) * cells > MAX_INDEX_CELLS {
+        return Err(bad(line, "layers span too many index cells"));
+    }
+    indexed.push(layer);
+    Ok(())
 }
 
 fn relevant(line: &str) -> bool {

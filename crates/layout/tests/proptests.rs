@@ -1,6 +1,9 @@
 //! Property-based tests for geometry, the spatial index and rasterisation.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
+use rhsd_layout::io::{read_rlf, RlfError};
 use rhsd_layout::{rasterize, Layout, Point, RasterSpec, Rect, METAL1};
 
 fn rect_strategy() -> impl Strategy<Value = Rect> {
@@ -99,5 +102,155 @@ proptest! {
         let p = Point::new(x, y);
         let probe = Rect::new(x, y, x + 1, y + 1);
         prop_assert_eq!(a.contains(p), a.intersects(&probe));
+    }
+}
+
+/// Numbers a hostile RLF document might hold: zero, signs, the `i64`
+/// extremes and their neighbours, values around the reader's
+/// coordinate bound, and ordinary layout coordinates.
+const NUMBERS: [i64; 14] = [
+    0,
+    1,
+    -1,
+    512,
+    -4096,
+    20_480,
+    i64::MAX,
+    i64::MIN,
+    i64::MAX - 1,
+    i64::MIN + 1,
+    1 << 30,
+    (1 << 30) + 1,
+    -(1 << 30) - 1,
+    1 << 40,
+];
+
+/// Tokens of a random RLF line: the record tags, comment and junk
+/// tokens, then the numbers above (a token index past the tags picks a
+/// number).
+const TAGS: [&str; 11] = [
+    "RLF", "EXTENT", "LAYER", "RECT", "POLY", "#", "1", "x", "1.5", "--3", "RLF 1",
+];
+
+fn token(i: usize, raw: i64) -> String {
+    match i {
+        i if i < TAGS.len() => TAGS[i].to_owned(),
+        i if i < TAGS.len() + NUMBERS.len() => NUMBERS[i - TAGS.len()].to_string(),
+        _ => raw.to_string(),
+    }
+}
+
+/// Parses `text` and checks the outcome is a `Layout` or a typed
+/// error, reached within a second.
+fn parses_or_fails_typed(text: &str) -> Result<(), String> {
+    let start = Instant::now();
+    let outcome = read_rlf(text.as_bytes());
+    prop_assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "read_rlf took {:?} on {text:?}",
+        start.elapsed()
+    );
+    if let Err(e) = outcome {
+        // Every error renders; I/O errors cannot come from a byte slice.
+        prop_assert!(!e.to_string().is_empty());
+        prop_assert!(!matches!(e, RlfError::Io(_)), "{e}");
+    }
+    Ok(())
+}
+
+/// A valid document: an extent, two layers, rectangles and an L-shaped
+/// polygon.
+const VALID: &str = "RLF 1
+EXTENT 0 0 4096 4096
+LAYER 1
+RECT 10 10 200 60
+RECT 300 300 900 420
+LAYER 2
+POLY 0 0 400 0 400 100 100 100 100 400 0 400
+RECT 1000 1000 1200 1400
+";
+
+/// One mutation of [`VALID`]: `kind` picks what changes, `at` which
+/// line or number, `n` how long a generated polygon is.
+fn mutate(kind: usize, at: usize, n: usize, raw: i64) -> String {
+    let mut lines: Vec<String> = VALID.lines().map(str::to_owned).collect();
+    let line = 1 + at % (lines.len() - 1);
+    let mut words: Vec<String> = lines[line].split_whitespace().map(str::to_owned).collect();
+    let w = 1 + at % words.len().saturating_sub(1).max(1);
+    match kind % 8 {
+        // A number replaced by an extreme or an arbitrary value.
+        0 if w < words.len() => words[w] = NUMBERS[at % NUMBERS.len()].to_string(),
+        1 if w < words.len() => words[w] = raw.to_string(),
+        // A coordinate negated, or a record's corners reversed.
+        2 if w < words.len() => words[w] = format!("-{}", words[w]),
+        3 => {
+            let tag = words.remove(0);
+            words.reverse();
+            words.insert(0, tag);
+        }
+        // A long staircase polygon, or one with an odd coordinate count.
+        4 => {
+            let mut poly = vec!["POLY".to_owned()];
+            for k in 0..n {
+                let (x, y) = (k as i64 * 8, k as i64 * 8);
+                poly.extend([x, y, x + 8, y].iter().map(|v| v.to_string()));
+            }
+            poly.extend(["0", &(n as i64 * 8).to_string()].map(str::to_owned));
+            lines.push(poly.join(" "));
+        }
+        5 => words.push(raw.to_string()),
+        // The EXTENT or a LAYER record dropped.
+        6 => {
+            lines.retain(|l| !l.starts_with("EXTENT"));
+        }
+        _ => {
+            if let Some(i) = lines.iter().position(|l| l.starts_with("LAYER")) {
+                lines.remove(i);
+            }
+        }
+    }
+    if line < lines.len() && (kind % 8) < 6 && kind % 8 != 4 {
+        lines[line] = words.join(" ");
+    }
+    lines.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary lines, built from record tags, junk tokens, extreme
+    /// numbers and random ones, parse to a layout or a typed error.
+    #[test]
+    fn read_rlf_survives_arbitrary_lines(
+        lines in proptest::collection::vec(
+            proptest::collection::vec(
+                (0usize..TAGS.len() + NUMBERS.len() + 4, i64::MIN..=i64::MAX),
+                0..7,
+            ),
+            0..12,
+        ),
+        header in 0usize..3,
+    ) {
+        let mut text = ["RLF 1\n", "", "RLF 7\n"][header].to_owned();
+        for line in &lines {
+            let words: Vec<String> = line.iter().map(|&(i, raw)| token(i, raw)).collect();
+            text.push_str(&words.join(" "));
+            text.push('\n');
+        }
+        parses_or_fails_typed(&text)?;
+    }
+
+    /// Mutated valid documents: `i64` extremes, negated and reversed
+    /// coordinates, long and odd `POLY` records, and a missing `EXTENT`
+    /// or `LAYER`, parse to a layout or a typed error.
+    #[test]
+    fn read_rlf_survives_mutated_documents(
+        kinds in proptest::collection::vec((0usize..8, 0usize..64, i64::MIN..=i64::MAX), 1..4),
+        n in 2usize..600,
+    ) {
+        prop_assert!(read_rlf(VALID.as_bytes()).is_ok());
+        for &(kind, at, raw) in &kinds {
+            parses_or_fails_typed(&mutate(kind, at, n, raw))?;
+        }
     }
 }

@@ -6,10 +6,10 @@ use std::any::Any;
 use rhsd_tensor::Tensor;
 
 /// A differentiable network module. Layers take one sample; the
-/// refinement head's layers (convolution, pooling, activations, channel
-/// concat, flatten and fully-connected) also take a batch with a
-/// leading `N` axis, each sample's outputs bit for bit those of the
-/// sample alone.
+/// refinement head's layers (convolution, activations, channel concat,
+/// flatten and fully-connected) also take a batch in the lane layout,
+/// with a trailing `N` axis (`[C, H, W, N]`, `[k, N]`), each sample's
+/// outputs bit for bit those of the sample alone.
 ///
 /// Layers are *stateless*: they own only their weights, and every pass
 /// takes `&self`, so one set of weights can serve any number of threads
@@ -163,12 +163,16 @@ impl Tape {
 /// the outermost chain, each layer's output activation summary is
 /// recorded (read-only — outputs are bit-identical either way).
 ///
+/// While observability is on, each layer runs under a span keyed
+/// `{name}#{i}` (see [`layer_span`]).
+///
 /// Shapes: `input` is whatever the first layer accepts (each layer
 /// documents its own contract); the result is the last layer's output.
 pub fn forward_all(layers: &[Box<dyn Layer>], input: &Tensor, tape: &mut Tape) -> Tensor {
     let record = crate::dynamics::enter_chain();
     let mut x = input.clone();
     for (i, layer) in layers.iter().enumerate() {
+        let _sp = layer_span(layer.name(), i);
         x = layer.forward(&x, tape);
         rhsd_tensor::invariants::check_finite(layer.name(), &x);
         if record {
@@ -177,6 +181,13 @@ pub fn forward_all(layers: &[Box<dyn Layer>], input: &Tensor, tape: &mut Tape) -
     }
     crate::dynamics::exit_chain();
     x
+}
+
+/// The span of layer `i` of a chain, keyed `{name}#{i}` (the key the
+/// dynamics collector records it under), or `None` while observability
+/// is off — so an untraced pass formats and allocates nothing.
+fn layer_span(name: &str, i: usize) -> Option<rhsd_obs::SpanGuard> {
+    rhsd_obs::enabled().then(|| rhsd_obs::span(format!("{name}#{i}")))
 }
 
 /// Runs `backward` through a slice of boxed layers in reverse order,
@@ -189,6 +200,8 @@ pub fn forward_all(layers: &[Box<dyn Layer>], input: &Tensor, tape: &mut Tape) -
 /// When the thread's [`crate::dynamics`] collector is armed and this is
 /// the outermost chain, the L2 norm of the gradient flowing out of each
 /// layer is recorded (read-only — gradients are bit-identical either way).
+/// While observability is on, each layer runs under its `{name}#{i}`
+/// span, as in [`forward_all`].
 ///
 /// Shapes: `grad_out` matches the last layer's output; the result
 /// matches the first layer's input; `grads` mirrors the layers'
@@ -237,6 +250,7 @@ fn backward_chain(
     let record = crate::dynamics::enter_chain();
     let mut rest = grads;
     for (i, layer) in layers.iter().enumerate().rev() {
+        let _sp = layer_span(layer.name(), i);
         let split = rest.len() - layer.params().len();
         let (head, own) = std::mem::take(&mut rest).split_at_mut(split);
         rest = head;

@@ -8,8 +8,8 @@ use rhsd_tensor::Tensor;
 use crate::init::{conv_fans, he_normal};
 use crate::layer::{Layer, Tape};
 
-/// A convolution layer `[C_in,H,W] → [C_out,H',W']` with bias, or map
-/// by map over a batch `[N,C_in,H,W] → [N,C_out,H',W']`.
+/// A convolution layer `[C_in,H,W] → [C_out,H',W']` with bias, or lane
+/// by lane over a batch `[C_in,H,W,N] → [C_out,H',W',N]`.
 ///
 /// This is the encoder-side building block of the paper's feature
 /// extractor (§3.1.1) and of every inception branch.
@@ -56,8 +56,8 @@ impl Layer for Conv2d {
         let rank = input.rank();
         rhsd_tensor::invariants::check_layer_input(
             "Conv2d",
-            format_args!("[C_in={}, H, W] or [N, C_in={0}, H, W]", self.c_in()),
-            (rank == 3 || rank == 4) && input.dim(rank - 3) == self.c_in(),
+            format_args!("[C_in={}, H, W] or [C_in={0}, H, W, N]", self.c_in()),
+            (rank == 3 || rank == 4) && input.dim(0) == self.c_in(),
             input.shape(),
         );
         tape.save(|| input.clone());

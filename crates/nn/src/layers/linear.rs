@@ -7,9 +7,10 @@ use rhsd_tensor::Tensor;
 use crate::init::xavier_uniform;
 use crate::layer::{Layer, Tape};
 
-/// A fully-connected layer `[n_in] → [n_out]`, or row by row over a
-/// batch `[N, n_in] → [N, n_out]` (used by the refinement stage's 2nd
-/// classification-and-regression heads, §3.4).
+/// A fully-connected layer `[n_in] → [n_out]`, or vector by vector
+/// over a batch in the lane layout `[n_in, N] → [n_out, N]` (used by
+/// the refinement stage's 2nd classification-and-regression heads,
+/// §3.4).
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Tensor, // [n_out, n_in]
@@ -45,15 +46,19 @@ impl Layer for Linear {
         let rank = input.rank();
         rhsd_tensor::invariants::check_layer_input(
             "Linear",
-            format_args!("[n_in={}] or [N, n_in={0}]", self.n_in()),
-            (rank == 1 || rank == 2) && input.dim(rank - 1) == self.n_in(),
+            format_args!("[n_in={}] or [n_in={0}, N]", self.n_in()),
+            (rank == 1 || rank == 2) && input.dim(0) == self.n_in(),
             input.shape(),
         );
         tape.save(|| input.clone());
         let mut y = matvec(&self.weight, input);
-        let bias = self.bias.as_slice();
-        for row in y.as_mut_slice().chunks_exact_mut(bias.len().max(1)) {
-            for (o, &b) in row.iter_mut().zip(bias) {
+        let n = y.len() / self.n_out().max(1);
+        for (row, &b) in y
+            .as_mut_slice()
+            .chunks_exact_mut(n.max(1))
+            .zip(self.bias.as_slice())
+        {
+            for o in row {
                 *o += b;
             }
         }
@@ -62,26 +67,25 @@ impl Layer for Linear {
 
     fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Linear");
-        let (n_out, n_in) = (self.n_out(), self.n_in());
-        // Each row adds its dW = g ⊗ x (pure products) and db = g, in
-        // row order.
-        let width = n_in.max(1);
-        for (gv, xv) in grad_out
-            .as_slice()
-            .chunks_exact(n_out.max(1))
-            .zip(input.as_slice().chunks_exact(width))
-        {
-            let dw = grads[0].as_mut_slice().chunks_exact_mut(width);
-            for (row, &g) in dw.zip(gv) {
-                for (d, &x) in row.iter_mut().zip(xv) {
+        let n = input.len() / self.n_in().max(1);
+        // Each vector adds its dW = g ⊗ x (pure products) and db = g,
+        // in batch order.
+        let lane = |t: &Tensor, r: usize| -> Vec<f32> {
+            t.as_slice().iter().skip(r).step_by(n).copied().collect()
+        };
+        for r in 0..n {
+            let (gv, xv) = (lane(grad_out, r), lane(&input, r));
+            let dw = grads[0].as_mut_slice().chunks_exact_mut(xv.len().max(1));
+            for (row, &g) in dw.zip(&gv) {
+                for (d, &x) in row.iter_mut().zip(&xv) {
                     *d += g * x;
                 }
             }
-            for (d, &g) in grads[1].as_mut_slice().iter_mut().zip(gv) {
+            for (d, &g) in grads[1].as_mut_slice().iter_mut().zip(&gv) {
                 *d += g;
             }
         }
-        // Wᵀ·g for every row at once, without materialising the
+        // Wᵀ·g for every vector at once, without materialising the
         // transpose.
         matvec_t(&self.weight, grad_out)
     }
@@ -95,9 +99,9 @@ impl Layer for Linear {
     }
 }
 
-/// Flattens `[C, H, W]` feature maps to rank-1 vectors, or a batch
-/// `[N, C, H, W]` to one row per map (and restores the shape on the way
-/// back).
+/// Flattens `[C, H, W]` feature maps to rank-1 vectors, or a batch in
+/// the lane layout `[C, H, W, N]` to `[C·H·W, N]`, one vector per lane
+/// (and restores the shape on the way back).
 #[derive(Debug, Clone, Default)]
 pub struct Flatten;
 
@@ -116,9 +120,9 @@ impl Layer for Flatten {
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         tape.save(|| input.dims().to_vec());
         if input.rank() == 4 {
-            let n = input.dim(0);
-            let row = input.dims()[1..].iter().product::<usize>();
-            input.clone().with_shape([n, row])
+            let n = input.dim(3);
+            let chw = input.dims()[..3].iter().product::<usize>();
+            input.clone().with_shape([chw, n])
         } else {
             let n = input.len();
             input.clone().with_shape([n])

@@ -6,7 +6,7 @@ use rhsd_tensor::Tensor;
 use crate::layer::{Layer, Tape};
 
 /// A 2-D max-pooling layer with 2×2 windows at stride 2, over
-/// `[C, H, W]` or a batch `[N, C, H, W]`.
+/// `[C, H, W]`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxPool2d;
 
@@ -18,8 +18,8 @@ impl Layer for MaxPool2d {
     fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "MaxPool2d",
-            format_args!("[C, H, W] or [N, C, H, W]"),
-            input.rank() == 3 || input.rank() == 4,
+            format_args!("[C, H, W]"),
+            input.rank() == 3,
             input.shape(),
         );
         if !tape.is_recording() {

@@ -1,9 +1,10 @@
 //! 2-D convolution with analytic backward passes.
 //!
 //! Implements the convolution of Eq. (1) of the paper. Tensors are
-//! `[C, H, W]` feature maps, or `[N, C, H, W]` batches of them (the
-//! refinement head's RoIs); weights are `[C_out, C_in, K, K]`. A batched
-//! output element is bit for bit what the map alone would give.
+//! `[C, H, W]` feature maps, or `[C, H, W, N]` batches of them in the
+//! lane layout, whose every pixel holds one value per map (the
+//! refinement head's RoIs); weights are `[C_out, C_in, K, K]`. A
+//! batched output element is bit for bit what the map alone would give.
 //!
 //! The forward pass and the input gradient read their maps in place
 //! (`ops::direct`): the forward pass runs one ascending-tap chain per
@@ -15,6 +16,7 @@
 //! (`weight_product`). The full column matrix exists only in
 //! [`crate::reference`], as the tests' oracle.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::ops::direct::{self, tile, Map};
@@ -240,38 +242,36 @@ impl TapRows<'_> {
 }
 
 /// Views an op's input as a [`Map`] batch: one `[C, H, W]` map, or —
-/// when the op takes batches — an `[N, C, H, W]` batch of them.
+/// when the op takes batches — a `[C, H, W, N]` batch in the lane
+/// layout.
 pub(crate) fn map_of<'a>(op: &str, input: &'a Tensor, batched: bool) -> Map<'a> {
     let rank = input.rank();
     assert!(
         rank == 3 || (batched && rank == 4),
         "{op} input must be {}, got {}",
         if batched {
-            "[C,H,W] or [N,C,H,W]"
+            "[C,H,W] or [C,H,W,N]"
         } else {
             "[C,H,W]"
         },
         input.shape()
     );
-    let d = &input.dims()[rank - 3..];
-    let n = if rank == 4 { input.dim(0) } else { 1 };
+    let d = input.dims();
     Map {
         v: input.as_slice(),
-        n,
+        n: d.get(3).copied().unwrap_or(1),
         c: d[0],
         h: d[1],
         w: d[2],
     }
 }
 
-/// The shape of an op's output with `chw` per map: rank 3 for a single
-/// map, `[N, ..]` for a batch.
-fn batch_shape(input: &Tensor, n: usize, chw: [usize; 3]) -> Vec<usize> {
-    if input.rank() == 4 {
-        vec![n, chw[0], chw[1], chw[2]]
-    } else {
-        chw.to_vec()
-    }
+/// `input`'s shape with its `[C, H, W]` axes replaced by `chw`: the
+/// shape of an op's output, a batch's lane axis kept.
+fn with_chw(input: &Tensor, chw: [usize; 3]) -> Vec<usize> {
+    let mut dims = input.dims().to_vec();
+    dims[..3].copy_from_slice(&chw);
+    dims
 }
 
 /// Checks an op's `[_, _, K, K]` weight against its input's `c_in`
@@ -321,7 +321,7 @@ pub(crate) fn check_bias(bias: Option<&Tensor>, c_out: usize) -> Option<&[f32]> 
 }
 
 /// Forward 2-D convolution: `[C_in,H,W] ⊛ [C_out,C_in,K,K] (+bias) → [C_out,H',W']`,
-/// or map by map over a batch: `[N,C_in,H,W] → [N,C_out,H',W']`.
+/// or lane by lane over a batch: `[C_in,H,W,N] → [C_out,H',W',N]`.
 ///
 /// `bias` may be `None` for bias-free layers.
 ///
@@ -333,9 +333,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
     let c_out = check_weight("conv2d", x.c, weight, spec, 1);
     let bias = check_bias(bias, c_out);
     let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
-    let mut out = vec![0.0f32; x.n * c_out * oh * ow];
+    let mut out = vec![0.0f32; c_out * oh * ow * x.n];
     direct::conv_into(&mut out, x, weight.as_slice(), c_out, spec, bias);
-    let out = Tensor::from_parts(batch_shape(input, x.n, [c_out, oh, ow]), out);
+    let out = Tensor::from_parts(with_chw(input, [c_out, oh, ow]), out);
     crate::invariants::check_finite("conv2d", &out);
     out
 }
@@ -362,9 +362,10 @@ pub fn conv2d_backward(
 }
 
 /// Gradients of [`conv2d`] over a map or a batch: the input gradient,
-/// shaped like `input` and folded for the whole batch at once, and each
-/// map's own `(d_weight, d_bias)` in batch order — so a caller adding
-/// them into its accumulators one by one keeps the per-map add order.
+/// shaped like `input` and folded for the whole batch at once, lane by
+/// lane, and each map's own `(d_weight, d_bias)` in batch order — so a
+/// caller adding them into its accumulators one by one keeps the
+/// per-map add order.
 ///
 /// `grad_out` must be shaped like the forward output.
 ///
@@ -448,7 +449,7 @@ fn check_backward<'a>(
     let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
     assert_eq!(
         grad_out.dims(),
-        &batch_shape(input, x.n, [c_out, oh, ow])[..],
+        &with_chw(input, [c_out, oh, ow])[..],
         "grad_out shape {} inconsistent with conv geometry",
         grad_out.shape()
     );
@@ -456,20 +457,26 @@ fn check_backward<'a>(
 }
 
 /// Each map's `(d_weight, d_bias)` from the batch `x` and its output
-/// gradient `gv` (`[n, c_out, oh, ow]`).
+/// gradient `gv` (`[c_out, oh, ow, x.n]`), in lane order: a batch's
+/// lanes are gathered map by map, and each map runs the single map's
+/// chains.
 fn weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor, Tensor)> {
-    let (c_in, h, w) = (x.c, x.h, x.w);
+    let (c_in, h, w, n) = (x.c, x.h, x.w, x.n);
     let k = spec.kernel;
     let ncols = spec.out_size(h) * spec.out_size(w);
     let ckk = c_in * k * k;
-    x.v.chunks_exact((c_in * h * w).max(1))
-        .zip(gv.chunks_exact((c_out * ncols).max(1)))
-        .take(x.n)
-        .map(|(xv, gv)| {
-            let dbias = channel_sums(gv, c_out, ncols);
+    let lane =
+        |v: &'_ [f32], r: usize| -> Vec<f32> { v.iter().skip(r).step_by(n).copied().collect() };
+    (0..n)
+        .map(|r| {
+            let (xv, gv) = match n {
+                1 => (Cow::Borrowed(x.v), Cow::Borrowed(gv)),
+                _ => (Cow::Owned(lane(x.v, r)), Cow::Owned(lane(gv, r))),
+            };
+            let dbias = channel_sums(&gv, c_out, ncols);
             // d_weight = grad · im2col(x)ᵀ, the taps read from the map.
             let mut dw = vec![0.0f32; c_out * ckk];
-            weight_product(&mut dw, xv, (c_in, h, w), spec, gv, c_out);
+            weight_product(&mut dw, &xv, (c_in, h, w), spec, &gv, c_out);
             (
                 Tensor::from_parts([c_out, c_in, k, k], dw),
                 Tensor::from_parts([c_out], dbias),
@@ -646,9 +653,9 @@ mod tests {
     fn weight_grads_alone_match_the_full_backward() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let spec = ConvSpec::same(3);
-        let x = Tensor::rand_normal([2, 3, 9, 11], 0.0, 1.0, &mut rng);
+        let x = Tensor::rand_normal([3, 9, 11, 2], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([4, 3, 3, 3], 0.0, 0.5, &mut rng);
-        let g = Tensor::rand_normal([2, 4, 9, 11], 0.0, 1.0, &mut rng);
+        let g = Tensor::rand_normal([4, 9, 11, 2], 0.0, 1.0, &mut rng);
         let (_, full) = conv2d_backward_batch(&x, &w, &g, spec);
         let alone = conv2d_weight_grads(&x, &w, &g, spec);
         assert_eq!(full.len(), 2);

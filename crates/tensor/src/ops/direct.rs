@@ -41,13 +41,19 @@
 //!   `col2im`'s two levels of rounding in its order: ascending taps per
 //!   output pixel, each tap one `Wᵀ · g` element.
 //!
-//! Both take a batch of `n` maps and run it map by map. Tasks own whole
-//! bands of output rows, at least `NC` pixels each, across every
-//! channel; maps smaller than `NC` pixels (the refinement head's RoI
-//! maps) go whole, as many to a task as make `NC` pixels. The split
-//! depends only on the shape. Every element's arithmetic is fixed by
-//! the above, so results are bit-identical at any thread count, ISA and
-//! batch size.
+//! Both take a batch in the lane layout `[C, H, W, N]`: every pixel
+//! holds `N` lanes, one per map of the batch (the refinement head's
+//! RoIs), and a single `[C, H, W]` map is the batch of one lane. All of
+//! the above runs on the batch as on one map whose pixels are `N`
+//! values wide: an output row is one run of `W'·N` values, tap
+//! `(ky, kx)` sits at the constant offset `ky · row + kx · N` of the
+//! padded band, the stride-`s` phases are split pixel by pixel, and a
+//! fold's lane masks hold the lanes of the pixels a tap reaches. Every
+//! lane runs exactly the chain its map alone would run. Tasks own whole
+//! bands of output rows, at least `NC` values each, across every
+//! channel. The split depends only on the shape. Every element's
+//! arithmetic is fixed by the above, so results are bit-identical at
+//! any thread count, ISA and batch size.
 
 use std::ops::Range;
 
@@ -62,7 +68,8 @@ const NC: usize = 2048;
 /// Every lane of a strip.
 const ALL_LANES: u8 = u8::MAX;
 
-/// A batch of `n` row-major `[c, h, w]` maps, stored `[n, c, h, w]`.
+/// A row-major `[c, h, w, n]` batch: `c` channels of `h × w` pixels of
+/// `n` lanes each (`n = 1` for a single map).
 #[derive(Clone, Copy)]
 pub(crate) struct Map<'a> {
     pub(crate) v: &'a [f32],
@@ -70,18 +77,6 @@ pub(crate) struct Map<'a> {
     pub(crate) c: usize,
     pub(crate) h: usize,
     pub(crate) w: usize,
-}
-
-impl<'a> Map<'a> {
-    /// Map `i` of the batch, as a batch of one.
-    fn image(self, i: usize) -> Map<'a> {
-        let len = self.c * self.h * self.w;
-        Map {
-            v: &self.v[i * len..][..len],
-            n: 1,
-            ..self
-        }
-    }
 }
 
 /// Dispatches a tile or run method on its runtime row count.
@@ -102,90 +97,51 @@ macro_rules! tile {
 }
 pub(crate) use tile;
 
-/// Output rows per band of an `oh × ow` output: at least `NC` pixels,
-/// at most the whole map.
-fn band_rows(oh: usize, ow: usize) -> usize {
-    NC.div_ceil(ow.max(1)).min(oh).max(1)
+/// Output rows per band of `oh` rows of `row` values: at least `NC`
+/// values, at most the whole map.
+fn band_rows(oh: usize, row: usize) -> usize {
+    NC.div_ceil(row.max(1)).min(oh).max(1)
 }
 
-/// Splits `out` (`[c, oh, ow]`) into tasks of whole output-row bands of
-/// at least `NC` pixels and runs `f(y0, y1, planes)` on each, where
-/// `planes[ch]` is rows `y0..y1` of channel `ch`.
+/// Splits `out` (`c` planes of `oh` rows of `row` values) into tasks
+/// of whole output-row bands of at least `NC` values and runs
+/// `f(y0, y1, planes, scratch)` on each, where `planes[ch]` is rows
+/// `y0..y1` of channel `ch` and `scratch` a task's `scratch_len`
+/// workspace values.
 fn for_each_band(
     out: &mut [f32],
-    c: usize,
-    oh: usize,
-    ow: usize,
-    work_per_px: usize,
-    f: impl Fn(usize, usize, &mut [&mut [f32]]) + Sync,
+    (c, oh, row): (usize, usize, usize),
+    work_per_value: usize,
+    scratch_len: usize,
+    f: impl Fn(usize, usize, &mut [&mut [f32]], &mut [f32]) + Sync,
 ) {
-    let plane = oh * ow;
+    let plane = oh * row;
     if plane == 0 || c == 0 {
         return;
     }
-    let band = band_rows(oh, ow);
-    let bands = rhsd_par::chunk_units(oh.div_ceil(band), work_per_px * band * ow);
+    let band = band_rows(oh, row);
+    let bands = rhsd_par::chunk_units(oh.div_ceil(band), work_per_value * band * row);
     let task_rows = (bands * band).min(oh);
     let mut segs: Vec<&mut [f32]> = Vec::with_capacity(c * oh.div_ceil(task_rows));
     let mut rest: Vec<&mut [f32]> = out.chunks_mut(plane).collect();
     for y0 in (0..oh).step_by(task_rows) {
         for p in rest.iter_mut() {
-            let (seg, tail) = std::mem::take(p).split_at_mut(task_rows.min(oh - y0) * ow);
+            let (seg, tail) = std::mem::take(p).split_at_mut(task_rows.min(oh - y0) * row);
             *p = tail;
             segs.push(seg);
         }
     }
     rhsd_par::for_each_mut(&mut segs, c, |ti, planes| {
         let y0 = ti * task_rows;
-        f(y0, (y0 + task_rows).min(oh), planes);
-    });
-}
-
-/// Runs `f(i, y0, y1, planes, scratch)` over the batch `out`
-/// (`[n, c, oh, ow]`), where `planes[ch]` is rows `y0..y1` of channel
-/// `ch` of map `i` and `scratch` a task's `scratch_len` workspace
-/// values. A map of at least `NC` pixels is split into bands by
-/// [`for_each_band`]; smaller maps go whole, as many to a task as make
-/// `NC` pixels.
-fn for_each_map_band(
-    out: &mut [f32],
-    (n, c, oh, ow): (usize, usize, usize, usize),
-    work_per_px: usize,
-    scratch_len: usize,
-    f: impl Fn(usize, usize, usize, &mut [&mut [f32]], &mut [f32]) + Sync,
-) {
-    let plane = oh * ow;
-    if out.is_empty() {
-        return;
-    }
-    let scratch = || (scratch_len > 0).then(|| workspace::take(scratch_len));
-    if plane >= NC {
-        for (i, map) in out.chunks_mut(c * plane).enumerate() {
-            for_each_band(map, c, oh, ow, work_per_px, |y0, y1, planes| {
-                let mut ws = scratch();
-                f(i, y0, y1, planes, ws.as_deref_mut().unwrap_or_default())
-            });
-        }
-        return;
-    }
-    let group = NC.div_ceil(plane).min(n);
-    let groups = rhsd_par::chunk_units(n.div_ceil(group), work_per_px * plane * group);
-    let maps = (groups * group).min(n);
-    rhsd_par::for_each_mut(out, maps * c * plane, |ti, task| {
-        let mut ws = scratch();
+        let mut ws = (scratch_len > 0).then(|| workspace::take(scratch_len));
         let ws = ws.as_deref_mut().unwrap_or_default();
-        let mut planes = Vec::with_capacity(c);
-        for (i, map) in task.chunks_mut(c * plane).enumerate() {
-            planes.clear();
-            planes.extend(map.chunks_mut(plane));
-            f(ti * maps + i, 0, oh, &mut planes, ws);
-        }
+        f(y0, (y0 + task_rows).min(oh), planes, ws);
     });
 }
 
-/// The pixels a run covers along one output row: `len` pixels from
+/// The values a run covers along one output row: `len` values from
 /// `x0` in each of `MRR` channels from `c`, or (`seg`) in one channel
-/// `c`, cut into `MRR` segments of `seg` pixels.
+/// `c`, cut into `MRR` segments of `seg` values.
 #[derive(Clone, Copy)]
 struct Pixels {
     c: usize,
@@ -195,7 +151,7 @@ struct Pixels {
 }
 
 impl Pixels {
-    /// `len` pixels from `x0` of channels `c..`.
+    /// `len` values from `x0` of channels `c..`.
     fn channels(c: usize, x0: usize, len: usize) -> Self {
         Pixels {
             c,
@@ -205,7 +161,7 @@ impl Pixels {
         }
     }
 
-    /// The runs over `len` pixels from `x0` of channel `c` alone, with
+    /// The runs over `len` values from `x0` of channel `c` alone, with
     /// their row counts: at most `mr` segments of equal whole strips,
     /// then, when the strips do not divide evenly, one strip a row for
     /// the rest. Every row of a run has as many strips as the others;
@@ -232,7 +188,7 @@ impl Pixels {
     }
 
     /// A run's destination rows in output row `row` (an offset into each
-    /// channel's band), with each row's output channel and first pixel.
+    /// channel's band), with each row's output channel and first value.
     fn rows<'p, const MRR: usize>(
         self,
         planes: &'p mut [&mut [f32]],
@@ -272,12 +228,13 @@ fn low_lanes(n: usize) -> u8 {
 
 /// Offsets of the taps `(ci, ky, kx)` of output pixel `0` of a band's
 /// first row, in step order, in a source of `c` channels of `rows`
-/// rows, each row stored as `s` column phases of `wh` values.
-fn tap_offsets(c: usize, k: usize, s: usize, rows: usize, wh: usize) -> Vec<usize> {
+/// rows, each row stored as `s` column phases of `wh` pixels of `n`
+/// lanes.
+fn tap_offsets(c: usize, k: usize, s: usize, (rows, wh): (usize, usize), n: usize) -> Vec<usize> {
     (0..c * k * k)
         .map(|t| {
             let (ci, ky, kx) = (t / (k * k), t / k % k, t % k);
-            ((ci * rows + ky) * s + kx % s) * wh + kx / s
+            (((ci * rows + ky) * s + kx % s) * wh + kx / s) * n
         })
         .collect()
 }
@@ -295,7 +252,8 @@ struct Forward<'a> {
     x: Map<'a>,
     wt: &'a [f32],
     spec: ConvSpec,
-    ow: usize,
+    /// `ow · x.n`: the values of an output row.
+    row: usize,
     /// `x.c · k²`: the chain length.
     ckk: usize,
     bias: Option<&'a [f32]>,
@@ -303,44 +261,53 @@ struct Forward<'a> {
 
 impl Forward<'_> {
     /// Copies the rows that output rows `y0..y0 + n` read into `copy`:
-    /// per channel `rows` rows of `s` phases of `wh` values, where phase
+    /// per channel `rows` rows of `s` phases of `wh` pixels, where phase
     /// `ph` of padded row `r` holds padded columns `ph, ph + s, …` of
-    /// map row `y0 · s + r − p`. Rows in the padding are zeroed, as an
-    /// earlier band may have filled them; the padding columns are never
-    /// written and keep the workspace's zeros.
+    /// map row `y0 · s + r − p`, each pixel all its lanes. Rows in the
+    /// padding are zeroed, as an earlier band may have filled them; the
+    /// padding columns are never written and keep the workspace's
+    /// zeros.
     fn pad_band(&self, copy: &mut [f32], y0: usize, n: usize, (rows, wh): (usize, usize)) {
         let ConvSpec {
             kernel: k,
             stride: s,
             padding: p,
         } = self.spec;
-        let Map { v, c, h, w, .. } = self.x;
-        for (ci, dst) in copy.chunks_exact_mut(rows * s * wh).take(c).enumerate() {
+        let Map {
+            v,
+            n: lanes,
+            c,
+            h,
+            w,
+        } = self.x;
+        let prow = s * wh * lanes;
+        for (ci, dst) in copy.chunks_exact_mut(rows * prow).take(c).enumerate() {
             let used = (n - 1) * s + k;
-            for (r, drow) in dst.chunks_exact_mut(s * wh).take(used).enumerate() {
+            for (r, drow) in dst.chunks_exact_mut(prow).take(used).enumerate() {
                 // Rows in the padding wrap to huge values.
                 let iy = (y0 * s + r).wrapping_sub(p);
                 if iy >= h {
                     drow.fill(0.0);
                     continue;
                 }
-                let src = &v[(ci * h + iy) * w..][..w];
+                let src = &v[(ci * h + iy) * w * lanes..][..w * lanes];
                 if s == 1 {
-                    drow[p..p + w].copy_from_slice(src);
+                    drow[p * lanes..(p + w) * lanes].copy_from_slice(src);
                     continue;
                 }
-                for (ph, d) in drow.chunks_exact_mut(wh).enumerate() {
-                    // Phase value `j` holds map column `j · s + ph − p`.
-                    for (j, d) in d
-                        .iter_mut()
-                        .enumerate()
-                        .skip(p.saturating_sub(ph).div_ceil(s))
-                    {
-                        let ix = j * s + ph - p;
-                        if ix >= w {
-                            break;
+                for (ph, d) in drow.chunks_exact_mut(wh * lanes).enumerate() {
+                    // Phase pixel `j` holds map column `j · s + ph − p`.
+                    let j0 = p.saturating_sub(ph).div_ceil(s);
+                    let ix0 = j0 * s + ph - p;
+                    if lanes == 1 {
+                        for (d, &x) in d.iter_mut().skip(j0).zip(src.iter().skip(ix0).step_by(s)) {
+                            *d = x;
                         }
-                        *d = src[ix];
+                        continue;
+                    }
+                    let pixels = src.chunks_exact(lanes).skip(ix0).step_by(s);
+                    for (d, x) in d.chunks_exact_mut(lanes).skip(j0).zip(pixels) {
+                        d.copy_from_slice(x);
                     }
                 }
             }
@@ -365,22 +332,22 @@ impl Forward<'_> {
         let mr = kernels::gemm_mr();
         let single = c_out % mr == 1;
         let c = c_out - usize::from(single);
-        let ow = self.ow;
+        let len = self.row;
         for c0 in (0..c).step_by(mr) {
-            let px = Pixels::channels(c0, 0, ow);
+            let px = Pixels::channels(c0, 0, len);
             tile!(mr.min(c - c0), self.run(planes, row, px, b));
         }
         if single {
-            for (rows, px) in Pixels::segments(c, 0, ow, mr) {
+            for (rows, px) in Pixels::segments(c, 0, len, mr) {
                 tile!(rows, self.run(planes, row, px, b));
             }
         }
     }
 }
 
-/// Forward convolution into `out` (`[x.n, c_out, H', W']`, every
-/// element overwritten): `out = wt ⊛ x (+ bias)` per map, with `wt` as
-/// `[c_out, x.c, K, K]`.
+/// Forward convolution into `out` (`[c_out, H', W', x.n]`, every
+/// element overwritten): `out = wt ⊛ x (+ bias)` lane by lane, with
+/// `wt` as `[c_out, x.c, K, K]`.
 pub(crate) fn conv_into(
     out: &mut [f32],
     x: Map,
@@ -395,83 +362,85 @@ pub(crate) fn conv_into(
         padding: p,
     } = spec;
     let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
+    let (n, row) = (x.n, ow * x.n);
     let ckk = x.c * k * k;
-    debug_assert_eq!(out.len(), x.n * c_out * oh * ow, "conv output length");
+    debug_assert_eq!(out.len(), c_out * oh * row, "conv output length");
     debug_assert_eq!(wt.len(), c_out * ckk, "conv weight length");
-    let band = band_rows(oh, ow);
+    let band = band_rows(oh, row);
     // A band's padded copy: per channel `rows` rows of `s` phases of
-    // `wh` values, then `NR` slack values.
+    // `wh` pixels, then `NR` slack values.
     let (rows, wh) = ((band - 1) * s + k, (x.w + 2 * p).div_ceil(s));
-    let copied = tap_offsets(x.c, k, s, rows, wh);
+    let copied = tap_offsets(x.c, k, s, (rows, wh), n);
     let copied = Src::new(&copied);
-    // An unpadded stride-1 map is read in place when its last strip's
-    // `B` rows, which pass its end by the last strip's unused lanes,
-    // end inside the batch: always when the rows fill whole strips.
-    let map_len = x.c * x.h * x.w;
-    let past_end = ow.next_multiple_of(NR) - ow;
-    let in_place = |i: usize| p == 0 && s == 1 && (x.n - 1 - i) * map_len >= past_end;
-    let mapped = tap_offsets(x.c, k, 1, x.h, x.w);
+    // An unpadded stride-1 map is read in place when its rows fill
+    // whole strips: then its last strip's `B` rows end inside it.
+    let in_place = p == 0 && s == 1 && row % NR == 0;
+    let mapped = tap_offsets(x.c, k, 1, (x.h, x.w), n);
     let mapped = Src::new(&mapped).on(x.v);
-    let copy_len = if x.n == 0 || in_place(x.n - 1) {
+    let copy_len = if in_place {
         0
     } else {
-        x.c * rows * s * wh + NR
+        x.c * rows * s * wh * n + NR
     };
     let op = Forward {
         x,
         wt,
         spec,
-        ow,
+        row,
         ckk,
         bias,
     };
     let work = 2 * ckk * c_out;
-    let dims = (x.n, c_out, oh, ow);
-    for_each_map_band(out, dims, work, copy_len, |i, y0, y1, planes, copy| {
-        if in_place(i) {
-            for oy in y0..y1 {
-                let b = Rows {
-                    src: mapped,
-                    base: i * map_len + oy * x.w,
-                };
-                op.row(planes, (oy - y0) * ow, c_out, b);
+    for_each_band(
+        out,
+        (c_out, oh, row),
+        work,
+        copy_len,
+        |y0, y1, planes, copy| {
+            if in_place {
+                for oy in y0..y1 {
+                    let b = Rows {
+                        src: mapped,
+                        base: oy * x.w * n,
+                    };
+                    op.row(planes, (oy - y0) * row, c_out, b);
+                }
+                return;
             }
-            return;
-        }
-        let op = Forward {
-            x: x.image(i),
-            ..op
-        };
-        for yb in (y0..y1).step_by(band) {
-            let ye = (yb + band).min(y1);
-            op.pad_band(copy, yb, ye - yb, (rows, wh));
-            let src = copied.on(copy);
-            for oy in yb..ye {
-                let b = Rows {
-                    src,
-                    base: (oy - yb) * s * s * wh,
-                };
-                op.row(planes, (oy - y0) * ow, c_out, b);
+            for yb in (y0..y1).step_by(band) {
+                let ye = (yb + band).min(y1);
+                op.pad_band(copy, yb, ye - yb, (rows, wh));
+                let src = copied.on(copy);
+                for oy in yb..ye {
+                    let b = Rows {
+                        src,
+                        base: (oy - yb) * s * s * wh * n,
+                    };
+                    op.row(planes, (oy - y0) * row, c_out, b);
+                }
             }
-        }
-    });
+        },
+    );
 }
 
-/// A fold: `col2im(Wᵀ · g)` onto a `[c_out, oh, ow]` map, with `wt` as
-/// `[g.c, c_out, K, K]`.
+/// A fold: `col2im(Wᵀ · g)` onto a `[c_out, oh, ow, g.n]` batch, with
+/// `wt` as `[g.c, c_out, K, K]`.
 struct Fold<'a> {
     g: Map<'a>,
     wt: &'a [f32],
     c_out: usize,
     spec: ConvSpec,
-    ow: usize,
-    /// Per residue `r` below the stride, the lanes `l ≡ r (mod s)`.
+    /// `ow · g.n`: the values of an output row.
+    row: usize,
+    /// Per residue `r` below `s · g.n`, the lanes `l` with
+    /// `(r + l) mod (s · g.n) < g.n`: those whose pixel lies a whole
+    /// stride from a pixel at residue `r`.
     phases: &'a [u8],
     bias: Option<&'a [f32]>,
 }
 
 /// A fold's source band: per channel `rows` source rows from `lo`,
-/// each stored from index `lead` with source column `gx` at
+/// each stored from pixel `lead` with source column `gx` at pixel
 /// `lead + s · gx`, `width` values a row; every other value is `0.0`.
 #[derive(Clone, Copy)]
 struct FoldBand {
@@ -482,12 +451,12 @@ struct FoldBand {
 }
 
 impl Fold<'_> {
-    /// The source index `(v + p − kv) / s` that output coordinate `v`
-    /// reads under tap `kv`, when it is exact and below `n`.
-    fn source(&self, v: usize, kv: usize, n: usize) -> Option<usize> {
-        let q = (v + self.spec.padding).checked_sub(kv)?;
+    /// The source row `(y + p − ky) / s` that output row `y` reads
+    /// under tap `ky`, when it is exact and inside the map.
+    fn source_row(&self, y: usize, ky: usize) -> Option<usize> {
+        let q = (y + self.spec.padding).checked_sub(ky)?;
         let s = self.spec.stride;
-        (q % s == 0 && q / s < n).then_some(q / s)
+        (q % s == 0 && q / s < self.g.h).then_some(q / s)
     }
 
     /// Copies source rows `band.lo..hi` of every channel into `copy`,
@@ -495,7 +464,7 @@ impl Fold<'_> {
     /// the source columns are never written, so they keep the
     /// workspace's zeros.
     fn pad_band(&self, copy: &mut [f32], band: FoldBand, hi: usize) {
-        let Map { v, c, h, w, .. } = self.g;
+        let Map { v, n, c, h, w } = self.g;
         let s = self.spec.stride;
         for (ci, dst) in copy
             .chunks_exact_mut(band.rows * band.width)
@@ -503,56 +472,59 @@ impl Fold<'_> {
             .enumerate()
         {
             for (gy, drow) in (band.lo..hi).zip(dst.chunks_exact_mut(band.width)) {
-                let src = &v[(ci * h + gy) * w..][..w];
-                let cols = &mut drow[band.lead..];
+                let src = &v[(ci * h + gy) * w * n..][..w * n];
+                let cols = &mut drow[band.lead * n..];
                 if s == 1 {
-                    let n = w.min(cols.len());
-                    cols[..n].copy_from_slice(&src[..n]);
+                    let m = src.len().min(cols.len());
+                    cols[..m].copy_from_slice(&src[..m]);
                 } else {
-                    for (d, &x) in cols.iter_mut().step_by(s).zip(src) {
-                        *d = x;
+                    for (d, x) in cols.chunks_mut(s * n).zip(src.chunks_exact(n)) {
+                        for (d, &x) in d.iter_mut().zip(x) {
+                            *d = x;
+                        }
                     }
                 }
             }
         }
     }
 
-    /// The taps of the strip at `x0` of output row `y`, in ascending
-    /// `(ky, kx)` order, into `taps`: each reads the source `band`,
-    /// masked to the lanes whose source column lies inside the map at
-    /// a whole stride. Taps that reach no lane add to none and are left
-    /// out.
+    /// The taps of the strip at value `x0` of output row `y`, in
+    /// ascending `(ky, kx)` order, into `taps`: each reads the source
+    /// `band`, masked to the lanes whose pixel's source column lies
+    /// inside the map at a whole stride. Taps that reach no lane add to
+    /// none and are left out.
     fn taps(&self, y: usize, x0: usize, band: FoldBand, taps: &mut Vec<FoldTap>) {
         let ConvSpec {
             kernel: k,
             stride: s,
             padding: p,
         } = self.spec;
-        // Lane `l` of tap `kx` reads source column `(x + l − kx) / s`.
-        let x = x0 + p;
+        let n = self.g.n;
+        // Lane `l` of tap `kx` reads source column `⌊(x + l) / n − kx⌋ / s`.
+        let x = x0 + p * n;
         taps.clear();
         for ky in 0..k {
-            let Some(gy) = self.source(y, ky, self.g.h) else {
+            let Some(gy) = self.source_row(y, ky) else {
                 continue;
             };
             for kx in 0..k {
-                let first = kx.saturating_sub(x);
-                let end = (s * self.g.w + kx).saturating_sub(x).min(NR);
-                let phase = self.phases[(kx % s + s - x % s) % s];
+                let first = (kx * n).saturating_sub(x);
+                let end = ((s * self.g.w + kx) * n).saturating_sub(x).min(NR);
+                let phase = self.phases[(x + (s * k - kx) * n) % (s * n)];
                 let mask = low_lanes(end) & !low_lanes(first) & phase;
                 if mask == 0 {
                     continue;
                 }
                 taps.push(FoldTap {
                     a: ky * k + kx,
-                    base: (gy - band.lo) * band.width + x + band.lead - kx,
+                    base: (gy - band.lo) * band.width + x + band.lead * n - kx * n,
                     mask,
                 });
             }
         }
     }
 
-    /// Start pixels of the interior strips, whose every tap reads every
+    /// Start values of the interior strips, whose every tap reads every
     /// lane (stride 1 only): [`Fold::taps`] gives every lane of any run
     /// of them, and the same list for each, shifted by its start.
     fn interior(&self) -> Range<usize> {
@@ -564,8 +536,9 @@ impl Fold<'_> {
         if stride != 1 {
             return 0..0;
         }
-        let lo = (k - 1).saturating_sub(p).next_multiple_of(NR);
-        let hi = self.ow.min(self.g.w.saturating_sub(p)) / NR * NR;
+        let n = self.g.n;
+        let lo = ((k - 1).saturating_sub(p) * n).next_multiple_of(NR);
+        let hi = self.row.min(self.g.w.saturating_sub(p) * n) / NR * NR;
         lo..hi.max(lo)
     }
 
@@ -590,12 +563,12 @@ impl Fold<'_> {
     }
 }
 
-/// Fold into `out` (`[g.n, c_out, oh, ow]`, every element
-/// overwritten): `out = col2im(wtᵀ · g) (+ bias)` per map, with `wt` as
-/// `[g.c, c_out, K, K]` and `g` the `[g.n, g.c, spec.out_size(oh),
-/// spec.out_size(ow)]` batch. This is `conv2d`'s input gradient (`g`
-/// the output gradient) and `conv_transpose2d`'s forward pass (`g` its
-/// input).
+/// Fold into `out` (`[c_out, oh, ow, g.n]`, every element overwritten):
+/// `out = col2im(wtᵀ · g) (+ bias)` lane by lane, with `wt` as
+/// `[g.c, c_out, K, K]` and `g` the `[g.c, spec.out_size(oh),
+/// spec.out_size(ow), g.n]` batch. This is `conv2d`'s input gradient
+/// (`g` the output gradient) and `conv_transpose2d`'s forward pass (`g`
+/// its input).
 pub(crate) fn fold_into(
     out: &mut [f32],
     (c_out, oh, ow): (usize, usize, usize),
@@ -609,31 +582,36 @@ pub(crate) fn fold_into(
         stride: s,
         padding: p,
     } = spec;
-    debug_assert_eq!(out.len(), g.n * c_out * oh * ow, "fold output length");
+    let (n, row) = (g.n, ow * g.n);
+    debug_assert_eq!(out.len(), c_out * oh * row, "fold output length");
     debug_assert_eq!(
         (g.h, g.w),
         (spec.out_size(oh), spec.out_size(ow)),
         "fold source geometry"
     );
     debug_assert_eq!(wt.len(), g.c * c_out * k * k, "fold weight length");
-    let band = band_rows(oh, ow);
+    let band = band_rows(oh, row);
     // A band of output rows reads at most `band + k − 1` source rows.
     // Lane `l` of tap `kx` of the strip at `x0` sits at
-    // `x0 + l + p + lead − kx ≥ 0` in its row; `NR` slack values follow
-    // the last row.
+    // `x0 + l + (p + lead − kx) · n ≥ 0` in its row; `NR` slack values
+    // follow the last row.
     let lead = (k - 1).saturating_sub(p);
-    let (rows, width) = (band + k - 1, ow + p + lead);
+    let (rows, width) = (band + k - 1, (ow + p + lead) * n);
     let offs: Vec<usize> = (0..g.c).map(|c| c * rows * width).collect();
     let offs = Src::new(&offs);
-    let phases: Vec<u8> = (0..s)
-        .map(|r| (r..NR).step_by(s).fold(0, |m, l| m | 1 << l))
+    let phases: Vec<u8> = (0..s * n)
+        .map(|r| {
+            (0..NR)
+                .filter(|l| (r + l) % (s * n) < n)
+                .fold(0, |m, l| m | 1 << l)
+        })
         .collect();
     let op = Fold {
         g,
         wt,
         c_out,
         spec,
-        ow,
+        row,
         phases: &phases,
         bias,
     };
@@ -642,60 +620,61 @@ pub(crate) fn fold_into(
     // A single last channel block runs the interior in segments instead.
     let single = usize::from(c_out % mr == 1);
     let work = 2 * g.c * k * k * c_out;
-    let dims = (g.n, c_out, oh, ow);
     let copy_len = g.c * rows * width + NR;
-    for_each_map_band(out, dims, work, copy_len, |i, y0, y1, planes, copy| {
-        let op = Fold {
-            g: g.image(i),
-            ..op
-        };
-        let (mut taps, mut inner) = (Vec::with_capacity(k * k), Vec::with_capacity(k * k));
-        for yb in (y0..y1).step_by(band) {
-            let ye = (yb + band).min(y1);
-            let band = FoldBand {
-                lo: (yb + p).saturating_sub(k - 1).div_ceil(s),
-                rows,
-                lead,
-                width,
-            };
-            op.pad_band(copy, band, ((ye - 1 + p) / s + 1).min(g.h));
-            let src = offs.on(copy);
-            for y in yb..ye {
-                let row = (y - y0) * ow;
-                let mut x0 = 0;
-                while x0 < ow {
-                    if x0 == interior.start && !interior.is_empty() {
-                        // The interior strips share one list, based at
-                        // the first, and run as one.
-                        op.taps(y, x0, band, &mut inner);
-                        debug_assert!(
-                            inner.iter().all(|t| t.mask == ALL_LANES),
-                            "interior strips read every lane"
-                        );
-                        let t = (src, &inner[..], x0);
-                        let (c, len) = (c_out - single, interior.len());
-                        for c0 in (0..c).step_by(mr) {
-                            let px = Pixels::channels(c0, x0, len);
-                            tile!(mr.min(c - c0), op.run(planes, row, px, t));
-                        }
-                        if single == 1 {
-                            for (rows, px) in Pixels::segments(c, x0, len, mr) {
-                                tile!(rows, op.run(planes, row, px, t));
+    for_each_band(
+        out,
+        (c_out, oh, row),
+        work,
+        copy_len,
+        |y0, y1, planes, copy| {
+            let (mut taps, mut inner) = (Vec::with_capacity(k * k), Vec::with_capacity(k * k));
+            for yb in (y0..y1).step_by(band) {
+                let ye = (yb + band).min(y1);
+                let band = FoldBand {
+                    lo: (yb + p).saturating_sub(k - 1).div_ceil(s),
+                    rows,
+                    lead,
+                    width,
+                };
+                op.pad_band(copy, band, ((ye - 1 + p) / s + 1).min(g.h));
+                let src = offs.on(copy);
+                for y in yb..ye {
+                    let out_row = (y - y0) * row;
+                    let mut x0 = 0;
+                    while x0 < row {
+                        if x0 == interior.start && !interior.is_empty() {
+                            // The interior strips share one list, based at
+                            // the first, and run as one.
+                            op.taps(y, x0, band, &mut inner);
+                            debug_assert!(
+                                inner.iter().all(|t| t.mask == ALL_LANES),
+                                "interior strips read every lane"
+                            );
+                            let t = (src, &inner[..], x0);
+                            let (c, len) = (c_out - single, interior.len());
+                            for c0 in (0..c).step_by(mr) {
+                                let px = Pixels::channels(c0, x0, len);
+                                tile!(mr.min(c - c0), op.run(planes, out_row, px, t));
                             }
+                            if single == 1 {
+                                for (rows, px) in Pixels::segments(c, x0, len, mr) {
+                                    tile!(rows, op.run(planes, out_row, px, t));
+                                }
+                            }
+                            x0 = interior.end;
+                            continue;
                         }
-                        x0 = interior.end;
-                        continue;
+                        op.taps(y, x0, band, &mut taps);
+                        let t = (src, &taps[..], x0);
+                        let len = NR.min(row - x0);
+                        for c0 in (0..c_out).step_by(mr) {
+                            let px = Pixels::channels(c0, x0, len);
+                            tile!(mr.min(c_out - c0), op.run(planes, out_row, px, t));
+                        }
+                        x0 += NR;
                     }
-                    op.taps(y, x0, band, &mut taps);
-                    let t = (src, &taps[..], x0);
-                    let len = NR.min(ow - x0);
-                    for c0 in (0..c_out).step_by(mr) {
-                        let px = Pixels::channels(c0, x0, len);
-                        tile!(mr.min(c_out - c0), op.run(planes, row, px, t));
-                    }
-                    x0 += NR;
                 }
             }
-        }
-    });
+        },
+    );
 }

@@ -3,9 +3,9 @@
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
 //! weight gradients' GEMM register tile, the in-place convolution run
-//! (also the fully-connected products' run), the fold run, the
-//! training `LeakyRelu` mask pack and unpack, and the
-//! separable-convolution interior kernel.
+//! (also the fully-connected products' run), the fold run, RoI
+//! pooling's window maxima, the training `LeakyRelu` mask pack and
+//! unpack, and the separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
 //!
@@ -26,6 +26,8 @@
 //! - the fold run runs each tap's chain the same way from `+0.0`, then
 //!   adds it in exactly the selected lanes and leaves the others' bits
 //!   untouched;
+//! - the window maxima scan each output's taps in order with the same
+//!   ordered `>` compare, keeping the first maximum and its index;
 //! - the `LeakyRelu` kernels select `x` or one `alpha · x` rounding per
 //!   lane, by the same ordered `> 0` test (false for NaN) the scalar
 //!   code runs;
@@ -318,6 +320,66 @@ pub fn fold_micro<const MRR: usize>(
     }
     #[cfg(not(target_arch = "x86_64"))]
     scalar::fold_micro(out, a, src, bidx, taps, bias);
+}
+
+/// The window maxima of RoI pooling (`ops::pool`): for every plane `ci`
+/// of `src` (`plane` values each) and every output `o` of a plane,
+/// `dst[ci · m + o]` is the first maximum — strict `>` from `-inf` — of
+/// the plane's values at `o`'s taps in `idx`, in tap order, and
+/// `at[ci · m + o]`, when given, that value's offset in `src`,
+/// `ci · plane + index` (tap 0's when no value beats `-inf`). A plane's `m` outputs come in groups of
+/// `lanes`: tap `t` of output `g · lanes + r` is
+/// `idx[(g · taps + t) · lanes + r]`.
+///
+/// Every dispatch target runs, per output, exactly that ordered scan
+/// with the same compare (false for NaN) — bit-identical to
+/// [`scalar::window_max`]. The AVX2 kernel gathers `NR` lanes of a
+/// group at a time and stores them whole.
+///
+/// # Panics
+///
+/// Panics unless `taps` and `lanes` are positive, `idx` holds whole
+/// groups of `taps · lanes` indices, `dst` (and `at`) whole planes of
+/// outputs, `src` at least as many planes, every index is below `plane`
+/// and every offset fits an `i32`.
+#[inline]
+pub fn window_max(
+    dst: &mut [f32],
+    at: Option<&mut [u32]>,
+    src: &[f32],
+    plane: usize,
+    idx: &[u32],
+    (taps, lanes): (usize, usize),
+) {
+    assert!(taps > 0 && lanes > 0, "window_max needs taps and lanes");
+    assert_eq!(idx.len() % (taps * lanes), 0, "window_max: whole groups");
+    let m = idx.len() / taps;
+    if m == 0 {
+        assert!(dst.is_empty(), "window_max: outputs without taps");
+        return;
+    }
+    assert_eq!(dst.len() % m, 0, "window_max: whole planes of outputs");
+    assert!(
+        at.as_ref().is_none_or(|a| a.len() == dst.len()),
+        "window_max: one index per output"
+    );
+    let planes = dst.len() / m;
+    assert!(src.len() >= planes * plane, "window_max: source planes");
+    assert!(
+        i32::try_from(planes * plane).is_ok() && idx.iter().all(|&i| (i as usize) < plane),
+        "window_max: an index outside its plane"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        match isa() {
+            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
+            // the checks above bound every gathered index and store.
+            Isa::Avx2 => unsafe { x86::window_max_avx2(dst, at, src, plane, idx, (taps, lanes)) },
+            Isa::Scalar => scalar::window_max(dst, at, src, plane, idx, (taps, lanes)),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::window_max(dst, at, src, plane, idx, (taps, lanes));
 }
 
 /// Checks the slice lengths of a `LeakyRelu` mask kernel.
@@ -790,6 +852,65 @@ mod tests {
                 let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "avx2 len={len} stride={stride} taps={ntaps}");
             }
+        }
+    }
+
+    /// The AVX2 window maxima equal the scalar reference, values and
+    /// indices: lane groups of whole strips and with tails, one tap and
+    /// several, windows of NaNs, ties of signed zeros and ±inf.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn window_max_variants_match_scalar_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let plane = 23;
+        let mut src = fill(5, 3 * plane);
+        for (i, v) in src.iter_mut().enumerate() {
+            match i % 7 {
+                1 => *v = f32::NAN,
+                2 => *v = -0.0,
+                3 => *v = 0.0,
+                5 if i % 2 == 0 => *v = f32::INFINITY,
+                6 if i % 3 == 0 => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        for (taps, lanes, groups) in [(1, 8, 2), (4, 12, 3), (9, 40, 2), (2, 3, 5), (4, 17, 1)] {
+            let idx: Vec<u32> = (0..groups * taps * lanes)
+                .map(|i| ((i * 7 + i / 5) % plane) as u32)
+                .collect();
+            let m = groups * lanes;
+            let (mut want, mut want_at) = (vec![0.0; 3 * m], vec![0; 3 * m]);
+            scalar::window_max(
+                &mut want,
+                Some(&mut want_at),
+                &src,
+                plane,
+                &idx,
+                (taps, lanes),
+            );
+            let (mut got, mut got_at) = (vec![0.0; 3 * m], vec![0; 3 * m]);
+            // SAFETY: guarded by the avx2 feature check above; every
+            // index is below `plane`.
+            unsafe {
+                x86::window_max_avx2(
+                    &mut got,
+                    Some(&mut got_at),
+                    &src,
+                    plane,
+                    &idx,
+                    (taps, lanes),
+                )
+            };
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let what = format!("{taps} taps, {lanes} lanes");
+            assert_eq!(bits(&got), bits(&want), "{what}");
+            assert_eq!(got_at, want_at, "{what}");
+            let mut values = vec![0.0; 3 * m];
+            // SAFETY: as above.
+            unsafe { x86::window_max_avx2(&mut values, None, &src, plane, &idx, (taps, lanes)) };
+            assert_eq!(bits(&values), bits(&want), "{what}, values alone");
         }
     }
 

@@ -44,6 +44,48 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
     }
 }
 
+/// The window maxima of RoI pooling (see [`super::window_max`]): each
+/// output's taps scanned in order, the first maximum kept.
+pub fn window_max(
+    dst: &mut [f32],
+    mut at: Option<&mut [u32]>,
+    src: &[f32],
+    plane: usize,
+    idx: &[u32],
+    (taps, lanes): (usize, usize),
+) {
+    let m = idx.len() / taps;
+    for (ci, d) in dst.chunks_exact_mut(m).enumerate() {
+        let s = &src[ci * plane..][..plane];
+        for (o, d) in d.iter_mut().enumerate() {
+            let (best, i) = window_first_max(s, idx, (taps, lanes), o);
+            *d = best;
+            if let Some(at) = at.as_deref_mut() {
+                at[ci * m + o] = (ci * plane) as u32 + i;
+            }
+        }
+    }
+}
+
+/// The first maximum of output `o`'s taps in the plane `s`, and its
+/// index (tap 0's when no value beats `-inf`).
+pub(super) fn window_first_max(
+    s: &[f32],
+    idx: &[u32],
+    (taps, lanes): (usize, usize),
+    o: usize,
+) -> (f32, u32) {
+    let first = (o / lanes * taps) * lanes + o % lanes;
+    let (mut best, mut at) = (f32::NEG_INFINITY, idx[first]);
+    for &i in idx[first..].iter().step_by(lanes).take(taps) {
+        let v = s[i as usize];
+        if v > best {
+            (best, at) = (v, i);
+        }
+    }
+    (best, at)
+}
+
 /// Stores a finished strip into `dst` (at most `NR` values), adding
 /// `bias` when there is one.
 fn store(dst: &mut [f32], acc: &[f32; NR], bias: Option<f32>) {

@@ -534,3 +534,68 @@ pub unsafe fn leaky_relu_unpack_avx2(dst: &mut [f32], grad: &[f32], alpha: f32, 
     let i = words * 64;
     scalar::leaky_relu_unpack(&mut dst[i..], &grad[i..], alpha, &bits[words..]);
 }
+
+/// AVX2 window maxima of RoI pooling (see [`super::window_max`]): the
+/// `NR` lanes of a group gather each tap's values at once, compare with
+/// the ordered `>` (false for NaN) and blend the winners' values and
+/// indices in, the indices stored as offsets in `src`; a group's lanes
+/// past its last whole strip run the scalar scan.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2, and
+/// the length contract [`super::window_max`] asserts: whole groups and
+/// planes, `src` holding every plane, and every index below `plane`
+/// (every offset fitting an `i32`), so every gather reads inside its
+/// plane; the stores are bounds-checked.
+#[target_feature(enable = "avx2")]
+pub unsafe fn window_max_avx2(
+    dst: &mut [f32],
+    mut at: Option<&mut [u32]>,
+    src: &[f32],
+    plane: usize,
+    idx: &[u32],
+    (taps, lanes): (usize, usize),
+) {
+    let m = idx.len() / taps;
+    for (ci, d) in dst.chunks_exact_mut(m).enumerate() {
+        let s = &src[ci * plane..][..plane];
+        let base = _mm256_set1_epi32((ci * plane) as i32);
+        for g in 0..m / lanes {
+            let taps_at = |t: usize, r: usize| idx.as_ptr().add((g * taps + t) * lanes + r);
+            let mut r = 0;
+            while r + NR <= lanes {
+                let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+                let mut best_at = _mm256_loadu_si256(taps_at(0, r).cast());
+                for t in 0..taps {
+                    let i = _mm256_loadu_si256(taps_at(t, r).cast());
+                    let v = _mm256_i32gather_ps::<4>(s.as_ptr(), i);
+                    let wins = _mm256_cmp_ps::<_CMP_GT_OQ>(v, best);
+                    best = _mm256_blendv_ps(best, v, wins);
+                    let i = _mm256_blendv_ps(
+                        _mm256_castsi256_ps(best_at),
+                        _mm256_castsi256_ps(i),
+                        wins,
+                    );
+                    best_at = _mm256_castps_si256(i);
+                }
+                let o = g * lanes + r;
+                _mm256_storeu_ps(d[o..o + NR].as_mut_ptr(), best);
+                if let Some(at) = at.as_deref_mut() {
+                    let at = &mut at[ci * m + o..][..NR];
+                    let best_at = _mm256_add_epi32(best_at, base);
+                    _mm256_storeu_si256(at.as_mut_ptr().cast(), best_at);
+                }
+                r += NR;
+            }
+            for r in r..lanes {
+                let o = g * lanes + r;
+                let (best, i) = scalar::window_first_max(s, idx, (taps, lanes), o);
+                d[o] = best;
+                if let Some(at) = at.as_deref_mut() {
+                    at[ci * m + o] = (ci * plane) as u32 + i;
+                }
+            }
+        }
+    }
+}

@@ -11,15 +11,17 @@
 //! independently, preserving the whole feature information of a proposed
 //! clip regardless of its size.
 
+use super::kernels;
 use crate::Tensor;
 
 /// Result of a pooling forward pass: the pooled map plus, for every
 /// output element, where its maximum came from (needed for the backward
 /// pass). [`max_pool2d`] records the winner's position in its 2×2 window
-/// (`u8`), [`roi_pool`] the winner's flat input offset (`usize`).
+/// (`u8`), [`roi_pool`] the winner's flat input offset (`u32`).
 #[derive(Debug, Clone)]
-pub struct PoolOutput<A = usize> {
-    /// Pooled feature map `[C, H', W']` (or `[N, C, H', W']`).
+pub struct PoolOutput<A> {
+    /// Pooled feature map `[C, H', W']` (or the RoI batch
+    /// `[C, H', W', N]`).
     pub output: Tensor,
     /// For every output element, the input that won.
     pub argmax: Vec<A>,
@@ -31,7 +33,7 @@ fn pooled_size(n: usize) -> usize {
     (n / 2).max(1)
 }
 
-/// Max-pools `input` (`[C, H, W]` or `[N, C, H, W]`) over 2×2 windows
+/// Max-pools `input` (`[C, H, W]`) over 2×2 windows
 /// at stride 2, one output row at a time, filling `argmax` (when given)
 /// with each output element's winning window position: 0 and 1 along
 /// the window's top row, 2 and 3 along its bottom row. The first
@@ -41,15 +43,13 @@ fn pooled_size(n: usize) -> usize {
 /// column twice over, which changes nothing: a repeated value (window
 /// position 2 and 3, or 1 and 3) never wins.
 fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<u8>>) -> Tensor {
-    let rank = input.rank();
-    assert!(
-        rank == 3 || rank == 4,
-        "max_pool2d expects [C,H,W] or [N,C,H,W], got {}",
+    assert_eq!(
+        input.rank(),
+        3,
+        "max_pool2d expects [C,H,W], got {}",
         input.shape()
     );
-    let (h, w) = (input.dim(rank - 2), input.dim(rank - 1));
-    // Every image's channels are one run of planes.
-    let planes: usize = input.dims()[..rank - 2].iter().product();
+    let (planes, h, w) = (input.dim(0), input.dim(1), input.dim(2));
     let (oh, ow) = (pooled_size(h), pooled_size(w));
     let iv = input.as_slice();
     let mut out = vec![f32::NEG_INFINITY; planes * oh * ow];
@@ -81,10 +81,7 @@ fn pool_with(input: &Tensor, mut argmax: Option<&mut Vec<u8>>) -> Tensor {
             }
         }
     }
-    let mut dims = input.dims().to_vec();
-    dims[rank - 2] = oh;
-    dims[rank - 1] = ow;
-    Tensor::from_parts(dims, out)
+    Tensor::from_parts([planes, oh, ow], out)
 }
 
 /// A window's first maximum (strict `>` from `-inf`) and its position;
@@ -100,7 +97,7 @@ fn first_max(window: [f32; 4]) -> (f32, u8) {
     (m, at)
 }
 
-/// 2-D max pooling over `[C, H, W]` (or a batch `[N, C, H, W]`) with
+/// 2-D max pooling over `[C, H, W]` with
 /// 2×2 windows at stride 2: `⌊H / 2⌋ × ⌊W / 2⌋` outputs, an odd last
 /// row or column left out. A map one pixel high or wide pools once
 /// over its valid extent. The argmax holds each output's winning
@@ -108,7 +105,7 @@ fn first_max(window: [f32; 4]) -> (f32, u8) {
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank 3 or 4.
+/// Panics if `input` is not rank 3.
 pub fn max_pool2d(input: &Tensor) -> PoolOutput<u8> {
     let mut argmax = Vec::new();
     let output = pool_with(input, Some(&mut argmax));
@@ -120,7 +117,7 @@ pub fn max_pool2d(input: &Tensor) -> PoolOutput<u8> {
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank 3 or 4.
+/// Panics if `input` is not rank 3.
 pub fn max_pool2d_values(input: &Tensor) -> Tensor {
     pool_with(input, None)
 }
@@ -135,16 +132,15 @@ pub fn max_pool2d_values(input: &Tensor) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if `input_shape` is not rank 3 or 4, or if `grad_out` or
+/// Panics if `input_shape` is not rank 3, or if `grad_out` or
 /// `argmax` does not hold one entry per pooled output.
 pub fn max_pool2d_backward(input_shape: &[usize], argmax: &[u8], grad_out: &Tensor) -> Tensor {
-    let rank = input_shape.len();
-    assert!(
-        rank == 3 || rank == 4,
-        "max_pool2d_backward expects [C,H,W] or [N,C,H,W], got {input_shape:?}"
+    assert_eq!(
+        input_shape.len(),
+        3,
+        "max_pool2d_backward expects [C,H,W], got {input_shape:?}"
     );
-    let (h, w) = (input_shape[rank - 2], input_shape[rank - 1]);
-    let planes: usize = input_shape[..rank - 2].iter().product();
+    let (planes, h, w) = (input_shape[0], input_shape[1], input_shape[2]);
     let (oh, ow) = (pooled_size(h), pooled_size(w));
     let go = grad_out.as_slice();
     assert_eq!(
@@ -236,9 +232,10 @@ impl FeatureRoi {
 }
 
 /// RoI max pooling of a batch of regions: pools the window of each of
-/// `rois` from the `[C, H, W]` map into one `[C, out_h, out_w]` image of
-/// the `[N, C, out_h, out_w]` output, in RoI order; `argmax` holds
-/// offsets into the map.
+/// `rois` from the `[C, H, W]` map into lane `r` of the
+/// `[C, out_h, out_w, N]` output (the lane layout of a batch, one lane
+/// per RoI, in RoI order); `argmax` holds, in the same layout, offsets
+/// into the map.
 ///
 /// Each output cell `(i, j)` pools the sub-window
 /// `[⌊i·h/out_h⌋, ⌈(i+1)·h/out_h⌉) × [⌊j·w/out_w⌋, ⌈(j+1)·w/out_w⌉)` of the
@@ -246,10 +243,16 @@ impl FeatureRoi {
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank 3 or `out_h`/`out_w` is zero.
-pub fn roi_pool(input: &Tensor, rois: &[FeatureRoi], out_h: usize, out_w: usize) -> PoolOutput {
-    let mut argmax = Vec::with_capacity(rois.len() * input.dim(0) * out_h * out_w);
-    let output = roi_pool_with(input, rois, (out_h, out_w), |off| argmax.push(off));
+/// Panics if `input` is not rank 3 or holds `2^31` values or more, or
+/// if `out_h`/`out_w` is zero.
+pub fn roi_pool(
+    input: &Tensor,
+    rois: &[FeatureRoi],
+    out_h: usize,
+    out_w: usize,
+) -> PoolOutput<u32> {
+    let mut argmax = vec![0; rois.len() * input.dim(0) * out_h * out_w];
+    let output = roi_pool_with(input, rois, (out_h, out_w), Some(&mut argmax));
     PoolOutput { output, argmax }
 }
 
@@ -258,19 +261,28 @@ pub fn roi_pool(input: &Tensor, rois: &[FeatureRoi], out_h: usize, out_w: usize)
 ///
 /// # Panics
 ///
-/// Panics if `input` is not rank 3 or `out_h`/`out_w` is zero.
+/// Panics if `input` is not rank 3 or holds `2^31` values or more, or
+/// if `out_h`/`out_w` is zero.
 pub fn roi_pool_values(input: &Tensor, rois: &[FeatureRoi], out_h: usize, out_w: usize) -> Tensor {
-    roi_pool_with(input, rois, (out_h, out_w), |_| {})
+    roi_pool_with(input, rois, (out_h, out_w), None)
 }
 
-/// RoI-pools `rois` from `input`, calling `winner(input offset)` for
-/// every output element in order. Each RoI's row and column bins are
-/// computed once and shared by all its channels.
+/// RoI-pools `rois` from `input`, writing each output element's input
+/// offset into `argmax` when there is one.
+///
+/// Every cell of every RoI scans a window of one size, `hm × wm`: the
+/// largest bin height and width of the batch. A bin smaller than that
+/// repeats its last row and column, which a first maximum never picks
+/// (a repeated value is not `>` the best so far), so each cell's value
+/// and winner are those of its own bin, scanned row by row. The
+/// window pixels are listed once, lane by lane, and shared by every
+/// channel; the scan ([`kernels::window_max`]) has no data-dependent
+/// branch.
 fn roi_pool_with(
     input: &Tensor,
     rois: &[FeatureRoi],
     (out_h, out_w): (usize, usize),
-    mut winner: impl FnMut(usize),
+    argmax: Option<&mut [u32]>,
 ) -> Tensor {
     assert_eq!(
         input.rank(),
@@ -280,36 +292,50 @@ fn roi_pool_with(
     );
     assert!(out_h > 0 && out_w > 0, "output size must be positive");
     let (c, h, w) = (input.dim(0), input.dim(1), input.dim(2));
-    let iv = input.as_slice();
-    let mut out = Vec::with_capacity(rois.len() * c * out_h * out_w);
-    let (mut row_bins, mut col_bins) = (Vec::with_capacity(out_h), Vec::with_capacity(out_w));
-    for roi in rois {
+    let n = rois.len();
+    let cells = out_h * out_w * n;
+    let mut out = vec![0.0f32; c * cells];
+    // Per cell row `i` and column `j`, every RoI's bin.
+    let (mut row_bins, mut col_bins) = (vec![(0, 0); out_h * n], vec![(0, 0); out_w * n]);
+    for (r, roi) in rois.iter().enumerate() {
         let roi = roi.clamped(h, w);
-        row_bins.clear();
-        row_bins.extend((0..out_h).map(|i| bin(roi.y0, roi.y1, i, out_h)));
-        col_bins.clear();
-        col_bins.extend((0..out_w).map(|j| bin(roi.x0, roi.x1, j, out_w)));
-        for ci in 0..c {
-            for &(y_lo, y_hi) in &row_bins {
-                for &(x_lo, x_hi) in &col_bins {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_off = (ci * h + y_lo) * w + x_lo;
-                    for y in y_lo..y_hi {
-                        let base = (ci * h + y) * w;
-                        for (x, &v) in iv[base..][x_lo..x_hi].iter().enumerate() {
-                            if v > best {
-                                best = v;
-                                best_off = base + x_lo + x;
-                            }
-                        }
-                    }
-                    out.push(best);
-                    winner(best_off);
+        for i in 0..out_h {
+            row_bins[i * n + r] = bin(roi.y0, roi.y1, i, out_h);
+        }
+        for j in 0..out_w {
+            col_bins[j * n + r] = bin(roi.x0, roi.x1, j, out_w);
+        }
+    }
+    let extent = |bins: &[(usize, usize)]| bins.iter().map(|(lo, hi)| hi - lo).max();
+    let (Some(hm), Some(wm)) = (extent(&row_bins), extent(&col_bins)) else {
+        return Tensor::from_parts([c, out_h, out_w, n], out);
+    };
+    // Per bin and window row (column), every lane's pixel row offset
+    // (column), the last one repeated past the bin's end.
+    let window = |bins: &[(usize, usize)], size: usize, scale: usize| -> Vec<usize> {
+        let mut at = Vec::with_capacity(bins.len() * size);
+        for cell in bins.chunks_exact(n) {
+            for d in 0..size {
+                at.extend(cell.iter().map(|&(lo, hi)| (lo + d).min(hi - 1) * scale));
+            }
+        }
+        at
+    };
+    let (ys, xs) = (window(&row_bins, hm, w), window(&col_bins, wm, 1));
+    // Cell `(i, j)`'s window pixels, tap by tap, lane by lane.
+    let taps = hm * wm;
+    let mut idx = Vec::with_capacity(cells * taps);
+    for rows in ys.chunks_exact(hm * n) {
+        for cols in xs.chunks_exact(wm * n) {
+            for y in rows.chunks_exact(n) {
+                for x in cols.chunks_exact(n) {
+                    idx.extend(y.iter().zip(x).map(|(&y, &x)| (y + x) as u32));
                 }
             }
         }
     }
-    Tensor::from_parts([rois.len(), c, out_h, out_w], out)
+    kernels::window_max(&mut out, argmax, input.as_slice(), h * w, &idx, (taps, n));
+    Tensor::from_parts([c, out_h, out_w, n], out)
 }
 
 /// Cell `i` of `n` over the clamped RoI extent `[lo, hi)`:
@@ -321,15 +347,22 @@ fn bin(lo: usize, hi: usize, i: usize, n: usize) -> (usize, usize) {
     (lo + i * len / n, lo + ((i + 1) * len).div_ceil(n))
 }
 
-/// Backward pass of [`roi_pool`] for one RoI: routes `grad_out` (that
-/// RoI's `[C, out_h, out_w]` gradient) to the map offsets in `argmax`
-/// (the same RoI's slice of [`PoolOutput::argmax`]), summing in output
-/// order, and returns the `input_shape` map gradient.
+/// Backward pass of [`roi_pool`] for one RoI: routes lane `r` of
+/// `grad_out` (the batch's `[C, out_h, out_w, N]` gradient) to that
+/// lane's map offsets in `argmax` (the batch's
+/// [`PoolOutput::argmax`]), summing in output order, and returns the
+/// `input_shape` map gradient.
 ///
 /// # Panics
 ///
-/// Panics if `grad_out` length differs from `argmax` length.
-pub fn roi_pool_backward(input_shape: &[usize], argmax: &[usize], grad_out: &[f32]) -> Tensor {
+/// Panics if `grad_out` length differs from `argmax` length, or `r` is
+/// not below `lanes`.
+pub fn roi_pool_backward(
+    input_shape: &[usize],
+    argmax: &[u32],
+    grad_out: &[f32],
+    (r, lanes): (usize, usize),
+) -> Tensor {
     assert_eq!(
         grad_out.len(),
         argmax.len(),
@@ -337,10 +370,11 @@ pub fn roi_pool_backward(input_shape: &[usize], argmax: &[usize], grad_out: &[f3
         grad_out.len(),
         argmax.len()
     );
+    assert!(r < lanes, "lane {r} of {lanes}");
     let mut grad_in = Tensor::zeros(input_shape);
     let gi = grad_in.as_mut_slice();
-    for (g, &off) in grad_out.iter().zip(argmax) {
-        gi[off] += *g;
+    for (g, &off) in grad_out.iter().zip(argmax).skip(r).step_by(lanes) {
+        gi[off as usize] += *g;
     }
     grad_in
 }
@@ -412,8 +446,8 @@ mod tests {
     fn values_only_pool_matches_the_argmax_pool_bit_for_bit() {
         // NaNs never win (strict `>`), an all-NaN window pools to -inf,
         // and equal signed zeros keep the first one's sign.
-        let mut x = Tensor::from_fn([2, 2, 5, 5], |c| {
-            ((c[0] * 7 + c[1] * 3 + c[2] * 5 + c[3]) % 9) as f32 - 4.0
+        let mut x = Tensor::from_fn([4, 5, 5], |c| {
+            ((c[0] * 3 + c[1] * 5 + c[2]) % 9) as f32 - 4.0
         });
         for (i, v) in [f32::NAN, -0.0, 0.0, f32::NAN, f32::NAN, f32::NAN]
             .into_iter()
@@ -425,7 +459,7 @@ mod tests {
         x.as_mut_slice()[11] = 0.0;
         let full = max_pool2d(&x);
         let values = max_pool2d_values(&x);
-        assert_eq!(values.dims(), &[2, 2, 2, 2]);
+        assert_eq!(values.dims(), &[4, 2, 2]);
         assert_eq!(bits(&values), bits(&full.output));
         assert_eq!(full.argmax.len(), values.len());
     }
@@ -484,7 +518,7 @@ mod tests {
     fn pool_backward_equals_the_scatter_onto_zeros() {
         // -0.0 and NaN gradients (the winner's `0.0 + g` must read as the
         // scatter's), odd sizes (an unread last row or column), one-pixel
-        // maps and rank-4 batches; inputs with ties and NaN windows.
+        // maps and many channels; inputs with ties and NaN windows.
         let mut rng = ChaCha8Rng::seed_from_u64(19);
         let nan_payload = f32::from_bits(0x7fc0_0abc);
         let specials = [-0.0, 0.0, f32::NAN, -nan_payload, 1.5, -2.0];
@@ -495,9 +529,9 @@ mod tests {
             vec![2, 7, 1],
             vec![1, 1, 1],
             vec![2, 1, 5],
-            vec![3, 2, 3, 5],
-            vec![2, 3, 1, 9],
-            vec![1, 12, 33, 31],
+            vec![6, 3, 5],
+            vec![6, 1, 9],
+            vec![12, 33, 31],
         ] {
             let mut x = Tensor::rand_normal(dims.as_slice(), 0.0, 1.0, &mut rng);
             for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
@@ -535,7 +569,7 @@ mod tests {
         // NaN windows (all NaN, and NaN before or after a number), ±0.0
         // ties in both orders, ±inf, odd sizes (the last row and column
         // left out), maps smaller than the window in either axis and
-        // rank-4 batches, values and argmax alike.
+        // many channels, values and argmax alike.
         let specials = [f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY];
         for dims in [
             vec![1, 4, 4],
@@ -543,10 +577,10 @@ mod tests {
             vec![3, 1, 6],
             vec![2, 7, 1],
             vec![1, 1, 1],
-            vec![3, 2, 3, 5],
-            vec![2, 3, 1, 9],
-            vec![4, 1, 6, 6],
-            vec![1, 12, 33, 31],
+            vec![6, 3, 5],
+            vec![6, 1, 9],
+            vec![4, 6, 6],
+            vec![12, 33, 31],
         ] {
             let mut x = Tensor::from_fn(dims.as_slice(), |c| {
                 let i = c.iter().fold(0, |a, &v| a * 31 + v);
@@ -597,26 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_pool_equals_per_image_pools() {
-        let x = Tensor::from_fn([3, 2, 4, 4], |c| {
-            ((c[0] * 11 + c[1] * 5 + c[2] * 3 + c[3]) % 7) as f32
-        });
-        let batch = max_pool2d(&x);
-        let plane = 2 * 4 * 4;
-        for i in 0..3 {
-            let img = Tensor::from_vec([2, 4, 4], x.as_slice()[i * plane..][..plane].to_vec())
-                .expect("one image");
-            let one = max_pool2d(&img);
-            let out = one.output.len();
-            assert_eq!(
-                &batch.output.as_slice()[i * out..][..out],
-                one.output.as_slice()
-            );
-            assert_eq!(&batch.argmax[i * out..][..out], &one.argmax[..]);
-        }
-    }
-
-    #[test]
     fn roi_batch_stacks_single_roi_pools() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let x = Tensor::rand_normal([3, 9, 9], 0.0, 1.0, &mut rng);
@@ -626,33 +640,32 @@ mod tests {
             FeatureRoi::new(2, 3, 40, 5),
         ];
         let batch = roi_pool(&x, &rois, 7, 7);
-        assert_eq!(batch.output.dims(), &[3, 3, 7, 7]);
-        let per = 3 * 7 * 7;
+        assert_eq!(batch.output.dims(), &[3, 7, 7, 3]);
         for (i, roi) in rois.iter().enumerate() {
             let one = roi_pool(&x, std::slice::from_ref(roi), 7, 7);
-            assert_eq!(
-                &batch.output.as_slice()[i * per..][..per],
-                one.output.as_slice()
-            );
-            assert_eq!(&batch.argmax[i * per..][..per], &one.argmax[..]);
+            let lane = |v: &[f32]| v.iter().skip(i).step_by(3).copied().collect::<Vec<_>>();
+            assert_eq!(lane(batch.output.as_slice()), one.output.as_slice());
+            let offs: Vec<u32> = batch.argmax.iter().skip(i).step_by(3).copied().collect();
+            assert_eq!(offs, one.argmax);
         }
         let values = roi_pool_values(&x, &rois, 7, 7);
         assert_eq!(values, batch.output);
         let empty = roi_pool(&x, &[], 7, 7);
-        assert_eq!(empty.output.dims(), &[0, 3, 7, 7]);
+        assert_eq!(empty.output.dims(), &[3, 7, 7, 0]);
     }
 
     /// RoI pooling cell by cell, by the documented definition: the RoI
     /// clamped to at least one pixel inside the map, cell `(i, j)` over
     /// `[⌊i·h/out_h⌋, ⌈(i+1)·h/out_h⌉) × [⌊j·w/out_w⌋, ⌈(j+1)·w/out_w⌉)`
     /// of it (at least one pixel), scanned row by row with strict `>`
-    /// from `-inf` and the cell's first pixel.
+    /// from `-inf` and the cell's first pixel; returned in the RoI-major
+    /// order `[N, C, out_h, out_w]`.
     fn reference_roi_pool(
         x: &Tensor,
         rois: &[FeatureRoi],
         out_h: usize,
         out_w: usize,
-    ) -> (Vec<f32>, Vec<usize>) {
+    ) -> (Vec<f32>, Vec<u32>) {
         let (c, h, w) = (x.dim(0), x.dim(1), x.dim(2));
         let (mut vals, mut offs) = (Vec::new(), Vec::new());
         for roi in rois {
@@ -680,7 +693,7 @@ mod tests {
                             }
                         }
                         vals.push(best);
-                        offs.push(at);
+                        offs.push(at as u32);
                     }
                 }
             }
@@ -725,11 +738,16 @@ mod tests {
             let (rw, rh) = (rng.gen_range(0..=w), rng.gen_range(0..=h));
             rois.push(FeatureRoi::new(x0, y0, x0 + rw, y0 + rh));
         }
+        let n = rois.len();
         for (out_h, out_w) in [(7, 7), (3, 5), (1, 1)] {
             let (vals, offs) = reference_roi_pool(&x, &rois, out_h, out_w);
+            // The reference's `[N, C, out_h, out_w]`, in the lane layout.
+            let per = c * out_h * out_w;
+            let lanes = |k: usize| (k % n) * per + k / n;
+            let want: Vec<u32> = (0..vals.len()).map(|k| vals[lanes(k)].to_bits()).collect();
+            let offs: Vec<u32> = (0..offs.len()).map(|k| offs[lanes(k)]).collect();
             let p = roi_pool(&x, &rois, out_h, out_w);
-            let want: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(p.output.dims(), &[rois.len(), c, out_h, out_w]);
+            assert_eq!(p.output.dims(), &[c, out_h, out_w, n]);
             assert_eq!(bits(&p.output), want, "{out_h}×{out_w} values");
             assert_eq!(p.argmax, offs, "{out_h}×{out_w} argmax");
             let v = roi_pool_values(&x, &rois, out_h, out_w);
@@ -749,7 +767,7 @@ mod tests {
         let x = Tensor::from_fn([1, 8, 8], |c| (c[1] * 8 + c[2]) as f32);
         // RoI covering the bottom-right 4×4, pooled to 2×2
         let p = roi_pool(&x, &[FeatureRoi::new(4, 4, 8, 8)], 2, 2);
-        assert_eq!(p.output.dims(), &[1, 1, 2, 2]);
+        assert_eq!(p.output.dims(), &[1, 2, 2, 1]);
         // max of each 2×2 cell of the window
         assert_eq!(p.output.as_slice(), &[45., 47., 61., 63.]);
     }
@@ -795,7 +813,7 @@ mod tests {
         let x = Tensor::rand_normal([2, 6, 6], 0.0, 1.0, &mut rng);
         let roi = FeatureRoi::new(1, 1, 5, 6);
         let p = roi_pool(&x, &[roi], 3, 3);
-        let dx = roi_pool_backward(x.dims(), &p.argmax, &vec![1.0; p.argmax.len()]);
+        let dx = roi_pool_backward(x.dims(), &p.argmax, &vec![1.0; p.argmax.len()], (0, 1));
         let eps = 1e-3;
         for probe in 0..x.len() {
             let mut plus = x.clone();

@@ -2,14 +2,15 @@
 
 use crate::Tensor;
 
-/// Concatenates `[C_i, H, W]` feature maps (or `[N, C_i, H, W]`
-/// batches) along the channel axis — the feature-fusion step of the
-/// inception modules (Fig. 3). A batch concatenates image by image.
+/// Concatenates `[C_i, H, W]` feature maps (or `[C_i, H, W, N]`
+/// batches in the lane layout) along the channel axis — the
+/// feature-fusion step of the inception modules (Fig. 3). Channels
+/// lead, so the parts are laid end to end.
 ///
 /// # Panics
 ///
 /// Panics if `parts` is empty, any part is not rank 3 or 4, or the
-/// parts disagree on rank, batch or spatial size.
+/// parts disagree on rank, spatial size or batch.
 pub fn concat_channels(parts: &[&Tensor]) -> Tensor {
     assert!(
         !parts.is_empty(),
@@ -18,34 +19,22 @@ pub fn concat_channels(parts: &[&Tensor]) -> Tensor {
     let rank = parts[0].rank();
     assert!(
         rank == 3 || rank == 4,
-        "concat_channels expects [C,H,W] or [N,C,H,W], got {}",
+        "concat_channels expects [C,H,W] or [C,H,W,N], got {}",
         parts[0].shape()
     );
     // Everything but the channel axis must agree.
     let mut dims = parts[0].dims().to_vec();
-    let axis = rank - 3;
-    let mut total_c = 0;
     for p in parts {
-        let mut other = p.dims().to_vec();
-        other[axis] = dims[axis];
         assert_eq!(
-            other,
-            dims,
+            p.dims()[1..],
+            dims[1..],
             "spatial mismatch: {} vs {}",
             p.shape(),
             parts[0].shape()
         );
-        total_c += p.dim(axis);
     }
-    dims[axis] = total_c;
-    let images: usize = dims[..axis].iter().product();
-    let mut data = Vec::with_capacity(dims.iter().product());
-    for i in 0..images {
-        for p in parts {
-            let len = p.len() / images;
-            data.extend_from_slice(&p.as_slice()[i * len..][..len]);
-        }
-    }
+    dims[0] = parts.iter().map(|p| p.dim(0)).sum();
+    let data = parts.iter().flat_map(|p| p.as_slice()).copied().collect();
     Tensor::from_parts(dims, data)
 }
 
@@ -98,28 +87,22 @@ pub fn split_channels(grad: &Tensor, channels: &[usize]) -> Vec<Tensor> {
     let rank = grad.rank();
     assert!(
         rank == 3 || rank == 4,
-        "split_channels expects [C,H,W] or [N,C,H,W], got {}",
+        "split_channels expects [C,H,W] or [C,H,W,N], got {}",
         grad.shape()
     );
-    let axis = rank - 3;
-    let c = grad.dim(axis);
+    let c = grad.dim(0);
     let total: usize = channels.iter().sum();
     assert_eq!(total, c, "channel counts sum to {total}, tensor has {c}");
-    let images: usize = grad.dims()[..axis].iter().product();
-    let plane = grad.dim(rank - 2) * grad.dim(rank - 1);
-    let gv = grad.as_slice();
-    let mut start = 0;
+    let plane: usize = grad.dims()[1..].iter().product();
+    let mut rest = grad.as_slice();
     channels
         .iter()
         .map(|&ci| {
-            let mut data = Vec::with_capacity(images * ci * plane);
-            for i in 0..images {
-                data.extend_from_slice(&gv[(i * c + start) * plane..][..ci * plane]);
-            }
-            start += ci;
+            let (part, tail) = rest.split_at(ci * plane);
+            rest = tail;
             let mut dims = grad.dims().to_vec();
-            dims[axis] = ci;
-            Tensor::from_parts(dims, data)
+            dims[0] = ci;
+            Tensor::from_parts(dims, part.to_vec())
         })
         .collect()
 }
@@ -140,22 +123,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_concat_and_split_work_image_by_image() {
-        let a = Tensor::from_fn([3, 2, 2, 2], |c| (c[0] * 100 + c[1] * 10 + c[3]) as f32);
-        let b = Tensor::from_fn([3, 1, 2, 2], |c| -((c[0] * 100 + c[2]) as f32));
+    fn batched_concat_and_split_keep_every_lane() {
+        let a = Tensor::from_fn([2, 2, 2, 3], |c| (c[3] * 100 + c[0] * 10 + c[2]) as f32);
+        let b = Tensor::from_fn([1, 2, 2, 3], |c| -((c[3] * 100 + c[1]) as f32));
         let cat = concat_channels(&[&a, &b]);
-        assert_eq!(cat.dims(), &[3, 3, 2, 2]);
+        assert_eq!(cat.dims(), &[3, 2, 2, 3]);
+        let lane = |t: &Tensor, i: usize| -> Vec<f32> {
+            t.as_slice().iter().skip(i).step_by(3).copied().collect()
+        };
         for i in 0..3 {
-            let one = |t: &Tensor| {
-                let len = t.len() / 3;
-                Tensor::from_vec(
-                    t.dims()[1..].to_vec(),
-                    t.as_slice()[i * len..][..len].to_vec(),
-                )
-                .unwrap()
-            };
-            let single = concat_channels(&[&one(&a), &one(&b)]);
-            assert_eq!(&cat.as_slice()[i * 12..][..12], single.as_slice());
+            let single = concat_channels(&[
+                &Tensor::from_vec([2, 2, 2], lane(&a, i)).unwrap(),
+                &Tensor::from_vec([1, 2, 2], lane(&b, i)).unwrap(),
+            ]);
+            assert_eq!(lane(&cat, i), single.as_slice());
         }
         let parts = split_channels(&cat, &[2, 1]);
         assert_eq!(parts[0], a);

@@ -6,7 +6,8 @@ use std::fmt;
 ///
 /// Shapes are row-major: the last axis is contiguous in memory. A shape may
 /// have any rank; the RHSD stack mostly uses rank 1 (vectors), 2 (matrices),
-/// 3 (`[C, H, W]` feature maps) and 4 (`[N, C, H, W]` batches).
+/// 3 (`[C, H, W]` feature maps) and 4 (`[C, H, W, N]` batches in the lane
+/// layout).
 ///
 /// # Examples
 ///

@@ -300,64 +300,82 @@ fn negative_zero_gradient_channels_keep_their_sign() {
     });
 }
 
-/// Image `i` of a `[N, ..]` batch as a tensor of its own.
-fn image(t: &Tensor, i: usize) -> Tensor {
-    let len = t.len() / t.dim(0);
-    Tensor::from_vec(
-        t.dims()[1..].to_vec(),
-        t.as_slice()[i * len..][..len].to_vec(),
-    )
-    .expect("one image")
+/// Map `i` of a `[C, H, W, N]` batch (lane `i` of every pixel) as a
+/// `[C, H, W]` tensor of its own.
+fn lane(t: &Tensor, i: usize) -> Tensor {
+    let n = t.dim(3);
+    let v: Vec<f32> = t.as_slice().iter().skip(i).step_by(n).copied().collect();
+    Tensor::from_vec(t.dims()[..3].to_vec(), v).expect("one map")
 }
 
-/// A batch of maps runs as one call, small maps several to a task: the
-/// forward output, the input gradient and every map's weight and bias
-/// gradients must equal the map's own call bit for bit — small maps
-/// (the refinement head's 7×7 RoIs at strides 1 and 2, its 4×4 maps, a
-/// 1×1 map, a batch split over several tasks) and maps of at least one
-/// task each, at one and four threads.
+/// Runs the batch `[c_in, h, w, n]` through `conv2d` and its backward
+/// and checks every lane against the map's own single-map calls, bit
+/// for bit: the forward output, the input gradient and the map's weight
+/// and bias gradients, at one and four threads. `check_reference` also
+/// compares each lane with the plain lowering.
+fn check_lanes(
+    n: usize,
+    (c_in, c_out): (usize, usize),
+    (h, w): (usize, usize),
+    spec: ConvSpec,
+    check_reference: bool,
+) {
+    let k = spec.kernel;
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let seed = (n * 100 + h * 10 + w + spec.stride) as u64;
+    let x = Tensor::from_fn([c_in, h, w, n], |c| noise(seed, c));
+    let wt = Tensor::from_fn([c_out, c_in, k, k], |c| noise(seed ^ 1, c));
+    let b = Tensor::from_fn([c_out], |c| noise(seed ^ 2, c));
+    let g = Tensor::from_fn([c_out, oh, ow, n], |c| noise(seed ^ 3, c));
+    for threads in [1, 4] {
+        rhsd::par::set_threads(threads);
+        let out = conv2d(&x, &wt, Some(&b), spec);
+        let (dx, params) = conv2d_backward_batch(&x, &wt, &g, spec);
+        assert_eq!(out.dims(), &[c_out, oh, ow, n]);
+        assert_eq!(dx.dims(), x.dims());
+        assert_eq!(params.len(), n);
+        for (i, (dw, db)) in params.iter().enumerate() {
+            let what = format!("map {i} of {n}, {h}x{w} {spec:?}, {threads} threads");
+            let (xi, gi) = (lane(&x, i), lane(&g, i));
+            let one = conv2d(&xi, &wt, Some(&b), spec);
+            let (dxi, dwi, dbi) = conv2d_backward(&xi, &wt, &gi, spec);
+            assert!(bits(&lane(&out, i)) == bits(&one), "output: {what}");
+            assert!(bits(&lane(&dx, i)) == bits(&dxi), "d_input: {what}");
+            assert!(bits(dw) == bits(&dwi), "d_weight: {what}");
+            assert!(bits(db) == bits(&dbi), "d_bias: {what}");
+            if check_reference {
+                let (want_out, want_dx, _, _) = conv_reference(&xi, &wt, &b, &gi, spec);
+                assert!(bits(&one) == bits(&want_out), "reference output: {what}");
+                assert!(bits(&dxi) == bits(&want_dx), "reference d_input: {what}");
+            }
+        }
+    }
+    rhsd::par::set_threads(rhsd::par::default_threads());
+}
+
+/// A batch of maps in the lane layout `[C, H, W, N]` runs as one call:
+/// the forward output, the input gradient and every map's weight and
+/// bias gradients must equal the map's own call bit for bit — the
+/// refinement head's 7×7 RoIs at strides 1 and 2, its 4×4 maps, a 1×1
+/// map, a batch of rows longer than one task, larger maps banded over
+/// several tasks and an empty batch, at one and four threads.
 #[test]
 fn batched_conv_equals_per_image_calls() {
     let _guard = pool_lock();
     for (n, c_in, c_out, (h, w), spec) in [
         (40, 20, 5, (7, 7), ConvSpec::same(3)),
         (40, 20, 5, (7, 7), ConvSpec::same(1)),
-        (100, 5, 5, (7, 7), ConvSpec::same(3)), // several tasks of whole maps
+        (100, 5, 5, (7, 7), ConvSpec::same(3)), // several tasks of whole rows
         (40, 5, 5, (7, 7), ConvSpec::new(3, 2, 1)),
         (40, 15, 5, (4, 4), ConvSpec::same(1)),
         (9, 5, 5, (4, 4), ConvSpec::same(3)),
         (3, 2, 9, (1, 1), ConvSpec::same(3)),
         (5, 3, 17, (5, 6), ConvSpec::new(2, 2, 0)),
         (2, 3, 4, (9, 11), ConvSpec::same(3)),
-        (2, 3, 4, (48, 48), ConvSpec::same(3)), // banded map by map
+        (2, 3, 4, (48, 48), ConvSpec::same(3)), // banded over several tasks
         (0, 3, 4, (7, 7), ConvSpec::same(3)),
     ] {
-        let k = spec.kernel;
-        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-        let seed = (n * 100 + h) as u64;
-        let x = Tensor::from_fn([n, c_in, h, w], |c| noise(seed, c));
-        let wt = Tensor::from_fn([c_out, c_in, k, k], |c| noise(seed ^ 1, c));
-        let b = Tensor::from_fn([c_out], |c| noise(seed ^ 2, c));
-        let g = Tensor::from_fn([n, c_out, oh, ow], |c| noise(seed ^ 3, c));
-        for threads in [1, 4] {
-            rhsd::par::set_threads(threads);
-            let out = conv2d(&x, &wt, Some(&b), spec);
-            let (dx, params) = conv2d_backward_batch(&x, &wt, &g, spec);
-            assert_eq!(out.dims(), &[n, c_out, oh, ow]);
-            assert_eq!(dx.dims(), x.dims());
-            assert_eq!(params.len(), n);
-            for (i, (dw, db)) in params.iter().enumerate() {
-                let what = format!("image {i} of {n}, {h}x{w} {spec:?}, {threads} threads");
-                let (xi, gi) = (image(&x, i), image(&g, i));
-                let one = conv2d(&xi, &wt, Some(&b), spec);
-                let (dxi, dwi, dbi) = conv2d_backward(&xi, &wt, &gi, spec);
-                assert!(bits(&image(&out, i)) == bits(&one), "output: {what}");
-                assert!(bits(&image(&dx, i)) == bits(&dxi), "d_input: {what}");
-                assert!(bits(dw) == bits(&dwi), "d_weight: {what}");
-                assert!(bits(db) == bits(&dbi), "d_bias: {what}");
-            }
-        }
-        rhsd::par::set_threads(rhsd::par::default_threads());
+        check_lanes(n, (c_in, c_out), (h, w), spec, false);
     }
 }
 
@@ -370,26 +388,30 @@ fn roi_batches_at_strip_widths_are_bit_identical() {
     for w in [4, 7, 8, 9, 16] {
         for spec in [ConvSpec::same(3), ConvSpec::new(3, 2, 1), ConvSpec::same(1)] {
             let _guard = pool_lock();
-            let (n, c_in, c_out, k) = (12, 5, 5, spec.kernel);
-            let (oh, ow) = (spec.out_size(w), spec.out_size(w));
-            let seed = (w * 3 + spec.stride) as u64;
-            let x = Tensor::from_fn([n, c_in, w, w], |c| noise(seed, c));
-            let wt = Tensor::from_fn([c_out, c_in, k, k], |c| noise(seed ^ 1, c));
-            let b = Tensor::from_fn([c_out], |c| noise(seed ^ 2, c));
-            let g = Tensor::from_fn([n, c_out, oh, ow], |c| noise(seed ^ 3, c));
-            for threads in [1, 4] {
-                rhsd::par::set_threads(threads);
-                let out = conv2d(&x, &wt, Some(&b), spec);
-                let (dx, _) = conv2d_backward_batch(&x, &wt, &g, spec);
-                for i in 0..n {
-                    let (xi, gi) = (image(&x, i), image(&g, i));
-                    let (want_out, want_dx, _, _) = conv_reference(&xi, &wt, &b, &gi, spec);
-                    let what = format!("map {i} of {n}, {w}x{w} {spec:?}, {threads} threads");
-                    assert!(bits(&image(&out, i)) == bits(&want_out), "output: {what}");
-                    assert!(bits(&image(&dx, i)) == bits(&want_dx), "d_input: {what}");
-                }
+            check_lanes(12, (5, 5), (w, w), spec, true);
+        }
+    }
+}
+
+/// Batches whose lane count leaves every kind of tail: fewer lanes than
+/// a strip, exactly one, one more, the training head's 12 (a strip and
+/// a half), 17 and the inference head's 40, at the head's 7×7 and 4×4
+/// maps, under 1×1 and 3×3 kernels at strides 1 and 2. Every map's
+/// forward output, input gradient and weight and bias gradients equal
+/// its single-map calls bit for bit.
+#[test]
+fn lane_tail_batches_are_bit_identical() {
+    for n in [1, 7, 8, 9, 12, 17, 40] {
+        for hw in [7, 4] {
+            for spec in [
+                ConvSpec::same(1),
+                ConvSpec::new(1, 2, 0),
+                ConvSpec::same(3),
+                ConvSpec::new(3, 2, 1),
+            ] {
+                let _guard = pool_lock();
+                check_lanes(n, (5, 9), (hw, hw), spec, false);
             }
-            rhsd::par::set_threads(rhsd::par::default_threads());
         }
     }
 }

@@ -361,6 +361,62 @@ fn demo_training_batch_is_pinned() {
     assert_eq!(h, DEMO_TRAINING_PIN, "training bits moved: hash {h:#018x}");
 }
 
+/// FNV-1a hash of [`demo_detections_are_pinned`]'s raw head outputs
+/// and detections. A change to it is a change to inference arithmetic.
+const DEMO_DETECTIONS_PIN: u64 = 0x5464_cf4e_ea1d_d1c2;
+
+/// Inference numerics at the demo geometry, where the refinement head
+/// sees a full 40-proposal batch: for a fixed-seed demo network over
+/// three pinned regions, hashes the head's raw logits and codes for
+/// every proposal, then every detection's box and score bits. Equal at
+/// 1 and 2 threads, and on every ISA.
+#[test]
+fn demo_detections_are_pinned() {
+    use rhsd::core::refine::roi_from_bbox;
+    use rhsd::nn::{Layer, Tape};
+    let _guard = pool_lock();
+    let cfg = RhsdConfig::demo();
+    let net = RhsdNetwork::new(
+        cfg.clone(),
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(2032),
+    );
+    let head = net.refinement().expect("the demo network refines");
+    let run = || {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for round in 0..3 {
+            let image = pin_sample(&cfg, round).image;
+            let proposals = net.proposals(&image);
+            assert_eq!(proposals.len(), cfg.pre_nms_top_n, "a full proposal batch");
+            let feats = net.extractor().forward(&image, &mut Tape::inference());
+            let rois: Vec<_> = proposals
+                .iter()
+                .map(|p| roi_from_bbox(&p.bbox, cfg.stride, cfg.feature_px()))
+                .collect();
+            let out = head.forward(&feats, &rois, &mut Tape::inference());
+            for v in out
+                .cls_logits
+                .as_slice()
+                .iter()
+                .chain(out.reg_code.as_slice())
+            {
+                fnv1a(&mut h, v.to_bits());
+            }
+            for d in net.detect(&image) {
+                for v in [d.bbox.x0(), d.bbox.y0(), d.bbox.x1(), d.bbox.y1(), d.score] {
+                    fnv1a(&mut h, v.to_bits());
+                }
+            }
+        }
+        h
+    };
+    let (h1, h2) = at_threads(1, 2, run);
+    assert_eq!(h1, h2, "thread counts disagree");
+    assert_eq!(
+        h1, DEMO_DETECTIONS_PIN,
+        "inference bits moved: hash {h1:#018x}"
+    );
+}
+
 /// FNV-1a hash of the TCAD'18 baseline's per-epoch training losses and
 /// its clip scores after [`tcad18_training_numerics_are_pinned`].
 const TCAD18_TRAINING_PIN: u64 = 0x7911_43ea_6eaf_4fe0;

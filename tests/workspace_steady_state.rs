@@ -105,15 +105,16 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
         conv_transpose2d(&x, &wt, Some(&b), spec);
     });
 
-    // The refinement head's batched shapes: a region's 40 RoIs of 7×7
-    // maps through a 3×3 convolution, and its 320→48 FC over 40 rows.
-    let rois = Tensor::from_fn([40, 20, 7, 7], |c| ((c[0] + c[1] * 3 + c[3]) % 5) as f32);
+    // The refinement head's batched shapes, in the lane layout: a
+    // region's 40 RoIs of 7×7 maps through a 3×3 convolution, and its
+    // 320→48 FC over 40 vectors.
+    let rois = Tensor::from_fn([20, 7, 7, 40], |c| ((c[3] + c[0] * 3 + c[2]) % 5) as f32);
     let w_roi = Tensor::from_fn([5, 20, 3, 3], |c| ((c[0] + c[2]) % 3) as f32 - 1.0);
     assert_steady("batched conv2d", Pool::Reused, || {
         conv2d(&rois, &w_roi, None, spec);
     });
     let fc = Tensor::from_fn([48, 320], |c| ((c[0] * 7 + c[1]) % 9) as f32 - 4.0);
-    let rows = Tensor::from_fn([40, 320], |c| ((c[0] + c[1]) % 4) as f32);
+    let rows = Tensor::from_fn([320, 40], |c| ((c[0] + c[1]) % 4) as f32);
     assert_steady("batched FC", Pool::Untouched, || {
         matvec(&fc, &rows);
     });

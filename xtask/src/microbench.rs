@@ -5,8 +5,9 @@
 //! in-place convolutions forward and backward (`rhsd_tensor::ops::conv`
 //! and `::deconv`, on the demo network's front-end shapes), the
 //! refinement head's batched RoI convolutions and FC (`roi_conv2d`,
-//! `roi_fc`, each beside the same RoIs run one per call) and the FC's
-//! input gradient (`roi_fc_backward`, `rhsd_tensor::ops::matvec`), the
+//! `roi_fc`, each beside the same RoIs run one per call), the FC's
+//! input gradient (`roi_fc_backward`, `rhsd_tensor::ops::matvec`) and
+//! the whole head's inference pass (`refine_head`), the
 //! weight gradients alone (`conv2d_weight_grads`), the fold alone
 //! (`fold`), narrow-map
 //! convolutions (the CPN's 8² map, inception B's stride 2), the 2×2
@@ -47,6 +48,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use rand::SeedableRng;
+use rhsd_core::refine::RefinementHead;
+use rhsd_core::RhsdConfig;
 use rhsd_litho::aerial::aerial_image;
 use rhsd_litho::GaussianKernel;
 use rhsd_nn::layers::LeakyRelu;
@@ -404,25 +408,28 @@ fn run_cases(quick: bool) -> Vec<Case> {
         }));
     }
 
-    // The refinement head's shapes: one region's 40 RoIs of 7×7 maps
-    // through its 3×3 convolution (branch width 5), its 1×1 convolution
-    // of the 20 backbone channels and inception B's stride-2 3×3 over
-    // 24 channels, and of the 4×4 maps after it through inception A's
-    // 1×1 over 15 channels, and its 320→48 FC over 40 rows. Each
-    // batched row has beside it the same 40 RoIs run one RoI per call.
-    // Then the FC's input gradient, 48→320 over the same 40 rows
-    // (`Linear`'s backward).
+    // The refinement head's shapes, as its batches run in the lane
+    // layout `[C, H, W, 40]`: one region's 40 RoIs of 7×7 maps through
+    // its 3×3 convolution (branch width 5), its 1×1 convolution of the
+    // 20 backbone channels, inception B's stride-2 3×3s over the 20
+    // backbone channels and over a 1×1 branch's 5, and of the 4×4 maps
+    // after it through inception A's 1×1 over 15 channels, and its
+    // 320→48 FC over 40 vectors. Each batched row has beside it the same
+    // 40 RoIs run one RoI per call. Then the FC's input gradient, 48→320
+    // over the same 40 vectors (`Linear`'s backward), and the whole
+    // demo head's inference pass over the RoI pooling rows' 40 RoIs.
     let rois = 40;
     let roi_reps = if quick { 4 } else { 20 };
     let roi_shapes = [
         (5, 7, ConvSpec::same(3)),
         (20, 7, ConvSpec::same(1)),
-        (24, 7, ConvSpec::new(3, 2, 1)),
+        (20, 7, ConvSpec::new(3, 2, 1)),
+        (5, 7, ConvSpec::new(3, 2, 1)),
         (15, 4, ConvSpec::same(1)),
     ];
     for (c_in, hw, spec) in roi_shapes {
         let k = spec.kernel;
-        let batch = filled(&[rois, c_in, hw, hw], 9);
+        let batch = filled(&[c_in, hw, hw, rois], 9);
         let singles: Vec<Tensor> = (0..rois)
             .map(|i| filled(&[c_in, hw, hw], 9 + i as u64))
             .collect();
@@ -453,7 +460,7 @@ fn run_cases(quick: bool) -> Vec<Case> {
         );
     }
     let fc = filled(&[48, 320], 12);
-    let rows = filled(&[rois, 320], 13);
+    let rows = filled(&[320, rois], 13);
     let singles: Vec<Tensor> = (0..rois).map(|i| filled(&[320], 13 + i as u64)).collect();
     cases.push(timed(
         active,
@@ -472,7 +479,7 @@ fn run_cases(quick: bool) -> Vec<Case> {
             outs.into_iter().next().expect("forty RoIs")
         },
     ));
-    let fc_grads = filled(&[rois, 48], 14);
+    let fc_grads = filled(&[48, rois], 14);
     cases.push(timed(
         active,
         "roi_fc_backward",
@@ -510,6 +517,21 @@ fn run_cases(quick: bool) -> Vec<Case> {
         "40 RoIs 20x8x8->7x7".into(),
         roi_reps,
         || roi_pool_values(&map, &pool_rois, 7, 7),
+    ));
+    let head = RefinementHead::new(
+        &RhsdConfig::demo(),
+        20,
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(23),
+    );
+    cases.push(timed(
+        active,
+        "refine_head",
+        "40 RoIs 20x8x8 demo".into(),
+        roi_reps,
+        || {
+            head.forward(&map, &pool_rois, &mut Tape::inference())
+                .cls_logits
+        },
     ));
 
     // Aerial shapes at the EUV nominal sigma (region-raster scale).
@@ -674,12 +696,18 @@ mod tests {
             assert!(batched > 0 && batched == single, "{family}: {shapes:?}");
         }
         assert_eq!(shapes("roi_fc_backward"), ["40 RoIs 48->320"]);
-        // The head's costliest convolution, inception B's stride-2 3×3,
-        // and inception A's half-filled 4-wide 1×1s.
+        // Inception B's stride-2 3×3s, on the backbone's 20 channels
+        // and on a 1×1 branch's 5, and inception A's 4×4 1×1s; then the
+        // whole head.
         let roi_convs = shapes("roi_conv2d");
-        for s in ["40 RoIs 24x7x7->5 k3s2p1", "40 RoIs 15x4x4->5 k1s1p0"] {
+        for s in [
+            "40 RoIs 20x7x7->5 k3s2p1",
+            "40 RoIs 5x7x7->5 k3s2p1",
+            "40 RoIs 15x4x4->5 k1s1p0",
+        ] {
             assert!(roi_convs.contains(&s), "{s}: {roi_convs:?}");
         }
+        assert_eq!(shapes("refine_head"), ["40 RoIs 20x8x8 demo"]);
         // Convolution, fold and RoI convolution rows count their
         // multiply-adds; the others do not.
         for c in &cases {

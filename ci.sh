@@ -385,10 +385,12 @@ fi
 # reference (RHSD_FORCE_SCALAR=1 reruns the kernel, litho aerial,
 # determinism and conv-lowering suites through the scalar dispatch;
 # rhsd-litho's split-interior test is the one bit-identity check of
-# conv_taps outside the tensor crate).
+# conv_taps outside the tensor crate, and rhsd-baselines runs TCAD'18's
+# in-place ReLU on the scalar LeakyRelu kernels).
 simd_matrix() {
     run_step "simd matrix: forced-scalar crate tests" \
-        env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core -p rhsd-litho
+        env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core -p rhsd-litho \
+        -p rhsd-baselines
     run_step "simd matrix: forced-scalar determinism suite" \
         env RHSD_FORCE_SCALAR=1 cargo test -q --test determinism
     run_step "simd matrix: forced-scalar conv lowering" \

@@ -143,7 +143,7 @@ impl Tcad18Detector {
     pub fn classify(&self, image: &Tensor) -> f32 {
         let logits = self
             .net
-            .forward(&self.features(image), &mut Tape::inference());
+            .forward(self.features(image), &mut Tape::inference());
         let rows = logits.with_shape([1, 2]);
         softmax_rows(&rows).get(&[0, 0])
     }
@@ -176,13 +176,13 @@ impl Tcad18Detector {
                     1.0
                 };
                 let mut tape = Tape::recording();
-                let logits = self.net.forward(&self.features(image), &mut tape);
+                let logits = self.net.forward(self.features(image), &mut tape);
                 let rows = logits.with_shape([1, 2]);
                 let (loss, grad) = cross_entropy_rows(&rows, &[target], &[weight]);
                 sum += loss;
                 // `Sgd::step` leaves `grads` zeroed for the next clip.
                 self.net
-                    .backward_params(&mut tape, &grad.with_shape([2]), &mut grads);
+                    .backward_params(&mut tape, grad.with_shape([2]), &mut grads);
                 opt.step(&mut self.net.params_mut(), &mut grads);
             }
             losses.push(sum / clips.len() as f32);

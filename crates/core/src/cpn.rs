@@ -10,7 +10,7 @@ use rand::Rng;
 use rhsd_nn::layers::{Conv2d, LeakyRelu};
 use rhsd_nn::{Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
-use rhsd_tensor::ops::elementwise::add;
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::Tensor;
 
 use crate::config::RhsdConfig;
@@ -55,7 +55,9 @@ impl ClipProposalNetwork {
     }
 
     /// Runs the proposal heads over a `[C, f, f]` feature map, recording
-    /// on `tape` what [`ClipProposalNetwork::backward`] needs.
+    /// on `tape` what [`ClipProposalNetwork::backward`] needs. The trunk
+    /// takes the map itself, so a caller that reads it afterwards passes
+    /// a copy.
     ///
     /// Shapes: `features` is `[C, f, f]` with `f` the configured grid;
     /// outputs are `[f·f·k, 2]` logits and `[f·f·k, 4]` codes.
@@ -63,7 +65,7 @@ impl ClipProposalNetwork {
     /// # Panics
     ///
     /// Panics if the spatial size differs from the configured grid.
-    pub fn forward(&self, features: &Tensor, tape: &mut Tape) -> CpnOutput {
+    pub fn forward(&self, features: Tensor, tape: &mut Tape) -> CpnOutput {
         let f = self.feature_px;
         assert_eq!(
             (features.dim(1), features.dim(2)),
@@ -72,9 +74,9 @@ impl ClipProposalNetwork {
             features.shape()
         );
         let t = self.trunk.forward(features, tape);
-        let t = self.trunk_relu.forward(&t, tape);
-        let cls_map = self.cls_head.forward(&t, tape);
-        let reg_map = self.reg_head.forward(&t, tape);
+        let t = self.trunk_relu.forward(t, tape);
+        let cls_map = self.cls_head.forward(t.clone(), tape);
+        let reg_map = self.reg_head.forward(t, tape);
         CpnOutput {
             cls_logits: map_to_rows(&cls_map, 2),
             reg_codes: map_to_rows(&reg_map, 4),
@@ -96,26 +98,25 @@ impl ClipProposalNetwork {
     pub fn backward(
         &self,
         tape: &mut Tape,
-        cls_grad: &Tensor,
-        reg_grad: &Tensor,
+        cls_grad: Tensor,
+        reg_grad: Tensor,
         grads: &mut [Tensor],
     ) -> Tensor {
         let f = self.feature_px;
         let n = f * f * self.k;
         assert_eq!(cls_grad.dims(), &[n, 2], "cls grad shape");
         assert_eq!(reg_grad.dims(), &[n, 4], "reg grad shape");
-        let cls_map_grad = rows_to_map(cls_grad, 2 * self.k, f);
-        let reg_map_grad = rows_to_map(reg_grad, 4 * self.k, f);
+        let cls_map_grad = rows_to_map(&cls_grad, 2 * self.k, f);
+        let reg_map_grad = rows_to_map(&reg_grad, 4 * self.k, f);
         // Slots in params order: trunk, cls head, reg head (two each).
         let (g_trunk_slots, rest) = grads.split_at_mut(2);
         let (g_cls_slots, g_reg_slots) = rest.split_at_mut(2);
         // The reg head recorded last, so it pops first.
-        let g_reg = self.reg_head.backward(tape, &reg_map_grad, g_reg_slots);
-        let g_cls = self.cls_head.backward(tape, &cls_map_grad, g_cls_slots);
-        let g_trunk = self
-            .trunk_relu
-            .backward(tape, &add(&g_cls, &g_reg), &mut []);
-        self.trunk.backward(tape, &g_trunk, g_trunk_slots)
+        let g_reg = self.reg_head.backward(tape, reg_map_grad, g_reg_slots);
+        let mut g = self.cls_head.backward(tape, cls_map_grad, g_cls_slots);
+        axpy(&mut g, 1.0, &g_reg);
+        let g_trunk = self.trunk_relu.backward(tape, g, &mut []);
+        self.trunk.backward(tape, g_trunk, g_trunk_slots)
     }
 
     /// Every trainable parameter: trunk, classification head, regression
@@ -272,12 +273,12 @@ mod tests {
         let tape = &mut Tape::inference();
         let t = cpn
             .trunk_relu
-            .forward(&cpn.trunk.forward(&feats, tape), tape);
+            .forward(cpn.trunk.forward(feats.clone(), tape), tape);
         let (cls_map, reg_map) = (
-            cpn.cls_head.forward(&t, tape),
-            cpn.reg_head.forward(&t, tape),
+            cpn.cls_head.forward(t.clone(), tape),
+            cpn.reg_head.forward(t, tape),
         );
-        let out = cpn.forward(&feats, tape);
+        let out = cpn.forward(feats.clone(), tape);
         assert_eq!(bits(&out.cls_logits), bits(&oracle_rows(&cls_map, k, 2)));
         assert_eq!(bits(&out.reg_codes), bits(&oracle_rows(&reg_map, k, 4)));
     }
@@ -285,7 +286,7 @@ mod tests {
     #[test]
     fn output_shapes_match_anchor_count() {
         let (cfg, cpn, feats) = setup();
-        let out = cpn.forward(&feats, &mut Tape::inference());
+        let out = cpn.forward(feats.clone(), &mut Tape::inference());
         assert_eq!(out.cls_logits.dims(), &[cfg.total_anchors(), 2]);
         assert_eq!(out.reg_codes.dims(), &[cfg.total_anchors(), 4]);
     }
@@ -295,7 +296,7 @@ mod tests {
         // Two forward passes with a spatially-localised feature bump must
         // change only the rows of that feature position.
         let (cfg, cpn, feats) = setup();
-        let base = cpn.forward(&feats, &mut Tape::inference());
+        let base = cpn.forward(feats.clone(), &mut Tape::inference());
         let f = cfg.feature_px();
         let mut bumped = feats.clone();
         // bump all channels at position (1, 2)
@@ -303,7 +304,7 @@ mod tests {
             let v = bumped.get(&[ch, 1, 2]);
             bumped.set(&[ch, 1, 2], v + 10.0);
         }
-        let out = cpn.forward(&bumped, &mut Tape::inference());
+        let out = cpn.forward(bumped.clone(), &mut Tape::inference());
         let k = cfg.anchors_per_position();
         // rows of distant position (3, 0) unchanged beyond trunk's 3×3 reach
         let far = (3 * f) * k;
@@ -337,11 +338,11 @@ mod tests {
     fn backward_returns_feature_grad_and_accumulates() {
         let (_, cpn, feats) = setup();
         let mut tape = Tape::recording();
-        let out = cpn.forward(&feats, &mut tape);
+        let out = cpn.forward(feats.clone(), &mut tape);
         let gc = Tensor::ones(out.cls_logits.dims());
         let gr = Tensor::ones(out.reg_codes.dims());
         let mut grads = Grads::zeros_like(cpn.params());
-        let gf = cpn.backward(&mut tape, &gc, &gr, &mut grads);
+        let gf = cpn.backward(&mut tape, gc, gr, &mut grads);
         assert_eq!(gf.dims(), feats.dims());
         assert!(tape.is_empty());
         assert!(
@@ -357,7 +358,7 @@ mod tests {
         // differences — validates the map/row scatter correspondence.
         let (_, cpn, feats) = setup();
         let mut tape = Tape::recording();
-        let out = cpn.forward(&feats, &mut tape);
+        let out = cpn.forward(feats.clone(), &mut tape);
         let mut gc = Tensor::zeros(out.cls_logits.dims());
         // pick a handful of rows
         for ai in [0usize, 5, 17, 40] {
@@ -366,9 +367,9 @@ mod tests {
         }
         let gr = Tensor::zeros(out.reg_codes.dims());
         let mut grads = Grads::zeros_like(cpn.params());
-        let gf = cpn.backward(&mut tape, &gc, &gr, &mut grads);
+        let gf = cpn.backward(&mut tape, gc, gr, &mut grads);
 
-        let loss = |x: &Tensor| {
+        let loss = |x: Tensor| {
             let o = cpn.forward(x, &mut Tape::inference());
             let mut s = 0.0;
             for ai in [0usize, 5, 17, 40] {
@@ -382,7 +383,7 @@ mod tests {
             plus.as_mut_slice()[probe] += eps;
             let mut minus = feats.clone();
             minus.as_mut_slice()[probe] -= eps;
-            let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+            let numeric = (loss(plus) - loss(minus)) / (2.0 * eps);
             let analytic = gf.as_slice()[probe];
             assert!(
                 (numeric - analytic).abs() < 2e-2,

@@ -7,7 +7,7 @@ use rand::Rng;
 use rhsd_nn::encdec::EncoderDecoder;
 use rhsd_nn::inception::{InceptionA, InceptionB};
 use rhsd_nn::layers::{Conv2d, LeakyRelu, MaxPool2d};
-use rhsd_nn::{backward_all, backward_params_all, forward_all, Layer, Tape};
+use rhsd_nn::{backward_all, backward_params_all, forward_all, forward_from, Layer, Tape};
 use rhsd_tensor::ops::conv::ConvSpec;
 use rhsd_tensor::Tensor;
 
@@ -106,19 +106,23 @@ impl FeatureExtractor {
     /// Shapes: `input` is `[1, region_px, region_px]`; returns the stem
     /// activation map `[c, region_px / 4, region_px / 4]`.
     pub fn forward_stem(&self, input: &Tensor) -> Tensor {
-        forward_all(&self.layers[..self.stem_len], input, &mut Tape::inference())
+        let stem = &self.layers[..self.stem_len];
+        forward_all(stem, input.clone(), &mut Tape::inference())
     }
 
     /// Runs the inception stack and final pooling on a stem activation
     /// map for inference (the counterpart of
-    /// [`FeatureExtractor::forward_stem`]).
+    /// [`FeatureExtractor::forward_stem`]). Its layers keep their
+    /// indices in the whole extractor, so the spans and dynamics keys
+    /// of a split pass are those of [`Layer::forward`].
     ///
     /// Shapes: `stem_out` is the `[c, h, w]` map `forward_stem` returns;
     /// the result matches [`FeatureExtractor::forward`].
     pub fn forward_rest(&self, stem_out: &Tensor) -> Tensor {
-        forward_all(
+        forward_from(
             &self.layers[self.stem_len..],
-            stem_out,
+            self.stem_len,
+            stem_out.clone(),
             &mut Tape::inference(),
         )
     }
@@ -129,15 +133,15 @@ impl Layer for FeatureExtractor {
         "FeatureExtractor"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         forward_all(&self.layers, input, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         backward_all(&self.layers, tape, grad_out, grads)
     }
 
-    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+    fn backward_params(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) {
         backward_params_all(&self.layers, tape, grad_out, grads);
     }
 
@@ -179,7 +183,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(40);
         let fx = FeatureExtractor::new(&cfg, &mut rng);
         let y = fx.forward(
-            &Tensor::zeros([1, cfg.region_px, cfg.region_px]),
+            Tensor::zeros([1, cfg.region_px, cfg.region_px]),
             &mut Tape::inference(),
         );
         assert_eq!(
@@ -199,7 +203,7 @@ mod tests {
         assert!(full.param_count() > ablated.param_count());
         // shapes identical either way
         let y = ablated.forward(
-            &Tensor::zeros([1, cfg.region_px, cfg.region_px]),
+            Tensor::zeros([1, cfg.region_px, cfg.region_px]),
             &mut Tape::inference(),
         );
         assert_eq!(y.dim(1), cfg.feature_px());
@@ -212,9 +216,9 @@ mod tests {
         let fx = FeatureExtractor::new(&cfg, &mut rng);
         let x = Tensor::rand_uniform([1, cfg.region_px, cfg.region_px], 0.0, 1.0, &mut rng);
         let mut tape = Tape::recording();
-        let y = fx.forward(&x, &mut tape);
+        let y = fx.forward(x.clone(), &mut tape);
         let mut grads = Grads::zeros_like(fx.params());
-        let gx = fx.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let gx = fx.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
         assert!(tape.is_empty(), "backward consumes the whole tape");
         let gn: f32 = grads.iter().map(|g| g.sq_norm()).sum();
@@ -227,7 +231,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(44);
         let fx = FeatureExtractor::new(&cfg, &mut rng);
         let x = Tensor::rand_uniform([1, cfg.region_px, cfg.region_px], 0.0, 1.0, &mut rng);
-        let full = fx.forward(&x, &mut Tape::recording());
+        let full = fx.forward(x.clone(), &mut Tape::recording());
         let stem = fx.forward_stem(&x);
         let split = fx.forward_rest(&stem);
         assert_eq!(full.dims(), split.dims());

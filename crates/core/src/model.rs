@@ -269,9 +269,11 @@ impl RhsdNetwork {
                         let mut tape = Tape::recording();
                         let feats = {
                             let _scope = dynamics::scope("backbone");
-                            extractor.forward(&batch[i].image, &mut tape)
+                            extractor.forward(batch[i].image.clone(), &mut tape)
                         };
-                        let out = cpn.forward(&feats, &mut tape);
+                        // The CPN's trunk keeps this copy on the tape;
+                        // the refinement head reads the map itself.
+                        let out = cpn.forward(feats.clone(), &mut tape);
                         (tape, feats, out)
                     });
                     RegionPass {
@@ -308,7 +310,7 @@ impl RhsdNetwork {
             }
             let mut jobs: Vec<_> = passes
                 .iter_mut()
-                .zip(&feat_grads)
+                .zip(feat_grads)
                 .zip(&mut self.ext_scratch)
                 .collect();
             rhsd_par::pinned(|| {
@@ -318,7 +320,8 @@ impl RhsdNetwork {
                         let ((), backward) = fork.record(|| {
                             let _scope = dynamics::scope("backbone");
                             // Nothing reads the raster's gradient.
-                            extractor.backward_params(&mut pass.tape, feat_grad, scratch);
+                            let g = std::mem::take(feat_grad);
+                            extractor.backward_params(&mut pass.tape, g, scratch);
                         });
                         debug_assert!(pass.tape.is_empty(), "every recorded forward was consumed");
                         pass.dynamics.absorb(backward);
@@ -356,7 +359,7 @@ impl RhsdNetwork {
         };
         let n_ext = self.extractor.params().len();
         let (g_cpn, g_ref) = self.grads[n_ext..].split_at_mut(self.cpn.params().len());
-        let mut feat_grad = self.cpn.backward(tape, &cls_grad, &reg_grad, g_cpn);
+        let mut feat_grad = self.cpn.backward(tape, cls_grad, reg_grad, g_cpn);
 
         // --- Stage 2: refinement on sampled RoIs, as one batch.
         let mut refine_cr = CrLoss::default();
@@ -393,8 +396,8 @@ impl RhsdNetwork {
             // the refinement head's learning signal by the batch size).
             head.backward(
                 tape,
-                &Tensor::from_parts([n_rois, 2], cls_grad),
-                &Tensor::from_parts([n_rois, 4], reg_grad),
+                Tensor::from_parts([n_rois, 2], cls_grad),
+                Tensor::from_parts([n_rois, 4], reg_grad),
                 g_ref,
                 &mut feat_grad,
                 1.0 / n_rois.max(1) as f32,
@@ -507,7 +510,7 @@ impl RhsdNetwork {
     /// region-proposal practice).
     fn propose(&self, feats: &Tensor) -> Vec<Scored> {
         let sp = rhsd_obs::span("cpn");
-        let out = self.cpn.forward(feats, &mut Tape::inference());
+        let out = self.cpn.forward(feats.clone(), &mut Tape::inference());
         let probs = softmax_rows(&out.cls_logits);
         let mut candidates = Vec::new();
         let (rows, _) = probs.as_slice().as_chunks::<2>();
@@ -557,7 +560,8 @@ impl RhsdNetwork {
     /// span.
     fn features(&self, image: &Tensor) -> Tensor {
         let _sp = rhsd_obs::span("backbone");
-        self.extractor.forward(image, &mut Tape::inference())
+        self.extractor
+            .forward(image.clone(), &mut Tape::inference())
     }
 
     /// Everything [`RhsdNetwork::detect`] runs after the extractor:

@@ -620,7 +620,7 @@ mod tests {
         let a = make_net(1);
         let mut b = make_net(2);
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut ChaCha8Rng::seed_from_u64(3));
-        let run = |net: &Sequential| net.forward(&x, &mut Tape::inference());
+        let run = |net: &Sequential| net.forward(x.clone(), &mut Tape::inference());
         assert!(!run(&a).approx_eq(&run(&b), 1e-6));
 
         let params = a.params();

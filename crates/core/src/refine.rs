@@ -19,7 +19,7 @@ use rhsd_data::BBox;
 use rhsd_nn::inception::{InceptionA, InceptionB};
 use rhsd_nn::layers::{Flatten, LeakyRelu, Linear};
 use rhsd_nn::{Layer, Tape};
-use rhsd_tensor::ops::elementwise::{add, axpy};
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::pool::{roi_pool, roi_pool_backward, roi_pool_values, FeatureRoi};
 use rhsd_tensor::Tensor;
 
@@ -112,19 +112,19 @@ impl RefinementHead {
         drop(sp);
         let x = {
             let _sp = rhsd_obs::span("inception-b");
-            self.incep_b.forward(&pooled, tape)
+            self.incep_b.forward(pooled, tape)
         };
         let x = {
             let _sp = rhsd_obs::span("inception-a");
-            self.incep_a.forward(&x, tape)
+            self.incep_a.forward(x, tape)
         };
         let _sp = rhsd_obs::span("fc");
-        let x = self.flatten.forward(&x, tape);
-        let h = self.fc.forward(&x, tape);
-        let h = self.relu.forward(&h, tape);
+        let x = self.flatten.forward(x, tape);
+        let h = self.fc.forward(x, tape);
+        let h = self.relu.forward(h, tape);
         RefineOutput {
-            cls_logits: transposed(&self.cls.forward(&h, tape)),
-            reg_code: transposed(&self.reg.forward(&h, tape)),
+            cls_logits: transposed(&self.cls.forward(h.clone(), tape)),
+            reg_code: transposed(&self.reg.forward(h, tape)),
         }
     }
 
@@ -144,8 +144,8 @@ impl RefinementHead {
     pub fn backward(
         &self,
         tape: &mut Tape,
-        cls_grad: &Tensor,
-        reg_grad: &Tensor,
+        cls_grad: Tensor,
+        reg_grad: Tensor,
         grads: &mut [Tensor],
         feat_grad: &mut Tensor,
         feat_scale: f32,
@@ -156,14 +156,14 @@ impl RefinementHead {
         let (g_fc, rest) = rest.split_at_mut(2);
         let (g_cls, g_reg) = rest.split_at_mut(2);
         // Pops run in reverse forward order: reg, cls, relu, fc, …
-        let g_reg_in = self.reg.backward(tape, &transposed(reg_grad), g_reg);
-        let g_cls_in = self.cls.backward(tape, &transposed(cls_grad), g_cls);
-        let gh = add(&g_cls_in, &g_reg_in);
-        let gh = self.relu.backward(tape, &gh, &mut []);
-        let gx = self.fc.backward(tape, &gh, g_fc);
-        let gx = self.flatten.backward(tape, &gx, &mut []);
-        let gx = self.incep_a.backward(tape, &gx, g_a);
-        let g_pooled = self.incep_b.backward(tape, &gx, g_b);
+        let g_reg_in = self.reg.backward(tape, transposed(&reg_grad), g_reg);
+        let mut gh = self.cls.backward(tape, transposed(&cls_grad), g_cls);
+        axpy(&mut gh, 1.0, &g_reg_in);
+        let gh = self.relu.backward(tape, gh, &mut []);
+        let gx = self.fc.backward(tape, gh, g_fc);
+        let gx = self.flatten.backward(tape, gx, &mut []);
+        let gx = self.incep_a.backward(tape, gx, g_a);
+        let g_pooled = self.incep_b.backward(tape, gx, g_b);
         let (feat_dims, argmax): (Vec<usize>, Vec<u32>) = tape.pop("RefinementHead");
         let n = g_pooled.dim(3);
         for r in 0..n {
@@ -316,8 +316,8 @@ mod tests {
         head.forward(&feats, rois, &mut tape);
         head.backward(
             &mut tape,
-            &gc,
-            &gr,
+            gc.clone(),
+            gr.clone(),
             &mut batch_grads,
             &mut batch_feat,
             scale,
@@ -329,7 +329,7 @@ mod tests {
             let mut tape = Tape::recording();
             head.forward(&feats, &rois[i..=i], &mut tape);
             let (gc, gr) = (one_row(&gc, i), one_row(&gr, i));
-            head.backward(&mut tape, &gc, &gr, &mut fold_grads, &mut fold_feat, scale);
+            head.backward(&mut tape, gc, gr, &mut fold_grads, &mut fold_feat, scale);
         }
         assert_eq!(bits(&batch_feat), bits(&fold_feat), "feature gradient");
         for (slot, (b, f)) in batch_grads.iter().zip(fold_grads.iter()).enumerate() {
@@ -362,8 +362,8 @@ mod tests {
         let mut g = Tensor::zeros(feats.dims());
         head.backward(
             &mut tape,
-            &Tensor::ones([1, 2]),
-            &Tensor::ones([1, 4]),
+            Tensor::ones([1, 2]),
+            Tensor::ones([1, 4]),
             &mut grads,
             &mut g,
             1.0,

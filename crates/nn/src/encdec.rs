@@ -62,15 +62,15 @@ impl Layer for EncoderDecoder {
         "EncoderDecoder"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         self.chain.forward(input, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         self.chain.backward(tape, grad_out, grads)
     }
 
-    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+    fn backward_params(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) {
         self.chain.backward_params(tape, grad_out, grads);
     }
 
@@ -94,7 +94,7 @@ mod tests {
     fn output_matches_input_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(30);
         let ed = EncoderDecoder::new(1, &[4, 8, 16], &mut rng);
-        let y = ed.forward(&Tensor::zeros([1, 12, 12]), &mut Tape::inference());
+        let y = ed.forward(Tensor::zeros([1, 12, 12]), &mut Tape::inference());
         assert_eq!(y.dims(), &[1, 12, 12]);
     }
 
@@ -102,7 +102,7 @@ mod tests {
     fn single_hidden_layer_works() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let ed = EncoderDecoder::new(2, &[3], &mut rng);
-        let y = ed.forward(&Tensor::zeros([2, 6, 6]), &mut Tape::inference());
+        let y = ed.forward(Tensor::zeros([2, 6, 6]), &mut Tape::inference());
         assert_eq!(y.dims(), &[2, 6, 6]);
     }
 
@@ -112,9 +112,9 @@ mod tests {
         let ed = EncoderDecoder::new(1, &[2, 3], &mut rng);
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
         let mut tape = Tape::recording();
-        let y = ed.forward(&x, &mut tape);
+        let y = ed.forward(x.clone(), &mut tape);
         let mut grads = Grads::zeros_like(ed.params());
-        let gx = ed.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let gx = ed.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
         for (i, g) in grads.iter().enumerate() {
             // bias of last layer may be tiny but weights should get signal
@@ -136,11 +136,11 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..80 {
             let mut tape = Tape::recording();
-            let y = ed.forward(&x, &mut tape);
+            let y = ed.forward(x.clone(), &mut tape);
             let diff = rhsd_tensor::ops::elementwise::sub(&y, &x);
             let loss = diff.sq_norm();
             grads.zero();
-            ed.backward(&mut tape, &diff.map(|d| 2.0 * d), &mut grads);
+            ed.backward(&mut tape, diff.map(|d| 2.0 * d), &mut grads);
             for (p, g) in ed.params_mut().into_iter().zip(grads.iter()) {
                 rhsd_tensor::ops::elementwise::axpy(p, -0.02, g);
             }

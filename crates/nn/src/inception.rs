@@ -13,6 +13,7 @@
 
 use rand::Rng;
 use rhsd_tensor::ops::conv::ConvSpec;
+use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::reduce::{concat_channels, split_channels};
 use rhsd_tensor::Tensor;
 
@@ -26,34 +27,46 @@ struct BranchConcat {
 }
 
 impl BranchConcat {
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
-        let outs: Vec<Tensor> = self
-            .branches
+    /// Runs every branch on the input, in order: each but the last on
+    /// a copy, the last on the input itself.
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
+        // A branchless module is an identity map.
+        let Some((last, rest)) = self.branches.split_last() else {
+            return input;
+        };
+        let mut outs: Vec<Tensor> = rest
             .iter()
-            .map(|b| b.forward(input, tape))
+            .map(|b| b.forward(input.clone(), tape))
             .collect();
+        outs.push(last.forward(input, tape));
         let refs: Vec<&Tensor> = outs.iter().collect();
         concat_channels(&refs)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
-        let parts = split_channels(grad_out, &self.branch_channels);
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
+        // A branchless module is an identity map; its gradient passes through.
+        if self.branches.is_empty() {
+            return grad_out;
+        }
+        let parts = split_channels(&grad_out, &self.branch_channels);
+        drop(grad_out);
         // The tape is a stack, so the branches pop in reverse; their
-        // input gradients are still summed left to right.
+        // input gradients are still summed left to right, into the
+        // first's buffer.
         let mut branch_grads = Vec::with_capacity(self.branches.len());
         let mut rest = grads;
-        for (branch, part) in self.branches.iter().zip(parts.iter()).rev() {
+        for (branch, part) in self.branches.iter().zip(parts).rev() {
             let split = rest.len() - branch.params().len();
             let (head, own) = std::mem::take(&mut rest).split_at_mut(split);
             branch_grads.push(branch.backward(tape, part, own));
             rest = head;
         }
         let mut in_order = branch_grads.into_iter().rev();
-        // A branchless module is an identity map; its gradient passes through.
-        let Some(first) = in_order.next() else {
-            return grad_out.clone();
-        };
-        in_order.fold(first, |acc, g| rhsd_tensor::ops::elementwise::add(&acc, &g))
+        let mut sum = in_order.next().unwrap_or_default();
+        for g in in_order {
+            axpy(&mut sum, 1.0, &g);
+        }
+        sum
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -115,11 +128,11 @@ impl Layer for InceptionA {
         "InceptionA"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         self.inner.forward(input, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         self.inner.backward(tape, grad_out, grads)
     }
 
@@ -174,11 +187,11 @@ impl Layer for InceptionB {
         "InceptionB"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         self.inner.forward(input, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         self.inner.backward(tape, grad_out, grads)
     }
 
@@ -202,9 +215,9 @@ mod tests {
     /// output gradient; returns the input gradient and the grads.
     fn ones_backward(layer: &dyn Layer, x: &Tensor) -> (Tensor, Grads) {
         let mut tape = Tape::recording();
-        let y = layer.forward(x, &mut tape);
+        let y = layer.forward(x.clone(), &mut tape);
         let mut grads = Grads::zeros_like(layer.params());
-        let gx = layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let gx = layer.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
         assert!(tape.is_empty());
         (gx, grads)
     }
@@ -213,7 +226,7 @@ mod tests {
     fn module_a_preserves_spatial_and_widens_channels() {
         let mut rng = ChaCha8Rng::seed_from_u64(20);
         let a = InceptionA::new(6, 4, &mut rng);
-        let y = a.forward(&Tensor::zeros([6, 10, 10]), &mut Tape::inference());
+        let y = a.forward(Tensor::zeros([6, 10, 10]), &mut Tape::inference());
         assert_eq!(y.dims(), &[16, 10, 10]);
         assert_eq!(a.c_out(), 16);
     }
@@ -222,7 +235,7 @@ mod tests {
     fn module_b_halves_spatial() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let b = InceptionB::new(8, 4, &mut rng);
-        let y = b.forward(&Tensor::zeros([8, 14, 14]), &mut Tape::inference());
+        let y = b.forward(Tensor::zeros([8, 14, 14]), &mut Tape::inference());
         assert_eq!(y.dims(), &[12, 7, 7]);
         assert_eq!(b.c_out(), 12);
     }
@@ -243,7 +256,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
         let b = InceptionB::new(4, 2, &mut rng);
         let x = Tensor::rand_normal([4, 8, 8], 0.0, 1.0, &mut rng);
-        let y = b.forward(&x, &mut Tape::inference());
+        let y = b.forward(x.clone(), &mut Tape::inference());
         assert_eq!(y.dims(), &[6, 4, 4]);
         let (gx, _) = ones_backward(&b, &x);
         assert_eq!(gx.dims(), x.dims());

@@ -25,6 +25,14 @@ use rhsd_tensor::Tensor;
 /// before one optimiser step; for layers that add into a slot once per
 /// region, that is the add order of a region-by-region pass.
 ///
+/// Activations and gradients pass *by value*: a layer owns what it is
+/// handed, so it can keep its input on the tape without a copy (a
+/// convolution), work in its buffer (an activation), or hand the buffer
+/// on with a new shape (a flatten). A backward that popped its input
+/// can write the input gradient into that input's buffer. A caller that
+/// still needs a value after the call clones it, once, at the call
+/// site.
+///
 /// # Panics
 ///
 /// Implementations panic when `backward` is called without a matching
@@ -38,20 +46,20 @@ pub trait Layer: Send + Sync {
 
     /// Runs the layer on `input`, recording on `tape` whatever the
     /// backward pass needs (nothing when the tape does not record).
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor;
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor;
 
     /// Propagates `grad_out` back through the forward most recently
     /// recorded on `tape`, adding parameter gradients into `grads` (this
     /// layer's slots, in [`Layer::params`] order) and returning the input
     /// gradient.
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor;
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor;
 
     /// [`Layer::backward`] for a caller that never reads the input
     /// gradient, as when the input is data (a network's raster): adds
     /// the same parameter gradients into `grads`, bit for bit, and skips
     /// what only the input gradient needs. The default runs `backward`
     /// and drops the input gradient.
-    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+    fn backward_params(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) {
         self.backward(tape, grad_out, grads);
     }
 
@@ -154,7 +162,8 @@ impl Tape {
     }
 }
 
-/// Runs `forward` through a slice of boxed layers in order.
+/// Runs `forward` through a slice of boxed layers in order, each
+/// layer's output moving into the next.
 ///
 /// With the `debug_invariants` feature, every intermediate activation is
 /// checked for NaN/Inf, attributed to the producing layer.
@@ -168,12 +177,28 @@ impl Tape {
 ///
 /// Shapes: `input` is whatever the first layer accepts (each layer
 /// documents its own contract); the result is the last layer's output.
-pub fn forward_all(layers: &[Box<dyn Layer>], input: &Tensor, tape: &mut Tape) -> Tensor {
+pub fn forward_all(layers: &[Box<dyn Layer>], input: Tensor, tape: &mut Tape) -> Tensor {
+    forward_from(layers, 0, input, tape)
+}
+
+/// [`forward_all`] over a chain that starts at layer `first` of a
+/// longer one: layer `i` of `layers` is numbered `first + i` in its
+/// span and dynamics keys, so a pass split at a layer boundary records
+/// the keys of the whole chain's pass.
+///
+/// Shapes: `input` is whatever `layers[0]` accepts; the result is the
+/// last layer's output.
+pub fn forward_from(
+    layers: &[Box<dyn Layer>],
+    first: usize,
+    input: Tensor,
+    tape: &mut Tape,
+) -> Tensor {
     let record = crate::dynamics::enter_chain();
-    let mut x = input.clone();
-    for (i, layer) in layers.iter().enumerate() {
+    let mut x = input;
+    for (i, layer) in (first..).zip(layers) {
         let _sp = layer_span(layer.name(), i);
-        x = layer.forward(&x, tape);
+        x = layer.forward(x, tape);
         rhsd_tensor::invariants::check_finite(layer.name(), &x);
         if record {
             crate::dynamics::record_activation(layer.name(), i, &x);
@@ -191,6 +216,7 @@ fn layer_span(name: &str, i: usize) -> Option<rhsd_obs::SpanGuard> {
 }
 
 /// Runs `backward` through a slice of boxed layers in reverse order,
+/// each layer's input gradient moving into the layer before it, and
 /// handing each layer its own slots of `grads` (the layers' parameter
 /// lists concatenated in order).
 ///
@@ -209,11 +235,12 @@ fn layer_span(name: &str, i: usize) -> Option<rhsd_obs::SpanGuard> {
 pub fn backward_all(
     layers: &[Box<dyn Layer>],
     tape: &mut Tape,
-    grad_out: &Tensor,
+    grad_out: Tensor,
     grads: &mut [Tensor],
 ) -> Tensor {
-    let mut g = grad_out.clone();
-    backward_chain(layers, tape, &mut g, grads, true);
+    let record = crate::dynamics::enter_chain();
+    let g = backward_chain(layers, 0, tape, grad_out, grads, record);
+    crate::dynamics::exit_chain();
     g
 }
 
@@ -230,41 +257,50 @@ pub fn backward_all(
 pub fn backward_params_all(
     layers: &[Box<dyn Layer>],
     tape: &mut Tape,
-    grad_out: &Tensor,
+    grad_out: Tensor,
     grads: &mut [Tensor],
-) {
-    backward_chain(layers, tape, &mut grad_out.clone(), grads, false);
-}
-
-/// Runs `backward` through `layers` in reverse, `g` the gradient flowing
-/// in. On return `g` is the input gradient, unless `input_grad` is false
-/// and nothing records it: then the first layer runs
-/// [`Layer::backward_params`] and `g` is left as its output gradient.
-fn backward_chain(
-    layers: &[Box<dyn Layer>],
-    tape: &mut Tape,
-    g: &mut Tensor,
-    grads: &mut [Tensor],
-    input_grad: bool,
 ) {
     let record = crate::dynamics::enter_chain();
+    match layers.split_first() {
+        Some((first, rest)) if !record => {
+            let (own, rest_grads) = grads.split_at_mut(first.params().len());
+            let g = backward_chain(rest, 1, tape, grad_out, rest_grads, record);
+            let _sp = layer_span(first.name(), 0);
+            first.backward_params(tape, g, own);
+        }
+        _ => {
+            backward_chain(layers, 0, tape, grad_out, grads, record);
+        }
+    }
+    crate::dynamics::exit_chain();
+}
+
+/// Runs `backward` through `layers` in reverse, numbered from `first`,
+/// `g` the gradient flowing in; returns the input gradient of
+/// `layers[0]`. `record` says whether the dynamics collector records
+/// each flowing gradient.
+fn backward_chain(
+    layers: &[Box<dyn Layer>],
+    first: usize,
+    tape: &mut Tape,
+    mut g: Tensor,
+    grads: &mut [Tensor],
+    record: bool,
+) -> Tensor {
     let mut rest = grads;
     for (i, layer) in layers.iter().enumerate().rev() {
+        let i = first + i;
         let _sp = layer_span(layer.name(), i);
         let split = rest.len() - layer.params().len();
         let (head, own) = std::mem::take(&mut rest).split_at_mut(split);
         rest = head;
-        if i == 0 && !input_grad && !record {
-            layer.backward_params(tape, g, own);
-            break;
-        }
-        *g = layer.backward(tape, g, own);
-        rhsd_tensor::invariants::check_finite(layer.name(), g);
+        g = layer.backward(tape, g, own);
+        rhsd_tensor::invariants::check_finite(layer.name(), &g);
         if record {
-            crate::dynamics::record_flow_grad(layer.name(), i, g);
+            crate::dynamics::record_flow_grad(layer.name(), i, &g);
         }
     }
-    crate::dynamics::exit_chain();
+    g
 }
 
 #[cfg(test)]
@@ -288,12 +324,13 @@ mod tests {
     }
 
     impl Layer for Gain {
-        fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
-            tape.save(|| input.clone());
-            input.map(|x| x * self.k.as_slice()[0])
+        fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
+            let y = input.map(|x| x * self.k.as_slice()[0]);
+            tape.save(|| input);
+            y
         }
 
-        fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
             let input: Tensor = tape.pop("Gain");
             let dk: f32 = input
                 .as_slice()
@@ -315,11 +352,11 @@ mod tests {
         let layers: Vec<Box<dyn Layer>> = vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
         let x = Tensor::from_vec([2], vec![1.0, -1.0]).unwrap();
         let mut tape = Tape::recording();
-        let y = forward_all(&layers, &x, &mut tape);
+        let y = forward_all(&layers, x, &mut tape);
         assert_eq!(y.as_slice(), &[6.0, -6.0]);
         assert!(!tape.is_empty(), "a training forward records");
         let mut grads = Grads::zeros_like(layers.iter().flat_map(|l| l.params()));
-        let gx = backward_all(&layers, &mut tape, &Tensor::ones([2]), &mut grads);
+        let gx = backward_all(&layers, &mut tape, Tensor::ones([2]), &mut grads);
         assert_eq!(gx.as_slice(), &[6.0, 6.0]);
         assert!(tape.is_empty(), "backward consumes what forward saved");
         // d/dk1 = Σ x·(k2·1) = 3·(1 − 1) = 0; d/dk2 = Σ (k1·x)·1 = 0
@@ -330,11 +367,10 @@ mod tests {
     #[test]
     fn grads_land_in_each_layers_own_slot() {
         let layers: Vec<Box<dyn Layer>> = vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
-        let x = Tensor::ones([3]);
         let mut tape = Tape::recording();
-        forward_all(&layers, &x, &mut tape);
+        forward_all(&layers, Tensor::ones([3]), &mut tape);
         let mut grads = Grads::zeros_like(layers.iter().flat_map(|l| l.params()));
-        backward_all(&layers, &mut tape, &Tensor::ones([3]), &mut grads);
+        backward_all(&layers, &mut tape, Tensor::ones([3]), &mut grads);
         assert_eq!(grads[0].as_slice(), &[9.0], "k1: Σ x·k2");
         assert_eq!(grads[1].as_slice(), &[6.0], "k2: Σ k1·x");
     }
@@ -343,7 +379,7 @@ mod tests {
     fn inference_tape_records_nothing() {
         let layers: Vec<Box<dyn Layer>> = vec![Box::new(Gain::new(2.0)), Box::new(Gain::new(3.0))];
         let mut tape = Tape::inference();
-        let y = forward_all(&layers, &Tensor::ones([2]), &mut tape);
+        let y = forward_all(&layers, Tensor::ones([2]), &mut tape);
         assert_eq!(y.as_slice(), &[6.0, 6.0]);
         assert!(tape.is_empty());
     }
@@ -353,9 +389,9 @@ mod tests {
     fn backward_after_inference_forward_panics() {
         let layer = Gain::new(2.0);
         let mut tape = Tape::inference();
-        let y = layer.forward(&Tensor::ones([2]), &mut tape);
+        let y = layer.forward(Tensor::ones([2]), &mut tape);
         let mut grads = Grads::zeros_like(layer.params());
-        layer.backward(&mut tape, &y, &mut grads);
+        layer.backward(&mut tape, y, &mut grads);
     }
 
     /// A [`Gain`] that counts which backward ran: `[backward,
@@ -366,16 +402,16 @@ mod tests {
     }
 
     impl Layer for Probe {
-        fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+        fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
             self.gain.forward(input, tape)
         }
 
-        fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
             self.runs[0].fetch_add(1, Relaxed);
             self.gain.backward(tape, grad_out, grads)
         }
 
-        fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+        fn backward_params(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) {
             self.runs[1].fetch_add(1, Relaxed);
             self.gain.backward(tape, grad_out, grads);
         }
@@ -405,12 +441,12 @@ mod tests {
         let x = Tensor::from_vec([2], vec![1.0, -2.0]).unwrap();
         let run = |params_only: bool| {
             let mut tape = Tape::recording();
-            forward_all(&layers, &x, &mut tape);
+            forward_all(&layers, x.clone(), &mut tape);
             let mut grads = Grads::zeros_like(layers.iter().flat_map(|l| l.params()));
             if params_only {
-                backward_params_all(&layers, &mut tape, &Tensor::ones([2]), &mut grads);
+                backward_params_all(&layers, &mut tape, Tensor::ones([2]), &mut grads);
             } else {
-                backward_all(&layers, &mut tape, &Tensor::ones([2]), &mut grads);
+                backward_all(&layers, &mut tape, Tensor::ones([2]), &mut grads);
             }
             assert!(tape.is_empty());
             grads

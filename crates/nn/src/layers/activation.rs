@@ -1,5 +1,7 @@
 //! Parameter-free activation layers: the TCAD'18 baseline's ReLU, and
-//! the leaky ReLU of every R-HSD stage.
+//! the leaky ReLU of every R-HSD stage. Both run in the buffer they are
+//! handed, forward and backward, and a training pass keeps one bit per
+//! input: whether it was positive.
 
 use rhsd_tensor::ops::kernels;
 use rhsd_tensor::Tensor;
@@ -22,14 +24,15 @@ impl Layer for Relu {
         "Relu"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
-        tape.save(|| input.clone());
-        input.map(|x| x.max(0.0))
+    /// In place: `x` where `x > 0`, else `0 · x`, a zero (`-0.0` for a
+    /// negative `x`, where `x.max(0.0)` gave `+0.0`).
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
+        pack(input, 0.0, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
-        let input: Tensor = tape.pop("Relu");
-        input.zip_with(grad_out, |x, g| if x > 0.0 { g } else { 0.0 })
+    /// In place: `g` where the input was positive, else `0 · g`.
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, _grads: &mut [Tensor]) -> Tensor {
+        unpack(tape, "Relu", grad_out, 0.0)
     }
 }
 
@@ -68,29 +71,12 @@ impl Layer for LeakyRelu {
         "LeakyRelu"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
-        let a = self.alpha;
-        if !tape.is_recording() {
-            return input.map(|x| if x > 0.0 { x } else { a * x });
-        }
-        // The backward reads only which inputs were positive: one bit
-        // each, a 32nd of the input, is what a training pass keeps.
-        let mut out = vec![0.0f32; input.len()];
-        let mut bits = vec![0u64; input.len().div_ceil(64)];
-        kernels::leaky_relu_pack(&mut out, input.as_slice(), a, &mut bits);
-        tape.save(|| PositiveMask {
-            bits,
-            len: input.len(),
-        });
-        Tensor::from_parts(input.shape().clone(), out)
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
+        pack(input, self.alpha, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
-        let mask: PositiveMask = tape.pop("LeakyRelu");
-        assert_eq!(mask.len, grad_out.len(), "LeakyRelu gradient shape");
-        let mut data = vec![0.0f32; grad_out.len()];
-        kernels::leaky_relu_unpack(&mut data, grad_out.as_slice(), self.alpha, &mask.bits);
-        Tensor::from_parts(grad_out.shape().clone(), data)
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, _grads: &mut [Tensor]) -> Tensor {
+        unpack(tape, "LeakyRelu", grad_out, self.alpha)
     }
 }
 
@@ -101,6 +87,26 @@ struct PositiveMask {
     len: usize,
 }
 
+/// The forward of a (leaky) ReLU of slope `alpha`, in `x`'s buffer. The
+/// backward reads only which inputs were positive: one bit each, a 32nd
+/// of the input, is what a training pass keeps.
+fn pack(mut x: Tensor, alpha: f32, tape: &mut Tape) -> Tensor {
+    let len = x.len();
+    let mut bits = vec![0u64; len.div_ceil(64)];
+    kernels::leaky_relu_pack(x.as_mut_slice(), alpha, &mut bits);
+    tape.save(|| PositiveMask { bits, len });
+    x
+}
+
+/// The backward of [`pack`], in `g`'s buffer, through the mask `layer`'s
+/// forward saved.
+fn unpack(tape: &mut Tape, layer: &str, mut g: Tensor, alpha: f32) -> Tensor {
+    let mask: PositiveMask = tape.pop(layer);
+    assert_eq!(mask.len, g.len(), "{layer} gradient shape");
+    kernels::leaky_relu_unpack(g.as_mut_slice(), alpha, &mask.bits);
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +114,7 @@ mod tests {
     #[test]
     fn forward_clips_negatives() {
         let y = Relu::new().forward(
-            &Tensor::from_vec([3], vec![-1., 0., 2.]).unwrap(),
+            Tensor::from_vec([3], vec![-1., 0., 2.]).unwrap(),
             &mut Tape::inference(),
         );
         assert_eq!(y.as_slice(), &[0., 0., 2.]);
@@ -119,12 +125,12 @@ mod tests {
         let l = Relu::new();
         let mut tape = Tape::recording();
         l.forward(
-            &Tensor::from_vec([5], vec![-1., -0., 0., 0.5, 2.]).unwrap(),
+            Tensor::from_vec([5], vec![-1., -0., 0., 0.5, 2.]).unwrap(),
             &mut tape,
         );
         let g = l.backward(
             &mut tape,
-            &Tensor::from_vec([5], vec![1., 1., 1., 1., 1.]).unwrap(),
+            Tensor::from_vec([5], vec![1., 1., 1., 1., 1.]).unwrap(),
             &mut [],
         );
         // The gradient at exactly zero, of either sign, is 0.
@@ -140,7 +146,7 @@ mod tests {
     fn forward_scales_negatives() {
         let l = LeakyRelu::new(0.1);
         let y = l.forward(
-            &Tensor::from_vec([3], vec![-2.0, 0.0, 3.0]).unwrap(),
+            Tensor::from_vec([3], vec![-2.0, 0.0, 3.0]).unwrap(),
             &mut Tape::inference(),
         );
         assert_eq!(y.as_slice(), &[-0.2, 0.0, 3.0]);
@@ -150,10 +156,10 @@ mod tests {
     fn backward_keeps_negative_slope_gradient() {
         let l = LeakyRelu::new(0.1);
         let mut tape = Tape::recording();
-        l.forward(&Tensor::from_vec([2], vec![-1.0, 1.0]).unwrap(), &mut tape);
+        l.forward(Tensor::from_vec([2], vec![-1.0, 1.0]).unwrap(), &mut tape);
         let g = l.backward(
             &mut tape,
-            &Tensor::from_vec([2], vec![5.0, 5.0]).unwrap(),
+            Tensor::from_vec([2], vec![5.0, 5.0]).unwrap(),
             &mut [],
         );
         assert_eq!(g.as_slice(), &[0.5, 5.0]);
@@ -170,8 +176,8 @@ mod tests {
             _ => 1.0,
         });
         let mut tape = Tape::recording();
-        l.forward(&x, &mut tape);
-        let g = l.backward(&mut tape, &Tensor::ones([150]), &mut []);
+        l.forward(x.clone(), &mut tape);
+        let g = l.backward(&mut tape, Tensor::ones([150]), &mut []);
         let want = x.map(|v| if v > 0.0 { 1.0 } else { 0.25 });
         assert_eq!(g, want);
     }
@@ -182,9 +188,30 @@ mod tests {
         let relu = Relu::new();
         let x = Tensor::from_vec([4], vec![-3.0, -0.1, 0.2, 7.0]).unwrap();
         assert_eq!(
-            leaky.forward(&x, &mut Tape::inference()),
-            relu.forward(&x, &mut Tape::inference())
+            leaky.forward(x.clone(), &mut Tape::inference()),
+            relu.forward(x, &mut Tape::inference())
         );
+    }
+
+    /// Both activations work in the buffer they are handed: forward on
+    /// an inference or a recording tape, and backward.
+    #[test]
+    fn activations_return_the_buffer_they_were_handed() {
+        let layers: [&dyn Layer; 2] = [&Relu::new(), &LeakyRelu::default_slope()];
+        for layer in layers {
+            let x = Tensor::from_fn([3, 5, 7], |c| c[2] as f32 - 3.0);
+            let at = x.as_slice().as_ptr();
+            let y = layer.forward(x, &mut Tape::inference());
+            assert_eq!(y.as_slice().as_ptr(), at, "{} inference", layer.name());
+            let mut tape = Tape::recording();
+            let y = layer.forward(y, &mut tape);
+            assert_eq!(y.as_slice().as_ptr(), at, "{} forward", layer.name());
+            let g = Tensor::ones([3, 5, 7]);
+            let at = g.as_slice().as_ptr();
+            let g = layer.backward(&mut tape, g, &mut []);
+            assert_eq!(g.as_slice().as_ptr(), at, "{} backward", layer.name());
+            assert!(tape.is_empty());
+        }
     }
 
     #[test]

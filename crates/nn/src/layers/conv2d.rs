@@ -52,7 +52,8 @@ impl Layer for Conv2d {
         "Conv2d"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    /// Keeps the input itself on a recording tape.
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         let rank = input.rank();
         rhsd_tensor::invariants::check_layer_input(
             "Conv2d",
@@ -60,20 +61,23 @@ impl Layer for Conv2d {
             (rank == 3 || rank == 4) && input.dim(0) == self.c_in(),
             input.shape(),
         );
-        tape.save(|| input.clone());
-        conv2d(input, &self.weight, Some(&self.bias), self.spec)
+        let out = conv2d(&input, &self.weight, Some(&self.bias), self.spec);
+        tape.save(|| input);
+        out
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    /// Adds the weight gradients, then writes the input gradient into
+    /// the buffer of the input it popped.
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Conv2d");
-        let (dx, per_map) = conv2d_backward_batch(&input, &self.weight, grad_out, self.spec);
+        let (dx, per_map) = conv2d_backward_batch(input, &self.weight, &grad_out, self.spec);
         add_map_grads(grads, per_map);
         dx
     }
 
-    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+    fn backward_params(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) {
         let input: Tensor = tape.pop("Conv2d");
-        let per_map = conv2d_weight_grads(&input, &self.weight, grad_out, self.spec);
+        let per_map = conv2d_weight_grads(&input, &self.weight, &grad_out, self.spec);
         add_map_grads(grads, per_map);
     }
 
@@ -106,7 +110,7 @@ mod tests {
     fn forward_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let layer = Conv2d::new(2, 4, ConvSpec::same(3), &mut rng);
-        let y = layer.forward(&Tensor::zeros([2, 8, 8]), &mut Tape::inference());
+        let y = layer.forward(Tensor::zeros([2, 8, 8]), &mut Tape::inference());
         assert_eq!(y.dims(), &[4, 8, 8]);
         assert_eq!(layer.c_in(), 2);
         assert_eq!(layer.c_out(), 4);
@@ -118,9 +122,9 @@ mod tests {
         let layer = Conv2d::new(1, 2, ConvSpec::same(3), &mut rng);
         let x = Tensor::rand_normal([1, 5, 5], 0.0, 1.0, &mut rng);
         let mut tape = Tape::recording();
-        let y = layer.forward(&x, &mut tape);
+        let y = layer.forward(x.clone(), &mut tape);
         let mut grads = Grads::zeros_like(layer.params());
-        let gx = layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let gx = layer.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
         let gnorm: f32 = grads.iter().map(|g| g.sq_norm()).sum();
         assert!(gnorm > 0.0);
@@ -132,13 +136,13 @@ mod tests {
         let layer = Conv2d::new(1, 1, ConvSpec::new(3, 2, 1), &mut rng);
         let x = Tensor::rand_normal([1, 5, 5], 0.0, 1.0, &mut rng);
         let mut tape = Tape::recording();
-        let y = layer.forward(&x, &mut tape);
+        let y = layer.forward(x.clone(), &mut tape);
         let mut grads = Grads::zeros_like(layer.params());
-        layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        layer.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
         let analytic = grads[0].clone();
 
         let eps = 1e-2;
-        let sum = |l: &Conv2d| l.forward(&x, &mut Tape::inference()).sum();
+        let sum = |l: &Conv2d| l.forward(x.clone(), &mut Tape::inference()).sum();
         for probe in 0..4 {
             let mut lp = layer.clone();
             lp.params_mut()[0].as_mut_slice()[probe] += eps;
@@ -158,10 +162,32 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let layer = Conv2d::new(1, 1, ConvSpec::same(1), &mut rng);
         let mut grads = Grads::zeros_like(layer.params());
-        layer.backward(
-            &mut Tape::recording(),
-            &Tensor::zeros([1, 1, 1]),
-            &mut grads,
-        );
+        layer.backward(&mut Tape::recording(), Tensor::zeros([1, 1, 1]), &mut grads);
+    }
+
+    /// A recorded forward keeps the very buffer it was handed, and the
+    /// backward returns the input gradient in that buffer — for one map
+    /// and for a lane-layout batch.
+    #[test]
+    fn tape_keeps_the_input_buffer_and_backward_reuses_it() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let layer = Conv2d::new(2, 3, ConvSpec::new(3, 2, 1), &mut rng);
+        for dims in [vec![2, 6, 6], vec![2, 6, 6, 4]] {
+            let x = Tensor::rand_normal(&dims[..], 0.0, 1.0, &mut rng);
+            let at = x.as_slice().as_ptr();
+            let mut tape = Tape::recording();
+            let y = layer.forward(x, &mut tape);
+            let kept: Tensor = tape.pop("test");
+            assert_eq!(
+                kept.as_slice().as_ptr(),
+                at,
+                "{dims:?}: tape copied the input"
+            );
+            tape.save(|| kept);
+            let mut grads = Grads::zeros_like(layer.params());
+            let gx = layer.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
+            assert_eq!(gx.dims(), &dims[..]);
+            assert_eq!(gx.as_slice().as_ptr(), at, "{dims:?}: fresh input gradient");
+        }
     }
 }

@@ -42,7 +42,8 @@ impl Layer for Linear {
         "Linear"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    /// Keeps the input itself on a recording tape.
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         let rank = input.rank();
         rhsd_tensor::invariants::check_layer_input(
             "Linear",
@@ -50,8 +51,7 @@ impl Layer for Linear {
             (rank == 1 || rank == 2) && input.dim(0) == self.n_in(),
             input.shape(),
         );
-        tape.save(|| input.clone());
-        let mut y = matvec(&self.weight, input);
+        let mut y = matvec(&self.weight, &input);
         let n = y.len() / self.n_out().max(1);
         for (row, &b) in y
             .as_mut_slice()
@@ -62,10 +62,11 @@ impl Layer for Linear {
                 *o += b;
             }
         }
+        tape.save(|| input);
         y
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         let input: Tensor = tape.pop("Linear");
         let n = input.len() / self.n_in().max(1);
         // Each vector adds its dW = g ⊗ x (pure products) and db = g,
@@ -74,7 +75,7 @@ impl Layer for Linear {
             t.as_slice().iter().skip(r).step_by(n).copied().collect()
         };
         for r in 0..n {
-            let (gv, xv) = (lane(grad_out, r), lane(&input, r));
+            let (gv, xv) = (lane(&grad_out, r), lane(&input, r));
             let dw = grads[0].as_mut_slice().chunks_exact_mut(xv.len().max(1));
             for (row, &g) in dw.zip(&gv) {
                 for (d, &x) in row.iter_mut().zip(&xv) {
@@ -87,7 +88,7 @@ impl Layer for Linear {
         }
         // Wᵀ·g for every vector at once, without materialising the
         // transpose.
-        matvec_t(&self.weight, grad_out)
+        matvec_t(&self.weight, &grad_out)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -117,21 +118,22 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    /// Reshapes the input's buffer; nothing is copied.
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         tape.save(|| input.dims().to_vec());
         if input.rank() == 4 {
             let n = input.dim(3);
             let chw = input.dims()[..3].iter().product::<usize>();
-            input.clone().with_shape([chw, n])
+            input.with_shape([chw, n])
         } else {
             let n = input.len();
-            input.clone().with_shape([n])
+            input.with_shape([n])
         }
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, _grads: &mut [Tensor]) -> Tensor {
         let dims: Vec<usize> = tape.pop("Flatten");
-        grad_out.clone().with_shape(dims)
+        grad_out.with_shape(dims)
     }
 }
 
@@ -149,7 +151,7 @@ mod tests {
         *l.params_mut()[0] = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
         *l.params_mut()[1] = Tensor::from_vec([2], vec![0.5, -0.5]).unwrap();
         let y = l.forward(
-            &Tensor::from_vec([2], vec![1., 1.]).unwrap(),
+            Tensor::from_vec([2], vec![1., 1.]).unwrap(),
             &mut Tape::inference(),
         );
         assert_eq!(y.as_slice(), &[3.5, 6.5]);
@@ -161,10 +163,10 @@ mod tests {
         let l = Linear::new(3, 2, &mut rng);
         let x = Tensor::rand_normal([3], 0.0, 1.0, &mut rng);
         let mut tape = Tape::recording();
-        let y = l.forward(&x, &mut tape);
+        let y = l.forward(x.clone(), &mut tape);
         let mut grads = Grads::zeros_like(l.params());
-        let gx = l.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
-        let sum = |x: &Tensor| l.forward(x, &mut Tape::inference()).sum();
+        let gx = l.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
+        let sum = |x: Tensor| l.forward(x, &mut Tape::inference()).sum();
 
         let eps = 1e-2;
         // input gradient
@@ -173,7 +175,7 @@ mod tests {
             xp.as_mut_slice()[probe] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[probe] -= eps;
-            let numeric = (sum(&xp) - sum(&xm)) / (2.0 * eps);
+            let numeric = (sum(xp) - sum(xm)) / (2.0 * eps);
             assert!((numeric - gx.as_slice()[probe]).abs() < 1e-2);
         }
     }
@@ -183,10 +185,16 @@ mod tests {
         let f = Flatten::new();
         let x = Tensor::from_fn([2, 3, 4], |c| c[2] as f32);
         let mut tape = Tape::recording();
-        let y = f.forward(&x, &mut tape);
+        let at = x.as_slice().as_ptr();
+        let y = f.forward(x.clone(), &mut tape);
         assert_eq!(y.dims(), &[24]);
-        let g = f.backward(&mut tape, &y, &mut []);
+        let g = f.backward(&mut tape, y, &mut []);
         assert_eq!(g, x);
+        // Neither pass copies.
+        let y = f.forward(x, &mut tape);
+        assert_eq!(y.as_slice().as_ptr(), at);
+        let g = f.backward(&mut tape, y, &mut []);
+        assert_eq!(g.as_slice().as_ptr(), at);
     }
 
     // with `debug_invariants` the shape contract fires first, without it
@@ -195,6 +203,26 @@ mod tests {
     #[should_panic(expected = "got [1, 2, 2]")]
     fn linear_rejects_rank3_input() {
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        Linear::new(4, 2, &mut rng).forward(&Tensor::zeros([1, 2, 2]), &mut Tape::inference());
+        Linear::new(4, 2, &mut rng).forward(Tensor::zeros([1, 2, 2]), &mut Tape::inference());
+    }
+
+    /// A recorded forward keeps the very buffer it was handed, for one
+    /// vector and for a lane-layout batch.
+    #[test]
+    fn tape_keeps_the_input_buffer() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let l = Linear::new(6, 3, &mut rng);
+        for dims in [vec![6], vec![6, 5]] {
+            let x = Tensor::rand_normal(&dims[..], 0.0, 1.0, &mut rng);
+            let at = x.as_slice().as_ptr();
+            let mut tape = Tape::recording();
+            l.forward(x, &mut tape);
+            let kept: Tensor = tape.pop("test");
+            assert_eq!(
+                kept.as_slice().as_ptr(),
+                at,
+                "{dims:?}: tape copied the input"
+            );
+        }
     }
 }

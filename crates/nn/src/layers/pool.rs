@@ -15,7 +15,7 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         rhsd_tensor::invariants::check_layer_input(
             "MaxPool2d",
             format_args!("[C, H, W]"),
@@ -24,17 +24,17 @@ impl Layer for MaxPool2d {
         );
         if !tape.is_recording() {
             // No backward will route through the winners.
-            return max_pool2d_values(input);
+            return max_pool2d_values(&input);
         }
-        let out = max_pool2d(input);
+        let out = max_pool2d(&input);
         let argmax = out.argmax;
         tape.save(|| (input.dims().to_vec(), argmax));
         out.output
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, _grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, _grads: &mut [Tensor]) -> Tensor {
         let (dims, argmax): (Vec<usize>, Vec<u8>) = tape.pop("MaxPool2d");
-        max_pool2d_backward(&dims, &argmax, grad_out)
+        max_pool2d_backward(&dims, &argmax, &grad_out)
     }
 }
 
@@ -45,7 +45,7 @@ mod tests {
     #[test]
     fn halves_spatial_size() {
         let l = MaxPool2d;
-        let y = l.forward(&Tensor::zeros([3, 8, 8]), &mut Tape::inference());
+        let y = l.forward(Tensor::zeros([3, 8, 8]), &mut Tape::inference());
         assert_eq!(y.dims(), &[3, 4, 4]);
     }
 
@@ -54,8 +54,8 @@ mod tests {
         let l = MaxPool2d;
         let x = Tensor::from_fn([1, 4, 4], |c| (c[1] + c[2]) as f32);
         let mut tape = Tape::recording();
-        let y = l.forward(&x, &mut tape);
-        let g = l.backward(&mut tape, &Tensor::ones(y.dims()), &mut []);
+        let y = l.forward(x.clone(), &mut tape);
+        let g = l.backward(&mut tape, Tensor::ones(y.dims()), &mut []);
         assert_eq!(g.dims(), x.dims());
         assert_eq!(g.sum(), 4.0); // one winner per window
     }

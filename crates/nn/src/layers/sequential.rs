@@ -20,7 +20,7 @@ use crate::layer::{backward_all, backward_params_all, forward_all, Layer, Tape};
 ///     .push(Conv2d::new(1, 8, ConvSpec::same(3), &mut rng))
 ///     .push(Relu::new())
 ///     .push(MaxPool2d);
-/// let y = stem.forward(&Tensor::zeros([1, 16, 16]), &mut Tape::inference());
+/// let y = stem.forward(Tensor::zeros([1, 16, 16]), &mut Tape::inference());
 /// assert_eq!(y.dims(), &[8, 8, 8]);
 /// ```
 #[derive(Default)]
@@ -62,15 +62,15 @@ impl Layer for Sequential {
         "Sequential"
     }
 
-    fn forward(&self, input: &Tensor, tape: &mut Tape) -> Tensor {
+    fn forward(&self, input: Tensor, tape: &mut Tape) -> Tensor {
         forward_all(&self.layers, input, tape)
     }
 
-    fn backward(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+    fn backward(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) -> Tensor {
         backward_all(&self.layers, tape, grad_out, grads)
     }
 
-    fn backward_params(&self, tape: &mut Tape, grad_out: &Tensor, grads: &mut [Tensor]) {
+    fn backward_params(&self, tape: &mut Tape, grad_out: Tensor, grads: &mut [Tensor]) {
         backward_params_all(&self.layers, tape, grad_out, grads);
     }
 
@@ -109,8 +109,8 @@ mod tests {
         assert!(s.is_empty());
         let x = Tensor::from_vec([2], vec![3., 4.]).unwrap();
         let mut tape = Tape::recording();
-        assert_eq!(s.forward(&x, &mut tape), x);
-        assert_eq!(s.backward(&mut tape, &x, &mut []), x);
+        assert_eq!(s.forward(x.clone(), &mut tape), x);
+        assert_eq!(s.backward(&mut tape, x.clone(), &mut []), x);
     }
 
     #[test]
@@ -124,10 +124,10 @@ mod tests {
         assert_eq!(s.params().len(), 4); // 2 weights + 2 biases
         let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
         let mut tape = Tape::recording();
-        let y = s.forward(&x, &mut tape);
+        let y = s.forward(x.clone(), &mut tape);
         assert_eq!(y.dims(), &[1, 6, 6]);
         let mut grads = Grads::zeros_like(s.params());
-        let gx = s.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
+        let gx = s.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
         assert_eq!(gx.dims(), x.dims());
         assert!(
             grads.iter().all(|g| g.sq_norm() > 0.0),
@@ -147,11 +147,11 @@ mod tests {
         let mut last_loss = 0.0;
         for _ in 0..60 {
             let mut tape = Tape::recording();
-            let y = s.forward(&x, &mut tape);
+            let y = s.forward(x.clone(), &mut tape);
             let diff = rhsd_tensor::ops::elementwise::sub(&y, &target);
             let loss = diff.sq_norm();
             grads.zero();
-            s.backward(&mut tape, &diff.map(|d| 2.0 * d), &mut grads);
+            s.backward(&mut tape, diff.map(|d| 2.0 * d), &mut grads);
             for (p, g) in s.params_mut().into_iter().zip(grads.iter()) {
                 rhsd_tensor::ops::elementwise::axpy(p, -0.01, g);
             }

@@ -32,15 +32,15 @@
 //! let x = Tensor::zeros([1, 32, 32]);
 //!
 //! // Inference records nothing.
-//! let features = net.forward(&x, &mut Tape::inference());
+//! let features = net.forward(x.clone(), &mut Tape::inference());
 //! assert_eq!(features.dims(), &[4, 32, 32]);
 //!
 //! // Training records on a tape and accumulates into caller-owned grads.
 //! let mut tape = Tape::recording();
-//! let y = net.forward(&x, &mut tape);
+//! let y = net.forward(x, &mut tape);
 //! let mut grads = Grads::zeros_like(net.params());
-//! let gx = net.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads);
-//! assert_eq!(gx.dims(), x.dims());
+//! let gx = net.backward(&mut tape, Tensor::ones(y.dims()), &mut grads);
+//! assert_eq!(gx.dims(), &[1, 32, 32]);
 //! assert!(tape.is_empty());
 //! ```
 
@@ -55,4 +55,4 @@ pub mod loss;
 pub mod optim;
 
 pub use grads::Grads;
-pub use layer::{backward_all, backward_params_all, forward_all, Layer, Tape};
+pub use layer::{backward_all, backward_params_all, forward_all, forward_from, Layer, Tape};

@@ -15,14 +15,14 @@ use rhsd_tensor::Tensor;
 /// gradient.
 fn ones_input_grad(layer: &dyn Layer, x: &Tensor) -> Tensor {
     let mut tape = Tape::recording();
-    let y = layer.forward(x, &mut tape);
+    let y = layer.forward(x.clone(), &mut tape);
     let mut grads = Grads::zeros_like(layer.params());
-    layer.backward(&mut tape, &Tensor::ones(y.dims()), &mut grads)
+    layer.backward(&mut tape, Tensor::ones(y.dims()), &mut grads)
 }
 
 /// Sum of an inference forward's outputs.
 fn out_sum(layer: &dyn Layer, x: &Tensor) -> f32 {
-    layer.forward(x, &mut Tape::inference()).sum()
+    layer.forward(x.clone(), &mut Tape::inference()).sum()
 }
 
 proptest! {
@@ -74,9 +74,9 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let l = Linear::new(4, 3, &mut rng);
         let x = Tensor::rand_normal([4], 0.0, 1.0, &mut rng);
-        let y1 = l.forward(&x, &mut Tape::inference());
-        let y0 = l.forward(&Tensor::zeros([4]), &mut Tape::inference());
-        let yk = l.forward(&x.map(|v| k * v), &mut Tape::inference());
+        let y1 = l.forward(x.clone(), &mut Tape::inference());
+        let y0 = l.forward(Tensor::zeros([4]), &mut Tape::inference());
+        let yk = l.forward(x.map(|v| k * v), &mut Tape::inference());
         // affine: f(kx) - f(0) == k (f(x) - f(0))
         for i in 0..3 {
             let lhs = yk.as_slice()[i] - y0.as_slice()[i];
@@ -137,7 +137,7 @@ fn nan_weight_trips_invariant_checker() {
     layer.params_mut()[0].as_mut_slice()[0] = f32::NAN;
     let x = Tensor::ones([1, 6, 6]);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        layer.forward(&x, &mut Tape::inference())
+        layer.forward(x.clone(), &mut Tape::inference())
     }));
     let err = result.expect_err("NaN weight must be detected");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -163,9 +163,9 @@ fn clean_epochs_do_not_trip_invariants() {
     let x = Tensor::rand_normal([1, 6, 6], 0.0, 1.0, &mut rng);
     for _ in 0..3 {
         let mut tape = Tape::recording();
-        let y = net.forward(&x, &mut tape);
+        let y = net.forward(x.clone(), &mut tape);
         let grad = y.map(|v| v - 0.5);
-        net.backward(&mut tape, &grad, &mut grads);
+        net.backward(&mut tape, grad.clone(), &mut grads);
         opt.step(&mut net.params_mut(), &mut grads);
     }
 }
@@ -179,7 +179,7 @@ fn mis_shaped_input_names_layer_and_shapes() {
     let layer = Linear::new(8, 2, &mut rng);
     let bad = Tensor::ones([5]); // layer expects [8]
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        layer.forward(&bad, &mut Tape::inference())
+        layer.forward(bad.clone(), &mut Tape::inference())
     }));
     let err = result.expect_err("shape mismatch must be detected");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

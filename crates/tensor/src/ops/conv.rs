@@ -342,7 +342,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
 
 /// Gradients of [`conv2d`] with respect to input, weight and bias.
 ///
-/// `grad_out` must be `[C_out, H', W']`. Returns `(d_input, d_weight, d_bias)`.
+/// `grad_out` must be `[C_out, H', W']`. Returns `(d_input, d_weight,
+/// d_bias)`, `d_input` in `input`'s buffer (see
+/// [`conv2d_backward_batch`]).
 ///
 /// # Panics
 ///
@@ -350,12 +352,12 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv
 /// (`input` must be one `[C, H, W]` map), and if `grad_out` disagrees
 /// with the forward geometry.
 pub fn conv2d_backward(
-    input: &Tensor,
+    input: Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor, Tensor) {
-    map_of("conv2d_backward", input, false);
+    map_of("conv2d_backward", &input, false);
     let (d_input, mut params) = conv2d_backward_batch(input, weight, grad_out, spec);
     let (d_weight, d_bias) = params.remove(0);
     (d_input, d_weight, d_bias)
@@ -367,6 +369,10 @@ pub fn conv2d_backward(
 /// caller adding them into its accumulators one by one keeps the
 /// per-map add order.
 ///
+/// The input is consumed: the weight gradients read it first, then the
+/// input gradient overwrites its buffer, so a training pass's backward
+/// allocates no map of the input's size.
+///
 /// `grad_out` must be shaped like the forward output.
 ///
 /// # Panics
@@ -374,49 +380,43 @@ pub fn conv2d_backward(
 /// Panics on the forward pass's rank, kernel or channel mismatches, and
 /// if `grad_out` disagrees with the forward geometry.
 pub fn conv2d_backward_batch(
-    input: &Tensor,
+    mut input: Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Vec<(Tensor, Tensor)>) {
-    let (x, c_out) = check_backward(input, weight, grad_out, spec);
+    let (x, c_out) = check_backward(&input, weight, grad_out, spec);
     let params = weight_grads(x, grad_out.as_slice(), c_out, spec);
+    let (n, c_in, h, w) = (x.n, x.c, x.h, x.w);
 
     // d_input = col2im(Wᵀ · grad), folded in place: `[C_out, C_in, K, K]`
-    // is the fold's `[source, output]` weight layout as it stands.
-    let (oh, ow) = (spec.out_size(x.h), spec.out_size(x.w));
+    // is the fold's `[source, output]` weight layout as it stands. Both
+    // paths overwrite every element of the input's buffer.
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let grad = Map {
         v: grad_out.as_slice(),
-        n: x.n,
+        n,
         c: c_out,
         h: oh,
         w: ow,
     };
-    let mut dx = vec![0.0f32; x.v.len()];
+    let dx = input.as_mut_slice();
     if spec == ConvSpec::new(1, 1, 0) {
         // A 1×1 fold adds its single tap's chain `part` to `+0.0`, which
         // gives `part` (a chain from `+0.0` never ends at `-0.0`): the
         // forward convolution of `grad` with the weight's `[C_in, C_out]`
         // transpose, bit for bit, in the forward's faster tiles.
         let wt = weight.as_slice();
-        let wt_t: Vec<f32> = (0..x.c)
-            .flat_map(|ci| (0..c_out).map(move |co| wt[co * x.c + ci]))
+        let wt_t: Vec<f32> = (0..c_in)
+            .flat_map(|ci| (0..c_out).map(move |co| wt[co * c_in + ci]))
             .collect();
-        direct::conv_into(&mut dx, grad, &wt_t, x.c, spec, None);
+        direct::conv_into(dx, grad, &wt_t, c_in, spec, None);
     } else {
-        direct::fold_into(
-            &mut dx,
-            (x.c, x.h, x.w),
-            grad,
-            weight.as_slice(),
-            spec,
-            None,
-        );
+        direct::fold_into(dx, (c_in, h, w), grad, weight.as_slice(), spec, None);
     }
-    let d_input = Tensor::from_parts(input.dims(), dx);
 
-    crate::invariants::check_finite("conv2d_backward", &d_input);
-    (d_input, params)
+    crate::invariants::check_finite("conv2d_backward", &input);
+    (input, params)
 }
 
 /// The parameter gradients of [`conv2d_backward_batch`] alone, bit for
@@ -625,7 +625,7 @@ mod tests {
         // loss = sum(conv(x))
         let loss = |x: &Tensor, w: &Tensor, b: &Tensor| conv2d(x, w, Some(b), spec).sum();
         let g_out = Tensor::ones([3, spec.out_size(5), spec.out_size(5)]);
-        let (dx, dw, db) = conv2d_backward(&x, &w, &g_out, spec);
+        let (dx, dw, db) = conv2d_backward(x.clone(), &w, &g_out, spec);
 
         let eps = 1e-2;
         for (tensor, grad, name) in [(&x, &dx, "x"), (&w, &dw, "w"), (&b, &db, "b")] {
@@ -656,7 +656,7 @@ mod tests {
         let x = Tensor::rand_normal([3, 9, 11, 2], 0.0, 1.0, &mut rng);
         let w = Tensor::rand_normal([4, 3, 3, 3], 0.0, 0.5, &mut rng);
         let g = Tensor::rand_normal([4, 9, 11, 2], 0.0, 1.0, &mut rng);
-        let (_, full) = conv2d_backward_batch(&x, &w, &g, spec);
+        let (_, full) = conv2d_backward_batch(x.clone(), &w, &g, spec);
         let alone = conv2d_weight_grads(&x, &w, &g, spec);
         assert_eq!(full.len(), 2);
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -671,7 +671,7 @@ mod tests {
     fn conv2d_backward_rejects_weight_channel_mismatch() {
         // The weight's C_in (3) disagrees with the input's 2 channels.
         conv2d_backward(
-            &Tensor::zeros([2, 4, 4]),
+            Tensor::zeros([2, 4, 4]),
             &Tensor::zeros([1, 3, 3, 3]),
             &Tensor::zeros([1, 4, 4]),
             ConvSpec::same(3),
@@ -682,7 +682,7 @@ mod tests {
     #[should_panic(expected = "conv2d_backward weight kernel 3 != spec kernel 1")]
     fn conv2d_backward_rejects_kernel_mismatch() {
         conv2d_backward(
-            &Tensor::zeros([2, 4, 4]),
+            Tensor::zeros([2, 4, 4]),
             &Tensor::zeros([1, 2, 3, 3]),
             &Tensor::zeros([1, 4, 4]),
             ConvSpec::same(1),
@@ -693,7 +693,7 @@ mod tests {
     #[should_panic(expected = "conv2d_backward weight must be rank 4")]
     fn conv2d_backward_rejects_weight_rank() {
         conv2d_backward(
-            &Tensor::zeros([2, 4, 4]),
+            Tensor::zeros([2, 4, 4]),
             &Tensor::zeros([1, 2, 9]),
             &Tensor::zeros([1, 4, 4]),
             ConvSpec::same(3),

@@ -43,19 +43,23 @@ pub fn conv_transpose2d(
     out
 }
 
-/// Gradients of [`conv_transpose2d`]: returns `(d_input, d_weight, d_bias)`.
+/// Gradients of [`conv_transpose2d`]: returns `(d_input, d_weight,
+/// d_bias)`.
+///
+/// The input is consumed: the weight gradient reads it first, then the
+/// input gradient overwrites its buffer.
 ///
 /// # Panics
 ///
 /// Panics on the forward pass's rank, kernel or channel mismatches, and
 /// if `grad_out` disagrees with the forward geometry.
 pub fn conv_transpose2d_backward(
-    input: &Tensor,
+    mut input: Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor, Tensor) {
-    let x = map_of("conv_transpose2d_backward", input, false);
+    let x = map_of("conv_transpose2d_backward", &input, false);
     let c_out = check_weight("conv_transpose2d_backward", x.c, weight, spec, 0);
     let (c_in, h, w) = (x.c, x.h, x.w);
     let k = spec.kernel;
@@ -70,9 +74,16 @@ pub fn conv_transpose2d_backward(
     let gv = grad_out.as_slice();
     let d_bias = Tensor::from_parts([c_out], channel_sums(gv, c_out, oh * ow));
 
+    // d_weight = x · im2col(grad)ᵀ, already [C_in, C_out, K, K]; the
+    // taps are read from the gradient map.
+    let mut dw = vec![0.0f32; c_in * c_out * k * k];
+    weight_product(&mut dw, gv, (c_out, oh, ow), spec, x.v, c_in);
+    let d_weight = Tensor::from_parts([c_in, c_out, k, k], dw);
+
     // Deconv forward is col2im ∘ (Wᵀ ·); its adjoint is (W ·) ∘ im2col,
     // a forward convolution of the gradient map whose weight
-    // `[C_in, C_out, K, K]` is a conv weight as it stands.
+    // `[C_in, C_out, K, K]` is a conv weight as it stands. It overwrites
+    // every element of the input's buffer.
     let grad = Map {
         v: gv,
         n: 1,
@@ -80,18 +91,17 @@ pub fn conv_transpose2d_backward(
         h: oh,
         w: ow,
     };
-    let mut di = vec![0.0f32; c_in * h * w];
-    direct::conv_into(&mut di, grad, weight.as_slice(), c_in, spec, None);
-    let d_input = Tensor::from_parts([c_in, h, w], di);
+    direct::conv_into(
+        input.as_mut_slice(),
+        grad,
+        weight.as_slice(),
+        c_in,
+        spec,
+        None,
+    );
 
-    // d_weight = x · im2col(grad)ᵀ, already [C_in, C_out, K, K]; the
-    // taps are read from the gradient map.
-    let mut dw = vec![0.0f32; c_in * c_out * k * k];
-    weight_product(&mut dw, gv, (c_out, oh, ow), spec, x.v, c_in);
-    let d_weight = Tensor::from_parts([c_in, c_out, k, k], dw);
-
-    crate::invariants::check_finite("conv_transpose2d_backward", &d_input);
-    (d_input, d_weight, d_bias)
+    crate::invariants::check_finite("conv_transpose2d_backward", &input);
+    (input, d_weight, d_bias)
 }
 
 #[cfg(test)]
@@ -163,7 +173,7 @@ mod tests {
         let loss = |x: &Tensor, w: &Tensor, b: &Tensor| conv_transpose2d(x, w, Some(b), spec).sum();
         let oh = spec.transpose_out_size(3);
         let g_out = Tensor::ones([3, oh, oh]);
-        let (dx, dw, db) = conv_transpose2d_backward(&x, &w, &g_out, spec);
+        let (dx, dw, db) = conv_transpose2d_backward(x.clone(), &w, &g_out, spec);
 
         let eps = 1e-2;
         for (tensor, grad, name) in [(&x, &dx, "x"), (&w, &dw, "w"), (&b, &db, "b")] {
@@ -192,7 +202,7 @@ mod tests {
     fn deconv_backward_rejects_weight_channel_mismatch() {
         // The weight's C_in (3) disagrees with the input's 2 channels.
         conv_transpose2d_backward(
-            &Tensor::zeros([2, 4, 4]),
+            Tensor::zeros([2, 4, 4]),
             &Tensor::zeros([3, 1, 3, 3]),
             &Tensor::zeros([1, 4, 4]),
             ConvSpec::same(3),
@@ -203,7 +213,7 @@ mod tests {
     #[should_panic(expected = "conv_transpose2d_backward kernel must be square")]
     fn deconv_backward_rejects_non_square_kernel() {
         conv_transpose2d_backward(
-            &Tensor::zeros([2, 4, 4]),
+            Tensor::zeros([2, 4, 4]),
             &Tensor::zeros([2, 1, 3, 1]),
             &Tensor::zeros([1, 4, 4]),
             ConvSpec::same(3),
@@ -214,7 +224,7 @@ mod tests {
     #[should_panic(expected = "conv_transpose2d_backward input must be [C,H,W]")]
     fn deconv_backward_rejects_input_rank() {
         conv_transpose2d_backward(
-            &Tensor::zeros([16]),
+            Tensor::zeros([16]),
             &Tensor::zeros([2, 1, 3, 3]),
             &Tensor::zeros([1, 4, 4]),
             ConvSpec::same(3),

@@ -2,15 +2,6 @@
 
 use crate::Tensor;
 
-/// Elementwise sum of two tensors.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    a.zip_with(b, |x, y| x + y)
-}
-
 /// Elementwise difference `a - b`.
 ///
 /// # Panics
@@ -50,7 +41,6 @@ mod tests {
     fn basic_arithmetic() {
         let a = t(&[1., 2., 3.]);
         let b = t(&[4., 5., 6.]);
-        assert_eq!(add(&a, &b).as_slice(), &[5., 7., 9.]);
         assert_eq!(sub(&b, &a).as_slice(), &[3., 3., 3.]);
     }
 

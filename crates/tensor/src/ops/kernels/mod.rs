@@ -4,7 +4,7 @@
 //! litho aerial convolution, which calls back into this module): the
 //! weight gradients' GEMM register tile, the in-place convolution run
 //! (also the fully-connected products' run), the fold run, RoI
-//! pooling's window maxima, the training `LeakyRelu` mask pack and
+//! pooling's window maxima, the in-place `LeakyRelu` mask pack and
 //! unpack, and the separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
@@ -382,65 +382,62 @@ pub fn window_max(
     scalar::window_max(dst, at, src, plane, idx, (taps, lanes));
 }
 
-/// Checks the slice lengths of a `LeakyRelu` mask kernel.
-fn check_leaky_lengths(dst: usize, src: usize, words: usize) {
-    assert_eq!(dst, src, "leaky_relu kernel length mismatch");
+/// Checks that a `LeakyRelu` mask kernel has one word per 64 values.
+fn check_leaky_words(len: usize, words: usize) {
     assert_eq!(
         words,
-        src.div_ceil(64),
+        len.div_ceil(64),
         "leaky_relu kernel needs one mask word per 64 values"
     );
 }
 
-/// The training `LeakyRelu` forward: `dst[i] = src[i]` where
-/// `src[i] > 0`, else `alpha · src[i]`, and bit `i % 64` of
-/// `bits[i / 64]` set exactly where `src[i] > 0` (a NaN compares false).
-/// Every mask word is overwritten. Bit-identical to
-/// [`scalar::leaky_relu_pack`] on every ISA: the output is `x` or one
-/// `alpha · x` rounding.
+/// The `LeakyRelu` forward in place: `x[i]` stays where `x[i] > 0`,
+/// else becomes `alpha · x[i]`, and bit `i % 64` of `bits[i / 64]` is
+/// set exactly where `x[i] > 0` (a NaN compares false). Every mask word
+/// is overwritten. Bit-identical to [`scalar::leaky_relu_pack`] on
+/// every ISA: each value is `x` or one `alpha · x` rounding.
 ///
 /// # Panics
 ///
-/// Panics unless `dst` and `src` have one length and `bits` one word
-/// per 64 values.
+/// Panics unless `bits` has one word per 64 values.
 #[inline]
-pub fn leaky_relu_pack(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
-    check_leaky_lengths(dst.len(), src.len(), bits.len());
+pub fn leaky_relu_pack(x: &mut [f32], alpha: f32, bits: &mut [u64]) {
+    check_leaky_words(x.len(), bits.len());
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
-            // the lengths were checked above.
-            Isa::Avx2 => unsafe { x86::leaky_relu_pack_avx2(dst, src, alpha, bits) },
-            Isa::Scalar => scalar::leaky_relu_pack(dst, src, alpha, bits),
+            // the mask length was checked above.
+            Isa::Avx2 => unsafe { x86::leaky_relu_pack_avx2(x, alpha, bits) },
+            Isa::Scalar => scalar::leaky_relu_pack(x, alpha, bits),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::leaky_relu_pack(dst, src, alpha, bits);
+    scalar::leaky_relu_pack(x, alpha, bits);
 }
 
-/// The `LeakyRelu` backward through a [`leaky_relu_pack`] mask:
-/// `dst[i] = grad[i]` where bit `i` is set, else `alpha · grad[i]`.
-/// Bit-identical to [`scalar::leaky_relu_unpack`] on every ISA.
+/// The `LeakyRelu` backward in place through a [`leaky_relu_pack`]
+/// mask: `g[i]` stays where bit `i` is set, else becomes
+/// `alpha · g[i]`. Bit-identical to [`scalar::leaky_relu_unpack`] on
+/// every ISA.
 ///
 /// # Panics
 ///
-/// Panics unless `dst` and `grad` have one length and `bits` one word
-/// per 64 values.
+/// Panics unless `bits` has one word per 64 values.
 #[inline]
-pub fn leaky_relu_unpack(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
-    check_leaky_lengths(dst.len(), grad.len(), bits.len());
+pub fn leaky_relu_unpack(g: &mut [f32], alpha: f32, bits: &[u64]) {
+    check_leaky_words(g.len(), bits.len());
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
-            // the lengths were checked above.
-            Isa::Avx2 => unsafe { x86::leaky_relu_unpack_avx2(dst, grad, alpha, bits) },
-            Isa::Scalar => scalar::leaky_relu_unpack(dst, grad, alpha, bits),
+            // the mask length was checked above.
+            Isa::Avx2 => unsafe { x86::leaky_relu_unpack_avx2(g, alpha, bits) },
+            Isa::Scalar => scalar::leaky_relu_unpack(g, alpha, bits),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::leaky_relu_unpack(dst, grad, alpha, bits);
+    scalar::leaky_relu_unpack(g, alpha, bits);
 }
 
 /// Interior kernel of a separable convolution:
@@ -776,9 +773,11 @@ mod tests {
         }
     }
 
-    /// The `LeakyRelu` mask kernels equal the scalar reference bit for
-    /// bit — outputs and mask words — at lengths around one 64-value
-    /// word, with NaN, `±0.0`, subnormal and infinite values.
+    /// The in-place `LeakyRelu` mask kernels equal the scalar reference
+    /// bit for bit — values and mask words — at lengths around one
+    /// 64-value word (and none), with NaN, `±0.0`, subnormal and infinite
+    /// values; and the reference keeps `x` where `x > 0` and takes one
+    /// `alpha · x` rounding elsewhere.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn leaky_relu_variants_match_scalar_bitwise() {
@@ -794,36 +793,52 @@ mod tests {
             f32::INFINITY,
             f32::NEG_INFINITY,
         ];
-        for len in [1usize, 7, 63, 64, 65, 200] {
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        for len in [0usize, 1, 7, 63, 64, 65, 200] {
             let mut x = fill(len as u64, len);
-            let g = fill(len as u64 ^ 9, len);
-            for (i, v) in x.iter_mut().enumerate() {
+            let mut g = fill(len as u64 ^ 9, len);
+            for (i, (x, g)) in x.iter_mut().zip(&mut g).enumerate() {
                 if i % 3 == 0 {
-                    *v = specials[i / 3 % specials.len()];
+                    *x = specials[i / 3 % specials.len()];
+                    *g = specials[(i / 3 + 2) % specials.len()];
                 }
             }
             let words = len.div_ceil(64);
             let alpha = 0.01;
-            let mut want_y = vec![0.0f32; len];
+            let mut want_y = x.clone();
             let mut want_bits = vec![u64::MAX; words];
-            scalar::leaky_relu_pack(&mut want_y, &x, alpha, &mut want_bits);
-            for (i, &v) in x.iter().enumerate() {
+            scalar::leaky_relu_pack(&mut want_y, alpha, &mut want_bits);
+            for (i, (&v, &y)) in x.iter().zip(&want_y).enumerate() {
                 assert_eq!(want_bits[i / 64] >> (i % 64) & 1 == 1, v > 0.0, "bit {i}");
+                let want = if v > 0.0 { v } else { alpha * v };
+                assert_eq!(y.to_bits(), want.to_bits(), "value {i}");
             }
-            let mut want_g = vec![0.0f32; len];
-            scalar::leaky_relu_unpack(&mut want_g, &g, alpha, &want_bits);
-            let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+            let mut want_g = g.clone();
+            scalar::leaky_relu_unpack(&mut want_g, alpha, &want_bits);
+            for (i, (&v, &d)) in g.iter().zip(&want_g).enumerate() {
+                let pos = want_bits[i / 64] >> (i % 64) & 1 == 1;
+                let want = if pos { v } else { alpha * v };
+                assert_eq!(d.to_bits(), want.to_bits(), "gradient {i}");
+            }
+            let mut y = x.clone();
+            let mut mask = vec![u64::MAX; words];
+            leaky_relu_pack(&mut y, alpha, &mut mask);
+            assert_eq!(bits(&y), bits(&want_y), "dispatched pack len={len}");
+            assert_eq!(mask, want_bits, "dispatched mask len={len}");
+            let mut dg = g.clone();
+            leaky_relu_unpack(&mut dg, alpha, &mask);
+            assert_eq!(bits(&dg), bits(&want_g), "dispatched unpack len={len}");
             if avx2 {
-                let mut y = vec![0.0f32; len];
+                let mut y = x.clone();
                 let mut mask = vec![u64::MAX; words];
-                // SAFETY: AVX2 was detected above; the lengths match the
-                // dispatcher's contract.
-                unsafe { x86::leaky_relu_pack_avx2(&mut y, &x, alpha, &mut mask) };
+                // SAFETY: AVX2 was detected above; the mask length
+                // matches the dispatcher's contract.
+                unsafe { x86::leaky_relu_pack_avx2(&mut y, alpha, &mut mask) };
                 assert_eq!(bits(&y), bits(&want_y), "avx2 pack len={len}");
                 assert_eq!(mask, want_bits, "avx2 mask len={len}");
-                let mut dg = vec![0.0f32; len];
+                let mut dg = g.clone();
                 // SAFETY: as above.
-                unsafe { x86::leaky_relu_unpack_avx2(&mut dg, &g, alpha, &mask) };
+                unsafe { x86::leaky_relu_unpack_avx2(&mut dg, alpha, &mask) };
                 assert_eq!(bits(&dg), bits(&want_g), "avx2 unpack len={len}");
             }
         }

@@ -170,27 +170,28 @@ pub fn fold_micro<const MRR: usize>(
     }
 }
 
-/// The training `LeakyRelu` forward: `dst[i] = src[i]` where
-/// `src[i] > 0`, else `alpha · src[i]`; bit `i % 64` of `bits[i / 64]`
-/// is set where `src[i] > 0` (never for a NaN). Every word is
-/// overwritten.
-pub fn leaky_relu_pack(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
-    for ((d, s), word) in dst.chunks_mut(64).zip(src.chunks(64)).zip(bits) {
+/// The `LeakyRelu` forward in place: `x[i]` stays where `x[i] > 0`,
+/// else becomes `alpha · x[i]`; bit `i % 64` of `bits[i / 64]` is set
+/// where `x[i] > 0` (never for a NaN). Every word is overwritten.
+pub fn leaky_relu_pack(x: &mut [f32], alpha: f32, bits: &mut [u64]) {
+    for (x, word) in x.chunks_mut(64).zip(bits) {
         *word = 0;
-        for (j, (d, &x)) in d.iter_mut().zip(s).enumerate() {
-            let pos = x > 0.0;
-            *d = if pos { x } else { alpha * x };
+        for (j, x) in x.iter_mut().enumerate() {
+            let v = *x;
+            let pos = v > 0.0;
+            *x = if pos { v } else { alpha * v };
             *word |= u64::from(pos) << j;
         }
     }
 }
 
-/// The `LeakyRelu` backward through a [`leaky_relu_pack`] mask:
-/// `dst[i] = grad[i]` where bit `i` is set, else `alpha · grad[i]`.
-pub fn leaky_relu_unpack(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
-    for ((d, g), &word) in dst.chunks_mut(64).zip(grad.chunks(64)).zip(bits) {
-        for (j, (d, &g)) in d.iter_mut().zip(g).enumerate() {
-            *d = if word >> j & 1 == 1 { g } else { alpha * g };
+/// The `LeakyRelu` backward in place through a [`leaky_relu_pack`]
+/// mask: `g[i]` stays where bit `i` is set, else becomes `alpha · g[i]`.
+pub fn leaky_relu_unpack(g: &mut [f32], alpha: f32, bits: &[u64]) {
+    for (g, &word) in g.chunks_mut(64).zip(bits) {
+        for (j, g) in g.iter_mut().enumerate() {
+            let v = *g;
+            *g = if word >> j & 1 == 1 { v } else { alpha * v };
         }
     }
 }

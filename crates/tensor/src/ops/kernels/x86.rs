@@ -476,63 +476,59 @@ pub unsafe fn fold_micro_avx2<const MRR: usize>(
     }
 }
 
-/// AVX2 [`scalar::leaky_relu_pack`]: eight lanes at a time, an ordered
-/// `> 0` compare (false for NaN), a blend of `x` and `alpha · x`, and the
-/// compare's sign bits moved into the mask word. The last partial word
-/// runs the scalar reference.
+/// AVX2 [`scalar::leaky_relu_pack`], in place: eight lanes at a time,
+/// an ordered `> 0` compare (false for NaN), a blend of `x` and
+/// `alpha · x`, and the compare's sign bits moved into the mask word.
+/// The last partial word runs the scalar reference.
 ///
 /// # Safety
 ///
 /// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// that `dst.len() == src.len()` and `bits.len() == src.len().div_ceil(64)`
-/// (the dispatcher asserts both); the vector loop covers whole words
-/// only.
+/// that `bits.len() == x.len().div_ceil(64)` (the dispatcher asserts
+/// it); the vector loop covers whole words only.
 #[target_feature(enable = "avx2")]
-pub unsafe fn leaky_relu_pack_avx2(dst: &mut [f32], src: &[f32], alpha: f32, bits: &mut [u64]) {
+pub unsafe fn leaky_relu_pack_avx2(x: &mut [f32], alpha: f32, bits: &mut [u64]) {
     let a = _mm256_set1_ps(alpha);
     let zero = _mm256_setzero_ps();
-    let words = src.len() / 64;
+    let words = x.len() / 64;
     for (w, word) in bits[..words].iter_mut().enumerate() {
         let mut m = 0u64;
         for g in 0..8 {
-            let i = w * 64 + g * 8;
-            let x = _mm256_loadu_ps(src.as_ptr().add(i));
-            let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(x, zero);
-            let y = _mm256_blendv_ps(_mm256_mul_ps(a, x), x, pos);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), y);
+            let p = x.as_mut_ptr().add(w * 64 + g * 8);
+            let v = _mm256_loadu_ps(p);
+            let pos = _mm256_cmp_ps::<_CMP_GT_OQ>(v, zero);
+            _mm256_storeu_ps(p, _mm256_blendv_ps(_mm256_mul_ps(a, v), v, pos));
             m |= (_mm256_movemask_ps(pos) as u64) << (g * 8);
         }
         *word = m;
     }
     let i = words * 64;
-    scalar::leaky_relu_pack(&mut dst[i..], &src[i..], alpha, &mut bits[words..]);
+    scalar::leaky_relu_pack(&mut x[i..], alpha, &mut bits[words..]);
 }
 
-/// AVX2 [`scalar::leaky_relu_unpack`]: each mask byte widened to an
-/// eight-lane select, then a blend of `g` and `alpha · g`. The last
-/// partial word runs the scalar reference.
+/// AVX2 [`scalar::leaky_relu_unpack`], in place: each mask byte widened
+/// to an eight-lane select, then a blend of `g` and `alpha · g`. The
+/// last partial word runs the scalar reference.
 ///
 /// # Safety
 ///
 /// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// that `dst.len() == grad.len()` and `bits.len() == grad.len().div_ceil(64)`
-/// (the dispatcher asserts both); the vector loop covers whole words
-/// only.
+/// that `bits.len() == g.len().div_ceil(64)` (the dispatcher asserts
+/// it); the vector loop covers whole words only.
 #[target_feature(enable = "avx2")]
-pub unsafe fn leaky_relu_unpack_avx2(dst: &mut [f32], grad: &[f32], alpha: f32, bits: &[u64]) {
+pub unsafe fn leaky_relu_unpack_avx2(g: &mut [f32], alpha: f32, bits: &[u64]) {
     let a = _mm256_set1_ps(alpha);
-    let words = grad.len() / 64;
+    let words = g.len() / 64;
     for (w, &word) in bits[..words].iter().enumerate() {
-        for g in 0..8 {
-            let i = w * 64 + g * 8;
-            let x = _mm256_loadu_ps(grad.as_ptr().add(i));
-            let keep = lanes_avx2((word >> (g * 8)) as u8);
-            let y = _mm256_blendv_ps(_mm256_mul_ps(a, x), x, keep);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), y);
+        for b in 0..8 {
+            let p = g.as_mut_ptr().add(w * 64 + b * 8);
+            let v = _mm256_loadu_ps(p);
+            let keep = lanes_avx2((word >> (b * 8)) as u8);
+            _mm256_storeu_ps(p, _mm256_blendv_ps(_mm256_mul_ps(a, v), v, keep));
         }
     }
     let i = words * 64;
-    scalar::leaky_relu_unpack(&mut dst[i..], &grad[i..], alpha, &bits[words..]);
+    scalar::leaky_relu_unpack(&mut g[i..], alpha, &bits[words..]);
 }
 
 /// AVX2 window maxima of RoI pooling (see [`super::window_max`]): the

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use rhsd_tensor::ops::conv::{conv2d, ConvSpec};
-use rhsd_tensor::ops::elementwise::add;
 use rhsd_tensor::ops::pool::{max_pool2d, roi_pool, FeatureRoi};
 use rhsd_tensor::ops::reduce::{concat_channels, split_channels};
 use rhsd_tensor::ops::softmax::softmax_rows;
@@ -19,17 +18,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn add_commutes(a in tensor_strategy(vec![3, 4]), b in tensor_strategy(vec![3, 4])) {
-        prop_assert!(add(&a, &b).approx_eq(&add(&b, &a), 1e-6));
-    }
-
-    #[test]
     fn conv_is_linear_in_input(
         x in tensor_strategy(vec![1, 6, 6]),
         y in tensor_strategy(vec![1, 6, 6]),
         w in tensor_strategy(vec![2, 1, 3, 3]),
     ) {
         let spec = ConvSpec::same(3);
+        let add = |a: &Tensor, b: &Tensor| a.zip_with(b, |p, q| p + q);
         let joint = conv2d(&add(&x, &y), &w, None, spec);
         let split = add(&conv2d(&x, &w, None, spec), &conv2d(&y, &w, None, spec));
         prop_assert!(joint.approx_eq(&split, 1e-2));

@@ -24,7 +24,10 @@ fn feature_spread(net: &RhsdNetwork, regions: &[RegionSample]) -> f32 {
     let feats: Vec<_> = regions
         .iter()
         .take(4)
-        .map(|r| net.extractor().forward(&r.image, &mut Tape::inference()))
+        .map(|r| {
+            net.extractor()
+                .forward(r.image.clone(), &mut Tape::inference())
+        })
         .collect();
     let mut d = 0.0f32;
     let mut n = 0;

@@ -120,13 +120,13 @@ fn deconv_reference(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSp
 
 fn conv_fused(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
     let out = conv2d(x, w, Some(b), spec);
-    let (dx, dw, db) = conv2d_backward(x, w, g, spec);
+    let (dx, dw, db) = conv2d_backward(x.clone(), w, g, spec);
     (out, dx, dw, db)
 }
 
 fn deconv_fused(x: &Tensor, w: &Tensor, b: &Tensor, g: &Tensor, spec: ConvSpec) -> ConvOut {
     let out = conv_transpose2d(x, w, Some(b), spec);
-    let (dx, dw, db) = conv_transpose2d_backward(x, w, g, spec);
+    let (dx, dw, db) = conv_transpose2d_backward(x.clone(), w, g, spec);
     (out, dx, dw, db)
 }
 
@@ -330,7 +330,7 @@ fn check_lanes(
     for threads in [1, 4] {
         rhsd::par::set_threads(threads);
         let out = conv2d(&x, &wt, Some(&b), spec);
-        let (dx, params) = conv2d_backward_batch(&x, &wt, &g, spec);
+        let (dx, params) = conv2d_backward_batch(x.clone(), &wt, &g, spec);
         assert_eq!(out.dims(), &[c_out, oh, ow, n]);
         assert_eq!(dx.dims(), x.dims());
         assert_eq!(params.len(), n);
@@ -338,7 +338,7 @@ fn check_lanes(
             let what = format!("map {i} of {n}, {h}x{w} {spec:?}, {threads} threads");
             let (xi, gi) = (lane(&x, i), lane(&g, i));
             let one = conv2d(&xi, &wt, Some(&b), spec);
-            let (dxi, dwi, dbi) = conv2d_backward(&xi, &wt, &gi, spec);
+            let (dxi, dwi, dbi) = conv2d_backward(xi.clone(), &wt, &gi, spec);
             assert!(bits(&lane(&out, i)) == bits(&one), "output: {what}");
             assert!(bits(&lane(&dx, i)) == bits(&dxi), "d_input: {what}");
             assert!(bits(dw) == bits(&dwi), "d_weight: {what}");
@@ -459,7 +459,7 @@ fn folds_add_nan_and_inf_weights_only_where_col2im_does() {
             // The input gradient: col2im(Wᵀ · g).
             let dcols = matmul(&transpose(&w_mat), &mat(&g, c_b));
             let want = col2im(&dcols, c_a, w, w, spec);
-            let (dx, _, _) = conv2d_backward(&x, &wt, &g, spec);
+            let (dx, _, _) = conv2d_backward(x, &wt, &g, spec);
             assert!(same_or_both_nan(&dx, &want), "d_input {w}x{w} {spec:?}");
             // The transposed convolution of `g` with the same weight as
             // `[C_in, C_out, K, K]`: the same fold, onto the transposed

@@ -81,7 +81,7 @@ proptest! {
 
         let ((o1, gi1, gw1, gb1), (o4, gi4, gw4, gb4)) = at_threads(1, 4, || {
             let out = conv2d(&input, &weight, Some(&bias), spec);
-            let (gi, gw, gb) = conv2d_backward(&input, &weight, &grad, spec);
+            let (gi, gw, gb) = conv2d_backward(input.clone(), &weight, &grad, spec);
             (out, gi, gw, gb)
         });
 
@@ -219,6 +219,43 @@ fn span_tree_shape_identical_across_thread_counts() {
         t4.shape(),
         "span-tree shape (paths + call counts) must be pool-size invariant"
     );
+}
+
+/// A forward split at the stem — the stem, then the rest, as a served
+/// region replays its cached stem — opens exactly the span keys of one
+/// whole forward pass: each layer of the rest keeps its index in the
+/// extractor, so both paths' span trees line up layer by layer.
+#[test]
+fn split_forward_opens_the_span_keys_of_the_whole_pass() {
+    use rhsd::nn::{Layer, Tape};
+    let _guard = pool_lock();
+    let cfg = RhsdConfig::tiny();
+    let net = RhsdNetwork::new(cfg.clone(), &mut rand_chacha::ChaCha8Rng::seed_from_u64(3));
+    let fx = net.extractor();
+    let x = pin_sample(&cfg, 0).image;
+    let keys = |pass: &dyn Fn()| {
+        rhsd::obs::reset();
+        rhsd::obs::set_enabled(true);
+        {
+            let _root = rhsd::obs::span("pass");
+            pass();
+        }
+        let tree = rhsd::obs::span_tree();
+        rhsd::obs::set_enabled(false);
+        rhsd::obs::reset();
+        tree.shape()
+    };
+    let whole = keys(&|| {
+        fx.forward(x.clone(), &mut Tape::inference());
+    });
+    let split = keys(&|| {
+        fx.forward_rest(&fx.forward_stem(&x));
+    });
+    assert!(
+        whole.iter().any(|(k, _)| k.starts_with("pass;InceptionB#")),
+        "{whole:?}"
+    );
+    assert_eq!(whole, split);
 }
 
 /// Data-parallel training opens few pool sections: each optimiser step
@@ -387,7 +424,9 @@ fn demo_detections_are_pinned() {
             let image = pin_sample(&cfg, round).image;
             let proposals = net.proposals(&image);
             assert_eq!(proposals.len(), cfg.pre_nms_top_n, "a full proposal batch");
-            let feats = net.extractor().forward(&image, &mut Tape::inference());
+            let feats = net
+                .extractor()
+                .forward(image.clone(), &mut Tape::inference());
             let rois: Vec<_> = proposals
                 .iter()
                 .map(|p| roi_from_bbox(&p.bbox, cfg.stride, cfg.feature_px()))

@@ -15,16 +15,19 @@
 //! `max_pool2d_values`) and its backward (`max_pool2d_backward`), the
 //! refinement head's RoI pooling with and without its argmax
 //! (`roi_pool`, `roi_pool_values`), the
-//! training `LeakyRelu` forward and backward, and the separable litho
-//! aerial convolution (`rhsd_litho::aerial`) — over a fixed shape
-//! table, and
+//! in-place `LeakyRelu` forward and backward, the separable litho
+//! aerial convolution (`rhsd_litho::aerial`) and one whole training
+//! step (`train_step`: a warm `RhsdNetwork::train_batch` of two demo
+//! regions on one thread) — over a fixed shape table, and
 //! writes a JSON record next to the `BENCH_*.json` bench records. The
 //! harness exists to localise regressions: when `bench-diff` flags an
 //! end-to-end runtime change, the per-kernel rows here say which layer
 //! moved.
 //!
 //! Timing protocol: one untimed warm-up iteration (fills the workspace
-//! scratch pools), then `reps` timed iterations; both the minimum and the
+//! scratch pools), then `reps` timed iterations, each after an untimed
+//! set-up call where the kernel consumes or overwrites its input (a
+//! backward convolution, the in-place `LeakyRelu`); both the minimum and the
 //! mean wall time are recorded. The minimum is the stable
 //! noise-resistant statistic; the mean surfaces allocator or scheduling
 //! jitter. A `--quick` mode shrinks the rep counts for CI.
@@ -50,7 +53,9 @@ use std::time::Instant;
 
 use rand::SeedableRng;
 use rhsd_core::refine::RefinementHead;
-use rhsd_core::RhsdConfig;
+use rhsd_core::{RhsdConfig, RhsdNetwork};
+use rhsd_data::{train_regions, Benchmark, RegionConfig, RegionSample};
+use rhsd_layout::synth::CaseId;
 use rhsd_litho::aerial::aerial_image;
 use rhsd_litho::GaussianKernel;
 use rhsd_nn::layers::LeakyRelu;
@@ -120,16 +125,23 @@ fn filled(dims: &[usize], seed: u64) -> Tensor {
     Tensor::from_vec(dims, data).expect("element count matches the shape")
 }
 
-/// Times `f` over `reps` iterations after one warm-up call; a volatile
-/// checksum of each result keeps the optimiser honest.
-fn time_case(reps: usize, f: &mut impl FnMut() -> Tensor) -> (f64, f64) {
-    let warm = f();
+/// Times `f` over `reps` iterations after one warm-up call, each call
+/// on what an untimed `setup` call made just before it (a copy of a
+/// map an in-place kernel overwrites); a volatile checksum of each
+/// result keeps the optimiser honest.
+fn time_case<S>(
+    reps: usize,
+    setup: &mut impl FnMut() -> S,
+    f: &mut impl FnMut(S) -> Tensor,
+) -> (f64, f64) {
+    let warm = f(setup());
     std::hint::black_box(warm.as_slice().first().copied());
     let mut best = f64::INFINITY;
     let mut total = 0.0;
     for _ in 0..reps {
+        let input = setup();
         let t0 = Instant::now();
-        let out = f();
+        let out = f(input);
         let dt = t0.elapsed().as_secs_f64();
         std::hint::black_box(out.as_slice().first().copied());
         best = best.min(dt);
@@ -147,10 +159,23 @@ fn timed(
     reps: usize,
     mut f: impl FnMut() -> Tensor,
 ) -> Case {
+    timed_on(active, kernel, shape, reps, || (), |()| f())
+}
+
+/// [`timed`] with an untimed `setup` call before each timed call, whose
+/// result the call consumes.
+fn timed_on<S>(
+    active: Isa,
+    kernel: &'static str,
+    shape: String,
+    reps: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> Tensor,
+) -> Case {
     kernels::set_isa(Isa::Scalar);
-    let (scalar_best, _) = time_case(reps, &mut f);
+    let (scalar_best, _) = time_case(reps, &mut setup, &mut f);
     kernels::set_isa(active);
-    let (best, mean) = time_case(reps, &mut f);
+    let (best, mean) = time_case(reps, &mut setup, &mut f);
     Case {
         kernel,
         shape,
@@ -220,6 +245,8 @@ fn run_cases(quick: bool) -> Vec<Case> {
             (true, 4, 1, 128, 3, 12),
         ]
     };
+    // A backward consumes its input and returns the input gradient in
+    // that buffer; each call takes a copy made before the timer starts.
     for &(transposed, c_in, c_out, hw, k, reps) in conv_shapes {
         let spec = ConvSpec::same(k);
         let input = filled(&[c_in, hw, hw], 3);
@@ -235,12 +262,13 @@ fn run_cases(quick: bool) -> Vec<Case> {
                 reps,
                 || conv_transpose2d(&input, &weight, Some(&bias), spec),
             ));
-            cases.push(timed(
+            cases.push(timed_on(
                 active,
                 "conv_transpose2d_backward",
                 shape,
                 reps,
-                || conv_transpose2d_backward(&input, &weight, &grad, spec).0,
+                || input.clone(),
+                |x| conv_transpose2d_backward(x, &weight, &grad, spec).0,
             ));
         } else {
             let weight = filled(&[c_out, c_in, k, k], 4);
@@ -251,12 +279,13 @@ fn run_cases(quick: bool) -> Vec<Case> {
                 })
                 .with_macs(macs),
             );
-            cases.push(timed(
+            cases.push(timed_on(
                 active,
                 "conv2d_backward",
                 shape.clone(),
                 reps,
-                || conv2d_backward(&input, &weight, &grad, spec).0,
+                || input.clone(),
+                |x| conv2d_backward(x, &weight, &grad, spec).0,
             ));
             cases.push(timed(active, "conv2d_weight_grads", shape, reps, || {
                 let mut grads = conv2d_weight_grads(&input, &weight, &grad, spec);
@@ -374,9 +403,11 @@ fn run_cases(quick: bool) -> Vec<Case> {
         }));
     }
 
-    // `LeakyRelu` on a recording tape: the forward map with its
+    // `LeakyRelu` on a recording tape, in place: the forward with its
     // one-bit-per-element mask, and the backward through that mask. Each
-    // backward call pops a mask recorded before the timer starts.
+    // forward call takes a copy of the map, and each backward call a
+    // copy of the gradient and a tape with the mask recorded, made just
+    // before the timer starts.
     let relu_shapes: &[(usize, usize, usize)] = if quick {
         &[(8, 128, 4)]
     } else {
@@ -387,25 +418,26 @@ fn run_cases(quick: bool) -> Vec<Case> {
         let x = filled(&[c, hw, hw], 14);
         let g = filled(&[c, hw, hw], 15);
         let shape = format!("{c}x{hw}x{hw}");
-        cases.push(timed(
+        cases.push(timed_on(
             active,
             "leaky_relu_forward",
             shape.clone(),
             reps,
-            || relu.forward(&x, &mut Tape::recording()),
+            || x.clone(),
+            |x| relu.forward(x, &mut Tape::recording()),
         ));
-        // One tape per call: two passes of a warm-up and `reps` calls.
-        let mut tapes: Vec<Tape> = (0..2 * (reps + 1))
-            .map(|_| {
+        cases.push(timed_on(
+            active,
+            "leaky_relu_backward",
+            shape,
+            reps,
+            || {
                 let mut tape = Tape::recording();
-                relu.forward(&x, &mut tape);
-                tape
-            })
-            .collect();
-        cases.push(timed(active, "leaky_relu_backward", shape, reps, || {
-            let mut tape = tapes.pop().expect("a recorded tape per call");
-            relu.backward(&mut tape, &g, &mut [])
-        }));
+                relu.forward(x.clone(), &mut tape);
+                (tape, g.clone())
+            },
+            |(mut tape, g)| relu.backward(&mut tape, g, &mut []),
+        ));
     }
 
     // The refinement head's shapes, as its batches run in the lane
@@ -533,6 +565,30 @@ fn run_cases(quick: bool) -> Vec<Case> {
                 .cls_logits
         },
     ));
+
+    // One whole training step beside the kernel rows: a warm
+    // `train_batch` of two demo regions (extractor, CPN and refinement
+    // head forward and backward, no optimiser step) on a demo network,
+    // on one pool thread whatever `--threads` says.
+    let threads = rhsd_par::threads();
+    rhsd_par::set_threads(1);
+    let bench = Benchmark::demo(CaseId::Case2);
+    let regions = train_regions(&bench, &RegionConfig::demo());
+    let batch: Vec<&RegionSample> = regions.iter().take(2).collect();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(24);
+    let mut net = RhsdNetwork::new(RhsdConfig::demo(), &mut rng);
+    cases.push(timed(
+        active,
+        "train_step",
+        format!("{} demo regions, 1 thread", batch.len()),
+        if quick { 2 } else { 8 },
+        || {
+            net.zero_grad();
+            net.train_batch(&batch, &mut rng);
+            net.grads()[0].clone()
+        },
+    ));
+    rhsd_par::set_threads(threads);
 
     // Aerial shapes at the EUV nominal sigma (region-raster scale).
     let aerial_shapes: &[(usize, usize)] = if quick {
@@ -663,6 +719,8 @@ mod tests {
         for family in ["fold", "leaky_relu_forward", "leaky_relu_backward"] {
             assert!(kernels.contains(&family), "{family}");
         }
+        // A whole training step, beside the kernel rows.
+        assert_eq!(shapes("train_step"), ["2 demo regions, 1 thread"]);
         // The fold rows cover both tile shapes: channel tiles and the
         // single-channel strip tiles.
         let folds = shapes("fold");

@@ -3,7 +3,7 @@
 #
 #   ./ci.sh                   # full gate
 #   ./ci.sh --fast            # skip the release build (debug test run only)
-#   ./ci.sh --lint-only       # only the workspace linter (cargo xtask lint)
+#   ./ci.sh --lint-only       # only the workspace lints (cargo xtask lint, then clippy)
 #   ./ci.sh --bench-gate      # only the benchmark, telemetry and serve gate (below)
 #   ./ci.sh --simd-matrix     # only the ISA matrix (below)
 #
@@ -94,17 +94,22 @@ case "$mode" in
     ;;
 esac
 
-# Lint-only gate. Exit codes are the linter's own and are propagated
-# unchanged by run_step: 0 clean, 1 violations (or a stale allowlist
-# entry under --check-allow), 2 internal/usage error. Under CI=1 the
-# findings render as GitHub workflow annotations and the JSON report
-# (schema rhsd-lint-report/1) is written to lint-report.json for upload.
+# Lint-only gate: every workspace rule, the token linter's (L4, L6/L12,
+# L8, L9, L11, L13) and then clippy's (L1-L3, L5, L7, L10).
+# --all-features compiles the debug_invariants checks, so clippy sees
+# their audited panics. Exit codes are the tools' own and are
+# propagated unchanged by run_step: 0 clean, 1 violations (or a stale
+# inline marker under --check-allow), 2 internal/usage error (clippy
+# exits 101 on findings). Under CI=1 the linter's findings render as
+# GitHub workflow annotations and its JSON report (schema
+# rhsd-lint-report/1) is written to lint-report.json for upload.
 if [[ $mode == --lint-only ]]; then
     lint_cmd=(cargo xtask lint --check-allow)
     if [[ $ci -eq 1 ]]; then
         lint_cmd+=(--format github --out lint-report.json)
     fi
     run_step "lint" "${lint_cmd[@]}"
+    run_step "clippy" cargo clippy --workspace --all-features -- -D warnings
     printf '\nLint gate passed.\n'
     exit 0
 fi
@@ -416,6 +421,6 @@ run_step "cargo xtask lint" cargo xtask lint --check-allow
 
 run_step "cargo fmt --check" cargo fmt --all --check
 
-run_step "cargo clippy -D warnings" cargo clippy --workspace -- -D warnings
+run_step "cargo clippy -D warnings" cargo clippy --workspace --all-features -- -D warnings
 
 printf '\nCI gate passed.\n'

@@ -9,6 +9,12 @@
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_ablations --
 //! [--quick] [--ledger <path>] [--threads <n>]`
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use rhsd_bench::args::BenchArgs;
 use rhsd_bench::pipeline::{
     build_benchmarks, merged_train_regions, ours_config, train_region_network, Effort, OURS_SEED,

@@ -6,6 +6,12 @@
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_fig10 --
 //! [--quick] [--ledger <path>] [--threads <n>]`
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use rhsd_bench::args::BenchArgs;
 use rhsd_bench::pipeline::{row_json, run_fig10, OURS_SEED};
 use rhsd_bench::table::render_fig10;

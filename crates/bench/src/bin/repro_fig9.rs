@@ -8,6 +8,12 @@
 //! Writes `fig9_<case>_{truth,tcad18,ours}.svg` files into the working
 //! directory.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use rhsd_baselines::LayoutClip;
 use rhsd_bench::args::BenchArgs;
 use rhsd_bench::pipeline::{

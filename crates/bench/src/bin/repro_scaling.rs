@@ -7,6 +7,12 @@
 //! Usage: `cargo run -p rhsd-bench --release --bin repro_scaling --
 //! [--quick] [--ledger <path>] [--threads <n>]`
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rhsd_baselines::{Tcad18Config, Tcad18Detector};

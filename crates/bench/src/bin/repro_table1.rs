@@ -12,6 +12,12 @@
 //! `cargo xtask bench-diff` — and the full run ledger in
 //! `LEDGER_table1.jsonl` unless `--no-ledger` is given.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use std::path::PathBuf;
 
 use rhsd_bench::args::BenchArgs;

@@ -156,7 +156,10 @@ impl Tape {
     pub fn pop<T: Any>(&mut self, layer: &str) -> T {
         match self.saved.pop().map(|entry| entry.downcast::<T>()) {
             Some(Ok(value)) => *value,
-            // lint:allow(L1) — the one audited contract-violation panic site
+            #[expect(
+                clippy::panic,
+                reason = "the one audited contract-violation panic site"
+            )]
             _ => panic!("{layer}::backward called before forward"),
         }
     }

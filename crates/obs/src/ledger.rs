@@ -26,10 +26,10 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 use crate::json::{escape, number, object_of, Value};
 use crate::spantree::{SpanNode, SpanTree};
+use crate::WallClock;
 
 /// The `run_start` manifest identifying a run — always the first ledger
 /// line, so even a crashed run records what it was.
@@ -355,7 +355,7 @@ pub struct Ledger {
     out: BufWriter<File>,
     path: PathBuf,
     seq: u64,
-    opened: Instant,
+    opened: WallClock,
 }
 
 impl Ledger {
@@ -367,7 +367,7 @@ impl Ledger {
             out: BufWriter::new(file),
             path,
             seq: 0,
-            opened: Instant::now(),
+            opened: WallClock::now(),
         })
     }
 

@@ -46,7 +46,6 @@ pub mod spantree;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 pub use metrics::{HistogramSummary, MetricsSnapshot};
 pub use span::{base_stack, current_stack, span, BaseStackGuard, SpanGuard};
@@ -114,14 +113,23 @@ pub fn reset() {
 /// that must keep working without instrumentation.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    start: Instant,
+    start: WallClock,
 }
+
+/// The workspace's one sanctioned wall clock: spans, the ledger and
+/// [`Stopwatch`] read it, and every other caller times through
+/// [`Stopwatch`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "rhsd-obs owns the wall clock; timing elsewhere goes through Stopwatch"
+)]
+pub(crate) type WallClock = std::time::Instant;
 
 impl Stopwatch {
     /// Starts timing.
     pub fn start() -> Self {
         Stopwatch {
-            start: Instant::now(),
+            start: WallClock::now(),
         }
     }
 

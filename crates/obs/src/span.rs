@@ -14,9 +14,8 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use crate::{enabled, registry};
+use crate::{enabled, registry, WallClock};
 
 /// Separator between frames in a span path (Brendan-Gregg collapsed
 /// stack convention). Span names must not contain it.
@@ -99,7 +98,7 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
     SpanGuard {
         inner: Some(SpanInner {
             path,
-            start: Instant::now(),
+            start: WallClock::now(),
             tid,
         }),
     }
@@ -107,7 +106,7 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
 
 struct SpanInner {
     path: String,
-    start: Instant,
+    start: WallClock,
     tid: u64,
 }
 

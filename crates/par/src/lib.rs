@@ -1,8 +1,9 @@
 //! # rhsd-par
 //!
 //! Zero-dependency scoped thread pool — the single home of all RHSD
-//! parallelism (lint rule L5 forbids raw `std::thread::spawn` outside
-//! this crate and `rhsd-obs`).
+//! parallelism (the workspace's clippy config disallows raw
+//! `std::thread::spawn` and `thread::Builder` everywhere else except
+//! `rhsd-serve`'s connection threads).
 //!
 //! Design goals, in priority order:
 //!
@@ -197,6 +198,10 @@ impl Pool {
         for _ in 0..n_workers {
             let shared = Arc::clone(&shared);
             let me = workers.len();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool's own workers: the one home of pipeline threads"
+            )]
             let spawned = thread::Builder::new()
                 .name(format!("rhsd-par-{me}"))
                 .spawn(move || worker_loop(&shared, me));

@@ -20,6 +20,12 @@
 //! the server uses for scan replies, so `cmp` against a served reply
 //! proves bit-identity.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -236,6 +236,10 @@ impl Server {
             shutting_down: AtomicBool::new(false),
         });
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the batcher thread; its batches compute on the rhsd-par pool"
+        )]
         let batcher = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
@@ -245,6 +249,10 @@ impl Server {
         };
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the acceptor and per-connection threads do I/O; scans compute on the rhsd-par pool"
+        )]
         let acceptor = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);

@@ -30,6 +30,10 @@ use crate::Tensor;
 ///
 /// No-op unless the `debug_invariants` feature is enabled.
 #[cfg(feature = "debug_invariants")]
+#[expect(
+    clippy::panic,
+    reason = "aborting on poisoned tensors is this feature's purpose"
+)]
 pub fn check_finite(op: &str, t: &Tensor) {
     if let Some((i, &v)) = t
         .as_slice()
@@ -38,7 +42,6 @@ pub fn check_finite(op: &str, t: &Tensor) {
         .find(|(_, v)| !v.is_finite())
     {
         rhsd_obs::counter("invariants.nonfinite", 1);
-        // lint:allow(L1) — aborting on poisoned tensors is this feature's purpose
         panic!(
             "debug_invariants: non-finite value {v} at flat index {i} after op `{op}` (shape {})",
             t.shape()
@@ -60,10 +63,13 @@ pub fn check_finite(_op: &str, _t: &Tensor) {}
 ///
 /// No-op unless the `debug_invariants` feature is enabled.
 #[cfg(feature = "debug_invariants")]
+#[expect(
+    clippy::panic,
+    reason = "aborting on contract violations is this feature's purpose"
+)]
 pub fn check_layer_input(layer: &str, expected: fmt::Arguments<'_>, ok: bool, actual: &Shape) {
     if !ok {
         rhsd_obs::counter("invariants.shape_contract", 1);
-        // lint:allow(L1) — aborting on contract violations is this feature's purpose
         panic!(
             "debug_invariants: shape contract violated in layer `{layer}`: expected {expected}, got {actual}"
         );

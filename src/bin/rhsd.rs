@@ -11,7 +11,13 @@
 //!
 //! All commands are deterministic (fixed seeds).
 
-use std::collections::HashMap;
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use rand::SeedableRng;
@@ -65,8 +71,8 @@ USAGE:
   rhsd eval   --model <model.json> [--case <2|3|4>]...";
 
 /// Parses `--key value` pairs and bare `--flag`s; repeated keys collect.
-fn parse_opts(args: &[String]) -> HashMap<String, Vec<String>> {
-    let mut out: HashMap<String, Vec<String>> = HashMap::new();
+fn parse_opts(args: &[String]) -> BTreeMap<String, Vec<String>> {
+    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -89,7 +95,7 @@ fn parse_opts(args: &[String]) -> HashMap<String, Vec<String>> {
     out
 }
 
-fn one<'a>(opts: &'a HashMap<String, Vec<String>>, key: &str) -> Result<&'a str, String> {
+fn one<'a>(opts: &'a BTreeMap<String, Vec<String>>, key: &str) -> Result<&'a str, String> {
     opts.get(key)
         .and_then(|v| v.first())
         .map(String::as_str)
@@ -97,7 +103,7 @@ fn one<'a>(opts: &'a HashMap<String, Vec<String>>, key: &str) -> Result<&'a str,
         .ok_or_else(|| format!("missing --{key} <value>"))
 }
 
-fn flag(opts: &HashMap<String, Vec<String>>, key: &str) -> bool {
+fn flag(opts: &BTreeMap<String, Vec<String>>, key: &str) -> bool {
     opts.contains_key(key)
 }
 
@@ -111,14 +117,14 @@ fn parse_case(s: &str) -> Result<CaseId, String> {
     }
 }
 
-fn cases_or_default(opts: &HashMap<String, Vec<String>>) -> Result<Vec<CaseId>, String> {
+fn cases_or_default(opts: &BTreeMap<String, Vec<String>>) -> Result<Vec<CaseId>, String> {
     match opts.get("case") {
         Some(v) if !v.is_empty() => v.iter().map(|s| parse_case(s)).collect(),
         _ => Ok(CaseId::EVALUATED.to_vec()),
     }
 }
 
-fn cmd_gen(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn cmd_gen(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     let case = parse_case(one(opts, "case")?)?;
     let out = one(opts, "out")?;
     let spec = if flag(opts, "full") {
@@ -142,7 +148,7 @@ fn load_layout(path: &str) -> Result<Layout, String> {
     read_rlf(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_label(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn cmd_label(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     let layout = load_layout(one(opts, "layout")?)?;
     let out = one(opts, "out")?;
     let pw = ProcessWindow::euv_default();
@@ -165,7 +171,7 @@ fn cmd_label(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn cmd_train(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     let out = one(opts, "out")?;
     let cases = cases_or_default(opts)?;
     let epochs: usize = opts
@@ -199,7 +205,7 @@ fn cmd_train(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_detect(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn cmd_detect(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     let net = load_from_path(one(opts, "model")?).map_err(|e| e.to_string())?;
     let layout = load_layout(one(opts, "layout")?)?;
     let out = one(opts, "out")?;
@@ -246,7 +252,7 @@ fn json_array(items: &[String]) -> String {
     format!("[\n  {}\n]\n", items.join(",\n  "))
 }
 
-fn cmd_drc(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn cmd_drc(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     let layout = load_layout(one(opts, "layout")?)?;
     let num = |key: &str, default: i64| -> i64 {
         opts.get(key)
@@ -267,7 +273,7 @@ fn cmd_drc(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_eval(opts: &HashMap<String, Vec<String>>) -> Result<(), String> {
+fn cmd_eval(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     let net = load_from_path(one(opts, "model")?).map_err(|e| e.to_string())?;
     let cases = cases_or_default(opts)?;
     let det = RegionDetector::new(net, RegionConfig::demo());

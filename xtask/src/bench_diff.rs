@@ -24,6 +24,9 @@
 //! A baseline detector row with 0% accuracy triggers a loud warning:
 //! the accuracy gate cannot see regressions against a floor of zero, so
 //! such baselines should be refreshed with a longer training schedule.
+//! Every detector of the current record whose training tripped the
+//! divergence sentinel gets a `NOTE:` line counting each trip reason
+//! (`training.sentinel_trips`); the note never fails the gate.
 //!
 //! Records produced at different `--threads` counts are **refused** for
 //! runtime comparison (exit 2): parallel speedup would masquerade as a
@@ -49,6 +52,7 @@
 //!
 //! Exit codes: 0 clean, 1 regression, 2 malformed input / usage error.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -94,6 +98,8 @@ struct DetectorRow {
     accuracy_pct: f64,
     false_alarms: u64,
     seconds: f64,
+    /// Reason tags of the training's sentinel trips, one per trip.
+    sentinel_trips: Vec<String>,
 }
 
 /// A parsed bench record: source tag and per-detector average rows.
@@ -108,17 +114,35 @@ struct BenchRecord {
     detectors: Vec<DetectorRow>,
 }
 
-fn row_from(name: &str, v: &Value) -> Result<DetectorRow, String> {
+/// Reads a detector entry: its average row and its training's sentinel
+/// trips (none when the entry has no `training` summary).
+fn row_from(name: &str, d: &Value) -> Result<DetectorRow, String> {
+    let avg = d
+        .get("average")
+        .ok_or_else(|| format!("detector `{name}` missing `average` row"))?;
     let num = |key: &str| {
-        v.get(key)
+        avg.get(key)
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("detector `{name}`: average row missing numeric `{key}`"))
     };
+    let sentinel_trips = d
+        .get("training")
+        .and_then(|t| t.get("sentinel_trips"))
+        .and_then(Value::as_arr)
+        .map(|trips| {
+            trips
+                .iter()
+                .filter_map(Value::as_str)
+                .map(str::to_owned)
+                .collect()
+        })
+        .unwrap_or_default();
     Ok(DetectorRow {
         name: name.to_owned(),
         accuracy_pct: num("accuracy_pct")?,
-        false_alarms: v.get("false_alarms").and_then(Value::as_u64).unwrap_or(0),
+        false_alarms: avg.get("false_alarms").and_then(Value::as_u64).unwrap_or(0),
         seconds: num("seconds")?,
+        sentinel_trips,
     })
 }
 
@@ -136,10 +160,7 @@ fn parse_record(text: &str, label: &str) -> Result<BenchRecord, String> {
             .get("name")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("{label}: detector entry missing `name`"))?;
-        let avg = d
-            .get("average")
-            .ok_or_else(|| format!("{label}: detector `{name}` missing `average` row"))?;
-        rows.push(row_from(name, avg).map_err(|e| format!("{label}: {e}"))?);
+        rows.push(row_from(name, d).map_err(|e| format!("{label}: {e}"))?);
     }
     if rows.is_empty() {
         return Err(format!("{label}: no detectors in record"));
@@ -278,6 +299,16 @@ fn render(
     }
     for n in notes {
         let _ = writeln!(o, "note: {n}");
+    }
+    for d in &current.detectors {
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for tag in &d.sentinel_trips {
+            *counts.entry(tag).or_default() += 1;
+        }
+        if !counts.is_empty() {
+            let trips: Vec<String> = counts.iter().map(|(t, n)| format!("{t} ×{n}")).collect();
+            let _ = writeln!(o, "NOTE: {} tripped {}", d.name, trips.join(", "));
+        }
     }
     o
 }
@@ -1019,6 +1050,43 @@ mod tests {
         let dead = serve_record(0.0, 0.0, 4);
         let err = compare(&dead, &good, &Tolerance::default()).unwrap_err();
         assert!(err.contains("no usable throughput"), "{err}");
+    }
+
+    #[test]
+    fn sentinel_trips_print_a_note_and_never_fail() {
+        let base = record(1.0, 90.0);
+        let cur = base.replace(
+            "\"average\": {\"case\": \"Average\", \"accuracy_pct\": 90, \"false_alarms\": 4, \"seconds\": 1}",
+            "\"average\": {\"case\": \"Average\", \"accuracy_pct\": 90, \"false_alarms\": 4, \"seconds\": 1},\n      \
+             \"training\": {\"epochs\": 14, \"sentinel_trips\": [\"bias_collapse\", \"loss_spike\", \"bias_collapse\"]}",
+        );
+        assert_ne!(cur, base, "fixture gained a training summary");
+        let (report, regressed) = compare(&base, &cur, &Tolerance::default()).expect("valid");
+        assert!(!regressed);
+        assert!(
+            report.contains("NOTE: Ours tripped bias_collapse ×2, loss_spike ×1\n"),
+            "{report}"
+        );
+        // Only the current record's trips are noted.
+        let (report, _) = compare(&cur, &base, &Tolerance::default()).expect("valid");
+        assert!(!report.contains("NOTE:"), "{report}");
+    }
+
+    #[test]
+    fn the_committed_baseline_has_no_sentinel_notes() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_baseline_quick.json");
+        let base = std::fs::read_to_string(path).expect("committed baseline");
+        assert!(
+            base.contains("\"sentinel_trips\": []"),
+            "baseline lists trips"
+        );
+        let tol = Tolerance {
+            skip_runtime: true,
+            ..Tolerance::default()
+        };
+        let (report, regressed) = compare(&base, &base, &tol).expect("valid");
+        assert!(!regressed);
+        assert!(!report.contains("NOTE:"), "{report}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The `cargo xtask lint` driver.
 //!
-//! Walks `crates/*/src/**/*.rs` under the workspace root, runs rules
-//! L1–L13 over each file (token engine: [`lex`], [`scope`],
-//! [`source`]), filters violations through the allowlist file and
-//! inline `// lint:allow(<rule>)` markers, and renders a report as
-//! text, `rhsd-lint-report/1` JSON or GitHub workflow annotations.
-//! Allowlist entries and inline markers that no longer suppress
-//! anything are reported as *stale* for the `--check-allow` gate.
+//! Walks `crates/*/src/**/*.rs` under the workspace root, runs the rules
+//! clippy cannot express — L4, L6/L12, L8, L9, L11 and L13 — over each
+//! file (token engine: [`lex`], [`scope`], [`source`]), filters
+//! violations through inline `// lint:allow(<rule>)` markers, and
+//! renders a report as text, `rhsd-lint-report/1` JSON or GitHub
+//! workflow annotations. Markers that no longer suppress anything are
+//! reported as *stale* for the `--check-allow` gate. L1, L2, L3, L5, L7
+//! and L10 are clippy lints (see `Cargo.toml` and `clippy.toml`).
 
 mod lex;
 mod rules;
@@ -22,7 +23,7 @@ use source::SourceFile;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`L1`..`L13`).
+    /// Rule id: `L4`, `L6`, `L8`, `L9`, `L11`, `L12` or `L13`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -38,8 +39,9 @@ pub struct Violation {
 pub struct Report {
     violations: Vec<Violation>,
     files_scanned: usize,
+    /// Findings excused by an inline marker.
     allowlisted: usize,
-    /// Allowlist entries / inline markers that suppressed nothing.
+    /// Inline markers that suppressed nothing.
     stale_allow: Vec<String>,
 }
 
@@ -49,8 +51,8 @@ impl Report {
         self.violations.is_empty()
     }
 
-    /// Stale allowlist entries and inline markers (empty when the
-    /// allowlist is tight).
+    /// Stale inline markers (empty when every marker excuses a
+    /// finding).
     pub fn stale_allow(&self) -> &[String] {
         &self.stale_allow
     }
@@ -107,7 +109,7 @@ impl Report {
 
     /// Renders GitHub workflow commands: one `::error` per violation
     /// (surfaced as a PR annotation on the offending line) and one
-    /// `::warning` per stale allowlist entry, plus a trailing summary.
+    /// `::warning` per stale marker, plus a trailing summary.
     pub fn to_github(&self) -> String {
         fn esc_msg(s: &str) -> String {
             s.replace('%', "%25")
@@ -170,61 +172,6 @@ impl fmt::Display for Report {
     }
 }
 
-/// An entry in the allowlist file: `<rule> <path>[:<line>]`.
-#[derive(Debug, PartialEq, Eq)]
-struct AllowEntry {
-    rule: String,
-    path: String,
-    line: Option<usize>,
-}
-
-impl AllowEntry {
-    fn matches(&self, v: &Violation) -> bool {
-        self.rule == v.rule && self.path == v.path && self.line.is_none_or(|l| l == v.line)
-    }
-
-    fn render(&self) -> String {
-        match self.line {
-            Some(l) => format!("{} {}:{}", self.rule, self.path, l),
-            None => format!("{} {}", self.rule, self.path),
-        }
-    }
-}
-
-/// Parses the allowlist format: one `<rule> <path>[:<line>]` per line,
-/// `#` comments and blank lines ignored.
-fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    let mut entries = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(rule), Some(target), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!(
-                "allowlist line {}: expected `<rule> <path>[:<line>]`, got `{raw}`",
-                idx + 1
-            ));
-        };
-        let (path, line_no) = match target.rsplit_once(':') {
-            Some((p, n)) if n.chars().all(|c| c.is_ascii_digit()) && !n.is_empty() => {
-                let parsed = n
-                    .parse::<usize>()
-                    .map_err(|e| format!("allowlist line {}: bad line number: {e}", idx + 1))?;
-                (p.to_string(), Some(parsed))
-            }
-            _ => (target.to_string(), None),
-        };
-        entries.push(AllowEntry {
-            rule: rule.to_string(),
-            path,
-            line: line_no,
-        });
-    }
-    Ok(entries)
-}
-
 /// Recursively collects `.rs` files under `dir`, sorted for determinism.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let rd = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
@@ -241,15 +188,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 /// Runs the full lint pass.
-pub fn run(root: &Path, allowlist_path: &Path) -> Result<Report, String> {
-    let allow_text = match std::fs::read_to_string(allowlist_path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(format!("read {}: {e}", allowlist_path.display())),
-    };
-    let allowlist = parse_allowlist(&allow_text)?;
-    let mut entry_used = vec![false; allowlist.len()];
-
+pub fn run(root: &Path) -> Result<Report, String> {
     let crates_dir = root.join("crates");
     let rd = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("read_dir {}: {e}", crates_dir.display()))?;
@@ -266,10 +205,8 @@ pub fn run(root: &Path, allowlist_path: &Path) -> Result<Report, String> {
 
     let mut violations = Vec::new();
     let mut allowlisted = 0usize;
+    let mut stale_allow = Vec::new();
     let files_scanned = files.len();
-    // Every inline marker seen, and the ones that suppressed something.
-    let mut markers: Vec<(String, usize, String)> = Vec::new(); // (path, line, rule)
-    let mut marker_used: Vec<bool> = Vec::new();
     for path in &files {
         let raw =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -279,47 +216,32 @@ pub fn run(root: &Path, allowlist_path: &Path) -> Result<Report, String> {
             .to_string_lossy()
             .replace('\\', "/");
         let file = SourceFile::new(rel.clone(), raw);
-        let marker_base = markers.len();
-        for (rule, line) in file.inline_allow_markers() {
-            markers.push((rel.clone(), line, rule));
-            marker_used.push(false);
-        }
+        let markers = file.inline_allow_markers();
+        let mut marker_used = vec![false; markers.len()];
         for v in rules::check_file(&file) {
-            if file.inline_allowed(v.rule, v.line) {
-                allowlisted += 1;
-                // Credit the marker on the violation line, else the one
-                // on the line above.
-                for (mi, (_, mline, mrule)) in markers.iter().enumerate().skip(marker_base) {
-                    if *mrule == v.rule && (*mline == v.line || *mline + 1 == v.line) {
-                        marker_used[mi] = true;
-                    }
+            // A marker excuses its rule on its own line and the next.
+            let mut excused = false;
+            for ((rule, line), used) in markers.iter().zip(&mut marker_used) {
+                if rule == v.rule && (*line == v.line || *line + 1 == v.line) {
+                    *used = true;
+                    excused = true;
                 }
-            } else if let Some(ei) = allowlist.iter().position(|a| a.matches(&v)) {
+            }
+            if excused {
                 allowlisted += 1;
-                entry_used[ei] = true;
             } else {
                 violations.push(v);
             }
         }
+        for ((rule, line), used) in markers.iter().zip(marker_used) {
+            if !used {
+                stale_allow.push(format!(
+                    "inline `lint:allow({rule})` at {rel}:{line} no longer matches any finding"
+                ));
+            }
+        }
     }
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-
-    let mut stale_allow = Vec::new();
-    for (ei, entry) in allowlist.iter().enumerate() {
-        if !entry_used[ei] {
-            stale_allow.push(format!(
-                "allowlist entry `{}` no longer matches any finding",
-                entry.render()
-            ));
-        }
-    }
-    for (mi, (path, line, rule)) in markers.iter().enumerate() {
-        if !marker_used[mi] {
-            stale_allow.push(format!(
-                "inline `lint:allow({rule})` at {path}:{line} no longer matches any finding"
-            ));
-        }
-    }
 
     Ok(Report {
         violations,
@@ -344,55 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_parses_entries_and_comments() {
-        let text = "# comment\n\nL1 crates/a/src/x.rs:10\nL4 crates/nn/src/y.rs # trailing\n";
-        let entries = parse_allowlist(text).expect("parses");
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].rule, "L1");
-        assert_eq!(entries[0].line, Some(10));
-        assert_eq!(entries[1].path, "crates/nn/src/y.rs");
-        assert_eq!(entries[1].line, None);
-    }
-
-    #[test]
-    fn allowlist_rejects_malformed_lines() {
-        assert!(parse_allowlist("L1\n").is_err());
-        assert!(parse_allowlist("L1 a b c\n").is_err());
-    }
-
-    #[test]
-    fn allow_entry_matching() {
-        let viol = v("L1", "crates/a/src/x.rs", 10);
-        let exact = AllowEntry {
-            rule: "L1".into(),
-            path: "crates/a/src/x.rs".into(),
-            line: Some(10),
-        };
-        let file_wide = AllowEntry {
-            rule: "L1".into(),
-            path: "crates/a/src/x.rs".into(),
-            line: None,
-        };
-        let other = AllowEntry {
-            rule: "L2".into(),
-            path: "crates/a/src/x.rs".into(),
-            line: None,
-        };
-        assert!(exact.matches(&viol));
-        assert!(file_wide.matches(&viol));
-        assert!(!other.matches(&viol));
-    }
-
-    #[test]
     fn report_renders_violations_and_summary() {
         let r = Report {
-            violations: vec![v("L2", "crates/a/src/x.rs", 3)],
+            violations: vec![v("L8", "crates/a/src/x.rs", 3)],
             files_scanned: 5,
             allowlisted: 1,
             stale_allow: Vec::new(),
         };
         let s = r.to_string();
-        assert!(s.contains("L2: crates/a/src/x.rs:3: msg"));
+        assert!(s.contains("L8: crates/a/src/x.rs:3: msg"));
         assert!(s.contains("1 violation(s)"));
         assert!(!r.is_clean());
     }
@@ -409,7 +291,9 @@ mod tests {
             }],
             files_scanned: 5,
             allowlisted: 1,
-            stale_allow: vec!["allowlist entry `L7 a.rs` no longer matches any finding".into()],
+            stale_allow: vec![
+                "inline `lint:allow(L9)` at a.rs:4 no longer matches any finding".into(),
+            ],
         };
         let text = r.to_json();
         json::validate(&text).expect("report is well-formed JSON");
@@ -442,7 +326,7 @@ mod tests {
     fn github_format_escapes_and_annotates() {
         let r = Report {
             violations: vec![Violation {
-                rule: "L1",
+                rule: "L13",
                 path: "crates/a/src/x.rs".into(),
                 line: 7,
                 span: (0, 6),
@@ -454,7 +338,7 @@ mod tests {
         };
         let s = r.to_github();
         assert!(
-            s.contains("::error file=crates/a/src/x.rs,line=7,title=lint L1::"),
+            s.contains("::error file=crates/a/src/x.rs,line=7,title=lint L13::"),
             "{s}"
         );
         assert!(s.contains("50%25 of cases%0Asecond line"), "{s}");
@@ -470,39 +354,48 @@ mod tests {
         let dir = std::env::temp_dir().join("xtask-lint-e2e");
         let src = dir.join("crates/demo/src");
         std::fs::create_dir_all(&src).expect("mkdir");
+        // One bare L8 finding, one excused by a marker on its line and
+        // one by a marker on the line above.
         std::fs::write(
             src.join("lib.rs"),
-            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             pub fn g(x: Option<u8>) -> u8 { x.unwrap() } // lint:allow(L1)\n",
+            "pub fn f(a: f32, b: f32) -> bool { a.partial_cmp(&b).is_some() }\n\
+             pub fn g(a: f32, b: f32) -> bool { a.partial_cmp(&b).is_some() } // lint:allow(L8)\n\
+             // lint:allow(L8) audited\n\
+             pub fn h(a: f32, b: f32) -> bool { a.partial_cmp(&b).is_some() }\n",
         )
         .expect("write");
-        let report = run(&dir, &dir.join("nonexistent.allow")).expect("runs");
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "L1");
-        assert_eq!(report.allowlisted, 1);
+        let report = run(&dir).expect("runs");
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].rule, "L8");
+        assert_eq!(report.violations[0].line, 1);
+        assert_eq!(report.allowlisted, 2);
         assert!(report.stale_allow.is_empty(), "{:?}", report.stale_allow);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn stale_allowlist_entries_and_markers_are_reported() {
+    fn stale_markers_are_reported() {
         let dir = std::env::temp_dir().join("xtask-lint-stale");
         let src = dir.join("crates/demo/src");
         std::fs::create_dir_all(&src).expect("mkdir");
-        // The marker no longer suppresses anything (no finding on its
-        // lines), and the allowlist names a finding that doesn't exist.
+        // The first marker excuses the finding on its line; the second
+        // names the wrong rule, and the third has no finding near it.
         std::fs::write(
             src.join("lib.rs"),
-            "pub fn f() -> u8 { 1 } // lint:allow(L1)\n",
+            "pub fn f(a: f32, b: f32) -> bool { a.partial_cmp(&b).is_some() } // lint:allow(L8)\n\
+             \n\
+             pub fn g(a: f32, b: f32) -> bool { a.partial_cmp(&b).is_some() } // lint:allow(L9)\n\
+             \n\
+             pub fn h() -> u8 { 1 } // lint:allow(L8)\n",
         )
         .expect("write");
-        std::fs::write(dir.join("lint.allow"), "L7 crates/demo/src/lib.rs\n").expect("write");
-        let report = run(&dir, &dir.join("lint.allow")).expect("runs");
-        assert!(report.is_clean());
+        let report = run(&dir).expect("runs");
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].line, 3);
+        assert_eq!(report.allowlisted, 1);
         assert_eq!(report.stale_allow.len(), 2, "{:?}", report.stale_allow);
-        assert!(report.stale_allow[0].contains("L7 crates/demo/src/lib.rs"));
-        assert!(report.stale_allow[1].contains("lint:allow(L1)"));
-        assert!(report.stale_allow[1].contains("lib.rs:1"));
+        assert!(report.stale_allow[0].contains("lint:allow(L9)` at crates/demo/src/lib.rs:3"));
+        assert!(report.stale_allow[1].contains("lint:allow(L8)` at crates/demo/src/lib.rs:5"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,8 +1,11 @@
-//! The workspace lint rules L1–L13.
+//! The workspace lint rules that clippy cannot express: L4, L6/L12, L8,
+//! L9, L11 and L13.
 //!
 //! Each rule walks a [`SourceFile`]'s token stream and scope facts and
 //! returns violations. Rationale and the escape hatch for every rule
-//! live in DESIGN.md §Correctness tooling.
+//! live in DESIGN.md §Correctness tooling. The missing numbers, L1, L2,
+//! L3, L5, L7 and L10, are clippy lints (`Cargo.toml`'s
+//! `[workspace.lints.clippy]` and `clippy.toml`).
 
 use super::lex::Kind;
 use super::source::SourceFile;
@@ -31,16 +34,10 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
     let scope = FileScope::of(&file.rel_path);
     let sig = Sig::new(file);
     let mut v = Vec::new();
-    v.extend(l1_no_panics(file, &sig));
-    v.extend(l2_no_hash_collections(file, &sig));
-    v.extend(l3_no_wall_clock(file, &sig, &scope));
     v.extend(l4_shapes_doc(file, &scope));
-    v.extend(l5_no_raw_threads(file, &sig, &scope));
     v.extend(l6_l12_no_loop_allocs(file, &sig));
-    v.extend(l7_no_stdio_prints(file, &sig, &scope));
     v.extend(l8_float_reductions(file, &sig));
     v.extend(l9_lock_discipline(file, &sig, &scope));
-    v.extend(l10_safety_contracts(file));
     v.extend(l11_shape_cross_check(file, &scope));
     v.extend(l13_isa_containment(file, &sig));
     v
@@ -130,100 +127,6 @@ impl<'a> Sig<'a> {
     }
 }
 
-/// L1: no `unwrap()` / `expect()` / `panic!` in library code outside tests.
-///
-/// `assert!`/`debug_assert!` are deliberately permitted: they state
-/// invariants, not error handling. Recoverable failures must use the
-/// crate's typed error enums.
-fn l1_no_panics(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (word, needs, label) in [
-        ("unwrap", "(", "`.unwrap()` in non-test library code"),
-        ("expect", "(", "`.expect()` in non-test library code"),
-        ("panic", "!", "`panic!` in non-test library code"),
-    ] {
-        for i in sig.idents(word) {
-            let (start, _) = sig.span(i);
-            if file.in_test(start) || sig.text(i + 1) != needs {
-                continue;
-            }
-            out.push(violation(
-                file,
-                "L1",
-                sig.span(i),
-                format!("{label}; use a typed error"),
-            ));
-        }
-    }
-    out
-}
-
-/// L2: no `HashMap`/`HashSet` in non-test library code.
-///
-/// Unordered iteration feeding serialization, metrics export or h-NMS
-/// ordering silently breaks run-to-run determinism; the workspace
-/// standard is `BTreeMap`/`BTreeSet` (deterministic iteration order).
-fn l2_no_hash_collections(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for word in ["HashMap", "HashSet"] {
-        for i in sig.idents(word) {
-            let (start, _) = sig.span(i);
-            if file.in_test(start) {
-                continue;
-            }
-            out.push(violation(
-                file,
-                "L2",
-                sig.span(i),
-                format!("`{word}` has nondeterministic iteration order; use BTreeMap/BTreeSet"),
-            ));
-        }
-    }
-    out
-}
-
-/// L3: no wall-clock access outside `rhsd-obs` and `rhsd-bench`.
-///
-/// `Instant`-derived values leaking into library crates are a
-/// nondeterminism source; all timing goes through `rhsd-obs` spans.
-fn l3_no_wall_clock(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Violation> {
-    if scope.crate_name == "obs" || scope.crate_name == "bench" {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for i in sig.idents("std") {
-        if sig.match_path(i, &["std", "time"]).is_none() {
-            continue;
-        }
-        let (start, _) = sig.span(i);
-        if file.in_test(start) {
-            continue;
-        }
-        out.push(violation(
-            file,
-            "L3",
-            sig.span(i),
-            "`std::time` outside rhsd-obs/rhsd-bench breaks determinism".to_string(),
-        ));
-    }
-    for word in ["Instant", "SystemTime"] {
-        for i in sig.idents(word) {
-            let (start, _) = sig.span(i);
-            if file.in_test(start) {
-                continue;
-            }
-            out.push(violation(
-                file,
-                "L3",
-                sig.span(i),
-                format!("`{word}` outside rhsd-obs/rhsd-bench breaks determinism"),
-            ));
-        }
-    }
-    out.sort_by_key(|v| v.span.0);
-    out
-}
-
 /// L4: public tensor-consuming functions in `rhsd-nn`/`rhsd-core` must
 /// document their expected shapes in a `/// Shapes:` doc section.
 fn l4_shapes_doc(file: &SourceFile, scope: &FileScope) -> Vec<Violation> {
@@ -251,41 +154,6 @@ fn l4_shapes_doc(file: &SourceFile, scope: &FileScope) -> Vec<Violation> {
             ));
         }
     }
-    out
-}
-
-/// L5: no raw thread creation (`thread::spawn` / `thread::Builder`)
-/// outside `rhsd-par` and `rhsd-serve`.
-///
-/// All pipeline parallelism goes through the `rhsd-par` pool: its fixed
-/// chunk schedule and in-order reduction are what keep results
-/// bit-identical at any thread count, and its counters feed the
-/// observability layer. Ad-hoc threads bypass both. (`rhsd-serve` owns
-/// the acceptor, per-connection and batcher threads — compute inside
-/// them still runs on the rhsd-par pool.)
-fn l5_no_raw_threads(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Violation> {
-    if matches!(scope.crate_name.as_str(), "par" | "serve") {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for tail in ["spawn", "Builder"] {
-        for i in sig.idents("thread") {
-            if sig.match_path(i, &["thread", tail]).is_none() {
-                continue;
-            }
-            let (start, _) = sig.span(i);
-            if file.in_test(start) {
-                continue;
-            }
-            out.push(violation(
-                file,
-                "L5",
-                sig.span(i),
-                format!("`thread::{tail}` outside rhsd-par; use the rhsd_par pool (deterministic schedule + obs counters)"),
-            ));
-        }
-    }
-    out.sort_by_key(|v| v.span.0);
     out
 }
 
@@ -352,39 +220,6 @@ fn l6_l12_no_loop_allocs(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
             sig.span(i),
             format!("{label} inside a hot loop; hoist it or take scratch from the Workspace pool"),
         ));
-    }
-    out.sort_by_key(|v| v.span.0);
-    out
-}
-
-/// L7: no `println!`/`eprintln!` (or `print!`/`eprint!`) in library
-/// code.
-///
-/// Library crates report through `rhsd-obs` (counters, spans, the
-/// ledger) so output stays machine-readable and quiet by default;
-/// stray prints corrupt piped output (`--bench-out -` style usage) and
-/// bypass the run ledger. Binaries (`src/bin/`), `rhsd-obs` itself and
-/// the `xtask` tree (not scanned) own the terminal. The audited CLI
-/// surface in `rhsd-bench` is allowlisted, not exempted: new prints
-/// there still need a deliberate allowlist entry.
-fn l7_no_stdio_prints(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Violation> {
-    if scope.crate_name == "obs" || file.rel_path.contains("/src/bin/") {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for word in ["println", "eprintln", "print", "eprint"] {
-        for i in sig.idents(word) {
-            let (start, _) = sig.span(i);
-            if file.in_test(start) || sig.text(i + 1) != "!" {
-                continue;
-            }
-            out.push(violation(
-                file,
-                "L7",
-                sig.span(i),
-                format!("`{word}!` in library code; report through rhsd-obs instead"),
-            ));
-        }
     }
     out.sort_by_key(|v| v.span.0);
     out
@@ -596,56 +431,6 @@ fn l9_lock_discipline(file: &SourceFile, sig: &Sig, scope: &FileScope) -> Vec<Vi
     out
 }
 
-/// L10: every `unsafe` must carry an adjacent `// SAFETY:` comment.
-///
-/// The argument for why the invariants hold belongs next to the code
-/// that relies on them; "adjacent" means on the same line or in the
-/// contiguous comment/attribute block immediately above.
-fn l10_safety_contracts(file: &SourceFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for &off in &file.scopes.unsafe_sites {
-        if file.in_test(off) {
-            continue;
-        }
-        let line = file.line_of(off);
-        if file.raw_line(line).contains("SAFETY:") {
-            continue;
-        }
-        let mut l = line;
-        let mut found = false;
-        while l > 1 {
-            l -= 1;
-            let t = file.raw_line(l).trim();
-            if t.starts_with("//") || t.starts_with("/*") || t.starts_with('*') {
-                if t.contains("SAFETY:") {
-                    found = true;
-                    break;
-                }
-            } else if t.starts_with("#[") || t.ends_with(']') {
-                continue; // attributes between the comment and the item
-            } else {
-                break;
-            }
-        }
-        if !found {
-            let context = file
-                .scopes
-                .enclosing_fn(off)
-                .map(|f| format!(" in fn `{}`", f.name))
-                .unwrap_or_default();
-            out.push(violation(
-                file,
-                "L10",
-                (off, off + "unsafe".len()),
-                format!(
-                    "`unsafe`{context} without an adjacent `// SAFETY:` comment arguing the invariants"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// L11: `Shapes:` docs must agree with the fn signature.
 ///
 /// L4 makes public tensor-consuming fns *have* a Shapes section; L11
@@ -723,7 +508,7 @@ const L13_DETECT_FILE: &str = "crates/tensor/src/ops/kernels/mod.rs";
 /// must go through the single `rhsd_tensor::ops::kernels::Isa` selector
 /// so forced-scalar mode (`RHSD_FORCE_SCALAR=1`) and the bitwise
 /// scalar/SIMD equivalence tests cover *all* vector code. `unsafe` inside the kernels still
-/// needs its `// SAFETY:` comment — that is L10's department.
+/// needs its `// SAFETY:` comment and `# Safety` doc — clippy's department.
 fn l13_isa_containment(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
     let allowed = file.rel_path.starts_with(L13_ISA_PREFIX);
     let may_detect = file.rel_path == L13_DETECT_FILE;
@@ -935,94 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_flags_unwrap_expect_panic() {
-        let v = lint(
-            "crates/data/src/a.rs",
-            "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"no\"); }",
-        );
-        assert_eq!(rules(&v), vec!["L1", "L1", "L1"]);
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn l1_ignores_unwrap_or_and_tests_and_comments() {
-        let v = lint(
-            "crates/data/src/a.rs",
-            "fn f() { x.unwrap_or(0); y.unwrap_or_else(|| 1); }\n\
-             // a comment saying unwrap()\n\
-             #[cfg(test)]\nmod tests { fn g() { x.unwrap(); panic!(); } }\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn l1_ignores_should_panic_attr_and_asserts() {
-        let v = lint(
-            "crates/data/src/a.rs",
-            "#[should_panic(expected = \"boom\")]\nfn f() { assert!(x > 0); debug_assert_eq!(a, b); }",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn l1_inline_allow_is_reported_by_driver_not_rule() {
-        // The rule still fires; filtering happens in the driver.
-        let v = lint(
-            "crates/data/src/a.rs",
-            "fn f() { panic!(\"contract\"); } // lint:allow(L1)",
-        );
-        assert_eq!(rules(&v), vec!["L1"]);
-    }
-
-    #[test]
-    fn l2_flags_hash_collections_outside_tests() {
-        let v = lint(
-            "crates/data/src/a.rs",
-            "use std::collections::HashMap;\nfn f() { let m: HashMap<u8, u8> = HashMap::new(); }\n\
-             #[cfg(test)]\nmod tests { use std::collections::HashSet; }\n",
-        );
-        assert_eq!(rules(&v), vec!["L2", "L2", "L2"]);
-        assert!(v[0].message.contains("BTreeMap"));
-    }
-
-    #[test]
-    fn l3_flags_wall_clock_outside_obs_and_bench() {
-        let bad = "use std::time::Instant;\nfn f() { let t = Instant::now(); }";
-        let v = lint("crates/core/src/a.rs", bad);
-        assert!(rules(&v).iter().all(|r| *r == "L3"));
-        assert!(!v.is_empty());
-        assert!(lint("crates/obs/src/a.rs", bad).is_empty());
-        assert!(lint("crates/bench/src/a.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn l5_flags_raw_threads_outside_par_and_serve() {
-        let bad = "fn f() { std::thread::spawn(|| {}); }\n\
-                   fn g() { let b = std::thread::Builder::new(); }";
-        let v = lint("crates/core/src/a.rs", bad);
-        assert_eq!(rules(&v), vec!["L5", "L5"]);
-        assert!(v[0].message.contains("rhsd_par"));
-        // the pool crate and the serve crate's acceptor/connection/
-        // batcher threads are exempt; the obs crate is not
-        assert!(lint("crates/par/src/lib.rs", bad).is_empty());
-        assert!(lint("crates/serve/src/server.rs", bad).is_empty());
-        assert_eq!(
-            rules(&lint("crates/obs/src/span.rs", bad)),
-            vec!["L5", "L5"]
-        );
-    }
-
-    #[test]
-    fn l5_ignores_tests_and_comments() {
-        let v = lint(
-            "crates/core/src/a.rs",
-            "// a note about thread::spawn\n\
-             #[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| {}); } }\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
     fn l4_requires_shapes_doc_on_public_tensor_fns() {
         let bad = "/// Does things.\npub fn f(x: &Tensor) -> f32 { 0.0 }\n";
         let good = "/// Does things.\n///\n/// Shapes: `x` is `[n, 4]`.\npub fn f(x: &Tensor) -> f32 { 0.0 }\n";
@@ -1069,26 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn l7_flags_prints_in_library_code() {
-        let bad = "fn f() { println!(\"x\"); eprintln!(\"y\"); print!(\"z\"); eprint!(\"w\"); }";
-        let v = lint("crates/data/src/a.rs", bad);
-        assert_eq!(rules(&v), vec!["L7", "L7", "L7", "L7"]);
-        assert!(v[0].message.contains("rhsd-obs"));
-    }
-
-    #[test]
-    fn l7_exempts_bins_obs_and_tests() {
-        let bad = "fn f() { println!(\"x\"); }";
-        assert!(lint("crates/bench/src/bin/repro_table1.rs", bad).is_empty());
-        assert!(lint("crates/obs/src/ledger.rs", bad).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests { fn t() { println!(\"x\"); } }";
-        assert!(lint("crates/data/src/a.rs", in_test).is_empty());
-        // comments and non-macro identifiers don't fire
-        let benign = "// println! is banned here\nfn print_table() {}\n";
-        assert!(lint("crates/data/src/a.rs", benign).is_empty());
-    }
-
-    #[test]
     fn l4_handles_multiline_signatures_and_attrs() {
         let bad =
             "/// Doc.\n#[inline]\npub fn f(\n    x: &Tensor,\n    n: usize,\n) -> f32 { 0.0 }\n";
@@ -1097,8 +774,6 @@ mod tests {
         assert_eq!(rules(&lint("crates/core/src/a.rs", bad)), vec!["L4"]);
         assert!(lint("crates/core/src/a.rs", good).is_empty());
     }
-
-    // ---- new-rule tests (L8–L12) ----
 
     #[test]
     fn l8_flags_float_turbofish_sums() {
@@ -1174,26 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn l10_requires_safety_comment_on_unsafe() {
-        let bad = "fn f() { let x = unsafe { std::mem::transmute::<u32, i32>(1) }; }";
-        let v = lint("crates/par/src/a.rs", bad);
-        assert_eq!(rules(&v), vec!["L10"]);
-        let good = "fn f() {\n    // SAFETY: u32 and i32 have identical layout.\n    let x = unsafe { std::mem::transmute::<u32, i32>(1) };\n}";
-        assert!(lint("crates/par/src/a.rs", good).is_empty());
-        let same_line = "fn f() { let x = unsafe { g() }; // SAFETY: g has no preconditions\n}";
-        assert!(lint("crates/par/src/a.rs", same_line).is_empty());
-    }
-
-    #[test]
-    fn l10_safety_comment_above_attrs_counts_and_tests_are_exempt() {
-        let good = "// SAFETY: the pointer is valid for 'scope.\n#[inline]\nunsafe fn g(p: *const u8) {}\n";
-        assert!(lint("crates/par/src/a.rs", good).is_empty());
-        let in_test =
-            "#[cfg(test)]\nmod tests { fn t() { let _ = unsafe { core::hint::unreachable_unchecked() }; } }";
-        assert!(lint("crates/par/src/a.rs", in_test).is_empty());
-    }
-
-    #[test]
     fn l11_flags_doc_signature_drift() {
         // Doc names a parameter that no longer exists.
         let drifted = "/// Shapes: `old` is `[n, 4]`.\npub fn f(x: &Tensor) -> f32 { 0.0 }\n";
@@ -1245,8 +900,7 @@ mod tests {
 
     #[test]
     fn l13_flags_isa_code_outside_kernels() {
-        let bad = "// SAFETY: test fixture.\n\
-             #[target_feature(enable = \"avx2\")]\n\
+        let bad = "#[target_feature(enable = \"avx2\")]\n\
              unsafe fn f(a: &[f32]) { use core::arch::x86_64::*; let _ = _mm256_setzero_ps(); }\n\
              fn g() -> bool { std::arch::is_x86_feature_detected!(\"avx2\") }\n";
         let v = lint("crates/nn/src/layers/conv2d.rs", bad);
@@ -1261,8 +915,7 @@ mod tests {
 
     #[test]
     fn l13_allows_only_the_kernels_module() {
-        let simd = "// SAFETY: test fixture.\n\
-             #[target_feature(enable = \"avx2\")]\n\
+        let simd = "#[target_feature(enable = \"avx2\")]\n\
              unsafe fn f() { use core::arch::x86_64::*; let _ = _mm256_setzero_ps(); }\n";
         assert!(lint("crates/tensor/src/ops/kernels/x86.rs", simd).is_empty());
         // Anywhere else target_feature, core::arch and _mm256… all fire.

@@ -9,8 +9,7 @@
 //!   test-only items, so rules can skip them;
 //! - **loop bodies** — brace spans opened by `for`/`while`/`loop`
 //!   headers, with `impl Trait for Type` and `for<'a>` higher-ranked
-//!   bounds recognised so their `for` never counts as a loop;
-//! - **`unsafe` keyword sites** for the SAFETY-contract rule.
+//!   bounds recognised so their `for` never counts as a loop.
 //!
 //! Brace matching is exact over the token stream (string/char/comment
 //! contents can no longer unbalance it, unlike the old line-stripping
@@ -46,8 +45,6 @@ pub struct Scopes {
     pub test_regions: Vec<(usize, usize)>,
     /// Brace spans (including braces) of `for`/`while`/`loop` bodies.
     pub loop_bodies: Vec<(usize, usize)>,
-    /// Byte offsets of `unsafe` keyword tokens.
-    pub unsafe_sites: Vec<usize>,
 }
 
 impl Scopes {
@@ -63,14 +60,6 @@ impl Scopes {
         self.loop_bodies
             .iter()
             .any(|&(a, b)| a <= offset && offset < b)
-    }
-
-    /// The innermost function whose body contains `offset`.
-    pub fn enclosing_fn(&self, offset: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= offset && offset < b))
-            .min_by_key(|f| f.body.map(|(a, b)| b - a).unwrap_or(usize::MAX))
     }
 }
 
@@ -109,7 +98,6 @@ pub fn analyze(src: &str, tokens: &[Token]) -> Scopes {
         let text = tok.text(src);
         match tok.kind {
             Kind::Ident => match text {
-                "unsafe" => scopes.unsafe_sites.push(tok.start),
                 "impl" | "trait" => in_impl_header = true,
                 "for" | "while" | "loop" if paren_depth == 0 => {
                     // `impl Trait for Type` and `for<'a>` are not loops.
@@ -451,36 +439,13 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_sites_are_recorded() {
-        let src =
-            "fn f() { let x = unsafe { core::mem::transmute(1u32) }; }\npub unsafe fn g() {}\n";
-        let s = scopes(src);
-        assert_eq!(s.unsafe_sites.len(), 2);
-        assert_eq!(s.unsafe_sites[0], src.find("unsafe").expect("fixture"));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_the_innermost() {
-        let src = "fn outer() {\n    fn inner() { leaf(); }\n    other();\n}\n";
-        let s = scopes(src);
-        let leaf = src.find("leaf").expect("fixture");
-        assert_eq!(s.enclosing_fn(leaf).map(|f| f.name.as_str()), Some("inner"));
-        let other = src.find("other").expect("fixture");
-        assert_eq!(
-            s.enclosing_fn(other).map(|f| f.name.as_str()),
-            Some("outer")
-        );
-    }
-
-    #[test]
     fn string_and_comment_braces_cannot_unbalance_scopes() {
         let src = "fn f() {\n    let s = \"}}}{{{\"; // }} stray {{\n    /* { */ g();\n}\nfn h() { i(); }\n";
         let s = scopes(src);
         assert_eq!(s.fns.len(), 2);
-        assert_eq!(
-            s.enclosing_fn(src.find("i()").expect("fixture"))
-                .map(|f| f.name.as_str()),
-            Some("h")
-        );
+        let call = src.find("i()").expect("fixture");
+        let (a, b) = s.fns[1].body.expect("h has a body");
+        assert_eq!(s.fns[1].name, "h");
+        assert!(a <= call && call < b);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! - the **token list** itself, for token-accurate rules;
 //! - the **scope facts** ([`crate::lint::scope`]): fn items, test
-//!   regions, loop bodies, `unsafe` sites;
+//!   regions, loop bodies;
 //! - a **code mask** — the text with comment and string/char literal
 //!   *contents* blanked to spaces (byte offsets and line numbers
 //!   preserved) — kept for rules that still scan text, so that
@@ -70,35 +70,13 @@ impl SourceFile {
         self.scopes.in_test(offset)
     }
 
-    /// The raw text of a 1-based line (without the trailing newline).
-    pub fn raw_line(&self, line: usize) -> &str {
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map(|&e| e.saturating_sub(1))
-            .unwrap_or(self.raw.len());
-        &self.raw[start..end.max(start)]
-    }
-
-    /// Whether a violation of `rule` at 1-based `line` carries an inline
-    /// `// lint:allow(<rule>)` escape hatch (same line or the line above).
-    pub fn inline_allowed(&self, rule: &str, line: usize) -> bool {
-        let marker = format!("lint:allow({rule})");
-        let mut lines = vec![line];
-        if line > 1 {
-            lines.push(line - 1);
-        }
-        lines.iter().any(|&l| self.raw_line(l).contains(&marker))
-    }
-
     /// Every inline `// lint:allow(<rule>)` marker in the file, as
-    /// `(rule, 1-based line)` pairs — input to the stale-marker gate.
+    /// `(rule, 1-based line)` pairs. A marker excuses a finding of its
+    /// rule on its own line or the line below (see [`crate::lint::run`]).
     pub fn inline_allow_markers(&self) -> Vec<(String, usize)> {
         let mut out = Vec::new();
-        for (idx, _) in self.line_starts.iter().enumerate() {
+        for (idx, text) in self.raw.lines().enumerate() {
             let line = idx + 1;
-            let text = self.raw_line(line);
             let mut rest = text;
             while let Some(p) = rest.find("lint:allow(") {
                 let tail = &rest[p + "lint:allow(".len()..];
@@ -246,23 +224,12 @@ mod tests {
     }
 
     #[test]
-    fn inline_allow_matches_same_and_previous_line() {
-        let src = "x(); // lint:allow(L1)\ny();\nw();\n// lint:allow(L3)\nz();\n";
-        let f = SourceFile::new("a.rs", src);
-        assert!(f.inline_allowed("L1", 1));
-        assert!(f.inline_allowed("L1", 2), "marker excuses the next line");
-        assert!(!f.inline_allowed("L1", 3));
-        assert!(f.inline_allowed("L3", 5));
-        assert!(!f.inline_allowed("L1", 5));
-    }
-
-    #[test]
     fn inline_allow_markers_are_enumerated() {
-        let src = "x(); // lint:allow(L1)\ny();\n// lint:allow(L9) queue guard drops at stmt end\n";
+        let src = "x(); // lint:allow(L8)\ny();\n// lint:allow(L9) queue guard drops at stmt end\n";
         let f = SourceFile::new("a.rs", src);
         assert_eq!(
             f.inline_allow_markers(),
-            vec![("L1".to_string(), 1), ("L9".to_string(), 3)]
+            vec![("L8".to_string(), 1), ("L9".to_string(), 3)]
         );
     }
 }

@@ -25,10 +25,10 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use rhsd_layout::synth::CaseId;
 use rhsd_obs::json::{self, Value};
+use rhsd_obs::Stopwatch;
 use rhsd_serve::proto::{case_from_name, read_frame, request_json, write_frame, Half, Request};
 use rhsd_serve::Client;
 
@@ -172,9 +172,9 @@ fn drive_connection(opts: &Options, conn: usize) -> Result<ConnRows, String> {
             let mut out = Vec::with_capacity(opts.requests);
             for i in 0..opts.requests {
                 let case = pick_case(opts, conn, i);
-                let t = Instant::now();
+                let t = Stopwatch::start();
                 let body = client.scan(case, Half::Test).map_err(|e| fail(&e))?;
-                out.push((case, t.elapsed().as_secs_f64() * 1e3, body));
+                out.push((case, t.secs() * 1e3, body));
             }
             Ok(out)
         }
@@ -191,14 +191,14 @@ fn drive_connection(opts: &Options, conn: usize) -> Result<ConnRows, String> {
                     half: Half::Test,
                 });
                 write_frame(&mut writer, &req).map_err(|e| fail(&e))?;
-                sent.push((case, Instant::now()));
+                sent.push((case, Stopwatch::start()));
             }
             let mut out = Vec::with_capacity(opts.requests);
             for (case, t) in sent {
                 let body = read_frame(&mut reader)
                     .map_err(|e| fail(&e))?
                     .ok_or_else(|| fail(&"server closed mid-stream"))?;
-                out.push((case, t.elapsed().as_secs_f64() * 1e3, body));
+                out.push((case, t.secs() * 1e3, body));
             }
             Ok(out)
         }
@@ -245,7 +245,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         opts.addr
     );
 
-    let wall = Instant::now();
+    let wall = Stopwatch::start();
     let results: Vec<Result<ConnRows, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.connections)
             .map(|conn| {
@@ -261,7 +261,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             })
             .collect()
     });
-    let wall_secs = wall.elapsed().as_secs_f64();
+    let wall_secs = wall.secs();
 
     let mut latencies: Vec<f64> = Vec::new();
     let mut mismatches = 0usize;

@@ -21,17 +21,17 @@ const USAGE: &str = "\
 usage: cargo xtask <task>
 
 tasks:
-  lint [--root <dir>] [--allowlist <file>] [--format <fmt>]
-       [--out <file>] [--check-allow]
-      Run the workspace lint rules (L1-L13) over crates/*/src/**/*.rs
-      on the token engine (lexer + scope parser).
+  lint [--root <dir>] [--format <fmt>] [--out <file>] [--check-allow]
+      Run the workspace lint rules clippy cannot express (L4, L6/L12,
+      L8, L9, L11, L13) over crates/*/src/**/*.rs on the token engine
+      (lexer + scope parser); L1, L2, L3, L5, L7 and L10 are clippy
+      lints (`cargo clippy --workspace --all-features -- -D warnings`).
       --root         workspace root (default: parent of the xtask crate)
-      --allowlist    allowlist file (default: <root>/xtask/lint.allow)
       --format       text (default) | json (rhsd-lint-report/1) |
                      github (::error workflow annotations)
       --out          also write the JSON report to <file>
-      --check-allow  fail (exit 1) when an allowlist entry or inline
-                     `// lint:allow` marker no longer matches anything
+      --check-allow  fail (exit 1) when an inline `// lint:allow`
+                     marker no longer matches anything
 
   microbench [--quick] [--threads <n>] [--out <file>]
       Time the hot kernels (in-place conv, fold, FC, litho aerial) over
@@ -134,7 +134,6 @@ fn default_root() -> PathBuf {
 
 fn run_lint(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut allowlist: Option<PathBuf> = None;
     let mut format = "text".to_string();
     let mut out_path: Option<PathBuf> = None;
     let mut check_allow = false;
@@ -144,10 +143,6 @@ fn run_lint(args: &[String]) -> ExitCode {
             "--root" => match it.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a directory"),
-            },
-            "--allowlist" => match it.next() {
-                Some(v) => allowlist = Some(PathBuf::from(v)),
-                None => return usage_error("--allowlist needs a file"),
             },
             "--format" => match it.next() {
                 Some(v) if matches!(v.as_str(), "text" | "json" | "github") => {
@@ -169,9 +164,8 @@ fn run_lint(args: &[String]) -> ExitCode {
         }
     }
     let root = root.unwrap_or_else(default_root);
-    let allowlist = allowlist.unwrap_or_else(|| root.join("xtask").join("lint.allow"));
 
-    match lint::run(&root, &allowlist) {
+    match lint::run(&root) {
         Ok(report) => {
             match format.as_str() {
                 "json" => print!("{}", report.to_json()),

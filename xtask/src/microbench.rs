@@ -49,7 +49,6 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use rand::SeedableRng;
 use rhsd_core::refine::RefinementHead;
@@ -60,6 +59,7 @@ use rhsd_litho::aerial::aerial_image;
 use rhsd_litho::GaussianKernel;
 use rhsd_nn::layers::LeakyRelu;
 use rhsd_nn::{Layer, Tape};
+use rhsd_obs::Stopwatch;
 use rhsd_tensor::ops::conv::{conv2d, conv2d_backward, conv2d_weight_grads, ConvSpec};
 use rhsd_tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd_tensor::ops::kernels::{self, Isa};
@@ -140,9 +140,9 @@ fn time_case<S>(
     let mut total = 0.0;
     for _ in 0..reps {
         let input = setup();
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         let out = f(input);
-        let dt = t0.elapsed().as_secs_f64();
+        let dt = t0.secs();
         std::hint::black_box(out.as_slice().first().copied());
         best = best.min(dt);
         total += dt;

@@ -96,8 +96,9 @@ esac
 
 # Lint-only gate: every workspace rule, the token linter's (L4, L6/L12,
 # L8, L9, L11, L13) and then clippy's (L1-L3, L5, L7, L10).
-# --all-features compiles the debug_invariants checks, so clippy sees
-# their audited panics. Exit codes are the tools' own and are
+# Clippy lints every target (tests and examples too), and
+# --all-features compiles the debug_invariants checks, so it sees their
+# audited panics. Exit codes are the tools' own and are
 # propagated unchanged by run_step: 0 clean, 1 violations (or a stale
 # inline marker under --check-allow), 2 internal/usage error (clippy
 # exits 101 on findings). Under CI=1 the linter's findings render as
@@ -109,7 +110,7 @@ if [[ $mode == --lint-only ]]; then
         lint_cmd+=(--format github --out lint-report.json)
     fi
     run_step "lint" "${lint_cmd[@]}"
-    run_step "clippy" cargo clippy --workspace --all-features -- -D warnings
+    run_step "clippy" cargo clippy --workspace --all-targets --all-features -- -D warnings
     printf '\nLint gate passed.\n'
     exit 0
 fi
@@ -421,6 +422,6 @@ run_step "cargo xtask lint" cargo xtask lint --check-allow
 
 run_step "cargo fmt --check" cargo fmt --all --check
 
-run_step "cargo clippy -D warnings" cargo clippy --workspace --all-features -- -D warnings
+run_step "cargo clippy -D warnings" cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 printf '\nCI gate passed.\n'

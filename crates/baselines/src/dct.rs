@@ -221,7 +221,7 @@ mod tests {
         for n in [1usize, 2, 4, 8] {
             let order = zigzag_order(n);
             assert_eq!(order.len(), n * n);
-            let set: std::collections::HashSet<_> = order.iter().collect();
+            let set: std::collections::BTreeSet<_> = order.iter().collect();
             assert_eq!(set.len(), n * n);
             assert_eq!(order[0], (0, 0));
         }

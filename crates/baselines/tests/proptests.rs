@@ -1,5 +1,7 @@
 //! Property-based tests for the DCT front end and the evaluation harness.
 
+#![expect(clippy::expect_used, reason = "test helpers fail loudly")]
+
 use proptest::prelude::*;
 use rhsd_baselines::dct::{dct2, feature_tensor, idct2, zigzag_order};
 use rhsd_baselines::{evaluate_layout, LayoutClip};
@@ -38,7 +40,7 @@ proptest! {
     fn zigzag_is_a_bijection(n in 1usize..12) {
         let order = zigzag_order(n);
         prop_assert_eq!(order.len(), n * n);
-        let unique: std::collections::HashSet<_> = order.iter().collect();
+        let unique: std::collections::BTreeSet<_> = order.iter().collect();
         prop_assert_eq!(unique.len(), n * n);
         prop_assert!(order.iter().all(|&(u, v)| u < n && v < n));
     }

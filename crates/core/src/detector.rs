@@ -201,6 +201,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs callers outside the pool"
+    )]
     fn concurrent_scans_through_one_shared_detector_match_a_serial_scan() {
         let bench = Benchmark::demo(CaseId::Case2);
         let det = Arc::new(tiny_detector());

@@ -295,7 +295,7 @@ mod tests {
             BBox::new(90.0, 90.0, 32.0, 32.0),
         ];
         let a = assign_anchors(&anchors, &gts, &cfg);
-        let matched: std::collections::HashSet<usize> = a
+        let matched: std::collections::BTreeSet<usize> = a
             .labels
             .iter()
             .filter_map(|l| match l {

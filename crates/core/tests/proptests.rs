@@ -121,7 +121,7 @@ proptest! {
             .enumerate()
             .all(|(i, a)| gts.iter().skip(i + 1).all(|b| a.iou(b) < 0.05));
         if disjoint {
-            let covered: std::collections::HashSet<usize> = a
+            let covered: std::collections::BTreeSet<usize> = a
                 .labels
                 .iter()
                 .filter_map(|l| match l {

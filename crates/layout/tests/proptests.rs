@@ -1,6 +1,6 @@
 //! Property-based tests for geometry, the spatial index and rasterisation.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rhsd_layout::io::{read_rlf, RlfError};
@@ -142,8 +142,12 @@ fn token(i: usize, raw: i64) -> String {
 
 /// Parses `text` and checks the outcome is a `Layout` or a typed
 /// error, reached within a second.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the parser's time bound is wall-clock"
+)]
 fn parses_or_fails_typed(text: &str) -> Result<(), String> {
-    let start = Instant::now();
+    let start = std::time::Instant::now();
     let outcome = read_rlf(text.as_bytes());
     prop_assert!(
         start.elapsed() < Duration::from_secs(1),

@@ -219,6 +219,10 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs threads outside the pool"
+    )]
     fn threads_get_distinct_tids() {
         let _g = global_lock();
         crate::set_enabled(true);

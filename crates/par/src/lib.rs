@@ -667,6 +667,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs callers outside the pool"
+    )]
     fn many_concurrent_callers_share_one_pool() {
         let pool = Arc::new(Pool::new(4));
         let mut handles = Vec::new();

@@ -234,6 +234,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the queue and its submitters run on their own threads"
+    )]
     fn concurrent_submitters_are_served() {
         let detector = Arc::new(tiny_detector());
         let cache = Arc::new(ScanCache::new());
@@ -271,6 +275,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the queue runs on its own thread"
+    )]
     fn sequential_rescans_compute_each_stem_once() {
         let detector = Arc::new(tiny_detector());
         let cache = Arc::new(ScanCache::new());

@@ -1,5 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
+#![expect(clippy::expect_used, reason = "test helpers fail loudly")]
+
 use proptest::prelude::*;
 use rhsd_tensor::ops::conv::{conv2d, ConvSpec};
 use rhsd_tensor::ops::pool::{max_pool2d, roi_pool, FeatureRoi};

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example diagnostics`
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use rand::SeedableRng;
 use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
 use rhsd::data::{test_regions, RegionConfig, RegionSample};

@@ -5,6 +5,12 @@
 //!
 //! Run with: `cargo run --release --example full_chip_scan`
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the example reports wall-clock time"
+)]
+
 use rand::SeedableRng;
 use rhsd::baselines::{Tcad18Config, Tcad18Detector};
 use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork};

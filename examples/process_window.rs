@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example process_window`
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use rhsd::litho::cd::{measure_cd, process_window_cd, Cut};
 use rhsd::litho::{simulate_print, ProcessWindow};
 use rhsd::tensor::Tensor;

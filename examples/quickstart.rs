@@ -4,6 +4,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the example reports wall-clock time"
+)]
+
 use rand::SeedableRng;
 use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
 use rhsd::data::{train_regions, Benchmark, RegionConfig};

@@ -4,6 +4,9 @@
 //! Run with:
 //! `cargo run --release --example train_pipeline -- [--no-ed] [--no-l2] [--no-refine] [--epochs N]`
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+#![expect(clippy::expect_used, reason = "an example stops on the first failure")]
+
 use rand::SeedableRng;
 use rhsd::core::persist::{load_from_path, save_to_path};
 use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};

@@ -4,6 +4,9 @@
 //! Run with: `cargo run --release --example visualize`
 //! Output: `visualize_truth.svg`, `visualize_ours.svg`
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+#![expect(clippy::expect_used, reason = "an example stops on the first failure")]
+
 use rand::SeedableRng;
 use rhsd::baselines::LayoutClip;
 use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};

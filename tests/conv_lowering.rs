@@ -12,6 +12,8 @@
 //! The pool's thread count is process-global, so every test serialises
 //! on one mutex and restores the default.
 
+#![expect(clippy::expect_used, reason = "test helpers fail loudly")]
+
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;

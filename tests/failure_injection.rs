@@ -1,6 +1,8 @@
 //! Failure-injection tests: the stack must degrade loudly (typed errors)
 //! or gracefully (empty results) — never silently corrupt output.
 
+#![expect(clippy::expect_used, reason = "test helpers fail loudly")]
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -3,6 +3,8 @@
 //! relies on — a served scan's reply must equal, byte for byte, the
 //! offline scan written through the same canonical serialiser.
 
+#![expect(clippy::expect_used, reason = "test helpers fail loudly")]
+
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
@@ -82,6 +84,10 @@ fn served_scan_is_bit_identical_to_offline_scan() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the clients run on their own threads"
+)]
 fn concurrent_clients_all_get_exact_results() {
     let model = saved_model("concurrent");
     let cases = [CaseId::Case2, CaseId::Case3];

@@ -31,8 +31,9 @@
 # - the ledger notes the saved model, its epoch lines carry per-layer
 #   dynamics and label entropy, it holds no per-span line, and its
 #   run_end carries the span tree; `cargo xtask report` renders the
-#   span tree, cache gauges and training dynamics, and its HTML page
-#   holds the icicle and the learning curves;
+#   span tree, cache gauges and training dynamics (one layer table per
+#   trained network), and its HTML page holds the icicle and the
+#   learning curves;
 # - a copy of the model with one byte flipped fails to load with a
 #   typed checksum error; rhsd-serve writes the offline Case2 reference,
 #   serves the model on loopback, and `cargo xtask loadgen --quick`
@@ -208,6 +209,19 @@ bench_report_renders() {
         'training dynamics' 'layer dynamics'
 }
 
+# One layer table per trained region network: the quick Table 1 trains
+# three (Faster R-CNN, SSD and Ours), each with a `training` block in the
+# bench record.
+bench_report_layer_table_per_network() {
+    local tables nets
+    tables=$(grep -c '^  layer dynamics (run ' $gate/report.txt)
+    nets=$(grep -c '"training": {' $gate/BENCH_table1.json)
+    [[ $tables -eq 3 && $nets -eq 3 ]] || {
+        echo "report.txt has $tables layer table(s) for $nets trained network(s); want 3" >&2
+        return 1
+    }
+}
+
 bench_report_html() {
     head -c 15 $gate/report.html | grep -q '<!DOCTYPE html>' || {
         echo "report.html is not a self-contained page" >&2
@@ -352,6 +366,8 @@ bench_gate() {
         bench_check_ledger
     run_step "bench gate: xtask report renders spans, caches and dynamics" \
         bench_report_renders
+    run_step "bench gate: report has a layer table per trained network" \
+        bench_report_layer_table_per_network
     run_step "bench gate: report page carries the icicle and learning curves" \
         bench_report_html
 

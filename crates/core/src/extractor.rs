@@ -113,8 +113,8 @@ impl FeatureExtractor {
     /// Runs the inception stack and final pooling on a stem activation
     /// map for inference (the counterpart of
     /// [`FeatureExtractor::forward_stem`]). Its layers keep their
-    /// indices in the whole extractor, so the spans and dynamics keys
-    /// of a split pass are those of [`Layer::forward`].
+    /// indices in the whole extractor, so the span keys of a split pass
+    /// are those of [`Layer::forward`].
     ///
     /// Shapes: `stem_out` is the `[c, h, w]` map `forward_stem` returns;
     /// the result matches [`FeatureExtractor::forward`].
@@ -157,8 +157,9 @@ impl Layer for FeatureExtractor {
     }
 
     fn param_names(&self) -> Vec<String> {
-        // Positional `{Name}#{i}` tags match the activation keys that
-        // training-dynamics telemetry records from `forward_all`.
+        // Positional `{Name}#{i}` tags, the span keys `forward_all`
+        // opens, name each layer's parameter group in the training
+        // ledger's per-layer rows.
         self.layers
             .iter()
             .enumerate()

@@ -59,8 +59,5 @@ pub use hnms::{conventional_nms, hotspot_nms, Scored};
 pub use metrics::{evaluate_region, Evaluation};
 pub use model::{Detection, RhsdNetwork, TrainStats};
 pub use precision::Precision;
-pub use sentinel::{Sentinel, SentinelConfig, SentinelPolicy, TrainAbort, TripReason};
-pub use train::{
-    train, train_checked, train_new, EpochStats, LayerEpochStats, TelemetryConfig, TrainConfig,
-    TrainReport,
-};
+pub use sentinel::{Sentinel, SentinelPolicy, TrainAbort, TripReason};
+pub use train::{train, train_checked, EpochStats, LayerEpochStats, TrainConfig, TrainReport};

@@ -5,7 +5,6 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rhsd_data::{BBox, RegionSample};
-use rhsd_nn::dynamics::{self, StepDynamics};
 use rhsd_nn::{Grads, Layer, Tape};
 use rhsd_tensor::ops::elementwise::axpy;
 use rhsd_tensor::ops::pool::FeatureRoi;
@@ -103,9 +102,6 @@ struct RegionPass {
     feats: Tensor,
     /// The CPN's raw outputs.
     out: CpnOutput,
-    /// The region's telemetry records, in the order a lone pass makes
-    /// them.
-    dynamics: StepDynamics,
 }
 
 impl RhsdNetwork {
@@ -200,9 +196,8 @@ impl RhsdNetwork {
     }
 
     /// Display names for [`RhsdNetwork::params`], index-aligned with it,
-    /// qualified by component (`backbone/`, `cpn/`, `refine/`) —
-    /// training-dynamics telemetry joins these with per-slot optimiser
-    /// statistics.
+    /// qualified by component (`backbone/`, `cpn/`, `refine/`). Training
+    /// groups the per-slot optimiser statistics by these names.
     pub fn param_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .extractor
@@ -255,33 +250,19 @@ impl RhsdNetwork {
     /// scratch that held `+0 + x = x`, is the same add as the
     /// region-by-region pass: the result is bit-identical at any pool
     /// size, and to calling `train_step` once per region. The RNG is
-    /// drawn in the same order, and telemetry records each region's
-    /// layer statistics in the same order.
+    /// drawn in the same order.
     pub fn train_batch(&mut self, batch: &[&RegionSample], rng: &mut impl Rng) -> Vec<TrainStats> {
-        let fork = dynamics::fork();
-
         let mut passes: Vec<RegionPass> = {
             let _sp = rhsd_obs::span("train-forward");
             let (extractor, cpn) = (&self.extractor, &self.cpn);
             rhsd_par::pinned(|| {
                 rhsd_par::map(batch.len(), 1, |i| {
-                    let ((tape, feats, out), dynamics) = fork.record(|| {
-                        let mut tape = Tape::recording();
-                        let feats = {
-                            let _scope = dynamics::scope("backbone");
-                            extractor.forward(batch[i].image.clone(), &mut tape)
-                        };
-                        // The CPN's trunk keeps this copy on the tape;
-                        // the refinement head reads the map itself.
-                        let out = cpn.forward(feats.clone(), &mut tape);
-                        (tape, feats, out)
-                    });
-                    RegionPass {
-                        tape,
-                        feats,
-                        out,
-                        dynamics,
-                    }
+                    let mut tape = Tape::recording();
+                    let feats = extractor.forward(batch[i].image.clone(), &mut tape);
+                    // The CPN's trunk keeps this copy on the tape; the
+                    // refinement head reads the map itself.
+                    let out = cpn.forward(feats.clone(), &mut tape);
+                    RegionPass { tape, feats, out }
                 })
             })
         };
@@ -292,8 +273,7 @@ impl RhsdNetwork {
             let _sp = rhsd_obs::span("train-heads");
             rhsd_par::inline(|| {
                 for (sample, pass) in batch.iter().zip(&mut passes) {
-                    let ((feat_grad, s), heads) = fork.record(|| self.heads(sample, pass, rng));
-                    pass.dynamics.absorb(heads);
+                    let (feat_grad, s) = self.heads(sample, pass, rng);
                     feat_grads.push(feat_grad);
                     stats.push(s);
                 }
@@ -317,22 +297,17 @@ impl RhsdNetwork {
                 rhsd_par::for_each_mut(&mut jobs, 1, |_, job| {
                     for ((pass, feat_grad), scratch) in job.iter_mut() {
                         scratch.zero();
-                        let ((), backward) = fork.record(|| {
-                            let _scope = dynamics::scope("backbone");
-                            // Nothing reads the raster's gradient.
-                            let g = std::mem::take(feat_grad);
-                            extractor.backward_params(&mut pass.tape, g, scratch);
-                        });
+                        // Nothing reads the raster's gradient.
+                        let g = std::mem::take(feat_grad);
+                        extractor.backward_params(&mut pass.tape, g, scratch);
                         debug_assert!(pass.tape.is_empty(), "every recorded forward was consumed");
-                        pass.dynamics.absorb(backward);
                     }
                 })
             });
-            for (pass, scratch) in passes.into_iter().zip(&self.ext_scratch) {
+            for scratch in &self.ext_scratch[..batch.len()] {
                 for (g, s) in self.grads[..n_ext].iter_mut().zip(scratch.iter()) {
                     axpy(g, 1.0, s);
                 }
-                dynamics::absorb(pass.dynamics);
             }
         }
         stats
@@ -367,10 +342,6 @@ impl RhsdNetwork {
         let mut pred_entropy_sum = 0.0f32;
         let n_rois = rois.len();
         if let Some(head) = &self.refinement {
-            // The batched head pass would record activation keys that
-            // mix every RoI; the refinement head is covered by its
-            // optimiser-slot stats and the logit entropy below instead.
-            let _pause = dynamics::pause();
             let f = self.config.feature_px();
             let boxes: Vec<FeatureRoi> = rois
                 .iter()

@@ -79,7 +79,7 @@ impl RefinementHead {
     }
 
     /// The parameterised sub-layers in [`RefinementHead::params`] order,
-    /// with their telemetry names.
+    /// with their parameter-group names.
     fn parts(&self) -> [(&'static str, &dyn Layer); 5] {
         [
             ("InceptionB", &self.incep_b),

@@ -46,60 +46,30 @@ impl SentinelPolicy {
     }
 }
 
-/// Divergence-sentinel thresholds. The defaults are tuned against the
-/// demo/quick training scale: the healthy lr = 0.005 quick run never
-/// trips them, while the lr = 0.01 collapse does (both pinned by
-/// `tests/training_dynamics.rs`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SentinelConfig {
-    /// Trip response.
-    pub policy: SentinelPolicy,
-    /// Loss-spike factor over the windowed median of recent epoch
-    /// losses.
-    pub spike_factor: f32,
-    /// Number of recent epoch losses forming the spike window; the
-    /// spike check only runs once the window is full.
-    pub spike_window: usize,
-    /// Mean epoch gradient norm below this is a vanishing gradient.
-    pub min_grad_norm: f32,
-    /// Bias-collapse: predicted-label histogram entropy (nats) at or
-    /// below this counts as "all RoIs get one class".
-    pub collapse_max_label_entropy: f32,
-    /// Bias-collapse: relative epoch-over-epoch change of the
-    /// *refinement classification* loss at or below this counts as a
-    /// plateau. The refine component is what pins at the class-prior
-    /// entropy during a bias-only collapse — the total loss keeps
-    /// falling on the CPN terms, which is exactly why the PR-6 collapse
-    /// was invisible in the aggregate loss curve.
-    pub collapse_max_refine_delta: f32,
-    /// Bias-collapse trips after this many *consecutive* collapsed +
-    /// plateaued epochs.
-    pub collapse_epochs: usize,
-}
+// Divergence-sentinel thresholds, tuned against the demo/quick training
+// scale: the healthy lr = 0.005 quick run never trips them, while the
+// lr = 0.01 collapse does (both pinned by `tests/training_dynamics.rs`).
 
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig {
-            policy: SentinelPolicy::Warn,
-            spike_factor: 4.0,
-            spike_window: 5,
-            min_grad_norm: 1e-6,
-            collapse_max_label_entropy: 0.1,
-            collapse_max_refine_delta: 0.05,
-            collapse_epochs: 2,
-        }
-    }
-}
-
-impl SentinelConfig {
-    /// The default thresholds with the `Abort` policy.
-    pub fn aborting() -> Self {
-        SentinelConfig {
-            policy: SentinelPolicy::Abort,
-            ..SentinelConfig::default()
-        }
-    }
-}
+/// Loss-spike factor over the windowed median of recent epoch losses.
+const SPIKE_FACTOR: f32 = 4.0;
+/// Number of recent epoch losses forming the spike window; the spike
+/// check only runs once the window is full.
+const SPIKE_WINDOW: usize = 5;
+/// Mean epoch gradient norm below this is a vanishing gradient.
+const MIN_GRAD_NORM: f32 = 1e-6;
+/// Bias-collapse: predicted-label histogram entropy (nats) at or below
+/// this counts as "all RoIs get one class".
+const COLLAPSE_MAX_LABEL_ENTROPY: f32 = 0.1;
+/// Bias-collapse: relative epoch-over-epoch change of the *refinement
+/// classification* loss at or below this counts as a plateau. The
+/// refine component is what pins at the class-prior entropy during a
+/// bias-only collapse — the total loss keeps falling on the CPN terms,
+/// which is why that collapse was invisible in the aggregate loss
+/// curve.
+const COLLAPSE_MAX_REFINE_DELTA: f32 = 0.05;
+/// Bias-collapse trips after this many *consecutive* collapsed and
+/// plateaued epochs.
+const COLLAPSE_EPOCHS: usize = 2;
 
 /// Why the sentinel tripped, with the evidence.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +81,7 @@ pub enum TripReason {
         /// The offending loss value.
         loss: f32,
     },
-    /// The epoch loss jumped past `spike_factor ×` the windowed median.
+    /// The epoch loss jumped past `SPIKE_FACTOR ×` the windowed median.
     LossSpike {
         /// Epoch index of the trip.
         epoch: usize,
@@ -120,7 +90,7 @@ pub enum TripReason {
         /// Windowed median it was compared against.
         median: f32,
     },
-    /// The mean gradient norm fell below the configured floor.
+    /// The mean gradient norm fell below the floor.
     VanishingGradient {
         /// Epoch index of the trip.
         epoch: usize,
@@ -221,8 +191,8 @@ impl std::error::Error for TrainAbort {}
 /// Stateful per-run sentinel; feed it one [`EpochStats`] per epoch.
 #[derive(Debug, Clone)]
 pub struct Sentinel {
-    config: SentinelConfig,
-    /// Recent finite epoch losses, newest last, capped at `spike_window`.
+    policy: SentinelPolicy,
+    /// Recent finite epoch losses, newest last, capped at `SPIKE_WINDOW`.
     recent_losses: Vec<f32>,
     /// Refinement classification loss of the previous epoch (plateau
     /// detection for the bias-collapse check).
@@ -233,10 +203,10 @@ pub struct Sentinel {
 }
 
 impl Sentinel {
-    /// Creates a sentinel with the given thresholds.
-    pub fn new(config: SentinelConfig) -> Self {
+    /// Creates a sentinel whose trips do what `policy` says.
+    pub fn new(policy: SentinelPolicy) -> Self {
         Sentinel {
-            config,
+            policy,
             recent_losses: Vec::new(),
             prev_refine_cls: None,
             collapse_streak: 0,
@@ -244,9 +214,9 @@ impl Sentinel {
         }
     }
 
-    /// The configured policy.
+    /// What a trip does.
     pub fn policy(&self) -> SentinelPolicy {
-        self.config.policy
+        self.policy
     }
 
     /// Every trip observed so far (under `Warn` these accumulate).
@@ -276,9 +246,9 @@ impl Sentinel {
         if !loss.is_finite() {
             return Some(TripReason::NonFiniteLoss { epoch, loss });
         }
-        if self.recent_losses.len() >= self.config.spike_window {
+        if self.recent_losses.len() >= SPIKE_WINDOW {
             let median = median(&self.recent_losses);
-            if median > 0.0 && loss > self.config.spike_factor * median {
+            if median > 0.0 && loss > SPIKE_FACTOR * median {
                 return Some(TripReason::LossSpike {
                     epoch,
                     loss,
@@ -286,14 +256,14 @@ impl Sentinel {
                 });
             }
         }
-        if stats.mean_grad_norm < self.config.min_grad_norm {
+        if stats.mean_grad_norm < MIN_GRAD_NORM {
             return Some(TripReason::VanishingGradient {
                 epoch,
                 grad_norm: stats.mean_grad_norm,
             });
         }
         // Bias-only collapse: label entropy pinned at ≈0 while the
-        // refinement classification loss plateaus, for `collapse_epochs`
+        // refinement classification loss plateaus, for `COLLAPSE_EPOCHS`
         // epochs running. Only assessed when RoIs were actually refined
         // (the "w/o. Refine" ablation has no labels to take entropy
         // over) and once a previous epoch exists to measure the plateau
@@ -306,14 +276,14 @@ impl Sentinel {
                 } else {
                     0.0
                 };
-                let collapsed = stats.label_entropy() <= self.config.collapse_max_label_entropy
-                    && refine_delta <= self.config.collapse_max_refine_delta;
+                let collapsed = stats.label_entropy() <= COLLAPSE_MAX_LABEL_ENTROPY
+                    && refine_delta <= COLLAPSE_MAX_REFINE_DELTA;
                 if collapsed {
                     self.collapse_streak += 1;
                 } else {
                     self.collapse_streak = 0;
                 }
-                if self.collapse_streak >= self.config.collapse_epochs {
+                if self.collapse_streak >= COLLAPSE_EPOCHS {
                     self.collapse_streak = 0;
                     return Some(TripReason::BiasCollapse {
                         epoch,
@@ -331,7 +301,7 @@ impl Sentinel {
     fn advance(&mut self, stats: &EpochStats) {
         if stats.mean_loss.is_finite() {
             self.recent_losses.push(stats.mean_loss);
-            if self.recent_losses.len() > self.config.spike_window {
+            if self.recent_losses.len() > SPIKE_WINDOW {
                 self.recent_losses.remove(0);
             }
         }
@@ -371,7 +341,7 @@ mod tests {
 
     #[test]
     fn nan_loss_trips_immediately() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         let trip = s.observe(&stats(0, f32::NAN, 1.0, 5, 5));
         assert!(matches!(
             trip,
@@ -383,7 +353,7 @@ mod tests {
 
     #[test]
     fn loss_spike_needs_a_full_window() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         for e in 0..5 {
             assert!(s.observe(&stats(e, 1.0, 1.0, 5, 5)).is_none());
         }
@@ -394,21 +364,21 @@ mod tests {
 
     #[test]
     fn early_big_loss_without_window_is_not_a_spike() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         assert!(s.observe(&stats(0, 100.0, 1.0, 5, 5)).is_none());
         assert!(s.observe(&stats(1, 2.0, 1.0, 5, 5)).is_none());
     }
 
     #[test]
     fn vanishing_gradient_trips() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         let trip = s.observe(&stats(0, 1.0, 1e-9, 5, 5));
         assert!(matches!(trip, Some(TripReason::VanishingGradient { .. })));
     }
 
     #[test]
     fn bias_collapse_needs_consecutive_plateaued_epochs() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         // all predictions one class, loss flat — epoch 0 establishes the
         // baseline, epochs 1–2 build the streak, epoch 2 trips
         assert!(s.observe(&stats(0, 1.0, 1.0, 10, 0)).is_none());
@@ -422,7 +392,7 @@ mod tests {
 
     #[test]
     fn healthy_label_split_never_collapses() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         for e in 0..10 {
             let trip = s.observe(&stats(e, 1.0, 1.0, 5, 5));
             assert!(trip.is_none(), "epoch {e}: {trip:?}");
@@ -431,7 +401,7 @@ mod tests {
 
     #[test]
     fn decreasing_loss_resets_the_collapse_streak() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         // entropy 0 throughout, but the loss keeps improving >5%/epoch —
         // that is a prior-fitting phase, not a collapse
         let mut loss = 4.0;
@@ -444,7 +414,7 @@ mod tests {
 
     #[test]
     fn no_refinement_rois_skip_the_collapse_check() {
-        let mut s = Sentinel::new(SentinelConfig::default());
+        let mut s = Sentinel::new(SentinelPolicy::Warn);
         for e in 0..6 {
             assert!(s.observe(&stats(e, 1.0, 1.0, 0, 0)).is_none());
         }
@@ -454,7 +424,10 @@ mod tests {
     fn policy_tags_are_stable() {
         assert_eq!(SentinelPolicy::Warn.tag(), "warn");
         assert_eq!(SentinelPolicy::Abort.tag(), "abort");
-        assert_eq!(SentinelConfig::aborting().policy, SentinelPolicy::Abort);
+        assert_eq!(
+            Sentinel::new(SentinelPolicy::Abort).policy(),
+            SentinelPolicy::Abort
+        );
     }
 
     #[test]

@@ -6,33 +6,15 @@
 //! regularisation (β = 0.2) unless ablated.
 
 use rand::seq::SliceRandom;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rhsd_data::RegionSample;
-use rhsd_nn::dynamics::StepDynamics;
 use rhsd_nn::loss::{clip_grad_norm, l2_penalty};
 use rhsd_nn::optim::{Sgd, StepDecay};
 
 use crate::loss::{CLASS_HOTSPOT, CLASS_NON_HOTSPOT};
 use crate::model::RhsdNetwork;
-use crate::sentinel::{Sentinel, SentinelConfig, SentinelPolicy, TrainAbort, TripReason};
-
-/// Training-dynamics telemetry controls.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryConfig {
-    /// Collect per-layer dynamics on every Nth optimiser step (`0`
-    /// disables collection entirely). The default samples every 4th
-    /// step — cheap read-only scans whose cost stays inside the bench
-    /// gate's runtime tolerance.
-    pub sample_every: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig { sample_every: 4 }
-    }
-}
+use crate::sentinel::{Sentinel, SentinelPolicy, TrainAbort, TripReason};
 
 /// Hyper-parameters of a training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,10 +31,8 @@ pub struct TrainConfig {
     pub clip_norm: f32,
     /// RNG seed for shuffling/sampling.
     pub seed: u64,
-    /// Per-layer training-dynamics telemetry.
-    pub telemetry: TelemetryConfig,
-    /// Divergence sentinel thresholds and policy.
-    pub sentinel: SentinelConfig,
+    /// What a divergence-sentinel trip does.
+    pub sentinel: SentinelPolicy,
 }
 
 impl TrainConfig {
@@ -65,8 +45,7 @@ impl TrainConfig {
             momentum: 0.9,
             clip_norm: 10.0,
             seed: 2019,
-            telemetry: TelemetryConfig::default(),
-            sentinel: SentinelConfig::default(),
+            sentinel: SentinelPolicy::Warn,
         }
     }
 
@@ -90,8 +69,7 @@ impl TrainConfig {
             momentum: 0.9,
             clip_norm: 5.0,
             seed: 2019,
-            telemetry: TelemetryConfig::default(),
-            sentinel: SentinelConfig::default(),
+            sentinel: SentinelPolicy::Warn,
         }
     }
 
@@ -104,34 +82,45 @@ impl TrainConfig {
             momentum: 0.9,
             clip_norm: 5.0,
             seed: 7,
-            telemetry: TelemetryConfig::default(),
-            sentinel: SentinelConfig::default(),
+            sentinel: SentinelPolicy::Warn,
         }
     }
 }
 
-/// One layer's (or optimiser parameter group's) dynamics over an epoch,
-/// aggregated from the sampled steps.
+/// One optimiser parameter group's dynamics over an epoch: the slots
+/// that share a [`RhsdNetwork::param_names`] name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerEpochStats {
-    /// Telemetry key: `{scope}/{Name}#{position}` for chain layers,
-    /// component-qualified parameter-group names otherwise.
+    /// The group name, component-qualified (`backbone/Conv2d#0`,
+    /// `cpn/cls_head`, `refine/fc`, …).
     pub key: String,
-    /// Mean absolute activation value (0 for param-only rows).
-    pub act_mean_abs: f32,
-    /// Fraction of non-positive activations (dead-ReLU side).
-    pub dead_frac: f32,
-    /// Fraction of saturated activations (`|a|` past the threshold).
-    pub saturated_frac: f32,
-    /// Mean L2 norm of the gradient flowing out of the layer.
-    pub flow_grad_norm: f32,
-    /// RMS (over sampled steps) parameter-gradient L2 norm, combined
-    /// over the group's slots (0 for parameter-free layers).
+    /// RMS (over the epoch's steps) gradient L2 norm, combined over the
+    /// group's slots; measured after clipping and L2, as the step reads
+    /// it.
     pub grad_norm: f32,
-    /// `‖Δw‖ / ‖w‖` weight-update-to-weight ratio (0 when untracked).
+    /// `‖Δw‖ / ‖w‖` weight-update-to-weight ratio (0 for zero weights).
     pub update_ratio: f32,
-    /// RMS parameter L2 norm after the sampled updates.
+    /// RMS parameter L2 norm after the updates.
     pub weight_norm: f32,
+}
+
+/// One parameter slot's squared L2 norms, summed over an epoch's steps.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct SlotSums {
+    /// Gradient the step consumed.
+    grad: f64,
+    /// Weight delta the step applied (the SGD velocity).
+    update: f64,
+    /// Weights after the step.
+    weight: f64,
+}
+
+impl SlotSums {
+    fn add(&mut self, grad: f32, update: f32, weight: f32) {
+        self.grad += f64::from(grad) * f64::from(grad);
+        self.update += f64::from(update) * f64::from(update);
+        self.weight += f64::from(weight) * f64::from(weight);
+    }
 }
 
 /// Per-epoch training diagnostics.
@@ -158,8 +147,8 @@ pub struct EpochStats {
     /// Mean per-RoI prediction (softmax) entropy in nats — ≈`ln 2` is
     /// maximally uncertain, ≈0 is a confident (or collapsed) predictor.
     pub pred_entropy: f32,
-    /// Per-layer dynamics from the telemetry-sampled steps (empty when
-    /// telemetry is disabled).
+    /// Per-parameter-group dynamics, one row per group in parameter
+    /// order.
     pub layers: Vec<LayerEpochStats>,
 }
 
@@ -214,9 +203,7 @@ pub fn train(
 
 /// Trains a network on region samples, watching the divergence sentinel.
 ///
-/// Deterministic for fixed seeds and inputs; the per-layer telemetry is
-/// read-only, so histories (and final weights) are bit-identical with
-/// telemetry on or off.
+/// Deterministic for fixed seeds and inputs.
 ///
 /// # Errors
 ///
@@ -231,17 +218,8 @@ pub fn train_checked(
 ) -> Result<TrainReport, TrainAbort> {
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut opt = Sgd::new(config.schedule, config.momentum);
-    let beta = network.config().beta;
-    let use_l2 = network.config().use_l2;
     let mut sentinel = Sentinel::new(config.sentinel);
-    let sample_every = config.telemetry.sample_every;
-    // Component-qualified names aligning 1:1 with `params_mut()` order —
-    // computed once; telemetry slots are chunked against this list.
-    let param_names = if sample_every > 0 {
-        network.param_names()
-    } else {
-        Vec::new()
-    };
+    let param_names = network.param_names();
     let mut history = Vec::new();
 
     let mut order: Vec<usize> = (0..regions.len()).collect();
@@ -261,14 +239,9 @@ pub fn train_checked(
         let mut pred_hotspot = 0u64;
         let mut pred_non_hotspot = 0u64;
         let mut pred_entropy_sum = 0.0f32;
-        let mut epoch_dyn = StepDynamics::default();
-        let mut sampled_steps = 0u32;
+        let mut slots = vec![SlotSums::default(); param_names.len()];
         network.zero_grad();
         for chunk in order.chunks(config.batch_size.max(1)) {
-            let armed = sample_every > 0 && steps.is_multiple_of(sample_every);
-            if armed {
-                rhsd_nn::dynamics::begin_step();
-            }
             let batch: Vec<&RegionSample> = chunk.iter().map(|&ri| &regions[ri]).collect();
             for stats in network.train_batch(&batch, &mut rng) {
                 loss_sum += stats.total();
@@ -280,14 +253,8 @@ pub fn train_checked(
                 pred_entropy_sum += stats.pred_entropy_sum;
             }
             seen += batch.len();
-            grad_norm_sum += step(network, &mut opt, use_l2, beta, config.clip_norm);
+            grad_norm_sum += step(network, &mut opt, config.clip_norm, &mut slots);
             steps += 1;
-            if armed {
-                if let Some(d) = rhsd_nn::dynamics::end_step() {
-                    epoch_dyn.absorb(d);
-                    sampled_steps += 1;
-                }
-            }
         }
         let denom = seen.max(1) as f32;
         let pred_total = pred_hotspot + pred_non_hotspot;
@@ -302,7 +269,7 @@ pub fn train_checked(
             pred_hotspot,
             pred_non_hotspot,
             pred_entropy: pred_entropy_sum / pred_total.max(1) as f32,
-            layers: aggregate_layers(&epoch_dyn, sampled_steps, &param_names),
+            layers: aggregate_layers(&slots, steps, &param_names),
         };
         // Flow the epoch diagnostics into the metrics registry. The
         // wall-clock throughput stays out of `EpochStats` so training
@@ -332,10 +299,6 @@ pub fn train_checked(
                 .iter()
                 .map(|l| rhsd_obs::ledger::LayerDyn {
                     key: l.key.clone(),
-                    act_mean_abs: l.act_mean_abs as f64,
-                    dead_frac: l.dead_frac as f64,
-                    saturated_frac: l.saturated_frac as f64,
-                    flow_grad_norm: l.flow_grad_norm as f64,
                     grad_norm: l.grad_norm as f64,
                     update_ratio: l.update_ratio as f64,
                     weight_norm: l.weight_norm as f64,
@@ -369,104 +332,50 @@ pub fn train_checked(
     })
 }
 
-/// Folds the sampled step dynamics into per-layer epoch rows.
-///
-/// Activation rows come first in forward order; parameter groups whose
-/// key never appeared as a chain activation (e.g. the CPN heads, which
-/// run outside `forward_all`) follow as param-only rows. Slot norms for
-/// a group are combined as the square root of the summed squares, then
-/// RMS-averaged over the sampled steps.
-fn aggregate_layers(
-    dynamics: &StepDynamics,
-    sampled_steps: u32,
-    param_names: &[String],
-) -> Vec<LayerEpochStats> {
-    if sampled_steps == 0 {
+/// Folds an epoch's slot sums into one row per group name, in
+/// first-seen order: each slot's mean square over the `steps`, summed
+/// over the group's slots, then the square root (an RMS over steps of
+/// the group's combined norm).
+fn aggregate_layers(slots: &[SlotSums], steps: usize, names: &[String]) -> Vec<LayerEpochStats> {
+    if steps == 0 {
         return Vec::new();
     }
-    let acts = dynamics.merged_activations();
-    let flows = dynamics.merged_flow_grads();
-    // Mean-square slot stats chunked per step, combined per group name.
-    let mut per_name: Vec<(String, f64, f64, f64)> = Vec::new();
-    let n = param_names.len();
-    if n > 0 && dynamics.param_updates.len().is_multiple_of(n) && !dynamics.param_updates.is_empty()
-    {
-        let step_count = (dynamics.param_updates.len() / n) as f64;
-        for (i, name) in param_names.iter().enumerate() {
-            let mut grad_sq = 0.0f64;
-            let mut upd_sq = 0.0f64;
-            let mut w_sq = 0.0f64;
-            let mut k = i;
-            while k < dynamics.param_updates.len() {
-                let u = &dynamics.param_updates[k];
-                grad_sq += f64::from(u.grad_norm) * f64::from(u.grad_norm);
-                upd_sq += f64::from(u.update_norm) * f64::from(u.update_norm);
-                w_sq += f64::from(u.weight_norm) * f64::from(u.weight_norm);
-                k += n;
+    let steps = steps as f64;
+    let mut groups: Vec<(&String, SlotSums)> = Vec::new();
+    for (name, slot) in names.iter().zip(slots) {
+        let i = match groups.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                groups.push((name, SlotSums::default()));
+                groups.len() - 1
             }
-            grad_sq /= step_count;
-            upd_sq /= step_count;
-            w_sq /= step_count;
-            match per_name.iter_mut().find(|(nm, ..)| nm == name) {
-                Some((_, g, u, w)) => {
-                    *g += grad_sq;
-                    *u += upd_sq;
-                    *w += w_sq;
-                }
-                None => per_name.push((name.clone(), grad_sq, upd_sq, w_sq)),
-            }
-        }
+        };
+        let g = &mut groups[i].1;
+        g.grad += slot.grad / steps;
+        g.update += slot.update / steps;
+        g.weight += slot.weight / steps;
     }
-    let norms = |key: &str| -> (f32, f32, f32) {
-        per_name
-            .iter()
-            .find(|(nm, ..)| nm == key)
-            .map(|(_, g, u, w)| {
-                let ratio = if *w > 0.0 { (u / w).sqrt() as f32 } else { 0.0 };
-                (g.sqrt() as f32, ratio, w.sqrt() as f32)
-            })
-            .unwrap_or((0.0, 0.0, 0.0))
-    };
-    let mut rows = Vec::new();
-    for (key, act) in &acts {
-        let flow = flows
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0.0, |(_, v)| *v);
-        let (grad_norm, update_ratio, weight_norm) = norms(key);
-        rows.push(LayerEpochStats {
+    groups
+        .into_iter()
+        .map(|(key, g)| LayerEpochStats {
             key: key.clone(),
-            act_mean_abs: act.mean_abs() as f32,
-            dead_frac: act.dead_frac() as f32,
-            saturated_frac: act.saturated_frac() as f32,
-            flow_grad_norm: flow,
-            grad_norm,
-            update_ratio,
-            weight_norm,
-        });
-    }
-    for (name, ..) in &per_name {
-        if rows.iter().any(|r: &LayerEpochStats| &r.key == name) {
-            continue;
-        }
-        let (grad_norm, update_ratio, weight_norm) = norms(name);
-        rows.push(LayerEpochStats {
-            key: name.clone(),
-            act_mean_abs: 0.0,
-            dead_frac: 0.0,
-            saturated_frac: 0.0,
-            flow_grad_norm: 0.0,
-            grad_norm,
-            update_ratio,
-            weight_norm,
-        });
-    }
-    rows
+            grad_norm: g.grad.sqrt() as f32,
+            update_ratio: if g.weight > 0.0 {
+                (g.update / g.weight).sqrt() as f32
+            } else {
+                0.0
+            },
+            weight_norm: g.weight.sqrt() as f32,
+        })
+        .collect()
 }
 
-/// One optimiser step; returns the pre-clip global gradient norm.
-fn step(network: &mut RhsdNetwork, opt: &mut Sgd, use_l2: bool, beta: f32, clip: f32) -> f32 {
+/// One optimiser step; returns the pre-clip global gradient norm and
+/// adds each parameter slot's norms into `slots`: the gradient the step
+/// consumes, the delta it applies and the weights it leaves.
+fn step(network: &mut RhsdNetwork, opt: &mut Sgd, clip: f32, slots: &mut [SlotSums]) -> f32 {
     let _sp = rhsd_obs::span("train-step");
+    let (use_l2, beta) = (network.config().use_l2, network.config().beta);
     let (mut params, grads) = network.params_and_grads_mut();
     let grad_norm = clip_grad_norm(grads, clip);
     if use_l2 {
@@ -474,20 +383,17 @@ fn step(network: &mut RhsdNetwork, opt: &mut Sgd, use_l2: bool, beta: f32, clip:
         // so regularisation strength is independent of gradient scale).
         let _ = l2_penalty(&params, grads, beta);
     }
+    let slot_grads: Vec<f32> = grads.iter().map(|g| g.sq_norm().sqrt()).collect();
     opt.step(&mut params, grads);
+    for (((slot, g), v), w) in slots
+        .iter_mut()
+        .zip(slot_grads)
+        .zip(opt.velocities())
+        .zip(&params)
+    {
+        slot.add(g, v.sq_norm().sqrt(), w.sq_norm().sqrt());
+    }
     grad_norm
-}
-
-/// Convenience: trains a fresh network of the given configuration.
-pub fn train_new(
-    model_config: crate::config::RhsdConfig,
-    regions: &[RegionSample],
-    train_config: &TrainConfig,
-    rng: &mut impl Rng,
-) -> (RhsdNetwork, Vec<EpochStats>) {
-    let mut net = RhsdNetwork::new(model_config, rng);
-    let history = train(&mut net, regions, train_config);
-    (net, history)
 }
 
 #[cfg(test)]
@@ -552,27 +458,33 @@ mod tests {
         assert!(history.is_empty());
     }
 
+    /// Trains a fresh network of `cfg`, initialised from `seed`.
+    fn train_fresh(cfg: RhsdConfig, seed: u64, samples: &[RegionSample]) -> RhsdNetwork {
+        let mut net = RhsdNetwork::new(cfg, &mut ChaCha8Rng::seed_from_u64(seed));
+        let history = train(&mut net, samples, &TrainConfig::tiny());
+        assert_eq!(history.len(), TrainConfig::tiny().epochs);
+        net
+    }
+
     #[test]
     fn training_is_deterministic() {
         let cfg = RhsdConfig::tiny();
         let samples = synthetic_samples(&cfg, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(82);
-        let (_, h1) = train_new(cfg.clone(), &samples, &TrainConfig::tiny(), &mut rng);
-        let mut rng = ChaCha8Rng::seed_from_u64(82);
-        let (_, h2) = train_new(cfg, &samples, &TrainConfig::tiny(), &mut rng);
-        assert_eq!(h1, h2);
+        let run = || {
+            let mut net = RhsdNetwork::new(cfg.clone(), &mut ChaCha8Rng::seed_from_u64(82));
+            train(&mut net, &samples, &TrainConfig::tiny())
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn l2_ablation_changes_training() {
         let cfg = RhsdConfig::tiny();
         let samples = synthetic_samples(&cfg, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(83);
-        let (net_l2, _) = train_new(cfg.clone(), &samples, &TrainConfig::tiny(), &mut rng);
+        let net_l2 = train_fresh(cfg.clone(), 83, &samples);
         let mut cfg2 = cfg.clone();
         cfg2.use_l2 = false;
-        let mut rng = ChaCha8Rng::seed_from_u64(83);
-        let (net_free, _) = train_new(cfg2, &samples, &TrainConfig::tiny(), &mut rng);
+        let net_free = train_fresh(cfg2, 83, &samples);
         // L2-regularised weights should have smaller norm
         let n_l2: f32 = net_l2.params().iter().map(|p| p.sq_norm()).sum();
         let n_free: f32 = net_free.params().iter().map(|p| p.sq_norm()).sum();
@@ -580,6 +492,56 @@ mod tests {
             n_l2 < n_free,
             "L2 should shrink weights: {n_l2} vs {n_free}"
         );
+    }
+
+    /// Two slots of group `a` and one of `b` over two steps: each slot's
+    /// mean square over the steps, summed per group, then the root.
+    #[test]
+    fn aggregate_layers_combines_a_group_rms_over_steps() {
+        let names: Vec<String> = ["a", "b", "a"].map(String::from).into();
+        let mut slots = [SlotSums::default(); 3];
+        // (grad, update, weight) per slot, step by step.
+        for norms in [
+            [(3.0, 1.0, 2.0), (1.0, 0.0, 0.0), (0.0, 2.0, 4.0)],
+            [(4.0, 1.0, 2.0), (1.0, 0.0, 0.0), (5.0, 2.0, 4.0)],
+        ] {
+            for (slot, (g, u, w)) in slots.iter_mut().zip(norms) {
+                slot.add(g, u, w);
+            }
+        }
+        let rows = aggregate_layers(&slots, 2, &names);
+        assert_eq!(rows.len(), 2);
+        let (a, b) = (&rows[0], &rows[1]);
+        // a: grad (9 + 16)/2 + (0 + 25)/2 = 25; update 1 + 4 = 5;
+        // weight 4 + 16 = 20.
+        assert_eq!(a.key, "a");
+        assert_eq!(a.grad_norm, 5.0);
+        assert_eq!(a.update_ratio, (5.0f64 / 20.0).sqrt() as f32);
+        assert_eq!(a.weight_norm, 20.0f64.sqrt() as f32);
+        // b: zero weights report a zero ratio.
+        assert_eq!((b.key.as_str(), b.grad_norm), ("b", 1.0));
+        assert_eq!((b.update_ratio, b.weight_norm), (0.0, 0.0));
+        assert!(aggregate_layers(&slots, 0, &names).is_empty());
+    }
+
+    /// Every epoch reports one row per parameter group, in parameter
+    /// order, with the gradients the steps consumed.
+    #[test]
+    fn epochs_report_every_parameter_group() {
+        let cfg = RhsdConfig::tiny();
+        let samples = synthetic_samples(&cfg, 2);
+        let mut net = RhsdNetwork::new(cfg, &mut ChaCha8Rng::seed_from_u64(84));
+        let mut groups = net.param_names();
+        groups.dedup();
+        let history = train(&mut net, &samples, &TrainConfig::tiny());
+        for e in &history {
+            let keys: Vec<&String> = e.layers.iter().map(|l| &l.key).collect();
+            assert_eq!(keys, groups.iter().collect::<Vec<_>>());
+            assert!(e
+                .layers
+                .iter()
+                .all(|l| l.grad_norm > 0.0 && l.weight_norm > 0.0));
+        }
     }
 
     #[test]

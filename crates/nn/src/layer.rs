@@ -76,12 +76,11 @@ pub trait Layer: Send + Sync {
 
     /// Display names for [`Layer::params`], index-aligned with it.
     ///
-    /// Training-dynamics telemetry joins these with per-slot optimiser
-    /// statistics. Composite layers override this to qualify children
-    /// positionally (e.g. `Conv2d#1`), matching the activation keys
-    /// emitted by [`forward_all`]; the default repeats [`Layer::name`]
-    /// once per parameter, which groups a composite's parameters under
-    /// its own name.
+    /// Training groups its per-slot optimiser statistics by these names.
+    /// Composite layers override this to qualify children positionally
+    /// (e.g. `Conv2d#1`, the span key [`forward_all`] opens for that
+    /// layer); the default repeats [`Layer::name`] once per parameter,
+    /// which groups a composite's parameters under its own name.
     fn param_names(&self) -> Vec<String> {
         vec![self.name().to_owned(); self.params().len()]
     }
@@ -171,10 +170,6 @@ impl Tape {
 /// With the `debug_invariants` feature, every intermediate activation is
 /// checked for NaN/Inf, attributed to the producing layer.
 ///
-/// When the thread's [`crate::dynamics`] collector is armed and this is
-/// the outermost chain, each layer's output activation summary is
-/// recorded (read-only — outputs are bit-identical either way).
-///
 /// While observability is on, each layer runs under a span keyed
 /// `{name}#{i}` (see [`layer_span`]).
 ///
@@ -186,8 +181,8 @@ pub fn forward_all(layers: &[Box<dyn Layer>], input: Tensor, tape: &mut Tape) ->
 
 /// [`forward_all`] over a chain that starts at layer `first` of a
 /// longer one: layer `i` of `layers` is numbered `first + i` in its
-/// span and dynamics keys, so a pass split at a layer boundary records
-/// the keys of the whole chain's pass.
+/// span key, so a pass split at a layer boundary opens the keys of the
+/// whole chain's pass.
 ///
 /// Shapes: `input` is whatever `layers[0]` accepts; the result is the
 /// last layer's output.
@@ -197,23 +192,18 @@ pub fn forward_from(
     input: Tensor,
     tape: &mut Tape,
 ) -> Tensor {
-    let record = crate::dynamics::enter_chain();
     let mut x = input;
     for (i, layer) in (first..).zip(layers) {
         let _sp = layer_span(layer.name(), i);
         x = layer.forward(x, tape);
         rhsd_tensor::invariants::check_finite(layer.name(), &x);
-        if record {
-            crate::dynamics::record_activation(layer.name(), i, &x);
-        }
     }
-    crate::dynamics::exit_chain();
     x
 }
 
-/// The span of layer `i` of a chain, keyed `{name}#{i}` (the key the
-/// dynamics collector records it under), or `None` while observability
-/// is off — so an untraced pass formats and allocates nothing.
+/// The span of layer `i` of a chain, keyed `{name}#{i}`, or `None`
+/// while observability is off — so an untraced pass formats and
+/// allocates nothing.
 fn layer_span(name: &str, i: usize) -> Option<rhsd_obs::SpanGuard> {
     rhsd_obs::enabled().then(|| rhsd_obs::span(format!("{name}#{i}")))
 }
@@ -226,9 +216,6 @@ fn layer_span(name: &str, i: usize) -> Option<rhsd_obs::SpanGuard> {
 /// With the `debug_invariants` feature, every intermediate gradient is
 /// checked for NaN/Inf, attributed to the producing layer.
 ///
-/// When the thread's [`crate::dynamics`] collector is armed and this is
-/// the outermost chain, the L2 norm of the gradient flowing out of each
-/// layer is recorded (read-only — gradients are bit-identical either way).
 /// While observability is on, each layer runs under its `{name}#{i}`
 /// span, as in [`forward_all`].
 ///
@@ -241,19 +228,12 @@ pub fn backward_all(
     grad_out: Tensor,
     grads: &mut [Tensor],
 ) -> Tensor {
-    let record = crate::dynamics::enter_chain();
-    let g = backward_chain(layers, 0, tape, grad_out, grads, record);
-    crate::dynamics::exit_chain();
-    g
+    backward_chain(layers, 0, tape, grad_out, grads)
 }
 
 /// [`backward_all`] for a caller that never reads the input gradient:
 /// the first layer runs [`Layer::backward_params`]. Every parameter
 /// gradient is bit for bit the same.
-///
-/// When the thread's [`crate::dynamics`] collector records this chain,
-/// the first layer's input gradient is computed all the same: its norm
-/// is the chain's last flowing-gradient record.
 ///
 /// Shapes: `grad_out` matches the last layer's output; `grads` mirrors
 /// the layers' concatenated parameter lists.
@@ -263,32 +243,24 @@ pub fn backward_params_all(
     grad_out: Tensor,
     grads: &mut [Tensor],
 ) {
-    let record = crate::dynamics::enter_chain();
-    match layers.split_first() {
-        Some((first, rest)) if !record => {
-            let (own, rest_grads) = grads.split_at_mut(first.params().len());
-            let g = backward_chain(rest, 1, tape, grad_out, rest_grads, record);
-            let _sp = layer_span(first.name(), 0);
-            first.backward_params(tape, g, own);
-        }
-        _ => {
-            backward_chain(layers, 0, tape, grad_out, grads, record);
-        }
-    }
-    crate::dynamics::exit_chain();
+    let Some((first, rest)) = layers.split_first() else {
+        return;
+    };
+    let (own, rest_grads) = grads.split_at_mut(first.params().len());
+    let g = backward_chain(rest, 1, tape, grad_out, rest_grads);
+    let _sp = layer_span(first.name(), 0);
+    first.backward_params(tape, g, own);
 }
 
 /// Runs `backward` through `layers` in reverse, numbered from `first`,
 /// `g` the gradient flowing in; returns the input gradient of
-/// `layers[0]`. `record` says whether the dynamics collector records
-/// each flowing gradient.
+/// `layers[0]`.
 fn backward_chain(
     layers: &[Box<dyn Layer>],
     first: usize,
     tape: &mut Tape,
     mut g: Tensor,
     grads: &mut [Tensor],
-    record: bool,
 ) -> Tensor {
     let mut rest = grads;
     for (i, layer) in layers.iter().enumerate().rev() {
@@ -299,9 +271,6 @@ fn backward_chain(
         rest = head;
         g = layer.backward(tape, g, own);
         rhsd_tensor::invariants::check_finite(layer.name(), &g);
-        if record {
-            crate::dynamics::record_flow_grad(layer.name(), i, &g);
-        }
     }
     g
 }
@@ -425,9 +394,7 @@ mod tests {
     }
 
     /// A params-only chain backward adds the same parameter gradients
-    /// and runs `backward_params` on the first layer only — unless the
-    /// dynamics collector records the chain, which reads the first
-    /// layer's input gradient.
+    /// and runs `backward_params` on the first layer only.
     #[test]
     fn params_only_backward_skips_the_first_input_gradient() {
         let runs: [std::sync::Arc<[AtomicUsize; 2]>; 2] = Default::default();
@@ -465,11 +432,6 @@ mod tests {
         for (a, b) in full.iter().zip(params.iter()) {
             assert_eq!(a.as_slice(), b.as_slice(), "parameter gradients moved");
         }
-        crate::dynamics::begin_step();
-        run(true);
-        let step = crate::dynamics::end_step().unwrap();
-        assert_eq!(counts(), [[2, 1], [3, 0]], "a recorded chain runs backward");
-        assert_eq!(step.flow_grads.len(), 2, "{:?}", step.flow_grads);
     }
 
     #[test]

@@ -44,7 +44,6 @@
 //! assert!(tape.is_empty());
 //! ```
 
-pub mod dynamics;
 pub mod encdec;
 mod grads;
 pub mod inception;

@@ -77,6 +77,12 @@ impl Sgd {
         self.schedule.lr_at(self.step)
     }
 
+    /// The momentum velocities, one per parameter slot stepped so far:
+    /// after a step, each is the weight delta that step applied.
+    pub fn velocities(&self) -> &[Tensor] {
+        &self.velocities
+    }
+
     /// Applies one update: `v ← µ·v − lr·g`, `w ← w + v`, then clears
     /// the gradients.
     ///
@@ -90,7 +96,6 @@ impl Sgd {
     pub fn step(&mut self, params: &mut [&mut Tensor], grads: &mut [Tensor]) {
         assert_eq!(params.len(), grads.len(), "grads must mirror params");
         let lr = self.lr();
-        let telemetry = crate::dynamics::active();
         if self.velocities.len() < params.len() {
             for p in params[self.velocities.len()..].iter() {
                 self.velocities.push(Tensor::zeros(p.shape().clone()));
@@ -106,21 +111,12 @@ impl Sgd {
                 v.shape(),
                 "parameter shape changed between optimiser steps"
             );
-            let grad_norm = if telemetry { g.sq_norm().sqrt() } else { 0.0 };
             // v ← µ·v − lr·g
             v.map_inplace(|x| x * self.momentum);
             axpy(v, -lr, g);
             // w ← w + v
             axpy(w, 1.0, v);
             g.map_inplace(|_| 0.0);
-            if telemetry {
-                // The velocity *is* the applied weight delta.
-                crate::dynamics::record_param_update(crate::dynamics::ParamUpdate {
-                    grad_norm,
-                    update_norm: v.sq_norm().sqrt(),
-                    weight_norm: w.sq_norm().sqrt(),
-                });
-            }
         }
         self.step += 1;
     }
@@ -169,6 +165,7 @@ mod tests {
         assert_eq!(w.as_slice(), &[-1.0]);
         opt.step(&mut [&mut w], &mut [scalar(1.0)]);
         assert_eq!(w.as_slice(), &[-2.5]);
+        assert_eq!(opt.velocities()[0].as_slice(), &[-1.5], "the applied delta");
     }
 
     #[test]

@@ -64,22 +64,14 @@ pub fn host_string() -> String {
     format!("{}/{}", std::env::consts::OS, std::env::consts::ARCH)
 }
 
-/// One layer's (or parameter group's) training dynamics inside an
-/// `epoch` ledger event — the serialised form of the core crate's
-/// per-layer epoch stats.
+/// One parameter group's training dynamics inside an `epoch` ledger
+/// event — the serialised form of the core crate's per-layer epoch
+/// stats.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerDyn {
-    /// Telemetry key (`backbone/Conv2d#1`, `cpn/cls_head`, …).
+    /// Parameter-group name (`backbone/Conv2d#1`, `cpn/cls_head`, …).
     pub key: String,
-    /// Mean absolute activation value.
-    pub act_mean_abs: f64,
-    /// Fraction of non-positive activations.
-    pub dead_frac: f64,
-    /// Fraction of saturated activations.
-    pub saturated_frac: f64,
-    /// Mean L2 norm of the gradient flowing out of the layer.
-    pub flow_grad_norm: f64,
-    /// RMS parameter-gradient L2 norm over the sampled steps.
+    /// RMS parameter-gradient L2 norm over the epoch's steps.
     pub grad_norm: f64,
     /// Weight-update-to-weight ratio `‖Δw‖ / ‖w‖`.
     pub update_ratio: f64,
@@ -91,10 +83,6 @@ impl LayerDyn {
     fn to_json(&self) -> String {
         object_of([
             ("key", format!("\"{}\"", escape(&self.key))),
-            ("act_mean_abs", number(self.act_mean_abs)),
-            ("dead_frac", number(self.dead_frac)),
-            ("saturated_frac", number(self.saturated_frac)),
-            ("flow_grad_norm", number(self.flow_grad_norm)),
             ("grad_norm", number(self.grad_norm)),
             ("update_ratio", number(self.update_ratio)),
             ("weight_norm", number(self.weight_norm)),
@@ -130,7 +118,7 @@ pub enum Event {
         pred_entropy: f64,
         /// Entropy of the predicted-label histogram (nats).
         label_entropy: f64,
-        /// Per-layer dynamics rows (empty when telemetry is off).
+        /// Per-parameter-group dynamics rows, in parameter order.
         layers: Vec<LayerDyn>,
     },
     /// A divergence-sentinel trip.
@@ -540,10 +528,6 @@ mod tests {
                 label_entropy: 0.69,
                 layers: vec![LayerDyn {
                     key: "backbone/Conv2d#1".into(),
-                    act_mean_abs: 0.4,
-                    dead_frac: 0.25,
-                    saturated_frac: 0.0,
-                    flow_grad_norm: 1.5,
                     grad_norm: 2.0,
                     update_ratio: 0.01,
                     weight_norm: 3.5,

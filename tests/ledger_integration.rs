@@ -150,24 +150,16 @@ fn demo_run_leaves_a_valid_ordered_ledger() {
             );
         }
         assert_eq!(e.get("samples").and_then(Value::as_u64), Some(4));
-        // Per-layer dynamics rows ride along (telemetry samples step 0 of
-        // every epoch at the default rate), each with the full stat set.
+        // Per-parameter-group rows ride along, each with the full stat
+        // set.
         let layers = e
             .get("layers")
             .and_then(Value::as_arr)
             .expect("epoch event carries a layers array");
-        assert!(!layers.is_empty(), "default sampling collects layer rows");
+        assert!(!layers.is_empty(), "every epoch carries its group rows");
         for l in layers {
             assert!(l.get("key").and_then(Value::as_str).is_some());
-            for key in [
-                "act_mean_abs",
-                "dead_frac",
-                "saturated_frac",
-                "flow_grad_norm",
-                "grad_norm",
-                "update_ratio",
-                "weight_norm",
-            ] {
+            for key in ["grad_norm", "update_ratio", "weight_norm"] {
                 assert!(
                     l.get(key).and_then(Value::as_f64).is_some(),
                     "layer row missing {key}"

@@ -1,4 +1,4 @@
-//! Training-dynamics telemetry and divergence-sentinel regression tests.
+//! Divergence-sentinel regression tests.
 //!
 //! The centrepiece re-creates the PR-6 learning-rate collapse: at demo
 //! scale, `lr = 0.01` with momentum 0.9 and batch 4 drives the
@@ -10,10 +10,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rhsd::core::{
-    train_checked, RhsdConfig, RhsdNetwork, SentinelConfig, TelemetryConfig, TrainConfig,
-    TripReason,
-};
+use rhsd::core::{train_checked, RhsdConfig, RhsdNetwork, SentinelPolicy, TrainConfig, TripReason};
 use rhsd::data::{BBox, RegionSample};
 use rhsd::layout::{RasterSpec, Rect};
 use rhsd::obs;
@@ -38,7 +35,7 @@ fn lr001_collapse_trips_the_sentinel_within_three_epochs() {
     let mut tc = TrainConfig::demo();
     tc.epochs = 3;
     tc.schedule.initial = 0.01;
-    tc.sentinel = SentinelConfig::aborting();
+    tc.sentinel = SentinelPolicy::Abort;
     let mut rng = ChaCha8Rng::seed_from_u64(103);
     let mut net = RhsdNetwork::new(ours_config(), &mut rng);
     let abort = train_checked(&mut net, &samples, &tc)
@@ -81,8 +78,7 @@ fn fixed_quick_config_trains_with_no_sentinel_events() {
         "fixed config must train clean, got {:?}",
         report.trips
     );
-    // Telemetry rode along: per-layer rows exist and the label histogram
-    // is populated.
+    // Per-layer rows ride along and the label histogram is populated.
     let last = report.history.last().expect("history");
     assert!(!last.layers.is_empty());
     assert!(last.pred_hotspot + last.pred_non_hotspot > 0);
@@ -115,35 +111,6 @@ fn synthetic_samples(cfg: &RhsdConfig, n: usize) -> Vec<RegionSample> {
         .collect()
 }
 
-#[test]
-fn telemetry_is_bit_identity_preserving() {
-    let cfg = RhsdConfig::tiny();
-    let samples = synthetic_samples(&cfg, 4);
-    let run = |sample_every: usize| {
-        let mut rng = ChaCha8Rng::seed_from_u64(91);
-        let mut net = RhsdNetwork::new(cfg.clone(), &mut rng);
-        let mut tc = TrainConfig::tiny();
-        tc.epochs = 3;
-        tc.telemetry = TelemetryConfig { sample_every };
-        let report = train_checked(&mut net, &samples, &tc).expect("train");
-        let weights: Vec<Vec<f32>> = net.params().iter().map(|p| p.as_slice().to_vec()).collect();
-        (report, weights)
-    };
-    let (with_tel, w_on) = run(4);
-    let (without, w_off) = run(0);
-    // Model outputs are bit-identical: telemetry only reads tensors.
-    assert_eq!(w_on, w_off, "weights must be bit-identical");
-    for (a, b) in with_tel.history.iter().zip(&without.history) {
-        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
-        assert_eq!(a.mean_grad_norm.to_bits(), b.mean_grad_norm.to_bits());
-        assert_eq!(a.pred_hotspot, b.pred_hotspot);
-        assert_eq!(a.pred_non_hotspot, b.pred_non_hotspot);
-    }
-    // ... and only the telemetry side differs.
-    assert!(with_tel.history.iter().all(|e| !e.layers.is_empty()));
-    assert!(without.history.iter().all(|e| e.layers.is_empty()));
-}
-
 /// Injected NaN → typed abort, sentinel ledger event, and a `run_end`
 /// line recording the trip reason. Kept in this binary (ledgers are
 /// process-global; `tests/ledger_integration.rs` owns the happy path).
@@ -162,7 +129,7 @@ fn nan_loss_aborts_and_leaves_a_ledger_trail() {
     // does too.
     net.params_mut()[0].as_mut_slice()[0] = f32::NAN;
     let mut tc = TrainConfig::tiny();
-    tc.sentinel = SentinelConfig::aborting();
+    tc.sentinel = SentinelPolicy::Abort;
     let abort = train_checked(&mut net, &samples, &tc).expect_err("NaN loss must abort");
     assert!(
         matches!(abort.reason, TripReason::NonFiniteLoss { epoch: 0, .. }),

@@ -12,9 +12,11 @@
 //!   its time);
 //! - cache-efficiency gauges from the `run_end` counters: hit/miss/
 //!   eviction/byte totals and the hit rate per `cache.*` family;
-//! - training dynamics from `epoch` events — the loss/lr/grad-norm/
-//!   entropy trajectory, the per-layer dynamics table from the last
-//!   sampled epoch, and any divergence-sentinel trips;
+//! - training dynamics from `epoch` events, per training run (a ledger
+//!   of several trained networks holds one run each, told apart by the
+//!   epoch index starting over) — the loss/lr/grad-norm/entropy
+//!   trajectory, the per-layer table from the run's last epoch, and
+//!   any divergence-sentinel trips;
 //! - the evaluation table (per detector and case);
 //! - with `--html <out>`, a self-contained zero-dependency HTML page: an
 //!   icicle chart of the span tree (width = inclusive seconds) and the
@@ -40,10 +42,6 @@ use rhsd_obs::SpanTree;
 #[derive(Debug, Clone)]
 struct LayerRow {
     key: String,
-    act_mean_abs: f64,
-    dead_frac: f64,
-    saturated_frac: f64,
-    flow_grad_norm: f64,
     grad_norm: f64,
     update_ratio: f64,
     weight_norm: f64,
@@ -65,20 +63,41 @@ struct EpochRow {
 /// One divergence-sentinel trip: `(epoch, reason, detail, action)`.
 type SentinelRow = (u64, String, String, String);
 
+/// One trained network's `epoch` events and the sentinel trips that
+/// follow them.
+#[derive(Debug, Default)]
+struct TrainingRun {
+    epochs: Vec<EpochRow>,
+    sentinels: Vec<SentinelRow>,
+}
+
 /// Everything extracted from one ledger file.
 #[derive(Debug, Default)]
 struct LedgerRun {
     manifest: Vec<(String, String)>,
     /// The span tree from `run_end`; empty without one.
     spans: SpanTree,
-    epochs: Vec<EpochRow>,
-    sentinels: Vec<SentinelRow>,
+    /// Training runs in ledger order: a new one starts wherever an
+    /// epoch index does not follow the previous epoch's.
+    training: Vec<TrainingRun>,
     evals: Vec<(String, String, f64, u64, f64)>,
     status: Option<String>,
     wall_secs: Option<f64>,
     counters: Vec<(String, u64)>,
     /// Lines that failed to parse (truncated tail of a crashed run).
     bad_lines: usize,
+}
+
+impl LedgerRun {
+    /// The training run the next event belongs to (a first one if the
+    /// ledger has none yet).
+    fn current_training(&mut self) -> &mut TrainingRun {
+        if self.training.is_empty() {
+            self.training.push(TrainingRun::default());
+        }
+        let last = self.training.len() - 1;
+        &mut self.training[last]
+    }
 }
 
 fn parse_ledger(text: &str) -> LedgerRun {
@@ -118,10 +137,6 @@ fn parse_ledger(text: &str) -> LedgerRun {
                                 let g = |key: &str| l.get(key).and_then(Value::as_f64);
                                 Some(LayerRow {
                                     key: l.get("key")?.as_str()?.to_owned(),
-                                    act_mean_abs: g("act_mean_abs")?,
-                                    dead_frac: g("dead_frac")?,
-                                    saturated_frac: g("saturated_frac")?,
-                                    flow_grad_norm: g("flow_grad_norm")?,
                                     grad_norm: g("grad_norm")?,
                                     update_ratio: g("update_ratio")?,
                                     weight_norm: g("weight_norm")?,
@@ -130,8 +145,17 @@ fn parse_ledger(text: &str) -> LedgerRun {
                             .collect()
                     })
                     .unwrap_or_default();
-                run.epochs.push(EpochRow {
-                    epoch: v.get("epoch").and_then(Value::as_u64).unwrap_or(0),
+                let epoch = v.get("epoch").and_then(Value::as_u64).unwrap_or(0);
+                let follows = run
+                    .training
+                    .last()
+                    .and_then(|t| t.epochs.last())
+                    .is_some_and(|prev| epoch == prev.epoch + 1);
+                if !follows {
+                    run.training.push(TrainingRun::default());
+                }
+                run.current_training().epochs.push(EpochRow {
+                    epoch,
                     mean_loss: f("mean_loss").unwrap_or(f64::NAN),
                     grad_norm: f("grad_norm").unwrap_or(f64::NAN),
                     lr: f("lr").unwrap_or(f64::NAN),
@@ -142,7 +166,7 @@ fn parse_ledger(text: &str) -> LedgerRun {
             }
             Some("sentinel") => {
                 let s = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or("?").to_owned();
-                run.sentinels.push((
+                run.current_training().sentinels.push((
                     v.get("epoch").and_then(Value::as_u64).unwrap_or(0),
                     s("reason"),
                     s("detail"),
@@ -228,26 +252,29 @@ fn render_caches(counters: &[(String, u64)], out: &mut String) {
     }
 }
 
-/// Renders the training-dynamics section: the per-epoch trajectory, the
-/// per-layer table from the last epoch that sampled layer stats, and
-/// any sentinel trips. Silent when the ledger has no `epoch` events
-/// (inference-only runs).
+/// Renders the training-dynamics section, one block per training run
+/// (`run 1…n`): the per-epoch trajectory, the per-layer table from the
+/// run's last epoch carrying layer rows, and the run's sentinel trips.
+/// Silent when the ledger has no `epoch` events (inference-only runs).
 fn render_training(run: &LedgerRun, out: &mut String) {
-    if run.epochs.is_empty() && run.sentinels.is_empty() {
-        return;
-    }
-    if !run.epochs.is_empty() {
-        let _ = writeln!(out, "\ntraining dynamics ({} epoch(s)):", run.epochs.len());
+    for (n, t) in (1..).zip(&run.training) {
         let _ = writeln!(
             out,
-            "  {:>5} {:>10} {:>10} {:>9} {:>7} {:>8}",
-            "epoch", "loss", "grad-norm", "lr", "pred-H", "label-H"
+            "\ntraining dynamics, run {n} ({} epoch(s)):",
+            t.epochs.len()
         );
+        if !t.epochs.is_empty() {
+            let _ = writeln!(
+                out,
+                "  {:>5} {:>10} {:>10} {:>9} {:>7} {:>8}",
+                "epoch", "loss", "grad-norm", "lr", "pred-H", "label-H"
+            );
+        }
         let ent = |e: Option<f64>| match e {
             Some(x) => format!("{x:.3}"),
             None => "—".to_owned(),
         };
-        for e in &run.epochs {
+        for e in &t.epochs {
             let _ = writeln!(
                 out,
                 "  {:>5} {:>10.4} {:>10.4} {:>9.5} {:>7} {:>8}",
@@ -259,40 +286,45 @@ fn render_training(run: &LedgerRun, out: &mut String) {
                 ent(e.label_entropy),
             );
         }
-        if let Some(last) = run.epochs.iter().rev().find(|e| !e.layers.is_empty()) {
-            let _ = writeln!(out, "\n  layer dynamics (epoch {}, sampled):", last.epoch);
+        if let Some(last) = last_layers(t) {
+            let _ = writeln!(out, "\n  layer dynamics (run {n}, epoch {}):", last.epoch);
             let _ = writeln!(
                 out,
-                "  {:<26} {:>9} {:>6} {:>6} {:>9} {:>9} {:>9} {:>9}",
-                "layer", "|act|", "dead%", "sat%", "flow-g", "grad", "upd/w", "|w|"
+                "  {:<26} {:>9} {:>9} {:>9}",
+                "layer", "grad", "upd/w", "|w|"
             );
             for l in &last.layers {
                 let _ = writeln!(
                     out,
-                    "  {:<26} {:>9.4} {:>6.1} {:>6.1} {:>9.3e} {:>9.3e} {:>9.3e} {:>9.3}",
-                    l.key,
-                    l.act_mean_abs,
-                    100.0 * l.dead_frac,
-                    100.0 * l.saturated_frac,
-                    l.flow_grad_norm,
-                    l.grad_norm,
-                    l.update_ratio,
-                    l.weight_norm,
+                    "  {:<26} {:>9.3e} {:>9.3e} {:>9.3}",
+                    l.key, l.grad_norm, l.update_ratio, l.weight_norm,
+                );
+            }
+        }
+        if !t.sentinels.is_empty() {
+            let _ = writeln!(out, "\n  sentinel trips (run {n}):");
+            for (epoch, reason, detail, action) in &t.sentinels {
+                let _ = writeln!(
+                    out,
+                    "  epoch {epoch}  {reason} ({action}): {}",
+                    trip_detail(*epoch, detail)
                 );
             }
         }
     }
-    if !run.sentinels.is_empty() {
-        let _ = writeln!(out, "\nsentinel trips:");
-        for (epoch, reason, detail, action) in &run.sentinels {
-            // The ledger's detail string repeats the epoch prefix; drop it
-            // since the line already leads with the epoch.
-            let detail = detail
-                .strip_prefix(&format!("epoch {epoch}: "))
-                .unwrap_or(detail);
-            let _ = writeln!(out, "  epoch {epoch}  {reason} ({action}): {detail}");
-        }
-    }
+}
+
+/// The run's last epoch that carries layer rows.
+fn last_layers(t: &TrainingRun) -> Option<&EpochRow> {
+    t.epochs.iter().rev().find(|e| !e.layers.is_empty())
+}
+
+/// A trip's detail without the epoch prefix the ledger repeats (the
+/// rendered line already leads with the epoch).
+fn trip_detail(epoch: u64, detail: &str) -> &str {
+    detail
+        .strip_prefix(&format!("epoch {epoch}: "))
+        .unwrap_or(detail)
 }
 
 fn fmt_bytes(b: u64) -> String {
@@ -564,9 +596,10 @@ fn svg_chart(title: &str, series: &[Series]) -> String {
     out
 }
 
-/// Per-layer series for `field`, one per layer key (first-seen order),
-/// trimmed to [`MAX_LAYER_CURVES`] by final gradient norm.
-fn layer_series(run: &LedgerRun, field: fn(&LayerRow) -> f64) -> (Vec<Series>, usize) {
+/// One run's per-layer gradient-norm series, one per layer key
+/// (first-seen order), trimmed to [`MAX_LAYER_CURVES`] by final gradient
+/// norm; also returns the untrimmed key count.
+fn layer_series(run: &TrainingRun) -> (Vec<Series>, usize) {
     let mut keys: Vec<String> = Vec::new();
     for e in &run.epochs {
         for l in &e.layers {
@@ -606,7 +639,7 @@ fn layer_series(run: &LedgerRun, field: fn(&LayerRow) -> f64) -> (Vec<Series>, u
                     e.layers
                         .iter()
                         .find(|l| l.key == key)
-                        .map(|l| (e.epoch as f64, field(l)))
+                        .map(|l| (e.epoch as f64, l.grad_norm))
                 })
                 .collect();
             (key, pts)
@@ -662,93 +695,83 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
     ));
     html.push_str(&icicle_html(&run.spans));
 
+    if run.training.is_empty() {
+        html.push_str(
+            "<p class=\"meta\">(no epoch events in this ledger — \
+                       nothing trained)</p>\n",
+        );
+    }
+    for (n, t) in (1..).zip(&run.training) {
+        training_html(n, t, &mut html);
+    }
+    html.push_str("</body>\n</html>\n");
+    html
+}
+
+/// Training run `n`'s block of the page: its sentinel trips, learning
+/// curves, per-layer gradient-norm curves and final layer table.
+fn training_html(n: usize, run: &TrainingRun, html: &mut String) {
+    html.push_str(&format!(
+        "<h2>training run {n} ({} epoch(s))</h2>\n",
+        run.epochs.len()
+    ));
     if !run.sentinels.is_empty() {
         html.push_str("<p class=\"trip\">sentinel trips:</p>\n<ul>\n");
         for (epoch, reason, detail, action) in &run.sentinels {
-            let detail = detail
-                .strip_prefix(&format!("epoch {epoch}: "))
-                .unwrap_or(detail);
             html.push_str(&format!(
                 "<li class=\"trip\">epoch {epoch} — {} ({}): {}</li>\n",
                 html_escape(reason),
                 html_escape(action),
-                html_escape(detail),
+                html_escape(trip_detail(*epoch, detail)),
             ));
         }
         html.push_str("</ul>\n");
     }
-
-    if run.epochs.is_empty() {
-        html.push_str(
-            "<p class=\"meta\">(no epoch events in this ledger — \
-                       nothing trained)</p>\n</body>\n</html>\n",
-        );
-        return html;
-    }
-
-    let per_epoch = |f: fn(&EpochRow) -> f64| -> Vec<(f64, f64)> {
-        run.epochs.iter().map(|e| (e.epoch as f64, f(e))).collect()
+    let per_epoch = |f: fn(&EpochRow) -> Option<f64>| -> Vec<(f64, f64)> {
+        run.epochs
+            .iter()
+            .filter_map(|e| f(e).map(|y| (e.epoch as f64, y)))
+            .collect()
     };
     html.push_str("<div class=\"cards\">\n");
     html.push_str(&svg_chart(
         "training loss",
-        &[("mean_loss".to_owned(), per_epoch(|e| e.mean_loss))],
+        &[("mean_loss".to_owned(), per_epoch(|e| Some(e.mean_loss)))],
     ));
     html.push_str(&svg_chart(
         "learning rate",
-        &[("lr".to_owned(), per_epoch(|e| e.lr))],
+        &[("lr".to_owned(), per_epoch(|e| Some(e.lr)))],
     ));
     html.push_str(&svg_chart(
         "global gradient norm",
-        &[("grad_norm".to_owned(), per_epoch(|e| e.grad_norm))],
+        &[("grad_norm".to_owned(), per_epoch(|e| Some(e.grad_norm)))],
     ));
     html.push_str(&svg_chart(
         "prediction vs label entropy (bits)",
         &[
-            (
-                "pred_entropy".to_owned(),
-                run.epochs
-                    .iter()
-                    .filter_map(|e| e.pred_entropy.map(|y| (e.epoch as f64, y)))
-                    .collect(),
-            ),
-            (
-                "label_entropy".to_owned(),
-                run.epochs
-                    .iter()
-                    .filter_map(|e| e.label_entropy.map(|y| (e.epoch as f64, y)))
-                    .collect(),
-            ),
+            ("pred_entropy".to_owned(), per_epoch(|e| e.pred_entropy)),
+            ("label_entropy".to_owned(), per_epoch(|e| e.label_entropy)),
         ],
     ));
-    let (grad_curves, total_layers) = layer_series(&run, |l| l.grad_norm);
+    let (grad_curves, total_layers) = layer_series(run);
     html.push_str(&svg_chart("per-layer gradient norm", &grad_curves));
-    let (dead_curves, _) = layer_series(&run, |l| l.dead_frac);
-    html.push_str(&svg_chart("per-layer dead-ReLU fraction", &dead_curves));
     html.push_str("</div>\n");
     if total_layers > MAX_LAYER_CURVES {
         html.push_str(&format!(
-            "<p class=\"meta\">layer charts show the {MAX_LAYER_CURVES} layers with the \
+            "<p class=\"meta\">the layer chart shows the {MAX_LAYER_CURVES} layers with the \
              largest final gradient norm (of {total_layers}); the full table is below.</p>\n"
         ));
     }
-
-    if let Some(last) = run.epochs.iter().rev().find(|e| !e.layers.is_empty()) {
+    if let Some(last) = last_layers(run) {
         html.push_str(&format!(
-            "<h2>layer dynamics — epoch {}</h2>\n<table>\n<tr><th>layer</th>\
-             <th>|act|</th><th>dead %</th><th>sat %</th><th>flow ‖g‖</th>\
+            "<h2>layer dynamics — run {n}, epoch {}</h2>\n<table>\n<tr><th>layer</th>\
              <th>‖g‖</th><th>upd/w</th><th>‖w‖</th></tr>\n",
             last.epoch
         ));
         for l in &last.layers {
             html.push_str(&format!(
-                "<tr><td>{}</td><td>{:.4}</td><td>{:.1}</td><td>{:.1}</td>\
-                 <td>{:.3e}</td><td>{:.3e}</td><td>{:.3e}</td><td>{:.3}</td></tr>\n",
+                "<tr><td>{}</td><td>{:.3e}</td><td>{:.3e}</td><td>{:.3}</td></tr>\n",
                 html_escape(&l.key),
-                l.act_mean_abs,
-                100.0 * l.dead_frac,
-                100.0 * l.saturated_frac,
-                l.flow_grad_norm,
                 l.grad_norm,
                 l.update_ratio,
                 l.weight_norm,
@@ -756,8 +779,6 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
         }
         html.push_str("</table>\n");
     }
-    html.push_str("</body>\n</html>\n");
-    html
 }
 
 // ---------------------------------------------------------------------
@@ -818,7 +839,7 @@ mod tests {
             // old-style epoch event (pre-/8 ledger): no entropies, no layers
             r#"{"event":"epoch","seq":1,"t":0.5,"epoch":0,"mean_loss":0.8,"mean_cpn_cls":0.3,"mean_cpn_reg":0.2,"mean_refine_cls":0.3,"grad_norm":2.0,"lr":0.01,"samples":8}"#,
             // new-style epoch event with entropies and per-layer rows
-            r#"{"event":"epoch","seq":2,"t":0.9,"epoch":1,"mean_loss":0.6,"mean_cpn_cls":0.2,"mean_cpn_reg":0.15,"mean_refine_cls":0.25,"grad_norm":1.5,"lr":0.009,"samples":8,"pred_entropy":0.62,"label_entropy":0.97,"layers":[{"key":"backbone/Conv2d#1","act_mean_abs":0.25,"dead_frac":0.125,"saturated_frac":0.0,"flow_grad_norm":1.2,"grad_norm":0.8,"update_ratio":0.004,"weight_norm":3.5},{"key":"refine/Linear#30","act_mean_abs":1.5,"dead_frac":0.0,"saturated_frac":0.03,"flow_grad_norm":0.4,"grad_norm":0.2,"update_ratio":0.001,"weight_norm":2.0}]}"#,
+            r#"{"event":"epoch","seq":2,"t":0.9,"epoch":1,"mean_loss":0.6,"mean_cpn_cls":0.2,"mean_cpn_reg":0.15,"mean_refine_cls":0.25,"grad_norm":1.5,"lr":0.009,"samples":8,"pred_entropy":0.62,"label_entropy":0.97,"layers":[{"key":"backbone/Conv2d#1","grad_norm":0.8,"update_ratio":0.004,"weight_norm":3.5},{"key":"refine/fc","grad_norm":0.2,"update_ratio":0.001,"weight_norm":2.0}]}"#,
             r#"{"event":"sentinel","seq":3,"t":0.95,"epoch":1,"reason":"loss_spike","detail":"loss 9.0 is 4.0x the window median 0.7","action":"warn"}"#,
             r#"{"event":"eval","seq":4,"t":2.0,"detector":"Ours","case":"Case2","accuracy_pct":87.5,"false_alarms":9,"seconds":1.25}"#,
             r#"{"event":"run_end","seq":5,"t":2.5,"status":"ok","wall_secs":2.5,"counters":{"cache.region_tile.hits":18,"cache.region_tile.misses":18,"cache.stem_feature.hits":3,"cache.stem_feature.misses":9,"cache.stem_feature.bytes":4096},"peaks":{},"spans":{"scan":{"calls":1,"secs":1,"tid_secs":{"1":1}},"scan;raster":{"calls":1,"secs":0.25,"tid_secs":{"2":0.25}}}}"#,
@@ -876,22 +897,90 @@ mod tests {
     #[test]
     fn training_dynamics_section_renders_epochs_layers_and_trips() {
         let out = render(&sample_ledger(), 8);
-        assert!(out.contains("training dynamics (2 epoch(s)):"), "{out}");
+        assert!(
+            out.contains("training dynamics, run 1 (2 epoch(s)):"),
+            "{out}"
+        );
         // pre-/8 epoch renders with em-dash entropies, new one with values
         assert!(out.contains("0.620"), "pred entropy column:\n{out}");
         assert!(out.contains("0.970"), "label entropy column:\n{out}");
         assert!(out.contains("—"), "old epoch renders placeholder:\n{out}");
         // layer table comes from the last epoch carrying layer rows
-        assert!(out.contains("layer dynamics (epoch 1, sampled):"), "{out}");
+        assert!(out.contains("layer dynamics (run 1, epoch 1):"), "{out}");
         assert!(out.contains("backbone/Conv2d#1"), "{out}");
-        assert!(out.contains("refine/Linear#30"), "{out}");
-        assert!(out.contains("12.5"), "dead fraction as percent:\n{out}");
+        assert!(out.contains("refine/fc"), "{out}");
+        assert!(out.contains("4.000e-3"), "update ratio column:\n{out}");
         // sentinel trip with reason, action and detail
-        assert!(out.contains("sentinel trips:"), "{out}");
+        assert!(out.contains("sentinel trips (run 1):"), "{out}");
         assert!(
             out.contains("epoch 1  loss_spike (warn): loss 9.0 is 4.0x the window median 0.7"),
             "{out}"
         );
+    }
+
+    /// An epoch line for `epoch` with one `refine/fc` row.
+    fn epoch_line(epoch: u64, fc_grad: f64) -> String {
+        format!(
+            r#"{{"event":"epoch","epoch":{epoch},"mean_loss":0.5,"grad_norm":1.0,"lr":0.005,"layers":[{{"key":"refine/fc","grad_norm":{fc_grad},"update_ratio":0.001,"weight_norm":2.0}}]}}"#
+        )
+    }
+
+    /// Two networks trained into one ledger, as Table 1 does: the epoch
+    /// index starting over splits them into runs, each with its own
+    /// trajectory, final layer table, trips and curves.
+    #[test]
+    fn epoch_index_starting_over_splits_training_runs() {
+        let mut lines: Vec<String> = (0..3)
+            .map(|e| epoch_line(e, 2.0 - 0.5 * e as f64))
+            .collect();
+        lines.push(
+            r#"{"event":"sentinel","epoch":2,"reason":"bias_collapse","detail":"epoch 2: collapse","action":"warn"}"#
+                .to_owned(),
+        );
+        lines.extend((0..2).map(|e| epoch_line(e, 7.25)));
+        let text = lines.join("\n");
+        let run = parse_ledger(&text);
+        let epochs: Vec<Vec<u64>> = run
+            .training
+            .iter()
+            .map(|t| t.epochs.iter().map(|e| e.epoch).collect())
+            .collect();
+        assert_eq!(epochs, [vec![0, 1, 2], vec![0, 1]]);
+        assert_eq!(run.training[0].sentinels.len(), 1, "a trip joins its run");
+        assert!(run.training[1].sentinels.is_empty());
+
+        let out = render(&text, 8);
+        assert!(
+            out.contains("training dynamics, run 1 (3 epoch(s)):"),
+            "{out}"
+        );
+        assert!(
+            out.contains("training dynamics, run 2 (2 epoch(s)):"),
+            "{out}"
+        );
+        assert_eq!(out.matches("  layer dynamics (run ").count(), 2, "{out}");
+        assert!(out.contains("layer dynamics (run 1, epoch 2):"), "{out}");
+        assert!(out.contains("layer dynamics (run 2, epoch 1):"), "{out}");
+        assert!(out.contains("1.000e0"), "run 1's final fc row:\n{out}");
+        assert!(out.contains("7.250e0"), "run 2's final fc row:\n{out}");
+        assert!(out.contains("sentinel trips (run 1):"), "{out}");
+        assert!(!out.contains("sentinel trips (run 2)"), "{out}");
+
+        let html = render_html(&text, "two runs");
+        for heading in ["training run 1 (3 epoch(s))", "training run 2 (2 epoch(s))"] {
+            assert!(html.contains(heading), "{heading}:\n{html}");
+        }
+        // One refine/fc curve per run, never one joined across both.
+        assert_eq!(html.matches("per-layer gradient norm").count(), 2, "{html}");
+        let fc_curves: Vec<&str> = html
+            .split("<polyline points=\"")
+            .skip(1)
+            .filter(|p| p.contains("<title>refine/fc</title>"))
+            .map(|p| p.split('"').next().unwrap_or(""))
+            .collect();
+        assert_eq!(fc_curves.len(), 2, "{html}");
+        assert_eq!(fc_curves[0].split(' ').count(), 3, "{}", fc_curves[0]);
+        assert_eq!(fc_curves[1].split(' ').count(), 2, "{}", fc_curves[1]);
     }
 
     #[test]
@@ -915,14 +1004,13 @@ mod tests {
         assert!(!html.contains("<script"), "must not contain scripts");
         assert!(!html.contains("http://"), "no external assets");
         assert!(!html.contains("https://"), "no external assets");
-        // the four core charts plus the per-layer pair
+        // the four core charts plus the per-layer one
         for chart in [
             "training loss",
             "learning rate",
             "global gradient norm",
             "prediction vs label entropy",
             "per-layer gradient norm",
-            "per-layer dead-ReLU fraction",
         ] {
             assert!(html.contains(chart), "missing chart {chart}:\n{html}");
         }

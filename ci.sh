@@ -211,10 +211,10 @@ bench_report_renders() {
 
 # One layer table per trained region network: the quick Table 1 trains
 # three (Faster R-CNN, SSD and Ours), each with a `training` block in the
-# bench record.
+# bench record, and the report labels each with its detector.
 bench_report_layer_table_per_network() {
     local tables nets
-    tables=$(grep -c '^  layer dynamics (run ' $gate/report.txt)
+    tables=$(grep -c -E '^  layer dynamics \((Faster R-CNN|SSD|Ours), epoch ' $gate/report.txt)
     nets=$(grep -c '"training": {' $gate/BENCH_table1.json)
     [[ $tables -eq 3 && $nets -eq 3 ]] || {
         echo "report.txt has $tables layer table(s) for $nets trained network(s); want 3" >&2
@@ -403,13 +403,16 @@ if [[ $mode == --bench-gate ]]; then
     exit 0
 fi
 
-# ISA matrix: the AVX2 kernels must stay bit-identical to the scalar
-# reference (RHSD_FORCE_SCALAR=1 reruns the kernel, litho aerial,
+# ISA matrix: the AVX2 and AVX-512 kernels must stay bit-identical to
+# the scalar reference. The first leg prints the tier this host
+# dispatches to: the kernel tests run every tier up to it in turn
+# (RHSD_FORCE_SCALAR=1 reruns the kernel, litho aerial,
 # determinism and conv-lowering suites through the scalar dispatch;
 # rhsd-litho's split-interior test is the one bit-identity check of
 # conv_taps outside the tensor crate, and rhsd-baselines runs TCAD'18's
 # in-place ReLU on the scalar LeakyRelu kernels).
 simd_matrix() {
+    run_step "simd matrix: dispatched isa" cargo xtask isa
     run_step "simd matrix: forced-scalar crate tests" \
         env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core -p rhsd-litho \
         -p rhsd-baselines

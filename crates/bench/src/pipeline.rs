@@ -148,8 +148,22 @@ impl TrainingSummary {
 
 /// Trains one region-based network (ours or an ablation/generic config),
 /// returning the detector plus the training-dynamics summary for the
-/// bench record (`None` when no epochs ran).
+/// bench record (`None` when no epochs ran). Its ledger `epoch` events
+/// carry no detector name: [`train_detector`] names them.
 pub fn train_region_network(
+    config: RhsdConfig,
+    samples: &[RegionSample],
+    effort: Effort,
+    seed: u64,
+) -> (RegionDetector, Option<TrainingSummary>) {
+    train_detector("", config, samples, effort, seed)
+}
+
+/// [`train_region_network`], with every ledger `epoch` event naming the
+/// trained detector `detector`, so a report of a ledger that trains
+/// several labels each run with its detector.
+pub fn train_detector(
+    detector: &str,
     config: RhsdConfig,
     samples: &[RegionSample],
     effort: Effort,
@@ -157,7 +171,10 @@ pub fn train_region_network(
 ) -> (RegionDetector, Option<TrainingSummary>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = RhsdNetwork::new(config, &mut rng);
-    let tc = train_config(effort);
+    let tc = TrainConfig {
+        detector: detector.to_owned(),
+        ..train_config(effort)
+    };
     // The default Warn policy never aborts, but stay typed about it.
     let (history, trips) = match rhsd_core::train_checked(&mut net, samples, &tc) {
         Ok(report) => (report.history, report.trips),
@@ -469,31 +486,21 @@ pub fn run_table1(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
         .collect();
     reports.push(DetectorReport::new("TCAD'18", rows));
 
-    // Faster R-CNN-style.
-    let (frcnn, training) =
-        train_region_network(faster_rcnn_config(&region), &samples, effort, 101);
-    let rows = benches
-        .iter()
-        .map(|b| evaluate_region_detector(&frcnn, b))
-        .collect();
-    reports.push(DetectorReport::new("Faster R-CNN", rows).with_training(training));
-
-    // SSD-style.
-    let (ssd, training) = train_region_network(ssd_config(&region), &samples, effort, 102);
-    let rows = benches
-        .iter()
-        .map(|b| evaluate_region_detector(&ssd, b))
-        .collect();
-    reports.push(DetectorReport::new("SSD", rows).with_training(training));
-
-    // Ours.
-    let (ours, training) = train_region_network(ours_config(), &samples, effort, OURS_SEED);
-    let rows = benches
-        .iter()
-        .map(|b| evaluate_region_detector(&ours, b))
-        .collect();
-    reports.push(DetectorReport::new("Ours", rows).with_training(training));
-
+    // Faster R-CNN-style, SSD-style, then ours.
+    let networks = [
+        ("Faster R-CNN", faster_rcnn_config(&region), 101),
+        ("SSD", ssd_config(&region), 102),
+        ("Ours", ours_config(), OURS_SEED),
+    ];
+    let [_, _, ours] = networks.map(|(name, config, seed)| {
+        let (det, training) = train_detector(name, config, &samples, effort, seed);
+        let rows = benches
+            .iter()
+            .map(|b| evaluate_region_detector(&det, b))
+            .collect();
+        reports.push(DetectorReport::new(name, rows).with_training(training));
+        det
+    });
     (reports, ours)
 }
 
@@ -520,7 +527,7 @@ pub fn run_fig10(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
     for (name, tweak) in &variants {
         let mut cfg = ours_config();
         tweak(&mut cfg);
-        let (det, training) = train_region_network(cfg, &samples, effort, OURS_SEED);
+        let (det, training) = train_detector(name, cfg, &samples, effort, OURS_SEED);
         let rows = benches
             .iter()
             .map(|b| evaluate_region_detector(&det, b))

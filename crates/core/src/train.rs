@@ -33,6 +33,9 @@ pub struct TrainConfig {
     pub seed: u64,
     /// What a divergence-sentinel trip does.
     pub sentinel: SentinelPolicy,
+    /// The trained detector's name, which every ledger `epoch` event
+    /// carries so a report can tell runs apart; empty: unnamed.
+    pub detector: String,
 }
 
 impl TrainConfig {
@@ -46,6 +49,7 @@ impl TrainConfig {
             clip_norm: 10.0,
             seed: 2019,
             sentinel: SentinelPolicy::Warn,
+            detector: String::new(),
         }
     }
 
@@ -70,6 +74,7 @@ impl TrainConfig {
             clip_norm: 5.0,
             seed: 2019,
             sentinel: SentinelPolicy::Warn,
+            detector: String::new(),
         }
     }
 
@@ -83,6 +88,7 @@ impl TrainConfig {
             clip_norm: 5.0,
             seed: 7,
             sentinel: SentinelPolicy::Warn,
+            detector: String::new(),
         }
     }
 }
@@ -277,13 +283,25 @@ pub fn train_checked(
         rhsd_obs::record("train.loss", stats.mean_loss as f64);
         rhsd_obs::record("train.grad_norm", stats.mean_grad_norm as f64);
         rhsd_obs::record("train.lr", stats.lr as f64);
-        rhsd_obs::record("train.pred_entropy", stats.pred_entropy as f64);
-        rhsd_obs::record("train.label_entropy", stats.label_entropy() as f64);
+        // An epoch that refined no RoI has no prediction to take an
+        // entropy over: its entropies are absent, not the 0 that reads
+        // as a collapse.
+        let entropies = (pred_total > 0).then(|| {
+            (
+                f64::from(stats.pred_entropy),
+                f64::from(stats.label_entropy()),
+            )
+        });
+        if let Some((pred, label)) = entropies {
+            rhsd_obs::record("train.pred_entropy", pred);
+            rhsd_obs::record("train.label_entropy", label);
+        }
         rhsd_obs::counter("train.samples", seen as u64);
         // Stream the epoch into the run ledger (no-op unless a ledger is
         // open), so every run's training dynamics are captured next to
         // its final numbers.
         rhsd_obs::ledger::emit(&rhsd_obs::ledger::Event::Epoch {
+            detector: config.detector.clone(),
             epoch: epoch as u64,
             mean_loss: stats.mean_loss as f64,
             mean_cpn_cls: stats.mean_cpn_cls as f64,
@@ -292,8 +310,8 @@ pub fn train_checked(
             grad_norm: stats.mean_grad_norm as f64,
             lr: stats.lr as f64,
             samples: seen as u64,
-            pred_entropy: stats.pred_entropy as f64,
-            label_entropy: stats.label_entropy() as f64,
+            pred_entropy: entropies.map(|e| e.0),
+            label_entropy: entropies.map(|e| e.1),
             layers: stats
                 .layers
                 .iter()

@@ -53,7 +53,7 @@ pub struct Manifest {
     /// depend on `rhsd-par`.
     pub threads: u64,
     /// Detected SIMD instruction set the kernels dispatched to
-    /// (`"scalar"` / `"avx2"`); empty for older runs. Purely
+    /// (`"scalar"` / `"avx2"` / `"avx512"`); empty for older runs. Purely
     /// informational — default-dispatch results are bit-identical
     /// across ISAs.
     pub isa: String,
@@ -98,6 +98,9 @@ pub enum Event {
     /// Per-epoch training telemetry (the `EpochStats` fields plus the
     /// sample count).
     Epoch {
+        /// The trained detector's name (`"Ours"`, `"SSD"`, …); empty
+        /// when the trainer's caller named none, and then not written.
+        detector: String,
         /// 0-based epoch index.
         epoch: u64,
         /// Mean total loss over the epoch's samples.
@@ -114,10 +117,12 @@ pub enum Event {
         lr: f64,
         /// Samples seen this epoch.
         samples: u64,
-        /// Mean per-RoI refinement prediction entropy (nats).
-        pred_entropy: f64,
-        /// Entropy of the predicted-label histogram (nats).
-        label_entropy: f64,
+        /// Mean per-RoI refinement prediction entropy (nats); `None`
+        /// (written `null`) when the epoch refined no RoI.
+        pred_entropy: Option<f64>,
+        /// Entropy of the predicted-label histogram (nats); `None` when
+        /// the epoch refined no RoI.
+        label_entropy: Option<f64>,
         /// Per-parameter-group dynamics rows, in parameter order.
         layers: Vec<LayerDyn>,
     },
@@ -220,6 +225,7 @@ impl Event {
                 fld_str(&mut o, "isa", &m.isa);
             }
             Event::Epoch {
+                detector,
                 epoch,
                 mean_loss,
                 mean_cpn_cls,
@@ -232,6 +238,9 @@ impl Event {
                 label_entropy,
                 layers,
             } => {
+                if !detector.is_empty() {
+                    fld_str(&mut o, "detector", detector);
+                }
                 fld_raw(&mut o, "epoch", &epoch.to_string());
                 fld_raw(&mut o, "mean_loss", &number(*mean_loss));
                 fld_raw(&mut o, "mean_cpn_cls", &number(*mean_cpn_cls));
@@ -240,8 +249,9 @@ impl Event {
                 fld_raw(&mut o, "grad_norm", &number(*grad_norm));
                 fld_raw(&mut o, "lr", &number(*lr));
                 fld_raw(&mut o, "samples", &samples.to_string());
-                fld_raw(&mut o, "pred_entropy", &number(*pred_entropy));
-                fld_raw(&mut o, "label_entropy", &number(*label_entropy));
+                let entropy = |e: Option<f64>| e.map_or_else(|| "null".to_owned(), number);
+                fld_raw(&mut o, "pred_entropy", &entropy(*pred_entropy));
+                fld_raw(&mut o, "label_entropy", &entropy(*label_entropy));
                 let layers: Vec<String> = layers.iter().map(LayerDyn::to_json).collect();
                 fld_raw(&mut o, "layers", &format!("[{}]", layers.join(",")));
             }
@@ -516,6 +526,7 @@ mod tests {
         let events = [
             Event::RunStart(manifest()),
             Event::Epoch {
+                detector: "Ours".into(),
                 epoch: 3,
                 mean_loss: 0.5,
                 mean_cpn_cls: 0.2,
@@ -524,8 +535,8 @@ mod tests {
                 grad_norm: 4.25,
                 lr: 0.01,
                 samples: 12,
-                pred_entropy: 0.55,
-                label_entropy: 0.69,
+                pred_entropy: Some(0.55),
+                label_entropy: Some(0.69),
                 layers: vec![LayerDyn {
                     key: "backbone/Conv2d#1".into(),
                     grad_norm: 2.0,
@@ -577,6 +588,7 @@ mod tests {
     #[test]
     fn nonfinite_values_serialise_as_null() {
         let e = Event::Epoch {
+            detector: String::new(),
             epoch: 0,
             mean_loss: f64::NAN,
             mean_cpn_cls: f64::INFINITY,
@@ -585,8 +597,8 @@ mod tests {
             grad_norm: 0.0,
             lr: 0.0,
             samples: 0,
-            pred_entropy: 0.0,
-            label_entropy: 0.0,
+            pred_entropy: None,
+            label_entropy: None,
             layers: Vec::new(),
         };
         let line = e.to_json(0, 0.0);
@@ -594,6 +606,11 @@ mod tests {
         let v = parse(&line).unwrap();
         assert_eq!(v.get("mean_loss"), Some(&Value::Null));
         assert_eq!(v.get("mean_cpn_cls"), Some(&Value::Null));
+        // No RoI refined: the entropies are absent, not the 0 of a
+        // collapse; an unnamed detector writes no name.
+        assert_eq!(v.get("pred_entropy"), Some(&Value::Null));
+        assert_eq!(v.get("label_entropy"), Some(&Value::Null));
+        assert_eq!(v.get("detector"), None);
     }
 
     #[test]
@@ -605,6 +622,7 @@ mod tests {
             led.emit(&Event::RunStart(manifest())).unwrap();
             for epoch in 0..3u64 {
                 led.emit(&Event::Epoch {
+                    detector: "SSD".into(),
                     epoch,
                     mean_loss: 1.0 / (epoch + 1) as f64,
                     mean_cpn_cls: 0.1,
@@ -613,8 +631,8 @@ mod tests {
                     grad_norm: 2.0,
                     lr: 0.01,
                     samples: 4,
-                    pred_entropy: 0.5,
-                    label_entropy: 0.6,
+                    pred_entropy: Some(0.5),
+                    label_entropy: Some(0.6),
                     layers: Vec::new(),
                 })
                 .unwrap();
@@ -663,6 +681,10 @@ mod tests {
             .filter_map(|v| v.get("epoch").and_then(Value::as_u64))
             .collect();
         assert_eq!(epochs, vec![0, 1, 2]);
+        assert_eq!(
+            parsed[1].get("detector").and_then(Value::as_str),
+            Some("SSD")
+        );
         // manifest fields survive the trip (including escaped quotes)
         let m = &parsed[0];
         assert_eq!(m.get("bin").and_then(Value::as_str), Some("test_bin"));

@@ -6,8 +6,9 @@
 //! output channels covers every `NR`-pixel strip of the row, each
 //! strip's chains in registers from start to store, the bias added in
 //! registers and the row's last partial strip stored under a lane mask.
-//! When the last channel block is a single channel, that channel runs
-//! in up to `MRR` equal segments of the row instead. Each run row reads
+//! The kernel takes a run's strips several at a time, more of them the
+//! fewer rows it has, so a block of one channel still keeps several
+//! independent chains in flight. Each run row reads
 //! its `B` rows at constant per-step offsets from a band of the source
 //! map copied into `workspace` scratch: per task, the rows its band of
 //! output rows reads, refilled band by band, with `NR` slack values
@@ -140,80 +141,29 @@ fn for_each_band(
 }
 
 /// The values a run covers along one output row: `len` values from
-/// `x0` in each of `MRR` channels from `c`, or (`seg`) in one channel
-/// `c`, cut into `MRR` segments of `seg` values.
+/// `x0` in each of the run's channels from `c`.
 #[derive(Clone, Copy)]
 struct Pixels {
     c: usize,
     x0: usize,
     len: usize,
-    seg: Option<usize>,
 }
 
 impl Pixels {
-    /// `len` values from `x0` of channels `c..`.
-    fn channels(c: usize, x0: usize, len: usize) -> Self {
-        Pixels {
-            c,
-            x0,
-            len,
-            seg: None,
-        }
-    }
-
-    /// The runs over `len` values from `x0` of channel `c` alone, with
-    /// their row counts: at most `mr` segments of equal whole strips,
-    /// then, when the strips do not divide evenly, one strip a row for
-    /// the rest. Every row of a run has as many strips as the others;
-    /// only the last one's last strip may be partial.
-    fn segments(c: usize, x0: usize, len: usize, mr: usize) -> impl Iterator<Item = (usize, Self)> {
-        let strips = len.div_ceil(NR);
-        let rows = mr.min(strips);
-        let per = strips.checked_div(rows).unwrap_or(0);
-        let split = (rows * per * NR).min(len);
-        let first = (rows, x0, split, per * NR);
-        let rest = (strips - rows * per, x0 + split, len - split, NR);
-        [first, rest]
-            .into_iter()
-            .filter(|&(rows, ..)| rows > 0)
-            .map(move |(rows, x0, len, seg)| {
-                let px = Pixels {
-                    c,
-                    x0,
-                    len,
-                    seg: Some(seg),
-                };
-                (rows, px)
-            })
-    }
-
     /// A run's destination rows in output row `row` (an offset into each
-    /// channel's band), with each row's output channel and first value.
+    /// channel's band), with each row's output channel.
     fn rows<'p, const MRR: usize>(
         self,
         planes: &'p mut [&mut [f32]],
         row: usize,
-    ) -> ([&'p mut [f32]; MRR], [usize; MRR], [usize; MRR]) {
-        let Pixels { c, x0, len, seg } = self;
-        let at = row + x0;
-        match seg {
-            None => {
-                let mut planes = planes[c..].iter_mut();
-                let dst = std::array::from_fn(|_| match planes.next() {
-                    Some(p) => &mut p[at..][..len],
-                    None => unreachable!("a run has a plane per row"),
-                });
-                (dst, std::array::from_fn(|r| c + r), [x0; MRR])
-            }
-            Some(seg) => {
-                let mut segs = planes[c][at..][..len].chunks_mut(seg);
-                let dst = std::array::from_fn(|_| match segs.next() {
-                    Some(s) => s,
-                    None => unreachable!("a run has a segment per row"),
-                });
-                (dst, [c; MRR], std::array::from_fn(|r| x0 + r * seg))
-            }
-        }
+    ) -> ([&'p mut [f32]; MRR], [usize; MRR]) {
+        let Pixels { c, x0, len } = self;
+        let mut planes = planes[c..].iter_mut();
+        let dst = std::array::from_fn(|_| match planes.next() {
+            Some(p) => &mut p[row + x0..][..len],
+            None => unreachable!("a run has a plane per row"),
+        });
+        (dst, std::array::from_fn(|r| c + r))
     }
 }
 
@@ -317,30 +267,23 @@ impl Forward<'_> {
     /// One run of output row `row` (an offset into the band): the whole
     /// chain of every element of `px`, from `b`.
     fn run<const MRR: usize>(&self, planes: &mut [&mut [f32]], row: usize, px: Pixels, b: Rows) {
-        let (dst, ch, xs) = px.rows::<MRR>(planes, row);
+        let (dst, ch) = px.rows::<MRR>(planes, row);
         let aidx = ch.map(|c| c * self.ckk);
-        let bidx = xs.map(|x| b.base + x);
         let bias = self.bias.map(|v| ch.map(|c| v[c]));
-        kernels::conv_micro(dst, (self.wt, &aidx, 1), b.src, &bidx, 0.0, bias);
+        kernels::conv_micro(dst, (self.wt, &aidx, 1), b.src, b.base + px.x0, 0.0, bias);
     }
 
     /// Every run of output row `row` (an offset into the band), its `B`
-    /// rows in `b`: one per channel block across the whole row, then —
-    /// when the last channel block is a single channel — that channel
-    /// in segments of the row.
+    /// rows in `b`: one per channel block across the whole row.
     fn row(&self, planes: &mut [&mut [f32]], row: usize, c_out: usize, b: Rows) {
         let mr = kernels::gemm_mr();
-        let single = c_out % mr == 1;
-        let c = c_out - usize::from(single);
-        let len = self.row;
-        for c0 in (0..c).step_by(mr) {
-            let px = Pixels::channels(c0, 0, len);
-            tile!(mr.min(c - c0), self.run(planes, row, px, b));
-        }
-        if single {
-            for (rows, px) in Pixels::segments(c, 0, len, mr) {
-                tile!(rows, self.run(planes, row, px, b));
-            }
+        for c0 in (0..c_out).step_by(mr) {
+            let px = Pixels {
+                c: c0,
+                x0: 0,
+                len: self.row,
+            };
+            tile!(mr.min(c_out - c0), self.run(planes, row, px, b));
         }
     }
 }
@@ -543,23 +486,22 @@ impl Fold<'_> {
     }
 
     /// One run of output row `row` (an offset into the band) over
-    /// `px`, over every tap of `taps`, which lists the taps of the
-    /// strip at `xr`.
+    /// `px`, over every tap of `taps`, which lists the taps of its
+    /// first strip.
     fn run<const MRR: usize>(
         &self,
         planes: &mut [&mut [f32]],
         row: usize,
         px: Pixels,
-        (src, taps, xr): (Src, &[FoldTap], usize),
+        (src, taps): (Src, &[FoldTap]),
     ) {
-        let (dst, ch, xs) = px.rows::<MRR>(planes, row);
+        let (dst, ch) = px.rows::<MRR>(planes, row);
         let kk = self.spec.kernel * self.spec.kernel;
         // Weight `(c, o, ky, kx)` sits at `c · acs + o · k² + tap`.
         let aidx = ch.map(|o| o * kk);
-        let bidx = xs.map(|x| x - xr);
         let bias = self.bias.map(|v| ch.map(|c| v[c]));
         let a = (self.wt, &aidx, self.c_out * kk);
-        kernels::fold_micro(dst, a, src, &bidx, taps, bias);
+        kernels::fold_micro(dst, a, src, taps, bias);
     }
 }
 
@@ -617,8 +559,6 @@ pub(crate) fn fold_into(
     };
     let mr = kernels::gemm_mr();
     let interior = op.interior();
-    // A single last channel block runs the interior in segments instead.
-    let single = usize::from(c_out % mr == 1);
     let work = 2 * g.c * k * k * c_out;
     let copy_len = g.c * rows * width + NR;
     for_each_band(
@@ -627,7 +567,7 @@ pub(crate) fn fold_into(
         work,
         copy_len,
         |y0, y1, planes, copy| {
-            let (mut taps, mut inner) = (Vec::with_capacity(k * k), Vec::with_capacity(k * k));
+            let mut taps = Vec::with_capacity(k * k);
             for yb in (y0..y1).step_by(band) {
                 let ye = (yb + band).min(y1);
                 let band = FoldBand {
@@ -642,36 +582,25 @@ pub(crate) fn fold_into(
                     let out_row = (y - y0) * row;
                     let mut x0 = 0;
                     while x0 < row {
-                        if x0 == interior.start && !interior.is_empty() {
-                            // The interior strips share one list, based at
-                            // the first, and run as one.
-                            op.taps(y, x0, band, &mut inner);
-                            debug_assert!(
-                                inner.iter().all(|t| t.mask == ALL_LANES),
-                                "interior strips read every lane"
-                            );
-                            let t = (src, &inner[..], x0);
-                            let (c, len) = (c_out - single, interior.len());
-                            for c0 in (0..c).step_by(mr) {
-                                let px = Pixels::channels(c0, x0, len);
-                                tile!(mr.min(c - c0), op.run(planes, out_row, px, t));
-                            }
-                            if single == 1 {
-                                for (rows, px) in Pixels::segments(c, x0, len, mr) {
-                                    tile!(rows, op.run(planes, out_row, px, t));
-                                }
-                            }
-                            x0 = interior.end;
-                            continue;
-                        }
+                        // The interior strips share one list, based at the
+                        // first, and run as one.
+                        let inside = x0 == interior.start && !interior.is_empty();
+                        let len = if inside {
+                            interior.len()
+                        } else {
+                            NR.min(row - x0)
+                        };
                         op.taps(y, x0, band, &mut taps);
-                        let t = (src, &taps[..], x0);
-                        let len = NR.min(row - x0);
+                        debug_assert!(
+                            !inside || taps.iter().all(|t| t.mask == ALL_LANES),
+                            "interior strips read every lane"
+                        );
                         for c0 in (0..c_out).step_by(mr) {
-                            let px = Pixels::channels(c0, x0, len);
+                            let px = Pixels { c: c0, x0, len };
+                            let t = (src, &taps[..]);
                             tile!(mr.min(c_out - c0), op.run(planes, out_row, px, t));
                         }
-                        x0 += NR;
+                        x0 += len;
                     }
                 }
             }

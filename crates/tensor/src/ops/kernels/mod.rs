@@ -13,16 +13,20 @@
 //!
 //! [`isa`] detects the instruction set once (honouring the
 //! `RHSD_FORCE_SCALAR=1` environment variable) and caches it; all
-//! kernels dispatch through that single selector. There are two tiers:
-//! AVX2 where the CPU has it, and the scalar kernels in [`scalar`]
-//! everywhere else. The scalar kernels are the reference
-//! implementations — they are the exact loops the pre-SIMD code ran, and
-//! every AVX2 kernel is **bit-identical** to them:
+//! kernels dispatch through that single selector. There are three
+//! tiers: AVX-512 (F and VL) where the CPU has it, AVX2 where it has
+//! that, and the scalar kernels in [`scalar`] everywhere else. The
+//! AVX-512 tier widens only the convolution and fold runs, to 16 lanes
+//! (two `NR` strips per vector), from the same run body as their AVX2
+//! kernels; every other kernel runs its AVX2 body there. The scalar
+//! kernels are the reference implementations — they are the exact
+//! loops the pre-SIMD code ran, and every SIMD kernel on either tier is
+//! **bit-identical** to them:
 //!
 //! - the f32 GEMM tile and convolution run issue one `mul` and one
-//!   `add` per lane per step (no FMA contraction), matching the scalar
-//!   `a += v · b` chain rounding-for-rounding, and add a bias with one
-//!   `add` as the scalar store does;
+//!   `add` per lane per step (no FMA contraction, on either tier),
+//!   matching the scalar `a += v · b` chain rounding-for-rounding, and
+//!   add a bias with one `add` as the scalar store does;
 //! - the fold run runs each tap's chain the same way from `+0.0`, then
 //!   adds it in exactly the selected lanes and leaves the others' bits
 //!   untouched;
@@ -35,7 +39,8 @@
 //!   while each lane keeps the serial ascending-tap order.
 //!
 //! The ISA therefore changes speed, never results: an x86-64 CPU without
-//! AVX2 runs the scalar reference, slower and to the same bits.
+//! AVX2 runs the scalar reference, slower and to the same bits, and one
+//! without AVX-512 the AVX2 runs.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -47,13 +52,17 @@ pub mod x86;
 /// GEMM tile, pixels or vectors of the convolution tile).
 pub const NR: usize = 8;
 
-/// The instruction sets the dispatcher can select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The instruction sets the dispatcher can select, in ascending order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The reference scalar kernels (any architecture).
     Scalar,
     /// 256-bit AVX2 lanes.
     Avx2,
+    /// 512-bit AVX-512F lanes (with AVX-512VL's masked 256-bit forms)
+    /// for the convolution and fold runs; every other kernel runs its
+    /// AVX2 body.
+    Avx512,
 }
 
 impl Isa {
@@ -62,19 +71,21 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
         }
     }
 }
 
 /// Pure selection logic, split out so tests can exercise every branch
 /// without touching the process-global state: `force_scalar` is the
-/// `RHSD_FORCE_SCALAR=1` override, `has_avx2` the detected CPU
-/// feature.
-pub fn select_isa(force_scalar: bool, has_avx2: bool) -> Isa {
-    if has_avx2 && !force_scalar {
-        Isa::Avx2
-    } else {
-        Isa::Scalar
+/// `RHSD_FORCE_SCALAR=1` override, `has_avx2` and `has_avx512` the
+/// detected CPU features (`has_avx512`: AVX-512F and AVX-512VL). The
+/// AVX-512 tier also runs the AVX2 kernels, so it needs both.
+pub fn select_isa(force_scalar: bool, has_avx2: bool, has_avx512: bool) -> Isa {
+    match (force_scalar, has_avx2, has_avx512) {
+        (false, true, true) => Isa::Avx512,
+        (false, true, false) => Isa::Avx2,
+        _ => Isa::Scalar,
     }
 }
 
@@ -87,12 +98,14 @@ fn encode(isa: Isa) -> u8 {
     match isa {
         Isa::Scalar => 0,
         Isa::Avx2 => 1,
+        Isa::Avx512 => 2,
     }
 }
 
 fn decode(v: u8) -> Isa {
     match v {
         1 => Isa::Avx2,
+        2 => Isa::Avx512,
         _ => Isa::Scalar,
     }
 }
@@ -101,11 +114,16 @@ fn detect() -> Isa {
     let force_scalar = std::env::var_os("RHSD_FORCE_SCALAR").is_some_and(|v| v == "1");
     #[cfg(target_arch = "x86_64")]
     {
-        select_isa(force_scalar, std::arch::is_x86_feature_detected!("avx2"))
+        select_isa(
+            force_scalar,
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl"),
+        )
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        select_isa(force_scalar, false)
+        select_isa(force_scalar, false, false)
     }
 }
 
@@ -121,17 +139,15 @@ pub fn isa() -> Isa {
     detected
 }
 
-/// Overrides the active instruction set, process-wide.
+/// Overrides the active instruction set, process-wide, with the best
+/// detected tier that is not above `requested`, and returns it.
 ///
-/// Intended for the microbench harness (scalar-vs-SIMD timing) and for
-/// dispatch tests; production code never calls this — it relies on
-/// [`isa`]'s one-time detection. Requesting AVX2 on a CPU without it
-/// grants the scalar reference.
+/// Intended for the microbench harness (timing one kernel on several
+/// tiers) and for dispatch tests; production code never calls this —
+/// it relies on [`isa`]'s one-time detection. Under
+/// `RHSD_FORCE_SCALAR=1` every request grants the scalar reference.
 pub fn set_isa(requested: Isa) -> Isa {
-    let granted = match requested {
-        Isa::Scalar => Isa::Scalar,
-        Isa::Avx2 => detect(),
-    };
+    let granted = requested.min(detect());
     ACTIVE_ISA.store(encode(granted), Ordering::Relaxed);
     granted
 }
@@ -141,15 +157,15 @@ pub fn isa_name() -> &'static str {
     isa().name()
 }
 
-/// GEMM row-tile height for the active ISA: the AVX2 tile keeps eight
-/// accumulator rows in ymm registers (enough independent add chains to
-/// saturate the FP ports); the scalar reference keeps the committed
-/// MR = 4. The tile height never affects results — each
+/// GEMM row-tile height for the active ISA: the AVX2 tile, which both
+/// SIMD tiers run, keeps eight accumulator rows in ymm registers
+/// (enough independent add chains to saturate the FP ports); the
+/// scalar reference keeps the committed MR = 4. The tile height never affects results — each
 /// output element's ascending-`p` accumulation chain is the same at any
 /// tiling — so this is a pure scheduling choice.
 pub fn gemm_mr() -> usize {
     match isa() {
-        Isa::Avx2 => 8,
+        Isa::Avx2 | Isa::Avx512 => 8,
         Isa::Scalar => 4,
     }
 }
@@ -174,8 +190,8 @@ pub fn gemm_micro<const MRR: usize>(
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::gemm_micro_avx2(acc, av, aidx, acs, panel) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is detected.
+            Isa::Avx2 | Isa::Avx512 => unsafe { x86::gemm_micro_avx2(acc, av, aidx, acs, panel) },
             Isa::Scalar => scalar::gemm_micro(acc, av, aidx, acs, panel),
         }
     }
@@ -230,14 +246,15 @@ fn run_strips<const MRR: usize>(out: &[&mut [f32]; MRR]) -> usize {
 /// matrix–vector products: every strip of `MRR` output rows in one
 /// call, with `a` the `A` operand `(av, aidx, acs)`. Strip `j` of row
 /// `r` is `out[r][j · NR..]`, its last strip the row's last `len % NR`
-/// values when they are not a whole strip.
+/// values when they are not a whole strip. The rows share one `B`
+/// base, and each has its own `A` index: a run is a block of output
+/// channels over one stretch of a row, or of outputs over one batch.
 /// Each lane runs one chain from `init` over `src`'s steps — step `s`
 /// multiplies `A` at `aidx[r] + s · acs` by the `NR` values at
-/// `src.v[bidx[r] + j · NR + src.offs[s]..]` — then adds `bias[r]`
-/// when there is a bias, and only the lanes inside `out[r]` are
-/// stored. Lanes past a row's end read whatever lies there and are
-/// never written. A run of output channels shares one `B` base; a run
-/// of segments of one channel's row shares its `A` index.
+/// `src.v[base + j · NR + src.offs[s]..]` — then adds `bias[r]` when
+/// there is a bias, and only the lanes inside `out[r]` are stored.
+/// Lanes past a row's end read whatever lies there and are never
+/// written.
 ///
 /// Every dispatch target performs, per lane, exactly `acc += a · b`
 /// with separate mul and add roundings, then one add of the bias —
@@ -253,20 +270,23 @@ pub fn conv_micro<const MRR: usize>(
     out: [&mut [f32]; MRR],
     a: (&[f32], &[usize; MRR], usize),
     src: Src,
-    bidx: &[usize; MRR],
+    base: usize,
     init: f32,
     bias: Option<[f32; MRR]>,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
+            // SAFETY: Isa::Avx512 is only selected when AVX-512F and
+            // AVX-512VL are detected.
+            Isa::Avx512 => unsafe { x86::conv_micro_avx512(out, a, src, base, init, bias) },
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::conv_micro_avx2(out, a, src, bidx, init, bias) },
-            Isa::Scalar => scalar::conv_micro(out, a, src, bidx, init, bias),
+            Isa::Avx2 => unsafe { x86::conv_micro_avx2(out, a, src, base, init, bias) },
+            Isa::Scalar => scalar::conv_micro(out, a, src, base, init, bias),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::conv_micro(out, a, src, bidx, init, bias);
+    scalar::conv_micro(out, a, src, base, init, bias);
 }
 
 /// One tap of a [`fold_micro`] run.
@@ -281,16 +301,16 @@ pub struct FoldTap {
 }
 
 /// The run kernel of the in-place fold (`ops::direct`): every strip of
-/// `MRR` output rows in one call, laid out as in [`conv_micro`]. Each
+/// `MRR` output rows in one call, laid out as in [`conv_micro`], the
+/// rows a block of output channels over one stretch of a row. Each
 /// lane starts at `+0.0`; for each tap in order, row `r` runs a fresh
 /// `+0.0` chain over the source channels — step `s` of strip `j`
 /// multiplies `A` at `aidx[r] + tap.a + s · acs` by the `NR` values at
-/// `src.v[tap.base + bidx[r] + j · NR + src.offs[s]..]` — and adds that
-/// partial to the lane when the tap's mask holds it. Lanes outside the
-/// mask keep their bits exactly; they may have read anything. Then the
-/// bias is added, when there is one, and the lanes inside `out[r]` are
-/// stored. A run of output channels shares one `B` base; a run of
-/// segments of one channel's row shares its `A` index.
+/// `src.v[tap.base + j · NR + src.offs[s]..]` — and adds that partial
+/// to the lane when the tap's mask holds it. Lanes outside the mask
+/// keep their bits exactly; they may have read anything. Then the bias
+/// is added, when there is one, and the lanes inside `out[r]` are
+/// stored.
 ///
 /// Every dispatch target performs, per lane, exactly the chain
 /// `part += a · b` with separate mul and add roundings, then one add
@@ -306,20 +326,22 @@ pub fn fold_micro<const MRR: usize>(
     out: [&mut [f32]; MRR],
     a: (&[f32], &[usize; MRR], usize),
     src: Src,
-    bidx: &[usize; MRR],
     taps: &[FoldTap],
     bias: Option<[f32; MRR]>,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
+            // SAFETY: Isa::Avx512 is only selected when AVX-512F and
+            // AVX-512VL are detected.
+            Isa::Avx512 => unsafe { x86::fold_micro_avx512(out, a, src, taps, bias) },
             // SAFETY: Isa::Avx2 is only selected when AVX2 is detected.
-            Isa::Avx2 => unsafe { x86::fold_micro_avx2(out, a, src, bidx, taps, bias) },
-            Isa::Scalar => scalar::fold_micro(out, a, src, bidx, taps, bias),
+            Isa::Avx2 => unsafe { x86::fold_micro_avx2(out, a, src, taps, bias) },
+            Isa::Scalar => scalar::fold_micro(out, a, src, taps, bias),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::fold_micro(out, a, src, bidx, taps, bias);
+    scalar::fold_micro(out, a, src, taps, bias);
 }
 
 /// The window maxima of RoI pooling (`ops::pool`): for every plane `ci`
@@ -372,9 +394,12 @@ pub fn window_max(
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
-            // the checks above bound every gathered index and store.
-            Isa::Avx2 => unsafe { x86::window_max_avx2(dst, at, src, plane, idx, (taps, lanes)) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; the checks above bound every gathered index and
+            // store.
+            Isa::Avx2 | Isa::Avx512 => unsafe {
+                x86::window_max_avx2(dst, at, src, plane, idx, (taps, lanes))
+            },
             Isa::Scalar => scalar::window_max(dst, at, src, plane, idx, (taps, lanes)),
         }
     }
@@ -406,9 +431,9 @@ pub fn leaky_relu_pack(x: &mut [f32], alpha: f32, bits: &mut [u64]) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
-            // the mask length was checked above.
-            Isa::Avx2 => unsafe { x86::leaky_relu_pack_avx2(x, alpha, bits) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; the mask length was checked above.
+            Isa::Avx2 | Isa::Avx512 => unsafe { x86::leaky_relu_pack_avx2(x, alpha, bits) },
             Isa::Scalar => scalar::leaky_relu_pack(x, alpha, bits),
         }
     }
@@ -430,9 +455,9 @@ pub fn leaky_relu_unpack(g: &mut [f32], alpha: f32, bits: &[u64]) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
-            // the mask length was checked above.
-            Isa::Avx2 => unsafe { x86::leaky_relu_unpack_avx2(g, alpha, bits) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; the mask length was checked above.
+            Isa::Avx2 | Isa::Avx512 => unsafe { x86::leaky_relu_unpack_avx2(g, alpha, bits) },
             Isa::Scalar => scalar::leaky_relu_unpack(g, alpha, bits),
         }
     }
@@ -463,9 +488,10 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
-            // SAFETY: Isa::Avx2 is only selected when AVX2 is detected;
-            // the bound above guarantees every lane's loads are in range.
-            Isa::Avx2 => unsafe { x86::conv_taps_avx2(dst, src, stride, taps, norm) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; the bound above guarantees every lane's loads are
+            // in range.
+            Isa::Avx2 | Isa::Avx512 => unsafe { x86::conv_taps_avx2(dst, src, stride, taps, norm) },
             Isa::Scalar => scalar::conv_taps(dst, src, stride, taps, norm),
         }
     }
@@ -493,16 +519,36 @@ mod tests {
 
     #[test]
     fn select_isa_prefers_widest_and_honours_force_scalar() {
-        assert_eq!(select_isa(false, true), Isa::Avx2);
-        assert_eq!(select_isa(false, false), Isa::Scalar);
-        assert_eq!(select_isa(true, true), Isa::Scalar);
-        assert_eq!(select_isa(true, false), Isa::Scalar);
+        // (force_scalar, avx2, avx512) → the granted tier.
+        let cases = [
+            ((false, true, true), Isa::Avx512),
+            ((false, true, false), Isa::Avx2),
+            // AVX-512 alone is no tier: its other kernels are AVX2's.
+            ((false, false, true), Isa::Scalar),
+            ((false, false, false), Isa::Scalar),
+            ((true, true, true), Isa::Scalar),
+            ((true, true, false), Isa::Scalar),
+            ((true, false, true), Isa::Scalar),
+            ((true, false, false), Isa::Scalar),
+        ];
+        for ((force, avx2, avx512), want) in cases {
+            assert_eq!(
+                select_isa(force, avx2, avx512),
+                want,
+                "{force} {avx2} {avx512}"
+            );
+        }
+        assert!(Isa::Scalar < Isa::Avx2 && Isa::Avx2 < Isa::Avx512);
     }
 
     #[test]
     fn isa_names_are_stable() {
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Avx2.name(), "avx2");
+        assert_eq!(Isa::Avx512.name(), "avx512");
+        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+            assert_eq!(decode(encode(isa)), isa);
+        }
     }
 
     /// The AVX2 gemm tile must equal the scalar reference bit-for-bit.
@@ -536,21 +582,45 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that move the process-wide selector. Every
+    /// other test may run under any tier meanwhile, which changes no
+    /// bit.
+    static TIERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `f` under every tier this CPU grants, each made active in
+    /// turn through [`set_isa`]; the detected tier is active again
+    /// afterwards. Returns the tiers run.
+    fn each_tier(mut f: impl FnMut(Isa)) -> Vec<Isa> {
+        let _serial = TIERS.lock().unwrap_or_else(|e| e.into_inner());
+        let mut tiers: Vec<Isa> = Vec::new();
+        for want in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
+            let got = set_isa(want);
+            assert!(got <= want, "set_isa granted {got:?} above {want:?}");
+            if tiers.last() != Some(&got) {
+                assert_eq!(isa(), got);
+                f(got);
+                tiers.push(got);
+            }
+        }
+        set_isa(Isa::Avx512);
+        assert_eq!(isa(), detect());
+        assert_eq!(tiers.last(), Some(&detect()), "every granted tier ran");
+        tiers
+    }
+
     /// A value past a run row's end: a NaN whose payload no kernel
     /// produces, so a store that reaches it shows.
-    #[cfg(target_arch = "x86_64")]
     const GUARD: u32 = 0x7fc0_dead;
 
-    /// Run rows of `lens` values, each followed by `NR` guard values.
-    #[cfg(target_arch = "x86_64")]
+    /// Run rows of `lens` values, each followed by two strips of guard
+    /// values, which a 16-lane store past the end would reach.
     fn guarded(lens: &[usize]) -> Vec<Vec<f32>> {
         lens.iter()
-            .map(|&l| vec![f32::from_bits(GUARD); l + NR])
+            .map(|&l| vec![f32::from_bits(GUARD); l + 2 * NR])
             .collect()
     }
 
     /// The run rows of `bufs`: the first `lens[r]` values of each.
-    #[cfg(target_arch = "x86_64")]
     fn run_rows<'b, const MRR: usize>(
         bufs: &'b mut [Vec<f32>],
         lens: &[usize; MRR],
@@ -564,7 +634,6 @@ mod tests {
 
     /// The bits of every row of `bufs`, guards included, after
     /// checking that no guard moved.
-    #[cfg(target_arch = "x86_64")]
     fn run_bits(bufs: &[Vec<f32>], lens: &[usize], what: &str) -> Vec<u32> {
         for (b, &l) in bufs.iter().zip(lens) {
             assert!(
@@ -576,42 +645,53 @@ mod tests {
     }
 
     /// The lengths of a run's `MRR` rows: `strips` strips, the last one
-    /// `tail` lanes wide (`0`: whole). A run of channels has every row
-    /// end there; a run of segments has whole strips but in its last
-    /// row.
-    #[cfg(target_arch = "x86_64")]
-    fn run_lens<const MRR: usize>(strips: usize, tail: usize, channels: bool) -> [usize; MRR] {
-        let len = (strips - 1) * NR + if tail == 0 { NR } else { tail };
-        std::array::from_fn(|r| {
-            if channels || r + 1 == MRR {
-                len
-            } else {
-                strips * NR
-            }
-        })
+    /// `tail` lanes wide (`0`: whole).
+    fn run_lens<const MRR: usize>(strips: usize, tail: usize) -> [usize; MRR] {
+        [(strips - 1) * NR + if tail == 0 { NR } else { tail }; MRR]
     }
 
     /// Per-row biases with a `-0.0` and a NaN among them.
-    #[cfg(target_arch = "x86_64")]
     fn run_biases<const MRR: usize>() -> [Option<[f32; MRR]>; 2] {
         let b = std::array::from_fn(|r| [0.25, -0.0, f32::NAN, -1.5][r % 4]);
         [None, Some(b)]
     }
 
-    /// The AVX2 convolution run must equal the scalar reference
-    /// bit-for-bit: runs of 1, 2, 15, 16 and 17 strips, a last strip of
-    /// every width, runs of channels (one `B` base) and of segments (a
-    /// base per row), chains from `±0.0`, with and without a bias
-    /// (`-0.0` and NaN included), and zero-padded border lanes of either
-    /// sign, as a padded band holds them. The values past each row's
-    /// end come back unchanged: the last strip's store is masked.
-    #[cfg(target_arch = "x86_64")]
+    /// Run shapes: strip counts odd and even (a 16-lane vector holds
+    /// two strips, so an odd count ends in a half vector), each with a
+    /// last strip of every width.
+    fn run_shapes() -> impl Iterator<Item = (usize, usize)> {
+        [1, 2, 3, 4, 7, 15, 16, 17]
+            .into_iter()
+            .flat_map(|strips| (0..NR).map(move |tail| (strips, tail)))
+    }
+
+    /// Calls `run::<MRR>(args)` for every run height `MRR` in 1..=8.
+    macro_rules! every_height {
+        ($run:ident ( $($arg:expr),* )) => {{
+            $run::<1>($($arg),*);
+            $run::<2>($($arg),*);
+            $run::<3>($($arg),*);
+            $run::<4>($($arg),*);
+            $run::<5>($($arg),*);
+            $run::<6>($($arg),*);
+            $run::<7>($($arg),*);
+            $run::<8>($($arg),*);
+        }};
+    }
+
+    /// The convolution run equals the scalar reference bit-for-bit under
+    /// every tier the CPU grants, dispatched as production code is: run
+    /// heights 1..=8, 1–17 strips with a last strip of every width,
+    /// chains from `±0.0`, with and without a bias (`-0.0` and NaN
+    /// included), and zero-padded border lanes of either sign, as a
+    /// padded band holds them. The values past each row's end come back
+    /// unchanged: the last strip's store is masked.
     #[test]
-    fn conv_micro_variants_match_scalar_bitwise() {
-        fn run<const MRR: usize>(strips: usize, tail: usize, channels: bool) {
+    fn conv_micro_matches_scalar_bitwise_on_every_tier() {
+        fn run<const MRR: usize>(strips: usize, tail: usize) {
             let w = 13;
-            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7), (100, 9, 11)] {
-                let mut v = fill(seed, 4 + (MRR + strips) * NR + steps * w + 3 * NR);
+            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7)] {
+                let mut v = fill(seed, 4 + strips * NR + steps * w + 3 * NR);
                 // Zero-padded border lanes, as a padded band holds them.
                 for (i, x) in v.iter_mut().enumerate() {
                     if i % 11 < 2 {
@@ -624,44 +704,32 @@ mod tests {
                 let src = Src::new(&offs).on(&v);
                 let av = fill(seed ^ 5, MRR * 9 + steps * acs + 1);
                 let aidx: [usize; MRR] = std::array::from_fn(|r| r * 9);
-                // Per-row bases that overlap and repeat (first equals
-                // last at odd heights), so only an all-equal test may
-                // share a row.
-                let bidx: [usize; MRR] =
-                    std::array::from_fn(|r| if channels { 2 } else { 1 + r % 2 * 3 });
-                let lens = run_lens::<MRR>(strips, tail, channels);
+                let lens = run_lens::<MRR>(strips, tail);
                 for init in [0.0, -0.0] {
                     for bias in run_biases::<MRR>() {
                         let what = format!(
-                            "MRR={MRR} strips={strips} tail={tail} channels={channels} \
-                             steps={steps} init={init} bias={}",
+                            "{:?} MRR={MRR} strips={strips} tail={tail} steps={steps} \
+                             init={init} bias={}",
+                            isa(),
                             bias.is_some()
                         );
                         let a = (&av[..], &aidx, acs);
                         let mut want = guarded(&lens);
-                        scalar::conv_micro(run_rows(&mut want, &lens), a, src, &bidx, init, bias);
+                        scalar::conv_micro(run_rows(&mut want, &lens), a, src, 2, init, bias);
                         let want = run_bits(&want, &lens, &what);
-                        if std::arch::is_x86_feature_detected!("avx2") {
-                            let mut got = guarded(&lens);
-                            let out = run_rows(&mut got, &lens);
-                            // SAFETY: guarded by the avx2 feature check above.
-                            unsafe { x86::conv_micro_avx2(out, a, src, &bidx, init, bias) };
-                            assert_eq!(run_bits(&got, &lens, &what), want, "avx2 {what}");
-                        }
+                        let mut got = guarded(&lens);
+                        conv_micro(run_rows(&mut got, &lens), a, src, 2, init, bias);
+                        assert_eq!(run_bits(&got, &lens, &what), want, "{what}");
                     }
                 }
             }
         }
-        for strips in [1, 2, 15, 16, 17] {
-            for tail in 0..NR {
-                for channels in [true, false] {
-                    run::<1>(strips, tail, channels);
-                    run::<3>(strips, tail, channels);
-                    run::<4>(strips, tail, channels);
-                    run::<8>(strips, tail, channels);
-                }
+        let tiers = each_tier(|_| {
+            for (strips, tail) in run_shapes() {
+                every_height!(run(strips, tail));
             }
-        }
+        });
+        assert_eq!(tiers[0], Isa::Scalar);
     }
 
     /// A run's rows must have one strip count: the last strip of each
@@ -677,28 +745,27 @@ mod tests {
             out,
             (&[1.0; 2], &[0, 1], 1),
             Src::new(&offs).on(&v),
-            &[0; 2],
+            0,
             0.0,
             None,
         );
     }
 
-    /// The AVX2 fold run must equal the scalar reference bit-for-bit:
-    /// runs of channels (one shared `B` base) and of segments (a base
-    /// per row) of 1, 2, 15, 16 and 17 strips, a last strip of every
-    /// width, with and without a bias (`-0.0` and NaN included), partial
-    /// lane masks (a border), skipped border taps (absent from the
-    /// list), an all-masked tap, and a source holding `±0.0` and NaN in
-    /// lanes both inside and outside the masks. The values past each
-    /// row's end come back unchanged: the last strip's store is masked.
-    #[cfg(target_arch = "x86_64")]
+    /// The fold run equals the scalar reference bit-for-bit under every
+    /// tier the CPU grants, dispatched as production code is: run
+    /// heights 1..=8, 1–17 strips with a last strip of every width,
+    /// with and without a bias (`-0.0` and NaN included), partial lane
+    /// masks (a border), skipped border taps (absent from the list), an
+    /// all-masked tap, and a source holding `±0.0` and NaN in lanes both
+    /// inside and outside the masks. The values past each row's end
+    /// come back unchanged: the last strip's store is masked.
     #[test]
-    fn fold_micro_variants_match_scalar_bitwise() {
-        fn run<const MRR: usize>(strips: usize, tail: usize, channels: bool) {
+    fn fold_micro_matches_scalar_bitwise_on_every_tier() {
+        fn run<const MRR: usize>(strips: usize, tail: usize) {
             let (kk, c_out) = (9, MRR.max(3));
-            let w = MRR * strips * NR + 2 * NR + 9;
+            let w = strips * NR + 2 * NR + 9;
             let plane = 3 * w;
-            for (c_src, seed) in [(1, 3), (4, 5), (12, 7), (24, 11)] {
+            for (c_src, seed) in [(1, 3), (4, 5), (12, 7)] {
                 let mut map = fill(seed, c_src * plane + 64);
                 for (i, x) in map.iter_mut().enumerate() {
                     match i % 13 {
@@ -721,22 +788,18 @@ mod tests {
                         mask: match t {
                             2 => 0b0111_1110,
                             5 => 0x0f,
+                            6 => 0b1000_0001,
                             7 => 0,
                             _ => u8::MAX,
                         },
                     })
                     .collect();
-                let (aidx, bidx): ([usize; MRR], [usize; MRR]) = if channels {
-                    (std::array::from_fn(|r| r * kk), [0; MRR])
-                } else {
-                    ([2 * kk; MRR], std::array::from_fn(|r| r * strips * NR))
-                };
+                let aidx: [usize; MRR] = std::array::from_fn(|r| r * kk);
                 let a = (&av[..], &aidx, c_out * kk);
-                let lens = run_lens::<MRR>(strips, tail, channels);
+                let lens = run_lens::<MRR>(strips, tail);
                 // A fully masked tap alone leaves the `+0.0` start.
                 let mut alone = guarded(&lens);
-                let out = run_rows(&mut alone, &lens);
-                scalar::fold_micro(out, a, src, &bidx, &taps[5..6], None);
+                fold_micro(run_rows(&mut alone, &lens), a, src, &taps[5..6], None);
                 let alone = run_bits(&alone, &lens, "masked tap");
                 assert!(
                     alone.iter().all(|&b| b == 0 || b == GUARD),
@@ -744,33 +807,25 @@ mod tests {
                 );
                 for bias in run_biases::<MRR>() {
                     let what = format!(
-                        "MRR={MRR} strips={strips} tail={tail} channels={channels} \
-                         c={c_src} bias={}",
+                        "{:?} MRR={MRR} strips={strips} tail={tail} c={c_src} bias={}",
+                        isa(),
                         bias.is_some()
                     );
                     let mut want = guarded(&lens);
-                    scalar::fold_micro(run_rows(&mut want, &lens), a, src, &bidx, &taps, bias);
+                    scalar::fold_micro(run_rows(&mut want, &lens), a, src, &taps, bias);
                     let want = run_bits(&want, &lens, &what);
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        let mut got = guarded(&lens);
-                        let out = run_rows(&mut got, &lens);
-                        // SAFETY: guarded by the avx2 feature check above.
-                        unsafe { x86::fold_micro_avx2(out, a, src, &bidx, &taps, bias) };
-                        assert_eq!(run_bits(&got, &lens, &what), want, "avx2 {what}");
-                    }
+                    let mut got = guarded(&lens);
+                    fold_micro(run_rows(&mut got, &lens), a, src, &taps, bias);
+                    assert_eq!(run_bits(&got, &lens, &what), want, "{what}");
                 }
             }
         }
-        for strips in [1, 2, 15, 16, 17] {
-            for tail in 0..NR {
-                for channels in [true, false] {
-                    run::<1>(strips, tail, channels);
-                    run::<3>(strips, tail, channels);
-                    run::<4>(strips, tail, channels);
-                    run::<8>(strips, tail, channels);
-                }
+        let tiers = each_tier(|_| {
+            for (strips, tail) in run_shapes() {
+                every_height!(run(strips, tail));
             }
-        }
+        });
+        assert_eq!(tiers[0], Isa::Scalar);
     }
 
     /// The in-place `LeakyRelu` mask kernels equal the scalar reference

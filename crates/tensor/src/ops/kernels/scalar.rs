@@ -102,7 +102,7 @@ fn store(dst: &mut [f32], acc: &[f32; NR], bias: Option<f32>) {
 /// The run kernel of the in-place convolutions: strip `j` of row `r`
 /// is `out[r][j · NR..]`, each lane one chain from `init` of
 /// `acc += a · b`, where step `s` reads `A` at `aidx[r] + s · acs` and
-/// its `B` row at `src.v[bidx[r] + j · NR + src.offs[s]..][..NR]`; then
+/// its `B` row at `src.v[base + j · NR + src.offs[s]..][..NR]`; then
 /// `bias[r]` is added, when there is a bias, and the lanes inside the
 /// row are stored. One mul and one add per lane per step, like
 /// [`gemm_micro`].
@@ -110,7 +110,7 @@ pub fn conv_micro<const MRR: usize>(
     out: [&mut [f32]; MRR],
     (av, aidx, acs): (&[f32], &[usize; MRR], usize),
     src: Src,
-    bidx: &[usize; MRR],
+    base: usize,
     init: f32,
     bias: Option<[f32; MRR]>,
 ) {
@@ -120,7 +120,7 @@ pub fn conv_micro<const MRR: usize>(
             let mut acc = [init; NR];
             for (s, &o) in src.offs.iter().enumerate() {
                 let aval = av[aidx[r] + s * acs];
-                let b = &src.v[bidx[r] + j * NR + o..][..NR];
+                let b = &src.v[base + j * NR + o..][..NR];
                 for (a, &bv) in acc.iter_mut().zip(b) {
                     *a += aval * bv;
                 }
@@ -134,15 +134,14 @@ pub fn conv_micro<const MRR: usize>(
 /// each lane from `+0.0`. For each tap in order, row `r` runs a fresh
 /// `+0.0` chain of `part[l] += a · b[l]` over the source channels,
 /// where source channel `s` reads `A` at `aidx[r] + tap.a + s · acs`
-/// and its `B` row at `src.v[tap.base + bidx[r] + j · NR +
-/// src.offs[s]..][..NR]`, then adds `part` to the lanes of the tap's
-/// mask; the other lanes keep their bits. Then `bias[r]` is added,
-/// when there is a bias, and the lanes inside the row are stored.
+/// and its `B` row at `src.v[tap.base + j · NR + src.offs[s]..][..NR]`,
+/// then adds `part` to the lanes of the tap's mask; the other lanes
+/// keep their bits. Then `bias[r]` is added, when there is a bias, and
+/// the lanes inside the row are stored.
 pub fn fold_micro<const MRR: usize>(
     out: [&mut [f32]; MRR],
     (av, aidx, acs): (&[f32], &[usize; MRR], usize),
     src: Src,
-    bidx: &[usize; MRR],
     taps: &[FoldTap],
     bias: Option<[f32; MRR]>,
 ) {
@@ -154,7 +153,7 @@ pub fn fold_micro<const MRR: usize>(
                 let mut part = [0.0f32; NR];
                 for (s, &o) in src.offs.iter().enumerate() {
                     let aval = av[aidx[r] + tap.a + s * acs];
-                    let b = &src.v[tap.base + bidx[r] + j * NR + o..][..NR];
+                    let b = &src.v[tap.base + j * NR + o..][..NR];
                     for (p, &bv) in part.iter_mut().zip(b) {
                         *p += aval * bv;
                     }

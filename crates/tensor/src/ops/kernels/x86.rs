@@ -1,4 +1,4 @@
-//! x86-64 AVX2 kernels.
+//! x86-64 kernels: AVX2, and AVX-512 for the convolution and fold runs.
 //!
 //! Every function here is `unsafe` only because of its
 //! `#[target_feature]` requirement; slice accesses are bounds-checked
@@ -7,6 +7,15 @@
 //! exactly — one mul rounding and one add rounding per accumulation
 //! step, and a single IEEE division where the reference divides — so
 //! every kernel is bit-identical to [`super::scalar`].
+//!
+//! The convolution and fold runs have one body ([`run`]), generic over
+//! the vector [`Lanes`] of a tier: the AVX2 entry points compile it on
+//! 8-lane `ymm` vectors, one `NR` strip each, and the AVX-512 ones on
+//! 16-lane `zmm` vectors, two adjacent strips each. The other kernels
+//! have AVX2 bodies only, which the AVX-512 tier runs too: the weight
+//! gradients' tile among them, whose lanes are output channels, so a
+//! 16-lane strip would leave 11 of 16 lanes idle on a 5-channel
+//! convolution.
 
 use core::arch::x86_64::*;
 
@@ -102,9 +111,9 @@ pub unsafe fn conv_taps_avx2(dst: &mut [f32], src: &[f32], stride: usize, taps: 
     scalar::conv_taps(&mut dst[i..], &src[i..], stride, taps, norm);
 }
 
-/// Proves every `A` and `B` read of a [`conv_micro_avx2`] run in
-/// bounds, so the loops can use unchecked loads, from the span `src`
-/// carries: no step is scanned. Returns the run's strip count.
+/// Proves every `A` and `B` read of a [`conv_micro`] run in bounds, so
+/// the loops can use unchecked loads, from the span `src` carries: no
+/// step is scanned. Returns the run's strip count.
 ///
 /// # Panics
 ///
@@ -116,7 +125,7 @@ fn bound_conv_reads<const MRR: usize>(
     out: &[&mut [f32]; MRR],
     (av, aidx, acs): (&[f32], &[usize; MRR], usize),
     src: Src,
-    bidx: &[usize; MRR],
+    base: usize,
 ) -> usize {
     let strips = run_strips(out);
     let Some(steps) = src.offs.len().checked_sub(1) else {
@@ -125,18 +134,231 @@ fn bound_conv_reads<const MRR: usize>(
     if strips == 0 {
         return 0;
     }
-    let last = (strips - 1) * NR + src.span;
-    for r in 0..MRR {
+    for &i in aidx {
         assert!(
-            aidx[r] + steps * acs < av.len(),
+            i + steps * acs < av.len(),
             "conv_micro: A index out of range"
         );
+    }
+    assert!(
+        base + (strips - 1) * NR + src.span <= src.v.len(),
+        "conv_micro: B row out of range"
+    );
+    strips
+}
+
+/// Proves every `A` and `B` read of a [`fold_micro`] run in bounds, so
+/// the loops can use unchecked loads, from the span `src` carries.
+/// Returns the run's strip count.
+///
+/// # Panics
+///
+/// Panics if the rows' strip counts differ, or a row's last `A` index
+/// or the end of its last strip's `B` rows would fall outside `av` /
+/// the source — where the scalar reference panics too.
+#[inline]
+fn bound_fold_reads<const MRR: usize>(
+    out: &[&mut [f32]; MRR],
+    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
+    src: Src,
+    taps: &[FoldTap],
+) -> usize {
+    let strips = run_strips(out);
+    let Some(steps) = src.offs.len().checked_sub(1) else {
+        return strips;
+    };
+    if strips == 0 {
+        return 0;
+    }
+    let amax = aidx.iter().max().copied().unwrap_or(0);
+    let last = (strips - 1) * NR + src.span;
+    for tap in taps {
         assert!(
-            bidx[r] + last <= src.v.len(),
-            "conv_micro: B row out of range"
+            amax + tap.a + steps * acs < av.len(),
+            "fold_micro: A index out of range"
+        );
+        assert!(
+            tap.base + last <= src.v.len(),
+            "fold_micro: B row out of range"
         );
     }
     strips
+}
+
+/// One tier's vector in the convolution and fold runs: `STRIPS`
+/// adjacent `NR`-lane strips of a run row. The run body ([`run`]) is
+/// written once over this trait and compiled into each tier's
+/// `#[target_feature]` entry points, where every method inlines. Every
+/// method issues the one instruction the scalar reference's operation
+/// rounds like: `mul` and `add` are never fused. Every method needs its
+/// tier's CPU features, so the run body calls them only inside that
+/// tier's entry points.
+trait Lanes: Copy {
+    /// `NR`-lane strips per vector.
+    const STRIPS: usize;
+    /// Vectors per pass of a convolution run, by its row count (index
+    /// 1..=8): enough independent chains per broadcast `A` value to
+    /// keep the FP ports busy, few enough to stay in registers.
+    const CONV_PASS: [usize; 9];
+    /// The same for a fold run, which holds a partial and an
+    /// accumulator per row and vector.
+    const FOLD_PASS: [usize; 9];
+    /// The one-strip vector that runs a run's odd last strip.
+    type Half: Lanes;
+
+    /// `v` in every lane.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features.
+    unsafe fn splat(v: f32) -> Self;
+
+    /// The lanes from `p`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features and
+    /// that `p` is valid for reads of every lane.
+    unsafe fn load(p: *const f32) -> Self;
+
+    /// `self + b`, lane by lane.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features.
+    unsafe fn add(self, b: Self) -> Self;
+
+    /// `self · b`, lane by lane.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features.
+    unsafe fn mul(self, b: Self) -> Self;
+
+    /// `self + part` in the lanes of `mask` (bit `l` is lane `l` of
+    /// every strip); `self`'s bits in the others.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features.
+    unsafe fn add_in(self, part: Self, mask: u8) -> Self;
+
+    /// Stores the lanes that lie inside `row` at `row[x..]`, and leaves
+    /// every value past the row's end untouched.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features and
+    /// that the vector starts inside the row (`x < row.len()`).
+    unsafe fn store(self, row: &mut [f32], x: usize);
+}
+
+/// AVX2: one strip per `ymm`, 16 registers.
+impl Lanes for __m256 {
+    const STRIPS: usize = 1;
+    const CONV_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 1, 1];
+    const FOLD_PASS: [usize; 9] = [0, 4, 2, 2, 2, 1, 1, 1, 1];
+    type Half = __m256;
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        _mm256_set1_ps(v)
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        _mm256_loadu_ps(p)
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        _mm256_add_ps(self, b)
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        _mm256_mul_ps(self, b)
+    }
+
+    /// One add, then a blend that keeps `self`'s bits outside the mask;
+    /// a tap that reaches every lane skips the blend.
+    #[inline(always)]
+    unsafe fn add_in(self, part: Self, mask: u8) -> Self {
+        let sum = _mm256_add_ps(self, part);
+        if mask == u8::MAX {
+            sum
+        } else {
+            _mm256_blendv_ps(self, sum, lanes_avx2(mask))
+        }
+    }
+
+    /// A strip inside the row is one store; a last strip that does not
+    /// fill it is one `maskstore` of its lanes inside the row.
+    #[inline(always)]
+    unsafe fn store(self, row: &mut [f32], x: usize) {
+        let p = row.as_mut_ptr().add(x);
+        let inside = row.len() - x;
+        if inside >= NR {
+            _mm256_storeu_ps(p, self);
+        } else {
+            _mm256_maskstore_ps(p, first_lanes_avx2(inside), self);
+        }
+    }
+}
+
+/// AVX-512: two adjacent strips per `zmm`, 32 registers. A run's odd
+/// last strip runs on a `ymm`: a half-empty `zmm` ran a one-strip run
+/// at 0.72–0.76× its AVX2 speed. The entry points also enable
+/// AVX-512VL, so that `ymm` keeps its 256-bit blend and masked store:
+/// on AVX-512F alone the compiler widens them to masked `zmm`
+/// instructions, and the 24-channel 16² fold, whose runs are all one
+/// strip, ran at 0.76× its AVX2 speed.
+impl Lanes for __m512 {
+    const STRIPS: usize = 2;
+    const CONV_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 2, 2];
+    const FOLD_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 1, 1];
+    type Half = __m256;
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        _mm512_set1_ps(v)
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        _mm512_loadu_ps(p)
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        _mm512_add_ps(self, b)
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        _mm512_mul_ps(self, b)
+    }
+
+    /// One masked add, the tap's mask in both strips: the lanes outside
+    /// it keep `self`'s bits.
+    #[inline(always)]
+    unsafe fn add_in(self, part: Self, mask: u8) -> Self {
+        _mm512_mask_add_ps(self, u16::from(mask) * 0x0101, self, part)
+    }
+
+    /// A vector inside the row is one store; the row's last vector,
+    /// when it does not fill it, one masked store of its lanes inside.
+    #[inline(always)]
+    unsafe fn store(self, row: &mut [f32], x: usize) {
+        let p = row.as_mut_ptr().add(x);
+        let inside = row.len() - x;
+        if inside >= 2 * NR {
+            _mm512_storeu_ps(p, self);
+        } else {
+            // `inside < 16`, so the shift fits.
+            _mm512_mask_storeu_ps(p, (1u16 << inside) - 1, self);
+        }
+    }
 }
 
 /// Lanes `0..n` as a `maskstore` select: the lanes of a run's last
@@ -154,134 +376,6 @@ unsafe fn first_lanes_avx2(n: usize) -> __m256i {
     _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane)
 }
 
-/// Stores `v` at `row[x..]`, plus `bias` when there is one. A whole
-/// strip is one store; the last strip of a row that does not fill it
-/// is a masked store of its lanes inside the row, which leaves every
-/// value past the row's end untouched.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// that the strip starts inside the row (`x < row.len()`).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn store_strip(row: &mut [f32], x: usize, v: __m256, bias: Option<__m256>) {
-    let v = match bias {
-        Some(b) => _mm256_add_ps(v, b),
-        None => v,
-    };
-    let p = row.as_mut_ptr().add(x);
-    let inside = row.len() - x;
-    if inside >= NR {
-        _mm256_storeu_ps(p, v);
-    } else {
-        _mm256_maskstore_ps(p, first_lanes_avx2(inside), v);
-    }
-}
-
-/// Run heights up to which a shared-base run computes two adjacent
-/// strips per pass: twice the independent add chains per broadcast
-/// `A` value, which short runs (a 4-channel block's 4 chains) need to
-/// keep both FP ports busy. Each lane's chain is unchanged.
-const PAIR_ROWS: usize = 6;
-
-/// The chains of `SP` adjacent strips of every run row from `init`,
-/// where every row reads its `B` rows from `bp` (the first strip's
-/// base): step `s` of strip `q` multiplies `A` at `aidx[r] + s · acs`
-/// by the eight values at `bp + q · NR + offs[s]`.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// that every `A` index and every `B` row read is in bounds.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn shared_chains<const MRR: usize, const SP: usize>(
-    init: __m256,
-    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
-    bp: *const f32,
-    offs: &[usize],
-) -> [[__m256; MRR]; SP] {
-    let mut acc = [[init; MRR]; SP];
-    for (s, &o) in offs.iter().enumerate() {
-        let b: [__m256; SP] = core::array::from_fn(|q| _mm256_loadu_ps(bp.add(o + q * NR)));
-        for r in 0..MRR {
-            let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + s * acs));
-            for q in 0..SP {
-                acc[q][r] = _mm256_add_ps(acc[q][r], _mm256_mul_ps(a, b[q]));
-            }
-        }
-    }
-    acc
-}
-
-/// AVX2 run kernel of the in-place convolutions: per strip, the
-/// [`gemm_micro_avx2`] step with each `B` row loaded from `src` at its
-/// own offset, the chains from `init` in registers, the bias added in
-/// registers, and one store per row. When every row shares one `B`
-/// base (a run of output channels) the row is loaded once per step,
-/// and runs of up to [`PAIR_ROWS`] rows take two strips a pass;
-/// otherwise (segments of one channel's row) it is loaded once per
-/// row.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2.
-/// `bound_conv_reads` proves every unchecked load in range, and every
-/// strip starts inside its row, as `store_strip` needs.
-#[target_feature(enable = "avx2")]
-pub unsafe fn conv_micro_avx2<const MRR: usize>(
-    out: [&mut [f32]; MRR],
-    a: (&[f32], &[usize; MRR], usize),
-    src: Src,
-    bidx: &[usize; MRR],
-    init: f32,
-    bias: Option<[f32; MRR]>,
-) {
-    let strips = bound_conv_reads(&out, a, src, bidx);
-    let (av, aidx, acs) = a;
-    let bias = bias.map(|b| b.map(|v| _mm256_set1_ps(v)));
-    let init = _mm256_set1_ps(init);
-    // Strip bases are only offset from, never read, until a step reads
-    // them; with no steps they may lie anywhere, hence `wrapping_add`.
-    if bidx.iter().all(|&b| b == bidx[0]) {
-        let bp = src.v.as_ptr().wrapping_add(bidx[0]);
-        let mut j = 0;
-        if MRR <= PAIR_ROWS {
-            while j + 2 <= strips {
-                let acc = shared_chains::<MRR, 2>(init, a, bp.wrapping_add(j * NR), src.offs);
-                for (q, acc) in acc.iter().enumerate() {
-                    for r in 0..MRR {
-                        store_strip(out[r], (j + q) * NR, acc[r], bias.map(|b| b[r]));
-                    }
-                }
-                j += 2;
-            }
-        }
-        for j in j..strips {
-            let [acc] = shared_chains::<MRR, 1>(init, a, bp.wrapping_add(j * NR), src.offs);
-            for r in 0..MRR {
-                store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
-            }
-        }
-        return;
-    }
-    for j in 0..strips {
-        let mut acc = [init; MRR];
-        let bp = src.v.as_ptr().wrapping_add(j * NR);
-        for (s, &o) in src.offs.iter().enumerate() {
-            for r in 0..MRR {
-                let b = _mm256_loadu_ps(bp.add(bidx[r] + o));
-                let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + s * acs));
-                acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(a, b));
-            }
-        }
-        for r in 0..MRR {
-            store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
-        }
-    }
-}
-
 /// The AVX2 lanes whose bit is set in `mask` (bit `l` is lane `l`), as
 /// an all-ones lane select.
 ///
@@ -297,183 +391,293 @@ unsafe fn lanes_avx2(mask: u8) -> __m256 {
     _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits))
 }
 
-/// Proves every `A` and `B` read of a [`fold_micro_avx2`] run in
-/// bounds, so the loops can use unchecked loads, from the span `src`
-/// carries. Returns the run's strip count.
-///
-/// # Panics
-///
-/// Panics if the rows' strip counts differ, or a row's last `A` index
-/// or the end of its last strip's `B` rows would fall outside `av` /
-/// the source — where the scalar reference panics too.
-#[inline]
-fn bound_fold_reads<const MRR: usize>(
-    out: &[&mut [f32]; MRR],
-    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
-    src: Src,
-    bidx: &[usize; MRR],
-    taps: &[FoldTap],
-) -> usize {
-    let strips = run_strips(out);
-    let Some(steps) = src.offs.len().checked_sub(1) else {
-        return strips;
-    };
-    if strips == 0 {
-        return 0;
-    }
-    let amax = aidx.iter().max().copied().unwrap_or(0);
-    let bmax = bidx.iter().max().copied().unwrap_or(0);
-    let last = (strips - 1) * NR + src.span;
-    for tap in taps {
-        assert!(
-            amax + tap.a + steps * acs < av.len(),
-            "fold_micro: A index out of range"
-        );
-        assert!(
-            tap.base + bmax + last <= src.v.len(),
-            "fold_micro: B row out of range"
-        );
-    }
-    strips
+/// The chains of a run's strips: [`Conv`] or [`Fold`].
+trait Chains<L: Lanes, const MRR: usize> {
+    /// Vectors per pass, from the tier's table.
+    const PASS: [usize; 9];
+
+    /// The finished chains of `SP` adjacent vectors of every run row,
+    /// before the bias: vector `q` starts `q · STRIPS · NR` values past
+    /// `bp`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee `L`'s CPU features and that
+    /// every `A` index and every `B` read is in bounds.
+    unsafe fn pass<const SP: usize>(&self, bp: *const f32) -> [[L; MRR]; SP];
 }
 
-/// Adds a tap's partials to the accumulators in the lanes of `mask`:
-/// one add, then a blend that keeps the accumulator's bits in the
-/// other lanes. A tap that reaches every lane skips the blend, which
-/// would select the sum in every lane.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2; no
-/// memory is touched.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn add_taps<const MRR: usize>(acc: &mut [__m256; MRR], part: &[__m256; MRR], mask: u8) {
-    if mask == u8::MAX {
-        for r in 0..MRR {
-            acc[r] = _mm256_add_ps(acc[r], part[r]);
-        }
-        return;
-    }
-    let keep = lanes_avx2(mask);
-    for r in 0..MRR {
-        let sum = _mm256_add_ps(acc[r], part[r]);
-        acc[r] = _mm256_blendv_ps(acc[r], sum, keep);
-    }
+/// A convolution run's chains: step `s` multiplies `A` at
+/// `aidx[r] + s · acs` by the lanes at `offs[s]`, from `init`.
+struct Conv<'a, const MRR: usize> {
+    init: f32,
+    a: (&'a [f32], &'a [usize; MRR], usize),
+    offs: &'a [usize],
 }
 
-/// The fold's per-tap chains and masked adds for `SP` adjacent strips
-/// of every run row, from `+0.0`, where every row reads its `B` rows
-/// from `bp` (the first strip's base): tap `t`'s step `s` of strip `q`
-/// multiplies `A` at `aidx[r] + t.a + s · acs` by the eight values at
-/// `bp + t.base + q · NR + offs[s]`.
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
-/// that every `A` index and every `B` row read is in bounds.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn shared_taps<const MRR: usize, const SP: usize>(
-    (av, aidx, acs): (&[f32], &[usize; MRR], usize),
-    bp: *const f32,
-    offs: &[usize],
-    taps: &[FoldTap],
-) -> [[__m256; MRR]; SP] {
-    let mut acc = [[_mm256_setzero_ps(); MRR]; SP];
-    for tap in taps {
-        let ap = av.as_ptr().wrapping_add(tap.a);
-        let bp = bp.wrapping_add(tap.base);
-        let mut part = [[_mm256_setzero_ps(); MRR]; SP];
-        for (s, &o) in offs.iter().enumerate() {
-            let b: [__m256; SP] = core::array::from_fn(|q| _mm256_loadu_ps(bp.add(o + q * NR)));
+impl<L: Lanes, const MRR: usize> Chains<L, MRR> for Conv<'_, MRR> {
+    const PASS: [usize; 9] = L::CONV_PASS;
+
+    #[inline(always)]
+    unsafe fn pass<const SP: usize>(&self, bp: *const f32) -> [[L; MRR]; SP] {
+        let (av, aidx, acs) = self.a;
+        let init = L::splat(self.init);
+        let mut acc = [[init; MRR]; SP];
+        for (k, &o) in self.offs.iter().enumerate() {
+            let mut b = [init; SP];
+            for (q, b) in b.iter_mut().enumerate() {
+                *b = L::load(bp.add(o + q * L::STRIPS * NR));
+            }
             for r in 0..MRR {
-                let a = _mm256_set1_ps(*ap.add(aidx[r] + s * acs));
+                let a = L::splat(*av.get_unchecked(aidx[r] + k * acs));
                 for q in 0..SP {
-                    part[q][r] = _mm256_add_ps(part[q][r], _mm256_mul_ps(a, b[q]));
+                    acc[q][r] = acc[q][r].add(a.mul(b[q]));
                 }
             }
         }
-        for (acc, part) in acc.iter_mut().zip(&part) {
-            add_taps(acc, part, tap.mask);
-        }
+        acc
     }
-    acc
 }
 
-/// Run heights up to which a shared-base fold run computes two
-/// adjacent strips per pass, as [`PAIR_ROWS`] does for the
-/// convolution; the fold holds a partial and an accumulator per row.
-const FOLD_PAIR_ROWS: usize = 4;
+/// A fold run's chains: from `+0.0`, per tap a fresh `+0.0` chain whose
+/// step `s` multiplies `A` at `aidx[r] + tap.a + s · acs` by the lanes
+/// at `tap.base + offs[s]`, added in the tap's lanes.
+struct Fold<'a, const MRR: usize> {
+    a: (&'a [f32], &'a [usize; MRR], usize),
+    offs: &'a [usize],
+    taps: &'a [FoldTap],
+}
 
-/// AVX2 fold run: per strip, the accumulator rows stay in registers
-/// across every tap; each tap's partial is a fresh chain as in
-/// [`conv_micro_avx2`], added with one add and a blend that keeps the
-/// accumulator in lanes whose mask bit is clear. Then the bias is added
-/// in registers and each row stored once. Runs of channels up to
-/// [`FOLD_PAIR_ROWS`] rows take two strips a pass.
+impl<L: Lanes, const MRR: usize> Chains<L, MRR> for Fold<'_, MRR> {
+    const PASS: [usize; 9] = L::FOLD_PASS;
+
+    #[inline(always)]
+    unsafe fn pass<const SP: usize>(&self, bp: *const f32) -> [[L; MRR]; SP] {
+        let (av, aidx, acs) = self.a;
+        let zero = L::splat(0.0);
+        let mut acc = [[zero; MRR]; SP];
+        for tap in self.taps {
+            let ap = av.as_ptr().wrapping_add(tap.a);
+            let bp = bp.wrapping_add(tap.base);
+            let mut part = [[zero; MRR]; SP];
+            for (k, &o) in self.offs.iter().enumerate() {
+                let mut b = [zero; SP];
+                for (q, b) in b.iter_mut().enumerate() {
+                    *b = L::load(bp.add(o + q * L::STRIPS * NR));
+                }
+                for r in 0..MRR {
+                    let a = L::splat(*ap.add(aidx[r] + k * acs));
+                    for q in 0..SP {
+                        part[q][r] = part[q][r].add(a.mul(b[q]));
+                    }
+                }
+            }
+            for q in 0..SP {
+                for r in 0..MRR {
+                    acc[q][r] = acc[q][r].add_in(part[q][r], tap.mask);
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// The vectors `v..` of a run's first `vecs` vectors, vector 0 reading
+/// from `bp`, `SP` a pass while a whole pass fits: each pass's chains,
+/// the bias added in registers, and one store per row and vector.
+/// Returns the first vector left.
 ///
 /// # Safety
 ///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2.
-/// `bound_fold_reads` proves every unchecked load in range, and every
-/// strip starts inside its row, as `store_strip` needs.
+/// SAFETY: as [`run`].
+#[inline(always)]
+unsafe fn passes<L: Lanes, const MRR: usize, const SP: usize>(
+    out: &mut [&mut [f32]; MRR],
+    chains: &impl Chains<L, MRR>,
+    (bp, vecs): (*const f32, usize),
+    bias: Option<[f32; MRR]>,
+    mut v: usize,
+) -> usize {
+    while v + SP <= vecs {
+        let x = v * L::STRIPS * NR;
+        let acc = chains.pass::<SP>(bp.wrapping_add(x));
+        for (q, acc) in acc.iter().enumerate() {
+            for r in 0..MRR {
+                let y = match bias {
+                    Some(b) => acc[r].add(L::splat(b[r])),
+                    None => acc[r],
+                };
+                y.store(out[r], x + q * L::STRIPS * NR);
+            }
+        }
+        v += SP;
+    }
+    v
+}
+
+/// The run body of both kernels on both tiers: every whole vector of
+/// every run row, in passes of the tier's width for the run's height
+/// (four vectors, two or one), the vectors a wider pass leaves in
+/// narrower ones; then an odd last strip on [`Lanes::Half`]. Without a
+/// bias the chains are stored as they are: `x + 0.0` is not `x` when
+/// `x` is `-0.0`.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee `L`'s CPU features, that `strips`
+/// is every row's strip count, and that every `A` index and every `B`
+/// read of `strips` strips from `bp` is in bounds; every vector then
+/// starts inside its row, as [`Lanes::store`] needs.
+#[inline(always)]
+unsafe fn run<L, C, const MRR: usize>(
+    mut out: [&mut [f32]; MRR],
+    chains: C,
+    (bp, strips): (*const f32, usize),
+    bias: Option<[f32; MRR]>,
+) where
+    L: Lanes,
+    C: Chains<L, MRR> + Chains<L::Half, MRR>,
+{
+    let o = &mut out;
+    let at = (bp, strips / L::STRIPS);
+    let pass = <C as Chains<L, MRR>>::PASS[MRR];
+    let mut v = 0;
+    if pass >= 4 {
+        v = passes::<L, MRR, 4>(o, &chains, at, bias, v);
+    }
+    if pass >= 2 {
+        v = passes::<L, MRR, 2>(o, &chains, at, bias, v);
+    }
+    passes::<L, MRR, 1>(o, &chains, at, bias, v);
+    if strips % L::STRIPS != 0 {
+        passes::<L::Half, MRR, 1>(o, &chains, (bp, strips), bias, strips - 1);
+    }
+}
+
+/// [`super::conv_micro`]'s run on either tier: the bounds proved once,
+/// then [`run`] over [`Conv`] chains from `src.v[base..]`.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee `L`'s CPU features.
+#[inline(always)]
+unsafe fn conv_micro<L: Lanes, const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
+    base: usize,
+    init: f32,
+    bias: Option<[f32; MRR]>,
+) {
+    let strips = bound_conv_reads(&out, a, src, base);
+    let chains = Conv {
+        init,
+        a,
+        offs: src.offs,
+    };
+    // The base is only offset from, never read, until a step reads it;
+    // with no steps it may lie anywhere, hence `wrapping_add`.
+    run::<L, _, MRR>(
+        out,
+        chains,
+        (src.v.as_ptr().wrapping_add(base), strips),
+        bias,
+    );
+}
+
+/// [`super::fold_micro`]'s run on either tier: the bounds proved once,
+/// then [`run`] over [`Fold`] chains.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee `L`'s CPU features.
+#[inline(always)]
+unsafe fn fold_micro<L: Lanes, const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
+    taps: &[FoldTap],
+    bias: Option<[f32; MRR]>,
+) {
+    let strips = bound_fold_reads(&out, a, src, taps);
+    let chains = Fold {
+        a,
+        offs: src.offs,
+        taps,
+    };
+    run::<L, _, MRR>(out, chains, (src.v.as_ptr(), strips), bias);
+}
+
+/// AVX2 [`super::conv_micro`]: the run body on `ymm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2;
+/// the body proves every unchecked load in range.
+#[target_feature(enable = "avx2")]
+pub unsafe fn conv_micro_avx2<const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
+    base: usize,
+    init: f32,
+    bias: Option<[f32; MRR]>,
+) {
+    conv_micro::<__m256, MRR>(out, a, src, base, init, bias);
+}
+
+/// AVX-512 [`super::conv_micro`]: the run body on `zmm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports
+/// AVX-512F and AVX-512VL; the body proves every unchecked load in
+/// range.
+#[target_feature(enable = "avx512f,avx512vl")]
+pub unsafe fn conv_micro_avx512<const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
+    base: usize,
+    init: f32,
+    bias: Option<[f32; MRR]>,
+) {
+    conv_micro::<__m512, MRR>(out, a, src, base, init, bias);
+}
+
+/// AVX2 [`super::fold_micro`]: the run body on `ymm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2;
+/// the body proves every unchecked load in range.
 #[target_feature(enable = "avx2")]
 pub unsafe fn fold_micro_avx2<const MRR: usize>(
     out: [&mut [f32]; MRR],
     a: (&[f32], &[usize; MRR], usize),
     src: Src,
-    bidx: &[usize; MRR],
     taps: &[FoldTap],
     bias: Option<[f32; MRR]>,
 ) {
-    let strips = bound_fold_reads(&out, a, src, bidx, taps);
-    let (av, aidx, acs) = a;
-    let bias = bias.map(|b| b.map(|v| _mm256_set1_ps(v)));
-    // As in `conv_micro_avx2`, bases are offset with `wrapping_add`
-    // until a step reads them.
-    if bidx.iter().all(|&b| b == bidx[0]) {
-        let bp = src.v.as_ptr().wrapping_add(bidx[0]);
-        let mut j = 0;
-        if MRR <= FOLD_PAIR_ROWS {
-            while j + 2 <= strips {
-                let acc = shared_taps::<MRR, 2>(a, bp.wrapping_add(j * NR), src.offs, taps);
-                for (q, acc) in acc.iter().enumerate() {
-                    for r in 0..MRR {
-                        store_strip(out[r], (j + q) * NR, acc[r], bias.map(|b| b[r]));
-                    }
-                }
-                j += 2;
-            }
-        }
-        for j in j..strips {
-            let [acc] = shared_taps::<MRR, 1>(a, bp.wrapping_add(j * NR), src.offs, taps);
-            for r in 0..MRR {
-                store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
-            }
-        }
-        return;
-    }
-    for j in 0..strips {
-        let mut acc = [_mm256_setzero_ps(); MRR];
-        let bp = src.v.as_ptr().wrapping_add(j * NR);
-        for tap in taps {
-            let ap = av.as_ptr().wrapping_add(tap.a);
-            let bp = bp.wrapping_add(tap.base);
-            let mut part = [_mm256_setzero_ps(); MRR];
-            for (s, &o) in src.offs.iter().enumerate() {
-                for r in 0..MRR {
-                    let b = _mm256_loadu_ps(bp.add(bidx[r] + o));
-                    let a = _mm256_set1_ps(*ap.add(aidx[r] + s * acs));
-                    part[r] = _mm256_add_ps(part[r], _mm256_mul_ps(a, b));
-                }
-            }
-            add_taps(&mut acc, &part, tap.mask);
-        }
-        for r in 0..MRR {
-            store_strip(out[r], j * NR, acc[r], bias.map(|b| b[r]));
-        }
-    }
+    fold_micro::<__m256, MRR>(out, a, src, taps, bias);
+}
+
+/// AVX-512 [`super::fold_micro`]: the run body on `zmm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports
+/// AVX-512F and AVX-512VL; the body proves every unchecked load in
+/// range.
+#[target_feature(enable = "avx512f,avx512vl")]
+pub unsafe fn fold_micro_avx512<const MRR: usize>(
+    out: [&mut [f32]; MRR],
+    a: (&[f32], &[usize; MRR], usize),
+    src: Src,
+    taps: &[FoldTap],
+    bias: Option<[f32; MRR]>,
+) {
+    fold_micro::<__m512, MRR>(out, a, src, taps, bias);
 }
 
 /// AVX2 [`scalar::leaky_relu_pack`], in place: eight lanes at a time,

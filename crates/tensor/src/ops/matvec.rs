@@ -168,7 +168,7 @@ impl Products<'_> {
         });
         let aidx: [usize; MRR] = std::array::from_fn(|r| (o0 + r) * self.ars);
         let a = (self.av, &aidx, self.acs);
-        kernels::conv_micro(dst, a, self.src, &[0; MRR], self.init, None);
+        kernels::conv_micro(dst, a, self.src, 0, self.init, None);
     }
 }
 

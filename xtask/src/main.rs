@@ -1,12 +1,14 @@
 //! Workspace automation tasks, invoked as `cargo xtask <task>`.
 //!
-//! Four tasks today: `lint`, the workspace-specific static-analysis
-//! gate described in DESIGN.md §Correctness tooling; `bench-diff`, the
+//! The tasks: `lint`, the workspace-specific static-analysis gate
+//! described in DESIGN.md §Correctness tooling; `bench-diff`, the
 //! benchmark regression gate over `BENCH_*.json` records;
 //! `microbench`, the per-kernel timing harness that localises runtime
-//! regressions to a kernel family; and `report`, which renders a run
-//! ledger as a readable run report. All are kept dependency-free beyond
-//! the workspace's own crates so they build instantly and work offline.
+//! regressions to a kernel family; `loadgen`, the serve load driver;
+//! `report`, which renders a run ledger as a readable run report; and
+//! `isa`, which prints the kernel tiers this host runs. All are kept
+//! dependency-free beyond the workspace's own crates so they build
+//! instantly and work offline.
 
 mod bench_diff;
 mod lint;
@@ -84,6 +86,11 @@ tasks:
                  learning-dynamics dashboard (loss/lr/grad-norm/entropy
                  curves, per-layer tables; no scripts or external assets)
 
+  isa
+      Print the instruction set the kernels dispatch to on this host
+      (honouring RHSD_FORCE_SCALAR=1) and the tiers at or below it,
+      which the kernel tests run in turn.
+
 exit codes: 0 clean, 1 violations/regression found, 2 usage error or
 malformed input";
 
@@ -107,6 +114,21 @@ fn main() -> ExitCode {
             Ok(code) => code,
             Err(msg) => usage_error(&msg),
         },
+        Some("isa") => {
+            use rhsd_tensor::ops::kernels::{self, Isa};
+            let active = kernels::isa();
+            let tiers: Vec<&str> = [Isa::Scalar, Isa::Avx2, Isa::Avx512]
+                .into_iter()
+                .filter(|&t| t <= active)
+                .map(Isa::name)
+                .collect();
+            println!(
+                "dispatched isa: {} (tiers run: {})",
+                active.name(),
+                tiers.join(", ")
+            );
+            ExitCode::SUCCESS
+        }
         Some("--help" | "-h" | "help") => {
             println!("{USAGE}");
             ExitCode::SUCCESS

@@ -38,7 +38,12 @@
 //! `speedup` column (scalar best / dispatched best), so the SIMD win is
 //! measured in the same record that tracks absolute times. Under
 //! `RHSD_FORCE_SCALAR=1` both passes run the scalar path and the
-//! speedup hovers at 1.
+//! speedup hovers at 1. When the detected ISA is above AVX2, the rows
+//! that run the convolution and fold runs the wider tier widens (the
+//! convolutions, folds and transposed convolutions forward and
+//! backward, and the refinement head's RoI convolutions, FC and whole
+//! pass) are also timed on AVX2 and carry `avx2_best_secs`, so the
+//! wider tier's own gain is in the record.
 //!
 //! The convolution, fold and RoI convolution rows also carry `gmacs`:
 //! achieved multiply-adds per second on the dispatched ISA, in
@@ -86,6 +91,9 @@ struct Case {
     scalar_best_secs: f64,
     /// `scalar_best_secs / best_secs` — the SIMD win for this shape.
     speedup: f64,
+    /// Fastest observed wall time on AVX2, for a row timed on a wider
+    /// tier whose kernels that tier widens.
+    avx2_best_secs: Option<f64>,
     /// Multiply-adds per call, from the shape (convolution, fold and
     /// RoI convolution rows).
     macs: Option<u64>,
@@ -162,6 +170,21 @@ fn timed(
     timed_on(active, kernel, shape, reps, || (), |()| f())
 }
 
+/// The kernel families that spend their time in the convolution and
+/// fold runs, which the AVX-512 tier widens; every other kernel runs its
+/// AVX2 body on that tier.
+const WIDENED: [&str; 9] = [
+    "conv2d",
+    "conv2d_backward",
+    "conv_transpose2d",
+    "conv_transpose2d_backward",
+    "fold",
+    "roi_conv2d",
+    "roi_fc",
+    "roi_fc_backward",
+    "refine_head",
+];
+
 /// [`timed`] with an untimed `setup` call before each timed call, whose
 /// result the call consumes.
 fn timed_on<S>(
@@ -172,10 +195,13 @@ fn timed_on<S>(
     mut setup: impl FnMut() -> S,
     mut f: impl FnMut(S) -> Tensor,
 ) -> Case {
-    kernels::set_isa(Isa::Scalar);
-    let (scalar_best, _) = time_case(reps, &mut setup, &mut f);
-    kernels::set_isa(active);
-    let (best, mean) = time_case(reps, &mut setup, &mut f);
+    let mut time_on = |isa| {
+        kernels::set_isa(isa);
+        time_case(reps, &mut setup, &mut f)
+    };
+    let (scalar_best, _) = time_on(Isa::Scalar);
+    let avx2_best = (active > Isa::Avx2 && WIDENED.contains(&kernel)).then(|| time_on(Isa::Avx2).0);
+    let (best, mean) = time_on(active);
     Case {
         kernel,
         shape,
@@ -184,6 +210,7 @@ fn timed_on<S>(
         mean_secs: mean,
         scalar_best_secs: scalar_best,
         speedup: scalar_best / best.max(1e-12),
+        avx2_best_secs: avx2_best,
         macs: None,
     }
 }
@@ -633,9 +660,13 @@ fn render(quick: bool, threads: usize, cases: &[Case]) -> String {
             .gmacs()
             .map(|g| format!(", \"gmacs\": {g:.3}"))
             .unwrap_or_default();
+        let avx2 = c
+            .avx2_best_secs
+            .map(|t| format!(", \"avx2_best_secs\": {t:.6}"))
+            .unwrap_or_default();
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"reps\": {}, \"best_secs\": {:.6}, \"mean_secs\": {:.6}, \"scalar_best_secs\": {:.6}, \"speedup\": {:.3}{gmacs}}}{comma}",
+            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"reps\": {}, \"best_secs\": {:.6}, \"mean_secs\": {:.6}, \"scalar_best_secs\": {:.6}{avx2}, \"speedup\": {:.3}{gmacs}}}{comma}",
             c.kernel, c.shape, c.reps, c.best_secs, c.mean_secs, c.scalar_best_secs, c.speedup
         );
     }
@@ -676,8 +707,12 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
             .gmacs()
             .map(|g| format!("  {g:>6.2} GMAC/s"))
             .unwrap_or_default();
+        let avx2 = c
+            .avx2_best_secs
+            .map(|t| format!("  avx2 {:>8.3} ms", t * 1e3))
+            .unwrap_or_default();
         println!(
-            "{:<25} {:<24} reps {:>3}  best {:>10.3} ms  mean {:>10.3} ms  scalar {:>10.3} ms  speedup {:>5.2}x{gmacs}",
+            "{:<25} {:<24} reps {:>3}  best {:>10.3} ms  mean {:>10.3} ms  scalar {:>10.3} ms{avx2}  speedup {:>5.2}x{gmacs}",
             c.kernel,
             c.shape,
             c.reps,
@@ -775,11 +810,22 @@ mod tests {
                 assert!(g.is_finite() && g > 0.0, "{} {}", c.kernel, c.shape);
             }
         }
+        // Above AVX2, exactly the rows of the widened kernels carry an
+        // AVX2 time.
+        let wide = kernels::isa() > Isa::Avx2;
         for c in &cases {
             assert!(c.best_secs.is_finite() && c.best_secs >= 0.0);
             assert!(c.mean_secs >= c.best_secs);
             assert!(c.scalar_best_secs.is_finite() && c.scalar_best_secs >= 0.0);
             assert!(c.speedup.is_finite() && c.speedup > 0.0);
+            let widened = wide && WIDENED.contains(&c.kernel);
+            assert_eq!(
+                c.avx2_best_secs.is_some(),
+                widened,
+                "{} {}",
+                c.kernel,
+                c.shape
+            );
         }
     }
 
@@ -793,6 +839,7 @@ mod tests {
             mean_secs: 0.002,
             scalar_best_secs: 0.003,
             speedup: 3.0,
+            avx2_best_secs: Some(0.0015),
             macs: Some(4_000_000),
         }];
         let record = render(true, 2, &cases);
@@ -814,6 +861,10 @@ mod tests {
             Some(0.003)
         );
         assert_eq!(arr[0].get("gmacs").and_then(|g| g.as_f64()), Some(4.0));
+        assert_eq!(
+            arr[0].get("avx2_best_secs").and_then(|t| t.as_f64()),
+            Some(0.0015)
+        );
         assert!(v.get("workspace").is_some());
     }
 }

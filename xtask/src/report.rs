@@ -67,8 +67,18 @@ type SentinelRow = (u64, String, String, String);
 /// follow them.
 #[derive(Debug, Default)]
 struct TrainingRun {
+    /// The detector the epochs name; `None` on ledgers whose epochs
+    /// name none.
+    detector: Option<String>,
     epochs: Vec<EpochRow>,
     sentinels: Vec<SentinelRow>,
+}
+
+impl TrainingRun {
+    /// The run's label: its detector's name, else `run n` (1-based).
+    fn label(&self, n: usize) -> String {
+        self.detector.clone().unwrap_or_else(|| format!("run {n}"))
+    }
 }
 
 /// Everything extracted from one ledger file.
@@ -78,7 +88,8 @@ struct LedgerRun {
     /// The span tree from `run_end`; empty without one.
     spans: SpanTree,
     /// Training runs in ledger order: a new one starts wherever an
-    /// epoch index does not follow the previous epoch's.
+    /// epoch index does not follow the previous epoch's, or the epoch
+    /// names another detector.
     training: Vec<TrainingRun>,
     evals: Vec<(String, String, f64, u64, f64)>,
     status: Option<String>,
@@ -146,13 +157,16 @@ fn parse_ledger(text: &str) -> LedgerRun {
                     })
                     .unwrap_or_default();
                 let epoch = v.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-                let follows = run
-                    .training
-                    .last()
-                    .and_then(|t| t.epochs.last())
-                    .is_some_and(|prev| epoch == prev.epoch + 1);
+                let detector = v.get("detector").and_then(Value::as_str).map(str::to_owned);
+                let follows = run.training.last().is_some_and(|t| {
+                    t.detector == detector
+                        && t.epochs.last().is_some_and(|prev| epoch == prev.epoch + 1)
+                });
                 if !follows {
-                    run.training.push(TrainingRun::default());
+                    run.training.push(TrainingRun {
+                        detector,
+                        ..TrainingRun::default()
+                    });
                 }
                 run.current_training().epochs.push(EpochRow {
                     epoch,
@@ -252,15 +266,18 @@ fn render_caches(counters: &[(String, u64)], out: &mut String) {
     }
 }
 
-/// Renders the training-dynamics section, one block per training run
-/// (`run 1…n`): the per-epoch trajectory, the per-layer table from the
-/// run's last epoch carrying layer rows, and the run's sentinel trips.
-/// Silent when the ledger has no `epoch` events (inference-only runs).
+/// Renders the training-dynamics section, one block per training run,
+/// labelled with its detector (`run 1…n` when the epochs name none):
+/// the per-epoch trajectory, the per-layer table from the run's last
+/// epoch carrying layer rows, and the run's sentinel trips. An entropy
+/// an epoch does not have (it refined no RoI) prints as `—`. Silent
+/// when the ledger has no `epoch` events (inference-only runs).
 fn render_training(run: &LedgerRun, out: &mut String) {
     for (n, t) in (1..).zip(&run.training) {
+        let label = t.label(n);
         let _ = writeln!(
             out,
-            "\ntraining dynamics, run {n} ({} epoch(s)):",
+            "\ntraining dynamics, {label} ({} epoch(s)):",
             t.epochs.len()
         );
         if !t.epochs.is_empty() {
@@ -287,7 +304,7 @@ fn render_training(run: &LedgerRun, out: &mut String) {
             );
         }
         if let Some(last) = last_layers(t) {
-            let _ = writeln!(out, "\n  layer dynamics (run {n}, epoch {}):", last.epoch);
+            let _ = writeln!(out, "\n  layer dynamics ({label}, epoch {}):", last.epoch);
             let _ = writeln!(
                 out,
                 "  {:<26} {:>9} {:>9} {:>9}",
@@ -302,7 +319,7 @@ fn render_training(run: &LedgerRun, out: &mut String) {
             }
         }
         if !t.sentinels.is_empty() {
-            let _ = writeln!(out, "\n  sentinel trips (run {n}):");
+            let _ = writeln!(out, "\n  sentinel trips ({label}):");
             for (epoch, reason, detail, action) in &t.sentinels {
                 let _ = writeln!(
                     out,
@@ -711,8 +728,9 @@ pub fn render_html(ledger_text: &str, title: &str) -> String {
 /// Training run `n`'s block of the page: its sentinel trips, learning
 /// curves, per-layer gradient-norm curves and final layer table.
 fn training_html(n: usize, run: &TrainingRun, html: &mut String) {
+    let label = html_escape(&run.label(n));
     html.push_str(&format!(
-        "<h2>training run {n} ({} epoch(s))</h2>\n",
+        "<h2>training {label} ({} epoch(s))</h2>\n",
         run.epochs.len()
     ));
     if !run.sentinels.is_empty() {
@@ -764,7 +782,7 @@ fn training_html(n: usize, run: &TrainingRun, html: &mut String) {
     }
     if let Some(last) = last_layers(run) {
         html.push_str(&format!(
-            "<h2>layer dynamics — run {n}, epoch {}</h2>\n<table>\n<tr><th>layer</th>\
+            "<h2>layer dynamics — {label}, epoch {}</h2>\n<table>\n<tr><th>layer</th>\
              <th>‖g‖</th><th>upd/w</th><th>‖w‖</th></tr>\n",
             last.epoch
         ));
@@ -918,26 +936,29 @@ mod tests {
         );
     }
 
-    /// An epoch line for `epoch` with one `refine/fc` row.
-    fn epoch_line(epoch: u64, fc_grad: f64) -> String {
+    /// An epoch line of `detector` for `epoch` with one `refine/fc`
+    /// row, and entropies when the epoch has them.
+    fn epoch_line(detector: &str, epoch: u64, fc_grad: f64, entropy: Option<f64>) -> String {
+        let h = entropy.map_or_else(|| "null".to_owned(), |h| h.to_string());
         format!(
-            r#"{{"event":"epoch","epoch":{epoch},"mean_loss":0.5,"grad_norm":1.0,"lr":0.005,"layers":[{{"key":"refine/fc","grad_norm":{fc_grad},"update_ratio":0.001,"weight_norm":2.0}}]}}"#
+            r#"{{"event":"epoch","detector":"{detector}","epoch":{epoch},"mean_loss":0.5,"grad_norm":1.0,"lr":0.005,"pred_entropy":{h},"label_entropy":{h},"layers":[{{"key":"refine/fc","grad_norm":{fc_grad},"update_ratio":0.001,"weight_norm":2.0}}]}}"#
         )
     }
 
     /// Two networks trained into one ledger, as Table 1 does: the epoch
-    /// index starting over splits them into runs, each with its own
-    /// trajectory, final layer table, trips and curves.
+    /// index starting over splits them into runs, each labelled with its
+    /// detector and with its own trajectory, final layer table, trips and
+    /// curves. The second refined no RoI: its entropies print as `—`.
     #[test]
     fn epoch_index_starting_over_splits_training_runs() {
         let mut lines: Vec<String> = (0..3)
-            .map(|e| epoch_line(e, 2.0 - 0.5 * e as f64))
+            .map(|e| epoch_line("Faster R-CNN", e, 2.0 - 0.5 * e as f64, Some(0.625)))
             .collect();
         lines.push(
             r#"{"event":"sentinel","epoch":2,"reason":"bias_collapse","detail":"epoch 2: collapse","action":"warn"}"#
                 .to_owned(),
         );
-        lines.extend((0..2).map(|e| epoch_line(e, 7.25)));
+        lines.extend((0..2).map(|e| epoch_line("SSD", e, 7.25, None)));
         let text = lines.join("\n");
         let run = parse_ledger(&text);
         let epochs: Vec<Vec<u64>> = run
@@ -951,23 +972,34 @@ mod tests {
 
         let out = render(&text, 8);
         assert!(
-            out.contains("training dynamics, run 1 (3 epoch(s)):"),
+            out.contains("training dynamics, Faster R-CNN (3 epoch(s)):"),
             "{out}"
         );
         assert!(
-            out.contains("training dynamics, run 2 (2 epoch(s)):"),
+            out.contains("training dynamics, SSD (2 epoch(s)):"),
             "{out}"
         );
-        assert_eq!(out.matches("  layer dynamics (run ").count(), 2, "{out}");
-        assert!(out.contains("layer dynamics (run 1, epoch 2):"), "{out}");
-        assert!(out.contains("layer dynamics (run 2, epoch 1):"), "{out}");
+        assert_eq!(out.matches("  layer dynamics (").count(), 2, "{out}");
+        assert!(
+            out.contains("layer dynamics (Faster R-CNN, epoch 2):"),
+            "{out}"
+        );
+        assert!(out.contains("layer dynamics (SSD, epoch 1):"), "{out}");
         assert!(out.contains("1.000e0"), "run 1's final fc row:\n{out}");
         assert!(out.contains("7.250e0"), "run 2's final fc row:\n{out}");
-        assert!(out.contains("sentinel trips (run 1):"), "{out}");
-        assert!(!out.contains("sentinel trips (run 2)"), "{out}");
+        assert!(out.contains("sentinel trips (Faster R-CNN):"), "{out}");
+        assert!(!out.contains("sentinel trips (SSD)"), "{out}");
+        // Faster R-CNN's entropies print; SSD's are absent, never 0.000.
+        assert_eq!(out.matches("0.625").count(), 6, "{out}");
+        let absent = out.lines().filter(|l| l.ends_with("       —        —"));
+        assert_eq!(absent.count(), 2, "{out}");
+        assert!(!out.contains("0.000 "), "{out}");
 
         let html = render_html(&text, "two runs");
-        for heading in ["training run 1 (3 epoch(s))", "training run 2 (2 epoch(s))"] {
+        for heading in [
+            "training Faster R-CNN (3 epoch(s))",
+            "training SSD (2 epoch(s))",
+        ] {
             assert!(html.contains(heading), "{heading}:\n{html}");
         }
         // One refine/fc curve per run, never one joined across both.

@@ -690,7 +690,7 @@ mod tests {
     fn conv_micro_matches_scalar_bitwise_on_every_tier() {
         fn run<const MRR: usize>(strips: usize, tail: usize) {
             let w = 13;
-            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7)] {
+            for (steps, acs, seed) in [(0, 1, 2), (1, 1, 3), (9, 1, 5), (36, 4, 7), (100, 9, 11)] {
                 let mut v = fill(seed, 4 + strips * NR + steps * w + 3 * NR);
                 // Zero-padded border lanes, as a padded band holds them.
                 for (i, x) in v.iter_mut().enumerate() {
@@ -765,7 +765,7 @@ mod tests {
             let (kk, c_out) = (9, MRR.max(3));
             let w = strips * NR + 2 * NR + 9;
             let plane = 3 * w;
-            for (c_src, seed) in [(1, 3), (4, 5), (12, 7)] {
+            for (c_src, seed) in [(1, 3), (4, 5), (12, 7), (24, 11)] {
                 let mut map = fill(seed, c_src * plane + 64);
                 for (i, x) in map.iter_mut().enumerate() {
                     match i % 13 {

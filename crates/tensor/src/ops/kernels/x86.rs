@@ -307,12 +307,12 @@ impl Lanes for __m256 {
 }
 
 /// AVX-512: two adjacent strips per `zmm`, 32 registers. A run's odd
-/// last strip runs on a `ymm`: a half-empty `zmm` ran a one-strip run
-/// at 0.72–0.76× its AVX2 speed. The entry points also enable
-/// AVX-512VL, so that `ymm` keeps its 256-bit blend and masked store:
-/// on AVX-512F alone the compiler widens them to masked `zmm`
-/// instructions, and the 24-channel 16² fold, whose runs are all one
-/// strip, ran at 0.76× its AVX2 speed.
+/// last strip runs on a `ymm`: on a half-empty `zmm` (8-lane masked
+/// loads and stores) the 24-channel 16² fold, whose runs are all one
+/// strip, ran at 0.67–0.70× its AVX2 speed. The entry points also
+/// enable AVX-512VL, so that `ymm` keeps its 256-bit blend and masked
+/// store: on AVX-512F alone the compiler widens them to masked `zmm`
+/// instructions, and the same fold ran at 0.76×.
 impl Lanes for __m512 {
     const STRIPS: usize = 2;
     const CONV_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 2, 2];

@@ -4,7 +4,7 @@
 //! described in DESIGN.md §Correctness tooling; `bench-diff`, the
 //! benchmark regression gate over `BENCH_*.json` records;
 //! `microbench`, the per-kernel timing harness that localises runtime
-//! regressions to a kernel family; `loadgen`, the serve load driver;
+//! regressions to a kernel family; `loadgen`, the serve load generator;
 //! `report`, which renders a run ledger as a readable run report; and
 //! `isa`, which prints the kernel tiers this host runs. All are kept
 //! dependency-free beyond the workspace's own crates so they build

@@ -405,14 +405,19 @@ fi
 
 # ISA matrix: the AVX2 and AVX-512 kernels must stay bit-identical to
 # the scalar reference. The first leg prints the tier this host
-# dispatches to: the kernel tests run every tier up to it in turn
-# (RHSD_FORCE_SCALAR=1 reruns the kernel, litho aerial,
-# determinism and conv-lowering suites through the scalar dispatch;
-# rhsd-litho's split-interior test is the one bit-identity check of
-# conv_taps outside the tensor crate, and rhsd-baselines runs TCAD'18's
-# in-place ReLU on the scalar LeakyRelu kernels).
+# dispatches to; the next two run the tensor crate's kernel tests
+# (which also run every tier up to it in turn) and the conv-lowering
+# suite on that tier, so this job alone proves the dispatched kernels
+# against the plain lowering. RHSD_FORCE_SCALAR=1 then reruns the
+# kernel, litho aerial, determinism and conv-lowering suites through
+# the scalar dispatch (rhsd-litho's split-interior test is the one
+# bit-identity check of conv_taps outside the tensor crate, and
+# rhsd-baselines runs TCAD'18's in-place ReLU on the scalar LeakyRelu
+# kernels).
 simd_matrix() {
     run_step "simd matrix: dispatched isa" cargo xtask isa
+    run_step "simd matrix: dispatched-tier kernel tests" cargo test -q -p rhsd-tensor
+    run_step "simd matrix: dispatched-tier conv lowering" cargo test -q --test conv_lowering
     run_step "simd matrix: forced-scalar crate tests" \
         env RHSD_FORCE_SCALAR=1 cargo test -q -p rhsd-tensor -p rhsd-nn -p rhsd-core -p rhsd-litho \
         -p rhsd-baselines

@@ -155,15 +155,26 @@ impl RefinementHead {
         let (g_a, rest) = rest.split_at_mut(self.incep_a.params().len());
         let (g_fc, rest) = rest.split_at_mut(2);
         let (g_cls, g_reg) = rest.split_at_mut(2);
-        // Pops run in reverse forward order: reg, cls, relu, fc, …
-        let g_reg_in = self.reg.backward(tape, transposed(&reg_grad), g_reg);
-        let mut gh = self.cls.backward(tape, transposed(&cls_grad), g_cls);
-        axpy(&mut gh, 1.0, &g_reg_in);
-        let gh = self.relu.backward(tape, gh, &mut []);
-        let gx = self.fc.backward(tape, gh, g_fc);
-        let gx = self.flatten.backward(tape, gx, &mut []);
-        let gx = self.incep_a.backward(tape, gx, g_a);
-        let g_pooled = self.incep_b.backward(tape, gx, g_b);
+        // Pops run in reverse forward order: reg, cls, relu, fc, …, under
+        // the forward pass's span names.
+        let gx = {
+            let _sp = rhsd_obs::span("fc");
+            let g_reg_in = self.reg.backward(tape, transposed(&reg_grad), g_reg);
+            let mut gh = self.cls.backward(tape, transposed(&cls_grad), g_cls);
+            axpy(&mut gh, 1.0, &g_reg_in);
+            let gh = self.relu.backward(tape, gh, &mut []);
+            let gx = self.fc.backward(tape, gh, g_fc);
+            self.flatten.backward(tape, gx, &mut [])
+        };
+        let gx = {
+            let _sp = rhsd_obs::span("inception-a");
+            self.incep_a.backward(tape, gx, g_a)
+        };
+        let g_pooled = {
+            let _sp = rhsd_obs::span("inception-b");
+            self.incep_b.backward(tape, gx, g_b)
+        };
+        let _sp = rhsd_obs::span("roi-pool");
         let (feat_dims, argmax): (Vec<usize>, Vec<u32>) = tape.pop("RefinementHead");
         let n = g_pooled.dim(3);
         for r in 0..n {

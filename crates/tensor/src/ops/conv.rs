@@ -16,15 +16,13 @@
 //! (`weight_product`). The full column matrix exists only in
 //! [`crate::reference`], as the tests' oracle.
 
-use std::borrow::Cow;
-use std::ops::Range;
-
 use crate::ops::direct::{self, tile, Map};
-use crate::ops::kernels::{self, NR};
+use crate::ops::kernels::{self, Walk, NR};
 use crate::{workspace, Tensor};
 
-/// Minimum output pixels per band of a [`weight_product`].
-const BAND: usize = 512;
+/// The bytes a band of a [`weight_product`] keeps in L1: its rows of
+/// the map's padded copy and its packed panel.
+const BAND_BYTES: usize = 32 << 10;
 
 /// Geometry of a convolution: kernel size, stride and zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,18 +74,32 @@ impl ConvSpec {
 /// The weight-gradient product `out = lanes · im2col(m)ᵀ`
 /// (`[n_lanes, c·K²]`) for one `[c, h, w]` map `m` under `spec`, with
 /// `lanes` as `[n_lanes, H'·W']` — `conv2d`'s `grad · im2col(x)ᵀ` and
-/// `conv_transpose2d`'s `x · im2col(grad)ᵀ`, written over `out`.
+/// `conv_transpose2d`'s `x · im2col(grad)ᵀ`, written over `out`. With
+/// `sums`, also each lane row's sum (`conv2d`'s bias gradient), bit for
+/// bit the chain `Iterator::sum` folds (ascending, from `-0.0`).
 ///
-/// It runs as its transpose `im2col(m) · lanesᵀ` on the GEMM register
-/// tile ([`kernels::gemm_micro`]), so no im2col matrix is packed. Each
-/// tile row is one tap `(c, ky, kx)`, whose `A` values the tile reads
-/// in place, one output row at a time (`acs` = stride). The `NR` lanes
-/// are `NR` rows of `lanes`, packed as `lanesᵀ` strips. Each element is
-/// one chain over ascending pixels from `+0.0`, one mul and one add per
-/// step, with padding a literal `0.0` term: the chain of the plain
-/// `matmul(lanes, transpose(im2col(m)))` ([`crate::reference`]) with
-/// each product's operands swapped, which IEEE multiplication rounds to
-/// the same bits.
+/// It runs as its transpose `im2col(m) · lanesᵀ` on the weight tile
+/// ([`kernels::weight_tile`]), so no im2col matrix is packed. The lanes
+/// split into panels ([`panels`]): a vector holds `v / g` lanes times
+/// `g` taps `(c, ky, kx..kx + g)`, whose `A` values lie side by side in
+/// the map at any stride, so one broadcast load reads them. With more
+/// than `NR` lanes left a 16-lane vector holds two lane strips (`g` 1);
+/// with fewer, two or four adjacent taps of one strip (a 3-tap row then
+/// runs as one vector of four taps, the fourth never stored). Each tile
+/// row is one tap group, read in place one output row at a time. Bands
+/// of whole output rows are sized so that a band's rows of the map —
+/// copied with the padding written out as zeros when the map is padded
+/// or a vector reads past a row's last tap, else read where they lie —
+/// and its packed panel stay in L1 ([`BAND_BYTES`]). The panel is
+/// packed per band ([`kernels::pack_panel`]), which also adds it into
+/// the lane sums, and every tap tile runs over it; each panel's
+/// accumulators carry the chains from band to band.
+///
+/// Each element is one chain over ascending pixels from `+0.0`, one mul
+/// and one add per step, with padding a literal `0.0` term: the chain
+/// of the plain `matmul(lanes, transpose(im2col(m)))`
+/// ([`crate::reference`]) with each product's operands swapped, which
+/// IEEE multiplication rounds to the same bits.
 pub(crate) fn weight_product(
     out: &mut [f32],
     m: &[f32],
@@ -95,6 +107,7 @@ pub(crate) fn weight_product(
     spec: ConvSpec,
     lanes: &[f32],
     n_lanes: usize,
+    mut sums: Option<&mut [f32]>,
 ) {
     let ConvSpec {
         kernel: k,
@@ -106,35 +119,46 @@ pub(crate) fn weight_product(
     debug_assert_eq!(m.len(), c * h * w, "weight product: map length");
     debug_assert_eq!(lanes.len(), n_lanes * pixels, "weight product: lanes");
     debug_assert_eq!(out.len(), n_lanes * taps, "weight product: output");
-    if pixels == 0 || taps == 0 || n_lanes == 0 {
+    if let Some(s) = sums.as_deref_mut() {
+        debug_assert_eq!(s.len(), n_lanes, "weight product: one sum per lane");
+        s.fill(-0.0);
+    }
+    if pixels == 0 || n_lanes == 0 {
         return;
     }
-    // Bands of whole output rows, at least `BAND` pixels each. A padded
-    // map's band rows are copied with the padding written out as zeros,
-    // so every tap reads inside the copy; an unpadded map is read where
-    // it lies. One lane strip's band of `lanesᵀ` stays in L1 while every
-    // tap tile runs over it. Each strip's accumulators (`[taps, NR]`)
-    // carry the chains from band to band.
-    let band = BAND.div_ceil(ow).min(oh);
-    let (hp, wp) = match p {
-        0 => (h, w),
-        _ => ((band - 1) * stride + k, w + 2 * p),
-    };
-    let copy_len = if p == 0 { 0 } else { c * hp * wp };
-    let acc_len = n_lanes.div_ceil(NR) * taps * NR;
-    let mut scratch = workspace::take(copy_len + acc_len + band * ow * NR);
+    let plan = panels(n_lanes, c, k, kernels::weight_lanes());
+    let gmax = plan.iter().map(|pl| pl.g).max().unwrap_or(1);
+    let vmax = plan.iter().map(|pl| pl.v).max().unwrap_or(NR);
+    // A band of `b` output rows holds `rows(b)` rows of the map.
+    let copied = p > 0 || gmax > 1;
+    let wp = if copied { w + 2 * p } else { w };
+    let rows = |b: usize| (b - 1) * stride + k;
+    let floats = |b: usize| usize::from(copied) * c * rows(b) * wp + b * ow * vmax;
+    let extra = (BAND_BYTES / 4).saturating_sub(floats(1)) / floats(2).saturating_sub(floats(1));
+    let band = (1 + extra).min(oh);
+    let hp = if copied { rows(band) } else { h };
+    // `gmax - 1` zeros after the copy for the last row's unstored taps.
+    let copy_len = if copied { c * hp * wp + gmax - 1 } else { 0 };
+    let acc_len: usize = plan.iter().map(|pl| pl.rows(c, k) * pl.v).sum();
+    let sums_len: usize = plan.iter().map(|pl| pl.v).sum();
+    let mut scratch = workspace::take(copy_len + acc_len + sums_len + band * ow * vmax);
     let (copy, rest) = scratch.split_at_mut(copy_len);
-    let (acc, panel) = rest.split_at_mut(acc_len);
-    let op = TapRows {
-        offs: &(0..taps)
-            .map(|t| (t / (k * k) * hp + t / k % k) * wp + t % k)
-            .collect::<Vec<_>>(),
-        row_step: stride * wp,
-        stride,
-        ow,
-    };
-    // Tiles of at most `mr` taps, as even as the count allows.
-    let tiles = taps.div_ceil(kernels::gemm_mr());
+    let (acc, rest) = rest.split_at_mut(acc_len);
+    let (lane_sums, panel) = rest.split_at_mut(sums_len);
+    lane_sums.fill(-0.0);
+    // Each panel's tile rows: where row `(c, ky, group)` reads its first
+    // tap from output pixel `(0, 0)`.
+    let offs: Vec<Vec<usize>> = plan
+        .iter()
+        .map(|pl| {
+            let kxs = (0..k).step_by(pl.g);
+            (0..c)
+                .flat_map(|ci| (0..k).map(move |ky| (ci * hp + ky) * wp))
+                .flat_map(|at| kxs.clone().map(move |kx| at + kx))
+                .collect()
+        })
+        .collect();
+    let mr = kernels::gemm_mr();
     for y0 in (0..oh).step_by(band) {
         let px = y0 * ow..(y0 + band).min(oh) * ow;
         for (ci, dst) in copy.chunks_exact_mut(hp * wp).enumerate() {
@@ -147,29 +171,181 @@ pub(crate) fn weight_product(
                 }
             }
         }
-        let (a, base) = match p {
-            0 => (m, y0 * op.row_step),
-            _ => (&*copy, 0),
+        let (a, base) = match copied {
+            true => (&*copy, 0),
+            false => (m, y0 * stride * w),
         };
-        let panel = &mut panel[..px.len() * NR];
-        for (acc, strip) in acc
-            .chunks_exact_mut(taps * NR)
-            .zip(lanes.chunks(NR * pixels))
-        {
-            pack_lanes(panel, strip, pixels, px.clone());
+        let (mut acc, mut lane_sums) = (&mut *acc, &mut *lane_sums);
+        for (pl, offs) in plan.iter().zip(&offs) {
+            let panel = &mut panel[..px.len() * pl.v];
+            let (sum, rest) = std::mem::take(&mut lane_sums).split_at_mut(pl.v);
+            lane_sums = rest;
+            kernels::pack_panel(
+                panel,
+                &lanes[pl.l0 * pixels..(pl.l0 + pl.cs) * pixels],
+                pixels,
+                px.clone(),
+                (pl.v, pl.g),
+                sums.is_some().then_some(sum),
+            );
+            let (pl_acc, rest) = std::mem::take(&mut acc).split_at_mut(pl.rows(c, k) * pl.v);
+            acc = rest;
+            let op = TapRows {
+                a,
+                base,
+                walk: Walk {
+                    run: ow,
+                    col: stride,
+                    row: stride * wp,
+                },
+                panel,
+                offs,
+                vg: (pl.v, pl.g),
+            };
+            // Tiles of at most `mr` rows, as even as the count allows.
+            let n_rows = offs.len();
+            let tiles = n_rows.div_ceil(mr);
             for i in 0..tiles {
-                let (t0, t1) = (i * taps / tiles, (i + 1) * taps / tiles);
-                tile!(t1 - t0, op.tile((a, base), acc, t0, panel));
+                let (r0, r1) = (i * n_rows / tiles, (i + 1) * n_rows / tiles);
+                tile!(r1 - r0, op.tile(pl_acc, r0));
             }
         }
     }
-    for (s, acc) in acc.chunks_exact(taps * NR).enumerate() {
-        let dst = &mut out[s * NR * taps..][..NR.min(n_lanes - s * NR) * taps];
-        for (l, row) in dst.chunks_exact_mut(taps).enumerate() {
-            for (d, a) in row.iter_mut().zip(acc.chunks_exact(NR)) {
-                *d = a[l];
+    let (mut acc, mut lane_sums) = (&*acc, &*lane_sums);
+    for pl in &plan {
+        let (pl_acc, rest) = acc.split_at(pl.rows(c, k) * pl.v);
+        let (sum, rest_sums) = lane_sums.split_at(pl.v);
+        (acc, lane_sums) = (rest, rest_sums);
+        let groups = k.div_ceil(pl.g);
+        for (r, vals) in pl_acc.chunks_exact(pl.v).enumerate() {
+            let (cy, kx0) = (r / groups, r % groups * pl.g);
+            for (l, &val) in vals.iter().enumerate() {
+                let (ch, kx) = (l / pl.g, kx0 + l % pl.g);
+                if ch < pl.cs && kx < k {
+                    out[(pl.l0 + ch) * taps + cy * k + kx] = val;
+                }
             }
         }
+        if let Some(s) = sums.as_deref_mut() {
+            for (ch, s) in s[pl.l0..pl.l0 + pl.cs].iter_mut().enumerate() {
+                *s = sum[ch * pl.g];
+            }
+        }
+    }
+}
+
+/// One lane panel of a [`weight_product`]: lanes `l0..l0 + cs` in
+/// vectors of `v` lanes, each vector `v / g` lanes times `g` adjacent
+/// taps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Panel {
+    l0: usize,
+    cs: usize,
+    v: usize,
+    g: usize,
+}
+
+impl Panel {
+    /// The tile rows of a `c`-channel map under a `k`-tap kernel: one per
+    /// group of `g` taps of each kernel row.
+    fn rows(self, c: usize, k: usize) -> usize {
+        c * k * k.div_ceil(self.g)
+    }
+}
+
+/// What a pixel of one panel costs a [`weight_product`], per vector
+/// width (`NR`, `2·NR` lanes): one tile row's step, and packing the
+/// panel. Measured on an AVX-512 host (release build, one thread), in
+/// units of a tenth of an 8-lane row step: a 16-lane step costs 1.05–1.5
+/// 8-lane ones, and packing 2.5 of them at 8 lanes and 3.3–5 at 16. The
+/// figures are rounded against the wider vector, which must win
+/// clearly to be chosen.
+const ROW_COST: [usize; 2] = [10, 15];
+const PACK_COST: [usize; 2] = [25, 40];
+
+/// Splits `n_lanes` lanes into the panels of a [`weight_product`] of a
+/// `c`-channel map under a `k`-tap kernel, with vectors of up to `width`
+/// lanes: each panel takes a vector width (`NR` or `width`) and a
+/// power-of-two tap group `g` (1 under a 1×1 kernel, whose taps are not
+/// adjacent), and the split costs the least per pixel ([`ROW_COST`],
+/// [`PACK_COST`]); ties go to fewer panels, then to the narrower first
+/// vector. Many lanes take 16-lane strip pairs; a 4-lane panel takes
+/// four taps to a 16-lane vector; 8 lanes of a few channels stay on one
+/// 8-lane strip, whose cheaper packing outweighs the tap pairs' fewer
+/// rows.
+fn panels(n_lanes: usize, c: usize, k: usize, width: usize) -> Vec<Panel> {
+    let gmax = if k == 1 { 1 } else { k.next_power_of_two() };
+    let layouts: Vec<(usize, usize)> = [NR, width]
+        .into_iter()
+        .flat_map(|v| {
+            (0..)
+                .map(|e| 1usize << e)
+                .take_while(move |&g| g <= v.min(gmax))
+                .map(move |g| (v, g))
+        })
+        .collect();
+    let cost = |(v, g): (usize, usize)| {
+        let wide = usize::from(v > NR);
+        c * k * k.div_ceil(g) * ROW_COST[wide] + PACK_COST[wide]
+    };
+    // `best[m]`: the (cost, panels) of the last `m` lanes' cheapest
+    // split, and its first panel's layout.
+    let mut best = vec![((0, 0), (NR, 1)); n_lanes + 1];
+    for m in 1..=n_lanes {
+        best[m] = layouts
+            .iter()
+            .map(|&(v, g)| {
+                let ((rest, count), _) = best[m - (v / g).min(m)];
+                ((rest + cost((v, g)), count + 1), (v, g))
+            })
+            .min_by_key(|&(key, (v, _))| (key, v))
+            .unwrap_or(best[m]);
+    }
+    let mut plan = Vec::new();
+    let mut m = n_lanes;
+    while m > 0 {
+        let (v, g) = best[m].1;
+        let cs = (v / g).min(m);
+        plan.push(Panel {
+            l0: n_lanes - m,
+            cs,
+            v,
+            g,
+        });
+        m -= cs;
+    }
+    plan
+}
+
+/// The tap-group rows of one panel of a [`weight_product`], read in
+/// place from the map or a band's padded copy.
+struct TapRows<'a> {
+    /// The map or the copy.
+    a: &'a [f32],
+    /// Where the band's first output row reads tap `(0, 0, 0)`.
+    base: usize,
+    walk: Walk,
+    /// The band's packed panel.
+    panel: &'a [f32],
+    /// Each row's offset from `base`.
+    offs: &'a [usize],
+    /// The panel's lanes and tap group.
+    vg: (usize, usize),
+}
+
+impl TapRows<'_> {
+    /// One register tile: rows `r0..r0 + MRR` of the panel, whose
+    /// accumulators in `acc` (`[rows, v]`) continue over the band.
+    fn tile<const MRR: usize>(&self, acc: &mut [f32], r0: usize) {
+        let (v, g) = self.vg;
+        let aidx: [usize; MRR] = std::array::from_fn(|r| self.base + self.offs[r0 + r]);
+        kernels::weight_tile::<MRR>(
+            &mut acc[r0 * v..][..MRR * v],
+            (self.a, &aidx),
+            self.walk,
+            self.panel,
+            (v, g),
+        );
     }
 }
 
@@ -192,53 +368,6 @@ pub(crate) fn channel_sums(v: &[f32], c: usize, plane: usize) -> Vec<f32> {
         sums.extend_from_slice(&acc[..lanes]);
     }
     sums
-}
-
-/// Packs pixels `px` of the `rows` (`[lanes ≤ NR, pixels]`) as
-/// `lanesᵀ`: `NR` values per pixel, lanes past the rows left as they
-/// are.
-fn pack_lanes(panel: &mut [f32], rows: &[f32], pixels: usize, px: Range<usize>) {
-    for (p, d) in px.zip(panel.chunks_exact_mut(NR)) {
-        for (d, row) in d.iter_mut().zip(rows.chunks_exact(pixels)) {
-            *d = row[p];
-        }
-    }
-}
-
-/// The taps of a [`weight_product`], read in place from the map or a
-/// band's padded copy.
-struct TapRows<'a> {
-    /// Offset of tap `(c, ky, kx)` from output pixel `(0, 0)` of the map
-    /// or the copy.
-    offs: &'a [usize],
-    /// Distance between two output rows in the map or the copy.
-    row_step: usize,
-    stride: usize,
-    ow: usize,
-}
-
-impl TapRows<'_> {
-    /// One register tile: taps `t0..t0 + MRR` of one lane strip, whose
-    /// accumulators `acc` (`[taps, NR]`) continue over the band's output
-    /// rows in `panel`, in order, reading the taps from `a` with the
-    /// band's first output row at `base`.
-    fn tile<const MRR: usize>(
-        &self,
-        (a, base): (&[f32], usize),
-        acc: &mut [f32],
-        t0: usize,
-        panel: &[f32],
-    ) {
-        let acc = &mut acc[t0 * NR..][..MRR * NR];
-        let mut regs: [[f32; NR]; MRR] =
-            std::array::from_fn(|r| std::array::from_fn(|l| acc[r * NR + l]));
-        for (i, row) in panel.chunks_exact(self.ow * NR).enumerate() {
-            let mut aidx: [usize; MRR] =
-                std::array::from_fn(|r| base + self.offs[t0 + r] + i * self.row_step);
-            kernels::gemm_micro(&mut regs, a, &mut aidx, self.stride, row);
-        }
-        acc.copy_from_slice(regs.as_flattened());
-    }
 }
 
 /// Views an op's input as a [`Map`] batch: one `[C, H, W]` map, or —
@@ -457,32 +586,169 @@ fn check_backward<'a>(
 }
 
 /// Each map's `(d_weight, d_bias)` from the batch `x` and its output
-/// gradient `gv` (`[c_out, oh, ow, x.n]`), in lane order: a batch's
-/// lanes are gathered map by map, and each map runs the single map's
-/// chains.
+/// gradient `gv` (`[c_out, oh, ow, x.n]`), in lane order: a single map
+/// through [`weight_product`], a batch through [`lane_weight_grads`].
 fn weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor, Tensor)> {
-    let (c_in, h, w, n) = (x.c, x.h, x.w, x.n);
+    if x.n != 1 {
+        return lane_weight_grads(x, gv, c_out, spec);
+    }
     let k = spec.kernel;
-    let ncols = spec.out_size(h) * spec.out_size(w);
-    let ckk = c_in * k * k;
-    let lane =
-        |v: &'_ [f32], r: usize| -> Vec<f32> { v.iter().skip(r).step_by(n).copied().collect() };
-    (0..n)
-        .map(|r| {
-            let (xv, gv) = match n {
-                1 => (Cow::Borrowed(x.v), Cow::Borrowed(gv)),
-                _ => (Cow::Owned(lane(x.v, r)), Cow::Owned(lane(gv, r))),
-            };
-            let dbias = channel_sums(&gv, c_out, ncols);
-            // d_weight = grad · im2col(x)ᵀ, the taps read from the map.
-            let mut dw = vec![0.0f32; c_out * ckk];
-            weight_product(&mut dw, &xv, (c_in, h, w), spec, &gv, c_out);
+    // d_weight = grad · im2col(x)ᵀ, the taps read from the map.
+    let mut dw = vec![0.0f32; c_out * x.c * k * k];
+    let mut db = vec![0.0f32; c_out];
+    weight_product(
+        &mut dw,
+        x.v,
+        (x.c, x.h, x.w),
+        spec,
+        gv,
+        c_out,
+        Some(&mut db),
+    );
+    vec![(
+        Tensor::from_parts([c_out, x.c, k, k], dw),
+        Tensor::from_parts([c_out], db),
+    )]
+}
+
+/// Each map's `(d_weight, d_bias)` of a lane-layout batch, with the
+/// maps in the lanes: one chain per (output channel, tap, map), the
+/// input's lane vector at the tap times the gradient's lane vector at
+/// the pixel ([`kernels::lane_product`]), over ascending pixels from
+/// `+0.0` with the padding a literal `0.0` term — each map's own chain
+/// of [`weight_product`] — and each bias the map's ascending sum from
+/// `-0.0`. The batch is first copied row by row with its padding
+/// written out as zeros, and the gradient as it is; a lane vector past
+/// the batch's last map reads the next pixel's lanes, or the zeros
+/// after each copy, and is never stored.
+fn lane_weight_grads(x: Map, gv: &[f32], c_out: usize, spec: ConvSpec) -> Vec<(Tensor, Tensor)> {
+    let Map { v: xv, n, c, h, w } = x;
+    let ConvSpec {
+        kernel: k,
+        stride,
+        padding: p,
+    } = spec;
+    if n == 0 {
+        return Vec::new();
+    }
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let (steps, taps) = (oh * ow, c * k * k);
+    let (hp, wp, np) = (h + 2 * p, w + 2 * p, n.next_multiple_of(NR));
+    let width = kernels::weight_lanes();
+    // A vector of zeros after each copy for the last lanes' reads.
+    let (xlen, ylen) = (c * hp * wp * n + width, c_out * steps * n + width);
+    // `dw` is `[rows, np]`, its rows padded to whole strips for the
+    // transpose into `tr`, `[n, rows]`.
+    let rows = (c_out * taps).next_multiple_of(NR);
+    let mut scratch = workspace::take(xlen + ylen + (rows + c_out) * np + n * rows);
+    let (xc, rest) = scratch.split_at_mut(xlen);
+    let (yc, rest) = rest.split_at_mut(ylen);
+    let (dw, rest) = rest.split_at_mut(rows * np);
+    let (db, tr) = rest.split_at_mut(c_out * np);
+    let (row, src_row) = (wp * n, w * n);
+    for (ci, plane) in xc.chunks_exact_mut(hp * row).enumerate() {
+        for (y, dst) in plane.chunks_exact_mut(row).skip(p).take(h).enumerate() {
+            dst[p * n..][..src_row].copy_from_slice(&xv[(ci * h + y) * src_row..][..src_row]);
+        }
+    }
+    yc[..gv.len()].copy_from_slice(gv);
+    // Where tap `(ci, ky, kx)` of output pixel `(0, 0)` lies in the copy.
+    let mut toff = Vec::with_capacity(taps);
+    for ci in 0..c {
+        for ky in 0..k {
+            toff.extend((0..k).map(|kx| ((ci * hp + ky) * wp + kx) * n));
+        }
+    }
+    let op = LaneRows {
+        xc,
+        yc,
+        toff: &toff,
+        walk: Walk {
+            run: ow,
+            col: stride * n,
+            row: stride * row,
+        },
+        n,
+        steps,
+    };
+    let mr = kernels::gemm_mr();
+    let tiles = taps.div_ceil(mr);
+    let mut b0 = 0;
+    while b0 < np {
+        let v = if np - b0 >= width { width } else { NR };
+        for (co, dw) in dw[..c_out * taps * np]
+            .chunks_exact_mut(taps * np)
+            .enumerate()
+        {
+            for i in 0..tiles {
+                let (t0, t1) = (i * taps / tiles, (i + 1) * taps / tiles);
+                tile!(t1 - t0, op.tile(dw, (co, t0), (b0, v)));
+            }
+        }
+        b0 += v;
+    }
+    db.fill(-0.0);
+    for (sums, ch) in db.chunks_exact_mut(np).zip(op.yc.chunks_exact(steps * n)) {
+        for px in ch.chunks_exact(n) {
+            for (s, &g) in sums.iter_mut().zip(px) {
+                *s += g;
+            }
+        }
+    }
+    // Map `r` is lane `r` of every row: transposed a strip of rows at a
+    // time.
+    for (b, block) in dw.chunks_exact(NR * np).enumerate() {
+        let lanes: [&[f32]; NR] = std::array::from_fn(|l| &block[l * np..][..n]);
+        for (r, dst) in tr.chunks_exact_mut(rows).enumerate() {
+            let vals: [f32; NR] = std::array::from_fn(|l| lanes[l][r]);
+            dst[b * NR..][..NR].copy_from_slice(&vals);
+        }
+    }
+    tr.chunks_exact(rows)
+        .enumerate()
+        .map(|(r, dw)| {
             (
-                Tensor::from_parts([c_out, c_in, k, k], dw),
-                Tensor::from_parts([c_out], dbias),
+                Tensor::from_parts([c_out, c, k, k], dw[..c_out * taps].to_vec()),
+                Tensor::from_parts([c_out], db.iter().skip(r).step_by(np).copied().collect()),
             )
         })
         .collect()
+}
+
+/// The `(output channel, tap)` rows of a [`lane_weight_grads`] batch,
+/// over its copies.
+struct LaneRows<'a> {
+    /// The batch, `[c, hp, wp, n]`.
+    xc: &'a [f32],
+    /// The output gradient, `[c_out, steps, n]`.
+    yc: &'a [f32],
+    /// Each tap's offset in `xc` at output pixel `(0, 0)`.
+    toff: &'a [usize],
+    walk: Walk,
+    n: usize,
+    steps: usize,
+}
+
+impl LaneRows<'_> {
+    /// Taps `t0..t0 + MRR` of output channel `co` at lanes
+    /// `b0..b0 + v`, into the channel's rows of `dw` (`[taps, np]`).
+    fn tile<const MRR: usize>(
+        &self,
+        dw: &mut [f32],
+        (co, t0): (usize, usize),
+        (b0, v): (usize, usize),
+    ) {
+        let xo: [usize; MRR] = std::array::from_fn(|r| self.toff[t0 + r] + b0);
+        let yo = co * self.steps * self.n + b0;
+        let np = dw.len() / self.toff.len();
+        kernels::lane_product::<MRR>(
+            (&mut dw[t0 * np + b0..], np),
+            (self.xc, &xo),
+            (self.yc, yo),
+            (self.walk, self.n, self.steps),
+            v,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -513,11 +779,14 @@ mod tests {
     }
 
     #[test]
-    fn weight_product_matches_the_im2col_gemm() {
-        // Every weight is its `g · im2col(x)ᵀ` element bit for bit,
-        // with signed zeros in both operands: padding, strides, partly
-        // filled lane strips, tap tiles of every height, a
-        // 1-pixel map and maps of several bands, padded or not.
+    fn weight_product_matches_the_im2col_gemm_on_every_tier() {
+        // Every weight is its `g · im2col(x)ᵀ` element bit for bit, and
+        // every lane sum its ascending sum from `-0.0`, with signed zeros
+        // in both operands, under every tier the CPU grants: padding,
+        // strides, lane counts of every panel layout (strip pairs, tap
+        // pairs and quads, partly filled strips), tap tiles of every
+        // height, a 1-pixel map and maps of several bands, padded or
+        // not.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut signed_zeros = |dims: [usize; 3]| {
             let mut t = Tensor::rand_normal(dims, 0.0, 1.0, &mut rng);
@@ -530,33 +799,108 @@ mod tests {
             }
             t
         };
-        for (c, lanes, h, w, spec) in [
+        let cases: Vec<_> = [
             (2, 5, 7, 7, ConvSpec::same(3)),
             (3, 12, 9, 11, ConvSpec::same(3)),
             (1, 8, 20, 20, ConvSpec::same(3)),
+            (1, 4, 20, 19, ConvSpec::same(3)),
+            (4, 1, 9, 13, ConvSpec::same(3)),
             (5, 20, 6, 6, ConvSpec::same(1)),
             (3, 4, 9, 9, ConvSpec::new(3, 2, 1)),
             (2, 3, 11, 10, ConvSpec::new(2, 3, 2)),
             (4, 17, 23, 19, ConvSpec::new(5, 1, 2)),
             (2, 9, 1, 1, ConvSpec::same(3)),
             (2, 9, 19, 17, ConvSpec::new(3, 1, 0)),
+            (2, 6, 19, 17, ConvSpec::new(3, 1, 0)),
             (2, 9, 40, 30, ConvSpec::same(3)),
             (3, 5, 70, 66, ConvSpec::new(3, 2, 1)),
             (2, 3, 60, 50, ConvSpec::new(1, 1, 0)),
-        ] {
+            (3, 24, 16, 16, ConvSpec::same(3)),
+        ]
+        .into_iter()
+        .map(|(c, lanes, h, w, spec)| {
             let x = signed_zeros([c, h, w]);
             let pixels = spec.out_size(h) * spec.out_size(w);
             let g = signed_zeros([lanes, pixels, 1]).with_shape([lanes, pixels]);
-            let want = matmul(&g, &transpose(&im2col(&x, spec)));
-            let k = spec.kernel;
-            let mut got = vec![0.0f32; lanes * c * k * k];
-            weight_product(&mut got, x.as_slice(), (c, h, w), spec, g.as_slice(), lanes);
-            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&got),
-                bits(want.as_slice()),
-                "{c}x{h}x{w} -> {lanes} {spec:?}"
-            );
+            (c, lanes, h, w, spec, x, g)
+        })
+        .collect();
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        crate::ops::kernels::tests::each_tier(|isa| {
+            for (c, lanes, h, w, spec, x, g) in &cases {
+                let (c, lanes, spec) = (*c, *lanes, *spec);
+                let want = matmul(g, &transpose(&im2col(x, spec)));
+                let pixels = g.dim(1);
+                let want_sums: Vec<f32> = (0..lanes)
+                    .map(|l| g.as_slice()[l * pixels..][..pixels].iter().sum())
+                    .collect();
+                let k = spec.kernel;
+                let mut got = vec![0.0f32; lanes * c * k * k];
+                let mut sums = vec![f32::NAN; lanes];
+                let shape = (c, *h, *w);
+                weight_product(
+                    &mut got,
+                    x.as_slice(),
+                    shape,
+                    spec,
+                    g.as_slice(),
+                    lanes,
+                    Some(&mut sums),
+                );
+                let what = format!("{isa:?} {c}x{h}x{w} -> {lanes} {spec:?}");
+                assert_eq!(bits(&got), bits(want.as_slice()), "{what}");
+                assert_eq!(bits(&sums), bits(&want_sums), "sums: {what}");
+                let mut alone = vec![0.0f32; got.len()];
+                weight_product(
+                    &mut alone,
+                    x.as_slice(),
+                    shape,
+                    spec,
+                    g.as_slice(),
+                    lanes,
+                    None,
+                );
+                assert_eq!(bits(&alone), bits(&got), "without sums: {what}");
+            }
+        });
+    }
+
+    #[test]
+    fn panels_take_the_cheapest_layout() {
+        let layout = |n, c, k, width| -> Vec<(usize, usize, usize)> {
+            panels(n, c, k, width)
+                .iter()
+                .map(|p| (p.cs, p.v, p.g))
+                .collect()
+        };
+        // 16-lane vectors: strip pairs for many lanes, four taps of a
+        // 3-tap row to a vector for four lanes of several channels (of
+        // one, that ties with two taps to an 8-lane vector, which wins
+        // as the narrower), one 8-lane strip for a few channels' eight
+        // lanes, and 1×1 kernels on a pair and a strip.
+        assert_eq!(layout(12, 8, 3, 16), [(12, 16, 1)]);
+        assert_eq!(layout(16, 12, 3, 16), [(16, 16, 1)]);
+        assert_eq!(layout(4, 4, 3, 16), [(4, 16, 4)]);
+        assert_eq!(layout(4, 1, 3, 16), [(4, 8, 2)]);
+        assert_eq!(layout(8, 1, 3, 16), [(8, 8, 1)]);
+        assert_eq!(layout(5, 5, 1, 16), [(5, 8, 1)]);
+        assert_eq!(layout(24, 16, 1, 16), [(8, 8, 1), (16, 16, 1)]);
+        // 8-lane vectors: strips, and two taps to a vector for four
+        // lanes.
+        assert_eq!(layout(12, 8, 3, 8), [(8, 8, 1), (4, 8, 2)]);
+        assert_eq!(layout(4, 1, 3, 8), [(4, 8, 2)]);
+        // Every lane in exactly one panel, in order.
+        for n in 0..40 {
+            for (c, k, width) in [(1, 3, 16), (5, 1, 16), (8, 5, 8), (3, 2, 16)] {
+                let plan = panels(n, c, k, width);
+                let mut next = 0;
+                for p in &plan {
+                    assert_eq!(p.l0, next, "{n} lanes");
+                    assert!(p.cs >= 1 && p.cs * p.g <= p.v && p.v <= width.max(NR));
+                    next += p.cs;
+                }
+                assert_eq!(next, n);
+            }
         }
     }
 

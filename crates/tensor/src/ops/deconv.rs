@@ -77,7 +77,7 @@ pub fn conv_transpose2d_backward(
     // d_weight = x · im2col(grad)ᵀ, already [C_in, C_out, K, K]; the
     // taps are read from the gradient map.
     let mut dw = vec![0.0f32; c_in * c_out * k * k];
-    weight_product(&mut dw, gv, (c_out, oh, ow), spec, x.v, c_in);
+    weight_product(&mut dw, gv, (c_out, oh, ow), spec, x.v, c_in, None);
     let d_weight = Tensor::from_parts([c_in, c_out, k, k], dw);
 
     // Deconv forward is col2im ∘ (Wᵀ ·); its adjoint is (W ·) ∘ im2col,

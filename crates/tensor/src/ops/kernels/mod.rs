@@ -2,10 +2,11 @@
 //!
 //! Every vectorised inner loop in the workspace lives here (plus the
 //! litho aerial convolution, which calls back into this module): the
-//! weight gradients' GEMM register tile, the in-place convolution run
-//! (also the fully-connected products' run), the fold run, RoI
-//! pooling's window maxima, the in-place `LeakyRelu` mask pack and
-//! unpack, and the separable-convolution interior kernel.
+//! weight gradients' register tile, panel packing and lane-batch
+//! product, the in-place convolution run (also the fully-connected
+//! products' run), the fold run, RoI pooling's window maxima, the
+//! in-place `LeakyRelu` mask pack and unpack, and the
+//! separable-convolution interior kernel.
 //! The lint rule L13 enforces that `core::arch` intrinsics and
 //! `#[target_feature]` appear nowhere else.
 //!
@@ -16,17 +17,33 @@
 //! kernels dispatch through that single selector. There are three
 //! tiers: AVX-512 (F and VL) where the CPU has it, AVX2 where it has
 //! that, and the scalar kernels in [`scalar`] everywhere else. The
-//! AVX-512 tier widens only the convolution and fold runs, to 16 lanes
-//! (two `NR` strips per vector), from the same run body as their AVX2
+//! AVX-512 tier widens the convolution and fold runs and the weight
+//! gradients' kernels to 16 lanes, from the same bodies as their AVX2
 //! kernels; every other kernel runs its AVX2 body there. The scalar
 //! kernels are the reference implementations — they are the exact
 //! loops the pre-SIMD code ran, and every SIMD kernel on either tier is
 //! **bit-identical** to them:
 //!
-//! - the f32 GEMM tile and convolution run issue one `mul` and one
-//!   `add` per lane per step (no FMA contraction, on either tier),
-//!   matching the scalar `a += v · b` chain rounding-for-rounding, and
-//!   add a bias with one `add` as the scalar store does;
+//! - the convolution run issues one `mul` and one `add` per lane per
+//!   step (no FMA contraction, on either tier), matching the scalar
+//!   `a += v · b` chain rounding-for-rounding, and adds a bias with one
+//!   `add` as the scalar store does;
+//! - the weight tile ([`weight_tile`]) runs one chain per lane the same
+//!   way. A 16-lane vector holds two `NR` strips of output channels, or
+//!   `16 / g` channels times `g` adjacent taps `(kx..kx + g)`, whose
+//!   map values lie side by side at any stride, so one broadcast load
+//!   (`g` values repeated) feeds every lane its own tap. A lane's chain
+//!   is the same at any layout: its pixels in ascending order from
+//!   `+0.0`, one `mul` then one `add` per pixel, padding a literal
+//!   `0.0` term; a tap past the kernel's row is computed and never
+//!   stored;
+//! - the panel packing ([`pack_panel`]) moves bits and adds each packed
+//!   value to its lane's bias chain, in pixel order from `-0.0`, as
+//!   `Iterator::sum` does;
+//! - the lane-batch product ([`lane_product`]) runs, in each lane, one
+//!   map's chain of a `[C, H, W, N]` batch: the input's lane vector at
+//!   the tap times the gradient's at the pixel, pixels ascending from
+//!   `+0.0` — the chain the map alone runs on the weight tile;
 //! - the fold run runs each tap's chain the same way from `+0.0`, then
 //!   adds it in exactly the selected lanes and leaves the others' bits
 //!   untouched;
@@ -42,6 +59,7 @@
 //! AVX2 runs the scalar reference, slower and to the same bits, and one
 //! without AVX-512 the AVX2 runs.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod scalar;
@@ -60,8 +78,12 @@ pub enum Isa {
     /// 256-bit AVX2 lanes.
     Avx2,
     /// 512-bit AVX-512F lanes (with AVX-512VL's masked 256-bit forms)
-    /// for the convolution and fold runs; every other kernel runs its
-    /// AVX2 body.
+    /// for the convolution and fold runs and the weight gradients: the
+    /// weight tile holds two output-channel strips, or a strip's
+    /// channels times two to sixteen adjacent taps, per `zmm`, and the
+    /// lane-batch product sixteen maps. Each lane keeps the chain the
+    /// scalar reference runs, so results do not change. Every other
+    /// kernel runs its AVX2 body.
     Avx512,
 }
 
@@ -157,12 +179,13 @@ pub fn isa_name() -> &'static str {
     isa().name()
 }
 
-/// GEMM row-tile height for the active ISA: the AVX2 tile, which both
-/// SIMD tiers run, keeps eight accumulator rows in ymm registers
-/// (enough independent add chains to saturate the FP ports); the
-/// scalar reference keeps the committed MR = 4. The tile height never affects results — each
-/// output element's ascending-`p` accumulation chain is the same at any
-/// tiling — so this is a pure scheduling choice.
+/// Register-tile height for the active ISA: the rows of the
+/// convolution and fold runs, the weight-gradient tile and the
+/// lane-batch product. The SIMD tiers keep eight rows of accumulators
+/// in registers (enough independent add chains to saturate the FP
+/// ports); the scalar reference keeps the committed MR = 4. The height
+/// never affects results — each output element's chain is the same at
+/// any tiling — so this is a pure scheduling choice.
 pub fn gemm_mr() -> usize {
     match isa() {
         Isa::Avx2 | Isa::Avx512 => 8,
@@ -170,33 +193,221 @@ pub fn gemm_mr() -> usize {
     }
 }
 
-/// The `MRR × NR` register-tile inner loop of the weight gradients
-/// (`conv::weight_product`), over packed `NR`-wide strips:
-/// accumulates `panel.len() / NR` ascending-`p` terms into `acc`, one
-/// broadcast `A` value per row per step, reading
-/// `A` at `aidx[r]` and advancing each index by `acs`.
+/// The widest vector of the active ISA's weight-gradient kernels, in
+/// lanes: 16 on AVX-512, else one `NR` strip. The scalar reference
+/// takes the AVX2 layouts, so both plan one way.
+pub fn weight_lanes() -> usize {
+    match isa() {
+        Isa::Avx512 => 2 * NR,
+        Isa::Avx2 | Isa::Scalar => NR,
+    }
+}
+
+/// Where the steps of a weight-gradient chain read the map: step `s`
+/// lies `(s / run) · row + (s % run) · col` past its row's index — `run`
+/// output pixels to an output row, `col` apart, output rows `row` apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Walk {
+    /// Steps per output row.
+    pub run: usize,
+    /// Distance between two steps of an output row.
+    pub col: usize,
+    /// Distance between two output rows.
+    pub row: usize,
+}
+
+impl Walk {
+    /// The offset of step `s`.
+    pub fn at(self, s: usize) -> usize {
+        s / self.run * self.row + s % self.run * self.col
+    }
+
+    /// The offset of the last of `steps` steps, if there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `steps` is a whole number of runs.
+    fn last(self, steps: usize) -> Option<usize> {
+        let last = steps.checked_sub(1)?;
+        assert!(
+            self.run > 0 && steps.is_multiple_of(self.run),
+            "walk: steps must be whole runs"
+        );
+        Some(self.at(last))
+    }
+}
+
+/// The weight gradients' register tile (`conv::weight_product`):
+/// `MRR` rows of `v` lanes (`acc[r · v + l]`), each lane one chain of
+/// `acc += a · b` continued over the panel's `panel.len() / v` steps.
+/// Lane `l` of row `r` reads `a` at `aidx[r] + walk.at(s) + l % g` —
+/// the row's `g` taps lie side by side in the map — and `b` at
+/// `panel[s · v + l]`. `v` is 8 (one `ymm`) or 16 (one `zmm` on
+/// AVX-512), `g` a power of two dividing it.
 ///
-/// Every dispatch target performs, per lane, exactly
-/// `acc += a · b` with separate mul and add roundings — bit-identical
-/// to [`scalar::gemm_micro`].
+/// Every dispatch target performs, per lane, exactly `acc += a · b`
+/// with separate mul and add roundings — bit-identical to
+/// [`scalar::weight_tile`].
+///
+/// # Panics
+///
+/// Panics if `acc` is not `MRR` rows of `v`, the panel not whole runs
+/// of steps, `g` not a power of two dividing `v`, or a row's last read
+/// falls outside `av`.
 #[inline]
-pub fn gemm_micro<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &mut [usize; MRR],
-    acs: usize,
+pub fn weight_tile<const MRR: usize>(
+    acc: &mut [f32],
+    (av, aidx): (&[f32], &[usize; MRR]),
+    walk: Walk,
     panel: &[f32],
+    (v, g): (usize, usize),
 ) {
+    assert!(
+        g.is_power_of_two() && v.is_multiple_of(g) && acc.len() == MRR * v,
+        "weight_tile: {MRR} rows of {v} lanes in groups of {g}"
+    );
+    assert!(panel.len().is_multiple_of(v), "weight_tile: whole steps");
+    if let Some(last) = walk.last(panel.len() / v) {
+        for &i in aidx {
+            assert!(
+                i + last + g <= av.len(),
+                "weight_tile: A index out of range"
+            );
+        }
+    }
+    let a = (av, aidx);
     #[cfg(target_arch = "x86_64")]
     {
-        match isa() {
-            // SAFETY: both SIMD tiers are only selected when AVX2 is detected.
-            Isa::Avx2 | Isa::Avx512 => unsafe { x86::gemm_micro_avx2(acc, av, aidx, acs, panel) },
-            Isa::Scalar => scalar::gemm_micro(acc, av, aidx, acs, panel),
+        match (isa(), v) {
+            // SAFETY: Isa::Avx512 is only selected when AVX-512F and
+            // AVX-512VL are detected; every read was bounded above.
+            (Isa::Avx512, 16) => unsafe { x86::weight_tile_avx512(acc, a, walk, panel, g) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; every read was bounded above.
+            (Isa::Avx2 | Isa::Avx512, 8) => unsafe {
+                x86::weight_tile_avx2(acc, a, walk, panel, g)
+            },
+            _ => scalar::weight_tile(acc, a, walk, panel, (v, g)),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    scalar::gemm_micro(acc, av, aidx, acs, panel);
+    scalar::weight_tile(acc, a, walk, panel, (v, g));
+}
+
+/// Packs the weight-gradient tile's panel: for each pixel `p` of `px`,
+/// `v` values at `panel[(p − px.start) · v..]`, lane `l` holding row
+/// `l / g` of `rows` (`rows.len() / pixels` rows of `pixels` values) at
+/// `p`, or `0.0` past the last row. With `sums`, each packed value is
+/// also added to its lane's sum, in pixel order: the bias gradients'
+/// chains, continued from the values `sums` holds.
+///
+/// Moves bits only, plus one add per lane per pixel — bit-identical to
+/// [`scalar::pack_panel`] on every tier.
+///
+/// # Panics
+///
+/// Panics unless `rows` holds whole rows, at least one and at most
+/// `v / g`, `px` lies inside them, `panel` holds every pixel's lanes
+/// and `sums` (when given) one value per lane.
+#[inline]
+pub fn pack_panel(
+    panel: &mut [f32],
+    rows: &[f32],
+    pixels: usize,
+    px: Range<usize>,
+    (v, g): (usize, usize),
+    sums: Option<&mut [f32]>,
+) {
+    assert!(
+        pixels > 0 && rows.len().is_multiple_of(pixels),
+        "pack_panel: whole rows"
+    );
+    let cs = rows.len() / pixels;
+    assert!(
+        g.is_power_of_two() && v.is_multiple_of(g) && (1..=v / g).contains(&cs),
+        "pack_panel: {cs} rows in {v} lanes of groups of {g}"
+    );
+    assert!(
+        px.start <= px.end && px.end <= pixels && panel.len() >= px.len() * v,
+        "pack_panel: pixels out of range"
+    );
+    assert!(
+        sums.as_ref().is_none_or(|s| s.len() == v),
+        "pack_panel: one sum per lane"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        match (isa(), v) {
+            // SAFETY: Isa::Avx512 is only selected when AVX-512F and
+            // AVX-512VL are detected; the bounds were checked above.
+            (Isa::Avx512, 16) => unsafe {
+                x86::pack_panel_avx512(panel, rows, pixels, px, g, sums)
+            },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; the bounds were checked above.
+            (Isa::Avx2 | Isa::Avx512, 8) => unsafe {
+                x86::pack_panel_avx2(panel, rows, pixels, px, g, sums)
+            },
+            _ => scalar::pack_panel(panel, rows, pixels, px, (v, g), sums),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::pack_panel(panel, rows, pixels, px, (v, g), sums);
+}
+
+/// The lane-batch weight-gradient product (`conv::weight_grads` on a
+/// `[C, H, W, N]` batch, the maps in the lanes): `MRR` rows of `v`
+/// lanes written over `out[r · ostride..]`, each lane the chain from `+0.0`
+/// of `acc += x · y` over `steps` steps — step `s` of row `r` reads
+/// `v` lanes of `x` at `xo[r] + walk.at(s)` and of `y`, which every
+/// row shares, at `yo + s · ystep`. `v` is 8 or 16, as for
+/// [`weight_tile`].
+///
+/// Every dispatch target performs, per lane, exactly `acc += x · y`
+/// with separate mul and add roundings — bit-identical to
+/// [`scalar::lane_product`].
+///
+/// # Panics
+///
+/// Panics if `out` does not hold `MRR` rows of `v` lanes `ostride`
+/// apart, the steps are not whole runs, or a row's last read falls
+/// outside `x` or `y`.
+#[inline]
+pub fn lane_product<const MRR: usize>(
+    (out, ostride): (&mut [f32], usize),
+    (xv, xo): (&[f32], &[usize; MRR]),
+    (yv, yo): (&[f32], usize),
+    (walk, ystep, steps): (Walk, usize, usize),
+    v: usize,
+) {
+    assert!(
+        ostride >= v && out.len() >= (MRR - 1) * ostride + v,
+        "lane_product: {MRR} rows of {v} lanes"
+    );
+    if let Some(last) = walk.last(steps) {
+        assert!(
+            xo.iter().all(|&x| x + last + v <= xv.len())
+                && yo + (steps - 1) * ystep + v <= yv.len(),
+            "lane_product: a read out of range"
+        );
+    }
+    let (x, y, st) = ((xv, xo), (yv, yo), (walk, ystep, steps));
+    #[cfg(target_arch = "x86_64")]
+    {
+        match (isa(), v) {
+            // SAFETY: Isa::Avx512 is only selected when AVX-512F and
+            // AVX-512VL are detected; every read was bounded above.
+            (Isa::Avx512, 16) => unsafe { x86::lane_product_avx512((out, ostride), x, y, st) },
+            // SAFETY: both SIMD tiers are only selected when AVX2 is
+            // detected; every read and row was bounded above.
+            (Isa::Avx2 | Isa::Avx512, 8) => unsafe {
+                x86::lane_product_avx2((out, ostride), x, y, st)
+            },
+            _ => scalar::lane_product((out, ostride), x, y, st, v),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::lane_product((out, ostride), x, y, st, v);
 }
 
 /// Where a run's `B` rows lie: step `s` of a row based at `base` reads
@@ -500,7 +711,7 @@ pub fn conv_taps(dst: &mut [f32], src: &[f32], stride: usize, taps: &[f32], norm
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn fill(seed: u64, len: usize) -> Vec<f32> {
@@ -512,9 +723,23 @@ mod tests {
             .collect()
     }
 
-    #[cfg(target_arch = "x86_64")]
-    fn bits2<const MRR: usize>(acc: &[[f32; NR]; MRR]) -> Vec<u32> {
-        acc.iter().flatten().map(|v| v.to_bits()).collect()
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `v` with `-0.0`, `+0.0`, ±Inf and NaN spread through it. The NaN
+    /// is x86's default NaN, the one `Inf · 0` and `Inf − Inf` give, so
+    /// every NaN a chain can hold has one bit pattern, whichever operand
+    /// order the compiler picks for a scalar `*` or `+` (a sum of two
+    /// NaNs keeps one operand's payload).
+    fn specials(mut v: Vec<f32>, seed: usize) -> Vec<f32> {
+        let special = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN];
+        for (i, x) in v.iter_mut().enumerate() {
+            if (i + seed).is_multiple_of(7) {
+                *x = special[(i / 7 + seed) % special.len()];
+            }
+        }
+        v
     }
 
     #[test]
@@ -551,37 +776,6 @@ mod tests {
         }
     }
 
-    /// The AVX2 gemm tile must equal the scalar reference bit-for-bit.
-    /// Kernels are called directly (not via the global selector) so
-    /// parallel tests never race on it.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn gemm_micro_variants_match_scalar_bitwise() {
-        fn run<const MRR: usize>(kc: usize, acs: usize, seed: u64) {
-            let av = fill(seed, MRR * 4 + kc * acs.max(1) + 8);
-            let panel = fill(seed ^ 99, kc * NR);
-            let start: [usize; MRR] = std::array::from_fn(|r| r);
-            let mut acc_ref = [[0.5f32; NR]; MRR];
-            let mut idx = start;
-            scalar::gemm_micro(&mut acc_ref, &av, &mut idx, acs, &panel);
-
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut acc = [[0.5f32; NR]; MRR];
-                let mut idx = start;
-                // SAFETY: guarded by the avx2 feature check above.
-                unsafe { x86::gemm_micro_avx2(&mut acc, &av, &mut idx, acs, &panel) };
-                assert_eq!(bits2(&acc), bits2(&acc_ref), "avx2 MRR={MRR} kc={kc}");
-            }
-        }
-        for (kc, acs, seed) in [(1, 1, 3), (7, 1, 5), (64, 3, 7), (256, 1, 11), (33, 2, 13)] {
-            run::<1>(kc, acs, seed);
-            run::<2>(kc, acs, seed);
-            run::<4>(kc, acs, seed);
-            run::<5>(kc, acs, seed);
-            run::<8>(kc, acs, seed);
-        }
-    }
-
     /// Serialises the tests that move the process-wide selector. Every
     /// other test may run under any tier meanwhile, which changes no
     /// bit.
@@ -590,7 +784,7 @@ mod tests {
     /// Runs `f` under every tier this CPU grants, each made active in
     /// turn through [`set_isa`]; the detected tier is active again
     /// afterwards. Returns the tiers run.
-    fn each_tier(mut f: impl FnMut(Isa)) -> Vec<Isa> {
+    pub(crate) fn each_tier(mut f: impl FnMut(Isa)) -> Vec<Isa> {
         let _serial = TIERS.lock().unwrap_or_else(|e| e.into_inner());
         let mut tiers: Vec<Isa> = Vec::new();
         for want in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
@@ -986,8 +1180,209 @@ mod tests {
 
     #[test]
     fn gemm_mr_is_a_supported_tile_height() {
-        // Whatever the host selects, the driver must have a micro-kernel
-        // arm for it.
+        // Whatever the host selects, the drivers must have a kernel arm
+        // for it.
         assert!(matches!(gemm_mr(), 4 | 8));
+        assert!(matches!(weight_lanes(), 8 | 16));
+    }
+
+    /// Every `(v, g)` layout of the weight-gradient kernels: 8 and 16
+    /// lanes in tap groups of every power of two that divides them.
+    fn layouts() -> impl Iterator<Item = (usize, usize)> {
+        [NR, 2 * NR].into_iter().flat_map(|v| {
+            (0..5)
+                .map(|e| 1 << e)
+                .filter(move |&g| g <= v)
+                .map(move |g| (v, g))
+        })
+    }
+
+    /// The weight-gradient tile equals the scalar reference bit for bit
+    /// under every tier the CPU grants, dispatched as production code
+    /// is, and the reference is its definition: tile heights 1..=8, one
+    /// lane strip and two (a 16-lane strip pair), tap groups of 1–16
+    /// (tap pairs and quads whose last taps are never stored, as a
+    /// 3-tap row's fourth), runs at strides 1–3 over one and several
+    /// output rows, odd step counts, accumulators carried in, and
+    /// `-0.0`, ±Inf and NaN operands on either side.
+    #[test]
+    fn weight_tile_matches_scalar_bitwise_on_every_tier() {
+        fn run<const MRR: usize>((v, g): (usize, usize), walk: Walk, steps: usize) {
+            let seed = (v * 31 + g * 7 + walk.col * 3 + steps) as u64;
+            let reach = walk.last(steps).unwrap_or(0) + g + 3 * MRR;
+            let av = specials(fill(seed, reach), MRR);
+            let panel = specials(fill(seed ^ 9, steps * v), 3);
+            let aidx: [usize; MRR] = std::array::from_fn(|r| 3 * r);
+            let start = specials(fill(seed ^ 5, MRR * v), 1);
+            // The definition, lane by lane.
+            let mut want = start.clone();
+            for (r, acc) in want.chunks_exact_mut(v).enumerate() {
+                for s in 0..steps {
+                    for (l, acc) in acc.iter_mut().enumerate() {
+                        *acc += av[aidx[r] + walk.at(s) + l % g] * panel[s * v + l];
+                    }
+                }
+            }
+            let what = format!("{:?} MRR={MRR} v={v} g={g} {walk:?} steps={steps}", isa());
+            let mut reference = start.clone();
+            scalar::weight_tile(&mut reference, (&av, &aidx), walk, &panel, (v, g));
+            assert_eq!(bits(&reference), bits(&want), "reference: {what}");
+            let mut got = start;
+            weight_tile(&mut got, (&av, &aidx), walk, &panel, (v, g));
+            assert_eq!(bits(&got), bits(&want), "{what}");
+        }
+        let walks = [
+            (1, 1, 1, 1),
+            (5, 1, 9, 15),
+            (4, 2, 11, 12),
+            (3, 3, 20, 9),
+            (7, 1, 7, 0),
+        ];
+        let tiers = each_tier(|_| {
+            for (v, g) in layouts() {
+                for (run_len, col, row, steps) in walks {
+                    let walk = Walk {
+                        run: run_len,
+                        col,
+                        row,
+                    };
+                    every_height!(run((v, g), walk, steps));
+                }
+            }
+        });
+        assert_eq!(tiers[0], Isa::Scalar);
+    }
+
+    /// The weight tile refuses a read past the end of `A`, on every tier.
+    #[test]
+    #[should_panic(expected = "weight_tile: A index out of range")]
+    fn weight_tile_rejects_reads_past_a() {
+        let walk = Walk {
+            run: 2,
+            col: 1,
+            row: 2,
+        };
+        let mut acc = [0.0f32; 2 * NR];
+        // Step 3 reads `A` at 3..5 for a pair: one past the end.
+        weight_tile::<1>(
+            &mut acc,
+            (&[1.0; 4], &[0]),
+            walk,
+            &[1.0; 8 * NR],
+            (2 * NR, 2),
+        );
+    }
+
+    /// The panel packing equals the scalar reference bit for bit under
+    /// every tier the CPU grants, and the reference is its definition:
+    /// every layout with one row up to its lane count (partial last
+    /// strips), pixel ranges starting off a strip and ending in a tail
+    /// of every length short of eight, and the lane sums continued from
+    /// what they hold, over `-0.0`, ±Inf and NaN.
+    #[test]
+    fn pack_panel_matches_scalar_bitwise_on_every_tier() {
+        let tiers = each_tier(|_| {
+            for (v, g) in layouts() {
+                for cs in 1..=v / g {
+                    for (pixels, px) in [(8, 0..8), (30, 3..30), (40, 0..33), (21, 5..5), (9, 0..9)]
+                    {
+                        let rows = specials(fill((cs * 13 + pixels) as u64, cs * pixels), cs);
+                        let n = px.len();
+                        let mut want = vec![f32::from_bits(0x7fc0_dead); n * v];
+                        let mut want_sums = specials(fill(cs as u64, v), 2);
+                        for (p, d) in px.clone().zip(want.chunks_exact_mut(v)) {
+                            for (l, d) in d.iter_mut().enumerate() {
+                                *d = if l / g < cs {
+                                    rows[l / g * pixels + p]
+                                } else {
+                                    0.0
+                                };
+                                want_sums[l] += *d;
+                            }
+                        }
+                        let what = format!("{:?} v={v} g={g} rows={cs} {px:?}", isa());
+                        let mut reference = vec![0.0; n * v];
+                        let mut sums = specials(fill(cs as u64, v), 2);
+                        scalar::pack_panel(
+                            &mut reference,
+                            &rows,
+                            pixels,
+                            px.clone(),
+                            (v, g),
+                            Some(&mut sums),
+                        );
+                        assert_eq!(bits(&reference), bits(&want), "reference: {what}");
+                        assert_eq!(bits(&sums), bits(&want_sums), "reference sums: {what}");
+                        let mut got = vec![0.0; n * v];
+                        let mut sums = specials(fill(cs as u64, v), 2);
+                        pack_panel(&mut got, &rows, pixels, px.clone(), (v, g), Some(&mut sums));
+                        assert_eq!(bits(&got), bits(&want), "{what}");
+                        assert_eq!(bits(&sums), bits(&want_sums), "sums: {what}");
+                        let mut alone = vec![0.0; n * v];
+                        pack_panel(&mut alone, &rows, pixels, px.clone(), (v, g), None);
+                        assert_eq!(bits(&alone), bits(&want), "without sums: {what}");
+                    }
+                }
+            }
+        });
+        assert_eq!(tiers[0], Isa::Scalar);
+    }
+
+    /// The lane-batch product equals the scalar reference bit for bit
+    /// under every tier the CPU grants, and the reference is its
+    /// definition: tile heights 1..=8, 8 and 16 lanes, strided walks
+    /// over several output rows, no steps at all (a `+0.0` row), and
+    /// `-0.0`, ±Inf and NaN operands on either side.
+    #[test]
+    fn lane_product_matches_scalar_bitwise_on_every_tier() {
+        fn run<const MRR: usize>(v: usize, walk: Walk, steps: usize) {
+            let seed = (v * 3 + walk.col + steps) as u64;
+            let xv = specials(fill(seed, walk.last(steps).unwrap_or(0) + v + 5 * MRR), 4);
+            let yv = specials(fill(seed ^ 3, (steps + 1) * (v + 2) + 2 * MRR), 6);
+            let xo: [usize; MRR] = std::array::from_fn(|r| 5 * r);
+            let yo = MRR;
+            let mut want = vec![0.0f32; MRR * v];
+            for (r, acc) in want.chunks_exact_mut(v).enumerate() {
+                for s in 0..steps {
+                    for (l, acc) in acc.iter_mut().enumerate() {
+                        *acc += xv[xo[r] + walk.at(s) + l] * yv[yo + s * (v + 2) + l];
+                    }
+                }
+            }
+            let what = format!("{:?} MRR={MRR} v={v} {walk:?} steps={steps}", isa());
+            let st = (walk, v + 2, steps);
+            // Rows a strip apart, and the values between them untouched.
+            let rows = |out: &[f32]| -> Vec<u32> {
+                let (rows, gaps): (Vec<_>, Vec<_>) = out
+                    .chunks(v + NR)
+                    .map(|row| row.split_at(v.min(row.len())))
+                    .unzip();
+                assert!(
+                    gaps.concat().iter().all(|g| g.to_bits() == GUARD),
+                    "{what}: gap"
+                );
+                bits(&rows.concat())
+            };
+            let guard = vec![f32::from_bits(GUARD); MRR * (v + NR)];
+            let mut reference = guard.clone();
+            scalar::lane_product((&mut reference, v + NR), (&xv, &xo), (&yv, yo), st, v);
+            assert_eq!(rows(&reference), bits(&want), "reference: {what}");
+            let mut got = guard;
+            lane_product((&mut got, v + NR), (&xv, &xo), (&yv, yo), st, v);
+            assert_eq!(rows(&got), bits(&want), "{what}");
+        }
+        let tiers = each_tier(|_| {
+            for v in [NR, 2 * NR] {
+                for (run_len, col, row, steps) in [(1, 1, 1, 0), (4, 16, 100, 16), (7, 8, 60, 49)] {
+                    let walk = Walk {
+                        run: run_len,
+                        col,
+                        row,
+                    };
+                    every_height!(run(v, walk, steps));
+                }
+            }
+        });
+        assert_eq!(tiers[0], Isa::Scalar);
     }
 }

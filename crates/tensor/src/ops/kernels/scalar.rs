@@ -1,33 +1,96 @@
 //! Reference scalar kernels.
 //!
-//! These are the exact inner loops the pre-SIMD code ran (the GEMM tile
-//! and `rhsd-litho`'s aerial pass); every SIMD variant must match them
-//! bit-for-bit, and the microbench harness times them as the
-//! scalar-vs-SIMD baseline.
+//! These are the exact inner loops the pre-SIMD code ran (the chains of
+//! the convolutions and their gradients, and `rhsd-litho`'s aerial
+//! pass); every SIMD variant must match them bit-for-bit, and the
+//! microbench harness times them as the scalar-vs-SIMD baseline.
 
-use super::{run_strips, FoldTap, Src, NR};
+use std::ops::Range;
 
-/// The `MRR × NR` GEMM register tile: `kc` ascending-`p` steps of
-/// `acc[r][j] += a_r · b[j]`, each step one mul and one add per lane.
-pub fn gemm_micro<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &mut [usize; MRR],
-    acs: usize,
+use super::{run_strips, FoldTap, Src, Walk, NR};
+
+/// The weight-gradient tile (see [`super::weight_tile`]): lane `l` of
+/// row `r` (`acc[r · v + l]`) runs `acc += a · b` over the panel's
+/// steps, `a` the value `l % g` past the row's `A` index at the step
+/// and `b` lane `l` of the step's `v`-value panel row; one mul and one
+/// add per lane per step. The steps go in order, each over every row,
+/// and a single-tap row broadcasts its one value, so the compiler can
+/// keep the lanes in vector registers.
+pub fn weight_tile<const MRR: usize>(
+    acc: &mut [f32],
+    (av, aidx): (&[f32], &[usize; MRR]),
+    walk: Walk,
     panel: &[f32],
+    (v, g): (usize, usize),
 ) {
-    let kc = panel.len() / NR;
-    let mut poff = 0usize;
-    for _ in 0..kc {
-        let bp = &panel[poff..poff + NR];
-        for r in 0..MRR {
-            let aval = av[aidx[r]];
-            aidx[r] += acs;
-            for (a, &b) in acc[r].iter_mut().zip(bp) {
-                *a += aval * b;
+    for (s, b) in panel.chunks_exact(v).enumerate() {
+        let at = walk.at(s);
+        for (acc, &ai) in acc.chunks_exact_mut(v).zip(aidx) {
+            let a = &av[ai + at..][..g];
+            if let [a] = a {
+                for (acc, &b) in acc.iter_mut().zip(b) {
+                    *acc += a * b;
+                }
+                continue;
+            }
+            for (acc, b) in acc.chunks_exact_mut(g).zip(b.chunks_exact(g)) {
+                for ((acc, &b), &a) in acc.iter_mut().zip(b).zip(a) {
+                    *acc += a * b;
+                }
             }
         }
-        poff += NR;
+    }
+}
+
+/// Packs pixels `px` of the `rows` (`rows.len() / pixels` rows of
+/// `pixels` values) as `v` values per pixel, lane `l` holding row
+/// `l / g` (`0.0` past the last row); `sums`, when given, adds each
+/// packed value to its lane's chain in pixel order.
+pub fn pack_panel(
+    panel: &mut [f32],
+    rows: &[f32],
+    pixels: usize,
+    px: Range<usize>,
+    (v, g): (usize, usize),
+    mut sums: Option<&mut [f32]>,
+) {
+    let cs = rows.len() / pixels.max(1);
+    for (p, d) in px.zip(panel.chunks_exact_mut(v)) {
+        for (ch, d) in d.chunks_exact_mut(g).enumerate() {
+            d.fill(match ch < cs {
+                true => rows[ch * pixels + p],
+                false => 0.0,
+            });
+        }
+        if let Some(sums) = sums.as_deref_mut() {
+            for (s, &d) in sums.iter_mut().zip(&*d) {
+                *s += d;
+            }
+        }
+    }
+}
+
+/// The lane-batch product (see [`super::lane_product`]): lane `l` of
+/// row `r` (`out[r · ostride + l]`) is the chain from `+0.0` of
+/// `acc += x · y` over `steps` steps, step `s` reading `x` at
+/// `xo[r] + walk.at(s) + l` and `y` at `yo + s · ystep + l`.
+pub fn lane_product<const MRR: usize>(
+    (out, ostride): (&mut [f32], usize),
+    (xv, xo): (&[f32], &[usize; MRR]),
+    (yv, yo): (&[f32], usize),
+    (walk, ystep, steps): (Walk, usize, usize),
+    v: usize,
+) {
+    for (r, &xr) in xo.iter().enumerate() {
+        let out = &mut out[r * ostride..][..v];
+        out.fill(0.0);
+        for s in 0..steps {
+            let x = &xv[xr + walk.at(s)..][..v];
+            let y = &yv[yo + s * ystep..][..v];
+            for ((a, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *a += x * y;
+            }
+        }
     }
 }
 
@@ -105,7 +168,7 @@ fn store(dst: &mut [f32], acc: &[f32; NR], bias: Option<f32>) {
 /// its `B` row at `src.v[base + j · NR + src.offs[s]..][..NR]`; then
 /// `bias[r]` is added, when there is a bias, and the lanes inside the
 /// row are stored. One mul and one add per lane per step, like
-/// [`gemm_micro`].
+/// [`weight_tile`].
 pub fn conv_micro<const MRR: usize>(
     out: [&mut [f32]; MRR],
     (av, aidx, acs): (&[f32], &[usize; MRR], usize),

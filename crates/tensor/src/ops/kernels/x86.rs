@@ -8,81 +8,19 @@
 //! step, and a single IEEE division where the reference divides — so
 //! every kernel is bit-identical to [`super::scalar`].
 //!
-//! The convolution and fold runs have one body ([`run`]), generic over
-//! the vector [`Lanes`] of a tier: the AVX2 entry points compile it on
-//! 8-lane `ymm` vectors, one `NR` strip each, and the AVX-512 ones on
-//! 16-lane `zmm` vectors, two adjacent strips each. The other kernels
-//! have AVX2 bodies only, which the AVX-512 tier runs too: the weight
-//! gradients' tile among them, whose lanes are output channels, so a
-//! 16-lane strip would leave 11 of 16 lanes idle on a 5-channel
-//! convolution.
+//! The convolution and fold runs have one body ([`run`]), and the
+//! weight gradients' tile, panel packing and lane-batch product one
+//! each ([`weight_tile_on`], [`pack_panel_on`], [`lane_product_on`]),
+//! all generic over the vector [`Lanes`] of a tier: the AVX2 entry
+//! points compile them on 8-lane `ymm` vectors, one `NR` strip each,
+//! and the AVX-512 ones on 16-lane `zmm` vectors, two adjacent strips
+//! each. The other kernels have AVX2 bodies only, which the AVX-512
+//! tier runs too.
 
 use core::arch::x86_64::*;
+use std::ops::Range;
 
-use super::{run_strips, scalar, FoldTap, Src, NR};
-
-/// AVX2 GEMM register tile: `MRR` rows of eight accumulator lanes, one
-/// broadcast-mul-add per row per `k` step (two roundings per lane,
-/// matching the scalar chain bit-for-bit).
-///
-/// # Safety
-///
-/// SAFETY: the caller must guarantee the running CPU supports AVX2.
-/// All `A`/panel reads are bounds-checked slices; the unchecked 8-lane
-/// loads/stores only target `[f32; NR]` rows and `NR`-sized panel
-/// chunks, which are in range by construction.
-#[target_feature(enable = "avx2")]
-pub unsafe fn gemm_micro_avx2<const MRR: usize>(
-    acc: &mut [[f32; NR]; MRR],
-    av: &[f32],
-    aidx: &mut [usize; MRR],
-    acs: usize,
-    panel: &[f32],
-) {
-    let steps = bound_a_reads::<MRR>(av, aidx, acs, panel);
-    let mut accv: [__m256; MRR] = core::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
-    let mut off = 0usize;
-    for bp in panel.chunks_exact(NR) {
-        let b = _mm256_loadu_ps(bp.as_ptr());
-        for r in 0..MRR {
-            // SAFETY: bound_a_reads proved every aidx[r] + off in range.
-            let a = _mm256_set1_ps(*av.get_unchecked(aidx[r] + off));
-            accv[r] = _mm256_add_ps(accv[r], _mm256_mul_ps(a, b));
-        }
-        off += acs;
-    }
-    for r in 0..MRR {
-        aidx[r] += steps * acs;
-        _mm256_storeu_ps(acc[r].as_mut_ptr(), accv[r]);
-    }
-}
-
-/// Proves every `A` read of a `steps`-deep tile pass is in bounds, so
-/// the hot loops can broadcast with `get_unchecked`, and keeps the
-/// per-step `aidx` read-modify-write (eight bounds checks and eight
-/// memory updates per `k` step in the 8-row tile) out of the inner
-/// loop. Returns the step count.
-///
-/// # Panics
-///
-/// Panics if any row's last `A` index would fall outside `av` — the
-/// same panic the safe indexing in the scalar reference raises.
-#[inline]
-fn bound_a_reads<const MRR: usize>(
-    av: &[f32],
-    aidx: &[usize; MRR],
-    acs: usize,
-    panel: &[f32],
-) -> usize {
-    let steps = panel.len() / NR;
-    if steps > 0 {
-        let last = (steps - 1) * acs;
-        for &i in aidx.iter() {
-            assert!(i + last < av.len(), "gemm_micro: A index out of range");
-        }
-    }
-    steps
-}
+use super::{run_strips, scalar, FoldTap, Src, Walk, NR};
 
 /// AVX2 separable-convolution interior: eight output pixels per
 /// iteration; each lane runs the serial ascending-tap mul-add chain and
@@ -205,6 +143,8 @@ trait Lanes: Copy {
     const FOLD_PASS: [usize; 9];
     /// The one-strip vector that runs a run's odd last strip.
     type Half: Lanes;
+    /// The lane select [`Lanes::widen`] spreads rows by.
+    type Spread: Copy;
 
     /// `v` in every lane.
     ///
@@ -243,6 +183,40 @@ trait Lanes: Copy {
     /// SAFETY: the caller must guarantee the tier's CPU features.
     unsafe fn add_in(self, part: Self, mask: u8) -> Self;
 
+    /// `G` consecutive values from `p`, repeated across the lanes (lane
+    /// `l` holds `p[l % G]`): one broadcast load.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features, that
+    /// `G` divides the lane count and that `p` is valid for reads of `G`
+    /// values.
+    unsafe fn group<const G: usize>(p: *const f32) -> Self;
+
+    /// Stores every lane at `p`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features and
+    /// that `p` is valid for writes of every lane.
+    unsafe fn store_all(self, p: *mut f32);
+
+    /// The lane select that gives lane `l` row `l / g`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features.
+    unsafe fn spread(g: usize) -> Self::Spread;
+
+    /// One pixel of a packed panel from its transposed rows: rows `0..8`
+    /// in `lo` and `8..16` in `hi`, lane `l` taking row `l / g` (the
+    /// rows side by side when `g` is 1). Moves bits only.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: the caller must guarantee the tier's CPU features.
+    unsafe fn widen(lo: __m256, hi: __m256, g: usize, spread: Self::Spread) -> Self;
+
     /// Stores the lanes that lie inside `row` at `row[x..]`, and leaves
     /// every value past the row's end untouched.
     ///
@@ -259,10 +233,43 @@ impl Lanes for __m256 {
     const CONV_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 1, 1];
     const FOLD_PASS: [usize; 9] = [0, 4, 2, 2, 2, 1, 1, 1, 1];
     type Half = __m256;
+    type Spread = __m256i;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
         _mm256_set1_ps(v)
+    }
+
+    #[inline(always)]
+    unsafe fn group<const G: usize>(p: *const f32) -> Self {
+        match G {
+            1 => _mm256_set1_ps(*p),
+            2 => _mm256_castpd_ps(_mm256_set1_pd(p.cast::<f64>().read_unaligned())),
+            4 => {
+                let q = _mm_loadu_ps(p);
+                _mm256_set_m128(q, q)
+            }
+            _ => _mm256_loadu_ps(p),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store_all(self, p: *mut f32) {
+        _mm256_storeu_ps(p, self);
+    }
+
+    #[inline(always)]
+    unsafe fn spread(g: usize) -> __m256i {
+        let rows: [i32; NR] = core::array::from_fn(|l| (l / g) as i32);
+        _mm256_loadu_si256(rows.as_ptr().cast())
+    }
+
+    #[inline(always)]
+    unsafe fn widen(lo: __m256, _hi: __m256, g: usize, spread: __m256i) -> Self {
+        match g {
+            1 => lo,
+            _ => _mm256_permutevar8x32_ps(lo, spread),
+        }
     }
 
     #[inline(always)]
@@ -318,10 +325,44 @@ impl Lanes for __m512 {
     const CONV_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 2, 2];
     const FOLD_PASS: [usize; 9] = [0, 4, 2, 2, 2, 2, 2, 1, 1];
     type Half = __m256;
+    type Spread = __m512i;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
         _mm512_set1_ps(v)
+    }
+
+    #[inline(always)]
+    unsafe fn group<const G: usize>(p: *const f32) -> Self {
+        match G {
+            1 => _mm512_set1_ps(*p),
+            2 => _mm512_castpd_ps(_mm512_set1_pd(p.cast::<f64>().read_unaligned())),
+            4 => _mm512_broadcast_f32x4(_mm_loadu_ps(p)),
+            8 => _mm512_castpd_ps(_mm512_broadcast_f64x4(_mm256_loadu_pd(p.cast()))),
+            _ => _mm512_loadu_ps(p),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store_all(self, p: *mut f32) {
+        _mm512_storeu_ps(p, self);
+    }
+
+    #[inline(always)]
+    unsafe fn spread(g: usize) -> __m512i {
+        let rows: [i32; 2 * NR] = core::array::from_fn(|l| (l / g) as i32);
+        _mm512_loadu_si512(rows.as_ptr().cast())
+    }
+
+    #[inline(always)]
+    unsafe fn widen(lo: __m256, hi: __m256, g: usize, spread: __m512i) -> Self {
+        match g {
+            1 => _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+                _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+                _mm256_castps_pd(hi),
+            )),
+            _ => _mm512_permutexvar_ps(spread, _mm512_castps256_ps512(lo)),
+        }
     }
 
     #[inline(always)]
@@ -678,6 +719,296 @@ pub unsafe fn fold_micro_avx512<const MRR: usize>(
     bias: Option<[f32; MRR]>,
 ) {
     fold_micro::<__m512, MRR>(out, a, src, taps, bias);
+}
+
+/// The weight-gradient tile body on both tiers: `MRR` rows of one
+/// vector, each lane's chain continued from `acc` over the panel's
+/// steps, `G` taps per vector — one broadcast load of the row's `G`
+/// adjacent `A` values, one load of the step's panel row shared by
+/// every row, and one `mul` then one `add` per row, never fused.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee `L`'s CPU features and the bounds
+/// [`super::weight_tile`] asserts: `acc` holds `MRR` vectors, the panel
+/// whole runs of steps, and every row's `G` values at its furthest step
+/// lie inside `av`.
+#[inline(always)]
+unsafe fn weight_tile_on<L: Lanes, const MRR: usize, const G: usize>(
+    acc: &mut [f32],
+    (av, aidx): (&[f32], &[usize; MRR]),
+    walk: Walk,
+    panel: &[f32],
+) {
+    let v = L::STRIPS * NR;
+    let mut regs: [L; MRR] = core::array::from_fn(|r| L::load(acc.as_ptr().add(r * v)));
+    let ap: [*const f32; MRR] = core::array::from_fn(|r| av.as_ptr().add(aidx[r]));
+    let mut bp = panel.as_ptr();
+    for i in 0..panel.len() / v / walk.run.max(1) {
+        for x in 0..walk.run {
+            let o = i * walk.row + x * walk.col;
+            let b = L::load(bp);
+            for r in 0..MRR {
+                regs[r] = regs[r].add(L::group::<G>(ap[r].add(o)).mul(b));
+            }
+            bp = bp.add(v);
+        }
+    }
+    for (r, reg) in regs.iter().enumerate() {
+        reg.store_all(acc.as_mut_ptr().add(r * v));
+    }
+}
+
+/// [`super::weight_tile`] on `L`: the body for the row's tap group.
+///
+/// # Safety
+///
+/// SAFETY: as [`weight_tile_on`]; `g` divides `L`'s lane count.
+#[inline(always)]
+unsafe fn weight_tile_groups<L: Lanes, const MRR: usize>(
+    acc: &mut [f32],
+    a: (&[f32], &[usize; MRR]),
+    walk: Walk,
+    panel: &[f32],
+    g: usize,
+) {
+    match g {
+        1 => weight_tile_on::<L, MRR, 1>(acc, a, walk, panel),
+        2 => weight_tile_on::<L, MRR, 2>(acc, a, walk, panel),
+        4 => weight_tile_on::<L, MRR, 4>(acc, a, walk, panel),
+        8 => weight_tile_on::<L, MRR, 8>(acc, a, walk, panel),
+        _ => weight_tile_on::<L, MRR, 16>(acc, a, walk, panel),
+    }
+}
+
+/// AVX2 [`super::weight_tile`]: the tile body on `ymm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// the bounds the dispatcher asserts, with 8 lanes and `g` at most 8.
+#[target_feature(enable = "avx2")]
+pub unsafe fn weight_tile_avx2<const MRR: usize>(
+    acc: &mut [f32],
+    a: (&[f32], &[usize; MRR]),
+    walk: Walk,
+    panel: &[f32],
+    g: usize,
+) {
+    weight_tile_groups::<__m256, MRR>(acc, a, walk, panel, g);
+}
+
+/// AVX-512 [`super::weight_tile`]: the tile body on `zmm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX-512F
+/// and AVX-512VL and the bounds the dispatcher asserts, with 16 lanes.
+#[target_feature(enable = "avx512f,avx512vl")]
+pub unsafe fn weight_tile_avx512<const MRR: usize>(
+    acc: &mut [f32],
+    a: (&[f32], &[usize; MRR]),
+    walk: Walk,
+    panel: &[f32],
+    g: usize,
+) {
+    weight_tile_groups::<__m512, MRR>(acc, a, walk, panel, g);
+}
+
+/// Rows `j0..j0 + 8` of `rows` (rows of `pixels` values; zeros past
+/// row `cs`) at pixels `p..p + 8`, transposed: vector `q` holds pixel
+/// `p + q` of the eight rows. Moves bits only.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee AVX2 and that pixels `p..p + 8` lie
+/// inside every row below `cs`.
+#[inline(always)]
+unsafe fn transposed_rows(
+    rows: &[f32],
+    (pixels, cs): (usize, usize),
+    j0: usize,
+    p: usize,
+) -> [__m256; NR] {
+    let mut r = [_mm256_setzero_ps(); NR];
+    for (j, r) in r.iter_mut().enumerate().take(cs.saturating_sub(j0)) {
+        *r = _mm256_loadu_ps(rows.as_ptr().add((j0 + j) * pixels + p));
+    }
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(u0, u4),
+        _mm256_permute2f128_ps::<0x20>(u1, u5),
+        _mm256_permute2f128_ps::<0x20>(u2, u6),
+        _mm256_permute2f128_ps::<0x20>(u3, u7),
+        _mm256_permute2f128_ps::<0x31>(u0, u4),
+        _mm256_permute2f128_ps::<0x31>(u1, u5),
+        _mm256_permute2f128_ps::<0x31>(u2, u6),
+        _mm256_permute2f128_ps::<0x31>(u3, u7),
+    ]
+}
+
+/// The panel packing body on both tiers: eight pixels at a time, the
+/// rows transposed eight by eight in registers and each pixel spread
+/// over the lanes ([`Lanes::widen`]), stored whole and added to the
+/// lane sums in pixel order; the last pixels short of eight run the
+/// scalar reference, continuing the sums.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee `L`'s CPU features and the bounds
+/// [`super::pack_panel`] asserts, with `L`'s lane count.
+#[inline(always)]
+unsafe fn pack_panel_on<L: Lanes>(
+    panel: &mut [f32],
+    rows: &[f32],
+    pixels: usize,
+    px: Range<usize>,
+    g: usize,
+    mut sums: Option<&mut [f32]>,
+) {
+    let v = L::STRIPS * NR;
+    let cs = rows.len() / pixels;
+    let spread = L::spread(g);
+    let mut sv = sums.as_deref().map(|s| L::load(s.as_ptr()));
+    let mut p = px.start;
+    let mut d = panel.as_mut_ptr();
+    while p + NR <= px.end {
+        let lo = transposed_rows(rows, (pixels, cs), 0, p);
+        let hi = match cs > NR {
+            true => transposed_rows(rows, (pixels, cs), NR, p),
+            false => [_mm256_setzero_ps(); NR],
+        };
+        for q in 0..NR {
+            let w = L::widen(lo[q], hi[q], g, spread);
+            w.store_all(d);
+            if let Some(s) = sv.as_mut() {
+                *s = s.add(w);
+            }
+            d = d.add(v);
+        }
+        p += NR;
+    }
+    if let (Some(s), Some(sums)) = (sv, sums.as_deref_mut()) {
+        s.store_all(sums.as_mut_ptr());
+    }
+    let done = (p - px.start) * v;
+    scalar::pack_panel(&mut panel[done..], rows, pixels, p..px.end, (v, g), sums);
+}
+
+/// AVX2 [`super::pack_panel`]: the packing body on `ymm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// the bounds the dispatcher asserts, with 8 lanes.
+#[target_feature(enable = "avx2")]
+pub unsafe fn pack_panel_avx2(
+    panel: &mut [f32],
+    rows: &[f32],
+    pixels: usize,
+    px: Range<usize>,
+    g: usize,
+    sums: Option<&mut [f32]>,
+) {
+    pack_panel_on::<__m256>(panel, rows, pixels, px, g, sums);
+}
+
+/// AVX-512 [`super::pack_panel`]: the packing body on `zmm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX-512F
+/// and AVX-512VL and the bounds the dispatcher asserts, with 16 lanes.
+#[target_feature(enable = "avx512f,avx512vl")]
+pub unsafe fn pack_panel_avx512(
+    panel: &mut [f32],
+    rows: &[f32],
+    pixels: usize,
+    px: Range<usize>,
+    g: usize,
+    sums: Option<&mut [f32]>,
+) {
+    pack_panel_on::<__m512>(panel, rows, pixels, px, g, sums);
+}
+
+/// The lane-batch product body on both tiers: `MRR` rows of one vector,
+/// each lane's chain from `+0.0`; per step one load of the shared `y`,
+/// then per row one load of `x`, one `mul` and one `add`, never fused.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee `L`'s CPU features and the bounds
+/// [`super::lane_product`] asserts, with `L`'s lane count.
+#[inline(always)]
+unsafe fn lane_product_on<L: Lanes, const MRR: usize>(
+    (out, ostride): (&mut [f32], usize),
+    (xv, xo): (&[f32], &[usize; MRR]),
+    (yv, yo): (&[f32], usize),
+    (walk, ystep, steps): (Walk, usize, usize),
+) {
+    let mut acc = [L::splat(0.0); MRR];
+    let xp: [*const f32; MRR] = core::array::from_fn(|r| xv.as_ptr().add(xo[r]));
+    let mut yp = yv.as_ptr().add(yo);
+    for i in 0..steps / walk.run.max(1) {
+        for x in 0..walk.run {
+            let o = i * walk.row + x * walk.col;
+            let y = L::load(yp);
+            for r in 0..MRR {
+                acc[r] = acc[r].add(L::load(xp[r].add(o)).mul(y));
+            }
+            yp = yp.add(ystep);
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        a.store_all(out.as_mut_ptr().add(r * ostride));
+    }
+}
+
+/// AVX2 [`super::lane_product`]: the body on `ymm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX2 and
+/// the bounds the dispatcher asserts, with 8 lanes.
+#[target_feature(enable = "avx2")]
+pub unsafe fn lane_product_avx2<const MRR: usize>(
+    out: (&mut [f32], usize),
+    x: (&[f32], &[usize; MRR]),
+    y: (&[f32], usize),
+    steps: (Walk, usize, usize),
+) {
+    lane_product_on::<__m256, MRR>(out, x, y, steps);
+}
+
+/// AVX-512 [`super::lane_product`]: the body on `zmm` vectors.
+///
+/// # Safety
+///
+/// SAFETY: the caller must guarantee the running CPU supports AVX-512F
+/// and AVX-512VL and the bounds the dispatcher asserts, with 16 lanes.
+#[target_feature(enable = "avx512f,avx512vl")]
+pub unsafe fn lane_product_avx512<const MRR: usize>(
+    out: (&mut [f32], usize),
+    x: (&[f32], &[usize; MRR]),
+    y: (&[f32], usize),
+    steps: (Walk, usize, usize),
+) {
+    lane_product_on::<__m512, MRR>(out, x, y, steps);
 }
 
 /// AVX2 [`scalar::leaky_relu_pack`], in place: eight lanes at a time,

@@ -2,7 +2,8 @@
 //! one ascending-tap chain per output element, the input gradient and
 //! the transposed convolution fold straight into the map (a 1×1 input
 //! gradient as a forward convolution), and the weight gradients read
-//! their taps from the map on the GEMM tile. None of this
+//! their taps from the map on the weight tile (a batch's with the maps
+//! in the lanes). None of this
 //! may move a bit: every output must equal the plain lowering — the
 //! `im2col` matrix fed to the serial `matmul`, an operand transposed
 //! where the product needs it, with `col2im` folding where the op needs
@@ -269,6 +270,49 @@ fn wide_and_deep_lowerings_are_bit_identical() {
     }
 }
 
+/// The weight gradients' lane panels: every output-channel count the
+/// planner splits differently — one lane, four (four taps to a 16-lane
+/// vector), five and eight (one strip), nine (a strip and one lane),
+/// twelve and sixteen (a 16-lane strip pair, partly filled or whole)
+/// and twenty (a pair and a four-lane panel) — under 3×3 kernels at
+/// strides 1 and 2, a 2×2 kernel and a 1×1 one, on maps of one band and
+/// of several, against the plain lowering. The transposed convolution
+/// of each shape runs the same panels with the input's channels as
+/// lanes.
+#[test]
+fn weight_gradient_lane_panels_are_bit_identical() {
+    for c_out in [1, 4, 5, 8, 9, 12, 16, 20] {
+        for spec in [
+            ConvSpec::same(3),
+            ConvSpec::new(3, 2, 1),
+            ConvSpec::new(2, 2, 0),
+            ConvSpec::same(1),
+        ] {
+            for (c_in, hw) in [(1, (13, 37)), (3, (9, 11)), (2, (70, 40))] {
+                check_shape((c_out * 7 + c_in) as u64, c_in, c_out, hw, spec);
+            }
+        }
+    }
+}
+
+/// The refinement head's shapes as lane batches of one map, six, a
+/// training step's twelve and forty: each map's weight and bias
+/// gradients from the batch equal the map's own call and the plain
+/// lowering, bit for bit, at one and four threads.
+#[test]
+fn head_lane_batches_match_the_lowering_map_by_map() {
+    for n in [1, 6, 12, 40] {
+        for (c_in, hw, spec) in [
+            (20, 7, ConvSpec::new(3, 2, 1)),
+            (5, 7, ConvSpec::same(3)),
+            (15, 4, ConvSpec::same(1)),
+        ] {
+            let _guard = pool_lock();
+            check_lanes(n, (c_in, 5), (hw, hw), spec, true);
+        }
+    }
+}
+
 /// A gradient channel of only `-0.0` has the bias gradient `-0.0`: the
 /// ops' chains start there, as `Iterator::sum` does, and so do the
 /// reference's, so a change of start value on either side fails here.
@@ -314,7 +358,7 @@ fn lane(t: &Tensor, i: usize) -> Tensor {
 /// and checks every lane against the map's own single-map calls, bit
 /// for bit: the forward output, the input gradient and the map's weight
 /// and bias gradients, at one and four threads. `check_reference` also
-/// compares each lane with the plain lowering.
+/// compares each lane with the plain lowering, gradients included.
 fn check_lanes(
     n: usize,
     (c_in, c_out): (usize, usize),
@@ -346,9 +390,11 @@ fn check_lanes(
             assert!(bits(dw) == bits(&dwi), "d_weight: {what}");
             assert!(bits(db) == bits(&dbi), "d_bias: {what}");
             if check_reference {
-                let (want_out, want_dx, _, _) = conv_reference(&xi, &wt, &b, &gi, spec);
+                let (want_out, want_dx, want_dw, want_db) = conv_reference(&xi, &wt, &b, &gi, spec);
                 assert!(bits(&one) == bits(&want_out), "reference output: {what}");
                 assert!(bits(&dxi) == bits(&want_dx), "reference d_input: {what}");
+                assert!(bits(dw) == bits(&want_dw), "reference d_weight: {what}");
+                assert!(bits(db) == bits(&want_db), "reference d_bias: {what}");
             }
         }
     }

@@ -1,7 +1,8 @@
 //! End-to-end observability test: a demo-scale build → train → scan run
 //! with instrumentation enabled must put every pipeline stage in the span
 //! tree with a nonzero duration, leave a ledger whose `run_end` line
-//! carries that tree bit for bit (and no per-span line), key the bench
+//! carries that tree bit for bit (and no per-span line), nest the
+//! refinement head's convolutions under its module spans, key the bench
 //! record's `stage_secs` by the same paths, and fill a metrics snapshot
 //! with the training diagnostics.
 //!
@@ -83,6 +84,30 @@ fn demo_scan_emits_stage_spans_and_valid_exports() {
         "cpn should nest under scan-region:\n{}",
         tree.render()
     );
+
+    // The refinement head's convolutions, backward as forward, sit
+    // under its module spans, never straight under the phase span.
+    let head_convs: Vec<&str> = nodes
+        .iter()
+        .filter(|(path, node)| {
+            node.count > 0
+                && path.split(';').any(|f| f == "train-heads")
+                && leaf(path).starts_with("Conv2d#")
+        })
+        .map(|(path, _)| path.as_str())
+        .collect();
+    assert!(
+        !head_convs.is_empty(),
+        "no head convolution under train-heads:\n{}",
+        tree.render()
+    );
+    for path in &head_convs {
+        assert!(
+            path.split(';')
+                .any(|f| f == "inception-a" || f == "inception-b"),
+            "{path} lies under no inception span"
+        );
+    }
 
     // --- The ledger holds no per-span line: its `run_end` carries the
     // tree, which parses back equal to the registry's for every path.

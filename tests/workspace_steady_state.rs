@@ -13,7 +13,9 @@
 //! map where it lies and takes no scratch, and the fully-connected
 //! forward and its input gradient transpose their batch into a plain
 //! buffer, taking none either. Training also draws the weight
-//! gradients' packed strips from the pool.
+//! gradients' scratch from the pool: a single map's band copy, packed
+//! panels, tile accumulators and lane sums, and a lane-layout batch's
+//! padded copies, its per-map rows and their transpose.
 //!
 //! One test per binary: the workspace counters are process-global, and a
 //! lone test keeps them quiescent while we read them.
@@ -22,8 +24,8 @@ use rand::SeedableRng;
 use rhsd::core::{RhsdConfig, RhsdNetwork};
 use rhsd::data::{BBox, RegionSample};
 use rhsd::layout::{RasterSpec, Rect};
-use rhsd::tensor::ops::conv::{conv2d, ConvSpec};
-use rhsd::tensor::ops::deconv::conv_transpose2d;
+use rhsd::tensor::ops::conv::{conv2d, conv2d_weight_grads, ConvSpec};
+use rhsd::tensor::ops::deconv::{conv_transpose2d, conv_transpose2d_backward};
 use rhsd::tensor::ops::matvec::matvec;
 use rhsd::tensor::{workspace, Tensor};
 
@@ -104,6 +106,18 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
     assert_steady("conv_transpose2d", Pool::Reused, || {
         conv_transpose2d(&x, &wt, Some(&b), spec);
     });
+    // The same layers' weight gradients: 8 -> 12 on 16-lane strip pairs
+    // where the tier has them, and the deconvolution's 8 input channels
+    // as lanes.
+    let g = Tensor::from_fn([12, px, px], |c| {
+        ((c[0] + c[1] + c[2] * 5) % 9) as f32 - 4.0
+    });
+    assert_steady("conv2d weight gradients", Pool::Reused, || {
+        conv2d_weight_grads(&x, &w, &g, spec);
+    });
+    assert_steady("conv_transpose2d backward", Pool::Reused, || {
+        conv_transpose2d_backward(x.clone(), &wt, &g, spec);
+    });
 
     // The refinement head's batched shapes, in the lane layout: a
     // region's 40 RoIs of 7×7 maps through a 3×3 convolution, and its
@@ -112,6 +126,15 @@ fn steady_state_inference_makes_zero_workspace_allocations() {
     let w_roi = Tensor::from_fn([5, 20, 3, 3], |c| ((c[0] + c[2]) % 3) as f32 - 1.0);
     assert_steady("batched conv2d", Pool::Reused, || {
         conv2d(&rois, &w_roi, None, spec);
+    });
+    // Their weight gradients with the RoIs in the lanes, at the
+    // stride-2 3×3 inception B runs.
+    let stride2 = ConvSpec::new(3, 2, 1);
+    let g_roi = Tensor::from_fn([5, 4, 4, 40], |c| {
+        ((c[0] + c[1] * 3 + c[3]) % 7) as f32 - 3.0
+    });
+    assert_steady("batched weight gradients", Pool::Reused, || {
+        conv2d_weight_grads(&rois, &w_roi, &g_roi, stride2);
     });
     let fc = Tensor::from_fn([48, 320], |c| ((c[0] * 7 + c[1]) % 9) as f32 - 4.0);
     let rows = Tensor::from_fn([320, 40], |c| ((c[0] + c[1]) % 4) as f32);

@@ -552,7 +552,7 @@ fn l13_isa_containment(file: &SourceFile, sig: &Sig) -> Vec<Violation> {
                 sig.span(i),
                 format!(
                     "intrinsic `{name}` outside `{L13_ISA_PREFIX}`; call the dispatched \
-                     kernels (`gemm_micro`, `conv_taps`, …) instead"
+                     kernels (`weight_tile`, `conv_taps`, …) instead"
                 ),
             ));
         } else if name == "target_feature" {

@@ -1,14 +1,15 @@
 //! `cargo xtask microbench` — a zero-dependency kernel timing harness.
 //!
 //! Times the kernel families the end-to-end repro spends its cycles
-//! in — the weight gradients' register tile (`gemm_micro`), the
+//! in — the weight gradients' register tile (`weight_tile`), the
 //! in-place convolutions forward and backward (`rhsd_tensor::ops::conv`
 //! and `::deconv`, on the demo network's front-end shapes), the
 //! refinement head's batched RoI convolutions and FC (`roi_conv2d`,
 //! `roi_fc`, each beside the same RoIs run one per call), the FC's
 //! input gradient (`roi_fc_backward`, `rhsd_tensor::ops::matvec`) and
 //! the whole head's inference pass (`refine_head`), the
-//! weight gradients alone (`conv2d_weight_grads`), the fold alone
+//! weight gradients alone (`conv2d_weight_grads`, of single maps and of
+//! the head's lane-layout RoI batches), the fold alone
 //! (`fold`), narrow-map
 //! convolutions (the CPN's 8² map, inception B's stride 2), the 2×2
 //! max-pool with and without its argmax (`max_pool2d`,
@@ -39,17 +40,19 @@
 //! measured in the same record that tracks absolute times. Under
 //! `RHSD_FORCE_SCALAR=1` both passes run the scalar path and the
 //! speedup hovers at 1. When the detected ISA is above AVX2, the rows
-//! that run the convolution and fold runs the wider tier widens (the
+//! of the kernels the wider tier widens (the weight tile, the
 //! convolutions, folds and transposed convolutions forward and
-//! backward, and the refinement head's RoI convolutions, FC and whole
-//! pass) are also timed on AVX2 and carry `avx2_best_secs`, so the
-//! wider tier's own gain is in the record.
+//! backward, the weight gradients alone, and the refinement head's RoI
+//! convolutions, FC and whole pass) are also timed on AVX2 and carry
+//! `avx2_best_secs`, so the wider tier's own gain is in the record.
 //!
-//! The convolution, fold and RoI convolution rows also carry `gmacs`:
-//! achieved multiply-adds per second on the dispatched ISA, in
-//! billions, counted from the row's shape — `C_out·C_in·K²·H'·W'` for a
-//! convolution, the column matrix `Wᵀ · g`'s `C_src·C_dst·K²·H·W` for a
-//! fold.
+//! The weight tile, convolution, weight-gradient, fold and RoI
+//! convolution rows also carry `gmacs`: achieved multiply-adds per
+//! second on the dispatched ISA, in billions, counted from the row's
+//! shape — `C_out·C_in·K²·H'·W'` for a convolution and its weight
+//! gradients (times the RoIs of a batch), the column matrix `Wᵀ · g`'s
+//! `C_src·C_dst·K²·H·W` for a fold, and every lane's multiply-add for
+//! the tile.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -171,11 +174,13 @@ fn timed(
 }
 
 /// The kernel families that spend their time in the convolution and
-/// fold runs, which the AVX-512 tier widens; every other kernel runs its
-/// AVX2 body on that tier.
-const WIDENED: [&str; 9] = [
+/// fold runs or the weight gradients' kernels, which the AVX-512 tier
+/// widens; every other kernel runs its AVX2 body on that tier.
+const WIDENED: [&str; 11] = [
+    "weight_tile",
     "conv2d",
     "conv2d_backward",
+    "conv2d_weight_grads",
     "conv_transpose2d",
     "conv_transpose2d_backward",
     "fold",
@@ -219,33 +224,57 @@ fn run_cases(quick: bool) -> Vec<Case> {
     let active = kernels::isa();
     let mut cases = Vec::new();
 
-    // The weight gradients' register tile in isolation: a fixed 8×NR
-    // tile accumulated ascending-k over one packed panel, re-run
-    // `iters` times per timed call. The `conv2d_weight_grads` rows
-    // below add packing and map layout; this row times exactly the loop
-    // the ISA selector swaps.
+    // The weight gradients' register tile in isolation: 8 rows of 16
+    // lanes accumulated over `kc` packed panel steps, re-run `iters`
+    // times per timed call — one 16-lane call where the tier has 16
+    // lanes, else two 8-lane calls, so every tier does the same work.
+    // The `conv2d_weight_grads` rows below add packing and map layout;
+    // this row times exactly the loop the ISA selector swaps.
     let (kc, iters, reps) = if quick {
         (256, 400, 8)
     } else {
         (256, 2000, 20)
     };
+    let lanes = 2 * kernels::NR;
     let av: Vec<f32> = (0..kc + 8).map(|i| noise(7, i)).collect();
-    let panel: Vec<f32> = (0..kc * kernels::NR).map(|i| noise(8, i)).collect();
-    cases.push(timed(
-        active,
-        "gemm_micro",
-        format!("8x{}xkc{kc} x{iters}", kernels::NR),
-        reps,
-        move || {
-            let mut acc = [[0.0f32; kernels::NR]; 8];
-            for _ in 0..iters {
-                let mut idx: [usize; 8] = std::array::from_fn(|r| r);
-                kernels::gemm_micro(&mut acc, &av, &mut idx, 1, &panel);
-            }
-            let flat: Vec<f32> = acc.iter().flatten().copied().collect();
-            Tensor::from_vec([8, kernels::NR], flat).expect("tile shape matches")
-        },
-    ));
+    let panel: Vec<f32> = (0..kc * lanes).map(|i| noise(8, i)).collect();
+    // The same panel as two 8-lane strips.
+    let halves: [Vec<f32>; 2] = std::array::from_fn(|h| {
+        panel
+            .chunks_exact(lanes)
+            .flat_map(|step| &step[h * kernels::NR..][..kernels::NR])
+            .copied()
+            .collect()
+    });
+    let walk = kernels::Walk {
+        run: kc,
+        col: 1,
+        row: kc,
+    };
+    cases.push(
+        timed(
+            active,
+            "weight_tile",
+            format!("8x{lanes}xkc{kc} x{iters}"),
+            reps,
+            move || {
+                let mut acc = vec![0.0f32; 8 * lanes];
+                let idx: [usize; 8] = std::array::from_fn(|r| r);
+                for _ in 0..iters {
+                    if kernels::weight_lanes() == lanes {
+                        kernels::weight_tile(&mut acc, (&av, &idx), walk, &panel, (lanes, 1));
+                    } else {
+                        for (acc, half) in acc.chunks_exact_mut(8 * kernels::NR).zip(&halves) {
+                            let v = (kernels::NR, 1);
+                            kernels::weight_tile(acc, (&av, &idx), walk, half, v);
+                        }
+                    }
+                }
+                Tensor::from_vec([8, lanes], acc).expect("tile shape matches")
+            },
+        )
+        .with_macs(8 * lanes * kc * iters),
+    );
 
     // The demo network's full-resolution front end (3x3, stride 1,
     // pad 1): the stem's first two convolutions at 128², its third at
@@ -314,10 +343,13 @@ fn run_cases(quick: bool) -> Vec<Case> {
                 || input.clone(),
                 |x| conv2d_backward(x, &weight, &grad, spec).0,
             ));
-            cases.push(timed(active, "conv2d_weight_grads", shape, reps, || {
-                let mut grads = conv2d_weight_grads(&input, &weight, &grad, spec);
-                grads.swap_remove(0).0
-            }));
+            cases.push(
+                timed(active, "conv2d_weight_grads", shape, reps, || {
+                    let mut grads = conv2d_weight_grads(&input, &weight, &grad, spec);
+                    grads.swap_remove(0).0
+                })
+                .with_macs(macs),
+            );
         }
     }
 
@@ -517,6 +549,30 @@ fn run_cases(quick: bool) -> Vec<Case> {
             })
             .with_macs(macs),
         );
+    }
+    // The head's weight gradients in the lane layout, as a training
+    // step runs them: inception B's stride-2 3×3 over the backbone's 20
+    // channels and inception A's 1×1 over 15, on a step's 12 RoIs and
+    // on 40.
+    for n in [12, 40] {
+        for (c_in, hw, spec) in [(20, 7, ConvSpec::new(3, 2, 1)), (15, 4, ConvSpec::same(1))] {
+            let k = spec.kernel;
+            let oh = spec.out_size(hw);
+            let batch = filled(&[c_in, hw, hw, n], 9);
+            let weight = filled(&[5, c_in, k, k], 10);
+            let grad = filled(&[5, oh, oh, n], 11);
+            let shape = format!(
+                "{n} RoIs {c_in}x{hw}x{hw}->5 k{k}s{}p{}",
+                spec.stride, spec.padding
+            );
+            cases.push(
+                timed(active, "conv2d_weight_grads", shape, roi_reps, || {
+                    let mut grads = conv2d_weight_grads(&batch, &weight, &grad, spec);
+                    grads.swap_remove(0).0
+                })
+                .with_macs(n * 5 * c_in * k * k * oh * oh),
+            );
+        }
     }
     let fc = filled(&[48, 320], 12);
     let rows = filled(&[320, rois], 13);
@@ -735,7 +791,7 @@ mod tests {
     fn quick_cases_cover_every_kernel_family() {
         let cases = run_cases(true);
         let kernels: Vec<&str> = cases.iter().map(|c| c.kernel).collect();
-        assert!(kernels.contains(&"gemm_micro"));
+        assert!(kernels.contains(&"weight_tile"));
         assert!(kernels.contains(&"conv2d"));
         assert!(kernels.contains(&"conv2d_backward"));
         // Every weight-gradient row has its forward mirror.
@@ -746,10 +802,19 @@ mod tests {
                 .map(|c| c.shape.as_str())
                 .collect()
         };
-        let weight_grads = shapes("conv2d_weight_grads");
+        let (roi_grads, weight_grads): (Vec<&str>, Vec<&str>) = shapes("conv2d_weight_grads")
+            .into_iter()
+            .partition(|s| s.contains(" RoIs "));
         assert!(!weight_grads.is_empty());
         for s in &weight_grads {
             assert!(shapes("conv2d").contains(s), "{s}");
+        }
+        // The head's lane-layout weight gradients, on 12 and 40 RoIs.
+        for n in [12, 40] {
+            for s in ["20x7x7->5 k3s2p1", "15x4x4->5 k1s1p0"] {
+                let row = format!("{n} RoIs {s}");
+                assert!(roi_grads.contains(&row.as_str()), "{row}: {roi_grads:?}");
+            }
         }
         for family in ["fold", "leaky_relu_forward", "leaky_relu_backward"] {
             assert!(kernels.contains(&family), "{family}");
@@ -801,10 +866,13 @@ mod tests {
             assert!(roi_convs.contains(&s), "{s}: {roi_convs:?}");
         }
         assert_eq!(shapes("refine_head"), ["40 RoIs 20x8x8 demo"]);
-        // Convolution, fold and RoI convolution rows count their
-        // multiply-adds; the others do not.
+        // Weight tile, convolution, weight-gradient, fold and RoI
+        // convolution rows count their multiply-adds; the others do not.
         for c in &cases {
-            let counted = matches!(c.kernel, "conv2d" | "fold" | "roi_conv2d");
+            let counted = matches!(
+                c.kernel,
+                "weight_tile" | "conv2d" | "conv2d_weight_grads" | "fold" | "roi_conv2d"
+            );
             assert_eq!(c.macs.is_some(), counted, "{} {}", c.kernel, c.shape);
             if let Some(g) = c.gmacs() {
                 assert!(g.is_finite() && g > 0.0, "{} {}", c.kernel, c.shape);

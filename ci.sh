@@ -17,9 +17,9 @@
 # the script aborts and can never be masked by a later step.
 #
 # The bench gate is the one leg that trains: a quick deterministic
-# repro_table1 at --threads 2 that writes its bench record, ledger and
-# saved model to BENCH_GATE/ (uploaded by Actions). Every other check
-# reads those artifacts:
+# `repro table1 fig10` at --threads 2, run inside BENCH_GATE/ (uploaded
+# by Actions), so its bench record, Figure 10 results, ledger and saved
+# model all land there. Every other check reads those artifacts:
 #
 # - the differ self-checks (identical records pass, an injected 20%
 #   runtime regression fails), then diffs the record against the
@@ -34,6 +34,9 @@
 #   span tree, cache gauges and training dynamics (one layer table per
 #   trained network), and its HTML page holds the icicle and the
 #   learning curves;
+# - each network trains once per run: the report has one layer table
+#   for each of the six region networks and none for Figure 10's Full,
+#   whose rows equal Table 1's Ours rows;
 # - a copy of the model with one byte flipped fails to load with a
 #   typed checksum error; rhsd-serve writes the offline Case2 reference,
 #   serves the model on loopback, and `cargo xtask loadgen --quick`
@@ -131,6 +134,12 @@ require_all() {
     done
 }
 
+# Runs inside $gate, so fig10_results.json lands there too.
+bench_repro() {
+    (cd $gate && ../target/release/repro table1 fig10 --quick --threads 2 \
+        --bench-out BENCH_table1.json --ledger run.jsonl --save-model model.json)
+}
+
 bench_ledger_sanity() {
     head -n 1 $gate/run.jsonl | grep -q '"event":"run_start"' || {
         echo "ledger does not start with run_start" >&2
@@ -209,7 +218,7 @@ bench_report_renders() {
         'training dynamics' 'layer dynamics'
 }
 
-# One layer table per trained region network: the quick Table 1 trains
+# One layer table per trained region network of Table 1, which trains
 # three (Faster R-CNN, SSD and Ours), each with a `training` block in the
 # bench record, and the report labels each with its detector.
 bench_report_layer_table_per_network() {
@@ -220,6 +229,28 @@ bench_report_layer_table_per_network() {
         echo "report.txt has $tables layer table(s) for $nets trained network(s); want 3" >&2
         return 1
     }
+}
+
+# Figure 10 trains its three ablations and reuses Table 1's Ours as
+# Full: the report has exactly one layer table for each of the six
+# networks and none for Full, and Full's rows equal Ours' rows.
+bench_fig10_full_is_ours() {
+    python3 - $gate/report.txt $gate/BENCH_table1.json $gate/fig10_results.json <<'EOF'
+import json, re, sys
+report, table1, fig10 = sys.argv[1:]
+labels = re.findall(r"^  layer dynamics \((.+), epoch ", open(report).read(), re.M)
+want = ["Faster R-CNN", "SSD", "Ours", "w/o. ED", "w/o. L2", "w/o. Refine"]
+bad = [f"{l}: {labels.count(l)} layer table(s), want 1" for l in want if labels.count(l) != 1]
+bad += [f"{l}: a layer table of no trained network" for l in sorted(set(labels) - set(want))]
+ours = next(d for d in json.load(open(table1))["detectors"] if d["name"] == "Ours")
+full = dict(json.load(open(fig10)))["Full"]
+cells = lambda rows: [(r["case"], r["accuracy_pct"], r["false_alarms"]) for r in rows]
+if cells(full) != cells(ours["cases"] + [ours["average"]]):
+    bad.append(f"Full rows {cells(full)} differ from Ours rows")
+for b in bad:
+    print(b, file=sys.stderr)
+sys.exit(1 if bad else 0)
+EOF
 }
 
 bench_report_html() {
@@ -340,12 +371,10 @@ bench_gate() {
     rm -rf $gate
     mkdir -p $gate
 
-    run_step "bench gate: build repro_table1 + rhsd-serve" \
-        cargo build --release -p rhsd-bench -p rhsd-serve --bin repro_table1 --bin rhsd-serve
-    run_step "bench gate: quick repro_table1 (2 threads, model saved)" \
-        target/release/repro_table1 --quick --threads 2 \
-        --bench-out $gate/BENCH_table1.json --ledger $gate/run.jsonl \
-        --save-model $gate/model.json
+    run_step "bench gate: build repro + rhsd-serve" \
+        cargo build --release -p rhsd-bench -p rhsd-serve --bin repro --bin rhsd-serve
+    run_step "bench gate: quick repro table1 fig10 (2 threads, model saved)" \
+        bench_repro
     run_step "bench gate: ledger sanity" bench_ledger_sanity
     run_step "bench gate: differ self-check (identical records pass)" \
         cargo xtask bench-diff $gate/BENCH_table1.json $gate/BENCH_table1.json
@@ -368,6 +397,8 @@ bench_gate() {
         bench_report_renders
     run_step "bench gate: report has a layer table per trained network" \
         bench_report_layer_table_per_network
+    run_step "bench gate: Figure 10's Full is Table 1's Ours, trained once" \
+        bench_fig10_full_is_ours
     run_step "bench gate: report page carries the icicle and learning curves" \
         bench_report_html
 

@@ -1,31 +1,12 @@
-//! Shared command-line handling for the `repro_*` binaries.
+//! Command-line handling for the `repro` binary: the experiment names
+//! and flags that [`usage`] lists, and the run's lifecycle (ledger,
+//! artifacts, saved model).
 //!
-//! Every reproduction binary accepts the same flags:
-//!
-//! - `--quick` — reduced effort (fewer epochs, fewer cases/sizes);
-//! - `--ledger <path>` — write the JSONL run ledger there instead of the
-//!   default `LEDGER_<name>.jsonl` (the ledger is **on by default** for
-//!   every repro run; see `rhsd_obs::ledger`);
-//! - `--no-ledger` — disable the run ledger;
-//! - `--bench-out <path>` — where to write the machine-readable benchmark
-//!   record (used by `repro_table1`; default `BENCH_table1.json`);
-//! - `--save-model <path>` — save the run's trained model as a loadable
-//!   `rhsd-model/2` file (what `rhsd-serve --model` consumes);
-//! - `--threads <n>` — worker-thread count for the `rhsd-par` pool
-//!   (default: the `RHSD_THREADS` environment variable, else the
-//!   machine's available parallelism; results are bit-identical at any
-//!   value);
-//! - `--help` — print usage.
-//!
-//! The span tree of a run and its icicle chart are rendered from the
-//! ledger's `run_end` line: `cargo xtask report <ledger> [--html
-//! <out.html>]`.
-//!
-//! Unknown flags are rejected with a usage message instead of being
-//! silently ignored.
-//!
-//! On exit every binary prints the paths of all artifacts it wrote
-//! (bench record, figures, saved model, ledger) via
+//! Experiments always run in [`Experiment::ALL`]'s order, whatever order
+//! they are named in. Unknown flags, unknown or repeated experiment
+//! names, `--bench-out` without `table1` and `--save-model` with only
+//! `scaling` are usage errors rather than silently ignored. On exit the
+//! binary prints the path of every artifact it wrote via
 //! [`BenchArgs::finish_run`], so CI logs show where outputs went.
 //!
 //! Exit codes: `0` on success (and `--help`), `1` on a runtime failure
@@ -36,20 +17,60 @@
 #![expect(
     clippy::print_stdout,
     clippy::print_stderr,
-    reason = "the audited CLI surface shared by every repro binary"
+    reason = "the audited CLI surface of the repro binary"
 )]
 
 use std::path::PathBuf;
 
-use crate::pipeline::Effort;
+use crate::pipeline::{Effort, Run, OURS_SEED};
 
-/// Parsed options shared by every reproduction binary.
+/// The run ledger's path unless `--ledger` or `--no-ledger` is given.
+pub const DEFAULT_LEDGER: &str = "LEDGER_repro.jsonl";
+
+/// One experiment of the `repro` binary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Experiment {
+    /// Table 1: TCAD'18, Faster R-CNN, SSD and Ours on Case2/3/4.
+    Table1,
+    /// Figure 9: ground truth vs TCAD'18 vs Ours, drawn as SVGs.
+    Fig9,
+    /// Figure 10: the encoder–decoder / L2 / refinement ablation.
+    Fig10,
+    /// Evaluation-time ablations: h-NMS vs NMS, score-threshold sweep.
+    Ablations,
+    /// Region scan vs clip scan runtime over growing layout area.
+    Scaling,
+}
+
+impl Experiment {
+    /// Every experiment, in run order.
+    pub const ALL: [Experiment; 5] = [
+        Experiment::Table1,
+        Experiment::Fig9,
+        Experiment::Fig10,
+        Experiment::Ablations,
+        Experiment::Scaling,
+    ];
+
+    /// The experiment's command-line name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Experiment::Table1 => "table1",
+            Experiment::Fig9 => "fig9",
+            Experiment::Fig10 => "fig10",
+            Experiment::Ablations => "ablations",
+            Experiment::Scaling => "scaling",
+        }
+    }
+}
+
+/// Parsed command line of the `repro` binary.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchArgs {
     /// Run at reduced effort (`--quick`).
     pub quick: bool,
-    /// Run-ledger output path (`--ledger <path>`, or the per-binary
-    /// default unless `--no-ledger` was given).
+    /// Run-ledger output path (`--ledger <path>`, or [`DEFAULT_LEDGER`]
+    /// unless `--no-ledger` was given).
     pub ledger: Option<PathBuf>,
     /// The run ledger was explicitly disabled (`--no-ledger`).
     pub no_ledger: bool,
@@ -58,9 +79,12 @@ pub struct BenchArgs {
     /// Worker-thread count override (`--threads <n>`); `None` keeps the
     /// pool default (`RHSD_THREADS` or available parallelism).
     pub threads: Option<usize>,
-    /// Save the run's trained model there (`--save-model <path>`), so
+    /// Save the trained Ours network there (`--save-model <path>`), so
     /// `rhsd-serve` and users get weights without patching code.
     pub save_model: Option<PathBuf>,
+    /// The experiments named on the command line, in run order; empty
+    /// runs all of them (see [`BenchArgs::experiments`]).
+    experiments: Vec<Experiment>,
     /// Artifact paths written so far (printed by [`BenchArgs::finish_run`]).
     artifacts: Vec<PathBuf>,
 }
@@ -75,26 +99,28 @@ pub fn fail(context: &str, err: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// The default run-ledger path for a binary named `bin`
-/// (`repro_table1` → `LEDGER_table1.jsonl`).
-pub fn default_ledger_path(bin: &str) -> PathBuf {
-    let name = bin.strip_prefix("repro_").unwrap_or(bin);
-    PathBuf::from(format!("LEDGER_{name}.jsonl"))
-}
-
-/// Usage text for a binary named `bin`.
-pub fn usage(bin: &str) -> String {
+/// Usage text of the `repro` binary.
+pub fn usage() -> String {
     format!(
-        "usage: {bin} [--quick] [--ledger <path>] [--no-ledger]\n\
-         \x20           [--bench-out <path>] [--save-model <path>]\n\
-         \x20           [--threads <n>]\n\
+        "usage: repro [table1] [fig9] [fig10] [ablations] [scaling]\n\
+         \x20            [--quick] [--ledger <path>] [--no-ledger]\n\
+         \x20            [--bench-out <path>] [--save-model <path>]\n\
+         \x20            [--threads <n>]\n\
+         \n\
+         Runs the named experiments (all five when none is named), always\n\
+         in this order, training each network once:\n\
+         \x20 table1     Table 1: TCAD'18, Faster R-CNN, SSD and Ours on Case2/3/4\n\
+         \x20 fig9       Figure 9: truth vs TCAD'18 vs Ours (fig9_*.svg)\n\
+         \x20 fig10      Figure 10: w/o. ED, L2, Refine and Full (fig10_results.json)\n\
+         \x20 ablations  h-NMS vs NMS, score-threshold sweep (ablation_roc.json)\n\
+         \x20 scaling    region scan vs clip scan time as the layout grows\n\
          \n\
          --quick            reduced-effort run (seconds instead of minutes)\n\
-         --ledger <path>    write the JSONL run ledger there (default: {ledger})\n\
+         --ledger <path>    write the JSONL run ledger there (default: {DEFAULT_LEDGER})\n\
          --no-ledger        disable the run ledger\n\
-         --bench-out <path> machine-readable benchmark record (repro_table1;\n\
-         \x20                  default: BENCH_table1.json)\n\
-         --save-model <path> save the run's trained model as a loadable\n\
+         --bench-out <path> table1's machine-readable benchmark record\n\
+         \x20                  (default: BENCH_table1.json)\n\
+         --save-model <path> save the trained Ours network as a loadable\n\
          \x20                  rhsd-model/2 file (for `rhsd-serve --model`)\n\
          --threads <n>      rhsd-par worker threads (default: RHSD_THREADS or\n\
          \x20                  available parallelism; output is bit-identical\n\
@@ -103,33 +129,34 @@ pub fn usage(bin: &str) -> String {
          \n\
          span tree and icicle page:\n\
          \x20 cargo xtask report <ledger> [--html <out.html>]",
-        ledger = default_ledger_path(bin).display(),
     )
 }
 
 impl BenchArgs {
     /// Parses the process arguments; prints usage and exits on `--help`
-    /// or on an invalid flag. Applies the per-binary default ledger path
+    /// or on an invalid command line. Applies the default ledger path
     /// and enables observability when the run ledger is active.
-    pub fn parse(bin: &str) -> Self {
+    pub fn parse() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(Some(mut args)) => {
                 if args.ledger.is_none() && !args.no_ledger {
-                    args.ledger = Some(default_ledger_path(bin));
+                    args.ledger = Some(PathBuf::from(DEFAULT_LEDGER));
                 }
                 if let Some(n) = args.threads {
                     rhsd_par::set_threads(n);
                 }
-                args.init_obs();
+                if args.ledger.is_some() {
+                    rhsd_obs::set_enabled(true);
+                }
                 args
             }
             Ok(None) => {
-                println!("{}", usage(bin));
+                println!("{}", usage());
                 std::process::exit(0);
             }
             Err(msg) => {
                 eprintln!("error: {msg}");
-                eprintln!("{}", usage(bin));
+                eprintln!("{}", usage());
                 std::process::exit(2);
             }
         }
@@ -137,8 +164,7 @@ impl BenchArgs {
 
     /// Parses an explicit argument list. Returns `Ok(None)` when `--help`
     /// was requested, `Err` with a message on invalid input. (No default
-    /// ledger path is applied here — that needs the binary name; see
-    /// [`BenchArgs::parse`].)
+    /// ledger path is applied here; see [`BenchArgs::parse`].)
     pub fn parse_from<I, S>(args: I) -> Result<Option<Self>, String>
     where
         I: IntoIterator<Item = S>,
@@ -177,13 +203,42 @@ impl BenchArgs {
                 }
                 "--no-ledger" => out.no_ledger = true,
                 "--help" | "-h" => return Ok(None),
-                other => return Err(format!("unknown argument `{other}`")),
+                flag if flag.starts_with('-') => return Err(format!("unknown argument `{flag}`")),
+                name => {
+                    let Some(e) = Experiment::ALL.into_iter().find(|e| e.name() == name) else {
+                        let names = Experiment::ALL.map(Experiment::name).join(", ");
+                        return Err(format!(
+                            "unknown experiment `{name}` (the experiments are {names})"
+                        ));
+                    };
+                    if out.experiments.contains(&e) {
+                        return Err(format!("experiment `{name}` named more than once"));
+                    }
+                    out.experiments.push(e);
+                }
             }
         }
+        out.experiments.sort_unstable();
         if out.no_ledger && out.ledger.is_some() {
             return Err("--ledger and --no-ledger are mutually exclusive".into());
         }
+        if out.bench_out.is_some() && !out.experiments().contains(&Experiment::Table1) {
+            return Err("--bench-out is table1's record, and table1 does not run".into());
+        }
+        if out.save_model.is_some() && out.experiments() == [Experiment::Scaling] {
+            return Err("--save-model needs a trained network, and scaling trains none".into());
+        }
         Ok(Some(out))
+    }
+
+    /// The experiments to run, in run order: the named ones, or all of
+    /// them when none was named.
+    pub fn experiments(&self) -> &[Experiment] {
+        if self.experiments.is_empty() {
+            &Experiment::ALL
+        } else {
+            &self.experiments
+        }
     }
 
     /// The effort level the flags select.
@@ -195,28 +250,21 @@ impl BenchArgs {
         }
     }
 
-    /// Turns observability on when the run ledger is active.
-    pub fn init_obs(&self) {
-        if self.ledger.is_some() {
-            rhsd_obs::set_enabled(true);
-        }
-    }
-
     /// Opens the run ledger (when enabled) and writes its `run_start`
-    /// manifest: binary name, primary seed, config summary, effort, host,
-    /// crate version and worker-thread count. Call once, right after
-    /// parsing.
+    /// manifest: binary name, primary seed, the experiments, effort,
+    /// host, crate version and worker-thread count. Call once, right
+    /// after parsing.
     ///
     /// A ledger that cannot be opened is reported and disabled rather
     /// than failing the run.
-    pub fn start_run(&mut self, bin: &str, seed: u64, config: &str) {
+    pub fn start_run(&mut self) {
         let Some(path) = self.ledger.clone() else {
             return;
         };
         let manifest = rhsd_obs::ledger::Manifest {
-            bin: bin.to_owned(),
-            seed,
-            config: config.to_owned(),
+            bin: "repro".to_owned(),
+            seed: OURS_SEED,
+            config: format!("demo scale: {}", self.experiment_names()),
             effort: format!("{:?}", self.effort()),
             host: rhsd_obs::ledger::host_string(),
             version: env!("CARGO_PKG_VERSION").to_owned(),
@@ -227,6 +275,15 @@ impl BenchArgs {
             eprintln!("failed to open ledger {}: {e}", path.display());
             self.ledger = None;
         }
+    }
+
+    /// The experiments to run, by name, space-separated.
+    pub fn experiment_names(&self) -> String {
+        self.experiments()
+            .iter()
+            .map(|e| e.name())
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 
     /// Records an artifact path for the exit summary printed by
@@ -241,15 +298,15 @@ impl BenchArgs {
         self.artifacts.push(path);
     }
 
-    /// Saves the trained model when `--save-model` was given (a no-op
-    /// otherwise), noting the artifact. A model that cannot be written
-    /// fails the run via [`fail`] — a silently missing model would break
-    /// the serve flow the flag exists for.
-    pub fn save_model_if_requested(&mut self, detector: &rhsd_core::RegionDetector) {
+    /// Saves the run's Ours network when `--save-model` was given (a
+    /// no-op otherwise), noting the artifact. A model that cannot be
+    /// written fails the run via [`fail`] — a silently missing model would
+    /// break the serve flow the flag exists for.
+    pub fn save_model_if_requested(&mut self, run: &mut Run) {
         let Some(path) = self.save_model.clone() else {
             return;
         };
-        match rhsd_core::persist::save_to_path(detector.network(), &path) {
+        match rhsd_core::persist::save_to_path(run.ours().detector.network(), &path) {
             Ok(()) => {
                 eprintln!("saved trained model: {}", path.display());
                 self.note_artifact(path);
@@ -292,17 +349,11 @@ mod tests {
         .unwrap()
         .unwrap();
         assert!(args.quick);
+        let paths = [&args.ledger, &args.bench_out, &args.save_model];
+        let paths = paths.map(|p| p.as_deref().and_then(std::path::Path::to_str));
         assert_eq!(
-            args.ledger.as_deref(),
-            Some(std::path::Path::new("run.jsonl"))
-        );
-        assert_eq!(
-            args.bench_out.as_deref(),
-            Some(std::path::Path::new("b.json"))
-        );
-        assert_eq!(
-            args.save_model.as_deref(),
-            Some(std::path::Path::new("model.json"))
+            paths,
+            [Some("run.jsonl"), Some("b.json"), Some("model.json")]
         );
         assert_eq!(args.effort(), Effort::Quick);
     }
@@ -380,15 +431,38 @@ mod tests {
     }
 
     #[test]
-    fn default_ledger_path_strips_repro_prefix() {
+    fn experiments_default_to_all_and_run_in_fixed_order() {
+        let all = BenchArgs::parse_from(["--quick"]).unwrap().unwrap();
+        assert_eq!(all.experiments(), Experiment::ALL);
         assert_eq!(
-            default_ledger_path("repro_table1"),
-            PathBuf::from("LEDGER_table1.jsonl")
+            all.experiment_names(),
+            "table1 fig9 fig10 ablations scaling"
         );
-        assert_eq!(
-            default_ledger_path("other_bin"),
-            PathBuf::from("LEDGER_other_bin.jsonl")
-        );
+        let some = BenchArgs::parse_from(["scaling", "--quick", "fig10", "table1"]);
+        let some = some.unwrap().unwrap();
+        let want = [Experiment::Table1, Experiment::Fig10, Experiment::Scaling];
+        assert_eq!(some.experiments(), want);
+    }
+
+    #[test]
+    fn unknown_and_repeated_experiments_are_rejected() {
+        let err = BenchArgs::parse_from(["table2"]).unwrap_err();
+        assert!(err.contains("unknown experiment `table2`"), "{err}");
+        let err = BenchArgs::parse_from(["fig9", "table1", "fig9"]).unwrap_err();
+        assert!(err.contains("`fig9` named more than once"), "{err}");
+    }
+
+    #[test]
+    fn bench_out_needs_table1_and_save_model_a_trained_network() {
+        let err = BenchArgs::parse_from(["fig10", "--bench-out", "b.json"]).unwrap_err();
+        assert!(err.contains("--bench-out"), "{err}");
+        assert!(BenchArgs::parse_from(["fig10", "table1", "--bench-out", "b.json"]).is_ok());
+        let err = BenchArgs::parse_from(["scaling", "--save-model", "m.json"]).unwrap_err();
+        assert!(err.contains("--save-model"), "{err}");
+        for trains in ["table1", "fig9", "fig10", "ablations"] {
+            let args = BenchArgs::parse_from(["scaling", trains, "--save-model", "m.json"]);
+            assert!(args.is_ok(), "{trains}: {args:?}");
+        }
     }
 
     #[test]
@@ -398,8 +472,8 @@ mod tests {
     }
 
     #[test]
-    fn usage_names_every_flag() {
-        let u = usage("repro_table1");
+    fn usage_names_every_flag_and_experiment() {
+        let u = usage();
         for flag in [
             "--quick",
             "--ledger",
@@ -411,6 +485,12 @@ mod tests {
         ] {
             assert!(u.contains(flag), "usage missing {flag}");
         }
-        assert!(u.contains("LEDGER_table1.jsonl"), "{u}");
+        for experiment in Experiment::ALL {
+            assert!(
+                u.contains(experiment.name()),
+                "usage missing {experiment:?}"
+            );
+        }
+        assert!(u.contains(DEFAULT_LEDGER), "{u}");
     }
 }

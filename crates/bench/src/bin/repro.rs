@@ -1,0 +1,358 @@
+//! Regenerates the paper's evaluation: Table 1 (`BENCH_table1.json`,
+//! the input of `cargo xtask bench-diff`), Figure 9
+//! (`fig9_<case>_{truth,tcad18,ours}.svg`), Figure 10
+//! (`fig10_results.json`), the evaluation-time ablations — h-NMS vs
+//! conventional NMS and the score-threshold curve, on a copy of Ours
+//! (`ablation_roc.json`) — and the runtime scaling of the region scan
+//! against the clip scan.
+//!
+//! Usage: `cargo run -p rhsd-bench --release --bin repro -- [table1]
+//! [fig9] [fig10] [ablations] [scaling] [flags]` (flags:
+//! [`rhsd_bench::usage`]). The named experiments run, all five when none
+//! is named, always in that order. Each `(RhsdConfig, seed)` trains once
+//! per run: Figure 10's "Full" is Table 1's "Ours", which `fig9`,
+//! `ablations` and `--save-model` reuse. The run is deterministic (all
+//! seeds fixed); results go to stdout and the run ledger to
+//! `LEDGER_repro.jsonl` unless `--no-ledger` is given.
+
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary owns the terminal"
+)]
+
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use rhsd_baselines::{LayoutClip, Tcad18Config, Tcad18Detector};
+use rhsd_bench::args::{BenchArgs, Experiment};
+use rhsd_bench::pipeline::{
+    bench_json, evaluate_tcad18, row_json, run_fig10, run_table1, Run, OURS_SEED,
+};
+use rhsd_bench::table::{render_fig10, render_table1};
+use rhsd_bench::viz::{render_svg, viz_counts};
+use rhsd_core::roc::{
+    best_operating_point, default_thresholds, sweep_thresholds, RegionDetections,
+};
+use rhsd_core::{Evaluation, RegionDetector, RhsdConfig, RhsdNetwork};
+use rhsd_data::clips::scan_windows;
+use rhsd_data::{test_regions, RegionConfig};
+use rhsd_layout::synth::CaseId;
+use rhsd_layout::Rect;
+use rhsd_obs::json::number;
+use rhsd_obs::Stopwatch;
+
+/// Seed of the untrained scaling-study networks.
+const SCALING_SEED: u64 = 17;
+
+fn main() {
+    let mut args = BenchArgs::parse();
+    let effort = args.effort();
+    args.start_run();
+    eprintln!(
+        "repro: effort = {effort:?}{}; experiments: {}",
+        effort.hint(),
+        args.experiment_names()
+    );
+    let timer = Stopwatch::start();
+    let mut run = Run::new(effort);
+    for experiment in args.experiments().to_vec() {
+        eprintln!("{}…", experiment.name());
+        let timer = Stopwatch::start();
+        match experiment {
+            Experiment::Table1 => table1(&mut args, &mut run),
+            Experiment::Fig9 => fig9(&mut args, &mut run),
+            Experiment::Fig10 => fig10(&mut args, &mut run),
+            Experiment::Ablations => ablations(&mut args, &mut run),
+            Experiment::Scaling => scaling(&args, &run),
+        }
+        eprintln!("{}: {:.1}s", experiment.name(), timer.secs());
+    }
+    args.save_model_if_requested(&mut run);
+    eprintln!("total wall clock: {:.1}s", timer.secs());
+    args.finish_run("ok");
+}
+
+/// Table 1 and its headline deltas; writes the bench record.
+fn table1(args: &mut BenchArgs, run: &mut Run) {
+    let reports = run_table1(run);
+
+    println!("\nTable 1: Comparison with State-of-the-art (synthetic reproduction)\n");
+    println!("{}", render_table1(&reports));
+
+    // headline claims relative to TCAD'18 (paper: +6.14% accuracy, 45×
+    // speedup, ~200 fewer false alarms)
+    if let (Some(base), Some(ours)) = (
+        reports.iter().find(|r| r.name == "TCAD'18"),
+        reports.iter().find(|r| r.name == "Ours"),
+    ) {
+        let b = base.average();
+        let o = ours.average();
+        println!("Headline vs TCAD'18:");
+        println!(
+            "  accuracy: {:+.2}% (paper: +6.14%)",
+            o.accuracy_pct - b.accuracy_pct
+        );
+        println!(
+            "  false alarms: {:+} (paper: ≈ −190)",
+            o.false_alarms as i64 - b.false_alarms as i64
+        );
+        if o.seconds > 0.0 {
+            println!(
+                "  speedup: {:.1}× (paper: ≈ 42× on GPU hardware)",
+                b.seconds / o.seconds
+            );
+        }
+    }
+
+    let bench_out = args
+        .bench_out
+        .clone()
+        .unwrap_or_else(|| "BENCH_table1.json".into());
+    let record = bench_json("repro", args.quick, OURS_SEED, &reports);
+    std::fs::write(&bench_out, record)
+        .unwrap_or_else(|e| rhsd_bench::fail("write bench record", e));
+    args.note_artifact(bench_out);
+}
+
+/// Figure 9: truth, TCAD'18 and Ours SVGs of one test region per case.
+fn fig9(args: &mut BenchArgs, run: &mut Run) {
+    let region = RegionConfig::demo();
+    let ours = run.ours();
+    let tcad = run.tcad18();
+    for bench in &run.benches {
+        // pick the test region with the most ground-truth hotspots
+        let regions = test_regions(bench, &region);
+        let Some(best) = regions.iter().max_by_key(|r| r.gt_clips.len()) else {
+            continue;
+        };
+        let window = best.window;
+        let hotspots = bench.hotspots_in(&window);
+
+        // ground truth: draw GT clips as perfect detections
+        let truth: Vec<LayoutClip> = hotspots
+            .iter()
+            .map(|p| LayoutClip {
+                clip: Rect::centered(p.x, p.y, region.clip_nm(), region.clip_nm()),
+                score: 1.0,
+            })
+            .collect();
+
+        // ours: region detection mapped to nm
+        let (dets, _) = ours.detector.detect_region(best);
+        let ours_clips: Vec<LayoutClip> = dets
+            .iter()
+            .map(|d| LayoutClip {
+                clip: d.bbox.to_rect(&best.spec),
+                score: d.score,
+            })
+            .collect();
+
+        // TCAD'18: scan restricted to this window
+        let (_, all_marked) = evaluate_tcad18(&tcad, bench);
+        let tcad_clips: Vec<LayoutClip> = all_marked
+            .iter()
+            .filter(|c| window.intersects(&c.clip))
+            .copied()
+            .collect();
+
+        let px_per_nm = 0.4;
+        for (tag, clips) in [
+            ("truth", &truth),
+            ("tcad18", &tcad_clips),
+            ("ours", &ours_clips),
+        ] {
+            let svg = render_svg(&bench.layout, &window, clips, &hotspots, px_per_nm);
+            let name = format!("fig9_{}_{tag}.svg", bench.id.name().to_lowercase());
+            std::fs::write(&name, svg).unwrap_or_else(|e| rhsd_bench::fail(&name, e));
+            args.note_artifact(&name);
+            let c = viz_counts(clips, &hotspots);
+            println!(
+                "{name}: detected {}, missed {}, false alarms {}",
+                c.detected, c.missed, c.false_alarms
+            );
+        }
+    }
+}
+
+/// Figure 10 and the paper's stated deltas; writes `fig10_results.json`.
+fn fig10(args: &mut BenchArgs, run: &mut Run) {
+    let reports = run_fig10(run);
+
+    println!("\nFigure 10: ablation of ED / L2 / Refinement (synthetic reproduction)\n");
+    println!("{}", render_fig10(&reports));
+
+    // paper's stated deltas: ED +7% accuracy, L2 +2.2%, Refine −59.2% FA
+    // and +5.88% accuracy
+    let get = |name: &str| reports.iter().find(|r| r.name == name);
+    if let (Some(full), Some(ed), Some(l2), Some(refine)) = (
+        get("Full"),
+        get("w/o. ED"),
+        get("w/o. L2"),
+        get("w/o. Refine"),
+    ) {
+        let f = full.average();
+        println!("Deltas of the full model vs each ablation:");
+        println!(
+            "  ED contributes  {:+.2}% accuracy (paper: +7%)",
+            f.accuracy_pct - ed.average().accuracy_pct
+        );
+        println!(
+            "  L2 contributes  {:+.2}% accuracy (paper: +2.2%)",
+            f.accuracy_pct - l2.average().accuracy_pct
+        );
+        let r = refine.average();
+        println!(
+            "  Refinement: {:+.2}% accuracy (paper: +5.88%), {:.1}% FA reduction (paper: −59.2%)",
+            f.accuracy_pct - r.accuracy_pct,
+            if r.false_alarms > 0 {
+                100.0 * (1.0 - f.false_alarms as f64 / r.false_alarms as f64)
+            } else {
+                0.0
+            }
+        );
+    }
+
+    // One `[name, rows]` pair per variant.
+    let variants: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            let rows: Vec<String> = r.rows.iter().map(row_json).collect();
+            format!(
+                "[\"{}\", [\n    {}\n  ]]",
+                rhsd_obs::json::escape(&r.name),
+                rows.join(",\n    ")
+            )
+        })
+        .collect();
+    let pretty = format!("[\n  {}\n]\n", variants.join(",\n  "));
+    std::fs::write("fig10_results.json", pretty)
+        .unwrap_or_else(|e| rhsd_bench::fail("write fig10_results.json", e));
+    args.note_artifact("fig10_results.json");
+}
+
+/// Evaluation-time studies on the Ours weights: h-NMS vs conventional
+/// NMS (the Algorithm 1 / Fig. 5 design choice), and a LithoROC-style
+/// score-threshold sweep; writes `ablation_roc.json`.
+fn ablations(args: &mut BenchArgs, run: &mut Run) {
+    let region = RegionConfig::demo();
+    // A copy: the suppression and threshold changes below must not reach
+    // the run's shared Ours detector.
+    let mut det = RegionDetector::new(run.ours().detector.network().clone(), region);
+
+    // --- 1. h-NMS vs conventional NMS at evaluation time.
+    println!("\n== h-NMS (Algorithm 1) vs conventional NMS, same weights ==");
+    println!("{:>16} {:>12} {:>8}", "suppression", "accuracy(%)", "FA");
+    for (label, use_hnms) in [("hotspot NMS", true), ("conventional", false)] {
+        det.network_mut().set_use_hnms(use_hnms);
+        let mut total = Evaluation::default();
+        for b in &run.benches {
+            total.merge(&det.scan_test_half(b).evaluation);
+        }
+        println!(
+            "{:>16} {:>12.2} {:>8}",
+            label,
+            100.0 * total.accuracy(),
+            total.false_alarms
+        );
+    }
+    det.network_mut().set_use_hnms(true);
+
+    // --- 2. Threshold sweep (operating curve).
+    println!("\n== Operating curve (score-threshold sweep over all cases) ==");
+    // collect raw detections at a permissive threshold
+    det.network_mut().set_score_threshold(0.05);
+    let mut raw: Vec<RegionDetections> = Vec::new();
+    for b in &run.benches {
+        for r in test_regions(b, &region) {
+            let (dets, _) = det.detect_region(&r);
+            raw.push((dets, r.gt_centers.clone()));
+        }
+    }
+    let points = sweep_thresholds(&raw, &default_thresholds());
+    println!("{:>10} {:>12} {:>8}", "threshold", "accuracy(%)", "FA");
+    for p in points.iter().step_by(2) {
+        println!(
+            "{:>10.2} {:>12.2} {:>8}",
+            p.threshold,
+            100.0 * p.accuracy,
+            p.false_alarms
+        );
+    }
+    if let Some(best) = best_operating_point(&points) {
+        println!(
+            "\nbest operating point: threshold {:.2} → {:.2}% accuracy, {} FA",
+            best.threshold,
+            100.0 * best.accuracy,
+            best.false_alarms
+        );
+    }
+
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"threshold\": {}, \"accuracy\": {}, \"false_alarms\": {}}}",
+                number(f64::from(p.threshold)),
+                number(p.accuracy),
+                p.false_alarms
+            )
+        })
+        .collect();
+    let json = format!("[\n  {}\n]\n", rows.join(",\n  "));
+    std::fs::write("ablation_roc.json", json)
+        .unwrap_or_else(|e| rhsd_bench::fail("write ablation_roc.json", e));
+    args.note_artifact("ablation_roc.json");
+}
+
+/// Runtime scaling on Case3: wall clock of the region scan vs the
+/// overlapping clip scan as the scanned area grows — the mechanism
+/// behind Table 1's speedup (the clip flow re-examines every location
+/// ~9× through overlapping cores and pays a per-clip feature-extraction
+/// overhead on top). The networks are untrained: only time is measured.
+fn scaling(args: &BenchArgs, run: &Run) {
+    let Some(bench) = run.benches.iter().find(|b| b.id == CaseId::Case3) else {
+        rhsd_bench::fail("scaling", "the run has no Case3 benchmark")
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(SCALING_SEED);
+    let net = RhsdNetwork::new(RhsdConfig::demo(), &mut rng);
+    let ours = RegionDetector::new(net, RegionConfig::demo());
+    let tcad = Tcad18Detector::new(Tcad18Config::demo(), &mut rng);
+
+    let sides: &[i64] = if args.quick {
+        &[1280, 2560]
+    } else {
+        &[1280, 2560, 3840]
+    };
+
+    println!(
+        "{:>10} {:>9} {:>12} {:>9} {:>12} {:>9}",
+        "area(µm²)", "regions", "region(s)", "clips", "clip(s)", "speedup"
+    );
+    for &side in sides {
+        let origin = bench.layout.extent();
+        let extent = Rect::new(origin.x0, origin.y0, origin.x0 + side, origin.y0 + side);
+        let timer = Stopwatch::start();
+        let r = ours.scan(bench, &extent);
+        let t_region = timer.secs();
+
+        let clips = scan_windows(&extent, tcad.config().clip_px).len();
+        let timer = Stopwatch::start();
+        let _ = tcad.scan(bench, &extent);
+        let t_clip = timer.secs();
+
+        println!(
+            "{:>10.1} {:>9} {:>12.3} {:>9} {:>12.3} {:>8.1}×",
+            (side as f64 / 1000.0).powi(2),
+            r.regions,
+            t_region,
+            clips,
+            t_clip,
+            t_clip / t_region.max(1e-9),
+        );
+    }
+    println!(
+        "\nThe clip count grows ~9× faster than the region count (stride =\n\
+         core = clip/3), so the gap widens with area — the paper's speedup\n\
+         mechanism, reproduced without its GPU batching."
+    );
+}

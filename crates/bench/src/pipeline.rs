@@ -1,8 +1,9 @@
 //! The shared reproduction pipeline: build benchmarks, train every
-//! detector, evaluate with timing — the machinery behind the Table 1 and
-//! Figure 10 binaries.
+//! detector, evaluate with timing — the machinery behind the `repro`
+//! binary's experiments. A [`Run`] holds one run's benchmarks, training
+//! regions and trained detectors, so each network trains once per run.
 
-use std::path::Path;
+use std::rc::Rc;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -149,7 +150,7 @@ impl TrainingSummary {
 /// Trains one region-based network (ours or an ablation/generic config),
 /// returning the detector plus the training-dynamics summary for the
 /// bench record (`None` when no epochs ran). Its ledger `epoch` events
-/// carry no detector name: [`train_detector`] names them.
+/// carry no detector name: [`Run::network`] names them.
 pub fn train_region_network(
     config: RhsdConfig,
     samples: &[RegionSample],
@@ -162,7 +163,7 @@ pub fn train_region_network(
 /// [`train_region_network`], with every ledger `epoch` event naming the
 /// trained detector `detector`, so a report of a ledger that trains
 /// several labels each run with its detector.
-pub fn train_detector(
+fn train_detector(
     detector: &str,
     config: RhsdConfig,
     samples: &[RegionSample],
@@ -190,13 +191,6 @@ pub fn train_detector(
 /// The demo-scale "ours" configuration (full techniques).
 pub fn ours_config() -> RhsdConfig {
     RhsdConfig::demo()
-}
-
-/// Evaluates a region detector on a case's test half, timing the scan.
-pub fn evaluate_region_detector(det: &RegionDetector, bench: &Benchmark) -> CaseResult {
-    let timer = rhsd_obs::Stopwatch::start();
-    let result = det.scan_test_half(bench);
-    CaseResult::new(bench.id.name(), &result.evaluation, timer.secs())
 }
 
 /// Trains the TCAD'18-style clip detector on the merged training halves.
@@ -319,29 +313,16 @@ pub fn row_json(r: &CaseResult) -> String {
 }
 
 /// Serialises detector reports as the machine-readable benchmark record
-/// tracked across revisions (`BENCH_table1.json`, schema
-/// `rhsd-bench-table/8`): the run's primary seed, the worker-thread count
-/// of the `rhsd-par` pool (runtimes are only comparable like-for-like;
-/// accuracy rows are thread-count invariant), the tensor-workspace
-/// counters (allocations, reused bytes, high-water residency — new in
-/// `/4`), a `caches` block of hit/miss/eviction/byte gauges for the
-/// offline run's caches (`cache.*` counter families — new in `/5`; zero
-/// when observability was disabled), `stage_secs`, per detector the
-/// per-case accuracy / false-alarm / runtime rows plus the average, and
-/// — new in `/6` — an optional per-detector `training` block
-/// (final-epoch loss/gradient/entropy stats plus sentinel-trip tags)
-/// summarising the training dynamics behind the rows. New in `/7`: the
-/// top-level `isa` string (the SIMD instruction set the kernel
-/// dispatcher selected, e.g. `avx2` — hardware-dependent like
-/// `threads`). Older `/7` records also carry a `precision` string, which
-/// `bench-diff` accepts only as `"f32"`. New in `/8`: `stage_secs` is
-/// keyed by full span path (`tcad18-scan;raster`), each value the path's
-/// inclusive seconds from the span tree — before, it summed spans by
-/// their last name and mixed in the `eval.*`/`scaling.*` stopwatch
-/// series — and `caches` drops `region_tile` and `stem_feature`, which
-/// only `rhsd-serve` fills. Readers treat the newer blocks as optional
-/// so `/2`–`/7` records still parse.
-/// This is the record `cargo xtask bench-diff` compares across commits.
+/// that `cargo xtask bench-diff` compares across commits
+/// (`BENCH_table1.json`, schema `rhsd-bench-table/8`): the run's primary
+/// seed; the `rhsd-par` thread count and the dispatched SIMD `isa`
+/// (machine properties: runtimes compare only like-for-like, accuracy
+/// rows are invariant); the tensor-workspace counters; the gauges of the
+/// offline run's two caches (`cache.*` counters, zero when observability
+/// was off); `stage_secs`, the inclusive seconds of every span path; and
+/// per detector its per-case and average accuracy, false-alarm and
+/// runtime rows, with an optional `training` block of final-epoch
+/// dynamics and sentinel-trip tags.
 pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorReport]) -> String {
     use rhsd_obs::json::{escape, number};
     // `escape` yields string *contents*; `quoted` adds the delimiters.
@@ -456,89 +437,132 @@ pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorRepor
     o
 }
 
-/// Writes [`bench_json`] to `path`.
-pub fn write_bench_json(
-    path: impl AsRef<Path>,
-    source: &str,
-    quick: bool,
-    seed: u64,
-    reports: &[DetectorReport],
-) -> std::io::Result<()> {
-    std::fs::write(path, bench_json(source, quick, seed, reports))
+/// A region network trained once for a [`Run`], with its training
+/// summary.
+pub struct TrainedNetwork {
+    /// The trained detector.
+    pub detector: RegionDetector,
+    /// Its training-dynamics summary (`None` when no epochs ran).
+    training: Option<TrainingSummary>,
+}
+
+/// One reproduction run's shared state: the evaluated benchmark cases,
+/// their merged training regions and every detector trained so far. A
+/// region network trains once per `(RhsdConfig, seed)` and TCAD'18 once,
+/// however many experiments ask for them.
+pub struct Run {
+    effort: Effort,
+    /// The three evaluated benchmark cases (demo scale).
+    pub benches: Vec<Benchmark>,
+    samples: Vec<RegionSample>,
+    /// The region networks trained so far, keyed by config and seed.
+    networks: Vec<(RhsdConfig, u64, Rc<TrainedNetwork>)>,
+    tcad18: Option<Rc<Tcad18Detector>>,
+}
+
+impl Run {
+    /// Builds the benchmarks and their merged training regions
+    /// (augmented at full effort). Trains nothing yet.
+    pub fn new(effort: Effort) -> Self {
+        let benches = build_benchmarks();
+        let samples = merged_train_regions(&benches, &RegionConfig::demo(), effort == Effort::Full);
+        Run {
+            effort,
+            benches,
+            samples,
+            networks: Vec::new(),
+            tcad18: None,
+        }
+    }
+
+    /// The network trained on `config` from `seed`, trained on the first
+    /// request, whose `label` names its ledger `epoch` events.
+    pub fn network(&mut self, label: &str, config: RhsdConfig, seed: u64) -> Rc<TrainedNetwork> {
+        let known = self
+            .networks
+            .iter()
+            .find(|(c, s, _)| *c == config && *s == seed);
+        if let Some((_, _, net)) = known {
+            return Rc::clone(net);
+        }
+        let (detector, training) =
+            train_detector(label, config.clone(), &self.samples, self.effort, seed);
+        let net = Rc::new(TrainedNetwork { detector, training });
+        self.networks.push((config, seed, Rc::clone(&net)));
+        net
+    }
+
+    /// The Ours network: [`ours_config`] from [`OURS_SEED`].
+    pub fn ours(&mut self) -> Rc<TrainedNetwork> {
+        self.network("Ours", ours_config(), OURS_SEED)
+    }
+
+    /// The TCAD'18 clip detector, trained on the first request.
+    pub fn tcad18(&mut self) -> Rc<Tcad18Detector> {
+        let (benches, effort) = (&self.benches, self.effort);
+        Rc::clone(
+            self.tcad18
+                .get_or_insert_with(|| Rc::new(train_tcad18(benches, effort))),
+        )
+    }
+
+    /// A region network's report named `name`: per-case rows of a timed
+    /// scan of every test half, plus its training summary.
+    fn report(&mut self, name: &str, config: RhsdConfig, seed: u64) -> DetectorReport {
+        let net = self.network(name, config, seed);
+        let rows = self
+            .benches
+            .iter()
+            .map(|b| {
+                let timer = rhsd_obs::Stopwatch::start();
+                let result = net.detector.scan_test_half(b);
+                CaseResult::new(b.id.name(), &result.evaluation, timer.secs())
+            })
+            .collect();
+        DetectorReport::new(name, rows).with_training(net.training.clone())
+    }
 }
 
 /// Runs the full Table 1 comparison: TCAD'18, Faster R-CNN, SSD, Ours.
-/// Also returns the trained "Ours" detector so callers can persist it
-/// (`--save-model`) for the serving flow.
-pub fn run_table1(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
-    let benches = build_benchmarks();
-    let region = RegionConfig::demo();
-    let augment = effort == Effort::Full;
-    let samples = merged_train_regions(&benches, &region, augment);
-
-    let mut reports = Vec::new();
-
-    // TCAD'18 clip-based baseline.
-    let tcad = train_tcad18(&benches, effort);
-    let rows = benches
+pub fn run_table1(run: &mut Run) -> Vec<DetectorReport> {
+    let tcad = run.tcad18();
+    let rows = run
+        .benches
         .iter()
         .map(|b| evaluate_tcad18(&tcad, b).0)
         .collect();
-    reports.push(DetectorReport::new("TCAD'18", rows));
-
-    // Faster R-CNN-style, SSD-style, then ours.
-    let networks = [
+    let mut reports = vec![DetectorReport::new("TCAD'18", rows)];
+    let region = RegionConfig::demo();
+    for (name, config, seed) in [
         ("Faster R-CNN", faster_rcnn_config(&region), 101),
         ("SSD", ssd_config(&region), 102),
         ("Ours", ours_config(), OURS_SEED),
-    ];
-    let [_, _, ours] = networks.map(|(name, config, seed)| {
-        let (det, training) = train_detector(name, config, &samples, effort, seed);
-        let rows = benches
-            .iter()
-            .map(|b| evaluate_region_detector(&det, b))
-            .collect();
-        reports.push(DetectorReport::new(name, rows).with_training(training));
-        det
-    });
-    (reports, ours)
+    ] {
+        reports.push(run.report(name, config, seed));
+    }
+    reports
 }
 
 /// An in-place edit of an [`RhsdConfig`] naming one ablation variant.
 type ConfigTweak = fn(&mut RhsdConfig);
 
-/// Runs the Figure 10 ablation: w/o ED, w/o L2, w/o Refine, Full.
-/// Also returns the trained "Full" detector for `--save-model`.
-pub fn run_fig10(effort: Effort) -> (Vec<DetectorReport>, RegionDetector) {
-    let benches = build_benchmarks();
-    let region = RegionConfig::demo();
-    let augment = effort == Effort::Full;
-    let samples = merged_train_regions(&benches, &region, augment);
-
+/// Runs the Figure 10 ablation: w/o ED, w/o L2, w/o Refine, Full. Full
+/// is the Ours configuration, so a run that has trained Ours reuses it.
+pub fn run_fig10(run: &mut Run) -> Vec<DetectorReport> {
     let variants: [(&str, ConfigTweak); 4] = [
         ("w/o. ED", |c| c.use_encoder_decoder = false),
         ("w/o. L2", |c| c.use_l2 = false),
         ("w/o. Refine", |c| c.use_refinement = false),
         ("Full", |_| {}),
     ];
-
-    let mut reports = Vec::new();
-    let mut full: Option<RegionDetector> = None;
-    for (name, tweak) in &variants {
-        let mut cfg = ours_config();
-        tweak(&mut cfg);
-        let (det, training) = train_detector(name, cfg, &samples, effort, OURS_SEED);
-        let rows = benches
-            .iter()
-            .map(|b| evaluate_region_detector(&det, b))
-            .collect();
-        reports.push(DetectorReport::new(*name, rows).with_training(training));
-        if *name == "Full" {
-            full = Some(det);
-        }
-    }
-    let full = full.unwrap_or_else(|| unreachable!("variant list always contains Full"));
-    (reports, full)
+    variants
+        .iter()
+        .map(|(name, tweak)| {
+            let mut cfg = ours_config();
+            tweak(&mut cfg);
+            run.report(name, cfg, OURS_SEED)
+        })
+        .collect()
 }
 
 #[cfg(test)]

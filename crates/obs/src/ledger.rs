@@ -35,7 +35,7 @@ use crate::WallClock;
 /// line, so even a crashed run records what it was.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Manifest {
-    /// Binary or harness name (`"repro_table1"`).
+    /// Binary or harness name (`"repro"`).
     pub bin: String,
     /// Primary RNG seed of the run.
     pub seed: u64,

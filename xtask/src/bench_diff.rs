@@ -1,7 +1,7 @@
 //! `cargo xtask bench-diff`: the benchmark regression gate.
 //!
 //! Compares two machine-readable benchmark records (the
-//! `BENCH_table1.json` files written by `repro_table1 --bench-out`,
+//! `BENCH_table1.json` files written by `repro table1 --bench-out`,
 //! schema `rhsd-bench-table/8`; any other table schema is refused, exit
 //! 2; the gate reads only the detector rows, `threads` and `isa`) and
 //! fails when the current run regresses past the tolerances:
@@ -59,7 +59,7 @@ use std::process::ExitCode;
 
 use rhsd_obs::json::{parse, Value};
 
-/// The one table-record schema the gate reads (what `repro_table1
+/// The one table-record schema the gate reads (what `repro table1
 /// --bench-out` writes).
 const TABLE_SCHEMA: &str = "rhsd-bench-table/8";
 
@@ -334,7 +334,7 @@ fn schema_kind(text: &str, label: &str) -> Result<SchemaKind, String> {
     } else if schema.starts_with("rhsd-bench-table/") {
         Err(format!(
             "{label}: table schema `{schema}` is not read; rerun \
-             `repro_table1 --bench-out` for a `{TABLE_SCHEMA}` record"
+             `repro table1 --bench-out` for a `{TABLE_SCHEMA}` record"
         ))
     } else if schema.starts_with("rhsd-serve-bench/") {
         Ok(SchemaKind::Serve)
@@ -673,7 +673,7 @@ mod tests {
         format!(
             r#"{{
   "schema": "rhsd-bench-table/8",
-  "source": "repro_table1",
+  "source": "repro",
   "quick": true,
   "seed": 103,
   "threads": {threads},

@@ -61,7 +61,7 @@ tasks:
 
   bench-diff <baseline.json> <current.json> [options]
       Compare two benchmark records — Table-1 records written by
-      `repro_table1 --bench-out`, or serve-throughput records written by
+      `repro table1` (`--bench-out`), or serve-throughput records written by
       `xtask loadgen` — and fail on regression past tolerance.
       --max-runtime-regress <pct>  runtime growth tolerance (default 10)
       --max-accuracy-drop <pt>     accuracy drop tolerance (default 0.5)

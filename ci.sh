@@ -42,8 +42,10 @@
 #   serves the model on loopback, and `cargo xtask loadgen --quick`
 #   byte-compares every served reply against that reference and shuts
 #   the server down; the server exits 0, its ledger closes with run_end
-#   and serve_stats, the rhsd-serve-bench/1 record is sane, and the
-#   differ accepts it and flags an injected throughput regression.
+#   and serve_stats, the rhsd-serve-bench/1 record is sane (its tile hit
+#   rate is exactly 100 * 5/6: the six Case2 scans build each tile
+#   once), and the differ accepts it and flags an injected throughput
+#   regression.
 #
 # The baseline is tied to the locked dependency set — after a
 # legitimate accuracy change, refresh it with:
@@ -338,6 +340,10 @@ if not rec.get("isa"):
 for key in ("tile_hit_rate", "stem_hit_rate"):
     if rec[key] <= 0:
         fail(f"{key} must be positive, got {rec[key]}")
+# Each tile is built once: one of the six scans builds the Case2 test
+# entry and the other five, waiting on that build or finding it, hit.
+if abs(rec["tile_hit_rate"] - 100 * 5 / 6) > 1e-9:
+    fail(f"tile_hit_rate must be 100 * 5/6 (each tile built once), got {rec['tile_hit_rate']}")
 EOF
 }
 

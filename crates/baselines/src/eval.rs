@@ -2,6 +2,7 @@
 //! reduces to a set of scored clips in layout coordinates, scored with the
 //! paper's Def. 1/2 metrics.
 
+use rhsd_core::metrics::match_greedy;
 use rhsd_core::Evaluation;
 use rhsd_layout::{Point, Rect};
 use rhsd_tensor::ops::reduce;
@@ -15,37 +16,19 @@ pub struct LayoutClip {
     pub score: f32,
 }
 
-/// Scores layout-space detections against ground-truth hotspot locations.
-///
-/// Mirrors [`rhsd_core::evaluate_region`] in nm space: detections are
-/// matched greedily in descending score order; a detection whose clip
-/// **core** contains an unmatched hotspot is a true positive, every other
-/// detection is a false alarm (Def. 1 and Def. 2).
+/// Scores layout-space detections against ground-truth hotspot locations
+/// (nm), by the same Def. 1/Def. 2 matcher as [`rhsd_core::evaluate_region`]:
+/// [`rhsd_core::metrics::match_greedy`] over each clip's **core**.
 pub fn evaluate_layout(detections: &[LayoutClip], hotspots: &[Point]) -> Evaluation {
-    let mut order: Vec<usize> = (0..detections.len()).collect();
-    order.sort_by(|&a, &b| detections[b].score.total_cmp(&detections[a].score));
-    let mut matched = vec![false; hotspots.len()];
-    let mut tp = 0;
-    let mut fa = 0;
-    for &di in &order {
-        let core = detections[di].clip.core();
-        match hotspots
-            .iter()
-            .enumerate()
-            .find(|(hi, h)| !matched[*hi] && core.contains(**h))
-        {
-            Some((hi, _)) => {
-                matched[hi] = true;
-                tp += 1;
-            }
-            None => fa += 1,
-        }
-    }
-    Evaluation {
-        ground_truth: hotspots.len(),
-        true_positives: tp,
-        false_alarms: fa,
-    }
+    match_greedy(
+        detections,
+        hotspots,
+        |d| d.score,
+        |d| {
+            let core = d.clip.core();
+            move |h: &Point| core.contains(*h)
+        },
+    )
 }
 
 /// One row of a Table-1-style report.

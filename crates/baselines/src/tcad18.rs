@@ -160,6 +160,12 @@ impl Tcad18Detector {
         let mut losses = Vec::new();
         let total = self.config.epochs + self.config.biased_epochs;
         let mut order: Vec<usize> = (0..clips.len()).collect();
+        // The DCT features are a pure function of the raster, so each
+        // clip's are computed once rather than once per epoch.
+        let features: Vec<Tensor> = clips
+            .iter()
+            .map(|(image, _)| self.features(image))
+            .collect();
         for epoch in 0..total {
             if clips.is_empty() {
                 break;
@@ -168,15 +174,15 @@ impl Tcad18Detector {
             order.shuffle(&mut rng);
             let mut sum = 0.0f32;
             for &ci in &order {
-                let (image, is_hotspot) = &clips[ci];
-                let target = if *is_hotspot { 0usize } else { 1usize };
-                let weight = if biased && *is_hotspot {
+                let is_hotspot = clips[ci].1;
+                let target = if is_hotspot { 0usize } else { 1usize };
+                let weight = if biased && is_hotspot {
                     self.config.bias_weight
                 } else {
                     1.0
                 };
                 let mut tape = Tape::recording();
-                let logits = self.net.forward(self.features(image), &mut tape);
+                let logits = self.net.forward(features[ci].clone(), &mut tape);
                 let rows = logits.with_shape([1, 2]);
                 let (loss, grad) = cross_entropy_rows(&rows, &[target], &[weight]);
                 sum += loss;

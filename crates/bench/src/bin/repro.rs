@@ -11,7 +11,9 @@
 //! [`rhsd_bench::usage`]). The named experiments run, all five when none
 //! is named, always in that order. Each `(RhsdConfig, seed)` trains once
 //! per run: Figure 10's "Full" is Table 1's "Ours", which `fig9`,
-//! `ablations` and `--save-model` reuse. The run is deterministic (all
+//! `ablations` and `--save-model` reuse. Each detector scans each test
+//! half once: Figure 10's "Full" rows are Ours' rows, and `fig9` crops
+//! TCAD'18's marks from its Table 1 scans. The run is deterministic (all
 //! seeds fixed); results go to stdout and the run ledger to
 //! `LEDGER_repro.jsonl` unless `--no-ledger` is given.
 
@@ -25,9 +27,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rhsd_baselines::{LayoutClip, Tcad18Config, Tcad18Detector};
 use rhsd_bench::args::{BenchArgs, Experiment};
-use rhsd_bench::pipeline::{
-    bench_json, evaluate_tcad18, row_json, run_fig10, run_table1, Run, OURS_SEED,
-};
+use rhsd_bench::pipeline::{bench_json, row_json, run_fig10, run_table1, Run, OURS_SEED};
 use rhsd_bench::table::{render_fig10, render_table1};
 use rhsd_bench::viz::{render_svg, viz_counts};
 use rhsd_core::roc::{
@@ -119,7 +119,7 @@ fn fig9(args: &mut BenchArgs, run: &mut Run) {
     let region = RegionConfig::demo();
     let ours = run.ours();
     let tcad = run.tcad18();
-    for bench in &run.benches {
+    for (bench, (_, marked)) in run.benches.iter().zip(tcad.iter()) {
         // pick the test region with the most ground-truth hotspots
         let regions = test_regions(bench, &region);
         let Some(best) = regions.iter().max_by_key(|r| r.gt_clips.len()) else {
@@ -147,9 +147,8 @@ fn fig9(args: &mut BenchArgs, run: &mut Run) {
             })
             .collect();
 
-        // TCAD'18: scan restricted to this window
-        let (_, all_marked) = evaluate_tcad18(&tcad, bench);
-        let tcad_clips: Vec<LayoutClip> = all_marked
+        // TCAD'18: its test-half scan restricted to this window
+        let tcad_clips: Vec<LayoutClip> = marked
             .iter()
             .filter(|c| window.intersects(&c.clip))
             .copied()

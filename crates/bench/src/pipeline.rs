@@ -1,8 +1,10 @@
 //! The shared reproduction pipeline: build benchmarks, train every
 //! detector, evaluate with timing — the machinery behind the `repro`
 //! binary's experiments. A [`Run`] holds one run's benchmarks, training
-//! regions and trained detectors, so each network trains once per run.
+//! regions, trained detectors and their test-half scans, so each network
+//! trains once and scans each test half once per run.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use rand::SeedableRng;
@@ -228,7 +230,7 @@ pub fn train_tcad18(benches: &[Benchmark], effort: Effort) -> Tcad18Detector {
 }
 
 /// Evaluates the clip detector on a case's test half, timing the scan.
-pub fn evaluate_tcad18(det: &Tcad18Detector, bench: &Benchmark) -> (CaseResult, Vec<LayoutClip>) {
+fn evaluate_tcad18(det: &Tcad18Detector, bench: &Benchmark) -> (CaseResult, Vec<LayoutClip>) {
     let timer = rhsd_obs::Stopwatch::start();
     let (marked, eval) = det.scan(bench, &bench.test_extent.clone());
     let secs = timer.secs();
@@ -438,18 +440,24 @@ pub fn bench_json(source: &str, quick: bool, seed: u64, reports: &[DetectorRepor
 }
 
 /// A region network trained once for a [`Run`], with its training
-/// summary.
+/// summary and, once a report asked for them, its test-half scans.
 pub struct TrainedNetwork {
     /// The trained detector.
     pub detector: RegionDetector,
     /// Its training-dynamics summary (`None` when no epochs ran).
     training: Option<TrainingSummary>,
+    /// One timed test-half scan row per case of the run.
+    rows: OnceCell<Vec<CaseResult>>,
 }
+
+/// One TCAD'18 test-half scan: its Table 1 row and the clips it marked.
+pub type ClipScan = (CaseResult, Vec<LayoutClip>);
 
 /// One reproduction run's shared state: the evaluated benchmark cases,
 /// their merged training regions and every detector trained so far. A
 /// region network trains once per `(RhsdConfig, seed)` and TCAD'18 once,
-/// however many experiments ask for them.
+/// and each scans every test half once, however many experiments ask
+/// for them.
 pub struct Run {
     effort: Effort,
     /// The three evaluated benchmark cases (demo scale).
@@ -457,7 +465,7 @@ pub struct Run {
     samples: Vec<RegionSample>,
     /// The region networks trained so far, keyed by config and seed.
     networks: Vec<(RhsdConfig, u64, Rc<TrainedNetwork>)>,
-    tcad18: Option<Rc<Tcad18Detector>>,
+    tcad18: Option<Rc<[ClipScan]>>,
 }
 
 impl Run {
@@ -487,7 +495,11 @@ impl Run {
         }
         let (detector, training) =
             train_detector(label, config.clone(), &self.samples, self.effort, seed);
-        let net = Rc::new(TrainedNetwork { detector, training });
+        let net = Rc::new(TrainedNetwork {
+            detector,
+            training,
+            rows: OnceCell::new(),
+        });
         self.networks.push((config, seed, Rc::clone(&net)));
         net
     }
@@ -497,40 +509,38 @@ impl Run {
         self.network("Ours", ours_config(), OURS_SEED)
     }
 
-    /// The TCAD'18 clip detector, trained on the first request.
-    pub fn tcad18(&mut self) -> Rc<Tcad18Detector> {
+    /// The TCAD'18 clip detector's scan of each case's test half, in
+    /// case order; the detector trains and scans on the first request.
+    pub fn tcad18(&mut self) -> Rc<[ClipScan]> {
         let (benches, effort) = (&self.benches, self.effort);
-        Rc::clone(
-            self.tcad18
-                .get_or_insert_with(|| Rc::new(train_tcad18(benches, effort))),
-        )
+        Rc::clone(self.tcad18.get_or_insert_with(|| {
+            let det = train_tcad18(benches, effort);
+            benches.iter().map(|b| evaluate_tcad18(&det, b)).collect()
+        }))
     }
 
     /// A region network's report named `name`: per-case rows of a timed
-    /// scan of every test half, plus its training summary.
+    /// scan of every test half, plus its training summary. The network
+    /// scans on its first report; later ones reuse the rows.
     fn report(&mut self, name: &str, config: RhsdConfig, seed: u64) -> DetectorReport {
         let net = self.network(name, config, seed);
-        let rows = self
-            .benches
-            .iter()
-            .map(|b| {
-                let timer = rhsd_obs::Stopwatch::start();
-                let result = net.detector.scan_test_half(b);
-                CaseResult::new(b.id.name(), &result.evaluation, timer.secs())
-            })
-            .collect();
-        DetectorReport::new(name, rows).with_training(net.training.clone())
+        let rows = net.rows.get_or_init(|| {
+            self.benches
+                .iter()
+                .map(|b| {
+                    let timer = rhsd_obs::Stopwatch::start();
+                    let result = net.detector.scan_test_half(b);
+                    CaseResult::new(b.id.name(), &result.evaluation, timer.secs())
+                })
+                .collect()
+        });
+        DetectorReport::new(name, rows.clone()).with_training(net.training.clone())
     }
 }
 
 /// Runs the full Table 1 comparison: TCAD'18, Faster R-CNN, SSD, Ours.
 pub fn run_table1(run: &mut Run) -> Vec<DetectorReport> {
-    let tcad = run.tcad18();
-    let rows = run
-        .benches
-        .iter()
-        .map(|b| evaluate_tcad18(&tcad, b).0)
-        .collect();
+    let rows = run.tcad18().iter().map(|(row, _)| row.clone()).collect();
     let mut reports = vec![DetectorReport::new("TCAD'18", rows)];
     let region = RegionConfig::demo();
     for (name, config, seed) in [
@@ -547,7 +557,8 @@ pub fn run_table1(run: &mut Run) -> Vec<DetectorReport> {
 type ConfigTweak = fn(&mut RhsdConfig);
 
 /// Runs the Figure 10 ablation: w/o ED, w/o L2, w/o Refine, Full. Full
-/// is the Ours configuration, so a run that has trained Ours reuses it.
+/// is the Ours configuration, so a run that has scanned Ours reuses its
+/// rows, timings included.
 pub fn run_fig10(run: &mut Run) -> Vec<DetectorReport> {
     let variants: [(&str, ConfigTweak); 4] = [
         ("w/o. ED", |c| c.use_encoder_decoder = false),

@@ -53,33 +53,54 @@ impl std::fmt::Display for Evaluation {
 }
 
 /// Scores one region's detections against its ground-truth hotspot
-/// centres (pixel coordinates).
-///
-/// Detections are processed in descending score order; each ground truth
-/// is matched at most once. A detection whose clip core contains an
-/// unmatched hotspot centre is a true positive, otherwise a false alarm.
+/// centres (pixel coordinates), by [`match_greedy`].
 pub fn evaluate_region(detections: &[Detection], gt_centers: &[(f32, f32)]) -> Evaluation {
+    match_greedy(
+        detections,
+        gt_centers,
+        |d| d.score,
+        |d| {
+            let core: BBox = d.bbox.core();
+            move |&(x, y): &(f32, f32)| core.contains(x, y)
+        },
+    )
+}
+
+/// The Def. 1/Def. 2 matcher behind every detector's scores, in any
+/// coordinate space.
+///
+/// Detections are processed in descending `score` order (stable, by
+/// `total_cmp`); each hotspot is matched at most once. A detection
+/// whose core contains an unmatched hotspot — `core(d)(h)` is the test
+/// for hotspot `h` — takes the first such hotspot and is a true
+/// positive; every other detection is a false alarm.
+pub fn match_greedy<D, H, C: Fn(&H) -> bool>(
+    detections: &[D],
+    hotspots: &[H],
+    score: impl Fn(&D) -> f32,
+    core: impl Fn(&D) -> C,
+) -> Evaluation {
     let mut order: Vec<usize> = (0..detections.len()).collect();
-    order.sort_by(|&a, &b| detections[b].score.total_cmp(&detections[a].score));
-    let mut matched = vec![false; gt_centers.len()];
+    order.sort_by(|&a, &b| score(&detections[b]).total_cmp(&score(&detections[a])));
+    let mut matched = vec![false; hotspots.len()];
     let mut tp = 0usize;
     let mut fa = 0usize;
     for &di in &order {
-        let core: BBox = detections[di].bbox.core();
-        let hit = gt_centers
+        let contains = core(&detections[di]);
+        let hit = hotspots
             .iter()
             .enumerate()
-            .find(|(gi, &(x, y))| !matched[*gi] && core.contains(x, y));
+            .find(|(hi, h)| !matched[*hi] && contains(h));
         match hit {
-            Some((gi, _)) => {
-                matched[gi] = true;
+            Some((hi, _)) => {
+                matched[hi] = true;
                 tp += 1;
             }
             None => fa += 1,
         }
     }
     Evaluation {
-        ground_truth: gt_centers.len(),
+        ground_truth: hotspots.len(),
         true_positives: tp,
         false_alarms: fa,
     }

@@ -29,7 +29,7 @@ use crate::cache::{ScanCache, Tile};
 pub type JobResult = Vec<(Vec<Detection>, Evaluation)>;
 
 struct Job {
-    tiles: Vec<Arc<Tile>>,
+    tiles: Arc<[Tile]>,
     reply: mpsc::Sender<JobResult>,
 }
 
@@ -69,7 +69,7 @@ impl BatchQueue {
     /// per-region results once a batch containing this job completes.
     /// After [`BatchQueue::shutdown`] the job is dropped and the
     /// receiver disconnects.
-    pub fn submit(&self, tiles: Vec<Arc<Tile>>) -> mpsc::Receiver<JobResult> {
+    pub fn submit(&self, tiles: Arc<[Tile]>) -> mpsc::Receiver<JobResult> {
         let (tx, rx) = mpsc::channel();
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if !state.shutdown {
@@ -121,7 +121,7 @@ impl BatchQueue {
                 state.jobs.drain(..).collect()
             };
 
-            let all: Vec<&Tile> = jobs.iter().flat_map(|j| &j.tiles).map(|t| &**t).collect();
+            let all: Vec<&Tile> = jobs.iter().flat_map(|j| j.tiles.iter()).collect();
             let sw = rhsd_obs::Stopwatch::start();
             let mut results = rhsd_par::map(all.len(), 1, |i| scan_region(detector, cache, all[i]));
             sw.stop_into("serve.batch_secs");
@@ -175,6 +175,8 @@ mod tests {
     use rhsd_data::{Benchmark, RegionConfig};
     use rhsd_layout::synth::CaseId;
 
+    use crate::proto::Half;
+
     fn tiny_detector() -> RegionDetector {
         let mut cfg = RhsdConfig::tiny();
         cfg.region_px = 128;
@@ -182,12 +184,12 @@ mod tests {
         RegionDetector::new(RhsdNetwork::new(cfg, &mut rng), RegionConfig::demo())
     }
 
-    fn test_half(cache: &ScanCache, bench: &Benchmark) -> Vec<Arc<Tile>> {
-        cache.tiles(bench, &bench.test_extent, &RegionConfig::demo())
+    fn demo_cache() -> ScanCache {
+        ScanCache::new(Benchmark::demo, RegionConfig::demo())
     }
 
     /// The offline per-region results: plain `detect` on each raster.
-    fn solo(detector: &RegionDetector, tiles: &[Arc<Tile>]) -> JobResult {
+    fn solo(detector: &RegionDetector, tiles: &[Tile]) -> JobResult {
         tiles
             .iter()
             .map(|t| detector.detect_region(t.sample()))
@@ -197,20 +199,19 @@ mod tests {
     #[test]
     fn coalesced_jobs_get_their_solo_scan_results() {
         let detector = Arc::new(tiny_detector());
-        let cache = ScanCache::new();
+        let cache = demo_cache();
         let queue = BatchQueue::new();
-        let b2 = Benchmark::demo(CaseId::Case2);
-        let t2 = test_half(&cache, &b2);
-        let t3 = test_half(&cache, &Benchmark::demo(CaseId::Case3));
+        let t2 = cache.tiles(CaseId::Case2, Half::Test);
+        let t3 = cache.tiles(CaseId::Case3, Half::Test);
         let expect2 = solo(&detector, &t2);
         let expect3 = solo(&detector, &t3);
 
         // Enqueue both jobs *before* the batcher starts so they are
         // provably coalesced into a single pass; the second Case2 job
         // replays the stems the first one stores.
-        let rx2 = queue.submit(t2.clone());
-        let rx3 = queue.submit(t3.clone());
-        let rx2_again = queue.submit(t2.clone());
+        let rx2 = queue.submit(Arc::clone(&t2));
+        let rx3 = queue.submit(Arc::clone(&t3));
+        let rx2_again = queue.submit(Arc::clone(&t2));
         queue.shutdown();
         queue.run(&detector, &cache);
 
@@ -227,7 +228,7 @@ mod tests {
 
         // ... and the merged result equals the offline scan.
         let merged = merge_scan(t2.iter().map(|t| t.sample()), got2);
-        let offline = detector.scan_test_half(&b2);
+        let offline = detector.scan_test_half(cache.benchmark(CaseId::Case2));
         assert_eq!(merged.detections, offline.detections);
         assert_eq!(merged.evaluation, offline.evaluation);
         assert_eq!(merged.regions, offline.regions);
@@ -240,9 +241,9 @@ mod tests {
     )]
     fn concurrent_submitters_are_served() {
         let detector = Arc::new(tiny_detector());
-        let cache = Arc::new(ScanCache::new());
+        let cache = Arc::new(demo_cache());
         let queue = BatchQueue::new();
-        let t2 = test_half(&cache, &Benchmark::demo(CaseId::Case2));
+        let t2 = cache.tiles(CaseId::Case2, Half::Test);
         let expect = solo(&detector, &t2);
 
         let batcher = {
@@ -256,7 +257,7 @@ mod tests {
         let clients: Vec<_> = (0..3)
             .map(|_| {
                 let queue = Arc::clone(&queue);
-                let t = t2.clone();
+                let t = Arc::clone(&t2);
                 std::thread::spawn(move || queue.submit(t).recv().unwrap())
             })
             .collect();
@@ -281,9 +282,9 @@ mod tests {
     )]
     fn sequential_rescans_compute_each_stem_once() {
         let detector = Arc::new(tiny_detector());
-        let cache = Arc::new(ScanCache::new());
+        let cache = Arc::new(demo_cache());
         let queue = BatchQueue::new();
-        let t2 = test_half(&cache, &Benchmark::demo(CaseId::Case2));
+        let t2 = cache.tiles(CaseId::Case2, Half::Test);
         let expect = solo(&detector, &t2);
 
         let batcher = {
@@ -295,7 +296,7 @@ mod tests {
             std::thread::spawn(move || queue.run(&detector, &cache))
         };
         for _ in 0..3 {
-            assert_eq!(queue.submit(t2.clone()).recv().unwrap(), expect);
+            assert_eq!(queue.submit(Arc::clone(&t2)).recv().unwrap(), expect);
         }
         queue.shutdown();
         batcher.join().unwrap();
@@ -309,7 +310,7 @@ mod tests {
     fn submit_after_shutdown_disconnects() {
         let queue = BatchQueue::new();
         queue.shutdown();
-        let rx = queue.submit(Vec::new());
+        let rx = queue.submit(Arc::new([]));
         assert!(rx.recv().is_err(), "post-shutdown job must not be queued");
     }
 }

@@ -1,52 +1,38 @@
-//! The scan cache: each served region's raster and its stem activations,
-//! kept across requests.
+//! The scan table: one entry per scan a server can answer, kept across
+//! requests.
 //!
-//! Served traffic repeats: clients scan the same few `(case, half)`
-//! layouts again and again. [`ScanCache`] keys every region tile by
-//! `(case, region origin)` and keeps, per tile,
+//! A request names one of eight scans, `{Case1..Case4} × {train, test}`,
+//! so [`ScanCache`] is a fixed table with a set-once slot per case for
+//! its labelled [`Benchmark`] and a set-once slot per `(case, half)` for
+//! that scan's region tiles, built by [`rhsd_data::tile_regions`] on the
+//! scan's first request. Each [`Tile`] holds
 //!
-//! - the extracted [`RegionSample`] (raster plus ground truth), built on
-//!   first use, and
+//! - the extracted [`RegionSample`] (raster plus ground truth), and
 //! - a set-once slot for the tile's stem activations
 //!   ([`rhsd_core::FeatureExtractor::forward_stem`]), filled by the first
 //!   scan that reaches the tile.
 //!
 //! The server owns one immutable network for its whole life and one
-//! region geometry, so `(case, origin)` determines both the raster and
-//! the stem exactly. A replayed stem is the stored output of the same
-//! arithmetic on the same bits, so cached and uncached scans are
-//! bit-identical.
+//! region geometry, so `(case, half)` determines every raster and stem
+//! exactly. A replayed stem is the stored output of the same arithmetic
+//! on the same bits, so cached and uncached scans are bit-identical.
 //!
-//! One FIFO bound covers every case. It is the number of distinct tiles
-//! a paper-scale server can be asked for, so no served tile is ever
-//! evicted (see `CAPACITY`). Concurrent first
-//! requests for one tile both build it and one result is kept; both are
-//! identical. A stem is computed outside any lock and the first stored
-//! value wins, so no pool task ever waits on another task's stem — which
-//! matters because `forward_stem` opens pool sections of its own.
+//! Every entry stays resident: at most the 416 tiles of the eight
+//! paper-scale scans. A request that finds a slot empty builds it while
+//! concurrent requests for the same slot wait; only connection threads
+//! build or wait there, never pool tasks. A stem is computed outside any
+//! lock and the first stored value wins, so no pool task ever waits on
+//! another task's stem — which matters because `forward_stem` opens pool
+//! sections of its own.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use rhsd_data::{extract_region, tile_origins, Benchmark, RegionConfig, RegionSample};
+use rhsd_data::{tile_regions, Benchmark, RegionConfig, RegionSample};
 use rhsd_layout::synth::CaseId;
-use rhsd_layout::{Point, Rect};
 use rhsd_tensor::Tensor;
 
-/// Tiles resident at once, across all cases: the 416 distinct tiles of
-/// the eight paper-scale `(case, half)` scans (32 per Case1/2 half and 72
-/// per Case3/4 half of 2,560 nm regions), which also covers the 144 demo
-/// tiles. A smaller FIFO would evict each tile of a client cycling
-/// through every scan just before its next pass, and never hit.
-///
-/// Residency is set by the server's own traffic: about 18 MiB at demo
-/// scale (64 KiB raster + 64 KiB stem per tile) and at most 728 MiB at
-/// paper scale (256 KiB raster + 1.5 MiB `[96, 64, 64]` stem per tile).
-const CAPACITY: usize = 416;
-
-/// `(case, origin x, origin y)`.
-type TileKey = (CaseId, i64, i64);
+use crate::proto::Half;
 
 /// One cached region tile: its sample and, once a scan computed it, its
 /// stem activations.
@@ -62,15 +48,19 @@ impl Tile {
     }
 }
 
-struct Resident {
-    map: BTreeMap<TileKey, Arc<Tile>>,
-    /// Insertion order, for FIFO eviction.
-    order: VecDeque<TileKey>,
+/// One case's slots: its labelled benchmark and the tiles of its train
+/// and test halves.
+#[derive(Default)]
+struct CaseSlots {
+    bench: OnceLock<Benchmark>,
+    halves: [OnceLock<Arc<[Tile]>>; 2],
 }
 
-/// The bounded, thread-safe tile-and-stem cache of one server.
+/// The thread-safe table of one server's benchmarks, tiles and stems.
 pub struct ScanCache {
-    resident: Mutex<Resident>,
+    build: fn(CaseId) -> Benchmark,
+    region: RegionConfig,
+    cases: [CaseSlots; 4],
     tile_hits: AtomicU64,
     tile_misses: AtomicU64,
     stem_hits: AtomicU64,
@@ -78,13 +68,13 @@ pub struct ScanCache {
 }
 
 impl ScanCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
+    /// An empty table whose benchmarks `build` makes and whose tiles
+    /// follow `region`.
+    pub fn new(build: fn(CaseId) -> Benchmark, region: RegionConfig) -> Self {
         ScanCache {
-            resident: Mutex::new(Resident {
-                map: BTreeMap::new(),
-                order: VecDeque::new(),
-            }),
+            build,
+            region,
+            cases: Default::default(),
             tile_hits: AtomicU64::new(0),
             tile_misses: AtomicU64::new(0),
             stem_hits: AtomicU64::new(0),
@@ -92,57 +82,45 @@ impl ScanCache {
         }
     }
 
-    /// The tiles covering `extent` of `bench`, in grid order: resident
-    /// ones from the cache, the others extracted (in parallel) and
-    /// stored.
-    pub fn tiles(&self, bench: &Benchmark, extent: &Rect, config: &RegionConfig) -> Vec<Arc<Tile>> {
-        let origins = tile_origins(extent, config.region_nm());
-        rhsd_par::map(origins.len(), 1, |i| {
-            self.tile(bench.id, origins[i], || {
-                extract_region(bench, origins[i], config)
-            })
-        })
+    /// The labelled benchmark of `case`, built on first use.
+    pub(crate) fn benchmark(&self, case: CaseId) -> &Benchmark {
+        self.cases[case as usize]
+            .bench
+            .get_or_init(|| (self.build)(case))
     }
 
-    /// The tile of `case` at `origin`, calling `extract` (outside the
-    /// lock) to build its sample when it is not resident.
-    fn tile(
-        &self,
-        case: CaseId,
-        origin: Point,
-        extract: impl FnOnce() -> RegionSample,
-    ) -> Arc<Tile> {
-        let key = (case, origin.x, origin.y);
-        if let Some(hit) = self.lock().map.get(&key) {
-            self.tile_hits.fetch_add(1, Ordering::Relaxed);
-            rhsd_obs::counter("cache.region_tile.hits", 1);
-            rhsd_obs::counter("cache.region_tile.bytes", bytes(&hit.sample.image));
-            return Arc::clone(hit);
-        }
-        self.tile_misses.fetch_add(1, Ordering::Relaxed);
-        rhsd_obs::counter("cache.region_tile.misses", 1);
-        let built = Arc::new(Tile {
-            sample: extract(),
-            stem: OnceLock::new(),
+    /// The tiles of `half` of `case`, in grid order, built on the scan's
+    /// first request. The request that builds them counts them as
+    /// misses; one that finds them, or waits while another builds them,
+    /// counts them as hits.
+    pub fn tiles(&self, case: CaseId, half: Half) -> Arc<[Tile]> {
+        let mut built = false;
+        let tiles = self.slot(case, half).get_or_init(|| {
+            built = true;
+            let bench = self.benchmark(case);
+            tile_regions(bench, &half.extent(bench), &self.region)
+                .into_iter()
+                .map(|sample| Tile {
+                    sample,
+                    stem: OnceLock::new(),
+                })
+                .collect()
         });
-        let mut resident = self.lock();
-        if let Some(raced) = resident.map.get(&key) {
-            return Arc::clone(raced);
+        let n = tiles.len() as u64;
+        if built {
+            self.tile_misses.fetch_add(n, Ordering::Relaxed);
+            rhsd_obs::counter("cache.region_tile.misses", n);
+        } else {
+            self.tile_hits.fetch_add(n, Ordering::Relaxed);
+            rhsd_obs::counter("cache.region_tile.hits", n);
+            let saved = tiles.iter().map(|t| bytes(&t.sample.image)).sum();
+            rhsd_obs::counter("cache.region_tile.bytes", saved);
         }
-        resident.map.insert(key, Arc::clone(&built));
-        resident.order.push_back(key);
-        while resident.order.len() > CAPACITY {
-            let Some(old) = resident.order.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = resident.map.remove(&old) {
-                rhsd_obs::counter("cache.region_tile.evictions", 1);
-                if evicted.stem.get().is_some() {
-                    rhsd_obs::counter("cache.stem_feature.evictions", 1);
-                }
-            }
-        }
-        built
+        Arc::clone(tiles)
+    }
+
+    fn slot(&self, case: CaseId, half: Half) -> &OnceLock<Arc<[Tile]>> {
+        &self.cases[case as usize].halves[half as usize]
     }
 
     /// The stem activations of `tile`: read from its slot, or computed by
@@ -165,12 +143,12 @@ impl ScanCache {
         tile.stem.get_or_init(|| computed)
     }
 
-    /// Tile lookups served from the cache.
+    /// Tiles handed out from a built entry.
     pub fn tile_hits(&self) -> u64 {
         self.tile_hits.load(Ordering::Relaxed)
     }
 
-    /// Tile lookups that built the tile.
+    /// Tiles built.
     pub fn tile_misses(&self) -> u64 {
         self.tile_misses.load(Ordering::Relaxed)
     }
@@ -183,17 +161,6 @@ impl ScanCache {
     /// Stem lookups that computed the stem.
     pub fn stem_misses(&self) -> u64 {
         self.stem_misses.load(Ordering::Relaxed)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Resident> {
-        // no invariant spans a panic — recover the data
-        self.resident.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl Default for ScanCache {
-    fn default() -> Self {
-        ScanCache::new()
     }
 }
 
@@ -208,23 +175,10 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_core::{RhsdConfig, RhsdNetwork};
-    use rhsd_layout::synth::CaseSpec;
-    use rhsd_layout::RasterSpec;
+    use rhsd_layout::{RasterSpec, Rect};
 
-    /// A blank one-pixel sample: cheap enough to fill the cache with.
-    fn blank() -> RegionSample {
-        let window = Rect::new(0, 0, 1, 1);
-        RegionSample {
-            image: Tensor::zeros([1, 1, 1]),
-            window,
-            spec: RasterSpec::new(window, 1, 1),
-            gt_clips: Vec::new(),
-            gt_centers: Vec::new(),
-        }
-    }
-
-    fn origin(i: usize) -> Point {
-        Point::new(i as i64, 0)
+    fn demo() -> ScanCache {
+        ScanCache::new(Benchmark::demo, RegionConfig::demo())
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -236,15 +190,13 @@ mod tests {
         let mut cfg = RhsdConfig::tiny();
         cfg.region_px = 128;
         let net = RhsdNetwork::new(cfg, &mut ChaCha8Rng::seed_from_u64(90));
-        let bench = Benchmark::demo(CaseId::Case2);
-        let (extent, region) = (bench.test_extent, RegionConfig::demo());
-        let cache = ScanCache::new();
-        let tiles = cache.tiles(&bench, &extent, &region);
+        let cache = demo();
+        let tiles = cache.tiles(CaseId::Case2, Half::Test);
         let tile = &tiles[0];
 
         let computed = bits(cache.stem(tile, |x| net.extractor().forward_stem(x)));
-        let again = cache.tiles(&bench, &extent, &region);
-        assert!(Arc::ptr_eq(tile, &again[0]), "the rescan reuses the tile");
+        let again = cache.tiles(CaseId::Case2, Half::Test);
+        assert!(Arc::ptr_eq(&tiles, &again), "the rescan reuses the tiles");
         let replayed = cache.stem(&again[0], |_| unreachable!("stem is stored"));
         assert_eq!(bits(replayed), computed);
         assert_eq!(
@@ -259,65 +211,56 @@ mod tests {
     }
 
     #[test]
-    fn the_bound_evicts_the_oldest_tile() {
-        let cache = ScanCache::new();
-        for i in 0..=CAPACITY {
-            cache.tile(CaseId::Case2, origin(i), blank);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "two requests race on their own threads"
+    )]
+    fn concurrent_requests_build_an_entry_once() {
+        // Whether the second request finds the entry or waits on its
+        // build, the tiles are built and counted as misses once.
+        let cache = Arc::new(demo());
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                std::thread::spawn(move || cache.tiles(CaseId::Case2, Half::Test))
+            })
+            .collect();
+        let got: Vec<Arc<[Tile]>> = requests.into_iter().map(|r| r.join().unwrap()).collect();
+        assert!(Arc::ptr_eq(&got[0], &got[1]), "one build serves both");
+        let n = got[0].len() as u64;
+        assert_eq!((cache.tile_hits(), cache.tile_misses()), (n, n));
+    }
+
+    #[test]
+    fn the_eight_entries_are_distinct() {
+        let cache = demo();
+        let cases = [CaseId::Case1, CaseId::Case2, CaseId::Case3, CaseId::Case4];
+        let slots: Vec<_> = cases
+            .into_iter()
+            .flat_map(|case| [Half::Train, Half::Test].map(|half| cache.slot(case, half)))
+            .collect();
+        for (i, a) in slots.iter().enumerate() {
+            assert!(
+                slots[i + 1..].iter().all(|b| !std::ptr::eq(*a, *b)),
+                "slot {i} is shared"
+            );
         }
-        assert_eq!(cache.lock().map.len(), CAPACITY);
-        cache.tile(CaseId::Case2, origin(CAPACITY), || {
-            unreachable!("newest stays")
-        });
-        cache.tile(CaseId::Case2, origin(1), || {
-            unreachable!("second-oldest stays")
-        });
-        assert_eq!(cache.tile_misses(), CAPACITY as u64 + 1);
-        cache.tile(CaseId::Case2, origin(0), blank);
-        assert_eq!(
-            cache.tile_misses(),
-            CAPACITY as u64 + 2,
-            "oldest was evicted"
-        );
-        assert_eq!(cache.tile_hits(), 2);
-    }
-
-    #[test]
-    fn the_bound_holds_every_tile_a_server_scans() {
-        // A server scans both halves of the four cases at one scale; the
-        // halves split each layout extent at its middle column.
-        let distinct = |spec: fn(CaseId) -> CaseSpec, region: RegionConfig| -> usize {
-            let cases = [CaseId::Case1, CaseId::Case2, CaseId::Case3, CaseId::Case4];
-            cases
-                .into_iter()
-                .map(|id| {
-                    let e = spec(id).extent;
-                    let mid = (e.x0 + e.x1) / 2;
-                    [
-                        Rect::new(e.x0, e.y0, mid, e.y1),
-                        Rect::new(mid, e.y0, e.x1, e.y1),
-                    ]
-                    .iter()
-                    .map(|half| tile_origins(half, region.region_nm()).len())
-                    .sum::<usize>()
-                })
-                .sum()
-        };
-        assert_eq!(distinct(CaseSpec::demo, RegionConfig::demo()), 144);
-        assert_eq!(distinct(CaseSpec::full, RegionConfig::paper()), CAPACITY);
-    }
-
-    #[test]
-    fn cases_do_not_share_tiles() {
-        let cache = ScanCache::new();
-        cache.tile(CaseId::Case2, origin(0), blank);
-        cache.tile(CaseId::Case3, origin(0), blank);
-        assert_eq!((cache.tile_hits(), cache.tile_misses()), (0, 2));
     }
 
     #[test]
     fn a_racing_second_set_keeps_the_first_value() {
-        let cache = ScanCache::new();
-        let tile = cache.tile(CaseId::Case2, origin(0), blank);
+        let cache = demo();
+        let window = Rect::new(0, 0, 1, 1);
+        let tile = Tile {
+            sample: RegionSample {
+                image: Tensor::zeros([1, 1, 1]),
+                window,
+                spec: RasterSpec::new(window, 1, 1),
+                gt_clips: Vec::new(),
+                gt_centers: Vec::new(),
+            },
+            stem: OnceLock::new(),
+        };
         // The inner call plays a task that finishes its stem while the
         // outer task is still computing: the outer value is dropped.
         let stem = cache.stem(&tile, |_| {
@@ -327,29 +270,5 @@ mod tests {
         assert_eq!(stem.as_slice(), &[1.0]);
         assert_eq!(cache.stem(&tile, |_| unreachable!()).as_slice(), &[1.0]);
         assert_eq!((cache.stem_hits(), cache.stem_misses()), (1, 2));
-    }
-
-    #[test]
-    fn a_second_pass_over_more_tiles_than_the_old_stem_bound_computes_no_stem() {
-        // Row-major passes over every tile of the eight paper-scale scans:
-        // a stem FIFO smaller than the pass (128 entries) evicts each stem
-        // just before the next pass reaches it and never hits. Stems live
-        // in their tiles, under the tile bound.
-        let cache = ScanCache::new();
-        let computed = AtomicU64::new(0);
-        let forward_stem = |_: &Tensor| {
-            computed.fetch_add(1, Ordering::Relaxed);
-            Tensor::zeros([1])
-        };
-        for _pass in 0..2 {
-            for i in 0..CAPACITY {
-                let tile = cache.tile(CaseId::Case2, origin(i), blank);
-                cache.stem(&tile, forward_stem);
-            }
-        }
-        let n = CAPACITY as u64;
-        assert_eq!(computed.load(Ordering::Relaxed), n);
-        assert_eq!((cache.stem_hits(), cache.stem_misses()), (n, n));
-        assert_eq!((cache.tile_hits(), cache.tile_misses()), (n, n));
     }
 }

@@ -6,10 +6,12 @@
 //! on loopback TCP, and serves layout-scan requests framed as
 //! length-prefixed JSON ([`proto`]). Scans from concurrent connections
 //! are coalesced into shared batched forward passes over the
-//! `rhsd-par` pool ([`batch`]). Its [`cache`] keeps each region's
-//! raster and stem activations across requests; it is the only scan
-//! cache in the workspace, because a server is the only process whose
-//! traffic repeats and whose network never changes.
+//! `rhsd-par` pool ([`batch`]). Its [`cache`] is a fixed table with one
+//! entry per scan a request can name: each case's labelled benchmark and
+//! each `(case, half)`'s region tiles, built on first request and kept
+//! with their stem activations. It is the only scan cache in the
+//! workspace, because a server is the only process whose traffic repeats
+//! and whose network never changes.
 //!
 //! The load-bearing invariant: a served scan is **bit-identical** to
 //! the offline scan of the same case ([`offline_scan`]). Batching is

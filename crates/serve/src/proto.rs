@@ -16,7 +16,9 @@
 use std::io::{Read, Write};
 
 use rhsd_core::detector::ScanResult;
+use rhsd_data::Benchmark;
 use rhsd_layout::synth::CaseId;
+use rhsd_layout::Rect;
 use rhsd_obs::json::{self, Value};
 
 /// Hard ceiling on a single frame body, defending the server against
@@ -127,6 +129,14 @@ impl Half {
         match self {
             Half::Train => "train",
             Half::Test => "test",
+        }
+    }
+
+    /// The extent of `bench` this half covers.
+    pub fn extent(self, bench: &Benchmark) -> Rect {
+        match self {
+            Half::Train => bench.train_extent,
+            Half::Test => bench.test_extent,
         }
     }
 }

@@ -4,17 +4,17 @@
 //! One process loads the trained model once, then serves any number of
 //! scan requests. Scans from concurrent connections meet in the shared
 //! [`BatchQueue`] and run as coalesced forward passes; the
-//! [`ScanCache`] of region rasters and their stem activations persists
-//! across requests, so repeated traffic over the same layouts is served
-//! mostly from cache. Replies are bit-identical to offline scans by
-//! construction — see [`crate::proto::scan_response_json`].
+//! [`ScanCache`] keeps each scan's region tiles and their stem
+//! activations across requests, so repeated traffic over the same
+//! layouts is served mostly from cache. Replies are bit-identical to
+//! offline scans by construction — see
+//! [`crate::proto::scan_response_json`].
 //!
 //! Shutdown protocol: a `shutdown` request is acknowledged, the listener
 //! stops accepting, open connections finish their in-flight requests and
 //! close, the batch queue drains, and [`Server::wait`] returns a final
 //! [`ServeSummary`] (also emitted as a `serve_stats` ledger event).
 
-use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -116,10 +116,10 @@ impl Scale {
         }
     }
 
-    fn benchmark(self, case: CaseId) -> Benchmark {
+    fn benchmark(self) -> fn(CaseId) -> Benchmark {
         match self {
-            Scale::Demo => Benchmark::demo(case),
-            Scale::Paper => Benchmark::full(case),
+            Scale::Demo => Benchmark::demo,
+            Scale::Paper => Benchmark::full,
         }
     }
 }
@@ -128,26 +128,14 @@ impl Scale {
 struct Shared {
     addr: SocketAddr,
     detector: RegionDetector,
-    scale: Scale,
     queue: Arc<BatchQueue>,
     cache: ScanCache,
-    /// The labelled benchmarks, built on first request.
-    cases: Mutex<BTreeMap<CaseId, Arc<Benchmark>>>,
     requests: AtomicU64,
     scan_requests: AtomicU64,
     shutting_down: AtomicBool,
 }
 
 impl Shared {
-    fn case(&self, case: CaseId) -> Arc<Benchmark> {
-        let mut cases = self.cases.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            cases
-                .entry(case)
-                .or_insert_with(|| Arc::new(self.scale.benchmark(case))),
-        )
-    }
-
     fn stats_json(&self) -> String {
         format!(
             "{{\"op\":\"stats\",\"requests\":{},\"scan_requests\":{},\"batches\":{},\"batched_regions\":{},\"batched_requests\":{},\"max_batch_requests\":{},\"tile_hits\":{},\"tile_misses\":{},\"stem_hits\":{},\"stem_misses\":{},\"threads\":{},\"isa\":\"{}\"}}",
@@ -227,10 +215,8 @@ impl Server {
         let shared = Arc::new(Shared {
             addr,
             detector,
-            scale,
             queue: BatchQueue::new(),
-            cache: ScanCache::new(),
-            cases: Mutex::new(BTreeMap::new()),
+            cache: ScanCache::new(scale.benchmark(), scale.region_config()),
             requests: AtomicU64::new(0),
             scan_requests: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
@@ -373,15 +359,8 @@ fn handle_request(req: &Request, shared: &Shared) -> Reply {
             shared.scan_requests.fetch_add(1, Ordering::Relaxed);
             rhsd_obs::counter("serve.scan_requests", 1);
             let sw = rhsd_obs::Stopwatch::start();
-            let bench = shared.case(*case);
-            let extent = match half {
-                Half::Train => bench.train_extent,
-                Half::Test => bench.test_extent,
-            };
-            let tiles = shared
-                .cache
-                .tiles(&bench, &extent, shared.detector.region_config());
-            let rx = shared.queue.submit(tiles.clone());
+            let tiles = shared.cache.tiles(*case, *half);
+            let rx = shared.queue.submit(Arc::clone(&tiles));
             let Ok(per_region) = rx.recv() else {
                 return Reply::Body(error_json("server is shutting down"));
             };
@@ -418,12 +397,8 @@ pub fn offline_scan(
     let network = persist::load_from_path(model).map_err(ServeError::Persist)?;
     let scale = Scale::for_region_px(network.config().region_px)?;
     let detector = RegionDetector::new(network, scale.region_config());
-    let bench = scale.benchmark(case);
-    let extent = match half {
-        Half::Train => bench.train_extent,
-        Half::Test => bench.test_extent,
-    };
-    Ok(detector.scan(&bench, &extent))
+    let bench = scale.benchmark()(case);
+    Ok(detector.scan(&bench, &half.extent(&bench)))
 }
 
 /// Connects to `addr` after [`initiate_shutdown`] so the acceptor

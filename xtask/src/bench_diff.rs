@@ -40,10 +40,7 @@
 //! dropped, or p99 latency grew, by more than `--max-runtime-regress`
 //! percent. Both columns are machine- and load-dependent, so
 //! `--skip-runtime` turns the comparison into an informational report
-//! (batch occupancy and cache hit rates are always printed). The opt-in
-//! `--min-cache-hit-rate <pct>` fails the gate when the current record's
-//! tile or stem hit rate is below `<pct>` percent; the scan cache lives
-//! in the server, so the flag applies to serve records only. Serve
+//! (batch occupancy and cache hit rates are always printed). Serve
 //! records from different thread counts or load-generator modes
 //! (closed vs open loop) are refused for throughput comparison, exactly
 //! like cross-thread table records. A current record reporting
@@ -71,9 +68,6 @@ pub struct Tolerance {
     pub max_accuracy_drop_pt: f64,
     /// Ignore the runtime column entirely (cross-machine CI gates).
     pub skip_runtime: bool,
-    /// Minimum tile and stem hit rate (percent) required of the current
-    /// serve record; `None` disables the gate.
-    pub min_cache_hit_rate_pct: Option<f64>,
     /// Absolute accuracy floor (percent) every detector in the current
     /// record must clear; `None` disables the gate.
     pub min_accuracy_pct: Option<f64>,
@@ -85,7 +79,6 @@ impl Default for Tolerance {
             max_runtime_regress_pct: 10.0,
             max_accuracy_drop_pt: 0.5,
             skip_runtime: false,
-            min_cache_hit_rate_pct: None,
             min_accuracy_pct: None,
         }
     }
@@ -517,21 +510,6 @@ fn compare_serve(
         );
         regressed = true;
     }
-    if let Some(floor) = tol.min_cache_hit_rate_pct {
-        for (family, rate) in [
-            ("region_tile", c.tile_hit_rate_pct),
-            ("stem_feature", c.stem_hit_rate_pct),
-        ] {
-            if rate < floor {
-                let _ = writeln!(
-                    o,
-                    "REGRESSION: serve cache `{family}` hit rate {rate:.1}% \
-                     below the {floor:.1}% floor"
-                );
-                regressed = true;
-            }
-        }
-    }
     Ok((o, regressed))
 }
 
@@ -561,9 +539,6 @@ pub fn compare(
                  and serve records with serve records"
             ))
         }
-    }
-    if tol.min_cache_hit_rate_pct.is_some() {
-        return Err("--min-cache-hit-rate applies to serve records only".into());
     }
     let baseline = parse_record(baseline_text, "baseline")?;
     let current = parse_record(current_text, "current")?;
@@ -601,7 +576,7 @@ fn read(path: &Path) -> Result<String, String> {
 
 /// CLI entry point: `cargo xtask bench-diff <baseline.json> <current.json>
 /// [--max-runtime-regress <pct>] [--max-accuracy-drop <pt>]
-/// [--skip-runtime] [--min-cache-hit-rate <pct>] [--min-accuracy <pct>]`.
+/// [--skip-runtime] [--min-accuracy <pct>]`.
 pub fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut tol = Tolerance::default();
@@ -615,9 +590,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
                 tol.max_accuracy_drop_pt = num_arg(it.next(), "--max-accuracy-drop")?;
             }
             "--skip-runtime" => tol.skip_runtime = true,
-            "--min-cache-hit-rate" => {
-                tol.min_cache_hit_rate_pct = Some(num_arg(it.next(), "--min-cache-hit-rate")?);
-            }
             "--min-accuracy" => {
                 tol.min_accuracy_pct = Some(num_arg(it.next(), "--min-accuracy")?);
             }
@@ -997,25 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_cache_floor_gates_current_rates() {
-        let base = serve_record(120.0, 12.0, 4);
-        // tile 75% / stem 60%: a 50% floor passes, a 70% floor fails on stem.
-        let pass = Tolerance {
-            min_cache_hit_rate_pct: Some(50.0),
-            ..Tolerance::default()
-        };
-        let (report, regressed) = compare(&base, &base, &pass).expect("valid");
-        assert!(!regressed, "{report}");
-        let fail = Tolerance {
-            min_cache_hit_rate_pct: Some(70.0),
-            ..Tolerance::default()
-        };
-        let (report, regressed) = compare(&base, &base, &fail).expect("valid");
-        assert!(regressed, "60% stem rate must fail a 70% floor:\n{report}");
-        assert!(report.contains("stem_feature"), "{report}");
-    }
-
-    #[test]
     fn mixed_record_families_are_an_error() {
         let table = record(1.0, 90.0);
         let serve = serve_record(120.0, 12.0, 4);
@@ -1030,14 +983,6 @@ mod tests {
         };
         let err = compare(&serve, &serve, &tol).unwrap_err();
         assert!(err.contains("table records only"), "{err}");
-        // ... nor --min-cache-hit-rate for table records: repro scans
-        // run no cache.
-        let tol = Tolerance {
-            min_cache_hit_rate_pct: Some(50.0),
-            ..Tolerance::default()
-        };
-        let err = compare(&table, &table, &tol).unwrap_err();
-        assert!(err.contains("serve records only"), "{err}");
     }
 
     #[test]

@@ -67,9 +67,6 @@ tasks:
       --max-accuracy-drop <pt>     accuracy drop tolerance (default 0.5)
       --skip-runtime               ignore the machine-dependent runtime
                                    column (cross-machine CI gates)
-      --min-cache-hit-rate <pct>   opt-in gate (serve records): fail
-                                   when the current record's tile or
-                                   stem hit rate falls below <pct>
       --min-accuracy <pct>         opt-in gate: fail when any detector
                                    in the current record averages below
                                    <pct> percent accuracy (catches

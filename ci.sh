@@ -42,10 +42,10 @@
 #   serves the model on loopback, and `cargo xtask loadgen --quick`
 #   byte-compares every served reply against that reference and shuts
 #   the server down; the server exits 0, its ledger closes with run_end
-#   and serve_stats, the rhsd-serve-bench/1 record is sane (its tile hit
-#   rate is exactly 100 * 5/6: the six Case2 scans build each tile
-#   once), and the differ accepts it and flags an injected throughput
-#   regression.
+#   and serve_stats, the rhsd-serve-bench/1 record is sane (it counts
+#   six Case2 test halves' regions scanned, and its tile hit rate is
+#   exactly 100 * 5/6: the six Case2 scans build each tile once), and
+#   the differ accepts it and flags an injected throughput regression.
 #
 # The baseline is tied to the locked dependency set — after a
 # legitimate accuracy change, refresh it with:
@@ -317,18 +317,23 @@ serve_check_ledger() {
 }
 
 serve_check_record() {
-    python3 - $gate/BENCH_serve.json <<'EOF'
+    python3 - $gate/BENCH_serve.json $gate/ref_case2.json <<'EOF'
 import json, sys
 rec = json.load(open(sys.argv[1]))
+ref = json.load(open(sys.argv[2]))
 def fail(msg):
     sys.exit(f"BENCH_serve.json: {msg}")
 if rec["schema"] != "rhsd-serve-bench/1":
     fail(f"unexpected schema {rec['schema']}")
 if rec["requests"] != 6:  # --quick is 2 connections x 3 requests
     fail(f"expected 6 requests, got {rec['requests']}")
-for key in ("rps", "p50_ms", "p99_ms", "batches", "batched_regions"):
+for key in ("rps", "p50_ms", "p99_ms"):
     if rec[key] <= 0:
         fail(f"{key} must be positive, got {rec[key]}")
+# The six quick requests each scan the Case2 test half, so the server
+# must have run six of its region counts through the network.
+if rec["regions"] != 6 * ref["regions"]:
+    fail(f"expected 6 x {ref['regions']} regions scanned, got {rec['regions']}")
 if not rec["bit_identity_checked"]:
     fail("bit-identity was not checked")
 if rec["bit_identity_mismatches"] != 0:

@@ -44,6 +44,10 @@ use rhsd_obs::Stopwatch;
 /// Seed of the untrained scaling-study networks.
 const SCALING_SEED: u64 = 17;
 
+/// Timed passes of each scan in the scaling study; its columns are the
+/// medians.
+const SCALING_PASSES: usize = 9;
+
 fn main() {
     let mut args = BenchArgs::parse();
     let effort = args.effort();
@@ -307,7 +311,9 @@ fn ablations(args: &mut BenchArgs, run: &mut Run) {
 /// overlapping clip scan as the scanned area grows — the mechanism
 /// behind Table 1's speedup (the clip flow re-examines every location
 /// ~9× through overlapping cores and pays a per-clip feature-extraction
-/// overhead on top). The networks are untrained: only time is measured.
+/// overhead on top). Each scan's time is the median of
+/// [`SCALING_PASSES`] passes, and the speedup is the ratio of the two
+/// medians. The networks are untrained: only time is measured.
 fn scaling(args: &BenchArgs, run: &Run) {
     let Some(bench) = run.benches.iter().find(|b| b.id == CaseId::Case3) else {
         rhsd_bench::fail("scaling", "the run has no Case3 benchmark")
@@ -323,6 +329,7 @@ fn scaling(args: &BenchArgs, run: &Run) {
         &[1280, 2560, 3840]
     };
 
+    println!("median of {SCALING_PASSES} passes per scan:");
     println!(
         "{:>10} {:>9} {:>12} {:>9} {:>12} {:>9}",
         "area(µm²)", "regions", "region(s)", "clips", "clip(s)", "speedup"
@@ -330,19 +337,17 @@ fn scaling(args: &BenchArgs, run: &Run) {
     for &side in sides {
         let origin = bench.layout.extent();
         let extent = Rect::new(origin.x0, origin.y0, origin.x0 + side, origin.y0 + side);
-        let timer = Stopwatch::start();
-        let r = ours.scan(bench, &extent);
-        let t_region = timer.secs();
-
+        let mut regions = 0;
+        let t_region = median_secs(|| regions = ours.scan(bench, &extent).regions);
         let clips = scan_windows(&extent, tcad.config().clip_px).len();
-        let timer = Stopwatch::start();
-        let _ = tcad.scan(bench, &extent);
-        let t_clip = timer.secs();
+        let t_clip = median_secs(|| {
+            tcad.scan(bench, &extent);
+        });
 
         println!(
             "{:>10.1} {:>9} {:>12.3} {:>9} {:>12.3} {:>8.1}×",
             (side as f64 / 1000.0).powi(2),
-            r.regions,
+            regions,
             t_region,
             clips,
             t_clip,
@@ -354,4 +359,17 @@ fn scaling(args: &BenchArgs, run: &Run) {
          core = clip/3), so the gap widens with area — the paper's speedup\n\
          mechanism, reproduced without its GPU batching."
     );
+}
+
+/// The median wall-clock seconds of [`SCALING_PASSES`] runs of `pass`.
+fn median_secs(mut pass: impl FnMut()) -> f64 {
+    let mut secs: Vec<f64> = (0..SCALING_PASSES)
+        .map(|_| {
+            let timer = Stopwatch::start();
+            pass();
+            timer.secs()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[SCALING_PASSES / 2]
 }

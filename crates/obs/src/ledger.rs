@@ -164,14 +164,8 @@ pub enum Event {
     ServeStats {
         /// Total protocol requests handled (all ops).
         requests: u64,
-        /// Scan requests among them (the batched op).
+        /// Scan requests among them.
         scan_requests: u64,
-        /// Batched forward passes executed.
-        batches: u64,
-        /// Regions detected on across all batches.
-        batched_regions: u64,
-        /// Most scan requests ever coalesced into one batch.
-        max_batch_requests: u64,
     },
     /// Final line: exit status, peak metrics and span totals from the
     /// registry.
@@ -285,19 +279,9 @@ impl Event {
             Event::ServeStats {
                 requests,
                 scan_requests,
-                batches,
-                batched_regions,
-                max_batch_requests,
             } => {
                 fld_raw(&mut o, "requests", &requests.to_string());
                 fld_raw(&mut o, "scan_requests", &scan_requests.to_string());
-                fld_raw(&mut o, "batches", &batches.to_string());
-                fld_raw(&mut o, "batched_regions", &batched_regions.to_string());
-                fld_raw(
-                    &mut o,
-                    "max_batch_requests",
-                    &max_batch_requests.to_string(),
-                );
             }
             Event::RunEnd {
                 status,
@@ -570,9 +554,6 @@ mod tests {
             Event::ServeStats {
                 requests: 12,
                 scan_requests: 9,
-                batches: 4,
-                batched_regions: 36,
-                max_batch_requests: 3,
             },
         ];
         for (i, e) in events.iter().enumerate() {

@@ -185,11 +185,9 @@ fn run_serve(args: &Args) -> ExitCode {
 
     let summary = server.wait();
     println!(
-        "rhsd-serve: served {} requests ({} scans) in {} batches (max {} coalesced); tile cache {}h/{}m, stem cache {}h/{}m",
+        "rhsd-serve: served {} requests ({} scans); tile cache {}h/{}m, stem cache {}h/{}m",
         summary.requests,
         summary.scan_requests,
-        summary.batches,
-        summary.max_batch_requests,
         summary.tile_hits,
         summary.tile_misses,
         summary.stem_hits,

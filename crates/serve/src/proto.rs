@@ -95,11 +95,15 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
     let mut len_buf = [0u8; 4];
     // Hand-rolled first-byte read so EOF *between* frames is a clean
-    // `None` while EOF *inside* a frame stays an error.
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(ProtoError::Io(e)),
+    // `None` while EOF *inside* a frame stays an error. An interrupted
+    // read is retried, as `read_exact` retries it.
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ProtoError::Io(e)),
+        }
     }
     r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_be_bytes(len_buf);
@@ -144,19 +148,19 @@ impl Half {
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Liveness probe; echoed back immediately, never batched.
+    /// Liveness probe; echoed back immediately.
     Ping,
     /// Model and server identity (format tag, geometry, thread count).
     Info,
-    /// Scan one synthetic case's half; the server coalesces concurrent
-    /// scans into shared batched forward passes.
+    /// Scan one synthetic case's half: one pass over the `rhsd-par`
+    /// pool, one task per region.
     Scan {
         /// The benchmark case to scan.
         case: CaseId,
         /// Which half of the layout to scan.
         half: Half,
     },
-    /// Server counters: request totals, batch occupancy, cache rates.
+    /// Server counters: request totals, regions scanned, cache rates.
     Stats,
     /// Graceful shutdown: the server acknowledges, stops accepting, and
     /// drains in-flight work before exiting.
@@ -293,6 +297,39 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None); // clean EOF
+    }
+
+    /// A reader whose first `read` is interrupted, as a signal can
+    /// interrupt a socket read.
+    struct InterruptedOnce<'a> {
+        interrupted: bool,
+        inner: &'a [u8],
+    }
+
+    impl Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_first_read_is_retried() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "{\"op\":\"ping\"}").unwrap();
+        let mut r = InterruptedOnce {
+            interrupted: false,
+            inner: &buf,
+        };
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some("{\"op\":\"ping\"}")
+        );
+        assert!(r.interrupted);
+        assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The serving loop: a TCP listener, per-connection handler threads, and
-//! the shared scan state (detector, caches, batch queue, counters).
+//! the shared scan state (detector, scan cache, counters).
 //!
 //! One process loads the trained model once, then serves any number of
-//! scan requests. Scans from concurrent connections meet in the shared
-//! [`BatchQueue`] and run as coalesced forward passes; the
+//! scan requests. A scan request runs on its connection thread as one
+//! `rhsd-par` pass over its cached tiles, one task per region; scans
+//! from concurrent connections meet in the pool's own task queue. The
 //! [`ScanCache`] keeps each scan's region tiles and their stem
 //! activations across requests, so repeated traffic over the same
 //! layouts is served mostly from cache. Replies are bit-identical to
@@ -12,8 +13,8 @@
 //!
 //! Shutdown protocol: a `shutdown` request is acknowledged, the listener
 //! stops accepting, open connections finish their in-flight requests and
-//! close, the batch queue drains, and [`Server::wait`] returns a final
-//! [`ServeSummary`] (also emitted as a `serve_stats` ledger event).
+//! close, and [`Server::wait`] returns a final [`ServeSummary`] (also
+//! emitted as a `serve_stats` ledger event).
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -24,13 +25,12 @@ use std::thread::JoinHandle;
 
 use rhsd_core::detector::ScanResult;
 use rhsd_core::persist::{self, PersistError, MODEL_FORMAT};
-use rhsd_core::{merge_scan, Precision, RegionDetector};
+use rhsd_core::{evaluate_region, merge_scan, Detection, Evaluation, Precision, RegionDetector};
 use rhsd_data::{Benchmark, RegionConfig};
 use rhsd_layout::synth::CaseId;
 use rhsd_obs::ledger::Event;
 
-use crate::batch::BatchQueue;
-use crate::cache::ScanCache;
+use crate::cache::{ScanCache, Tile};
 use crate::proto::{
     error_json, read_frame, scan_response_json, write_frame, Half, ProtoError, Request,
     PROTO_VERSION,
@@ -124,11 +124,10 @@ impl Scale {
     }
 }
 
-/// State shared between the acceptor, connection handlers and batcher.
+/// State shared between the acceptor and the connection handlers.
 struct Shared {
     addr: SocketAddr,
     detector: RegionDetector,
-    queue: Arc<BatchQueue>,
     cache: ScanCache,
     requests: AtomicU64,
     scan_requests: AtomicU64,
@@ -136,15 +135,22 @@ struct Shared {
 }
 
 impl Shared {
+    /// The `stats` reply. `batches`, `batched_requests`,
+    /// `batched_regions` and `max_batch_requests` are compatibility keys
+    /// that clients still parse: each scan is one pool pass of its own,
+    /// so the first two equal `scan_requests`, `batched_regions` counts
+    /// the regions scanned (one stem lookup each), and
+    /// `max_batch_requests` is 1 once any scan has run.
     fn stats_json(&self) -> String {
+        let scans = self.scan_requests.load(Ordering::Relaxed);
         format!(
             "{{\"op\":\"stats\",\"requests\":{},\"scan_requests\":{},\"batches\":{},\"batched_regions\":{},\"batched_requests\":{},\"max_batch_requests\":{},\"tile_hits\":{},\"tile_misses\":{},\"stem_hits\":{},\"stem_misses\":{},\"threads\":{},\"isa\":\"{}\"}}",
             self.requests.load(Ordering::Relaxed),
-            self.scan_requests.load(Ordering::Relaxed),
-            self.queue.batches(),
-            self.queue.batched_regions(),
-            self.queue.batched_requests(),
-            self.queue.max_batch_requests(),
+            scans,
+            scans,
+            self.cache.stem_hits() + self.cache.stem_misses(),
+            scans,
+            scans.min(1),
             self.cache.tile_hits(),
             self.cache.tile_misses(),
             self.cache.stem_hits(),
@@ -171,12 +177,6 @@ pub struct ServeSummary {
     pub requests: u64,
     /// Scan requests handled.
     pub scan_requests: u64,
-    /// Batched forward passes run.
-    pub batches: u64,
-    /// Regions pushed through batched passes.
-    pub batched_regions: u64,
-    /// Largest number of requests coalesced into one pass.
-    pub max_batch_requests: u64,
     /// Tile lookups served from the scan cache.
     pub tile_hits: u64,
     /// Tile lookups that extracted the tile.
@@ -187,12 +187,11 @@ pub struct ServeSummary {
     pub stem_misses: u64,
 }
 
-/// A running server: listener + batcher + connection threads.
+/// A running server: listener + connection threads.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    batcher: JoinHandle<()>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -215,24 +214,11 @@ impl Server {
         let shared = Arc::new(Shared {
             addr,
             detector,
-            queue: BatchQueue::new(),
             cache: ScanCache::new(scale.benchmark(), scale.region_config()),
             requests: AtomicU64::new(0),
             scan_requests: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
         });
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the batcher thread; its batches compute on the rhsd-par pool"
-        )]
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let queue = Arc::clone(&shared.queue);
-                queue.run(&shared.detector, &shared.cache);
-            })
-        };
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         #[expect(
@@ -259,7 +245,6 @@ impl Server {
             addr,
             shared,
             acceptor,
-            batcher,
             conns,
         })
     }
@@ -269,8 +254,8 @@ impl Server {
         self.addr
     }
 
-    /// Blocks until a `shutdown` request lands, open connections drain
-    /// and the batcher stops; returns the lifetime counters and emits
+    /// Blocks until a `shutdown` request lands and open connections
+    /// drain; returns the lifetime counters and emits
     /// them as a `serve_stats` ledger event (when a ledger is active).
     pub fn wait(self) -> ServeSummary {
         let _ = self.acceptor.join();
@@ -281,16 +266,11 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        self.shared.queue.shutdown();
-        let _ = self.batcher.join();
 
         let cache = &self.shared.cache;
         let summary = ServeSummary {
             requests: self.shared.requests.load(Ordering::Relaxed),
             scan_requests: self.shared.scan_requests.load(Ordering::Relaxed),
-            batches: self.shared.queue.batches(),
-            batched_regions: self.shared.queue.batched_regions(),
-            max_batch_requests: self.shared.queue.max_batch_requests(),
             tile_hits: cache.tile_hits(),
             tile_misses: cache.tile_misses(),
             stem_hits: cache.stem_hits(),
@@ -299,9 +279,6 @@ impl Server {
         rhsd_obs::ledger::emit(&Event::ServeStats {
             requests: summary.requests,
             scan_requests: summary.scan_requests,
-            batches: summary.batches,
-            batched_regions: summary.batched_regions,
-            max_batch_requests: summary.max_batch_requests,
         });
         summary
     }
@@ -359,16 +336,40 @@ fn handle_request(req: &Request, shared: &Shared) -> Reply {
             shared.scan_requests.fetch_add(1, Ordering::Relaxed);
             rhsd_obs::counter("serve.scan_requests", 1);
             let sw = rhsd_obs::Stopwatch::start();
-            let tiles = shared.cache.tiles(*case, *half);
-            let rx = shared.queue.submit(Arc::clone(&tiles));
-            let Ok(per_region) = rx.recv() else {
-                return Reply::Body(error_json("server is shutting down"));
-            };
-            let result = merge_scan(tiles.iter().map(|t| t.sample()), per_region);
+            let result = scan(&shared.detector, &shared.cache, *case, *half);
             sw.stop_into("serve.scan_secs");
             Reply::Body(scan_response_json(*case, *half, &result))
         }
     }
+}
+
+/// Serves one scan: the cached tiles of `half` of `case`, one pass over
+/// the `rhsd-par` pool with one task per region, merged in grid order.
+/// Per-region detection reads the network without mutating it, so the
+/// result is [`RegionDetector::scan`]'s, whatever other scans share the
+/// pool's queue meanwhile.
+fn scan(detector: &RegionDetector, cache: &ScanCache, case: CaseId, half: Half) -> ScanResult {
+    let tiles = cache.tiles(case, half);
+    let per_region = rhsd_par::map(tiles.len(), 1, |i| scan_region(detector, cache, &tiles[i]));
+    merge_scan(tiles.iter().map(|t| t.sample()), per_region)
+}
+
+/// Detects on one cached tile and scores it against its ground truth.
+fn scan_region(
+    detector: &RegionDetector,
+    cache: &ScanCache,
+    tile: &Tile,
+) -> (Vec<Detection>, Evaluation) {
+    let _rsp = rhsd_obs::span("scan-region");
+    let net = detector.network();
+    let feats = {
+        let _sp = rhsd_obs::span("backbone");
+        let stem = cache.stem(tile, |image| net.extractor().forward_stem(image));
+        net.extractor().forward_rest(stem)
+    };
+    let dets = net.detect_features(&feats);
+    let eval = evaluate_region(&dets, &tile.sample().gt_centers);
+    (dets, eval)
 }
 
 /// Flags shutdown and pokes the blocking accept loop awake with a
@@ -382,7 +383,7 @@ fn initiate_shutdown(shared: &Shared) {
 
 /// Runs the offline reference scan for bit-identity checks: loads the
 /// model exactly as the server does, scans `case`/`half` through
-/// [`RegionDetector::scan`] (no cache, no batching), and returns the result. The
+/// [`RegionDetector::scan`] (no cache), and returns the result. The
 /// only `precision` is [`Precision::F32`].
 ///
 /// # Errors
@@ -405,4 +406,76 @@ pub fn offline_scan(
 /// observes the flag (used by the shutdown handler and by tests).
 pub(crate) fn wake_acceptor(addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use rhsd_core::{RhsdConfig, RhsdNetwork};
+
+    fn tiny_detector() -> RegionDetector {
+        let mut cfg = RhsdConfig::tiny();
+        cfg.region_px = 128;
+        let mut rng = ChaCha8Rng::seed_from_u64(90);
+        RegionDetector::new(RhsdNetwork::new(cfg, &mut rng), RegionConfig::demo())
+    }
+
+    fn demo_cache() -> ScanCache {
+        ScanCache::new(Benchmark::demo, RegionConfig::demo())
+    }
+
+    fn assert_same(got: &ScanResult, want: &ScanResult) {
+        assert_eq!(got.detections, want.detections);
+        assert_eq!(got.evaluation, want.evaluation);
+        assert_eq!(got.regions, want.regions);
+    }
+
+    #[test]
+    fn served_scans_equal_the_offline_scan() {
+        let detector = tiny_detector();
+        let cache = demo_cache();
+        let offline = detector.scan_test_half(cache.benchmark(CaseId::Case2));
+
+        // The first scan computes every stem, the second replays them.
+        let first = scan(&detector, &cache, CaseId::Case2, Half::Test);
+        assert_same(&first, &offline);
+        let n = first.regions as u64;
+        assert_eq!((cache.stem_hits(), cache.stem_misses()), (0, n));
+        let second = scan(&detector, &cache, CaseId::Case2, Half::Test);
+        assert_same(&second, &offline);
+        assert_eq!((cache.stem_hits(), cache.stem_misses()), (n, n));
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "two scans race on their own threads, as two connections do"
+    )]
+    fn concurrent_scans_each_get_the_offline_result() {
+        let detector = Arc::new(tiny_detector());
+        let cache = Arc::new(demo_cache());
+        let offline = detector.scan_test_half(cache.benchmark(CaseId::Case2));
+        // Both scans start together, so their tasks share the pool.
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let scans: Vec<_> = (0..2)
+            .map(|_| {
+                let (detector, cache) = (Arc::clone(&detector), Arc::clone(&cache));
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    scan(&detector, &cache, CaseId::Case2, Half::Test)
+                })
+            })
+            .collect();
+        for s in scans {
+            assert_same(&s.join().unwrap(), &offline);
+        }
+        // Two scans racing on one tile may both compute its stem, so only
+        // the totals are scheduling-independent.
+        let n = offline.regions as u64;
+        assert_eq!(cache.stem_hits() + cache.stem_misses(), 2 * n);
+        assert!(cache.stem_misses() >= n);
+    }
 }

@@ -15,7 +15,7 @@
 //! | [`data`] (`rhsd-data`) | litho-labelled benchmark cases, region/clip datasets |
 //! | [`core`] (`rhsd-core`) | **the paper's contribution**: extractor, clip proposal network, h-NMS, refinement, C&R loss |
 //! | [`baselines`] (`rhsd-baselines`) | TCAD'18 clip-based detector, Faster R-CNN / SSD configuration ports |
-//! | [`serve`] (`rhsd-serve`) | long-lived batched scan server over a saved model (length-prefixed JSON on TCP) |
+//! | [`serve`] (`rhsd-serve`) | long-lived scan server over a saved model (length-prefixed JSON on TCP) |
 //!
 //! # Quickstart
 //!

@@ -59,6 +59,16 @@ fn served_scan_is_bit_identical_to_offline_scan() {
 
     let server = start(&model);
     let mut client = Client::connect(server.addr()).unwrap();
+    // Before any scan the compatibility keys all read 0.
+    let stats = client.stats().unwrap();
+    for key in [
+        "batches",
+        "batched_regions",
+        "batched_requests",
+        "max_batch_requests",
+    ] {
+        assert!(stats.contains(&format!("\"{key}\":0,")), "{key}: {stats}");
+    }
     let served = client.scan(CaseId::Case2, Half::Test).unwrap();
     assert_eq!(
         served, expected,
@@ -73,9 +83,9 @@ fn served_scan_is_bit_identical_to_offline_scan() {
     drop(client);
     let summary = server.wait();
     assert_eq!(summary.scan_requests, 2);
-    assert!(summary.batches >= 1);
+    // Every tile handed out runs through the network once.
     assert_eq!(
-        summary.batched_regions,
+        summary.stem_hits + summary.stem_misses,
         summary.tile_hits + summary.tile_misses
     );
     assert!(summary.tile_hits > 0, "rescan must hit the tile cache");
@@ -123,8 +133,20 @@ fn concurrent_clients_all_get_exact_results() {
     let v = rhsd::obs::json::parse(&stats).unwrap();
     let field = |k: &str| v.get(k).and_then(rhsd::obs::json::Value::as_u64).unwrap();
     assert_eq!(field("scan_requests"), 4);
-    assert!(field("batches") >= 1);
-    assert!(field("batched_regions") > 0);
+    // The compatibility keys: each scan is one pool pass of its own.
+    assert_eq!(field("batches"), 4);
+    assert_eq!(field("batched_requests"), 4);
+    assert_eq!(field("max_batch_requests"), 1);
+    let regions: u64 = expected
+        .iter()
+        .map(|body| {
+            let v = rhsd::obs::json::parse(body).unwrap();
+            v.get("regions")
+                .and_then(rhsd::obs::json::Value::as_u64)
+                .unwrap()
+        })
+        .sum();
+    assert_eq!(field("batched_regions"), 2 * regions);
     // Stats and info both report the kernel ISA the server dispatches to.
     let info = control.request(&Request::Info).unwrap();
     for reply in [&stats, &info] {

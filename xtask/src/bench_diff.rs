@@ -40,10 +40,10 @@
 //! dropped, or p99 latency grew, by more than `--max-runtime-regress`
 //! percent. Both columns are machine- and load-dependent, so
 //! `--skip-runtime` turns the comparison into an informational report
-//! (batch occupancy and cache hit rates are always printed). Serve
-//! records from different thread counts or load-generator modes
-//! (closed vs open loop) are refused for throughput comparison, exactly
-//! like cross-thread table records. A current record reporting
+//! (cache hit rates are always printed). Serve records from different
+//! thread counts or load-generator modes (closed vs open loop) are
+//! refused for throughput comparison, exactly like cross-thread table
+//! records. A current record reporting
 //! bit-identity mismatches always fails. Mixing a table record with a
 //! serve record is a usage error (exit 2).
 //!
@@ -347,7 +347,6 @@ struct ServeRecord {
     rps: f64,
     p50_ms: f64,
     p99_ms: f64,
-    mean_batch_requests: f64,
     /// Hit rates in percent (already normalised by loadgen).
     tile_hit_rate_pct: f64,
     stem_hit_rate_pct: f64,
@@ -379,7 +378,6 @@ fn parse_serve_record(text: &str, label: &str) -> Result<ServeRecord, String> {
         rps: num("rps")?,
         p50_ms: opt("p50_ms"),
         p99_ms: num("p99_ms")?,
-        mean_batch_requests: opt("mean_batch_requests"),
         tile_hit_rate_pct: opt("tile_hit_rate"),
         stem_hit_rate_pct: opt("stem_hit_rate"),
         bit_identity_mismatches: opt("bit_identity_mismatches") as u64,
@@ -447,16 +445,10 @@ fn compare_serve(
     );
     // (metric, baseline, current, regression-when: +1 growth fails,
     //  -1 drop fails, 0 informational)
-    let columns: [(&str, f64, f64, i8); 5] = [
+    let columns: [(&str, f64, f64, i8); 4] = [
         ("requests/sec", b.rps, c.rps, -1),
         ("p50 latency (ms)", b.p50_ms, c.p50_ms, 0),
         ("p99 latency (ms)", b.p99_ms, c.p99_ms, 1),
-        (
-            "mean batch (requests)",
-            b.mean_batch_requests,
-            c.mean_batch_requests,
-            0,
-        ),
         (
             "tile hit rate (%)",
             b.tile_hit_rate_pct,
@@ -857,11 +849,7 @@ mod tests {
   "p50_ms": 4.0,
   "p95_ms": 9.0,
   "p99_ms": {p99_ms},
-  "batches": 10,
-  "batched_requests": 32,
-  "batched_regions": 128,
-  "max_batch_requests": 4,
-  "mean_batch_requests": 3.2,
+  "regions": 128,
   "tile_hit_rate": 75.0,
   "stem_hit_rate": 60.0,
   "bit_identity_checked": true,

@@ -171,8 +171,8 @@ const L12_FILES: &[&str] = &[
     "crates/core/src/model.rs",
     "crates/core/src/refine.rs",
     "crates/core/src/hnms.rs",
-    "crates/serve/src/batch.rs",
     "crates/serve/src/cache.rs",
+    "crates/serve/src/server.rs",
     "crates/tensor/src/shape.rs",
     "crates/tensor/src/tensor.rs",
 ];

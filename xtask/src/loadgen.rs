@@ -5,15 +5,15 @@
 //! chosen by a fixed seed, so two runs against equivalent servers issue
 //! the identical request stream), measures per-request latency, fetches
 //! the server's counters, and writes a `rhsd-serve-bench/1` JSON record
-//! (requests/sec, p50/p95/p99 latency, batch occupancy, cache hit
+//! (requests/sec, p50/p95/p99 latency, regions scanned, cache hit
 //! rates) that `cargo xtask bench-diff` can gate on.
 //!
 //! Two traffic shapes:
 //! - **closed-loop** (default): each connection waits for a reply
 //!   before sending the next request — latency under no queueing.
 //! - **open-loop**: each connection writes its whole request stream
-//!   immediately and then drains replies — maximises the batch
-//!   coalescing opportunity on the server.
+//!   immediately and then drains replies — latencies include queueing
+//!   on the server.
 //!
 //! With `--expect <Case>=<file>` every reply for that case is compared
 //! byte-for-byte against the reference file (written by
@@ -124,8 +124,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
     }
     if quick {
-        // Small but still concurrent: enough traffic to exercise
-        // coalescing and warm caches inside a CI smoke budget.
+        // Small but still concurrent: enough traffic to share the pool
+        // and warm caches inside a CI smoke budget.
         connections = 2;
         requests = 3;
         cases = vec![CaseId::Case2];
@@ -290,7 +290,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let total = latencies.len();
 
-    // Server-side counters (occupancy, cache rates, thread count).
+    // Server-side counters (stem lookups, cache rates, thread count).
     let mut control =
         Client::connect(&*opts.addr).map_err(|e| format!("cannot reconnect for stats: {e}"))?;
     let stats_body = control
@@ -319,14 +319,8 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
     } else {
         0.0
     };
-    let batches = stat("batches");
-    let mean_batch = if batches > 0.0 {
-        stat("batched_requests") / batches
-    } else {
-        0.0
-    };
     let record = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"source\": \"loadgen\",\n  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"isa\": \"{isa}\",\n  \"connections\": {connections},\n  \"requests_per_connection\": {rpc},\n  \"requests\": {total},\n  \"wall_secs\": {wall},\n  \"rps\": {rps},\n  \"p50_ms\": {p50},\n  \"p95_ms\": {p95},\n  \"p99_ms\": {p99},\n  \"batches\": {batches},\n  \"batched_requests\": {breq},\n  \"batched_regions\": {breg},\n  \"max_batch_requests\": {bmax},\n  \"mean_batch_requests\": {bmean},\n  \"tile_hit_rate\": {tile},\n  \"stem_hit_rate\": {stem},\n  \"bit_identity_checked\": {checked},\n  \"bit_identity_mismatches\": {mismatches}\n}}\n",
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"source\": \"loadgen\",\n  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \"isa\": \"{isa}\",\n  \"connections\": {connections},\n  \"requests_per_connection\": {rpc},\n  \"requests\": {total},\n  \"wall_secs\": {wall},\n  \"rps\": {rps},\n  \"p50_ms\": {p50},\n  \"p95_ms\": {p95},\n  \"p99_ms\": {p99},\n  \"regions\": {regions},\n  \"tile_hit_rate\": {tile},\n  \"stem_hit_rate\": {stem},\n  \"bit_identity_checked\": {checked},\n  \"bit_identity_mismatches\": {mismatches}\n}}\n",
         mode = opts.mode.name(),
         seed = opts.seed,
         threads = stat("threads"),
@@ -338,11 +332,8 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         p50 = json::number(percentile(&latencies, 50.0)),
         p95 = json::number(percentile(&latencies, 95.0)),
         p99 = json::number(percentile(&latencies, 99.0)),
-        batches = stat("batches"),
-        breq = stat("batched_requests"),
-        breg = stat("batched_regions"),
-        bmax = stat("max_batch_requests"),
-        bmean = json::number(mean_batch),
+        // Every region the server scans is one stem lookup.
+        regions = stat("stem_hits") + stat("stem_misses"),
         tile = json::number(hit_rate(stat("tile_hits"), stat("tile_misses"))),
         stem = json::number(hit_rate(stat("stem_hits"), stat("stem_misses"))),
         checked = !references.is_empty(),
@@ -351,8 +342,8 @@ pub fn run(args: &[String]) -> Result<ExitCode, String> {
         .map_err(|e| format!("cannot write {}: {e}", opts.out.display()))?;
 
     eprintln!(
-        "loadgen: {total} requests in {wall_secs:.2}s ({rps:.1} req/s), p50 {:.1}ms p99 {:.1}ms, \
-         {batches} batches (mean {mean_batch:.1} req/batch); record -> {}",
+        "loadgen: {total} requests in {wall_secs:.2}s ({rps:.1} req/s), p50 {:.1}ms p99 {:.1}ms; \
+         record -> {}",
         percentile(&latencies, 50.0),
         percentile(&latencies, 99.0),
         opts.out.display()

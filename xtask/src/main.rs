@@ -49,10 +49,10 @@ tasks:
           [--expect <Case>=<file>] [--out <file>] [--shutdown] [--quick]
       Drive a running rhsd-serve with N connections x M scan requests
       (deterministic case schedule) and write a `rhsd-serve-bench/1`
-      record (req/s, p50/p95/p99 latency, batch occupancy, cache hit
+      record (req/s, p50/p95/p99 latency, regions scanned, cache hit
       rates) for bench-diff.
       --mode      closed (wait per reply; default) or open (pipeline all
-                  requests, then drain — maximises batch coalescing)
+                  requests, then drain)
       --expect    byte-compare every reply for <Case> against <file>
                   (written by `rhsd-serve --offline-scan`); any mismatch
                   fails the run (exit 1)

@@ -9,7 +9,6 @@
 
 use crate::metrics::{evaluate_region, Evaluation};
 use crate::model::Detection;
-use rhsd_tensor::ops::reduce;
 
 /// One operating point of a detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,33 +61,6 @@ pub fn best_operating_point(points: &[OperatingPoint]) -> Option<OperatingPoint>
             .total_cmp(&b.accuracy)
             .then(b.false_alarms.cmp(&a.false_alarms))
     })
-}
-
-/// Area under the (accuracy vs. normalised-false-alarm) curve via the
-/// trapezoid rule — a single-scalar summary for comparing detectors.
-///
-/// False alarms are normalised by the maximum observed count; points are
-/// sorted by false alarms internally. Returns 0.0 for fewer than 2 points.
-pub fn auc(points: &[OperatingPoint]) -> f64 {
-    if points.len() < 2 {
-        return 0.0;
-    }
-    let max_fa = points.iter().map(|p| p.false_alarms).max().unwrap_or(0);
-    if max_fa == 0 {
-        // no false alarms anywhere: degenerate perfect-precision curve
-        return reduce::max_f64(0.0, points.iter().map(|p| p.accuracy));
-    }
-    let mut pts: Vec<(f64, f64)> = points
-        .iter()
-        .map(|p| (p.false_alarms as f64 / max_fa as f64, p.accuracy))
-        .collect();
-    pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut area = 0.0;
-    for w in pts.windows(2) {
-        let ((x0, y0), (x1, y1)) = (w[0], w[1]);
-        area += (x1 - x0) * (y0 + y1) / 2.0;
-    }
-    area
 }
 
 #[cfg(test)]
@@ -150,38 +122,6 @@ mod tests {
         let best = best_operating_point(&pts).unwrap();
         assert_eq!(best.threshold, 0.5);
         assert!(best_operating_point(&[]).is_none());
-    }
-
-    #[test]
-    fn auc_of_perfect_detector_is_high() {
-        let perfect = vec![
-            OperatingPoint {
-                threshold: 0.1,
-                accuracy: 1.0,
-                false_alarms: 0,
-            },
-            OperatingPoint {
-                threshold: 0.9,
-                accuracy: 1.0,
-                false_alarms: 0,
-            },
-        ];
-        assert_eq!(auc(&perfect), 1.0);
-
-        let mediocre = vec![
-            OperatingPoint {
-                threshold: 0.1,
-                accuracy: 0.6,
-                false_alarms: 100,
-            },
-            OperatingPoint {
-                threshold: 0.9,
-                accuracy: 0.1,
-                false_alarms: 0,
-            },
-        ];
-        let a = auc(&mediocre);
-        assert!(a > 0.0 && a < 1.0);
     }
 
     #[test]

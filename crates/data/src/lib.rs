@@ -22,6 +22,7 @@ mod bbox;
 mod benchmark;
 pub mod clips;
 mod region;
+mod scale;
 
 pub use bbox::BBox;
 pub use benchmark::{Benchmark, NM_PER_PX};
@@ -29,3 +30,4 @@ pub use region::{
     extract_region, sample_regions, test_regions, tile_origins, tile_regions, train_regions,
     RegionConfig, RegionSample,
 };
+pub use scale::{Scale, UnknownScale};

@@ -118,16 +118,6 @@ impl Rect {
         }
     }
 
-    /// The smallest rectangle containing both.
-    pub fn union_bbox(&self, other: &Rect) -> Rect {
-        Rect {
-            x0: self.x0.min(other.x0),
-            y0: self.y0.min(other.y0),
-            x1: self.x1.max(other.x1),
-            y1: self.y1.max(other.y1),
-        }
-    }
-
     /// Intersection-over-Union — Eq. (2) of the paper.
     ///
     /// The union is computed exactly (`|A| + |B| − |A∩B|`), not via the
@@ -282,13 +272,5 @@ mod tests {
         assert_eq!(r.translated(10, -2), Rect::new(10, -2, 14, 2));
         assert_eq!(r.inflated(1), Rect::new(-1, -1, 5, 5));
         assert_eq!(r.inflated(-1), Rect::new(1, 1, 3, 3));
-    }
-
-    #[test]
-    fn union_bbox_covers_both() {
-        let a = Rect::new(0, 0, 2, 2);
-        let b = Rect::new(5, -3, 7, 1);
-        let u = a.union_bbox(&b);
-        assert!(u.contains_rect(&a) && u.contains_rect(&b));
     }
 }

@@ -143,19 +143,6 @@ impl Layout {
         }
     }
 
-    /// Adds a rectilinear polygon to a layer, decomposed into rectangles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polygon decomposes to nothing (degenerate ring).
-    pub fn add_polygon(&mut self, layer: LayerId, poly: &crate::polygon::RectilinearPolygon) {
-        let rects = poly.to_rects();
-        assert!(!rects.is_empty(), "polygon decomposed to no rectangles");
-        for r in rects {
-            self.add(layer, r);
-        }
-    }
-
     /// Returns the shapes on `layer` intersecting `window` (positive-area
     /// overlap), deduplicated, in insertion order.
     pub fn query(&self, layer: LayerId, window: &Rect) -> Vec<Rect> {
@@ -277,19 +264,6 @@ mod tests {
         l.add(LayerId(5), Rect::new(0, 0, 1, 1));
         l.add(LayerId(2), Rect::new(0, 0, 1, 1));
         assert_eq!(l.layer_ids(), vec![LayerId(5), LayerId(2)]);
-    }
-
-    #[test]
-    fn add_polygon_decomposes_l_shape() {
-        use crate::geom::Point;
-        use crate::polygon::RectilinearPolygon;
-        let mut l = Layout::new(Rect::new(0, 0, 1000, 1000));
-        let poly = RectilinearPolygon::l_shape(Point::new(100, 100), 40, 300, 200);
-        l.add_polygon(METAL1, &poly);
-        assert_eq!(l.shape_count(METAL1), 2);
-        assert_eq!(l.total_area(METAL1), poly.area());
-        // query finds both arms
-        assert_eq!(l.query(METAL1, &Rect::new(0, 0, 1000, 1000)).len(), 2);
     }
 
     #[test]

@@ -34,13 +34,6 @@ proptest! {
     }
 
     #[test]
-    fn union_bbox_contains_both(a in rect_strategy(), b in rect_strategy()) {
-        let u = a.union_bbox(&b);
-        prop_assert!(u.contains_rect(&a));
-        prop_assert!(u.contains_rect(&b));
-    }
-
-    #[test]
     fn core_is_centred_and_smaller(a in rect_strategy()) {
         let c = a.core();
         prop_assert!(a.contains_rect(&c));

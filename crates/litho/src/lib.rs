@@ -29,7 +29,6 @@
 //! ```
 
 pub mod aerial;
-pub mod cd;
 pub mod hotspot;
 pub mod kernel;
 pub mod resist;

@@ -67,11 +67,6 @@ impl Sgd {
         }
     }
 
-    /// Number of steps taken so far.
-    pub fn step_count(&self) -> usize {
-        self.step
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.schedule.lr_at(self.step)
@@ -153,7 +148,6 @@ mod tests {
         opt.step(&mut [&mut w], &mut g);
         assert_eq!(w.as_slice(), &[0.0]);
         assert_eq!(g[0].as_slice(), &[0.0], "grads cleared after step");
-        assert_eq!(opt.step_count(), 1);
     }
 
     #[test]

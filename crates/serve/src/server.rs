@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use rhsd_core::detector::ScanResult;
 use rhsd_core::persist::{self, PersistError, MODEL_FORMAT};
 use rhsd_core::{evaluate_region, merge_scan, Detection, Evaluation, Precision, RegionDetector};
-use rhsd_data::{Benchmark, RegionConfig};
+use rhsd_data::{Scale, UnknownScale};
 use rhsd_layout::synth::CaseId;
 use rhsd_obs::ledger::Event;
 
@@ -52,10 +52,7 @@ pub enum ServeError {
     /// The model file failed to load.
     Persist(PersistError),
     /// The model's input geometry matches no known benchmark scale.
-    Geometry {
-        /// The model's region side in pixels.
-        model_px: usize,
-    },
+    Geometry(UnknownScale),
     /// Binding or configuring the listener failed.
     Io(std::io::Error),
 }
@@ -64,12 +61,7 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Persist(e) => write!(f, "cannot load model: {e}"),
-            ServeError::Geometry { model_px } => write!(
-                f,
-                "model scans {model_px}-px regions, which is neither demo ({}) nor paper ({}) geometry",
-                RegionConfig::demo().region_px,
-                RegionConfig::paper().region_px
-            ),
+            ServeError::Geometry(e) => write!(f, "{e}"),
             ServeError::Io(e) => write!(f, "server I/O error: {e}"),
         }
     }
@@ -79,7 +71,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Persist(e) => Some(e),
-            ServeError::Geometry { .. } => None,
+            ServeError::Geometry(e) => Some(e),
             ServeError::Io(e) => Some(e),
         }
     }
@@ -88,39 +80,6 @@ impl std::error::Error for ServeError {
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-/// Benchmark scale implied by the model geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scale {
-    Demo,
-    Paper,
-}
-
-impl Scale {
-    fn for_region_px(model_px: usize) -> Result<Scale, ServeError> {
-        if model_px == RegionConfig::demo().region_px {
-            Ok(Scale::Demo)
-        } else if model_px == RegionConfig::paper().region_px {
-            Ok(Scale::Paper)
-        } else {
-            Err(ServeError::Geometry { model_px })
-        }
-    }
-
-    fn region_config(self) -> RegionConfig {
-        match self {
-            Scale::Demo => RegionConfig::demo(),
-            Scale::Paper => RegionConfig::paper(),
-        }
-    }
-
-    fn benchmark(self) -> fn(CaseId) -> Benchmark {
-        match self {
-            Scale::Demo => Benchmark::demo,
-            Scale::Paper => Benchmark::full,
-        }
     }
 }
 
@@ -205,7 +164,8 @@ impl Server {
     /// scale, [`ServeError::Io`] when the port cannot be bound.
     pub fn start(config: &ServeConfig) -> Result<Server, ServeError> {
         let network = persist::load_from_path(&config.model).map_err(ServeError::Persist)?;
-        let scale = Scale::for_region_px(network.config().region_px)?;
+        let scale =
+            Scale::for_region_px(network.config().region_px).map_err(ServeError::Geometry)?;
         let detector = RegionDetector::new(network, scale.region_config());
 
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
@@ -396,7 +356,7 @@ pub fn offline_scan(
     _precision: Precision,
 ) -> Result<ScanResult, ServeError> {
     let network = persist::load_from_path(model).map_err(ServeError::Persist)?;
-    let scale = Scale::for_region_px(network.config().region_px)?;
+    let scale = Scale::for_region_px(network.config().region_px).map_err(ServeError::Geometry)?;
     let detector = RegionDetector::new(network, scale.region_config());
     let bench = scale.benchmark()(case);
     Ok(detector.scan(&bench, &half.extent(&bench)))
@@ -414,6 +374,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rhsd_core::{RhsdConfig, RhsdNetwork};
+    use rhsd_data::{Benchmark, RegionConfig};
 
     fn tiny_detector() -> RegionDetector {
         let mut cfg = RhsdConfig::tiny();

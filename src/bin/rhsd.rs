@@ -4,12 +4,14 @@
 //! ```text
 //! rhsd gen    --case <1|2|3|4> [--full] --out <layout.rlf>
 //! rhsd label  --layout <layout.rlf> --out <defects.json>
-//! rhsd train  [--case <2|3|4>]... [--epochs N] [--no-ed|--no-l2|--no-refine] --out <model.json>
 //! rhsd detect --model <model.json> --layout <layout.rlf> --out <detections.json>
+//! rhsd drc    --layout <layout.rlf> [--min-width N] [--min-space N]
 //! rhsd eval   --model <model.json> [--case <2|3|4>]...
 //! ```
 //!
-//! All commands are deterministic (fixed seeds).
+//! All commands are deterministic. `detect` and `eval` take the region
+//! geometry and benchmark scale from the model's input size. Models come
+//! from `repro ... --save-model`.
 
 #![expect(
     clippy::print_stdout,
@@ -20,10 +22,9 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use rand::SeedableRng;
-use rhsd::core::persist::{load_from_path, save_to_path};
-use rhsd::core::{RegionDetector, RhsdConfig, RhsdNetwork, TrainConfig};
-use rhsd::data::{train_regions, Benchmark, RegionConfig, NM_PER_PX};
+use rhsd::core::persist::load_from_path;
+use rhsd::core::RegionDetector;
+use rhsd::data::{Benchmark, Scale, NM_PER_PX};
 use rhsd::layout::io::{read_rlf, write_rlf};
 use rhsd::layout::synth::{CaseId, CaseSpec};
 use rhsd::layout::{Layout, Rect, METAL1};
@@ -40,7 +41,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "gen" => cmd_gen(&opts),
         "label" => cmd_label(&opts),
-        "train" => cmd_train(&opts),
         "detect" => cmd_detect(&opts),
         "drc" => cmd_drc(&opts),
         "eval" => cmd_eval(&opts),
@@ -65,7 +65,6 @@ rhsd — faster region-based hotspot detection (DAC 2019 reproduction)
 USAGE:
   rhsd gen    --case <1|2|3|4> [--full] --out <layout.rlf>
   rhsd label  --layout <layout.rlf> --out <defects.json>
-  rhsd train  [--case <2|3|4>]... [--epochs N] [--no-ed] [--no-l2] [--no-refine] --out <model.json>
   rhsd detect --model <model.json> --layout <layout.rlf> --out <detections.json>
   rhsd drc    --layout <layout.rlf> [--min-width N] [--min-space N]
   rhsd eval   --model <model.json> [--case <2|3|4>]...";
@@ -171,42 +170,16 @@ fn cmd_label(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
-    let out = one(opts, "out")?;
-    let cases = cases_or_default(opts)?;
-    let epochs: usize = opts
-        .get("epochs")
-        .and_then(|v| v.first())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-
-    let mut cfg = RhsdConfig::demo();
-    cfg.use_encoder_decoder = !flag(opts, "no-ed");
-    cfg.use_l2 = !flag(opts, "no-l2");
-    cfg.use_refinement = !flag(opts, "no-refine");
-
-    let region = RegionConfig::demo();
-    let mut samples = Vec::new();
-    for &c in &cases {
-        println!("building {c} (layout + litho labels)…");
-        let bench = Benchmark::demo(c);
-        samples.extend(train_regions(&bench, &region));
-    }
-    println!("training on {} regions for {epochs} epochs…", samples.len());
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2019);
-    let mut net = RhsdNetwork::new(cfg, &mut rng);
-    let mut tc = TrainConfig::demo();
-    tc.epochs = epochs;
-    for h in rhsd::core::train(&mut net, &samples, &tc) {
-        println!("  epoch {:>2}: mean loss {:.4}", h.epoch, h.mean_loss);
-    }
-    save_to_path(&net, out).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
-    Ok(())
+/// Loads a model and builds its detector at the scale its input size
+/// names; an input size of neither scale is an error, not a panic.
+fn load_detector(path: &str) -> Result<(RegionDetector, Scale), String> {
+    let net = load_from_path(path).map_err(|e| format!("{path}: {e}"))?;
+    let scale = Scale::for_region_px(net.config().region_px).map_err(|e| format!("{path}: {e}"))?;
+    Ok((RegionDetector::new(net, scale.region_config()), scale))
 }
 
 fn cmd_detect(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
-    let net = load_from_path(one(opts, "model")?).map_err(|e| e.to_string())?;
+    let (det, _) = load_detector(one(opts, "model")?)?;
     let layout = load_layout(one(opts, "layout")?)?;
     let out = one(opts, "out")?;
 
@@ -219,7 +192,6 @@ fn cmd_detect(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
         train_extent: Rect::new(extent.x0, extent.y0, extent.x0, extent.y1),
         test_extent: extent,
     };
-    let det = RegionDetector::new(net, RegionConfig::demo());
     let result = det.scan(&bench, &extent);
     let rows: Vec<String> = result
         .detections
@@ -274,11 +246,10 @@ fn cmd_drc(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
 }
 
 fn cmd_eval(opts: &BTreeMap<String, Vec<String>>) -> Result<(), String> {
-    let net = load_from_path(one(opts, "model")?).map_err(|e| e.to_string())?;
+    let (det, scale) = load_detector(one(opts, "model")?)?;
     let cases = cases_or_default(opts)?;
-    let det = RegionDetector::new(net, RegionConfig::demo());
     for &c in &cases {
-        let bench = Benchmark::demo(c);
+        let bench = scale.benchmark()(c);
         let timer = rhsd::obs::Stopwatch::start();
         let result = det.scan_test_half(&bench);
         println!(
